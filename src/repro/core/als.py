@@ -53,28 +53,68 @@ class CensoredALSResult:
 
 def _validate_inputs(
     observed: np.ndarray, mask: np.ndarray, timeouts: Optional[np.ndarray]
-) -> np.ndarray:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Check the input triple and reduce it to the cells the solver touches:
+    flat (row-major) indices and values of the observed and censored cells."""
     observed = np.asarray(observed, dtype=float)
-    mask = np.asarray(mask, dtype=float)
+    mask = np.asarray(mask)
     if observed.ndim != 2:
         raise CompletionError(f"observed matrix must be 2-D, got shape {observed.shape}")
     if mask.shape != observed.shape:
         raise CompletionError(
             f"mask shape {mask.shape} does not match observed shape {observed.shape}"
         )
+    obs_idx = np.flatnonzero(mask.reshape(-1) > 0)
+    if obs_idx.size == 0:
+        raise CompletionError("cannot run ALS with an empty observation mask")
+    obs_vals = observed.reshape(-1)[obs_idx]
+    if not np.all(np.isfinite(obs_vals)):
+        raise CompletionError("observed entries must be finite where mask == 1")
     if timeouts is None:
-        timeouts = np.zeros_like(observed)
+        return obs_idx, obs_vals, obs_idx[:0], obs_vals[:0]
     timeouts = np.asarray(timeouts, dtype=float)
     if timeouts.shape != observed.shape:
         raise CompletionError(
             f"timeout shape {timeouts.shape} does not match observed shape {observed.shape}"
         )
-    if mask.sum() == 0:
-        raise CompletionError("cannot run ALS with an empty observation mask")
-    masked_values = observed[mask > 0]
-    if not np.all(np.isfinite(masked_values)):
-        raise CompletionError("observed entries must be finite where mask == 1")
-    return timeouts
+    cen_idx = np.flatnonzero(timeouts.reshape(-1) > 0)
+    return obs_idx, obs_vals, cen_idx, timeouts.reshape(-1)[cen_idx]
+
+
+def _baseline_factors(
+    obs_idx: np.ndarray, obs_vals: np.ndarray, n: int, k: int, rank: int, seed: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Cold-start factors, computed from the observed cells only.
+
+    The first factor pair encodes the rank-1 multiplicative baseline (per-row
+    scale x per-column ratio-to-row-mean), which is what collaborative
+    filtering systems use as their bias term.  The remaining factors start
+    near zero and learn residual structure.  This makes the fill-in iteration
+    useful even when only a few percent of the matrix is observed (the
+    cold-start regime of offline exploration).
+    """
+    rng = np.random.default_rng(seed)
+    rows, cols = np.divmod(obs_idx, k)
+    row_counts = np.bincount(rows, minlength=n)
+    filled = np.zeros((n, k))
+    filled.reshape(-1)[obs_idx] = obs_vals
+    row_means = np.where(
+        row_counts > 0,
+        filled.sum(axis=1) / np.maximum(row_counts, 1),
+        float(obs_vals.mean()),
+    )
+    ratios = obs_vals / np.maximum(row_means, 1e-9)[rows]
+    column_counts = np.bincount(cols, minlength=k)
+    column_ratios = np.where(
+        column_counts > 0,
+        np.bincount(cols, weights=ratios, minlength=k) / np.maximum(column_counts, 1),
+        1.0,
+    )
+    query_factors = rng.random((n, rank)) * 1e-2
+    hint_factors = rng.random((k, rank)) * 1e-2
+    query_factors[:, 0] = np.maximum(row_means, 1e-9)
+    hint_factors[:, 0] = np.maximum(column_ratios, 1e-9)
+    return query_factors, hint_factors
 
 
 def censored_als(
@@ -93,7 +133,8 @@ def censored_als(
         ``n x k`` matrix; entries where ``mask == 1`` must be finite
         latencies, other entries are ignored (may be ``inf``).
     mask:
-        ``n x k`` 0/1 matrix of completed observations.
+        ``n x k`` 0/1 matrix of completed observations (any positive entry
+        means observed).
     timeouts:
         ``n x k`` matrix of censored lower bounds (0 where not censored).
         Ignored when ``config.censored`` is False.
@@ -112,47 +153,17 @@ def censored_als(
         refreshes without rebuilding the config).
     """
     config = config or ALSConfig()
-    timeouts = _validate_inputs(observed, mask, timeouts)
+    obs_idx, obs_vals, cen_idx, cen_vals = _validate_inputs(observed, mask, timeouts)
     if not config.censored:
-        timeouts = np.zeros_like(timeouts)
-
-    mask = np.asarray(mask, dtype=float)
-    n, k = observed.shape
+        cen_idx = cen_idx[:0]
+    n, k = np.shape(observed)
     rank = min(config.rank, n, k)
-    rng = np.random.default_rng(config.seed)
 
-    observed_filled = np.where(mask > 0, observed, 0.0)
-    # Initialisation: the first factor pair encodes the rank-1 multiplicative
-    # baseline (per-row scale x per-column ratio-to-row-mean), which is what
-    # collaborative filtering systems use as their bias term.  The remaining
-    # factors start near zero and learn residual structure.  This makes the
-    # fill-in iteration useful even when only a few percent of the matrix is
-    # observed (the cold-start regime of offline exploration).
-    mean_value = float(observed_filled[mask > 0].mean()) if mask.sum() else 1.0
-    row_counts = mask.sum(axis=1)
-    row_means = np.where(
-        row_counts > 0,
-        (observed_filled * mask).sum(axis=1) / np.maximum(row_counts, 1.0),
-        mean_value,
-    )
-    ratio_matrix = np.where(
-        mask > 0, observed_filled / np.maximum(row_means[:, None], 1e-9), 0.0
-    )
-    column_counts = mask.sum(axis=0)
-    column_ratios = np.where(
-        column_counts > 0,
-        ratio_matrix.sum(axis=0) / np.maximum(column_counts, 1.0),
-        1.0,
-    )
-    query_factors = rng.random((n, rank)) * 1e-2
-    hint_factors = rng.random((k, rank)) * 1e-2
-    query_factors[:, 0] = np.maximum(row_means, 1e-9)
-    hint_factors[:, 0] = np.maximum(column_ratios, 1e-9)
-
+    warm_q = warm_h = None
     if warm_start is not None:
         warm_q, warm_h = warm_start
-        warm_q = np.asarray(warm_q, dtype=float)
-        warm_h = np.asarray(warm_h, dtype=float)
+        warm_q = np.ascontiguousarray(warm_q, dtype=float)
+        warm_h = np.ascontiguousarray(warm_h, dtype=float)
         if warm_q.ndim != 2 or warm_h.ndim != 2:
             raise CompletionError("warm_start factors must be 2-D arrays")
         if warm_q.shape[1] != rank or warm_h.shape[1] != rank:
@@ -165,8 +176,16 @@ def censored_als(
                 "warm_start factors have more rows than the matrix; shrinkage "
                 "is not supported"
             )
-        query_factors[: warm_q.shape[0]] = warm_q
-        hint_factors[: warm_h.shape[0]] = warm_h
+    if warm_q is not None and warm_q.shape[0] == n and warm_h.shape[0] == k:
+        # The warm factors cover the matrix: nothing of the baseline survives.
+        query_factors, hint_factors = warm_q, warm_h
+    else:
+        query_factors, hint_factors = _baseline_factors(
+            obs_idx, obs_vals, n, k, rank, config.seed
+        )
+        if warm_q is not None:
+            query_factors[: warm_q.shape[0]] = warm_q
+            hint_factors[: warm_h.shape[0]] = warm_h
 
     n_iterations = config.iterations if iterations is None else int(iterations)
     if n_iterations < 1:
@@ -175,33 +194,23 @@ def censored_als(
     reg = config.regularization * np.eye(rank)
     objective_trace = []
 
-    # Hot-loop precomputation: the observed and censored index sets are
-    # fixed for the whole solve, so the per-half-iteration fill-in reduces
-    # to one BLAS matmul into a preallocated buffer plus two fancy-indexed
-    # scatters -- no full n x k temporaries.  The mask is interpreted as
-    # binary (any positive entry means observed), which is the contract
-    # every caller already follows.
-    obs_rows, obs_cols = np.nonzero(mask > 0)
-    obs_vals = observed_filled[obs_rows, obs_cols]
-    cen_rows, cen_cols = np.nonzero(timeouts > 0)
-    cen_vals = timeouts[cen_rows, cen_cols]
-
-    estimate = np.empty((n, k))
+    # Hot loop: every ``Q Hᵀ`` product lands in the one ``completed`` buffer
+    # and the observed and censored cells, fixed for the whole solve, are
+    # patched through its flat view -- one BLAS matmul plus two small
+    # scatters per half-iteration, no other n x k array.
     completed = np.empty((n, k))
+    flat = completed.reshape(-1)
 
-    def _fill_from_estimate() -> None:
-        """``completed`` <- observed values where known, censored-clamped
-        ``estimate`` elsewhere (Algorithm 2 lines 4-5 and 9-10)."""
-        np.copyto(completed, estimate)
-        completed[obs_rows, obs_cols] = obs_vals
-        if cen_rows.size:
-            completed[cen_rows, cen_cols] = np.maximum(
-                completed[cen_rows, cen_cols], cen_vals
-            )
+    def _fill() -> None:
+        """``completed`` (holding ``Q Hᵀ``) <- observed values where known,
+        censored-clamped estimate elsewhere (Algorithm 2 lines 4-5, 9-10)."""
+        flat[obs_idx] = obs_vals
+        if cen_idx.size:
+            flat[cen_idx] = np.maximum(flat[cen_idx], cen_vals)
 
-    np.matmul(query_factors, hint_factors.T, out=estimate)
+    np.matmul(query_factors, hint_factors.T, out=completed)
     for _ in range(n_iterations):
-        _fill_from_estimate()
+        _fill()
         gram_h = hint_factors.T @ hint_factors + reg
         # ``A @ inv(G)`` for symmetric G is ``solve(G, A.T).T``: one
         # Cholesky/LU factorisation instead of a full matrix inverse.
@@ -209,17 +218,17 @@ def censored_als(
         if config.nonnegative:
             np.maximum(query_factors, 0.0, out=query_factors)
 
-        np.matmul(query_factors, hint_factors.T, out=estimate)
-        _fill_from_estimate()
+        np.matmul(query_factors, hint_factors.T, out=completed)
+        _fill()
         gram_q = query_factors.T @ query_factors + reg
         hint_factors = np.linalg.solve(gram_q, (completed.T @ query_factors).T).T
         if config.nonnegative:
             np.maximum(hint_factors, 0.0, out=hint_factors)
 
-        # The product for the objective doubles as the next iteration's
-        # (and the final) fill-in estimate.
-        np.matmul(query_factors, hint_factors.T, out=estimate)
-        residual = obs_vals - estimate[obs_rows, obs_cols]
+        # The product for the objective is read at the observed cells before
+        # the next (or the final) fill overwrites them.
+        np.matmul(query_factors, hint_factors.T, out=completed)
+        residual = obs_vals - flat[obs_idx]
         objective = float((residual ** 2).sum())
         objective_trace.append(objective)
         if config.tol > 0 and len(objective_trace) >= 2:
@@ -229,7 +238,7 @@ def censored_als(
             if (previous - objective) / previous < config.tol:
                 break
 
-    _fill_from_estimate()
+    _fill()
     return CensoredALSResult(
         completed=completed,
         query_factors=query_factors,
