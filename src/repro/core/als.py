@@ -197,7 +197,8 @@ def censored_als(
     # Hot loop: every ``Q Hᵀ`` product lands in the one ``completed`` buffer
     # and the observed and censored cells, fixed for the whole solve, are
     # patched through its flat view -- one BLAS matmul plus two small
-    # scatters per half-iteration, no other n x k array.
+    # scatters per half-iteration, no other n x k array.  ``Hᵀ`` (r x k) is
+    # copied contiguous for the product: the strided view is ~35% slower.
     completed = np.empty((n, k))
     flat = completed.reshape(-1)
 
@@ -208,26 +209,28 @@ def censored_als(
         if cen_idx.size:
             flat[cen_idx] = np.maximum(flat[cen_idx], cen_vals)
 
-    np.matmul(query_factors, hint_factors.T, out=completed)
+    np.matmul(query_factors, np.ascontiguousarray(hint_factors.T), out=completed)
     for _ in range(n_iterations):
         _fill()
+        # Algorithm 2's literal ``Q <- W̃ H (HᵀH + λI)⁻¹``: invert the r x r
+        # Gram once and apply it with one matmul.  ``np.linalg.solve`` with
+        # n right-hand sides costs ~20x more at n=3133, r=5 (LAPACK copies
+        # them in and out); the ridge term keeps the Gram well conditioned.
         gram_h = hint_factors.T @ hint_factors + reg
-        # ``A @ inv(G)`` for symmetric G is ``solve(G, A.T).T``: one
-        # Cholesky/LU factorisation instead of a full matrix inverse.
-        query_factors = np.linalg.solve(gram_h, (completed @ hint_factors).T).T
+        query_factors = completed @ hint_factors @ np.linalg.inv(gram_h)
         if config.nonnegative:
             np.maximum(query_factors, 0.0, out=query_factors)
 
-        np.matmul(query_factors, hint_factors.T, out=completed)
+        np.matmul(query_factors, np.ascontiguousarray(hint_factors.T), out=completed)
         _fill()
         gram_q = query_factors.T @ query_factors + reg
-        hint_factors = np.linalg.solve(gram_q, (completed.T @ query_factors).T).T
+        hint_factors = completed.T @ query_factors @ np.linalg.inv(gram_q)
         if config.nonnegative:
             np.maximum(hint_factors, 0.0, out=hint_factors)
 
         # The product for the objective is read at the observed cells before
         # the next (or the final) fill overwrites them.
-        np.matmul(query_factors, hint_factors.T, out=completed)
+        np.matmul(query_factors, np.ascontiguousarray(hint_factors.T), out=completed)
         residual = obs_vals - flat[obs_idx]
         objective = float((residual ** 2).sum())
         objective_trace.append(objective)
