@@ -64,7 +64,8 @@ def _validate_inputs(
         raise CompletionError(
             f"mask shape {mask.shape} does not match observed shape {observed.shape}"
         )
-    obs_idx = np.flatnonzero(mask.reshape(-1) > 0)
+    is_observed = mask.reshape(-1) > 0
+    obs_idx = np.flatnonzero(is_observed)
     if obs_idx.size == 0:
         raise CompletionError("cannot run ALS with an empty observation mask")
     obs_vals = observed.reshape(-1)[obs_idx]
@@ -77,8 +78,15 @@ def _validate_inputs(
         raise CompletionError(
             f"timeout shape {timeouts.shape} does not match observed shape {observed.shape}"
         )
-    cen_idx = np.flatnonzero(timeouts.reshape(-1) > 0)
-    return obs_idx, obs_vals, cen_idx, timeouts.reshape(-1)[cen_idx]
+    # ``!= 0`` also catches NaN and negative entries, so one scan both finds
+    # the censored cells and rejects hostile ones instead of dropping them.
+    cen_idx = np.flatnonzero(timeouts.reshape(-1) != 0)
+    cen_vals = timeouts.reshape(-1)[cen_idx]
+    if not np.all(np.isfinite(cen_vals) & (cen_vals > 0)):
+        raise CompletionError("timeouts must be finite and >= 0")
+    # A completed observation beats a lower bound on the same cell.
+    keep = ~is_observed[cen_idx]
+    return obs_idx, obs_vals, cen_idx[keep], cen_vals[keep]
 
 
 def _baseline_factors(
@@ -136,8 +144,9 @@ def censored_als(
         ``n x k`` 0/1 matrix of completed observations (any positive entry
         means observed).
     timeouts:
-        ``n x k`` matrix of censored lower bounds (0 where not censored).
-        Ignored when ``config.censored`` is False.
+        ``n x k`` matrix of finite censored lower bounds (0 where not
+        censored; ignored on observed cells).  Validated, then unused, when
+        ``config.censored`` is False.
     config:
         Hyper-parameters; defaults to the paper's ``r=5``, ``λ=0.2``,
         ``t=50``.
@@ -180,9 +189,7 @@ def censored_als(
         # The warm factors cover the matrix: nothing of the baseline survives.
         query_factors, hint_factors = warm_q, warm_h
     else:
-        query_factors, hint_factors = _baseline_factors(
-            obs_idx, obs_vals, n, k, rank, config.seed
-        )
+        query_factors, hint_factors = _baseline_factors(obs_idx, obs_vals, n, k, rank, config.seed)
         if warm_q is not None:
             query_factors[: warm_q.shape[0]] = warm_q
             hint_factors[: warm_h.shape[0]] = warm_h

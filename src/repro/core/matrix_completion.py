@@ -80,9 +80,9 @@ class ALSCompleter(MatrixCompleter):
         ``warm_start`` and ``iterations`` pass straight through to
         :func:`~repro.core.als.censored_als`; callers that carry factors
         across solves (the incremental predictor, the serving refresher) use
-        this entry point so the factors survive the completion step.
+        this entry point so the factors survive the completion step.  The
+        solver validates the triple itself, in one pass over the matrix.
         """
-        self._validate(observed, mask)
         return censored_als(
             observed,
             mask,

@@ -1,11 +1,14 @@
 """The library's named hot paths, packaged as perf cases.
 
-Ten paths cover every layer a figure benchmark or the serving stack
+Eleven paths cover every layer a figure benchmark or the serving stack
 exercises:
 
 * ``als_cold``       -- one full censored-ALS solve from scratch,
 * ``als_warm``       -- a warm-started incremental refresh after a small
                         feedback batch (the serving/exploration steady state),
+* ``als_warm_ceb``   -- the same refresh at the paper's CEB shape (3133x49,
+                        ~3% observed) whatever the scale: costs that grow
+                        with ``n`` are invisible on the smoke shape,
 * ``explore_200_steps`` -- the end-to-end offline exploration loop
                         (Algorithm 1 with the incremental ALS predictor),
 * ``tcnn_predict_full`` -- a full-matrix TCNN prediction pass,
@@ -44,7 +47,7 @@ from ..core.workload_matrix import WorkloadMatrix
 from ..errors import PerfError
 from ..serving.service import ServingService
 from ..workloads.matrices import generate_workload
-from ..workloads.spec import WorkloadSpec
+from ..workloads.spec import CEB_SPEC, WorkloadSpec
 from .harness import PerfHarness
 
 SCALES: Dict[str, Dict[str, int]] = {
@@ -163,6 +166,23 @@ def build_suite(scale_name: str = "smoke") -> PerfHarness:
         return {"iterations": int(len(result.objective_trace))}
 
     harness.add("als_warm", run_als_warm, setup=setup_als_warm, repeats=repeats)
+
+    # -- als_warm_ceb ------------------------------------------------------
+    def setup_als_warm_ceb():
+        # Mid-exploration CEB: the default column plus ~3% of the cells
+        # observed, ~15% of the other non-default cells censored.
+        truth = generate_workload(CEB_SPEC, seed=11).true_latencies
+        draw = np.random.default_rng(19).random(truth.shape)
+        draw[:, 0] = 0.0
+        mask = (draw < 0.03).astype(float)
+        timeouts = np.where(draw > 0.85, 0.5 * truth, 0.0)
+        config = ALSConfig()
+        cold = censored_als(truth, mask, timeouts, config)
+        fresh = np.flatnonzero((draw > 0.5) & (draw < 0.5005))  # a feedback batch
+        mask.reshape(-1)[fresh] = 1.0
+        return truth, mask, timeouts, config, cold.factors
+
+    harness.add("als_warm_ceb", run_als_warm, setup=setup_als_warm_ceb, repeats=repeats)
 
     # -- explore_200_steps -------------------------------------------------
     def setup_explore():

@@ -111,6 +111,33 @@ def test_observed_entries_must_be_finite():
         censored_als(truth, np.ones_like(truth))
 
 
+@pytest.mark.parametrize("hostile", [np.inf, np.nan, -1.0])
+@pytest.mark.parametrize("censored", [True, False])
+def test_hostile_timeouts_raise(hostile, censored):
+    truth = low_rank_matrix()
+    mask = random_mask(truth.shape, 0.5)
+    mask[2, 5] = 0.0
+    timeouts = np.zeros_like(truth)
+    timeouts[2, 5] = hostile
+    with pytest.raises(CompletionError, match="timeouts"):
+        censored_als(truth, mask, timeouts, ALSConfig(rank=3, censored=censored))
+
+
+def test_observed_value_wins_over_a_timeout_on_the_same_cell():
+    truth = low_rank_matrix(n=8, k=6)
+    mask = random_mask(truth.shape, 0.6, seed=4)
+    mask[3, 2] = 1.0
+    timeouts = np.zeros_like(truth)
+    timeouts[3, 2] = truth[3, 2] * 3.0
+    config = ALSConfig(rank=2, iterations=10)
+    result = censored_als(truth, mask, timeouts, config)
+    assert result.completed[3, 2] == truth[3, 2]
+    # The overlapping bound has no influence at all on the solve.
+    plain = censored_als(truth, mask, np.zeros_like(truth), config)
+    assert np.array_equal(result.completed, plain.completed)
+    assert np.array_equal(result.query_factors, plain.query_factors)
+
+
 def test_rank_capped_by_matrix_dimensions():
     truth = low_rank_matrix(n=6, k=4, rank=2)
     mask = np.ones_like(truth)

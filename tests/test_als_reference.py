@@ -1,12 +1,14 @@
 """Equivalence of the optimised censored-ALS solver against the reference.
 
 ``_reference_censored_als`` below is a line-for-line copy of the solver as
-it stood *before* the performance pass (matrix inverse instead of
-``np.linalg.solve``, full-matrix blend-and-copy fill-in, objective summed
-over the whole masked matrix).  The hypothesis property asserts the
-optimised solver reproduces the reference's factors, completion, and
-objective trace within ``1e-8`` across random shapes, masks, censored
-cells, and warm starts.
+it stood *before* any performance pass (dense baseline initialisation,
+full-matrix blend-and-copy fill-in, objective summed over the whole masked
+matrix, Algorithm 2's literal ``W̃ H (HᵀH + λI)⁻¹`` update).  The hypothesis
+property asserts the optimised solver reproduces the reference's factors,
+completion, and objective trace within ``1e-8`` across random shapes, masks
+(binary or any positive weights), censored cells, ``censored=False``, ranks
+clamped by the matrix, and warm starts that cover the matrix or stop short
+of a grown one; one more check does the same at the paper's CEB shape.
 """
 
 import numpy as np
@@ -101,15 +103,19 @@ def _close(a, b, scale=1.0):
 @given(
     n=st.integers(min_value=3, max_value=14),
     k=st.integers(min_value=3, max_value=10),
-    rank=st.integers(min_value=1, max_value=4),
+    rank=st.integers(min_value=1, max_value=6),  # above min(n, k): clamped
     iterations=st.integers(min_value=1, max_value=12),
     regularization=st.floats(min_value=0.05, max_value=1.0),
     nonnegative=st.booleans(),
+    censored=st.booleans(),
+    weighted_mask=st.booleans(),
+    grown_rows=st.integers(min_value=0, max_value=2),
     seed=st.integers(min_value=0, max_value=10_000),
     data=st.data(),
 )
 def test_optimised_solver_matches_reference(
-    n, k, rank, iterations, regularization, nonnegative, seed, data
+    n, k, rank, iterations, regularization, nonnegative, censored, weighted_mask,
+    grown_rows, seed, data
 ):
     rng = np.random.default_rng(seed)
     true_rank = min(rank + 1, n, k)
@@ -138,10 +144,14 @@ def test_optimised_solver_matches_reference(
         regularization=regularization,
         iterations=iterations,
         nonnegative=nonnegative,
+        censored=censored,
         seed=seed % 17,
     )
+    # The solver reads the mask as binary (any positive entry is observed);
+    # the reference blends with it, so the reference always gets the 0/1 one.
+    solver_mask = mask * rng.uniform(0.5, 3.0, mask.shape) if weighted_mask else mask
 
-    result = censored_als(truth, mask, timeouts, config)
+    result = censored_als(truth, solver_mask, timeouts, config)
     ref_completed, ref_q, ref_h, ref_trace = _reference_censored_als(
         truth, mask, timeouts, config
     )
@@ -153,9 +163,12 @@ def test_optimised_solver_matches_reference(
     assert _close(result.objective_trace, ref_trace, scale ** 2 * mask.sum())
 
     # Warm-start case: continue both solvers from the optimised factors.
-    warm = result.factors
+    # ``grown_rows == 0`` covers the matrix (the solver skips the baseline
+    # initialisation); otherwise the last rows arrived after the warm solve
+    # and keep their baseline.
+    warm = (result.query_factors[: n - grown_rows], result.hint_factors)
     warm_result = censored_als(
-        truth, mask, timeouts, config, warm_start=warm, iterations=3
+        truth, solver_mask, timeouts, config, warm_start=warm, iterations=3
     )
     ref_warm = _reference_censored_als(
         truth, mask, timeouts, config, warm_start=warm, iterations=3
@@ -164,3 +177,31 @@ def test_optimised_solver_matches_reference(
     assert _close(warm_result.query_factors, ref_warm[1], scale)
     assert _close(warm_result.hint_factors, ref_warm[2], scale)
     assert _close(warm_result.objective_trace, ref_warm[3], scale ** 2 * mask.sum())
+
+
+def test_matches_reference_at_paper_shape():
+    """CEB's 3133x49 at ~3% observed: a warm 5-iteration refresh, the solve
+    that dominates an exploration step, agrees with the reference."""
+    rng = np.random.default_rng(5)
+    n, k = 3133, 49
+    truth = rng.gamma(2.0, 1.0, (n, 5)) @ rng.gamma(2.0, 1.0, (k, 5)).T
+    observed = rng.random((n, k)) < 0.03
+    observed[:, 0] = True
+    mask = observed.astype(float)
+    timeouts = np.where(~observed & (rng.random((n, k)) < 0.15), truth * 0.5, 0.0)
+    config = ALSConfig()
+    warm = censored_als(truth, mask, timeouts, config, iterations=10).factors
+    # A feedback batch lands between the two solves.
+    fresh = ~observed & (rng.random((n, k)) < 0.002)
+    mask[fresh] = 1.0
+    timeouts[fresh] = 0.0
+
+    result = censored_als(truth, mask, timeouts, config, warm_start=warm, iterations=5)
+    ref = _reference_censored_als(
+        truth, mask, timeouts, config, warm_start=warm, iterations=5
+    )
+    scale = float(np.abs(truth).max())
+    assert _close(result.completed, ref[0], scale)
+    assert _close(result.query_factors, ref[1], scale)
+    assert _close(result.hint_factors, ref[2], scale)
+    assert _close(result.objective_trace, ref[3], scale ** 2 * mask.sum())

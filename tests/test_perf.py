@@ -121,6 +121,7 @@ class TestSuite:
         assert harness.case_names == [
             "als_cold",
             "als_warm",
+            "als_warm_ceb",
             "explore_200_steps",
             "tcnn_predict_full",
             "serve_batch",
