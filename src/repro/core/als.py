@@ -104,6 +104,8 @@ def _baseline_factors(
     rng = np.random.default_rng(seed)
     rows, cols = np.divmod(obs_idx, k)
     row_counts = np.bincount(rows, minlength=n)
+    # Row sums go through a dense array: numpy sums a row pairwise, and a
+    # sequential ``bincount`` would move the row means in the last bit.
     filled = np.zeros((n, k))
     filled.reshape(-1)[obs_idx] = obs_vals
     row_means = np.where(

@@ -174,8 +174,10 @@ class ALSPredictor(Predictor):
                     warm = (warm_q, warm_h)
                     iterations = self.refresh_iterations
 
+        # The solver reads values only where the mask is set, so the raw
+        # value matrix (``inf`` where unobserved) saves the zero-filling pass.
         self._result = self._completer.complete_result(
-            matrix.observed_values(),
+            matrix.values,
             matrix.mask,
             matrix.timeout_matrix,
             warm_start=warm,

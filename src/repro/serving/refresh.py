@@ -110,8 +110,10 @@ class IncrementalALSRefresher:
                 warm = (warm_q, warm_h)
                 iterations = self.refresh_iterations
 
+        # The solver reads values only where the mask is set, so the raw
+        # value matrix (``inf`` where unobserved) saves the zero-filling pass.
         self._result = censored_als(
-            matrix.observed_values(),
+            matrix.values,
             matrix.mask,
             matrix.timeout_matrix,
             config=self.config,
