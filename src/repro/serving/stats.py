@@ -3,7 +3,8 @@
 A production hint-recommendation service lives or dies by two numbers: how
 many decisions per second it sustains, and how long a single arrival waits
 for its decision.  :class:`LatencyRecorder` accumulates per-batch timings as
-they happen (cheap appends on the hot path); :class:`ServingStats` is the
+they happen (running totals plus a fixed window of recent samples, so a
+service that never restarts never grows); :class:`ServingStats` is the
 immutable report derived from them on demand.
 """
 
@@ -11,7 +12,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Union
+from typing import Dict, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -237,34 +238,70 @@ def _weighted_percentiles(values, weights, qs) -> np.ndarray:
     return out
 
 
+#: Per-batch samples a :class:`LatencyRecorder` retains for percentiles
+#: (64 KiB per recorder).  Totals are exact over the recorder's whole
+#: life; only the p50/p99 population is windowed.
+RECENT_BATCHES = 4096
+
+
 class LatencyRecorder:
-    """Accumulates batch timings; hot-path cost is three list appends.
+    """Accumulates batch timings in constant memory.
+
+    Exact running totals (decisions, batches, wall seconds, non-default,
+    refreshes, shed) plus a ring of the last :data:`RECENT_BATCHES`
+    per-batch ``(size, seconds)`` samples, which is the population the
+    latency percentiles are computed over.  The hot path is four adds and
+    two array stores; neither memory nor :meth:`report` /
+    :meth:`merged` cost grows with the number of requests served.
 
     With a metrics mirror bound (:meth:`bind_metrics`), the registry's
     well-known serving counters are fed from the same per-batch samples
     this recorder keeps -- but lazily: :meth:`sync_metrics` pushes the
     delta since the last sync, and runs from every cold path that reads
     the registry (:meth:`report`, :meth:`Telemetry.snapshot`,
-    :meth:`Telemetry.expose_text`).  The hot path therefore stays the
-    original three list appends whether or not a mirror is bound, and
-    :meth:`ServingStats.from_registry` still cannot drift from
+    :meth:`Telemetry.expose_text`) and from :meth:`record` itself just
+    before the ring would overwrite a sample the mirror has not seen.
+    :meth:`ServingStats.from_registry` therefore cannot drift from
     :meth:`report` -- both views derive from the same samples.  Registry
     counters are monotonic: :meth:`reset` flushes pending deltas and
-    clears only the recorder's samples, never the mirror.
+    clears only the recorder's own view, never the mirror.
     """
 
-    def __init__(self) -> None:
-        self._batch_sizes: List[int] = []
-        self._batch_seconds: List[float] = []
-        self._non_default: List[int] = []
+    def __init__(self, _capacity: int = RECENT_BATCHES) -> None:
+        # Not a knob: only merged() passes it, to fit the windows it pools.
+        self._capacity = _capacity
+        self._sizes = np.zeros(_capacity, dtype=np.int64)
+        self._seconds = np.zeros(_capacity, dtype=float)
+        self._metrics: Optional[ServingMetrics] = None
+        self._clear()
+
+    def _clear(self) -> None:
+        self._batches = 0
+        self._decisions = 0
+        self._wall_seconds = 0.0
+        self._non_default = 0
         self._refreshes = 0
         self._shed = 0
-        self._metrics: Optional[ServingMetrics] = None
-        # Sync watermarks: how much of the sample history has already been
-        # pushed into the bound mirror.
+        # Ring state: _held samples are live, the next one lands at _head.
+        self._head = 0
+        self._held = 0
+        # Sync watermarks: how much has already been pushed into the
+        # bound mirror.
         self._synced_batches = 0
+        self._synced_non_default = 0
         self._synced_refreshes = 0
         self._synced_shed = 0
+
+    def _recent(self, count: int):
+        """The last ``count`` (<= held) samples, oldest first."""
+        stop = self._head
+        start = stop - count
+        if start >= 0:
+            return self._sizes[start:stop], self._seconds[start:stop]
+        return (
+            np.concatenate((self._sizes[start:], self._sizes[:stop])),
+            np.concatenate((self._seconds[start:], self._seconds[:stop])),
+        )
 
     def bind_metrics(self, metrics: ServingMetrics) -> None:
         """Mirror this recorder's samples into the registry's serving counters.
@@ -281,7 +318,8 @@ class LatencyRecorder:
         first = self._metrics is None
         self._metrics = metrics
         if first:
-            self._synced_batches = len(self._batch_sizes)
+            self._synced_batches = self._batches
+            self._synced_non_default = self._non_default
             self._synced_refreshes = self._refreshes
             self._synced_shed = self._shed
 
@@ -290,24 +328,26 @@ class LatencyRecorder:
         m = self._metrics
         if m is None:
             return
-        start = self._synced_batches
-        sizes = self._batch_sizes[start:]
-        if sizes:
-            self._synced_batches = len(self._batch_sizes)
-            seconds = self._batch_seconds[start:]
-            m.batches.inc(len(sizes))
-            m.wall_seconds.inc(float(np.sum(seconds)))
-            decisions = int(np.sum(sizes))
+        pending = self._batches - self._synced_batches
+        if pending:
+            self._synced_batches = self._batches
+            sizes, seconds = self._recent(pending)
+            m.batches.inc(pending)
+            m.wall_seconds.inc(float(seconds.sum()))
+            decisions = int(sizes.sum())
             if decisions:
                 m.decisions.inc(decisions)
-                m.non_default.inc(int(np.sum(self._non_default[start:])))
                 hist = m.batch_seconds
-                for size, secs in zip(sizes, seconds):
+                for size, secs in zip(sizes.tolist(), seconds.tolist()):
                     if size:
                         # One weighted observe per batch: every decision is
                         # charged the batch's amortised latency, matching
                         # report()'s per-decision percentile population.
                         hist.observe(secs / size, size)
+        non_default = self._non_default - self._synced_non_default
+        if non_default:
+            m.non_default.inc(non_default)
+            self._synced_non_default = self._non_default
         refreshes = self._refreshes - self._synced_refreshes
         if refreshes:
             m.refreshes.inc(refreshes)
@@ -319,9 +359,23 @@ class LatencyRecorder:
 
     def record(self, batch_size: int, seconds: float, non_default: int) -> None:
         """Log one served batch."""
-        self._batch_sizes.append(int(batch_size))
-        self._batch_seconds.append(float(seconds))
-        self._non_default.append(int(non_default))
+        if (
+            self._metrics is not None
+            and self._batches - self._synced_batches == self._capacity
+        ):
+            # The slot about to be reused holds the oldest sample the
+            # mirror has not seen yet: drain first, lose nothing.
+            self.sync_metrics()
+        head = self._head
+        self._sizes[head] = batch_size
+        self._seconds[head] = seconds
+        self._head = (head + 1) % self._capacity
+        if self._held < self._capacity:
+            self._held += 1
+        self._batches += 1
+        self._decisions += int(batch_size)
+        self._wall_seconds += float(seconds)
+        self._non_default += int(non_default)
 
     def record_refresh(self) -> None:
         """Log one model/cache refresh."""
@@ -349,40 +403,42 @@ class LatencyRecorder:
         self._shed += int(count)
 
     def report(self) -> ServingStats:
-        """Fold the accumulated timings into a :class:`ServingStats`."""
+        """Fold the accumulated timings into a :class:`ServingStats`.
+
+        Counters are exact totals; ``p50_latency_s`` / ``p99_latency_s``
+        are exact percentiles of the retained window (the whole history
+        until it exceeds :data:`RECENT_BATCHES` batches).
+        """
         self.sync_metrics()
-        sizes = np.asarray(self._batch_sizes, dtype=float)
-        seconds = np.asarray(self._batch_seconds, dtype=float)
-        decisions = int(sizes.sum())
-        wall = float(seconds.sum())
-        if decisions == 0:
-            return ServingStats(
-                decisions=0,
-                batches=0,
-                wall_seconds=0.0,
-                throughput_qps=0.0,
-                p50_latency_s=0.0,
-                p99_latency_s=0.0,
-                non_default_fraction=0.0,
-                refreshes=self._refreshes,
-                shed=self._shed,
-            )
+        decisions = self._decisions
+        wall = self._wall_seconds
         # Each decision in a batch experiences the batch's amortised latency,
         # so the percentiles are over a weighted population (one value per
         # batch, weighted by its size) -- computed without materialising the
         # O(decisions) expanded array.
+        sizes, seconds = self._sizes[: self._held], self._seconds[: self._held]
         nonempty = sizes > 0
-        p50, p99 = _weighted_percentiles(
-            seconds[nonempty] / sizes[nonempty], sizes[nonempty], [50.0, 99.0]
-        )
+        sizes = sizes[nonempty]
+        if sizes.size:
+            p50, p99 = _weighted_percentiles(
+                seconds[nonempty] / sizes, sizes, [50.0, 99.0]
+            )
+        else:
+            p50 = p99 = 0.0
+        if wall > 0:
+            throughput = decisions / wall
+        else:
+            throughput = 0.0 if decisions == 0 else float("inf")
         return ServingStats(
             decisions=decisions,
-            batches=len(self._batch_sizes),
+            batches=self._batches,
             wall_seconds=wall,
-            throughput_qps=decisions / wall if wall > 0 else float("inf"),
+            throughput_qps=throughput,
             p50_latency_s=float(p50),
             p99_latency_s=float(p99),
-            non_default_fraction=float(sum(self._non_default)) / decisions,
+            non_default_fraction=(
+                self._non_default / decisions if decisions else 0.0
+            ),
             refreshes=self._refreshes,
             shed=self._shed,
         )
@@ -395,29 +451,33 @@ class LatencyRecorder:
         recorder's own view restarts from zero.
         """
         self.sync_metrics()
-        self._batch_sizes.clear()
-        self._batch_seconds.clear()
-        self._non_default.clear()
-        self._refreshes = 0
-        self._shed = 0
-        self._synced_batches = 0
-        self._synced_refreshes = 0
-        self._synced_shed = 0
+        self._clear()
 
     @classmethod
     def merged(cls, recorders: Sequence["LatencyRecorder"]) -> "LatencyRecorder":
-        """Pool raw batch samples from many recorders into a fresh one.
+        """Pool many recorders into a fresh one: totals add, windows join.
 
         Unlike :meth:`ServingStats.merge`, the pooled recorder's
-        :meth:`report` computes the global percentiles *exactly* -- this is
-        what the cluster aggregator uses when it holds every shard
-        in-process and the raw samples are still available.
+        :meth:`report` computes its percentiles over every part's
+        retained samples (exactly the global percentiles while no part
+        has wrapped) -- this is what the cluster aggregator uses when it
+        holds every shard in-process.  The pooled ring is sized to hold
+        all of them, so the cost is bounded by the number of parts, not
+        by how much they have served.
         """
-        pooled = cls()
+        windows = [r._recent(r._held) for r in recorders]
+        held = sum(len(sizes) for sizes, _ in windows)
+        pooled = cls(_capacity=max(held, RECENT_BATCHES))
+        if held:
+            pooled._sizes[:held] = np.concatenate([w[0] for w in windows])
+            pooled._seconds[:held] = np.concatenate([w[1] for w in windows])
+            pooled._held = held
+            pooled._head = held % pooled._capacity
         for recorder in recorders:
-            pooled._batch_sizes.extend(recorder._batch_sizes)
-            pooled._batch_seconds.extend(recorder._batch_seconds)
-            pooled._non_default.extend(recorder._non_default)
+            pooled._batches += recorder._batches
+            pooled._decisions += recorder._decisions
+            pooled._wall_seconds += recorder._wall_seconds
+            pooled._non_default += recorder._non_default
             pooled._refreshes += recorder._refreshes
             pooled._shed += recorder._shed
         return pooled

@@ -37,6 +37,7 @@ from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import ClusterError, MatrixError
 from repro.experiments.cluster import cluster_vs_single_comparison, populate_cluster
 from repro.serving import LatencyRecorder, ServingService, ServingStats
+from repro.serving.stats import RECENT_BATCHES
 
 
 def make_union_matrix(n=40, k=8, seed=3, censored=True):
@@ -640,6 +641,63 @@ class TestStats:
         assert pooled.p99_latency_s == pytest.approx(
             np.percentile(expanded, 99.0)
         )
+
+    def test_merged_totals_are_the_sum_of_wrapped_parts(self):
+        rng = np.random.default_rng(3)
+        recorders, kept_sizes, kept_seconds = [], [], []
+        for n in (RECENT_BATCHES + 500, 2 * RECENT_BATCHES + 1, 40):
+            recorder = LatencyRecorder()
+            sizes = rng.integers(1, 20, n)
+            seconds = rng.random(n) * 1e-3
+            for size, sec in zip(sizes.tolist(), seconds.tolist()):
+                recorder.record(size, sec, size // 2)
+            recorder.record_refresh()
+            recorder.record_shed(2)
+            recorders.append(recorder)
+            kept_sizes.append(sizes[-RECENT_BATCHES:])
+            kept_seconds.append(seconds[-RECENT_BATCHES:])
+        parts = [r.report() for r in recorders]
+        pooled = LatencyRecorder.merged(recorders).report()
+        assert pooled.decisions == sum(p.decisions for p in parts)
+        assert pooled.batches == sum(p.batches for p in parts)
+        assert pooled.wall_seconds == pytest.approx(
+            sum(p.wall_seconds for p in parts), rel=1e-12
+        )
+        assert pooled.refreshes == 3 and pooled.shed == 6
+        assert pooled.non_default_fraction == pytest.approx(
+            sum(p.non_default_fraction * p.decisions for p in parts)
+            / pooled.decisions
+        )
+        # Percentiles pool every part's retained window, nothing older.
+        sizes, seconds = np.concatenate(kept_sizes), np.concatenate(kept_seconds)
+        expanded = np.repeat(seconds / sizes, sizes)
+        assert pooled.p50_latency_s == pytest.approx(np.percentile(expanded, 50.0))
+        assert pooled.p99_latency_s == pytest.approx(np.percentile(expanded, 99.0))
+
+    def test_merged_recorder_keeps_recording(self):
+        a = LatencyRecorder()
+        a.record(3, 0.3, 1)
+        pooled = LatencyRecorder.merged([a, LatencyRecorder()])
+        pooled.record(1, 0.2, 0)
+        stats = pooled.report()
+        assert (stats.decisions, stats.batches) == (4, 2)
+        assert stats.p99_latency_s == pytest.approx(0.2, rel=0.05)
+        assert a.report().batches == 1  # parts are left alone
+
+    def test_cluster_stats_do_not_grow_with_history(self):
+        union = make_union_matrix(n=40)
+        cluster = make_cluster(union, n_shards=2)
+        for _ in range(RECENT_BATCHES + 10):
+            cluster.serve_batch("acme", [0, 1, 2, 3])
+        stats = cluster.stats()
+        assert stats.cluster.decisions == 4 * (RECENT_BATCHES + 10)
+        assert stats.cluster.batches == sum(
+            s.batches for s in stats.per_shard.values()
+        )
+        pooled = LatencyRecorder.merged(
+            [s.recorder() for s in cluster.shards.values()]
+        )
+        assert len(pooled._sizes) <= 2 * RECENT_BATCHES
 
     def test_cluster_stats_aggregation(self):
         union = make_union_matrix(n=40)

@@ -10,6 +10,9 @@ The two load-bearing properties:
   masked objective as a cold solve on the updated matrix.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -26,6 +29,7 @@ from repro.serving import (
     ServingService,
 )
 from repro.serving.service import BatchedLatencyEstimator
+from repro.serving.stats import RECENT_BATCHES
 
 
 def make_matrix():
@@ -325,6 +329,68 @@ class TestServingService:
         p50, p99 = np.percentile(expanded, [50.0, 99.0])
         assert stats.p50_latency_s == pytest.approx(p50)
         assert stats.p99_latency_s == pytest.approx(p99)
+
+    def test_recorder_totals_stay_exact_past_the_window(self):
+        rng = np.random.default_rng(1)
+        n = 3 * RECENT_BATCHES + 17  # wraps, and not on a window boundary
+        sizes = rng.integers(0, 40, n)  # empty batches included
+        seconds = rng.random(n) * 1e-3
+        non_default = rng.integers(0, sizes + 1)
+        recorder = LatencyRecorder()
+        for row in zip(sizes.tolist(), seconds.tolist(), non_default.tolist()):
+            recorder.record(*row)
+        recorder.record_refresh()
+        recorder.record_shed(5)
+        stats = recorder.report()
+        assert stats.decisions == int(sizes.sum())
+        assert stats.batches == n
+        assert stats.wall_seconds == pytest.approx(float(seconds.sum()), rel=1e-12)
+        assert stats.non_default_fraction == pytest.approx(
+            non_default.sum() / sizes.sum(), rel=1e-12
+        )
+        assert stats.throughput_qps == pytest.approx(sizes.sum() / seconds.sum())
+        assert (stats.refreshes, stats.shed) == (1, 5)
+        # Percentiles: exactly those of the retained window's population.
+        kept_sizes, kept_seconds = sizes[-RECENT_BATCHES:], seconds[-RECENT_BATCHES:]
+        served = kept_sizes > 0
+        expanded = np.repeat(
+            kept_seconds[served] / kept_sizes[served], kept_sizes[served]
+        )
+        p50, p99 = np.percentile(expanded, [50.0, 99.0])
+        assert stats.p50_latency_s == pytest.approx(p50)
+        assert stats.p99_latency_s == pytest.approx(p99)
+
+    def test_recorder_memory_is_constant_in_batches_recorded(self):
+        recorder = LatencyRecorder()
+
+        def one_window():
+            for i in range(RECENT_BATCHES):
+                recorder.record(4, 1e-4 + i * 1e-9, 2)
+            recorder.report()
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0]
+
+        tracemalloc.start()
+        try:
+            recorder.record(4, 1e-4, 2)  # allocate whatever is lazy
+            first = one_window()
+            one_window()
+            third = one_window()
+        finally:
+            tracemalloc.stop()
+        assert abs(third - first) < 512  # bytes, over 8192 more batches
+        assert recorder.report().batches == 3 * RECENT_BATCHES + 1
+
+    def test_reset_restarts_totals_and_window(self):
+        recorder = LatencyRecorder()
+        for _ in range(RECENT_BATCHES + 3):
+            recorder.record(2, 1.0, 1)
+        recorder.reset()
+        assert recorder.report().decisions == 0
+        recorder.record(10, 0.5, 0)
+        stats = recorder.report()
+        assert (stats.decisions, stats.batches) == (10, 1)
+        assert stats.p50_latency_s == pytest.approx(0.05)  # no stale samples
 
     def test_facade_integration(self, tiny_workload):
         from repro.core.explorer import MatrixOracle

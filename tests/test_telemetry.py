@@ -43,7 +43,7 @@ from repro.cluster.stats import ClusterStats
 from repro.errors import TelemetryError
 from repro.logging_util import JsonFormatter, configure_logging, get_logger
 from repro.serving.service import ServingService
-from repro.serving.stats import LatencyRecorder, ServingStats
+from repro.serving.stats import RECENT_BATCHES, LatencyRecorder, ServingStats
 from repro.telemetry import (
     DEFAULT_BUCKETS,
     OVERFLOW_LABEL,
@@ -471,6 +471,51 @@ class TestStatsMirror:
         assert mirrored.wall_seconds == pytest.approx(recorded.wall_seconds)
         payload = recorded.as_dict(registry=tel.registry)
         assert payload["telemetry"]["consistent"] is True
+
+    def test_mirror_loses_nothing_across_a_wrap_and_a_reset(self):
+        tel = Telemetry.enabled()
+        recorder = LatencyRecorder()
+        recorder.bind_metrics(tel.serving_metrics())
+
+        def mirrored():
+            return ServingStats.from_registry(tel.registry)
+
+        def histogram_count():
+            return tel.registry.get("repro_batch_seconds").merged_child().count
+
+        rng = np.random.default_rng(4)
+        n = 2 * RECENT_BATCHES + 100  # no sync in between: record() must drain
+        sizes = rng.integers(0, 9, n)
+        for size in sizes.tolist():
+            recorder.record(size, 1e-4, size // 3)
+        recorder.record_shed(7, _blessed=True)
+        recorder.record_refresh()
+        recorded = recorder.report()
+        assert recorded.batches == n
+        stats = mirrored()
+        assert stats.decisions == recorded.decisions == int(sizes.sum())
+        assert stats.batches == n
+        assert stats.wall_seconds == pytest.approx(recorded.wall_seconds)
+        assert stats.non_default_fraction == pytest.approx(
+            recorded.non_default_fraction
+        )
+        assert (stats.refreshes, stats.shed) == (1, 7)
+        assert histogram_count() == recorded.decisions
+        assert recorded.as_dict(registry=tel.registry)["telemetry"]["consistent"]
+
+        # reset() flushes first; the registry stays monotonic and keeps
+        # counting from where it was.
+        for size in sizes[:50].tolist():
+            recorder.record(size, 1e-4, 0)
+        recorder.reset()
+        assert recorder.report().batches == 0
+        for size in sizes[: RECENT_BATCHES + 5].tolist():
+            recorder.record(size, 1e-4, 0)
+        extra = int(sizes[:50].sum() + sizes[: RECENT_BATCHES + 5].sum())
+        assert recorder.report().decisions == int(sizes[: RECENT_BATCHES + 5].sum())
+        assert mirrored().decisions == recorded.decisions + extra
+        assert mirrored().batches == n + 50 + RECENT_BATCHES + 5
+        assert histogram_count() == recorded.decisions + extra
 
     def test_from_registry_on_empty_registry_is_zero(self):
         stats = ServingStats.from_registry(MetricsRegistry())
