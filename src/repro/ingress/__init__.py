@@ -4,7 +4,8 @@ The millions-of-users front door over the serving stack.  Independent
 clients ``await serve(...)`` one query at a time; the ingress coalesces
 concurrent requests into the vectorised batches
 :class:`~repro.serving.ServingService` / :class:`~repro.cluster.ServingCluster`
-are fast at (under a ``max_wait_s`` latency SLO), sheds overload to
+are fast at (cut on size, on a quiet event loop, or at the ``max_wait_s``
+latency cap -- whichever comes first), sheds overload to
 default plans through a bounded admission queue (safe by the paper's
 no-regression guarantee; counted in serving stats), and hosts the
 adaptation-controller and refresh-scheduler ticks as background asyncio
@@ -16,10 +17,11 @@ it returns.
 """
 
 from .background import PeriodicTicker
-from .coalescer import CoalescerCore
+from .coalescer import FLUSH_REASONS, CoalescerCore
 from .ingress import ClusterIngress, IngressDecision, IngressStats, ServiceIngress
 
 __all__ = [
+    "FLUSH_REASONS",
     "ClusterIngress",
     "CoalescerCore",
     "IngressDecision",

@@ -9,9 +9,15 @@ batches from single-request arrivals under two knobs:
 * ``max_batch`` -- a flush fires as soon as this many requests are
   pending (the throughput knob);
 * ``max_wait_s`` -- a flush fires when the *oldest* pending request has
-  waited this long (the latency-SLO knob: no admitted request is ever
+  waited this long (the latency-SLO *cap*: no admitted request is ever
   delayed by coalescing for more than ``max_wait_s`` before its batch is
   handed to the backend).
+
+Those are the two triggers the core can see for itself.  The shell adds
+forced flushes for causes only it can see -- the event loop went quiet
+(``idle``: nothing more is about to join, so waiting out the cap would
+be pure delay) and shutdown -- and names the cause, so every batch is
+counted under exactly one of :data:`FLUSH_REASONS`.
 
 Admission control is a bounded queue: when ``queue_capacity`` requests
 are already pending, new arrivals are *shed* -- :meth:`submit` returns
@@ -36,6 +42,10 @@ from typing import Any, Deque, List, Optional, Tuple
 from ..config import IngressConfig
 from ..errors import IngressError
 
+#: Why a batch left the queue.  ``size`` and ``deadline`` are the core's
+#: own triggers; ``idle`` and ``shutdown`` are the shell's forced flushes.
+FLUSH_REASONS = ("size", "deadline", "idle", "shutdown")
+
 
 class CoalescerCore:
     """Batching + admission state machine, driven by an explicit clock.
@@ -51,7 +61,9 @@ class CoalescerCore:
       oldest pending request's submit time, so a shell that flushes
       whenever ``ready`` holds (and arms a timer for
       :meth:`next_deadline` otherwise) never queues a request past the
-      SLO bound.
+      SLO bound;
+    * every flushed batch is counted under one of :data:`FLUSH_REASONS`,
+      so ``sum(flush_reasons.values()) == flushed_batches``.
     """
 
     def __init__(self, config: Optional[IngressConfig] = None) -> None:
@@ -64,8 +76,14 @@ class CoalescerCore:
         self.flushed_batches = 0
         self.flushed_requests = 0
         self.max_queue_depth = 0
+        self.flush_reasons = dict.fromkeys(FLUSH_REASONS, 0)
         self._wait_seconds_total = 0.0
         self._max_wait_seen = 0.0
+        #: Reason and mean queue wait of the most recently flushed batch
+        #: (what the shell mirrors into its registry counter and records
+        #: as the ``ingress.queue_wait`` trace stage).
+        self.last_flush_reason: Optional[str] = None
+        self.last_batch_wait_s = 0.0
 
     # -- admission ---------------------------------------------------------------
     @property
@@ -107,18 +125,33 @@ class CoalescerCore:
 
     # -- flushing ----------------------------------------------------------------
     def take_batch(
-        self, now: float, force: bool = False
+        self, now: float, force: bool = False, reason: str = "shutdown"
     ) -> List[Tuple[int, Any]]:
         """Pop the next batch of up to ``max_batch`` ``(token, payload)``.
 
-        Returns an empty list when no batch is due (unless ``force``,
-        which drains regardless -- the shell uses it on shutdown).  The
-        batch is the FIFO prefix of the queue, so a flush always serves
-        the requests closest to their SLO bound first.
+        Returns an empty list when no batch is due, unless ``force``,
+        which drains regardless: the shell forces on shutdown and when
+        the event loop goes idle, and says which through ``reason``.  A
+        forced batch that was due anyway is counted under its own
+        trigger.  The batch is the FIFO prefix of the queue, so a flush
+        always serves the requests closest to their SLO bound first.
         """
-        if not force and not self.ready(now):
+        if reason not in self.flush_reasons:
+            raise IngressError(
+                f"unknown flush reason {reason!r}; expected one of {FLUSH_REASONS}"
+            )
+        if not self._pending:
+            return []
+        if len(self._pending) >= self.config.max_batch:
+            due = "size"
+        elif now >= self._pending[0][2] + self.config.max_wait_s:
+            due = "deadline"
+        elif force:
+            due = reason
+        else:
             return []
         batch: List[Tuple[int, Any]] = []
+        wait_total = 0.0
         while self._pending and len(batch) < self.config.max_batch:
             token, payload, enqueued_at = self._pending.popleft()
             waited = float(now) - enqueued_at
@@ -127,13 +160,16 @@ class CoalescerCore:
                     f"clock went backwards: flush at {now} before submit at "
                     f"{enqueued_at}"
                 )
-            self._wait_seconds_total += waited
+            wait_total += waited
             if waited > self._max_wait_seen:
                 self._max_wait_seen = waited
             batch.append((token, payload))
-        if batch:
-            self.flushed_batches += 1
-            self.flushed_requests += len(batch)
+        self._wait_seconds_total += wait_total
+        self.last_batch_wait_s = wait_total / len(batch)
+        self.flushed_batches += 1
+        self.flushed_requests += len(batch)
+        self.flush_reasons[due] += 1
+        self.last_flush_reason = due
         return batch
 
     # -- telemetry ----------------------------------------------------------------

@@ -10,12 +10,16 @@ give every independent client the same one-line interface::
 Under the hood, concurrent ``serve`` calls land in a
 :class:`~repro.ingress.coalescer.CoalescerCore` bounded queue and are
 flushed to the backend as one vectorised batch -- when ``max_batch``
-requests are pending, or when the oldest has waited ``max_wait_s``
-(whichever first).  Each caller's await resolves with exactly the
-decision the synchronous batch path would have produced for its query:
-coalescing changes *when* the snapshot lookup happens, never *what* it
-returns, so decisions are byte-identical to sync serving (asserted
-against scenario-engine traffic in ``benchmarks/test_ingress_load.py``).
+requests are pending, when the event loop goes quiet (a whole loop pass
+brought no new arrival, so nothing more is about to join), or when the
+oldest has waited ``max_wait_s`` (whichever first).  ``max_wait_s`` is
+therefore the *cap* on coalescing delay under a sustained trickle of
+arrivals, not a floor every sparse request waits out.  Each caller's
+await resolves with exactly the decision the synchronous batch path
+would have produced for its query: coalescing changes *when* the
+snapshot lookup happens, never *what* it returns, so decisions are
+byte-identical to sync serving (asserted against scenario-engine traffic
+in ``benchmarks/test_ingress_load.py`` and ``tests/test_ingress.py``).
 
 Overflow past ``queue_capacity`` is shed, not errored: the arrival is
 answered immediately with the default plan -- the anchor of the paper's
@@ -43,8 +47,10 @@ from ..config import IngressConfig
 from ..errors import IngressError
 from ..serving.batch_cache import BatchDecisions
 from ..serving.service import ServingService
+from ..telemetry.runtime import INGRESS_FLUSHES_TOTAL
+from ..telemetry.tracing import QUEUE_WAIT
 from .background import PeriodicTicker
-from .coalescer import CoalescerCore
+from .coalescer import FLUSH_REASONS, CoalescerCore
 
 
 class IngressDecision(NamedTuple):
@@ -77,6 +83,7 @@ class IngressStats:
     max_queue_depth: int
     mean_queue_wait_s: float
     max_queue_wait_s: float
+    flush_reasons: Dict[str, int]
     background_ticks: Dict[str, int]
 
     def as_dict(self) -> Dict[str, Any]:
@@ -91,6 +98,7 @@ class IngressStats:
             "max_queue_depth": int(self.max_queue_depth),
             "mean_queue_wait_s": float(self.mean_queue_wait_s),
             "max_queue_wait_s": float(self.max_queue_wait_s),
+            "flush_reasons": dict(self.flush_reasons),
             "background_ticks": dict(self.background_ticks),
         }
 
@@ -103,17 +111,48 @@ class IngressStats:
         )
 
 
+def _query_index(query: Any, n_queries: int, tenant: Optional[str] = None) -> int:
+    """Validate one arrival's query id before admission.
+
+    Only integral ``int`` / ``numpy.integer`` values are query ids;
+    ``int()`` would let ``"3"``, ``1.9`` and ``True`` through as someone
+    else's query and turn ``nan`` / ``inf`` / ``None`` into untyped
+    errors.
+    """
+    # The common case (a plain int in range) costs two comparisons; the
+    # isinstance calls and the message are only paid on the way to an error.
+    if type(query) is int and 0 <= query < n_queries:
+        return query
+    where = "" if tenant is None else f" for tenant {tenant!r}"
+    if isinstance(query, bool) or not isinstance(query, (int, np.integer)):
+        raise IngressError(f"query index must be an integer, got {query!r}{where}")
+    if not 0 <= query < n_queries:
+        raise IngressError(
+            f"query index {query} out of range [0, {n_queries}){where}"
+        )
+    return int(query)
+
+
 class _BaseIngress:
     """Shared coalescing/flush/lifecycle machinery of both front doors.
 
     Everything runs on one event loop: submits, flushes, and background
     ticks interleave but never overlap, so the (lock-free, numpy-backed)
     serving stack underneath is only ever touched from one frame at a
-    time.  Dispatch is deliberately *deferred* (a ``call_soon`` drain
-    callback, never an inline flush): every submit already runnable in
-    the current loop iteration joins -- or overflows -- the queue before
-    any batch is cut, which is what makes both coalescing and bounded-
-    queue admission control real under a burst of concurrent callers.
+    time.  Dispatch is deliberately *deferred* (``call_soon`` callbacks,
+    never an inline flush): every submit already runnable in the current
+    loop iteration joins -- or overflows -- the queue before any batch
+    is cut, which is what makes both coalescing and bounded-queue
+    admission control real under a burst of concurrent callers.
+
+    Three things cut a batch.  The size trigger and the ``max_wait_s``
+    timer are the core's own; the third is the quiescence probe
+    (:meth:`_probe`): while requests are pending, one ``call_soon``
+    callback rides along with the loop and flushes everything the first
+    time a whole pass brings no new arrival.  Callers woken by the same
+    flush resubmit in the same pass, so closed-loop clients still leave
+    as one batch -- they just stop waiting out the timer for a lookup
+    that costs microseconds.
     """
 
     def __init__(
@@ -129,10 +168,24 @@ class _BaseIngress:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started = False
         self._drain_scheduled = False
+        self._probe_scheduled = False
+        self._probe_seen = 0
         self.tickers: List[PeriodicTicker] = []
-        # Set by subclasses from their backend's (already normalised)
-        # telemetry context; None keeps the flush path uninstrumented.
+        # Bound by subclasses (_bind_telemetry) from their backend's
+        # already normalised context; None keeps the flush path
+        # uninstrumented.
         self._telemetry = None
+        self._flush_counters: Dict[str, Any] = {}
+
+    def _bind_telemetry(self, telemetry) -> None:
+        self._telemetry = telemetry
+        if telemetry is not None:
+            family = telemetry.registry.counter(
+                INGRESS_FLUSHES_TOTAL,
+                "Coalesced batches flushed, by what cut them.",
+                labels=("reason",),
+            )
+            self._flush_counters = {r: family.labels(r) for r in FLUSH_REASONS}
 
     # -- lifecycle ---------------------------------------------------------------
     async def start(self) -> None:
@@ -154,7 +207,7 @@ class _BaseIngress:
             return
         self._cancel_timer()
         while self._core.queue_depth:
-            self._flush_one(self._clock(), force=True)
+            self._flush_one(self._clock(), "shutdown")
         for ticker in self.tickers:
             await ticker.stop()
         self._started = False
@@ -179,15 +232,7 @@ class _BaseIngress:
             return self._shed_decision(payload)
         future = self._loop.create_future()
         self._waiters[token] = future
-        if self._core.ready(now):
-            # Size trigger: dispatch on the *next* loop iteration, not
-            # inline.  Every submit already runnable in this iteration
-            # gets to join (or overflow) the queue first -- that is what
-            # makes both coalescing and admission control real under a
-            # burst of concurrent callers.
-            self._schedule_drain()
-        else:
-            self._arm_timer(now)
+        self._schedule_dispatch(now)
         return await future
 
     async def serve_many(self, payloads: Sequence[Any]) -> List[IngressDecision]:
@@ -216,15 +261,29 @@ class _BaseIngress:
         if shed:
             self._record_shed(shed)
         if futures:
-            if self._core.ready(now):
-                self._schedule_drain()
-            else:
-                self._arm_timer(now)
+            self._schedule_dispatch(now)
         for i, future in futures:
             results[i] = await future
         return results
 
     # -- flush machinery ----------------------------------------------------------
+    def _schedule_dispatch(self, now: float) -> None:
+        """After an admitted submit: make sure something will cut its batch."""
+        if self._core.ready(now):
+            # Size trigger: dispatch on the *next* loop iteration, not
+            # inline.  Every submit already runnable in this iteration
+            # gets to join (or overflow) the queue first -- that is what
+            # makes both coalescing and admission control real under a
+            # burst of concurrent callers.
+            self._schedule_drain()
+        elif self._timer is None:
+            self._arm_timer(now)
+        if not self._probe_scheduled:
+            # After the drain, so a batch that is already full leaves on
+            # its size trigger before the probe looks at the queue.
+            self._probe_scheduled = True
+            self._loop.call_soon(self._probe)
+
     def _arm_timer(self, now: float) -> None:
         if self._timer is not None:
             return
@@ -265,17 +324,51 @@ class _BaseIngress:
         if self._core.queue_depth:
             self._arm_timer(now)
 
-    def _flush_one(self, now: float, force: bool = False) -> None:
-        batch = self._core.take_batch(now, force=force)
+    def _probe(self) -> None:
+        """Flush everything pending once the loop has gone quiet.
+
+        Scheduled by the first submit into an empty queue and re-armed
+        once per loop pass while arrivals keep coming (shed ones count:
+        a burst is not quiet; so does the submit that scheduled it, which
+        is why ``_probe_seen`` is left alone there).  The first pass that
+        saw none means every caller that was going to join this batch
+        has -- the rest are waiting on us -- so holding the batch for the
+        timer would only add delay.  Under a sustained trickle the probe
+        never sees a quiet pass and the ``max_wait_s`` timer cuts the
+        batch instead.  Retires as soon as the queue is empty: an idle
+        ingress schedules nothing.
+        """
+        core = self._core
+        if core.queue_depth and core.submitted != self._probe_seen:
+            self._probe_seen = core.submitted
+            self._loop.call_soon(self._probe)
+            return
+        self._probe_scheduled = False
+        if core.queue_depth:
+            now = self._clock()
+            while core.queue_depth:
+                self._flush_one(now, "idle")
+            self._cancel_timer()
+
+    def _flush_one(self, now: float, force_reason: Optional[str] = None) -> None:
+        if force_reason is None:
+            batch = self._core.take_batch(now)
+        else:
+            batch = self._core.take_batch(now, force=True, reason=force_reason)
         if not batch:
             return
         tokens = [token for token, _ in batch]
         payloads = [payload for _, payload in batch]
         tel = self._telemetry
         if tel is not None:
+            self._flush_counters[self._core.last_flush_reason].inc()
             # The trace root: inner stages (router.split, shard.serve,
             # cache.lookup) recorded during _serve_payloads attach to it.
+            # The wait that preceded the flush goes first: it is the
+            # stage that dominates a request whenever batches do not
+            # fill, and no perf_counter pair can see it from in here.
             tel.tracer.start("ingress.flush", batch_size=len(payloads))
+            tel.tracer.record_stage(QUEUE_WAIT, self._core.last_batch_wait_s)
             flush_start = time.perf_counter()
         try:
             results = self._serve_payloads(payloads)
@@ -325,6 +418,7 @@ class _BaseIngress:
             max_queue_depth=core.max_queue_depth,
             mean_queue_wait_s=core.mean_queue_wait_s,
             max_queue_wait_s=core.max_queue_wait_s,
+            flush_reasons=dict(core.flush_reasons),
             background_ticks={t.name: t.runs for t in self.tickers},
         )
 
@@ -357,7 +451,7 @@ class ServiceIngress(_BaseIngress):
     ) -> None:
         super().__init__(config=config, clock=clock)
         self.service = service
-        self._telemetry = service.telemetry
+        self._bind_telemetry(service.telemetry)
         self.controller = controller
         if controller is not None:
             self.tickers.append(
@@ -374,13 +468,9 @@ class ServiceIngress(_BaseIngress):
 
     async def serve(self, query: int) -> IngressDecision:
         """Answer one query arrival (awaits its coalesced batch)."""
-        query = int(query)
-        if not 0 <= query < self.service.matrix.n_queries:
-            raise IngressError(
-                f"query index {query} out of range "
-                f"[0, {self.service.matrix.n_queries})"
-            )
-        return await self._enqueue(query)
+        return await self._enqueue(
+            _query_index(query, self.service.matrix.n_queries)
+        )
 
     def _serve_payloads(self, payloads: List[int]) -> List[IngressDecision]:
         decisions = self.service.serve_batch(
@@ -456,7 +546,7 @@ class ClusterIngress(_BaseIngress):
     ) -> None:
         super().__init__(config=config, clock=clock)
         self.cluster = cluster
-        self._telemetry = cluster.telemetry
+        self._bind_telemetry(cluster.telemetry)
         self.controller = controller
         if controller is not None:
             self.tickers.append(
@@ -472,13 +562,8 @@ class ClusterIngress(_BaseIngress):
 
     async def serve(self, tenant: str, query: int) -> IngressDecision:
         """Answer one tenant's query arrival (awaits its coalesced batch)."""
-        query = int(query)
         n = self.cluster.n_queries(tenant)  # raises for unknown tenants
-        if not 0 <= query < n:
-            raise IngressError(
-                f"query index {query} out of range [0, {n}) "
-                f"for tenant {tenant!r}"
-            )
+        query = _query_index(query, n, tenant)
         return await self._enqueue((tenant, query))
 
     def _serve_payloads(

@@ -20,6 +20,11 @@ exercises:
 * ``ingress_serve``  -- the asyncio front door: per-request awaits
                         coalesced into vectorised batches (event-loop,
                         future, and coalescer overhead included),
+* ``ingress_sparse`` -- the same front door at low occupancy: four
+                        closed-loop clients, so no batch ever fills and
+                        every flush is the quiescence probe's (the
+                        ``max_wait_s`` timer must never be what a sparse
+                        request waits for),
 * ``adapt_drift``    -- the drift-adaptation loop: residual recording,
                         detection, and one budgeted response (invalidate +
                         re-anchor + re-explore + warm refresh),
@@ -312,6 +317,40 @@ def build_suite(scale_name: str = "smoke") -> PerfHarness:
         }
 
     harness.add("ingress_serve", run_ingress, setup=setup_ingress, repeats=repeats)
+
+    # -- ingress_sparse ----------------------------------------------------
+    def run_ingress_sparse(state):
+        import asyncio
+
+        from ..config import IngressConfig
+        from ..ingress import ServiceIngress
+
+        service, queries = state
+        clients = 4
+        # A cap ~500x the round trip: if requests ever wait out the timer
+        # again, this case gets hundreds of times slower, not a few percent.
+        config = IngressConfig(max_batch=256, max_wait_s=0.01)
+
+        async def client(ingress, mine):
+            return [await ingress.serve(query) for query in mine]
+
+        async def drive():
+            async with ServiceIngress(service, config) as ingress:
+                answers = await asyncio.gather(
+                    *(client(ingress, queries[c::clients]) for c in range(clients))
+                )
+                return answers, ingress.stats()
+
+        answers, stats = asyncio.run(drive())
+        return {
+            "served": sum(len(a) for a in answers),
+            "batches": stats.flushed_batches,
+            "idle_flushes": stats.flush_reasons["idle"],
+        }
+
+    harness.add(
+        "ingress_sparse", run_ingress_sparse, setup=setup_ingress, repeats=repeats
+    )
 
     # -- adapt_drift -------------------------------------------------------
     def setup_adapt():

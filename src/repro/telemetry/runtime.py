@@ -46,6 +46,7 @@ CRASHES_TOTAL = "repro_crashes_total"
 RESTARTS_TOTAL = "repro_restarts_total"
 QUEUED_FEEDBACK_TOTAL = "repro_queued_feedback_total"
 REPLAYED_FEEDBACK_TOTAL = "repro_replayed_feedback_total"
+INGRESS_FLUSHES_TOTAL = "repro_ingress_flushes_total"
 SHARDS_GAUGE = "repro_shards"
 SHARDS_UP_GAUGE = "repro_shards_up"
 TENANTS_GAUGE = "repro_tenants"

@@ -1,8 +1,8 @@
 """Explicit-clock request tracing with per-stage histograms.
 
 A :class:`Trace` is one request's journey through the stack
-(``ingress.flush -> router.split -> shard.serve -> cache.lookup ->
-observe / wal.append``).  Stages are timed by the *caller* with one
+(``ingress.queue_wait -> ingress.flush -> router.split -> shard.serve ->
+cache.lookup -> observe / wal.append``).  Stages are timed by the *caller* with one
 ``perf_counter`` pair each -- the tracer never reads a clock itself, so
 tracing adds no wall-clock calls beyond what the instrumented component
 already pays.
@@ -29,6 +29,7 @@ from .registry import MetricsRegistry
 #: Canonical stage names, in pipeline order.  Components are free to add
 #: more, but these are the ones the docs and dashboards key on.
 STAGES = (
+    "ingress.queue_wait",
     "ingress.flush",
     "router.split",
     "shard.serve",
@@ -36,6 +37,9 @@ STAGES = (
     "observe",
     "wal.append",
 )
+
+#: The only stage that precedes its trace root instead of nesting in it.
+QUEUE_WAIT = STAGES[0]
 
 
 class Trace:
@@ -60,8 +64,16 @@ class Trace:
         single largest recorded stage when one stage dominates; in this
         stack the root stage (``ingress.flush`` or ``shard.serve``)
         always encloses the others, making max() the enclosing duration.
+        The one stage nothing encloses is the coalescer wait, which ends
+        where the flush begins -- it is added on top.
         """
-        return max((s for _, s in self.stages), default=0.0)
+        waited = enclosing = 0.0
+        for name, seconds in self.stages:
+            if name == QUEUE_WAIT:
+                waited += seconds
+            elif seconds > enclosing:
+                enclosing = seconds
+        return waited + enclosing
 
     def as_dict(self) -> Dict[str, Any]:
         return {

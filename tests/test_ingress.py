@@ -17,6 +17,7 @@ Three layers, matching the module's design:
 
 import asyncio
 import gc
+import time
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import ClusterError, IngressError
 from repro.experiments.cluster import populate_cluster
 from repro.ingress import (
+    FLUSH_REASONS,
     ClusterIngress,
     CoalescerCore,
     IngressDecision,
@@ -36,7 +38,12 @@ from repro.ingress import (
     PeriodicTicker,
     ServiceIngress,
 )
+from repro.scenarios import ScenarioRunner
+from repro.scenarios.primitives import sudden_workload_shift
+from repro.scenarios.runner import _ServiceTarget
 from repro.serving import IncrementalALSRefresher, ServingService
+from repro.serving.batch_cache import BatchDecisions
+from repro.telemetry import Telemetry
 
 
 def make_matrix(n=12, k=5, seed=2):
@@ -129,6 +136,45 @@ class TestCoalescerCore:
         core.submit("a", 0.0)
         assert core.take_batch(0.0) == []
         assert [p for _, p in core.take_batch(0.0, force=True)] == ["a"]
+
+    def test_flush_reasons_name_the_trigger(self):
+        core = CoalescerCore(IngressConfig(max_batch=2, max_wait_s=1.0))
+        for payload in "abc":
+            core.submit(payload, now=0.0)
+        core.take_batch(0.0)  # full
+        assert core.last_flush_reason == "size"
+        core.take_batch(1.5)  # "c" past its deadline
+        core.submit("d", now=2.0)
+        core.take_batch(2.0, force=True, reason="idle")
+        core.submit("e", now=3.0)
+        core.take_batch(3.0, force=True)
+        assert core.flush_reasons == {
+            "size": 1, "deadline": 1, "idle": 1, "shutdown": 1,
+        }
+        assert tuple(core.flush_reasons) == FLUSH_REASONS
+        assert sum(core.flush_reasons.values()) == core.flushed_batches
+
+    def test_forced_flush_that_was_due_counts_under_its_trigger(self):
+        core = CoalescerCore(IngressConfig(max_batch=2, max_wait_s=1.0))
+        core.submit("a", now=0.0)
+        core.submit("b", now=0.0)
+        core.take_batch(0.0, force=True, reason="idle")
+        assert core.flush_reasons["size"] == 1 and core.flush_reasons["idle"] == 0
+
+    def test_unknown_flush_reason_raises(self):
+        core = CoalescerCore(IngressConfig(max_batch=2, max_wait_s=1.0))
+        core.submit("a", now=0.0)
+        with pytest.raises(IngressError):
+            core.take_batch(0.0, force=True, reason="bored")
+        assert core.queue_depth == 1  # nothing was popped
+
+    def test_last_batch_wait_is_the_batch_mean(self):
+        core = CoalescerCore(IngressConfig(max_batch=4, max_wait_s=10.0))
+        core.submit("a", now=0.0)
+        core.submit("b", now=1.0)
+        core.take_batch(3.0, force=True, reason="idle")
+        assert core.last_batch_wait_s == pytest.approx(2.5)
+        assert core.mean_queue_wait_s == pytest.approx(2.5)
 
     def test_clock_going_backwards_raises(self):
         core = CoalescerCore(IngressConfig(max_batch=1, max_wait_s=0.0))
@@ -235,6 +281,16 @@ class TestCoalescerProperties:
         core = CoalescerCore(config)
         drive_core(core, schedule)
         assert core.max_queue_wait_s <= config.max_wait_s + 1e-9
+
+    @settings(max_examples=60, deadline=None)
+    @given(schedule=schedules, config=configs, forced=st.sampled_from(["idle", "shutdown"]))
+    def test_reason_counters_partition_the_batches(self, schedule, config, forced):
+        core = CoalescerCore(config)
+        drive_core(core, schedule)
+        while core.queue_depth:
+            core.take_batch(10.0, force=True, reason=forced)
+        assert sum(core.flush_reasons.values()) == core.flushed_batches
+        assert core.flushed_requests == core.submitted - core.shed
 
 
 # -- PeriodicTicker --------------------------------------------------------------
@@ -371,6 +427,32 @@ class TestServiceIngress:
 
         run(scenario())
 
+    @pytest.mark.parametrize(
+        "query",
+        [float("nan"), float("inf"), None, "3", 1.9, 3.0, True, np.float64(2.0),
+         np.bool_(True), [1], b"1"],
+    )
+    def test_non_integral_query_raises_typed_error_before_admission(self, query):
+        service = make_service()
+
+        async def scenario():
+            async with ServiceIngress(service) as ingress:
+                with pytest.raises(IngressError):
+                    await ingress.serve(query)
+                return ingress.stats()
+
+        stats = run(scenario())
+        assert stats.submitted == 0  # rejected at the door, never queued
+        assert service.stats().decisions == 0
+
+    def test_numpy_integer_query_is_served_as_a_plain_int(self):
+        async def scenario():
+            async with ServiceIngress(make_service()) as ingress:
+                return await ingress.serve(np.int32(7))
+
+        decision = run(scenario())
+        assert decision.query == 7 and type(decision.query) is int
+
     def test_decisions_match_sync_batch_path(self):
         service = make_service()
         sync_service = ServingService(make_matrix())
@@ -500,6 +582,253 @@ class TestServiceIngress:
         assert "mean_batch" in str(stats)
 
 
+# -- the quiescence probe ----------------------------------------------------------
+
+
+HOUR = IngressConfig(
+    max_batch=100,
+    max_wait_s=3600.0,  # the timer can never be what answers
+    queue_capacity=4096,
+    tick_interval_s=3600.0,
+    refresh_interval_s=3600.0,
+)
+
+
+class _ClosedLoopTarget(_ServiceTarget):
+    """Scenario target serving through four closed-loop ingress clients.
+
+    Each client awaits its own requests back to back, so no batch ever
+    fills and every flush is the quiescence probe's.
+    """
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.loop = asyncio.new_event_loop()
+        self.ingress = None
+
+    def serve(self, tenant, local_queries):
+        if self.ingress is None:
+            self.ingress = ServiceIngress(self.service, HOUR)
+            self.loop.run_until_complete(self.ingress.start())
+        rows = self._rows[tenant][np.asarray(local_queries, dtype=np.int64)]
+        answers = [None] * len(rows)
+
+        async def client(start):
+            for i in range(start, len(rows), 4):
+                answers[i] = await self.ingress.serve(int(rows[i]))
+
+        async def drive():
+            await asyncio.wait_for(
+                asyncio.gather(*(client(c) for c in range(4))), 30.0
+            )
+
+        self.loop.run_until_complete(drive())
+        return BatchDecisions(
+            queries=rows,
+            hints=np.asarray([a.hint for a in answers], dtype=np.int64),
+            used_default=np.asarray([a.used_default for a in answers], dtype=bool),
+            expected_latency=np.asarray(
+                [a.expected_latency for a in answers], dtype=float
+            ),
+        )
+
+
+class TestIdleFlush:
+    def test_lone_request_does_not_wait_for_the_timer(self):
+        async def scenario():
+            async with ServiceIngress(make_service(), HOUR) as ingress:
+                decision = await asyncio.wait_for(ingress.serve(3), 1.0)
+                return decision, ingress.stats()
+
+        decision, stats = run(scenario())
+        assert decision.query == 3 and not decision.shed
+        assert stats.flush_reasons == {
+            "size": 0, "deadline": 0, "idle": 1, "shutdown": 0,
+        }
+
+    def test_submits_runnable_in_one_pass_leave_as_one_batch(self):
+        queries = [i % 12 for i in range(40)]
+
+        async def scenario():
+            async with ServiceIngress(make_service(), HOUR) as ingress:
+                answers = await asyncio.wait_for(
+                    asyncio.gather(*(ingress.serve(q) for q in queries)), 1.0
+                )
+                return answers, ingress.stats()
+
+        answers, stats = run(scenario())
+        assert [a.query for a in answers] == queries
+        assert stats.flushed_batches == 1
+        assert stats.mean_batch_size == len(queries)
+        assert stats.flush_reasons["idle"] == 1
+
+    def test_closed_loop_clients_keep_coalescing(self):
+        # Callers woken by one flush resubmit in the same pass: four
+        # clients stay one batch of four per round, timer or no timer.
+        async def scenario():
+            async with ServiceIngress(make_service(), HOUR) as ingress:
+                async def client(c):
+                    for i in range(25):
+                        await ingress.serve((c + i) % 12)
+
+                await asyncio.wait_for(
+                    asyncio.gather(*(client(c) for c in range(4))), 5.0
+                )
+                return ingress.stats()
+
+        stats = run(scenario())
+        assert stats.flushed_batches == 25
+        assert stats.mean_batch_size == 4.0
+        assert stats.flush_reasons["idle"] == 25
+
+    def test_same_pass_burst_past_capacity_still_sheds(self):
+        service = make_service()
+        config = IngressConfig(max_batch=4, max_wait_s=3600.0, queue_capacity=8)
+
+        async def scenario():
+            async with ServiceIngress(service, config) as ingress:
+                answers = await asyncio.wait_for(
+                    asyncio.gather(*(ingress.serve(i % 12) for i in range(50))),
+                    1.0,
+                )
+                return answers, ingress.stats()
+
+        answers, stats = run(scenario())
+        # The probe never runs before the burst has joined or overflowed.
+        assert sum(a.shed for a in answers) == 50 - 8
+        assert stats.shed == 50 - 8 and service.stats().shed == 50 - 8
+        assert stats.flush_reasons["size"] == 2 and stats.flushed_batches == 2
+
+    def test_trickle_is_cut_by_the_timer_within_the_cap(self):
+        config = IngressConfig(
+            max_batch=100_000, max_wait_s=0.005, queue_capacity=100_000
+        )
+
+        async def scenario():
+            async with ServiceIngress(make_service(), config) as ingress:
+                pending, longest_pass = [], 0.0
+                began = last = time.monotonic()
+                # One submit per loop pass for many times the cap: the
+                # loop is never quiet, so the probe never fires.
+                while last - began < 0.05:
+                    pending.append(asyncio.ensure_future(ingress.serve(1)))
+                    await asyncio.sleep(0)
+                    now = time.monotonic()
+                    longest_pass = max(longest_pass, now - last)
+                    last = now
+                during = ingress.stats()
+                await asyncio.wait_for(asyncio.gather(*pending), 1.0)
+                return during, ingress.stats(), longest_pass
+
+        during, stats, longest_pass = run(scenario())
+        assert during.flush_reasons["deadline"] >= 3
+        assert during.flush_reasons["idle"] == during.flush_reasons["size"] == 0
+        # The cap, plus the one pass the due timer may have to wait for.
+        # (Only while trickling: the gather over thousands of futures
+        # above is itself one very long pass.)
+        assert during.max_queue_wait_s <= config.max_wait_s + longest_pass + 1e-4
+        assert stats.served == stats.submitted
+
+    def test_idle_ingress_schedules_nothing(self):
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            async with ServiceIngress(make_service(), HOUR) as ingress:
+                await asyncio.wait_for(ingress.serve(0), 1.0)
+                await asyncio.sleep(0)  # the probe's retiring pass
+                scheduled = []
+                call_soon = loop.call_soon
+
+                def spy(callback, *args, **kwargs):
+                    scheduled.append(callback)
+                    return call_soon(callback, *args, **kwargs)
+
+                loop.call_soon = spy
+                try:
+                    await asyncio.sleep(0.02)
+                finally:
+                    del loop.call_soon
+                return [
+                    cb for cb in scheduled
+                    if getattr(cb, "__self__", None) is ingress
+                ], ingress
+
+        ours, ingress = run(scenario())
+        assert ours == []
+        assert not ingress._probe_scheduled and ingress._timer is None
+
+    def test_reason_counters_sum_to_flushed_batches(self):
+        config = IngressConfig(max_batch=8, max_wait_s=0.002, queue_capacity=64)
+
+        async def scenario():
+            ingress = ServiceIngress(make_service(), config)
+            await ingress.start()
+            await ingress.serve_many(list(range(12)) * 2)  # size, then idle
+            for _ in range(30):  # a trickle the timer has to cut
+                asyncio.ensure_future(ingress.serve(2))
+                await asyncio.sleep(0.0005)
+            tail = asyncio.ensure_future(ingress.serve_many([1, 2, 3]))
+            await asyncio.sleep(0)
+            await ingress.stop()  # shutdown drain
+            await tail
+            return ingress.stats()
+
+        stats = run(scenario())
+        assert set(stats.flush_reasons) == set(FLUSH_REASONS)
+        assert sum(stats.flush_reasons.values()) == stats.flushed_batches
+        assert stats.flush_reasons["size"] >= 3
+        assert stats.flush_reasons["shutdown"] == 1
+        assert stats.as_dict()["flush_reasons"] == stats.flush_reasons
+
+    def test_decisions_on_scenario_traffic_are_byte_identical_to_sync(self):
+        spec = sudden_workload_shift(seed=3, n_queries=60, n_hints=8, batch_size=32)
+        sync_trace = ScenarioRunner(spec, adaptive=False).run()
+        targets = []
+
+        def factory(worlds):
+            targets.append(
+                _ClosedLoopTarget(
+                    worlds, spec.tenants[0].n_hints, ScenarioRunner(spec).als_config, 3
+                )
+            )
+            return targets[-1]
+
+        try:
+            trace = ScenarioRunner(spec, target=factory, adaptive=False).run()
+            (target,) = targets
+            stats = target.ingress.stats()
+        finally:
+            for target in targets:
+                if target.ingress is not None:
+                    target.loop.run_until_complete(target.ingress.stop())
+                target.loop.close()
+        assert trace.decisions_blob() == sync_trace.decisions_blob()
+        assert stats.flush_reasons["idle"] == stats.flushed_batches > 0
+        assert stats.mean_batch_size == 4.0
+
+    def test_flush_reasons_and_queue_wait_reach_the_registry(self):
+        telemetry = Telemetry.enabled()
+        service = make_service(telemetry=telemetry)
+
+        async def scenario():
+            async with ServiceIngress(service, HOUR) as ingress:
+                await asyncio.wait_for(ingress.serve(1), 1.0)
+                await asyncio.wait_for(ingress.serve_many([2, 3]), 1.0)
+                return ingress.stats()
+
+        stats = run(scenario())
+        family = telemetry.registry.get("repro_ingress_flushes_total")
+        mirrored = {labels[0]: child.value for labels, child in family.children()}
+        assert mirrored == stats.flush_reasons
+        stages = telemetry.registry.get("repro_stage_seconds")
+        assert stages.labels("ingress.queue_wait").count == stats.flushed_batches
+        trace = telemetry.tracer.slow_traces()[-1]
+        assert [stage for stage, _ in trace.stages][0] == "ingress.queue_wait"
+        by_stage = dict(trace.stages)
+        assert trace.total_seconds == pytest.approx(
+            by_stage["ingress.queue_wait"] + by_stage["ingress.flush"]
+        )
+
+
 # -- ClusterIngress --------------------------------------------------------------
 
 
@@ -544,6 +873,16 @@ class TestClusterIngress:
                     await ingress.serve("acme", 10_000)
 
         run(scenario())
+
+    @pytest.mark.parametrize("query", [float("nan"), None, "3", 1.9, True])
+    def test_non_integral_query_raises_typed_error(self, query):
+        async def scenario():
+            async with ClusterIngress(make_cluster()) as ingress:
+                with pytest.raises(IngressError, match="acme"):
+                    await ingress.serve("acme", query)
+                return ingress.stats()
+
+        assert run(scenario()).submitted == 0
 
     def test_shed_counts_reach_cluster_stats(self):
         cluster = make_cluster()

@@ -127,6 +127,7 @@ class TestSuite:
             "serve_batch",
             "telemetry_overhead",
             "ingress_serve",
+            "ingress_sparse",
             "adapt_drift",
             "wal_append",
             "recovery_replay",
