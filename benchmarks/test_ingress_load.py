@@ -97,11 +97,10 @@ SWEEP_CONFIG = IngressConfig(max_batch=256, max_wait_s=0.001, queue_capacity=409
 
 
 def _run_sweep():
-    config = SWEEP_CONFIG
     service = _service()
     queries = _queries(service.matrix.n_queries)
     return [
-        _closed_loop_point(service, queries, m, config)
+        _closed_loop_point(service, queries, m, SWEEP_CONFIG)
         for m in SWEEP_CLIENTS
     ]
 

@@ -5,8 +5,8 @@ Two views of the same traffic:
 * ``cluster`` -- the fold of every shard's :class:`ServingStats` through
   :meth:`ServingStats.merge` (the mergeable-counter path any external
   aggregator could run from per-shard summaries alone), with the global
-  p50/p99 recomputed *exactly* from the pooled raw recorders since this
-  aggregator holds every shard in-process
+  p50/p99 recomputed *exactly* over the pooled recent-sample windows of
+  the raw recorders, since this aggregator holds every shard in-process
   (:meth:`LatencyRecorder.merged`);
 * ``parallel_qps`` -- the distributed-parallel reading of throughput:
   shards are independent units, so a deployment's wall-clock for a fanned-
@@ -213,7 +213,8 @@ def aggregate_shard_stats(shards) -> ServingStats:
     ``ServingStats.merge`` supplies the counter algebra; because every
     shard's raw :class:`LatencyRecorder` is reachable in-process, the
     approximate merged percentiles are replaced with the exact percentiles
-    of the pooled per-decision population.
+    of the pooled per-decision population (each shard's retained window:
+    bounded work however long the shards have been serving).
     """
     shards = list(shards)
     merged = ServingStats.merge(s.stats() for s in shards)

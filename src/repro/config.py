@@ -232,11 +232,13 @@ class IngressConfig:
 
     The coalescer turns independent single-query ``await serve(...)`` calls
     into the vectorised batches the serving layer is fast at.  A batch is
-    flushed as soon as ``max_batch`` requests are pending, or when the
+    flushed as soon as ``max_batch`` requests are pending, as soon as the
+    event loop goes quiet (a whole pass with no new arrival), or when the
     *oldest* pending request has waited ``max_wait_s`` -- whichever comes
-    first, so ``max_wait_s`` is the queueing-delay SLO an arrival can be
-    charged by coalescing (it bounds time-in-queue, not the backend's own
-    decision time).
+    first, so ``max_wait_s`` is the cap on the queueing delay an arrival
+    can be charged by coalescing (it bounds time-in-queue, not the
+    backend's own decision time) and is only approached under a sustained
+    trickle of arrivals.
 
     Admission is a bounded queue: at most ``queue_capacity`` requests may
     be pending at once.  Overflow arrivals are *shed*, not errored: they

@@ -2,10 +2,10 @@
 
 A :class:`Trace` is one request's journey through the stack
 (``ingress.queue_wait -> ingress.flush -> router.split -> shard.serve ->
-cache.lookup -> observe / wal.append``).  Stages are timed by the *caller* with one
-``perf_counter`` pair each -- the tracer never reads a clock itself, so
-tracing adds no wall-clock calls beyond what the instrumented component
-already pays.
+cache.lookup -> observe / wal.append``).  Stages are timed by the *caller*
+with one ``perf_counter`` pair each -- the tracer never reads a clock
+itself, so tracing adds no wall-clock calls beyond what the instrumented
+component already pays.
 
 The tracer keeps a **current-trace slot** instead of threading trace
 objects through every signature.  The serving stack runs one request at
@@ -26,10 +26,13 @@ from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from .registry import MetricsRegistry
 
+#: The only stage that precedes its trace root instead of nesting in it.
+QUEUE_WAIT = "ingress.queue_wait"
+
 #: Canonical stage names, in pipeline order.  Components are free to add
 #: more, but these are the ones the docs and dashboards key on.
 STAGES = (
-    "ingress.queue_wait",
+    QUEUE_WAIT,
     "ingress.flush",
     "router.split",
     "shard.serve",
@@ -37,9 +40,6 @@ STAGES = (
     "observe",
     "wal.append",
 )
-
-#: The only stage that precedes its trace root instead of nesting in it.
-QUEUE_WAIT = STAGES[0]
 
 
 class Trace:
