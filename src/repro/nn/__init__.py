@@ -6,7 +6,8 @@ loss.  PyTorch is not available in this environment, so this package
 provides the minimum viable substrate:
 
 * :mod:`repro.nn.autograd` -- reverse-mode automatic differentiation over
-  numpy arrays,
+  numpy arrays (with fused tree-conv / affine / loss nodes and a
+  ``no_grad`` context for tape-free inference),
 * :mod:`repro.nn.layers` -- Linear, ReLU, Dropout, Embedding, Sequential,
 * :mod:`repro.nn.treeconv` -- binary tree convolution and dynamic pooling,
 * :mod:`repro.nn.optim` -- SGD and Adam,
@@ -16,7 +17,7 @@ provides the minimum viable substrate:
   convergence criterion and warm starting.
 """
 
-from .autograd import Tensor
+from .autograd import Tensor, no_grad
 from .layers import Dropout, Embedding, Linear, Module, ReLU, Sequential
 from .losses import censored_mse_loss, mse_loss
 from .optim import SGD, Adam
@@ -26,6 +27,7 @@ from .treeconv import BinaryTreeConv, DynamicPooling
 
 __all__ = [
     "Tensor",
+    "no_grad",
     "Dropout",
     "Embedding",
     "Linear",

@@ -14,15 +14,49 @@ its parents' ``.grad`` attributes.  Leaf tensors created with
 ``requires_grad=True`` (model parameters) keep their gradients for the
 optimizer; intermediate gradients are also stored but are simply discarded
 when the graph is garbage collected.
+
+The tape records only what a gradient will flow through:
+
+* a node keeps as parents only the inputs that track a gradient, and its
+  closure computes nothing for the others (no ``grad @ W.T`` into the
+  constant plan features of the first tree-conv layer);
+* under :func:`no_grad` no node is recorded at all -- inference runs the
+  same ``forward`` code as training and gets plain tensors back;
+* the three chains the TCNN builds on every mini-batch are single nodes
+  with hand-written backward passes: :func:`tree_conv` (child gathers,
+  the self / left / right matmuls, bias, relu and the padding mask),
+  :func:`affine` (``x @ W + b``) and :func:`squared_error_loss` (the
+  MSE / censored-MSE reduction).  Each performs the numpy calls of the
+  unfused chain on the same operands in the same association, so values
+  and gradients are bit-identical to composing the primitive ops, which
+  stay here as the building blocks (and as the reference the tests
+  compare the fused nodes against).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple
+from contextlib import contextmanager
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import NeuralNetworkError
+
+
+#: False inside :func:`no_grad`; read by :meth:`Tensor._make`.
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph inside the block (inference); nests, restores on exit."""
+    global _grad_enabled
+    previous = _grad_enabled
+    _grad_enabled = False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 def _unbroadcast(grad: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -92,22 +126,26 @@ class Tensor:
     def _wrap(other) -> "Tensor":
         return other if isinstance(other, Tensor) else Tensor(other)
 
-    @staticmethod
-    def _track(*tensors: "Tensor") -> bool:
-        """True when any input participates in a gradient graph."""
-        return any(t.requires_grad or t._backward is not None for t in tensors)
+    @property
+    def tracks(self) -> bool:
+        """True when a gradient can flow into this tensor."""
+        return self.requires_grad or self._backward is not None
 
-    def _accumulate(self, grad: np.ndarray) -> None:
+    def _accumulate(self, grad: np.ndarray, copy: bool = True) -> None:
+        """Add ``grad`` in; ``copy=False`` when the caller owns a fresh array."""
         if self.grad is None:
-            self.grad = np.array(grad, dtype=float, copy=True)
+            self.grad = np.array(grad, dtype=float, copy=True) if copy else grad
         else:
             self.grad = self.grad + grad
 
-    def _make(self, data, parents, backward, name) -> "Tensor":
-        if not self._track(*parents):
-            return Tensor(data, name=name)
-        return Tensor(data, requires_grad=False, parents=parents,
-                      backward=backward, name=name)
+    @staticmethod
+    def _make(data, parents, backward, name) -> "Tensor":
+        """A node over the parents that track; a plain tensor when none does."""
+        if _grad_enabled:
+            tracked = tuple(p for p in parents if p.tracks)
+            if tracked:
+                return Tensor(data, parents=tracked, backward=backward, name=name)
+        return Tensor(data, name=name)
 
     # -- arithmetic ---------------------------------------------------------------
     def __add__(self, other) -> "Tensor":
@@ -115,8 +153,10 @@ class Tensor:
         out_data = self.data + other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad, self.data.shape))
-            other._accumulate(_unbroadcast(grad, other.data.shape))
+            if self.tracks:
+                self._accumulate(_unbroadcast(grad, self.data.shape))
+            if other.tracks:
+                other._accumulate(_unbroadcast(grad, other.data.shape))
 
         return self._make(out_data, (self, other), backward, "add")
 
@@ -136,8 +176,10 @@ class Tensor:
         out_data = self.data * other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad * other.data, self.data.shape))
-            other._accumulate(_unbroadcast(grad * self.data, other.data.shape))
+            if self.tracks:
+                self._accumulate(_unbroadcast(grad * other.data, self.data.shape))
+            if other.tracks:
+                other._accumulate(_unbroadcast(grad * self.data, other.data.shape))
 
         return self._make(out_data, (self, other), backward, "mul")
 
@@ -148,10 +190,12 @@ class Tensor:
         out_data = self.data / other.data
 
         def backward(grad: np.ndarray) -> None:
-            self._accumulate(_unbroadcast(grad / other.data, self.data.shape))
-            other._accumulate(
-                _unbroadcast(-grad * self.data / (other.data ** 2), other.data.shape)
-            )
+            if self.tracks:
+                self._accumulate(_unbroadcast(grad / other.data, self.data.shape))
+            if other.tracks:
+                other._accumulate(
+                    _unbroadcast(-grad * self.data / (other.data ** 2), other.data.shape)
+                )
 
         return self._make(out_data, (self, other), backward, "div")
 
@@ -172,10 +216,12 @@ class Tensor:
         out_data = np.matmul(self.data, other.data)
 
         def backward(grad: np.ndarray) -> None:
-            grad_self = np.matmul(grad, np.swapaxes(other.data, -1, -2))
-            self._accumulate(_unbroadcast(grad_self, self.data.shape))
-            grad_other = np.matmul(np.swapaxes(self.data, -1, -2), grad)
-            other._accumulate(_unbroadcast(grad_other, other.data.shape))
+            if self.tracks:
+                grad_self = np.matmul(grad, np.swapaxes(other.data, -1, -2))
+                self._accumulate(_unbroadcast(grad_self, self.data.shape))
+            if other.tracks:
+                grad_other = np.matmul(np.swapaxes(self.data, -1, -2), grad)
+                other._accumulate(_unbroadcast(grad_other, other.data.shape))
 
         return self._make(out_data, (self, other), backward, "matmul")
 
@@ -238,8 +284,10 @@ class Tensor:
 
         def backward(grad: np.ndarray) -> None:
             grad_self, grad_other = np.split(grad, [split], axis=axis)
-            self._accumulate(grad_self)
-            other._accumulate(grad_other)
+            if self.tracks:
+                self._accumulate(grad_self)
+            if other.tracks:
+                other._accumulate(grad_other)
 
         return self._make(out_data, (self, other), backward, "concat")
 
@@ -294,16 +342,27 @@ class Tensor:
             )
         if not mask.any(axis=1).all():
             raise NeuralNetworkError("every sample needs at least one unmasked node")
-        masked = np.where(mask[:, :, None], self.data, -np.inf)
+        masked = self.data.copy()
+        masked[~mask] = -np.inf
+        if not (_grad_enabled and self.tracks):
+            # Nothing will ask where each maximum sat, so skip the argmax and
+            # the index arrays: a running maximum over the node axis gives
+            # the same values (numpy reduces a middle axis ~2x slower).
+            out_data = masked[:, 0].copy()
+            for node in range(1, masked.shape[1]):
+                np.maximum(out_data, masked[:, node], out=out_data)
+            return Tensor(out_data, name="masked_max")
         argmax = masked.argmax(axis=1)  # (B, F)
-        out_data = np.take_along_axis(self.data, argmax[:, None, :], axis=1)[:, 0, :]
         batch_index = np.arange(self.data.shape[0])[:, None]
         feature_index = np.arange(self.data.shape[2])[None, :]
+        out_data = self.data[batch_index, argmax, feature_index]
 
         def backward(grad: np.ndarray) -> None:
             full = np.zeros_like(self.data)
-            np.add.at(full, (batch_index, argmax, feature_index), grad)
-            self._accumulate(full)
+            # Every (sample, feature) pair lands in its own cell, so this is
+            # ``np.add.at`` onto zeros; ``0.0 +`` keeps its ``-0.0 -> 0.0``.
+            full[batch_index, argmax, feature_index] = 0.0 + grad
+            self._accumulate(full, copy=False)
 
         return self._make(out_data, (self,), backward, "masked_max")
 
@@ -360,3 +419,134 @@ def parameter(data, name: str = "") -> Tensor:
 def stack_tensors(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
     """Stack detached tensors into a constant tensor (no gradient flow)."""
     return Tensor(np.stack([t.data for t in tensors], axis=axis))
+
+
+# -- fused nodes ------------------------------------------------------------------------
+# Each is the chain the TCNN used to record op by op, as one node.  The numpy
+# calls, their operands and their association are those of the chain (see
+# ``tests/test_nn_fused_reference.py`` for the chain itself), so the results
+# are bit-identical; what goes away is the per-op ``Tensor``, closure and
+# gradient copy, and every product that would flow into a constant.
+
+
+def affine(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
+    """``x @ weight + bias`` as one node (the body of a ``Linear`` layer)."""
+    out_data = np.matmul(x.data, weight.data)
+    out_data += bias.data
+
+    def backward(grad: np.ndarray) -> None:
+        if bias.tracks:
+            bias._accumulate(_unbroadcast(grad, bias.data.shape))
+        if x.tracks:
+            grad_x = np.matmul(grad, np.swapaxes(weight.data, -1, -2))
+            x._accumulate(_unbroadcast(grad_x, x.data.shape), copy=False)
+        if weight.tracks:
+            grad_weight = np.matmul(np.swapaxes(x.data, -1, -2), grad)
+            weight._accumulate(_unbroadcast(grad_weight, weight.data.shape), copy=False)
+
+    return Tensor._make(out_data, (x, weight, bias), backward, "affine")
+
+
+def tree_conv(
+    nodes: Tensor,
+    left,
+    right,
+    mask,
+    weight_self: Tensor,
+    weight_left: Tensor,
+    weight_right: Tensor,
+    bias: Tensor,
+) -> Tensor:
+    """One binary tree convolution over a padded batch, as one node.
+
+    ``relu(nodes @ W_self + nodes[left] @ W_left + nodes[right] @ W_right
+    + bias)`` with padding zeroed: ``nodes`` is (B, N, F), ``left`` /
+    ``right`` are (B, N) child positions on the node axis and ``mask`` is
+    (B, N), nonzero for real nodes.  Children are gathered as rows of the
+    ``(B * N, F)`` view (``np.take`` with flat rows is ~10x cheaper than
+    ``take_along_axis`` on the 3-D tensor), and the gradient into ``nodes``
+    -- only computed when ``nodes`` tracks, i.e. not for the first layer's
+    plan features -- is scattered onto the same rows.
+    """
+    left = np.asarray(left, dtype=np.int64)
+    right = np.asarray(right, dtype=np.int64)
+    real = np.asarray(mask, dtype=bool)
+    data = nodes.data
+    if data.ndim != 3 or not left.shape == right.shape == real.shape == data.shape[:2]:
+        raise NeuralNetworkError(
+            "tree_conv expects a (B, N, F) tensor and (B, N) child indices and mask"
+        )
+    batch, width, features = data.shape
+    rows = data.reshape(batch * width, features)
+    first_row = (np.arange(batch) * width)[:, None]
+    left_rows = left + first_row
+    right_rows = right + first_row
+    left_children = np.take(rows, left_rows, axis=0)
+    right_children = np.take(rows, right_rows, axis=0)
+    out_data = np.matmul(data, weight_self.data)
+    out_data += np.matmul(left_children, weight_left.data)
+    out_data += np.matmul(right_children, weight_right.data)
+    out_data += bias.data
+    # relu, then padding (and the null node) back to exactly zero so deeper
+    # layers keep the "missing child == zero vector" invariant.  Both are
+    # products with 0 or 1, so one product with their conjunction gives the
+    # same bits as the two in sequence.
+    active = out_data > 0
+    active.reshape(batch * width, -1)[~real.reshape(-1)] = False
+    out_data *= active
+
+    def backward(grad: np.ndarray) -> None:
+        grad = grad * active
+        if bias.tracks:
+            bias._accumulate(_unbroadcast(grad, bias.data.shape))
+        for weight, inputs in (
+            (weight_self, data),
+            (weight_left, left_children),
+            (weight_right, right_children),
+        ):
+            if weight.tracks:
+                weight._accumulate(
+                    np.matmul(np.swapaxes(inputs, -1, -2), grad).sum(axis=0), copy=False
+                )
+        if nodes.tracks:
+            grad_nodes = np.matmul(grad, np.swapaxes(weight_self.data, -1, -2))
+            for weight, child_rows in ((weight_left, left_rows), (weight_right, right_rows)):
+                scattered = np.zeros_like(rows)
+                np.add.at(
+                    scattered,
+                    child_rows,
+                    np.matmul(grad, np.swapaxes(weight.data, -1, -2)),
+                )
+                grad_nodes = grad_nodes + scattered.reshape(data.shape)
+            nodes._accumulate(grad_nodes, copy=False)
+
+    return Tensor._make(
+        out_data, (nodes, weight_self, weight_left, weight_right, bias), backward,
+        "tree_conv",
+    )
+
+
+def squared_error_loss(
+    predictions: Tensor, targets: np.ndarray, weights: Optional[np.ndarray] = None
+) -> Tensor:
+    """``mean(weights * (predictions - targets) ** 2)`` as one node.
+
+    ``weights`` is the censored loss's 0/1 indicator (paper Equation 8);
+    ``None`` is the plain MSE.
+    """
+    diff = predictions.data + targets * -1.0
+    squared = diff * diff
+    if weights is not None:
+        squared *= weights
+    scale = 1.0 / squared.size
+    out_data = squared.sum() * scale
+
+    def backward(grad: np.ndarray) -> None:
+        spread = np.broadcast_to(grad * scale, diff.shape).copy()
+        if weights is not None:
+            spread *= weights
+        spread *= diff
+        predictions._accumulate(spread + spread, copy=False)
+
+    return Tensor._make(out_data, (predictions,), backward, "squared_error_loss")
+

@@ -7,7 +7,7 @@ from typing import Dict, Iterable, List, Sequence
 import numpy as np
 
 from ..errors import NeuralNetworkError
-from .autograd import Tensor, parameter
+from .autograd import Tensor, affine, parameter
 
 
 class Module:
@@ -111,7 +111,7 @@ class Linear(Module):
         self.out_features = out_features
 
     def forward(self, x: Tensor) -> Tensor:
-        return x.matmul(self.weight) + self.bias
+        return affine(x, self.weight, self.bias)
 
 
 class ReLU(Module):

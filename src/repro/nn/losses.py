@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 
 from ..errors import NeuralNetworkError
-from .autograd import Tensor
+from .autograd import Tensor, squared_error_loss
 
 
 def mse_loss(predictions: Tensor, targets: np.ndarray) -> Tensor:
@@ -24,8 +24,7 @@ def mse_loss(predictions: Tensor, targets: np.ndarray) -> Tensor:
             f"prediction shape {predictions.shape} does not match target shape "
             f"{targets.shape}"
         )
-    diff = predictions - Tensor(targets)
-    return (diff * diff).mean()
+    return squared_error_loss(predictions, targets)
 
 
 def censored_mse_loss(
@@ -63,6 +62,4 @@ def censored_mse_loss(
     # Indicator 1{y_hat < tau} for censored samples; uncensored samples always count.
     below = predictions.data < thresholds
     weights = np.where(censored, below.astype(float), 1.0)
-    diff = predictions - Tensor(targets)
-    weighted = (diff * diff).apply_mask(weights)
-    return weighted.mean()
+    return squared_error_loss(predictions, targets, weights)

@@ -78,21 +78,40 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         self._step_count += 1
-        t = self._step_count
+        correction1 = 1 - self.beta1 ** self._step_count
+        correction2 = 1 - self.beta2 ** self._step_count
         for i, param in enumerate(self.parameters):
-            if param.grad is None:
-                continue
             grad = param.grad
-            if grad.shape != param.data.shape:
-                # Stale gradient from before a resize: skip this update.
+            if grad is None or grad.shape != param.data.shape:
+                # No gradient, or a stale one from before a resize: skip.
                 continue
             if self._m[i].shape != param.data.shape:
-                # An embedding table grew since this optimizer was created
-                # (new queries arriving); restart its moment buffers.
-                self._m[i] = np.zeros_like(param.data)
-                self._v[i] = np.zeros_like(param.data)
-            self._m[i] = self.beta1 * self._m[i] + (1 - self.beta1) * grad
-            self._v[i] = self.beta2 * self._v[i] + (1 - self.beta2) * grad ** 2
-            m_hat = self._m[i] / (1 - self.beta1 ** t)
-            v_hat = self._v[i] / (1 - self.beta2 ** t)
-            param.data = param.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+                self._grow_moments(i, param.data.shape)
+            # The moments are updated in place; the arithmetic (operands and
+            # association) is that of the textbook out-of-place form.
+            m, v = self._m[i], self._v[i]
+            m *= self.beta1
+            m += (1 - self.beta1) * grad
+            v *= self.beta2
+            v += (1 - self.beta2) * grad ** 2
+            m_hat = m / correction1
+            v_hat = v / correction2
+            np.sqrt(v_hat, out=v_hat)
+            v_hat += self.eps
+            m_hat *= self.lr
+            m_hat /= v_hat
+            param.data = param.data - m_hat
+
+    def _grow_moments(self, i: int, shape: tuple) -> None:
+        """An embedding table grew (new queries arrived) since the last step.
+
+        Rows that existed keep their moments -- restarting them would make
+        the first update of every old row a full-``lr`` sign step -- and
+        only the new rows start from zero.
+        """
+        for moments in (self._m, self._v):
+            old = moments[i]
+            grown = np.zeros(shape)
+            if old.ndim == grown.ndim and old.shape[1:] == shape[1:] and len(old) <= shape[0]:
+                grown[:len(old)] = old
+            moments[i] = grown

@@ -2,9 +2,12 @@
 
 Follows the paper's protocol (Section 5, "Techniques and tests"):
 
-* Adam with batch size 32,
-* at most 100 epochs, stopping early when the training loss decreases by
-  less than 1% over 10 epochs,
+* Adam over mini-batches of ``config.batch_size`` cells (the paper and the
+  config default use 32; the figure benchmarks and ``explore_tcnn`` use
+  128),
+* at most ``config.max_epochs`` epochs (paper: 100), stopping early when
+  the training loss decreases by less than 1% over the convergence window
+  (paper: 10 epochs),
 * warm start -- each offline-exploration step re-trains the model starting
   from the previous step's weights,
 * censored loss for timed-out observations (Equation 8).
@@ -12,6 +15,16 @@ Follows the paper's protocol (Section 5, "Techniques and tests"):
 Targets are trained in ``log1p`` space so the heavy-tailed latency
 distribution does not destabilise the small network; predictions are mapped
 back with ``expm1`` and clipped to be non-negative.
+
+Cost model.  ``fit`` packs nothing when the feature store keeps the whole
+plan space packed (``full_batch``): the training rows are taken out of it by
+flat cell index, and each mini-batch records about a dozen tape nodes (one
+fused tree-conv node per layer, one per ``Linear``, one for the loss; see
+:mod:`repro.nn.autograd`).  Inference (``predict_batch`` / ``predict_cells``
+/ ``predict_full``) runs the same ``forward`` under ``no_grad`` and records
+no tape at all; ``predict_full`` walks the packed plan space in chunks of
+``_CHUNK_NODE_ROWS`` padded node rows, so its intermediates stay around
+128 KiB each whatever the matrix size.
 """
 
 from __future__ import annotations
@@ -23,9 +36,40 @@ import numpy as np
 from ..config import TCNNConfig
 from ..core.workload_matrix import WorkloadMatrix
 from ..errors import NeuralNetworkError
-from .losses import censored_mse_loss, mse_loss
+from ..plans.featurize import TreeBatch
+from .autograd import no_grad
+from .losses import censored_mse_loss
 from .optim import Adam
 from .tcnn import TCNNModel, TransductiveTCNN
+
+
+#: Padded node rows (plans x ``max_nodes``) per ``predict_full`` forward pass:
+#: 256 plans at the 8-node synthetic plans, fewer as plans get wider.  With
+#: the benchmarks' 8 channels every intermediate is then 128 KiB, which the
+#: allocator recycles from its heap; at 4096 rows each chunk's 256 KiB
+#: temporaries were mapped afresh and page-faulted in (1600 minor faults and
+#: +2.3 ms per JOB-size ``predict_full``), and below 1024 rows the per-chunk
+#: Python overhead takes over.  Predictions do not depend on it.
+_CHUNK_NODE_ROWS = 2048
+
+
+def _checked_ids(name: str, ids, bound: int) -> np.ndarray:
+    """``ids`` as a 1-D int64 array of values in ``[0, bound)``, or a typed error."""
+    ids = np.asarray(ids)
+    # The good case costs the two reductions; messages are built on the way out.
+    if ids.dtype.kind in "iu" and ids.ndim == 1 and (
+        ids.size == 0 or (0 <= ids.min() and ids.max() < bound)
+    ):
+        return ids.astype(np.int64, copy=False)
+    if ids.dtype.kind not in "iu":
+        raise NeuralNetworkError(f"{name} ids must be integers, got dtype {ids.dtype}")
+    if ids.ndim != 1:
+        raise NeuralNetworkError(
+            f"{name} ids must be one-dimensional, got shape {ids.shape}"
+        )
+    raise NeuralNetworkError(
+        f"{name} id out of range [0, {bound}): min {ids.min()}, max {ids.max()}"
+    )
 
 
 class TCNNTrainer:
@@ -62,12 +106,12 @@ class TCNNTrainer:
     # -- training data ---------------------------------------------------------
     def _training_cells(
         self, matrix: WorkloadMatrix
-    ) -> Tuple[List[Tuple[int, int]], np.ndarray, np.ndarray]:
-        """Collect (cell, target, threshold) triples from the matrix.
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, targets, thresholds)`` of the cells to train on.
 
-        One vectorised pass over the matrix views; cells come out in the
-        same row-major order (completed observations taking priority over
-        censored ones) as the historical per-cell double loop.
+        One vectorised pass over the matrix views; cells come out in
+        row-major order, completed observations taking priority over
+        censored ones.
         """
         observed = matrix.mask > 0
         keep = observed
@@ -81,42 +125,52 @@ class TCNNTrainer:
         observed_here = observed[rows, cols]
         targets = np.where(observed_here, values, timeouts)
         thresholds = np.where(observed_here, 0.0, timeouts)
-        cells = list(zip(rows.tolist(), cols.tolist()))
-        return cells, targets, thresholds
+        return rows, cols, targets, thresholds
+
+    def _plan_space(self, shape: Tuple[int, int]) -> Optional[TreeBatch]:
+        """The store's packed batch of every cell, when it covers ``shape``."""
+        full_batch = getattr(self.feature_store, "full_batch", None)
+        if full_batch is None or self.feature_store.shape != shape:
+            return None
+        return full_batch()
 
     # -- fitting ------------------------------------------------------------------
     def fit(self, matrix: WorkloadMatrix) -> List[float]:
         """Train on the matrix's observed cells; returns per-epoch losses."""
-        cells, targets, thresholds = self._training_cells(matrix)
+        rows, cols, targets, thresholds = self._training_cells(matrix)
         log_targets = np.log1p(targets)
         log_thresholds = np.where(thresholds > 0, np.log1p(thresholds), 0.0)
+        # With no censored cell in the training set the indicator weights
+        # would all be 1.0, which is the plain MSE bit for bit.
+        censored = self.config.censored and bool((log_thresholds > 0).any())
 
-        # Featurise and pad the whole training set once; every epoch's
-        # mini-batches are cheap row slices of the packed arrays instead of
-        # a fresh featurise-and-pad pass (the tree convolution is padding-
-        # width invariant, so the losses are identical).
-        packed = self.feature_store.batch(cells)
-        all_query_idx = np.array([c[0] for c in cells], dtype=np.int64)
-        all_hint_idx = np.array([c[1] for c in cells], dtype=np.int64)
+        # The training set is packed once; every epoch's mini-batches are
+        # row slices of it (the tree convolution is padding-width invariant,
+        # so the losses do not depend on how wide the pack is).  A store
+        # that keeps the whole plan space packed hands the rows over by flat
+        # cell index with no featurise-and-pad pass at all.
+        plan_space = self._plan_space(matrix.shape)
+        if plan_space is not None:
+            packed = plan_space.take(rows * matrix.n_hints + cols)
+        else:
+            packed = self.feature_store.batch(list(zip(rows.tolist(), cols.tolist())))
 
         self.model.train()
         epoch_losses: List[float] = []
-        order = np.arange(len(cells))
+        order = np.arange(rows.size)
         for epoch in range(self.config.max_epochs):
             self._rng.shuffle(order)
             batch_losses = []
             for start in range(0, len(order), self.config.batch_size):
                 batch_idx = order[start:start + self.config.batch_size]
-                batch = packed.take(batch_idx)
-                query_idx = all_query_idx[batch_idx]
-                hint_idx = all_hint_idx[batch_idx]
-                predictions = self.model(batch, query_idx, hint_idx)
-                if self.config.censored and (log_thresholds[batch_idx] > 0).any():
-                    loss = censored_mse_loss(
-                        predictions, log_targets[batch_idx], log_thresholds[batch_idx]
-                    )
-                else:
-                    loss = mse_loss(predictions, log_targets[batch_idx])
+                predictions = self.model(
+                    packed.take(batch_idx), rows[batch_idx], cols[batch_idx]
+                )
+                loss = censored_mse_loss(
+                    predictions,
+                    log_targets[batch_idx],
+                    log_thresholds[batch_idx] if censored else None,
+                )
                 self.optimizer.zero_grad()
                 loss.backward()
                 self.optimizer.step()
@@ -141,6 +195,29 @@ class TCNNTrainer:
         return improvement < self.config.convergence_threshold
 
     # -- inference -------------------------------------------------------------------
+    def _cell_ids(self, query_idx, hint_idx) -> Tuple[np.ndarray, np.ndarray]:
+        """Validate caller-supplied cell ids: integral and inside the matrix.
+
+        ``np.asarray(..., dtype=np.int64)`` would truncate ``1.7`` to
+        someone else's row and let ``True`` through as row 1; an id past
+        the store would surface as a bare ``IndexError`` mid-featurisation.
+        """
+        query_idx = _checked_ids("query", query_idx, self.n_queries)
+        hint_idx = _checked_ids("hint", hint_idx, self.n_hints)
+        if query_idx.size != hint_idx.size:
+            raise NeuralNetworkError(
+                f"{query_idx.size} query ids for {hint_idx.size} hint ids"
+            )
+        return query_idx, hint_idx
+
+    def _forward(self, batch: TreeBatch, query_idx: np.ndarray,
+                 hint_idx: np.ndarray) -> np.ndarray:
+        """Latencies in seconds for trusted ids: one tape-free forward pass."""
+        self.model.eval()
+        with no_grad():
+            out = self.model(batch, query_idx, hint_idx)
+        return np.clip(np.expm1(out.data), 0.0, None)
+
     def predict_batch(self, batch, query_idx, hint_idx) -> np.ndarray:
         """One forward pass over an already-packed padded tree batch.
 
@@ -151,29 +228,41 @@ class TCNNTrainer:
         gathers and matmuls of the tree convolution.  Returns latencies in
         seconds (``expm1`` of the model's log-space output, clipped at 0).
         """
-        self.model.eval()
-        query_idx = np.asarray(query_idx, dtype=np.int64)
-        hint_idx = np.asarray(hint_idx, dtype=np.int64)
-        out = self.model(batch, query_idx, hint_idx)
-        return np.clip(np.expm1(out.numpy()), 0.0, None)
+        query_idx, hint_idx = self._cell_ids(query_idx, hint_idx)
+        if query_idx.size != batch.batch_size:
+            raise NeuralNetworkError(
+                f"{query_idx.size} cell ids for a batch of {batch.batch_size} plans"
+            )
+        return self._forward(batch, query_idx, hint_idx)
 
     def predict_cells(
         self, cells: Sequence[Tuple[int, int]], batch_size: Optional[int] = None
     ) -> np.ndarray:
-        """Predicted latencies (seconds) for specific matrix cells."""
-        if not cells:
+        """Predicted latencies (seconds) for specific matrix cells.
+
+        ``cells`` is a sequence of ``(query, hint)`` pairs or an ``(m, 2)``
+        integer array.
+        """
+        try:
+            cells = np.asarray(cells)
+        except ValueError as exc:  # ragged rows
+            raise NeuralNetworkError(f"cells must be (query, hint) pairs: {exc}") from exc
+        if cells.size == 0:
             return np.zeros(0)
+        if cells.ndim != 2 or cells.shape[1] != 2:
+            raise NeuralNetworkError(
+                f"cells must be (query, hint) pairs, got shape {cells.shape}"
+            )
+        query_idx, hint_idx = self._cell_ids(cells[:, 0], cells[:, 1])
         predictions = np.zeros(len(cells))
         if batch_size is None:
             batch_size = max(self.config.batch_size, 64)
         for start in range(0, len(cells), batch_size):
-            chunk = list(cells[start:start + batch_size])
-            batch = self.feature_store.batch(chunk)
-            query_idx = np.array([c[0] for c in chunk])
-            hint_idx = np.array([c[1] for c in chunk])
-            predictions[start:start + len(chunk)] = self.predict_batch(
-                batch, query_idx, hint_idx
+            window = slice(start, start + batch_size)
+            batch = self.feature_store.batch(
+                list(zip(query_idx[window].tolist(), hint_idx[window].tolist()))
             )
+            predictions[window] = self._forward(batch, query_idx[window], hint_idx[window])
         return predictions
 
     def predict_full(self, matrix: WorkloadMatrix) -> np.ndarray:
@@ -187,20 +276,18 @@ class TCNNTrainer:
         predictions.
         """
         n, k = matrix.n_queries, matrix.n_hints
-        full_batch = getattr(self.feature_store, "full_batch", None)
-        if full_batch is None or self.feature_store.shape != (n, k):
-            cells = [(i, j) for i in range(n) for j in range(k)]
+        packed = self._plan_space((n, k))
+        if packed is None:
+            cells = np.stack(np.divmod(np.arange(n * k), k), axis=1)
             return self.predict_cells(cells).reshape(n, k)
 
-        packed = full_batch()
         query_idx = np.repeat(np.arange(n, dtype=np.int64), k)
         hint_idx = np.tile(np.arange(k, dtype=np.int64), n)
         predictions = np.empty(n * k)
-        chunk = max(self.config.batch_size, 512)
+        chunk = max(1, _CHUNK_NODE_ROWS // packed.max_nodes)
         for start in range(0, n * k, chunk):
-            stop = min(start + chunk, n * k)
-            window = slice(start, stop)
-            predictions[window] = self.predict_batch(
+            window = slice(start, start + chunk)
+            predictions[window] = self._forward(
                 packed.take(window), query_idx[window], hint_idx[window]
             )
         return predictions.reshape(n, k)

@@ -3,8 +3,9 @@
 A tree convolution layer applies three weight matrices -- one for the node
 itself, one for its left child, one for its right child -- at every node of
 a binary plan tree, then sums and activates.  Missing children point at the
-reserved all-zero node 0, so the operation vectorises as three gathers plus
-three matmuls over a padded ``(batch, nodes, features)`` tensor.  Dynamic
+reserved all-zero node 0, so the operation vectorises as two gathers plus
+three matmuls over a padded ``(batch, nodes, features)`` tensor -- one
+fused autograd node, :func:`repro.nn.autograd.tree_conv`.  Dynamic
 pooling reduces the node dimension with a masked max, yielding one vector
 per plan regardless of plan size.
 """
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import NeuralNetworkError
-from .autograd import Tensor, parameter
+from .autograd import Tensor, parameter, tree_conv
 from .layers import Module
 
 
@@ -56,20 +57,10 @@ class BinaryTreeConv(Module):
         mask:
             ``(batch, max_nodes)`` 1.0 for real nodes.
         """
-        if nodes.ndim != 3:
-            raise NeuralNetworkError("tree convolution expects a 3-D node tensor")
-        left_children = nodes.gather_nodes(left)
-        right_children = nodes.gather_nodes(right)
-        combined = (
-            nodes.matmul(self.weight_self)
-            + left_children.matmul(self.weight_left)
-            + right_children.matmul(self.weight_right)
-            + self.bias
+        return tree_conv(
+            nodes, left, right, mask,
+            self.weight_self, self.weight_left, self.weight_right, self.bias,
         )
-        activated = combined.relu()
-        # Zero out padding (and the null node) so deeper layers keep the
-        # "missing child == zero vector" invariant.
-        return activated.apply_mask(np.asarray(mask, dtype=float)[:, :, None])
 
 
 class DynamicPooling(Module):

@@ -69,9 +69,9 @@ class TreeBatch:
         The tree convolution is width-invariant -- padded nodes are masked
         out and never selected by the dynamic pooling -- so slicing a wide
         pre-packed batch produces exactly the same model outputs as packing
-        the sub-batch from scratch.  This is what lets the trainer featurise
-        and pad its training set once per fit and reuse the arrays across
-        every epoch's mini-batches.
+        the sub-batch from scratch.  This is what lets the trainer take its
+        training rows (and every epoch's mini-batches) out of the store's
+        packed plan space instead of featurising and padding per fit.
         """
         return TreeBatch(
             nodes=self.nodes[index],
