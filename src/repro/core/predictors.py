@@ -270,10 +270,9 @@ class TCNNPredictor(Predictor):
         trainer = self._get_trainer(matrix)
         trainer.fit(matrix)
         predictions = trainer.predict_full(matrix)
-        # Known entries keep their observed values, mirroring Section 4.3.2.
-        values = matrix.observed_values()
-        mask = matrix.mask
-        return np.where(mask > 0, values, predictions)
+        # Known entries keep their observed values, mirroring Section 4.3.2;
+        # the raw value matrix is only read where the mask is set.
+        return np.where(matrix.mask > 0, matrix.values, predictions)
 
 
 class TransductiveTCNNPredictor(TCNNPredictor):

@@ -1,6 +1,6 @@
 """The library's named hot paths, packaged as perf cases.
 
-Eleven paths cover every layer a figure benchmark or the serving stack
+Thirteen paths cover every layer a figure benchmark or the serving stack
 exercises:
 
 * ``als_cold``       -- one full censored-ALS solve from scratch,
@@ -12,6 +12,10 @@ exercises:
 * ``explore_200_steps`` -- the end-to-end offline exploration loop
                         (Algorithm 1 with the incremental ALS predictor),
 * ``tcnn_predict_full`` -- a full-matrix TCNN prediction pass,
+* ``tcnn_fit``       -- one warm TCNN ``fit`` at the e2e benchmark's shape
+                        (JOB 113x49, its TCNN config, ~250 training cells)
+                        whatever the scale: the training half of an
+                        ``explore_tcnn`` step,
 * ``serve_batch``    -- the batched online serving path,
 * ``telemetry_overhead`` -- the same serving loop with telemetry
                         *enabled* (metrics mirror + stage timing); its
@@ -52,7 +56,7 @@ from ..core.workload_matrix import WorkloadMatrix
 from ..errors import PerfError
 from ..serving.service import ServingService
 from ..workloads.matrices import generate_workload
-from ..workloads.spec import CEB_SPEC, WorkloadSpec
+from ..workloads.spec import CEB_SPEC, JOB_SPEC, WorkloadSpec
 from .harness import PerfHarness
 
 SCALES: Dict[str, Dict[str, int]] = {
@@ -227,6 +231,35 @@ def build_suite(scale_name: str = "smoke") -> PerfHarness:
         return {"cells": int(predictions.size)}
 
     harness.add("tcnn_predict_full", run_tcnn, setup=setup_tcnn, repeats=repeats)
+
+    # -- tcnn_fit ----------------------------------------------------------
+    def setup_tcnn_fit():
+        from ..nn.trainer import TCNNTrainer
+
+        # One exploration step's training at the e2e benchmark's shape,
+        # whatever the scale: JOB (113x49), its TCNN config, ~250 cells.
+        workload = generate_workload(JOB_SPEC, seed=11)
+        matrix = _partial_matrix(workload, fill=0.025)
+        config = TCNNConfig(
+            embedding_rank=5, channels=(8,), hidden_units=(16,), dropout=0.2,
+            learning_rate=3e-3, batch_size=128, max_epochs=6,
+            convergence_window=3, convergence_threshold=0.01,
+        )
+        trainer = TCNNTrainer(
+            workload.feature_store(), matrix.n_queries, matrix.n_hints, config
+        )
+        trainer.fit(matrix)  # warm: weights, Adam moments, the packed plan space
+        return trainer, matrix
+
+    def run_tcnn_fit(state):
+        trainer, matrix = state
+        losses = trainer.fit(matrix)
+        return {
+            "epochs": len(losses),
+            "cells": int(matrix.mask.sum() + matrix.censored_mask.sum()),
+        }
+
+    harness.add("tcnn_fit", run_tcnn_fit, setup=setup_tcnn_fit, repeats=repeats)
 
     # -- serve_batch -------------------------------------------------------
     def setup_serving():

@@ -45,12 +45,16 @@ class BatchedLatencyEstimator:
     of the feature store's cache, so repeat cells cost only the pack.
 
     Operators who can afford the memory may call :meth:`warm_up` once
-    (outside any latency-sensitive window) to pre-pack the *entire* plan
-    space; batches are then answered by fancy-indexing row slices out of
-    the big tensor with no per-batch packing at all.  Warm-up is explicit
-    rather than lazy because packing every ``(query, hint)`` cell of a
-    large workload is a multi-second, memory-heavy operation that must not
-    land inside a served batch's clock window.
+    (outside any latency-sensitive window) to have the *entire* plan space
+    packed; batches are then answered by fancy-indexing row slices out of
+    the big tensor with no per-batch packing at all.  The packed tensor is
+    the feature store's own
+    :meth:`~repro.plans.featurize.PlanFeatureStore.full_batch` -- the one
+    the trainer fits and predicts from -- so the plan space is packed once
+    per store, not once per consumer.  Warm-up is explicit rather than lazy
+    because packing every ``(query, hint)`` cell of a large workload is a
+    multi-second, memory-heavy operation that must not land inside a served
+    batch's clock window.
     """
 
     def __init__(self, trainer, feature_store) -> None:
@@ -60,12 +64,15 @@ class BatchedLatencyEstimator:
         self._packed_shape: Optional[Tuple[int, int]] = None
 
     def warm_up(self, shape: Tuple[int, int]) -> None:
-        """Pre-pack the padded tensor for every cell of a ``shape`` matrix."""
-        n_queries, n_hints = shape
-        if self._packed is None or self._packed_shape != (n_queries, n_hints):
-            cells = [(i, j) for i in range(n_queries) for j in range(n_hints)]
-            self._packed = self.feature_store.batch(cells)
-            self._packed_shape = (n_queries, n_hints)
+        """Have the store pack every cell of a ``shape`` matrix (once per store)."""
+        shape = (int(shape[0]), int(shape[1]))
+        if shape != self.feature_store.shape:
+            raise ServingError(
+                f"cannot warm up a {shape} plan space from a feature store "
+                f"of shape {self.feature_store.shape}"
+            )
+        self._packed = self.feature_store.full_batch()
+        self._packed_shape = shape
 
     def predict(self, queries, hints, shape: Tuple[int, int]) -> np.ndarray:
         """Predicted latencies (seconds) for parallel query/hint arrays."""
@@ -77,19 +84,13 @@ class BatchedLatencyEstimator:
             return np.zeros(0)
         n_queries, n_hints = shape
         if self._packed is not None and self._packed_shape == (n_queries, n_hints):
-            flat = queries * n_hints + hints
-            batch = TreeBatch(
-                nodes=self._packed.nodes[flat],
-                left=self._packed.left[flat],
-                right=self._packed.right[flat],
-                mask=self._packed.mask[flat],
-            )
+            batch = self._packed.take(queries * n_hints + hints)
         else:
             batch = self.feature_store.batch(list(zip(queries.tolist(), hints.tolist())))
         return self.trainer.predict_batch(batch, queries, hints)
 
     def invalidate(self) -> None:
-        """Drop the warmed tensor (e.g. after the plan space changed)."""
+        """Let go of the warmed tensor (e.g. after the plan space changed)."""
         self._packed = None
         self._packed_shape = None
 

@@ -49,12 +49,41 @@ def test_adam_handles_grown_embedding_tables():
     optimizer = Adam([param], lr=0.1)
     quadratic_loss(param).backward()
     optimizer.step()
+    # The same parameter, never grown, is what the old rows must keep doing.
+    twin = parameter(param.data.copy())
+    twin_optimizer = Adam([twin], lr=0.1)
+    twin_optimizer._step_count = optimizer._step_count
+    twin_optimizer._m = [optimizer._m[0].copy()]
+    twin_optimizer._v = [optimizer._v[0].copy()]
+    m_before, v_before = optimizer._m[0].copy(), optimizer._v[0].copy()
     # Simulate an embedding table growing after the optimizer was created.
     param.data = np.vstack([param.data, np.ones((1, 3))])
+    param.zero_grad()
+    # A stale-shaped gradient (from before the growth) is skipped and must
+    # not touch the moments either.
+    param.grad = np.ones((2, 3))
+    optimizer.step()
+    optimizer._step_count -= 1
+    np.testing.assert_array_equal(optimizer._m[0], m_before)
     param.zero_grad()
     quadratic_loss(param).backward()
     optimizer.step()
     assert param.data.shape == (3, 3)
+    # Growth keeps the old rows' moments: their next update is the one they
+    # would have had without it (not a restart from zero moments, which makes
+    # every old row's first step a full-lr sign step).
+    quadratic_loss(twin).backward()
+    twin_optimizer.step()
+    np.testing.assert_array_equal(optimizer._m[0][:2], twin_optimizer._m[0])
+    np.testing.assert_array_equal(optimizer._v[0][:2], twin_optimizer._v[0])
+    np.testing.assert_array_equal(param.data[:2], twin.data)
+    assert not np.array_equal(optimizer._m[0][:2], m_before)
+    assert not np.array_equal(optimizer._v[0][:2], v_before)
+    # The new row started from zero moments.
+    fresh = parameter(np.ones((1, 3)))
+    quadratic_loss(fresh).backward()
+    np.testing.assert_allclose(optimizer._m[0][2], 0.1 * fresh.grad[0])
+    np.testing.assert_allclose(optimizer._v[0][2], 0.001 * fresh.grad[0] ** 2)
 
 
 def test_optimizer_validation():

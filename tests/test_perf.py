@@ -124,6 +124,7 @@ class TestSuite:
             "als_warm_ceb",
             "explore_200_steps",
             "tcnn_predict_full",
+            "tcnn_fit",
             "serve_batch",
             "telemetry_overhead",
             "ingress_serve",

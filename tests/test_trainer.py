@@ -141,3 +141,51 @@ def test_predict_full_matches_per_cell_prediction(tiny_workload):
     np.testing.assert_allclose(full, per_cell, rtol=0, atol=0)
     # predict_all stays as a compatible alias.
     np.testing.assert_array_equal(trainer.predict_all(matrix), full)
+
+
+# -- hostile input at the trainer's front door -----------------------------------------
+@pytest.fixture
+def untrained(tiny_workload):
+    return TCNNTrainer(tiny_workload.feature_store(), tiny_workload.n_queries,
+                       tiny_workload.n_hints, small_config())
+
+
+def test_predict_cells_accepts_an_integer_array(untrained):
+    cells = [(0, 0), (1, 2), (39, 48)]
+    from_list = untrained.predict_cells(cells)
+    assert from_list.shape == (3,)
+    np.testing.assert_array_equal(untrained.predict_cells(np.array(cells)), from_list)
+    assert untrained.predict_cells(np.zeros((0, 2), dtype=np.int64)).shape == (0,)
+
+
+@pytest.mark.parametrize("cells", [
+    [(0, 99)],               # hint past the store: used to be a bare IndexError
+    [(40, 0)],
+    [(-1, 0)],
+    [(0.5, 0)],              # used to die inside SeedSequence
+    [(1.0, 2.0)],
+    [(True, False)],
+    [(0, 1), (2,)],
+    [0, 1, 2],
+    np.zeros((2, 3), dtype=np.int64),
+])
+def test_predict_cells_rejects_ids_that_are_not_cells(untrained, cells):
+    with pytest.raises(NeuralNetworkError):
+        untrained.predict_cells(cells)
+
+
+def test_predict_batch_rejects_instead_of_truncating(untrained, tiny_workload):
+    batch = tiny_workload.feature_store().batch([(0, 0), (1, 1)])
+    good = untrained.predict_batch(batch, [0, 1], [0, 1])
+    assert good.shape == (2,)
+    for query_idx, hint_idx in [
+        ([0, 1.7], [0, 1]),          # used to predict for row 1
+        ([0, 1], [0, 49]),
+        ([0, 40], [0, 1]),
+        ([True, False], [0, 1]),
+        ([0, 1, 2], [0, 1, 2]),      # more ids than plans
+        ([0, 1], [0]),
+        ([[0, 1]], [[0, 1]]),
+    ]:
+        with pytest.raises(NeuralNetworkError):
+            untrained.predict_batch(batch, query_idx, hint_idx)
