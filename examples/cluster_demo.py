@@ -63,7 +63,6 @@ def main() -> None:
           f"(fan-out {stats.fan_out:.1f} sub-batches/batch, "
           f"hit rate {stats.cluster.non_default_fraction:.1%})")
     print(f"identical to a single service over the union matrix: {same}")
-    print(f"parallel-model aggregate: {stats.parallel_qps:,.0f} decisions/sec")
 
     # -- Act 3: feedback, background refreshes, live shard addition -----------
     improvable = np.nonzero(cluster.serve_all("dash").used_default)[0][:40]

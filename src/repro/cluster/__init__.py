@@ -23,7 +23,7 @@ from .failover import HealthBoard, ShardHealth, degraded_decisions
 from .router import RendezvousRouter, rendezvous_score, routing_key, split_batch
 from .scheduler import RefreshScheduler
 from .shard import ClusterShard
-from .stats import ClusterStats, aggregate_shard_stats, parallel_throughput_qps
+from .stats import ClusterStats, aggregate_shard_stats
 
 __all__ = [
     "ServingCluster",
@@ -38,5 +38,4 @@ __all__ = [
     "ClusterShard",
     "ClusterStats",
     "aggregate_shard_stats",
-    "parallel_throughput_qps",
 ]

@@ -40,11 +40,13 @@ from ..durability.journal import ShardJournal
 from ..durability.recovery import RecoveredState
 from ..errors import ClusterError, InjectedCrash, ReproError
 from ..serving.batch_cache import BatchDecisions
+from ..serving.stats import checked_shed_count
+from ..telemetry.runtime import ClusterMetrics, Telemetry
 from .failover import HealthBoard, degraded_decisions
 from .router import RendezvousRouter, routing_key, split_batch
 from .scheduler import RefreshScheduler
 from .shard import ClusterShard
-from .stats import ClusterStats, aggregate_shard_stats, parallel_throughput_qps
+from .stats import ClusterStats, aggregate_shard_stats, cluster_report
 
 
 @dataclass
@@ -101,9 +103,10 @@ class ServingCluster:
         WAL sync policy for every shard journal (``"os"`` or ``"always"``).
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`.  An *enabled* one is
-        shared (shard-labeled) with every shard's serving stack and feeds
-        the cluster facade's own counters and topology gauges; anything
-        else leaves every path uninstrumented.
+        shared (shard-labeled) with every shard's serving stack, holds the
+        cluster facade's counters and topology gauges in its registry, and
+        turns stage timing on; with anything else the same counters live
+        on private registries and no stage is timed.
     """
 
     def __init__(
@@ -141,27 +144,17 @@ class ServingCluster:
         self.shards: Dict[int, ClusterShard] = {}
         self._tenants: Dict[str, _TenantDirectory] = {}
         self._next_shard_id = 0
-        self._routed_batches = 0
-        self._fan_out_total = 0
-        self._degraded_decisions = 0
-        self._shed_decisions = 0
-        self._rebalanced_rows = 0
-        self._crashes = 0
-        self._restarts = 0
-        self._queued_feedback = 0
-        self._replayed_feedback = 0
         # Feedback addressed to a crashed shard waits here (per shard id)
         # and replays on restart; entries are ("observe"|"censor", args).
         self._outage_queue: Dict[int, List[Tuple[str, tuple]]] = {}
         # Normalised once: disabled telemetry costs one is-None check on
-        # the routed path.
-        self.telemetry = (
-            telemetry
-            if telemetry is not None and telemetry.config.enabled
-            else None
-        )
-        self._cluster_metrics = (
-            self.telemetry.cluster_metrics() if self.telemetry is not None else None
+        # the routed path (it gates the router.split clock pair only).
+        self.telemetry = Telemetry.active(telemetry)
+        # The facade counters' only store; private when nobody exports it.
+        self._metrics = (
+            self.telemetry.cluster_metrics()
+            if self.telemetry is not None
+            else ClusterMetrics()
         )
         for _ in range(n_shards):
             self._create_shard()
@@ -189,6 +182,23 @@ class ServingCluster:
             )
         return os.path.join(self.durability_dir, f"shard-{shard_id}")
 
+    def _shard_kwargs(self, shard_id: int) -> Dict:
+        """What a new and a recovered shard are built with alike."""
+        return dict(
+            shard_id=shard_id,
+            n_hints=self.n_hints,
+            default_hint=self.default_hint,
+            regression_margin=self.regression_margin,
+            als_config=self._als_config,
+            refresh_iterations=self._refresh_iterations,
+            clock=self._clock,
+            telemetry=(
+                self.telemetry.labeled(str(shard_id))
+                if self.telemetry is not None
+                else None
+            ),
+        )
+
     def _create_shard(self) -> ClusterShard:
         journal = None
         if self.durability_dir is not None:
@@ -198,19 +208,7 @@ class ServingCluster:
                 sync=self._journal_sync,
             )
         shard = ClusterShard(
-            shard_id=self._next_shard_id,
-            n_hints=self.n_hints,
-            default_hint=self.default_hint,
-            regression_margin=self.regression_margin,
-            als_config=self._als_config,
-            refresh_iterations=self._refresh_iterations,
-            clock=self._clock,
-            journal=journal,
-            telemetry=(
-                self.telemetry.labeled(str(self._next_shard_id))
-                if self.telemetry is not None
-                else None
-            ),
+            journal=journal, **self._shard_kwargs(self._next_shard_id)
         )
         self._next_shard_id += 1
         self.shards[shard.shard_id] = shard
@@ -252,9 +250,7 @@ class ServingCluster:
                 payload = source.export_rows(owned)
                 source.remove_rows(owned)
                 shard.import_rows(payload)
-            self._rebalanced_rows += len(moved)
-            if self._cluster_metrics is not None:
-                self._cluster_metrics.rebalanced_rows.inc(len(moved))
+            self._metrics.rebalanced_rows.inc(len(moved))
             self._rebuild_directories()
         return new_id
 
@@ -395,26 +391,18 @@ class ServingCluster:
         hints = np.full(n, self.default_hint, dtype=np.int64)
         used_default = np.ones(n, dtype=bool)
         expected = np.full(n, np.inf)
-        self._routed_batches += 1
-        cm = self._cluster_metrics
-        if cm is None:
-            groups = split_batch(shard_ids)
-        else:
+        cm = self._metrics
+        tel = self.telemetry
+        if tel is not None:
             start = self._clock()
-            groups = split_batch(shard_ids)
-            self.telemetry.tracer.record_stage(
-                "router.split", self._clock() - start
-            )
-            cm.routed_batches.inc()
-            cm.fan_out.inc(len(groups))
-        self._fan_out_total += len(groups)
+        groups = split_batch(shard_ids)
+        if tel is not None:
+            tel.tracer.record_stage("router.split", self._clock() - start)
+        cm.routed_batches.inc()
+        cm.fan_out.inc(len(groups))
         for sid, positions in groups:
-            if not self.health.is_up(sid):
-                sub = degraded_decisions(local[positions], self.default_hint)
-                self._degraded_decisions += int(positions.size)
-                if cm is not None:
-                    cm.degraded.inc(int(positions.size))
-            else:
+            sub = None
+            if self.health.is_up(sid):
                 try:
                     sub = self.shards[sid].serve_local(local[positions])
                     self.health.record_success(sid)
@@ -422,10 +410,9 @@ class ServingCluster:
                     # One failed sub-batch degrades, counts against the
                     # breaker, and never fails the cluster-level batch.
                     self.health.record_failure(sid)
-                    sub = degraded_decisions(local[positions], self.default_hint)
-                    self._degraded_decisions += int(positions.size)
-                    if cm is not None:
-                        cm.degraded.inc(int(positions.size))
+            if sub is None:
+                sub = degraded_decisions(local[positions], self.default_hint)
+                cm.degraded.inc(int(positions.size))
             hints[positions] = sub.hints
             used_default[positions] = sub.used_default
             expected[positions] = sub.expected_latency
@@ -517,13 +504,11 @@ class ServingCluster:
 
         Shed requests never reach a shard (that is the point of admission
         control), so the counter lives on the cluster facade rather than
-        any shard's recorder; it surfaces in :class:`ClusterStats`.
+        any shard's recorder; it surfaces in :class:`ClusterStats`.  This
+        is where the count enters a clustered stack, so it is validated
+        here (:class:`~repro.errors.ClusterError`).
         """
-        if count < 0:
-            raise ClusterError(f"shed count must be >= 0, got {count}")
-        self._shed_decisions += int(count)
-        if self._cluster_metrics is not None:
-            self._cluster_metrics.shed.inc(count)
+        self._metrics.shed.inc(checked_shed_count(count, ClusterError))
 
     # -- failover ---------------------------------------------------------------------
     def mark_down(self, shard_id: int) -> None:
@@ -544,9 +529,7 @@ class ServingCluster:
     def _queue_feedback(self, shard_id: int, kind: str, args: tuple) -> None:
         self._outage_queue.setdefault(shard_id, []).append((kind, args))
         queued = int(np.asarray(args[0]).size) if kind == "observe" else 1
-        self._queued_feedback += queued
-        if self._cluster_metrics is not None:
-            self._cluster_metrics.queued_feedback.inc(queued)
+        self._metrics.queued_feedback.inc(queued)
 
     def _handle_crash(self, shard_id: int) -> None:
         """Turn an :class:`InjectedCrash` (or operator kill) into an outage."""
@@ -555,9 +538,7 @@ class ServingCluster:
             shard.crash()
         self.health.mark_down(shard_id)
         self._outage_queue.setdefault(shard_id, [])
-        self._crashes += 1
-        if self._cluster_metrics is not None:
-            self._cluster_metrics.crashes.inc()
+        self._metrics.crashes.inc()
 
     def kill_shard(self, shard_id: int) -> None:
         """Crash a shard: in-memory state is gone, its rows degrade to
@@ -588,26 +569,14 @@ class ServingCluster:
             raise ClusterError(f"shard {shard_id} is not down; kill it first")
         shard = ClusterShard.recover(
             self._shard_dir(shard_id),
-            shard_id=shard_id,
-            n_hints=self.n_hints,
-            default_hint=self.default_hint,
-            regression_margin=self.regression_margin,
-            als_config=self._als_config,
-            refresh_iterations=self._refresh_iterations,
-            clock=self._clock,
             fs=self._fault_fs,
             sync=self._journal_sync,
-            telemetry=(
-                self.telemetry.labeled(str(shard_id))
-                if self.telemetry is not None
-                else None
-            ),
+            **self._shard_kwargs(shard_id),
         )
         self.shards[shard_id] = shard
         self.scheduler.replace(shard)
         self.health.mark_up(shard_id)
         pending = self._outage_queue.pop(shard_id, [])
-        cm = self._cluster_metrics
         for index, (kind, args) in enumerate(pending):
             try:
                 if kind == "observe":
@@ -616,9 +585,7 @@ class ServingCluster:
                 else:
                     shard.observe_censored_local(*args)
                     replayed = 1
-                self._replayed_feedback += replayed
-                if cm is not None:
-                    cm.replayed_feedback.inc(replayed)
+                self._metrics.replayed_feedback.inc(replayed)
             except InjectedCrash:
                 # Same supervision as the live feedback paths: the crashed
                 # entry never applied (write-ahead ordering), so it and
@@ -627,9 +594,7 @@ class ServingCluster:
                 self._handle_crash(shard_id)
                 self._outage_queue[shard_id] = pending[index:]
                 break
-        self._restarts += 1
-        if cm is not None:
-            cm.restarts.inc()
+        self._metrics.restarts.inc()
         assert shard.recovered is not None
         return shard.recovered
 
@@ -698,43 +663,26 @@ class ServingCluster:
     def stats(self) -> ClusterStats:
         """Cluster-wide report: merged counters, exact global percentiles.
 
-        With telemetry enabled, the topology and scheduler gauges are
-        refreshed here (cold path) so a registry read right after
-        ``stats()`` -- :meth:`ClusterStats.from_registry`, the snapshot
-        collector -- sees current values.
+        The topology and scheduler gauges are refreshed here (cold path),
+        then everything but the serving views is read back from the
+        facade's registry cells -- so a registry read right after
+        ``stats()`` (:meth:`ClusterStats.from_registry`, the snapshot
+        collector) sees the same values.  The serving views come from the
+        shards' own recorders: exact pooled percentiles, and a recovered
+        shard counts from zero.
         """
-        cm = self._cluster_metrics
-        if cm is not None:
-            cm.shards.set(self.n_shards)
-            cm.shards_up.set(len(self.health.up_shards()))
-            cm.tenants.set(len(self._tenants))
-            cm.total_rows.set(sum(s.n_rows for s in self.shards.values()))
-            cm.scheduler_ticks.set(self.scheduler.ticks)
-            cm.scheduler_refreshes.set(self.scheduler.refreshes)
-            cm.scheduler_budget.set(self.scheduler.budget_per_tick)
-        per_shard = {sid: shard.stats() for sid, shard in self.shards.items()}
-        return ClusterStats(
-            n_shards=self.n_shards,
-            n_tenants=len(self._tenants),
-            total_rows=sum(shard.n_rows for shard in self.shards.values()),
-            per_shard=per_shard,
-            cluster=aggregate_shard_stats(self.shards.values()),
-            parallel_qps=parallel_throughput_qps(per_shard),
-            routed_batches=self._routed_batches,
-            fan_out=(
-                self._fan_out_total / self._routed_batches
-                if self._routed_batches
-                else 0.0
-            ),
-            degraded_decisions=self._degraded_decisions,
-            shed_decisions=self._shed_decisions,
-            rebalanced_rows=self._rebalanced_rows,
-            scheduler_ticks=self.scheduler.ticks,
-            scheduler_refreshes=self.scheduler.refreshes,
-            crashes=self._crashes,
-            restarts=self._restarts,
-            queued_feedback=self._queued_feedback,
-            replayed_feedback=self._replayed_feedback,
+        cm = self._metrics
+        cm.shards.set(self.n_shards)
+        cm.shards_up.set(len(self.health.up_shards()))
+        cm.tenants.set(len(self._tenants))
+        cm.total_rows.set(sum(s.n_rows for s in self.shards.values()))
+        cm.scheduler_ticks.set(self.scheduler.ticks)
+        cm.scheduler_refreshes.set(self.scheduler.refreshes)
+        cm.scheduler_budget.set(self.scheduler.budget_per_tick)
+        return cluster_report(
+            cm,
+            {sid: shard.stats() for sid, shard in self.shards.items()},
+            aggregate_shard_stats(self.shards.values()),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

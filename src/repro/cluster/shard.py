@@ -32,14 +32,14 @@ from ..serving.batch_cache import BatchDecisions
 from ..serving.refresh import IncrementalALSRefresher
 from ..serving.service import ServingService
 from ..serving.stats import LatencyRecorder, ServingStats
+from ..telemetry.runtime import Telemetry
 
 
 class ClusterShard:
     """Lifecycle and row bookkeeping for one shard of the cluster.
 
     Parameters mirror :class:`ServingService`; ``clock`` is injectable so
-    tests (and the deterministic parallel-throughput model in the cluster
-    benchmark) can fake time.  With a ``journal`` attached every matrix
+    tests can fake time.  With a ``journal`` attached every matrix
     mutation is written ahead to disk, :meth:`checkpoint` bounds the log,
     and :meth:`recover` rebuilds the shard after :meth:`crash`.
     """
@@ -77,15 +77,17 @@ class ClusterShard:
         self.service: Optional[ServingService] = None
         self._rows: Dict[str, int] = {}
         self._refreshed_version: Optional[int] = None
-        # Owned by the shard, not the service: telemetry must survive the
-        # service being retired and rebuilt when every row migrates away.
-        self._recorder = LatencyRecorder()
         # A shard-labeled view of the cluster's context (or None); handed
-        # to every service this shard builds so its metrics carry the
-        # shard's label.
-        self.telemetry = (
-            telemetry
-            if telemetry is not None and telemetry.config.enabled
+        # to every service this shard builds so its stage timings carry
+        # the shard's label.
+        self.telemetry = Telemetry.active(telemetry)
+        # Owned by the shard, not the service: the report must survive the
+        # service being retired and rebuilt when every row migrates away.
+        # It counts in the shard label's cells (private ones when nobody
+        # exports them) and starts from zero, also after a recovery.
+        self._recorder = LatencyRecorder(
+            self.telemetry.serving_metrics()
+            if self.telemetry is not None
             else None
         )
 
@@ -149,22 +151,27 @@ class ClusterShard:
             self.matrix = WorkloadMatrix.from_dict(
                 {**payload, "hint_names": [f"h{j}" for j in range(self.n_hints)]}
             )
-            self.service = ServingService(
-                self.matrix,
-                default_hint=self.default_hint,
-                regression_margin=self.regression_margin,
-                refresher=self.refresher,
-                clock=self._clock,
-                recorder=self._recorder,
-                journal=self.journal,
-                telemetry=self.telemetry,
-            )
+            self._build_service()
             indices = list(range(len(names)))
         else:
             indices = self.matrix.import_rows(payload)
         for key, index in zip(names, indices):
             self._rows[key] = index
         return indices
+
+    def _build_service(self) -> None:
+        """(Re)build the serving stack over the current matrix; the recorder,
+        journal and telemetry label are the shard's and outlive it."""
+        self.service = ServingService(
+            self.matrix,
+            default_hint=self.default_hint,
+            regression_margin=self.regression_margin,
+            refresher=self.refresher,
+            clock=self._clock,
+            recorder=self._recorder,
+            journal=self.journal,
+            telemetry=self.telemetry,
+        )
 
     def export_rows(self, keys: Sequence[str]) -> Dict:
         """Row payload for a set of owned keys (for migration elsewhere)."""
@@ -319,16 +326,7 @@ class ClusterShard:
                     f"shard expects {n_hints}"
                 )
             shard.matrix = state.matrix
-            shard.service = ServingService(
-                shard.matrix,
-                default_hint=shard.default_hint,
-                regression_margin=shard.regression_margin,
-                refresher=shard.refresher,
-                clock=clock,
-                recorder=shard._recorder,
-                journal=journal,
-                telemetry=shard.telemetry,
-            )
+            shard._build_service()
             shard._rows = {
                 name: index for index, name in enumerate(shard.matrix.query_names)
             }

@@ -162,6 +162,10 @@ def censored_als(
     iterations:
         Optional override of ``config.iterations`` (used by incremental
         refreshes without rebuilding the config).
+
+    Raises :class:`~repro.errors.CompletionError` -- never a bare numpy
+    error -- when an ``r x r`` inverse fails or the factors come out
+    non-finite; holders of warm factors answer it with one cold solve.
     """
     config = config or ALSConfig()
     obs_idx, obs_vals, cen_idx, cen_vals = _validate_inputs(observed, mask, timeouts)
@@ -219,36 +223,45 @@ def censored_als(
             flat[cen_idx] = np.maximum(flat[cen_idx], cen_vals)
 
     np.matmul(query_factors, np.ascontiguousarray(hint_factors.T), out=completed)
-    for _ in range(n_iterations):
-        _fill()
-        # Algorithm 2's literal ``Q <- W̃ H (HᵀH + λI)⁻¹``: invert the r x r
-        # Gram once and apply it with one matmul.  ``np.linalg.solve`` with
-        # n right-hand sides costs ~20x more at n=3133, r=5 (LAPACK copies
-        # them in and out); the ridge term keeps the Gram well conditioned.
-        gram_h = hint_factors.T @ hint_factors + reg
-        query_factors = completed @ hint_factors @ np.linalg.inv(gram_h)
-        if config.nonnegative:
-            np.maximum(query_factors, 0.0, out=query_factors)
+    try:
+        for _ in range(n_iterations):
+            _fill()
+            # Algorithm 2's literal ``Q <- W̃ H (HᵀH + λI)⁻¹``: invert the r x r
+            # Gram once and apply it with one matmul.  ``np.linalg.solve`` with
+            # n right-hand sides costs ~20x more at n=3133, r=5 (LAPACK copies
+            # them in and out); the ridge term keeps the Gram well conditioned.
+            gram_h = hint_factors.T @ hint_factors + reg
+            query_factors = completed @ hint_factors @ np.linalg.inv(gram_h)
+            if config.nonnegative:
+                np.maximum(query_factors, 0.0, out=query_factors)
 
-        np.matmul(query_factors, np.ascontiguousarray(hint_factors.T), out=completed)
-        _fill()
-        gram_q = query_factors.T @ query_factors + reg
-        hint_factors = completed.T @ query_factors @ np.linalg.inv(gram_q)
-        if config.nonnegative:
-            np.maximum(hint_factors, 0.0, out=hint_factors)
+            np.matmul(query_factors, np.ascontiguousarray(hint_factors.T), out=completed)
+            _fill()
+            gram_q = query_factors.T @ query_factors + reg
+            hint_factors = completed.T @ query_factors @ np.linalg.inv(gram_q)
+            if config.nonnegative:
+                np.maximum(hint_factors, 0.0, out=hint_factors)
 
-        # The product for the objective is read at the observed cells before
-        # the next (or the final) fill overwrites them.
-        np.matmul(query_factors, np.ascontiguousarray(hint_factors.T), out=completed)
-        residual = obs_vals - flat[obs_idx]
-        objective = float((residual ** 2).sum())
-        objective_trace.append(objective)
-        if config.tol > 0 and len(objective_trace) >= 2:
-            previous = objective_trace[-2]
-            if previous <= 0:
-                break
-            if (previous - objective) / previous < config.tol:
-                break
+            # The product for the objective is read at the observed cells before
+            # the next (or the final) fill overwrites them.
+            np.matmul(query_factors, np.ascontiguousarray(hint_factors.T), out=completed)
+            residual = obs_vals - flat[obs_idx]
+            objective = float((residual ** 2).sum())
+            objective_trace.append(objective)
+            if config.tol > 0 and len(objective_trace) >= 2:
+                previous = objective_trace[-2]
+                if previous <= 0:
+                    break
+                if (previous - objective) / previous < config.tol:
+                    break
+    except np.linalg.LinAlgError as exc:
+        raise CompletionError(
+            f"censored ALS could not invert an {rank}x{rank} Gram matrix ({exc})"
+        ) from exc
+    # One check on the way out, nothing per iteration: factors that diverged
+    # (warm starts under a data shift can) must not reach a caller as numbers.
+    if not (np.isfinite(query_factors).all() and np.isfinite(hint_factors).all()):
+        raise CompletionError("censored ALS produced non-finite factors")
 
     _fill()
     return CensoredALSResult(

@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from ..config import ALSConfig, TCNNConfig
-from ..errors import ExplorationError
+from ..errors import CompletionError, ExplorationError
 from .matrix_completion import ALSCompleter
 from .workload_matrix import WorkloadMatrix
 
@@ -174,15 +174,27 @@ class ALSPredictor(Predictor):
                     warm = (warm_q, warm_h)
                     iterations = self.refresh_iterations
 
-        # The solver reads values only where the mask is set, so the raw
-        # value matrix (``inf`` where unobserved) saves the zero-filling pass.
-        self._result = self._completer.complete_result(
-            matrix.values,
-            matrix.mask,
-            matrix.timeout_matrix,
-            warm_start=warm,
-            iterations=iterations,
-        )
+        def solve(warm_start, iterations):
+            # The solver reads values only where the mask is set, so the raw
+            # value matrix (``inf`` where unobserved) saves the zero-filling pass.
+            return self._completer.complete_result(
+                matrix.values,
+                matrix.mask,
+                matrix.timeout_matrix,
+                warm_start=warm_start,
+                iterations=iterations,
+            )
+
+        try:
+            self._result = solve(warm, iterations)
+        except CompletionError:
+            if warm is None:
+                raise
+            # Warm factors can diverge across refreshes under a data shift
+            # until the ridge no longer conditions the Gram: answer with one
+            # cold solve (counted as one); a cold failure propagates typed.
+            warm = None
+            self._result = solve(None, None)
         self._matrix_ref = weakref.ref(matrix)
         self._matrix_version = matrix.version
         if warm is None:

@@ -27,6 +27,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import DurabilityError
+from ..telemetry.runtime import JournalMetrics, Telemetry
 from .faults import FaultFS
 from .snapshot import load_snapshot, write_snapshot
 from .wal import WalRecord, WriteAheadLog, pack_floats, pack_ints
@@ -62,27 +63,34 @@ class ShardJournal:
         )
         self.wal = WriteAheadLog(directory, fs=self.fs, sync=sync)
         self._recovered_records: Optional[List[WalRecord]] = self.wal.open(repair=True)
-        self.checkpoints = 0
         self._last_backlog: List[int] = []
         if self.recovered_snapshot is not None:
             state, _ = self.recovered_snapshot
             self._last_backlog = [int(r) for r in state.get("backlog", [])]
-        # Telemetry seam (bound by the owning service when enabled).
+        # Append/checkpoint counts live in these cells only: on a private
+        # registry until the owning service binds an enabled telemetry.
+        self._metrics = JournalMetrics()
+        self._checkpoints_before = 0.0
+        # Stage-timing seam (same binding): None keeps log() off the clock.
         self._tracer = None
-        self._journal_metrics = None
         self._stage_clock = None
 
     def bind_telemetry(self, telemetry, clock) -> None:
-        """Feed WAL/checkpoint counters and the ``wal.append`` stage.
+        """Count in ``telemetry``'s registry and time the ``wal.append`` stage.
 
         Only an *enabled* :class:`~repro.telemetry.Telemetry` binds; the
-        append path is otherwise untouched.  ``clock`` supplies the one
-        perf-counter pair each append costs when instrumented.
+        journal otherwise keeps counting on its private registry and reads
+        no clock.  ``clock`` supplies the one perf-counter pair each
+        append costs when instrumented.
         """
-        if telemetry is None or not telemetry.config.enabled:
+        if Telemetry.active(telemetry) is None:
             return
+        metrics = telemetry.journal_metrics()
+        # The shared cell is monotonic over the label's life (a recovered
+        # shard reuses it); this journal's own count carries on from here.
+        self._checkpoints_before = metrics.checkpoints.value - self.checkpoints
+        self._metrics = metrics
         self._tracer = telemetry.tracer
-        self._journal_metrics = telemetry.journal_metrics()
         self._stage_clock = clock
 
     # -- recovery handoff -------------------------------------------------------------
@@ -104,16 +112,15 @@ class ShardJournal:
     # -- raw logging -------------------------------------------------------------------
     def log(self, kind: str, data: Dict[str, Any]) -> int:
         """Append one record; returns its LSN."""
-        if self._tracer is None:
-            return self.wal.append(kind, data)
-        start = self._stage_clock()
+        tracer = self._tracer
+        if tracer is not None:
+            start = self._stage_clock()
         bytes_before = self.wal.appended_bytes
         lsn = self.wal.append(kind, data)
-        self._tracer.record_stage("wal.append", self._stage_clock() - start)
-        self._journal_metrics.wal_records.inc()
-        self._journal_metrics.wal_bytes.inc(
-            self.wal.appended_bytes - bytes_before
-        )
+        if tracer is not None:
+            tracer.record_stage("wal.append", self._stage_clock() - start)
+        self._metrics.wal_records.inc()
+        self._metrics.wal_bytes.inc(self.wal.appended_bytes - bytes_before)
         return lsn
 
     # -- typed logging (the hooks the stack calls) ----------------------------------
@@ -183,12 +190,15 @@ class ShardJournal:
         write_snapshot(self.directory, state, lsn, fs=self.fs)
         self.wal.rotate()
         self.wal.truncate_through(lsn)
-        self.checkpoints += 1
-        if self._journal_metrics is not None:
-            self._journal_metrics.checkpoints.inc()
+        self._metrics.checkpoints.inc()
         return lsn
 
     # -- observability -----------------------------------------------------------------------
+    @property
+    def checkpoints(self) -> int:
+        """Checkpoints this journal has taken (a view over its counter cell)."""
+        return int(self._metrics.checkpoints.value - self._checkpoints_before)
+
     @property
     def next_lsn(self) -> int:
         return self.wal.next_lsn

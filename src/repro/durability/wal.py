@@ -304,6 +304,11 @@ class WriteAheadLog:
         if self._handle is not None:
             self._handle.close()
             self._handle = None
+        if self._segments and self._segments[-1][0] == self.next_lsn:
+            # Nothing was appended since the last rotation: the live
+            # segment is still empty, and listing its path twice would make
+            # a later truncate_through unlink it and then size it again.
+            return
         self._start_segment(self.next_lsn)
 
     def truncate_through(self, lsn: int) -> int:

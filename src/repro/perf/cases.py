@@ -18,9 +18,9 @@ exercises:
                         ``explore_tcnn`` step,
 * ``serve_batch``    -- the batched online serving path,
 * ``telemetry_overhead`` -- the same serving loop with telemetry
-                        *enabled* (metrics mirror + stage timing); its
-                        normalised cost tracks the instrumentation tax
-                        against ``serve_batch``,
+                        *enabled* (stage timing); its normalised cost
+                        tracks the instrumentation tax against
+                        ``serve_batch``,
 * ``ingress_serve``  -- the asyncio front door: per-request awaits
                         coalesced into vectorised batches (event-loop,
                         future, and coalescer overhead included),

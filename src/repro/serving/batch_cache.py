@@ -25,6 +25,8 @@ import numpy as np
 from ..core.plan_cache import CacheDecision, CacheSnapshot, PlanCache
 from ..core.workload_matrix import WorkloadMatrix
 from ..errors import ServingError
+from ..telemetry.registry import Counter
+from ..telemetry.runtime import Telemetry
 
 
 @dataclass(frozen=True)
@@ -100,25 +102,28 @@ class BatchedPlanCache:
         self.matrix = matrix
         self.default_hint = self._scalar.default_hint
         self.regression_margin = self._scalar.regression_margin
-        # Telemetry seam (bound by the owning service, never required):
-        # None keeps decide() on the uninstrumented path.
+        # Snapshot rebuilds are always counted: in the owning service's
+        # bundle once bound, in a cell of the cache's own until then.
+        self._rebuilds = Counter()
+        # Stage-timing seam (bound by the owning service, never required):
+        # None keeps decide() off the clock.
         self._tracer = None
-        self._metrics = None
         self._stage_clock = None
 
     def bind_telemetry(self, telemetry, metrics, clock) -> None:
-        """Route lookups through the ``cache.lookup`` stage histogram.
+        """Count rebuilds in ``metrics``; time lookups when telemetry is on.
 
-        Only an *enabled* telemetry context binds; anything else leaves
-        the hot path untouched.  ``metrics`` is the owning service's
-        :class:`~repro.telemetry.ServingMetrics` (rebuild counter);
-        ``clock`` supplies the one perf-counter pair the stage costs.
+        ``metrics`` is the owning service's
+        :class:`~repro.telemetry.ServingMetrics` (rebuild counter).  Only
+        an *enabled* telemetry context routes lookups through the
+        ``cache.lookup`` stage histogram, with ``clock`` supplying the one
+        perf-counter pair the stage costs; anything else leaves the hot
+        path off the clock.
         """
-        if telemetry is None or not telemetry.config.enabled:
-            return
-        self._tracer = telemetry.tracer
-        self._metrics = metrics
-        self._stage_clock = clock
+        self._rebuilds = metrics.cache_rebuilds
+        if Telemetry.active(telemetry) is not None:
+            self._tracer = telemetry.tracer
+            self._stage_clock = clock
 
     # -- snapshot management ------------------------------------------------
     @property
@@ -131,49 +136,26 @@ class BatchedPlanCache:
         """Force-recompute the decision arrays at the current matrix version."""
         return self._scalar.snapshot(force=True)
 
-    def _current(self) -> CacheSnapshot:
-        return self._scalar.snapshot()
-
     # -- batched decisions --------------------------------------------------
     def decide(self, queries) -> BatchDecisions:
-        """Decisions for a batch of query indices (the hot path)."""
-        if self._tracer is not None:
-            return self._decide_traced(queries)
-        queries = np.asarray(queries, dtype=np.int64)
-        if queries.ndim != 1:
-            raise ServingError("decide expects a 1-D array of query indices")
-        snap = self._current()
-        if queries.size and (queries.min() < 0 or queries.max() >= snap.n_queries):
-            raise ServingError(
-                f"query index out of range [0, {snap.n_queries}) in batch"
-            )
-        return BatchDecisions(
-            queries=queries,
-            hints=snap.hints[queries],
-            used_default=snap.used_default[queries],
-            expected_latency=snap.expected_latency[queries],
-        )
+        """Decisions for a batch of query indices (the hot path).
 
-    def _decide_traced(self, queries) -> BatchDecisions:
-        """decide() plus the ``cache.lookup`` stage and rebuild counter.
-
-        Same validation, same snapshot discipline, same arrays -- the
-        decisions are byte-identical to the untraced path (asserted in
-        ``tests/test_telemetry.py``).  The rebuild counter is always
-        maintained (one attribute compare); the ``cache.lookup`` clock
-        pair only runs inside an open trace (the ingress path), keeping
-        raw enabled ``decide`` within the serve-overhead budget.
+        One body whether or not telemetry is on: the rebuild counter is
+        always maintained (one identity compare), and the ``cache.lookup``
+        clock pair only runs inside an open trace (the ingress path),
+        keeping raw enabled ``decide`` within the serve-overhead budget.
         """
-        trace_open = self._tracer._current is not None
-        if trace_open:
+        tracer = self._tracer
+        timed = tracer is not None and tracer._current is not None
+        if timed:
             start = self._stage_clock()
         queries = np.asarray(queries, dtype=np.int64)
         if queries.ndim != 1:
             raise ServingError("decide expects a 1-D array of query indices")
         stale = self._scalar.cached_snapshot
-        snap = self._current()
+        snap = self._scalar.snapshot()
         if snap is not stale:
-            self._metrics.cache_rebuilds.inc()
+            self._rebuilds.inc()
         if queries.size and (queries.min() < 0 or queries.max() >= snap.n_queries):
             raise ServingError(
                 f"query index out of range [0, {snap.n_queries}) in batch"
@@ -184,10 +166,8 @@ class BatchedPlanCache:
             used_default=snap.used_default[queries],
             expected_latency=snap.expected_latency[queries],
         )
-        if trace_open:
-            self._tracer.record_stage(
-                "cache.lookup", self._stage_clock() - start
-            )
+        if timed:
+            tracer.record_stage("cache.lookup", self._stage_clock() - start)
         return decisions
 
     def decide_all(self) -> BatchDecisions:

@@ -23,7 +23,7 @@ import numpy as np
 from ..config import ALSConfig
 from ..core.als import CensoredALSResult, censored_als
 from ..core.workload_matrix import WorkloadMatrix
-from ..errors import ServingError
+from ..errors import CompletionError, ServingError
 
 
 class IncrementalALSRefresher:
@@ -110,16 +110,28 @@ class IncrementalALSRefresher:
                 warm = (warm_q, warm_h)
                 iterations = self.refresh_iterations
 
-        # The solver reads values only where the mask is set, so the raw
-        # value matrix (``inf`` where unobserved) saves the zero-filling pass.
-        self._result = censored_als(
-            matrix.values,
-            matrix.mask,
-            matrix.timeout_matrix,
-            config=self.config,
-            warm_start=warm,
-            iterations=iterations,
-        )
+        def solve(warm_start, iterations):
+            # The solver reads values only where the mask is set, so the raw
+            # value matrix (``inf`` where unobserved) saves the zero-filling pass.
+            return censored_als(
+                matrix.values,
+                matrix.mask,
+                matrix.timeout_matrix,
+                config=self.config,
+                warm_start=warm_start,
+                iterations=iterations,
+            )
+
+        try:
+            self._result = solve(warm, iterations)
+        except CompletionError:
+            if warm is None:
+                raise
+            # Warm factors can diverge across refreshes under a data shift
+            # until the ridge no longer conditions the Gram: answer with one
+            # cold solve (counted as one); a cold failure propagates typed.
+            warm = None
+            self._result = solve(None, None)
         self._matrix_ref = weakref.ref(matrix)
         self._matrix_version = matrix.version
         if warm is None:

@@ -33,7 +33,7 @@ from ..plans.featurize import TreeBatch
 from ..telemetry.runtime import Telemetry
 from .batch_cache import BatchDecisions, BatchedPlanCache
 from .refresh import IncrementalALSRefresher
-from .stats import LatencyRecorder, ServingStats
+from .stats import LatencyRecorder, ServingStats, checked_shed_count
 
 
 class BatchedLatencyEstimator:
@@ -133,10 +133,12 @@ class ServingService:
         decisions for audit.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`.  Only an *enabled*
-        one is kept (``Telemetry.enabled()``): the service then feeds the
-        registry's serving counters and per-stage latency histograms, and
-        stamps traces.  Disabled or absent, the hot path is byte-identical
-        to an uninstrumented service.
+        one is kept (``Telemetry.enabled()``): the service then counts in
+        that context's registry (a recorder it builds itself; a passed
+        ``recorder`` already names its cells), times the per-stage latency
+        histograms, and stamps traces.  Disabled or absent, the counters
+        live on a private registry, no clock is read for stages, and the
+        decisions are byte-identical either way.
     """
 
     def __init__(
@@ -173,22 +175,19 @@ class ServingService:
                 journal.log_import(matrix_to_jsonable(matrix.to_dict()))
             matrix.journal = journal
         self._clock = clock
-        self._recorder = recorder if recorder is not None else LatencyRecorder()
-        # Normalised once here: the hot path's only telemetry cost when
+        # Normalised once here: the hot path's only stage-timing cost when
         # disabled is a single attribute-is-None check.
-        self._telemetry = (
-            telemetry
-            if telemetry is not None and telemetry.config.enabled
-            else None
-        )
-        if self._telemetry is not None:
-            metrics = self._telemetry.serving_metrics()
-            self._recorder.bind_metrics(metrics)
-            # The recorder mirrors lazily; exports flush it first.
-            self._telemetry.register_sync(self._recorder.sync_metrics)
-            self.cache.bind_telemetry(self._telemetry, metrics, clock)
-            if journal is not None:
-                journal.bind_telemetry(self._telemetry, clock)
+        self._telemetry = Telemetry.active(telemetry)
+        if recorder is None:
+            recorder = LatencyRecorder(
+                self._telemetry.serving_metrics()
+                if self._telemetry is not None
+                else None
+            )
+        self._recorder = recorder
+        self.cache.bind_telemetry(self._telemetry, recorder.metrics, clock)
+        if journal is not None:
+            journal.bind_telemetry(self._telemetry, clock)
 
     # -- the hot path ---------------------------------------------------------
     def serve_batch(self, queries, annotate: bool = False) -> BatchDecisions:
@@ -221,8 +220,8 @@ class ServingService:
         if tel is not None and tel.tracer._current is not None:
             # Stage attribution only inside an open trace (the ingress
             # path): a raw serve_batch already feeds repro_batch_seconds
-            # through the recorder mirror, and skipping the per-batch
-            # stage observe keeps enabled overhead within the <=5% gate.
+            # through the recorder, and skipping the per-batch stage
+            # observe keeps enabled overhead within the <=5% gate.
             tel.tracer.record_stage("shard.serve", elapsed)
         return decisions
 
@@ -245,12 +244,12 @@ class ServingService:
         attached, the low-rank completion is warm-started forward as well.
         """
         version_before = self.matrix.version
-        if self._telemetry is None:
-            self.matrix.observe_batch(queries, hints, latencies)
-        else:
+        tel = self._telemetry
+        if tel is not None:
             start = self._clock()
-            self.matrix.observe_batch(queries, hints, latencies)
-            self._telemetry.tracer.record_stage("observe", self._clock() - start)
+        self.matrix.observe_batch(queries, hints, latencies)
+        if tel is not None:
+            tel.tracer.record_stage("observe", self._clock() - start)
         if (
             refresh
             and self.refresher is not None
@@ -350,18 +349,18 @@ class ServingService:
         return self._telemetry
 
     def record_shed(self, count: int = 1) -> None:
-        """Count admission-control shed arrivals.
+        """Count arrivals an ingress layer degraded to default plans.
 
-        The blessed mutation path: dual-writes the recorder and (when
-        bound) the registry mirror, without the deprecation warning that
-        direct :meth:`LatencyRecorder.record_shed` calls now carry.
+        This is where a shed count enters a single-service stack, so it
+        is validated here (:class:`~repro.errors.ServingError`).
         """
-        self._recorder.record_shed(count, _blessed=True)
+        self._recorder.record_shed(checked_shed_count(count, ServingError))
 
     def stats(self) -> ServingStats:
         """Throughput / latency / hit-rate report over everything served."""
         return self._recorder.report()
 
     def reset_stats(self) -> None:
-        """Zero the telemetry (the decision arrays are untouched)."""
+        """Restart the report from zero (registry cells stay monotonic; the
+        decision arrays are untouched)."""
         self._recorder.reset()

@@ -2,15 +2,16 @@
 
 A production hint-recommendation service lives or dies by two numbers: how
 many decisions per second it sustains, and how long a single arrival waits
-for its decision.  :class:`LatencyRecorder` accumulates per-batch timings as
-they happen (running totals plus a fixed window of recent samples, so a
-service that never restarts never grows); :class:`ServingStats` is the
-immutable report derived from them on demand.
+for its decision.  The totals live in the metrics registry's serving cells
+(:class:`~repro.telemetry.ServingMetrics`) and nowhere else;
+:class:`LatencyRecorder` writes them per batch and keeps a fixed window of
+recent samples beside them (so a service that never restarts never grows);
+:class:`ServingStats` is the immutable report read back on demand.
 """
 
 from __future__ import annotations
 
-import warnings
+import dataclasses
 from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Sequence, Union
 
@@ -18,14 +19,14 @@ import numpy as np
 
 from ..telemetry.runtime import (
     BATCH_SECONDS,
-    BATCHES_TOTAL,
     DECISIONS_TOTAL,
-    NON_DEFAULT_TOTAL,
-    REFRESHES_TOTAL,
-    SHED_TOTAL,
-    WALL_SECONDS_TOTAL,
+    SERVING_COUNTERS,
     ServingMetrics,
 )
+
+#: The six serving totals, in the order :meth:`ServingStats._from_totals`
+#: takes them, by :class:`ServingMetrics` attribute.
+_TOTALS = ("decisions", "batches", "wall_seconds", "non_default", "refreshes", "shed")
 
 
 @dataclass(frozen=True)
@@ -69,62 +70,58 @@ class ServingStats:
     refreshes: int
     shed: int = 0
 
-    def as_dict(self, registry=None) -> Dict[str, Union[int, float, Dict]]:
+    def as_dict(self) -> Dict[str, Union[int, float]]:
         """Plain dictionary for dashboards and log lines.
 
         Counters (``decisions``, ``batches``, ``refreshes``) stay integers;
-        only the genuinely continuous fields are floats.  With a
-        :class:`~repro.telemetry.MetricsRegistry` passed, the dictionary
-        gains a ``telemetry`` section: the same report rebuilt from the
-        registry mirror (:meth:`from_registry`) plus a ``consistent`` flag
-        asserting the two counter sets agree -- the drift alarm between the
-        legacy recorder and the registry.
+        only the genuinely continuous fields are floats.
         """
-        out: Dict[str, Union[int, float, Dict]] = {
-            "decisions": int(self.decisions),
-            "batches": int(self.batches),
-            "wall_seconds": self.wall_seconds,
-            "throughput_qps": self.throughput_qps,
-            "p50_latency_s": self.p50_latency_s,
-            "p99_latency_s": self.p99_latency_s,
-            "non_default_fraction": self.non_default_fraction,
-            "refreshes": int(self.refreshes),
-            "shed": int(self.shed),
-        }
-        if registry is not None:
-            mirror = ServingStats.from_registry(registry)
-            section = mirror.as_dict()
-            section["consistent"] = (
-                mirror.decisions == self.decisions
-                and mirror.batches == self.batches
-                and mirror.refreshes == self.refreshes
-                and mirror.shed == self.shed
-            )
-            out["telemetry"] = section
-        return out
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def _from_totals(
+        cls, totals: Sequence[float], p50: float, p99: float
+    ) -> "ServingStats":
+        """The one body :meth:`from_registry` and
+        :meth:`LatencyRecorder.report` share: six totals (``_TOTALS``
+        order) plus whichever percentiles the caller can compute."""
+        decisions, batches, wall, non_default, refreshes, shed = totals
+        decisions = int(decisions)
+        if wall > 0:
+            throughput = decisions / wall
+        else:
+            throughput = 0.0 if decisions == 0 else float("inf")
+        return cls(
+            decisions=decisions,
+            batches=int(batches),
+            wall_seconds=float(wall),
+            throughput_qps=throughput,
+            p50_latency_s=float(p50),
+            p99_latency_s=float(p99),
+            non_default_fraction=non_default / decisions if decisions else 0.0,
+            refreshes=int(refreshes),
+            shed=int(shed),
+        )
 
     @classmethod
     def from_registry(
         cls, registry, shard: Optional[str] = None
     ) -> "ServingStats":
-        """Rebuild the report from the registry's well-known serving metrics.
+        """Read the report from the registry's well-known serving metrics.
 
         The counters (decisions, batches, wall time, refreshes, shed) are
-        exact -- :meth:`LatencyRecorder.sync_metrics` feeds them from the
-        same samples :meth:`LatencyRecorder.report` folds, and every cold
-        path that reads the registry syncs first.  The percentiles come
-        from the fixed-bucket
-        ``repro_batch_seconds`` histogram, so they are bucket-interpolated
-        estimates rather than the recorder's exact sample percentiles.
-        With ``shard`` given, only that label's children are read;
-        otherwise every shard's children are merged first.
+        exact and current -- they are the cells
+        :meth:`LatencyRecorder.record` writes, totalled over the label's
+        whole life (a recorder's own :meth:`~LatencyRecorder.report` starts
+        from zero at construction or ``reset()``; the registry never does).
+        The percentiles come from the fixed-bucket ``repro_batch_seconds``
+        histogram, so they are bucket-interpolated estimates rather than
+        the recorder's exact sample percentiles.  With ``shard`` given,
+        only that label's children are read; otherwise every shard's
+        children are merged first.
         """
         if DECISIONS_TOTAL not in registry:
-            return cls(
-                decisions=0, batches=0, wall_seconds=0.0, throughput_qps=0.0,
-                p50_latency_s=0.0, p99_latency_s=0.0,
-                non_default_fraction=0.0, refreshes=0, shed=0,
-            )
+            return cls._from_totals((0, 0, 0.0, 0, 0, 0), 0.0, 0.0)
 
         def child(name):
             family = registry.get(name)
@@ -132,27 +129,11 @@ class ServingStats:
                 family.merged_child() if shard is None else family.labels(shard)
             )
 
-        decisions = int(child(DECISIONS_TOTAL).value)
-        wall = float(child(WALL_SECONDS_TOTAL).value)
         hist = child(BATCH_SECONDS)
-        if wall > 0:
-            throughput = decisions / wall
-        else:
-            throughput = 0.0 if decisions == 0 else float("inf")
-        return cls(
-            decisions=decisions,
-            batches=int(child(BATCHES_TOTAL).value),
-            wall_seconds=wall,
-            throughput_qps=throughput,
-            p50_latency_s=hist.quantile(0.50),
-            p99_latency_s=hist.quantile(0.99),
-            non_default_fraction=(
-                float(child(NON_DEFAULT_TOTAL).value) / decisions
-                if decisions
-                else 0.0
-            ),
-            refreshes=int(child(REFRESHES_TOTAL).value),
-            shed=int(child(SHED_TOTAL).value),
+        return cls._from_totals(
+            [child(SERVING_COUNTERS[attr][0]).value for attr in _TOTALS],
+            hist.quantile(0.50),
+            hist.quantile(0.99),
         )
 
     @classmethod
@@ -168,39 +149,22 @@ class ServingStats:
         exactly and overwrite these two fields.
         """
         parts = list(parts)
-        decisions = sum(p.decisions for p in parts)
-        batches = sum(p.batches for p in parts)
-        wall = float(sum(p.wall_seconds for p in parts))
-        refreshes = sum(p.refreshes for p in parts)
-        shed = sum(p.shed for p in parts)
-        if decisions == 0:
-            return cls(
-                decisions=0,
-                batches=batches,
-                wall_seconds=wall,
-                throughput_qps=0.0,
-                p50_latency_s=0.0,
-                p99_latency_s=0.0,
-                non_default_fraction=0.0,
-                refreshes=refreshes,
-                shed=shed,
-            )
         served = [p for p in parts if p.decisions > 0]
         weights = [p.decisions for p in served]
-        p50 = _weighted_percentiles([p.p50_latency_s for p in served], weights, [50.0])[0]
-        p99 = _weighted_percentiles([p.p99_latency_s for p in served], weights, [99.0])[0]
-        non_default = sum(p.non_default_fraction * p.decisions for p in served)
-        return cls(
-            decisions=int(decisions),
-            batches=int(batches),
-            wall_seconds=wall,
-            throughput_qps=decisions / wall if wall > 0 else float("inf"),
-            p50_latency_s=float(p50),
-            p99_latency_s=float(p99),
-            non_default_fraction=float(non_default) / decisions,
-            refreshes=int(refreshes),
-            shed=int(shed),
+        if served:
+            p50 = _weighted_percentiles([p.p50_latency_s for p in served], weights, [50.0])[0]
+            p99 = _weighted_percentiles([p.p99_latency_s for p in served], weights, [99.0])[0]
+        else:
+            p50 = p99 = 0.0
+        totals = (
+            sum(weights),
+            sum(p.batches for p in parts),
+            float(sum(p.wall_seconds for p in parts)),
+            sum(p.non_default_fraction * p.decisions for p in served),
+            sum(p.refreshes for p in parts),
+            sum(p.shed for p in parts),
         )
+        return cls._from_totals(totals, p50, p99)
 
     def __str__(self) -> str:
         return (
@@ -238,6 +202,22 @@ def _weighted_percentiles(values, weights, qs) -> np.ndarray:
     return out
 
 
+def checked_shed_count(count, error) -> int:
+    """Validate a shed count where it enters the stack, raising ``error``.
+
+    Only a non-negative ``int`` / ``numpy.integer`` is a count: ``True``,
+    ``2.5`` and ``-3`` become the front door's typed error instead of a
+    decrement or a failure from inside the counter.
+    """
+    if (
+        isinstance(count, bool)
+        or not isinstance(count, (int, np.integer))
+        or count < 0
+    ):
+        raise error(f"shed count must be a non-negative integer, got {count!r}")
+    return int(count)
+
+
 #: Per-batch samples a :class:`LatencyRecorder` retains for percentiles
 #: (64 KiB per recorder).  Totals are exact over the recorder's whole
 #: life; only the p50/p99 population is windowed.
@@ -245,52 +225,59 @@ RECENT_BATCHES = 4096
 
 
 class LatencyRecorder:
-    """Accumulates batch timings in constant memory.
+    """Writes batch timings into the serving cells; reads them back as a view.
 
-    Exact running totals (decisions, batches, wall seconds, non-default,
-    refreshes, shed) plus a ring of the last :data:`RECENT_BATCHES`
-    per-batch ``(size, seconds)`` samples, which is the population the
-    latency percentiles are computed over.  The hot path is four adds and
-    two array stores; neither memory nor :meth:`report` /
-    :meth:`merged` cost grows with the number of requests served.
+    The exact totals (decisions, batches, wall seconds, non-default,
+    refreshes, shed) are the registry cells of ``metrics`` -- this class
+    holds no second copy.  What it owns is the *view*: a baseline of the
+    cell values taken at construction and at :meth:`reset`, so
+    :meth:`report` covers "since this recorder started" while the cells
+    underneath stay monotonic, plus a ring of the last
+    :data:`RECENT_BATCHES` per-batch ``(size, seconds)`` samples, the
+    population the exact latency percentiles are computed over.  The hot
+    path is four counter adds, one weighted histogram observe and two
+    array stores; neither memory nor :meth:`report` / :meth:`merged` cost
+    grows with the number of requests served.
 
-    With a metrics mirror bound (:meth:`bind_metrics`), the registry's
-    well-known serving counters are fed from the same per-batch samples
-    this recorder keeps -- but lazily: :meth:`sync_metrics` pushes the
-    delta since the last sync, and runs from every cold path that reads
-    the registry (:meth:`report`, :meth:`Telemetry.snapshot`,
-    :meth:`Telemetry.expose_text`) and from :meth:`record` itself just
-    before the ring would overwrite a sample the mirror has not seen.
-    :meth:`ServingStats.from_registry` therefore cannot drift from
-    :meth:`report` -- both views derive from the same samples.  Registry
-    counters are monotonic: :meth:`reset` flushes pending deltas and
-    clears only the recorder's own view, never the mirror.
+    Parameters
+    ----------
+    metrics:
+        The :class:`~repro.telemetry.ServingMetrics` bundle to count in
+        (``telemetry.serving_metrics()`` for an exported one).  Without
+        one the recorder counts on a private registry.  Stats are per
+        shard label: two live recorders on one label share cells, so each
+        one's report includes the other's traffic since its own baseline
+        -- give services distinct ``Telemetry.labeled()`` views to keep
+        them apart.
     """
 
-    def __init__(self, _capacity: int = RECENT_BATCHES) -> None:
+    def __init__(
+        self,
+        metrics: Optional[ServingMetrics] = None,
+        _capacity: int = RECENT_BATCHES,
+    ) -> None:
+        self.metrics = metrics if metrics is not None else ServingMetrics()
         # Not a knob: only merged() passes it, to fit the windows it pools.
         self._capacity = _capacity
         self._sizes = np.zeros(_capacity, dtype=np.int64)
         self._seconds = np.zeros(_capacity, dtype=float)
-        self._metrics: Optional[ServingMetrics] = None
-        self._clear()
+        self.reset()
 
-    def _clear(self) -> None:
-        self._batches = 0
-        self._decisions = 0
-        self._wall_seconds = 0.0
-        self._non_default = 0
-        self._refreshes = 0
-        self._shed = 0
+    def reset(self) -> None:
+        """Restart this recorder's view from zero (refresh and shed counts
+        included).  The registry cells are monotonic and keep their
+        totals; only the baseline moves and the sample window empties."""
+        self._baseline = [getattr(self.metrics, attr).value for attr in _TOTALS]
         # Ring state: _held samples are live, the next one lands at _head.
         self._head = 0
         self._held = 0
-        # Sync watermarks: how much has already been pushed into the
-        # bound mirror.
-        self._synced_batches = 0
-        self._synced_non_default = 0
-        self._synced_refreshes = 0
-        self._synced_shed = 0
+
+    def _totals(self):
+        """Cell values since the baseline, in ``_TOTALS`` order."""
+        return [
+            getattr(self.metrics, attr).value - base
+            for attr, base in zip(_TOTALS, self._baseline)
+        ]
 
     def _recent(self, count: int):
         """The last ``count`` (<= held) samples, oldest first."""
@@ -303,115 +290,50 @@ class LatencyRecorder:
             np.concatenate((self._seconds[start:], self._seconds[:stop])),
         )
 
-    def bind_metrics(self, metrics: ServingMetrics) -> None:
-        """Mirror this recorder's samples into the registry's serving counters.
-
-        Once bound, the registry is the mutation authority for the shared
-        counters: external callers must go through the owning service's
-        blessed hooks (e.g. :meth:`ServingService.record_shed`) instead of
-        mutating this recorder directly.  On the *first* bind the
-        watermarks skip any pre-bind history (the registry mirrors what
-        happened under its watch); a rebind (the shard rebuilding its
-        service around the same recorder) keeps the watermarks so nothing
-        is double-counted or lost.
-        """
-        first = self._metrics is None
-        self._metrics = metrics
-        if first:
-            self._synced_batches = self._batches
-            self._synced_non_default = self._non_default
-            self._synced_refreshes = self._refreshes
-            self._synced_shed = self._shed
-
-    def sync_metrics(self) -> None:
-        """Push samples recorded since the last sync into the mirror."""
-        m = self._metrics
-        if m is None:
-            return
-        pending = self._batches - self._synced_batches
-        if pending:
-            self._synced_batches = self._batches
-            sizes, seconds = self._recent(pending)
-            m.batches.inc(pending)
-            m.wall_seconds.inc(float(seconds.sum()))
-            decisions = int(sizes.sum())
-            if decisions:
-                m.decisions.inc(decisions)
-                hist = m.batch_seconds
-                for size, secs in zip(sizes.tolist(), seconds.tolist()):
-                    if size:
-                        # One weighted observe per batch: every decision is
-                        # charged the batch's amortised latency, matching
-                        # report()'s per-decision percentile population.
-                        hist.observe(secs / size, size)
-        non_default = self._non_default - self._synced_non_default
-        if non_default:
-            m.non_default.inc(non_default)
-            self._synced_non_default = self._non_default
-        refreshes = self._refreshes - self._synced_refreshes
-        if refreshes:
-            m.refreshes.inc(refreshes)
-            self._synced_refreshes = self._refreshes
-        shed = self._shed - self._synced_shed
-        if shed:
-            m.shed.inc(shed)
-            self._synced_shed = self._shed
-
     def record(self, batch_size: int, seconds: float, non_default: int) -> None:
         """Log one served batch."""
-        if (
-            self._metrics is not None
-            and self._batches - self._synced_batches == self._capacity
-        ):
-            # The slot about to be reused holds the oldest sample the
-            # mirror has not seen yet: drain first, lose nothing.
-            self.sync_metrics()
+        if seconds < 0.0:
+            # A clock that stepped back: counters refuse negative adds, and
+            # bookkeeping must never be what fails a served batch.
+            seconds = 0.0
+        m = self.metrics
+        m.batches.inc()
+        m.wall_seconds.inc(seconds)
+        if batch_size:
+            m.decisions.inc(batch_size)
+            m.non_default.inc(non_default)
+            # One weighted observe per batch: every decision is charged the
+            # batch's amortised latency, matching report()'s per-decision
+            # percentile population.
+            m.batch_seconds.observe(seconds / batch_size, batch_size)
         head = self._head
         self._sizes[head] = batch_size
         self._seconds[head] = seconds
         self._head = (head + 1) % self._capacity
         if self._held < self._capacity:
             self._held += 1
-        self._batches += 1
-        self._decisions += int(batch_size)
-        self._wall_seconds += float(seconds)
-        self._non_default += int(non_default)
 
     def record_refresh(self) -> None:
         """Log one model/cache refresh."""
-        self._refreshes += 1
+        self.metrics.refreshes.inc()
 
-    def record_shed(self, count: int = 1, _blessed: bool = False) -> None:
+    def record_shed(self, count: int = 1) -> None:
         """Log arrivals degraded to default plans by admission control.
 
-        .. deprecated::
-            Calling this directly while a registry mirror is bound.  The
-            registry is then the mutation authority; use
-            :meth:`ServingService.record_shed` /
-            :meth:`ServingCluster.record_shed` instead (they stay
-            mirrored and keep ``from_registry`` consistent).
+        The count is validated where it enters the stack
+        (:meth:`ServingService.record_shed`,
+        :meth:`ServingCluster.record_shed`); here a negative one surfaces
+        as the counter's :class:`~repro.errors.TelemetryError`.
         """
-        if self._metrics is not None and not _blessed:
-            warnings.warn(
-                "mutating LatencyRecorder counters directly is deprecated "
-                "once a metrics registry mirror is bound; call "
-                "ServingService.record_shed / ServingCluster.record_shed "
-                "instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        self._shed += int(count)
+        self.metrics.shed.inc(count)
 
     def report(self) -> ServingStats:
-        """Fold the accumulated timings into a :class:`ServingStats`.
+        """Read the cells (minus the baseline) into a :class:`ServingStats`.
 
         Counters are exact totals; ``p50_latency_s`` / ``p99_latency_s``
         are exact percentiles of the retained window (the whole history
         until it exceeds :data:`RECENT_BATCHES` batches).
         """
-        self.sync_metrics()
-        decisions = self._decisions
-        wall = self._wall_seconds
         # Each decision in a batch experiences the batch's amortised latency,
         # so the percentiles are over a weighted population (one value per
         # batch, weighted by its size) -- computed without materialising the
@@ -425,33 +347,7 @@ class LatencyRecorder:
             )
         else:
             p50 = p99 = 0.0
-        if wall > 0:
-            throughput = decisions / wall
-        else:
-            throughput = 0.0 if decisions == 0 else float("inf")
-        return ServingStats(
-            decisions=decisions,
-            batches=self._batches,
-            wall_seconds=wall,
-            throughput_qps=throughput,
-            p50_latency_s=float(p50),
-            p99_latency_s=float(p99),
-            non_default_fraction=(
-                self._non_default / decisions if decisions else 0.0
-            ),
-            refreshes=self._refreshes,
-            shed=self._shed,
-        )
-
-    def reset(self) -> None:
-        """Drop all accumulated timings (refresh and shed counts included).
-
-        Pending deltas are flushed to the mirror first, so a reset never
-        loses registry counts -- the registry stays monotonic while the
-        recorder's own view restarts from zero.
-        """
-        self.sync_metrics()
-        self._clear()
+        return ServingStats._from_totals(self._totals(), p50, p99)
 
     @classmethod
     def merged(cls, recorders: Sequence["LatencyRecorder"]) -> "LatencyRecorder":
@@ -463,7 +359,8 @@ class LatencyRecorder:
         has wrapped) -- this is what the cluster aggregator uses when it
         holds every shard in-process.  The pooled ring is sized to hold
         all of them, so the cost is bounded by the number of parts, not
-        by how much they have served.
+        by how much they have served.  The pooled recorder counts on a
+        private registry of its own; the parts' cells are only read.
         """
         windows = [r._recent(r._held) for r in recorders]
         held = sum(len(sizes) for sizes, _ in windows)
@@ -474,10 +371,6 @@ class LatencyRecorder:
             pooled._held = held
             pooled._head = held % pooled._capacity
         for recorder in recorders:
-            pooled._batches += recorder._batches
-            pooled._decisions += recorder._decisions
-            pooled._wall_seconds += recorder._wall_seconds
-            pooled._non_default += recorder._non_default
-            pooled._refreshes += recorder._refreshes
-            pooled._shed += recorder._shed
+            for attr, total in zip(_TOTALS, recorder._totals()):
+                getattr(pooled.metrics, attr).inc(total)
         return pooled

@@ -19,10 +19,11 @@ Three design rules keep the registry usable on the serve hot path:
   instead of growing the process without limit.
 
 Mutating a metric's value *directly* (``counter.value = 5``) is not
-possible -- ``value`` is a read-only property.  The registry is the
-single mutation authority; legacy counter paths
-(:class:`repro.serving.stats.LatencyRecorder`) dual-write through it and
-warn on direct external mutation once a registry mirror is bound.
+possible -- ``value`` is a read-only property.  The registry is the only
+store for the serving, cluster-facade and journal counters: the stats
+classes (:class:`repro.serving.stats.LatencyRecorder`,
+:class:`repro.cluster.stats.ClusterStats`) write and read these cells and
+keep no totals of their own.
 """
 
 from __future__ import annotations

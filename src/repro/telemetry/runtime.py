@@ -1,14 +1,19 @@
 """The `Telemetry` facade: one object components share to emit metrics.
 
 Construction cost is paid once; hot paths only ever touch pre-resolved
-metric children.  Components accept ``telemetry=None`` and normalise at
-construction time::
+metric children.  The bundles below (:class:`ServingMetrics`,
+:class:`JournalMetrics`, :class:`ClusterMetrics`) are the *only* store
+for the counters they name, so every component always holds one: built
+on the shared registry when it is handed an enabled ``Telemetry``, on a
+private registry nobody exports otherwise.  Components accept
+``telemetry=None`` and normalise at construction time::
 
-    self._telemetry = telemetry if telemetry is not None and telemetry.config.enabled else None
+    self._telemetry = Telemetry.active(telemetry)
 
-so the disabled path is a single ``if self._telemetry is not None``
-branch -- byte-identical behaviour, zero extra allocations (regression-
-tested in ``tests/test_telemetry.py``).
+so ``TelemetryConfig.enabled`` gates only what costs clock reads (stage
+timing, the trace ring) and export: the disabled path is a single
+``if self._telemetry is not None`` branch -- byte-identical decisions,
+zero extra allocations (regression-tested in ``tests/test_telemetry.py``).
 
 Per-shard usage: each shard gets its own ``Telemetry`` view (via
 :meth:`Telemetry.labeled`) with its shard id as the default label; the
@@ -18,42 +23,77 @@ no merge step.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Optional
+from typing import Any, Dict, Optional, Sequence
 
 from ..config import DEFAULT_TELEMETRY_CONFIG, TelemetryConfig
-from .registry import MetricsRegistry
+from .registry import DEFAULT_BUCKETS, MetricsRegistry
 from .tracing import Tracer
 
-#: Well-known metric names.  Keep in sync with docs/observability.md.
+#: Well-known metric names other modules read by name; the rest of the
+#: catalog is the cell tables below.  Keep in sync with docs/observability.md.
 DECISIONS_TOTAL = "repro_decisions_total"
-BATCHES_TOTAL = "repro_batches_total"
-NON_DEFAULT_TOTAL = "repro_non_default_total"
-REFRESHES_TOTAL = "repro_refreshes_total"
-SHED_TOTAL = "repro_shed_total"
-WALL_SECONDS_TOTAL = "repro_serve_wall_seconds_total"
 BATCH_SECONDS = "repro_batch_seconds"
-STAGE_SECONDS = "repro_stage_seconds"
-CACHE_REBUILDS_TOTAL = "repro_cache_rebuilds_total"
-WAL_RECORDS_TOTAL = "repro_wal_records_total"
-WAL_BYTES_TOTAL = "repro_wal_bytes_total"
-CHECKPOINTS_TOTAL = "repro_checkpoints_total"
-ROUTED_BATCHES_TOTAL = "repro_routed_batches_total"
-FAN_OUT_TOTAL = "repro_fan_out_total"
-DEGRADED_TOTAL = "repro_degraded_decisions_total"
-CLUSTER_SHED_TOTAL = "repro_cluster_shed_total"
-REBALANCED_ROWS_TOTAL = "repro_rebalanced_rows_total"
-CRASHES_TOTAL = "repro_crashes_total"
-RESTARTS_TOTAL = "repro_restarts_total"
-QUEUED_FEEDBACK_TOTAL = "repro_queued_feedback_total"
-REPLAYED_FEEDBACK_TOTAL = "repro_replayed_feedback_total"
 INGRESS_FLUSHES_TOTAL = "repro_ingress_flushes_total"
-SHARDS_GAUGE = "repro_shards"
-SHARDS_UP_GAUGE = "repro_shards_up"
-TENANTS_GAUGE = "repro_tenants"
-ROWS_GAUGE = "repro_rows"
-SCHEDULER_TICKS_GAUGE = "repro_scheduler_ticks"
-SCHEDULER_REFRESHES_GAUGE = "repro_scheduler_refreshes"
-SCHEDULER_BUDGET_GAUGE = "repro_scheduler_budget_per_tick"
+
+#: :class:`ServingMetrics` counters, shard-labeled: attribute -> (family,
+#: help).
+SERVING_COUNTERS = {
+    "decisions": (DECISIONS_TOTAL, "Hint decisions served."),
+    "batches": ("repro_batches_total", "Batches served."),
+    "wall_seconds": (
+        "repro_serve_wall_seconds_total",
+        "Total serve_batch wall time (decision work only).",
+    ),
+    "non_default": (
+        "repro_non_default_total", "Decisions that deviated from the default hint."
+    ),
+    "refreshes": ("repro_refreshes_total", "Cache snapshot refreshes."),
+    "shed": ("repro_shed_total", "Requests shed by admission control."),
+    "cache_rebuilds": (
+        "repro_cache_rebuilds_total",
+        "Batch-cache snapshot rebuilds (version invalidations).",
+    ),
+}
+
+#: :class:`ClusterMetrics` facade counters, unlabeled.
+CLUSTER_COUNTERS = {
+    "routed_batches": (
+        "repro_routed_batches_total", "Batches routed through the cluster."
+    ),
+    "fan_out": ("repro_fan_out_total", "Per-shard sub-batches produced by routing."),
+    "degraded": (
+        "repro_degraded_decisions_total", "Arrivals answered by failover default plans."
+    ),
+    "shed": ("repro_cluster_shed_total", "Arrivals shed before reaching any shard."),
+    "rebalanced_rows": (
+        "repro_rebalanced_rows_total", "Rows migrated by topology changes."
+    ),
+    "crashes": (
+        "repro_crashes_total", "Shard processes lost (kill or injected fault)."
+    ),
+    "restarts": ("repro_restarts_total", "Shards recovered from their journals."),
+    "queued_feedback": (
+        "repro_queued_feedback_total", "Observations queued during shard outages."
+    ),
+    "replayed_feedback": (
+        "repro_replayed_feedback_total", "Queued observations applied by restarts."
+    ),
+}
+
+#: :class:`ClusterMetrics` topology and scheduler gauges, unlabeled.
+CLUSTER_GAUGES = {
+    "shards": ("repro_shards", "Current shard count."),
+    "shards_up": ("repro_shards_up", "Shards currently serving verified plans."),
+    "tenants": ("repro_tenants", "Registered tenants."),
+    "total_rows": ("repro_rows", "Rows across all shards."),
+    "scheduler_ticks": ("repro_scheduler_ticks", "Background refresh-scheduler ticks."),
+    "scheduler_refreshes": (
+        "repro_scheduler_refreshes", "Warm ALS refreshes the scheduler ran."
+    ),
+    "scheduler_budget": (
+        "repro_scheduler_budget_per_tick", "Dirty shards refreshed per tick."
+    ),
+}
 
 
 class Telemetry:
@@ -61,7 +101,8 @@ class Telemetry:
 
     Disabled (the :class:`~repro.config.TelemetryConfig` default) it is
     inert: components that receive it check ``config.enabled`` once at
-    construction and keep no reference, so no instrumentation runs.
+    construction and keep no reference, so no stage is timed, no trace is
+    kept, and their counters stay on registries of their own.
     """
 
     def __init__(
@@ -82,10 +123,6 @@ class Telemetry:
             slow_trace_seconds=self.config.slow_trace_seconds,
             ring_size=self.config.trace_ring,
         )
-        self._bounds = self.config.latency_buckets
-        # Lazy-mirror flush hooks (e.g. LatencyRecorder.sync_metrics),
-        # run before any registry export so deferred counters are current.
-        self._sync_fns: list = []
 
     @classmethod
     def enabled(cls, config: Optional[TelemetryConfig] = None) -> "Telemetry":
@@ -101,20 +138,13 @@ class Telemetry:
             )
         return cls(base)
 
-    def child(self, shard_label: str) -> "Telemetry":
-        """A per-shard view: same config, own registry, own tracer.
-
-        Shards mutate their own registries (no sharing across workers);
-        :meth:`merged_registry` folds any set of children back into one
-        cluster-wide view.
-        """
-        return Telemetry(
-            self.config,
-            registry=MetricsRegistry(
-                max_label_values=self.config.max_label_values
-            ),
-            shard_label=shard_label,
-        )
+    @staticmethod
+    def active(telemetry: Optional["Telemetry"]) -> Optional["Telemetry"]:
+        """``telemetry`` when it is enabled, else None -- what a component
+        keeps, so its hot path pays one is-None check when telemetry is off."""
+        if telemetry is not None and telemetry.config.enabled:
+            return telemetry
+        return None
 
     def labeled(self, shard_label: str) -> "Telemetry":
         """A same-process view with a different default shard label.
@@ -129,55 +159,28 @@ class Telemetry:
         view.registry = self.registry
         view.shard_label = str(shard_label)
         view.tracer = self.tracer
-        view._bounds = self._bounds
-        view._sync_fns = self._sync_fns
         return view
-
-    def merged_registry(
-        self, children: Iterable["Telemetry"]
-    ) -> MetricsRegistry:
-        """This registry plus every child's, folded into a fresh one."""
-        parts = [self.registry] + [c.registry for c in children]
-        return MetricsRegistry.merged(parts)
 
     # -- pre-wired metric bundles ------------------------------------------
     def serving_metrics(self, shard: str = "") -> "ServingMetrics":
         """The well-known serving counters, resolved for one shard label."""
-        return ServingMetrics(self, shard or self.shard_label)
+        return ServingMetrics(
+            self.registry, shard or self.shard_label, self.config.latency_buckets
+        )
 
     def journal_metrics(self, shard: str = "") -> "JournalMetrics":
         """The well-known durability counters for one shard label."""
-        return JournalMetrics(self, shard or self.shard_label)
+        return JournalMetrics(self.registry, shard or self.shard_label)
 
     def cluster_metrics(self) -> "ClusterMetrics":
         """The well-known cluster facade counters and topology gauges."""
-        return ClusterMetrics(self)
-
-    # -- deferred-mirror flushing -------------------------------------------
-    def register_sync(self, fn) -> None:
-        """Register a flush hook run before every registry export.
-
-        Components whose mirrors are fed lazily (the
-        :class:`~repro.serving.stats.LatencyRecorder` pushes counter
-        deltas on cold paths only, keeping the serve hot path untouched)
-        register their flush here so :meth:`snapshot` and
-        :meth:`expose_text` always export current numbers.
-        """
-        if fn not in self._sync_fns:
-            self._sync_fns.append(fn)
-
-    def sync(self) -> None:
-        """Run every registered flush hook (idempotent)."""
-        for fn in self._sync_fns:
-            fn()
+        return ClusterMetrics(self.registry)
 
     # -- export -------------------------------------------------------------
     def expose_text(self) -> str:
-        self.sync()
         return self.registry.expose_text()
 
     def snapshot(self) -> Dict[str, Any]:
-        self.sync()
         return {
             "registry": self.registry.snapshot(),
             "traces": self.tracer.snapshot(),
@@ -188,55 +191,28 @@ class ServingMetrics:
     """Pre-resolved serving-path metric children for one shard label.
 
     Resolving ``labels(...)`` once at construction keeps the hot path to
-    attribute loads plus float adds -- no dict lookups per batch.
+    attribute loads plus float adds -- no dict lookups per batch.  With
+    no ``registry`` the cells live on a fresh private one: the store of a
+    component nobody handed an enabled :class:`Telemetry`.
     """
 
-    __slots__ = (
-        "decisions",
-        "batches",
-        "non_default",
-        "refreshes",
-        "shed",
-        "wall_seconds",
-        "batch_seconds",
-        "cache_rebuilds",
-    )
+    __slots__ = (*SERVING_COUNTERS, "batch_seconds")
 
-    def __init__(self, telemetry: Telemetry, shard: str) -> None:
-        reg = telemetry.registry
-        bounds = telemetry.config.latency_buckets
-        self.decisions = reg.counter(
-            DECISIONS_TOTAL, "Hint decisions served.", labels=("shard",)
-        ).labels(shard)
-        self.batches = reg.counter(
-            BATCHES_TOTAL, "Batches served.", labels=("shard",)
-        ).labels(shard)
-        self.non_default = reg.counter(
-            NON_DEFAULT_TOTAL,
-            "Decisions that deviated from the default hint.",
-            labels=("shard",),
-        ).labels(shard)
-        self.refreshes = reg.counter(
-            REFRESHES_TOTAL, "Cache snapshot refreshes.", labels=("shard",)
-        ).labels(shard)
-        self.shed = reg.counter(
-            SHED_TOTAL, "Requests shed by admission control.", labels=("shard",)
-        ).labels(shard)
-        self.wall_seconds = reg.counter(
-            WALL_SECONDS_TOTAL,
-            "Total serve_batch wall time (decision work only).",
-            labels=("shard",),
-        ).labels(shard)
+    def __init__(
+        self,
+        registry: Optional[MetricsRegistry] = None,
+        shard: str = "all",
+        bounds: Sequence[float] = DEFAULT_BUCKETS,
+    ) -> None:
+        reg = registry if registry is not None else MetricsRegistry()
+        for attr, (name, help_text) in SERVING_COUNTERS.items():
+            family = reg.counter(name, help_text, labels=("shard",))
+            setattr(self, attr, family.labels(shard))
         self.batch_seconds = reg.histogram(
             BATCH_SECONDS,
             "Amortised per-decision serve latency, weighted by batch size.",
             labels=("shard",),
             bounds=bounds,
-        ).labels(shard)
-        self.cache_rebuilds = reg.counter(
-            CACHE_REBUILDS_TOTAL,
-            "Batch-cache snapshot rebuilds (version invalidations).",
-            labels=("shard",),
         ).labels(shard)
 
 
@@ -245,16 +221,18 @@ class JournalMetrics:
 
     __slots__ = ("wal_records", "wal_bytes", "checkpoints")
 
-    def __init__(self, telemetry: Telemetry, shard: str) -> None:
-        reg = telemetry.registry
+    def __init__(
+        self, registry: Optional[MetricsRegistry] = None, shard: str = "all"
+    ) -> None:
+        reg = registry if registry is not None else MetricsRegistry()
         self.wal_records = reg.counter(
-            WAL_RECORDS_TOTAL, "WAL records appended.", labels=("shard",)
+            "repro_wal_records_total", "WAL records appended.", labels=("shard",)
         ).labels(shard)
         self.wal_bytes = reg.counter(
-            WAL_BYTES_TOTAL, "WAL bytes appended.", labels=("shard",)
+            "repro_wal_bytes_total", "WAL bytes appended.", labels=("shard",)
         ).labels(shard)
         self.checkpoints = reg.counter(
-            CHECKPOINTS_TOTAL, "Checkpoints taken.", labels=("shard",)
+            "repro_checkpoints_total", "Checkpoints taken.", labels=("shard",)
         ).labels(shard)
 
 
@@ -267,68 +245,11 @@ class ClusterMetrics:
     time.
     """
 
-    __slots__ = (
-        "routed_batches",
-        "fan_out",
-        "degraded",
-        "shed",
-        "rebalanced_rows",
-        "crashes",
-        "restarts",
-        "queued_feedback",
-        "replayed_feedback",
-        "shards",
-        "shards_up",
-        "tenants",
-        "total_rows",
-        "scheduler_ticks",
-        "scheduler_refreshes",
-        "scheduler_budget",
-    )
+    __slots__ = (*CLUSTER_COUNTERS, *CLUSTER_GAUGES)
 
-    def __init__(self, telemetry: Telemetry) -> None:
-        reg = telemetry.registry
-        self.routed_batches = reg.counter(
-            ROUTED_BATCHES_TOTAL, "Batches routed through the cluster."
-        ).child
-        self.fan_out = reg.counter(
-            FAN_OUT_TOTAL, "Per-shard sub-batches produced by routing."
-        ).child
-        self.degraded = reg.counter(
-            DEGRADED_TOTAL, "Arrivals answered by failover default plans."
-        ).child
-        self.shed = reg.counter(
-            CLUSTER_SHED_TOTAL, "Arrivals shed before reaching any shard."
-        ).child
-        self.rebalanced_rows = reg.counter(
-            REBALANCED_ROWS_TOTAL, "Rows migrated by topology changes."
-        ).child
-        self.crashes = reg.counter(
-            CRASHES_TOTAL, "Shard processes lost (kill or injected fault)."
-        ).child
-        self.restarts = reg.counter(
-            RESTARTS_TOTAL, "Shards recovered from their journals."
-        ).child
-        self.queued_feedback = reg.counter(
-            QUEUED_FEEDBACK_TOTAL, "Observations queued during shard outages."
-        ).child
-        self.replayed_feedback = reg.counter(
-            REPLAYED_FEEDBACK_TOTAL, "Queued observations applied by restarts."
-        ).child
-        self.shards = reg.gauge(SHARDS_GAUGE, "Current shard count.").child
-        self.shards_up = reg.gauge(
-            SHARDS_UP_GAUGE, "Shards currently serving verified plans."
-        ).child
-        self.tenants = reg.gauge(TENANTS_GAUGE, "Registered tenants.").child
-        self.total_rows = reg.gauge(
-            ROWS_GAUGE, "Rows across all shards."
-        ).child
-        self.scheduler_ticks = reg.gauge(
-            SCHEDULER_TICKS_GAUGE, "Background refresh-scheduler ticks."
-        ).child
-        self.scheduler_refreshes = reg.gauge(
-            SCHEDULER_REFRESHES_GAUGE, "Warm ALS refreshes the scheduler ran."
-        ).child
-        self.scheduler_budget = reg.gauge(
-            SCHEDULER_BUDGET_GAUGE, "Dirty shards refreshed per tick."
-        ).child
+    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
+        reg = registry if registry is not None else MetricsRegistry()
+        for attr, (name, help_text) in CLUSTER_COUNTERS.items():
+            setattr(self, attr, reg.counter(name, help_text).child)
+        for attr, (name, help_text) in CLUSTER_GAUGES.items():
+            setattr(self, attr, reg.gauge(name, help_text).child)

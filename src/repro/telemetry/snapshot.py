@@ -66,7 +66,6 @@ def collect_snapshot(
     payload: Dict[str, Any] = {"schema_version": SNAPSHOT_SCHEMA_VERSION}
 
     if telemetry is not None:
-        telemetry.sync()  # flush lazily mirrored counters before export
         payload["enabled"] = bool(telemetry.config.enabled)
         payload["metrics"] = telemetry.registry.snapshot()
         payload["traces"] = telemetry.tracer.snapshot()

@@ -27,7 +27,6 @@ from repro.cluster import (
     ServingCluster,
     aggregate_shard_stats,
     degraded_decisions,
-    parallel_throughput_qps,
     routing_key,
     split_batch,
 )
@@ -728,17 +727,6 @@ class TestStats:
         assert aggregated.p50_latency_s == exact.p50_latency_s
         assert aggregated.p99_latency_s == exact.p99_latency_s
 
-    def test_parallel_throughput_model(self):
-        fast = dataclasses.replace(
-            LatencyRecorder().report(), decisions=100, wall_seconds=1.0
-        )
-        slow = dataclasses.replace(
-            LatencyRecorder().report(), decisions=100, wall_seconds=2.0
-        )
-        qps = parallel_throughput_qps({0: fast, 1: slow})
-        assert qps == pytest.approx(200 / 2.0)
-        assert parallel_throughput_qps({}) == 0.0
-
 
 # -- the experiment driver --------------------------------------------------------------
 
@@ -758,7 +746,7 @@ class TestClusterExperiment:
         assert result["recovered"] == 1.0
         assert result["rebalance_ok"] == 1.0
         assert result["decisions"] == 256.0
-        assert result["parallel_qps"] > 0
+        assert result["cluster_inprocess_qps"] > 0
 
     def test_populate_cluster_with_censoring(self):
         union = make_union_matrix(censored=True)

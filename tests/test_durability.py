@@ -192,6 +192,24 @@ class TestWriteAheadLog:
         assert wal.on_disk_bytes() == before - reclaimed
         assert wal.segment_count == 1  # only the fresh live segment
 
+    def test_back_to_back_rotations_do_not_list_a_segment_twice(self, tmp_path):
+        # Two checkpoints with no append between them used to list the empty
+        # live segment twice; the checkpoint after the next append then
+        # unlinked it and died sizing the second listing (FileNotFoundError).
+        wal = WriteAheadLog(str(tmp_path))
+        wal.open()
+        wal.append("observe", {"q": [0], "h": [0], "v": [1.0]})
+        for _ in range(2):
+            wal.rotate()
+            wal.truncate_through(wal.next_lsn - 1)
+        assert wal.segment_count == 1
+        wal.append("observe", {"q": [1], "h": [0], "v": [1.0]})
+        wal.rotate()
+        assert wal.truncate_through(wal.next_lsn - 1) > 0
+        assert wal.segment_count == 1
+        wal.close()
+        assert [r.lsn for r in WriteAheadLog(str(tmp_path)).open()] == []
+
 
 # -- snapshots -------------------------------------------------------------------
 

@@ -901,8 +901,12 @@ class TestClusterIngress:
         assert all(a.used_default for a in answers if a.shed)
 
     def test_record_shed_rejects_negative(self):
-        with pytest.raises(ClusterError):
-            make_cluster().record_shed(-1)
+        cluster = make_cluster()
+        for count in (-1, True, 2.5, "4", None):
+            with pytest.raises(ClusterError):
+                cluster.record_shed(count)
+        cluster.record_shed(np.int64(3))
+        assert cluster.stats().shed_decisions == 3
 
     def test_refresh_scheduler_ticks_in_background(self):
         cluster = make_cluster()

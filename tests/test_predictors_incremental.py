@@ -42,6 +42,24 @@ def test_unchanged_matrix_returns_cached_completion_without_solving():
     np.testing.assert_array_equal(first, second)
 
 
+def test_diverged_warm_factors_fall_back_to_one_cold_solve():
+    # Same containment as IncrementalALSRefresher (adapt_drift, seed 84):
+    # the typed solver failure is answered with one cold solve, counted cold.
+    matrix, truth = make_matrix()
+    predictor = ALSPredictor(ALSConfig(iterations=10))
+    predictor.predict(matrix)
+    q, h = predictor.factors
+    predictor._result.query_factors = np.ones_like(q)
+    predictor._result.hint_factors = np.full_like(h, 1e9)
+    matrix.observe(1, 3, float(truth[1, 3]))
+    completed = predictor.predict(matrix)
+    assert np.isfinite(completed).all()
+    assert (predictor.cold_solves, predictor.warm_solves) == (2, 0)
+    matrix.observe(2, 3, float(truth[2, 3]))
+    predictor.predict(matrix)  # and the next refresh is warm again
+    assert (predictor.cold_solves, predictor.warm_solves) == (2, 1)
+
+
 def test_full_solve_every_bounds_drift():
     matrix, truth = make_matrix()
     predictor = ALSPredictor(

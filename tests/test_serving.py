@@ -241,6 +241,29 @@ class TestIncrementalALS:
         assert r2 is not r1
         assert refresher.cold_solves == 2
 
+    def test_diverged_warm_factors_fall_back_to_one_cold_solve(self, tiny_workload):
+        # What killed adapt_drift at seed 84: warm factors grown to ~1e9 put
+        # 1e18 in the r x r Gram, where the ridge (0.2) is below one ulp, and
+        # numpy's bare "Singular matrix" escaped through the refresher.
+        matrix = explored_matrix(tiny_workload, observed_fraction=0.3, seed=1)
+        q, h = np.argwhere(matrix.mask == 0)[0]
+        matrix.observe_censored(int(q), int(h), 3.0)
+        config = ALSConfig(rank=3, iterations=10, seed=0)
+        refresher = IncrementalALSRefresher(config)
+        first = refresher.refresh(matrix)
+        first.query_factors = np.ones_like(first.query_factors)
+        first.hint_factors = np.full_like(first.hint_factors, 1e9)
+        with pytest.raises(CompletionError, match="Gram"):
+            censored_als(
+                matrix.values, matrix.mask, matrix.timeout_matrix,
+                config=config, warm_start=first.factors, iterations=3,
+            )
+        matrix.observe(0, 1, 2.0)
+        result = refresher.refresh(matrix)
+        assert np.isfinite(result.completed).all()
+        assert np.abs(result.hint_factors).max() < 1e3
+        assert (refresher.cold_solves, refresher.warm_refreshes) == (2, 0)
+
     def test_warm_start_validation(self):
         observed = np.ones((4, 3))
         mask = np.ones((4, 3))
@@ -391,6 +414,16 @@ class TestServingService:
         stats = recorder.report()
         assert (stats.decisions, stats.batches) == (10, 1)
         assert stats.p50_latency_s == pytest.approx(0.05)  # no stale samples
+
+    def test_record_shed_rejects_what_is_not_a_count(self):
+        # The service is where a shed count enters a single-service stack:
+        # -3 used to decrement the total silently.
+        service = ServingService(WorkloadMatrix(4, 3))
+        for count in (-3, True, 2.5, "4", None):
+            with pytest.raises(ServingError):
+                service.record_shed(count)
+        service.record_shed(np.int64(2))
+        assert service.stats().shed == 2
 
     def test_facade_integration(self, tiny_workload):
         from repro.core.explorer import MatrixOracle

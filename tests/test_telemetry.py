@@ -1,4 +1,4 @@
-"""Telemetry: registry algebra, tracing, hot-path cost, stats mirrors.
+"""Telemetry: registry algebra, tracing, hot-path cost, the one counter store.
 
 The merge law is the load-bearing property: because every histogram of a
 family shares fixed bucket bounds, ``merge(a, b)`` must be *exactly*
@@ -15,9 +15,10 @@ The other contracts under test:
   object to ``None`` and takes the identical branch),
 * decisions are byte-identical with telemetry on vs off,
 * ``ServingStats.from_registry`` / ``ClusterStats.from_registry``
-  agree with the recorder-backed reports (the dual-write mirror),
-* direct ``record_shed`` outside the blessed paths warns once a
-  registry mirror is bound,
+  agree with the recorder-backed reports (both read the same cells),
+* counters conserve under arbitrary interleavings of serve / observe /
+  shed / kill / restart / checkpoint / add_shard / reset, with and
+  without a ``Telemetry``, against an independent tally,
 * ``configure_logging`` reconfigures its own handler on repeated calls
   and ``json_logs=True`` emits one parseable dict per line.
 """
@@ -29,7 +30,7 @@ import io
 import json
 import logging
 import sys
-import warnings
+import tempfile
 
 import numpy as np
 import pytest
@@ -40,7 +41,7 @@ from repro.config import TelemetryConfig
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.cluster.cluster import ServingCluster
 from repro.cluster.stats import ClusterStats
-from repro.errors import TelemetryError
+from repro.errors import ClusterError, ServingError, TelemetryError
 from repro.logging_util import JsonFormatter, configure_logging, get_logger
 from repro.serving.service import ServingService
 from repro.serving.stats import RECENT_BATCHES, LatencyRecorder, ServingStats
@@ -354,14 +355,6 @@ class TestConfig:
         family = tel.registry.get("repro_decisions_total")
         assert family.merged_child().value == 5
 
-    def test_child_gets_own_registry(self):
-        tel = Telemetry.enabled()
-        child = tel.child("w1")
-        assert child.registry is not tel.registry
-        child.serving_metrics().decisions.inc(4)
-        merged = tel.merged_registry([child])
-        assert merged.get("repro_decisions_total").merged_child().value == 4
-
 
 # -- hot path ------------------------------------------------------------------
 
@@ -410,7 +403,6 @@ class TestHotPath:
         # stages only attribute inside an open trace (see ingress test).
         stage = tel.registry.get("repro_stage_seconds")
         assert {key[0] for key, _ in stage.children()} == {"observe"}
-        tel.sync()  # counters mirror lazily; exports flush first
         decisions = tel.registry.get("repro_decisions_total").merged_child()
         assert decisions.value == served
 
@@ -469,13 +461,10 @@ class TestStatsMirror:
             recorded.non_default_fraction
         )
         assert mirrored.wall_seconds == pytest.approx(recorded.wall_seconds)
-        payload = recorded.as_dict(registry=tel.registry)
-        assert payload["telemetry"]["consistent"] is True
 
-    def test_mirror_loses_nothing_across_a_wrap_and_a_reset(self):
+    def test_totals_stay_exact_across_a_wrap_and_a_reset(self):
         tel = Telemetry.enabled()
-        recorder = LatencyRecorder()
-        recorder.bind_metrics(tel.serving_metrics())
+        recorder = LatencyRecorder(tel.serving_metrics())
 
         def mirrored():
             return ServingStats.from_registry(tel.registry)
@@ -484,11 +473,11 @@ class TestStatsMirror:
             return tel.registry.get("repro_batch_seconds").merged_child().count
 
         rng = np.random.default_rng(4)
-        n = 2 * RECENT_BATCHES + 100  # no sync in between: record() must drain
+        n = 2 * RECENT_BATCHES + 100  # the ring wraps twice; totals must not
         sizes = rng.integers(0, 9, n)
         for size in sizes.tolist():
             recorder.record(size, 1e-4, size // 3)
-        recorder.record_shed(7, _blessed=True)
+        recorder.record_shed(7)
         recorder.record_refresh()
         recorded = recorder.report()
         assert recorded.batches == n
@@ -501,10 +490,9 @@ class TestStatsMirror:
         )
         assert (stats.refreshes, stats.shed) == (1, 7)
         assert histogram_count() == recorded.decisions
-        assert recorded.as_dict(registry=tel.registry)["telemetry"]["consistent"]
 
-        # reset() flushes first; the registry stays monotonic and keeps
-        # counting from where it was.
+        # reset() restarts the recorder's view only; the registry stays
+        # monotonic and keeps counting from where it was.
         for size in sizes[:50].tolist():
             recorder.record(size, 1e-4, 0)
         recorder.reset()
@@ -539,8 +527,6 @@ class TestStatsMirror:
             )
         cluster.tick()
         stats = cluster.stats()
-        payload = stats.as_dict(registry=tel.registry)
-        assert payload["telemetry"]["consistent"] is True
         mirror = ClusterStats.from_registry(tel.registry)
         assert mirror.cluster.decisions == stats.cluster.decisions
         assert mirror.routed_batches == stats.routed_batches
@@ -548,25 +534,184 @@ class TestStatsMirror:
         assert mirror.n_shards == stats.n_shards
         assert mirror.total_rows == stats.total_rows
 
-    def test_direct_shed_mutation_warns_once_mirrored(self):
-        recorder = LatencyRecorder()
-        recorder.record_shed(2)  # unmirrored: legacy path stays silent
+    def test_backwards_clock_does_not_fail_a_served_batch(self):
+        ticks = iter([5.0, 4.0, 9.0, 2.0, 1.0, 1.5])
         tel = Telemetry.enabled()
-        recorder.bind_metrics(tel.serving_metrics())
-        with pytest.warns(DeprecationWarning):
-            recorder.record_shed(3)
-        assert recorder.report().shed == 5
-        shed = tel.registry.get("repro_shed_total").merged_child().value
-        assert shed == 3  # only mirrored increments reach the registry
+        service = ServingService(
+            make_matrix(), clock=lambda: next(ticks), telemetry=tel
+        )
+        for _ in range(3):  # elapsed: -1.0, -7.0, +0.5
+            assert service.serve_batch(np.arange(8)).batch_size == 8
+        stats = service.stats()
+        assert (stats.decisions, stats.batches) == (24, 3)
+        assert stats.wall_seconds == 0.5
+        assert ServingStats.from_registry(tel.registry).wall_seconds == 0.5
 
-    def test_blessed_shed_path_does_not_warn(self):
+    def test_stats_are_per_label_not_per_service(self):
+        # The one intended semantic change of the single store: a recorder
+        # is a view over its label's cells, so two live services sharing a
+        # label also share totals; labeled() views keep them apart.
         tel = Telemetry.enabled()
-        service = ServingService(make_matrix(), telemetry=tel)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            service.record_shed(4)
-        assert service.stats().shed == 4
-        assert tel.registry.get("repro_shed_total").merged_child().value == 4
+        first = ServingService(make_matrix(seed=1), telemetry=tel)
+        first.serve_batch(np.arange(5))
+        second = ServingService(make_matrix(seed=2), telemetry=tel)
+        second.serve_batch(np.arange(7))
+        assert first.stats().decisions == 12  # everything since its baseline
+        assert second.stats().decisions == 7  # the label's history predates it
+        assert ServingStats.from_registry(tel.registry).decisions == 12
+
+        apart = Telemetry.enabled()
+        left = ServingService(make_matrix(seed=1), telemetry=apart.labeled("a"))
+        right = ServingService(make_matrix(seed=2), telemetry=apart.labeled("b"))
+        left.serve_batch(np.arange(5))
+        right.serve_batch(np.arange(7))
+        assert (left.stats().decisions, right.stats().decisions) == (5, 7)
+        assert ServingStats.from_registry(apart.registry).decisions == 12
+
+
+# -- counter conservation ------------------------------------------------------
+
+N_QUERIES = {"a": 14, "b": 9}
+
+OPS = st.one_of(
+    st.tuples(st.just("serve_batch"), st.integers(0, 2**16)),
+    st.tuples(st.just("serve_mixed"), st.integers(0, 2**16)),
+    st.tuples(st.just("observe"), st.integers(0, 2**16)),
+    st.tuples(st.just("shed"), st.integers(0, 9)),
+    st.tuples(st.just("kill"), st.integers(0, 4)),
+    st.tuples(st.just("restart"), st.integers(0, 4)),
+    st.tuples(st.just("checkpoint"), st.just(0)),
+    st.tuples(st.just("tick"), st.just(0)),
+    st.tuples(st.just("add_shard"), st.just(0)),
+    st.tuples(st.just("reset"), st.integers(0, 4)),
+)
+
+
+def counter_values(registry):
+    """Every counter cell in the registry, keyed by (family, labels)."""
+    return {
+        (name, key): child.value
+        for name in registry.names
+        if registry.get(name).kind == "counter"
+        for key, child in registry.get(name).children()
+    }
+
+
+def drive_cluster(ops, telemetry, home):
+    """Apply ``ops`` to a 3-shard journaled cluster, checking conservation
+    against a plain-int tally after every step."""
+    cluster = ServingCluster(3, 4, durability_dir=home, telemetry=telemetry)
+    for tenant, n in N_QUERIES.items():
+        cluster.add_tenant(tenant, [f"q{i}" for i in range(n)])
+        # Every row gets a default-plan observation: a scheduler tick on a
+        # shard that has never observed anything is a CompletionError.
+        cluster.observe_batch(
+            tenant, np.arange(n), np.zeros(n, dtype=int), np.full(n, 0.1)
+        )
+    tally = dict.fromkeys(
+        ("routed", "served", "degraded", "shed", "crashes", "restarts"), 0
+    )
+    since_reset = {sid: 0 for sid in cluster.shard_ids}
+    registry = telemetry.registry if telemetry is not None else None
+    before = counter_values(registry) if registry is not None else {}
+
+    def count_arrivals(arrivals):
+        tally["routed"] += 1
+        for tenant, query in arrivals:
+            shard = int(cluster.locate(tenant, [query])[0][0])
+            if cluster.health.is_up(shard):
+                tally["served"] += 1
+                since_reset[shard] += 1
+            else:
+                tally["degraded"] += 1
+
+    for op, arg in ops:
+        rng = np.random.default_rng(arg)
+        pick = cluster.shard_ids[arg % cluster.n_shards]
+        if op == "serve_batch":
+            tenant = "ab"[arg % 2]
+            queries = rng.integers(0, N_QUERIES[tenant], size=int(rng.integers(0, 12)))
+            count_arrivals([(tenant, int(q)) for q in queries])
+            cluster.serve_batch(tenant, queries)
+        elif op == "serve_mixed":
+            arrivals = [
+                (tenant, int(rng.integers(0, N_QUERIES[tenant])))
+                for tenant in rng.choice(["a", "b"], size=int(rng.integers(1, 12)))
+            ]
+            count_arrivals(arrivals)
+            cluster.serve_mixed(arrivals)
+        elif op == "observe":
+            queries = rng.integers(0, N_QUERIES["a"], size=6)
+            cluster.observe_batch(
+                "a", queries, rng.integers(0, 4, size=6), rng.uniform(0.01, 0.2, size=6)
+            )
+        elif op == "shed":
+            cluster.record_shed(arg)
+            tally["shed"] += arg
+        elif op == "kill" and not cluster.shards[pick].crashed:
+            cluster.kill_shard(pick)
+            tally["crashes"] += 1
+        elif op == "restart" and cluster.shards[pick].crashed:
+            cluster.restart_shard(pick)
+            tally["restarts"] += 1
+            since_reset[pick] = 0  # a recovered shard's view starts from zero
+        elif op == "checkpoint":
+            cluster.checkpoint()
+        elif op == "tick":
+            cluster.tick()
+        elif op == "add_shard" and cluster.n_shards < 5:
+            if any(shard.crashed for shard in cluster.shards.values()):
+                with pytest.raises(ClusterError):
+                    cluster.add_shard()
+            else:
+                since_reset[cluster.add_shard()] = 0
+        elif op == "reset":
+            cluster.shards[pick].recorder().reset()
+            since_reset[pick] = 0
+
+        stats = cluster.stats()
+        assert stats.routed_batches == tally["routed"]
+        assert stats.degraded_decisions == tally["degraded"]
+        assert stats.shed_decisions == tally["shed"]
+        assert (stats.crashes, stats.restarts) == (tally["crashes"], tally["restarts"])
+        assert stats.replayed_feedback <= stats.queued_feedback
+        assert {s: v.decisions for s, v in stats.per_shard.items()} == since_reset
+        assert stats.cluster.decisions == sum(since_reset.values())
+        if registry is None:
+            continue
+        mirror = ClusterStats.from_registry(registry)
+        for field in (
+            "n_shards", "n_tenants", "total_rows", "routed_batches", "fan_out",
+            "degraded_decisions", "shed_decisions", "rebalanced_rows",
+            "scheduler_ticks", "scheduler_refreshes", "crashes", "restarts",
+            "queued_feedback", "replayed_feedback",
+        ):
+            assert getattr(mirror, field) == getattr(stats, field), field
+        # The registry remembers what restarts and resets make a view forget.
+        assert mirror.cluster.decisions == tally["served"]
+        assert sorted(mirror.per_shard) == sorted(stats.per_shard)
+        for sid, view in stats.per_shard.items():
+            assert mirror.per_shard[sid].decisions >= view.decisions
+        histogram = registry.get("repro_batch_seconds").merged_child()
+        assert histogram.count == tally["served"]
+        after = counter_values(registry)
+        assert all(after[cell] >= value for cell, value in before.items())
+        before = after
+    cluster.close()
+
+
+class TestCounterConservation:
+    @settings(max_examples=100, deadline=None)
+    @given(ops=st.lists(OPS, max_size=40))
+    def test_cluster_counters_conserve_under_interleavings(self, ops):
+        with tempfile.TemporaryDirectory() as home:
+            drive_cluster(ops, Telemetry.enabled(), home)
+
+    @settings(max_examples=100, deadline=None)
+    @given(ops=st.lists(OPS, max_size=40))
+    def test_counters_conserve_without_telemetry(self, ops):
+        with tempfile.TemporaryDirectory() as home:
+            drive_cluster(ops, None, home)
 
 
 # -- snapshots -----------------------------------------------------------------
