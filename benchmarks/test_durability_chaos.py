@@ -13,8 +13,9 @@ Three pillars (the ISSUE 9 bar):
   through the chaos scenarios;
 * **Bounded footprint** -- periodic checkpoints keep the on-disk journal
   bounded over 1,000 feedback ticks even though the appended WAL volume
-  keeps growing, and journaling adds at most 1.3x to a serve+observe
-  tick.
+  keeps growing, and journaling adds at most 85 us to a serve+observe
+  tick (the paired difference, not a ratio -- see
+  ``test_journal_overhead_is_bounded``).
 
 ``CHAOS_SEED`` (env) reseeds the traffic so CI can sweep several seeds.
 Writes ``BENCH_durability.json`` plus ``TELEMETRY_durability.json`` -- a
@@ -261,8 +262,17 @@ def test_checkpoint_bounds_journal_size(benchmark):
     assert result["bound_ratio"] >= 3.0
 
 
+#: What one journaled append may add to a serve+observe tick.  Measured
+#: +27-38 us while the shared box is quiet and +38-74 us through its slow
+#: phases (27 runs, seeds 0-2, median 45); the commit before row patching
+#: added +62-150 us in the same sessions (median 89), so the bound has 2-3x
+#: headroom over a quiet run and still sits below what used to be normal.
+MAX_ADDED_US_PER_TICK = 85.0
+TICKS_PER_BLOCK = 40
+
+
 def journal_overhead():
-    """Serve+observe tick cost, journaled vs. plain (median paired ratio)."""
+    """Serve+observe tick cost, journaled vs. plain (medians over pairs)."""
     n, k = 2000, 16
     rng = np.random.default_rng([CHAOS_SEED, 19])
     truth = rng.uniform(0.5, 20.0, size=(n, k))
@@ -275,7 +285,7 @@ def journal_overhead():
 
     def block(service, tick_rng):
         start = time.perf_counter()
-        for _ in range(40):
+        for _ in range(TICKS_PER_BLOCK):
             arrivals = tick_rng.integers(0, n, size=1024)
             service.serve_batch(arrivals)
             q = tick_rng.integers(0, n, size=64)
@@ -288,16 +298,16 @@ def journal_overhead():
     try:
         journaled = build(ShardJournal(home))
         # Time the two services in back-to-back pairs (alternating order)
-        # and take the *median of paired ratios*: each pair sees the same
-        # machine weather, so drift in CPU budget cancels instead of
-        # landing on whichever side happened to run during a stall.
+        # and take medians *over pairs*: each pair sees the same machine
+        # weather, so drift in CPU budget cancels instead of landing on
+        # whichever side happened to run during a stall.
         rng_p = np.random.default_rng([CHAOS_SEED, 3])
         rng_j = np.random.default_rng([CHAOS_SEED, 3])
         block(plain, rng_p)
         block(journaled, rng_j)
         plain_times = []
         journaled_times = []
-        for i in range(8):
+        for i in range(16):
             if i % 2 == 0:
                 p = block(plain, rng_p)
                 j = block(journaled, rng_j)
@@ -306,10 +316,11 @@ def journal_overhead():
                 p = block(plain, rng_p)
             plain_times.append(p)
             journaled_times.append(j)
-        pair_ratios = [j / p for p, j in zip(plain_times, journaled_times)]
+        pairs = list(zip(plain_times, journaled_times))
         plain_s = float(np.median(plain_times))
         journaled_s = float(np.median(journaled_times))
-        ratio = float(np.median(pair_ratios))
+        ratio = float(np.median([j / p for p, j in pairs]))
+        added_us = float(np.median([j - p for p, j in pairs])) / TICKS_PER_BLOCK * 1e6
         appended = journaled.journal.appended_records
         journaled.journal.close()
     finally:
@@ -318,21 +329,35 @@ def journal_overhead():
         "plain_s": plain_s,
         "journaled_s": journaled_s,
         "overhead_ratio": ratio,
+        "added_us_per_tick": added_us,
         "journaled_records": float(appended),
     }
 
 
 def test_journal_overhead_is_bounded(benchmark):
+    """Durability may add at most ``MAX_ADDED_US_PER_TICK`` to a tick.
+
+    The gate is the median *paired difference* per journaled tick, not
+    the journaled / plain ratio it used to be (<= 1.3): a ratio measures
+    the journal against whatever else the tick costs, and when row
+    patching cut the plain tick from ~400-500 us to ~90-140 us the ratio
+    *rose* (1.08-1.27 -> 1.30-1.44 on this box) while the cost of
+    journaling *fell* (median +89 -> +45 us per tick: the append itself
+    did not change, it just no longer runs on caches a whole-matrix
+    rebuild has emptied).  The ratio is still reported, with both bases.
+    """
     result = run_once(benchmark, journal_overhead)
     RESULTS["overhead"] = result
     print(
         f"\n=== Journal overhead ===\n"
         f"plain {result['plain_s'] * 1e3:.1f} ms vs journaled "
-        f"{result['journaled_s'] * 1e3:.1f} ms per 40-tick block "
-        f"-> {result['overhead_ratio']:.2f}x "
+        f"{result['journaled_s'] * 1e3:.1f} ms per {TICKS_PER_BLOCK}-tick block "
+        f"-> +{result['added_us_per_tick']:.1f} us per tick "
+        f"(bound {MAX_ADDED_US_PER_TICK:.0f}), {result['overhead_ratio']:.2f}x of "
+        f"{result['plain_s'] * 1e3:.1f} ms "
         f"({result['journaled_records']:.0f} records appended)"
     )
-    assert result["overhead_ratio"] <= 1.3
+    assert result["added_us_per_tick"] <= MAX_ADDED_US_PER_TICK
 
 
 def telemetry_snapshot_under_chaos():

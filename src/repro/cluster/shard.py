@@ -147,7 +147,7 @@ class ClusterShard:
             if self.journal is not None:
                 # The matrix does not exist yet, so the write-ahead record
                 # is logged here instead of by the matrix hook.
-                self.journal.log_import(matrix_to_jsonable(payload))
+                self.journal.log_import(payload)
             self.matrix = WorkloadMatrix.from_dict(
                 {**payload, "hint_names": [f"h{j}" for j in range(self.n_hints)]}
             )
@@ -234,10 +234,18 @@ class ClusterShard:
     # -- background refresh ----------------------------------------------------
     @property
     def is_dirty(self) -> bool:
-        """True when observations landed since the last completed refresh."""
+        """True when observations landed since the last completed refresh.
+
+        A shard that owns rows but holds no completed observation yet has
+        nothing to complete (ALS rejects an empty mask): it is clean, so the
+        scheduler neither spends budget on it nor marks it refreshed.
+        """
         if self.matrix is None:
             return False
-        return self._refreshed_version != self.matrix.version
+        return (
+            self._refreshed_version != self.matrix.version
+            and self.matrix.observed_fraction() > 0.0
+        )
 
     def refresh(self) -> bool:
         """Warm-started ALS refresh (scheduler hook); True when a solve ran."""

@@ -11,8 +11,8 @@ hint is only ever returned when it was measured to be at least
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass, replace
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,15 +30,39 @@ class CacheDecision:
     expected_latency: float
 
 
+def _serving_rule(
+    matrix: WorkloadMatrix, rows, default_hint: int, regression_margin: float
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The no-regression rule over ``rows`` of ``matrix`` (an index array):
+    ``(hints, used_default, expected_latency)``, one entry per row.  The
+    only vectorised implementation of the rule -- a full
+    :meth:`CacheSnapshot.compute` and a row patch both call it."""
+    latency = matrix.observed_latencies(rows)
+    best = latency.argmin(axis=1)
+    best_latency = latency[np.arange(best.shape[0]), best]
+    default_latency = latency[:, default_hint]
+    # A row with no completed observation has best_latency == inf.
+    serve_best = (
+        (best != default_hint)
+        & (best_latency < np.inf)
+        & (best_latency <= default_latency * regression_margin)
+    )
+    hints = np.where(serve_best, best, default_hint).astype(np.int64)
+    expected = np.where(serve_best, best_latency, default_latency)
+    return hints, ~serve_best, expected
+
+
 @dataclass(frozen=True)
 class CacheSnapshot:
     """Precomputed decision arrays for every query at one matrix version.
 
     The scalar :meth:`PlanCache.lookup` walks one matrix row per call; a
     snapshot evaluates the same no-regression rule for *all* rows with a
-    handful of vectorised operations and is then reused until the matrix
-    changes (detected via :attr:`WorkloadMatrix.version`).  This is the
-    kernel the batched serving layer (:mod:`repro.serving`) is built on.
+    handful of vectorised operations.  It is an immutable value: when the
+    matrix moves on (detected via :attr:`WorkloadMatrix.version`) a *new*
+    snapshot is derived -- by :meth:`patched` when only row contents
+    changed, by :meth:`compute` when the row set did.  This is the kernel
+    the batched serving layer (:mod:`repro.serving`) is built on.
     """
 
     version: int
@@ -47,6 +71,9 @@ class CacheSnapshot:
     hints: np.ndarray
     used_default: np.ndarray
     expected_latency: np.ndarray
+    #: Rows re-evaluated to derive this snapshot from its predecessor;
+    #: ``None`` for a full :meth:`compute`.
+    patched_rows: Optional[int] = None
 
     @property
     def n_queries(self) -> int:
@@ -70,29 +97,38 @@ class CacheSnapshot:
         regression_margin: float,
     ) -> "CacheSnapshot":
         """Evaluate the serving rule for every query in one vectorised pass."""
-        values = matrix.values
-        observed = matrix.mask > 0
-        default_latency = np.where(
-            observed[:, default_hint], values[:, default_hint], np.inf
+        hints, used_default, expected = _serving_rule(
+            matrix, np.arange(matrix.n_queries), default_hint, regression_margin
         )
-        best = matrix.best_hint_array()
-        safe_best = np.maximum(best, 0)
-        best_latency = values[np.arange(matrix.n_queries), safe_best]
-        best_latency = np.where(best >= 0, best_latency, np.inf)
-        serve_best = (
-            (best >= 0)
-            & (best != default_hint)
-            & (best_latency <= default_latency * regression_margin)
-        )
-        hints = np.where(serve_best, safe_best, default_hint).astype(np.int64)
-        expected = np.where(serve_best, best_latency, default_latency)
         return cls(
             version=matrix.version,
             default_hint=int(default_hint),
             regression_margin=float(regression_margin),
             hints=hints,
-            used_default=~serve_best,
+            used_default=used_default,
             expected_latency=expected,
+        )
+
+    def patched(self, matrix: WorkloadMatrix, rows: np.ndarray) -> "CacheSnapshot":
+        """A new snapshot at ``matrix.version`` with only ``rows`` re-decided.
+
+        The rule is per row, so rows the matrix did not touch keep their
+        decisions: copy the three arrays, scatter the fresh rows.  ``self``
+        is left untouched for whoever still holds it.
+        """
+        hints, used_default, expected = (
+            old.copy() for old in (self.hints, self.used_default, self.expected_latency)
+        )
+        hints[rows], used_default[rows], expected[rows] = _serving_rule(
+            matrix, rows, self.default_hint, self.regression_margin
+        )
+        return replace(
+            self,
+            version=matrix.version,
+            hints=hints,
+            used_default=used_default,
+            expected_latency=expected,
+            patched_rows=int(rows.size),
         )
 
 
@@ -166,15 +202,24 @@ class PlanCache:
 
     # -- batched lookups ----------------------------------------------------
     def snapshot(self, force: bool = False) -> CacheSnapshot:
-        """Precomputed decision arrays, cached until the matrix mutates."""
-        if (
-            force
-            or self._snapshot is None
-            or self._snapshot.version != self.matrix.version
-        ):
-            self._snapshot = CacheSnapshot.compute(
-                self.matrix, self.default_hint, self.regression_margin
-            )
+        """Decision arrays at the current matrix version.
+
+        Cached while the matrix stands still; after writes, only the rows
+        they touched are re-decided (:meth:`CacheSnapshot.patched`).  A
+        full :meth:`CacheSnapshot.compute` runs for the first build, for
+        ``force=True`` and after rows were added, imported or removed.
+        """
+        snap = self._snapshot
+        if not force and snap is not None:
+            if snap.version == self.matrix.version:
+                return snap
+            rows = self.matrix.rows_changed_since(snap.version)
+            if rows is not None:
+                self._snapshot = snap.patched(self.matrix, rows)
+                return self._snapshot
+        self._snapshot = CacheSnapshot.compute(
+            self.matrix, self.default_hint, self.regression_margin
+        )
         return self._snapshot
 
     @property
@@ -186,8 +231,8 @@ class PlanCache:
         """Decisions for a batch of query indices via the cached snapshot.
 
         Equivalent to ``[self.lookup(q) for q in queries]`` (including the
-        hit-rate accounting) but evaluates the serving rule once per matrix
-        version instead of once per call.
+        hit-rate accounting) but evaluates the serving rule once per changed
+        row instead of once per call.
         """
         queries = np.asarray(queries, dtype=np.int64)
         if queries.ndim != 1:

@@ -42,6 +42,11 @@ class WorkloadMatrix:
         self._censored = np.zeros((n_queries, n_hints), dtype=bool)
         self._timeouts = np.zeros((n_queries, n_hints), dtype=float)
         self._version = 0
+        # Per-row last-modified version and the version of the last change
+        # to the row *set*: what lets any number of consumers, each at its
+        # own staleness, ask which rows moved (``rows_changed_since``).
+        self._row_versions = np.zeros(n_queries, dtype=np.int64)
+        self._structure_version = 0
         self.query_names = self._validate_names(query_names, n_queries, "query")
         self.hint_names = self._validate_names(hint_names, n_hints, "hint")
         #: optional write-ahead journal (duck-typed ShardJournal).  Every
@@ -87,6 +92,25 @@ class WorkloadMatrix:
         """
         return self._version
 
+    def rows_changed_since(self, version: int) -> Optional[np.ndarray]:
+        """Indices of rows mutated after ``version``; ``None`` when rows were
+        added, imported or removed since then (row indices no longer line
+        up, so the consumer must start over)."""
+        if version < self._structure_version:
+            return None
+        return np.flatnonzero(self._row_versions > version)
+
+    def _stamp(self, rows) -> None:
+        """Bump the version and mark ``rows`` (any index) as changed at it."""
+        self._version += 1
+        self._row_versions[rows] = self._version
+
+    def _restructured(self) -> None:
+        """Bump the version after the row set itself changed."""
+        self._version += 1
+        self._structure_version = self._version
+        self._row_versions = np.full(self.n_queries, self._version, dtype=np.int64)
+
     # -- recording observations --------------------------------------------
     def observe(self, query: int, hint: int, latency: float) -> None:
         """Record a completed execution of ``latency`` seconds."""
@@ -101,7 +125,7 @@ class WorkloadMatrix:
         self._observed[query, hint] = True
         self._censored[query, hint] = False
         self._timeouts[query, hint] = 0.0
-        self._version += 1
+        self._stamp(query)
 
     def observe_batch(self, queries, hints, latencies) -> None:
         """Record many completed executions at once (vectorised `observe`).
@@ -132,7 +156,7 @@ class WorkloadMatrix:
         self._observed[queries, hints] = True
         self._censored[queries, hints] = False
         self._timeouts[queries, hints] = 0.0
-        self._version += 1
+        self._stamp(queries)
 
     def observe_censored(self, query: int, hint: int, lower_bound: float) -> None:
         """Record a timed-out execution: true latency exceeds ``lower_bound``."""
@@ -150,7 +174,7 @@ class WorkloadMatrix:
         self._timeouts[query, hint] = max(self._timeouts[query, hint], float(lower_bound))
         self._censored[query, hint] = True
         self._values[query, hint] = self._timeouts[query, hint]
-        self._version += 1
+        self._stamp(query)
 
     # -- state queries ------------------------------------------------------
     def is_observed(self, query: int, hint: int) -> bool:
@@ -197,6 +221,18 @@ class WorkloadMatrix:
     def observed_values(self) -> np.ndarray:
         """Value matrix with unobserved entries replaced by 0 (for ``M ⊙ W``)."""
         out = np.where(self._observed, self._values, 0.0)
+        return out
+
+    def observed_latencies(self, rows: np.ndarray) -> np.ndarray:
+        """Completed latencies of the given ``rows``, ``inf`` elsewhere.
+
+        Censored and unexecuted cells are both ``inf``: only a completed
+        observation can be served.  Masked in place -- a second
+        matrix-sized temporary beside the gathered one costs more in page
+        faults than the gather itself.
+        """
+        out = np.take(self._values, rows, axis=0)
+        np.putmask(out, ~np.take(self._observed, rows, axis=0), np.inf)
         return out
 
     # -- row statistics --------------------------------------------------------
@@ -305,7 +341,7 @@ class WorkloadMatrix:
         self._censored = np.vstack([self._censored, np.zeros((1, self.n_hints), bool)])
         self._timeouts = np.vstack([self._timeouts, np.zeros((1, self.n_hints))])
         self.query_names.append(name if name is not None else f"q{index}")
-        self._version += 1
+        self._restructured()
         return index
 
     # -- row migration (cluster rebalancing) -------------------------------------
@@ -361,10 +397,10 @@ class WorkloadMatrix:
         if self.journal is not None:
             self.journal.log_import(
                 {
-                    "values": values.tolist(),
-                    "observed": observed.tolist(),
-                    "censored": censored.tolist(),
-                    "timeouts": timeouts.tolist(),
+                    "values": values,
+                    "observed": observed,
+                    "censored": censored,
+                    "timeouts": timeouts,
                     "query_names": names,
                 }
             )
@@ -374,7 +410,7 @@ class WorkloadMatrix:
         self._censored = np.vstack([self._censored, censored])
         self._timeouts = np.vstack([self._timeouts, timeouts])
         self.query_names.extend(names)
-        self._version += 1
+        self._restructured()
         return list(range(first, self.n_queries))
 
     def remove_queries(self, queries: Sequence[int]) -> None:
@@ -404,24 +440,25 @@ class WorkloadMatrix:
         self.query_names = [
             name for name, kept in zip(self.query_names, keep) if kept
         ]
-        self._version += 1
+        self._restructured()
 
     def invalidate(self, queries: Optional[Iterable[int]] = None) -> None:
         """Forget observations (all queries, or a subset) after a data shift."""
         if queries is None:
-            targets = None
+            rows = slice(None)
         else:
-            targets = list(queries)
-            for q in targets:
-                self._check_indices(q, 0)
+            rows = np.asarray(list(queries), dtype=np.int64)
+            if rows.size and (rows.min() < 0 or rows.max() >= self.n_queries):
+                raise MatrixError(
+                    f"invalidate: query index out of range [0, {self.n_queries})"
+                )
         if self.journal is not None:
-            self.journal.log_invalidate(targets)
-        for q in targets if targets is not None else range(self.n_queries):
-            self._values[q, :] = np.inf
-            self._observed[q, :] = False
-            self._censored[q, :] = False
-            self._timeouts[q, :] = 0.0
-        self._version += 1
+            self.journal.log_invalidate(None if queries is None else rows.tolist())
+        self._values[rows] = np.inf
+        self._observed[rows] = False
+        self._censored[rows] = False
+        self._timeouts[rows] = 0.0
+        self._stamp(rows)
 
     # -- persistence -----------------------------------------------------------------
     def to_dict(self) -> Dict:
@@ -449,7 +486,7 @@ class WorkloadMatrix:
         matrix._observed = np.asarray(payload["observed"], dtype=bool).copy()
         matrix._censored = np.asarray(payload["censored"], dtype=bool).copy()
         matrix._timeouts = np.asarray(payload["timeouts"], dtype=float).copy()
-        matrix._version = 1
+        matrix._restructured()
         return matrix
 
     def save(self, path: str) -> None:

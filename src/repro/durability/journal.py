@@ -29,8 +29,8 @@ import numpy as np
 from ..errors import DurabilityError
 from ..telemetry.runtime import JournalMetrics, Telemetry
 from .faults import FaultFS
-from .snapshot import load_snapshot, write_snapshot
-from .wal import WalRecord, WriteAheadLog, pack_floats, pack_ints
+from .snapshot import load_snapshot, matrix_to_jsonable, write_snapshot
+from .wal import WalRecord, WriteAheadLog, pack_flat
 
 
 class ShardJournal:
@@ -124,16 +124,14 @@ class ShardJournal:
         return lsn
 
     # -- typed logging (the hooks the stack calls) ----------------------------------
+    def _log_cells(self, kind: str, queries, hints, key: str, values) -> int:
+        data = {"q": pack_flat(queries, "<i8"), "h": pack_flat(hints, "<i8")}
+        data[key] = pack_flat(values, "<f8")
+        return self.log(kind, data)
+
     def log_observe(self, queries, hints, latencies) -> int:
         """One batch of completed executions (also used for single cells)."""
-        return self.log(
-            "observe",
-            {
-                "q": pack_ints(queries),
-                "h": pack_ints(hints),
-                "v": pack_floats(latencies),
-            },
-        )
+        return self._log_cells("observe", queries, hints, "v", latencies)
 
     def log_censor(self, query: int, hint: int, lower_bound: float) -> int:
         return self.log(
@@ -148,8 +146,8 @@ class ShardJournal:
         return self.log("add_query", {"name": name})
 
     def log_import(self, payload: Dict[str, Any]) -> int:
-        """Row migration in; ``payload`` is jsonable matrix-row state."""
-        return self.log("import", payload)
+        """Row migration in; ``payload`` is ``export_rows`` / ``to_dict`` state."""
+        return self.log("import", matrix_to_jsonable(payload))
 
     def log_remove(self, rows: Iterable[int]) -> int:
         return self.log("remove", {"rows": [int(r) for r in rows]})
@@ -160,14 +158,7 @@ class ShardJournal:
 
     def log_measured(self, queries, hints, measured) -> int:
         """Executed-decision telemetry (kept for audit; not matrix state)."""
-        return self.log(
-            "measured",
-            {
-                "q": pack_ints(queries),
-                "h": pack_ints(hints),
-                "m": pack_floats(measured),
-            },
-        )
+        return self._log_cells("measured", queries, hints, "m", measured)
 
     def log_adapt_backlog(self, rows: Sequence[int]) -> int:
         """Adaptation-response progress: the backlog still owed."""

@@ -21,7 +21,7 @@ Replay invariants:
 * the rebuilt matrix's decision-relevant state (values, masks, timeouts,
   names) is byte-identical to the pre-crash matrix, because both the
   snapshot and the WAL round-trip doubles exactly.  The plan cache is
-  version-gated derived state and rebuilds on the first serve.
+  derived state: the recovered service computes it on its first serve.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from ..errors import DurabilityError, ReproError, WalCorruption
 from .faults import FaultFS
 from .journal import ShardJournal
 from .snapshot import matrix_from_jsonable
-from .wal import WalRecord, unpack_floats, unpack_ints
+from .wal import WalRecord, unpack_array
 
 
 @dataclass
@@ -73,7 +73,9 @@ def _apply_record(
         )
     if kind == "observe":
         matrix.observe_batch(
-            unpack_ints(data["q"]), unpack_ints(data["h"]), unpack_floats(data["v"])
+            unpack_array(data["q"], "<i8"),
+            unpack_array(data["h"], "<i8"),
+            unpack_array(data["v"], "<f8"),
         )
     elif kind == "censor":
         matrix.observe_censored(data["q"], data["h"], data["lb"])

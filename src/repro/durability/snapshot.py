@@ -4,9 +4,10 @@ A snapshot captures everything a shard needs to serve again -- the
 :class:`~repro.core.workload_matrix.WorkloadMatrix` contents (values,
 observed/censored masks, timeouts, names) plus the adaptation backlog --
 tagged with the LSN of the last journal record it covers.  The plan-cache
-snapshot and serving stats are *derived* state: the cache is version-gated
-and rebuilds itself from the matrix on the first post-recovery serve, so
-persisting the matrix persists the decisions.
+snapshot and serving stats are *derived* state: a recovered shard builds a
+fresh service whose cache computes its decisions from the matrix on the
+first serve (and patches them row by row after that), so persisting the
+matrix persists the decisions.
 
 Install protocol (crash-safe at every step)::
 
@@ -18,57 +19,54 @@ old snapshot or the new one -- never a half-written file.  A leftover
 next checkpoint.  The snapshot file reuses the WAL's length+CRC framing;
 since it is installed atomically, a framing failure here is always real
 corruption and raises :class:`~repro.errors.WalCorruption`.
+
+The four matrix arrays go through the WAL's array codec
+(:func:`~repro.durability.wal.pack_array`) -- ``schema`` 2.  Schema 1
+wrote them as nested lists; readers still accept it, writers never emit it.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import struct
-import zlib
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
 from ..errors import WalCorruption
 from .faults import FaultFS
-
-_HEADER = struct.Struct("<II")
+from .wal import frame, pack_array, unframe, unpack_array
 
 SNAPSHOT_NAME = "snapshot.bin"
 SNAPSHOT_TMP = "snapshot.tmp"
+SCHEMAS = (1, 2)  # readable; writers emit the last
+
+#: The arrays of a matrix payload and the one dtype each may carry on disk.
+MATRIX_ARRAYS = {"values": "<f8", "observed": "|b1", "censored": "|b1", "timeouts": "<f8"}
 
 
 # -- matrix state <-> JSON-able ---------------------------------------------------------
 def matrix_to_jsonable(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Convert a ``WorkloadMatrix.to_dict()`` payload to pure JSON types.
-
-    ``inf`` survives: Python's ``json`` emits ``Infinity`` and parses it
-    back, and float ``repr`` round-trips every finite double exactly.
-    """
-    out: Dict[str, Any] = {}
-    for key, value in payload.items():
-        if isinstance(value, np.ndarray):
-            out[key] = value.tolist()
-        elif isinstance(value, (list, tuple)):
-            out[key] = list(value)
-        else:
-            out[key] = value
-    return out
+    """Convert a ``WorkloadMatrix.to_dict()`` / ``export_rows`` payload to
+    pure JSON types: arrays packed bit-exactly, the rest (names) as it is.
+    Already converted payloads pass through unchanged."""
+    return {
+        key: pack_array(value, MATRIX_ARRAYS[key]) if isinstance(value, np.ndarray) else value
+        for key, value in payload.items()
+    }
 
 
 def matrix_from_jsonable(obj: Dict[str, Any]) -> Dict[str, Any]:
-    """Inverse of :func:`matrix_to_jsonable` (numpy arrays restored)."""
-    out: Dict[str, Any] = {}
-    for key, value in obj.items():
-        if key == "values":
-            out[key] = np.asarray(value, dtype=float)
-        elif key in ("observed", "censored"):
-            out[key] = np.asarray(value, dtype=bool)
-        elif key == "timeouts":
-            out[key] = np.asarray(value, dtype=float)
-        else:
-            out[key] = value
+    """Inverse of :func:`matrix_to_jsonable` (numpy arrays restored).
+
+    Raises :class:`~repro.errors.WalCorruption` unless all four arrays
+    are present, 2-D and of one shape.
+    """
+    out = dict(obj)
+    for key, dtype in MATRIX_ARRAYS.items():
+        out[key] = unpack_array(obj.get(key), dtype)  # a missing one decodes 0-d
+    shapes = {out[key].shape for key in MATRIX_ARRAYS}
+    if len(shapes) != 1 or len(shapes.pop()) != 2:
+        raise WalCorruption("matrix payload arrays are not 2-D of one shape")
     return out
 
 
@@ -81,12 +79,7 @@ def write_snapshot(
 ) -> str:
     """Atomically install ``state`` as the shard snapshot covering ``lsn``."""
     fs = fs if fs is not None else FaultFS()
-    body = json.dumps(
-        {"lsn": int(lsn), "schema": 1, "state": state},
-        separators=(",", ":"),
-        sort_keys=True,
-    ).encode("utf-8")
-    framed = _HEADER.pack(len(body), zlib.crc32(body)) + body
+    framed = frame({"lsn": int(lsn), "schema": SCHEMAS[-1], "state": state})
     tmp = os.path.join(directory, SNAPSHOT_TMP)
     final = os.path.join(directory, SNAPSHOT_NAME)
     handle = open(tmp, "wb", buffering=0)
@@ -111,22 +104,14 @@ def load_snapshot(directory: str) -> Optional[Tuple[Dict[str, Any], int]]:
         return None
     with open(path, "rb") as handle:
         data = handle.read()
-    if len(data) < _HEADER.size:
-        raise WalCorruption(f"snapshot {path} too short ({len(data)} bytes)")
-    length, crc = _HEADER.unpack_from(data, 0)
-    payload = data[_HEADER.size : _HEADER.size + length]
-    if len(payload) != length:
-        raise WalCorruption(f"snapshot {path} truncated")
-    if zlib.crc32(payload) != crc:
-        raise WalCorruption(f"snapshot {path} failed its CRC")
-    try:
-        obj = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
-        raise WalCorruption(f"snapshot {path} is unreadable: {exc}") from exc
+    decoded = unframe(data, 0, f"snapshot {path}")
+    if decoded is None:
+        raise WalCorruption(f"snapshot {path} truncated ({len(data)} bytes)")
+    obj, _ = decoded
     if (
-        not isinstance(obj, dict)
-        or not isinstance(obj.get("lsn"), int)
+        not isinstance(obj.get("lsn"), int)
         or not isinstance(obj.get("state"), dict)
+        or obj.get("schema") not in SCHEMAS
     ):
         raise WalCorruption(f"snapshot {path} has a malformed envelope")
     return obj["state"], obj["lsn"]

@@ -7,13 +7,14 @@ Record framing (little-endian)::
     +----------------+----------------+----------------------+
 
 The payload is compact sorted-key JSON ``{"data": {...}, "kind": k,
-"lsn": n}``.  Scalar floats use JSON's ``repr``-based encoding; float
-and int *batches* (``observe``/``measured`` payloads) are packed via
-:func:`pack_floats`/:func:`pack_ints` as base64 little-endian bytes.  Both
-round-trip IEEE-754 doubles exactly, which is what makes
-*byte-identical* replay possible: a latency observed before a crash
-deserializes to the very same double after recovery, so the plan cache
-reaches the very same decisions.
+"lsn": n}``.  Scalar floats use JSON's ``repr``-based encoding; arrays
+go through the one array codec, :func:`pack_array` /
+:func:`unpack_array` -- dtype + shape + base64 of the raw little-endian
+bytes (1-D ``observe``/``measured`` batches keep the bare string of
+:func:`pack_flat`).  Both round-trip IEEE-754 doubles exactly, which is
+what makes *byte-identical* replay possible: a latency observed before a
+crash deserializes to the very same double after recovery, so the plan
+cache reaches the very same decisions.
 
 LSNs are assigned by the log, start at 1, and are strictly contiguous
 across the whole journal.  The log is split into segment files named
@@ -62,7 +63,7 @@ RECORD_KINDS = (
     "censor",      # censored observation: {"q": i, "h": j, "lb": x}
     "invalidate",  # {"rows": [...] | None}  (None = whole matrix)
     "add_query",   # {"name": str}
-    "import",      # row migration in: jsonable matrix payload
+    "import",      # row migration in: matrix rows, arrays via pack_array
     "remove",      # row migration out: {"rows": [...]}
     "retire",      # shard gave away its last row: {}
     "measured",    # executed-decision telemetry: {"q": b64, "h": b64, "m": b64}
@@ -84,88 +85,107 @@ def _segment_name(first_lsn: int) -> str:
     return f"wal-{first_lsn:020d}.log"
 
 
-def pack_floats(values) -> str:
-    """Base64 of little-endian float64s: bit-exact and cheap to encode.
+def pack_flat(values, dtype: str) -> str:
+    """Base64 of ``values``' raw little-endian bytes as ``dtype``: bit-exact
+    (``inf``, ``-0.0``, subnormals).  The bare form of the 1-D ``observe`` /
+    ``measured`` batches, whose shape is their length."""
+    array = np.asarray(values, dtype=dtype, order="C")
+    return base64.b64encode(array.tobytes()).decode("ascii")
 
-    Large float batches (``observe``/``measured`` records) dominate WAL
-    volume; ``repr``-style JSON floats round-trip doubles exactly but
-    cost ~40x more CPU to format than a raw-bytes base64 pack.  Both are
-    bit-exact, so byte-identical replay is preserved either way.
+
+def pack_array(values: np.ndarray, dtype: str) -> Dict[str, Any]:
+    """An n-d array as ``{"dtype", "shape", "data"}``: ~8x cheaper than
+    ``tolist()`` + float-``repr`` JSON, and smaller."""
+    return {"dtype": dtype, "shape": list(values.shape), "data": pack_flat(values, dtype)}
+
+
+def unpack_array(packed, dtype: str) -> np.ndarray:
+    """Decode any array form the journal has ever written, as ``dtype``:
+    a :func:`pack_array` dict, a bare :func:`pack_flat` string, or (nested)
+    lists -- the schema-1 form, also handy for crafted records.
+
+    Disk input is outside input.  Each field may claim one dtype (``<f8``
+    values, ``|b1`` flags, ``<i8`` indices; the caller names it): any
+    other, a malformed shape, or a byte count that does not fit the shape
+    raise :class:`~repro.errors.WalCorruption`.
     """
-    array = np.asarray(values, dtype="<f8")
-    return base64.b64encode(array.tobytes()).decode("ascii")
+    try:
+        if isinstance(packed, str):
+            return np.frombuffer(base64.b64decode(packed), dtype=dtype)
+        if not isinstance(packed, dict):
+            return np.asarray(packed, dtype=dtype)
+        shape = packed["shape"]
+        if (
+            packed["dtype"] != dtype
+            or not isinstance(shape, list)
+            or not all(type(d) is int and d >= 0 for d in shape)
+        ):
+            raise ValueError(f"dtype {packed['dtype']!r} / shape {shape!r}")
+        # frombuffer checks the byte count against the item size, reshape
+        # against the shape.
+        return np.frombuffer(base64.b64decode(packed["data"]), dtype=dtype).reshape(shape)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise WalCorruption(f"undecodable {dtype} array: {exc}") from exc
 
 
-def unpack_floats(packed) -> "np.ndarray":
-    """Inverse of :func:`pack_floats`; lists pass through for crafted records."""
-    if isinstance(packed, str):
-        return np.frombuffer(base64.b64decode(packed), dtype="<f8")
-    return np.asarray(packed, dtype=float)
-
-
-def pack_ints(values) -> str:
-    """Base64 of little-endian int64s (same rationale as :func:`pack_floats`)."""
-    array = np.asarray(values, dtype="<i8")
-    return base64.b64encode(array.tobytes()).decode("ascii")
-
-
-def unpack_ints(packed) -> "np.ndarray":
-    """Inverse of :func:`pack_ints`; lists pass through for crafted records."""
-    if isinstance(packed, str):
-        return np.frombuffer(base64.b64decode(packed), dtype="<i8")
-    return np.asarray(packed, dtype=np.int64)
+def frame(obj: Dict[str, Any]) -> bytes:
+    """``obj`` as compact sorted-key JSON behind the length+CRC header
+    (WAL records and the snapshot file share this frame)."""
+    body = json.dumps(obj, separators=(",", ":"), sort_keys=True).encode("utf-8")
+    return _HEADER.pack(len(body), zlib.crc32(body)) + body
 
 
 def encode_record(lsn: int, kind: str, data: Dict[str, Any]) -> bytes:
     """Frame one record (exposed for tests that craft WAL bytes)."""
-    body = json.dumps(
-        {"data": data, "kind": kind, "lsn": int(lsn)},
-        separators=(",", ":"),
-        sort_keys=True,
-    ).encode("utf-8")
-    return _HEADER.pack(len(body), zlib.crc32(body)) + body
+    return frame({"data": data, "kind": kind, "lsn": int(lsn)})
+
+
+def unframe(data: bytes, offset: int, where: str) -> Optional[Tuple[Dict[str, Any], int]]:
+    """Decode the frame at ``offset``: ``(object, end offset)``.
+
+    ``None`` when the frame runs past the end of ``data`` (torn); a
+    complete frame whose CRC or JSON fails raises
+    :class:`~repro.errors.WalCorruption` naming ``where``.
+    """
+    start = offset + _HEADER.size
+    if start > len(data):
+        return None
+    length, crc = _HEADER.unpack_from(data, offset)
+    end = start + length
+    if end > len(data):
+        return None
+    payload = data[start:end]
+    if zlib.crc32(payload) != crc:
+        raise WalCorruption(f"CRC mismatch in {where} at byte {offset}")
+    try:
+        obj = json.loads(payload.decode("utf-8"))
+    except (ValueError, UnicodeDecodeError) as exc:
+        raise WalCorruption(f"unreadable frame in {where} at byte {offset}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise WalCorruption(f"malformed frame in {where} at byte {offset}")
+    return obj, end
 
 
 def _read_segment(path: str) -> Tuple[List[WalRecord], int, bool]:
     """Decode one segment; returns (records, good_bytes, had_torn_tail)."""
     with open(path, "rb") as handle:
         data = handle.read()
+    name = os.path.basename(path)
     records: List[WalRecord] = []
     offset = 0
     while offset < len(data):
-        if offset + _HEADER.size > len(data):
+        decoded = unframe(data, offset, name)
+        if decoded is None:
             return records, offset, True
-        length, crc = _HEADER.unpack_from(data, offset)
-        end = offset + _HEADER.size + length
-        if end > len(data):
-            return records, offset, True
-        payload = data[offset + _HEADER.size : end]
-        if zlib.crc32(payload) != crc:
-            raise WalCorruption(
-                f"CRC mismatch in {os.path.basename(path)} at byte {offset}"
-            )
-        try:
-            obj = json.loads(payload.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
-            raise WalCorruption(
-                f"unreadable record in {os.path.basename(path)} at byte {offset}: {exc}"
-            ) from exc
+        obj, end = decoded
         if (
-            not isinstance(obj, dict)
-            or not isinstance(obj.get("lsn"), int)
+            not isinstance(obj.get("lsn"), int)
             or obj.get("kind") not in RECORD_KINDS
             or not isinstance(obj.get("data"), dict)
         ):
-            raise WalCorruption(
-                f"malformed record in {os.path.basename(path)} at byte {offset}"
-            )
+            raise WalCorruption(f"malformed record in {name} at byte {offset}")
         records.append(
-            WalRecord(
-                lsn=obj["lsn"],
-                kind=obj["kind"],
-                data=obj["data"],
-                size=_HEADER.size + length,
-            )
+            WalRecord(lsn=obj["lsn"], kind=obj["kind"], data=obj["data"], size=end - offset)
         )
         offset = end
     return records, offset, False
@@ -301,9 +321,7 @@ class WriteAheadLog:
     # -- rotation / truncation ----------------------------------------------------------
     def rotate(self) -> None:
         """Close the live segment and start a fresh one at ``next_lsn``."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self.close()
         if self._segments and self._segments[-1][0] == self.next_lsn:
             # Nothing was appended since the last rotation: the live
             # segment is still empty, and listing its path twice would make
@@ -349,9 +367,9 @@ class WriteAheadLog:
     # -- lifecycle -------------------------------------------------------------------------
     def close(self) -> None:
         """Flush and release the append handle (clean shutdown)."""
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        handle, self._handle = self._handle, None
+        if handle is not None:
+            handle.close()
 
     def crash(self) -> None:
         """Drop the handle without ceremony (simulated process death).
@@ -359,9 +377,7 @@ class WriteAheadLog:
         The handle is unbuffered, so everything previously ``write``-n is
         already with the kernel; closing loses nothing and releases the fd.
         """
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            except OSError:
-                pass
-            self._handle = None
+        try:
+            self.close()
+        except OSError:
+            pass

@@ -1,6 +1,6 @@
 """The library's named hot paths, packaged as perf cases.
 
-Thirteen paths cover every layer a figure benchmark or the serving stack
+Fifteen paths cover every layer a figure benchmark or the serving stack
 exercises:
 
 * ``als_cold``       -- one full censored-ALS solve from scratch,
@@ -17,6 +17,9 @@ exercises:
                         whatever the scale: the training half of an
                         ``explore_tcnn`` step,
 * ``serve_batch``    -- the batched online serving path,
+* ``serve_after_write`` -- a 256-cell feedback batch then a 256-query
+                        ``serve_batch`` on one e2e-sized shard (800x49):
+                        what a write costs the next reader (a row patch),
 * ``telemetry_overhead`` -- the same serving loop with telemetry
                         *enabled* (stage timing); its normalised cost
                         tracks the instrumentation tax against
@@ -35,7 +38,9 @@ exercises:
 * ``wal_append``     -- the write-ahead journal's append hot path (frame +
                         CRC + unbuffered write per feedback batch),
 * ``recovery_replay`` -- crash recovery: snapshot load plus WAL replay
-                        back to a live matrix.
+                        back to a live matrix,
+* ``checkpoint``     -- ``ClusterShard.checkpoint`` then ``load_snapshot``
+                        at the same 800x49 shape (the array codec both ways).
 
 Two scales are provided: ``smoke`` (seconds, used by the CI perf job) and
 ``default`` (the numbers quoted in ``docs/performance.md``).
@@ -43,12 +48,14 @@ Two scales are provided: ``smoke`` (seconds, used by the CI perf job) and
 
 from __future__ import annotations
 
+import timeit
 from typing import Dict
 
 import numpy as np
 
 from ..config import ALSConfig, ExplorationConfig, TCNNConfig
 from ..core.als import censored_als
+from ..core.plan_cache import CacheSnapshot
 from ..core.policies import LimeQOPolicy
 from ..core.predictors import ALSPredictor
 from ..core.simulation import ExplorationSimulator
@@ -115,6 +122,20 @@ def _partial_matrix(workload, fill: float = 0.25, seed: int = 3) -> WorkloadMatr
         if not matrix.is_observed(i, j):
             matrix.observe_censored(i, j, float(workload.true_latencies[i, j]) * 0.5)
     return matrix
+
+
+def _shard_matrix(rng) -> WorkloadMatrix:
+    """One e2e-benchmark shard: 800x49, the default column plus ~10% observed."""
+    observed = rng.random((800, 49)) < 0.1
+    observed[:, 0] = True
+    rows, cols = np.nonzero(observed)
+    matrix = WorkloadMatrix(800, 49)
+    matrix.observe_batch(rows, cols, rng.uniform(0.5, 20.0, rows.size))
+    return matrix
+
+
+def _best_us(run) -> float:
+    return round(min(timeit.repeat(run, number=1, repeat=30)) * 1e6, 1)
 
 
 def build_suite(scale_name: str = "smoke") -> PerfHarness:
@@ -262,10 +283,10 @@ def build_suite(scale_name: str = "smoke") -> PerfHarness:
     harness.add("tcnn_fit", run_tcnn_fit, setup=setup_tcnn_fit, repeats=repeats)
 
     # -- serve_batch -------------------------------------------------------
-    def setup_serving():
+    def setup_serving(telemetry=None):
         workload = _workload(scale)
         matrix = _partial_matrix(workload, fill=0.4)
-        service = ServingService(matrix)
+        service = ServingService(matrix, telemetry=telemetry)
         rng = np.random.default_rng(5)
         batches = [
             rng.integers(0, matrix.n_queries, size=scale["serve_batch_size"])
@@ -282,29 +303,57 @@ def build_suite(scale_name: str = "smoke") -> PerfHarness:
 
     harness.add("serve_batch", run_serving, setup=setup_serving, repeats=repeats)
 
+    # -- serve_after_write -------------------------------------------------
+    def setup_serve_after_write():
+        rng = np.random.default_rng(37)
+        matrix = _shard_matrix(rng)
+        service = ServingService(matrix)
+        snapshot = service.cache.refresh()
+        n, k = matrix.shape
+        every_row = np.arange(n)
+        # Off the case's clock: patching *every* row is the same kernel plus
+        # a scatter, so no rows/n threshold guards the patch path.
+        costs = {
+            "compute_us": _best_us(lambda: CacheSnapshot.compute(matrix, 0, 1.0)),
+            "patch_all_rows_us": _best_us(lambda: snapshot.patched(matrix, every_row)),
+        }
+        ticks = [
+            (
+                rng.integers(0, n, 256),
+                rng.integers(0, k, 256),
+                rng.uniform(0.5, 20.0, 256),
+                rng.integers(0, n, 256),
+            )
+            for _ in range(scale["serve_batches"])
+        ]
+        return service, ticks, costs
+
+    def run_serve_after_write(state):
+        service, ticks, costs = state
+        patched = service.recorder.metrics.cache_patched_rows
+        before = patched.value
+        for queries, hints, latencies, arrivals in ticks:
+            service.observe_batch(queries, hints, latencies, refresh=False)
+            service.serve_batch(arrivals)
+        return {"patched_rows_per_write": (patched.value - before) / len(ticks), **costs}
+
+    harness.add(
+        "serve_after_write",
+        run_serve_after_write,
+        setup=setup_serve_after_write,
+        repeats=repeats,
+    )
+
     # -- telemetry_overhead ------------------------------------------------
     def setup_telemetry_overhead():
         from ..telemetry import Telemetry
 
-        workload = _workload(scale)
-        matrix = _partial_matrix(workload, fill=0.4)
-        telemetry = Telemetry.enabled()
-        service = ServingService(matrix, telemetry=telemetry)
-        rng = np.random.default_rng(5)
-        batches = [
-            rng.integers(0, matrix.n_queries, size=scale["serve_batch_size"])
-            for _ in range(scale["serve_batches"])
-        ]
-        return service, telemetry, batches
+        return setup_serving(Telemetry.enabled())
 
     def run_telemetry_overhead(state):
-        # Timed region matches run_serve_batch exactly: any extra cost is
-        # the instrumentation tax.  (Registry reads stay out of the loop.)
-        service, telemetry, batches = state
-        served = 0
-        for batch in batches:
-            served += service.serve_batch(batch).batch_size
-        return {"served": served, "enabled": telemetry.config.enabled}
+        # The same timed region as serve_batch: any extra cost is the
+        # instrumentation tax.  (Registry reads stay out of the loop.)
+        return {**run_serving(state), "enabled": state[0].telemetry is not None}
 
     harness.add(
         "telemetry_overhead",
@@ -481,7 +530,7 @@ def build_suite(scale_name: str = "smoke") -> PerfHarness:
         n, k = scale["n_queries"], scale["n_hints"]
         matrix = WorkloadMatrix(n, k)
         journal = ShardJournal(home.name)
-        journal.log_import(matrix_to_jsonable(matrix.to_dict()))
+        journal.log_import(matrix.to_dict())
         matrix.journal = journal
         rng = np.random.default_rng(31)
         matrix.observe_batch(
@@ -511,5 +560,27 @@ def build_suite(scale_name: str = "smoke") -> PerfHarness:
         }
 
     harness.add("recovery_replay", run_recovery, setup=setup_recovery, repeats=repeats)
+
+    # -- checkpoint --------------------------------------------------------
+    def setup_checkpoint():
+        import tempfile
+
+        from ..cluster.shard import ClusterShard
+        from ..durability.journal import ShardJournal
+
+        home = tempfile.TemporaryDirectory(prefix="repro-perf-checkpoint-")
+        shard = ClusterShard(0, 49, journal=ShardJournal(home.name))
+        shard.import_rows(_shard_matrix(np.random.default_rng(41)).to_dict())
+        return home, shard
+
+    def run_checkpoint(state):
+        from ..durability.snapshot import load_snapshot
+
+        home, shard = state
+        shard.checkpoint()
+        _, lsn = load_snapshot(home.name)
+        return {"lsn": int(lsn), "on_disk_bytes": int(shard.journal.on_disk_bytes())}
+
+    harness.add("checkpoint", run_checkpoint, setup=setup_checkpoint, repeats=repeats)
 
     return harness

@@ -9,10 +9,11 @@ query.
 
 :class:`BatchedPlanCache` keeps the precomputed decision arrays of a
 :class:`~repro.core.plan_cache.CacheSnapshot` and answers whole batches with
-fancy indexing.  The snapshot is invalidated by comparing
+fancy indexing.  Staleness is detected by comparing
 :attr:`WorkloadMatrix.version` -- new observations (from the offline
 explorer or the serving feedback path) are picked up on the next batch
-without any explicit cache-flush protocol.
+without any explicit cache-flush protocol, and cost that batch a
+re-decision of the rows they touched, not of the whole matrix.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ class BatchedPlanCache:
 
     Semantically identical to per-query :meth:`PlanCache.lookup` -- the
     equality is asserted cell-for-cell in ``tests/test_serving.py`` -- but
-    the no-regression rule is evaluated once per matrix version instead of
+    the no-regression rule is evaluated once per *changed row* (all rows
+    on the first batch and after rows were added or removed) instead of
     once per arrival.
     """
 
@@ -102,9 +104,10 @@ class BatchedPlanCache:
         self.matrix = matrix
         self.default_hint = self._scalar.default_hint
         self.regression_margin = self._scalar.regression_margin
-        # Snapshot rebuilds are always counted: in the owning service's
-        # bundle once bound, in a cell of the cache's own until then.
+        # Full rebuilds and patched rows are always counted: in the owning
+        # service's bundle once bound, in cells of the cache's own until then.
         self._rebuilds = Counter()
+        self._patched_rows = Counter()
         # Stage-timing seam (bound by the owning service, never required):
         # None keeps decide() off the clock.
         self._tracer = None
@@ -114,13 +117,14 @@ class BatchedPlanCache:
         """Count rebuilds in ``metrics``; time lookups when telemetry is on.
 
         ``metrics`` is the owning service's
-        :class:`~repro.telemetry.ServingMetrics` (rebuild counter).  Only
-        an *enabled* telemetry context routes lookups through the
-        ``cache.lookup`` stage histogram, with ``clock`` supplying the one
-        perf-counter pair the stage costs; anything else leaves the hot
-        path off the clock.
+        :class:`~repro.telemetry.ServingMetrics` (rebuild and patched-row
+        counters).  Only an *enabled* telemetry context routes lookups
+        through the ``cache.lookup`` stage histogram, with ``clock``
+        supplying the one perf-counter pair the stage costs; anything else
+        leaves the hot path off the clock.
         """
         self._rebuilds = metrics.cache_rebuilds
+        self._patched_rows = metrics.cache_patched_rows
         if Telemetry.active(telemetry) is not None:
             self._tracer = telemetry.tracer
             self._stage_clock = clock
@@ -140,10 +144,11 @@ class BatchedPlanCache:
     def decide(self, queries) -> BatchDecisions:
         """Decisions for a batch of query indices (the hot path).
 
-        One body whether or not telemetry is on: the rebuild counter is
-        always maintained (one identity compare), and the ``cache.lookup``
-        clock pair only runs inside an open trace (the ingress path),
-        keeping raw enabled ``decide`` within the serve-overhead budget.
+        One body whether or not telemetry is on: the rebuild and patch
+        counters are always maintained (one identity compare), and the
+        ``cache.lookup`` clock pair only runs inside an open trace (the
+        ingress path), keeping raw enabled ``decide`` within the
+        serve-overhead budget.
         """
         tracer = self._tracer
         timed = tracer is not None and tracer._current is not None
@@ -155,7 +160,10 @@ class BatchedPlanCache:
         stale = self._scalar.cached_snapshot
         snap = self._scalar.snapshot()
         if snap is not stale:
-            self._rebuilds.inc()
+            if snap.patched_rows is None:
+                self._rebuilds.inc()
+            else:
+                self._patched_rows.inc(snap.patched_rows)
         if queries.size and (queries.min() < 0 or queries.max() >= snap.n_queries):
             raise ServingError(
                 f"query index out of range [0, {snap.n_queries}) in batch"

@@ -27,7 +27,6 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.workload_matrix import WorkloadMatrix
-from ..durability.snapshot import matrix_to_jsonable
 from ..errors import ServingError
 from ..plans.featurize import TreeBatch
 from ..telemetry.runtime import Telemetry
@@ -172,7 +171,7 @@ class ServingService:
                 # stands, so recovery has a starting point.  (A cluster
                 # shard logs its own import first; a recovered journal
                 # already has history; both skip this.)
-                journal.log_import(matrix_to_jsonable(matrix.to_dict()))
+                journal.log_import(matrix.to_dict())
             matrix.journal = journal
         self._clock = clock
         # Normalised once here: the hot path's only stage-timing cost when

@@ -51,7 +51,11 @@ SERVING_COUNTERS = {
     "shed": ("repro_shed_total", "Requests shed by admission control."),
     "cache_rebuilds": (
         "repro_cache_rebuilds_total",
-        "Batch-cache snapshot rebuilds (version invalidations).",
+        "Full batch-cache snapshot rebuilds (first build, row set changed).",
+    ),
+    "cache_patched_rows": (
+        "repro_cache_patched_rows_total",
+        "Rows re-decided by batch-cache snapshot patches after writes.",
     ),
 }
 

@@ -572,6 +572,22 @@ class TestRefreshScheduler:
         assert cluster.drain_refreshes() == 1
         assert cluster.shards[dirty[0]].refresher.warm_refreshes == 1
 
+    def test_tick_skips_a_shard_with_rows_but_no_observation(self):
+        # ALS rejects an empty mask, so such a shard has nothing to
+        # complete: no error, no budget spent, not marked refreshed.
+        cluster = ServingCluster(2, 8, refresh_budget=1)
+        cluster.add_tenant("web", [f"k{i}" for i in range(20)])
+        assert all(shard.n_rows for shard in cluster.shards.values())
+        assert cluster.tick() == []
+        assert cluster.drain_refreshes() == 0
+        assert cluster.scheduler.refreshes == 0
+        # The first observation makes exactly its shard refreshable, and the
+        # unobserved shard examined before it did not use up the budget.
+        cluster.observe_batch("web", [3], [0], [0.5])
+        (owner,) = cluster.scheduler.dirty_shards()
+        assert cluster.tick() == [owner]
+        assert cluster.shards[owner].refresher.cold_solves == 1
+
     def test_scheduler_validation(self):
         with pytest.raises(ClusterError):
             RefreshScheduler(budget_per_tick=0)

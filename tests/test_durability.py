@@ -524,7 +524,7 @@ class TestShardRecovery:
         journal = ShardJournal(str(tmp_path))
         matrix = make_matrix(n=6, k=4)
         shard = ClusterShard(0, n_hints=4, journal=journal)
-        shard.import_rows(matrix_to_jsonable(matrix.to_dict()))
+        shard.import_rows(matrix.to_dict())
         shard.crash()
         with pytest.raises(ClusterError):
             ClusterShard.recover(str(tmp_path), shard_id=0, n_hints=9)
@@ -535,7 +535,7 @@ class TestShardRecovery:
         journal = ShardJournal(str(tmp_path))
         matrix = make_matrix(n=6, k=4)
         shard = ClusterShard(0, n_hints=4, journal=journal)
-        shard.import_rows(matrix_to_jsonable(matrix.to_dict()))
+        shard.import_rows(matrix.to_dict())
         shard.crash()
         with pytest.raises(ClusterError):
             shard.serve_local(np.array([0]))

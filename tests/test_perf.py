@@ -126,12 +126,14 @@ class TestSuite:
             "tcnn_predict_full",
             "tcnn_fit",
             "serve_batch",
+            "serve_after_write",
             "telemetry_overhead",
             "ingress_serve",
             "ingress_sparse",
             "adapt_drift",
             "wal_append",
             "recovery_replay",
+            "checkpoint",
         ]
 
     def test_suite_rejects_unknown_scale(self):
@@ -164,6 +166,19 @@ class TestSuite:
         # truncated, so recovery replays only the post-checkpoint half.
         assert results["recovery_replay"].meta["replayed"] > 0
         assert results["recovery_replay"].meta["skipped"] == 0
+
+    def test_write_path_cases_report_their_evidence(self):
+        harness = build_suite("smoke")
+        results = harness.run(["serve_after_write", "checkpoint"])
+        meta = results["serve_after_write"].meta
+        # 256 random cells of 800 rows touch ~220 distinct rows per write.
+        assert 150 < meta["patched_rows_per_write"] <= 256
+        # Patching every row is the same kernel plus a scatter: no rows/n
+        # threshold is needed to protect the patch path (1.2x by design;
+        # 1.5x leaves room for a noisy neighbour).
+        assert meta["patch_all_rows_us"] <= 1.5 * meta["compute_us"]
+        assert results["checkpoint"].meta["lsn"] == 1
+        assert results["checkpoint"].meta["on_disk_bytes"] < 1_050_000  # schema 1: 1.05 MB
 
 
 class TestCli:

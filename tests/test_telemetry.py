@@ -602,12 +602,9 @@ def drive_cluster(ops, telemetry, home):
     against a plain-int tally after every step."""
     cluster = ServingCluster(3, 4, durability_dir=home, telemetry=telemetry)
     for tenant, n in N_QUERIES.items():
+        # No row is seeded: ticks land on shards that own rows but have
+        # observed nothing yet, which the scheduler must skip.
         cluster.add_tenant(tenant, [f"q{i}" for i in range(n)])
-        # Every row gets a default-plan observation: a scheduler tick on a
-        # shard that has never observed anything is a CompletionError.
-        cluster.observe_batch(
-            tenant, np.arange(n), np.zeros(n, dtype=int), np.full(n, 0.1)
-        )
     tally = dict.fromkeys(
         ("routed", "served", "degraded", "shed", "crashes", "restarts"), 0
     )
