@@ -26,12 +26,16 @@ driven through a kill/restart cycle.
 
 import os
 import shutil
+import sys
 import tempfile
 import time
 
 import numpy as np
 import pytest
 from _bench_utils import run_once, write_bench_json
+
+sys.path.append(os.path.join(os.path.dirname(os.path.abspath(__file__)), "e2e"))
+from run import YARDSTICK_REFERENCE_S, yardstick  # noqa: E402  (benchmarks/e2e/run.py)
 
 from repro.cluster import ServingCluster
 from repro.core.workload_matrix import WorkloadMatrix
@@ -305,6 +309,11 @@ def journal_overhead():
         rng_j = np.random.default_rng([CHAOS_SEED, 3])
         block(plain, rng_p)
         block(journaled, rng_j)
+        # A neighbour slows this VM by 1.3-2x for seconds at a time (plain
+        # 3.4 -> 6.8 ms per block, +45 -> +106 us: both sides of the
+        # difference scale).  The e2e benchmark's yardstick, sampled among
+        # the pairs, says how fast the machine was while they ran.
+        speeds = [yardstick()]
         plain_times = []
         journaled_times = []
         for i in range(16):
@@ -316,6 +325,9 @@ def journal_overhead():
                 p = block(plain, rng_p)
             plain_times.append(p)
             journaled_times.append(j)
+            if i % 4 == 3:
+                speeds.append(yardstick())
+        slowdown = float(np.median(speeds)) / YARDSTICK_REFERENCE_S
         pairs = list(zip(plain_times, journaled_times))
         plain_s = float(np.median(plain_times))
         journaled_s = float(np.median(journaled_times))
@@ -329,7 +341,9 @@ def journal_overhead():
         "plain_s": plain_s,
         "journaled_s": journaled_s,
         "overhead_ratio": ratio,
-        "added_us_per_tick": added_us,
+        "raw_added_us_per_tick": added_us,
+        "machine_slowdown": slowdown,
+        "added_us_per_tick": added_us / slowdown,
         "journaled_records": float(appended),
     }
 
@@ -345,6 +359,11 @@ def test_journal_overhead_is_bounded(benchmark):
     journaling *fell* (median +89 -> +45 us per tick: the append itself
     did not change, it just no longer runs on caches a whole-matrix
     rebuild has emptied).  The ratio is still reported, with both bases.
+
+    The difference is gated at reference speed (the e2e benchmark's
+    ``YARDSTICK_REFERENCE_S``): raw, it failed about one run in five on
+    untouched code, whenever the box was in a slow phase.  Raw and rescaled
+    are both printed.
     """
     result = run_once(benchmark, journal_overhead)
     RESULTS["overhead"] = result
@@ -352,9 +371,11 @@ def test_journal_overhead_is_bounded(benchmark):
         f"\n=== Journal overhead ===\n"
         f"plain {result['plain_s'] * 1e3:.1f} ms vs journaled "
         f"{result['journaled_s'] * 1e3:.1f} ms per {TICKS_PER_BLOCK}-tick block "
-        f"-> +{result['added_us_per_tick']:.1f} us per tick "
-        f"(bound {MAX_ADDED_US_PER_TICK:.0f}), {result['overhead_ratio']:.2f}x of "
-        f"{result['plain_s'] * 1e3:.1f} ms "
+        f"-> +{result['raw_added_us_per_tick']:.1f} us per tick raw, "
+        f"+{result['added_us_per_tick']:.1f} at reference speed "
+        f"(bound {MAX_ADDED_US_PER_TICK:.0f}; yardstick {result['machine_slowdown']:.2f}x "
+        f"of {YARDSTICK_REFERENCE_S * 1e3:.1f} ms), "
+        f"{result['overhead_ratio']:.2f}x of {result['plain_s'] * 1e3:.1f} ms "
         f"({result['journaled_records']:.0f} records appended)"
     )
     assert result["added_us_per_tick"] <= MAX_ADDED_US_PER_TICK

@@ -29,12 +29,12 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..config import ALSConfig
-from ..core.workload_matrix import WorkloadMatrix
+from ..core.workload_matrix import WorkloadMatrix, checked_ids
 from ..durability.faults import FaultFS
 from ..durability.journal import ShardJournal
 from ..durability.recovery import RecoveredState
@@ -143,6 +143,10 @@ class ServingCluster:
         )
         self.shards: Dict[int, ClusterShard] = {}
         self._tenants: Dict[str, _TenantDirectory] = {}
+        # Bumped when a directory array changes (add_queries, add_tenant
+        # through it, add_shard); serve_mixed's flat table rebuilds on it.
+        self._topology = 0
+        self._table: Optional[tuple] = None
         self._next_shard_id = 0
         # Feedback addressed to a crashed shard waits here (per shard id)
         # and replays on restart; entries are ("observe"|"censor", args).
@@ -267,6 +271,7 @@ class ServingCluster:
                 local[q] = self.shards[sid].local_row(key)
             directory.shard_of = shard_of
             directory.local_row = local
+        self._topology += 1
 
     # -- tenant registration ----------------------------------------------------
     def add_tenant(self, tenant: str, query_names: Sequence[str]) -> None:
@@ -303,6 +308,7 @@ class ServingCluster:
         directory.names.extend(names)
         directory.shard_of = np.concatenate([directory.shard_of, new_shard_of])
         directory.local_row = np.concatenate([directory.local_row, new_local])
+        self._topology += 1
         return list(range(first, first + len(names)))
 
     def _directory(self, tenant: str) -> _TenantDirectory:
@@ -321,6 +327,11 @@ class ServingCluster:
                 f"tenant {tenant!r} has no query named {name!r}"
             ) from None
 
+    @property
+    def directories(self) -> Mapping[str, _TenantDirectory]:
+        """Live tenant -> directory view, for readers too hot for a call."""
+        return self._tenants
+
     def n_queries(self, tenant: str) -> int:
         """Number of queries registered for a tenant."""
         return self._directory(tenant).n_queries
@@ -330,16 +341,10 @@ class ServingCluster:
         self, tenant: str, queries
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         directory = self._directory(tenant)
-        queries = np.asarray(queries, dtype=np.int64)
-        if queries.ndim != 1:
-            raise ClusterError("expected a 1-D array of tenant query indices")
-        if queries.size and (
-            queries.min() < 0 or queries.max() >= directory.n_queries
-        ):
-            raise ClusterError(
-                f"query index out of range [0, {directory.n_queries}) "
-                f"for tenant {tenant!r}"
-            )
+        try:
+            queries = checked_ids("query", queries, directory.n_queries, ClusterError)
+        except ClusterError as exc:
+            raise ClusterError(f"{exc} for tenant {tenant!r}") from None
         return queries, directory.shard_of[queries], directory.local_row[queries]
 
     def locate(self, tenant: str, queries) -> Tuple[np.ndarray, np.ndarray]:
@@ -357,6 +362,25 @@ class ServingCluster:
         queries, shard_ids, local = self._resolve(tenant, queries)
         return self._serve_assigned(queries, shard_ids, local)
 
+    def _routing(self) -> tuple:
+        """Every tenant's directory laid end to end -- ``(version, ordinal,
+        sizes, offsets, shard_of, local_row)`` -- so that a mixed batch is
+        one gather, not one pass per tenant present (a small flush's cost)."""
+        table = self._table
+        if table is None or table[0] != self._topology:
+            directories = list(self._tenants.values())
+            sizes = np.array([d.n_queries for d in directories], dtype=np.int64)
+            none = np.zeros(0, dtype=np.int64)  # concatenate refuses an empty list
+            table = self._table = (
+                self._topology,
+                {d.tenant: i for i, d in enumerate(directories)},
+                sizes,
+                np.cumsum(sizes) - sizes,
+                np.concatenate([none, *(d.shard_of for d in directories)]),
+                np.concatenate([none, *(d.local_row for d in directories)]),
+            )
+        return table
+
     def serve_mixed(
         self, arrivals: Sequence[Tuple[str, int]]
     ) -> BatchDecisions:
@@ -365,32 +389,35 @@ class ServingCluster:
         All arrivals landing on the same shard -- regardless of tenant --
         fan out as a single vectorised sub-batch; the returned decisions
         are regathered in arrival order (``queries`` holds the per-arrival
-        tenant-global indices).
+        tenant-global indices), under the topology of the moment of the
+        call: what moved since the arrivals were admitted is followed.
         """
         n = len(arrivals)
-        queries = np.empty(n, dtype=np.int64)
-        shard_ids = np.empty(n, dtype=np.int64)
-        local = np.empty(n, dtype=np.int64)
-        by_tenant: Dict[str, List[int]] = {}
-        for i, (tenant, _) in enumerate(arrivals):
-            by_tenant.setdefault(tenant, []).append(i)
-        for tenant, positions in by_tenant.items():
-            tenant_queries = np.asarray(
-                [arrivals[i][1] for i in positions], dtype=np.int64
+        tenants, asked = zip(*arrivals) if n else ((), ())
+        _, ordinal, sizes, offsets, shard_of, local_row = self._routing()
+        try:
+            of = np.fromiter(map(ordinal.__getitem__, tenants), np.int64, n)
+        except KeyError as exc:
+            raise ClusterError(f"unknown tenant {exc.args[0]!r}") from None
+        # Integer dtype and sign here; each id against its own tenant next.
+        queries = checked_ids("query", asked, 2**63 - 1, ClusterError)
+        over = queries >= sizes[of]
+        if over.any():
+            bad = int(over.argmax())
+            raise ClusterError(
+                f"query id {queries[bad]} out of range [0, {sizes[of[bad]]}) "
+                f"for tenant {tenants[bad]!r}"
             )
-            resolved, assigned, rows = self._resolve(tenant, tenant_queries)
-            queries[positions] = resolved
-            shard_ids[positions] = assigned
-            local[positions] = rows
-        return self._serve_assigned(queries, shard_ids, local)
+        rows = offsets[of] + queries
+        return self._serve_assigned(queries, shard_of[rows], local_row[rows])
 
     def _serve_assigned(
         self, queries: np.ndarray, shard_ids: np.ndarray, local: np.ndarray
     ) -> BatchDecisions:
-        n = queries.shape[0]
-        hints = np.full(n, self.default_hint, dtype=np.int64)
-        used_default = np.ones(n, dtype=bool)
-        expected = np.full(n, np.inf)
+        n = queries.shape[0]  # (empty: the shard groups fill every position)
+        hints = np.empty(n, dtype=np.int64)
+        used_default = np.empty(n, dtype=bool)
+        expected = np.empty(n)
         cm = self._metrics
         tel = self.telemetry
         if tel is not None:
@@ -436,24 +463,17 @@ class ServingCluster:
         inline.  Health does not gate feedback: observations always land
         (in-process the matrix is reachable; a deployment would queue them).
         """
+        # Validate the whole batch before touching any shard: a bad element
+        # must not leave earlier shard groups mutated and later ones not.
         queries, shard_ids, local = self._resolve(tenant, queries)
-        hints = np.asarray(hints, dtype=np.int64)
+        hints = checked_ids("hint", hints, self.n_hints, ClusterError)
         latencies = np.asarray(latencies, dtype=float)
         if not (queries.shape == hints.shape == latencies.shape):
             raise ClusterError(
                 "observe_batch needs three 1-D arrays of equal length"
             )
-        # Validate the whole batch before touching any shard: a bad element
-        # must not leave earlier shard groups mutated and later ones not.
-        if hints.size:
-            if hints.min() < 0 or hints.max() >= self.n_hints:
-                raise ClusterError(
-                    f"hint index out of range [0, {self.n_hints}) in batch"
-                )
-            if not np.all(np.isfinite(latencies)) or np.any(latencies < 0):
-                raise ClusterError(
-                    "observe_batch: latencies must be finite and >= 0"
-                )
+        if not np.all(np.isfinite(latencies)) or np.any(latencies < 0):
+            raise ClusterError("observe_batch: latencies must be finite and >= 0")
         for sid, positions in split_batch(shard_ids):
             sid = int(sid)
             args = (local[positions], hints[positions], latencies[positions])

@@ -23,6 +23,31 @@ import numpy as np
 from ..errors import MatrixError
 
 
+def checked_ids(name: str, ids, bound: int, error) -> np.ndarray:
+    """``ids`` as a 1-D int64 array of values in ``[0, bound)``, or ``error``.
+
+    The one id check of every batched front door (matrix, serving, cluster,
+    trainer).  ``np.asarray(ids, dtype=np.int64)`` would truncate ``1.7`` to
+    someone else's row, read ``True`` as row 1 and ``"3"`` as row 3, so only
+    integer dtypes pass; an empty batch names no row and passes whatever
+    dtype numpy guessed for it.
+    """
+    ids = np.asarray(ids)
+    # The good case costs the two reductions; messages are built on the way out.
+    if ids.ndim == 1 and (
+        ids.size == 0
+        or (ids.dtype.kind in "iu" and 0 <= ids.min() and ids.max() < bound)
+    ):
+        return ids.astype(np.int64, copy=False)
+    if ids.ndim != 1:
+        raise error(f"{name} ids must be one-dimensional, got shape {ids.shape}")
+    if ids.dtype.kind not in "iu":
+        raise error(f"{name} ids must be integers, got dtype {ids.dtype}")
+    raise error(
+        f"{name} id out of range [0, {bound}): min {ids.min()}, max {ids.max()}"
+    )
+
+
 class WorkloadMatrix:
     """A partially observed latency matrix with censored observations."""
 
@@ -134,20 +159,16 @@ class WorkloadMatrix:
         bookkeeping with one fancy-indexed assignment per array keeps the
         feedback path off the per-cell Python loop.
         """
-        queries = np.asarray(queries, dtype=np.int64)
-        hints = np.asarray(hints, dtype=np.int64)
+        queries = checked_ids("query", queries, self.n_queries, MatrixError)
+        hints = checked_ids("hint", hints, self.n_hints, MatrixError)
         latencies = np.asarray(latencies, dtype=float)
-        if not (queries.shape == hints.shape == latencies.shape) or queries.ndim != 1:
+        if not (queries.shape == hints.shape == latencies.shape):
             raise MatrixError(
                 "observe_batch needs three 1-D arrays of equal length, got "
                 f"{queries.shape}, {hints.shape}, {latencies.shape}"
             )
         if queries.size == 0:
             return
-        if queries.min() < 0 or queries.max() >= self.n_queries:
-            raise MatrixError("observe_batch: query index out of range")
-        if hints.min() < 0 or hints.max() >= self.n_hints:
-            raise MatrixError("observe_batch: hint index out of range")
         if not np.all(np.isfinite(latencies)) or np.any(latencies < 0):
             raise MatrixError("observe_batch: latencies must be finite and >= 0")
         if self.journal is not None:

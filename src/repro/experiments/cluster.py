@@ -147,7 +147,7 @@ def cluster_vs_single_comparison(
 
     # Failover: kill one shard, re-serve, verify degradation semantics.
     down_shard = cluster.shard_ids[0]
-    directory = cluster._tenants[tenant]
+    directory = cluster.directories[tenant]
     cluster.mark_down(down_shard)
     degraded_ok = True
     try:

@@ -32,12 +32,20 @@ directly testable -- the hypothesis suite drives this class through
 arbitrary interleavings with a fake clock and asserts the FIFO, routing,
 and SLO invariants exactly.  :class:`~repro.ingress.ingress.ServiceIngress`
 is the thin asyncio shell that wires it to futures and timers.
+
+The queue is two parallel lists (payloads and submit times), not a deque
+of per-request records: a flush is two slices, a ``del`` and three
+C-level reductions over the time slice, with no interpreted per-request
+loop.  Tokens number admitted requests in submit order; because batches
+are FIFO prefixes, position in the queue *is* the token (offset by what
+has already left), so the shell pairs answers with callers by position
+(:meth:`CoalescerCore.take_payloads`) and :meth:`CoalescerCore.take_batch`
+labels the same slice with its tokens for callers that want them.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Any, Deque, List, Optional, Tuple
+from typing import Any, List, Optional, Tuple
 
 from ..config import IngressConfig
 from ..errors import IngressError
@@ -68,14 +76,17 @@ class CoalescerCore:
 
     def __init__(self, config: Optional[IngressConfig] = None) -> None:
         self.config = config or IngressConfig()
-        self._pending: Deque[Tuple[int, Any, float]] = deque()
-        self._next_token = 0
-        # Telemetry (monotone counters, read by IngressStats).
-        self.submitted = 0
+        # Parallel FIFO columns: _payloads[i] was submitted at _times[i]
+        # and holds token flushed_requests + i.
+        self._payloads: List[Any] = []
+        self._times: List[float] = []
+        # Telemetry (monotone counters, read by IngressStats).  What a
+        # flush can count is counted there, once per batch, and left out
+        # of submit: see ``submitted`` and ``max_queue_depth`` below.
         self.shed = 0
         self.flushed_batches = 0
         self.flushed_requests = 0
-        self.max_queue_depth = 0
+        self._deepest_flush = 0
         self.flush_reasons = dict.fromkeys(FLUSH_REASONS, 0)
         self._wait_seconds_total = 0.0
         self._max_wait_seen = 0.0
@@ -89,7 +100,7 @@ class CoalescerCore:
     @property
     def queue_depth(self) -> int:
         """Requests currently pending (admitted, not yet flushed)."""
-        return len(self._pending)
+        return len(self._payloads)
 
     def submit(self, payload: Any, now: float) -> Optional[int]:
         """Admit one request at time ``now``.
@@ -97,31 +108,30 @@ class CoalescerCore:
         Returns the request's token, or ``None`` when the bounded queue is
         full and the request must be shed to the default plan.
         """
-        self.submitted += 1
-        if len(self._pending) >= self.config.queue_capacity:
+        depth = len(self._payloads)
+        if depth >= self.config.queue_capacity:
             self.shed += 1
             return None
-        token = self._next_token
-        self._next_token += 1
-        self._pending.append((token, payload, float(now)))
-        if len(self._pending) > self.max_queue_depth:
-            self.max_queue_depth = len(self._pending)
-        return token
+        self._payloads.append(payload)
+        self._times.append(float(now))
+        # Admitted requests are numbered in order; those before this one
+        # have either been flushed or are the ``depth`` ahead of it.
+        return self.flushed_requests + depth
 
     # -- flush timing ------------------------------------------------------------
     def next_deadline(self) -> Optional[float]:
         """Absolute time the oldest pending request hits the SLO bound."""
-        if not self._pending:
+        if not self._times:
             return None
-        return self._pending[0][2] + self.config.max_wait_s
+        return self._times[0] + self.config.max_wait_s
 
     def ready(self, now: float) -> bool:
         """True when a batch must be flushed at time ``now``."""
-        if not self._pending:
+        if not self._times:
             return False
-        if len(self._pending) >= self.config.max_batch:
+        if len(self._times) >= self.config.max_batch:
             return True
-        return now >= self._pending[0][2] + self.config.max_wait_s
+        return now >= self._times[0] + self.config.max_wait_s
 
     # -- flushing ----------------------------------------------------------------
     def take_batch(
@@ -129,50 +139,76 @@ class CoalescerCore:
     ) -> List[Tuple[int, Any]]:
         """Pop the next batch of up to ``max_batch`` ``(token, payload)``.
 
+        :meth:`take_payloads` with each payload labelled by its token.
+        """
+        payloads = self.take_payloads(now, force, reason)
+        first = self.flushed_requests - len(payloads)
+        return list(zip(range(first, first + len(payloads)), payloads))
+
+    def take_payloads(
+        self, now: float, force: bool = False, reason: str = "shutdown"
+    ) -> List[Any]:
+        """Pop the payloads of the next batch of up to ``max_batch``.
+
         Returns an empty list when no batch is due, unless ``force``,
         which drains regardless: the shell forces on shutdown and when
         the event loop goes idle, and says which through ``reason``.  A
         forced batch that was due anyway is counted under its own
         trigger.  The batch is the FIFO prefix of the queue, so a flush
-        always serves the requests closest to their SLO bound first.
+        always serves the requests closest to their SLO bound first, and
+        the i-th payload belongs to the i-th oldest pending submit.
         """
         if reason not in self.flush_reasons:
             raise IngressError(
                 f"unknown flush reason {reason!r}; expected one of {FLUSH_REASONS}"
             )
-        if not self._pending:
+        depth = len(self._payloads)
+        if not depth:
             return []
-        if len(self._pending) >= self.config.max_batch:
+        max_batch = self.config.max_batch
+        if depth >= max_batch:
             due = "size"
-        elif now >= self._pending[0][2] + self.config.max_wait_s:
+        elif now >= self._times[0] + self.config.max_wait_s:
             due = "deadline"
         elif force:
             due = reason
         else:
             return []
-        batch: List[Tuple[int, Any]] = []
-        wait_total = 0.0
-        while self._pending and len(batch) < self.config.max_batch:
-            token, payload, enqueued_at = self._pending.popleft()
-            waited = float(now) - enqueued_at
-            if waited < 0:
-                raise IngressError(
-                    f"clock went backwards: flush at {now} before submit at "
-                    f"{enqueued_at}"
-                )
-            wait_total += waited
-            if waited > self._max_wait_seen:
-                self._max_wait_seen = waited
-            batch.append((token, payload))
+        now = float(now)
+        times = self._times[:max_batch]
+        # Checked before anything leaves the queue: after a bad clock
+        # reading every admitted request is still there for the next flush.
+        if now < max(times):
+            raise IngressError(
+                f"clock went backwards: flush at {now} before submit at "
+                f"{max(times)}"
+            )
+        payloads = self._payloads[:max_batch]
+        del self._payloads[:max_batch], self._times[:max_batch]
+        # The same floats the per-request loop produced: waits summed in
+        # FIFO order from 0.0, and the longest wait is the oldest submit's.
+        wait_total = sum(map(now.__sub__, times), 0.0)
         self._wait_seconds_total += wait_total
-        self.last_batch_wait_s = wait_total / len(batch)
+        self._max_wait_seen = max(self._max_wait_seen, now - min(times))
+        self._deepest_flush = max(self._deepest_flush, depth)
+        self.last_batch_wait_s = wait_total / len(payloads)
         self.flushed_batches += 1
-        self.flushed_requests += len(batch)
+        self.flushed_requests += len(payloads)
         self.flush_reasons[due] += 1
         self.last_flush_reason = due
-        return batch
+        return payloads
 
     # -- telemetry ----------------------------------------------------------------
+    @property
+    def submitted(self) -> int:
+        """Requests seen so far: flushed, pending or shed."""
+        return self.flushed_requests + len(self._payloads) + self.shed
+
+    @property
+    def max_queue_depth(self) -> int:
+        """Deepest the queue has been (it only shrinks at a flush)."""
+        return max(self._deepest_flush, len(self._payloads))
+
     @property
     def mean_batch_size(self) -> float:
         """Average size of the batches flushed so far."""

@@ -20,6 +20,10 @@ would have produced for its query: coalescing changes *when* the
 snapshot lookup happens, never *what* it returns, so decisions are
 byte-identical to sync serving (asserted against scenario-engine traffic
 in ``benchmarks/test_ingress_load.py`` and ``tests/test_ingress.py``).
+A request costs one coroutine frame, one plain call, one core ``submit``
+and one future; callers and answers are matched by FIFO position, with no
+token-keyed table in between (:class:`_BaseIngress` says what keeps that
+safe, ``tests/test_ingress_pairing.py`` checks it).
 
 Overflow past ``queue_capacity`` is shed, not errored: the arrival is
 answered immediately with the default plan -- the anchor of the paper's
@@ -38,7 +42,8 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass
-from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from itertools import repeat
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -112,17 +117,15 @@ class IngressStats:
 
 
 def _query_index(query: Any, n_queries: int, tenant: Optional[str] = None) -> int:
-    """Validate one arrival's query id before admission.
+    """Validate an arrival's query id that is not a plain in-range ``int``.
 
     Only integral ``int`` / ``numpy.integer`` values are query ids;
     ``int()`` would let ``"3"``, ``1.9`` and ``True`` through as someone
     else's query and turn ``nan`` / ``inf`` / ``None`` into untyped
-    errors.
+    errors.  ``serve`` tests the common case itself (a type identity and
+    two comparisons) and only comes here on the way to a numpy integer
+    or an error.
     """
-    # The common case (a plain int in range) costs two comparisons; the
-    # isinstance calls and the message are only paid on the way to an error.
-    if type(query) is int and 0 <= query < n_queries:
-        return query
     where = "" if tenant is None else f" for tenant {tenant!r}"
     if isinstance(query, bool) or not isinstance(query, (int, np.integer)):
         raise IngressError(f"query index must be an integer, got {query!r}{where}")
@@ -131,6 +134,56 @@ def _query_index(query: Any, n_queries: int, tenant: Optional[str] = None) -> in
             f"query index {query} out of range [0, {n_queries}){where}"
         )
     return int(query)
+
+
+def _decisions(tenants: Iterable, queries: Iterable, batch: BatchDecisions) -> list:
+    """One :class:`IngressDecision` per arrival, without a Python call each.
+
+    One ``.tolist()`` per array (repeated numpy scalar extraction is an
+    order of magnitude slower), one ``zip`` across the columns, and
+    ``tuple.__new__`` in place of the named tuple's generated ``__new__``,
+    which is a Python function and would cost a frame per request.
+    """
+    return list(
+        map(
+            tuple.__new__,
+            repeat(IngressDecision),
+            zip(
+                tenants,
+                queries,
+                batch.hints.tolist(),
+                batch.used_default.tolist(),
+                batch.expected_latency.tolist(),
+                repeat(False),
+            ),
+        )
+    )
+
+
+def _measured_batches(decisions: Sequence[IngressDecision], measured) -> list:
+    """``(tenant, BatchDecisions, measurements)`` per tenant among ``decisions``.
+
+    Shed decisions are skipped: they never consulted the snapshot, so
+    there is no expected latency to compute a residual against.
+    """
+    measured = np.asarray(measured, dtype=float)
+    if measured.shape != (len(decisions),):
+        raise IngressError("record_measured needs one measurement per decision")
+    by_tenant: Dict[Optional[str], List[int]] = {}
+    for i, decision in enumerate(decisions):
+        if not decision.shed:
+            by_tenant.setdefault(decision.tenant, []).append(i)
+    batches = []
+    for tenant, positions in by_tenant.items():
+        _, queries, hints, used, expected, _ = zip(*(decisions[i] for i in positions))
+        batch = BatchDecisions(
+            queries=np.asarray(queries, dtype=np.int64),
+            hints=np.asarray(hints, dtype=np.int64),
+            used_default=np.asarray(used, dtype=bool),
+            expected_latency=np.asarray(expected, dtype=float),
+        )
+        batches.append((tenant, batch, measured[positions]))
+    return batches
 
 
 class _BaseIngress:
@@ -145,6 +198,14 @@ class _BaseIngress:
     is cut, which is what makes both coalescing and bounded-queue
     admission control real under a burst of concurrent callers.
 
+    An admitted request costs one coroutine frame (the subclass's
+    ``serve``), one plain call (:meth:`_admit`), one core ``submit`` and
+    one future.  Futures wait in a FIFO list parallel to the core's
+    queue, so a flush pairs the k payloads it takes with the k oldest
+    waiters *by position*: nothing is keyed, nothing is re-packed, and a
+    caller that gave up while queued (its future is done) keeps its slot
+    so that nobody behind it shifts.
+
     Three things cut a batch.  The size trigger and the ``max_wait_s``
     timer are the core's own; the third is the quiescence probe
     (:meth:`_probe`): while requests are pending, one ``call_soon``
@@ -155,29 +216,28 @@ class _BaseIngress:
     that costs microseconds.
     """
 
-    def __init__(
-        self,
-        config: Optional[IngressConfig] = None,
-        clock=time.monotonic,
-    ) -> None:
+    def __init__(self, telemetry, config, controller, clock) -> None:
         self.config = config or IngressConfig()
         self._clock = clock
         self._core = CoalescerCore(self.config)
-        self._waiters: Dict[int, asyncio.Future] = {}
+        # One future per pending request, in the core's FIFO order.
+        self._waiters: List[asyncio.Future] = []
         self._timer: Optional[asyncio.TimerHandle] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started = False
         self._drain_scheduled = False
         self._probe_scheduled = False
         self._probe_seen = 0
+        self.controller = controller
         self.tickers: List[PeriodicTicker] = []
-        # Bound by subclasses (_bind_telemetry) from their backend's
-        # already normalised context; None keeps the flush path
-        # uninstrumented.
-        self._telemetry = None
-        self._flush_counters: Dict[str, Any] = {}
-
-    def _bind_telemetry(self, telemetry) -> None:
+        if controller is not None:
+            self.tickers.append(
+                PeriodicTicker(
+                    controller.tick, self.config.tick_interval_s, "adaptation"
+                )
+            )
+        # The backend's already normalised context; None keeps the flush
+        # path uninstrumented.
         self._telemetry = telemetry
         if telemetry is not None:
             family = telemetry.registry.counter(
@@ -220,90 +280,65 @@ class _BaseIngress:
         await self.stop()
 
     # -- the request path ---------------------------------------------------------
-    async def _enqueue(self, payload: Any) -> IngressDecision:
-        if not self._started:
-            raise IngressError("ingress is not started (use 'async with' or start())")
-        now = self._clock()
-        token = self._core.submit(payload, now)
-        if token is None:
-            # Admission control: full queue -> immediate default-plan
-            # answer.  No queueing, no backend work, no error.
-            self._record_shed(1)
-            return self._shed_decision(payload)
-        future = self._loop.create_future()
-        self._waiters[token] = future
-        self._schedule_dispatch(now)
-        return await future
+    def _admit(self, payload: Any) -> "asyncio.Future[IngressDecision]":
+        """Queue one validated payload; its answer arrives on the future.
 
-    async def serve_many(self, payloads: Sequence[Any]) -> List[IngressDecision]:
-        """Submit many independent requests concurrently; gather in order.
-
-        Equivalent to ``asyncio.gather`` over per-payload :meth:`serve`
-        calls (same admission, same batches, same answers) but submits
-        straight into the coalescer -- one future per request instead of
-        one coroutine frame per request, which matters at 100k+ rps.
+        A plain function, so ``serve`` is the only coroutine frame a
+        request pays for.  Everything that makes sure the batch will be
+        cut happens here, from the depth the waiter list already knows.
         """
         if not self._started:
             raise IngressError("ingress is not started (use 'async with' or start())")
-        results: List[Optional[IngressDecision]] = [None] * len(payloads)
-        futures: List[Tuple[int, asyncio.Future]] = []
         now = self._clock()
-        shed = 0
-        for i, payload in enumerate(payloads):
-            token = self._core.submit(payload, now)
-            if token is None:
-                shed += 1
-                results[i] = self._shed_decision(payload)
-            else:
-                future = self._loop.create_future()
-                self._waiters[token] = future
-                futures.append((i, future))
-        if shed:
-            self._record_shed(shed)
-        if futures:
-            self._schedule_dispatch(now)
-        for i, future in futures:
-            results[i] = await future
-        return results
-
-    # -- flush machinery ----------------------------------------------------------
-    def _schedule_dispatch(self, now: float) -> None:
-        """After an admitted submit: make sure something will cut its batch."""
-        if self._core.ready(now):
+        loop = self._loop
+        future = loop.create_future()
+        if self._core.submit(payload, now) is None:
+            # Admission control: full queue -> immediate default-plan
+            # answer.  No queueing, no backend work, no error.
+            self._record_shed(1)
+            future.set_result(self._shed_decision(payload))
+            return future
+        waiters = self._waiters
+        waiters.append(future)
+        if len(waiters) >= self.config.max_batch:
             # Size trigger: dispatch on the *next* loop iteration, not
             # inline.  Every submit already runnable in this iteration
             # gets to join (or overflow) the queue first -- that is what
             # makes both coalescing and admission control real under a
             # burst of concurrent callers.
-            self._schedule_drain()
+            if not self._drain_scheduled:
+                self._drain_scheduled = True
+                loop.call_soon(self._drain)
         elif self._timer is None:
             self._arm_timer(now)
         if not self._probe_scheduled:
             # After the drain, so a batch that is already full leaves on
             # its size trigger before the probe looks at the queue.
             self._probe_scheduled = True
-            self._loop.call_soon(self._probe)
+            loop.call_soon(self._probe)
+        return future
 
+    async def serve_many(self, payloads: Sequence[Any]) -> List[IngressDecision]:
+        """Submit many independent requests concurrently; gather in order.
+
+        Equivalent to ``asyncio.gather`` over per-payload :meth:`serve`
+        calls (same admission, same batches, same answers) without a
+        coroutine frame per request.
+        """
+        futures = list(map(self._admit, payloads))
+        return [await future for future in futures]
+
+    # -- flush machinery ----------------------------------------------------------
     def _arm_timer(self, now: float) -> None:
-        if self._timer is not None:
-            return
-        deadline = self._core.next_deadline()
-        if deadline is None:
-            return
+        """For the oldest pending request; callers know there is one and no timer."""
         self._timer = self._loop.call_later(
-            max(0.0, deadline - now), self._on_timer
+            max(0.0, self._core.next_deadline() - now), self._on_timer
         )
 
     def _cancel_timer(self) -> None:
         if self._timer is not None:
             self._timer.cancel()
             self._timer = None
-
-    def _schedule_drain(self) -> None:
-        if self._drain_scheduled:
-            return
-        self._drain_scheduled = True
-        self._loop.call_soon(self._drain)
 
     def _on_timer(self) -> None:
         self._timer = None
@@ -352,13 +387,15 @@ class _BaseIngress:
 
     def _flush_one(self, now: float, force_reason: Optional[str] = None) -> None:
         if force_reason is None:
-            batch = self._core.take_batch(now)
+            payloads = self._core.take_payloads(now)
         else:
-            batch = self._core.take_batch(now, force=True, reason=force_reason)
-        if not batch:
+            payloads = self._core.take_payloads(now, True, force_reason)
+        if not payloads:
             return
-        tokens = [token for token, _ in batch]
-        payloads = [payload for _, payload in batch]
+        # FIFO on both sides: the oldest waiters are these payloads'
+        # callers, in order.
+        waiters = self._waiters[: len(payloads)]
+        del self._waiters[: len(payloads)]
         tel = self._telemetry
         if tel is not None:
             self._flush_counters[self._core.last_flush_reason].inc()
@@ -379,9 +416,8 @@ class _BaseIngress:
             # the batch gets the exception; later batches are isolated.
             if tel is not None:
                 tel.tracer.abandon()
-            for token in tokens:
-                future = self._waiters.pop(token, None)
-                if future is not None and not future.done():
+            for future in waiters:
+                if not future.done():
                     future.set_exception(exc)
         else:
             if tel is not None:
@@ -389,9 +425,10 @@ class _BaseIngress:
                     "ingress.flush", time.perf_counter() - flush_start
                 )
                 tel.tracer.finish()
-            for token, decision in zip(tokens, results):
-                future = self._waiters.pop(token, None)
-                if future is not None and not future.done():
+            # done(): a caller cancelled while queued (wait_for timed
+            # out) was still served; there is just nobody to tell.
+            for future, decision in zip(waiters, results):
+                if not future.done():
                     future.set_result(decision)
 
     # -- subclass hooks -----------------------------------------------------------
@@ -449,16 +486,8 @@ class ServiceIngress(_BaseIngress):
         controller=None,
         clock=time.monotonic,
     ) -> None:
-        super().__init__(config=config, clock=clock)
+        super().__init__(service.telemetry, config, controller, clock)
         self.service = service
-        self._bind_telemetry(service.telemetry)
-        self.controller = controller
-        if controller is not None:
-            self.tickers.append(
-                PeriodicTicker(
-                    controller.tick, self.config.tick_interval_s, "adaptation"
-                )
-            )
         if service.refresher is not None:
             self.tickers.append(
                 PeriodicTicker(
@@ -468,26 +497,17 @@ class ServiceIngress(_BaseIngress):
 
     async def serve(self, query: int) -> IngressDecision:
         """Answer one query arrival (awaits its coalesced batch)."""
-        return await self._enqueue(
-            _query_index(query, self.service.matrix.n_queries)
-        )
+        n = self.service.matrix.n_queries
+        if type(query) is not int or not 0 <= query < n:
+            query = _query_index(query, n)
+        return await self._admit(query)
 
     def _serve_payloads(self, payloads: List[int]) -> List[IngressDecision]:
-        decisions = self.service.serve_batch(
-            np.asarray(payloads, dtype=np.int64)
+        return _decisions(
+            repeat(None),
+            payloads,
+            self.service.serve_batch(np.asarray(payloads, dtype=np.int64)),
         )
-        # One .tolist() per array, then plain-python zip: building the
-        # per-caller results must stay O(1)-ish per request, and repeated
-        # numpy scalar extraction is an order of magnitude slower.
-        return [
-            IngressDecision(None, query, hint, used, expected, False)
-            for query, hint, used, expected in zip(
-                payloads,
-                decisions.hints.tolist(),
-                decisions.used_default.tolist(),
-                decisions.expected_latency.tolist(),
-            )
-        ]
 
     def _shed_decision(self, payload: int) -> IngressDecision:
         return IngressDecision(
@@ -500,30 +520,9 @@ class ServiceIngress(_BaseIngress):
     def record_measured(
         self, decisions: Sequence[IngressDecision], measured
     ) -> None:
-        """Feed measured latencies of answered requests back to the service.
-
-        Shed decisions are skipped: they never consulted the snapshot, so
-        there is no expected latency to compute a residual against.
-        """
-        measured = np.asarray(measured, dtype=float)
-        if measured.shape != (len(decisions),):
-            raise IngressError(
-                "record_measured needs one measurement per decision"
-            )
-        kept = [i for i, d in enumerate(decisions) if not d.shed]
-        if not kept:
-            return
-        batch = BatchDecisions(
-            queries=np.asarray([decisions[i].query for i in kept], dtype=np.int64),
-            hints=np.asarray([decisions[i].hint for i in kept], dtype=np.int64),
-            used_default=np.asarray(
-                [decisions[i].used_default for i in kept], dtype=bool
-            ),
-            expected_latency=np.asarray(
-                [decisions[i].expected_latency for i in kept], dtype=float
-            ),
-        )
-        self.service.record_measured(batch, measured[kept])
+        """Feed measured latencies of answered requests back to the service."""
+        for _, batch, took in _measured_batches(decisions, measured):
+            self.service.record_measured(batch, took)
 
 
 class ClusterIngress(_BaseIngress):
@@ -544,16 +543,9 @@ class ClusterIngress(_BaseIngress):
         controller=None,
         clock=time.monotonic,
     ) -> None:
-        super().__init__(config=config, clock=clock)
+        super().__init__(cluster.telemetry, config, controller, clock)
         self.cluster = cluster
-        self._bind_telemetry(cluster.telemetry)
-        self.controller = controller
-        if controller is not None:
-            self.tickers.append(
-                PeriodicTicker(
-                    controller.tick, self.config.tick_interval_s, "adaptation"
-                )
-            )
+        self._directories = cluster.directories
         self.tickers.append(
             PeriodicTicker(
                 cluster.tick, self.config.refresh_interval_s, "refresh-scheduler"
@@ -562,23 +554,18 @@ class ClusterIngress(_BaseIngress):
 
     async def serve(self, tenant: str, query: int) -> IngressDecision:
         """Answer one tenant's query arrival (awaits its coalesced batch)."""
-        n = self.cluster.n_queries(tenant)  # raises for unknown tenants
-        query = _query_index(query, n, tenant)
-        return await self._enqueue((tenant, query))
+        try:
+            n = len(self._directories[tenant].names)
+        except KeyError:
+            n = self.cluster.n_queries(tenant)  # raises for unknown tenants
+        if type(query) is not int or not 0 <= query < n:
+            query = _query_index(query, n, tenant)
+        return await self._admit((tenant, query))
 
     def _serve_payloads(
         self, payloads: List[Tuple[str, int]]
     ) -> List[IngressDecision]:
-        decisions = self.cluster.serve_mixed(payloads)
-        return [
-            IngressDecision(tenant, query, hint, used, expected, False)
-            for (tenant, query), hint, used, expected in zip(
-                payloads,
-                decisions.hints.tolist(),
-                decisions.used_default.tolist(),
-                decisions.expected_latency.tolist(),
-            )
-        ]
+        return _decisions(*zip(*payloads), self.cluster.serve_mixed(payloads))
 
     def _shed_decision(self, payload: Tuple[str, int]) -> IngressDecision:
         tenant, query = payload
@@ -593,30 +580,6 @@ class ClusterIngress(_BaseIngress):
         self, decisions: Sequence[IngressDecision], measured
     ) -> None:
         """Feed measured latencies back to the cluster adaptation controller."""
-        if self.controller is None:
-            return
-        measured = np.asarray(measured, dtype=float)
-        if measured.shape != (len(decisions),):
-            raise IngressError(
-                "record_measured needs one measurement per decision"
-            )
-        by_tenant: Dict[str, List[int]] = {}
-        for i, decision in enumerate(decisions):
-            if not decision.shed:
-                by_tenant.setdefault(decision.tenant, []).append(i)
-        for tenant, positions in by_tenant.items():
-            batch = BatchDecisions(
-                queries=np.asarray(
-                    [decisions[i].query for i in positions], dtype=np.int64
-                ),
-                hints=np.asarray(
-                    [decisions[i].hint for i in positions], dtype=np.int64
-                ),
-                used_default=np.asarray(
-                    [decisions[i].used_default for i in positions], dtype=bool
-                ),
-                expected_latency=np.asarray(
-                    [decisions[i].expected_latency for i in positions], dtype=float
-                ),
-            )
-            self.controller.record(tenant, batch, measured[positions])
+        if self.controller is not None:
+            for tenant, batch, took in _measured_batches(decisions, measured):
+                self.controller.record(tenant, batch, took)

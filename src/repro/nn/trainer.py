@@ -34,7 +34,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config import TCNNConfig
-from ..core.workload_matrix import WorkloadMatrix
+from ..core.workload_matrix import WorkloadMatrix, checked_ids
 from ..errors import NeuralNetworkError
 from ..plans.featurize import TreeBatch
 from .autograd import no_grad
@@ -51,25 +51,6 @@ from .tcnn import TCNNModel, TransductiveTCNN
 #: +2.3 ms per JOB-size ``predict_full``), and below 1024 rows the per-chunk
 #: Python overhead takes over.  Predictions do not depend on it.
 _CHUNK_NODE_ROWS = 2048
-
-
-def _checked_ids(name: str, ids, bound: int) -> np.ndarray:
-    """``ids`` as a 1-D int64 array of values in ``[0, bound)``, or a typed error."""
-    ids = np.asarray(ids)
-    # The good case costs the two reductions; messages are built on the way out.
-    if ids.dtype.kind in "iu" and ids.ndim == 1 and (
-        ids.size == 0 or (0 <= ids.min() and ids.max() < bound)
-    ):
-        return ids.astype(np.int64, copy=False)
-    if ids.dtype.kind not in "iu":
-        raise NeuralNetworkError(f"{name} ids must be integers, got dtype {ids.dtype}")
-    if ids.ndim != 1:
-        raise NeuralNetworkError(
-            f"{name} ids must be one-dimensional, got shape {ids.shape}"
-        )
-    raise NeuralNetworkError(
-        f"{name} id out of range [0, {bound}): min {ids.min()}, max {ids.max()}"
-    )
 
 
 class TCNNTrainer:
@@ -202,8 +183,8 @@ class TCNNTrainer:
         someone else's row and let ``True`` through as row 1; an id past
         the store would surface as a bare ``IndexError`` mid-featurisation.
         """
-        query_idx = _checked_ids("query", query_idx, self.n_queries)
-        hint_idx = _checked_ids("hint", hint_idx, self.n_hints)
+        query_idx = checked_ids("query", query_idx, self.n_queries, NeuralNetworkError)
+        hint_idx = checked_ids("hint", hint_idx, self.n_hints, NeuralNetworkError)
         if query_idx.size != hint_idx.size:
             raise NeuralNetworkError(
                 f"{query_idx.size} query ids for {hint_idx.size} hint ids"

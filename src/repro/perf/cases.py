@@ -1,6 +1,6 @@
 """The library's named hot paths, packaged as perf cases.
 
-Fifteen paths cover every layer a figure benchmark or the serving stack
+Sixteen paths cover every layer a figure benchmark or the serving stack
 exercises:
 
 * ``als_cold``       -- one full censored-ALS solve from scratch,
@@ -32,6 +32,12 @@ exercises:
                         every flush is the quiescence probe's (the
                         ``max_wait_s`` timer must never be what a sparse
                         request waits for),
+* ``ingress_dense``  -- the front door full: 256 closed-loop clients over
+                        a 3-tenant, 4-shard ``ClusterIngress`` (every
+                        batch leaves on size), then the same clients
+                        against a door with nothing behind it, so the
+                        report splits a request into the asyncio
+                        harness's share and the product's microseconds,
 * ``adapt_drift``    -- the drift-adaptation loop: residual recording,
                         detection, and one budgeted response (invalidate +
                         re-anchor + re-explore + warm refresh),
@@ -48,12 +54,14 @@ Two scales are provided: ``smoke`` (seconds, used by the CI perf job) and
 
 from __future__ import annotations
 
+import asyncio
+import time
 import timeit
 from typing import Dict
 
 import numpy as np
 
-from ..config import ALSConfig, ExplorationConfig, TCNNConfig
+from ..config import ALSConfig, ExplorationConfig, IngressConfig, TCNNConfig
 from ..core.als import censored_als
 from ..core.plan_cache import CacheSnapshot
 from ..core.policies import LimeQOPolicy
@@ -90,6 +98,53 @@ SCALES: Dict[str, Dict[str, int]] = {
         "repeats": 3,
     },
 }
+
+
+class _NullDoor:
+    """``ClusterIngress``'s calling convention with no product behind it.
+
+    One future per request, all resolved with a canned answer on the next
+    loop pass: what a closed-loop asyncio harness costs by itself.
+    """
+
+    def __init__(self) -> None:
+        self._waiting: list = []
+
+    async def __aenter__(self) -> "_NullDoor":
+        self._loop = asyncio.get_running_loop()
+        return self
+
+    async def __aexit__(self, *exc) -> None:
+        pass
+
+    async def serve(self, tenant: str, query: int) -> None:
+        future = self._loop.create_future()
+        if not self._waiting:
+            self._loop.call_soon(self._answer)
+        self._waiting.append(future)
+        return await future
+
+    def _answer(self) -> None:
+        waiting, self._waiting = self._waiting, []
+        for future in waiting:
+            future.set_result(None)
+
+
+def _closed_loop(door, plans) -> float:
+    """Seconds for one client per plan to ``await door.serve(*request)`` its
+    requests back to back, all clients at once (``door`` starts and stops)."""
+
+    async def client(plan):
+        for request in plan:
+            await door.serve(*request)
+
+    async def drive():
+        async with door:
+            began = time.perf_counter()
+            await asyncio.gather(*map(client, plans))
+            return time.perf_counter() - began
+
+    return asyncio.run(drive())
 
 
 def _workload(scale: Dict[str, int], seed: int = 11):
@@ -374,9 +429,6 @@ def build_suite(scale_name: str = "smoke") -> PerfHarness:
         return service, queries
 
     def run_ingress(state):
-        import asyncio
-
-        from ..config import IngressConfig
         from ..ingress import ServiceIngress
 
         service, queries = state
@@ -402,36 +454,67 @@ def build_suite(scale_name: str = "smoke") -> PerfHarness:
 
     # -- ingress_sparse ----------------------------------------------------
     def run_ingress_sparse(state):
-        import asyncio
-
-        from ..config import IngressConfig
         from ..ingress import ServiceIngress
 
         service, queries = state
-        clients = 4
         # A cap ~500x the round trip: if requests ever wait out the timer
         # again, this case gets hundreds of times slower, not a few percent.
-        config = IngressConfig(max_batch=256, max_wait_s=0.01)
-
-        async def client(ingress, mine):
-            return [await ingress.serve(query) for query in mine]
-
-        async def drive():
-            async with ServiceIngress(service, config) as ingress:
-                answers = await asyncio.gather(
-                    *(client(ingress, queries[c::clients]) for c in range(clients))
-                )
-                return answers, ingress.stats()
-
-        answers, stats = asyncio.run(drive())
+        ingress = ServiceIngress(service, IngressConfig(max_batch=256, max_wait_s=0.01))
+        _closed_loop(ingress, [[(q,) for q in queries[c::4]] for c in range(4)])
+        stats = ingress.stats()
         return {
-            "served": sum(len(a) for a in answers),
+            "served": stats.served,
             "batches": stats.flushed_batches,
             "idle_flushes": stats.flush_reasons["idle"],
         }
 
     harness.add(
         "ingress_sparse", run_ingress_sparse, setup=setup_ingress, repeats=repeats
+    )
+
+    # -- ingress_dense -----------------------------------------------------
+    def setup_ingress_dense():
+        from ..cluster import ServingCluster
+        from ..experiments.cluster import populate_cluster
+
+        workload = _workload(scale)
+        cluster = ServingCluster(n_shards=4, n_hints=scale["n_hints"])
+        tenants = ["ceb", "dsb", "job"]
+        for seed, tenant in enumerate(tenants):
+            populate_cluster(cluster, tenant, _partial_matrix(workload, 0.4, seed))
+        rng = np.random.default_rng(7)
+        shape = (256, scale["ingress_requests"] // 64)  # clients x requests each
+        tenant_of = rng.integers(0, len(tenants), size=shape).tolist()
+        query_of = rng.integers(0, scale["n_queries"], size=shape).tolist()
+        plans = [
+            [(tenants[t], q) for t, q in zip(*client)]
+            for client in zip(tenant_of, query_of)
+        ]
+        return cluster, plans
+
+    def run_ingress_dense(state):
+        from ..ingress import ClusterIngress
+
+        cluster, plans = state
+        # Background ticks stay out of the timed region.
+        config = IngressConfig(
+            max_batch=256, tick_interval_s=3600.0, refresh_interval_s=3600.0
+        )
+        ingress = ClusterIngress(cluster, config)
+        real_s = _closed_loop(ingress, plans)
+        null_s = _closed_loop(_NullDoor(), plans)
+        requests = sum(map(len, plans))
+        stats = ingress.stats()
+        return {
+            "served": stats.served,
+            "mean_batch_size": stats.mean_batch_size,
+            "harness_share": null_s / real_s,
+            "harness_us_per_request": null_s / requests * 1e6,
+            "product_us_per_request": (real_s - null_s) / requests * 1e6,
+        }
+
+    harness.add(
+        "ingress_dense", run_ingress_dense, setup=setup_ingress_dense, repeats=repeats
     )
 
     # -- adapt_drift -------------------------------------------------------

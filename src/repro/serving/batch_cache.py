@@ -24,7 +24,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.plan_cache import CacheDecision, CacheSnapshot, PlanCache
-from ..core.workload_matrix import WorkloadMatrix
+from ..core.workload_matrix import WorkloadMatrix, checked_ids
 from ..errors import ServingError
 from ..telemetry.registry import Counter
 from ..telemetry.runtime import Telemetry
@@ -154,9 +154,6 @@ class BatchedPlanCache:
         timed = tracer is not None and tracer._current is not None
         if timed:
             start = self._stage_clock()
-        queries = np.asarray(queries, dtype=np.int64)
-        if queries.ndim != 1:
-            raise ServingError("decide expects a 1-D array of query indices")
         stale = self._scalar.cached_snapshot
         snap = self._scalar.snapshot()
         if snap is not stale:
@@ -164,10 +161,7 @@ class BatchedPlanCache:
                 self._rebuilds.inc()
             else:
                 self._patched_rows.inc(snap.patched_rows)
-        if queries.size and (queries.min() < 0 or queries.max() >= snap.n_queries):
-            raise ServingError(
-                f"query index out of range [0, {snap.n_queries}) in batch"
-            )
+        queries = checked_ids("query", queries, snap.n_queries, ServingError)
         decisions = BatchDecisions(
             queries=queries,
             hints=snap.hints[queries],

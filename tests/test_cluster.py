@@ -380,6 +380,56 @@ class TestClusterEquivalence:
         with pytest.raises(ClusterError):
             cluster.add_queries("acme", ["q0"])  # duplicate name
 
+    @pytest.mark.parametrize(
+        "ids",
+        [[1.7, 2.2], [True], ["3"], [float("nan")], [None], [[1, 2]], 2, [-1], [6]],
+    )
+    def test_ids_are_integers_or_a_typed_error_at_every_door(self, ids):
+        """``1.7`` is not query 1, ``True`` is not query 1, ``"3"`` is not query 3."""
+        union = make_union_matrix(n=6, k=4)
+        cluster = make_cluster(union, n_shards=2)
+        before = cluster.export_tenant_matrix("acme")
+        with pytest.raises(ClusterError):
+            cluster.serve_batch("acme", ids)
+        with pytest.raises(ClusterError):
+            cluster.locate("acme", ids)
+        if np.ndim(ids) == 1:
+            with pytest.raises(ClusterError):
+                cluster.serve_mixed([("acme", q) for q in ids])
+        size = np.asarray(ids, dtype=object).size
+        with pytest.raises(ClusterError):
+            cluster.observe_batch("acme", ids, [1] * size, [0.5] * size)
+        with pytest.raises(ClusterError):  # as hint ids (the matrix is 6x4)
+            cluster.observe_batch("acme", [1] * size, ids, [0.5] * size)
+        stats = cluster.stats()
+        assert stats.routed_batches == 0 and stats.cluster.decisions == 0
+        after = cluster.export_tenant_matrix("acme")
+        np.testing.assert_array_equal(before.values, after.values)
+        np.testing.assert_array_equal(before.mask, after.mask)
+
+    def test_integer_ids_of_any_width_and_empty_batches_pass(self):
+        union = make_union_matrix(n=6, k=4)
+        cluster = make_cluster(union, n_shards=2)
+        expected = cluster.serve_batch("acme", [1, 5]).hints
+        for ids in (np.array([1, 5], dtype=np.uint8), np.array([1, 5], dtype=np.int32), (1, 5)):
+            np.testing.assert_array_equal(cluster.serve_batch("acme", ids).hints, expected)
+        mixed = cluster.serve_mixed([("acme", np.int16(1)), ("acme", 5)])
+        np.testing.assert_array_equal(mixed.hints, expected)
+        assert cluster.serve_batch("acme", []).batch_size == 0
+        assert cluster.serve_mixed([]).batch_size == 0
+        cluster.observe_batch("acme", [], [], [])
+        cluster.observe_batch("acme", np.array([2], dtype=np.uint16), [3], [0.25])
+        assert cluster.export_tenant_matrix("acme").value(2, 3) == 0.25
+
+    def test_mixed_batch_names_the_arrival_that_is_out_of_range(self):
+        cluster = make_cluster(make_union_matrix(n=6, k=4), n_shards=2)
+        populate_cluster(cluster, "globex", make_union_matrix(n=9, k=4))
+        cluster.serve_mixed([("acme", 5), ("globex", 8)])
+        with pytest.raises(ClusterError, match="out of range.*'acme'"):
+            cluster.serve_mixed([("globex", 6), ("acme", 6)])
+        with pytest.raises(ClusterError, match="unknown tenant 'nobody'"):
+            cluster.serve_mixed([("acme", 1), ("nobody", 0)])
+
     def test_add_queries_after_registration(self):
         union = make_union_matrix()
         cluster = make_cluster(union)

@@ -17,6 +17,7 @@ Three layers, matching the module's design:
 
 import asyncio
 import gc
+import sys
 import time
 
 import numpy as np
@@ -182,6 +183,17 @@ class TestCoalescerCore:
         with pytest.raises(IngressError):
             core.take_batch(4.0, force=True)
 
+    def test_backwards_clock_takes_nothing_out_of_the_queue(self):
+        core = CoalescerCore(IngressConfig(max_batch=3, max_wait_s=0.0))
+        tokens = [core.submit(p, now=t) for p, t in (("a", 5.0), ("b", 6.0), ("c", 7.0))]
+        with pytest.raises(IngressError):
+            core.take_batch(6.5, force=True)  # "c" was submitted after this
+        assert core.queue_depth == 3 and core.flushed_batches == 0
+        assert core.max_queue_wait_s == 0.0 and core.last_flush_reason is None
+        # The next flush with a sane clock still carries every admitted request.
+        assert core.take_batch(8.0) == list(zip(tokens, "abc"))
+        assert core.mean_queue_wait_s == pytest.approx(2.0)
+
     def test_telemetry(self):
         core = CoalescerCore(IngressConfig(max_batch=2, max_wait_s=10.0))
         core.submit("a", 0.0)
@@ -291,6 +303,49 @@ class TestCoalescerProperties:
             core.take_batch(10.0, force=True, reason=forced)
         assert sum(core.flush_reasons.values()) == core.flushed_batches
         assert core.flushed_requests == core.submitted - core.shed
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        gaps=st.lists(
+            st.floats(min_value=0.0, max_value=0.3, allow_nan=False), min_size=1, max_size=40
+        ),
+        max_batch=st.integers(min_value=1, max_value=7),
+        slack=st.floats(min_value=0.0, max_value=0.5, allow_nan=False),
+    )
+    def test_wait_accounting_is_the_per_request_loop(self, gaps, max_batch, slack):
+        """Slices and reductions give the floats a per-request loop gives.
+
+        The reference pops one request at a time and adds its wait to a
+        running total, as the core did before its queue became two lists.
+        """
+        core = CoalescerCore(
+            IngressConfig(max_batch=max_batch, max_wait_s=1.0, queue_capacity=64)
+        )
+        submitted, now = [], 0.0
+        for gap in gaps:
+            now += gap
+            core.submit(len(submitted), now)
+            submitted.append(now)
+        total, longest, taken = 0.0, 0.0, 0
+        while core.queue_depth:
+            now += slack
+            batch = core.take_batch(now, force=True, reason="idle")
+            batch_total = 0.0
+            for token, payload in batch:
+                assert token == payload == taken
+                waited = now - submitted[taken]
+                batch_total += waited
+                longest = max(longest, waited)
+                taken += 1
+            total += batch_total
+            mean = batch_total / len(batch)
+            if sys.version_info < (3, 12):  # later: sum() compensates, to more digits
+                assert core.last_batch_wait_s == mean
+                assert core.mean_queue_wait_s == total / taken
+            assert core.last_batch_wait_s == pytest.approx(mean, rel=1e-12, abs=1e-15)
+            assert core.mean_queue_wait_s == pytest.approx(total / taken, rel=1e-12, abs=1e-15)
+            assert core.max_queue_wait_s == longest
 
 
 # -- PeriodicTicker --------------------------------------------------------------
@@ -755,6 +810,36 @@ class TestIdleFlush:
         ours, ingress = run(scenario())
         assert ours == []
         assert not ingress._probe_scheduled and ingress._timer is None
+
+    def test_backwards_clock_strands_nobody(self):
+        # The idle flush reads a clock that went backwards: the error goes
+        # to the loop's handler, the batch stays queued, and the timer's
+        # flush -- on a sane clock again -- answers every admitted caller.
+        offset, problems = [0.0], []
+        config = IngressConfig(max_batch=100, max_wait_s=0.02, queue_capacity=100)
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: problems.append(context["exception"])
+            )
+            ingress = ServiceIngress(
+                make_service(), config, clock=lambda: time.monotonic() + offset[0]
+            )
+            async with ingress:
+                tasks = [asyncio.ensure_future(ingress.serve(q)) for q in (4, 2, 9)]
+                await asyncio.sleep(0)
+                offset[0] = -60.0
+                for _ in range(3):  # the probe's quiet pass comes and fails
+                    await asyncio.sleep(0)
+                assert len(problems) == 1 and ingress.stats().queue_depth == 3
+                assert not any(task.done() for task in tasks)
+                offset[0] = 0.0
+                return await asyncio.wait_for(asyncio.gather(*tasks), 1.0), ingress.stats()
+
+        answers, stats = run(scenario())
+        assert isinstance(problems[0], IngressError)
+        assert [a.query for a in answers] == [4, 2, 9]
+        assert stats.flush_reasons == {"size": 0, "deadline": 1, "idle": 0, "shutdown": 0}
 
     def test_reason_counters_sum_to_flushed_batches(self):
         config = IngressConfig(max_batch=8, max_wait_s=0.002, queue_capacity=64)

@@ -1,0 +1,342 @@
+"""Generated tests for what positional pairing and late routing must keep.
+
+The front door matches callers to answers *by position*: the k payloads a
+flush takes and the k oldest waiters are both FIFO, nothing is keyed.  And
+the cluster routes a batch when it is flushed, not when it was admitted.
+Both are only right if every way a request can leave the happy path keeps
+the two sides aligned, so the judges here are independent of the code they
+check (the idiom of ``tests/test_als_reference.py``):
+
+* an echo backend that answers arrival ``i`` with ``i``'s own query id and
+  keeps a log of every batch it was handed, under hypothesis-drawn
+  interleavings of bursts, shed arrivals, callers cancelled while queued,
+  backend failures on chosen batches and the ``stop()`` drain;
+* per-tenant ``serve_batch`` (which reads the tenant directories, never
+  the flat routing table) on the cluster as it is *after* ``add_queries``
+  / ``add_shard`` / ``kill_shard`` moved the topology under a queued batch.
+
+Each property is also run once against a seeded off-by-one (answers
+rotated by one position) and must fail.
+"""
+
+import asyncio
+import tempfile
+from types import SimpleNamespace
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.ingress.ingress as ingress_module
+from repro.cluster import ServingCluster
+from repro.config import ALSConfig, IngressConfig
+from repro.core.workload_matrix import WorkloadMatrix
+from repro.errors import ClusterError
+from repro.experiments.cluster import populate_cluster
+from repro.ingress import ClusterIngress
+from repro.serving.batch_cache import BatchDecisions
+
+QUIET = dict(tick_interval_s=3600.0, refresh_interval_s=3600.0)
+
+
+def off_by_one(monkeypatch):
+    """Seed the bug: every batch's answers shifted one caller along."""
+    real = ingress_module._decisions
+
+    def rotated(tenants, queries, batch):
+        answers = real(tenants, queries, batch)
+        return answers[1:] + answers[:1]
+
+    monkeypatch.setattr(ingress_module, "_decisions", rotated)
+
+
+# -- (a) pairing under shed / cancel / failure / shutdown -------------------------
+
+
+class EchoCluster:
+    """The cluster surface ``ClusterIngress`` uses, answering with the question.
+
+    Arrival ``(tenant, q)`` is answered with hint ``q`` and expected latency
+    ``q + 0.5``, so a decision delivered to the wrong caller cannot look
+    right.  ``log`` keeps the arrivals of every batch, failed ones included.
+    """
+
+    telemetry = None
+    default_hint = -1
+
+    def __init__(self, fail_on):
+        self.directories = {
+            tenant: SimpleNamespace(names=range(10_000)) for tenant in ("a", "b")
+        }
+        self.fail_on = fail_on
+        self.log = []
+        self.shed = 0
+
+    def tick(self):
+        return []
+
+    def n_queries(self, tenant):
+        raise ClusterError(f"unknown tenant {tenant!r}")
+
+    def record_shed(self, count):
+        self.shed += count
+
+    def serve_mixed(self, arrivals):
+        self.log.append(list(arrivals))
+        if len(self.log) - 1 in self.fail_on:
+            raise RuntimeError(f"batch {len(self.log) - 1}")
+        queries = np.asarray([q for _, q in arrivals], dtype=np.int64)
+        return BatchDecisions(
+            queries=queries,
+            hints=queries.copy(),
+            used_default=np.zeros(len(arrivals), dtype=bool),
+            expected_latency=queries + 0.5,
+        )
+
+
+steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("burst"), st.integers(1, 7)),
+        st.tuples(st.just("quiet"), st.integers(1, 3)),
+        st.tuples(st.just("cancel"), st.integers(0, 10_000)),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def check_pairing(script, max_batch, capacity, fail_on):
+    backend = EchoCluster(fail_on)
+    config = IngressConfig(
+        max_batch=max_batch, max_wait_s=3600.0, queue_capacity=capacity, **QUIET
+    )
+    callers = []  # (payload, task), in submit order
+    cancelled = set()
+
+    async def scenario():
+        ingress = ClusterIngress(backend, config)
+        await ingress.start()
+
+        def conserved():
+            stats = ingress.stats()
+            assert stats.submitted == stats.served + stats.shed + stats.queue_depth
+            assert sum(stats.flush_reasons.values()) == stats.flushed_batches
+            assert stats.queue_depth <= capacity
+
+        for kind, amount in script:
+            if kind == "burst":  # all admitted (or shed) within one loop pass
+                for _ in range(amount):
+                    payload = ("ab"[len(callers) % 2], len(callers))
+                    callers.append(
+                        (payload, asyncio.ensure_future(ingress.serve(*payload)))
+                    )
+                await asyncio.sleep(0)
+            elif kind == "quiet":  # passes with no arrival: drain, probe, flush
+                for _ in range(amount):
+                    await asyncio.sleep(0)
+            else:  # a caller gives up while its request is queued
+                waiting = [i for i, (_, task) in enumerate(callers) if not task.done()]
+                if waiting:
+                    index = waiting[amount % len(waiting)]
+                    callers[index][1].cancel()
+                    cancelled.add(index)
+            conserved()
+        await ingress.stop()
+        conserved()
+        assert ingress.stats().queue_depth == 0
+        return await asyncio.wait_for(
+            asyncio.gather(*(task for _, task in callers), return_exceptions=True), 5.0
+        )
+
+    outcomes = asyncio.run(scenario())
+    served_in = {}  # payload -> index of the one batch that carried it
+    for index, batch in enumerate(backend.log):
+        assert 0 < len(batch) <= max_batch
+        for payload in batch:
+            assert payload not in served_in
+            served_in[payload] = index
+    # FIFO: batches, end to end, are the admitted payloads in submit order.
+    flat = [payload for batch in backend.log for payload in batch]
+    assert flat == sorted(flat, key=lambda payload: payload[1])
+    shed = 0
+    for index, ((tenant, query), _) in enumerate(callers):
+        outcome = outcomes[index]
+        if index in cancelled:
+            # Gone, but admitted before it left: still served, shifting nobody.
+            assert isinstance(outcome, asyncio.CancelledError)
+            assert (tenant, query) in served_in
+        elif isinstance(outcome, Exception):
+            # The failed batch's own callers, and only they, see its error.
+            assert str(outcome) == f"batch {served_in[(tenant, query)]}"
+            assert served_in[(tenant, query)] in fail_on
+        elif outcome.shed:
+            shed += 1
+            assert (tenant, query) not in served_in
+            assert (outcome.tenant, outcome.query, outcome.hint) == (tenant, query, -1)
+        else:
+            assert served_in[(tenant, query)] not in fail_on
+            assert (outcome.tenant, outcome.query) == (tenant, query)
+            assert outcome.hint == query and outcome.expected_latency == query + 0.5
+    assert shed == backend.shed == len(callers) - len(served_in)
+
+
+class TestPositionalPairing:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        script=steps,
+        max_batch=st.integers(1, 4),
+        spare=st.integers(0, 3),
+        fail_on=st.frozensets(st.integers(0, 6), max_size=3),
+    )
+    def test_every_caller_gets_the_answer_to_its_own_payload(
+        self, script, max_batch, spare, fail_on
+    ):
+        check_pairing(script, max_batch, max_batch + spare, fail_on)
+
+    def test_the_judge_catches_a_seeded_off_by_one(self, monkeypatch):
+        script = [("burst", 5), ("quiet", 3)]
+        check_pairing(script, 3, 6, frozenset())
+        off_by_one(monkeypatch)
+        with pytest.raises(AssertionError):
+            check_pairing(script, 3, 6, frozenset())
+
+    def test_failed_batch_is_isolated_and_cancelled_caller_keeps_its_slot(self):
+        # The two cases above, once, spelled out: batch 0 = callers 0-2 fails,
+        # caller 4 (in batch 1) times out while queued.
+        backend = EchoCluster(frozenset({0}))
+        config = IngressConfig(max_batch=3, max_wait_s=3600.0, queue_capacity=8, **QUIET)
+
+        async def scenario():
+            async with ClusterIngress(backend, config) as ingress:
+                tasks = [
+                    asyncio.ensure_future(ingress.serve("a", q)) for q in range(6)
+                ]
+                await asyncio.sleep(0)
+                tasks[4].cancel()
+                return await asyncio.gather(*tasks, return_exceptions=True)
+
+        outcomes = asyncio.run(scenario())
+        assert [str(o) for o in outcomes[:3]] == ["batch 0"] * 3
+        assert isinstance(outcomes[4], asyncio.CancelledError)
+        assert [(o.query, o.hint) for o in (outcomes[3], outcomes[5])] == [(3, 3), (5, 5)]
+        assert backend.log[1] == [("a", 3), ("a", 4), ("a", 5)]
+
+
+# -- (b) routing when the topology moves between admission and flush ------------------
+
+
+def make_matrix(n, k=4, seed=5):
+    rng = np.random.default_rng(seed)
+    matrix = WorkloadMatrix(n, k)
+    observed = rng.random((n, k)) < 0.6
+    observed[:, 0] = True
+    rows, cols = np.nonzero(observed)
+    matrix.observe_batch(rows, cols, rng.uniform(0.5, 20.0, size=rows.size))
+    return matrix
+
+
+moves = st.lists(
+    st.one_of(
+        st.tuples(st.just("add_queries"), st.integers(1, 5)),
+        st.tuples(st.just("add_shard"), st.just(0)),
+        st.tuples(st.just("kill_shard"), st.integers(0, 10)),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def check_routing(picks, script):
+    with tempfile.TemporaryDirectory() as scratch:
+        cluster = ServingCluster(
+            n_shards=3,
+            n_hints=4,
+            als_config=ALSConfig(rank=2, iterations=2, seed=0),
+            durability_dir=scratch,
+        )
+        sizes = {"acme": 14, "globex": 9}
+        for seed, (tenant, n) in enumerate(sizes.items()):
+            populate_cluster(cluster, tenant, make_matrix(n, seed=seed))
+        arrivals = []
+        for pick in picks:
+            tenant = ("acme", "globex")[pick % 2]
+            arrivals.append((tenant, pick % sizes[tenant]))
+        config = IngressConfig(max_batch=64, max_wait_s=3600.0, **QUIET)
+
+        async def scenario():
+            async with ClusterIngress(cluster, config) as ingress:
+                # Served before anything moves, so routing state exists to go stale.
+                await asyncio.wait_for(ingress.serve("acme", 0), 5.0)
+                tasks = [
+                    asyncio.ensure_future(ingress.serve(tenant, query))
+                    for tenant, query in arrivals
+                ]
+                await asyncio.sleep(0)
+                stats = ingress.stats()
+                assert stats.queue_depth == len(arrivals) and stats.flushed_batches == 1
+                for kind, amount in script:  # the topology moves under the queue
+                    up = cluster.health.up_shards()
+                    if kind == "kill_shard":
+                        if len(up) > 1:
+                            cluster.kill_shard(up[amount % len(up)])
+                    elif len(up) < cluster.n_shards:
+                        pass  # rows cannot be placed or moved while a shard is down
+                    elif kind == "add_shard":
+                        cluster.add_shard()
+                    else:
+                        first = cluster.n_queries("acme")
+                        cluster.add_queries(
+                            "acme", [f"late{first + i}" for i in range(amount)]
+                        )
+                return await asyncio.wait_for(asyncio.gather(*tasks), 5.0)
+
+        try:
+            answers = asyncio.run(scenario())
+            assert [(a.tenant, a.query) for a in answers] == arrivals
+            mixed = cluster.serve_mixed(arrivals)
+            assert [a.hint for a in answers] == mixed.hints.tolist()
+            up = set(cluster.health.up_shards())
+            for tenant in sizes:
+                mine = [i for i, (t, _) in enumerate(arrivals) if t == tenant]
+                queries = [arrivals[i][1] for i in mine]
+                judge = cluster.serve_batch(tenant, queries)
+                got = [answers[i] for i in mine]
+                assert [a.hint for a in got] == judge.hints.tolist()
+                assert [a.used_default for a in got] == judge.used_default.tolist()
+                assert [a.expected_latency for a in got] == judge.expected_latency.tolist()
+                for answer, shard in zip(got, cluster.locate(tenant, queries)[0]):
+                    if shard not in up:  # a down shard's rows get the default plan
+                        assert answer.used_default and answer.hint == cluster.default_hint
+        finally:
+            cluster.close()
+
+
+class TestRoutingUnderChange:
+    @settings(max_examples=25, deadline=None)
+    @given(picks=st.lists(st.integers(0, 1000), min_size=1, max_size=30), script=moves)
+    def test_a_queued_batch_is_answered_by_the_topology_it_is_flushed_into(
+        self, picks, script
+    ):
+        check_routing(picks, script)
+
+    def test_the_judge_catches_a_seeded_off_by_one(self, monkeypatch):
+        picks, script = list(range(12)), [("add_shard", 0), ("kill_shard", 1)]
+        check_routing(picks, script)
+        off_by_one(monkeypatch)
+        with pytest.raises(AssertionError):
+            check_routing(picks, script)
+
+    def test_the_judge_catches_a_stale_routing_table(self, monkeypatch):
+        # The flat table of serve_mixed must follow add_shard's row moves.
+        picks, script = list(range(20)), [("add_shard", 0)]
+        real = ServingCluster._rebuild_directories
+
+        def forgetful(self):
+            version = self._topology
+            real(self)
+            self._topology = version
+
+        monkeypatch.setattr(ServingCluster, "_rebuild_directories", forgetful)
+        with pytest.raises(AssertionError):
+            check_routing(picks, script)

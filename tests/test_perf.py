@@ -130,6 +130,7 @@ class TestSuite:
             "telemetry_overhead",
             "ingress_serve",
             "ingress_sparse",
+            "ingress_dense",
             "adapt_drift",
             "wal_append",
             "recovery_replay",
@@ -156,6 +157,15 @@ class TestSuite:
         meta = results["telemetry_overhead"].meta
         assert meta["enabled"] is True
         assert meta["served"] > 0
+
+    def test_ingress_dense_splits_a_request_into_harness_and_product(self):
+        meta = build_suite("smoke").run(["ingress_dense"])["ingress_dense"].meta
+        # 256 clients x 31 requests: every batch leaves full, on size.
+        assert meta["served"] == 256 * 31 and meta["mean_batch_size"] == 256.0
+        # The same clients against a door with nothing behind it cost less
+        # than the real thing, and what is left is the product's.
+        assert 0.0 < meta["harness_share"] < 1.0
+        assert meta["product_us_per_request"] > 0.0
 
     def test_durability_cases_run_and_report_counts(self):
         harness = build_suite("smoke")

@@ -327,6 +327,24 @@ class TestServingService:
         with pytest.raises(ServingError):
             service.serve_batch([99])
 
+    @pytest.mark.parametrize(
+        "ids", [[1.7], [True], ["3"], [float("nan")], [None], [[0, 1]], 1, [-1]]
+    )
+    def test_ids_are_integers_or_a_typed_error(self, ids):
+        """``1.7`` must not be served, or written and journaled, as row 1."""
+        matrix = make_matrix()
+        service = ServingService(matrix)
+        version, values = matrix.version, matrix.values.copy()
+        with pytest.raises(ServingError):
+            service.serve_batch(ids)
+        size = np.asarray(ids, dtype=object).size
+        with pytest.raises(MatrixError):  # the service's write door is the matrix's
+            service.observe_batch(ids, [1] * size, [0.5] * size)
+        with pytest.raises(MatrixError):
+            service.observe_batch([1] * size, ids, [0.5] * size)
+        assert service.stats().decisions == 0 and matrix.version == version
+        np.testing.assert_array_equal(matrix.values, values)
+
     def test_empty_recorder_reports_zeros(self):
         stats = LatencyRecorder().report()
         assert stats.decisions == 0

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.workload_matrix import WorkloadMatrix
+from repro.core.workload_matrix import WorkloadMatrix, checked_ids
 from repro.errors import MatrixError
 
 
@@ -151,3 +151,44 @@ def test_copy_is_independent():
     clone = matrix.copy()
     clone.observe(0, 1, 2.0)
     assert not matrix.is_observed(0, 1)
+
+
+class _Journal:
+    """Counts what ``observe_batch`` would have made durable."""
+
+    def __init__(self):
+        self.records = 0
+
+    def log_observe(self, queries, hints, latencies):
+        self.records += 1
+
+
+@pytest.mark.parametrize(
+    "ids", [[1.9], [True], ["1"], [float("nan")], [None], [[0, 1]], 1, [-1], [3]]
+)
+def test_observe_batch_takes_integer_ids_or_writes_nothing(ids):
+    """``1.9`` used to be truncated to row (or hint) 1, written and journaled."""
+    matrix = WorkloadMatrix(3, 3)
+    matrix.journal = journal = _Journal()
+    size = np.asarray(ids, dtype=object).size
+    with pytest.raises(MatrixError):
+        matrix.observe_batch(ids, [1] * size, [0.5] * size)
+    with pytest.raises(MatrixError):
+        matrix.observe_batch([1] * size, ids, [0.5] * size)
+    assert matrix.version == 0 and journal.records == 0
+    assert not matrix.mask.any()
+
+
+def test_checked_ids_accepts_every_integer_dtype_and_the_empty_batch():
+    for ids in ([0, 2], (0, 2), np.array([0, 2], dtype=np.uint8), np.array([0, 2], dtype=np.int32)):
+        out = checked_ids("row", ids, 3, MatrixError)
+        assert out.dtype == np.int64 and out.tolist() == [0, 2]
+    trusted = np.array([0, 2], dtype=np.int64)
+    assert checked_ids("row", trusted, 3, MatrixError) is trusted  # no copy
+    assert checked_ids("row", [], 3, MatrixError).shape == (0,)
+    for ids, message in (
+        ([0.0], "integers"), ([[0]], "one-dimensional"), ([3], "out of range"),
+        (np.array([2**63], dtype=np.uint64), "out of range"),
+    ):
+        with pytest.raises(MatrixError, match=message):
+            checked_ids("row", ids, 3, MatrixError)
