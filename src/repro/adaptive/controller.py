@@ -17,7 +17,7 @@ its threshold it responds **off the serve path**:
    (:class:`~repro.adaptive.reexplore.OnlineReexplorer`) -- invalidated
    rows have an infinite current best, so LimeQO ranks them first;
 4. the warm ALS completion is refreshed and the decision snapshot is
-   rebuilt, so the next served batch is back to pure fancy indexing.
+   patched, so the next served batch is back to pure fancy indexing.
 
 Responses are budgeted (``config.response_budget_cells`` live executions)
 and rate-limited (``config.cooldown_ticks``), so a drifting tenant degrades
@@ -322,7 +322,7 @@ class AdaptationController:
         if self.refresh_inline and self.service.refresher is not None:
             if self.service.refresh_now():
                 self.stats.refreshes += 1
-        self.service.cache.refresh()
+        self.service.cache.current()
         self._prune_backlog()
         self._journal_backlog()
         self.stats.backlog_rows = int(self._backlog.size)
@@ -397,8 +397,8 @@ class AdaptationController:
         if self.refresh_inline and self.service.refresher is not None:
             if self.service.refresh_now():
                 self.stats.refreshes += 1
-        # Pay the snapshot rebuild here, off the serve path.
-        self.service.cache.refresh()
+        # Pay for the rows this response touched here, off the serve path.
+        self.service.cache.current()
 
         # Everything the response touched awaits re-verification: the
         # recovery passes on quiet ticks keep exploring these rows until

@@ -88,6 +88,9 @@ class _RowScopedPolicy(ExplorationPolicy):
         super().__init__()
         self.inner = inner
         self._rows = np.unique(np.asarray(rows, dtype=np.int64))
+        # Row -> in scope?  Built once: ``select`` runs every step.
+        self._in_scope = np.zeros(int(self._rows.max(initial=-1)) + 1, dtype=bool)
+        self._in_scope[self._rows] = True
 
     def configure(self, config) -> None:
         self.inner.configure(config)
@@ -101,11 +104,12 @@ class _RowScopedPolicy(ExplorationPolicy):
         return self.inner.last_prediction
 
     def select(self, matrix, batch_size, rng):
-        scoped = set(int(r) for r in self._rows if r < matrix.n_queries)
+        # Scoped rows past the end of the matrix (migrated away) are out.
+        limit = min(matrix.n_queries, self._in_scope.size)
         picks = [
             pair
             for pair in self.inner.select(matrix, batch_size, rng)
-            if pair[0] in scoped
+            if pair[0] < limit and self._in_scope[pair[0]]
         ]
         if len(picks) >= batch_size:
             return picks[:batch_size]
@@ -113,11 +117,10 @@ class _RowScopedPolicy(ExplorationPolicy):
         usable = predicted is not None and predicted.shape == matrix.shape
         unknown = matrix.unknown_mask()
         taken_rows = {pair[0] for pair in picks}
-        for row in self._rows:
+        for row in self._rows[: np.searchsorted(self._rows, limit)].tolist():
             if len(picks) >= batch_size:
                 break
-            row = int(row)
-            if row not in scoped or row in taken_rows:
+            if row in taken_rows:
                 continue
             columns = np.nonzero(unknown[row])[0]
             if columns.size == 0:

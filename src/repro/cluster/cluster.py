@@ -295,10 +295,19 @@ class ServingCluster:
             raise ClusterError("duplicate query names in one registration")
         keys = [routing_key(tenant, name) for name in names]
         assigned = self.router.assign(keys)
+        groups = split_batch(assigned)
+        # Every destination is checked before the first takes rows: a failure
+        # leaves shards, directory and topology as they were, so the same
+        # call succeeds once the shard is back.
+        down = sorted(int(sid) for sid, _ in groups if self.shards[sid].crashed)
+        if down:
+            raise ClusterError(
+                f"cannot add queries while shards {down} are down; restart them first"
+            )
         first = directory.n_queries
         new_shard_of = np.empty(len(names), dtype=np.int64)
         new_local = np.empty(len(names), dtype=np.int64)
-        for sid, positions in split_batch(assigned):
+        for sid, positions in groups:
             shard_keys = [keys[p] for p in positions]
             local_indices = self.shards[sid].add_rows(shard_keys)
             new_shard_of[positions] = sid

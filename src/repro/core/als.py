@@ -11,7 +11,7 @@ over-estimates.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -51,11 +51,23 @@ class CensoredALSResult:
         return (self.query_factors, self.hint_factors)
 
 
-def _validate_inputs(
+class SolverCells(NamedTuple):
+    """The cells the solver touches: flat (row-major) indices and values of
+    the observed cells, the same for the censored cells and their bounds.
+    Both index arrays ascend.  What :meth:`WorkloadMatrix.solver_cells` hands
+    over and what the dense triple reduces to."""
+
+    shape: Tuple[int, int]
+    obs_idx: np.ndarray
+    obs_vals: np.ndarray
+    cen_idx: np.ndarray
+    cen_vals: np.ndarray
+
+
+def _dense_cells(
     observed: np.ndarray, mask: np.ndarray, timeouts: Optional[np.ndarray]
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Check the input triple and reduce it to the cells the solver touches:
-    flat (row-major) indices and values of the observed and censored cells."""
+) -> SolverCells:
+    """Reduce the dense input triple to its :class:`SolverCells`."""
     observed = np.asarray(observed, dtype=float)
     mask = np.asarray(mask)
     if observed.ndim != 2:
@@ -64,28 +76,34 @@ def _validate_inputs(
         raise CompletionError(
             f"mask shape {mask.shape} does not match observed shape {observed.shape}"
         )
-    is_observed = mask.reshape(-1) > 0
-    obs_idx = np.flatnonzero(is_observed)
-    if obs_idx.size == 0:
-        raise CompletionError("cannot run ALS with an empty observation mask")
+    obs_idx = np.flatnonzero(mask.reshape(-1) > 0)
     obs_vals = observed.reshape(-1)[obs_idx]
-    if not np.all(np.isfinite(obs_vals)):
-        raise CompletionError("observed entries must be finite where mask == 1")
     if timeouts is None:
-        return obs_idx, obs_vals, obs_idx[:0], obs_vals[:0]
+        return SolverCells(observed.shape, obs_idx, obs_vals, obs_idx[:0], obs_vals[:0])
     timeouts = np.asarray(timeouts, dtype=float)
     if timeouts.shape != observed.shape:
         raise CompletionError(
             f"timeout shape {timeouts.shape} does not match observed shape {observed.shape}"
         )
     # ``!= 0`` also catches NaN and negative entries, so one scan both finds
-    # the censored cells and rejects hostile ones instead of dropping them.
+    # the censored cells and keeps hostile ones for the check to reject.
     cen_idx = np.flatnonzero(timeouts.reshape(-1) != 0)
-    cen_vals = timeouts.reshape(-1)[cen_idx]
+    return SolverCells(observed.shape, obs_idx, obs_vals, cen_idx, timeouts.reshape(-1)[cen_idx])
+
+
+def _checked_cells(cells: SolverCells) -> Tuple[np.ndarray, ...]:
+    """The one input check of every solve, on the gathered values: returns
+    ``(obs_idx, obs_vals, cen_idx, cen_vals)`` with no cell in both sets."""
+    _, obs_idx, obs_vals, cen_idx, cen_vals = cells
+    if obs_idx.size == 0:
+        raise CompletionError("cannot run ALS with an empty observation mask")
+    if not np.all(np.isfinite(obs_vals)):
+        raise CompletionError("observed entries must be finite where mask == 1")
     if not np.all(np.isfinite(cen_vals) & (cen_vals > 0)):
         raise CompletionError("timeouts must be finite and >= 0")
     # A completed observation beats a lower bound on the same cell.
-    keep = ~is_observed[cen_idx]
+    at = np.minimum(np.searchsorted(obs_idx, cen_idx), obs_idx.size - 1)
+    keep = obs_idx[at] != cen_idx
     return obs_idx, obs_vals, cen_idx[keep], cen_vals[keep]
 
 
@@ -128,8 +146,8 @@ def _baseline_factors(
 
 
 def censored_als(
-    observed: np.ndarray,
-    mask: np.ndarray,
+    observed,
+    mask: Optional[np.ndarray] = None,
     timeouts: Optional[np.ndarray] = None,
     config: Optional[ALSConfig] = None,
     warm_start: Optional[Tuple[np.ndarray, np.ndarray]] = None,
@@ -141,7 +159,10 @@ def censored_als(
     ----------
     observed:
         ``n x k`` matrix; entries where ``mask == 1`` must be finite
-        latencies, other entries are ignored (may be ``inf``).
+        latencies, other entries are ignored (may be ``inf``).  Or the
+        :class:`SolverCells` of a workload matrix in place of the whole
+        triple (``mask`` and ``timeouts`` are then not read): the same
+        check runs on them, and no ``n x k`` input is copied or scanned.
     mask:
         ``n x k`` 0/1 matrix of completed observations (any positive entry
         means observed).
@@ -150,8 +171,9 @@ def censored_als(
         censored; ignored on observed cells).  Validated, then unused, when
         ``config.censored`` is False.
     config:
-        Hyper-parameters; defaults to the paper's ``r=5``, ``λ=0.2``,
-        ``t=50``.
+        Hyper-parameters; defaults to :class:`~repro.config.ALSConfig`'s:
+        the paper's ``r=5`` and ``λ=0.2``, and 15 iterations (the paper's
+        ``t=50`` is ``ALSConfig(iterations=50)``).
     warm_start:
         Optional ``(Q, H)`` factor pair from a previous solve (see
         :attr:`CensoredALSResult.factors`).  Rows beyond the warm factors'
@@ -168,10 +190,13 @@ def censored_als(
     non-finite; holders of warm factors answer it with one cold solve.
     """
     config = config or ALSConfig()
-    obs_idx, obs_vals, cen_idx, cen_vals = _validate_inputs(observed, mask, timeouts)
+    cells = observed
+    if not isinstance(cells, SolverCells):
+        cells = _dense_cells(observed, mask, timeouts)
+    obs_idx, obs_vals, cen_idx, cen_vals = _checked_cells(cells)
     if not config.censored:
         cen_idx = cen_idx[:0]
-    n, k = np.shape(observed)
+    n, k = cells.shape
     rank = min(config.rank, n, k)
 
     warm_q = warm_h = None

@@ -11,10 +11,13 @@ Three completers behind one interface:
 
 All completers consume the same (observed, mask, timeouts) triple produced
 by :class:`~repro.core.workload_matrix.WorkloadMatrix`.
+:class:`WarmStartedALS` carries an ALS completion of one live matrix across
+its changes, for the exploration predictor and the serving refresher alike.
 """
 
 from __future__ import annotations
 
+import weakref
 from abc import ABC, abstractmethod
 from typing import Optional, Tuple
 
@@ -69,19 +72,18 @@ class ALSCompleter(MatrixCompleter):
 
     def complete_result(
         self,
-        observed: np.ndarray,
-        mask: np.ndarray,
+        observed,
+        mask: Optional[np.ndarray] = None,
         timeouts: Optional[np.ndarray] = None,
         warm_start: Optional[Tuple[np.ndarray, np.ndarray]] = None,
         iterations: Optional[int] = None,
     ) -> CensoredALSResult:
         """Full solver output, including the ``(Q, H)`` factor pair.
 
-        ``warm_start`` and ``iterations`` pass straight through to
-        :func:`~repro.core.als.censored_als`; callers that carry factors
-        across solves (the incremental predictor, the serving refresher) use
-        this entry point so the factors survive the completion step.  The
-        solver validates the triple itself, in one pass over the matrix.
+        Everything passes straight through to
+        :func:`~repro.core.als.censored_als` (``observed`` may be a matrix's
+        ``solver_cells()`` in place of the triple), which checks its input
+        itself; :class:`WarmStartedALS` solves through this entry point.
         """
         return censored_als(
             observed,
@@ -91,6 +93,71 @@ class ALSCompleter(MatrixCompleter):
             warm_start=warm_start,
             iterations=iterations,
         )
+
+
+class WarmStartedALS:
+    """A censored-ALS completion kept up to date with one live matrix: the
+    one implementation of the warm-start decision.
+
+    It remembers its last solve with the matrix (weakly) and version it
+    describes, and per call returns it (matrix unchanged), refreshes it from
+    its own ``(Q, H)`` with a few fill-in iterations, or solves cold: on
+    first use, for a *different* matrix object (the factors describe the
+    previous one), on request, and when the warm attempt fails.
+    """
+
+    def __init__(self, config: Optional[ALSConfig] = None) -> None:
+        self.completer = ALSCompleter(config)
+        self.result: Optional[CensoredALSResult] = None
+        self._matrix_ref: Optional[weakref.ref] = None
+        self._matrix_version: Optional[int] = None
+        self.cold_solves = 0
+        self.warm_solves = 0
+        self.warm_streak = 0  # warm solves since the last cold one
+
+    def reset(self) -> None:
+        """Drop the carried solve; the next one is cold."""
+        self.result = None
+        self.warm_streak = 0
+
+    def solve(
+        self, matrix, refresh_iterations: int, warm: bool = True, force: bool = False
+    ) -> CensoredALSResult:
+        """The completion of ``matrix`` as it stands.  ``warm=False`` makes a
+        needed solve a cold one; ``force`` solves even an unchanged matrix."""
+        same_matrix = self.result is not None and self._matrix_ref() is matrix
+        if same_matrix and not force and self._matrix_version == matrix.version:
+            return self.result
+
+        factors = self.result.factors if warm and same_matrix else None
+        cells = matrix.solver_cells()
+        try:
+            result = self.completer.complete_result(
+                cells,
+                warm_start=factors,
+                iterations=None if factors is None else refresh_iterations,
+            )
+        except CompletionError:
+            if factors is None:
+                raise
+            # The solver turns away factors that no longer fit (a rank change
+            # while the matrix is tiny, a shrunken matrix) before doing any
+            # work, and fails on diverged ones -- a data shift can grow them
+            # across refreshes until the ridge no longer conditions the Gram.
+            # Either way: one cold solve, counted as one; its failure
+            # propagates typed.
+            factors = None
+            result = self.completer.complete_result(cells)
+        self.result = result
+        self._matrix_ref = weakref.ref(matrix)
+        self._matrix_version = matrix.version
+        if factors is None:
+            self.cold_solves += 1
+            self.warm_streak = 0
+        else:
+            self.warm_solves += 1
+            self.warm_streak += 1
+        return result
 
 
 class SVTCompleter(MatrixCompleter):

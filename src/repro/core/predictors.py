@@ -16,15 +16,14 @@ which is what Figures 7 and 13 report.
 from __future__ import annotations
 
 import time
-import weakref
 from abc import ABC, abstractmethod
 from typing import Optional
 
 import numpy as np
 
 from ..config import ALSConfig, TCNNConfig
-from ..errors import CompletionError, ExplorationError
-from .matrix_completion import ALSCompleter
+from ..errors import ExplorationError
+from .matrix_completion import WarmStartedALS
 from .workload_matrix import WorkloadMatrix
 
 
@@ -88,14 +87,8 @@ class ALSPredictor(Predictor):
     ) -> None:
         super().__init__()
         self.config = config or ALSConfig()
-        self._completer = ALSCompleter(self.config)
+        self._als = WarmStartedALS(self.config)
         self.set_incremental(warm_start, refresh_iterations, full_solve_every)
-        self._result = None
-        self._matrix_ref: Optional[weakref.ref] = None
-        self._matrix_version: Optional[int] = None
-        self._cold_solves = 0
-        self._warm_solves = 0
-        self._since_full_solve = 0
 
     # -- incremental-mode plumbing -----------------------------------------
     def set_incremental(
@@ -127,12 +120,17 @@ class ALSPredictor(Predictor):
     @property
     def cold_solves(self) -> int:
         """Number of full from-scratch solves performed."""
-        return self._cold_solves
+        return self._als.cold_solves
 
     @property
     def warm_solves(self) -> int:
         """Number of warm-started incremental refreshes performed."""
-        return self._warm_solves
+        return self._als.warm_solves
+
+    @property
+    def _result(self):
+        """The last solve (None before the first)."""
+        return self._als.result
 
     @property
     def factors(self):
@@ -141,69 +139,12 @@ class ALSPredictor(Predictor):
 
     def reset(self) -> None:
         """Drop all carried factors; the next prediction solves cold."""
-        self._result = None
-        self._matrix_ref = None
-        self._matrix_version = None
-        self._since_full_solve = 0
+        self._als.reset()
 
     # -- prediction ---------------------------------------------------------
     def _predict(self, matrix: WorkloadMatrix) -> np.ndarray:
-        same_matrix = (
-            self._matrix_ref is not None and self._matrix_ref() is matrix
-        )
-        if (
-            self._result is not None
-            and same_matrix
-            and self._matrix_version == matrix.version
-        ):
-            return self._result.completed
-
-        warm = None
-        iterations: Optional[int] = None
-        if self.warm_start and self._result is not None and same_matrix:
-            if self._since_full_solve < self.full_solve_every:
-                warm_q, warm_h = self._result.factors
-                rank = min(self.config.rank, matrix.n_queries, matrix.n_hints)
-                # A rank change (possible while the matrix is tiny) or a
-                # shrunken matrix invalidates the carried factors.
-                if (
-                    warm_q.shape[1] == rank
-                    and warm_q.shape[0] <= matrix.n_queries
-                    and warm_h.shape[0] <= matrix.n_hints
-                ):
-                    warm = (warm_q, warm_h)
-                    iterations = self.refresh_iterations
-
-        def solve(warm_start, iterations):
-            # The solver reads values only where the mask is set, so the raw
-            # value matrix (``inf`` where unobserved) saves the zero-filling pass.
-            return self._completer.complete_result(
-                matrix.values,
-                matrix.mask,
-                matrix.timeout_matrix,
-                warm_start=warm_start,
-                iterations=iterations,
-            )
-
-        try:
-            self._result = solve(warm, iterations)
-        except CompletionError:
-            if warm is None:
-                raise
-            # Warm factors can diverge across refreshes under a data shift
-            # until the ridge no longer conditions the Gram: answer with one
-            # cold solve (counted as one); a cold failure propagates typed.
-            warm = None
-            self._result = solve(None, None)
-        self._matrix_ref = weakref.ref(matrix)
-        self._matrix_version = matrix.version
-        if warm is None:
-            self._cold_solves += 1
-            self._since_full_solve = 0
-        else:
-            self._warm_solves += 1
-            self._since_full_solve += 1
-        return self._result.completed
+        warm = self.warm_start and self._als.warm_streak < self.full_solve_every
+        return self._als.solve(matrix, self.refresh_iterations, warm=warm).completed
 
 
 class MeanPredictor(Predictor):

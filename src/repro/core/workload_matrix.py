@@ -21,6 +21,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..errors import MatrixError
+from .als import SolverCells
 
 
 def checked_ids(name: str, ids, bound: int, error) -> np.ndarray:
@@ -72,6 +73,11 @@ class WorkloadMatrix:
         # own staleness, ask which rows moved (``rows_changed_since``).
         self._row_versions = np.zeros(n_queries, dtype=np.int64)
         self._structure_version = 0
+        # Row minima as of ``_minima_version`` (-1 predates every row set, so
+        # the first read builds them); patched on read from the stamps
+        # (``_fresh_minima``), so writers never pay for them.
+        self._minima = np.zeros(0)
+        self._minima_version = -1
         self.query_names = self._validate_names(query_names, n_queries, "query")
         self.hint_names = self._validate_names(hint_names, n_hints, "hint")
         #: optional write-ahead journal (duck-typed ShardJournal).  Every
@@ -256,7 +262,28 @@ class WorkloadMatrix:
         np.putmask(out, ~np.take(self._observed, rows, axis=0), np.inf)
         return out
 
+    def solver_cells(self) -> SolverCells:
+        """What censored ALS reads of the matrix, gathered from the boolean
+        flags: a solve copies and scans no ``n x k`` float array."""
+        obs = np.flatnonzero(self._observed)
+        cen = np.flatnonzero(self._censored)
+        values, bounds = self._values.reshape(-1), self._timeouts.reshape(-1)
+        return SolverCells(self.shape, obs, values[obs], cen, bounds[cen])
+
     # -- row statistics --------------------------------------------------------
+    def _fresh_minima(self) -> np.ndarray:
+        """The cached row minima brought up to the current version: only rows
+        stamped since they were built are re-gathered; a changed row set
+        rebuilds them.  Callers must not hand the array out."""
+        if self._minima_version != self._version:
+            rows = self.rows_changed_since(self._minima_version)
+            if rows is None:
+                rows = np.arange(self.n_queries)
+                self._minima = np.empty(self.n_queries)
+            self._minima[rows] = self.observed_latencies(rows).min(axis=1)
+            self._minima_version = self._version
+        return self._minima
+
     def row_min(self, query: int) -> float:
         """Best (minimum) *verified* latency currently known for ``query``.
 
@@ -266,15 +293,11 @@ class WorkloadMatrix:
         ``alpha * Ŵ_ij`` can sit below the current best).
         """
         self._check_indices(query, 0)
-        observed = self._observed[query]
-        if not observed.any():
-            return float("inf")
-        return float(self._values[query][observed].min())
+        return float(self._fresh_minima()[query])
 
     def row_minima(self) -> np.ndarray:
-        """Vector of :meth:`row_min` over all queries (vectorised)."""
-        masked = np.where(self._observed, self._values, np.inf)
-        return masked.min(axis=1)
+        """Vector of :meth:`row_min` over all queries (the caller's to keep)."""
+        return self._fresh_minima().copy()
 
     def observed_count_in_row(self, query: int) -> int:
         """Number of completed observations in a row."""
@@ -309,8 +332,7 @@ class WorkloadMatrix:
     # -- workload-level statistics (paper Equations 2 and 3) -------------------
     def workload_latency(self) -> float:
         """``P(W~)``: total latency of serving each query with its best hint."""
-        minima = self.row_minima()
-        return float(minima.sum())
+        return float(self._fresh_minima().sum())
 
     def exploration_time(self) -> float:
         """``T(W~)``: total offline execution time spent revealing entries.

@@ -1,6 +1,6 @@
 """The library's named hot paths, packaged as perf cases.
 
-Sixteen paths cover every layer a figure benchmark or the serving stack
+Seventeen paths cover every layer a figure benchmark or the serving stack
 exercises:
 
 * ``als_cold``       -- one full censored-ALS solve from scratch,
@@ -9,6 +9,10 @@ exercises:
 * ``als_warm_ceb``   -- the same refresh at the paper's CEB shape (3133x49,
                         ~3% observed) whatever the scale: costs that grow
                         with ``n`` are invisible on the smoke shape,
+* ``explore_step_ceb`` -- five warm Algorithm 1 steps at that shape (hand-off,
+                        solve, Eq. 6, a 10-cell write), each after the same
+                        solve alone: ``outside_solver_ms`` is what a step
+                        costs around the solver (medians of the five),
 * ``explore_200_steps`` -- the end-to-end offline exploration loop
                         (Algorithm 1 with the incremental ALS predictor),
 * ``tcnn_predict_full`` -- a full-matrix TCNN prediction pass,
@@ -63,6 +67,7 @@ import numpy as np
 
 from ..config import ALSConfig, ExplorationConfig, IngressConfig, TCNNConfig
 from ..core.als import censored_als
+from ..core.explorer import MatrixOracle, OfflineExplorer
 from ..core.plan_cache import CacheSnapshot
 from ..core.policies import LimeQOPolicy
 from ..core.predictors import ALSPredictor
@@ -268,6 +273,42 @@ def build_suite(scale_name: str = "smoke") -> PerfHarness:
         return truth, mask, timeouts, config, cold.factors
 
     harness.add("als_warm_ceb", run_als_warm, setup=setup_als_warm_ceb, repeats=repeats)
+
+    # -- explore_step_ceb --------------------------------------------------
+    def setup_step_ceb():
+        truth = generate_workload(CEB_SPEC, seed=11).true_latencies
+        explorer = OfflineExplorer(
+            ExplorationSimulator(truth).initial_matrix(),
+            LimeQOPolicy(ALSPredictor(ALSConfig())),
+            MatrixOracle(truth),
+            ExplorationConfig(batch_size=10, seed=0),
+        )
+        explorer.run(max_steps=3)  # the cold solve, then warm steady state
+        return explorer
+
+    def run_step_ceb(explorer):
+        predictor, clock = explorer.policy.predictor, time.perf_counter
+        steps, outside = [], []
+        for _ in range(5):
+            # The solve the step is about to do, alone: same cells, same factors.
+            began = clock()
+            censored_als(
+                explorer.matrix.solver_cells(),
+                config=predictor.config,
+                warm_start=predictor.factors,
+                iterations=predictor.refresh_iterations,
+            )
+            solver_s = clock() - began
+            began = clock()
+            explorer.step()
+            steps.append(clock() - began)
+            outside.append(steps[-1] - solver_s)
+        return {
+            "step_ms": float(np.median(steps)) * 1e3,
+            "outside_solver_ms": float(np.median(outside)) * 1e3,
+        }
+
+    harness.add("explore_step_ceb", run_step_ceb, setup=setup_step_ceb, repeats=repeats)
 
     # -- explore_200_steps -------------------------------------------------
     def setup_explore():

@@ -140,6 +140,19 @@ class BatchedPlanCache:
         """Force-recompute the decision arrays at the current matrix version."""
         return self._scalar.snapshot(force=True)
 
+    def current(self) -> CacheSnapshot:
+        """The snapshot at the current matrix version, counted by what it
+        cost: a full rebuild, or the rows a patch re-decided.  What `decide`
+        starts with; callers off the serve path pay it ahead of a batch."""
+        stale = self._scalar.cached_snapshot
+        snap = self._scalar.snapshot()
+        if snap is not stale:
+            if snap.patched_rows is None:
+                self._rebuilds.inc()
+            else:
+                self._patched_rows.inc(snap.patched_rows)
+        return snap
+
     # -- batched decisions --------------------------------------------------
     def decide(self, queries) -> BatchDecisions:
         """Decisions for a batch of query indices (the hot path).
@@ -154,13 +167,7 @@ class BatchedPlanCache:
         timed = tracer is not None and tracer._current is not None
         if timed:
             start = self._stage_clock()
-        stale = self._scalar.cached_snapshot
-        snap = self._scalar.snapshot()
-        if snap is not stale:
-            if snap.patched_rows is None:
-                self._rebuilds.inc()
-            else:
-                self._patched_rows.inc(snap.patched_rows)
+        snap = self.current()
         queries = checked_ids("query", queries, snap.n_queries, ServingError)
         decisions = BatchDecisions(
             queries=queries,

@@ -367,6 +367,76 @@ def test_scoped_exploration_only_executes_scoped_rows(small_truth):
     assert reexplorer.explore(24, rows=np.zeros(0, dtype=np.int64)) == 0
 
 
+def _reference_scoped_select(self, matrix, batch_size, rng):
+    """``_RowScopedPolicy.select`` as it stood when it rebuilt a Python set of
+    its rows on every step, kept verbatim."""
+    scoped = set(int(r) for r in self._rows if r < matrix.n_queries)
+    picks = [
+        pair
+        for pair in self.inner.select(matrix, batch_size, rng)
+        if pair[0] in scoped
+    ]
+    if len(picks) >= batch_size:
+        return picks[:batch_size]
+    predicted = self.inner.last_prediction
+    usable = predicted is not None and predicted.shape == matrix.shape
+    unknown = matrix.unknown_mask()
+    taken_rows = {pair[0] for pair in picks}
+    for row in self._rows:
+        if len(picks) >= batch_size:
+            break
+        row = int(row)
+        if row not in scoped or row in taken_rows:
+            continue
+        columns = np.nonzero(unknown[row])[0]
+        if columns.size == 0:
+            continue
+        if usable:
+            column = int(columns[np.argmin(predicted[row, columns])])
+        else:
+            column = int(columns[0])
+        picks.append((row, column))
+        taken_rows.add(row)
+    return picks
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(3, 12),
+    k=st.integers(2, 5),
+    # Unsorted, repeated, and some past the end of the matrix (migrated away).
+    rows=st.lists(st.integers(0, 15), min_size=1, max_size=10),
+    batch_size=st.integers(1, 6),
+    model_free=st.booleans(),
+    seed=st.integers(0, 2**16),
+)
+def test_row_mask_scoping_picks_what_the_set_did(n, k, rows, batch_size, model_free, seed):
+    from repro.adaptive.reexplore import _RowScopedPolicy
+    from repro.core.policies import LimeQOPolicy, RandomPolicy
+
+    truth = np.random.default_rng(seed).uniform(0.5, 20.0, (n + 1, k))
+    matrix = WorkloadMatrix(n, k)
+    matrix.observe_batch(np.arange(n), np.zeros(n, dtype=np.int64), truth[:n, 0])
+
+    def inner():
+        return RandomPolicy() if model_free else LimeQOPolicy(als_config=ALSConfig(rank=2))
+
+    # Two inner policies fed the same matrices and draws stay in step.
+    policy, reference = _RowScopedPolicy(inner(), rows), _RowScopedPolicy(inner(), rows)
+    rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    for step in range(5):
+        picks = policy.select(matrix, batch_size, rng)
+        assert picks == _reference_scoped_select(reference, matrix, batch_size, reference_rng)
+        assert all(type(q) is int and type(h) is int for q, h in picks)
+        for query, hint in picks:
+            if (query + hint + step) % 3:
+                matrix.observe(query, hint, float(truth[query, hint]))
+            else:
+                matrix.observe_censored(query, hint, float(truth[query, hint]) * 0.5)
+        if step == 2:
+            matrix.observe(matrix.add_query(), 0, 3.0)  # a scoped row may appear
+
+
 def test_controller_recovery_stays_on_backlog_rows(small_truth):
     truth = small_truth.copy()
     service = build_service(truth)

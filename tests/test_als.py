@@ -5,6 +5,8 @@ import pytest
 
 from repro.config import ALSConfig
 from repro.core.als import censored_als
+from repro.core.predictors import ALSPredictor
+from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import CompletionError
 
 
@@ -190,3 +192,139 @@ def test_warm_start_with_fewer_iterations_refines_cold_result():
     assert len(warm.objective_trace) == 2
     # Restarting from converged factors must not blow the objective back up.
     assert warm.objective_trace[-1] <= cold.objective_trace[-1] * 1.05
+
+
+# -- the cells door: WorkloadMatrix.solver_cells() in place of the dense triple --------
+
+
+def explored(n=40, k=9, seed=3):
+    """A matrix mid-exploration: default column, ~30% observed, some censored."""
+    truth = low_rank_matrix(n, k, seed=seed)
+    rng = np.random.default_rng(seed)
+    matrix = WorkloadMatrix(n, k)
+    matrix.observe_batch(np.arange(n), np.zeros(n, dtype=int), truth[:, 0])
+    rows, cols = np.nonzero(rng.random((n, k)) < 0.3)
+    matrix.observe_batch(rows, cols, truth[rows, cols])
+    for query, hint in zip(*np.nonzero(rng.random((n, k)) < 0.1)):
+        matrix.observe_censored(int(query), int(hint), 0.5 * truth[query, hint])
+    return matrix, truth
+
+
+def both_doors(matrix, config=None, **kwargs):
+    """The same solve through the dense triple and through the cells."""
+    dense = censored_als(
+        matrix.values, matrix.mask, matrix.timeout_matrix, config, **kwargs
+    )
+    cells = censored_als(matrix.solver_cells(), config=config, **kwargs)
+    return dense, cells
+
+
+def assert_same_solve(dense, cells):
+    assert np.array_equal(dense.completed, cells.completed)
+    assert np.array_equal(dense.query_factors, cells.query_factors)
+    assert np.array_equal(dense.hint_factors, cells.hint_factors)
+    assert np.array_equal(dense.objective_trace, cells.objective_trace)
+
+
+@pytest.mark.parametrize("censored", [True, False])
+def test_cells_and_dense_triple_are_the_same_solve(censored):
+    matrix, truth = explored()
+    assert matrix.censored_mask.any()
+    config = ALSConfig(rank=3, iterations=8, censored=censored)
+    dense, cells = both_doors(matrix, config)  # cold
+    assert_same_solve(dense, cells)
+    matrix.observe_batch([1, 5], [4, 7], truth[[1, 5], [4, 7]])
+    warm = both_doors(matrix, config, warm_start=cells.factors, iterations=3)
+    assert_same_solve(*warm)
+    matrix.observe(matrix.add_query(), 0, 2.5)  # grown past the warm factors
+    assert_same_solve(*both_doors(matrix, config, warm_start=cells.factors, iterations=3))
+
+
+def import_hostile(edit):
+    """A matrix whose last row arrived through ``import_rows`` from a payload
+    ``edit`` tampered with (the one door that takes arrays from outside)."""
+    matrix, _ = explored(n=6, k=5)
+    donor = WorkloadMatrix(1, 5)
+    donor.observe(0, 0, 4.0)
+    donor.observe_censored(0, 2, 3.0)
+    payload = donor.export_rows([0])
+    payload["query_names"] = ["imported"]
+    edit(payload)
+    matrix.import_rows(payload)
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda p: p["timeouts"].__setitem__((0, 2), np.nan), "timeouts"),
+        (lambda p: p["timeouts"].__setitem__((0, 2), -1.0), "timeouts"),
+        (lambda p: p["timeouts"].__setitem__((0, 2), np.inf), "timeouts"),
+        (lambda p: p["values"].__setitem__((0, 0), np.inf), "finite"),
+        (lambda p: p["values"].__setitem__((0, 0), np.nan), "finite"),
+    ],
+)
+def test_hostile_import_raises_the_same_error_through_both_doors(edit, message):
+    matrix = import_hostile(edit)
+    raised = []
+    for solve in (
+        lambda: censored_als(matrix.values, matrix.mask, matrix.timeout_matrix),
+        lambda: censored_als(matrix.solver_cells()),
+        lambda: ALSPredictor().predict(matrix),
+    ):
+        with pytest.raises(CompletionError, match=message) as caught:
+            solve()
+        raised.append(str(caught.value))
+    assert len(set(raised)) == 1
+
+
+def test_empty_mask_raises_the_same_error_through_both_doors():
+    matrix = WorkloadMatrix(4, 3)
+    matrix.observe_censored(1, 1, 2.0)
+    with pytest.raises(CompletionError, match="empty") as dense:
+        censored_als(matrix.values, matrix.mask, matrix.timeout_matrix)
+    with pytest.raises(CompletionError, match="empty") as cells:
+        censored_als(matrix.solver_cells())
+    assert str(dense.value) == str(cells.value)
+
+
+def test_imported_observation_beats_a_bound_on_the_same_cell_through_both_doors():
+    def observed_and_censored(payload):
+        payload["censored"][0, 0] = True
+        payload["timeouts"][0, 0] = 12.0  # three times what was observed
+
+    matrix = import_hostile(observed_and_censored)
+    clean = import_hostile(lambda payload: None)
+    config = ALSConfig(rank=2, iterations=6)
+    dense, cells = both_doors(matrix, config)
+    assert_same_solve(dense, cells)
+    assert cells.completed[-1, 0] == 4.0
+    # The overlapping bound has no influence at all on the solve.
+    assert_same_solve(cells, censored_als(clean.solver_cells(), config=config))
+
+
+def test_a_warm_predict_at_ceb_shape_allocates_no_input_copies():
+    import tracemalloc
+
+    n, k = 3133, 49
+    truth = low_rank_matrix(n, k, rank=5, seed=2)
+    rng = np.random.default_rng(2)
+    matrix = WorkloadMatrix(n, k)
+    matrix.observe_batch(np.arange(n), np.zeros(n, dtype=int), truth[:, 0])
+    rows, cols = np.nonzero(rng.random((n, k)) < 0.024)
+    matrix.observe_batch(rows, cols, truth[rows, cols])
+    for query, hint in zip(*np.nonzero(rng.random((n, k)) < 0.0015)):
+        matrix.observe_censored(int(query), int(hint), 0.5 * truth[query, hint])
+    predictor = ALSPredictor()
+    predictor.predict(matrix)
+    matrix.observe_batch(np.arange(10), np.full(10, 7), truth[:10, 7])
+    tracemalloc.start()
+    try:
+        predictor.predict(matrix)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert predictor.warm_solves == 1
+    # The completed matrix it returns, plus n x r scraps: not the 4.4 matrices
+    # of three dense input copies and a mask scan.
+    assert peak <= 2.0 * n * k * 8

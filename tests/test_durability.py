@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 
 from repro.adaptive.cluster import ClusterAdaptationController
 from repro.cluster import ServingCluster
+from repro.cluster.router import routing_key
 from repro.cluster.shard import ClusterShard
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.durability import (
@@ -501,6 +502,31 @@ class TestClusterCrashRejoin:
         cluster.kill_shard(0)
         with pytest.raises(ClusterError):
             cluster.add_shard()
+
+    def test_add_queries_onto_a_crashed_shard_changes_nothing(self, tmp_path):
+        cluster, _ = self._populated(tmp_path, "grow")
+        cluster.kill_shard(2)
+        # The new names route to all three shards; the dead one is handed its
+        # rows last, after the others would already have taken theirs.
+        names = [f"new{i}" for i in range(12)]
+        routed = cluster.router.assign([routing_key("web", name) for name in names])
+        assert set(routed.tolist()) == {0, 1, 2}
+
+        def state():
+            return (
+                {sid: list(shard.keys) for sid, shard in cluster.shards.items()},
+                list(cluster.directories["web"].names),
+                cluster.directories["web"].shard_of.tobytes(),
+                cluster._topology,
+            )
+
+        before = state()
+        with pytest.raises(ClusterError):
+            cluster.add_queries("web", names)
+        assert state() == before
+        cluster.restart_shard(2)
+        assert cluster.add_queries("web", names) == list(range(18, 30))
+        assert cluster.serve_all("web").batch_size == 30
 
     def test_restore_backlog_reseeds_controller(self, tmp_path):
         cluster, truth = self._populated(tmp_path, "backlog")

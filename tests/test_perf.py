@@ -122,6 +122,7 @@ class TestSuite:
             "als_cold",
             "als_warm",
             "als_warm_ceb",
+            "explore_step_ceb",
             "explore_200_steps",
             "tcnn_predict_full",
             "tcnn_fit",
@@ -150,6 +151,12 @@ class TestSuite:
         assert (
             results["als_warm"].best_seconds < results["als_cold"].best_seconds
         )
+
+    def test_explore_step_case_splits_a_step_around_the_solver(self):
+        meta = build_suite("smoke").run(["explore_step_ceb"])["explore_step_ceb"].meta
+        # The hand-off, Eq. 6 and the write are the smaller part of a step
+        # (~15%; a third before the matrix handed the solver its cells).
+        assert meta["outside_solver_ms"] < 0.5 * meta["step_ms"]
 
     def test_telemetry_case_runs_with_instrumentation_on(self):
         harness = build_suite("smoke")
