@@ -46,7 +46,7 @@ def test_adaptive_drift_recovery(benchmark):
                 f"{r['explored_cells']:.0f}",
             ]
         )
-    print("\n=== Adaptive drift recovery (6 scenarios, service target) ===")
+    print("\n=== Adaptive drift recovery (6 scenarios, one-shard cluster target) ===")
     print(
         format_table(
             [

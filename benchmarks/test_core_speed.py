@@ -43,16 +43,15 @@ SPEC = WorkloadSpec(
 
 def _explore(workload, incremental):
     """Run the exploration loop to exhaustion; returns (seconds, trace, hints)."""
-    config = ExplorationConfig(
-        batch_size=BATCH,
-        seed=0,
-        incremental_als=incremental,
-        als_refresh_iterations=5,
-        als_full_solve_every=20,
-    )
+    config = ExplorationConfig(batch_size=BATCH, seed=0)
     simulator = ExplorationSimulator(workload.true_latencies, config)
     matrix = simulator.initial_matrix()
-    predictor = ALSPredictor(ALSConfig(iterations=50), warm_start=incremental)
+    predictor = ALSPredictor(
+        ALSConfig(iterations=50),
+        warm_start=incremental,
+        refresh_iterations=5,
+        full_solve_every=20,
+    )
     policy = LimeQOPolicy(predictor=predictor)
     start = time.perf_counter()
     trace = simulator.run(policy, max_steps=100_000, matrix=matrix)

@@ -13,8 +13,8 @@ Four acceptance properties of the front door, exercised end-to-end:
   the per-request throughput of one-at-a-time async serving (awaiting
   each ``serve()`` before issuing the next).
 * **Identity**: decisions answered through the ingress are byte-identical
-  to the synchronous ``ServingService`` batch path on replayed
-  scenario-engine traffic (same ``decisions_blob``).
+  to the synchronous batch path of the scenario engine's built-in
+  (one-shard cluster) target on replayed traffic (same ``decisions_blob``).
 * **Shedding**: a burst beyond ``queue_capacity`` degrades the overflow
   to default-plan answers -- no errors -- and the shed count shows up in
   both the ingress and the backend stats.
@@ -34,10 +34,10 @@ from _bench_utils import run_once, write_bench_json
 
 from repro.config import IngressConfig
 from repro.experiments.serving import explored_matrix
-from repro.ingress import ServiceIngress
+from repro.ingress import ClusterIngress, ServiceIngress
 from repro.scenarios import ScenarioRunner
 from repro.scenarios.primitives import sudden_workload_shift
-from repro.scenarios.runner import _ServiceTarget
+from repro.scenarios.runner import _ClusterTarget
 from repro.serving import ServingService
 from repro.serving.batch_cache import BatchDecisions
 from repro.workloads.matrices import generate_workload
@@ -211,8 +211,9 @@ def test_ingress_coalescing_speedup(benchmark):
 # -- byte-identity with sync serving on scenario traffic -------------------------
 
 
-class _IngressServiceTarget(_ServiceTarget):
-    """Scenario target whose serve() path runs through the asyncio ingress.
+class _IngressClusterTarget(_ClusterTarget):
+    """The built-in scenario target (one shard) whose serve() path runs
+    through the asyncio ingress.
 
     Everything else (registration, observation, refresh cadence) is
     inherited unchanged, so any divergence in the trace is the ingress's
@@ -221,8 +222,8 @@ class _IngressServiceTarget(_ServiceTarget):
     timing is the scenario driver's job in both runs.
     """
 
-    def __init__(self, worlds, n_hints, als_config, refresh_iterations):
-        super().__init__(worlds, n_hints, als_config, refresh_iterations)
+    def __init__(self, worlds, n_hints):
+        super().__init__(worlds, n_hints, n_shards=1)
         self._loop = asyncio.new_event_loop()
         self._ingress = None
         self._config = IngressConfig(
@@ -235,15 +236,15 @@ class _IngressServiceTarget(_ServiceTarget):
 
     def _ensure_ingress(self):
         if self._ingress is None:
-            self._ingress = ServiceIngress(self.service, self._config)
+            self._ingress = ClusterIngress(self.cluster, self._config)
             self._loop.run_until_complete(self._ingress.start())
         return self._ingress
 
     def serve(self, tenant, local_queries):
         ingress = self._ensure_ingress()
-        rows = self._rows[tenant][np.asarray(local_queries, dtype=np.int64)]
+        rows = np.asarray(local_queries, dtype=np.int64)
         answers = self._loop.run_until_complete(
-            ingress.serve_many([int(r) for r in rows])
+            ingress.serve_many([(tenant, q) for q in rows.tolist()])
         )
         assert not any(a.shed for a in answers)
         return BatchDecisions(
@@ -268,9 +269,7 @@ def _run_identity():
     targets = []
 
     def factory(worlds):
-        target = _IngressServiceTarget(
-            worlds, spec.tenants[0].n_hints, ScenarioRunner(spec).als_config, 3
-        )
+        target = _IngressClusterTarget(worlds, spec.tenants[0].n_hints)
         targets.append(target)
         return target
 

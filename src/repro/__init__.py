@@ -45,7 +45,6 @@ from .config import (
     AdaptiveConfig,
     ExplorationConfig,
     IngressConfig,
-    SimulationConfig,
     TCNNConfig,
     TelemetryConfig,
 )
@@ -152,7 +151,6 @@ __all__ = [
     "AdaptiveConfig",
     "ExplorationConfig",
     "IngressConfig",
-    "SimulationConfig",
     "TCNNConfig",
     "TelemetryConfig",
     "MetricsRegistry",

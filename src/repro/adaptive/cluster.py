@@ -12,9 +12,9 @@ the serve path with a budgeted round-robin
   :class:`~repro.adaptive.controller.AdaptationController` response
   (invalidation + default re-anchoring + Algorithm-1 re-exploration on the
   shard's matrix slice);
-* instead of refreshing inline, a responding shard is **escalated** on the
-  cluster's refresh scheduler, so its warm ALS refresh lands on the very
-  next tick without stealing the round-robin budget from quiet tenants.
+* a responding shard is **escalated** on the cluster's refresh scheduler,
+  so its warm ALS refresh lands on the very next tick without stealing the
+  round-robin budget from quiet tenants.
 
 Shard matrices re-index on row migration (``add_shard`` rebalancing), which
 would silently mis-attribute window evidence recorded before the move --
@@ -30,7 +30,7 @@ import numpy as np
 
 from ..cluster.cluster import ServingCluster
 from ..cluster.router import split_batch
-from ..config import AdaptiveConfig, ExplorationConfig
+from ..config import AdaptiveConfig
 from ..errors import AdaptiveError
 from ..serving.batch_cache import BatchDecisions
 from .controller import AdaptationController, AdaptiveStats
@@ -51,7 +51,7 @@ class ClusterAdaptationController:
         per-shard oracles translate their local row indices through the
         shard's ``query_names`` table at call time, so migrations between
         responses cannot mis-execute.
-    config / policy_factory / explore_config:
+    config:
         Forwarded to each per-shard :class:`AdaptationController`.
     """
 
@@ -60,8 +60,6 @@ class ClusterAdaptationController:
         cluster: ServingCluster,
         cell_lookup: Callable[[str, int], float],
         config: Optional[AdaptiveConfig] = None,
-        policy_factory: Optional[Callable] = None,
-        explore_config: Optional[ExplorationConfig] = None,
     ) -> None:
         if not callable(cell_lookup):
             raise AdaptiveError(
@@ -70,8 +68,6 @@ class ClusterAdaptationController:
         self.cluster = cluster
         self.cell_lookup = cell_lookup
         self.config = config or AdaptiveConfig()
-        self.policy_factory = policy_factory
-        self.explore_config = explore_config
         self.detector = DriftDetector(self.config)
         self._controllers: Dict[int, AdaptationController] = {}
         self._base_budget = cluster.scheduler.budget_per_tick
@@ -96,11 +92,8 @@ class ClusterAdaptationController:
                 shard.service,
                 oracle,
                 config=self.config,
-                policy_factory=self.policy_factory,
-                explore_config=self.explore_config,
                 detector=self.detector,
                 key=self._shard_key(shard_id),
-                refresh_inline=False,
             )
             self._controllers[shard_id] = controller
         return controller

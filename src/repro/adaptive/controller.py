@@ -16,8 +16,11 @@ its threshold it responds **off the serve path**:
 3. the remaining execution budget goes to Algorithm-1 re-exploration
    (:class:`~repro.adaptive.reexplore.OnlineReexplorer`) -- invalidated
    rows have an infinite current best, so LimeQO ranks them first;
-4. the warm ALS completion is refreshed and the decision snapshot is
-   patched, so the next served batch is back to pure fancy indexing.
+4. the decision snapshot is patched, so the next served batch is back to
+   pure fancy indexing.  ALS work is left to whoever schedules it: the
+   cluster's :class:`~repro.cluster.scheduler.RefreshScheduler`, the
+   :class:`~repro.ingress.ServiceIngress` refresh ticker, or an explicit
+   :meth:`ServingService.refresh_now` for a lone service.
 
 Responses are budgeted (``config.response_budget_cells`` live executions)
 and rate-limited (``config.cooldown_ticks``), so a drifting tenant degrades
@@ -43,7 +46,7 @@ ingress is started, firing every ``IngressConfig.tick_interval_s``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Callable, Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional
 
 import numpy as np
 
@@ -67,7 +70,6 @@ class AdaptiveStats:
     invalidated_rows: int = 0
     remeasured_cells: int = 0
     explored_cells: int = 0
-    refreshes: int = 0
     backlog_rows: int = 0
     last_drift_score: float = 0.0
     last_unseen_rate: float = 0.0
@@ -132,8 +134,7 @@ class AdaptationController:
         a :class:`~repro.core.explorer.MatrixOracle` over ground truth).
     config:
         Detection thresholds and response budgets (:class:`AdaptiveConfig`).
-    policy_factory / explore_config:
-        How responses pick exploration cells; defaults to LimeQO with an
+        Responses pick exploration cells with LimeQO, an
         ``explore_batch_size``-cell step and the config's seed, which keeps
         replay deterministic.
     detector:
@@ -142,11 +143,6 @@ class AdaptationController:
     key:
         The detector key this controller reads (default: the single-service
         key).
-    refresh_inline:
-        When True (single-service deployments) a response finishes by
-        refreshing the warm ALS completion itself; a cluster controller
-        passes False and escalates the shard on the refresh scheduler
-        instead, keeping all ALS work on the budgeted background path.
     """
 
     def __init__(
@@ -154,11 +150,8 @@ class AdaptationController:
         service: ServingService,
         oracle,
         config: Optional[AdaptiveConfig] = None,
-        policy_factory: Optional[Callable] = None,
-        explore_config: Optional[ExplorationConfig] = None,
         detector: Optional[DriftDetector] = None,
         key: str = DEFAULT_KEY,
-        refresh_inline: bool = True,
     ) -> None:
         if service is None:
             raise AdaptiveError("AdaptationController needs a live ServingService")
@@ -166,13 +159,10 @@ class AdaptationController:
         self.config = config or AdaptiveConfig()
         self.detector = detector if detector is not None else DriftDetector(self.config)
         self.key = key
-        self.refresh_inline = bool(refresh_inline)
         self.reexplorer = OnlineReexplorer(
             service.matrix,
             oracle,
-            policy_factory=policy_factory,
-            config=explore_config
-            or ExplorationConfig(
+            config=ExplorationConfig(
                 batch_size=self.config.explore_batch_size, seed=self.config.seed
             ),
         )
@@ -319,9 +309,6 @@ class AdaptationController:
             explored = self.reexplorer.explore(budget, rows=explorable)
         self.stats.explored_cells += explored
         self.stats.recovery_passes += 1
-        if self.refresh_inline and self.service.refresher is not None:
-            if self.service.refresh_now():
-                self.stats.refreshes += 1
         self.service.cache.current()
         self._prune_backlog()
         self._journal_backlog()
@@ -394,9 +381,6 @@ class AdaptationController:
             )
             self.stats.explored_cells += plan.explored
 
-        if self.refresh_inline and self.service.refresher is not None:
-            if self.service.refresh_now():
-                self.stats.refreshes += 1
         # Pay for the rows this response touched here, off the serve path.
         self.service.cache.current()
 

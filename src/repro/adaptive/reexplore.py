@@ -92,9 +92,6 @@ class _RowScopedPolicy(ExplorationPolicy):
         self._in_scope = np.zeros(int(self._rows.max(initial=-1)) + 1, dtype=bool)
         self._in_scope[self._rows] = True
 
-    def configure(self, config) -> None:
-        self.inner.configure(config)
-
     @property
     def overhead_seconds(self) -> float:
         return self.inner.overhead_seconds
@@ -141,12 +138,10 @@ class OnlineReexplorer:
         self,
         matrix: WorkloadMatrix,
         oracle,
-        policy_factory: Optional[Callable[[], ExplorationPolicy]] = None,
         config: Optional[ExplorationConfig] = None,
     ) -> None:
         self.matrix = matrix
         self.oracle = oracle
-        self.policy_factory = policy_factory or LimeQOPolicy
         self.config = config or ExplorationConfig(batch_size=8)
         self.remeasured_cells = 0
         self.explored_cells = 0
@@ -183,7 +178,7 @@ class OnlineReexplorer:
         """
         if max_cells < 1:
             return 0
-        policy = self.policy_factory()
+        policy = LimeQOPolicy()
         if rows is not None:
             rows = np.asarray(rows, dtype=np.int64)
             if rows.size == 0:

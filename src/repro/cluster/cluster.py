@@ -82,7 +82,7 @@ class ServingCluster:
         Same serving rule parameters as :class:`ServingService`, applied
         uniformly to every shard so cluster decisions match a single
         service over the union matrix.
-    als_config / refresh_iterations:
+    als_config:
         Per-shard incremental ALS refresher configuration.
     refresh_budget:
         Dirty shards refreshed per :meth:`tick`.
@@ -116,7 +116,6 @@ class ServingCluster:
         default_hint: int = 0,
         regression_margin: float = 1.0,
         als_config: Optional[ALSConfig] = None,
-        refresh_iterations: int = 3,
         refresh_budget: int = 1,
         failure_threshold: int = 3,
         clock=time.perf_counter,
@@ -131,7 +130,6 @@ class ServingCluster:
         self.default_hint = int(default_hint)
         self.regression_margin = float(regression_margin)
         self._als_config = als_config or ALSConfig()
-        self._refresh_iterations = int(refresh_iterations)
         self._clock = clock
         self.durability_dir = durability_dir
         self._fault_fs = fault_fs
@@ -194,7 +192,6 @@ class ServingCluster:
             default_hint=self.default_hint,
             regression_margin=self.regression_margin,
             als_config=self._als_config,
-            refresh_iterations=self._refresh_iterations,
             clock=self._clock,
             telemetry=(
                 self.telemetry.labeled(str(shard_id))
@@ -279,12 +276,21 @@ class ServingCluster:
         if tenant in self._tenants:
             raise ClusterError(f"tenant {tenant!r} already registered")
         routing_key(tenant, "")  # validates the tenant id
-        self._tenants[tenant] = _TenantDirectory(tenant=tenant)
-        self.add_queries(tenant, query_names)
+        # Registered only once its rows are placed: a failure (a crashed
+        # destination shard) leaves no empty tenant behind, so the same call
+        # succeeds after the restart.
+        directory = _TenantDirectory(tenant=tenant)
+        self._add_queries(directory, query_names)
+        self._tenants[tenant] = directory
 
     def add_queries(self, tenant: str, names: Sequence[str]) -> List[int]:
         """Grow a tenant's workload; returns the new tenant-global indices."""
-        directory = self._directory(tenant)
+        return self._add_queries(self._directory(tenant), names)
+
+    def _add_queries(
+        self, directory: _TenantDirectory, names: Sequence[str]
+    ) -> List[int]:
+        tenant = directory.tenant
         names = list(names)
         for name in names:
             if name in directory.index:

@@ -51,7 +51,6 @@ class ClusterShard:
         default_hint: int = 0,
         regression_margin: float = 1.0,
         als_config: Optional[ALSConfig] = None,
-        refresh_iterations: int = 3,
         clock=time.perf_counter,
         journal: Optional[ShardJournal] = None,
         telemetry=None,
@@ -66,9 +65,7 @@ class ClusterShard:
         self.n_hints = int(n_hints)
         self.default_hint = int(default_hint)
         self.regression_margin = float(regression_margin)
-        self.refresher = IncrementalALSRefresher(
-            als_config or ALSConfig(), refresh_iterations=refresh_iterations
-        )
+        self.refresher = IncrementalALSRefresher(als_config)
         self._clock = clock
         self.journal = journal
         self.crashed = False
@@ -302,7 +299,6 @@ class ClusterShard:
         default_hint: int = 0,
         regression_margin: float = 1.0,
         als_config: Optional[ALSConfig] = None,
-        refresh_iterations: int = 3,
         clock=time.perf_counter,
         fs=None,
         sync: str = "os",
@@ -322,7 +318,6 @@ class ClusterShard:
             default_hint=default_hint,
             regression_margin=regression_margin,
             als_config=als_config,
-            refresh_iterations=refresh_iterations,
             clock=clock,
             journal=journal,
             telemetry=telemetry,

@@ -7,7 +7,7 @@ hyper-parameters) lives here so experiments can be described declaratively.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .errors import ConfigError
@@ -57,26 +57,14 @@ class ALSConfig:
 class ExplorationConfig:
     """Knobs of the offline exploration loop (paper Algorithm 1).
 
-    The ``incremental_als`` family controls the warm-started incremental
-    predictor path: instead of re-solving the factorisation cold on every
-    exploration step, an :class:`~repro.core.predictors.ALSPredictor`
-    attached to the explorer carries its ``(Q, H)`` factors across steps and
-    runs ``als_refresh_iterations`` fill-in iterations per step, with a full
-    cold re-solve every ``als_full_solve_every`` refreshes to bound drift.
-    All three default to ``None`` meaning *leave the predictor's own
-    settings alone* (the predictor's constructor defaults are warm starts
-    with 5 refresh iterations and a full solve every 10); set a value to
-    override whatever the predictor was built with when it attaches to an
-    explorer.
+    How the censored-ALS predictor warm-starts between steps is configured
+    where the predictor is constructed
+    (:class:`~repro.core.predictors.ALSPredictor`).
     """
 
     batch_size: int = 10
     timeout_alpha: float = 2.0
-    allow_random_fill: bool = True
     max_steps: int = 10_000
-    incremental_als: Optional[bool] = None
-    als_refresh_iterations: Optional[int] = None
-    als_full_solve_every: Optional[int] = None
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -88,15 +76,6 @@ class ExplorationConfig:
             )
         if self.max_steps < 1:
             raise ConfigError(f"max_steps must be >= 1, got {self.max_steps}")
-        if self.als_refresh_iterations is not None and self.als_refresh_iterations < 1:
-            raise ConfigError(
-                "als_refresh_iterations must be >= 1, got "
-                f"{self.als_refresh_iterations}"
-            )
-        if self.als_full_solve_every is not None and self.als_full_solve_every < 1:
-            raise ConfigError(
-                f"als_full_solve_every must be >= 1, got {self.als_full_solve_every}"
-            )
 
 
 @dataclass(frozen=True)
@@ -338,29 +317,9 @@ class TelemetryConfig:
             )
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Controls the simulated offline exploration clock."""
-
-    total_exploration_time: float = float("inf")
-    checkpoint_times: tuple = field(default_factory=tuple)
-    record_every_step: bool = True
-
-    def __post_init__(self) -> None:
-        if self.total_exploration_time <= 0:
-            raise ConfigError(
-                "total_exploration_time must be > 0, got "
-                f"{self.total_exploration_time}"
-            )
-        for t in self.checkpoint_times:
-            if t < 0:
-                raise ConfigError(f"checkpoint time must be >= 0, got {t}")
-
-
 DEFAULT_TELEMETRY_CONFIG = TelemetryConfig()
 DEFAULT_ADAPTIVE_CONFIG = AdaptiveConfig()
 DEFAULT_INGRESS_CONFIG = IngressConfig()
 DEFAULT_ALS_CONFIG = ALSConfig()
 DEFAULT_EXPLORATION_CONFIG = ExplorationConfig()
 DEFAULT_TCNN_CONFIG = TCNNConfig()
-DEFAULT_SIMULATION_CONFIG = SimulationConfig()

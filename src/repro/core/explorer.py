@@ -198,7 +198,6 @@ class OfflineExplorer:
         self.policy = policy
         self.oracle = oracle
         self.config = config or ExplorationConfig()
-        self.policy.configure(self.config)
         self._rng = np.random.default_rng(self.config.seed)
         self._steps: List[ExplorationStep] = []
         self._cumulative_time = 0.0

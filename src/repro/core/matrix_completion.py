@@ -121,12 +121,12 @@ class WarmStartedALS:
         self.warm_streak = 0
 
     def solve(
-        self, matrix, refresh_iterations: int, warm: bool = True, force: bool = False
+        self, matrix, refresh_iterations: int, warm: bool = True
     ) -> CensoredALSResult:
         """The completion of ``matrix`` as it stands.  ``warm=False`` makes a
-        needed solve a cold one; ``force`` solves even an unchanged matrix."""
+        needed solve a cold one."""
         same_matrix = self.result is not None and self._matrix_ref() is matrix
-        if same_matrix and not force and self._matrix_version == matrix.version:
+        if same_matrix and self._matrix_version == matrix.version:
             return self.result
 
         factors = self.result.factors if warm and same_matrix else None

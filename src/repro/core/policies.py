@@ -44,37 +44,6 @@ class ExplorationPolicy:
         """Return up to ``batch_size`` unexplored (query, hint) cells."""
         raise NotImplementedError
 
-    def configure(self, config) -> None:
-        """Adopt exploration-loop knobs (called when attached to an explorer).
-
-        The default implementation forwards the ``incremental_als`` family
-        of :class:`~repro.config.ExplorationConfig` knobs to the policy's
-        predictor when it supports warm-started refreshes (the censored-ALS
-        predictor does); model-free policies ignore it.  Knobs left at
-        ``None`` do not touch the predictor, so explicitly constructed
-        settings (e.g. ``ALSPredictor(warm_start=False)`` for the
-        paper-exact cold baseline) survive attachment to an explorer.
-        """
-        predictor = getattr(self, "predictor", None)
-        if predictor is None or not hasattr(predictor, "set_incremental"):
-            return
-        if (
-            config.incremental_als is None
-            and config.als_refresh_iterations is None
-            and config.als_full_solve_every is None
-        ):
-            return
-        enabled = (
-            predictor.warm_start
-            if config.incremental_als is None
-            else config.incremental_als
-        )
-        predictor.set_incremental(
-            enabled,
-            refresh_iterations=config.als_refresh_iterations,
-            full_solve_every=config.als_full_solve_every,
-        )
-
     # -- shared helpers ------------------------------------------------------
     @property
     def last_prediction(self) -> Optional[np.ndarray]:
@@ -238,11 +207,9 @@ class LimeQOPolicy(ExplorationPolicy):
         self,
         predictor: Optional[Predictor] = None,
         als_config: Optional[ALSConfig] = None,
-        allow_random_fill: bool = True,
     ) -> None:
         super().__init__()
         self.predictor = predictor or ALSPredictor(als_config)
-        self.allow_random_fill = bool(allow_random_fill)
 
     @property
     def overhead_seconds(self) -> float:
@@ -284,7 +251,7 @@ class LimeQOPolicy(ExplorationPolicy):
             ]
         else:
             picks = []
-        if self.allow_random_fill and len(picks) < batch_size:
+        if len(picks) < batch_size:
             picks.extend(
                 self._random_fill(matrix, picks, batch_size - len(picks), rng)
             )
@@ -305,5 +272,5 @@ class LimeQOPlusPolicy(LimeQOPolicy):
 
     name = "limeqo+"
 
-    def __init__(self, predictor: Predictor, allow_random_fill: bool = True) -> None:
-        super().__init__(predictor=predictor, allow_random_fill=allow_random_fill)
+    def __init__(self, predictor: Predictor) -> None:
+        super().__init__(predictor=predictor)

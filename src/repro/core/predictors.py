@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
+from dataclasses import replace
 from typing import Optional
 
 import numpy as np
@@ -86,36 +87,19 @@ class ALSPredictor(Predictor):
         full_solve_every: int = 10,
     ) -> None:
         super().__init__()
-        self.config = config or ALSConfig()
-        self._als = WarmStartedALS(self.config)
-        self.set_incremental(warm_start, refresh_iterations, full_solve_every)
-
-    # -- incremental-mode plumbing -----------------------------------------
-    def set_incremental(
-        self,
-        enabled: bool,
-        refresh_iterations: Optional[int] = None,
-        full_solve_every: Optional[int] = None,
-    ) -> None:
-        """(Re)configure the warm-start behaviour.
-
-        The exploration loop calls this when a policy is attached to an
-        :class:`~repro.core.explorer.OfflineExplorer`, forwarding the
-        ``incremental_als`` knobs of its ``ExplorationConfig``.
-        """
-        if refresh_iterations is not None and refresh_iterations < 1:
+        if refresh_iterations < 1:
             raise ExplorationError(
                 f"refresh_iterations must be >= 1, got {refresh_iterations}"
             )
-        if full_solve_every is not None and full_solve_every < 1:
+        if full_solve_every < 1:
             raise ExplorationError(
                 f"full_solve_every must be >= 1, got {full_solve_every}"
             )
-        self.warm_start = bool(enabled)
-        if refresh_iterations is not None:
-            self.refresh_iterations = int(refresh_iterations)
-        if full_solve_every is not None:
-            self.full_solve_every = int(full_solve_every)
+        self.config = config or ALSConfig()
+        self._als = WarmStartedALS(self.config)
+        self.warm_start = bool(warm_start)
+        self.refresh_iterations = int(refresh_iterations)
+        self.full_solve_every = int(full_solve_every)
 
     @property
     def cold_solves(self) -> int:
@@ -187,20 +171,7 @@ class TCNNPredictor(Predictor):
         self.feature_store = feature_store
         base = config or TCNNConfig()
         if base.use_embeddings != self._use_embeddings:
-            base = TCNNConfig(
-                embedding_rank=base.embedding_rank,
-                channels=base.channels,
-                hidden_units=base.hidden_units,
-                dropout=base.dropout,
-                learning_rate=base.learning_rate,
-                batch_size=base.batch_size,
-                max_epochs=base.max_epochs,
-                convergence_window=base.convergence_window,
-                convergence_threshold=base.convergence_threshold,
-                use_embeddings=self._use_embeddings,
-                censored=base.censored,
-                seed=base.seed,
-            )
+            base = replace(base, use_embeddings=self._use_embeddings)
         self.config = base
         self._trainer = None
 

@@ -154,9 +154,8 @@ class ExplorationSimulator:
         steps = explorer.run(time_budget=time_budget, max_steps=max_steps)
 
         times = [0.0] + [s.cumulative_exploration_time for s in steps]
-        latencies = [matrix_latency_before(steps, self.default_latency)] + [
-            s.workload_latency for s in steps
-        ]
+        # Before any exploration the workload runs on the default plans.
+        latencies = [self.default_latency] + [s.workload_latency for s in steps]
         overheads = [0.0] + [s.overhead_seconds for s in steps]
         return ExplorationTrace(
             times=np.asarray(times),
@@ -178,8 +177,3 @@ class ExplorationSimulator:
             self.run(policy, time_budget=time_budget, max_steps=max_steps)
             for policy in policies
         ]
-
-
-def matrix_latency_before(steps, default_latency: float) -> float:
-    """Workload latency before any exploration happened."""
-    return float(default_latency)

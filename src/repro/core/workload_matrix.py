@@ -49,6 +49,32 @@ def checked_ids(name: str, ids, bound: int, error) -> np.ndarray:
     )
 
 
+def _payload_arrays(payload: Dict, door: str) -> tuple:
+    """The four cell arrays and the query names (or None) of a ``to_dict`` /
+    ``export_rows`` payload: 2-D, of one shape, one name per row -- or
+    :class:`MatrixError`.  Payloads come from disk and from other shards."""
+    try:
+        values = np.asarray(payload["values"], dtype=float)
+        observed = np.asarray(payload["observed"], dtype=bool)
+        censored = np.asarray(payload["censored"], dtype=bool)
+        timeouts = np.asarray(payload["timeouts"], dtype=float)
+        names = payload.get("query_names")
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MatrixError(f"{door}: unreadable payload ({exc!r})") from None
+    if values.ndim != 2 or not (
+        values.shape == observed.shape == censored.shape == timeouts.shape
+    ):
+        raise MatrixError(
+            f"{door} payload arrays must be 2-D and agree on shape, got "
+            f"{values.shape}, {observed.shape}, {censored.shape}, {timeouts.shape}"
+        )
+    if names is not None and len(names) != values.shape[0]:
+        raise MatrixError(
+            f"{door} expects {values.shape[0]} query names, got {len(names)}"
+        )
+    return values, observed, censored, timeouts, names
+
+
 class WorkloadMatrix:
     """A partially observed latency matrix with censored observations."""
 
@@ -312,11 +338,6 @@ class WorkloadMatrix:
         row = np.where(self._observed[query], self._values[query], np.inf)
         return int(np.argmin(row))
 
-    def best_hints(self) -> List[Optional[int]]:
-        """Per-query :meth:`best_hint`."""
-        array = self.best_hint_array()
-        return [None if h < 0 else int(h) for h in array]
-
     def best_hint_array(self) -> np.ndarray:
         """Vectorised :meth:`best_hint`: per-query argmin over completed
         observations, ``-1`` where a row has none.
@@ -419,22 +440,15 @@ class WorkloadMatrix:
         here.  Column count must match (hint sets are shared cluster-wide,
         rows are what gets sharded).
         """
-        values = np.asarray(payload["values"], dtype=float)
-        observed = np.asarray(payload["observed"], dtype=bool)
-        censored = np.asarray(payload["censored"], dtype=bool)
-        timeouts = np.asarray(payload["timeouts"], dtype=float)
-        names = list(payload["query_names"])
-        if values.ndim != 2 or values.shape[1] != self.n_hints:
+        values, observed, censored, timeouts, names = _payload_arrays(
+            payload, "import_rows"
+        )
+        if names is None or values.shape[1] != self.n_hints:
             raise MatrixError(
-                f"import_rows expects rows with {self.n_hints} hints, "
+                f"import_rows expects named rows with {self.n_hints} hints, "
                 f"got shape {values.shape}"
             )
-        if not (values.shape == observed.shape == censored.shape == timeouts.shape):
-            raise MatrixError("import_rows payload arrays disagree on shape")
-        if len(names) != values.shape[0]:
-            raise MatrixError(
-                f"import_rows expects {values.shape[0]} query names, got {len(names)}"
-            )
+        names = list(names)
         if values.shape[0] == 0:
             return []
         if self.journal is not None:
@@ -517,18 +531,38 @@ class WorkloadMatrix:
 
     @classmethod
     def from_dict(cls, payload: Dict) -> "WorkloadMatrix":
-        """Inverse of :meth:`to_dict`."""
-        values = np.asarray(payload["values"], dtype=float)
+        """Inverse of :meth:`to_dict`.
+
+        What recovery feeds a snapshot body and the first ``import`` record
+        to, so the payload is checked like any input from outside: the
+        arrays against each other, and every cell against what the mutators
+        would have let in (:class:`MatrixError` otherwise).
+        """
+        values, observed, censored, timeouts, names = _payload_arrays(
+            payload, "from_dict"
+        )
+        latencies, bounds = values[observed], timeouts[censored]
+        if (
+            (observed & censored).any()
+            or not np.isfinite(latencies).all()
+            or (latencies < 0).any()
+            or not np.isfinite(bounds).all()
+            or (bounds <= 0).any()
+        ):
+            raise MatrixError(
+                "from_dict: observed latencies must be finite and >= 0, censored "
+                "bounds finite and > 0, and no cell both observed and censored"
+            )
         matrix = cls(
             values.shape[0],
             values.shape[1],
-            query_names=payload.get("query_names"),
+            query_names=names,
             hint_names=payload.get("hint_names"),
         )
         matrix._values = values.copy()
-        matrix._observed = np.asarray(payload["observed"], dtype=bool).copy()
-        matrix._censored = np.asarray(payload["censored"], dtype=bool).copy()
-        matrix._timeouts = np.asarray(payload["timeouts"], dtype=float).copy()
+        matrix._observed = observed.copy()
+        matrix._censored = censored.copy()
+        matrix._timeouts = timeouts.copy()
         matrix._restructured()
         return matrix
 
@@ -541,24 +575,33 @@ class WorkloadMatrix:
             observed=payload["observed"],
             censored=payload["censored"],
             timeouts=payload["timeouts"],
-            query_names=np.array(payload["query_names"], dtype=object),
-            hint_names=np.array(payload["hint_names"], dtype=object),
+            query_names=np.array(payload["query_names"], dtype=str),
+            hint_names=np.array(payload["hint_names"], dtype=str),
         )
 
     @classmethod
     def load(cls, path: str) -> "WorkloadMatrix":
-        """Load from an ``.npz`` file produced by :meth:`save`."""
-        with np.load(path, allow_pickle=True) as data:
-            return cls.from_dict(
-                {
+        """Load from an ``.npz`` file produced by :meth:`save`.
+
+        Never unpickles, since unpickling runs code from the file: one whose
+        names are pickled objects (crafted, or written before names were
+        saved as unicode arrays) is refused with :class:`MatrixError`.  An
+        old file you trust needs one re-save: read it with
+        ``np.load(path, allow_pickle=True)``, then ``from_dict(...).save()``.
+        """
+        with np.load(path, allow_pickle=False) as data:
+            try:
+                payload = {
                     "values": data["values"],
                     "observed": data["observed"],
                     "censored": data["censored"],
                     "timeouts": data["timeouts"],
-                    "query_names": list(data["query_names"]),
-                    "hint_names": list(data["hint_names"]),
+                    "query_names": data["query_names"].tolist(),
+                    "hint_names": data["hint_names"].tolist(),
                 }
-            )
+            except (KeyError, ValueError) as exc:
+                raise MatrixError(f"load: {path} is not a saved matrix ({exc})") from None
+        return cls.from_dict(payload)
 
     def copy(self) -> "WorkloadMatrix":
         """Deep copy."""

@@ -118,10 +118,6 @@ class CostModel:
             return rescan + outer * c.cpu_tuple_cost + out * c.cpu_tuple_cost
         raise ExecutionError(f"unknown join operator {operator!r}")
 
-    def plan_cost(self, plan: PlanNode) -> float:
-        """Sum of per-node estimated costs already annotated on the plan."""
-        return sum(node.estimated_cost for node in plan.iter_nodes())
-
 
 @dataclass(frozen=True)
 class MachineProfile:

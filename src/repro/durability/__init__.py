@@ -5,7 +5,7 @@ protocol, the recovery invariants, and the fault-point map.
 """
 
 from .faults import FAULT_POINTS, FaultClock, FaultFS, FaultInjector, FaultPlan
-from .journal import ShardJournal, attach_journal
+from .journal import ShardJournal
 from .recovery import RecoveredState, recover_journal, recover_service
 from .snapshot import (
     load_snapshot,
@@ -26,7 +26,6 @@ __all__ = [
     "ShardJournal",
     "WalRecord",
     "WriteAheadLog",
-    "attach_journal",
     "encode_record",
     "load_snapshot",
     "matrix_from_jsonable",

@@ -118,10 +118,6 @@ class FaultInjector:
         self._plans.append(plan)
         return plan
 
-    def disarm(self) -> None:
-        """Drop every pending plan (counts keep advancing)."""
-        self._plans = [plan for plan in self._plans if plan.fired]
-
     def _match(self, point: str) -> Optional[FaultPlan]:
         count = self.clock.tick(point)
         for plan in self._plans:

@@ -26,7 +26,6 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import DurabilityError
 from ..telemetry.runtime import JournalMetrics, Telemetry
 from .faults import FaultFS
 from .snapshot import load_snapshot, matrix_to_jsonable, write_snapshot
@@ -103,11 +102,6 @@ class ShardJournal:
     def note_backlog(self, rows: Sequence[int]) -> None:
         """Seed the backlog cache after replay (no record is written)."""
         self._last_backlog = [int(r) for r in rows]
-
-    @property
-    def last_backlog(self) -> List[int]:
-        """Most recent adaptation backlog this journal knows about."""
-        return list(self._last_backlog)
 
     # -- raw logging -------------------------------------------------------------------
     def log(self, kind: str, data: Dict[str, Any]) -> int:
@@ -218,16 +212,3 @@ class ShardJournal:
     def crash(self) -> None:
         """Simulated process death: drop file handles, keep disk as-is."""
         self.wal.crash()
-
-
-def attach_journal(matrix, journal: Optional[ShardJournal]) -> None:
-    """Point a :class:`~repro.core.workload_matrix.WorkloadMatrix` at a journal.
-
-    Split out as a helper so callers (service, shard, recovery) wire the
-    hook the same way; passing ``None`` detaches.
-    """
-    if journal is not None and not isinstance(journal, ShardJournal):
-        raise DurabilityError(
-            f"journal must be a ShardJournal or None, got {type(journal).__name__}"
-        )
-    matrix.journal = journal

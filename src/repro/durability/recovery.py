@@ -33,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from ..core.workload_matrix import WorkloadMatrix
-from ..errors import DurabilityError, ReproError, WalCorruption
+from ..errors import DurabilityError, MatrixError, ReproError, WalCorruption
 from .faults import FaultFS
 from .journal import ShardJournal
 from .snapshot import matrix_from_jsonable
@@ -113,7 +113,12 @@ def recover_journal(
         state, snapshot_lsn = journal.recovered_snapshot
         raw_matrix = state.get("matrix")
         if raw_matrix is not None:
-            matrix = WorkloadMatrix.from_dict(matrix_from_jsonable(raw_matrix))
+            try:
+                matrix = WorkloadMatrix.from_dict(matrix_from_jsonable(raw_matrix))
+            except MatrixError as exc:
+                raise WalCorruption(
+                    f"snapshot at LSN {snapshot_lsn} does not hold a matrix: {exc}"
+                ) from exc
         backlog = [int(r) for r in state.get("backlog", [])]
     replayed = 0
     skipped = 0

@@ -51,7 +51,6 @@ def improvement_plateaus(
 
 def adaptive_vs_static_comparison(
     spec: ScenarioSpec,
-    target: str = "service",
     adaptive_config: Optional[AdaptiveConfig] = None,
     bootstrap_coverage: float = 0.85,
     check_replay: bool = True,
@@ -67,7 +66,6 @@ def adaptive_vs_static_comparison(
     def build(adaptive: bool) -> ScenarioRunner:
         return ScenarioRunner(
             spec,
-            target=target,
             adaptive=adaptive,
             adaptive_config=adaptive_config,
             bootstrap_coverage=bootstrap_coverage,
@@ -123,14 +121,13 @@ def adaptive_vs_static_comparison(
 
 def scenario_suite_comparison(
     specs: Dict[str, ScenarioSpec],
-    target: str = "service",
     adaptive_config: Optional[AdaptiveConfig] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Run :func:`adaptive_vs_static_comparison` across a scenario library."""
     results: Dict[str, Dict[str, float]] = {}
     for name in sorted(specs):
         results[name] = adaptive_vs_static_comparison(
-            specs[name], target=target, adaptive_config=adaptive_config
+            specs[name], adaptive_config=adaptive_config
         )
     summary = {
         "scenarios": float(len(results)),

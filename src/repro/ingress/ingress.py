@@ -323,9 +323,12 @@ class _BaseIngress:
 
         Equivalent to ``asyncio.gather`` over per-payload :meth:`serve`
         calls (same admission, same batches, same answers) without a
-        coroutine frame per request.
+        coroutine frame per request -- except that every payload is
+        checked before the first is admitted, so a bad vector raises
+        :class:`IngressError` having queued and shed nothing.
         """
-        futures = list(map(self._admit, payloads))
+        checked = list(map(self._checked, payloads))
+        futures = list(map(self._admit, checked))
         return [await future for future in futures]
 
     # -- flush machinery ----------------------------------------------------------
@@ -432,6 +435,14 @@ class _BaseIngress:
                     future.set_result(decision)
 
     # -- subclass hooks -----------------------------------------------------------
+    def _checked(self, payload: Any) -> Any:
+        """The payload as the backend takes it, or :class:`IngressError`.
+
+        The front door's one payload check: nothing that fails it is ever
+        admitted, so a coalesced batch cannot fail on one caller's input.
+        """
+        raise NotImplementedError
+
     def _serve_payloads(self, payloads: List[Any]) -> List[IngressDecision]:
         raise NotImplementedError
 
@@ -499,8 +510,11 @@ class ServiceIngress(_BaseIngress):
         """Answer one query arrival (awaits its coalesced batch)."""
         n = self.service.matrix.n_queries
         if type(query) is not int or not 0 <= query < n:
-            query = _query_index(query, n)
+            query = self._checked(query)
         return await self._admit(query)
+
+    def _checked(self, payload: Any) -> int:
+        return _query_index(payload, self.service.matrix.n_queries)
 
     def _serve_payloads(self, payloads: List[int]) -> List[IngressDecision]:
         return _decisions(
@@ -556,11 +570,22 @@ class ClusterIngress(_BaseIngress):
         """Answer one tenant's query arrival (awaits its coalesced batch)."""
         try:
             n = len(self._directories[tenant].names)
-        except KeyError:
-            n = self.cluster.n_queries(tenant)  # raises for unknown tenants
+        except (KeyError, TypeError):
+            n = 0  # the check below names the unknown tenant
         if type(query) is not int or not 0 <= query < n:
-            query = _query_index(query, n, tenant)
+            tenant, query = self._checked((tenant, query))
         return await self._admit((tenant, query))
+
+    def _checked(self, payload: Any) -> Tuple[str, int]:
+        try:
+            tenant, query = payload
+            n = len(self._directories[tenant].names)
+        except (TypeError, ValueError, KeyError):
+            raise IngressError(
+                "payload must be a (tenant, query) pair of a registered "
+                f"tenant, got {payload!r}"
+            ) from None
+        return tenant, _query_index(query, n, tenant)
 
     def _serve_payloads(
         self, payloads: List[Tuple[str, int]]

@@ -36,7 +36,7 @@ The tape records only what a gradient will flow through:
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -414,11 +414,6 @@ class Tensor:
 def parameter(data, name: str = "") -> Tensor:
     """Create a trainable (leaf) tensor."""
     return Tensor(data, requires_grad=True, name=name)
-
-
-def stack_tensors(tensors: Iterable[Tensor], axis: int = 0) -> Tensor:
-    """Stack detached tensors into a constant tensor (no gradient flow)."""
-    return Tensor(np.stack([t.data for t in tensors], axis=axis))
 
 
 # -- fused nodes ------------------------------------------------------------------------

@@ -272,7 +272,3 @@ class TCNNTrainer:
                 packed.take(window), query_idx[window], hint_idx[window]
             )
         return predictions.reshape(n, k)
-
-    def predict_all(self, matrix: WorkloadMatrix) -> np.ndarray:
-        """Backwards-compatible alias for :meth:`predict_full`."""
-        return self.predict_full(matrix)

@@ -601,6 +601,9 @@ def build_suite(scale_name: str = "smoke") -> PerfHarness:
                 decisions, drifted[decisions.queries, decisions.hints]
             )
         responded = controller.tick()
+        # A response leaves ALS work to whoever schedules it; a lone service
+        # refreshes explicitly, so the case times detect + respond + refresh.
+        service.refresh_now()
         report = controller.report()
         return {
             "responded": int(responded),

@@ -23,7 +23,7 @@ from typing import Dict, Optional, Sequence, Tuple
 import numpy as np
 
 from ..db.hints import HintSet
-from ..db.operators import ALL_OPERATOR_NAMES, PlanNode
+from ..db.operators import ALL_OPERATOR_NAMES
 from ..db.optimizer import PlanEnumerator
 from ..db.query import Query
 from ..errors import PlanError
@@ -130,10 +130,6 @@ class PlanFeaturizer:
     def featurize(self, query: Query, hint_set: HintSet) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Plan the query under the hint set and flatten the plan to arrays."""
         plan = self.enumerator.optimize(query, hint_set)
-        return plan_to_arrays(plan)
-
-    def featurize_plan(self, plan: PlanNode) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Flatten an already-optimized plan."""
         return plan_to_arrays(plan)
 
 

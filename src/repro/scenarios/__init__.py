@@ -2,8 +2,8 @@
 
 The ROADMAP's scenario-diversity goal, packaged: a scenario is a frozen
 spec (tenants + phases + events), a mutable ground-truth world, and a
-runner that drives a live :class:`~repro.serving.ServingService` or
-:class:`~repro.cluster.ServingCluster` through it tick by tick:
+runner that drives a live :class:`~repro.cluster.ServingCluster` (one
+shard by default) through it tick by tick:
 
 * :mod:`repro.scenarios.spec` -- :class:`TenantSpec`, :class:`ScenarioPhase`,
   :class:`ScenarioEvent`, :class:`ScenarioSpec` (validated at construction),
@@ -33,7 +33,6 @@ from .primitives import (
 )
 from .runner import ScenarioRunner, ScenarioTrace, TickStats
 from .spec import (
-    CLUSTER_ACTIONS,
     DISTURBANCE_ACTIONS,
     EVENT_ACTIONS,
     ScenarioEvent,
@@ -58,7 +57,6 @@ __all__ = [
     "ScenarioRunner",
     "ScenarioTrace",
     "TickStats",
-    "CLUSTER_ACTIONS",
     "DISTURBANCE_ACTIONS",
     "EVENT_ACTIONS",
     "ScenarioEvent",

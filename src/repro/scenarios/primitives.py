@@ -18,17 +18,17 @@ ROADMAP's scenario-diversity goal asks for:
 * :func:`etl_flood`              -- incompressible ETL rows flooding in
   while the base workload drifts (Figure 8 meets Figure 11),
 * :func:`tenant_churn`           -- tenants joining cold / leaving live
-  with a shard added mid-run (cluster targets),
+  with a shard added mid-run,
 * :func:`kill_shard_mid_drift`   -- a shard crashes mid-drift and rejoins
-  from its write-ahead journal (cluster targets),
+  from its write-ahead journal,
 * :func:`restart_during_flash_crowd` -- a crashed shard rejoins in the
-  middle of a 4x burst (cluster targets).
+  middle of a 4x burst.
 
 All builders are pure: same arguments, same spec -- replay determinism
 starts here.  :func:`standard_scenarios` is the whole library by name;
 :func:`drift_benchmark_scenarios` is the six-scenario subset the
-``benchmarks/test_adaptive_drift.py`` acceptance gate runs on a single
-service.
+``benchmarks/test_adaptive_drift.py`` acceptance gate runs on a one-shard
+cluster.
 """
 
 from __future__ import annotations
@@ -232,7 +232,7 @@ def tenant_churn(
     batch_size: int = 128,
 ) -> ScenarioSpec:
     """Cluster churn: a cold tenant joins, a shard is added live, data
-    drifts, and an original tenant leaves -- all in one run (cluster-only)."""
+    drifts, and an original tenant leaves -- all in one run."""
     return ScenarioSpec(
         name="tenant_churn",
         seed=seed,
@@ -272,7 +272,7 @@ def kill_shard_mid_drift(
     shard: int = 0,
 ) -> ScenarioSpec:
     """Chaos: a shard process dies in the middle of a gradual drift and
-    rejoins from its journal several ticks later (cluster-only).
+    rejoins from its journal several ticks later.
 
     The outage window exercises degraded default-plan serving plus the
     feedback outage queue; the restart exercises WAL replay, queue drain,
@@ -312,8 +312,7 @@ def restart_during_flash_crowd(
     batch_size: int = 96,
     shard: int = 0,
 ) -> ScenarioSpec:
-    """Chaos: a shard lost before a flash crowd rejoins mid-burst
-    (cluster-only).
+    """Chaos: a shard lost before a flash crowd rejoins mid-burst.
 
     The 4x burst lands while the cluster is degraded, so the recovered
     shard must absorb both the queued outage feedback and peak traffic the

@@ -1,9 +1,10 @@
 """The scenario runner: a seeded timeline driving a live serving stack.
 
 :class:`ScenarioRunner` executes a :class:`~repro.scenarios.spec.ScenarioSpec`
-tick by tick against either a single :class:`~repro.serving.ServingService`
-(multi-tenant rows unioned into one matrix) or a sharded
-:class:`~repro.cluster.ServingCluster`.  Per tick it:
+tick by tick against a :class:`~repro.cluster.ServingCluster` (one shard by
+default; a one-shard cluster decides exactly what a lone
+:class:`~repro.serving.ServingService` over the same rows would).  Per tick
+it:
 
 1. fires the tick's events (drift, floods, churn, shard adds, shard
    crashes / journal-recovery rejoins) against the mutable
@@ -12,8 +13,7 @@ tick by tick against either a single :class:`~repro.serving.ServingService`
    flash-crowd bursts included) with a dedicated arrival RNG stream,
 3. serves each tenant's batch, *executes* the served hints against the
    current ground truth, and -- in adaptive mode -- feeds the measured
-   latencies back through :meth:`ServingService.record_measured` /
-   :meth:`ClusterAdaptationController.record`,
+   latencies back through :meth:`ClusterAdaptationController.record`,
 4. runs one background heartbeat (adaptation controller tick, cluster
    refresh-scheduler tick) off the serve path.
 
@@ -30,20 +30,15 @@ from __future__ import annotations
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
 from ..adaptive.cluster import ClusterAdaptationController
-from ..adaptive.controller import AdaptationController
-from ..adaptive.reexplore import RowOracle
 from ..cluster.cluster import ServingCluster
-from ..config import ALSConfig, AdaptiveConfig, ExplorationConfig
-from ..core.workload_matrix import WorkloadMatrix
+from ..config import AdaptiveConfig
 from ..errors import ScenarioError
 from ..serving.batch_cache import BatchDecisions
-from ..serving.refresh import IncrementalALSRefresher
-from ..serving.service import ServingService
 from .spec import ScenarioEvent, ScenarioPhase, ScenarioSpec
 from .world import TenantWorld
 
@@ -130,111 +125,6 @@ class ScenarioTrace:
         }
 
 
-class _ServiceTarget:
-    """All tenants unioned into one ServingService (rows keyed tenant/name)."""
-
-    def __init__(
-        self,
-        worlds: Dict[str, TenantWorld],
-        n_hints: int,
-        als_config: ALSConfig,
-        refresh_iterations: int,
-    ) -> None:
-        self.worlds = worlds
-        self.n_hints = n_hints
-        self._als_config = als_config
-        self._refresh_iterations = refresh_iterations
-        self.matrix: Optional[WorkloadMatrix] = None
-        self.service: Optional[ServingService] = None
-        self.controller: Optional[AdaptationController] = None
-        self._rows: Dict[str, np.ndarray] = {}
-        self._owners: List[Tuple[str, int]] = []
-
-    def register(self, tenant: str, locals_: np.ndarray, names: List[str]) -> None:
-        keys = [f"{tenant}/{name}" for name in names]
-        if self.matrix is None:
-            self.matrix = WorkloadMatrix(
-                len(keys), self.n_hints, query_names=keys
-            )
-            self.service = ServingService(
-                self.matrix,
-                refresher=IncrementalALSRefresher(
-                    self._als_config,
-                    refresh_iterations=self._refresh_iterations,
-                ),
-            )
-            new_rows = np.arange(len(keys), dtype=np.int64)
-        else:
-            new_rows = np.array(
-                [self.matrix.add_query(key) for key in keys], dtype=np.int64
-            )
-        existing = self._rows.get(tenant, np.zeros(0, dtype=np.int64))
-        self._rows[tenant] = np.concatenate([existing, new_rows])
-        self._owners.extend(
-            (tenant, int(local)) for local in np.asarray(locals_, dtype=np.int64)
-        )
-
-    def attach_controller(
-        self,
-        adaptive_config: AdaptiveConfig,
-        policy_factory,
-        explore_config: Optional[ExplorationConfig],
-    ) -> None:
-        oracle = RowOracle(
-            lambda row, hint: self.worlds[self._owners[row][0]].latency(
-                self._owners[row][1], hint
-            )
-        )
-        self.controller = AdaptationController(
-            self.service,
-            oracle,
-            config=adaptive_config,
-            policy_factory=policy_factory,
-            explore_config=explore_config,
-        )
-        self.service.monitor = self.controller
-
-    def serve(self, tenant: str, local_queries: np.ndarray) -> BatchDecisions:
-        return self.service.serve_batch(self._rows[tenant][local_queries])
-
-    def observe(self, tenant: str, local_queries, hints, latencies) -> None:
-        self.service.observe_batch(
-            self._rows[tenant][np.asarray(local_queries, dtype=np.int64)],
-            hints,
-            latencies,
-            refresh=False,
-        )
-
-    def record_measured(
-        self, tenant: str, decisions: BatchDecisions, measured: np.ndarray
-    ) -> None:
-        self.service.record_measured(decisions, measured)
-
-    def background_tick(self) -> None:
-        if self.controller is not None:
-            self.controller.tick()
-
-    def add_shard(self) -> None:
-        raise ScenarioError(
-            "add_shard events need a cluster target, not a single service"
-        )
-
-    def kill_shard(self, shard_id: int) -> None:
-        raise ScenarioError(
-            "kill_shard events need a cluster target, not a single service"
-        )
-
-    def restart_shard(self, shard_id: int) -> None:
-        raise ScenarioError(
-            "restart_shard events need a cluster target, not a single service"
-        )
-
-    def adaptive_report(self) -> Optional[Dict[str, float]]:
-        if self.controller is None:
-            return None
-        return self.controller.report().as_dict()
-
-
 class _ClusterTarget:
     """Tenants registered on a ServingCluster; adaptation per shard."""
 
@@ -243,46 +133,29 @@ class _ClusterTarget:
         worlds: Dict[str, TenantWorld],
         n_hints: int,
         n_shards: int,
-        als_config: ALSConfig,
-        refresh_iterations: int,
-        refresh_budget: int,
         durability_dir: Optional[str] = None,
     ) -> None:
         self.worlds = worlds
         self.cluster = ServingCluster(
-            n_shards,
-            n_hints,
-            als_config=als_config,
-            refresh_iterations=refresh_iterations,
-            refresh_budget=refresh_budget,
-            durability_dir=durability_dir,
+            n_shards, n_hints, durability_dir=durability_dir
         )
         self.controller: Optional[ClusterAdaptationController] = None
 
-    def register(self, tenant: str, locals_: np.ndarray, names: List[str]) -> None:
-        del locals_  # cluster tenant-global indices == world row order
+    def register(self, tenant: str, names: List[str]) -> None:
+        # Cluster tenant-global indices == world row order.
         if tenant in self.cluster.tenants:
             self.cluster.add_queries(tenant, names)
         else:
             self.cluster.add_tenant(tenant, names)
 
-    def attach_controller(
-        self,
-        adaptive_config: AdaptiveConfig,
-        policy_factory,
-        explore_config: Optional[ExplorationConfig],
-    ) -> None:
+    def attach_controller(self, adaptive_config: AdaptiveConfig) -> None:
         def cell_lookup(key: str, hint: int) -> float:
             tenant, name = key.split("/", 1)
             world = self.worlds[tenant]
             return world.latency(world.row_of(name), hint)
 
         self.controller = ClusterAdaptationController(
-            self.cluster,
-            cell_lookup,
-            config=adaptive_config,
-            policy_factory=policy_factory,
-            explore_config=explore_config,
+            self.cluster, cell_lookup, config=adaptive_config
         )
 
     def serve(self, tenant: str, local_queries: np.ndarray) -> BatchDecisions:
@@ -329,14 +202,13 @@ class ScenarioRunner:
     spec:
         The scenario timeline.
     target:
-        ``"service"`` (one union :class:`ServingService`), ``"cluster"``
-        (a :class:`ServingCluster`; required when the spec contains
-        cluster-only events), or a *callable* ``factory(worlds) -> target``
-        returning a custom target object implementing the same protocol as
-        the built-ins (``register`` / ``serve`` / ``observe`` /
-        ``record_measured`` / ``background_tick`` / ``add_shard`` /
-        ``adaptive_report``).  The factory hook is how alternative serving
-        paths -- e.g. the asyncio ingress in
+        ``"cluster"`` (a :class:`ServingCluster` of ``n_shards`` shards), or
+        a *callable* ``factory(worlds) -> target`` returning a custom target
+        object implementing the same protocol as the built-in
+        (``register`` / ``serve`` / ``observe`` / ``record_measured`` /
+        ``background_tick`` / ``add_shard`` / ``kill_shard`` /
+        ``restart_shard`` / ``adaptive_report``).  The factory hook is how
+        alternative serving paths -- e.g. the asyncio ingress in
         ``benchmarks/test_ingress_load.py`` -- replay byte-identical
         scenario traffic without the runner knowing about them.
     adaptive:
@@ -348,6 +220,8 @@ class ScenarioRunner:
         Fraction of initially visible rows whose true-best hint is observed
         before tick 0 (models converged offline exploration, Figure 2's
         steady state).  The default column is always observed.
+    n_shards:
+        Shards of the built-in cluster target.
     durability_dir:
         Directory for the cluster target's per-shard write-ahead journals.
         Required (in spirit) by chaos specs containing ``kill_shard`` /
@@ -359,30 +233,18 @@ class ScenarioRunner:
     def __init__(
         self,
         spec: ScenarioSpec,
-        target: str = "service",
+        target: Union[str, Callable] = "cluster",
         adaptive: bool = True,
         adaptive_config: Optional[AdaptiveConfig] = None,
-        policy_factory=None,
-        explore_config: Optional[ExplorationConfig] = None,
         bootstrap_coverage: float = 0.85,
-        n_shards: int = 4,
-        als_config: Optional[ALSConfig] = None,
-        refresh_iterations: int = 3,
-        refresh_budget: int = 1,
+        n_shards: int = 1,
         durability_dir: Optional[str] = None,
     ) -> None:
         self._target_factory = target if callable(target) else None
-        if self._target_factory is None:
-            if target not in ("service", "cluster"):
-                raise ScenarioError(
-                    f"target must be 'service', 'cluster', or a factory "
-                    f"callable, got {target!r}"
-                )
-            if spec.uses_cluster_actions() and target != "cluster":
-                raise ScenarioError(
-                    f"scenario {spec.name!r} contains cluster-only events; "
-                    "run it with target='cluster'"
-                )
+        if self._target_factory is None and target != "cluster":
+            raise ScenarioError(
+                f"target must be 'cluster' or a factory callable, got {target!r}"
+            )
         if not 0.0 <= bootstrap_coverage <= 1.0:
             raise ScenarioError(
                 f"bootstrap_coverage must be in [0, 1], got {bootstrap_coverage}"
@@ -398,17 +260,11 @@ class ScenarioRunner:
                 f"width, got {sorted(hints)}"
             )
         self.spec = spec
-        self.target_kind = "custom" if self._target_factory is not None else target
         self.adaptive = bool(adaptive)
         self.adaptive_config = adaptive_config or AdaptiveConfig()
-        self.policy_factory = policy_factory
-        self.explore_config = explore_config
         self.bootstrap_coverage = float(bootstrap_coverage)
         self.n_hints = hints.pop()
         self.n_shards = int(n_shards)
-        self.als_config = als_config or ALSConfig()
-        self.refresh_iterations = int(refresh_iterations)
-        self.refresh_budget = int(refresh_budget)
         self.durability_dir = durability_dir
         self._needs_durability = any(
             event.action in ("kill_shard", "restart_shard")
@@ -423,18 +279,8 @@ class ScenarioRunner:
     ):
         if self._target_factory is not None:
             return self._target_factory(worlds)
-        if self.target_kind == "cluster":
-            return _ClusterTarget(
-                worlds,
-                self.n_hints,
-                self.n_shards,
-                self.als_config,
-                self.refresh_iterations,
-                self.refresh_budget,
-                durability_dir=durability_dir,
-            )
-        return _ServiceTarget(
-            worlds, self.n_hints, self.als_config, self.refresh_iterations
+        return _ClusterTarget(
+            worlds, self.n_hints, self.n_shards, durability_dir=durability_dir
         )
 
     def _bootstrap(self, world: TenantWorld, target, rng: np.random.Generator) -> None:
@@ -478,15 +324,10 @@ class ScenarioRunner:
             world = TenantWorld(tenant_spec, seed=self.spec.seed)
             worlds[tenant_spec.name] = world
             order.append(tenant_spec.name)
-            visible = np.arange(world.visible, dtype=np.int64)
-            target.register(
-                tenant_spec.name, visible, [world.names[i] for i in visible]
-            )
+            target.register(tenant_spec.name, world.names[: world.visible])
             self._bootstrap(world, target, bootstrap_rng)
         if self.adaptive:
-            target.attach_controller(
-                self.adaptive_config, self.policy_factory, self.explore_config
-            )
+            target.attach_controller(self.adaptive_config)
 
         trace = ScenarioTrace(scenario=self.spec.name, adaptive=self.adaptive)
         for tick in range(self.spec.total_ticks):
@@ -602,40 +443,21 @@ class ScenarioRunner:
                 event.param("jitter", 0.01),
                 world_rng,
             )
-            first = world.row_of(names[0])
-            target.register(
-                event.tenant,
-                np.arange(first, first + len(names), dtype=np.int64),
-                names,
-            )
+            target.register(event.tenant, names)
         elif event.action == "new_templates":
             world = worlds[event.tenant]
             names = world.add_template_rows(int(event.param("count", 8)), world_rng)
-            first = world.row_of(names[0])
-            target.register(
-                event.tenant,
-                np.arange(first, first + len(names), dtype=np.int64),
-                names,
-            )
+            target.register(event.tenant, names)
         elif event.action == "activate_rest":
-            world = worlds[event.tenant]
-            start = world.visible
-            names = world.activate_rest()
+            names = worlds[event.tenant].activate_rest()
             if names:
-                target.register(
-                    event.tenant,
-                    np.arange(start, start + len(names), dtype=np.int64),
-                    names,
-                )
+                target.register(event.tenant, names)
         elif event.action == "tenant_join":
             world = TenantWorld(event.tenant_spec, seed=self.spec.seed)
             worlds[event.tenant_spec.name] = world
             order.append(event.tenant_spec.name)
-            visible = np.arange(world.visible, dtype=np.int64)
             # Joiners start cold: no bootstrap -- adapting to them is the point.
-            target.register(
-                event.tenant_spec.name, visible, [world.names[i] for i in visible]
-            )
+            target.register(event.tenant_spec.name, world.names[: world.visible])
         elif event.action == "tenant_leave":
             worlds[event.tenant].active = False
         elif event.action == "add_shard":

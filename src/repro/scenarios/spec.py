@@ -35,13 +35,10 @@ EVENT_ACTIONS = (
     "activate_rest",   # the held-back split of a 70/30 workload shift (Fig 9)
     "tenant_join",     # a new tenant registers (churn)
     "tenant_leave",    # a tenant stops arriving (churn)
-    "add_shard",       # live cluster rebalance (cluster targets only)
-    "kill_shard",      # crash a shard process (cluster targets only)
+    "add_shard",       # live cluster rebalance
+    "kill_shard",      # crash a shard process
     "restart_shard",   # recover a killed shard from its journal
 )
-
-#: Cluster-only actions: the runner must be pointed at a ServingCluster.
-CLUSTER_ACTIONS = frozenset({"add_shard", "kill_shard", "restart_shard"})
 
 #: Actions that name a shard via ``params={"shard": id}`` instead of a tenant.
 _SHARD_ACTIONS = frozenset({"kill_shard", "restart_shard"})
@@ -336,19 +333,6 @@ class ScenarioSpec:
                 candidates.append(start)
             start += phase.ticks
         return min(candidates) if candidates else None
-
-    def tenant_names(self) -> List[str]:
-        """Initial tenants plus every tenant that ever joins, in order."""
-        names = [tenant.name for tenant in self.tenants]
-        for event in sorted(self.events, key=lambda e: e.tick):
-            if event.action == "tenant_join":
-                names.append(event.tenant_spec.name)
-        return names
-
-    def uses_cluster_actions(self) -> bool:
-        """True when the spec contains cluster-only events (add_shard,
-        kill_shard, restart_shard)."""
-        return any(event.action in CLUSTER_ACTIONS for event in self.events)
 
     def describe(self) -> str:
         """One-line human summary."""

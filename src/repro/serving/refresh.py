@@ -70,19 +70,16 @@ class IncrementalALSRefresher:
         return self._als.warm_solves
 
     # -- refreshes -------------------------------------------------------------
-    def refresh(self, matrix: WorkloadMatrix, force_cold: bool = False) -> CensoredALSResult:
+    def refresh(self, matrix: WorkloadMatrix) -> CensoredALSResult:
         """Bring the completion up to date with the matrix; returns the solve.
 
-        The first call (or ``force_cold=True``) runs a full cold solve; later
-        calls warm-start from the previous factors with
-        ``refresh_iterations`` fill-in iterations.  A no-op when the matrix
-        has not changed since the last refresh.  Passing a *different*
-        matrix object starts over cold -- the cached factors describe the
-        previous matrix, not this one.
+        The first call runs a full cold solve; later calls warm-start from
+        the previous factors with ``refresh_iterations`` fill-in iterations.
+        A no-op when the matrix has not changed since the last refresh.
+        Passing a *different* matrix object starts over cold -- the cached
+        factors describe the previous matrix, not this one.
         """
-        return self._als.solve(
-            matrix, self.refresh_iterations, warm=not force_cold, force=force_cold
-        )
+        return self._als.solve(matrix, self.refresh_iterations)
 
     def completed_matrix(self, matrix: WorkloadMatrix) -> np.ndarray:
         """The up-to-date completed estimate for ``matrix``."""

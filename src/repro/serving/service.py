@@ -257,21 +257,14 @@ class ServingService:
             self.refresher.refresh(self.matrix)
             self._recorder.record_refresh()
 
-    def record_measured(
-        self,
-        decisions: BatchDecisions,
-        measured,
-        observe: bool = False,
-    ) -> None:
+    def record_measured(self, decisions: BatchDecisions, measured) -> None:
         """Report the *measured* latencies of an already-served batch.
 
         This is the residual telemetry hook the adaptation loop is built
         on: the attached ``monitor`` sees each arrival's served hint, the
         snapshot's expected latency at decision time, and what execution
-        actually measured.  With ``observe=True`` the measurements are also
-        folded into the matrix (``refresh=False`` -- any ALS work stays on
-        the background path).  The default is observation-free so a
-        detection-only deployment never mutates serving state.
+        actually measured.  It is observation-free, so a detection-only
+        deployment never mutates serving state.
         """
         measured = np.asarray(measured, dtype=float)
         if measured.shape != decisions.queries.shape:
@@ -286,14 +279,8 @@ class ServingService:
                 decisions.expected_latency,
                 measured,
             )
-        if self.journal is not None and not observe:
-            # observe=True routes through the matrix, which journals the
-            # same cells as an "observe" record; avoid double-logging.
+        if self.journal is not None:
             self.journal.log_measured(decisions.queries, decisions.hints, measured)
-        if observe:
-            self.observe_batch(
-                decisions.queries, decisions.hints, measured, refresh=False
-            )
 
     def invalidate(self, queries: Optional[Sequence[int]] = None) -> None:
         """Forget observations (all rows, or a subset) and drop warm state.

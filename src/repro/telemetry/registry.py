@@ -5,8 +5,8 @@ Three design rules keep the registry usable on the serve hot path:
 * **Mutation is O(1) python arithmetic.**  ``Counter.inc`` is one float
   add; ``Histogram.observe`` is one bisect plus two adds.  No locks: the
   whole serving stack runs on one event loop / one thread per shard, and
-  cross-shard aggregation happens by *merging* registries (or labeled
-  children), never by sharing mutable cells.
+  cross-shard aggregation happens by *merging* labeled children, never
+  by sharing mutable cells.
 * **Fixed buckets make histograms mergeable.**  Every histogram of a
   family shares the same upper bounds, so merging is element-wise
   addition of bucket counts and ``merge(a, b)`` is exactly equivalent to
@@ -29,7 +29,7 @@ keep no totals of their own.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -277,21 +277,6 @@ class MetricFamily:
             merged.merge_from(child)
         return merged
 
-    def merge_from(self, other: "MetricFamily") -> None:
-        if (
-            other.kind != self.kind
-            or other.label_names != self.label_names
-        ):
-            raise TelemetryError(
-                f"cannot merge family {self.name!r}: kind/labels differ"
-            )
-        for key, child in other._children.items():
-            mine = self._children.get(key)
-            if mine is None:
-                mine = self._make_child()
-                self._children[key] = mine
-            mine.merge_from(child)
-
     def snapshot(self) -> Dict[str, Any]:
         if not self.label_names:
             return {"kind": self.kind, "value": self._children[()].snapshot()}
@@ -306,7 +291,7 @@ class MetricFamily:
 
 
 class MetricsRegistry:
-    """An ordered registry of metric families with exposition and merge.
+    """An ordered registry of metric families with exposition.
 
     Metric names follow the Prometheus convention (``repro_*_total`` for
     counters, ``*_seconds`` for latency histograms).  Registering the
@@ -393,33 +378,6 @@ class MetricsRegistry:
     def names(self) -> List[str]:
         """Registered family names in registration order."""
         return list(self._families)
-
-    # -- merging ------------------------------------------------------------
-    def merge_from(self, other: "MetricsRegistry") -> None:
-        """Fold another registry in (per-shard registries -> one view)."""
-        for name, family in other._families.items():
-            mine = self._families.get(name)
-            if mine is None:
-                mine = MetricFamily(
-                    family.name,
-                    family.help,
-                    family.kind,
-                    family.label_names,
-                    self.max_label_values,
-                    self.label_overflows,
-                    bounds=family._bounds,
-                )
-                self._families[name] = mine
-            mine.merge_from(family)
-        self.label_overflows.merge_from(other.label_overflows)
-
-    @classmethod
-    def merged(cls, parts: Iterable["MetricsRegistry"]) -> "MetricsRegistry":
-        """A fresh registry holding the fold of every part."""
-        out = cls()
-        for part in parts:
-            out.merge_from(part)
-        return out
 
     # -- export -------------------------------------------------------------
     def snapshot(self) -> Dict[str, Any]:

@@ -23,6 +23,7 @@ no merge step.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, Optional, Sequence
 
 from ..config import DEFAULT_TELEMETRY_CONFIG, TelemetryConfig
@@ -132,15 +133,7 @@ class Telemetry:
     def enabled(cls, config: Optional[TelemetryConfig] = None) -> "Telemetry":
         """An opted-in instance (``TelemetryConfig.enabled`` flipped on)."""
         base = config if config is not None else DEFAULT_TELEMETRY_CONFIG
-        if not base.enabled:
-            base = TelemetryConfig(
-                enabled=True,
-                latency_buckets=base.latency_buckets,
-                slow_trace_seconds=base.slow_trace_seconds,
-                trace_ring=base.trace_ring,
-                max_label_values=base.max_label_values,
-            )
-        return cls(base)
+        return cls(replace(base, enabled=True))
 
     @staticmethod
     def active(telemetry: Optional["Telemetry"]) -> Optional["Telemetry"]:

@@ -5,7 +5,7 @@ import logging
 import pytest
 
 from repro import errors
-from repro.config import ALSConfig, ExplorationConfig, SimulationConfig, TCNNConfig
+from repro.config import ALSConfig, ExplorationConfig, TCNNConfig
 from repro.errors import ConfigError, ReproError
 from repro.logging_util import configure_logging, get_logger
 
@@ -56,14 +56,6 @@ def test_tcnn_config_defaults_match_paper():
     ):
         with pytest.raises(ConfigError):
             TCNNConfig(**kwargs)
-
-
-def test_simulation_config_validation():
-    SimulationConfig(checkpoint_times=(1.0, 2.0))
-    with pytest.raises(ConfigError):
-        SimulationConfig(total_exploration_time=0.0)
-    with pytest.raises(ConfigError):
-        SimulationConfig(checkpoint_times=(-1.0,))
 
 
 def test_configs_are_frozen():

@@ -262,6 +262,19 @@ class TestSnapshot:
         with pytest.raises(WalCorruption):
             ShardJournal(str(tmp_path))
 
+    def test_crafted_snapshot_body_is_typed_at_recovery(self, tmp_path):
+        # Well framed, CRC intact, arrays of one shape -- but cells no
+        # mutator could have produced, which used to surface later as an
+        # IndexError from row_minima().
+        payload = make_matrix().to_dict()
+        payload["censored"][0, 0] = True  # observed and censored
+        payload["timeouts"][0, 0] = np.nan
+        write_snapshot(
+            str(tmp_path), {"matrix": matrix_to_jsonable(payload), "backlog": []}, 3
+        )
+        with pytest.raises(WalCorruption, match="does not hold a matrix"):
+            recover_journal(str(tmp_path))
+
     def test_checkpoint_preserves_adaptation_backlog(self, tmp_path):
         journal = ShardJournal(str(tmp_path))
         matrix = make_matrix()
@@ -527,6 +540,32 @@ class TestClusterCrashRejoin:
         cluster.restart_shard(2)
         assert cluster.add_queries("web", names) == list(range(18, 30))
         assert cluster.serve_all("web").batch_size == 30
+
+    def test_add_tenant_onto_a_crashed_shard_leaves_no_empty_tenant(self, tmp_path):
+        cluster, _ = self._populated(tmp_path, "tenant")
+        cluster.kill_shard(0)
+        names = [f"q{i}" for i in range(8)]
+        routed = cluster.router.assign([routing_key("b", name) for name in names])
+        assert 0 in routed.tolist()
+
+        def state():
+            return (
+                list(cluster.tenants),
+                {sid: list(shard.keys) for sid, shard in cluster.shards.items()},
+                {
+                    tenant: (list(d.names), d.shard_of.tobytes())
+                    for tenant, d in cluster.directories.items()
+                },
+                cluster._topology,
+            )
+
+        before = state()
+        with pytest.raises(ClusterError):
+            cluster.add_tenant("b", names)
+        assert state() == before
+        cluster.restart_shard(0)
+        cluster.add_tenant("b", names)  # the retry is not "already registered"
+        assert cluster.serve_all("b").batch_size == 8
 
     def test_restore_backlog_reseeds_controller(self, tmp_path):
         cluster, truth = self._populated(tmp_path, "backlog")

@@ -41,7 +41,7 @@ from repro.ingress import (
 )
 from repro.scenarios import ScenarioRunner
 from repro.scenarios.primitives import sudden_workload_shift
-from repro.scenarios.runner import _ServiceTarget
+from repro.scenarios.runner import _ClusterTarget
 from repro.serving import IncrementalALSRefresher, ServingService
 from repro.serving.batch_cache import BatchDecisions
 from repro.telemetry import Telemetry
@@ -649,28 +649,29 @@ HOUR = IngressConfig(
 )
 
 
-class _ClosedLoopTarget(_ServiceTarget):
-    """Scenario target serving through four closed-loop ingress clients.
+class _ClosedLoopTarget(_ClusterTarget):
+    """The built-in (one-shard) scenario target, serving through four
+    closed-loop ingress clients.
 
     Each client awaits its own requests back to back, so no batch ever
     fills and every flush is the quiescence probe's.
     """
 
-    def __init__(self, *args):
-        super().__init__(*args)
+    def __init__(self, worlds, n_hints):
+        super().__init__(worlds, n_hints, n_shards=1)
         self.loop = asyncio.new_event_loop()
         self.ingress = None
 
     def serve(self, tenant, local_queries):
         if self.ingress is None:
-            self.ingress = ServiceIngress(self.service, HOUR)
+            self.ingress = ClusterIngress(self.cluster, HOUR)
             self.loop.run_until_complete(self.ingress.start())
-        rows = self._rows[tenant][np.asarray(local_queries, dtype=np.int64)]
+        rows = np.asarray(local_queries, dtype=np.int64)
         answers = [None] * len(rows)
 
         async def client(start):
             for i in range(start, len(rows), 4):
-                answers[i] = await self.ingress.serve(int(rows[i]))
+                answers[i] = await self.ingress.serve(tenant, int(rows[i]))
 
         async def drive():
             await asyncio.wait_for(
@@ -870,11 +871,7 @@ class TestIdleFlush:
         targets = []
 
         def factory(worlds):
-            targets.append(
-                _ClosedLoopTarget(
-                    worlds, spec.tenants[0].n_hints, ScenarioRunner(spec).als_config, 3
-                )
-            )
+            targets.append(_ClosedLoopTarget(worlds, spec.tenants[0].n_hints))
             return targets[-1]
 
         try:
@@ -952,7 +949,7 @@ class TestClusterIngress:
     def test_unknown_tenant_and_bad_query_raise(self):
         async def scenario():
             async with ClusterIngress(make_cluster()) as ingress:
-                with pytest.raises(ClusterError):
+                with pytest.raises(IngressError, match="ghost"):
                     await ingress.serve("ghost", 0)
                 with pytest.raises(IngressError):
                     await ingress.serve("acme", 10_000)
@@ -1004,3 +1001,65 @@ class TestClusterIngress:
 
         stats = run(scenario())
         assert stats.background_ticks["refresh-scheduler"] >= 2
+
+
+# -- serve_many checks its payloads like serve does ---------------------------------
+
+
+def _service_door():
+    return ServiceIngress(make_service(), IngressConfig(max_batch=4, queue_capacity=4))
+
+
+def _cluster_door():
+    return ClusterIngress(make_cluster(), IngressConfig(max_batch=4, queue_capacity=4))
+
+
+_BAD_VECTORS = [
+    (_service_door, [3, 1.7]),
+    (_service_door, [True]),
+    (_service_door, [0, 1, 10**9]),
+    (_service_door, [("acme", 0)]),
+    (_cluster_door, [("acme", 3), ("acme", 1.7)]),
+    (_cluster_door, [("acme", True)]),
+    (_cluster_door, [("acme", 10**9)]),
+    (_cluster_door, [("acme", 0), ("nope", 0)]),
+    (_cluster_door, [7]),
+    (_cluster_door, [("acme", 0, 0)]),
+    (_cluster_door, [(["acme"], 0)]),
+]
+
+
+class TestServeManyValidation:
+    @pytest.mark.parametrize("door, payloads", _BAD_VECTORS)
+    def test_bad_vector_admits_nothing_and_sheds_nothing(self, door, payloads):
+        async def scenario():
+            async with door() as ingress:
+                # More payloads than the queue holds: admitting the good
+                # prefix first would shed before the bad one is reached.
+                with pytest.raises(IngressError):
+                    await ingress.serve_many(payloads[:1] * 8 + payloads)
+                return ingress.stats()
+
+        stats = run(scenario())
+        assert (stats.submitted, stats.shed, stats.queue_depth) == (0, 0, 0)
+
+    @pytest.mark.parametrize(
+        "door, good, bad",
+        [
+            (_service_door, [3, 1, 4], [1, 2.5]),
+            (_cluster_door, [("acme", 3), ("globex", 1)], [("acme", 0), ("nope", 0)]),
+        ],
+    )
+    def test_good_vector_beside_a_concurrent_bad_one_keeps_its_answers(
+        self, door, good, bad
+    ):
+        async def scenario(vectors):
+            async with door() as ingress:
+                return await asyncio.gather(
+                    *(ingress.serve_many(v) for v in vectors), return_exceptions=True
+                )
+
+        (alone,) = run(scenario([good]))
+        answers, problem = run(scenario([good, bad]))
+        assert isinstance(problem, IngressError)
+        assert answers == alone and not any(a.shed for a in answers)

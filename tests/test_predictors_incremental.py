@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import ALSConfig, ExplorationConfig
 from repro.core.explorer import MatrixOracle, OfflineExplorer
-from repro.core.policies import LimeQOPolicy, RandomPolicy
+from repro.core.policies import RandomPolicy
 from repro.core.predictors import ALSPredictor
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import ExplorationError
@@ -134,32 +134,11 @@ def test_warm_refresh_tracks_cold_solution():
     assert np.median(np.abs(warm_estimate - cold_estimate) / denominator) < 0.05
 
 
-def test_set_incremental_validation():
-    predictor = ALSPredictor(ALSConfig(iterations=5))
+def test_constructor_validation():
     with pytest.raises(ExplorationError):
-        predictor.set_incremental(True, refresh_iterations=0)
+        ALSPredictor(ALSConfig(iterations=5), refresh_iterations=0)
     with pytest.raises(ExplorationError):
-        predictor.set_incremental(True, full_solve_every=0)
-
-
-def test_explorer_configures_policy_predictor_from_exploration_config():
-    matrix, truth = make_matrix()
-    predictor = ALSPredictor(ALSConfig(iterations=10))
-    policy = LimeQOPolicy(predictor=predictor)
-    config = ExplorationConfig(
-        batch_size=3,
-        incremental_als=True,
-        als_refresh_iterations=7,
-        als_full_solve_every=4,
-    )
-    OfflineExplorer(matrix, policy, MatrixOracle(truth), config)
-    assert predictor.warm_start is True
-    assert predictor.refresh_iterations == 7
-    assert predictor.full_solve_every == 4
-
-    config_off = ExplorationConfig(batch_size=3, incremental_als=False)
-    OfflineExplorer(matrix, policy, MatrixOracle(truth), config_off)
-    assert predictor.warm_start is False
+        ALSPredictor(ALSConfig(iterations=5), full_solve_every=0)
 
 
 def test_model_free_policies_ignore_configure():
@@ -167,28 +146,3 @@ def test_model_free_policies_ignore_configure():
     policy = RandomPolicy()
     OfflineExplorer(matrix, policy, MatrixOracle(truth), ExplorationConfig())
     assert policy.last_prediction is None
-
-
-def test_configure_with_default_config_keeps_explicit_predictor_settings():
-    """ExplorationConfig knobs default to None = don't clobber the predictor."""
-    matrix, truth = make_matrix()
-    predictor = ALSPredictor(
-        ALSConfig(iterations=10), warm_start=False, refresh_iterations=3,
-        full_solve_every=7,
-    )
-    policy = LimeQOPolicy(predictor=predictor)
-    OfflineExplorer(matrix, policy, MatrixOracle(truth), ExplorationConfig())
-    assert predictor.warm_start is False
-    assert predictor.refresh_iterations == 3
-    assert predictor.full_solve_every == 7
-
-
-def test_configure_partial_override_keeps_unset_knobs():
-    matrix, truth = make_matrix()
-    predictor = ALSPredictor(ALSConfig(iterations=10), refresh_iterations=3)
-    policy = LimeQOPolicy(predictor=predictor)
-    config = ExplorationConfig(als_full_solve_every=42)
-    OfflineExplorer(matrix, policy, MatrixOracle(truth), config)
-    assert predictor.warm_start is True
-    assert predictor.refresh_iterations == 3
-    assert predictor.full_solve_every == 42

@@ -93,10 +93,11 @@ def test_spec_timeline_helpers():
 
 
 def test_runner_rejects_bad_targets():
-    with pytest.raises(ScenarioError):
-        ScenarioRunner(tiny_spec(), target="mainframe")
-    with pytest.raises(ScenarioError):
-        ScenarioRunner(tenant_churn(), target="service")  # add_shard needs cluster
+    for target in ("mainframe", "service", None):
+        with pytest.raises(ScenarioError):
+            ScenarioRunner(tiny_spec(), target=target)
+    ScenarioRunner(tiny_spec(), target="cluster")
+    ScenarioRunner(tiny_spec(), target=lambda worlds: None)
     with pytest.raises(ScenarioError):
         ScenarioRunner(tiny_spec(), bootstrap_coverage=1.5)
 
@@ -132,16 +133,13 @@ def test_chaos_event_validation():
                 ScenarioEvent(tick=2, action="add_shard"),
             )
         )
-    # A well-ordered kill/restart pair passes and flags cluster-only.
-    spec = tiny_spec(
+    # A well-ordered kill/restart pair passes.
+    tiny_spec(
         events=(
             ScenarioEvent(tick=1, action="kill_shard", params={"shard": 0}),
             ScenarioEvent(tick=3, action="restart_shard", params={"shard": 0}),
         )
     )
-    assert spec.uses_cluster_actions()
-    with pytest.raises(ScenarioError):
-        ScenarioRunner(spec, target="service")  # chaos needs a cluster
 
 
 def test_chaos_scenarios_run_and_replay_deterministically():
@@ -160,7 +158,6 @@ def test_restart_during_flash_crowd_spec_shape():
     spec = restart_during_flash_crowd(seed=3)
     actions = [e.action for e in sorted(spec.events, key=lambda e: e.tick)]
     assert actions == ["kill_shard", "data_drift", "restart_shard"]
-    assert spec.uses_cluster_actions()
 
 
 # -- world ------------------------------------------------------------------------
@@ -353,6 +350,5 @@ def test_scenario_library_shapes():
     assert len(bench) >= 6
     for spec in bench.values():
         assert spec.first_disturbance_tick() is not None
-        assert not spec.uses_cluster_actions()
     # Seeds propagate into the spec, so the library is replayable by value.
     assert standard_scenarios(seed=5)["etl_flood"].seed == 5

@@ -188,21 +188,6 @@ class TestMergeLaw:
         with pytest.raises(TelemetryError):
             a.merge_from(b)
 
-    def test_registry_merge_folds_families_and_labels(self):
-        parts = []
-        for shard in range(3):
-            reg = MetricsRegistry()
-            reg.counter("repro_x_total", labels=("shard",)).labels(
-                str(shard)
-            ).inc(shard + 1)
-            reg.histogram("repro_y_seconds").child.observe(0.01 * (shard + 1))
-            parts.append(reg)
-        merged = MetricsRegistry.merged(parts)
-        family = merged.get("repro_x_total")
-        assert merged.get("repro_y_seconds").child.count == 3
-        assert family.merged_child().value == 1 + 2 + 3
-        assert {key[0] for key, _ in family.children()} == {"0", "1", "2"}
-
 
 # -- cardinality guard ---------------------------------------------------------
 

@@ -1,5 +1,7 @@
 """Tests for the TCNN training loop and predictors built on it."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -59,7 +61,7 @@ def test_trainer_predictions_have_matrix_shape_and_are_nonnegative(tiny_workload
     trainer = TCNNTrainer(tiny_workload.feature_store(), tiny_workload.n_queries,
                           tiny_workload.n_hints, small_config())
     trainer.fit(matrix)
-    predictions = trainer.predict_all(matrix)
+    predictions = trainer.predict_full(matrix)
     assert predictions.shape == matrix.shape
     assert (predictions >= 0).all()
 
@@ -124,6 +126,8 @@ def test_predictor_config_use_embeddings_is_forced(tiny_workload):
     config = small_config()  # use_embeddings defaults to True
     plain = TCNNPredictor(tiny_workload.feature_store(), config)
     assert plain.config.use_embeddings is False
+    # Only that one field is rewritten.
+    assert dataclasses.replace(plain.config, use_embeddings=True) == config
     transductive = TransductiveTCNNPredictor(tiny_workload.feature_store(), config)
     assert transductive.config.use_embeddings is True
 
@@ -139,8 +143,6 @@ def test_predict_full_matches_per_cell_prediction(tiny_workload):
     cells = [(i, j) for i in range(n) for j in range(k)]
     per_cell = trainer.predict_cells(cells).reshape(n, k)
     np.testing.assert_allclose(full, per_cell, rtol=0, atol=0)
-    # predict_all stays as a compatible alias.
-    np.testing.assert_array_equal(trainer.predict_all(matrix), full)
 
 
 # -- hostile input at the trainer's front door -----------------------------------------

@@ -145,6 +145,74 @@ def test_roundtrip_dict_and_file(tmp_path):
     assert np.allclose(loaded.mask, matrix.mask)
 
 
+def _tampered(edit):
+    matrix = WorkloadMatrix(3, 4)
+    matrix.observe(0, 0, 1.5)
+    matrix.observe(2, 1, 0.25)
+    matrix.observe_censored(1, 2, 0.5)
+    payload = matrix.to_dict()
+    edit(payload)
+    return payload
+
+
+@pytest.mark.parametrize(
+    "edit",
+    [
+        pytest.param(lambda p: p.__setitem__("observed", p["observed"][:2]), id="3x4-beside-2x4"),
+        pytest.param(lambda p: p["observed"].__setitem__((1, 2), True), id="observed-and-censored"),
+        pytest.param(lambda p: p["timeouts"].__setitem__((1, 2), np.nan), id="nan-bound"),
+        pytest.param(lambda p: p["timeouts"].__setitem__((1, 2), 0.0), id="zero-bound"),
+        pytest.param(lambda p: p["values"].__setitem__((0, 0), np.inf), id="inf-latency"),
+        pytest.param(lambda p: p["values"].__setitem__((2, 1), -1.0), id="negative-latency"),
+        pytest.param(lambda p: p.__setitem__("values", p["values"].ravel()), id="not-2d"),
+        pytest.param(lambda p: p.__setitem__("query_names", ["a", "b"]), id="two-names-three-rows"),
+        pytest.param(lambda p: p.pop("censored"), id="missing-array"),
+    ],
+)
+def test_from_dict_rejects_payloads_no_mutator_could_have_produced(edit):
+    with pytest.raises(MatrixError):
+        WorkloadMatrix.from_dict(_tampered(edit))
+    # The untouched payload is fine, and row_minima() works on the result.
+    assert WorkloadMatrix.from_dict(_tampered(lambda p: None)).row_minima()[0] == 1.5
+
+
+def test_save_load_round_trip_is_bit_equal(tmp_path):
+    rng = np.random.default_rng(5)
+    matrix = WorkloadMatrix(6, 5, query_names=[f"tenant/q{i}é" for i in range(6)])
+    rows, cols = np.nonzero(rng.random((6, 5)) < 0.5)
+    matrix.observe_batch(rows, cols, rng.uniform(0.1, 9.0, size=rows.size))
+    matrix.observe_censored(0, int(np.flatnonzero(matrix.mask[0] == 0)[0]), 2.5)
+    path = str(tmp_path / "m.npz")
+    matrix.save(path)
+    loaded, saved = WorkloadMatrix.load(path).to_dict(), matrix.to_dict()
+    assert loaded.keys() == saved.keys()
+    for key, value in saved.items():
+        if isinstance(value, np.ndarray):
+            assert loaded[key].dtype == value.dtype
+            assert loaded[key].tobytes() == value.tobytes()
+        else:
+            assert loaded[key] == value and type(loaded[key][0]) is str
+
+
+def test_load_refuses_pickled_names(tmp_path):
+    payload = WorkloadMatrix(2, 3).to_dict()
+    path = str(tmp_path / "old.npz")
+    # What save() wrote before names became unicode arrays -- and what a
+    # crafted file would use to run code at load time.
+    np.savez_compressed(
+        path,
+        **{
+            key: np.array(value, dtype=object) if key.endswith("names") else value
+            for key, value in payload.items()
+        },
+    )
+    with pytest.raises(MatrixError, match="not a saved matrix"):
+        WorkloadMatrix.load(path)
+    np.savez_compressed(path, values=payload["values"])
+    with pytest.raises(MatrixError, match="not a saved matrix"):
+        WorkloadMatrix.load(path)
+
+
 def test_copy_is_independent():
     matrix = WorkloadMatrix(1, 2)
     matrix.observe(0, 0, 1.0)
