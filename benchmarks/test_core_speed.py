@@ -11,12 +11,10 @@ Two claims are measured (not asserted from memory):
    and their latency-vs-time traces stay within a small tolerance of each
    other along the way.
 
-The measured numbers, together with the ``repro.perf`` hot-path suite, are
-written to ``BENCH_core.json`` so the speed trajectory is tracked across
-PRs like every other benchmark output.
+The numbers are printed; ``BENCH_core.json`` is the ``repro.perf`` suite's
+file and the CI ``perf-smoke`` job is its only writer.
 """
 
-import os
 import time
 
 import numpy as np
@@ -26,7 +24,6 @@ from repro.config import ALSConfig, ExplorationConfig
 from repro.core.policies import LimeQOPolicy
 from repro.core.predictors import ALSPredictor
 from repro.core.simulation import ExplorationSimulator
-from repro.perf import as_payload, build_suite, calibration_seconds, write_report
 from repro.workloads.matrices import generate_workload
 from repro.workloads.spec import WorkloadSpec
 
@@ -118,23 +115,3 @@ def test_core_speed_warm_vs_cold(benchmark):
     cold_at = cold_trace.latencies_at(checkpoints)
     warm_at = warm_trace.latencies_at(checkpoints)
     assert np.all(np.abs(cold_at - warm_at) / cold_at < 0.15)
-
-    # Persist the measurement through the repro.perf harness so the speed
-    # trajectory is tracked like every other BENCH_*.json.
-    harness = build_suite("smoke")
-    calibration = calibration_seconds()
-    results = harness.run()
-    payload = as_payload(
-        results,
-        calibration,
-        scale="smoke",
-        extra={
-            "explore_speedup_warm_vs_cold": result["speedup"],
-            "explore_cold_seconds": result["cold_seconds"],
-            "explore_warm_seconds": result["warm_seconds"],
-            "identical_final_selections": True,
-        },
-    )
-    out_dir = os.environ.get("BENCH_OUTPUT_DIR", os.getcwd())
-    path = write_report(payload, os.path.join(out_dir, "BENCH_core.json"))
-    print(f"wrote {path}")

@@ -96,7 +96,6 @@ from .ingress import (
 )
 from .serving import (
     BatchDecisions,
-    BatchedLatencyEstimator,
     BatchedPlanCache,
     IncrementalALSRefresher,
     ServingService,
@@ -202,7 +201,6 @@ __all__ = [
     "RendezvousRouter",
     "ServingCluster",
     "BatchDecisions",
-    "BatchedLatencyEstimator",
     "BatchedPlanCache",
     "IncrementalALSRefresher",
     "ServingService",

@@ -88,8 +88,6 @@ class ServingCluster:
         Dirty shards refreshed per :meth:`tick`.
     failure_threshold:
         Consecutive shard serve failures before the breaker trips it DOWN.
-    clock:
-        Injectable time source shared by every shard's telemetry.
     durability_dir:
         When set, every shard gets a write-ahead journal under
         ``<durability_dir>/shard-<id>`` and the crash lifecycle
@@ -118,7 +116,6 @@ class ServingCluster:
         als_config: Optional[ALSConfig] = None,
         refresh_budget: int = 1,
         failure_threshold: int = 3,
-        clock=time.perf_counter,
         durability_dir: Optional[str] = None,
         fault_fs: Optional[FaultFS] = None,
         journal_sync: str = "os",
@@ -130,7 +127,6 @@ class ServingCluster:
         self.default_hint = int(default_hint)
         self.regression_margin = float(regression_margin)
         self._als_config = als_config or ALSConfig()
-        self._clock = clock
         self.durability_dir = durability_dir
         self._fault_fs = fault_fs
         self._journal_sync = journal_sync
@@ -192,7 +188,6 @@ class ServingCluster:
             default_hint=self.default_hint,
             regression_margin=self.regression_margin,
             als_config=self._als_config,
-            clock=self._clock,
             telemetry=(
                 self.telemetry.labeled(str(shard_id))
                 if self.telemetry is not None
@@ -436,10 +431,10 @@ class ServingCluster:
         cm = self._metrics
         tel = self.telemetry
         if tel is not None:
-            start = self._clock()
+            start = time.perf_counter()
         groups = split_batch(shard_ids)
         if tel is not None:
-            tel.tracer.record_stage("router.split", self._clock() - start)
+            tel.tracer.record_stage("router.split", time.perf_counter() - start)
         cm.routed_batches.inc()
         cm.fan_out.inc(len(groups))
         for sid, positions in groups:

@@ -152,7 +152,6 @@ class LimeQO:
         self,
         regression_margin: float = 1.0,
         refresher=None,
-        estimator=None,
     ) -> "ServingService":
         """A batched serving front end sharing this facade's live matrix.
 
@@ -166,7 +165,6 @@ class LimeQO:
             default_hint=self.default_hint,
             regression_margin=regression_margin,
             refresher=refresher,
-            estimator=estimator,
         )
 
     def recommended_hints(self) -> List[int]:

@@ -23,8 +23,9 @@ from .catalog import Catalog
 from .query import Query
 
 
-def _stable_seed(*parts: str) -> int:
-    """Derive a reproducible 32-bit seed from string parts."""
+def stable_seed(*parts: str) -> int:
+    """Derive a 32-bit seed from string parts, the same in every process
+    (the builtin ``hash`` is salted for ``str`` and address-based for ``None``)."""
     digest = hashlib.sha256("::".join(parts).encode("utf-8")).digest()
     return int.from_bytes(digest[:4], "little")
 
@@ -147,7 +148,7 @@ class CardinalityEstimator:
         """
         if self.correlation_strength <= 0:
             return 1.0
-        key = _stable_seed(
+        key = stable_seed(
             str(self.seed), query.name, ",".join(sorted(aliases)), "hidden"
         )
         rng = np.random.default_rng(key)

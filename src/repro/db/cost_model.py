@@ -16,7 +16,6 @@ hint that forbids the offending operator repairs it.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -24,14 +23,10 @@ from typing import Optional
 import numpy as np
 
 from ..errors import ExecutionError
+from .cardinality import stable_seed
 from .catalog import Catalog, Table
 from .operators import JoinOperator, PlanNode, ScanOperator
 from .query import Query
-
-
-def _stable_seed(*parts: str) -> int:
-    digest = hashlib.sha256("::".join(parts).encode("utf-8")).digest()
-    return int.from_bytes(digest[:4], "little")
 
 
 @dataclass(frozen=True)
@@ -189,9 +184,8 @@ class LatencyModel:
     def _noise(self, query: Query, plan: PlanNode, run_index: int) -> float:
         if self.profile.noise_sigma <= 0:
             return 1.0
-        key = _stable_seed(
-            str(self.seed), query.name, str(hash(plan.signature()) & 0xFFFFFFFF),
-            str(run_index),
+        key = stable_seed(
+            str(self.seed), query.name, repr(plan.signature()), str(run_index)
         )
         rng = np.random.default_rng(key)
         return float(np.exp(rng.normal(0.0, self.profile.noise_sigma)))

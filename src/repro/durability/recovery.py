@@ -174,9 +174,7 @@ def recover_service(
     default_hint: int = 0,
     regression_margin: float = 1.0,
     refresher=None,
-    estimator=None,
     recorder=None,
-    monitor=None,
     fs: Optional[FaultFS] = None,
     sync: str = "os",
     clock=time.perf_counter,
@@ -201,9 +199,7 @@ def recover_service(
         default_hint=default_hint,
         regression_margin=regression_margin,
         refresher=refresher,
-        estimator=estimator,
         recorder=recorder,
-        monitor=monitor,
         journal=journal,
     )
     return service, state

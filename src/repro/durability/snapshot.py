@@ -58,15 +58,14 @@ def matrix_to_jsonable(payload: Dict[str, Any]) -> Dict[str, Any]:
 def matrix_from_jsonable(obj: Dict[str, Any]) -> Dict[str, Any]:
     """Inverse of :func:`matrix_to_jsonable` (numpy arrays restored).
 
-    Raises :class:`~repro.errors.WalCorruption` unless all four arrays
-    are present, 2-D and of one shape.
+    Raises :class:`~repro.errors.WalCorruption` for an array that does not
+    decode; that the four are 2-D and of one shape is
+    :meth:`WorkloadMatrix.from_dict` / ``import_rows``'s check, where the
+    payload goes next.
     """
     out = dict(obj)
     for key, dtype in MATRIX_ARRAYS.items():
         out[key] = unpack_array(obj.get(key), dtype)  # a missing one decodes 0-d
-    shapes = {out[key].shape for key in MATRIX_ARRAYS}
-    if len(shapes) != 1 or len(shapes.pop()) != 2:
-        raise WalCorruption("matrix payload arrays are not 2-D of one shape")
     return out
 
 

@@ -29,6 +29,7 @@ from ..core.simulation import ExplorationSimulator
 from ..core.workload_matrix import WorkloadMatrix
 from ..core.explorer import MatrixOracle, OfflineExplorer
 from ..baselines.bayesqo import BayesQO
+from ..db.cardinality import stable_seed
 from ..workloads.matrices import SyntheticWorkload, generate_workload
 from ..workloads.shift import (
     DataDriftModel,
@@ -432,7 +433,7 @@ def figure10_incremental_drift(
         fraction = model.drift_fraction(interval)
         shifted = apply_data_shift(
             workload, changed_fraction=fraction, growth_factor=1.0 + fraction,
-            seed=seed + hash(interval) % 1000,
+            seed=seed + stable_seed(interval) % 1000,
         )
         out["expected"].append(fraction)
         out["simulated"].append(changed_optimal_fraction(workload, shifted))

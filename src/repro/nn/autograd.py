@@ -185,30 +185,6 @@ class Tensor:
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "Tensor":
-        other = self._wrap(other)
-        out_data = self.data / other.data
-
-        def backward(grad: np.ndarray) -> None:
-            if self.tracks:
-                self._accumulate(_unbroadcast(grad / other.data, self.data.shape))
-            if other.tracks:
-                other._accumulate(
-                    _unbroadcast(-grad * self.data / (other.data ** 2), other.data.shape)
-                )
-
-        return self._make(out_data, (self, other), backward, "div")
-
-    def __pow__(self, exponent) -> "Tensor":
-        if not isinstance(exponent, (int, float)):
-            raise NeuralNetworkError("only scalar exponents are supported")
-        out_data = self.data ** exponent
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * exponent * self.data ** (exponent - 1))
-
-        return self._make(out_data, (self,), backward, "pow")
-
     # -- linear algebra --------------------------------------------------------------
     def matmul(self, other: "Tensor") -> "Tensor":
         """Matrix product; supports (..., M, K) @ (K, N)."""
@@ -237,15 +213,6 @@ class Tensor:
             self._accumulate(grad * mask)
 
         return self._make(out_data, (self,), backward, "relu")
-
-    def sigmoid(self) -> "Tensor":
-        """Logistic sigmoid."""
-        out_data = 1.0 / (1.0 + np.exp(-self.data))
-
-        def backward(grad: np.ndarray) -> None:
-            self._accumulate(grad * out_data * (1.0 - out_data))
-
-        return self._make(out_data, (self,), backward, "sigmoid")
 
     # -- reductions ----------------------------------------------------------------------
     def sum(self, axis: Optional[int] = None, keepdims: bool = False) -> "Tensor":

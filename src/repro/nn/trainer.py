@@ -20,7 +20,7 @@ Cost model.  ``fit`` packs nothing when the feature store keeps the whole
 plan space packed (``full_batch``): the training rows are taken out of it by
 flat cell index, and each mini-batch records about a dozen tape nodes (one
 fused tree-conv node per layer, one per ``Linear``, one for the loss; see
-:mod:`repro.nn.autograd`).  Inference (``predict_batch`` / ``predict_cells``
+:mod:`repro.nn.autograd`).  Inference (``predict_cells``
 / ``predict_full``) runs the same ``forward`` under ``no_grad`` and records
 no tape at all; ``predict_full`` walks the packed plan space in chunks of
 ``_CHUNK_NODE_ROWS`` padded node rows, so its intermediates stay around
@@ -198,23 +198,6 @@ class TCNNTrainer:
         with no_grad():
             out = self.model(batch, query_idx, hint_idx)
         return np.clip(np.expm1(out.data), 0.0, None)
-
-    def predict_batch(self, batch, query_idx, hint_idx) -> np.ndarray:
-        """One forward pass over an already-packed padded tree batch.
-
-        This is the serving-path entry point: callers that keep a
-        pre-packed ``(batch, nodes, features)`` tensor around (see
-        :class:`repro.serving.service.BatchedLatencyEstimator`) skip the
-        per-cell featurise-and-pad work entirely and pay only for the
-        gathers and matmuls of the tree convolution.  Returns latencies in
-        seconds (``expm1`` of the model's log-space output, clipped at 0).
-        """
-        query_idx, hint_idx = self._cell_ids(query_idx, hint_idx)
-        if query_idx.size != batch.batch_size:
-            raise NeuralNetworkError(
-                f"{query_idx.size} cell ids for a batch of {batch.batch_size} plans"
-            )
-        return self._forward(batch, query_idx, hint_idx)
 
     def predict_cells(
         self, cells: Sequence[Tuple[int, int]], batch_size: Optional[int] = None

@@ -2,14 +2,14 @@
 
 Run the suite from the command line::
 
-    PYTHONPATH=src python -m repro.perf --scale smoke \
+    PYTHONPATH=src python -m repro.perf \
         --baseline benchmarks/baselines/core_baseline.json
 
-See ``docs/performance.md`` for the hot-path inventory and how to read
-``BENCH_core.json``.
+See ``docs/performance.md`` for the case inventory and how to read
+``BENCH_core.json``, and ``docs/testing.md`` for what each harness measures.
 """
 
-from .cases import SCALES, build_suite
+from .cases import build_suite
 from .harness import PerfCase, PerfHarness, PerfResult, calibration_seconds
 from .report import (
     Comparison,
@@ -21,7 +21,6 @@ from .report import (
 )
 
 __all__ = [
-    "SCALES",
     "build_suite",
     "PerfCase",
     "PerfHarness",

@@ -1,6 +1,6 @@
 """CLI entry point: ``python -m repro.perf``.
 
-Measures the named hot paths, writes ``BENCH_core.json``, and (when a
+Measures the suite's cases, writes ``BENCH_core.json``, and (when a
 baseline is given) fails with exit code 1 on a regression beyond the
 threshold.  CI runs this as the perf-smoke job.
 """
@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .cases import SCALES, build_suite
+from .cases import build_suite
 from .harness import calibration_seconds
 from .report import (
     as_payload,
@@ -24,11 +24,8 @@ from .report import (
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m repro.perf",
-        description="Time the library's named hot paths and check for regressions.",
-    )
-    parser.add_argument(
-        "--scale", choices=sorted(SCALES), default="smoke",
-        help="workload scale (smoke: seconds-fast, used by CI)",
+        description="Time the pieces the e2e benchmark cannot isolate and "
+                    "check for regressions.",
     )
     parser.add_argument(
         "--output", default="BENCH_core.json",
@@ -49,8 +46,8 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    harness = build_suite(args.scale)
-    print(f"running {len(harness.case_names)} hot-path cases at scale {args.scale!r}")
+    harness = build_suite()
+    print(f"running {len(args.cases or harness.case_names)} perf cases")
     calibration = calibration_seconds()
     results = harness.run(args.cases)
     for name, result in results.items():
@@ -59,7 +56,7 @@ def main(argv=None) -> int:
             f"norm {result.best_seconds / calibration:6.3f}"
         )
 
-    payload = as_payload(results, calibration, scale=args.scale)
+    payload = as_payload(results, calibration)
     path = write_report(payload, args.output)
     print(f"wrote {path}")
 

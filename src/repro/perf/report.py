@@ -21,12 +21,7 @@ from .harness import PerfResult
 SCHEMA_VERSION = 1
 
 
-def as_payload(
-    results: Dict[str, PerfResult],
-    calibration: float,
-    scale: str = "default",
-    extra: Optional[Dict[str, Any]] = None,
-) -> Dict[str, Any]:
+def as_payload(results: Dict[str, PerfResult], calibration: float) -> Dict[str, Any]:
     """Build the JSON-ready report dictionary for a harness run."""
     if calibration <= 0:
         raise PerfError(f"calibration must be > 0, got {calibration}")
@@ -35,15 +30,11 @@ def as_payload(
         entry = result.as_dict()
         entry["normalized"] = result.best_seconds / calibration
         cases[name] = entry
-    payload: Dict[str, Any] = {
+    return {
         "schema": SCHEMA_VERSION,
-        "scale": scale,
         "calibration_seconds": calibration,
         "cases": cases,
     }
-    if extra:
-        payload["extra"] = dict(extra)
-    return payload
 
 
 def write_report(payload: Dict[str, Any], path: str) -> str:

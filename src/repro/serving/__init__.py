@@ -9,22 +9,20 @@ same verified, no-regression serving rule engineered for heavy traffic:
 * :mod:`repro.serving.refresh` -- warm-started incremental censored-ALS
   refreshes so feedback batches update the completion without a full solve,
 * :mod:`repro.serving.service` -- the request-facing service (serve /
-  observe / predict / report) plus batched TCNN latency annotation over
-  pre-packed padded tensors,
+  observe / report),
 * :mod:`repro.serving.stats` -- throughput, p50/p99 decision latency, and
   regression-guarantee hit-rate telemetry.
 """
 
 from .batch_cache import BatchDecisions, BatchedPlanCache
 from .refresh import IncrementalALSRefresher
-from .service import BatchedLatencyEstimator, ServingService
+from .service import ServingService
 from .stats import LatencyRecorder, ServingStats
 
 __all__ = [
     "BatchDecisions",
     "BatchedPlanCache",
     "IncrementalALSRefresher",
-    "BatchedLatencyEstimator",
     "ServingService",
     "LatencyRecorder",
     "ServingStats",

@@ -45,16 +45,12 @@ class BatchDecisions:
     expected_latency:
         ``(batch,)`` observed latency of the served plan (``inf`` when the
         default plan has never been measured).
-    predicted_latency:
-        ``(batch,)`` model-predicted latency of the served plan, or ``None``
-        when the service has no latency estimator attached.
     """
 
     queries: np.ndarray
     hints: np.ndarray
     used_default: np.ndarray
     expected_latency: np.ndarray
-    predicted_latency: Optional[np.ndarray] = None
 
     @property
     def batch_size(self) -> int:

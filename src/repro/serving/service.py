@@ -11,10 +11,6 @@ heavy traffic:
   (:meth:`WorkloadMatrix.observe_batch`), which automatically invalidates
   the decision arrays and, when an :class:`IncrementalALSRefresher` is
   attached, triggers a warm-started ALS update instead of a full recompute;
-* **predict**: an optional :class:`BatchedLatencyEstimator` annotates
-  decisions with TCNN-predicted latencies using a single padded forward
-  pass per batch (optionally sliced from a pre-packed whole-plan-space
-  tensor after an explicit :meth:`~BatchedLatencyEstimator.warm_up`);
 * **report**: :meth:`stats` summarises throughput, p50/p99 decision
   latency, and the regression-guarantee hit rate.
 """
@@ -22,76 +18,16 @@ heavy traffic:
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..core.workload_matrix import WorkloadMatrix
 from ..errors import ServingError
-from ..plans.featurize import TreeBatch
 from ..telemetry.runtime import Telemetry
 from .batch_cache import BatchDecisions, BatchedPlanCache
 from .refresh import IncrementalALSRefresher
 from .stats import LatencyRecorder, ServingStats, checked_shed_count
-
-
-class BatchedLatencyEstimator:
-    """Batched TCNN inference: one padded forward pass per served batch.
-
-    Each prediction call packs exactly the requested cells into one padded
-    ``(batch, nodes, features)`` tensor and runs a single forward pass
-    (:meth:`TCNNTrainer.predict_batch`); the per-cell plan arrays come out
-    of the feature store's cache, so repeat cells cost only the pack.
-
-    Operators who can afford the memory may call :meth:`warm_up` once
-    (outside any latency-sensitive window) to have the *entire* plan space
-    packed; batches are then answered by fancy-indexing row slices out of
-    the big tensor with no per-batch packing at all.  The packed tensor is
-    the feature store's own
-    :meth:`~repro.plans.featurize.PlanFeatureStore.full_batch` -- the one
-    the trainer fits and predicts from -- so the plan space is packed once
-    per store, not once per consumer.  Warm-up is explicit rather than lazy
-    because packing every ``(query, hint)`` cell of a large workload is a
-    multi-second, memory-heavy operation that must not land inside a served
-    batch's clock window.
-    """
-
-    def __init__(self, trainer, feature_store) -> None:
-        self.trainer = trainer
-        self.feature_store = feature_store
-        self._packed: Optional[TreeBatch] = None
-        self._packed_shape: Optional[Tuple[int, int]] = None
-
-    def warm_up(self, shape: Tuple[int, int]) -> None:
-        """Have the store pack every cell of a ``shape`` matrix (once per store)."""
-        shape = (int(shape[0]), int(shape[1]))
-        if shape != self.feature_store.shape:
-            raise ServingError(
-                f"cannot warm up a {shape} plan space from a feature store "
-                f"of shape {self.feature_store.shape}"
-            )
-        self._packed = self.feature_store.full_batch()
-        self._packed_shape = shape
-
-    def predict(self, queries, hints, shape: Tuple[int, int]) -> np.ndarray:
-        """Predicted latencies (seconds) for parallel query/hint arrays."""
-        queries = np.asarray(queries, dtype=np.int64)
-        hints = np.asarray(hints, dtype=np.int64)
-        if queries.shape != hints.shape or queries.ndim != 1:
-            raise ServingError("predict expects matching 1-D query/hint arrays")
-        if queries.size == 0:
-            return np.zeros(0)
-        n_queries, n_hints = shape
-        if self._packed is not None and self._packed_shape == (n_queries, n_hints):
-            batch = self._packed.take(queries * n_hints + hints)
-        else:
-            batch = self.feature_store.batch(list(zip(queries.tolist(), hints.tolist())))
-        return self.trainer.predict_batch(batch, queries, hints)
-
-    def invalidate(self) -> None:
-        """Let go of the warmed tensor (e.g. after the plan space changed)."""
-        self._packed = None
-        self._packed_shape = None
 
 
 class ServingService:
@@ -106,9 +42,6 @@ class ServingService:
     refresher:
         Optional :class:`IncrementalALSRefresher`; when present, feedback
         batches trigger a warm-started completion refresh.
-    estimator:
-        Optional :class:`BatchedLatencyEstimator` used to annotate
-        decisions with model-predicted latencies.
     clock:
         Injectable time source for the latency telemetry (tests use a fake).
     recorder:
@@ -116,12 +49,6 @@ class ServingService:
         shard passes its own so telemetry survives the service being
         rebuilt (e.g. after every row migrates away); by default the
         service owns a fresh one.
-    monitor:
-        Optional drift monitor (anything with a
-        ``record(queries, hints, expected, measured)`` method, e.g. a
-        :class:`repro.adaptive.DriftDetector` window).  It receives every
-        :meth:`record_measured` feedback batch so an adaptation controller
-        can watch live residuals without sitting on the serve path.
     journal:
         Optional write-ahead journal
         (:class:`~repro.durability.ShardJournal`), riding the same seam as
@@ -146,10 +73,8 @@ class ServingService:
         default_hint: int = 0,
         regression_margin: float = 1.0,
         refresher: Optional[IncrementalALSRefresher] = None,
-        estimator: Optional[BatchedLatencyEstimator] = None,
         clock=time.perf_counter,
         recorder: Optional[LatencyRecorder] = None,
-        monitor=None,
         journal=None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
@@ -158,8 +83,11 @@ class ServingService:
             matrix, default_hint=default_hint, regression_margin=regression_margin
         )
         self.refresher = refresher
-        self.estimator = estimator
-        self.monitor = monitor
+        #: Drift monitor, attached after construction (anything with a
+        #: ``record(queries, hints, expected, measured)`` method, e.g. an
+        #: adaptation controller): it receives every :meth:`record_measured`
+        #: batch, so live residuals are watched off the serve path.
+        self.monitor = None
         self.journal = journal
         if journal is not None:
             if (
@@ -189,28 +117,11 @@ class ServingService:
             journal.bind_telemetry(self._telemetry, clock)
 
     # -- the hot path ---------------------------------------------------------
-    def serve_batch(self, queries, annotate: bool = False) -> BatchDecisions:
-        """Answer a batch of query arrivals.
-
-        Returns one decision per arrival, in arrival order.  With
-        ``annotate=True`` (and an estimator attached) the decisions carry
-        TCNN-predicted latencies for the served plans.
-        """
+    def serve_batch(self, queries) -> BatchDecisions:
+        """Answer a batch of query arrivals: one decision per arrival, in
+        arrival order."""
         start = self._clock()
         decisions = self.cache.decide(queries)
-        if annotate:
-            if self.estimator is None:
-                raise ServingError("annotate=True requires a latency estimator")
-            predicted = self.estimator.predict(
-                decisions.queries, decisions.hints, self.matrix.shape
-            )
-            decisions = BatchDecisions(
-                queries=decisions.queries,
-                hints=decisions.hints,
-                used_default=decisions.used_default,
-                expected_latency=decisions.expected_latency,
-                predicted_latency=predicted,
-            )
         elapsed = self._clock() - start
         self._recorder.record(
             decisions.batch_size, elapsed, decisions.non_default_count
@@ -224,9 +135,9 @@ class ServingService:
             tel.tracer.record_stage("shard.serve", elapsed)
         return decisions
 
-    def serve_all(self, annotate: bool = False) -> BatchDecisions:
+    def serve_all(self) -> BatchDecisions:
         """Answer every query in the workload as one batch."""
-        return self.serve_batch(np.arange(self.matrix.n_queries), annotate=annotate)
+        return self.serve_batch(np.arange(self.matrix.n_queries))
 
     # -- the feedback path -----------------------------------------------------
     def observe_batch(
@@ -283,20 +194,18 @@ class ServingService:
             self.journal.log_measured(decisions.queries, decisions.hints, measured)
 
     def invalidate(self, queries: Optional[Sequence[int]] = None) -> None:
-        """Forget observations (all rows, or a subset) and drop warm state.
+        """Forget observations (all rows, or a subset).
 
         The adaptation controller's response to detected drift: the stale
         rows' observations are erased (so they serve the default plan until
         re-verified -- the no-regression guarantee is anchored there), the
         decision snapshot recomputes on the next batch via the version
-        bump, and a warmed estimator tensor is dropped.  No eager snapshot
+        bump.  No eager snapshot
         rebuild: callers typically mutate the matrix further (re-anchoring,
         re-exploration) before the next serve, and the version bump already
         guarantees freshness.
         """
         self.matrix.invalidate(queries)
-        if self.estimator is not None:
-            self.estimator.invalidate()
 
     def completed_matrix(self) -> np.ndarray:
         """Up-to-date completed latency estimate (requires a refresher)."""

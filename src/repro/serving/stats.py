@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Union
+from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -135,36 +135,6 @@ class ServingStats:
             hist.quantile(0.50),
             hist.quantile(0.99),
         )
-
-    @classmethod
-    def merge(cls, parts: Iterable["ServingStats"]) -> "ServingStats":
-        """Fold per-shard reports into one cluster-wide report.
-
-        Counters (decisions, batches, wall time, refreshes) merge exactly;
-        throughput and the hit rate are recomputed from the merged counters.
-        The percentiles are combined as a decision-weighted percentile of
-        the per-part percentiles -- exact when every part is internally
-        uniform, an approximation otherwise.  Aggregators holding the raw
-        recorders (:meth:`LatencyRecorder.merged`) can recompute them
-        exactly and overwrite these two fields.
-        """
-        parts = list(parts)
-        served = [p for p in parts if p.decisions > 0]
-        weights = [p.decisions for p in served]
-        if served:
-            p50 = _weighted_percentiles([p.p50_latency_s for p in served], weights, [50.0])[0]
-            p99 = _weighted_percentiles([p.p99_latency_s for p in served], weights, [99.0])[0]
-        else:
-            p50 = p99 = 0.0
-        totals = (
-            sum(weights),
-            sum(p.batches for p in parts),
-            float(sum(p.wall_seconds for p in parts)),
-            sum(p.non_default_fraction * p.decisions for p in served),
-            sum(p.refreshes for p in parts),
-            sum(p.shed for p in parts),
-        )
-        return cls._from_totals(totals, p50, p99)
 
     def __str__(self) -> str:
         return (
@@ -353,11 +323,10 @@ class LatencyRecorder:
     def merged(cls, recorders: Sequence["LatencyRecorder"]) -> "LatencyRecorder":
         """Pool many recorders into a fresh one: totals add, windows join.
 
-        Unlike :meth:`ServingStats.merge`, the pooled recorder's
-        :meth:`report` computes its percentiles over every part's
-        retained samples (exactly the global percentiles while no part
-        has wrapped) -- this is what the cluster aggregator uses when it
-        holds every shard in-process.  The pooled ring is sized to hold
+        The pooled recorder's :meth:`report` computes its percentiles over
+        every part's retained samples (exactly the global percentiles while
+        no part has wrapped) -- this is what the cluster aggregator uses
+        when it holds every shard in-process.  The pooled ring is sized to hold
         all of them, so the cost is bounded by the number of parts, not
         by how much they have served.  The pooled recorder counts on a
         private registry of its own; the parts' cells are only read.

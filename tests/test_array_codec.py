@@ -39,7 +39,7 @@ from repro.durability.wal import (
     pack_flat,
     unpack_array,
 )
-from repro.errors import WalCorruption
+from repro.errors import MatrixError, WalCorruption
 
 FIXTURE = os.path.join(os.path.dirname(__file__), "data", "journal_schema1")
 ARRAYS = ("values", "observed", "censored", "timeouts")
@@ -149,19 +149,24 @@ class TestHostileInput:
             unpack_array(packed, "<f8")
 
     def test_matrix_arrays_must_be_two_d_and_agree(self):
-        matrix_from_jsonable(packed_matrix())  # the good one decodes
+        # The codec rejects what does not decode, from_dict what decodes to
+        # arrays that disagree: one check each, both typed.
+        def restore(payload):
+            return WorkloadMatrix.from_dict(matrix_from_jsonable(payload))
+
+        restore(packed_matrix())  # the good one decodes
         for key, replacement in (
             ("observed", pack_array(np.zeros((3, 3), dtype=bool), "|b1")),
             ("timeouts", pack_array(np.zeros(6), "<f8")),
             ("censored", pack_array(np.zeros((3, 2)), "<f8")),  # floats as flags
             ("values", [[1.0, 2.0]]),
         ):
-            with pytest.raises(WalCorruption):
-                matrix_from_jsonable({**packed_matrix(), key: replacement})
+            with pytest.raises((WalCorruption, MatrixError)):
+                restore({**packed_matrix(), key: replacement})
         lacking = packed_matrix()
         del lacking["censored"]
-        with pytest.raises(WalCorruption):
-            matrix_from_jsonable(lacking)
+        with pytest.raises((WalCorruption, MatrixError)):
+            restore(lacking)
 
     def test_a_bad_snapshot_array_fails_recovery_typed(self, tmp_path):
         state = packed_matrix()

@@ -60,27 +60,10 @@ def test_batched_matmul_backward():
     assert x.grad.shape == x_val.shape
 
 
-def test_relu_and_sigmoid_backward():
-    x_val = np.array([-2.0, -0.5, 0.5, 3.0])
-    x = parameter(x_val.copy())
+def test_relu_backward():
+    x = parameter(np.array([-2.0, -0.5, 0.5, 3.0]))
     x.relu().sum().backward()
     assert np.allclose(x.grad, [0.0, 0.0, 1.0, 1.0])
-
-    y = parameter(x_val.copy())
-    y.sigmoid().sum().backward()
-    num = numerical_gradient(lambda v: (1.0 / (1.0 + np.exp(-v))).sum(), x_val.copy())
-    assert np.allclose(y.grad, num, atol=1e-5)
-
-
-def test_division_and_power_backward():
-    x_val = np.array([1.0, 2.0, 4.0])
-    x = parameter(x_val.copy())
-    (x ** 2).sum().backward()
-    assert np.allclose(x.grad, 2 * x_val)
-
-    y = parameter(x_val.copy())
-    (Tensor(np.ones(3)) / y).sum().backward()
-    assert np.allclose(y.grad, -1.0 / x_val ** 2)
 
 
 def test_mean_and_sum_with_axes():

@@ -35,7 +35,7 @@ from repro.core.plan_cache import PlanCache
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import ClusterError, MatrixError
 from repro.experiments.cluster import cluster_vs_single_comparison, populate_cluster
-from repro.serving import LatencyRecorder, ServingService, ServingStats
+from repro.serving import LatencyRecorder, ServingService
 from repro.serving.stats import RECENT_BATCHES
 
 
@@ -663,27 +663,6 @@ class TestStats:
         assert payload["refreshes"] == 1 and isinstance(payload["refreshes"], int)
         assert isinstance(payload["throughput_qps"], float)
 
-    def test_merge_counters_exact(self):
-        a = LatencyRecorder()
-        a.record(10, 1.0, 5)
-        a.record_refresh()
-        b = LatencyRecorder()
-        b.record(30, 1.0, 6)
-        merged = ServingStats.merge([a.report(), b.report()])
-        assert merged.decisions == 40
-        assert merged.batches == 2
-        assert merged.refreshes == 1
-        assert merged.wall_seconds == pytest.approx(2.0)
-        assert merged.throughput_qps == pytest.approx(20.0)
-        assert merged.non_default_fraction == pytest.approx(11 / 40)
-
-    def test_merge_of_empty_parts(self):
-        empty = LatencyRecorder().report()
-        merged = ServingStats.merge([empty, empty])
-        assert merged.decisions == 0
-        assert merged.throughput_qps == 0.0
-        assert ServingStats.merge([]).decisions == 0
-
     def test_merged_recorders_give_exact_percentiles(self):
         rng = np.random.default_rng(2)
         recorders, all_sizes, all_seconds = [], [], []
@@ -738,6 +717,14 @@ class TestStats:
         expanded = np.repeat(seconds / sizes, sizes)
         assert pooled.p50_latency_s == pytest.approx(np.percentile(expanded, 50.0))
         assert pooled.p99_latency_s == pytest.approx(np.percentile(expanded, 99.0))
+
+    def test_merge_of_empty_parts(self):
+        # What the cluster aggregator pools before any shard has served.
+        for parts in ([LatencyRecorder(), LatencyRecorder()], []):
+            pooled = LatencyRecorder.merged(parts).report()
+            assert pooled.decisions == 0 and pooled.batches == 0
+            assert pooled.throughput_qps == 0.0
+            assert pooled.p50_latency_s == pooled.p99_latency_s == 0.0
 
     def test_merged_recorder_keeps_recording(self):
         a = LatencyRecorder()

@@ -13,12 +13,30 @@ This is an AST audit, not a grep: it resolves the library's actual
 ``np.``/``numpy.`` aliases and catches ``from numpy import random`` /
 ``from random import ...`` spellings too, while ignoring comments and
 docstrings.
+
+The same goes for the builtin ``hash`` and ``id``: ``hash`` of a ``str`` is
+salted per process and ``hash(None)`` / ``id(x)`` are addresses, so a seed or
+an ordering derived from either differs between two runs of one command.
+``repro.db.cardinality.stable_seed`` is the replacement.
 """
 
 import ast
+import hashlib
+import os
 import pathlib
+import subprocess
+import sys
 
 SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+
+#: (module, function) -> why its ``id()`` calls stay.
+ID_AS_KEY = {
+    ("plans/tree.py", "plan_to_arrays"): "PlanNode is a mutable dataclass "
+    "(unhashable); the address keys a node -> position table that is only "
+    "looked up, never iterated",
+    ("nn/autograd.py", "_topological_order"): "a visited set of tape nodes: "
+    "membership only, the order comes from the stack",
+}
 
 # Seeded-generator constructors: the only np.random attributes a library
 # module may use.
@@ -74,6 +92,23 @@ def _stdlib_random_violations(tree):
             yield node.lineno, "from random import ..."
 
 
+def _address_violations(tree):
+    """Calls of the builtin ``hash`` / ``id``, with the enclosing function."""
+    def walk(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("hash", "id")
+        ):
+            yield node.lineno, node.func.id, function
+        for child in ast.iter_child_nodes(node):
+            yield from walk(child, function)
+
+    return walk(tree, None)
+
+
 def test_source_tree_exists():
     assert SRC_ROOT.is_dir()
     assert list(SRC_ROOT.rglob("*.py")), "no library modules found to audit"
@@ -94,6 +129,53 @@ def test_no_global_random_state_in_library_modules():
     )
 
 
+def test_no_address_or_salted_hash_reaches_a_result():
+    offenders, used = [], set()
+    for path in sorted(SRC_ROOT.rglob("*.py")):
+        module = path.relative_to(SRC_ROOT).as_posix()
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for lineno, name, function in _address_violations(tree):
+            if name == "id" and (module, function) in ID_AS_KEY:
+                used.add((module, function))
+            else:
+                offenders.append(f"src/repro/{module}:{lineno}: {name}(...)")
+    assert not offenders, (
+        "builtin hash() / id() values differ between processes; seed with "
+        "repro.db.cardinality.stable_seed, or add the function to ID_AS_KEY "
+        "with the reason the address never reaches a result:\n  "
+        + "\n  ".join(offenders)
+    )
+    assert used == set(ID_AS_KEY), f"stale ID_AS_KEY entries: {set(ID_AS_KEY) - used}"
+
+
+_DIGESTS = """
+import hashlib
+import numpy as np
+from repro.experiments.figures import figure10_incremental_drift
+from repro.workloads.generator import build_database_workload
+
+workload = build_database_workload("toy", 12, 8, seed=5, max_relations=4)
+print(hashlib.sha256(np.ascontiguousarray(workload.true_latencies).tobytes()).hexdigest())
+print(hashlib.sha256(repr(figure10_incremental_drift(scale=0.05, seed=0)).encode()).hexdigest())
+"""
+
+
+def test_two_fresh_interpreters_agree_on_seeded_results():
+    def digests(**extra_env):
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONHASHSEED"}
+        env.update(PYTHONPATH=str(SRC_ROOT.parent), **extra_env)
+        done = subprocess.run(
+            [sys.executable, "-c", _DIGESTS], env=env, capture_output=True, text=True, check=True
+        )
+        return done.stdout.split()
+
+    # Addresses differ between any two processes; the str salt differs
+    # between a random one and a pinned one.
+    salted = digests()
+    assert len(salted) == 2 and all(len(d) == hashlib.sha256().digest_size * 2 for d in salted)
+    assert digests(PYTHONHASHSEED="0") == salted
+
+
 def test_the_audit_itself_catches_violations():
     bad = ast.parse(
         "import numpy as np\n"
@@ -111,3 +193,9 @@ def test_the_audit_itself_catches_violations():
     )
     assert not list(_np_random_violations(good))
     assert not list(_stdlib_random_violations(good))
+    addressed = ast.parse(
+        "def f(x):\n"
+        "    return hash(x) + id(x) + x.hash() + obj.id(x)\n"
+        "'hash(x)'\n"
+    )
+    assert [(n, f) for _, n, f in _address_violations(addressed)] == [("hash", "f"), ("id", "f")]

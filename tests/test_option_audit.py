@@ -10,7 +10,8 @@ do not count as uses):
 * every parameter with a default of the constructors that assemble the
   serving stack is *passed* (by name, or in its position) by some call in
   ``src/``, ``benchmarks/`` or ``examples/`` -- or is listed in ``ALLOWED``
-  with the reason it stays.
+  with the reason it stays.  Forwarding one's own ``None``-defaulted
+  parameter of the same name is not a use.
 
 The audit goes by name, not by type: a field shares its credit with any
 attribute of the same name.  That is what let ``allow_random_fill`` (a
@@ -45,8 +46,6 @@ ALLOWED = {
     "over the union matrix would",
     ("ServingCluster", "failure_threshold"): "how many failed serves trip a "
     "shard's breaker: a deployment setting; tests/test_cluster.py sets 1",
-    ("ServingCluster", "clock"): "the seam through which a test substitutes "
-    "a fake clock, as ServingService(clock=) has; it reaches every shard",
 }
 
 
@@ -93,17 +92,67 @@ def init_parameters(tree, class_name):
     raise AssertionError(f"no {class_name}.__init__ found")
 
 
-def parameters_passed(tree, class_name, positional):
-    """Parameters filled by calls spelled ``class_name(...)`` or
-    ``x.class_name(...)``: keywords by name, plain arguments by position."""
-    for node in ast.walk(tree):
+def calls_by_name(trees):
+    """``callee -> [(set, forwarded, n_positional)]`` for every call spelled
+    ``callee(...)`` or ``x.callee(...)``: keywords given a value, keywords
+    that only forward, and how many plain arguments (None with a ``*args``).
+
+    ``k=k`` inside a function ``f`` whose own ``k`` defaults to ``None``
+    forwards a value nobody has set yet: it is reported as ``(f, k)`` and
+    counts only if some caller of ``f`` sets ``k`` (one level is followed;
+    that is how ``estimator=`` outlived its last caller).
+    """
+    calls = {}
+
+    def walk(node, function, unset):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            named = args.posonlyargs + args.args
+            defaults = dict(zip(reversed(named), reversed(args.defaults)))
+            defaults.update(zip(args.kwonlyargs, args.kw_defaults))
+            function = node.name
+            unset = {
+                a.arg
+                for a, d in defaults.items()
+                if isinstance(d, ast.Constant) and d.value is None
+            }
         if isinstance(node, ast.Call):
             func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name == class_name:
-                yield from (k.arg for k in node.keywords if k.arg is not None)
-                if not any(isinstance(a, ast.Starred) for a in node.args):
-                    yield from positional[: len(node.args)]
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            keywords = {k.arg: k.value for k in node.keywords if k.arg is not None}
+            forwarded = {
+                (function, k)
+                for k, v in keywords.items()
+                if isinstance(v, ast.Name) and v.id == k and k in unset
+            }
+            starred = any(isinstance(a, ast.Starred) for a in node.args)
+            calls.setdefault(callee, []).append(
+                (
+                    set(keywords) - {k for _, k in forwarded},
+                    forwarded,
+                    None if starred else len(node.args),
+                )
+            )
+        for child in ast.iter_child_nodes(node):
+            walk(child, function, unset)
+
+    for tree in trees:
+        walk(tree, None, frozenset())
+    return calls
+
+
+def parameters_passed(calls, class_name, positional):
+    """Parameters of ``class_name`` that some recorded call sets: by keyword,
+    by position, or through one forwarding function."""
+    passed = set()
+    for keywords, forwarded, n_positional in calls.get(class_name, ()):
+        passed |= keywords | set(positional[: n_positional or 0])
+        passed |= {
+            parameter
+            for function, parameter in forwarded
+            if any(parameter in given for given, _, _ in calls.get(function, ()))
+        }
+    return passed
 
 
 def test_every_config_field_is_read_outside_config():
@@ -125,10 +174,11 @@ def test_every_constructor_option_has_a_caller_or_a_reason():
         name: init_parameters(ast.parse((SRC_ROOT / module).read_text()), name)
         for name, module in CONSTRUCTORS.items()
     }
-    passed = {name: set() for name in CONSTRUCTORS}
-    for _, tree in _trees(CALLER_ROOTS):
-        for name, (positional, _) in signatures.items():
-            passed[name].update(parameters_passed(tree, name, positional))
+    calls = calls_by_name(tree for _, tree in _trees(CALLER_ROOTS))
+    passed = {
+        name: parameters_passed(calls, name, positional)
+        for name, (positional, _) in signatures.items()
+    }
     unset, stale = [], []
     for name, (_, defaulted) in signatures.items():
         assert defaulted, f"{name} has no defaulted parameters: wrong class?"
@@ -174,5 +224,15 @@ def test_the_audit_itself_catches_violations():
         "y = mod.S(0, **extra)\n"
     )
     assert init_parameters(stack, "S") == (["a", "b"], ["b", "c"])
-    assert set(parameters_passed(stack, "S", ["a", "b"])) == {"a", "b", "d"}
-    assert set(parameters_passed(ast.parse("S(*args, c=1)"), "S", ["a", "b"])) == {"c"}
+    assert parameters_passed(calls_by_name([stack]), "S", ["a", "b"]) == {"a", "b", "d"}
+    assert parameters_passed(calls_by_name([ast.parse("S(*args, c=1)")]), "S", ["a", "b"]) == {"c"}
+    forwarding = (
+        "def build(b=None, c=3, *, d=None):\n"
+        "    return S(0, b=b, c=c, d=d)\n"
+        "def other(b):\n"
+        "    return S(b=b)\n"
+    )
+    assert parameters_passed(calls_by_name([ast.parse(forwarding)]), "S", ["a"]) == {"a", "b", "c"}
+    assert parameters_passed(
+        calls_by_name([ast.parse(forwarding), ast.parse("build(d=1)")]), "S", ["a"]
+    ) == {"a", "b", "c", "d"}

@@ -1,6 +1,9 @@
 """Tests for the repro.perf harness, report format, and regression gate."""
 
+import ast
 import json
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -70,7 +73,7 @@ class TestReport:
         }
 
     def test_payload_and_roundtrip(self, tmp_path):
-        payload = as_payload(self._results(), calibration=0.01, scale="smoke")
+        payload = as_payload(self._results(), calibration=0.01)
         assert payload["cases"]["fast"]["normalized"] == pytest.approx(0.1)
         assert payload["cases"]["slow"]["meta"] == {"n": 5}
         path = write_report(payload, str(tmp_path / "BENCH_core.json"))
@@ -117,56 +120,42 @@ class TestReport:
 
 class TestSuite:
     def test_suite_registers_the_named_hot_paths(self):
-        harness = build_suite("smoke")
-        assert harness.case_names == [
-            "als_cold",
-            "als_warm",
+        assert build_suite().case_names == [
             "als_warm_ceb",
             "explore_step_ceb",
-            "explore_200_steps",
-            "tcnn_predict_full",
             "tcnn_fit",
-            "serve_batch",
             "serve_after_write",
             "telemetry_overhead",
-            "ingress_serve",
-            "ingress_sparse",
             "ingress_dense",
-            "adapt_drift",
-            "wal_append",
-            "recovery_replay",
-            "checkpoint",
         ]
 
-    def test_suite_rejects_unknown_scale(self):
-        with pytest.raises(PerfError):
-            build_suite("galactic")
-
     def test_als_cases_run_and_report_iterations(self):
-        harness = build_suite("smoke")
-        results = harness.run(["als_cold", "als_warm"])
-        assert results["als_cold"].meta["iterations"] == 50
-        assert results["als_warm"].meta["iterations"] == 5
-        # The warm refresh must be substantially cheaper at equal shapes.
-        assert (
-            results["als_warm"].best_seconds < results["als_cold"].best_seconds
-        )
+        results = build_suite().run(["als_warm_ceb"])
+        assert results["als_warm_ceb"].meta["iterations"] == 5
 
     def test_explore_step_case_splits_a_step_around_the_solver(self):
-        meta = build_suite("smoke").run(["explore_step_ceb"])["explore_step_ceb"].meta
+        meta = build_suite().run(["explore_step_ceb"])["explore_step_ceb"].meta
         # The hand-off, Eq. 6 and the write are the smaller part of a step
         # (~15%; a third before the matrix handed the solver its cells).
         assert meta["outside_solver_ms"] < 0.5 * meta["step_ms"]
 
     def test_telemetry_case_runs_with_instrumentation_on(self):
-        harness = build_suite("smoke")
-        results = harness.run(["telemetry_overhead"])
-        meta = results["telemetry_overhead"].meta
+        meta = build_suite().run(["telemetry_overhead"])["telemetry_overhead"].meta
         assert meta["enabled"] is True
-        assert meta["served"] > 0
+        # Reported, not gated: the pair resolves a few points, so only a tax
+        # that would be a bug (half again the loop) fails here.
+        assert meta["overhead_share"] == pytest.approx(meta["on_ms"] / meta["off_ms"] - 1.0)
+        assert -0.5 < meta["overhead_share"] < 0.5
 
     def test_ingress_dense_splits_a_request_into_harness_and_product(self):
-        meta = build_suite("smoke").run(["ingress_dense"])["ingress_dense"].meta
+        def read():
+            return build_suite().run(["ingress_dense"])["ingress_dense"].meta
+
+        meta = read()
+        if meta["harness_share"] >= 1.0:
+            # One pair of 20 ms legs: a neighbour's slow phase that starts
+            # between them inverts it (seen once, 2.2).  Read again.
+            meta = read()
         # 256 clients x 31 requests: every batch leaves full, on size.
         assert meta["served"] == 256 * 31 and meta["mean_batch_size"] == 256.0
         # The same clients against a door with nothing behind it cost less
@@ -174,28 +163,64 @@ class TestSuite:
         assert 0.0 < meta["harness_share"] < 1.0
         assert meta["product_us_per_request"] > 0.0
 
-    def test_durability_cases_run_and_report_counts(self):
-        harness = build_suite("smoke")
-        results = harness.run(["wal_append", "recovery_replay"])
-        assert results["wal_append"].meta["records"] >= 400
-        assert results["wal_append"].meta["bytes"] > 0
-        # Half the history is behind the checkpoint; its segments were
-        # truncated, so recovery replays only the post-checkpoint half.
-        assert results["recovery_replay"].meta["replayed"] > 0
-        assert results["recovery_replay"].meta["skipped"] == 0
-
     def test_write_path_cases_report_their_evidence(self):
-        harness = build_suite("smoke")
-        results = harness.run(["serve_after_write", "checkpoint"])
-        meta = results["serve_after_write"].meta
+        meta = build_suite().run(["serve_after_write"])["serve_after_write"].meta
         # 256 random cells of 800 rows touch ~220 distinct rows per write.
         assert 150 < meta["patched_rows_per_write"] <= 256
         # Patching every row is the same kernel plus a scatter: no rows/n
         # threshold is needed to protect the patch path (1.2x by design;
         # 1.5x leaves room for a noisy neighbour).
         assert meta["patch_all_rows_us"] <= 1.5 * meta["compute_us"]
-        assert results["checkpoint"].meta["lsn"] == 1
-        assert results["checkpoint"].meta["on_disk_bytes"] < 1_050_000  # schema 1: 1.05 MB
+
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def documented_names(markdown):
+    """First-column names of the table under "## What measures what"."""
+    section = markdown.split("## What measures what", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^\| `([^`]+)` \|", section, flags=re.MULTILINE)
+
+
+def written_files(tree):
+    """``BENCH_<name>`` / ``TELEMETRY_<name>`` for every ``write_bench_json``
+    / ``write_telemetry_json`` call (by syntax tree: a comment is no gate)."""
+    prefix = {"write_bench_json": "BENCH_", "write_telemetry_json": "TELEMETRY_"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in prefix:
+                (first,) = node.args[:1]
+                assert isinstance(first, ast.Constant), "gate name must be a literal"
+                yield prefix[name] + first.value
+
+
+class TestWhatMeasuresWhat:
+    """Keeps the harness audit done: ``docs/testing.md`` has one row per perf
+    case and per gate file, so a new one has to say what it isolates that
+    nothing else measures."""
+
+    def test_every_case_and_gate_has_a_row_and_every_row_a_case_or_gate(self):
+        documented = documented_names((REPO / "docs" / "testing.md").read_text())
+        gates = [
+            name
+            for path in sorted((REPO / "benchmarks").glob("*.py"))
+            for name in written_files(ast.parse(path.read_text()))
+        ]
+        assert len(gates) >= 8, "gate writers not found"
+        assert len(documented) == len(set(documented)), "a name has two rows"
+        assert set(documented) == set(build_suite().case_names) | set(gates)
+
+    def test_the_audit_itself_catches_violations(self):
+        tree = ast.parse(
+            "write_bench_json('a', r)\n"
+            "utils.write_telemetry_json('b', snapshot)\n"
+            "# write_bench_json('c', r)\n"
+        )
+        assert list(written_files(tree)) == ["BENCH_a", "TELEMETRY_b"]
+        page = "## What measures what\n| name |\n|---|\n| `x` | y |\n| `BENCH_a` | z |\n## Next\n| `no` |\n"
+        assert documented_names(page) == ["x", "BENCH_a"]
 
 
 class TestCli:
@@ -203,20 +228,18 @@ class TestCli:
         out = tmp_path / "BENCH_core.json"
         code = perf_main(
             [
-                "--scale", "smoke",
-                "--cases", "als_cold", "als_warm",
+                "--cases", "als_warm_ceb", "serve_after_write",
                 "--output", str(out),
             ]
         )
         assert code == 0
         payload = load_report(str(out))
-        assert set(payload["cases"]) == {"als_cold", "als_warm"}
+        assert set(payload["cases"]) == {"als_warm_ceb", "serve_after_write"}
 
         # Against its own fresh output the gate must pass...
         code = perf_main(
             [
-                "--scale", "smoke",
-                "--cases", "als_cold",
+                "--cases", "serve_after_write",
                 "--output", str(tmp_path / "again.json"),
                 "--baseline", str(out),
             ]
@@ -230,8 +253,7 @@ class TestCli:
         (tmp_path / "doctored.json").write_text(json.dumps(doctored))
         code = perf_main(
             [
-                "--scale", "smoke",
-                "--cases", "als_cold",
+                "--cases", "serve_after_write",
                 "--output", str(tmp_path / "again2.json"),
                 "--baseline", str(tmp_path / "doctored.json"),
             ]
@@ -239,14 +261,8 @@ class TestCli:
         assert code == 1
 
     def test_committed_baseline_matches_suite(self):
-        import os
-
-        path = os.path.join(
-            os.path.dirname(__file__), "..", "benchmarks", "baselines",
-            "core_baseline.json",
-        )
-        baseline = load_report(path)
-        assert set(baseline["cases"]) == set(build_suite("smoke").case_names)
+        baseline = load_report(str(REPO / "benchmarks" / "baselines" / "core_baseline.json"))
+        assert set(baseline["cases"]) == set(build_suite().case_names)
         assert all(
             np.isfinite(entry["normalized"]) and entry["normalized"] > 0
             for entry in baseline["cases"].values()

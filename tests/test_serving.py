@@ -28,7 +28,6 @@ from repro.serving import (
     LatencyRecorder,
     ServingService,
 )
-from repro.serving.service import BatchedLatencyEstimator
 from repro.serving.stats import RECENT_BATCHES
 
 
@@ -317,11 +316,6 @@ class TestServingService:
         assert stats.throughput_qps == pytest.approx(8.0)
         assert stats.p50_latency_s == pytest.approx(0.125)
 
-    def test_annotate_without_estimator_raises(self):
-        service = ServingService(make_matrix())
-        with pytest.raises(ServingError):
-            service.serve_batch([0], annotate=True)
-
     def test_out_of_range_batch_raises(self):
         service = ServingService(make_matrix())
         with pytest.raises(ServingError):
@@ -465,30 +459,6 @@ class TestServingService:
 
 
 class TestBatchedTCNNInference:
-    def test_estimator_matches_per_cell_prediction(self, tiny_workload, fast_tcnn_config):
-        from repro.nn.trainer import TCNNTrainer
-
-        matrix = explored_matrix(tiny_workload, observed_fraction=0.2, seed=4)
-        store = tiny_workload.feature_store()
-        trainer = TCNNTrainer(
-            store, matrix.n_queries, matrix.n_hints, config=fast_tcnn_config
-        )
-        trainer.fit(matrix)
-        estimator = BatchedLatencyEstimator(trainer, store)
-        service = ServingService(matrix, estimator=estimator)
-        decisions = service.serve_batch(np.arange(10), annotate=True)
-        per_cell = trainer.predict_cells(
-            list(zip(decisions.queries.tolist(), decisions.hints.tolist()))
-        )
-        np.testing.assert_allclose(decisions.predicted_latency, per_cell)
-        # Warming up pre-packs the whole plan space; the sliced fast path
-        # must produce identical predictions and reuse the packed tensor.
-        estimator.warm_up(matrix.shape)
-        packed = estimator._packed
-        warmed = service.serve_batch(np.arange(10), annotate=True)
-        np.testing.assert_allclose(warmed.predicted_latency, decisions.predicted_latency)
-        assert estimator._packed is packed
-
     def test_predict_cells_batch_size_override(self, tiny_workload, fast_tcnn_config):
         from repro.nn.trainer import TCNNTrainer
 

@@ -174,20 +174,3 @@ def test_predict_cells_accepts_an_integer_array(untrained):
 def test_predict_cells_rejects_ids_that_are_not_cells(untrained, cells):
     with pytest.raises(NeuralNetworkError):
         untrained.predict_cells(cells)
-
-
-def test_predict_batch_rejects_instead_of_truncating(untrained, tiny_workload):
-    batch = tiny_workload.feature_store().batch([(0, 0), (1, 1)])
-    good = untrained.predict_batch(batch, [0, 1], [0, 1])
-    assert good.shape == (2,)
-    for query_idx, hint_idx in [
-        ([0, 1.7], [0, 1]),          # used to predict for row 1
-        ([0, 1], [0, 49]),
-        ([0, 40], [0, 1]),
-        ([True, False], [0, 1]),
-        ([0, 1, 2], [0, 1, 2]),      # more ids than plans
-        ([0, 1], [0]),
-        ([[0, 1]], [[0, 1]]),
-    ]:
-        with pytest.raises(NeuralNetworkError):
-            untrained.predict_batch(batch, query_idx, hint_idx)
