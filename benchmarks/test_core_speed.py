@@ -3,7 +3,7 @@
 Two claims are measured (not asserted from memory):
 
 1. **Speedup** -- running the offline exploration loop with the
-   incremental ALS predictor (a few warm fill-in iterations per step, a
+   incremental ALS predictor (one warm fill-in sweep per step, a
    periodic full re-solve to bound drift) is at least 3x faster end-to-end
    than the historical cold ``t=50`` solve on every step.
 2. **Equivalence** -- on the default seeded workload the two modes explore
@@ -46,7 +46,6 @@ def _explore(workload, incremental):
     predictor = ALSPredictor(
         ALSConfig(iterations=50),
         warm_start=incremental,
-        refresh_iterations=5,
         full_solve_every=20,
     )
     policy = LimeQOPolicy(predictor=predictor)
@@ -97,8 +96,9 @@ def test_core_speed_warm_vs_cold(benchmark):
     print(
         f"\ncold: {result['cold_seconds'] * 1e3:.1f} ms, "
         f"warm: {result['warm_seconds'] * 1e3:.1f} ms, "
-        f"speedup: {result['speedup']:.2f}x "
-        f"({result['warm_solves']} warm / {result['cold_solves']} cold solves)"
+        f"speedup: {result['speedup']:.2f}x = {result['speedup'] / 3.0:.2f} of "
+        f"the 3x bar ({result['warm_solves']} warm / {result['cold_solves']} "
+        "cold solves)"
     )
 
     # Acceptance: >= 3x end-to-end wall-clock at identical final selections.

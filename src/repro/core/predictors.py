@@ -59,16 +59,21 @@ class Predictor(ABC):
         """Subclass hook: produce the completed matrix."""
 
 
+# One warm block-coordinate pass per arriving batch of ~10 cells (measured
+# against five and two: docs/performance.md, "One sweep per refresh").
+WARM_REFRESH_SWEEPS = 1
+
+
 class ALSPredictor(Predictor):
     """Censored ALS matrix completion (the LimeQO linear method).
 
     By default the predictor is *incremental*: it keeps the ``(Q, H)``
     factor pair of its previous solve and, when asked to predict the same
     (possibly grown) matrix again, warm-starts the solver from those factors
-    with ``refresh_iterations`` fill-in iterations instead of a full
-    ``config.iterations`` cold solve.  Every ``full_solve_every``-th refresh
-    runs a full cold solve to bound drift.  Predicting an unchanged matrix
-    returns the cached completion without re-solving at all, and predicting
+    with one fill-in sweep (:data:`WARM_REFRESH_SWEEPS`) instead of a full
+    ``config.iterations`` cold solve.  After ``full_solve_every`` warm
+    refreshes in a row the next is cold, to bound drift.  Predicting an
+    unchanged matrix returns the cached completion without re-solving, and
     a *different* matrix object always starts cold (the cached factors
     describe the previous matrix).
 
@@ -83,14 +88,9 @@ class ALSPredictor(Predictor):
         self,
         config: Optional[ALSConfig] = None,
         warm_start: bool = True,
-        refresh_iterations: int = 5,
         full_solve_every: int = 10,
     ) -> None:
         super().__init__()
-        if refresh_iterations < 1:
-            raise ExplorationError(
-                f"refresh_iterations must be >= 1, got {refresh_iterations}"
-            )
         if full_solve_every < 1:
             raise ExplorationError(
                 f"full_solve_every must be >= 1, got {full_solve_every}"
@@ -98,7 +98,6 @@ class ALSPredictor(Predictor):
         self.config = config or ALSConfig()
         self._als = WarmStartedALS(self.config)
         self.warm_start = bool(warm_start)
-        self.refresh_iterations = int(refresh_iterations)
         self.full_solve_every = int(full_solve_every)
 
     @property
@@ -128,7 +127,7 @@ class ALSPredictor(Predictor):
     # -- prediction ---------------------------------------------------------
     def _predict(self, matrix: WorkloadMatrix) -> np.ndarray:
         warm = self.warm_start and self._als.warm_streak < self.full_solve_every
-        return self._als.solve(matrix, self.refresh_iterations, warm=warm).completed
+        return self._als.solve(matrix, WARM_REFRESH_SWEEPS, warm=warm).completed
 
 
 class MeanPredictor(Predictor):

@@ -45,7 +45,7 @@ from ..core.als import censored_als
 from ..core.explorer import MatrixOracle, OfflineExplorer
 from ..core.plan_cache import CacheSnapshot
 from ..core.policies import LimeQOPolicy
-from ..core.predictors import ALSPredictor
+from ..core.predictors import WARM_REFRESH_SWEEPS, ALSPredictor
 from ..core.simulation import ExplorationSimulator
 from ..core.workload_matrix import WorkloadMatrix
 from ..serving.service import ServingService
@@ -168,7 +168,8 @@ def build_suite() -> PerfHarness:
     def run_als_warm(state):
         observed, mask, timeouts, config, factors = state
         result = censored_als(
-            observed, mask, timeouts, config, warm_start=factors, iterations=5
+            observed, mask, timeouts, config,
+            warm_start=factors, iterations=WARM_REFRESH_SWEEPS,
         )
         return {"iterations": int(len(result.objective_trace))}
 
@@ -196,7 +197,7 @@ def build_suite() -> PerfHarness:
                 explorer.matrix.solver_cells(),
                 config=predictor.config,
                 warm_start=predictor.factors,
-                iterations=predictor.refresh_iterations,
+                iterations=WARM_REFRESH_SWEEPS,
             )
             solver_s = clock() - began
             began = clock()

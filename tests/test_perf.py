@@ -131,13 +131,15 @@ class TestSuite:
 
     def test_als_cases_run_and_report_iterations(self):
         results = build_suite().run(["als_warm_ceb"])
-        assert results["als_warm_ceb"].meta["iterations"] == 5
+        assert results["als_warm_ceb"].meta["iterations"] == 1  # what a step runs
 
     def test_explore_step_case_splits_a_step_around_the_solver(self):
         meta = build_suite().run(["explore_step_ceb"])["explore_step_ceb"].meta
-        # The hand-off, Eq. 6 and the write are the smaller part of a step
-        # (~15%; a third before the matrix handed the solver its cells).
-        assert meta["outside_solver_ms"] < 0.5 * meta["step_ms"]
+        # The hand-off, Eq. 6 and the write are about half of a step now that
+        # a warm solve is one sweep (~0.85 of ~1.6 ms; 0.22 of a step when the
+        # solve ran five, which the lower bound would catch).
+        share = meta["outside_solver_ms"] / meta["step_ms"]
+        assert 0.3 < share < 0.75
 
     def test_telemetry_case_runs_with_instrumentation_on(self):
         meta = build_suite().run(["telemetry_overhead"])["telemetry_overhead"].meta

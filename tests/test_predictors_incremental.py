@@ -6,7 +6,7 @@ import pytest
 from repro.config import ALSConfig, ExplorationConfig
 from repro.core.explorer import MatrixOracle, OfflineExplorer
 from repro.core.policies import RandomPolicy
-from repro.core.predictors import ALSPredictor
+from repro.core.predictors import WARM_REFRESH_SWEEPS, ALSPredictor
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import ExplorationError
 
@@ -62,16 +62,18 @@ def test_diverged_warm_factors_fall_back_to_one_cold_solve():
 
 def test_full_solve_every_bounds_drift():
     matrix, truth = make_matrix()
-    predictor = ALSPredictor(
-        ALSConfig(iterations=10), refresh_iterations=2, full_solve_every=3
-    )
+    predictor = ALSPredictor(ALSConfig(iterations=10), full_solve_every=3)
     rng = np.random.default_rng(1)
+    sweeps = []
     for _ in range(8):
         i, j = int(rng.integers(matrix.n_queries)), int(rng.integers(matrix.n_hints))
         matrix.observe(i, j, float(truth[i, j]))
         predictor.predict(matrix)
-    # 8 predicts: cold, then warm refreshes with a full cold re-solve after
-    # every third warm one (full_solve_every=3).
+        sweeps.append(len(predictor._result.objective_trace))
+    # full_solve_every=3 is three warm refreshes, *then* one cold re-anchor
+    # (a period of four, not "every third"): a warm refresh is one sweep and
+    # the re-anchor runs all of config.iterations.
+    assert sweeps == [10, 1, 1, 1, 10, 1, 1, 1]
     assert predictor.cold_solves == 2
     assert predictor.warm_solves == 6
 
@@ -118,7 +120,7 @@ def test_reset_forgets_factors():
 
 def test_warm_refresh_tracks_cold_solution():
     matrix, truth = make_matrix(n=30, k=10, fill=0.5)
-    warm = ALSPredictor(ALSConfig(iterations=30), refresh_iterations=5)
+    warm = ALSPredictor(ALSConfig(iterations=30))
     cold = ALSPredictor(ALSConfig(iterations=30), warm_start=False)
     warm.predict(matrix)
     cold.predict(matrix)
@@ -129,16 +131,18 @@ def test_warm_refresh_tracks_cold_solution():
     warm_estimate = warm.predict(matrix)
     cold_estimate = cold.predict(matrix)
     # Observed entries are exact in both; unobserved predictions agree to a
-    # few percent relative after only a handful of fill-in iterations.
+    # few percent relative after the one warm fill-in sweep.
+    assert len(warm._result.objective_trace) == WARM_REFRESH_SWEEPS
     denominator = np.maximum(np.abs(cold_estimate), 1e-9)
     assert np.median(np.abs(warm_estimate - cold_estimate) / denominator) < 0.05
 
 
 def test_constructor_validation():
     with pytest.raises(ExplorationError):
-        ALSPredictor(ALSConfig(iterations=5), refresh_iterations=0)
-    with pytest.raises(ExplorationError):
         ALSPredictor(ALSConfig(iterations=5), full_solve_every=0)
+    # The warm sweep count is a constant, not an option.
+    with pytest.raises(TypeError):
+        ALSPredictor(ALSConfig(iterations=5), refresh_iterations=5)
 
 
 def test_model_free_policies_ignore_configure():
