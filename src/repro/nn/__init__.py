@@ -10,7 +10,7 @@ provides the minimum viable substrate:
   ``no_grad`` context for tape-free inference),
 * :mod:`repro.nn.layers` -- Linear, ReLU, Dropout, Embedding, Sequential,
 * :mod:`repro.nn.treeconv` -- binary tree convolution and dynamic pooling,
-* :mod:`repro.nn.optim` -- SGD and Adam,
+* :mod:`repro.nn.optim` -- Adam over flat moment buffers,
 * :mod:`repro.nn.losses` -- MSE and the censored loss (paper Equation 8),
 * :mod:`repro.nn.tcnn` -- the TCNN and transductive TCNN models,
 * :mod:`repro.nn.trainer` -- the training loop with the paper's
@@ -20,7 +20,7 @@ provides the minimum viable substrate:
 from .autograd import Tensor, no_grad
 from .layers import Dropout, Embedding, Linear, Module, ReLU, Sequential
 from .losses import censored_mse_loss, mse_loss
-from .optim import SGD, Adam
+from .optim import Adam
 from .tcnn import TCNNModel, TransductiveTCNN
 from .trainer import TCNNTrainer
 from .treeconv import BinaryTreeConv, DynamicPooling
@@ -36,7 +36,6 @@ __all__ = [
     "Sequential",
     "censored_mse_loss",
     "mse_loss",
-    "SGD",
     "Adam",
     "TCNNModel",
     "TransductiveTCNN",

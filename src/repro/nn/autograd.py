@@ -23,8 +23,9 @@ The tape records only what a gradient will flow through:
 * under :func:`no_grad` no node is recorded at all -- inference runs the
   same ``forward`` code as training and gets plain tensors back;
 * the three chains the TCNN builds on every mini-batch are single nodes
-  with hand-written backward passes: :func:`tree_conv` (child gathers,
-  the self / left / right matmuls, bias, relu and the padding mask),
+  with hand-written backward passes: :func:`tree_conv` (one product of
+  the ``[node | left child | right child]`` stack with the three weights
+  joined, bias, relu and the padding mask),
   :func:`affine` (``x @ W + b``) and :func:`squared_error_loss` (the
   MSE / censored-MSE reduction).  Each performs the numpy calls of the
   unfused chain on the same operands in the same association, so values
@@ -101,10 +102,6 @@ class Tensor:
     def ndim(self) -> int:
         """Number of dimensions."""
         return self.data.ndim
-
-    def numpy(self) -> np.ndarray:
-        """Copy of the underlying data."""
-        return self.data.copy()
 
     def item(self) -> float:
         """Scalar value (for losses)."""
@@ -311,14 +308,6 @@ class Tensor:
             raise NeuralNetworkError("every sample needs at least one unmasked node")
         masked = self.data.copy()
         masked[~mask] = -np.inf
-        if not (_grad_enabled and self.tracks):
-            # Nothing will ask where each maximum sat, so skip the argmax and
-            # the index arrays: a running maximum over the node axis gives
-            # the same values (numpy reduces a middle axis ~2x slower).
-            out_data = masked[:, 0].copy()
-            for node in range(1, masked.shape[1]):
-                np.maximum(out_data, masked[:, node], out=out_data)
-            return Tensor(out_data, name="masked_max")
         argmax = masked.argmax(axis=1)  # (B, F)
         batch_index = np.arange(self.data.shape[0])[:, None]
         feature_index = np.arange(self.data.shape[2])[None, :]
@@ -418,73 +407,92 @@ def tree_conv(
     weight_left: Tensor,
     weight_right: Tensor,
     bias: Tensor,
+    out: Optional[np.ndarray] = None,
 ) -> Tensor:
     """One binary tree convolution over a padded batch, as one node.
 
-    ``relu(nodes @ W_self + nodes[left] @ W_left + nodes[right] @ W_right
-    + bias)`` with padding zeroed: ``nodes`` is (B, N, F), ``left`` /
-    ``right`` are (B, N) child positions on the node axis and ``mask`` is
-    (B, N), nonzero for real nodes.  Children are gathered as rows of the
-    ``(B * N, F)`` view (``np.take`` with flat rows is ~10x cheaper than
-    ``take_along_axis`` on the 3-D tensor), and the gradient into ``nodes``
-    -- only computed when ``nodes`` tracks, i.e. not for the first layer's
-    plan features -- is scattered onto the same rows.
+    ``relu([node | left child | right child] @ [W_self; W_left; W_right]
+    + bias)`` with padding zeroed -- one ``(B * N, 3F) @ (3F, C)`` product
+    forward and one ``(3F, B * N) @ (B * N, C)`` product for all three weight
+    gradients.  ``nodes`` is either the ``(B, N, 3F)`` stack itself (the
+    first layer's plan features, which :class:`~repro.plans.featurize.TreeBatch`
+    keeps stacked because they never change) or a ``(B, N, F)`` tensor of
+    hidden activations, whose children are gathered here as rows of its
+    ``(B * N, F)`` view; the gradient into it is scattered onto the same
+    rows.  ``left`` / ``right`` are (B, N) child positions on the node axis
+    and ``mask`` is (B, N), nonzero for real nodes.  ``out``, a (B, N, C)
+    array, receives the result in place of a fresh allocation.
     """
     left = np.asarray(left, dtype=np.int64)
     right = np.asarray(right, dtype=np.int64)
     real = np.asarray(mask, dtype=bool)
     data = nodes.data
-    if data.ndim != 3 or not left.shape == right.shape == real.shape == data.shape[:2]:
+    features = weight_self.data.shape[0]
+    if (
+        data.ndim != 3
+        or not left.shape == right.shape == real.shape == data.shape[:2]
+        or data.shape[2] not in (features, 3 * features)
+    ):
         raise NeuralNetworkError(
-            "tree_conv expects a (B, N, F) tensor and (B, N) child indices and mask"
+            "tree_conv expects a (B, N, F) or stacked (B, N, 3F) tensor and "
+            "(B, N) child indices and mask"
         )
-    batch, width, features = data.shape
-    rows = data.reshape(batch * width, features)
-    first_row = (np.arange(batch) * width)[:, None]
-    left_rows = left + first_row
-    right_rows = right + first_row
-    left_children = np.take(rows, left_rows, axis=0)
-    right_children = np.take(rows, right_rows, axis=0)
-    out_data = np.matmul(data, weight_self.data)
-    out_data += np.matmul(left_children, weight_left.data)
-    out_data += np.matmul(right_children, weight_right.data)
-    out_data += bias.data
+    batch, width = real.shape
+    gathered = data.shape[2] == features
+    if gathered:
+        rows = data.reshape(batch * width, features)
+        first_row = (np.arange(batch) * width)[:, None]
+        left_rows = (left + first_row).reshape(-1)
+        right_rows = (right + first_row).reshape(-1)
+        stack = np.concatenate(
+            [rows, np.take(rows, left_rows, axis=0), np.take(rows, right_rows, axis=0)],
+            axis=1,
+        )
+    else:
+        stack = data.reshape(batch * width, 3 * features)
+    weights = np.concatenate(
+        [weight_self.data, weight_left.data, weight_right.data], axis=0
+    )
+    if out is not None:
+        out = out.reshape(batch * width, weights.shape[1])
+    flat = np.matmul(stack, weights, out=out)
+    flat += bias.data
     # relu, then padding (and the null node) back to exactly zero so deeper
     # layers keep the "missing child == zero vector" invariant.  Both are
     # products with 0 or 1, so one product with their conjunction gives the
     # same bits as the two in sequence.
-    active = out_data > 0
-    active.reshape(batch * width, -1)[~real.reshape(-1)] = False
-    out_data *= active
+    active = flat > 0
+    active[~real.reshape(-1)] = False
+    flat *= active
 
     def backward(grad: np.ndarray) -> None:
-        grad = grad * active
+        grad = grad * active.reshape(grad.shape)
         if bias.tracks:
             bias._accumulate(_unbroadcast(grad, bias.data.shape))
-        for weight, inputs in (
-            (weight_self, data),
-            (weight_left, left_children),
-            (weight_right, right_children),
-        ):
+        grad = grad.reshape(batch * width, -1)
+        grad_weights = np.matmul(stack.T, grad)
+        for i, weight in enumerate((weight_self, weight_left, weight_right)):
             if weight.tracks:
                 weight._accumulate(
-                    np.matmul(np.swapaxes(inputs, -1, -2), grad).sum(axis=0), copy=False
+                    grad_weights[i * features:(i + 1) * features], copy=False
                 )
         if nodes.tracks:
-            grad_nodes = np.matmul(grad, np.swapaxes(weight_self.data, -1, -2))
-            for weight, child_rows in ((weight_left, left_rows), (weight_right, right_rows)):
-                scattered = np.zeros_like(rows)
-                np.add.at(
-                    scattered,
-                    child_rows,
-                    np.matmul(grad, np.swapaxes(weight.data, -1, -2)),
-                )
-                grad_nodes = grad_nodes + scattered.reshape(data.shape)
-            nodes._accumulate(grad_nodes, copy=False)
+            grad_stack = np.matmul(grad, weights.T)
+            if gathered:
+                grad_rows = grad_stack[:, :features]
+                for i, child_rows in ((1, left_rows), (2, right_rows)):
+                    scattered = np.zeros_like(rows)
+                    np.add.at(
+                        scattered, child_rows,
+                        grad_stack[:, i * features:(i + 1) * features],
+                    )
+                    grad_rows = grad_rows + scattered
+                grad_stack = grad_rows
+            nodes._accumulate(grad_stack.reshape(data.shape), copy=False)
 
     return Tensor._make(
-        out_data, (nodes, weight_self, weight_left, weight_right, bias), backward,
-        "tree_conv",
+        flat.reshape(batch, width, -1),
+        (nodes, weight_self, weight_left, weight_right, bias), backward, "tree_conv",
     )
 
 

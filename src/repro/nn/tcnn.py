@@ -42,7 +42,7 @@ class TCNNModel(Module):
     """Plain tree convolutional network over plan features."""
 
     def __init__(self, config: Optional[TCNNConfig] = None,
-                 node_feature_dim: int = NODE_FEATURE_DIM) -> None:
+                 node_feature_dim: int = NODE_FEATURE_DIM, side_features: int = 0) -> None:
         super().__init__()
         self.config = config or TCNNConfig(use_embeddings=False)
         self.tree_conv = self.register_module(
@@ -55,23 +55,26 @@ class TCNNModel(Module):
         self.head = self.register_module(
             "head",
             _build_head(
-                self.tree_conv.out_channels,
+                self.tree_conv.out_channels + side_features,
                 self.config.hidden_units,
                 self.config.dropout,
                 self.config.seed,
             ),
         )
 
+    def _head_input(self, pooled: Tensor, query_idx, hint_idx) -> Tensor:
+        """What the head sees of each plan (here: query/hint ids ignored)."""
+        return pooled
+
     def forward(self, batch: TreeBatch, query_idx=None, hint_idx=None) -> Tensor:
-        """Predict one latency per plan in ``batch`` (query/hint ids ignored)."""
-        nodes = Tensor(batch.nodes)
+        """Predict one latency per plan (per plan, query id, hint id triple)."""
+        nodes = Tensor(batch.stacked)
         pooled = self.tree_conv(nodes, batch.left, batch.right, batch.mask)
-        pooled = self.dropout(pooled)
-        out = self.head(pooled)
+        out = self.head(self.dropout(self._head_input(pooled, query_idx, hint_idx)))
         return out.reshape(batch.batch_size)
 
 
-class TransductiveTCNN(Module):
+class TransductiveTCNN(TCNNModel):
     """Tree convolution plus query/hint embeddings (the LimeQO+ model)."""
 
     def __init__(
@@ -81,32 +84,16 @@ class TransductiveTCNN(Module):
         config: Optional[TCNNConfig] = None,
         node_feature_dim: int = NODE_FEATURE_DIM,
     ) -> None:
-        super().__init__()
         if n_queries < 1 or n_hints < 1:
             raise NeuralNetworkError("TransductiveTCNN needs positive matrix dimensions")
-        self.config = config or TCNNConfig(use_embeddings=True)
-        rank = self.config.embedding_rank
-        self.tree_conv = self.register_module(
-            "tree_conv",
-            TreeConvStack(node_feature_dim, self.config.channels, seed=self.config.seed),
-        )
+        config = config or TCNNConfig(use_embeddings=True)
+        rank = config.embedding_rank
+        super().__init__(config, node_feature_dim, side_features=2 * rank)
         self.query_embedding = self.register_module(
-            "query_embedding", Embedding(n_queries, rank, seed=self.config.seed + 1)
+            "query_embedding", Embedding(n_queries, rank, seed=config.seed + 1)
         )
         self.hint_embedding = self.register_module(
-            "hint_embedding", Embedding(n_hints, rank, seed=self.config.seed + 2)
-        )
-        self.dropout = self.register_module(
-            "dropout", Dropout(self.config.dropout, seed=self.config.seed + 11)
-        )
-        self.head = self.register_module(
-            "head",
-            _build_head(
-                self.tree_conv.out_channels + 2 * rank,
-                self.config.hidden_units,
-                self.config.dropout,
-                self.config.seed,
-            ),
+            "hint_embedding", Embedding(n_hints, rank, seed=config.seed + 2)
         )
 
     @property
@@ -114,26 +101,15 @@ class TransductiveTCNN(Module):
         """Current size of the query embedding table."""
         return self.query_embedding.num_embeddings
 
-    @property
-    def n_hints(self) -> int:
-        """Current size of the hint embedding table."""
-        return self.hint_embedding.num_embeddings
-
     def grow_queries(self, new_count: int) -> None:
         """Extend the query embedding table when new queries arrive."""
         self.query_embedding.grow(new_count, seed=self.config.seed + 17)
 
-    def forward(self, batch: TreeBatch, query_idx, hint_idx) -> Tensor:
-        """Predict one latency per (plan, query id, hint id) triple."""
+    def _head_input(self, pooled: Tensor, query_idx, hint_idx) -> Tensor:
         query_idx = np.asarray(query_idx, dtype=np.int64)
         hint_idx = np.asarray(hint_idx, dtype=np.int64)
-        if query_idx.shape[0] != batch.batch_size or hint_idx.shape[0] != batch.batch_size:
+        if query_idx.shape[0] != pooled.shape[0] or hint_idx.shape[0] != pooled.shape[0]:
             raise NeuralNetworkError("query/hint index length must match the batch size")
-        nodes = Tensor(batch.nodes)
-        pooled = self.tree_conv(nodes, batch.left, batch.right, batch.mask)
         query_vectors = self.query_embedding(query_idx)
         hint_vectors = self.hint_embedding(hint_idx)
-        combined = pooled.concat(query_vectors, axis=-1).concat(hint_vectors, axis=-1)
-        combined = self.dropout(combined)
-        out = self.head(combined)
-        return out.reshape(batch.batch_size)
+        return pooled.concat(query_vectors, axis=-1).concat(hint_vectors, axis=-1)

@@ -16,20 +16,16 @@ Targets are trained in ``log1p`` space so the heavy-tailed latency
 distribution does not destabilise the small network; predictions are mapped
 back with ``expm1`` and clipped to be non-negative.
 
-Cost model.  ``fit`` packs nothing when the feature store keeps the whole
-plan space packed (``full_batch``): the training rows are taken out of it by
-flat cell index, and each mini-batch records about a dozen tape nodes (one
-fused tree-conv node per layer, one per ``Linear``, one for the loss; see
-:mod:`repro.nn.autograd`).  Inference (``predict_cells``
-/ ``predict_full``) runs the same ``forward`` under ``no_grad`` and records
-no tape at all; ``predict_full`` walks the packed plan space in chunks of
-``_CHUNK_NODE_ROWS`` padded node rows, so its intermediates stay around
-128 KiB each whatever the matrix size.
+Cost model.  A store that keeps the plan space packed (``full_batch``) is
+read, never re-packed: ``fit`` and ``predict_cells`` take their cells out of
+it by flat index and run ``forward`` (about a dozen fused tape nodes per
+mini-batch; none under ``no_grad``), and ``predict_full`` is one tape-free
+pass over all of it into arrays the trainer keeps between calls.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -37,20 +33,11 @@ from ..config import TCNNConfig
 from ..core.workload_matrix import WorkloadMatrix, checked_ids
 from ..errors import NeuralNetworkError
 from ..plans.featurize import TreeBatch
-from .autograd import no_grad
+from .autograd import Tensor, no_grad
+from .layers import Linear, ReLU
 from .losses import censored_mse_loss
 from .optim import Adam
 from .tcnn import TCNNModel, TransductiveTCNN
-
-
-#: Padded node rows (plans x ``max_nodes``) per ``predict_full`` forward pass:
-#: 256 plans at the 8-node synthetic plans, fewer as plans get wider.  With
-#: the benchmarks' 8 channels every intermediate is then 128 KiB, which the
-#: allocator recycles from its heap; at 4096 rows each chunk's 256 KiB
-#: temporaries were mapped afresh and page-faulted in (1600 minor faults and
-#: +2.3 ms per JOB-size ``predict_full``), and below 1024 rows the per-chunk
-#: Python overhead takes over.  Predictions do not depend on it.
-_CHUNK_NODE_ROWS = 2048
 
 
 class TCNNTrainer:
@@ -74,6 +61,8 @@ class TCNNTrainer:
         self.optimizer = Adam(self.model.parameters(), lr=self.config.learning_rate)
         self._rng = np.random.default_rng(self.config.seed)
         self.loss_history: List[float] = []
+        #: ``predict_full``'s intermediates by stage, re-made when a shape moves.
+        self._workspace: Dict[object, np.ndarray] = {}
 
     # -- workload growth -----------------------------------------------------
     def grow_queries(self, new_count: int) -> None:
@@ -115,6 +104,17 @@ class TCNNTrainer:
             return None
         return full_batch()
 
+    def _packed(
+        self, shape: Tuple[int, int], rows: np.ndarray, cols: np.ndarray
+    ) -> Tuple[TreeBatch, np.ndarray]:
+        """A packed batch holding the given cells, and where each sits in it:
+        the plan space and flat cell indices when the store keeps one."""
+        space = self._plan_space(shape)
+        if space is not None:
+            return space, rows * shape[1] + cols
+        cells = list(zip(rows.tolist(), cols.tolist()))
+        return self.feature_store.batch(cells), np.arange(rows.size)
+
     # -- fitting ------------------------------------------------------------------
     def fit(self, matrix: WorkloadMatrix) -> List[float]:
         """Train on the matrix's observed cells; returns per-epoch losses."""
@@ -125,16 +125,10 @@ class TCNNTrainer:
         # would all be 1.0, which is the plain MSE bit for bit.
         censored = self.config.censored and bool((log_thresholds > 0).any())
 
-        # The training set is packed once; every epoch's mini-batches are
-        # row slices of it (the tree convolution is padding-width invariant,
-        # so the losses do not depend on how wide the pack is).  A store
-        # that keeps the whole plan space packed hands the rows over by flat
-        # cell index with no featurise-and-pad pass at all.
-        plan_space = self._plan_space(matrix.shape)
-        if plan_space is not None:
-            packed = plan_space.take(rows * matrix.n_hints + cols)
-        else:
-            packed = self.feature_store.batch(list(zip(rows.tolist(), cols.tolist())))
+        # Every epoch's mini-batches are row selections of one packed batch
+        # (the tree convolution is padding-width invariant, so the losses do
+        # not depend on how wide the pack is).
+        packed, position = self._packed(matrix.shape, rows, cols)
 
         self.model.train()
         epoch_losses: List[float] = []
@@ -145,7 +139,7 @@ class TCNNTrainer:
             for start in range(0, len(order), self.config.batch_size):
                 batch_idx = order[start:start + self.config.batch_size]
                 predictions = self.model(
-                    packed.take(batch_idx), rows[batch_idx], cols[batch_idx]
+                    packed.take(position[batch_idx]), rows[batch_idx], cols[batch_idx]
                 )
                 loss = censored_mse_loss(
                     predictions,
@@ -191,14 +185,6 @@ class TCNNTrainer:
             )
         return query_idx, hint_idx
 
-    def _forward(self, batch: TreeBatch, query_idx: np.ndarray,
-                 hint_idx: np.ndarray) -> np.ndarray:
-        """Latencies in seconds for trusted ids: one tape-free forward pass."""
-        self.model.eval()
-        with no_grad():
-            out = self.model(batch, query_idx, hint_idx)
-        return np.clip(np.expm1(out.data), 0.0, None)
-
     def predict_cells(
         self, cells: Sequence[Tuple[int, int]], batch_size: Optional[int] = None
     ) -> np.ndarray:
@@ -218,40 +204,72 @@ class TCNNTrainer:
                 f"cells must be (query, hint) pairs, got shape {cells.shape}"
             )
         query_idx, hint_idx = self._cell_ids(cells[:, 0], cells[:, 1])
+        packed, position = self._packed(
+            (self.n_queries, self.n_hints), query_idx, hint_idx
+        )
         predictions = np.zeros(len(cells))
         if batch_size is None:
             batch_size = max(self.config.batch_size, 64)
-        for start in range(0, len(cells), batch_size):
-            window = slice(start, start + batch_size)
-            batch = self.feature_store.batch(
-                list(zip(query_idx[window].tolist(), hint_idx[window].tolist()))
-            )
-            predictions[window] = self._forward(batch, query_idx[window], hint_idx[window])
-        return predictions
+        self.model.eval()
+        with no_grad():
+            for start in range(0, len(cells), batch_size):
+                window = slice(start, start + batch_size)
+                predictions[window] = self.model(
+                    packed.take(position[window]), query_idx[window], hint_idx[window]
+                ).data
+        return np.clip(np.expm1(predictions), 0.0, None)
+
+    def _buffer(self, stage, shape: Tuple[int, ...]) -> np.ndarray:
+        """The kept array ``predict_full`` writes ``stage`` into."""
+        buffer = self._workspace.get(stage)
+        if buffer is None or buffer.shape != shape:
+            buffer = self._workspace[stage] = np.empty(shape)
+        return buffer
 
     def predict_full(self, matrix: WorkloadMatrix) -> np.ndarray:
         """Predicted latencies for every cell of the matrix.
 
-        When the feature store caches a pre-packed full-matrix batch
-        (:meth:`~repro.plans.featurize.PlanFeatureStore.full_batch`), the
-        whole pass is array slices and forward passes -- no per-cell Python
-        loop, no repeated padding.  Inference is deterministic per sample
-        (dropout is off in eval mode), so chunk boundaries do not affect the
-        predictions.
+        When the feature store keeps the plan space packed this is
+        ``forward`` in eval mode written out over all of it at once: each
+        stage's result goes into a kept array (``out=``), the embeddings are
+        broadcast over the ``n x k`` grid instead of gathered per cell, and
+        nothing is recorded.  ``predict_cells`` is the generic ``forward``
+        the tests hold this to.
         """
         n, k = matrix.n_queries, matrix.n_hints
-        packed = self._plan_space((n, k))
-        if packed is None:
+        space, model = self._plan_space((n, k)), self.model
+        if space is None:
             cells = np.stack(np.divmod(np.arange(n * k), k), axis=1)
             return self.predict_cells(cells).reshape(n, k)
-
-        query_idx = np.repeat(np.arange(n, dtype=np.int64), k)
-        hint_idx = np.tile(np.arange(k, dtype=np.int64), n)
-        predictions = np.empty(n * k)
-        chunk = max(1, _CHUNK_NODE_ROWS // packed.max_nodes)
-        for start in range(0, n * k, chunk):
-            window = slice(start, start + chunk)
-            predictions[window] = self._forward(
-                packed.take(window), query_idx[window], hint_idx[window]
-            )
-        return predictions.reshape(n, k)
+        if not (space.mask > 0).any(axis=1).all():
+            raise NeuralNetworkError("every sample needs at least one unmasked node")
+        cells, width = space.batch_size, space.max_nodes
+        hidden = Tensor(space.stacked)
+        with no_grad():
+            for depth, layer in enumerate(model.tree_conv.layers):
+                out = self._buffer(("conv", depth), (cells, width, layer.out_channels))
+                hidden = layer(hidden, space.left, space.right, space.mask, out=out)
+        conv, channels = hidden.data, hidden.shape[2]
+        # Dynamic pooling.  Every entry is a relu output or a zeroed padding
+        # row, so the maximum over all nodes is the maximum over the real
+        # ones.  (Into a contiguous array: a slice of ``combined`` as the
+        # target is twice as slow.)
+        pooled = self._buffer("pooled", (cells, channels))
+        pooled[:] = conv[:, 0]
+        for node in range(1, width):
+            np.maximum(pooled, conv[:, node], out=pooled)
+        rank = self.config.embedding_rank if self.config.use_embeddings else 0
+        combined = self._buffer("combined", (n, k, channels + 2 * rank))
+        if rank:
+            combined[:, :, channels:channels + rank] = model.query_embedding.weight.data[:, None]
+            combined[:, :, channels + rank:] = model.hint_embedding.weight.data
+        out = combined.reshape(cells, -1)
+        out[:, :channels] = pooled
+        for depth, module in enumerate(model.head):  # dropout is off in eval mode
+            if isinstance(module, Linear):
+                kept = self._buffer(("head", depth), (cells, module.out_features))
+                out = np.matmul(out, module.weight.data, out=kept)
+                out += module.bias.data
+            elif isinstance(module, ReLU):
+                np.maximum(out, 0.0, out=out)
+        return np.clip(np.expm1(out.reshape(n, k)), 0.0, None)

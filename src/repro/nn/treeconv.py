@@ -3,16 +3,17 @@
 A tree convolution layer applies three weight matrices -- one for the node
 itself, one for its left child, one for its right child -- at every node of
 a binary plan tree, then sums and activates.  Missing children point at the
-reserved all-zero node 0, so the operation vectorises as two gathers plus
-three matmuls over a padded ``(batch, nodes, features)`` tensor -- one
-fused autograd node, :func:`repro.nn.autograd.tree_conv`.  Dynamic
+reserved all-zero node 0, so the operation vectorises as one product of
+the padded ``[node | left child | right child]`` stack with the three
+matrices joined -- one fused autograd node,
+:func:`repro.nn.autograd.tree_conv`.  Dynamic
 pooling reduces the node dimension with a masked max, yielding one vector
 per plan regardless of plan size.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -44,22 +45,26 @@ class BinaryTreeConv(Module):
         self.out_channels = out_channels
 
     def forward(self, nodes: Tensor, left: np.ndarray, right: np.ndarray,
-                mask: np.ndarray) -> Tensor:
+                mask: np.ndarray, out: Optional[np.ndarray] = None) -> Tensor:
         """Convolve a padded batch of trees.
 
         Parameters
         ----------
         nodes:
-            ``(batch, max_nodes, in_channels)`` node features; position 0 of
-            every sample must stay the all-zero null node.
+            ``(batch, max_nodes, in_channels)`` node features, or the
+            ``(batch, max_nodes, 3 * in_channels)`` stack a ``TreeBatch``
+            keeps; position 0 of every sample must stay the all-zero null
+            node.
         left / right:
             ``(batch, max_nodes)`` child indices into the node axis.
         mask:
             ``(batch, max_nodes)`` 1.0 for real nodes.
+        out:
+            ``(batch, max_nodes, out_channels)`` array to write the result in.
         """
         return tree_conv(
             nodes, left, right, mask,
-            self.weight_self, self.weight_left, self.weight_right, self.bias,
+            self.weight_self, self.weight_left, self.weight_right, self.bias, out,
         )
 
 

@@ -17,6 +17,10 @@ what measures what):
                         (JOB 113x49, its TCNN config) on a frozen ~250-cell
                         training set: the training half of an
                         ``explore_tcnn`` step without the set growing,
+* ``tcnn_predict_full`` -- one ``predict_full`` at that shape on frozen
+                        weights: the plan-space pass, beside the generic
+                        ``forward`` over the same 5,537 cells
+                        (``predict_cells``) in the same process,
 * ``serve_after_write`` -- a 256-cell feedback batch then a 256-query
                         ``serve_batch`` on one e2e-sized shard (800x49):
                         what a write costs the next reader (a row patch),
@@ -228,6 +232,7 @@ def build_suite() -> PerfHarness:
             workload.feature_store(), matrix.n_queries, matrix.n_hints, config
         )
         trainer.fit(matrix)  # warm: weights, Adam moments, the packed plan space
+        trainer.predict_full(matrix)  # ...and the inference workspace
         return trainer, matrix
 
     def run_tcnn_fit(state):
@@ -239,6 +244,24 @@ def build_suite() -> PerfHarness:
         }
 
     harness.add("tcnn_fit", run_tcnn_fit, setup=setup_tcnn_fit)
+
+    # -- tcnn_predict_full -------------------------------------------------
+    def setup_tcnn_predict_full():
+        trainer, matrix = setup_tcnn_fit()
+        n, k = matrix.shape
+        cells = np.stack(np.divmod(np.arange(n * k), k), axis=1)
+        # Off the case's clock: the generic forward over the same cells.
+        generic_us = _best_us(lambda: trainer.predict_cells(cells))
+        return trainer, matrix, generic_us
+
+    def run_tcnn_predict_full(state):
+        trainer, matrix, generic_us = state
+        predictions = trainer.predict_full(matrix)
+        return {"cells": int(predictions.size), "predict_cells_us": generic_us}
+
+    harness.add(
+        "tcnn_predict_full", run_tcnn_predict_full, setup=setup_tcnn_predict_full
+    )
 
     # -- serve_after_write -------------------------------------------------
     def setup_serve_after_write():

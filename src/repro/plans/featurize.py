@@ -18,7 +18,7 @@ Two stores are provided:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -30,6 +30,8 @@ from ..errors import PlanError
 from .tree import plan_to_arrays
 
 NODE_FEATURE_DIM = len(ALL_OPERATOR_NAMES) + 2
+#: One featurised plan: ``(nodes, left, right)`` arrays, null node first.
+Tree = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -38,9 +40,11 @@ class TreeBatch:
 
     Attributes
     ----------
-    nodes:
-        ``(batch, max_nodes, NODE_FEATURE_DIM)`` node feature tensor; row 0
-        of every sample is the all-zero null node.
+    stacked:
+        ``(batch, max_nodes, 3 * NODE_FEATURE_DIM)``: every node's features
+        followed by its left and its right child's, ``[node | left | right]``
+        -- the tree convolution's input as it multiplies it.  Row 0 of every
+        sample is the all-zero null node, which missing children point at.
     left / right:
         ``(batch, max_nodes)`` integer child indices into the node axis.
     mask:
@@ -48,20 +52,25 @@ class TreeBatch:
         null node.
     """
 
-    nodes: np.ndarray
+    stacked: np.ndarray
     left: np.ndarray
     right: np.ndarray
     mask: np.ndarray
 
     @property
+    def nodes(self) -> np.ndarray:
+        """``(batch, max_nodes, NODE_FEATURE_DIM)`` node features (a view)."""
+        return self.stacked[:, :, :self.stacked.shape[2] // 3]
+
+    @property
     def batch_size(self) -> int:
         """Number of plans in the batch."""
-        return self.nodes.shape[0]
+        return self.stacked.shape[0]
 
     @property
     def max_nodes(self) -> int:
         """Padded node count per plan."""
-        return self.nodes.shape[1]
+        return self.stacked.shape[1]
 
     def take(self, index) -> "TreeBatch":
         """Sub-batch along the plan axis (``index`` is a slice or int array).
@@ -70,55 +79,79 @@ class TreeBatch:
         out and never selected by the dynamic pooling -- so slicing a wide
         pre-packed batch produces exactly the same model outputs as packing
         the sub-batch from scratch.  This is what lets the trainer take its
-        training rows (and every epoch's mini-batches) out of the store's
-        packed plan space instead of featurising and padding per fit.
+        mini-batches and the cells it is asked about out of the store's
+        packed plan space instead of featurising and padding per call.
         """
         return TreeBatch(
-            nodes=self.nodes[index],
+            stacked=self.stacked[index],
             left=self.left[index],
             right=self.right[index],
             mask=self.mask[index],
         )
 
 
-def pack_trees(trees: Sequence[Tuple[np.ndarray, np.ndarray, np.ndarray]]) -> TreeBatch:
-    """Pad individual (nodes, left, right) arrays into one :class:`TreeBatch`."""
-    if not trees:
+def pack_trees(
+    trees: Iterable[Tree], count: Optional[int] = None, max_nodes: Optional[int] = None
+) -> TreeBatch:
+    """Pad individual (nodes, left, right) arrays into one :class:`TreeBatch`.
+
+    Each tree is written straight into the stacked array, so with ``count``
+    and ``max_nodes`` given ``trees`` can be a generator and no tree outlives
+    its own row.
+    """
+    if count is None or max_nodes is None:
+        trees = list(trees)
+        count = len(trees)
+        max_nodes = max((nodes.shape[0] for nodes, _, _ in trees), default=0)
+    if not count:
         raise PlanError("cannot pack an empty list of trees")
-    max_nodes = max(nodes.shape[0] for nodes, _, _ in trees)
-    batch = len(trees)
-    nodes = np.zeros((batch, max_nodes, NODE_FEATURE_DIM), dtype=float)
-    left = np.zeros((batch, max_nodes), dtype=np.int64)
-    right = np.zeros((batch, max_nodes), dtype=np.int64)
-    mask = np.zeros((batch, max_nodes), dtype=float)
+    dim = NODE_FEATURE_DIM
+    stacked = np.zeros((count, max_nodes, 3 * dim), dtype=float)
+    left = np.zeros((count, max_nodes), dtype=np.int64)
+    right = np.zeros((count, max_nodes), dtype=np.int64)
+    mask = np.zeros((count, max_nodes), dtype=float)
     for b, (node_arr, left_arr, right_arr) in enumerate(trees):
-        count = node_arr.shape[0]
-        nodes[b, :count] = node_arr
-        left[b, :count] = left_arr
-        right[b, :count] = right_arr
-        mask[b, 1:count] = 1.0  # position 0 is the null node
-    return TreeBatch(nodes=nodes, left=left, right=right, mask=mask)
+        size = node_arr.shape[0]
+        stacked[b, :size, :dim] = node_arr
+        stacked[b, :size, dim:2 * dim] = node_arr[left_arr]
+        stacked[b, :size, 2 * dim:] = node_arr[right_arr]
+        left[b, :size] = left_arr
+        right[b, :size] = right_arr
+        mask[b, 1:size] = 1.0  # position 0 is the null node
+    return TreeBatch(stacked=stacked, left=left, right=right, mask=mask)
 
 
 class _FullBatchCacheMixin:
-    """Shared cache for the packed full-matrix :class:`TreeBatch`.
+    """Shared caches: per-cell trees and the packed full-matrix :class:`TreeBatch`.
 
     Plans are deterministic per cell, so the packed arrays only go stale
-    when the store grows; the cache is keyed on the store's shape.  This is
-    what makes repeated full-matrix predictions (one per exploration step)
-    pay for featurisation and padding exactly once.
+    when the store grows; the cache is keyed on the store's shape.  The
+    plan space is a constant of the workload: it is featurised, padded and
+    stacked exactly once (on first use, not at construction), and every fit
+    and every full-matrix prediction after that reads the same arrays.
+    A store provides ``shape``, a ``_cache`` dict and ``_derive(query, hint)``.
     """
+
+    def tree(self, query: int, hint: int) -> Tree:
+        """Featurised plan arrays for one cell (cached, deterministic)."""
+        key = (query, hint)
+        if key not in self._cache:
+            self._cache[key] = self._derive(query, hint)
+        return self._cache[key]
 
     def full_batch(self) -> TreeBatch:
         """One padded batch covering every cell in row-major order (cached)."""
         cached = getattr(self, "_full_batch", None)
         if cached is None or getattr(self, "_full_batch_shape", None) != self.shape:
             n, k = self.shape
-            cells = [(q, h) for q in range(n) for h in range(k)]
-            cached = self.batch(cells)
+            cached = self.batch([(q, h) for q in range(n) for h in range(k)])
             self._full_batch = cached
             self._full_batch_shape = (n, k)
         return cached
+
+    def batch(self, cells: Sequence[Tuple[int, int]]) -> TreeBatch:
+        """Featurised plans for a batch of cells."""
+        return pack_trees([self.tree(q, h) for q, h in cells])
 
 
 class PlanFeaturizer:
@@ -127,7 +160,7 @@ class PlanFeaturizer:
     def __init__(self, enumerator: PlanEnumerator) -> None:
         self.enumerator = enumerator
 
-    def featurize(self, query: Query, hint_set: HintSet) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def featurize(self, query: Query, hint_set: HintSet) -> Tree:
         """Plan the query under the hint set and flatten the plan to arrays."""
         plan = self.enumerator.optimize(query, hint_set)
         return plan_to_arrays(plan)
@@ -145,25 +178,15 @@ class PlanFeatureStore(_FullBatchCacheMixin):
         self.featurizer = featurizer
         self.queries = list(queries)
         self.hint_sets = list(hint_sets)
-        self._cache: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._cache: Dict[Tuple[int, int], Tree] = {}
 
     @property
     def shape(self) -> Tuple[int, int]:
         """(number of queries, number of hint sets)."""
         return (len(self.queries), len(self.hint_sets))
 
-    def tree(self, query: int, hint: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Featurised plan arrays for one cell (cached)."""
-        key = (query, hint)
-        if key not in self._cache:
-            self._cache[key] = self.featurizer.featurize(
-                self.queries[query], self.hint_sets[hint]
-            )
-        return self._cache[key]
-
-    def batch(self, cells: Sequence[Tuple[int, int]]) -> TreeBatch:
-        """Featurised plans for a batch of cells."""
-        return pack_trees([self.tree(q, h) for q, h in cells])
+    def _derive(self, query: int, hint: int) -> Tree:
+        return self.featurizer.featurize(self.queries[query], self.hint_sets[hint])
 
     def add_query(self, query: Query) -> int:
         """Register a new query (workload shift) and return its row index."""
@@ -202,7 +225,7 @@ class SyntheticPlanFeatureStore(_FullBatchCacheMixin):
         self.noise = float(noise)
         self.nodes_per_plan = int(nodes_per_plan)
         self.seed = int(seed)
-        self._cache: Dict[Tuple[int, int], Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._cache: Dict[Tuple[int, int], Tree] = {}
 
     @property
     def shape(self) -> Tuple[int, int]:
@@ -220,11 +243,7 @@ class SyntheticPlanFeatureStore(_FullBatchCacheMixin):
         self.query_factors = np.vstack([self.query_factors, query_factor])
         return self.query_factors.shape[0] - 1
 
-    def tree(self, query: int, hint: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Pseudo-plan arrays for one cell (cached, deterministic)."""
-        key = (query, hint)
-        if key in self._cache:
-            return self._cache[key]
+    def _derive(self, query: int, hint: int) -> Tree:
         rng = np.random.default_rng(
             (self.seed * 1_000_003 + query * 49_999 + hint * 101) % (2 ** 32)
         )
@@ -244,10 +263,14 @@ class SyntheticPlanFeatureStore(_FullBatchCacheMixin):
         # Left-deep pseudo-structure: node i's left child is node i+1.
         for i in range(1, count - 1):
             left[i] = i + 1
-        arrays = (nodes, left, right)
-        self._cache[key] = arrays
-        return arrays
+        return nodes, left, right
 
     def batch(self, cells: Sequence[Tuple[int, int]]) -> TreeBatch:
-        """Featurised pseudo-plans for a batch of cells."""
-        return pack_trees([self.tree(q, h) for q, h in cells])
+        """Pseudo-plans for a batch of cells, derived row by row.
+
+        Not through ``tree``: caching every cell of the plan space would keep
+        a second copy of what the pack holds (7 MB beside 8.5 MB at JOB size).
+        """
+        return pack_trees(
+            (self._derive(q, h) for q, h in cells), len(cells), self.nodes_per_plan + 1
+        )

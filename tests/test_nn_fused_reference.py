@@ -3,11 +3,13 @@
 ``BinaryTreeConv.forward``, ``Linear.forward``, ``mse_loss`` and
 ``censored_mse_loss`` used to record one tape node per primitive op; they now
 record one fused node each (``tree_conv`` / ``affine`` /
-``squared_error_loss``).  The old bodies are kept here verbatim, built from
-the primitive ops that stay in ``repro.nn.autograd``, as the reference the
-fused nodes must match bit for bit -- values, gradients, and therefore whole
-training runs.  Also here: central finite differences against the fused
-gradients, the ``no_grad`` contract, and the inference memory bound.
+``squared_error_loss``).  The chains are kept here, built from the primitive
+ops that stay in ``repro.nn.autograd``, as the reference the fused nodes must
+match bit for bit -- values, gradients, and therefore whole training runs.
+Also here: the stacked tree convolution against the three-matmul association
+it replaced, central finite differences against the fused gradients, the
+``no_grad`` contract, ``predict_full``'s plan-space pass against the generic
+``forward``, and the inference memory bound.
 """
 
 from __future__ import annotations
@@ -34,10 +36,34 @@ from repro.nn.treeconv import BinaryTreeConv
 from repro.plans.featurize import NODE_FEATURE_DIM, _FullBatchCacheMixin, pack_trees
 
 
-# -- the unfused chains, verbatim from before the fusion ---------------------------------
-def reference_tree_conv_forward(self, nodes, left, right, mask):
+# -- the unfused chains ---------------------------------------------------------------------
+def reference_tree_conv_forward(self, nodes, left, right, mask, out=None):
+    """The tree convolution op by op, in the kernel's stacked association:
+    one product of ``[node | left child | right child]`` with the three
+    weights joined.  (``out`` is the kernel's business; a chain allocates.)"""
     if nodes.ndim != 3:
         raise NeuralNetworkError("tree convolution expects a 3-D node tensor")
+    batch, width, features = nodes.shape
+    if features == self.in_channels:  # hidden activations: stack them here
+        nodes = nodes.concat(nodes.gather_nodes(left)).concat(nodes.gather_nodes(right))
+    weights = self.weight_self.concat(self.weight_left, axis=0).concat(
+        self.weight_right, axis=0
+    )
+    combined = (
+        nodes.reshape(batch * width, 3 * self.in_channels).matmul(weights)
+        .reshape(batch, width, self.out_channels)
+        + self.bias
+    )
+    activated = combined.relu()
+    return activated.apply_mask(np.asarray(mask, dtype=float)[:, :, None])
+
+
+def three_matmul_tree_conv_forward(self, nodes, left, right, mask, out=None):
+    """The association the kernel had before the plan space was kept stacked:
+    self, left and right products summed.  Equal to the stacked one up to
+    rounding, not bit for bit."""
+    if nodes.shape[2] != self.in_channels:
+        nodes = Tensor(nodes.data[:, :, :self.in_channels])
     left_children = nodes.gather_nodes(left)
     right_children = nodes.gather_nodes(right)
     combined = (
@@ -173,6 +199,38 @@ def test_fused_training_run_is_bit_identical_to_the_unfused_chain(
     assert np.array_equal(full, ref_full)
 
 
+@settings(max_examples=30, deadline=None)
+@given(
+    depth=st.integers(1, 3),
+    max_real=st.integers(1, 9),
+    seed=st.integers(0, 10_000),
+)
+def test_stacked_kernel_matches_the_three_matmul_association(depth, max_real, seed):
+    n, k = 5, 4
+    store = RaggedStore(n, k, max_real, seed)
+    config = TCNNConfig(
+        embedding_rank=3, channels=(6, 5, 4)[:depth], hidden_units=(7,),
+        dropout=0.0, seed=seed % 5,
+    )
+    model = TransductiveTCNN(n, k, config)
+    batch = store.full_batch()
+    query_idx, hint_idx = np.divmod(np.arange(n * k), k)
+    targets = np.random.default_rng(seed).normal(1.0, 0.5, size=n * k)
+
+    def values_and_gradients():
+        model.zero_grad()
+        out = model(batch, query_idx, hint_idx)
+        censored_mse_loss(out, targets).backward()
+        return [out.data] + [param.grad for param in model.parameters()]
+
+    fused = values_and_gradients()
+    with mock.patch.object(BinaryTreeConv, "forward", three_matmul_tree_conv_forward):
+        old = values_and_gradients()
+    for name, mine, theirs in zip(["out", *model.state_dict()], fused, old):
+        scale = max(1.0, float(np.abs(theirs).max()))
+        np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-12 * scale, err_msg=name)
+
+
 # -- gradients against central finite differences --------------------------------------
 def test_fused_gradients_match_central_finite_differences():
     n, k = 4, 3
@@ -296,6 +354,85 @@ def test_fit_after_predict_full_still_trains(tiny_workload):
     )
 
 
+# -- the plan-space pass -------------------------------------------------------------------
+def every_cell(n, k):
+    return np.stack(np.divmod(np.arange(n * k), k), axis=1)
+
+
+@pytest.mark.parametrize("depth", [1, 2])
+@pytest.mark.parametrize("use_embeddings", [True, False])
+@pytest.mark.parametrize("store_kind", ["ragged", "synthetic"])
+def test_predict_full_equals_the_generic_forward_on_every_cell(
+    store_kind, use_embeddings, depth, tiny_workload
+):
+    if store_kind == "ragged":
+        n, k = 9, 6
+        store = RaggedStore(n, k, max_real=7, seed=4)
+    else:
+        n, k = tiny_workload.n_queries, tiny_workload.n_hints
+        store = tiny_workload.feature_store()
+    matrix = partly_observed(n, k, 1, 0.1)
+    config = TCNNConfig(
+        embedding_rank=3, channels=(6, 5)[:depth], hidden_units=(7, 4), dropout=0.2,
+        learning_rate=3e-3, batch_size=16, max_epochs=2,
+        use_embeddings=use_embeddings, seed=2,
+    )
+    trainer = TCNNTrainer(store, n, k, config)
+    trainer.fit(matrix)
+    full = trainer.predict_full(matrix)
+    generic = trainer.predict_cells(every_cell(n, k), batch_size=13).reshape(n, k)
+    np.testing.assert_allclose(full, generic, rtol=1e-12, atol=0)
+    # predict_cells went through model.forward; the plan-space pass did not.
+    with mock.patch.object(type(trainer.model), "forward", side_effect=AssertionError):
+        assert np.array_equal(trainer.predict_full(matrix), full)
+
+
+def test_predict_full_does_not_hand_out_its_workspace(tiny_workload):
+    n, k = tiny_workload.n_queries, tiny_workload.n_hints
+    matrix = partly_observed(n, k, 0, 0.1)
+    trainer = TCNNTrainer(
+        tiny_workload.feature_store(), n, k,
+        TCNNConfig(channels=(8,), hidden_units=(8,), dropout=0.0, batch_size=32,
+                   max_epochs=2, learning_rate=3e-2),
+    )
+    first = trainer.predict_full(matrix)
+    kept = first.copy()
+    assert not any(np.shares_memory(first, buffer) for buffer in trainer._workspace.values())
+    buffers = dict(trainer._workspace)
+    trainer.fit(matrix)
+    second = trainer.predict_full(matrix)
+    assert np.array_equal(first, kept)  # the next call did not write into it
+    assert not np.array_equal(second, first)  # ...and saw the new weights
+    # Same shapes, same arrays: nothing matrix-sized is allocated per call.
+    assert all(trainer._workspace[stage] is buffer for stage, buffer in buffers.items())
+
+
+def test_predict_full_resizes_its_workspace_when_the_workload_grows(tiny_workload):
+    n, k = tiny_workload.n_queries, tiny_workload.n_hints
+    store = tiny_workload.feature_store()
+    trainer = TCNNTrainer(
+        store, n, k,
+        TCNNConfig(channels=(8,), hidden_units=(8,), dropout=0.0, batch_size=32, max_epochs=1),
+    )
+    matrix = partly_observed(n, k, 0, 0.1)
+    trainer.fit(matrix)
+    before = trainer.predict_full(matrix)
+    store.add_query()
+    store.add_query()
+    trainer.grow_queries(n + 2)
+    grown = partly_observed(n + 2, k, 0, 0.1)
+    after = trainer.predict_full(grown)
+    assert after.shape == (n + 2, k)
+    assert all(len(buffer.reshape(-1)) % ((n + 2) * k) == 0
+               for buffer in trainer._workspace.values())
+    # Old rows read the same: their plans, embeddings and the weights did not move.
+    np.testing.assert_allclose(after[:n], before, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(
+        after, trainer.predict_cells(every_cell(n + 2, k)).reshape(n + 2, k),
+        rtol=1e-12, atol=0,
+    )
+
+
 # -- inference memory --------------------------------------------------------------------
 def traced_peak(call):
     tracemalloc.start()
@@ -309,22 +446,26 @@ def traced_peak(call):
 
 
 def test_predict_full_peak_memory_is_no_higher_than_with_the_tape(job_small_workload):
-    matrix = partly_observed(
-        job_small_workload.n_queries, job_small_workload.n_hints, 0, 0.0
-    )
-    trainer = TCNNTrainer(
-        job_small_workload.feature_store(), *matrix.shape,
-        TCNNConfig(channels=(8,), hidden_units=(16,), dropout=0.2, batch_size=128,
-                   max_epochs=1),
-    )
-    expected = trainer.predict_full(matrix)  # packs the plan space off the meter
-    fused_peak = traced_peak(lambda: trainer.predict_full(matrix))
-    # What inference cost before: the op-by-op chain, recording its tape.
+    n, k = job_small_workload.n_queries, job_small_workload.n_hints
+    matrix = partly_observed(n, k, 0, 0.0)
+    config = TCNNConfig(channels=(8,), hidden_units=(16,), dropout=0.2, batch_size=128,
+                        max_epochs=1)
+    trainer = TCNNTrainer(job_small_workload.feature_store(), n, k, config)
+    expected = trainer.predict_full(matrix)  # packs the plan space, sizes the workspace
+    # Kept between calls: one array per stage, cells x (nodes x channels for
+    # the convolution, then pooled, pooled + both embeddings, hidden, output).
+    kept = sum(buffer.nbytes for buffer in trainer._workspace.values())
+    per_cell = 8 * 8 + 8 + (8 + 2 * config.embedding_rank) + 16 + 1
+    assert kept == n * k * per_cell * 8  # 4.5 MiB at 113 x 49
+    # Allocated per call: the relu/padding flags of the convolution (one byte
+    # per entry, 346 KiB) and output-sized arrays -- 483 KiB measured.
+    per_call = traced_peak(lambda: trainer.predict_full(matrix))
+    assert per_call < 640 * 1024
+    # What inference cost before the fusion: the op-by-op chain, recording
+    # its tape (11.2 MiB measured; 3.2 MiB when the chain ran in chunks).
     with unfused_model(), mock.patch.object(
         trainer_module, "no_grad", contextlib.nullcontext
     ):
         taped_peak = traced_peak(lambda: trainer.predict_full(matrix))
         assert np.array_equal(trainer.predict_full(matrix), expected)
-    assert fused_peak <= taped_peak
-    # 3278 KiB at the commit before the fusion, 682 KiB after, on this store.
-    assert fused_peak < 1024 * 1024
+    assert kept + per_call <= taped_peak

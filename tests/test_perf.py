@@ -124,6 +124,7 @@ class TestSuite:
             "als_warm_ceb",
             "explore_step_ceb",
             "tcnn_fit",
+            "tcnn_predict_full",
             "serve_after_write",
             "telemetry_overhead",
             "ingress_dense",
@@ -140,6 +141,13 @@ class TestSuite:
         # solve ran five, which the lower bound would catch).
         share = meta["outside_solver_ms"] / meta["step_ms"]
         assert 0.3 < share < 0.75
+
+    def test_tcnn_predict_full_reports_the_generic_forward_beside_it(self):
+        result = build_suite().run(["tcnn_predict_full"])["tcnn_predict_full"]
+        assert result.meta["cells"] == 113 * 49
+        # The plan-space pass is about half the generic forward over the same
+        # cells (3.5 vs 6.5 ms); "not slower" is what a noisy box can hold.
+        assert result.best_seconds * 1e6 < result.meta["predict_cells_us"]
 
     def test_telemetry_case_runs_with_instrumentation_on(self):
         meta = build_suite().run(["telemetry_overhead"])["telemetry_overhead"].meta
