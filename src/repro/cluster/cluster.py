@@ -6,9 +6,9 @@ the horizontal layer over PR 1's single-shard :class:`ServingService`:
 * tenants register workloads (query-name lists) into per-tenant
   namespaces; every query's row lives on exactly one shard, chosen by
   rendezvous hashing of its ``tenant/name`` routing key;
-* a served batch -- even one mixing tenants -- is split into one
-  vectorised sub-batch per shard and regathered in arrival order, so the
-  per-arrival cost stays fancy-indexing, never a Python loop;
+* a served batch is split into one sub-batch per shard and regathered in
+  arrival order: a tenant's array (``serve_batch``) by fancy indexing, a
+  coalesced mixed-tenant flush (``serve_mixed``) in one pass over plain lists;
 * feedback is recorded with ``refresh=False`` and the background
   :class:`RefreshScheduler` budgets warm-started ALS refreshes round-robin
   across dirty shards, so no serve batch ever waits on a recompute;
@@ -34,7 +34,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config import ALSConfig
-from ..core.workload_matrix import WorkloadMatrix, checked_ids
+from ..core.workload_matrix import WorkloadMatrix, checked_id, checked_ids
 from ..durability.faults import FaultFS
 from ..durability.journal import ShardJournal
 from ..durability.recovery import RecoveredState
@@ -42,7 +42,7 @@ from ..errors import ClusterError, InjectedCrash, ReproError
 from ..serving.batch_cache import BatchDecisions
 from ..serving.stats import checked_shed_count
 from ..telemetry.runtime import ClusterMetrics, Telemetry
-from .failover import HealthBoard, degraded_decisions
+from .failover import HealthBoard
 from .router import RendezvousRouter, routing_key, split_batch
 from .scheduler import RefreshScheduler
 from .shard import ClusterShard
@@ -66,6 +66,15 @@ class _TenantDirectory:
 
     def key(self, query: int) -> str:
         return routing_key(self.tenant, self.names[query])
+
+
+def _checked_queries(check, tenant: str, queries, size: int):
+    """Query ids (``checked_ids``) or one id (``checked_id``) against their
+    own tenant's bound, or a :class:`ClusterError` naming the tenant."""
+    try:
+        return check("query", queries, size, ClusterError)
+    except ClusterError as exc:
+        raise ClusterError(f"{exc} for tenant {tenant!r}") from None
 
 
 class ServingCluster:
@@ -138,7 +147,7 @@ class ServingCluster:
         self.shards: Dict[int, ClusterShard] = {}
         self._tenants: Dict[str, _TenantDirectory] = {}
         # Bumped when a directory array changes (add_queries, add_tenant
-        # through it, add_shard); serve_mixed's flat table rebuilds on it.
+        # through it, add_shard); serve_mixed's list table rebuilds on it.
         self._topology = 0
         self._table: Optional[tuple] = None
         self._next_shard_id = 0
@@ -324,7 +333,7 @@ class ServingCluster:
     def _directory(self, tenant: str) -> _TenantDirectory:
         try:
             return self._tenants[tenant]
-        except KeyError:
+        except (KeyError, TypeError):  # (an unhashable tenant is not registered)
             raise ClusterError(f"unknown tenant {tenant!r}") from None
 
     def query_index(self, tenant: str, name: str) -> int:
@@ -351,10 +360,7 @@ class ServingCluster:
         self, tenant: str, queries
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         directory = self._directory(tenant)
-        try:
-            queries = checked_ids("query", queries, directory.n_queries, ClusterError)
-        except ClusterError as exc:
-            raise ClusterError(f"{exc} for tenant {tenant!r}") from None
+        queries = _checked_queries(checked_ids, tenant, queries, directory.n_queries)
         return queries, directory.shard_of[queries], directory.local_row[queries]
 
     def locate(self, tenant: str, queries) -> Tuple[np.ndarray, np.ndarray]:
@@ -372,93 +378,111 @@ class ServingCluster:
         queries, shard_ids, local = self._resolve(tenant, queries)
         return self._serve_assigned(queries, shard_ids, local)
 
-    def _routing(self) -> tuple:
-        """Every tenant's directory laid end to end -- ``(version, ordinal,
-        sizes, offsets, shard_of, local_row)`` -- so that a mixed batch is
-        one gather, not one pass per tenant present (a small flush's cost)."""
+    def _routing(self) -> Dict[str, Tuple[int, List[int], List[int]]]:
+        """``tenant -> (size, shard_of, local_row)``, the directory arrays as
+        plain lists: a mixed flush reads them one arrival at a time, and a
+        list index costs a tenth of a numpy gather's fixed cost."""
         table = self._table
         if table is None or table[0] != self._topology:
-            directories = list(self._tenants.values())
-            sizes = np.array([d.n_queries for d in directories], dtype=np.int64)
-            none = np.zeros(0, dtype=np.int64)  # concatenate refuses an empty list
-            table = self._table = (
-                self._topology,
-                {d.tenant: i for i, d in enumerate(directories)},
-                sizes,
-                np.cumsum(sizes) - sizes,
-                np.concatenate([none, *(d.shard_of for d in directories)]),
-                np.concatenate([none, *(d.local_row for d in directories)]),
-            )
-        return table
+            table = self._table = self._topology, {
+                d.tenant: (d.n_queries, d.shard_of.tolist(), d.local_row.tolist())
+                for d in self._tenants.values()
+            }
+        return table[1]
 
-    def serve_mixed(
-        self, arrivals: Sequence[Tuple[str, int]]
-    ) -> BatchDecisions:
+    def serve_mixed(self, arrivals: Sequence[Tuple[str, int]]) -> BatchDecisions:
         """Answer a mixed-tenant batch of ``(tenant, query_index)`` arrivals.
 
-        All arrivals landing on the same shard -- regardless of tenant --
-        fan out as a single vectorised sub-batch; the returned decisions
-        are regathered in arrival order (``queries`` holds the per-arrival
-        tenant-global indices), under the topology of the moment of the
-        call: what moved since the arrivals were admitted is followed.
+        One Python pass checks each arrival against its own tenant and
+        buckets it by shard before any shard is asked; each shard present --
+        whatever the tenants -- then answers its rows as one list.  Decisions
+        come back in arrival order (``queries`` holds the tenant-global
+        indices), under the topology of the moment of the call: what moved
+        since the arrivals were admitted is followed.  Up to a coalesced
+        flush's few hundred arrivals this undercuts numpy's fixed cost per
+        array (``docs/performance.md``); :meth:`serve_batch` is the array door.
         """
-        n = len(arrivals)
-        tenants, asked = zip(*arrivals) if n else ((), ())
-        _, ordinal, sizes, offsets, shard_of, local_row = self._routing()
-        try:
-            of = np.fromiter(map(ordinal.__getitem__, tenants), np.int64, n)
-        except KeyError as exc:
-            raise ClusterError(f"unknown tenant {exc.args[0]!r}") from None
-        # Integer dtype and sign here; each id against its own tenant next.
-        queries = checked_ids("query", asked, 2**63 - 1, ClusterError)
-        over = queries >= sizes[of]
-        if over.any():
-            bad = int(over.argmax())
-            raise ClusterError(
-                f"query id {queries[bad]} out of range [0, {sizes[of[bad]]}) "
-                f"for tenant {tenants[bad]!r}"
-            )
-        rows = offsets[of] + queries
-        return self._serve_assigned(queries, shard_of[rows], local_row[rows])
+        table = self._routing()
+        start = time.perf_counter() if self.telemetry is not None else None
+        queries: List[int] = []
+        groups: Dict[int, Tuple[List[int], List[int]]] = {}
+        for position, arrival in enumerate(arrivals):
+            try:
+                tenant, query = arrival
+            except (TypeError, ValueError):
+                raise ClusterError(f"not a (tenant, query) pair: {arrival!r}") from None
+            try:
+                size, shard_of, local_row = table[tenant]
+            except (KeyError, TypeError):
+                raise ClusterError(f"unknown tenant {tenant!r}") from None
+            if type(query) is not int or not 0 <= query < size:
+                query = _checked_queries(checked_id, tenant, query, size)
+            group = groups.get(shard_of[query])
+            if group is None:
+                group = groups[shard_of[query]] = ([], [])
+            group[0].append(position)
+            group[1].append(local_row[query])
+            queries.append(query)
+        self._count_routed(start, len(groups))
+        # Every position starts degraded; a shard that answers overwrites its own.
+        n = len(queries)
+        hints = [self.default_hint] * n
+        used_default = [True] * n
+        expected = [np.inf] * n
+        for sid in sorted(groups):
+            positions, rows = groups[sid]
+            sub = self._ask(sid, ClusterShard.serve_rows, rows)
+            if sub is not None:
+                for position, hint, default, latency in zip(positions, *sub):
+                    hints[position] = hint
+                    used_default[position] = default
+                    expected[position] = latency
+        return BatchDecisions(
+            queries=np.array(queries, dtype=np.int64),
+            hints=np.array(hints, dtype=np.int64),
+            used_default=np.array(used_default, dtype=bool),
+            expected_latency=np.array(expected, dtype=float),
+        )
 
     def _serve_assigned(
         self, queries: np.ndarray, shard_ids: np.ndarray, local: np.ndarray
     ) -> BatchDecisions:
-        n = queries.shape[0]  # (empty: the shard groups fill every position)
-        hints = np.empty(n, dtype=np.int64)
-        used_default = np.empty(n, dtype=bool)
-        expected = np.empty(n)
-        cm = self._metrics
-        tel = self.telemetry
-        if tel is not None:
-            start = time.perf_counter()
+        start = time.perf_counter() if self.telemetry is not None else None
         groups = split_batch(shard_ids)
-        if tel is not None:
-            tel.tracer.record_stage("router.split", time.perf_counter() - start)
-        cm.routed_batches.inc()
-        cm.fan_out.inc(len(groups))
+        self._count_routed(start, len(groups))
+        n = queries.shape[0]
+        hints = np.full(n, self.default_hint, dtype=np.int64)
+        used_default = np.ones(n, dtype=bool)
+        expected = np.full(n, np.inf)
         for sid, positions in groups:
-            sub = None
-            if self.health.is_up(sid):
-                try:
-                    sub = self.shards[sid].serve_local(local[positions])
-                    self.health.record_success(sid)
-                except ReproError:
-                    # One failed sub-batch degrades, counts against the
-                    # breaker, and never fails the cluster-level batch.
-                    self.health.record_failure(sid)
-            if sub is None:
-                sub = degraded_decisions(local[positions], self.default_hint)
-                cm.degraded.inc(int(positions.size))
-            hints[positions] = sub.hints
-            used_default[positions] = sub.used_default
-            expected[positions] = sub.expected_latency
-        return BatchDecisions(
-            queries=queries,
-            hints=hints,
-            used_default=used_default,
-            expected_latency=expected,
-        )
+            sub = self._ask(sid, ClusterShard.serve_local, local[positions])
+            if sub is not None:
+                hints[positions] = sub.hints
+                used_default[positions] = sub.used_default
+                expected[positions] = sub.expected_latency
+        return BatchDecisions(queries, hints, used_default, expected)
+
+    def _count_routed(self, split_start: Optional[float], fan_out: int) -> None:
+        if split_start is not None:
+            elapsed = time.perf_counter() - split_start
+            self.telemetry.tracer.record_stage("router.split", elapsed)
+        self._metrics.routed_batches.inc()
+        self._metrics.fan_out.inc(fan_out)
+
+    def _ask(self, sid: int, door, rows):
+        """Shard ``sid``'s answer through ``door`` (``ClusterShard.serve_local``
+        / ``.serve_rows``), or None: a DOWN or failing shard's arrivals keep the
+        default plan at unknown latency, count as degraded and against the
+        breaker, and never fail the cluster-level batch."""
+        if self.health.is_up(sid):
+            try:
+                sub = door(self.shards[sid], rows)
+                self.health.record_success(sid)
+                return sub
+            except ReproError:
+                self.health.record_failure(sid)
+        self._metrics.degraded.inc(len(rows))
+        return None
 
     def serve_all(self, tenant: str) -> BatchDecisions:
         """Answer every query of one tenant as a single batch."""
@@ -504,10 +528,8 @@ class ServingCluster:
     ) -> None:
         """Record one timed-out execution (a latency lower bound)."""
         directory = self._directory(tenant)
-        if not 0 <= query < directory.n_queries:
-            raise ClusterError(
-                f"query index {query} out of range for tenant {tenant!r}"
-            )
+        query = _checked_queries(checked_id, tenant, query, directory.n_queries)
+        hint = checked_id("hint", hint, self.n_hints, ClusterError)
         sid = int(directory.shard_of[query])
         args = (int(directory.local_row[query]), hint, lower_bound)
         if self.shards[sid].crashed:

@@ -28,6 +28,9 @@ import numpy as np
 
 from ..errors import ClusterError
 
+#: `split_batch` keeps one count per shard id up to the largest it is given.
+SHARD_ID_LIMIT = 2**20
+
 
 def routing_key(tenant: str, name: str) -> str:
     """The cluster-wide identifier of one tenant's query."""
@@ -125,17 +128,34 @@ class RendezvousRouter:
 def split_batch(shard_ids: np.ndarray) -> List[Tuple[int, np.ndarray]]:
     """Group batch positions by shard: one vectorised sub-batch per shard.
 
-    Given the per-arrival shard assignment of a (possibly mixed-tenant)
-    batch, returns ``(shard_id, positions)`` pairs where ``positions``
-    indexes into the original batch.  Scattering each sub-batch's answers
-    back through its ``positions`` regathers the batch in arrival order --
-    no per-arrival Python loop on either side.
+    Given the per-arrival shard assignment of a batch, returns ``(shard_id,
+    positions)`` pairs in ascending shard id, where ``positions`` indexes
+    into the original batch in arrival order.  Scattering each sub-batch's
+    answers back through its ``positions`` regathers the batch -- no
+    per-arrival Python loop on either side.  A stable counting split: shard
+    ids are small ordinals (a cluster numbers its shards from 0), so one
+    ``bincount`` sizes every group and, narrowed to 16 bits, the sort is a
+    radix sort.  The count table is as long as the largest id, hence
+    ``SHARD_ID_LIMIT``: an id no topology holds is refused, not allocated for.
     """
     shard_ids = np.asarray(shard_ids, dtype=np.int64)
     if shard_ids.ndim != 1:
         raise ClusterError("split_batch expects a 1-D shard assignment array")
-    order = np.argsort(shard_ids, kind="stable")
-    sorted_ids = shard_ids[order]
-    boundaries = np.nonzero(np.diff(sorted_ids))[0] + 1
-    groups = np.split(order, boundaries)
-    return [(int(shard_ids[g[0]]), g) for g in groups if g.size]
+    if not shard_ids.size:
+        return []
+    if shard_ids.min() < 0:
+        raise ClusterError("split_batch: shard ids must be >= 0")
+    if shard_ids.max() >= SHARD_ID_LIMIT:
+        raise ClusterError(
+            f"split_batch: shard id {shard_ids.max()} is not an ordinal below {SHARD_ID_LIMIT}"
+        )
+    counts = np.bincount(shard_ids).tolist()
+    # Wider ids sort as they are: the narrowing cast must not wrap.
+    keys = shard_ids.astype(np.int16) if len(counts) <= 2**15 else shard_ids
+    order = np.argsort(keys, kind="stable")
+    groups, start = [], 0
+    for shard_id, count in enumerate(counts):
+        if count:
+            groups.append((shard_id, order[start : start + count]))
+            start += count
+    return groups

@@ -18,7 +18,7 @@ nothing until the router hands it keys.
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -197,13 +197,21 @@ class ClusterShard:
         self._rows = {key: row for row, key in enumerate(self.matrix.query_names)}
 
     # -- serving (called by the cluster with local row indices) ----------------
-    def serve_local(self, local_queries: np.ndarray) -> BatchDecisions:
-        """Answer a sub-batch of locally indexed arrivals."""
+    def _serving(self) -> ServingService:
         if self.crashed:
             raise ClusterError(f"shard {self.shard_id} has crashed")
         if self.service is None:
             raise ClusterError(f"shard {self.shard_id} owns no rows yet")
-        return self.service.serve_batch(local_queries)
+        return self.service
+
+    def serve_local(self, local_queries: np.ndarray) -> BatchDecisions:
+        """Answer a sub-batch of locally indexed arrivals."""
+        return self._serving().serve_batch(local_queries)
+
+    def serve_rows(self, rows: List[int]) -> Tuple[list, list, list]:
+        """`serve_local` for a few local rows held as a plain list
+        (:meth:`ServingService.serve_rows`): lists in, lists out."""
+        return self._serving().serve_rows(rows)
 
     def observe_local(self, local_queries, hints, latencies) -> None:
         """Record feedback for locally indexed rows.
@@ -212,21 +220,13 @@ class ClusterShard:
         background scheduler picks this shard (:meth:`refresh`), so a serve
         batch can never be stuck behind a recompute.
         """
-        if self.crashed:
-            raise ClusterError(f"shard {self.shard_id} has crashed")
-        if self.service is None:
-            raise ClusterError(f"shard {self.shard_id} owns no rows yet")
-        self.service.observe_batch(local_queries, hints, latencies, refresh=False)
+        self._serving().observe_batch(local_queries, hints, latencies, refresh=False)
 
     def observe_censored_local(
         self, local_query: int, hint: int, lower_bound: float
     ) -> None:
         """Record a timed-out execution for a locally indexed row."""
-        if self.crashed:
-            raise ClusterError(f"shard {self.shard_id} has crashed")
-        if self.matrix is None:
-            raise ClusterError(f"shard {self.shard_id} owns no rows yet")
-        self.matrix.observe_censored(local_query, hint, lower_bound)
+        self._serving().matrix.observe_censored(local_query, hint, lower_bound)
 
     # -- background refresh ----------------------------------------------------
     @property

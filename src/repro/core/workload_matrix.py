@@ -49,6 +49,19 @@ def checked_ids(name: str, ids, bound: int, error) -> np.ndarray:
     )
 
 
+def checked_id(name: str, value, bound: int, error) -> int:
+    """:func:`checked_ids` for one id: an ``int`` in ``[0, bound)``, or
+    ``error``.  (numpy reads ``[True, 2]`` as "new axis, row 2", so the
+    scalar doors hold the same rule: integral, never ``bool``.)"""
+    if type(value) is not int:
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise error(f"{name} ids must be integers, got {value!r}")
+        value = int(value)
+    if not 0 <= value < bound:
+        raise error(f"{name} id {value} out of range [0, {bound})")
+    return value
+
+
 def _payload_arrays(payload: Dict, door: str) -> tuple:
     """The four cell arrays and the query names (or None) of a ``to_dict`` /
     ``export_rows`` payload: 2-D, of one shape, one name per row -- or
@@ -418,11 +431,7 @@ class WorkloadMatrix:
         observation or lower bound.  ``hint_names`` travel along so the
         receiver can verify column compatibility.
         """
-        indices = np.asarray(list(queries), dtype=np.int64)
-        if indices.ndim != 1:
-            raise MatrixError("export_rows expects a 1-D sequence of query indices")
-        for q in indices:
-            self._check_indices(int(q), 0)
+        indices = checked_ids("query", list(queries), self.n_queries, MatrixError)
         return {
             "values": self._values[indices].copy(),
             "observed": self._observed[indices].copy(),
@@ -477,11 +486,9 @@ class WorkloadMatrix:
         their row tables afterwards.  A matrix cannot become empty -- the
         owner should retire the whole matrix instead of removing every row.
         """
-        indices = np.asarray(list(queries), dtype=np.int64)
+        indices = checked_ids("query", list(queries), self.n_queries, MatrixError)
         if indices.size == 0:
             return
-        for q in indices:
-            self._check_indices(int(q), 0)
         keep = np.ones(self.n_queries, dtype=bool)
         keep[indices] = False
         if not keep.any():
@@ -504,11 +511,7 @@ class WorkloadMatrix:
         if queries is None:
             rows = slice(None)
         else:
-            rows = np.asarray(list(queries), dtype=np.int64)
-            if rows.size and (rows.min() < 0 or rows.max() >= self.n_queries):
-                raise MatrixError(
-                    f"invalidate: query index out of range [0, {self.n_queries})"
-                )
+            rows = checked_ids("query", list(queries), self.n_queries, MatrixError)
         if self.journal is not None:
             self.journal.log_invalidate(None if queries is None else rows.tolist())
         self._values[rows] = np.inf
@@ -609,14 +612,12 @@ class WorkloadMatrix:
 
     # -- misc ---------------------------------------------------------------------------
     def _check_indices(self, query: int, hint: int) -> None:
-        if not 0 <= query < self.n_queries:
-            raise MatrixError(
-                f"query index {query} out of range [0, {self.n_queries})"
-            )
-        if not 0 <= hint < self.n_hints:
-            raise MatrixError(
-                f"hint index {hint} out of range [0, {self.n_hints})"
-            )
+        # Plain in-range ints (every internal caller) cost two compares.
+        n_queries, n_hints = self._values.shape
+        if type(query) is not int or not 0 <= query < n_queries:
+            checked_id("query", query, n_queries, MatrixError)
+        if type(hint) is not int or not 0 <= hint < n_hints:
+            checked_id("hint", hint, n_hints, MatrixError)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

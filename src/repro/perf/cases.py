@@ -33,7 +33,14 @@ what measures what):
                         batch leaves on size), then the same clients
                         against a door with nothing behind it, so the
                         report splits a request into the asyncio
-                        harness's share and the product's microseconds.
+                        harness's share and the product's microseconds,
+* ``mixed_flush``    -- what the cluster charges a coalesced flush: sync
+                        ``serve_mixed`` calls of 4 and of 256 arrivals on
+                        that cluster (``flush_4_us`` / ``flush_256_us``),
+                        beside the same arrivals already split by tenant
+                        going through the array door ``serve_batch``; and
+                        the 4-arrival flush again with a write landing
+                        before each one (``flush_4_after_write_us``).
 """
 
 from __future__ import annotations
@@ -387,5 +394,67 @@ def build_suite() -> PerfHarness:
         }
 
     harness.add("ingress_dense", run_ingress_dense, setup=setup_ingress_dense)
+
+    # -- mixed_flush -------------------------------------------------------
+    def after_writes_us(cluster, writes, serve, flushes) -> float:
+        """us per ``serve(flush)`` when a write lands before each (unclocked)."""
+        clock, spent = time.perf_counter, 0.0
+        for write, flush in zip(writes, flushes):
+            cluster.observe_batch(*write)
+            began = clock()
+            serve(flush)
+            spent += clock() - began
+        return round(spent / len(writes) * 1e6, 1)
+
+    def setup_mixed_flush():
+        cluster, plans = setup_ingress_dense()
+        arrivals = [request for plan in plans for request in plan]
+        flushes, split, control = {}, {}, {}
+
+        def door(parts):  # the array door over one flush, already split by tenant
+            return [cluster.serve_batch(*part) for part in parts]
+
+        for size in (4, 256):
+            # As many flushes of each size as the plans hold 256-arrival ones.
+            starts = range(0, REQUESTS_PER_CLIENT * size, size)
+            flushes[size] = [arrivals[i : i + size] for i in starts]
+            # Off the case's clock: the array door over the same arrivals,
+            # their split by tenant (and the regather) not charged to it.
+            split[size] = [
+                [
+                    (tenant, np.array([q for owner, q in flush if owner == tenant]))
+                    for tenant in sorted({owner for owner, _ in flush})
+                ]
+                for flush in flushes[size]
+            ]
+            door_us = _best_us(lambda: [door(parts) for parts in split[size]])
+            control[f"per_tenant_{size}_us"] = round(door_us / len(starts), 1)
+        # The other regime: 8 cells of the first arrival's tenant land before
+        # each 4-arrival flush, so every flush starts on patched snapshots.
+        rng = np.random.default_rng(9)
+        cells = lambda high: rng.integers(0, high, 8)
+        writes = [
+            (flush[0][0], cells(N_QUERIES), cells(N_HINTS), rng.uniform(1.0, 9.0, 8))
+            for flush in flushes[4]
+        ]
+        control["per_tenant_4_after_write_us"] = min(
+            after_writes_us(cluster, writes, door, split[4]) for _ in range(5)
+        )
+        return cluster, flushes, writes, control
+
+    def run_mixed_flush(state):
+        cluster, flushes, writes, control = state
+        meta, clock = dict(control), time.perf_counter
+        for size, batches in flushes.items():
+            began = clock()
+            for flush in batches:
+                cluster.serve_mixed(flush)
+            meta[f"flush_{size}_us"] = round((clock() - began) / len(batches) * 1e6, 1)
+        meta["flush_4_after_write_us"] = after_writes_us(
+            cluster, writes, cluster.serve_mixed, flushes[4]
+        )
+        return meta
+
+    harness.add("mixed_flush", run_mixed_flush, setup=setup_mixed_flush)
 
     return harness

@@ -18,7 +18,7 @@ heavy traffic:
 from __future__ import annotations
 
 import time
-from typing import Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,10 +122,20 @@ class ServingService:
         arrival order."""
         start = self._clock()
         decisions = self.cache.decide(queries)
+        self._served(start, decisions.batch_size, decisions.non_default_count)
+        return decisions
+
+    def serve_rows(self, rows: List[int]) -> Tuple[list, list, list]:
+        """`serve_batch` for a few rows held as a plain list, answered as
+        lists (:meth:`BatchedPlanCache.decide_rows`); counted and timed alike."""
+        start = self._clock()
+        decided = self.cache.decide_rows(rows)
+        self._served(start, len(rows), decided[1].count(False))
+        return decided
+
+    def _served(self, start: float, batch_size: int, non_default: int) -> None:
         elapsed = self._clock() - start
-        self._recorder.record(
-            decisions.batch_size, elapsed, decisions.non_default_count
-        )
+        self._recorder.record(batch_size, elapsed, non_default)
         tel = self._telemetry
         if tel is not None and tel.tracer._current is not None:
             # Stage attribution only inside an open trace (the ingress
@@ -133,7 +143,6 @@ class ServingService:
             # through the recorder, and skipping the per-batch stage
             # observe keeps enabled overhead within the <=5% gate.
             tel.tracer.record_stage("shard.serve", elapsed)
-        return decisions
 
     def serve_all(self) -> BatchDecisions:
         """Answer every query in the workload as one batch."""

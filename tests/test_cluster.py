@@ -407,6 +407,39 @@ class TestClusterEquivalence:
         np.testing.assert_array_equal(before.values, after.values)
         np.testing.assert_array_equal(before.mask, after.mask)
 
+    @pytest.mark.parametrize("bad", [1.5, True, "3", None, -1, 6], ids=repr)
+    def test_observe_censored_takes_integer_ids_or_touches_nothing(self, bad, tmp_path):
+        """Used to raise IndexError / TypeError from inside the shard (or
+        queue the bad cell for a crashed one); "-1" named no bound."""
+        cluster = make_cluster(
+            make_union_matrix(n=6, k=4), n_shards=2, durability_dir=str(tmp_path)
+        )
+        cluster.kill_shard(cluster.shard_ids[0])  # its feedback queues
+        journals = [s.journal for s in cluster.shards.values()]
+        records = [j.appended_records for j in journals]
+        before = cluster.stats()
+        with pytest.raises(ClusterError, match=r"for tenant 'acme'"):
+            cluster.observe_censored("acme", bad, 1, 2.0)
+        if bad not in (-1, 6):  # (6 hints would be a fifth column)
+            with pytest.raises(ClusterError, match="hint id"):
+                cluster.observe_censored("acme", 1, bad, 2.0)
+        with pytest.raises(ClusterError, match=r"hint id 4 out of range \[0, 4\)"):
+            cluster.observe_censored("acme", 1, 4, 2.0)
+        with pytest.raises(ClusterError, match="unknown tenant"):
+            cluster.observe_censored(["acme"], 1, 1, 2.0)
+        assert cluster.stats() == before and not any(cluster._outage_queue.values())
+        assert [j.appended_records for j in journals] == records
+        cluster.close()
+
+    def test_a_negative_id_is_reported_against_the_tenants_own_bound(self):
+        cluster = make_cluster(make_union_matrix(n=6, k=4), n_shards=2)
+        for door in (
+            lambda: cluster.serve_mixed([("acme", -1)]),
+            lambda: cluster.observe_censored("acme", -1, 1, 2.0),
+        ):
+            with pytest.raises(ClusterError, match=r"-1 out of range \[0, 6\) for tenant 'acme'"):
+                door()
+
     def test_integer_ids_of_any_width_and_empty_batches_pass(self):
         union = make_union_matrix(n=6, k=4)
         cluster = make_cluster(union, n_shards=2)
@@ -546,7 +579,11 @@ class TestFailover:
         cluster.shards[victim].service = None
         decisions = cluster.serve_all("acme")  # must not raise
         on_down = cluster._tenants["acme"].shard_of == victim
+        # The default plan at unknown latency: what no service would have run.
         assert decisions.used_default[on_down].all()
+        assert (decisions.hints[on_down] == cluster.default_hint).all()
+        assert np.isinf(decisions.expected_latency[on_down]).all()
+        assert decisions.hints.dtype == np.int64 and decisions.used_default.dtype == bool
         # threshold=1: the breaker tripped the shard DOWN.
         assert not cluster.health.is_up(victim)
 

@@ -128,6 +128,7 @@ class TestSuite:
             "serve_after_write",
             "telemetry_overhead",
             "ingress_dense",
+            "mixed_flush",
         ]
 
     def test_als_cases_run_and_report_iterations(self):
@@ -172,6 +173,17 @@ class TestSuite:
         # than the real thing, and what is left is the product's.
         assert 0.0 < meta["harness_share"] < 1.0
         assert meta["product_us_per_request"] > 0.0
+
+    def test_mixed_flush_reports_the_array_door_beside_the_python_pass(self):
+        meta = build_suite().run(["mixed_flush"])["mixed_flush"].meta
+        # 17 us against 64 for four arrivals (numpy's fixed costs per tenant
+        # and per shard), 115 against 171 at the default max_batch: the pass
+        # only has to stay ahead where flushes are small.
+        assert 0.0 < meta["flush_4_us"] < meta["per_tenant_4_us"]
+        assert 0.0 < meta["flush_256_us"] < 2.0 * meta["per_tenant_256_us"]
+        # The other regime, a write before every flush (each shard's snapshot
+        # patched inside the flush): ~95 us against ~140 through the array door.
+        assert 0.0 < meta["flush_4_after_write_us"] < 2.0 * meta["per_tenant_4_after_write_us"]
 
     def test_write_path_cases_report_their_evidence(self):
         meta = build_suite().run(["serve_after_write"])["serve_after_write"].meta

@@ -260,3 +260,74 @@ def test_checked_ids_accepts_every_integer_dtype_and_the_empty_batch():
     ):
         with pytest.raises(MatrixError, match=message):
             checked_ids("row", ids, 3, MatrixError)
+
+
+BAD_SCALAR_IDS = [True, np.bool_(True), 1.5, 2.0, "3", None, -1, 99]
+
+
+def _five_by_four(tmp_path):
+    from repro.durability.journal import ShardJournal
+
+    matrix = WorkloadMatrix(5, 4)
+    matrix.observe_batch([0, 1, 2, 3, 4], [0, 0, 0, 0, 0], [1.0, 2.0, 3.0, 4.0, 5.0])
+    journal = ShardJournal(str(tmp_path))
+    journal.log_import(matrix.to_dict())
+    matrix.journal = journal
+    return matrix, journal
+
+
+@pytest.mark.parametrize("bad", BAD_SCALAR_IDS, ids=repr)
+def test_scalar_doors_take_integer_ids_or_touch_nothing(bad, tmp_path):
+    """``observe(True, 2, x)`` used to pass ``0 <= True < n``, read as "new
+    axis, row 2" and overwrite every hint of query 2 -- after journaling a
+    record that replay refuses."""
+    matrix, journal = _five_by_four(tmp_path)
+    before = matrix.to_dict()
+    version, records = matrix.version, journal.appended_records
+    doors = [
+        lambda q, h: matrix.observe(q, h, 0.5),
+        lambda q, h: matrix.observe_censored(q, h, 0.5),
+        matrix.is_observed,
+        matrix.is_censored,
+        matrix.is_known,
+        matrix.value,
+    ]
+    for door in doors:
+        with pytest.raises(MatrixError):
+            door(bad, 2)
+        with pytest.raises(MatrixError):
+            door(2, bad)
+    for row_door in (
+        matrix.row_min, matrix.best_hint, matrix.observed_count_in_row, matrix.unknown_in_row
+    ):
+        with pytest.raises(MatrixError):
+            row_door(bad)
+    assert matrix.version == version and journal.appended_records == records
+    after = matrix.to_dict()
+    for name in ("values", "observed", "censored", "timeouts"):
+        np.testing.assert_array_equal(before[name], after[name])
+    assert int(matrix.mask.sum()) == 5
+    journal.close()
+
+
+def test_scalar_doors_accept_numpy_integers():
+    matrix = WorkloadMatrix(5, 4)
+    matrix.observe(np.int64(2), np.uint8(3), 0.25)
+    matrix.observe_censored(np.int16(1), np.int32(2), 0.5)
+    assert matrix.is_observed(2, 3) and matrix.value(np.int8(2), 3) == 0.25
+    assert matrix.is_censored(1, 2) and matrix.row_min(np.intp(2)) == 0.25
+    assert int(matrix.mask.sum()) == 1
+
+
+@pytest.mark.parametrize("ids", [[1.7], [True], ["1"], [None], [-1], [5]], ids=repr)
+def test_row_set_doors_take_integer_ids_or_touch_nothing(ids, tmp_path):
+    """``export_rows`` / ``remove_queries`` / ``invalidate`` truncated ``1.7``
+    to row 1 (and read ``True`` as row 1) where ``observe_batch`` refused."""
+    matrix, journal = _five_by_four(tmp_path)
+    version, records = matrix.version, journal.appended_records
+    for door in (matrix.export_rows, matrix.remove_queries, matrix.invalidate):
+        with pytest.raises(MatrixError):
+            door(ids)
+    assert matrix.version == version and journal.appended_records == records
+    assert matrix.n_queries == 5 and int(matrix.mask.sum()) == 5
+    journal.close()
