@@ -294,7 +294,7 @@ def journal_overhead():
             service.serve_batch(arrivals)
             q = tick_rng.integers(0, n, size=64)
             h = tick_rng.integers(0, k, size=64)
-            service.observe_batch(q, h, truth[q, h], refresh=False)
+            service.observe_batch(q, h, truth[q, h])
         return time.perf_counter() - start
 
     plain = build(None)

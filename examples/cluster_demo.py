@@ -5,9 +5,9 @@
 2. a heavy mixed-tenant arrival stream fans out as one vectorised
    sub-batch per shard and regathers in arrival order -- decisions are
    identical to a single service over each tenant's union matrix,
-3. feedback streams back, the background scheduler budgets warm ALS
-   refreshes round-robin across dirty shards, and a fifth shard joins
-   live (only re-routed rows migrate),
+3. feedback streams back, the background scheduler runs warm ALS
+   refreshes round-robin across dirty shards, one per tick, and a fifth
+   shard joins live (only re-routed rows migrate),
 4. a shard dies: its queries degrade to default plans (no errors, no
    regressions) until it recovers.
 
@@ -36,11 +36,11 @@ def main() -> None:
         n_shards=4,
         n_hints=matrix_a.n_hints,
         als_config=ALSConfig(rank=4, iterations=6, seed=0),
-        refresh_budget=2,
     )
     populate_cluster(cluster, "dash", matrix_a)
     populate_cluster(cluster, "etl", matrix_b)
-    cluster.drain_refreshes()  # initial cold ALS solves, off the serve path
+    for _ in cluster.shard_ids:  # initial cold ALS solves, off the serve path
+        cluster.tick()
     print(f"{cluster!r}")
     print("rows per shard:",
           {s.shard_id: s.n_rows for s in cluster.shards.values()})
@@ -69,8 +69,10 @@ def main() -> None:
     best = matrix_a.values.argmin(axis=1)[improvable]
     cluster.observe_batch("dash", improvable, best,
                           matrix_a.values[improvable, best])
-    print(f"\ndirty shards after feedback: {cluster.scheduler.dirty_shards()}")
-    print(f"background refreshes run: {cluster.drain_refreshes()} "
+    dirty = cluster.scheduler.dirty_shards()
+    print(f"\ndirty shards after feedback: {dirty}")
+    refreshed = [sid for _ in dirty for sid in cluster.tick()]
+    print(f"background refreshes run, one per tick: {refreshed} "
           f"(serve batches never waited)")
     before = cluster.serve_all("etl")
     cluster.add_shard()

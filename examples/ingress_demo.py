@@ -10,8 +10,8 @@ A serving day seen from the edge, in four acts:
 3. a flash burst blows past the bounded admission queue -- the overflow
    is shed to default plans (the no-regression anchor), never errored,
    and the shed count lands in the serving stats,
-4. the adaptation-controller and refresh ticks run as background asyncio
-   tasks for as long as the ingress is up: no caller-driven cadence.
+4. over a cluster, the refresh scheduler's tick runs as a background
+   asyncio task for as long as the ingress is up: no caller-driven cadence.
 
 Run with:  python examples/ingress_demo.py
 """
@@ -23,13 +23,14 @@ import numpy as np
 
 from repro import (
     CEB_SPEC,
-    IncrementalALSRefresher,
+    ClusterIngress,
     IngressConfig,
     ServiceIngress,
+    ServingCluster,
     ServingService,
     generate_workload,
 )
-from repro.config import ALSConfig
+from repro.experiments.cluster import populate_cluster
 from repro.experiments.serving import explored_matrix
 
 
@@ -104,18 +105,16 @@ async def main() -> None:
           f"serving stats shed={burst_service.stats().shed}")
 
     # -- Act 4: control loops live on the event loop ------------------------
-    ticking = ServingService(
-        explored_matrix(workload, 0.35, seed=1),
-        refresher=IncrementalALSRefresher(ALSConfig(), refresh_iterations=3),
-    )
-    fast = IngressConfig(tick_interval_s=0.01, refresh_interval_s=0.01)
-    async with ServiceIngress(ticking, fast) as ingress:
-        await ingress.serve_many(list(range(32)))
+    cluster = ServingCluster(2, matrix.n_hints)
+    populate_cluster(cluster, "ceb", explored_matrix(workload, 0.35, seed=1))
+    fast = IngressConfig(refresh_interval_s=0.01)
+    async with ClusterIngress(cluster, fast) as ingress:
+        await ingress.serve_many([("ceb", q) for q in range(32)])
         await asyncio.sleep(0.06)
         ticks = ingress.stats().background_ticks
-    print(f"\nBackground tasks while the ingress was up: {ticks}")
-    print("(adaptation/refresh cadence now lives on the loop, "
-          "not in caller code)")
+    print(f"\nBackground tasks while the cluster ingress was up: {ticks}, "
+          f"shard ALS refreshes: {cluster.stats().scheduler_refreshes}")
+    print("(refresh cadence lives on the loop, not in caller code)")
 
 
 if __name__ == "__main__":

@@ -5,8 +5,8 @@ Simulates a serving day in three acts:
 1. offline exploration reveals part of the workload matrix,
 2. the batched service answers a heavy random arrival stream and prints
    its throughput / latency / hit-rate report next to the per-query loop,
-3. fresh measurements stream back in, triggering warm-started incremental
-   ALS refreshes, and the service picks up the improved plans immediately.
+3. fresh measurements stream back in and the service picks up the improved
+   plans immediately -- no matrix completion runs on the serving side.
 
 Run with:  python examples/serving_demo.py
 """
@@ -17,7 +17,6 @@ import numpy as np
 
 from repro import (
     CEB_SPEC,
-    IncrementalALSRefresher,
     LimeQOPolicy,
     MatrixOracle,
     OfflineExplorer,
@@ -26,7 +25,6 @@ from repro import (
     WorkloadMatrix,
     generate_workload,
 )
-from repro.config import ALSConfig
 
 
 def main() -> None:
@@ -45,10 +43,7 @@ def main() -> None:
     print(f"After exploration: {matrix.observed_fraction():.1%} of cells verified\n")
 
     # -- Act 2: serve a heavy arrival stream --------------------------------
-    service = ServingService(
-        matrix, refresher=IncrementalALSRefresher(ALSConfig(), refresh_iterations=3)
-    )
-    service.completed_matrix()  # cold ALS solve; later refreshes warm-start
+    service = ServingService(matrix)
     rng = np.random.default_rng(1)
     n_batches, batch_size = 200, 256
     arrivals = rng.integers(0, matrix.n_queries, size=(n_batches, batch_size))
@@ -68,7 +63,7 @@ def main() -> None:
           f"({stats.throughput_qps / per_query_qps:.0f}x)")
     print(f"  {stats}\n")
 
-    # -- Act 3: feedback + warm incremental refresh -------------------------
+    # -- Act 3: feedback ----------------------------------------------------
     before = service.serve_all()
     improvable = np.nonzero(before.used_default)[0][:50]
     better_hints = workload.true_latencies[improvable].argmin(axis=1)
@@ -81,10 +76,6 @@ def main() -> None:
     switched = int((before.hints[improvable] != after.hints[improvable]).sum())
     print(f"Fed back {len(improvable)} fresh measurements: "
           f"{switched} queries immediately switched to a verified faster plan")
-    refresher = service.refresher
-    print(f"ALS completions: {refresher.cold_solves} cold solve(s), "
-          f"{refresher.warm_refreshes} warm refresh(es) "
-          f"of {refresher.refresh_iterations} iterations each")
 
 
 if __name__ == "__main__":

@@ -14,11 +14,10 @@ explorer + frozen serving snapshot leave open:
   against the live serving matrix, plus the :class:`RowOracle` adapter for
   live execution backends,
 * :mod:`repro.adaptive.controller` -- the single-service control loop:
-  invalidate stale rows, re-anchor the default plan, explore in budget,
-  refresh the completion -- all off the serve path, no-regression
-  guarantee intact,
+  invalidate stale rows, re-anchor the default plan, explore in budget --
+  all off the serve path, no-regression guarantee intact,
 * :mod:`repro.adaptive.cluster` -- the cluster-wide loop: shared detector
-  keyed by shard, per-shard responses, refresh-scheduler escalation.
+  keyed by shard, per-shard responses.
 """
 
 from .controller import AdaptationController, AdaptiveStats

@@ -1,9 +1,7 @@
-"""Cluster-wide adaptation: per-shard drift control + scheduler escalation.
+"""Cluster-wide adaptation: per-shard drift control.
 
-A :class:`~repro.cluster.cluster.ServingCluster` already keeps ALS work off
-the serve path with a budgeted round-robin
-:class:`~repro.cluster.scheduler.RefreshScheduler`.
-:class:`ClusterAdaptationController` adds the drift loop on top:
+:class:`ClusterAdaptationController` adds the drift loop on top of a
+:class:`~repro.cluster.cluster.ServingCluster`:
 
 * residual feedback for a tenant batch is attributed to the *owning
   shards* via :meth:`ServingCluster.locate` and recorded in one shared
@@ -11,10 +9,10 @@ the serve path with a budgeted round-robin
 * each shard that trips a threshold gets its own budgeted
   :class:`~repro.adaptive.controller.AdaptationController` response
   (invalidation + default re-anchoring + Algorithm-1 re-exploration on the
-  shard's matrix slice);
-* a responding shard is **escalated** on the cluster's refresh scheduler,
-  so its warm ALS refresh lands on the very next tick without stealing the
-  round-robin budget from quiet tenants.
+  shard's matrix slice).
+
+No serving decision reads the cluster's ALS completion, so a response
+leaves it to the cluster's round-robin refresh scheduler.
 
 Shard matrices re-index on row migration (``add_shard`` rebalancing), which
 would silently mis-attribute window evidence recorded before the move --
@@ -70,7 +68,6 @@ class ClusterAdaptationController:
         self.config = config or AdaptiveConfig()
         self.detector = DriftDetector(self.config)
         self._controllers: Dict[int, AdaptationController] = {}
-        self._base_budget = cluster.scheduler.budget_per_tick
 
     # -- per-shard controller lifecycle ------------------------------------------
     @staticmethod
@@ -123,13 +120,8 @@ class ClusterAdaptationController:
     def tick(self) -> List[int]:
         """One heartbeat across all shards; returns the shard ids that responded.
 
-        Responding shards are escalated on the cluster's refresh scheduler
-        -- their warm ALS refresh lands on the cluster's next scheduler
-        tick, outside the round-robin budget -- so this method never runs
-        matrix completion itself.  While any shard is mid-recovery the
-        round-robin refresh budget is also reallocated upward (one slot
-        per busy shard, never below the configured base) and restored once
-        the cluster is calm again.
+        Matrix completion is never run here: a response's writes mark its
+        shard dirty for the cluster's refresh scheduler like any others.
         """
         responded: List[int] = []
         for shard_id in sorted(self._controllers):
@@ -143,13 +135,6 @@ class ClusterAdaptationController:
                 continue
             if controller.tick():
                 responded.append(shard_id)
-                self.cluster.scheduler.escalate(shard_id)
-        busy = len(responded) + sum(
-            1
-            for shard_id, controller in self._controllers.items()
-            if shard_id not in responded and controller.backlog.size
-        )
-        self.cluster.scheduler.set_budget(max(self._base_budget, busy))
         return responded
 
     def restore_backlog(self, shard_id: int, rows) -> None:

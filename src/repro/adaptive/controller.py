@@ -17,10 +17,10 @@ its threshold it responds **off the serve path**:
    (:class:`~repro.adaptive.reexplore.OnlineReexplorer`) -- invalidated
    rows have an infinite current best, so LimeQO ranks them first;
 4. the decision snapshot is patched, so the next served batch is back to
-   pure fancy indexing.  ALS work is left to whoever schedules it: the
-   cluster's :class:`~repro.cluster.scheduler.RefreshScheduler`, the
-   :class:`~repro.ingress.ServiceIngress` refresh ticker, or an explicit
-   :meth:`ServingService.refresh_now` for a lone service.
+   pure fancy indexing.  No ALS completion runs here: serving reads only
+   observed plans, and on a cluster the
+   :class:`~repro.cluster.scheduler.RefreshScheduler` refreshes dirty shards
+   on its own tick.
 
 Responses are budgeted (``config.response_budget_cells`` live executions)
 and rate-limited (``config.cooldown_ticks``), so a drifting tenant degrades

@@ -9,8 +9,9 @@ of the related work:
 * :mod:`repro.cluster.shard` -- shard lifecycle: each shard owns its
   matrix slice, plan cache, and ALS refresher, and rows migrate between
   shards live,
-* :mod:`repro.cluster.scheduler` -- budgeted round-robin background
-  refresh scheduling so serving never waits on matrix completion,
+* :mod:`repro.cluster.scheduler` -- round-robin background refresh
+  scheduling, one shard per tick, so serving never waits on matrix
+  completion,
 * :mod:`repro.cluster.failover` -- shard health and the degraded mode
   that falls back to default plans with the no-regression guarantee
   intact,

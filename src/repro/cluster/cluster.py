@@ -9,9 +9,10 @@ the horizontal layer over PR 1's single-shard :class:`ServingService`:
 * a served batch is split into one sub-batch per shard and regathered in
   arrival order: a tenant's array (``serve_batch``) by fancy indexing, a
   coalesced mixed-tenant flush (``serve_mixed``) in one pass over plain lists;
-* feedback is recorded with ``refresh=False`` and the background
-  :class:`RefreshScheduler` budgets warm-started ALS refreshes round-robin
-  across dirty shards, so no serve batch ever waits on a recompute;
+* feedback only marks shards dirty; the background
+  :class:`RefreshScheduler` runs warm-started ALS refreshes round-robin
+  across them, one per :meth:`~ServingCluster.tick`, so no serve batch ever
+  waits on a recompute;
 * shards can be added live: rendezvous routing moves only the rows that
   now belong to the new shard, and their full observation state migrates
   with them (:meth:`WorkloadMatrix.export_rows` / ``import_rows``);
@@ -93,8 +94,6 @@ class ServingCluster:
         service over the union matrix.
     als_config:
         Per-shard incremental ALS refresher configuration.
-    refresh_budget:
-        Dirty shards refreshed per :meth:`tick`.
     failure_threshold:
         Consecutive shard serve failures before the breaker trips it DOWN.
     durability_dir:
@@ -123,7 +122,6 @@ class ServingCluster:
         default_hint: int = 0,
         regression_margin: float = 1.0,
         als_config: Optional[ALSConfig] = None,
-        refresh_budget: int = 1,
         failure_threshold: int = 3,
         durability_dir: Optional[str] = None,
         fault_fs: Optional[FaultFS] = None,
@@ -141,9 +139,7 @@ class ServingCluster:
         self._journal_sync = journal_sync
         self.router = RendezvousRouter()
         self.health = HealthBoard(failure_threshold=failure_threshold)
-        self.scheduler = RefreshScheduler(
-            budget_per_tick=refresh_budget, health=self.health
-        )
+        self.scheduler = RefreshScheduler(health=self.health)
         self.shards: Dict[int, ClusterShard] = {}
         self._tenants: Dict[str, _TenantDirectory] = {}
         # Bumped when a directory array changes (add_queries, add_tenant
@@ -543,12 +539,8 @@ class ServingCluster:
 
     # -- background refresh ---------------------------------------------------------
     def tick(self) -> List[int]:
-        """One scheduler tick: refresh up to the budget of dirty shards."""
+        """One scheduler tick: refresh the next dirty shard, if any."""
         return self.scheduler.tick()
-
-    def drain_refreshes(self) -> int:
-        """Tick until every reachable shard is clean; returns refreshes run."""
-        return self.scheduler.drain()
 
     # -- admission control --------------------------------------------------------------
     def record_shed(self, count: int = 1) -> None:
@@ -730,7 +722,6 @@ class ServingCluster:
         cm.total_rows.set(sum(s.n_rows for s in self.shards.values()))
         cm.scheduler_ticks.set(self.scheduler.ticks)
         cm.scheduler_refreshes.set(self.scheduler.refreshes)
-        cm.scheduler_budget.set(self.scheduler.budget_per_tick)
         return cluster_report(
             cm,
             {sid: shard.stats() for sid, shard in self.shards.items()},

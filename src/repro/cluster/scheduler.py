@@ -1,14 +1,13 @@
-"""Budgeted round-robin scheduling of background ALS refreshes.
+"""Round-robin scheduling of background ALS refreshes.
 
-Feedback lands on shards with ``refresh=False`` -- the serve path never
-pays for matrix completion.  Instead the cluster owner calls
+Feedback lands on shards without running matrix completion -- the serve
+path never pays for it.  Instead the cluster owner calls
 :meth:`RefreshScheduler.tick` from whatever background cadence it has (an
 idle loop, a timer, the gaps between arrival bursts), and each tick
-warm-starts at most ``budget_per_tick`` dirty shards.  The cursor is
-round-robin over the shard ring so a permanently chatty tenant cannot
-starve the refreshes of a quiet one, and DOWN shards are skipped entirely
-(their matrices may be unreachable; they re-enter the rotation on
-``mark_up``).
+warm-starts at most one dirty shard.  The cursor is round-robin over the
+shard ring so a permanently chatty tenant cannot starve the refreshes of a
+quiet one, and DOWN shards are skipped entirely (their matrices may be
+unreachable; they re-enter the rotation on ``mark_up``).
 """
 
 from __future__ import annotations
@@ -21,27 +20,16 @@ from .shard import ClusterShard
 
 
 class RefreshScheduler:
-    """Round-robin refresh budgeting across the cluster's shards."""
+    """Round-robin refreshes across the cluster's shards, one per tick."""
 
-    def __init__(
-        self,
-        budget_per_tick: int = 1,
-        health: Optional[HealthBoard] = None,
-    ) -> None:
-        if budget_per_tick < 1:
-            raise ClusterError(
-                f"budget_per_tick must be >= 1, got {budget_per_tick}"
-            )
-        self.budget_per_tick = int(budget_per_tick)
+    def __init__(self, health: Optional[HealthBoard] = None) -> None:
         self.health = health
         self._shards: Dict[int, ClusterShard] = {}
         self._ring: List[int] = []
-        self._priority: List[int] = []
         self._cursor = 0
         self.ticks = 0
         self.refreshes = 0
         self.skipped_down = 0
-        self.escalations = 0
 
     def register(self, shard: ClusterShard) -> None:
         """Add a shard to the refresh rotation."""
@@ -53,101 +41,37 @@ class RefreshScheduler:
     def replace(self, shard: ClusterShard) -> None:
         """Swap in a recovered shard object under an existing id.
 
-        Ring position, cursor, and any pending escalation are preserved --
-        a restarted shard keeps exactly the schedule slot of its previous
-        incarnation.
+        Ring position and cursor are preserved -- a restarted shard keeps
+        exactly the schedule slot of its previous incarnation.
         """
         if shard.shard_id not in self._shards:
             raise ClusterError(f"cannot replace unscheduled shard {shard.shard_id}")
         self._shards[shard.shard_id] = shard
 
-    def set_budget(self, budget_per_tick: int) -> None:
-        """Reallocate the per-tick refresh budget (adaptation escalation)."""
-        if budget_per_tick < 1:
-            raise ClusterError(
-                f"budget_per_tick must be >= 1, got {budget_per_tick}"
-            )
-        self.budget_per_tick = int(budget_per_tick)
-
-    def escalate(self, shard_id: int) -> None:
-        """Jump a shard to the front of the next tick, outside the budget.
-
-        The adaptation controller calls this when it detects drift on a
-        shard: the shard's warm ALS refresh must land on the very next
-        tick even if the round-robin budget is already spoken for.  An
-        escalation is one-shot and deduplicated; unknown shards raise.
-        """
-        if shard_id not in self._shards:
-            raise ClusterError(f"cannot escalate unknown shard {shard_id}")
-        if shard_id not in self._priority:
-            self._priority.append(shard_id)
-            self.escalations += 1
-
     def dirty_shards(self) -> List[int]:
         """Ids of shards with observations newer than their last refresh."""
         return [sid for sid in self._ring if self._shards[sid].is_dirty]
 
-    def _refreshable(self, shard_id: int) -> bool:
-        if self.health is not None and not self.health.is_up(shard_id):
-            return False
-        return self._shards[shard_id].is_dirty
-
     def tick(self) -> List[int]:
-        """Refresh up to ``budget_per_tick`` dirty shards; returns their ids.
+        """Refresh the next dirty shard in ring order; returns its id, if any.
 
-        Escalated shards (see :meth:`escalate`) refresh first and do not
-        consume the round-robin budget.  Then one full lap of the ring per
-        tick at most: shards that are clean cost one ``is_dirty`` check,
-        DOWN shards are counted as skipped, and the cursor persists across
-        ticks so the budget rotates fairly.
+        One full lap of the ring per tick at most: shards that are clean
+        cost one ``is_dirty`` check, dirty DOWN shards are counted as
+        skipped, and the cursor persists across ticks so refreshes rotate
+        fairly.
         """
         self.ticks += 1
-        refreshed: List[int] = []
-        counted_down: set = set()
-        if self._priority:
-            escalated, self._priority = self._priority, []
-            for shard_id in escalated:
-                if self.health is not None and not self.health.is_up(shard_id):
-                    # A DOWN shard keeps its escalation: the refresh must
-                    # still land on the first tick after it recovers.  The
-                    # skip counter keeps the ring pass's semantics -- only
-                    # shards with a refresh actually pending count.
-                    if self._shards[shard_id].is_dirty:
-                        self.skipped_down += 1
-                        counted_down.add(shard_id)
-                    self._priority.append(shard_id)
-                    continue
-                shard = self._shards[shard_id]
-                if shard.is_dirty and shard.refresh():
-                    self.refreshes += 1
-                    refreshed.append(shard_id)
-        if not self._ring:
-            return refreshed
-        examined = 0
-        from_ring = 0
         n = len(self._ring)
-        while examined < n and from_ring < self.budget_per_tick:
-            shard_id = self._ring[self._cursor % n]
+        for _ in range(n):
+            shard_id = self._ring[self._cursor]
             self._cursor = (self._cursor + 1) % n
-            examined += 1
             shard = self._shards[shard_id]
-            if self.health is not None and not self.health.is_up(shard_id):
-                # One skip event per shard per tick, even when the shard
-                # was already counted in the escalation pass above.
-                if shard.is_dirty and shard_id not in counted_down:
-                    self.skipped_down += 1
+            if not shard.is_dirty:
                 continue
-            if shard.is_dirty and shard.refresh():
+            if self.health is not None and not self.health.is_up(shard_id):
+                self.skipped_down += 1
+                continue
+            if shard.refresh():
                 self.refreshes += 1
-                from_ring += 1
-                refreshed.append(shard_id)
-        return refreshed
-
-    def drain(self, max_ticks: int = 1000) -> int:
-        """Tick until no refreshable shard is dirty; returns refreshes run."""
-        total = 0
-        for _ in range(max_ticks):
-            if not any(self._refreshable(sid) for sid in self._ring):
-                break
-            total += len(self.tick())
-        return total
+                return [shard_id]
+        return []

@@ -27,7 +27,7 @@ from ..core.workload_matrix import WorkloadMatrix
 from ..durability.journal import ShardJournal
 from ..durability.recovery import RecoveredState, recover_journal
 from ..durability.snapshot import matrix_to_jsonable
-from ..errors import ClusterError
+from ..errors import ClusterError, CompletionError
 from ..serving.batch_cache import BatchDecisions
 from ..serving.refresh import IncrementalALSRefresher
 from ..serving.service import ServingService
@@ -163,7 +163,6 @@ class ClusterShard:
             self.matrix,
             default_hint=self.default_hint,
             regression_margin=self.regression_margin,
-            refresher=self.refresher,
             clock=self._clock,
             recorder=self._recorder,
             journal=self.journal,
@@ -220,7 +219,7 @@ class ClusterShard:
         background scheduler picks this shard (:meth:`refresh`), so a serve
         batch can never be stuck behind a recompute.
         """
-        self._serving().observe_batch(local_queries, hints, latencies, refresh=False)
+        self._serving().observe_batch(local_queries, hints, latencies)
 
     def observe_censored_local(
         self, local_query: int, hint: int, lower_bound: float
@@ -235,7 +234,7 @@ class ClusterShard:
 
         A shard that owns rows but holds no completed observation yet has
         nothing to complete (ALS rejects an empty mask): it is clean, so the
-        scheduler neither spends budget on it nor marks it refreshed.
+        scheduler neither spends a tick on it nor marks it refreshed.
         """
         if self.matrix is None:
             return False
@@ -245,11 +244,25 @@ class ClusterShard:
         )
 
     def refresh(self) -> bool:
-        """Warm-started ALS refresh (scheduler hook); True when a solve ran."""
+        """Warm-started ALS refresh (scheduler hook); True when a solve ran.
+
+        A failed solve (:class:`~repro.errors.CompletionError`: one finite
+        but huge latency can overflow the factors) is counted in the
+        shard's ``refresh_failures`` cell instead of raised, and the shard
+        counts as refreshed at this version: it retries after its next write.
+        """
         if self.matrix is None:
             return False
-        ran = self.service.refresh_now()
+        refresher = self.refresher
+        before = refresher.cold_solves + refresher.warm_refreshes
+        try:
+            refresher.refresh(self.matrix)
+        except CompletionError:
+            self._recorder.metrics.refresh_failures.inc()
         self._refreshed_version = self.matrix.version
+        ran = refresher.cold_solves + refresher.warm_refreshes > before
+        if ran:
+            self._recorder.record_refresh()
         return ran
 
     # -- durability lifecycle ---------------------------------------------------

@@ -2,12 +2,11 @@
 
 ``cluster`` pools every shard's raw recorder (:meth:`LatencyRecorder.merged`
 -- this aggregator holds them all in-process): exact totals and the global
-p50/p99 *exactly* over the pooled recent-sample windows, where
-:meth:`ServingStats.merge` (what an external aggregator could run from
-per-shard summaries alone) approximates them.  Its ``throughput_qps``
-divides by the *sum* of the shards' busy time: the measured, in-process
-serial reading.  The facade counters and topology gauges are read from the
-metrics registry's cells, their only store (:func:`cluster_report`).
+p50/p99 *exactly* over the pooled recent-sample windows.  Its
+``throughput_qps`` divides by the *sum* of the shards' busy time: the
+measured, in-process serial reading.  The facade counters and topology
+gauges are read from the metrics registry's cells, their only store
+(:func:`cluster_report`).
 """
 
 from __future__ import annotations
@@ -31,7 +30,8 @@ class ClusterStats:
     per_shard:
         Each shard's own :class:`ServingStats`.
     cluster:
-        The merged report (exact counters, exact pooled percentiles).
+        The merged report (exact counters, exact pooled percentiles); its
+        ``refresh_failures`` counts background ALS refreshes that failed.
     routed_batches / fan_out:
         Batches routed through the cluster and the average number of
         per-shard sub-batches each one split into.
@@ -118,10 +118,9 @@ def aggregate_shard_stats(shards) -> ServingStats:
     """One report over every shard: exact totals, exact pooled percentiles.
 
     Every shard's raw :class:`LatencyRecorder` is reachable in-process, so
-    instead of :meth:`ServingStats.merge`'s weighted approximation the
-    percentiles are those of the pooled per-decision population (each
+    the percentiles are those of the pooled per-decision population (each
     shard's retained window: bounded work however long the shards have
-    been serving).
+    been serving), not an approximation from per-shard summaries.
     """
     return LatencyRecorder.merged([s.recorder() for s in shards]).report()
 

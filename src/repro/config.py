@@ -8,7 +8,7 @@ hyper-parameters) lives here so experiments can be described declaratively.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 from .errors import ConfigError
 
@@ -227,9 +227,9 @@ class IngressConfig:
 
     ``tick_interval_s`` / ``refresh_interval_s`` are the cadences of the
     background asyncio tasks the ingress hosts: the adaptation
-    controller's detection tick and the (cluster scheduler or single
-    service) warm-ALS refresh tick.  Both run on the event loop between
-    batches -- never on a request's await path.
+    controller's detection tick and, on a ``ClusterIngress``, the cluster
+    refresh scheduler's tick.  Both run on the event loop between batches
+    -- never on a request's await path.
     """
 
     max_batch: int = 256
@@ -256,6 +256,14 @@ class IngressConfig:
             raise ConfigError(
                 f"refresh_interval_s must be > 0, got {self.refresh_interval_s}"
             )
+
+
+#: Default histogram bounds (seconds): :attr:`TelemetryConfig.latency_buckets`
+#: and every :mod:`repro.telemetry.registry` histogram built without bounds.
+DEFAULT_BUCKETS: Tuple[float, ...] = (
+    1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
+    1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1.0,
+)
 
 
 @dataclass(frozen=True)
@@ -289,10 +297,7 @@ class TelemetryConfig:
     """
 
     enabled: bool = False
-    latency_buckets: tuple = (
-        1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
-        1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1.0,
-    )
+    latency_buckets: tuple = DEFAULT_BUCKETS
     slow_trace_seconds: float = 0.0
     trace_ring: int = 64
     max_label_values: int = 64

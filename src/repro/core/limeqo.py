@@ -148,11 +148,7 @@ class LimeQO:
         indices = [self.query_index(name) for name in names]
         return self.plan_cache().lookup_batch(indices)
 
-    def serving_service(
-        self,
-        regression_margin: float = 1.0,
-        refresher=None,
-    ) -> "ServingService":
+    def serving_service(self, regression_margin: float = 1.0) -> "ServingService":
         """A batched serving front end sharing this facade's live matrix.
 
         See :class:`repro.serving.service.ServingService`; imported lazily so
@@ -164,7 +160,6 @@ class LimeQO:
             self.matrix,
             default_hint=self.default_hint,
             regression_margin=regression_margin,
-            refresher=refresher,
         )
 
     def recommended_hints(self) -> List[int]:

@@ -121,7 +121,7 @@ class WarmStartedALS:
         self.warm_streak = 0
 
     def solve(
-        self, matrix, refresh_iterations: int, warm: bool = True
+        self, matrix, warm_iterations: int, warm: bool = True
     ) -> CensoredALSResult:
         """The completion of ``matrix`` as it stands.  ``warm=False`` makes a
         needed solve a cold one."""
@@ -135,7 +135,7 @@ class WarmStartedALS:
             result = self.completer.complete_result(
                 cells,
                 warm_start=factors,
-                iterations=None if factors is None else refresh_iterations,
+                iterations=None if factors is None else warm_iterations,
             )
         except CompletionError:
             if factors is None:

@@ -173,7 +173,6 @@ def recover_service(
     directory: str,
     default_hint: int = 0,
     regression_margin: float = 1.0,
-    refresher=None,
     recorder=None,
     fs: Optional[FaultFS] = None,
     sync: str = "os",
@@ -198,7 +197,6 @@ def recover_service(
         state.matrix,
         default_hint=default_hint,
         regression_margin=regression_margin,
-        refresher=refresher,
         recorder=recorder,
         journal=journal,
     )

@@ -10,11 +10,12 @@ the event loop.  :class:`PeriodicTicker` hosts one sync tick callable as
 a long-running task that fires every ``interval_s`` of loop time.
 
 Ticks run *on* the loop, not in a thread: the serving stack is built on
-shared numpy state with no locks, and interleaving a warm ALS refresh
-with a serve batch on another thread would race.  On the loop, a tick
-serialises with flushes -- it can delay the next batch by its own
-duration, but it can never corrupt state, and everything heavy (ALS)
-was already budgeted to be incremental.
+shared numpy state with no locks, and interleaving a tick's matrix writes
+(re-exploration) or a shard's warm ALS refresh with a serve batch on
+another thread would race.  On the loop, a tick serialises with flushes
+-- it can delay the next batch by its own duration, but it can never
+corrupt state, and the heavy work is bounded per tick (a budgeted
+response, one shard's warm refresh).
 """
 
 from __future__ import annotations

@@ -31,10 +31,10 @@ no-regression guarantee -- and counted in the backend's stats
 (``ServingStats.shed`` / ``ClusterStats.shed_decisions``).
 
 The ingress also *hosts* the control loops that previously relied on
-caller-driven cadence: the adaptation controller's detection tick and
-the warm-ALS refresh tick run as background asyncio tasks
-(:class:`~repro.ingress.background.PeriodicTicker`) for as long as the
-ingress is started.
+caller-driven cadence: the adaptation controller's detection tick and,
+over a cluster, the refresh scheduler's tick run as background asyncio
+tasks (:class:`~repro.ingress.background.PeriodicTicker`) for as long as
+the ingress is started.
 """
 
 from __future__ import annotations
@@ -499,12 +499,6 @@ class ServiceIngress(_BaseIngress):
     ) -> None:
         super().__init__(service.telemetry, config, controller, clock)
         self.service = service
-        if service.refresher is not None:
-            self.tickers.append(
-                PeriodicTicker(
-                    service.refresh_now, self.config.refresh_interval_s, "refresh"
-                )
-            )
 
     async def serve(self, query: int) -> IngressDecision:
         """Answer one query arrival (awaits its coalesced batch)."""

@@ -305,7 +305,7 @@ def build_suite() -> PerfHarness:
         patched = service.recorder.metrics.cache_patched_rows
         before = patched.value
         for queries, hints, latencies, arrivals in ticks:
-            service.observe_batch(queries, hints, latencies, refresh=False)
+            service.observe_batch(queries, hints, latencies)
             service.serve_batch(arrivals)
         return {"patched_rows_per_write": (patched.value - before) / len(ticks), **costs}
 

@@ -7,7 +7,7 @@ same verified, no-regression serving rule engineered for heavy traffic:
   best-verified-hint arrays, auto-invalidated by the workload-matrix
   version counter,
 * :mod:`repro.serving.refresh` -- warm-started incremental censored-ALS
-  refreshes so feedback batches update the completion without a full solve,
+  refreshes of a cluster shard's completion, without a full solve,
 * :mod:`repro.serving.service` -- the request-facing service (serve /
   observe / report),
 * :mod:`repro.serving.stats` -- throughput, p50/p99 decision latency, and

@@ -8,9 +8,9 @@ heavy traffic:
   of a per-query row walk -- every answer still carries the paper's
   no-regression guarantee;
 * **observe**: measured latencies flow back in batches
-  (:meth:`WorkloadMatrix.observe_batch`), which automatically invalidates
-  the decision arrays and, when an :class:`IncrementalALSRefresher` is
-  attached, triggers a warm-started ALS update instead of a full recompute;
+  (:meth:`WorkloadMatrix.observe_batch`), which patches the decision
+  arrays' touched rows on the next batch -- no matrix completion runs here
+  (a served plan is always an observed one);
 * **report**: :meth:`stats` summarises throughput, p50/p99 decision
   latency, and the regression-guarantee hit rate.
 """
@@ -26,7 +26,6 @@ from ..core.workload_matrix import WorkloadMatrix
 from ..errors import ServingError
 from ..telemetry.runtime import Telemetry
 from .batch_cache import BatchDecisions, BatchedPlanCache
-from .refresh import IncrementalALSRefresher
 from .stats import LatencyRecorder, ServingStats, checked_shed_count
 
 
@@ -39,9 +38,6 @@ class ServingService:
         The live workload matrix (shared with the offline explorer).
     default_hint / regression_margin:
         Same meaning as for :class:`repro.core.plan_cache.PlanCache`.
-    refresher:
-        Optional :class:`IncrementalALSRefresher`; when present, feedback
-        batches trigger a warm-started completion refresh.
     clock:
         Injectable time source for the latency telemetry (tests use a fake).
     recorder:
@@ -72,7 +68,6 @@ class ServingService:
         matrix: WorkloadMatrix,
         default_hint: int = 0,
         regression_margin: float = 1.0,
-        refresher: Optional[IncrementalALSRefresher] = None,
         clock=time.perf_counter,
         recorder: Optional[LatencyRecorder] = None,
         journal=None,
@@ -82,7 +77,6 @@ class ServingService:
         self.cache = BatchedPlanCache(
             matrix, default_hint=default_hint, regression_margin=regression_margin
         )
-        self.refresher = refresher
         #: Drift monitor, attached after construction (anything with a
         #: ``record(queries, hints, expected, measured)`` method, e.g. an
         #: adaptation controller): it receives every :meth:`record_measured`
@@ -154,28 +148,18 @@ class ServingService:
         queries: Sequence[int],
         hints: Sequence[int],
         latencies: Sequence[float],
-        refresh: bool = True,
     ) -> None:
         """Feed measured latencies back into the serving matrix.
 
         The decision arrays refresh automatically on the next batch (the
-        matrix version changed).  With ``refresh=True`` and a refresher
-        attached, the low-rank completion is warm-started forward as well.
+        matrix version changed).
         """
-        version_before = self.matrix.version
         tel = self._telemetry
         if tel is not None:
             start = self._clock()
         self.matrix.observe_batch(queries, hints, latencies)
         if tel is not None:
             tel.tracer.record_stage("observe", self._clock() - start)
-        if (
-            refresh
-            and self.refresher is not None
-            and self.matrix.version != version_before
-        ):
-            self.refresher.refresh(self.matrix)
-            self._recorder.record_refresh()
 
     def record_measured(self, decisions: BatchDecisions, measured) -> None:
         """Report the *measured* latencies of an already-served batch.
@@ -216,31 +200,7 @@ class ServingService:
         """
         self.matrix.invalidate(queries)
 
-    def completed_matrix(self) -> np.ndarray:
-        """Up-to-date completed latency estimate (requires a refresher)."""
-        if self.refresher is None:
-            raise ServingError("completed_matrix requires an ALS refresher")
-        return self.refresher.completed_matrix(self.matrix)
-
     # -- shard-embedding hooks -------------------------------------------------
-    def refresh_now(self) -> bool:
-        """Run the attached refresher against the current matrix state.
-
-        The hook a background scheduler (e.g. the cluster's
-        :class:`~repro.cluster.scheduler.RefreshScheduler`) calls *between*
-        serve batches: feedback is recorded with ``refresh=False`` on the
-        hot path and the ALS work happens here instead.  Returns True when
-        a solve actually ran (the matrix had changed), False for a no-op.
-        """
-        if self.refresher is None:
-            raise ServingError("refresh_now requires an ALS refresher")
-        before = self.refresher.cold_solves + self.refresher.warm_refreshes
-        self.refresher.refresh(self.matrix)
-        ran = (self.refresher.cold_solves + self.refresher.warm_refreshes) > before
-        if ran:
-            self._recorder.record_refresh()
-        return ran
-
     @property
     def recorder(self) -> LatencyRecorder:
         """The raw latency recorder (cluster aggregators pool these)."""

@@ -24,9 +24,12 @@ from ..telemetry.runtime import (
     ServingMetrics,
 )
 
-#: The six serving totals, in the order :meth:`ServingStats._from_totals`
+#: The serving totals, in the order :meth:`ServingStats._from_totals`
 #: takes them, by :class:`ServingMetrics` attribute.
-_TOTALS = ("decisions", "batches", "wall_seconds", "non_default", "refreshes", "shed")
+_TOTALS = (
+    "decisions", "batches", "wall_seconds", "non_default", "refreshes",
+    "refresh_failures", "shed",
+)
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,10 @@ class ServingStats:
         Fraction of decisions answered with a verified non-default plan --
         the regression-guarantee hit rate (every non-default answer carries
         the no-regression guarantee).
-    refreshes:
-        How many model/cache refreshes ran (incremental ALS updates).
+    refreshes / refresh_failures:
+        Background ALS refreshes a cluster shard ran, and those that failed
+        (:meth:`ClusterShard.refresh <repro.cluster.shard.ClusterShard.refresh>`);
+        a lone service runs none.
     shed:
         Arrivals answered with the default plan by admission control
         (:mod:`repro.ingress` load-shedding) instead of the decision
@@ -68,6 +73,7 @@ class ServingStats:
     p99_latency_s: float
     non_default_fraction: float
     refreshes: int
+    refresh_failures: int = 0
     shed: int = 0
 
     def as_dict(self) -> Dict[str, Union[int, float]]:
@@ -83,9 +89,9 @@ class ServingStats:
         cls, totals: Sequence[float], p50: float, p99: float
     ) -> "ServingStats":
         """The one body :meth:`from_registry` and
-        :meth:`LatencyRecorder.report` share: six totals (``_TOTALS``
+        :meth:`LatencyRecorder.report` share: the totals (``_TOTALS``
         order) plus whichever percentiles the caller can compute."""
-        decisions, batches, wall, non_default, refreshes, shed = totals
+        decisions, batches, wall, non_default, refreshes, failures, shed = totals
         decisions = int(decisions)
         if wall > 0:
             throughput = decisions / wall
@@ -100,6 +106,7 @@ class ServingStats:
             p99_latency_s=float(p99),
             non_default_fraction=non_default / decisions if decisions else 0.0,
             refreshes=int(refreshes),
+            refresh_failures=int(failures),
             shed=int(shed),
         )
 
@@ -121,7 +128,7 @@ class ServingStats:
         children are merged first.
         """
         if DECISIONS_TOTAL not in registry:
-            return cls._from_totals((0, 0, 0.0, 0, 0, 0), 0.0, 0.0)
+            return cls._from_totals((0,) * len(_TOTALS), 0.0, 0.0)
 
         def child(name):
             family = registry.get(name)
@@ -197,9 +204,8 @@ RECENT_BATCHES = 4096
 class LatencyRecorder:
     """Writes batch timings into the serving cells; reads them back as a view.
 
-    The exact totals (decisions, batches, wall seconds, non-default,
-    refreshes, shed) are the registry cells of ``metrics`` -- this class
-    holds no second copy.  What it owns is the *view*: a baseline of the
+    The exact totals (``_TOTALS``) are the registry cells of ``metrics`` --
+    this class holds no second copy.  What it owns is the *view*: a baseline of the
     cell values taken at construction and at :meth:`reset`, so
     :meth:`report` covers "since this recorder started" while the cells
     underneath stay monotonic, plus a ring of the last

@@ -33,16 +33,10 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..config import DEFAULT_BUCKETS
 from ..errors import TelemetryError
 
 OVERFLOW_LABEL = "__overflow__"
-
-#: Default histogram bounds (seconds) -- kept in sync with
-#: :class:`repro.config.TelemetryConfig.latency_buckets`.
-DEFAULT_BUCKETS: Tuple[float, ...] = (
-    1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
-    1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1.0,
-)
 
 
 class Counter:

@@ -26,8 +26,8 @@ from __future__ import annotations
 from dataclasses import replace
 from typing import Any, Dict, Optional, Sequence
 
-from ..config import DEFAULT_TELEMETRY_CONFIG, TelemetryConfig
-from .registry import DEFAULT_BUCKETS, MetricsRegistry
+from ..config import DEFAULT_BUCKETS, DEFAULT_TELEMETRY_CONFIG, TelemetryConfig
+from .registry import MetricsRegistry
 from .tracing import Tracer
 
 #: Well-known metric names other modules read by name; the rest of the
@@ -48,7 +48,11 @@ SERVING_COUNTERS = {
     "non_default": (
         "repro_non_default_total", "Decisions that deviated from the default hint."
     ),
-    "refreshes": ("repro_refreshes_total", "Cache snapshot refreshes."),
+    "refreshes": ("repro_refreshes_total", "Background ALS refreshes that ran."),
+    "refresh_failures": (
+        "repro_refresh_failures_total",
+        "Background ALS refreshes that failed (CompletionError).",
+    ),
     "shed": ("repro_shed_total", "Requests shed by admission control."),
     "cache_rebuilds": (
         "repro_cache_rebuilds_total",
@@ -94,9 +98,6 @@ CLUSTER_GAUGES = {
     "scheduler_ticks": ("repro_scheduler_ticks", "Background refresh-scheduler ticks."),
     "scheduler_refreshes": (
         "repro_scheduler_refreshes", "Warm ALS refreshes the scheduler ran."
-    ),
-    "scheduler_budget": (
-        "repro_scheduler_budget_per_tick", "Dirty shards refreshed per tick."
     ),
 }
 

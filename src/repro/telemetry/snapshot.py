@@ -3,7 +3,7 @@
 :func:`collect_snapshot` pools whatever parts of the stack the caller
 hands it -- registry state, :class:`~repro.serving.stats.ServingStats`
 or :class:`~repro.cluster.stats.ClusterStats`, drift-detector signal
-counts, refresh-scheduler budgets, WAL segment/LSN/checkpoint state,
+counts, refresh-scheduler counts, WAL segment/LSN/checkpoint state,
 and circuit-breaker health -- into a single JSON-ready dict.  It is the
 "health endpoint" of the library: examples print it, the chaos and load
 benchmarks dump it as ``TELEMETRY_*.json`` CI artifacts
@@ -152,11 +152,9 @@ def _health_section(health: Any) -> Dict[str, Any]:
 
 def _scheduler_section(scheduler: Any) -> Dict[str, Any]:
     return {
-        "budget_per_tick": int(scheduler.budget_per_tick),
         "ticks": int(scheduler.ticks),
         "refreshes": int(scheduler.refreshes),
         "skipped_down": int(scheduler.skipped_down),
-        "escalations": int(scheduler.escalations),
     }
 
 

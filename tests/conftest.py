@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import ALSConfig, ExplorationConfig, TCNNConfig
+from repro.config import ExplorationConfig, TCNNConfig
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.workloads.generator import build_database_workload
 from repro.workloads.matrices import generate_workload
@@ -65,12 +65,6 @@ def partially_observed_matrix(tiny_workload) -> WorkloadMatrix:
         if not matrix.is_observed(i, j):
             matrix.observe_censored(i, j, float(truth[i, j]) / 2.0)
     return matrix
-
-
-@pytest.fixture
-def fast_als_config() -> ALSConfig:
-    """ALS configuration small enough for unit tests."""
-    return ALSConfig(rank=3, iterations=8, seed=0)
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ from repro.cluster import ServingCluster
 from repro.config import ALSConfig, AdaptiveConfig
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import AdaptiveError, ConfigError
-from repro.serving import IncrementalALSRefresher, ServingService
+from repro.serving import ServingService
 from repro.workloads import generate_workload
 from repro.workloads.spec import WorkloadSpec
 
@@ -42,7 +42,7 @@ def small_truth():
     return generate_workload(spec, seed=7).true_latencies
 
 
-def build_service(truth, coverage=1.0, refresher=True, seed=0):
+def build_service(truth, coverage=1.0, seed=0):
     """A serving stack bootstrapped on ``truth`` (default column + best hints)."""
     n, k = truth.shape
     matrix = WorkloadMatrix(n, k)
@@ -54,10 +54,7 @@ def build_service(truth, coverage=1.0, refresher=True, seed=0):
     if rows.size:
         best = truth[rows].argmin(axis=1)
         matrix.observe_batch(rows, best, truth[rows, best])
-    return ServingService(
-        matrix,
-        refresher=IncrementalALSRefresher(ALSConfig()) if refresher else None,
-    )
+    return ServingService(matrix)
 
 
 # -- residual statistics --------------------------------------------------------
@@ -493,56 +490,6 @@ def test_recovery_anchors_before_exploring(small_truth):
     assert controller.backlog.size == 0
 
 
-def test_scheduler_escalation_survives_down_shard():
-    cluster = ServingCluster(2, 4)
-    cluster.add_tenant("t", [f"q{i}" for i in range(8)])
-    cluster.observe_batch(
-        "t", np.arange(8), np.zeros(8, dtype=np.int64), np.ones(8)
-    )
-    shard_ids, _ = cluster.locate("t", np.arange(8))
-    target = int(shard_ids[0])
-    cluster.scheduler.escalate(target)
-    cluster.mark_down(target)
-    assert cluster.tick() == [] or target not in cluster.tick()
-    # The escalation is retained, not dropped: first tick after recovery
-    # refreshes the shard even though it is outside the round-robin budget.
-    cluster.mark_up(target)
-    assert target in cluster.tick()
-
-
-def test_cluster_controller_reallocates_refresh_budget():
-    truth = np.abs(np.random.default_rng(0).lognormal(0, 1, (40, 6))) + 0.1
-    cluster = ServingCluster(4, 6, refresh_budget=1)
-    names = [f"q{i}" for i in range(40)]
-    cluster.add_tenant("t", names)
-    rows = np.arange(40)
-    cluster.observe_batch("t", rows, np.zeros(40, dtype=np.int64), truth[:, 0])
-    best = truth.argmin(axis=1)
-    cluster.observe_batch("t", rows, best, truth[rows, best])
-    controller = ClusterAdaptationController(
-        cluster,
-        lambda key, hint: truth[int(key.split("/", 1)[1][1:]), hint],
-        config=AdaptiveConfig(window=64, min_samples=16, cooldown_ticks=0),
-    )
-    truth *= 3.0
-    for _ in range(2):
-        decisions = cluster.serve_batch("t", rows)
-        controller.record("t", decisions, truth[decisions.queries, decisions.hints])
-    responded = controller.tick()
-    assert len(responded) >= 2
-    # Budget reallocated up while shards are responding/recovering ...
-    assert cluster.scheduler.budget_per_tick >= len(responded)
-    for _ in range(40):
-        cluster.tick()
-        if not controller.tick() and all(
-            not c.backlog.size for c in controller._controllers.values()
-        ):
-            break
-    controller.tick()
-    # ... and restored to the configured base once the cluster is calm.
-    assert cluster.scheduler.budget_per_tick == 1
-
-
 def test_adaptive_stats_merge_and_dict():
     a = AdaptiveStats(responses=1, explored_cells=10, last_drift_score=0.5)
     b = AdaptiveStats(responses=2, explored_cells=5, last_drift_score=0.2)
@@ -568,7 +515,7 @@ def test_row_oracle_timeout_semantics():
 
 
 # -- cluster controller ---------------------------------------------------------------
-def test_cluster_adaptation_escalates_and_recovers():
+def test_cluster_adaptation_responds_per_shard():
     spec = WorkloadSpec(
         name="cluster-adaptive",
         n_queries=80,
@@ -578,7 +525,7 @@ def test_cluster_adaptation_escalates_and_recovers():
         rank=4,
     )
     truth = generate_workload(spec, seed=3).true_latencies.copy()
-    cluster = ServingCluster(3, 8, refresh_budget=1)
+    cluster = ServingCluster(3, 8)
     names = [f"q{i}" for i in range(80)]
     cluster.add_tenant("acme", names)
     rows = np.arange(80)
@@ -598,10 +545,6 @@ def test_cluster_adaptation_escalates_and_recovers():
         )
     responded = controller.tick()
     assert responded, "no shard responded to a 3x cluster-wide drift"
-    # Responding shards were escalated outside the round-robin budget.
-    assert cluster.scheduler.escalations >= len(responded)
-    refreshed = cluster.tick()
-    assert set(responded) <= set(refreshed)
     report = controller.report()
     assert report.responses >= len(responded)
     assert report.invalidated_rows > 0

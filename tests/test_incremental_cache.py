@@ -279,8 +279,8 @@ class TestServingCountsPatches:
         metrics = service.recorder.metrics
         service.serve_all()
         assert (metrics.cache_rebuilds.value, metrics.cache_patched_rows.value) == (1, 0)
-        service.observe_batch([2, 2, 6], [1, 2, 1], [1.0, 2.0, 3.0], refresh=False)
-        service.observe_batch([6, 8], [2, 2], [1.0, 9.0], refresh=False)
+        service.observe_batch([2, 2, 6], [1, 2, 1], [1.0, 2.0, 3.0])
+        service.observe_batch([6, 8], [2, 2], [1.0, 9.0])
         service.serve_all()
         service.serve_all()  # nothing moved in between: no patch, no rebuild
         assert (metrics.cache_rebuilds.value, metrics.cache_patched_rows.value) == (1, 3)

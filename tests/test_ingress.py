@@ -42,7 +42,7 @@ from repro.ingress import (
 from repro.scenarios import ScenarioRunner
 from repro.scenarios.primitives import sudden_workload_shift
 from repro.scenarios.runner import _ClusterTarget
-from repro.serving import IncrementalALSRefresher, ServingService
+from repro.serving import ServingService
 from repro.serving.batch_cache import BatchDecisions
 from repro.telemetry import Telemetry
 
@@ -585,10 +585,8 @@ class TestServiceIngress:
             def tick(self):
                 ticks.append(1)
 
-        service = make_service(
-            refresher=IncrementalALSRefresher(ALSConfig(rank=2, iterations=2))
-        )
-        config = IngressConfig(tick_interval_s=0.005, refresh_interval_s=0.005)
+        service = make_service()
+        config = IngressConfig(tick_interval_s=0.005)
 
         async def scenario():
             async with ServiceIngress(
@@ -603,7 +601,7 @@ class TestServiceIngress:
         stats = run(scenario())
         assert len(ticks) >= 2
         assert stats.background_ticks["adaptation"] >= 2
-        assert set(stats.background_ticks) == {"adaptation", "refresh"}
+        assert set(stats.background_ticks) == {"adaptation"}
 
     def test_record_measured_skips_shed_and_validates_shape(self):
         service = make_service()

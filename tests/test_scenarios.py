@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.cluster import ServingCluster
 from repro.errors import ScenarioError
 from repro.scenarios import (
     ScenarioEvent,
@@ -152,6 +153,31 @@ def test_chaos_scenarios_run_and_replay_deterministically():
         spec, target="cluster", adaptive=True, n_shards=2
     ).run()
     assert trace.decisions_blob() == replay.decisions_blob()
+
+
+def test_decisions_never_read_the_als_completion(monkeypatch):
+    """No serving decision, drift signal or re-exploration reads the shards'
+    ALS completion: a drifting run with a kill and a restart decides
+    byte-identically whether the refresh scheduler ticks every tick or never.
+    A change that gives the completion a reader must revisit this on purpose.
+    """
+    spec = kill_shard_mid_drift(seed=0, n_queries=24, batch_size=32)
+    real_tick, refreshed = ServingCluster.tick, []
+
+    def counted_tick(cluster):
+        ids = real_tick(cluster)
+        refreshed.extend(ids)
+        return ids
+
+    def run(tick):
+        monkeypatch.setattr(ServingCluster, "tick", tick)
+        return ScenarioRunner(spec, target="cluster", adaptive=True, n_shards=2).run()
+
+    ticking = run(counted_tick)
+    frozen = run(lambda cluster: [])
+    assert set(refreshed) == {0, 1}  # both shards' completions were kept fresh
+    assert ticking.decisions_blob() == frozen.decisions_blob()
+    np.testing.assert_array_equal(ticking.served, frozen.served)
 
 
 def test_restart_during_flash_crowd_spec_shape():

@@ -192,7 +192,7 @@ class TestIncrementalALS:
     def test_warm_refresh_converges_to_cold_objective(self, tiny_workload):
         matrix = explored_matrix(tiny_workload, observed_fraction=0.3, seed=1)
         config = ALSConfig(rank=3, iterations=15, seed=0)
-        refresher = IncrementalALSRefresher(config, refresh_iterations=4)
+        refresher = IncrementalALSRefresher(config)
         refresher.refresh(matrix)
 
         rng = np.random.default_rng(5)
@@ -221,7 +221,7 @@ class TestIncrementalALS:
     def test_warm_start_survives_workload_growth(self, tiny_workload):
         matrix = explored_matrix(tiny_workload, observed_fraction=0.3, seed=3)
         config = ALSConfig(rank=3, iterations=10, seed=0)
-        refresher = IncrementalALSRefresher(config, refresh_iterations=4)
+        refresher = IncrementalALSRefresher(config)
         refresher.refresh(matrix)
         new_row = matrix.add_query()
         matrix.observe(new_row, 0, 7.5)
@@ -290,9 +290,7 @@ class TestIncrementalALS:
 class TestServingService:
     def test_serve_and_feedback_roundtrip(self):
         matrix = make_matrix()
-        service = ServingService(
-            matrix, refresher=IncrementalALSRefresher(ALSConfig(rank=2, iterations=3))
-        )
+        service = ServingService(matrix)
         first = service.serve_batch([1])
         assert first.hints[0] == 0
         service.observe_batch([1], [2], [0.5])
@@ -301,8 +299,6 @@ class TestServingService:
         stats = service.stats()
         assert stats.decisions == 2
         assert stats.batches == 2
-        assert stats.refreshes == 1
-        assert service.completed_matrix().shape == matrix.shape
 
     def test_stats_counts_and_hit_rate(self):
         matrix = make_matrix()
@@ -344,13 +340,12 @@ class TestServingService:
         assert stats.decisions == 0
         assert stats.throughput_qps == 0.0
 
-    def test_empty_feedback_batch_does_not_count_a_refresh(self):
-        service = ServingService(
-            make_matrix(),
-            refresher=IncrementalALSRefresher(ALSConfig(rank=2, iterations=2)),
-        )
+    def test_empty_feedback_batch_is_a_no_op(self):
+        matrix = make_matrix()
+        service = ServingService(matrix)
+        version = matrix.version
         service.observe_batch([], [], [])
-        assert service.stats().refreshes == 0
+        assert matrix.version == version
 
     def test_percentiles_match_expanded_population(self):
         recorder = LatencyRecorder()

@@ -79,7 +79,6 @@ def serve_traffic(service, n_batches: int = 8, seed: int = 1):
             batch,
             decisions.hints.tolist(),
             rng.uniform(0.01, 0.2, size=batch.size).tolist(),
-            refresh=False,
         )
     return hints
 
@@ -425,17 +424,10 @@ class TestHotPath:
 
 
 class TestStatsMirror:
-    def test_service_from_registry_matches_recorder(self, fast_als_config):
-        from repro.serving.refresh import IncrementalALSRefresher
-
+    def test_service_from_registry_matches_recorder(self):
         tel = Telemetry.enabled()
-        service = ServingService(
-            make_matrix(),
-            refresher=IncrementalALSRefresher(fast_als_config),
-            telemetry=tel,
-        )
+        service = ServingService(make_matrix(), telemetry=tel)
         serve_traffic(service, n_batches=6)
-        service.refresh_now()
         recorded = service.stats()
         mirrored = ServingStats.from_registry(tel.registry)
         assert mirrored.decisions == recorded.decisions
@@ -737,6 +729,7 @@ class TestSnapshots:
             rng.uniform(0.01, 0.2, size=8).tolist(),
         )
         cluster.checkpoint()
+        cluster.tick()
         snapshot = collect_snapshot(telemetry=tel, cluster=cluster)
         wal = snapshot.section("wal")
         assert sorted(wal) == ["0", "1"]
@@ -744,7 +737,9 @@ class TestSnapshots:
             assert section["checkpoints"] == 1
             assert section["segment_count"] >= 1
         assert snapshot.section("health")["n_up"] == 2
-        assert snapshot.section("scheduler")["budget_per_tick"] >= 1
+        assert snapshot.section("scheduler") == {
+            "ticks": 1, "refreshes": 1, "skipped_down": 0
+        }
         json.loads(snapshot.to_json())
 
 
