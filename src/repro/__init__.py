@@ -19,7 +19,8 @@ downstream user needs most:
 * unified observability -- metrics registry, request tracing,
   exportable runtime snapshots (:mod:`repro.telemetry`),
 * the simulated DBMS substrate (:mod:`repro.db`),
-* the numpy TCNN substrate (:mod:`repro.nn`),
+* the transductive TCNN, its hand-written backward and Adam in numpy
+  (:mod:`repro.nn`),
 * the experiment harness regenerating every table and figure
   (:mod:`repro.experiments`).
 

@@ -53,7 +53,7 @@ class ExplorationError(ReproError):
 
 
 class NeuralNetworkError(ReproError):
-    """Raised by the numpy autograd / neural-network substrate."""
+    """Raised by the neural method (:mod:`repro.nn`)."""
 
 
 class WorkloadError(ReproError):

@@ -1,6 +1,26 @@
-"""Training loop for the (transductive) TCNN.
+"""The (transductive) TCNN and its training loop (paper Section 4.3.2).
 
-Follows the paper's protocol (Section 5, "Techniques and tests"):
+The model is Bao's tree convolutional network plus, for LimeQO+, one
+embedding table per query (matrix row) and one per hint (matrix column),
+isomorphic to the ALS factors ``Q`` and ``H``.  The architecture is fixed:
+
+* ``tree_conv`` layers: ``relu([node | left child | right child] @ W + b)``
+  at every node, padding (and the null node missing children point at)
+  zeroed;
+* a max pool over each plan's nodes;
+* ``[pooled | query embedding | hint embedding]`` through a dropout /
+  ``Linear`` / ``ReLU`` head to one log-latency per cell;
+* the censored squared error of Equation 8.
+
+So its forward and backward are written out here once, as straight-line
+numpy.  Every parameter is a view of one flat array and its gradient is
+written straight into the matching view of Adam's flat buffer, so an Adam
+step is one update.  The numpy calls, their operands and their association
+are those of the taped chain in ``tests/taped_tcnn.py``, and the dropout
+masks come from the same per-layer generators in the same order, so a
+training run is bit-identical to it.
+
+Training follows the paper's protocol (Section 5, "Techniques and tests"):
 
 * Adam over mini-batches of ``config.batch_size`` cells (the paper and the
   config default use 32; the figure benchmarks and ``explore_tcnn`` use
@@ -17,9 +37,8 @@ distribution does not destabilise the small network; predictions are mapped
 back with ``expm1`` and clipped to be non-negative.
 
 Cost model.  A store that keeps the plan space packed (``full_batch``) is
-read, never re-packed: ``fit`` and ``predict_cells`` take their cells out of
-it by flat index and run ``forward`` (about a dozen fused tape nodes per
-mini-batch; none under ``no_grad``), and ``predict_full`` is one tape-free
+read, never re-packed: each epoch gathers its shuffled training cells out of
+it once and its mini-batches are slices of that, and ``predict_full`` is one
 pass over all of it into arrays the trainer keeps between calls.
 """
 
@@ -32,12 +51,31 @@ import numpy as np
 from ..config import TCNNConfig
 from ..core.workload_matrix import WorkloadMatrix, checked_ids
 from ..errors import NeuralNetworkError
-from ..plans.featurize import TreeBatch
-from .autograd import Tensor, no_grad
-from .layers import Linear, ReLU
-from .losses import censored_mse_loss
+from ..plans.featurize import NODE_FEATURE_DIM, TreeBatch
 from .optim import Adam
-from .tcnn import TCNNModel, TransductiveTCNN
+
+
+def _max_over_nodes(conv: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``conv.max(axis=1)`` for a ``(cells, nodes, channels)`` array, as a
+    running maximum into ``out``.  Every entry is a relu output or a zeroed
+    padding row, so this is the maximum over the real nodes.  (Halving the
+    node axis in place makes fewer calls over the same elements, and
+    measured slower: it writes into strided slices.)"""
+    if out is None:
+        out = conv[:, 0].copy()
+    else:
+        out[:] = conv[:, 0]
+    for node in range(1, conv.shape[1]):
+        np.maximum(out, conv[:, node], out=out)
+    return out
+
+
+def _scatter_rows(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """``out[:] = 0; np.add.at(out, ids, rows)`` as one ``np.bincount``, which
+    sums each row's contributions in the same (batch) order."""
+    width = out.shape[1]
+    flat = (ids[:, None] * width + np.arange(width)).reshape(-1)
+    out.reshape(-1)[:] = np.bincount(flat, weights=rows.reshape(-1), minlength=out.size)
 
 
 class TCNNTrainer:
@@ -51,29 +89,111 @@ class TCNNTrainer:
         config: Optional[TCNNConfig] = None,
     ) -> None:
         self.feature_store = feature_store
-        self.config = config or TCNNConfig()
+        self.config = config = config or TCNNConfig()
         self.n_queries = int(n_queries)
         self.n_hints = int(n_hints)
-        if self.config.use_embeddings:
-            self.model = TransductiveTCNN(self.n_queries, self.n_hints, self.config)
-        else:
-            self.model = TCNNModel(self.config)
-        self.optimizer = Adam(self.model.parameters(), lr=self.config.learning_rate)
-        self._rng = np.random.default_rng(self.config.seed)
+        if not config.channels or min((*config.channels, *config.hidden_units)) < 1:
+            raise NeuralNetworkError(
+                "the TCNN needs at least one tree-conv layer and positive widths"
+            )
+        self._rank = config.embedding_rank if config.use_embeddings else 0
+        if self._rank and min(self.n_queries, self.n_hints) < 1:
+            raise NeuralNetworkError("the transductive TCNN needs positive matrix dimensions")
+
+        seed, initial = config.seed, []
+        previous = NODE_FEATURE_DIM
+        for i, width in enumerate(config.channels):
+            rng = np.random.default_rng(seed + i)
+            scale = np.sqrt(2.0 / (3 * previous))
+            # W_self, W_left, W_right drawn in that order, kept stacked: the
+            # matrix the [node | left | right] rows multiply.
+            weight = np.concatenate(
+                [rng.normal(0.0, scale, (previous, int(width))) for _ in range(3)]
+            )
+            initial += [(f"conv{i}.weight", weight), (f"conv{i}.bias", np.zeros(int(width)))]
+            previous = int(width)
+        previous += 2 * self._rank
+        widths = [*config.hidden_units, 1]
+        seeds = [seed + 100 + j for j in range(len(config.hidden_units))] + [seed + 300]
+        for j, (width, head_seed) in enumerate(zip(widths, seeds)):
+            rng = np.random.default_rng(head_seed)
+            weight = rng.normal(0.0, np.sqrt(2.0 / previous), size=(previous, int(width)))
+            initial += [(f"head{j}.weight", weight), (f"head{j}.bias", np.zeros(int(width)))]
+            previous = int(width)
+        if self._rank:
+            # The query table last, so that a new query appends to the flat arrays.
+            initial += [
+                ("hint_embedding",
+                 np.random.default_rng(seed + 2).normal(0.0, 0.1, (self.n_hints, self._rank))),
+                ("query_embedding",
+                 np.random.default_rng(seed + 1).normal(0.0, 0.1, (self.n_queries, self._rank))),
+            ]
+        self._shapes = [(name, value.shape) for name, value in initial]
+        self._theta = np.concatenate([value.reshape(-1) for _, value in initial])
+        self.optimizer = Adam(self._theta.size, lr=config.learning_rate)
+        self._lay_out()
+        # One generator per dropout: before the head, then after each hidden layer.
+        self._dropout = [
+            np.random.default_rng(seed + 11),
+            *(np.random.default_rng(seed + 200 + j) for j in range(len(widths) - 1)),
+        ] if config.dropout > 0 else []
+        self._rng = np.random.default_rng(seed)
         self.loss_history: List[float] = []
+        #: The last packed batch checked for an all-padding plan, and its padding rows.
+        self._checked_batch: Optional[TreeBatch] = None
+        self._padding = np.zeros(0, dtype=np.int64)
         #: ``predict_full``'s intermediates by stage, re-made when a shape moves.
         self._workspace: Dict[object, np.ndarray] = {}
+
+    def _lay_out(self) -> None:
+        """Point every parameter, and its gradient, at its span of the flat arrays."""
+        self.parameters: Dict[str, np.ndarray] = {}
+        grads, start = {}, 0
+        for name, shape in self._shapes:
+            stop = start + int(np.prod(shape))
+            self.parameters[name] = self._theta[start:stop].reshape(shape)
+            grads[name] = self.optimizer.grad[start:stop].reshape(shape)
+            start = stop
+
+        def layers(prefix, count):
+            return [
+                (self.parameters[f"{prefix}{i}.weight"], self.parameters[f"{prefix}{i}.bias"],
+                 grads[f"{prefix}{i}.weight"], grads[f"{prefix}{i}.bias"])
+                for i in range(count)
+            ]
+
+        self._conv = layers("conv", len(self.config.channels))
+        self._head = layers("head", len(self.config.hidden_units) + 1)
+        self._tables = [
+            (self.parameters[name], grads[name]) for name in ("hint_embedding", "query_embedding")
+        ] if self._rank else []
 
     # -- workload growth -----------------------------------------------------
     def grow_queries(self, new_count: int) -> None:
         """Handle new rows appearing in the workload matrix."""
         if new_count <= self.n_queries:
             return
+        extra_rows = int(new_count) - self.n_queries
         self.n_queries = int(new_count)
-        if isinstance(self.model, TransductiveTCNN):
-            self.model.grow_queries(self.n_queries)
+        if self._rank:
+            extra = np.random.default_rng(self.config.seed + 17).normal(
+                0.0, 0.1, size=(extra_rows, self._rank)
+            )
+            self._shapes[-1] = ("query_embedding", (self.n_queries, self._rank))
+            self._theta = np.concatenate([self._theta, extra.reshape(-1)])
+            self.optimizer.grow(self._theta.size)
+            self._lay_out()
 
     # -- training data ---------------------------------------------------------
+    def _covers(self, matrix: WorkloadMatrix) -> None:
+        """Refuse a matrix with cells outside the trainer's (the rule
+        ``_cell_ids`` applies to ``predict_cells``)."""
+        if matrix.n_queries > self.n_queries or matrix.n_hints > self.n_hints:
+            raise NeuralNetworkError(
+                f"a {matrix.shape} matrix has cells outside the trainer's "
+                f"{(self.n_queries, self.n_hints)}"
+            )
+
     def _training_cells(
         self, matrix: WorkloadMatrix
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -102,7 +222,7 @@ class TCNNTrainer:
         full_batch = getattr(self.feature_store, "full_batch", None)
         if full_batch is None or self.feature_store.shape != shape:
             return None
-        return full_batch()
+        return self._checked(full_batch())
 
     def _packed(
         self, shape: Tuple[int, int], rows: np.ndarray, cols: np.ndarray
@@ -113,43 +233,184 @@ class TCNNTrainer:
         if space is not None:
             return space, rows * shape[1] + cols
         cells = list(zip(rows.tolist(), cols.tolist()))
-        return self.feature_store.batch(cells), np.arange(rows.size)
+        return self._checked(self.feature_store.batch(cells)), np.arange(rows.size)
+
+    def _checked(self, batch: TreeBatch) -> TreeBatch:
+        """``batch``, once it is known that every plan in it has a real node
+        (the max pool needs one); a batch is checked once, not per use."""
+        if batch is not self._checked_batch:
+            real = batch.mask > 0
+            if not real.any(axis=1).all():
+                raise NeuralNetworkError("every sample needs at least one unmasked node")
+            self._checked_batch = batch
+            self._padding = np.flatnonzero(~real.reshape(-1))
+        return batch
+
+    # -- the network ------------------------------------------------------------------
+    def _tree_conv(
+        self, depth: int, stack: np.ndarray, padding, out: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """Layer ``depth`` over ``(cells * nodes, 3 * channels)`` stacked rows."""
+        weight, bias = self._conv[depth][:2]
+        flat = np.matmul(stack, weight, out=out)
+        flat += bias
+        np.maximum(flat, 0.0, out=flat)
+        # Padding back to exactly zero, so deeper layers keep the "missing
+        # child == zero vector" invariant and the pool's maximum is the real
+        # nodes' (a relu output is never below zero).
+        flat[padding] = 0.0
+        return flat
+
+    @staticmethod
+    def _child_rows(batch: TreeBatch) -> Tuple[np.ndarray, np.ndarray]:
+        """Each node's left and right child as rows of the ``(cells * nodes, C)`` view."""
+        cells, width = batch.left.shape
+        first_row = (np.arange(cells) * width)[:, None]
+        return (batch.left + first_row).reshape(-1), (batch.right + first_row).reshape(-1)
+
+    @staticmethod
+    def _stacked(hidden: np.ndarray, children, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """``[node | left child | right child]`` rows of hidden activations."""
+        left_rows, right_rows = children
+        return np.concatenate(
+            [hidden, np.take(hidden, left_rows, axis=0), np.take(hidden, right_rows, axis=0)],
+            axis=1, out=out,
+        )
+
+    def _forward(self, batch: TreeBatch, query_idx, hint_idx, train: bool):
+        """Log-latency predictions for a batch of cells, and (with ``train``,
+        which also turns dropout on) what the backward pass reads."""
+        cells, width = batch.mask.shape
+        padding = batch.mask.reshape(-1) == 0
+        hidden = batch.stacked.reshape(cells * width, -1)
+        children, stacks, convs = None, [], []
+        for depth in range(len(self._conv)):
+            if depth:
+                children = children or self._child_rows(batch)
+                hidden = self._stacked(hidden, children)
+            stacks.append(hidden)
+            hidden = self._tree_conv(depth, hidden, padding)
+            convs.append(hidden)
+        conv = hidden.reshape(cells, width, -1)
+        if train:
+            argmax = conv.argmax(axis=1)[:, None]
+            pooled = np.take_along_axis(conv, argmax, axis=1)[:, 0]
+        else:
+            pooled = _max_over_nodes(conv)
+        x = pooled
+        if self._rank:
+            (hint_table, _), (query_table, _) = self._tables
+            x = np.concatenate([pooled, query_table[query_idx], hint_table[hint_idx]], axis=1)
+        dropout = train and bool(self._dropout)
+        keep = 1.0 - self.config.dropout
+        relus, masks, inputs = [None], [], []
+        for j, (weight, bias, _, _) in enumerate(self._head):
+            if j:
+                np.maximum(x, 0.0, out=x)
+                relus.append(x)
+            if dropout:
+                masks.append((self._dropout[j].random(x.shape) < keep).astype(float) / keep)
+                x = x * masks[j]
+            inputs.append(x)
+            x = np.matmul(x, weight)
+            x += bias
+        saved = (stacks, convs, children, argmax, relus, masks, inputs) if train else None
+        return x.reshape(cells), saved
+
+    def _gradient(
+        self, batch: TreeBatch, query_idx, hint_idx, targets, thresholds=None
+    ) -> float:
+        """One mini-batch's loss; its gradient goes into ``optimizer.grad``.
+
+        ``thresholds`` (log space, 0 for an uncensored cell) switches on the
+        censored loss of Equation 8: a censored cell counts only while it is
+        predicted below its timeout.
+        """
+        predictions, saved = self._forward(batch, query_idx, hint_idx, train=True)
+        stacks, convs, children, argmax, relus, masks, inputs = saved
+        diff = predictions + targets * -1.0
+        squared = diff * diff
+        if thresholds is not None:
+            weights = np.where(thresholds > 0, (predictions < thresholds).astype(float), 1.0)
+            squared *= weights
+        scale = 1.0 / squared.size
+        loss = float(squared.sum() * scale)
+
+        grad = np.full(diff.shape, scale)
+        if thresholds is not None:
+            grad *= weights
+        grad *= diff
+        grad = (grad + grad).reshape(-1, 1)
+        for j in reversed(range(len(self._head))):
+            weight, _, grad_weight, grad_bias = self._head[j]
+            np.sum(grad, axis=0, out=grad_bias)
+            grad_input = np.matmul(grad, weight.T)
+            np.matmul(inputs[j].T, grad, out=grad_weight)
+            if masks:
+                grad_input = grad_input * masks[j]
+            if j:
+                grad = grad_input * (relus[j] > 0)
+
+        channels, rank = convs[-1].shape[1], self._rank
+        if rank:
+            (_, grad_hints), (_, grad_queries) = self._tables
+            _scatter_rows(grad_queries, query_idx, grad_input[:, channels:channels + rank])
+            _scatter_rows(grad_hints, hint_idx, grad_input[:, channels + rank:])
+        cells, width = batch.mask.shape
+        # The pool's gradient lands on each maximum (``0.0 +`` as np.add.at onto zeros).
+        grad = np.zeros((cells, width, channels))
+        np.put_along_axis(grad, argmax, (0.0 + grad_input[:, :channels])[:, None], axis=1)
+        for depth in reversed(range(len(self._conv))):
+            weight, _, grad_weight, grad_bias = self._conv[depth]
+            grad = grad * (convs[depth] > 0).reshape(grad.shape)
+            np.sum(grad.sum(axis=0), axis=0, out=grad_bias)
+            grad = grad.reshape(cells * width, -1)
+            np.matmul(stacks[depth].T, grad, out=grad_weight)
+            if depth:
+                grad_stack = np.matmul(grad, weight.T)
+                features = grad_stack.shape[1] // 3
+                grad_rows = grad_stack[:, :features]
+                for i, child_rows in enumerate(children, start=1):
+                    scattered = np.empty((cells * width, features))
+                    _scatter_rows(
+                        scattered, child_rows, grad_stack[:, i * features:(i + 1) * features]
+                    )
+                    grad_rows = grad_rows + scattered
+                grad = grad_rows.reshape(cells, width, features)
+        return loss
 
     # -- fitting ------------------------------------------------------------------
     def fit(self, matrix: WorkloadMatrix) -> List[float]:
         """Train on the matrix's observed cells; returns per-epoch losses."""
+        self._covers(matrix)
         rows, cols, targets, thresholds = self._training_cells(matrix)
         log_targets = np.log1p(targets)
         log_thresholds = np.where(thresholds > 0, np.log1p(thresholds), 0.0)
         # With no censored cell in the training set the indicator weights
         # would all be 1.0, which is the plain MSE bit for bit.
         censored = self.config.censored and bool((log_thresholds > 0).any())
-
         # Every epoch's mini-batches are row selections of one packed batch
         # (the tree convolution is padding-width invariant, so the losses do
         # not depend on how wide the pack is).
         packed, position = self._packed(matrix.shape, rows, cols)
 
-        self.model.train()
+        size = self.config.batch_size
         epoch_losses: List[float] = []
         order = np.arange(rows.size)
-        for epoch in range(self.config.max_epochs):
+        for _ in range(self.config.max_epochs):
             self._rng.shuffle(order)
+            # The epoch's cells in its order, gathered once: mini-batches are slices.
+            epoch = packed.take(position[order])
+            queries, hints, goals = rows[order], cols[order], log_targets[order]
+            bounds = log_thresholds[order] if censored else None
             batch_losses = []
-            for start in range(0, len(order), self.config.batch_size):
-                batch_idx = order[start:start + self.config.batch_size]
-                predictions = self.model(
-                    packed.take(position[batch_idx]), rows[batch_idx], cols[batch_idx]
-                )
-                loss = censored_mse_loss(
-                    predictions,
-                    log_targets[batch_idx],
-                    log_thresholds[batch_idx] if censored else None,
-                )
-                self.optimizer.zero_grad()
-                loss.backward()
-                self.optimizer.step()
-                batch_losses.append(loss.item())
+            for start in range(0, rows.size, size):
+                window = slice(start, start + size)
+                batch_losses.append(self._gradient(
+                    epoch.take(window), queries[window], hints[window], goals[window],
+                    None if bounds is None else bounds[window],
+                ))
+                self.optimizer.step(self._theta)
             epoch_loss = float(np.mean(batch_losses))
             epoch_losses.append(epoch_loss)
             self.loss_history.append(epoch_loss)
@@ -210,13 +471,12 @@ class TCNNTrainer:
         predictions = np.zeros(len(cells))
         if batch_size is None:
             batch_size = max(self.config.batch_size, 64)
-        self.model.eval()
-        with no_grad():
-            for start in range(0, len(cells), batch_size):
-                window = slice(start, start + batch_size)
-                predictions[window] = self.model(
-                    packed.take(position[window]), query_idx[window], hint_idx[window]
-                ).data
+        for start in range(0, len(cells), batch_size):
+            window = slice(start, start + batch_size)
+            predictions[window] = self._forward(
+                packed.take(position[window]), query_idx[window], hint_idx[window],
+                train=False,
+            )[0]
         return np.clip(np.expm1(predictions), 0.0, None)
 
     def _buffer(self, stage, shape: Tuple[int, ...]) -> np.ndarray:
@@ -229,47 +489,44 @@ class TCNNTrainer:
     def predict_full(self, matrix: WorkloadMatrix) -> np.ndarray:
         """Predicted latencies for every cell of the matrix.
 
-        When the feature store keeps the plan space packed this is
-        ``forward`` in eval mode written out over all of it at once: each
-        stage's result goes into a kept array (``out=``), the embeddings are
-        broadcast over the ``n x k`` grid instead of gathered per cell, and
-        nothing is recorded.  ``predict_cells`` is the generic ``forward``
-        the tests hold this to.
+        When the feature store keeps the plan space packed this is the
+        forward pass over all of it at once: each stage's result goes into a
+        kept array (``out=``), padding rows are zeroed through the plan
+        space's kept index, and the embeddings are broadcast over the
+        ``n x k`` grid instead of gathered per cell.  ``predict_cells`` is
+        the per-batch forward the tests hold this to.
         """
+        self._covers(matrix)
         n, k = matrix.n_queries, matrix.n_hints
-        space, model = self._plan_space((n, k)), self.model
+        space = self._plan_space((n, k))
         if space is None:
             cells = np.stack(np.divmod(np.arange(n * k), k), axis=1)
             return self.predict_cells(cells).reshape(n, k)
-        if not (space.mask > 0).any(axis=1).all():
-            raise NeuralNetworkError("every sample needs at least one unmasked node")
-        cells, width = space.batch_size, space.max_nodes
-        hidden = Tensor(space.stacked)
-        with no_grad():
-            for depth, layer in enumerate(model.tree_conv.layers):
-                out = self._buffer(("conv", depth), (cells, width, layer.out_channels))
-                hidden = layer(hidden, space.left, space.right, space.mask, out=out)
-        conv, channels = hidden.data, hidden.shape[2]
-        # Dynamic pooling.  Every entry is a relu output or a zeroed padding
-        # row, so the maximum over all nodes is the maximum over the real
-        # ones.  (Into a contiguous array: a slice of ``combined`` as the
-        # target is twice as slow.)
-        pooled = self._buffer("pooled", (cells, channels))
-        pooled[:] = conv[:, 0]
-        for node in range(1, width):
-            np.maximum(pooled, conv[:, node], out=pooled)
-        rank = self.config.embedding_rank if self.config.use_embeddings else 0
+        cells, width = space.mask.shape
+        hidden = space.stacked.reshape(cells * width, -1)
+        children = None
+        for depth, (weight, _, _, _) in enumerate(self._conv):
+            if depth:
+                children = children or self._child_rows(space)
+                stack = self._buffer(("stack", depth), (cells * width, weight.shape[0]))
+                hidden = self._stacked(hidden, children, out=stack)
+            out = self._buffer(("conv", depth), (cells * width, weight.shape[1]))
+            hidden = self._tree_conv(depth, hidden, self._padding, out=out)
+        channels = hidden.shape[1]
+        pooled = _max_over_nodes(
+            hidden.reshape(cells, width, channels), out=self._buffer("pooled", (cells, channels))
+        )
+        rank = self._rank
         combined = self._buffer("combined", (n, k, channels + 2 * rank))
         if rank:
-            combined[:, :, channels:channels + rank] = model.query_embedding.weight.data[:, None]
-            combined[:, :, channels + rank:] = model.hint_embedding.weight.data
+            (hint_table, _), (query_table, _) = self._tables
+            combined[:, :, channels:channels + rank] = query_table[:n, None]
+            combined[:, :, channels + rank:] = hint_table[:k]
         out = combined.reshape(cells, -1)
         out[:, :channels] = pooled
-        for depth, module in enumerate(model.head):  # dropout is off in eval mode
-            if isinstance(module, Linear):
-                kept = self._buffer(("head", depth), (cells, module.out_features))
-                out = np.matmul(out, module.weight.data, out=kept)
-                out += module.bias.data
-            elif isinstance(module, ReLU):
+        for j, (weight, bias, _, _) in enumerate(self._head):  # no dropout at inference
+            if j:
                 np.maximum(out, 0.0, out=out)
+            out = np.matmul(out, weight, out=self._buffer(("head", j), (cells, weight.shape[1])))
+            out += bias
         return np.clip(np.expm1(out.reshape(n, k)), 0.0, None)

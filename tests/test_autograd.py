@@ -1,10 +1,10 @@
-"""Tests for the numpy autograd substrate, including numerical gradient checks."""
+"""Tests for the taped autograd (the judge in taped_tcnn.py), including numerical gradient checks."""
 
 import numpy as np
 import pytest
 
 from repro.errors import NeuralNetworkError
-from repro.nn.autograd import Tensor, parameter
+from taped_tcnn import Tensor, parameter
 
 
 def numerical_gradient(func, value, eps=1e-6):

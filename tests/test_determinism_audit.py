@@ -34,8 +34,6 @@ ID_AS_KEY = {
     ("plans/tree.py", "plan_to_arrays"): "PlanNode is a mutable dataclass "
     "(unhashable); the address keys a node -> position table that is only "
     "looked up, never iterated",
-    ("nn/autograd.py", "_topological_order"): "a visited set of tape nodes: "
-    "membership only, the order comes from the stack",
 }
 
 # Seeded-generator constructors: the only np.random attributes a library

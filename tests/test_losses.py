@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import NeuralNetworkError
-from repro.nn.autograd import parameter
-from repro.nn.losses import censored_mse_loss, mse_loss
+from taped_tcnn import censored_mse_loss, mse_loss, parameter
 
 
 def test_mse_loss_value_and_gradient():

@@ -1,20 +1,18 @@
-"""The fused autograd nodes against the chains they replaced.
+"""The trainer's straight-line forward and backward against the taped chain.
 
-``BinaryTreeConv.forward``, ``Linear.forward``, ``mse_loss`` and
-``censored_mse_loss`` used to record one tape node per primitive op; they now
-record one fused node each (``tree_conv`` / ``affine`` /
-``squared_error_loss``).  The chains are kept here, built from the primitive
-ops that stay in ``repro.nn.autograd``, as the reference the fused nodes must
-match bit for bit -- values, gradients, and therefore whole training runs.
-Also here: the stacked tree convolution against the three-matmul association
-it replaced, central finite differences against the fused gradients, the
-``no_grad`` contract, ``predict_full``'s plan-space pass against the generic
-``forward``, and the inference memory bound.
+``TCNNTrainer`` writes the TCNN's forward and backward out by hand into flat
+arrays; ``taped_tcnn`` builds the same network op by op on a small autograd
+tape and trains it with the textbook per-parameter Adam.  Whole training runs
+must agree bit for bit -- per-epoch losses, every parameter, and
+``predict_cells`` -- including across a ``grow_queries`` mid-run.  Also here:
+central finite differences against the hand-written backward, the stacked
+tree convolution against the three-matmul association it replaced,
+``predict_full``'s plan-space pass against the per-batch forward, and the
+inference memory bound.
 """
 
 from __future__ import annotations
 
-import contextlib
 import tracemalloc
 from unittest import mock
 
@@ -25,40 +23,12 @@ from hypothesis import strategies as st
 
 from repro.config import TCNNConfig
 from repro.core.workload_matrix import WorkloadMatrix
-from repro.errors import NeuralNetworkError
-from repro.nn import trainer as trainer_module
-from repro.nn.autograd import Tensor, no_grad, parameter
-from repro.nn.layers import Linear
-from repro.nn.losses import censored_mse_loss
-from repro.nn.tcnn import TransductiveTCNN
 from repro.nn.trainer import TCNNTrainer
-from repro.nn.treeconv import BinaryTreeConv
 from repro.plans.featurize import NODE_FEATURE_DIM, _FullBatchCacheMixin, pack_trees
+from taped_tcnn import BinaryTreeConv, TapedTrainer, Tensor, TransductiveTCNN, censored_mse_loss
 
 
-# -- the unfused chains ---------------------------------------------------------------------
-def reference_tree_conv_forward(self, nodes, left, right, mask, out=None):
-    """The tree convolution op by op, in the kernel's stacked association:
-    one product of ``[node | left child | right child]`` with the three
-    weights joined.  (``out`` is the kernel's business; a chain allocates.)"""
-    if nodes.ndim != 3:
-        raise NeuralNetworkError("tree convolution expects a 3-D node tensor")
-    batch, width, features = nodes.shape
-    if features == self.in_channels:  # hidden activations: stack them here
-        nodes = nodes.concat(nodes.gather_nodes(left)).concat(nodes.gather_nodes(right))
-    weights = self.weight_self.concat(self.weight_left, axis=0).concat(
-        self.weight_right, axis=0
-    )
-    combined = (
-        nodes.reshape(batch * width, 3 * self.in_channels).matmul(weights)
-        .reshape(batch, width, self.out_channels)
-        + self.bias
-    )
-    activated = combined.relu()
-    return activated.apply_mask(np.asarray(mask, dtype=float)[:, :, None])
-
-
-def three_matmul_tree_conv_forward(self, nodes, left, right, mask, out=None):
+def three_matmul_tree_conv_forward(self, nodes, left, right, mask):
     """The association the kernel had before the plan space was kept stacked:
     self, left and right products summed.  Equal to the stacked one up to
     rounding, not bit for bit."""
@@ -74,51 +44,6 @@ def three_matmul_tree_conv_forward(self, nodes, left, right, mask, out=None):
     )
     activated = combined.relu()
     return activated.apply_mask(np.asarray(mask, dtype=float)[:, :, None])
-
-
-def reference_linear_forward(self, x):
-    return x.matmul(self.weight) + self.bias
-
-
-def reference_mse_loss(predictions, targets):
-    targets = np.asarray(targets, dtype=float)
-    if predictions.shape != targets.shape:
-        raise NeuralNetworkError("shape mismatch")
-    diff = predictions - Tensor(targets)
-    return (diff * diff).mean()
-
-
-def reference_censored_mse_loss(predictions, targets, thresholds=None):
-    targets = np.asarray(targets, dtype=float)
-    if predictions.shape != targets.shape:
-        raise NeuralNetworkError("shape mismatch")
-    if thresholds is None:
-        return reference_mse_loss(predictions, targets)
-    thresholds = np.asarray(thresholds, dtype=float)
-    if thresholds.shape != targets.shape:
-        raise NeuralNetworkError("threshold shape does not match target shape")
-    censored = thresholds > 0
-    below = predictions.data < thresholds
-    weights = np.where(censored, below.astype(float), 1.0)
-    diff = predictions - Tensor(targets)
-    weighted = (diff * diff).apply_mask(weights)
-    return weighted.mean()
-
-
-def reference_trainer_loss(predictions, targets, thresholds=None):
-    """The old trainer's per-mini-batch choice between the two losses."""
-    if thresholds is not None and (thresholds > 0).any():
-        return reference_censored_mse_loss(predictions, targets, thresholds)
-    return reference_mse_loss(predictions, targets)
-
-
-@contextlib.contextmanager
-def unfused_model():
-    """Swap the op-by-op chains in for the fused nodes."""
-    with mock.patch.object(BinaryTreeConv, "forward", reference_tree_conv_forward), \
-            mock.patch.object(Linear, "forward", reference_linear_forward), \
-            mock.patch.object(trainer_module, "censored_mse_loss", reference_trainer_loss):
-        yield
 
 
 # -- a small store of ragged plans ---------------------------------------------------------
@@ -161,13 +86,11 @@ def partly_observed(n, k, seed, censored_share):
     return matrix
 
 
-def train_and_predict(store, matrix, config):
-    n, k = matrix.shape
-    trainer = TCNNTrainer(store, n, k, config)
-    losses = [trainer.fit(matrix), trainer.fit(matrix)]
-    return losses, trainer.model.state_dict(), trainer.predict_full(matrix)
+def every_cell(n, k):
+    return np.stack(np.divmod(np.arange(n * k), k), axis=1)
 
 
+# -- bit identity to the taped chain ------------------------------------------------------
 @settings(max_examples=30, deadline=None)
 @given(
     depth=st.integers(1, 3),
@@ -180,23 +103,33 @@ def train_and_predict(store, matrix, config):
 def test_fused_training_run_is_bit_identical_to_the_unfused_chain(
     depth, use_embeddings, dropout, censored_share, max_real, seed
 ):
-    n, k = 7, 5
-    store = RaggedStore(n, k, max_real, seed)
-    matrix = partly_observed(n, k, seed + 1, censored_share)
+    n, k, added = 7, 5, 2
+    # The store already holds the queries that arrive mid-run: before they
+    # do, the matrix is smaller than the store and cells are packed per fit.
+    store = RaggedStore(n + added, k, max_real, seed)
     config = TCNNConfig(
         embedding_rank=3, channels=(6, 5, 4)[:depth], hidden_units=(7,),
         dropout=dropout, learning_rate=3e-3, batch_size=8, max_epochs=3,
         convergence_window=2, use_embeddings=use_embeddings, seed=seed % 7,
     )
-    with unfused_model():
-        ref_losses, ref_state, ref_full = train_and_predict(store, matrix, config)
-    losses, state, full = train_and_predict(store, matrix, config)
+    mine, taped = TCNNTrainer(store, n, k, config), TapedTrainer(store, n, k, config)
+    small = partly_observed(n, k, seed + 1, censored_share)
+    grown = partly_observed(n + added, k, seed + 2, censored_share)
 
+    def run(trainer):
+        losses = [trainer.fit(small), trainer.fit(small)]
+        trainer.grow_queries(n + added)  # old rows keep their Adam moments
+        losses.append(trainer.fit(grown))
+        return losses, trainer.predict_cells(every_cell(n + added, k))
+
+    losses, cells = run(mine)
+    ref_losses, ref_cells = run(taped)
     assert losses == ref_losses
-    assert state.keys() == ref_state.keys()
-    for name in state:
-        assert np.array_equal(state[name], ref_state[name]), name
-    assert np.array_equal(full, ref_full)
+    state = taped.state()
+    assert mine.parameters.keys() == state.keys()
+    for name, value in state.items():
+        assert np.array_equal(mine.parameters[name], value), name
+    assert np.array_equal(cells, ref_cells)
 
 
 @settings(max_examples=30, deadline=None)
@@ -223,112 +156,50 @@ def test_stacked_kernel_matches_the_three_matmul_association(depth, max_real, se
         censored_mse_loss(out, targets).backward()
         return [out.data] + [param.grad for param in model.parameters()]
 
-    fused = values_and_gradients()
+    stacked = values_and_gradients()
     with mock.patch.object(BinaryTreeConv, "forward", three_matmul_tree_conv_forward):
         old = values_and_gradients()
-    for name, mine, theirs in zip(["out", *model.state_dict()], fused, old):
+    for name, mine, theirs in zip(["out", *model.state_dict()], stacked, old):
         scale = max(1.0, float(np.abs(theirs).max()))
         np.testing.assert_allclose(mine, theirs, rtol=0, atol=1e-12 * scale, err_msg=name)
 
 
-# -- gradients against central finite differences --------------------------------------
+# -- the backward against central finite differences -----------------------------------
 def test_fused_gradients_match_central_finite_differences():
     n, k = 4, 3
     store = RaggedStore(n, k, max_real=6, seed=5)
     config = TCNNConfig(
         embedding_rank=2, channels=(4, 3), hidden_units=(5,), dropout=0.0, seed=1,
     )
-    model = TransductiveTCNN(n, k, config)
-    cells = [(q, h) for q in range(n) for h in range(k)]
-    batch = store.batch(cells)
-    query_idx = np.array([c[0] for c in cells])
-    hint_idx = np.array([c[1] for c in cells])
+    trainer = TCNNTrainer(store, n, k, config)
+    batch = store.full_batch()
+    query_idx, hint_idx = every_cell(n, k).T
     rng = np.random.default_rng(2)
-    targets = rng.normal(1.0, 0.5, size=len(cells))
+    targets = rng.normal(1.0, 0.5, size=n * k)
     # A third of the cells censored, on both sides of their threshold.
-    thresholds = np.where(np.arange(len(cells)) % 3 == 0, targets, 0.0)
+    thresholds = np.where(np.arange(n * k) % 3 == 0, targets, 0.0)
 
-    def loss_value():
-        return censored_mse_loss(
-            model(batch, query_idx, hint_idx), targets, thresholds
-        )
+    def loss():
+        return trainer._gradient(batch, query_idx, hint_idx, targets, thresholds)
 
-    model.zero_grad()
-    loss_value().backward()
-    eps = 1e-6
-    for name, param in zip(model.state_dict(), model.parameters()):
-        assert param.grad is not None, name
-        flat = param.data.reshape(-1)
-        numeric = np.zeros_like(flat)
-        with no_grad():
-            for i in range(flat.size):
-                original = flat[i]
-                flat[i] = original + eps
-                plus = loss_value().item()
-                flat[i] = original - eps
-                minus = loss_value().item()
-                flat[i] = original
-                numeric[i] = (plus - minus) / (2 * eps)
-        np.testing.assert_allclose(
-            param.grad.reshape(-1), numeric, rtol=0, atol=1e-6, err_msg=name
-        )
-
-
-# -- no_grad -----------------------------------------------------------------------------
-def test_forward_under_no_grad_records_no_node():
-    store = RaggedStore(3, 3, max_real=5, seed=0)
-    model = TransductiveTCNN(3, 3, TCNNConfig(channels=(4, 4), hidden_units=(4,)))
-    batch = store.batch([(0, 0), (1, 2), (2, 1)])
-    made = []
-    real_init = Tensor.__init__
-
-    def recording_init(self, *args, **kwargs):
-        real_init(self, *args, **kwargs)
-        made.append(self)
-
-    with mock.patch.object(Tensor, "__init__", recording_init), no_grad():
-        out = model(batch, np.array([0, 1, 2]), np.array([0, 2, 1]))
-    assert made, "the forward pass made no tensor at all"
-    assert all(t._backward is None and t._parents == () for t in made)
-    assert not out.tracks
-
-    # ...and with the tape on, the same call records the fused nodes.
-    out = model(batch, np.array([0, 1, 2]), np.array([0, 2, 1]))
-    names = {node.name for node in out._topological_order()}
-    assert {"tree_conv", "affine"} <= names
-    assert not {"matmul", "add", "gather_nodes"} & names
-
-
-def test_no_grad_nests_and_restores_on_exception():
-    weight = parameter(np.ones((2, 2)))
-    x = Tensor(np.ones((1, 2)))
-    with no_grad():
-        with no_grad():
-            assert not (x @ weight).tracks
-        assert not (x @ weight).tracks  # the inner exit must not re-enable
-        with pytest.raises(RuntimeError):
-            with no_grad():
-                raise RuntimeError("boom")
-        assert not (x @ weight).tracks
-    assert (x @ weight).tracks
-    with pytest.raises(RuntimeError):
-        with no_grad():
-            raise RuntimeError("boom")
-    assert (x @ weight).tracks
-
-
-def test_masked_max_without_a_tape_matches_the_tracked_values():
-    rng = np.random.default_rng(3)
-    data = rng.normal(size=(6, 5, 4))
-    mask = rng.random((6, 5)) > 0.4
-    mask[:, 0] = True
-    tracked = parameter(data.copy()).masked_max(mask)
-    assert tracked.tracks
-    with no_grad():
-        untracked = parameter(data.copy()).masked_max(mask)
-    assert not untracked.tracks
-    assert np.array_equal(untracked.data, tracked.data)
-    assert np.array_equal(Tensor(data).masked_max(mask).data, tracked.data)
+    loss()
+    analytic = trainer.optimizer.grad.copy()
+    theta, eps = trainer._theta, 1e-6
+    numeric = np.zeros_like(theta)
+    for i in range(theta.size):
+        original = theta[i]
+        theta[i] = original + eps
+        plus = loss()
+        theta[i] = original - eps
+        minus = loss()
+        theta[i] = original
+        numeric[i] = (plus - minus) / (2 * eps)
+    start = 0
+    for name, value in trainer.parameters.items():
+        span = slice(start, start + value.size)
+        start += value.size
+        np.testing.assert_allclose(analytic[span], numeric[span], rtol=0, atol=1e-6, err_msg=name)
+    assert start == theta.size
 
 
 def test_fit_after_predict_full_still_trains(tiny_workload):
@@ -339,26 +210,21 @@ def test_fit_after_predict_full_still_trains(tiny_workload):
                    max_epochs=3, learning_rate=3e-3),
     )
     trainer.predict_full(matrix)
-    before = trainer.model.state_dict()
+    before = {name: value.copy() for name, value in trainer.parameters.items()}
     losses = trainer.fit(matrix)
-    after = trainer.model.state_dict()
     assert losses[-1] < losses[0]
-    for name, param in zip(before, trainer.model.parameters()):
-        assert param.grad is not None, name
-        # (The synthetic plans are left-deep: ``weight_right`` only ever sees
-        # the null node, so its gradient is exactly zero.)
-        if param.grad.any():
-            assert not np.array_equal(before[name], after[name]), name
-    assert not np.array_equal(
-        before["tree_conv.conv0.weight_self"], after["tree_conv.conv0.weight_self"]
-    )
+    features = NODE_FEATURE_DIM
+    for name, value in trainer.parameters.items():
+        if name == "conv0.weight":
+            # The synthetic plans are left-deep: the right-child block only
+            # ever multiplies the null node, so its gradient is exactly zero
+            # and Adam leaves it where it was.
+            assert np.array_equal(value[2 * features:], before[name][2 * features:])
+            value, before[name] = value[:2 * features], before[name][:2 * features]
+        assert not np.array_equal(value, before[name]), name
 
 
 # -- the plan-space pass -------------------------------------------------------------------
-def every_cell(n, k):
-    return np.stack(np.divmod(np.arange(n * k), k), axis=1)
-
-
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("use_embeddings", [True, False])
 @pytest.mark.parametrize("store_kind", ["ragged", "synthetic"])
@@ -382,8 +248,8 @@ def test_predict_full_equals_the_generic_forward_on_every_cell(
     full = trainer.predict_full(matrix)
     generic = trainer.predict_cells(every_cell(n, k), batch_size=13).reshape(n, k)
     np.testing.assert_allclose(full, generic, rtol=1e-12, atol=0)
-    # predict_cells went through model.forward; the plan-space pass did not.
-    with mock.patch.object(type(trainer.model), "forward", side_effect=AssertionError):
+    # predict_cells went through the per-batch forward; the plan-space pass did not.
+    with mock.patch.object(trainer, "_forward", side_effect=AssertionError):
         assert np.array_equal(trainer.predict_full(matrix), full)
 
 
@@ -450,22 +316,22 @@ def test_predict_full_peak_memory_is_no_higher_than_with_the_tape(job_small_work
     matrix = partly_observed(n, k, 0, 0.0)
     config = TCNNConfig(channels=(8,), hidden_units=(16,), dropout=0.2, batch_size=128,
                         max_epochs=1)
-    trainer = TCNNTrainer(job_small_workload.feature_store(), n, k, config)
-    expected = trainer.predict_full(matrix)  # packs the plan space, sizes the workspace
+    store = job_small_workload.feature_store()
+    trainer = TCNNTrainer(store, n, k, config)
+    trainer.predict_full(matrix)  # packs the plan space, sizes the workspace
     # Kept between calls: one array per stage, cells x (nodes x channels for
     # the convolution, then pooled, pooled + both embeddings, hidden, output).
     kept = sum(buffer.nbytes for buffer in trainer._workspace.values())
-    per_cell = 8 * 8 + 8 + (8 + 2 * config.embedding_rank) + 16 + 1
+    width = store.full_batch().max_nodes
+    per_cell = width * 8 + 8 + (8 + 2 * config.embedding_rank) + 16 + 1
     assert kept == n * k * per_cell * 8  # 4.5 MiB at 113 x 49
-    # Allocated per call: the relu/padding flags of the convolution (one byte
-    # per entry, 346 KiB) and output-sized arrays -- 483 KiB measured.
+    # Allocated per call: output-sized arrays (expm1, clip) -- 87 KiB measured.
     per_call = traced_peak(lambda: trainer.predict_full(matrix))
-    assert per_call < 640 * 1024
-    # What inference cost before the fusion: the op-by-op chain, recording
-    # its tape (11.2 MiB measured; 3.2 MiB when the chain ran in chunks).
-    with unfused_model(), mock.patch.object(
-        trainer_module, "no_grad", contextlib.nullcontext
-    ):
-        taped_peak = traced_peak(lambda: trainer.predict_full(matrix))
-        assert np.array_equal(trainer.predict_full(matrix), expected)
+    assert per_call < 256 * 1024
+    # What inference costs on the tape: the op-by-op chain over the same
+    # cells, recording every node (17 MiB measured).
+    taped = TapedTrainer(store, n, k, config)
+    taped.model.eval()
+    query_idx, hint_idx = every_cell(n, k).T
+    taped_peak = traced_peak(lambda: taped.model(store.full_batch(), query_idx, hint_idx))
     assert kept + per_call <= taped_peak

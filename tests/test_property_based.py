@@ -12,7 +12,7 @@ from repro.core.plan_cache import PlanCache
 from repro.core.scoring import select_top_m
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.db.hints import all_hint_sets
-from repro.nn.autograd import parameter
+from taped_tcnn import parameter
 
 latencies = st.floats(min_value=0.001, max_value=1e4, allow_nan=False, allow_infinity=False)
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import TCNNConfig
 from repro.errors import NeuralNetworkError
-from repro.nn.tcnn import TCNNModel, TransductiveTCNN
+from taped_tcnn import TCNNModel, TransductiveTCNN
 
 
 @pytest.fixture

@@ -10,6 +10,7 @@ from repro.core.predictors import TCNNPredictor, TransductiveTCNNPredictor
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import NeuralNetworkError
 from repro.nn.trainer import TCNNTrainer
+from repro.plans.featurize import NODE_FEATURE_DIM, _FullBatchCacheMixin, pack_trees
 
 
 def small_config(**overrides):
@@ -79,9 +80,13 @@ def test_trainer_warm_start_keeps_model(tiny_workload):
     trainer = TCNNTrainer(tiny_workload.feature_store(), tiny_workload.n_queries,
                           tiny_workload.n_hints, small_config())
     trainer.fit(matrix)
-    model_before = trainer.model
+    first = {name: value.copy() for name, value in trainer.parameters.items()}
+    steps = trainer.optimizer.steps
     trainer.fit(matrix)
-    assert trainer.model is model_before
+    # The second fit continued from the first one's weights and Adam state.
+    assert trainer.parameters.keys() == first.keys()
+    assert trainer.optimizer.steps > steps > 0
+    assert not np.array_equal(trainer.parameters["head0.weight"], first["head0.weight"])
     assert len(trainer.loss_history) > 0
 
 
@@ -174,3 +179,47 @@ def test_predict_cells_accepts_an_integer_array(untrained):
 def test_predict_cells_rejects_ids_that_are_not_cells(untrained, cells):
     with pytest.raises(NeuralNetworkError):
         untrained.predict_cells(cells)
+
+
+@pytest.mark.parametrize("extra_rows,extra_cols", [(1, 0), (0, 1), (2, 3)])
+def test_fit_refuses_a_matrix_larger_than_the_trainer(tiny_workload, extra_rows, extra_cols):
+    trainer = TCNNTrainer(tiny_workload.feature_store(), tiny_workload.n_queries,
+                          tiny_workload.n_hints, small_config())
+    n, k = tiny_workload.n_queries + extra_rows, tiny_workload.n_hints + extra_cols
+    matrix = WorkloadMatrix(n, k)
+    matrix.observe_batch(np.arange(n), np.zeros(n, dtype=np.int64), np.ones(n))
+    matrix.observe(n - 1, k - 1, 2.0)  # a cell outside the trainer's
+    weights, moments = trainer._theta.copy(), trainer.optimizer.m.copy()
+    with pytest.raises(NeuralNetworkError) as raised:
+        trainer.fit(matrix)
+    # Used to be a bare IndexError from deep inside featurisation.
+    assert str((n, k)) in str(raised.value)
+    assert str((tiny_workload.n_queries, tiny_workload.n_hints)) in str(raised.value)
+    assert np.array_equal(trainer._theta, weights)
+    assert np.array_equal(trainer.optimizer.m, moments) and trainer.optimizer.steps == 0
+    with pytest.raises(NeuralNetworkError):
+        trainer.predict_full(matrix)
+
+
+class OnePlanWithoutNodes(_FullBatchCacheMixin):
+    """Two-node plans everywhere except cell (1, 1), which is all padding."""
+
+    shape = (3, 2)
+
+    def batch(self, cells):
+        def tree(q, h):
+            count = 1 if (q, h) == (1, 1) else 2
+            nodes = np.zeros((count, NODE_FEATURE_DIM))
+            nodes[1:, 0] = 1.0 + q + h
+            return nodes, np.zeros(count, dtype=np.int64), np.zeros(count, dtype=np.int64)
+
+        return pack_trees([tree(int(q), int(h)) for q, h in cells])
+
+
+def test_a_plan_without_a_real_node_is_refused_by_fit_and_predict_full():
+    matrix = WorkloadMatrix(3, 2)
+    matrix.observe_batch([0, 1, 2, 0], [0, 0, 0, 1], [1.0, 2.0, 3.0, 4.0])  # not (1, 1)
+    trainer = TCNNTrainer(OnePlanWithoutNodes(), 3, 2, small_config())
+    for call in (trainer.fit, trainer.predict_full):
+        with pytest.raises(NeuralNetworkError, match="at least one unmasked node"):
+            call(matrix)

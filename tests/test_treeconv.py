@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.errors import NeuralNetworkError
-from repro.nn.autograd import Tensor
-from repro.nn.treeconv import BinaryTreeConv, DynamicPooling, TreeConvStack
 from repro.plans.featurize import pack_trees
+from taped_tcnn import BinaryTreeConv, DynamicPooling, Tensor, TreeConvStack
 
 
 def toy_tree(num_real_nodes=3, feature_dim=8, seed=0):
