@@ -23,9 +23,11 @@ from hypothesis import strategies as st
 
 from repro.config import TCNNConfig
 from repro.core.workload_matrix import WorkloadMatrix
-from repro.nn.trainer import TCNNTrainer
+from repro.nn.trainer import TCNNTrainer, _max_over_nodes
 from repro.plans.featurize import NODE_FEATURE_DIM, _FullBatchCacheMixin, pack_trees
-from taped_tcnn import BinaryTreeConv, TapedTrainer, Tensor, TransductiveTCNN, censored_mse_loss
+from taped_tcnn import (
+    BinaryTreeConv, TapedTrainer, Tensor, TransductiveTCNN, censored_mse_loss, parameter,
+)
 
 
 def three_matmul_tree_conv_forward(self, nodes, left, right, mask):
@@ -200,6 +202,52 @@ def test_fused_gradients_match_central_finite_differences():
         start += value.size
         np.testing.assert_allclose(analytic[span], numeric[span], rtol=0, atol=1e-6, err_msg=name)
     assert start == theta.size
+
+
+# -- the inference forward --------------------------------------------------------------
+def test_forward_under_no_grad_records_no_node():
+    store = RaggedStore(3, 3, max_real=5, seed=0)
+    trainer = TCNNTrainer(store, 3, 3, TCNNConfig(channels=(4, 4), hidden_units=(4,),
+                                                  dropout=0.3))
+    batch = store.batch([(0, 0), (1, 2), (2, 1)])
+    query_idx, hint_idx = np.array([0, 1, 2]), np.array([0, 2, 1])
+    draws = [rng.bit_generator.state for rng in trainer._dropout]
+    out, saved = trainer._forward(batch, query_idx, hint_idx, train=False)
+    # Inference keeps nothing for a backward, draws no dropout mask and
+    # writes no gradient.
+    assert saved is None
+    assert [rng.bit_generator.state for rng in trainer._dropout] == draws
+    assert not trainer.optimizer.grad.any()
+    np.testing.assert_allclose(
+        np.clip(np.expm1(out), 0.0, None),
+        trainer.predict_cells(np.stack([query_idx, hint_idx], axis=1)), rtol=1e-12, atol=0,
+    )
+
+    # ...and the training forward keeps what the backward reads.
+    _, saved = trainer._forward(batch, query_idx, hint_idx, train=True)
+    stacks, convs, children, argmax, relus, masks, inputs = saved
+    assert len(stacks) == len(convs) == 2 and children is not None
+    assert len(masks) == len(inputs) == 2
+    assert [rng.bit_generator.state for rng in trainer._dropout] != draws
+
+
+def test_masked_max_without_a_tape_matches_the_tracked_values():
+    rng = np.random.default_rng(3)
+    data = rng.normal(size=(6, 5, 4))
+    mask = rng.random((6, 5)) > 0.4
+    mask[:, 0] = True
+    tracked = parameter(data.copy()).masked_max(mask)
+    assert tracked.tracks
+    untracked = Tensor(data).masked_max(mask)
+    assert not untracked.tracks
+    assert np.array_equal(untracked.data, tracked.data)
+    # The trainer's tape-free pool over relu outputs with the padding zeroed.
+    activations = np.maximum(data, 0.0) * mask[:, :, None]
+    expected = parameter(activations).masked_max(mask).data
+    assert np.array_equal(_max_over_nodes(activations), expected)
+    out = np.full((6, 4), np.nan)
+    assert _max_over_nodes(activations, out=out) is out
+    assert np.array_equal(out, expected)
 
 
 def test_fit_after_predict_full_still_trains(tiny_workload):

@@ -3,18 +3,61 @@
 import numpy as np
 import pytest
 
+from repro.config import TCNNConfig
+from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import NeuralNetworkError
 from repro.nn.optim import Adam
+from repro.nn.trainer import TCNNTrainer
 from taped_tcnn import TextbookAdam, parameter
 
 
-def test_optimizers_minimise_a_quadratic():
+@pytest.mark.parametrize(
+    "optimizer_cls,kwargs", [pytest.param(Adam, {"lr": 0.2}, id="Adam-kwargs1")]
+)
+def test_optimizers_minimise_a_quadratic(optimizer_cls, kwargs):
     theta = np.zeros(4)
-    optimizer = Adam(theta.size, lr=0.2)
+    optimizer = optimizer_cls(theta.size, **kwargs)
     for _ in range(200):
         optimizer.grad[:] = 2 * (theta - 3.0)
         optimizer.step(theta)
     assert np.allclose(theta, 3.0, atol=0.05)
+
+
+def test_step_skips_parameters_without_gradients():
+    theta = np.ones(2)
+    optimizer = Adam(theta.size, lr=0.1)
+    optimizer.step(theta)  # no gradient written yet
+    assert np.array_equal(theta, np.ones(2))
+    # A span whose gradient stays zero (a weight that only ever multiplies the
+    # null node) keeps its value and zero moments while the rest trains.
+    theta = np.ones(6)
+    optimizer = Adam(theta.size, lr=0.1)
+    for _ in range(20):
+        optimizer.grad[:] = np.concatenate([2 * (theta[:4] - 3.0), np.zeros(2)])
+        optimizer.step(theta)
+    assert np.array_equal(theta[4:], np.ones(2))
+    assert not optimizer.m[4:].any() and not optimizer.v[4:].any()
+    assert (theta[:4] > 1.0).all()
+
+
+def test_optimizer_ignores_non_trainable_tensors(tiny_workload):
+    n, k = tiny_workload.n_queries, tiny_workload.n_hints
+    trainer = TCNNTrainer(tiny_workload.feature_store(), n, k,
+                          TCNNConfig(channels=(4,), hidden_units=(4,), max_epochs=1))
+    trainer.predict_full(WorkloadMatrix(n, k))  # fills the kept inference arrays
+    optimizer, theta = trainer.optimizer, trainer._theta
+    # Adam's buffers span the trainable parameters and nothing else...
+    size = sum(value.size for value in trainer.parameters.values())
+    assert optimizer.m.size == optimizer.v.size == optimizer.grad.size == theta.size == size
+    for name, value in trainer.parameters.items():
+        assert np.shares_memory(value, theta), name
+    assert trainer._workspace
+    for stage, buffer in trainer._workspace.items():
+        for flat in (theta, optimizer.m, optimizer.v, optimizer.grad):
+            assert not np.shares_memory(buffer, flat), stage
+    # ...and inference leaves them alone.
+    assert optimizer.steps == 0
+    assert not optimizer.m.any() and not optimizer.v.any() and not optimizer.grad.any()
 
 
 def test_flat_adam_is_bit_identical_to_the_per_parameter_textbook_update():
