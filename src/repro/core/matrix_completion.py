@@ -121,21 +121,25 @@ class WarmStartedALS:
         self.warm_streak = 0
 
     def solve(
-        self, matrix, warm_iterations: int, warm: bool = True
+        self, matrix, warm_iterations: int, anchor_iterations: Optional[int] = None
     ) -> CensoredALSResult:
-        """The completion of ``matrix`` as it stands.  ``warm=False`` makes a
-        needed solve a cold one."""
+        """The completion of ``matrix`` as it stands.  ``anchor_iterations``
+        makes a needed solve of the same matrix a cold one of that many
+        iterations (a re-anchor); first solves and the fallback below run
+        ``config.iterations``."""
         same_matrix = self.result is not None and self._matrix_ref() is matrix
         if same_matrix and self._matrix_version == matrix.version:
             return self.result
 
-        factors = self.result.factors if warm and same_matrix else None
+        warm = same_matrix and anchor_iterations is None
+        factors = self.result.factors if warm else None
+        iterations = warm_iterations if warm else (anchor_iterations if same_matrix else None)
         cells = matrix.solver_cells()
         try:
             result = self.completer.complete_result(
                 cells,
                 warm_start=factors,
-                iterations=None if factors is None else warm_iterations,
+                iterations=iterations,
             )
         except CompletionError:
             if factors is None:

@@ -22,7 +22,7 @@ import numpy as np
 from ..config import ALSConfig
 from ..errors import ExplorationError
 from .predictors import ALSPredictor, Predictor
-from .scoring import expected_improvement_ratios
+from .scoring import best_unexplored, expected_improvement_ratios
 from .workload_matrix import WorkloadMatrix
 
 Candidate = Tuple[int, int]
@@ -219,38 +219,16 @@ class LimeQOPolicy(ExplorationPolicy):
         predicted = self.predictor.predict(matrix)
         self._last_prediction = predicted
 
-        # One vectorised pass replaces the per-query Python loop: restrict
-        # the predicted argmin to unexplored cells, compute Equation 6 for
-        # every row, keep rows with positive expected improvement.  The
-        # score array is built in ascending query order with the exact same
-        # float operations as the historical loop, so the argsort (and
-        # therefore the selection) is unchanged.
-        unknown = matrix.unknown_mask()
-        masked = np.where(unknown, predicted, np.inf)
-        best_unknown = masked.argmin(axis=1)
-        has_unknown = unknown.any(axis=1)
-        current_best = matrix.row_minima()
-
-        rows = np.arange(matrix.n_queries)
-        predicted_latency = np.maximum(predicted[rows, best_unknown], 1e-9)
-        with np.errstate(invalid="ignore"):
-            ratios = np.where(
-                np.isinf(current_best),
-                np.inf,
-                (current_best - predicted_latency) / predicted_latency,
-            )
-        eligible = has_unknown & (ratios > 0)
-        candidate_rows = np.nonzero(eligible)[0]
-        scores = ratios[eligible]
-
-        if scores.size:
-            order = np.argsort(-scores)
-            top_rows = candidate_rows[order[:batch_size]]
-            picks = [
-                (int(q), int(best_unknown[q])) for q in top_rows
-            ]
-        else:
-            picks = []
+        # Equation 6 at each row's predicted-best unexplored hint, one pass;
+        # rows with nothing left score -inf, so ``> 0`` keeps Algorithm 1's
+        # candidates.  ``argsort`` is numpy's default (not stable past 16
+        # candidates, and every row with no observation ties at +inf): a
+        # different sort, or a stable one, changes which tied rows are picked.
+        best_unknown, ratios = best_unexplored(matrix, predicted)
+        candidate_rows = np.flatnonzero(ratios > 0)
+        order = np.argsort(-ratios[candidate_rows])
+        top_rows = candidate_rows[order[:batch_size]]
+        picks = list(zip(top_rows.tolist(), best_unknown[top_rows].tolist()))
         if len(picks) < batch_size:
             picks.extend(
                 self._random_fill(matrix, picks, batch_size - len(picks), rng)

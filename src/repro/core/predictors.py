@@ -62,6 +62,10 @@ class Predictor(ABC):
 # One warm block-coordinate pass per arriving batch of ~10 cells (measured
 # against five and two: docs/performance.md, "One sweep per refresh").
 WARM_REFRESH_SWEEPS = 1
+# Sweeps of the periodic cold re-anchor from the baseline factors, capped at
+# ``config.iterations`` (measured against 5 and 8 and a warm re-anchor:
+# docs/performance.md, "Known cells are kept state").
+RE_ANCHOR_SWEEPS = 6
 
 
 class ALSPredictor(Predictor):
@@ -72,7 +76,8 @@ class ALSPredictor(Predictor):
     (possibly grown) matrix again, warm-starts the solver from those factors
     with one fill-in sweep (:data:`WARM_REFRESH_SWEEPS`) instead of a full
     ``config.iterations`` cold solve.  After ``full_solve_every`` warm
-    refreshes in a row the next is cold, to bound drift.  Predicting an
+    refreshes in a row the next is a cold re-anchor of
+    :data:`RE_ANCHOR_SWEEPS`, to bound drift.  Predicting an
     unchanged matrix returns the cached completion without re-solving, and
     a *different* matrix object always starts cold (the cached factors
     describe the previous matrix).
@@ -126,8 +131,10 @@ class ALSPredictor(Predictor):
 
     # -- prediction ---------------------------------------------------------
     def _predict(self, matrix: WorkloadMatrix) -> np.ndarray:
-        warm = self.warm_start and self._als.warm_streak < self.full_solve_every
-        return self._als.solve(matrix, WARM_REFRESH_SWEEPS, warm=warm).completed
+        anchor = None if self.warm_start else self.config.iterations
+        if self.warm_start and self._als.warm_streak >= self.full_solve_every:
+            anchor = min(RE_ANCHOR_SWEEPS, self.config.iterations)
+        return self._als.solve(matrix, WARM_REFRESH_SWEEPS, anchor).completed
 
 
 class MeanPredictor(Predictor):

@@ -16,26 +16,49 @@ from ..errors import ExplorationError
 from .workload_matrix import WorkloadMatrix
 
 
-def expected_improvement_ratios(
+def best_unexplored(
     matrix: WorkloadMatrix, predicted: np.ndarray
-) -> np.ndarray:
-    """Per-query expected improvement ratio ``r_i`` (Equation 6).
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Each row's predicted-best *unexplored* hint and its Equation 6 ratio.
 
-    ``r_i = (min W~_i - min Ŵ_i) / min Ŵ_i``.  Rows with no observation yet
-    get ``+inf`` (any observation is an improvement over nothing).
+    ``r_i = (min W~_i - Ŵ_ih) / Ŵ_ih`` at the hint ``h`` with the lowest
+    predicted latency among those never executed (the first on a tie); rows
+    with no observation yet get ``+inf`` (any observation is an improvement
+    over nothing), rows with nothing left to execute get ``-inf`` (and hint
+    0).  The known cells of ``predicted`` are set to ``inf`` through the
+    matrix's kept flat indices for one row argmin and put back, which costs
+    less than a copy; ``predicted`` is copied only if read-only or not C-ordered.
     """
-    predicted = np.asarray(predicted, dtype=float)
+    predicted = np.require(predicted, float, ("C", "W"))
     if predicted.shape != matrix.shape:
         raise ExplorationError(
             f"predicted matrix shape {predicted.shape} does not match workload "
             f"matrix shape {matrix.shape}"
         )
+    n, k = matrix.shape
+    observed, censored, known = matrix.known_cells()
+    flat = predicted.reshape(-1)
+    saved = flat[observed], flat[censored]
+    try:
+        flat[observed] = flat[censored] = np.inf
+        best = predicted.argmin(axis=1)
+    finally:
+        flat[observed], flat[censored] = saved
     current_best = matrix.row_minima()
-    predicted_best = predicted.min(axis=1)
-    predicted_best = np.maximum(predicted_best, 1e-9)
-    ratios = (current_best - predicted_best) / predicted_best
-    ratios = np.where(np.isinf(current_best), np.inf, ratios)
-    return ratios
+    predicted_best = np.maximum(flat[best + np.arange(0, n * k, k)], 1e-9)
+    with np.errstate(invalid="ignore"):
+        gain = (current_best - predicted_best) / predicted_best
+    ratios = np.where(np.isinf(current_best), np.inf, gain)
+    ratios[known == k] = -np.inf
+    return best, ratios
+
+
+def expected_improvement_ratios(
+    matrix: WorkloadMatrix, predicted: np.ndarray
+) -> np.ndarray:
+    """Equation 6's ``r_i`` at each row's predicted-best unexplored hint: the
+    scores :class:`~repro.core.policies.LimeQOPolicy` ranks (:func:`best_unexplored`)."""
+    return best_unexplored(matrix, predicted)[1]
 
 
 def predicted_best_hints(
@@ -51,16 +74,9 @@ def predicted_best_hints(
         raise ExplorationError("predicted matrix shape mismatch")
     if not only_unknown:
         return [int(h) for h in predicted.argmin(axis=1)]
-    # Restricting the argmin with an inf mask preserves the historical
-    # tie-break (first minimal hint in ascending index order) while staying
-    # one vectorised pass instead of a per-row Python loop.
-    unknown = matrix.unknown_mask()
-    masked = np.where(unknown, predicted, np.inf)
-    best = masked.argmin(axis=1)
-    has_unknown = unknown.any(axis=1)
-    return [
-        int(h) if ok else None for h, ok in zip(best.tolist(), has_unknown.tolist())
-    ]
+    best, _ = best_unexplored(matrix, predicted)
+    exhausted = matrix.known_cells()[2] == matrix.n_hints
+    return [None if done else h for h, done in zip(best.tolist(), exhausted.tolist())]
 
 
 def select_top_m(

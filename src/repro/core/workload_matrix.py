@@ -117,6 +117,7 @@ class WorkloadMatrix:
         # (``_fresh_minima``), so writers never pay for them.
         self._minima = np.zeros(0)
         self._minima_version = -1
+        self._cells, self._cells_version = (), -1  # the same for ``known_cells``
         self.query_names = self._validate_names(query_names, n_queries, "query")
         self.hint_names = self._validate_names(hint_names, n_hints, "hint")
         #: optional write-ahead journal (duck-typed ShardJournal).  Every
@@ -302,12 +303,44 @@ class WorkloadMatrix:
         return out
 
     def solver_cells(self) -> SolverCells:
-        """What censored ALS reads of the matrix, gathered from the boolean
-        flags: a solve copies and scans no ``n x k`` float array."""
-        obs = np.flatnonzero(self._observed)
-        cen = np.flatnonzero(self._censored)
+        """What censored ALS reads of the matrix, gathered through the known
+        cells' kept flat indices: a solve copies and scans no ``n x k`` array."""
+        obs, cen, _ = self.known_cells()
         values, bounds = self._values.reshape(-1), self._timeouts.reshape(-1)
         return SolverCells(self.shape, obs, values[obs], cen, bounds[cen])
+
+    def known_cells(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(observed, censored, known_per_row)``: the flat (row-major,
+        ascending) indices of the completed and of the censored cells, and
+        each row's count of executed cells.  Kept like :meth:`_fresh_minima`:
+        a read patches only the rows stamped since the last one; a changed
+        row set, or more stale rows than 1/64 of all, rebuilds them.  Not the
+        caller's to keep or edit."""
+        if self._cells_version != self._version:
+            n, k = self.shape
+            rows = self.rows_changed_since(self._cells_version)
+            if rows is None or rows.size * 64 > n:
+                # Two scans cost less than a patch's ~25 numpy calls on a
+                # small matrix (docs/performance.md, "Known cells are kept state").
+                obs, cen = np.flatnonzero(self._observed), np.flatnonzero(self._censored)
+                known = np.bincount(obs // k, minlength=n) + np.bincount(cen // k, minlength=n)
+            else:
+                obs, cen, known = self._cells
+                blocks = self._observed[rows], self._censored[rows]
+                ids = (rows[:, None] * k + np.arange(k)).ravel()
+                stale = np.zeros(n, dtype=bool)
+                stale[rows] = True
+                obs, cen = (  # timsort merges a sorted run and a short tail, ~linearly
+                    np.sort(
+                        np.concatenate((kept[~stale[kept // k]], ids[block.ravel()])),
+                        kind="stable",
+                    )
+                    for kept, block in zip((obs, cen), blocks)
+                )
+                known[rows] = (blocks[0] | blocks[1]).sum(axis=1)
+            self._cells = (obs, cen, known)
+            self._cells_version = self._version
+        return self._cells
 
     # -- row statistics --------------------------------------------------------
     def _fresh_minima(self) -> np.ndarray:

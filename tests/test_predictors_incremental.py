@@ -6,7 +6,7 @@ import pytest
 from repro.config import ALSConfig, ExplorationConfig
 from repro.core.explorer import MatrixOracle, OfflineExplorer
 from repro.core.policies import RandomPolicy
-from repro.core.predictors import WARM_REFRESH_SWEEPS, ALSPredictor
+from repro.core.predictors import RE_ANCHOR_SWEEPS, WARM_REFRESH_SWEEPS, ALSPredictor
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import ExplorationError
 
@@ -71,11 +71,50 @@ def test_full_solve_every_bounds_drift():
         predictor.predict(matrix)
         sweeps.append(len(predictor._result.objective_trace))
     # full_solve_every=3 is three warm refreshes, *then* one cold re-anchor
-    # (a period of four, not "every third"): a warm refresh is one sweep and
-    # the re-anchor runs all of config.iterations.
-    assert sweeps == [10, 1, 1, 1, 10, 1, 1, 1]
+    # (a period of four, not "every third"): a warm refresh is one sweep, the
+    # first solve runs config.iterations and the re-anchor RE_ANCHOR_SWEEPS.
+    assert sweeps == [10, 1, 1, 1, 6, 1, 1, 1]
     assert predictor.cold_solves == 2
     assert predictor.warm_solves == 6
+
+
+def observe_and_sweeps(predictor, matrix, truth, rng):
+    i, j = int(rng.integers(matrix.n_queries)), int(rng.integers(matrix.n_hints))
+    matrix.observe(i, j, float(truth[i, j]))
+    predictor.predict(matrix)
+    return len(predictor._result.objective_trace)
+
+
+def test_first_solve_and_divergence_fallback_run_config_iterations():
+    matrix, truth = make_matrix()
+    rng = np.random.default_rng(3)
+    predictor = ALSPredictor(ALSConfig(iterations=10), full_solve_every=1)
+    predictor.predict(matrix)
+    assert len(predictor._result.objective_trace) == 10
+    assert observe_and_sweeps(predictor, matrix, truth, rng) == WARM_REFRESH_SWEEPS
+    assert observe_and_sweeps(predictor, matrix, truth, rng) == RE_ANCHOR_SWEEPS
+    # Diverged warm factors: the cold fallback is a full solve, not a re-anchor.
+    q, h = predictor.factors
+    predictor._result.query_factors = np.ones_like(q)
+    predictor._result.hint_factors = np.full_like(h, 1e9)
+    assert observe_and_sweeps(predictor, matrix, truth, rng) == 10
+    assert (predictor.cold_solves, predictor.warm_solves) == (3, 1)
+    # A different matrix object is a first solve again.
+    other, other_truth = make_matrix(seed=1)
+    assert observe_and_sweeps(predictor, other, other_truth, rng) == 10
+    # Cold on every change runs config.iterations every time.
+    cold = ALSPredictor(ALSConfig(iterations=10), warm_start=False)
+    cold.predict(matrix)
+    assert [observe_and_sweeps(cold, matrix, truth, rng) for _ in range(3)] == [10] * 3
+
+
+def test_re_anchor_is_capped_at_config_iterations():
+    matrix, truth = make_matrix()
+    rng = np.random.default_rng(4)
+    predictor = ALSPredictor(ALSConfig(iterations=3), full_solve_every=2)
+    predictor.predict(matrix)
+    sweeps = [observe_and_sweeps(predictor, matrix, truth, rng) for _ in range(6)]
+    assert 3 < RE_ANCHOR_SWEEPS and sweeps == [1, 1, 3, 1, 1, 3]
 
 
 def test_warm_disabled_solves_cold_on_every_change():
