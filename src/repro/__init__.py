@@ -35,7 +35,6 @@ Quickstart::
 """
 
 from .adaptive import (
-    AdaptationController,
     AdaptiveStats,
     ClusterAdaptationController,
     DriftDetector,
@@ -135,7 +134,6 @@ from .workloads import (
 __version__ = "1.0.0"
 
 __all__ = [
-    "AdaptationController",
     "AdaptiveStats",
     "ClusterAdaptationController",
     "DriftDetector",

@@ -8,19 +8,19 @@ explorer + frozen serving snapshot leave open:
 * :mod:`repro.adaptive.residuals` -- windowed observed-vs-expected residual
   statistics (the raw drift signal) as property-testable pure functions
   plus a vectorised ring-buffer window,
-* :mod:`repro.adaptive.detector` -- per-key (service / shard / tenant)
-  thresholded drift + new-template detection,
+* :mod:`repro.adaptive.detector` -- per-key (shard) thresholded drift +
+  new-template detection,
 * :mod:`repro.adaptive.reexplore` -- budgeted Algorithm-1 re-exploration
   against the live serving matrix, plus the :class:`RowOracle` adapter for
   live execution backends,
-* :mod:`repro.adaptive.controller` -- the single-service control loop:
+* :mod:`repro.adaptive.cluster` -- the loop and the one door drift feedback
+  enters through: a shared detector keyed by shard, per-shard responses,
+* :mod:`repro.adaptive.controller` -- one shard's response pipeline:
   invalidate stale rows, re-anchor the default plan, explore in budget --
-  all off the serve path, no-regression guarantee intact,
-* :mod:`repro.adaptive.cluster` -- the cluster-wide loop: shared detector
-  keyed by shard, per-shard responses.
+  all off the serve path, no-regression guarantee intact.
 """
 
-from .controller import AdaptationController, AdaptiveStats
+from .controller import AdaptiveStats
 from .cluster import ClusterAdaptationController
 from .detector import DEFAULT_KEY, DriftDetector, DriftStatus
 from .reexplore import OnlineReexplorer, RowOracle
@@ -33,7 +33,6 @@ from .residuals import (
 )
 
 __all__ = [
-    "AdaptationController",
     "AdaptiveStats",
     "ClusterAdaptationController",
     "DEFAULT_KEY",

@@ -1,7 +1,9 @@
-"""Cluster-wide adaptation: per-shard drift control.
+"""The adaptation loop: drift feedback in, per-shard responses out.
 
-:class:`ClusterAdaptationController` adds the drift loop on top of a
-:class:`~repro.cluster.cluster.ServingCluster`:
+:class:`ClusterAdaptationController` is the one door drift feedback enters
+through.  It runs the drift loop on top of a
+:class:`~repro.cluster.cluster.ServingCluster` (a lone service's stack is a
+one-shard cluster):
 
 * residual feedback for a tenant batch is attributed to the *owning
   shards* via :meth:`ServingCluster.locate` and recorded in one shared
@@ -10,6 +12,15 @@
   :class:`~repro.adaptive.controller.AdaptationController` response
   (invalidation + default re-anchoring + Algorithm-1 re-exploration on the
   shard's matrix slice).
+
+Attaching it is one construction; deployments on the asyncio front door
+hand it to :class:`~repro.ingress.ClusterIngress`, which feeds it through
+``record_measured`` and hosts :meth:`~ClusterAdaptationController.tick` as a
+background task::
+
+    controller = ClusterAdaptationController(cluster, cell_lookup)
+    controller.record(tenant, decisions, measured)   # per served batch
+    controller.tick()                                # background cadence
 
 No serving decision reads the cluster's ALS completion, so a response
 leaves it to the cluster's round-robin refresh scheduler.
@@ -50,7 +61,8 @@ class ClusterAdaptationController:
         shard's ``query_names`` table at call time, so migrations between
         responses cannot mis-execute.
     config:
-        Forwarded to each per-shard :class:`AdaptationController`.
+        Thresholds and budgets (:class:`AdaptiveConfig`) of the shared
+        detector and so of every per-shard :class:`AdaptationController`.
     """
 
     def __init__(
@@ -65,8 +77,7 @@ class ClusterAdaptationController:
             )
         self.cluster = cluster
         self.cell_lookup = cell_lookup
-        self.config = config or AdaptiveConfig()
-        self.detector = DriftDetector(self.config)
+        self.detector = DriftDetector(config or AdaptiveConfig())
         self._controllers: Dict[int, AdaptationController] = {}
 
     # -- per-shard controller lifecycle ------------------------------------------
@@ -86,11 +97,7 @@ class ClusterAdaptationController:
                 )
             )
             controller = AdaptationController(
-                shard.service,
-                oracle,
-                config=self.config,
-                detector=self.detector,
-                key=self._shard_key(shard_id),
+                shard.service, oracle, self.detector, self._shard_key(shard_id)
             )
             self._controllers[shard_id] = controller
         return controller
@@ -109,11 +116,14 @@ class ClusterAdaptationController:
             controller = self._controller_for(int(shard_id))
             if controller is None:
                 continue
-            controller.record(
+            self.detector.record(
                 local[positions],
-                decisions.hints[positions],
                 decisions.expected_latency[positions],
                 measured[positions],
+                key=controller.key,
+            )
+            self.detector.note_row_count(
+                controller.service.matrix.n_queries, key=controller.key
             )
 
     # -- the background loop -----------------------------------------------------------

@@ -1,8 +1,8 @@
 """Per-key drift detection over serving residual windows.
 
 A :class:`DriftDetector` owns one :class:`~repro.adaptive.residuals.ResidualWindow`
-per *key* -- a single service uses the default key, a cluster keys by shard
-id, a multi-tenant deployment may key by tenant -- and turns window
+per *key* -- the cluster controller keys by shard id; a detector used on
+its own reads the default key -- and turns window
 statistics into a thresholded :class:`DriftStatus`:
 
 * ``drift_triggered``: the fraction of recent measurements deviating from
@@ -69,14 +69,9 @@ class DriftDetector:
             self._windows[key] = ResidualWindow(self.config.window)
         return self._windows[key]
 
-    def record(self, queries, hints, expected, measured, key: str = DEFAULT_KEY) -> None:
-        """Fold one serving-feedback batch into ``key``'s window.
-
-        With the default key this signature is exactly the
-        :attr:`ServingService.monitor` hook, so a detector can be attached
-        to a service directly.
-        """
-        self.window(key).record(queries, hints, expected, measured)
+    def record(self, queries, expected, measured, key: str = DEFAULT_KEY) -> None:
+        """Fold one serving-feedback batch into ``key``'s window."""
+        self.window(key).record(queries, expected, measured)
 
     def note_row_count(self, n_rows: int, key: str = DEFAULT_KEY) -> None:
         """Track matrix growth: the first note per window epoch is the baseline."""

@@ -143,8 +143,6 @@ class OnlineReexplorer:
         self.matrix = matrix
         self.oracle = oracle
         self.config = config or ExplorationConfig(batch_size=8)
-        self.remeasured_cells = 0
-        self.explored_cells = 0
 
     def remeasure_rows(self, rows, hint: int) -> int:
         """Re-execute ``hint`` (typically the default plan) for ``rows``.
@@ -161,7 +159,6 @@ class OnlineReexplorer:
         self.matrix.observe_batch(
             rows, hints, [result.latency for result in results]
         )
-        self.remeasured_cells += int(rows.size)
         return int(rows.size)
 
     def explore(self, max_cells: int, rows=None) -> int:
@@ -186,6 +183,4 @@ class OnlineReexplorer:
             policy = _RowScopedPolicy(policy, rows)
         explorer = OfflineExplorer(self.matrix, policy, self.oracle, self.config)
         steps = explorer.run(max_cells=max_cells)
-        executed = sum(len(step.results) for step in steps)
-        self.explored_cells += executed
-        return executed
+        return sum(len(step.results) for step in steps)

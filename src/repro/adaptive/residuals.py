@@ -100,8 +100,8 @@ class ResidualWindow:
     """A fixed-capacity ring of serving-feedback samples.
 
     Recording is vectorised (one modulo-indexed scatter per batch) so the
-    window can sit directly behind :meth:`ServingService.record_measured`
-    without adding per-arrival Python work.
+    window can take every served batch's feedback without adding
+    per-arrival Python work.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -117,10 +117,8 @@ class ResidualWindow:
     def __len__(self) -> int:
         return self._size
 
-    def record(self, queries, hints, expected, measured) -> None:
-        """Fold one feedback batch into the ring (``hints`` kept for the
-        monitor-hook signature; the statistics are hint-agnostic)."""
-        del hints
+    def record(self, queries, expected, measured) -> None:
+        """Fold one feedback batch into the ring."""
         queries = np.asarray(queries, dtype=np.int64)
         residuals = relative_residuals(expected, measured)
         if queries.shape != residuals.shape or queries.ndim != 1:

@@ -226,8 +226,8 @@ class IngressConfig:
     in :class:`~repro.serving.stats.ServingStats` under ``shed``.
 
     ``tick_interval_s`` / ``refresh_interval_s`` are the cadences of the
-    background asyncio tasks the ingress hosts: the adaptation
-    controller's detection tick and, on a ``ClusterIngress``, the cluster
+    background asyncio tasks a ``ClusterIngress`` hosts: the adaptation
+    controller's detection tick (when it is given one) and the cluster
     refresh scheduler's tick.  Both run on the event loop between batches
     -- never on a request's await path.
     """

@@ -150,10 +150,6 @@ class ShardJournal:
         """The shard gave away its last row; the matrix is gone."""
         return self.log("retire", {})
 
-    def log_measured(self, queries, hints, measured) -> int:
-        """Executed-decision telemetry (kept for audit; not matrix state)."""
-        return self._log_cells("measured", queries, hints, "m", measured)
-
     def log_adapt_backlog(self, rows: Sequence[int]) -> int:
         """Adaptation-response progress: the backlog still owed."""
         rows_list = [int(r) for r in rows]

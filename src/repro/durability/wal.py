@@ -66,7 +66,7 @@ RECORD_KINDS = (
     "import",      # row migration in: matrix rows, arrays via pack_array
     "remove",      # row migration out: {"rows": [...]}
     "retire",      # shard gave away its last row: {}
-    "measured",    # executed-decision telemetry: {"q": b64, "h": b64, "m": b64}
+    "measured",    # executed-decision audit, no longer written: {"q", "h", "m"}
     "adapt",       # adaptation-response backlog: {"rows": [...]}
 )
 
@@ -87,8 +87,8 @@ def _segment_name(first_lsn: int) -> str:
 
 def pack_flat(values, dtype: str) -> str:
     """Base64 of ``values``' raw little-endian bytes as ``dtype``: bit-exact
-    (``inf``, ``-0.0``, subnormals).  The bare form of the 1-D ``observe`` /
-    ``measured`` batches, whose shape is their length."""
+    (``inf``, ``-0.0``, subnormals).  The bare form of the 1-D ``observe``
+    batches, whose shape is their length."""
     array = np.asarray(values, dtype=dtype, order="C")
     return base64.b64encode(array.tobytes()).decode("ascii")
 

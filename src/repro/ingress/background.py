@@ -1,7 +1,7 @@
 """Background asyncio tasks: the caller-driven cadences, promoted.
 
 Until now every deployment had to drive the control loops itself: the
-adaptation controller's :meth:`~repro.adaptive.AdaptationController.tick`
+adaptation controller's :meth:`~repro.adaptive.ClusterAdaptationController.tick`
 and the cluster's :meth:`~repro.cluster.ServingCluster.tick` (the
 :class:`~repro.cluster.scheduler.RefreshScheduler`) only ran when some
 caller remembered to call them between serve batches.  Under an asyncio

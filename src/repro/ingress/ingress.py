@@ -30,11 +30,13 @@ answered immediately with the default plan -- the anchor of the paper's
 no-regression guarantee -- and counted in the backend's stats
 (``ServingStats.shed`` / ``ClusterStats.shed_decisions``).
 
-The ingress also *hosts* the control loops that previously relied on
-caller-driven cadence: the adaptation controller's detection tick and,
-over a cluster, the refresh scheduler's tick run as background asyncio
-tasks (:class:`~repro.ingress.background.PeriodicTicker`) for as long as
-the ingress is started.
+:class:`ClusterIngress` also *hosts* the control loops that previously
+relied on caller-driven cadence: the refresh scheduler's tick and, when a
+:class:`~repro.adaptive.ClusterAdaptationController` is given, its
+detection tick run as background asyncio tasks
+(:class:`~repro.ingress.background.PeriodicTicker`) for as long as the
+ingress is started, and measured latencies reach that controller through
+:meth:`ClusterIngress.record_measured`.
 """
 
 from __future__ import annotations
@@ -216,7 +218,7 @@ class _BaseIngress:
     that costs microseconds.
     """
 
-    def __init__(self, telemetry, config, controller, clock) -> None:
+    def __init__(self, telemetry, config, clock) -> None:
         self.config = config or IngressConfig()
         self._clock = clock
         self._core = CoalescerCore(self.config)
@@ -228,14 +230,7 @@ class _BaseIngress:
         self._drain_scheduled = False
         self._probe_scheduled = False
         self._probe_seen = 0
-        self.controller = controller
         self.tickers: List[PeriodicTicker] = []
-        if controller is not None:
-            self.tickers.append(
-                PeriodicTicker(
-                    controller.tick, self.config.tick_interval_s, "adaptation"
-                )
-            )
         # The backend's already normalised context; None keeps the flush
         # path uninstrumented.
         self._telemetry = telemetry
@@ -479,13 +474,7 @@ class ServiceIngress(_BaseIngress):
     service:
         The backend answering coalesced batches.
     config:
-        Coalescing/admission/background knobs (:class:`IngressConfig`).
-    controller:
-        Optional :class:`~repro.adaptive.AdaptationController`; when
-        given, its :meth:`tick` runs as a background task every
-        ``config.tick_interval_s`` while the ingress is started (the
-        caller still attaches it as ``service.monitor`` and feeds
-        measurements through :meth:`record_measured`).
+        Coalescing/admission knobs (:class:`IngressConfig`).
     clock:
         Injectable time source for queue-wait telemetry and timers.
     """
@@ -494,10 +483,9 @@ class ServiceIngress(_BaseIngress):
         self,
         service: ServingService,
         config: Optional[IngressConfig] = None,
-        controller=None,
         clock=time.monotonic,
     ) -> None:
-        super().__init__(service.telemetry, config, controller, clock)
+        super().__init__(service.telemetry, config, clock)
         self.service = service
 
     async def serve(self, query: int) -> IngressDecision:
@@ -525,13 +513,6 @@ class ServiceIngress(_BaseIngress):
     def _record_shed(self, count: int) -> None:
         self.service.record_shed(count)
 
-    def record_measured(
-        self, decisions: Sequence[IngressDecision], measured
-    ) -> None:
-        """Feed measured latencies of answered requests back to the service."""
-        for _, batch, took in _measured_batches(decisions, measured):
-            self.service.record_measured(batch, took)
-
 
 class ClusterIngress(_BaseIngress):
     """Asyncio front door over a sharded :class:`ServingCluster`.
@@ -551,9 +532,16 @@ class ClusterIngress(_BaseIngress):
         controller=None,
         clock=time.monotonic,
     ) -> None:
-        super().__init__(cluster.telemetry, config, controller, clock)
+        super().__init__(cluster.telemetry, config, clock)
         self.cluster = cluster
         self._directories = cluster.directories
+        self.controller = controller
+        if controller is not None:
+            self.tickers.append(
+                PeriodicTicker(
+                    controller.tick, self.config.tick_interval_s, "adaptation"
+                )
+            )
         self.tickers.append(
             PeriodicTicker(
                 cluster.tick, self.config.refresh_interval_s, "refresh-scheduler"

@@ -51,8 +51,7 @@ class ServingService:
         ``recorder``: externally owned, survives service rebuilds.  It is
         attached to the *matrix*, so every mutation -- including ones that
         bypass this service, like re-exploration -- is logged before it
-        applies; :meth:`record_measured` additionally journals executed
-        decisions for audit.
+        applies.
     telemetry:
         Optional :class:`~repro.telemetry.Telemetry`.  Only an *enabled*
         one is kept (``Telemetry.enabled()``): the service then counts in
@@ -77,11 +76,6 @@ class ServingService:
         self.cache = BatchedPlanCache(
             matrix, default_hint=default_hint, regression_margin=regression_margin
         )
-        #: Drift monitor, attached after construction (anything with a
-        #: ``record(queries, hints, expected, measured)`` method, e.g. an
-        #: adaptation controller): it receives every :meth:`record_measured`
-        #: batch, so live residuals are watched off the serve path.
-        self.monitor = None
         self.journal = journal
         if journal is not None:
             if (
@@ -160,45 +154,6 @@ class ServingService:
         self.matrix.observe_batch(queries, hints, latencies)
         if tel is not None:
             tel.tracer.record_stage("observe", self._clock() - start)
-
-    def record_measured(self, decisions: BatchDecisions, measured) -> None:
-        """Report the *measured* latencies of an already-served batch.
-
-        This is the residual telemetry hook the adaptation loop is built
-        on: the attached ``monitor`` sees each arrival's served hint, the
-        snapshot's expected latency at decision time, and what execution
-        actually measured.  It is observation-free, so a detection-only
-        deployment never mutates serving state.
-        """
-        measured = np.asarray(measured, dtype=float)
-        if measured.shape != decisions.queries.shape:
-            raise ServingError(
-                f"record_measured needs one measurement per decision, got "
-                f"{measured.shape} for batch of {decisions.batch_size}"
-            )
-        if self.monitor is not None:
-            self.monitor.record(
-                decisions.queries,
-                decisions.hints,
-                decisions.expected_latency,
-                measured,
-            )
-        if self.journal is not None:
-            self.journal.log_measured(decisions.queries, decisions.hints, measured)
-
-    def invalidate(self, queries: Optional[Sequence[int]] = None) -> None:
-        """Forget observations (all rows, or a subset).
-
-        The adaptation controller's response to detected drift: the stale
-        rows' observations are erased (so they serve the default plan until
-        re-verified -- the no-regression guarantee is anchored there), the
-        decision snapshot recomputes on the next batch via the version
-        bump.  No eager snapshot
-        rebuild: callers typically mutate the matrix further (re-anchoring,
-        re-exploration) before the next serve, and the version bump already
-        guarantees freshness.
-        """
-        self.matrix.invalidate(queries)
 
     # -- shard-embedding hooks -------------------------------------------------
     @property

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adaptive import (
-    AdaptationController,
     AdaptiveStats,
     ClusterAdaptationController,
     DriftDetector,
@@ -20,7 +19,6 @@ from repro.cluster import ServingCluster
 from repro.config import ALSConfig, AdaptiveConfig
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import AdaptiveError, ConfigError
-from repro.serving import ServingService
 from repro.workloads import generate_workload
 from repro.workloads.spec import WorkloadSpec
 
@@ -42,19 +40,20 @@ def small_truth():
     return generate_workload(spec, seed=7).true_latencies
 
 
-def build_service(truth, coverage=1.0, seed=0):
-    """A serving stack bootstrapped on ``truth`` (default column + best hints)."""
+TENANT = "t"
+
+
+def build_cluster(truth):
+    """A one-shard serving stack bootstrapped on ``truth`` (default column +
+    best hints); tenant row ``i`` is query ``q<i>`` and shard row ``i``."""
     n, k = truth.shape
-    matrix = WorkloadMatrix(n, k)
-    matrix.observe_batch(
-        np.arange(n), np.zeros(n, dtype=np.int64), truth[:, 0]
-    )
-    rng = np.random.default_rng(seed)
-    rows = np.nonzero(rng.random(n) < coverage)[0]
-    if rows.size:
-        best = truth[rows].argmin(axis=1)
-        matrix.observe_batch(rows, best, truth[rows, best])
-    return ServingService(matrix)
+    cluster = ServingCluster(1, k)
+    cluster.add_tenant(TENANT, [f"q{i}" for i in range(n)])
+    rows = np.arange(n)
+    cluster.observe_batch(TENANT, rows, np.zeros(n, dtype=np.int64), truth[:, 0])
+    best = truth.argmin(axis=1)
+    cluster.observe_batch(TENANT, rows, best, truth[rows, best])
+    return cluster
 
 
 # -- residual statistics --------------------------------------------------------
@@ -117,9 +116,7 @@ def test_residual_window_matches_pure_stats(values, capacity):
     expected = np.asarray(values)
     measured = expected * 2.0
     window = ResidualWindow(capacity)
-    window.record(
-        np.arange(expected.size), np.zeros(expected.size), expected, measured
-    )
+    window.record(np.arange(expected.size), expected, measured)
     tail = expected[-capacity:]
     stats = window.stats(tolerance=0.35)
     assert stats.samples == min(expected.size, capacity)
@@ -131,7 +128,7 @@ def test_residual_window_rows_and_clear():
     window = ResidualWindow(16)
     expected = np.array([10.0, 10.0, np.inf, 10.0])
     measured = np.array([10.0, 30.0, 5.0, 10.4])
-    window.record(np.array([3, 7, 9, 4]), np.zeros(4), expected, measured)
+    window.record(np.array([3, 7, 9, 4]), expected, measured)
     assert window.drifted_rows(0.35).tolist() == [7]
     assert window.unseen_rows().tolist() == [9]
     window.clear()
@@ -144,7 +141,7 @@ def test_detector_zero_drift_never_triggers():
     detector = DriftDetector(AdaptiveConfig(window=64, min_samples=16))
     expected = np.full(64, 5.0)
     for _ in range(10):
-        detector.record(np.arange(64), np.zeros(64), expected, expected)
+        detector.record(np.arange(64), expected, expected)
         assert not detector.status().triggered
     assert detector.status().drift_score == 0.0
 
@@ -152,7 +149,7 @@ def test_detector_zero_drift_never_triggers():
 def test_detector_full_drift_always_triggers():
     detector = DriftDetector(AdaptiveConfig(window=64, min_samples=16))
     expected = np.full(64, 5.0)
-    detector.record(np.arange(64), np.zeros(64), expected, expected * 4.0)
+    detector.record(np.arange(64), expected, expected * 4.0)
     status = detector.status()
     assert status.drift_triggered and status.triggered
     assert status.drift_score == 1.0
@@ -167,7 +164,7 @@ def test_detector_drift_gate_ignores_unseen_samples():
     expected[:2] = 10.0
     measured = np.full(62, 10.0)
     measured[0] = 30.0  # one noisy measurement among 60 unseen serves
-    detector.record(np.arange(62), np.zeros(62), expected, measured)
+    detector.record(np.arange(62), expected, measured)
     status = detector.status()
     assert status.samples == 62 and status.seen_samples == 2
     assert status.drift_score == pytest.approx(0.5)
@@ -178,7 +175,7 @@ def test_detector_drift_gate_ignores_unseen_samples():
 def test_detector_needs_min_samples():
     detector = DriftDetector(AdaptiveConfig(window=64, min_samples=32))
     expected = np.full(8, 5.0)
-    detector.record(np.arange(8), np.zeros(8), expected, expected * 4.0)
+    detector.record(np.arange(8), expected, expected * 4.0)
     assert not detector.status().triggered  # evidence, but not enough of it
 
 
@@ -186,13 +183,13 @@ def test_detector_unseen_and_new_row_signals():
     config = AdaptiveConfig(window=64, min_samples=16, unseen_threshold=0.2)
     detector = DriftDetector(config)
     expected = np.where(np.arange(32) % 2 == 0, np.inf, 5.0)
-    detector.record(np.arange(32), np.zeros(32), expected, np.full(32, 5.0))
+    detector.record(np.arange(32), expected, np.full(32, 5.0))
     status = detector.status()
     assert status.unseen_triggered and not status.drift_triggered
     # Row growth alone can trigger too.
     other = DriftDetector(config)
     fine = np.full(32, 5.0)
-    other.record(np.arange(32), np.zeros(32), fine, fine)
+    other.record(np.arange(32), fine, fine)
     other.note_row_count(100)
     other.note_row_count(140)
     assert other.status().new_row_fraction == pytest.approx(0.4)
@@ -212,89 +209,93 @@ def test_adaptive_config_validation():
         AdaptiveConfig(reverify_observations=1)
 
 
-# -- controller --------------------------------------------------------------------
-def controller_for(service, truth, **kwargs):
-    config = kwargs.pop(
-        "config",
-        AdaptiveConfig(window=128, min_samples=32, cooldown_ticks=0),
+# -- controller (a one-shard cluster: feedback enters through its controller) --
+def controller_for(cluster, truth, config=None):
+    """The cluster controller over ``cluster``, executing cells of ``truth``
+    as it stands at call time (tests drift it in place)."""
+    return ClusterAdaptationController(
+        cluster,
+        lambda key, hint: truth[int(key.split("/q", 1)[1]), hint],
+        config=config or AdaptiveConfig(window=128, min_samples=32, cooldown_ticks=0),
     )
-    controller = AdaptationController(
-        service, RowOracle(lambda q, h: truth[q, h]), config=config, **kwargs
-    )
-    service.monitor = controller
-    return controller
 
 
-def feed(service, truth, batches=2):
+def feed(cluster, controller, truth, batches=2, queries=None):
     for _ in range(batches):
-        decisions = service.serve_all()
-        service.record_measured(
-            decisions, truth[decisions.queries, decisions.hints]
-        )
+        if queries is None:
+            decisions = cluster.serve_all(TENANT)
+        else:
+            decisions = cluster.serve_batch(TENANT, queries)
+        controller.record(TENANT, decisions, truth[decisions.queries, decisions.hints])
+
+
+def shard_controller(controller):
+    """The one shard's response pipeline (built on the first recorded batch)."""
+    return controller._controller_for(0)
 
 
 def test_controller_zero_drift_never_responds(small_truth):
-    service = build_service(small_truth)
-    controller = controller_for(service, small_truth)
+    cluster = build_cluster(small_truth)
+    controller = controller_for(cluster, small_truth)
     for _ in range(5):
-        feed(service, small_truth, batches=1)
+        feed(cluster, controller, small_truth, batches=1)
         assert not controller.tick()
     assert controller.report().responses == 0
 
 
 def test_controller_full_drift_responds_and_recovers(small_truth):
     truth = small_truth.copy()
-    service = build_service(truth)
-    controller = controller_for(service, truth)
-    before_version = service.matrix.version
+    cluster = build_cluster(truth)
+    matrix = cluster.shards[0].matrix
+    controller = controller_for(cluster, truth)
+    before_version = matrix.version
     truth *= 3.0  # everything drifted
-    feed(service, truth)
-    assert controller.tick()
+    feed(cluster, controller, truth)
+    assert controller.tick() == [0]
     report = controller.report()
     assert report.responses == 1
     assert report.invalidated_rows > 0
     assert report.remeasured_cells > 0
-    assert service.matrix.version > before_version
+    assert matrix.version > before_version
     # Invalidated rows now carry a *fresh* default observation.
-    drifted = controller.last_response.invalidated
+    shard = shard_controller(controller)
+    drifted = shard.last_response.invalidated
     for row in drifted[:5]:
-        assert service.matrix.value(int(row), 0) == pytest.approx(
-            truth[int(row), 0]
-        )
+        assert matrix.value(int(row), 0) == pytest.approx(truth[int(row), 0])
     # Backlog recovery keeps exploring on quiet ticks until re-verified.
     for _ in range(30):
-        if not controller.backlog.size:
+        if not shard._backlog.size:
             break
         controller.tick()
-    assert controller.backlog.size == 0
+    assert shard._backlog.size == 0
     assert controller.report().recovery_passes > 0
 
 
 def test_controller_response_respects_budget(small_truth):
     truth = small_truth.copy()
-    service = build_service(truth)
+    cluster = build_cluster(truth)
     config = AdaptiveConfig(
         window=128, min_samples=32, cooldown_ticks=0,
         response_budget_cells=10, explore_batch_size=2,
     )
-    controller = controller_for(service, truth, config=config)
+    controller = controller_for(cluster, truth, config=config)
     truth *= 3.0
-    feed(service, truth)
+    feed(cluster, controller, truth)
     assert controller.tick()
-    plan = controller.last_response
+    plan = shard_controller(controller).last_response
     # Budget caps total live executions (explore may overshoot by < batch).
     assert plan.remeasured + plan.explored <= 10 + (2 - 1)
 
 
 def test_controller_cooldown_rate_limits(small_truth):
     truth = small_truth.copy()
-    service = build_service(truth)
+    cluster = build_cluster(truth)
     config = AdaptiveConfig(window=128, min_samples=32, cooldown_ticks=3)
-    controller = controller_for(service, truth, config=config)
+    controller = controller_for(cluster, truth, config=config)
     truth *= 3.0
-    feed(service, truth)
+    feed(cluster, controller, truth)
     assert controller.tick()
-    feed(service, truth)
+    feed(cluster, controller, truth)
     assert not controller.tick()  # cooling down
     assert controller.report().responses == 1
 
@@ -302,43 +303,32 @@ def test_controller_cooldown_rate_limits(small_truth):
 def test_controller_never_serves_regression_after_drift(small_truth):
     """Post-response decisions are anchored to fresh default observations."""
     truth = small_truth.copy()
-    service = build_service(truth)
-    controller = controller_for(service, truth)
+    cluster = build_cluster(truth)
+    controller = controller_for(cluster, truth)
     truth *= 2.5
-    feed(service, truth)
+    feed(cluster, controller, truth)
     controller.tick()
     for _ in range(20):
         controller.tick()
-    decisions = service.serve_all()
+    decisions = cluster.serve_all(TENANT)
     served = truth[decisions.queries, decisions.hints]
     defaults = truth[decisions.queries, 0]
     assert np.all(served <= defaults * (1.0 + 1e-9))
 
 
 def test_controller_unseen_rows_get_anchored(small_truth):
-    truth = small_truth.copy()
-    n, k = truth.shape
-    service = build_service(truth)
-    controller = controller_for(service, truth)
+    n, k = small_truth.shape
     # Ten brand-new rows appear (workload shift): no observations at all.
-    for _ in range(10):
-        service.matrix.add_query()
-    extended = np.vstack([truth, truth[:10] * 1.5])
+    truth = np.vstack([small_truth, small_truth[:10] * 1.5])
+    cluster = build_cluster(truth[:n])
+    controller = controller_for(cluster, truth)
+    cluster.add_queries(TENANT, [f"q{i}" for i in range(n, n + 10)])
     new_rows = np.arange(n, n + 10)
-    for _ in range(4):
-        decisions = service.serve_batch(
-            np.concatenate([np.arange(n), new_rows])
-        )
-        service.record_measured(
-            decisions, extended[decisions.queries, decisions.hints]
-        )
-    controller.reexplorer.oracle = RowOracle(
-        lambda q, h: extended[q, h]
-    )
+    feed(cluster, controller, truth, batches=4, queries=np.arange(n + 10))
     assert controller.tick()
     assert controller.report().unseen_responses == 1
     for row in new_rows:
-        assert service.matrix.is_observed(int(row), 0)
+        assert cluster.shards[0].matrix.is_observed(int(row), 0)
 
 
 def test_scoped_exploration_only_executes_scoped_rows(small_truth):
@@ -436,23 +426,26 @@ def test_row_mask_scoping_picks_what_the_set_did(n, k, rows, batch_size, model_f
 
 def test_controller_recovery_stays_on_backlog_rows(small_truth):
     truth = small_truth.copy()
-    service = build_service(truth)
-    controller = controller_for(service, truth)
-    truth *= 3.0
-    feed(service, truth)
-    assert controller.tick()
-    touched = set(controller.backlog.tolist()) | set(
-        controller.last_response.invalidated.tolist()
-    )
+    cluster = build_cluster(truth)
     executed = []
-    controller.reexplorer.oracle = RowOracle(
-        lambda q, h: (executed.append(q), truth[q, h])[1]
+    controller = ClusterAdaptationController(
+        cluster,
+        lambda key, hint: (executed.append(key), truth[int(key[3:]), hint])[1],
+        config=AdaptiveConfig(window=128, min_samples=32, cooldown_ticks=0),
     )
+    truth *= 3.0
+    feed(cluster, controller, truth)
+    assert controller.tick()
+    shard = shard_controller(controller)
+    touched = {f"{TENANT}/q{row}" for row in shard._backlog.tolist()} | {
+        f"{TENANT}/q{row}" for row in shard.last_response.invalidated.tolist()
+    }
+    executed.clear()
     for _ in range(30):
-        if not controller.backlog.size:
+        if not shard._backlog.size:
             break
         controller.tick()
-    assert controller.backlog.size == 0
+    assert shard._backlog.size == 0
     assert set(executed) <= touched
 
 
@@ -461,16 +454,17 @@ def test_recovery_anchors_before_exploring(small_truth):
     passes must re-measure their defaults before any exploration lands on
     them, or the snapshot would serve unverified hints unconditionally."""
     truth = small_truth.copy()
-    service = build_service(truth)
+    cluster = build_cluster(truth)
     config = AdaptiveConfig(
         window=128, min_samples=32, cooldown_ticks=0,
         response_budget_cells=12, explore_batch_size=4,
     )
-    controller = controller_for(service, truth, config=config)
+    controller = controller_for(cluster, truth, config=config)
     truth *= 3.0  # all 50 rows drift; budget 12 cannot anchor them in one go
-    feed(service, truth)
+    feed(cluster, controller, truth)
     assert controller.tick()
-    matrix = service.matrix
+    matrix = cluster.shards[0].matrix
+    shard = shard_controller(controller)
     for _ in range(60):
         # Invariant at every step: a row carrying any non-default
         # observation must have its default observed too.
@@ -484,10 +478,10 @@ def test_recovery_anchors_before_exploring(small_truth):
                     f"row {row} has non-default observations {non_default} "
                     "but no default anchor"
                 )
-        if not controller.backlog.size:
+        if not shard._backlog.size:
             break
         controller.tick()
-    assert controller.backlog.size == 0
+    assert shard._backlog.size == 0
 
 
 def test_adaptive_stats_merge_and_dict():

@@ -306,11 +306,20 @@ class TestServiceRecovery:
         assert_identical_decisions(recovered_service.serve_all(), expected)
 
     def test_measured_records_are_audit_only(self, tmp_path):
+        """Nothing writes ``measured`` records any more (drift feedback goes
+        to the cluster controller); one in an older journal is counted and
+        left out of the matrix."""
+        from repro.durability.wal import pack_flat
+
         journal = ShardJournal(str(tmp_path))
         matrix = make_matrix()
         service = ServingService(matrix, journal=journal)
         decisions = service.serve_all()
-        service.record_measured(decisions, np.ones(decisions.batch_size))
+        journal.log("measured", {
+            "q": pack_flat(decisions.queries, "<i8"),
+            "h": pack_flat(decisions.hints, "<i8"),
+            "m": pack_flat(np.ones(decisions.batch_size), "<f8"),
+        })
         expected = service.serve_all()
         journal.crash()
 

@@ -578,50 +578,6 @@ class TestServiceIngress:
         assert [r.query for r in results] == [1, 2, 3]
         assert not any(r.shed for r in results)
 
-    def test_background_tickers_fire_and_report(self):
-        ticks = []
-
-        class FakeController:
-            def tick(self):
-                ticks.append(1)
-
-        service = make_service()
-        config = IngressConfig(tick_interval_s=0.005)
-
-        async def scenario():
-            async with ServiceIngress(
-                service, config, controller=FakeController()
-            ) as ingress:
-                assert all(t.running for t in ingress.tickers)
-                await asyncio.sleep(0.03)
-                stats = ingress.stats()
-            assert not any(t.running for t in ingress.tickers)
-            return stats
-
-        stats = run(scenario())
-        assert len(ticks) >= 2
-        assert stats.background_ticks["adaptation"] >= 2
-        assert set(stats.background_ticks) == {"adaptation"}
-
-    def test_record_measured_skips_shed_and_validates_shape(self):
-        service = make_service()
-
-        async def scenario():
-            async with ServiceIngress(service) as ingress:
-                return await ingress.serve_many([0, 1, 2])
-
-        answers = run(scenario())
-        ingress = ServiceIngress(service)
-        with pytest.raises(IngressError):
-            ingress.record_measured(answers, [1.0])  # wrong shape
-        shed_only = [
-            IngressDecision(None, 0, 0, True, float("inf"), True)
-        ]
-        ingress.record_measured(shed_only, [1.0])  # no-op, no crash
-        ingress.record_measured(
-            answers, [a.expected_latency for a in answers]
-        )
-
     def test_stats_roundtrip(self):
         async def scenario():
             async with ServiceIngress(make_service()) as ingress:
@@ -999,6 +955,56 @@ class TestClusterIngress:
 
         stats = run(scenario())
         assert stats.background_ticks["refresh-scheduler"] >= 2
+
+    def test_background_tickers_fire_and_report(self):
+        ticks = []
+
+        class FakeController:
+            def tick(self):
+                ticks.append(1)
+
+        config = IngressConfig(tick_interval_s=0.005, refresh_interval_s=3600.0)
+
+        async def scenario():
+            async with ClusterIngress(
+                make_cluster(), config, controller=FakeController()
+            ) as ingress:
+                assert all(t.running for t in ingress.tickers)
+                await asyncio.sleep(0.03)
+                stats = ingress.stats()
+            assert not any(t.running for t in ingress.tickers)
+            return stats
+
+        stats = run(scenario())
+        assert len(ticks) >= 2
+        assert stats.background_ticks["adaptation"] >= 2
+        assert set(stats.background_ticks) == {"adaptation", "refresh-scheduler"}
+
+    def test_record_measured_skips_shed_and_validates_shape(self):
+        recorded = []
+
+        class FakeController:
+            def tick(self):
+                pass
+
+            def record(self, tenant, decisions, measured):
+                recorded.append((tenant, decisions.queries.tolist(), measured.tolist()))
+
+        cluster = make_cluster()
+
+        async def scenario():
+            async with ClusterIngress(cluster) as ingress:
+                return await ingress.serve_many([("acme", 0), ("globex", 1), ("acme", 2)])
+
+        answers = run(scenario())
+        ingress = ClusterIngress(cluster, controller=FakeController())
+        with pytest.raises(IngressError):
+            ingress.record_measured(answers, [1.0])  # wrong shape
+        shed_only = [IngressDecision("acme", 0, 0, True, float("inf"), True)]
+        ingress.record_measured(shed_only, [1.0])  # no-op, no crash
+        assert recorded == []
+        ingress.record_measured(answers, [1.0, 2.0, 3.0])
+        assert recorded == [("acme", [0, 2], [1.0, 3.0]), ("globex", [1], [2.0])]
 
 
 # -- serve_many checks its payloads like serve does ---------------------------------

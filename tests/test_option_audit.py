@@ -30,7 +30,7 @@ CALLER_ROOTS = (REPO / "src", REPO / "benchmarks", REPO / "examples")
 #: Constructor -> module that defines it.
 CONSTRUCTORS = {
     "ScenarioRunner": "scenarios/runner.py",
-    "AdaptationController": "adaptive/controller.py",
+    "ClusterAdaptationController": "adaptive/cluster.py",
     "ServingService": "serving/service.py",
     "ServingCluster": "cluster/cluster.py",
     "ALSPredictor": "core/predictors.py",
