@@ -44,7 +44,6 @@ from repro.durability import (
     FaultFS,
     FaultInjector,
     ShardJournal,
-    matrix_to_jsonable,
     recover_journal,
 )
 from repro.scenarios import (
@@ -226,7 +225,7 @@ def checkpoint_bounds_journal():
             h = rng.integers(0, N_HINTS, size=8)
             service.observe_batch(q, h, rng.uniform(0.5, 20.0, size=8))
             if (tick + 1) % 100 == 0:
-                journal.checkpoint(matrix_to_jsonable(matrix.to_dict()))
+                journal.checkpoint(matrix.to_dict())
             max_bytes = max(max_bytes, journal.on_disk_bytes())
         appended = journal.appended_bytes
         journal.crash()

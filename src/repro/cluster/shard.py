@@ -26,7 +26,6 @@ from ..config import ALSConfig
 from ..core.workload_matrix import WorkloadMatrix
 from ..durability.journal import ShardJournal
 from ..durability.recovery import RecoveredState, recover_journal
-from ..durability.snapshot import matrix_to_jsonable
 from ..errors import ClusterError, CompletionError
 from ..serving.batch_cache import BatchDecisions
 from ..serving.refresh import IncrementalALSRefresher
@@ -272,9 +271,7 @@ class ClusterShard:
             raise ClusterError(f"shard {self.shard_id} has no journal to checkpoint")
         if self.crashed:
             raise ClusterError(f"shard {self.shard_id} has crashed")
-        state = None
-        if self.matrix is not None:
-            state = matrix_to_jsonable(self.matrix.to_dict())
+        state = None if self.matrix is None else self.matrix.to_dict()
         return self.journal.checkpoint(state)
 
     def close(self) -> None:

@@ -236,12 +236,38 @@ class WorkloadMatrix:
             # A completed observation is strictly more informative; keep it.
             return
         if self.journal is not None:
-            self.journal.log_censor(query, hint, lower_bound)
+            self.journal.log_censor([query], [hint], [lower_bound])
         # Keep only the tightest (largest) lower bound seen so far.
         self._timeouts[query, hint] = max(self._timeouts[query, hint], float(lower_bound))
         self._censored[query, hint] = True
         self._values[query, hint] = self._timeouts[query, hint]
         self._stamp(query)
+
+    def observe_censored_batch(self, queries, hints, lower_bounds) -> None:
+        """Record many timed-out executions at once (vectorised
+        :meth:`observe_censored`): completed cells are skipped, and a cell
+        named more than once keeps its largest bound."""
+        queries = checked_ids("query", queries, self.n_queries, MatrixError)
+        hints = checked_ids("hint", hints, self.n_hints, MatrixError)
+        bounds = np.asarray(lower_bounds, dtype=float)
+        if not (queries.shape == hints.shape == bounds.shape):
+            raise MatrixError(
+                "observe_censored_batch needs three 1-D arrays of equal length, got "
+                f"{queries.shape}, {hints.shape}, {bounds.shape}"
+            )
+        if not np.all(np.isfinite(bounds)) or np.any(bounds <= 0):
+            raise MatrixError("censored lower bounds must be finite and > 0")
+        fresh = ~self._observed[queries, hints]
+        if not fresh.all():
+            queries, hints, bounds = queries[fresh], hints[fresh], bounds[fresh]
+        if queries.size == 0:
+            return
+        if self.journal is not None:
+            self.journal.log_censor(queries, hints, bounds)
+        np.maximum.at(self._timeouts, (queries, hints), bounds)
+        self._censored[queries, hints] = True
+        self._values[queries, hints] = self._timeouts[queries, hints]
+        self._stamp(queries)
 
     # -- state queries ------------------------------------------------------
     def is_observed(self, query: int, hint: int) -> bool:

@@ -24,12 +24,10 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from ..telemetry.runtime import JournalMetrics, Telemetry
 from .faults import FaultFS
-from .snapshot import load_snapshot, matrix_to_jsonable, write_snapshot
-from .wal import WalRecord, WriteAheadLog, pack_flat
+from .snapshot import load_snapshot, write_snapshot
+from .wal import WalRecord, WriteAheadLog
 
 
 class ShardJournal:
@@ -48,18 +46,12 @@ class ShardJournal:
         :class:`~repro.durability.wal.WriteAheadLog`.
     """
 
-    def __init__(
-        self,
-        directory: str,
-        fs: Optional[FaultFS] = None,
-        sync: str = "os",
-    ) -> None:
+    def __init__(self, directory: str, fs: Optional[FaultFS] = None, sync: str = "os") -> None:
         self.directory = directory
         self.fs = fs if fs is not None else FaultFS()
         os.makedirs(directory, exist_ok=True)
-        self.recovered_snapshot: Optional[Tuple[Dict[str, Any], int]] = load_snapshot(
-            directory
-        )
+        self.recovered_snapshot: Optional[Tuple[Dict[str, Any], int]]
+        self.recovered_snapshot = load_snapshot(directory)
         self.wal = WriteAheadLog(directory, fs=self.fs, sync=sync)
         self._recovered_records: Optional[List[WalRecord]] = self.wal.open(repair=True)
         self._last_backlog: List[int] = []
@@ -118,19 +110,13 @@ class ShardJournal:
         return lsn
 
     # -- typed logging (the hooks the stack calls) ----------------------------------
-    def _log_cells(self, kind: str, queries, hints, key: str, values) -> int:
-        data = {"q": pack_flat(queries, "<i8"), "h": pack_flat(hints, "<i8")}
-        data[key] = pack_flat(values, "<f8")
-        return self.log(kind, data)
-
     def log_observe(self, queries, hints, latencies) -> int:
         """One batch of completed executions (also used for single cells)."""
-        return self._log_cells("observe", queries, hints, "v", latencies)
+        return self.log("observe", {"q": queries, "h": hints, "v": latencies})
 
-    def log_censor(self, query: int, hint: int, lower_bound: float) -> int:
-        return self.log(
-            "censor", {"q": int(query), "h": int(hint), "lb": float(lower_bound)}
-        )
+    def log_censor(self, queries, hints, lower_bounds) -> int:
+        """One batch of timed-out executions (also used for single cells)."""
+        return self.log("censor", {"q": queries, "h": hints, "lb": lower_bounds})
 
     def log_invalidate(self, rows: Optional[Iterable[int]]) -> int:
         payload = None if rows is None else [int(r) for r in rows]
@@ -141,7 +127,7 @@ class ShardJournal:
 
     def log_import(self, payload: Dict[str, Any]) -> int:
         """Row migration in; ``payload`` is ``export_rows`` / ``to_dict`` state."""
-        return self.log("import", matrix_to_jsonable(payload))
+        return self.log("import", payload)
 
     def log_remove(self, rows: Iterable[int]) -> int:
         return self.log("remove", {"rows": [int(r) for r in rows]})
@@ -161,8 +147,8 @@ class ShardJournal:
     def checkpoint(self, matrix_state: Optional[Dict[str, Any]]) -> int:
         """Snapshot current state, rotate the WAL, truncate old segments.
 
-        ``matrix_state`` is the jsonable matrix payload (or ``None`` for a
-        retired shard); the cached adaptation backlog rides along.  The
+        ``matrix_state`` is the matrix's ``to_dict()`` payload (or ``None``
+        for a retired shard); the cached adaptation backlog rides along.  The
         snapshot covers every record appended so far, so all closed
         segments become garbage and are unlinked.  Returns the covered LSN.
         """

@@ -8,7 +8,8 @@ The sequence is exactly the classic one:
    this in its constructor);
 2. rebuild the matrix from the snapshot (or from nothing);
 3. replay every WAL record with ``lsn > snapshot.lsn`` in order, skipping
-   the ones the snapshot already covers;
+   the ones the snapshot already covers; a run of consecutive ``observe``
+   records is applied as one ``observe_batch`` of each cell's last write;
 4. resume appending at ``last_lsn + 1`` on the same journal.
 
 Replay invariants:
@@ -26,13 +27,14 @@ Replay invariants:
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import List, Optional
 
 import numpy as np
 
-from ..core.workload_matrix import WorkloadMatrix
+from ..core.workload_matrix import WorkloadMatrix, checked_ids
 from ..errors import DurabilityError, MatrixError, ReproError, WalCorruption
 from .faults import FaultFS
 from .journal import ShardJournal
@@ -54,40 +56,75 @@ class RecoveredState:
     elapsed_s: float = field(default=0.0)
 
 
-def _apply_record(
-    matrix: Optional[WorkloadMatrix], record: WalRecord
+def _observe_cells(record: WalRecord) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
+    """``q``, ``h`` and latencies of an ``observe`` record, in any form."""
+    data = record.data
+    if isinstance(data.get("v"), np.ndarray):  # a cell record: its layout was checked
+        return data["q"], data["h"], data["v"]
+    q, h, v = (
+        unpack_array(data.get(key), dtype)
+        for key, dtype in (("q", "<i8"), ("h", "<i8"), ("v", "<f8"))
+    )
+    if not q.ndim == 1 or not q.shape == h.shape == v.shape:
+        raise WalCorruption(f"record {record.lsn} (observe) has unequal arrays")
+    return q, h, v
+
+
+def _observe_run(matrix: WorkloadMatrix, run: List[WalRecord]) -> None:
+    """Apply consecutive ``observe`` records as one ``observe_batch``: every
+    cell is checked as its own record would have been, then only each cell's
+    last write is applied -- the state the records leave one after another."""
+    q, h, v = (np.concatenate(column) for column in zip(*map(_observe_cells, run)))
+    n_queries, n_hints = matrix.shape
+    q = checked_ids("query", q, n_queries, MatrixError)
+    h = checked_ids("hint", h, n_hints, MatrixError)
+    if not np.isfinite(v).all() or (v < 0).any():
+        raise MatrixError("observe: latencies must be finite and >= 0")
+    cells, position = q * n_hints + h, np.arange(q.size)
+    last = np.full(n_queries * n_hints, -1)
+    np.maximum.at(last, cells, position)
+    keep = last[cells] == position  # each cell's last write, in log order
+    matrix.observe_batch(q[keep], h[keep], v[keep])
+
+
+def _replay(
+    matrix: Optional[WorkloadMatrix], batch: List[WalRecord]
 ) -> Optional[WorkloadMatrix]:
-    """Apply one WAL record to the matrix being rebuilt (may create it)."""
+    """Apply one record, or a run of ``observe`` records, to the matrix being
+    rebuilt (may create it); one that fails to apply is corruption."""
+    record = batch[0]
     kind, data = record.kind, record.data
-    if kind == "import":
-        payload = matrix_from_jsonable(data)
-        if matrix is None:
-            return WorkloadMatrix.from_dict(payload)
-        matrix.import_rows(payload)
-        return matrix
-    if kind == "retire":
-        return None
-    if matrix is None:
-        raise WalCorruption(
-            f"record {record.lsn} ({kind}) targets a matrix that does not exist yet"
-        )
-    if kind == "observe":
-        matrix.observe_batch(
-            unpack_array(data["q"], "<i8"),
-            unpack_array(data["h"], "<i8"),
-            unpack_array(data["v"], "<f8"),
-        )
-    elif kind == "censor":
-        matrix.observe_censored(data["q"], data["h"], data["lb"])
-    elif kind == "invalidate":
-        rows = data.get("rows")
-        matrix.invalidate(None if rows is None else rows)
-    elif kind == "add_query":
-        matrix.add_query(data.get("name"))
-    elif kind == "remove":
-        matrix.remove_queries(data["rows"])
-    else:  # pragma: no cover - RECORD_KINDS is closed; guards future kinds
-        raise WalCorruption(f"record {record.lsn} has unreplayable kind {kind!r}")
+    where = f"record {record.lsn}" + (f"-{batch[-1].lsn}" if len(batch) > 1 else "")
+    if matrix is None and kind not in ("import", "retire"):
+        raise WalCorruption(f"{where} ({kind}) targets a matrix that does not exist yet")
+    try:
+        if kind == "import":
+            payload = matrix_from_jsonable(data)
+            if matrix is None:
+                return WorkloadMatrix.from_dict(payload)
+            matrix.import_rows(payload)
+        elif kind == "retire":
+            return None
+        elif kind == "observe":
+            _observe_run(matrix, batch)
+        elif kind == "censor":
+            if isinstance(data["q"], np.ndarray):
+                matrix.observe_censored_batch(data["q"], data["h"], data["lb"])
+            else:  # schema 1 and 2 wrote one cell per record, as scalars
+                matrix.observe_censored(data["q"], data["h"], data["lb"])
+        elif kind == "invalidate":
+            rows = data.get("rows")
+            matrix.invalidate(None if rows is None else rows)
+        elif kind == "add_query":
+            matrix.add_query(data.get("name"))
+        elif kind == "remove":
+            matrix.remove_queries(data["rows"])
+        else:  # pragma: no cover - RECORD_KINDS is closed; guards future kinds
+            raise WalCorruption(f"{where} has unreplayable kind {kind!r}")
+    except ReproError as exc:
+        if isinstance(exc, WalCorruption):
+            raise
+        raise WalCorruption(f"{where} ({kind}) failed to replay: {exc}") from exc
     return matrix
 
 
@@ -120,9 +157,6 @@ def recover_journal(
                     f"snapshot at LSN {snapshot_lsn} does not hold a matrix: {exc}"
                 ) from exc
         backlog = [int(r) for r in state.get("backlog", [])]
-    replayed = 0
-    skipped = 0
-    measured = 0
     records = journal.take_recovered_records()
     if records and records[0].lsn > snapshot_lsn + 1:
         # The WAL alone cannot condemn a log whose first segment starts
@@ -134,35 +168,25 @@ def recover_journal(
             f"history gap: snapshot covers LSN {snapshot_lsn} but the "
             f"first surviving WAL record is {records[0].lsn}"
         )
-    for record in records:
-        if record.lsn <= snapshot_lsn:
-            skipped += 1
-            continue
-        if record.kind == "measured":
-            measured += 1
-            replayed += 1
-            continue
-        if record.kind == "adapt":
-            backlog = [int(r) for r in record.data.get("rows", [])]
-            replayed += 1
-            continue
-        try:
-            matrix = _apply_record(matrix, record)
-        except WalCorruption:
-            raise
-        except ReproError as exc:
-            raise WalCorruption(
-                f"record {record.lsn} ({record.kind}) failed to replay: {exc}"
-            ) from exc
-        replayed += 1
+    live = [record for record in records if record.lsn > snapshot_lsn]
+    measured = 0
+    # A run of consecutive observe records is one batch; any other record, its own.
+    for observes, group in itertools.groupby(live, key=lambda r: r.kind == "observe"):
+        for batch in [list(group)] if observes else [[record] for record in group]:
+            if batch[0].kind == "measured":
+                measured += 1
+            elif batch[0].kind == "adapt":
+                backlog = [int(r) for r in batch[0].data.get("rows", [])]
+            else:
+                matrix = _replay(matrix, batch)
     journal.note_backlog(backlog)
     state = RecoveredState(
         matrix=matrix,
         backlog=np.asarray(backlog, dtype=np.int64),
         snapshot_lsn=snapshot_lsn,
         next_lsn=journal.next_lsn,
-        replayed_records=replayed,
-        skipped_records=skipped,
+        replayed_records=len(live),
+        skipped_records=len(records) - len(live),
         measured_records=measured,
         elapsed_s=clock() - started,
     )

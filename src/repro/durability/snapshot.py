@@ -20,9 +20,10 @@ next checkpoint.  The snapshot file reuses the WAL's length+CRC framing;
 since it is installed atomically, a framing failure here is always real
 corruption and raises :class:`~repro.errors.WalCorruption`.
 
-The four matrix arrays go through the WAL's array codec
-(:func:`~repro.durability.wal.pack_array`) -- ``schema`` 2.  Schema 1
-wrote them as nested lists; readers still accept it, writers never emit it.
+The envelope is ``schema`` 2; its four matrix arrays follow the JSON header
+as raw bytes (the WAL's arrays frame).  Older snapshots kept them inside the
+JSON, as nested lists (schema 1) or base64 (schema 2); readers still accept
+both, writers emit neither.
 """
 
 from __future__ import annotations
@@ -30,41 +31,22 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, Optional, Tuple
 
-import numpy as np
-
 from ..errors import WalCorruption
 from .faults import FaultFS
-from .wal import frame, pack_array, unframe, unpack_array
+from .wal import ARRAY_FIELDS, frame, split_arrays, unframe, unpack_array
 
 SNAPSHOT_NAME = "snapshot.bin"
 SNAPSHOT_TMP = "snapshot.tmp"
 SCHEMAS = (1, 2)  # readable; writers emit the last
 
-#: The arrays of a matrix payload and the one dtype each may carry on disk.
-MATRIX_ARRAYS = {"values": "<f8", "observed": "|b1", "censored": "|b1", "timeouts": "<f8"}
-
-
-# -- matrix state <-> JSON-able ---------------------------------------------------------
-def matrix_to_jsonable(payload: Dict[str, Any]) -> Dict[str, Any]:
-    """Convert a ``WorkloadMatrix.to_dict()`` / ``export_rows`` payload to
-    pure JSON types: arrays packed bit-exactly, the rest (names) as it is.
-    Already converted payloads pass through unchanged."""
-    return {
-        key: pack_array(value, MATRIX_ARRAYS[key]) if isinstance(value, np.ndarray) else value
-        for key, value in payload.items()
-    }
-
 
 def matrix_from_jsonable(obj: Dict[str, Any]) -> Dict[str, Any]:
-    """Inverse of :func:`matrix_to_jsonable` (numpy arrays restored).
-
-    Raises :class:`~repro.errors.WalCorruption` for an array that does not
-    decode; that the four are 2-D and of one shape is
-    :meth:`WorkloadMatrix.from_dict` / ``import_rows``'s check, where the
-    payload goes next.
-    """
+    """A matrix payload from disk with its four arrays decoded from any form
+    (:func:`~repro.durability.wal.unpack_array`; one that does not decode is
+    :class:`~repro.errors.WalCorruption`).  That they agree on a 2-D shape is
+    the check of ``WorkloadMatrix.from_dict`` / ``import_rows``, next."""
     out = dict(obj)
-    for key, dtype in MATRIX_ARRAYS.items():
+    for key, dtype in ARRAY_FIELDS.items():
         out[key] = unpack_array(obj.get(key), dtype)  # a missing one decodes 0-d
     return out
 
@@ -76,9 +58,14 @@ def write_snapshot(
     lsn: int,
     fs: Optional[FaultFS] = None,
 ) -> str:
-    """Atomically install ``state`` as the shard snapshot covering ``lsn``."""
+    """Atomically install ``state`` as the shard snapshot covering ``lsn``;
+    the numpy arrays of ``state["matrix"]`` are written raw."""
     fs = fs if fs is not None else FaultFS()
-    framed = frame({"lsn": int(lsn), "schema": SCHEMAS[-1], "state": state})
+    matrix, arrays = state.get("matrix"), {}
+    if matrix is not None:
+        matrix, arrays = split_arrays(matrix)
+    envelope = {"lsn": int(lsn), "schema": SCHEMAS[-1], "state": {**state, "matrix": matrix}}
+    framed = frame(envelope, arrays)
     tmp = os.path.join(directory, SNAPSHOT_TMP)
     final = os.path.join(directory, SNAPSHOT_NAME)
     handle = open(tmp, "wb", buffering=0)
@@ -106,11 +93,15 @@ def load_snapshot(directory: str) -> Optional[Tuple[Dict[str, Any], int]]:
     decoded = unframe(data, 0, f"snapshot {path}")
     if decoded is None:
         raise WalCorruption(f"snapshot {path} truncated ({len(data)} bytes)")
-    obj, _ = decoded
+    obj, arrays, _ = decoded
+    state = obj.get("state")
     if (
         not isinstance(obj.get("lsn"), int)
-        or not isinstance(obj.get("state"), dict)
+        or not isinstance(state, dict)
         or obj.get("schema") not in SCHEMAS
+        or (arrays and not isinstance(state.get("matrix"), dict))
     ):
         raise WalCorruption(f"snapshot {path} has a malformed envelope")
-    return obj["state"], obj["lsn"]
+    if arrays:
+        state["matrix"] = {**state["matrix"], **arrays}
+    return state, obj["lsn"]

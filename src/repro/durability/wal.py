@@ -1,47 +1,43 @@
 """Append-only per-shard write-ahead log.
 
-Record framing (little-endian)::
+Each record is ``length: u32 | crc32: u32 | payload`` (little-endian), and
+the payload's first byte names its form:
 
-    +----------------+----------------+----------------------+
-    | length: u32    | crc32: u32     | payload (JSON bytes) |
-    +----------------+----------------+----------------------+
+* ``0x01`` **cells** (``observe``, ``censor``), a fixed layout with no JSON:
+  ``lsn: u64 | kind: u8 | count: u32`` then ``count`` ``<i8`` query ids,
+  ``count`` ``<i8`` hint ids and ``count`` ``<f8`` values (kind 0 latencies,
+  kind 1 lower bounds);
+* ``0x02`` **arrays** (``import``, and the snapshot body):
+  ``header length: u32 | header | raw bytes``.  The header is the record (or
+  snapshot envelope) as sorted-key JSON without its arrays, plus
+  ``"arrays": [[field, dtype, shape], ...]`` naming them in the order their
+  bytes follow; each field may carry one dtype (:data:`ARRAY_FIELDS`);
+* ``{`` **JSON**, ``{"data": {...}, "kind": k, "lsn": n}``: records without
+  arrays, and every record older journals wrote -- arrays as nested lists
+  (schema 1) or base64 (schema 2), which :func:`unpack_array` still reads.
 
-The payload is compact sorted-key JSON ``{"data": {...}, "kind": k,
-"lsn": n}``.  Scalar floats use JSON's ``repr``-based encoding; arrays
-go through the one array codec, :func:`pack_array` /
-:func:`unpack_array` -- dtype + shape + base64 of the raw little-endian
-bytes (1-D ``observe``/``measured`` batches keep the bare string of
-:func:`pack_flat`).  Both round-trip IEEE-754 doubles exactly, which is
-what makes *byte-identical* replay possible: a latency observed before a
-crash deserializes to the very same double after recovery, so the plan
-cache reaches the very same decisions.
+Raw bytes round-trip IEEE-754 doubles exactly: that is what makes
+*byte-identical* replay possible.
 
 LSNs are assigned by the log, start at 1, and are strictly contiguous
-across the whole journal.  The log is split into segment files named
-``wal-<first_lsn>.log`` so a checkpoint can drop history by unlinking
-whole segments (:meth:`WriteAheadLog.truncate_through`) instead of
-rewriting files.
+across the whole journal.  Segment files are named ``wal-<first_lsn>.log``
+so a checkpoint drops history by unlinking whole segments
+(:meth:`WriteAheadLog.truncate_through`) instead of rewriting files.
 
-Torn-tail rule (the crash contract):
-
-* a record whose framing runs past end-of-file is a **torn tail** -- the
-  normal leftover of a crash mid-append.  It is discarded on open (and
-  the file is physically truncated back to the last complete record) and
-  is *not* an error;
-* a complete record whose CRC or JSON fails, or an LSN that is not
-  exactly ``previous + 1``, **is** an error and raises
-  :class:`~repro.errors.WalCorruption`.
-
-Because appends only ever grow a segment, truncating a healthy log at an
-arbitrary byte offset can only produce the torn-tail case -- never a CRC
-mismatch -- so recovery from truncation always lands on a valid prefix
-state.  That property is enforced by a hypothesis test.
+Torn-tail rule (the crash contract): a record whose framing runs past
+end-of-file is a **torn tail**, the normal leftover of a crash mid-append --
+discarded on open (the file is truncated back to the last complete record),
+not an error.  A complete record whose CRC or payload fails, or an LSN that
+is not exactly ``previous + 1``, raises :class:`~repro.errors.WalCorruption`.
+Appends only ever grow a segment, so truncating a healthy log at any byte
+offset lands on a valid prefix state (a hypothesis test holds this).
 """
 
 from __future__ import annotations
 
 import base64
 import json
+import math
 import os
 import re
 import struct
@@ -55,20 +51,30 @@ from ..errors import DurabilityError, WalCorruption
 from .faults import FaultFS
 
 _HEADER = struct.Struct("<II")
+_CELLS = struct.Struct("<BQBI")  # marker, lsn, kind code, count
+_ARRAYS = struct.Struct("<BI")  # marker, header length
+CELLS, ARRAYS, JSON = 0x01, 0x02, ord("{")
 _SEGMENT_RE = re.compile(r"^wal-(\d{20})\.log$")
 
 #: Records the journal understands; recovery rejects anything else.
 RECORD_KINDS = (
-    "observe",     # batched observe: {"q": b64 i64, "h": b64 i64, "v": b64 f64}
-    "censor",      # censored observation: {"q": i, "h": j, "lb": x}
+    "observe",     # completed cells: q, h, v (latencies)
+    "censor",      # timed-out cells: q, h, lb (lower bounds)
     "invalidate",  # {"rows": [...] | None}  (None = whole matrix)
     "add_query",   # {"name": str}
-    "import",      # row migration in: matrix rows, arrays via pack_array
+    "import",      # row migration in: the matrix arrays + query names
     "remove",      # row migration out: {"rows": [...]}
     "retire",      # shard gave away its last row: {}
     "measured",    # executed-decision audit, no longer written: {"q", "h", "m"}
     "adapt",       # adaptation-response backlog: {"rows": [...]}
 )
+
+#: The cell kinds by code, and the field each keeps its values in.
+CELL_KINDS = ("observe", "censor")
+CELL_VALUES = {"observe": "v", "censor": "lb"}
+
+#: The arrays of a matrix payload and the one dtype each may carry on disk.
+ARRAY_FIELDS = {"values": "<f8", "observed": "|b1", "censored": "|b1", "timeouts": "<f8"}
 
 
 @dataclass(frozen=True)
@@ -85,30 +91,12 @@ def _segment_name(first_lsn: int) -> str:
     return f"wal-{first_lsn:020d}.log"
 
 
-def pack_flat(values, dtype: str) -> str:
-    """Base64 of ``values``' raw little-endian bytes as ``dtype``: bit-exact
-    (``inf``, ``-0.0``, subnormals).  The bare form of the 1-D ``observe``
-    batches, whose shape is their length."""
-    array = np.asarray(values, dtype=dtype, order="C")
-    return base64.b64encode(array.tobytes()).decode("ascii")
-
-
-def pack_array(values: np.ndarray, dtype: str) -> Dict[str, Any]:
-    """An n-d array as ``{"dtype", "shape", "data"}``: ~8x cheaper than
-    ``tolist()`` + float-``repr`` JSON, and smaller."""
-    return {"dtype": dtype, "shape": list(values.shape), "data": pack_flat(values, dtype)}
-
-
 def unpack_array(packed, dtype: str) -> np.ndarray:
-    """Decode any array form the journal has ever written, as ``dtype``:
-    a :func:`pack_array` dict, a bare :func:`pack_flat` string, or (nested)
-    lists -- the schema-1 form, also handy for crafted records.
-
-    Disk input is outside input.  Each field may claim one dtype (``<f8``
-    values, ``|b1`` flags, ``<i8`` indices; the caller names it): any
-    other, a malformed shape, or a byte count that does not fit the shape
-    raise :class:`~repro.errors.WalCorruption`.
-    """
+    """An array of a JSON payload as ``dtype``: a ``{"dtype", "shape",
+    "data"}`` dict or bare base64 (schema 2), (nested) lists (schema 1), or
+    an array a raw frame already decoded.  Another dtype than the caller's, a
+    malformed shape, or bytes that do not fit it raise
+    :class:`~repro.errors.WalCorruption`: disk input is outside input."""
     try:
         if isinstance(packed, str):
             return np.frombuffer(base64.b64decode(packed), dtype=dtype)
@@ -128,24 +116,97 @@ def unpack_array(packed, dtype: str) -> np.ndarray:
         raise WalCorruption(f"undecodable {dtype} array: {exc}") from exc
 
 
-def frame(obj: Dict[str, Any]) -> bytes:
-    """``obj`` as compact sorted-key JSON behind the length+CRC header
-    (WAL records and the snapshot file share this frame)."""
-    body = json.dumps(obj, separators=(",", ":"), sort_keys=True).encode("utf-8")
+def split_arrays(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+    """``payload`` as (everything else, its numpy arrays)."""
+    arrays = {key: value for key, value in payload.items() if isinstance(value, np.ndarray)}
+    return {key: value for key, value in payload.items() if key not in arrays}, arrays
+
+
+def _seal(body: bytes) -> bytes:
     return _HEADER.pack(len(body), zlib.crc32(body)) + body
 
 
+def _json(obj: Dict[str, Any]) -> bytes:
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True).encode("utf-8")
+
+
+def frame(obj: Dict[str, Any], arrays: Optional[Dict[str, np.ndarray]] = None) -> bytes:
+    """``obj`` behind the length+CRC header (WAL records and the snapshot
+    file share this frame): as JSON, or, with ``arrays`` (matrix fields), as
+    a JSON header naming them followed by their raw bytes."""
+    if not arrays:
+        return _seal(_json(obj))
+    raws = [np.asarray(v, dtype=ARRAY_FIELDS[f], order="C") for f, v in arrays.items()]
+    layout = [[f, ARRAY_FIELDS[f], list(v.shape)] for f, v in zip(arrays, raws)]
+    header = _json({**obj, "arrays": layout})
+    return _seal(b"".join([_ARRAYS.pack(ARRAYS, len(header)), header, *raws]))
+
+
 def encode_record(lsn: int, kind: str, data: Dict[str, Any]) -> bytes:
-    """Frame one record (exposed for tests that craft WAL bytes)."""
-    return frame({"data": data, "kind": kind, "lsn": int(lsn)})
+    """Frame one record: ``observe`` / ``censor`` in the fixed cell layout,
+    a payload holding numpy arrays with them raw, anything else as JSON.
+    (Exposed for tests that craft WAL bytes.)"""
+    if kind in CELL_KINDS:
+        q, h, values = (
+            np.ascontiguousarray(data[key], dtype=dtype)
+            for key, dtype in (("q", "<i8"), ("h", "<i8"), (CELL_VALUES[kind], "<f8"))
+        )
+        if not q.ndim == 1 or not q.shape == h.shape == values.shape:
+            raise DurabilityError(f"{kind} record needs three 1-D arrays of one length")
+        return _seal(
+            b"".join((_CELLS.pack(CELLS, lsn, CELL_KINDS.index(kind), q.size), q, h, values))
+        )
+    rest, arrays = split_arrays(data)
+    return frame({"data": rest, "kind": kind, "lsn": int(lsn)}, arrays)
 
 
-def unframe(data: bytes, offset: int, where: str) -> Optional[Tuple[Dict[str, Any], int]]:
-    """Decode the frame at ``offset``: ``(object, end offset)``.
+def _decode_cells(view: memoryview) -> Dict[str, Any]:
+    _, lsn, code, count = _CELLS.unpack_from(view)
+    if code >= len(CELL_KINDS):
+        raise ValueError(f"unknown cell kind code {code}")
+    if len(view) != _CELLS.size + 24 * count:
+        raise ValueError(f"count {count} disagrees with {len(view)} payload bytes")
+    kind = CELL_KINDS[code]
+    q, h, values = np.frombuffer(view, "<i8", 3 * count, _CELLS.size).reshape(3, count)
+    data = {"q": q, "h": h, CELL_VALUES[kind]: values.view("<f8")}
+    return {"data": data, "kind": kind, "lsn": lsn}
 
-    ``None`` when the frame runs past the end of ``data`` (torn); a
-    complete frame whose CRC or JSON fails raises
-    :class:`~repro.errors.WalCorruption` naming ``where``.
+
+def _decode_arrays(view: memoryview) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
+    _, header_size = _ARRAYS.unpack_from(view)
+    offset = _ARRAYS.size + header_size
+    obj = json.loads(bytes(view[_ARRAYS.size:offset]))
+    layout = obj.pop("arrays", None) if isinstance(obj, dict) else None
+    if not isinstance(layout, list):
+        raise ValueError("array header names no arrays")
+    arrays: Dict[str, np.ndarray] = {}
+    for entry in layout:
+        field, dtype, shape = entry if isinstance(entry, list) and len(entry) == 3 else (0,) * 3
+        if (
+            ARRAY_FIELDS.get(field) != dtype
+            or field in arrays
+            or not isinstance(shape, list)
+            or not all(type(d) is int and d >= 0 for d in shape)
+        ):
+            raise ValueError(f"bad array entry {entry!r}")
+        count = math.prod(shape)
+        end = offset + count * np.dtype(dtype).itemsize
+        if end > len(view):
+            raise ValueError(f"array {field!r} runs past the frame")
+        arrays[field] = np.frombuffer(view, dtype, count, offset).reshape(shape)
+        offset = end
+    if offset != len(view):
+        raise ValueError(f"arrays end at {offset} of {len(view)} payload bytes")
+    return obj, arrays
+
+
+def unframe(
+    data: bytes, offset: int, where: str
+) -> Optional[Tuple[Dict[str, Any], Dict[str, np.ndarray], int]]:
+    """Decode the frame at ``offset``: ``(object, raw arrays, end offset)``
+    (a cell record's arrays are in its ``data``).  ``None`` when the frame
+    runs past the end of ``data`` (torn); a complete frame whose CRC or
+    payload fails raises :class:`~repro.errors.WalCorruption` naming ``where``.
     """
     start = offset + _HEADER.size
     if start > len(data):
@@ -154,16 +215,25 @@ def unframe(data: bytes, offset: int, where: str) -> Optional[Tuple[Dict[str, An
     end = start + length
     if end > len(data):
         return None
-    payload = data[start:end]
-    if zlib.crc32(payload) != crc:
+    view = memoryview(data)[start:end]
+    if zlib.crc32(view) != crc:
         raise WalCorruption(f"CRC mismatch in {where} at byte {offset}")
+    arrays: Dict[str, np.ndarray] = {}
     try:
-        obj = json.loads(payload.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError) as exc:
+        marker = view[0] if length else None
+        if marker == CELLS:
+            obj = _decode_cells(view)
+        elif marker == ARRAYS:
+            obj, arrays = _decode_arrays(view)
+        elif marker == JSON:
+            obj = json.loads(bytes(view))
+        else:
+            raise ValueError(f"unknown payload marker {marker!r}")
+    except (TypeError, ValueError, struct.error) as exc:
         raise WalCorruption(f"unreadable frame in {where} at byte {offset}: {exc}") from exc
     if not isinstance(obj, dict):
         raise WalCorruption(f"malformed frame in {where} at byte {offset}")
-    return obj, end
+    return obj, arrays, end
 
 
 def _read_segment(path: str) -> Tuple[List[WalRecord], int, bool]:
@@ -177,16 +247,15 @@ def _read_segment(path: str) -> Tuple[List[WalRecord], int, bool]:
         decoded = unframe(data, offset, name)
         if decoded is None:
             return records, offset, True
-        obj, end = decoded
+        obj, arrays, end = decoded
         if (
             not isinstance(obj.get("lsn"), int)
             or obj.get("kind") not in RECORD_KINDS
             or not isinstance(obj.get("data"), dict)
         ):
             raise WalCorruption(f"malformed record in {name} at byte {offset}")
-        records.append(
-            WalRecord(lsn=obj["lsn"], kind=obj["kind"], data=obj["data"], size=end - offset)
-        )
+        payload = {**obj["data"], **arrays}
+        records.append(WalRecord(obj["lsn"], obj["kind"], payload, end - offset))
         offset = end
     return records, offset, False
 
@@ -267,13 +336,10 @@ class WriteAheadLog:
         if records:
             self.next_lsn = records[-1].lsn + 1
         elif names:
-            # No record survived but segments exist -- the normal leftover
-            # of a checkpoint (rotate + truncate keeps one empty segment)
-            # followed by a crash or clean reopen.  Resume at the LSN the
-            # last segment's name promises: restarting at 1 would append
-            # pre-snapshot LSNs into a later-named segment, failing the
-            # name/LSN consistency check on the *next* open and silently
-            # skipping those records during snapshot replay.
+            # No record survived a checkpoint's rotate + truncate: resume at
+            # the LSN the last segment's name promises.  Restarting at 1 would
+            # put pre-snapshot LSNs in a later-named segment, which the next
+            # open refuses and snapshot replay would skip.
             self.next_lsn = names[-1][0]
         else:
             self.next_lsn = 1

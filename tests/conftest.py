@@ -11,6 +11,17 @@ from repro.workloads.generator import build_database_workload
 from repro.workloads.matrices import generate_workload
 from repro.workloads.spec import CEB_SPEC, JOB_SPEC, WorkloadSpec
 
+try:
+    from hypothesis import settings
+except ImportError:  # CI's example-smoke job installs numpy and pytest only
+    pass
+else:
+    #: A deeper search for the stateful machines, for CI's ``chaos`` job:
+    #: ``pytest tests/test_journal_machine.py --hypothesis-profile=chaos``.
+    settings.register_profile(
+        "chaos", max_examples=300, stateful_step_count=60, deadline=None
+    )
+
 
 @pytest.fixture(scope="session")
 def tiny_spec() -> WorkloadSpec:

@@ -1,15 +1,18 @@
-"""The journal's one array codec, and the schema-1 form it still reads.
+"""The journal's raw frames, and the older forms its readers still accept.
 
-* ``pack_array`` / ``unpack_array`` round-trip any float64 / bool / int64
+* the arrays frame (``import`` records, the snapshot body) and the cell
+  layout (``observe`` / ``censor``) round-trip every float64 / bool / int64
   array bit for bit -- ``inf``, ``-0.0``, subnormals, ``nan`` payloads,
-  empty and 0-d shapes -- through the JSON frame;
-* disk input is outside input: a wrong dtype, a malformed shape, a byte
-  count that does not fit, or matrix arrays that disagree on shape raise
-  :class:`~repro.errors.WalCorruption`, never a bare numpy error;
-* a journal written by the last schema-1 commit (committed under
-  ``tests/data/journal_schema1``) recovers to exactly the state its
-  history produces on a plain matrix, and a checkpoint then rewrites it
-  as schema 2.
+  empty and 0-d shapes;
+* disk input is outside input: a CRC-valid frame with an unknown marker or
+  kind code, a count or header that disagrees with the bytes, an array of
+  another dtype than its field's, or a base64 array that does not fit its
+  shape raises :class:`~repro.errors.WalCorruption` -- never a bare numpy
+  error, and never after applying part of the journal;
+* journals written by the last schema-1 and the last schema-2 commits
+  (committed under ``tests/data/journal_schema1`` and ``journal_schema2``)
+  recover to exactly the state their history produces on a plain matrix,
+  and a checkpoint then rewrites them in the raw form.
 """
 
 import base64
@@ -17,6 +20,8 @@ import importlib.util
 import json
 import os
 import shutil
+import struct
+import zlib
 
 import numpy as np
 import pytest
@@ -29,63 +34,106 @@ from repro.durability import (
     encode_record,
     load_snapshot,
     matrix_from_jsonable,
-    matrix_to_jsonable,
     recover_journal,
     write_snapshot,
 )
-from repro.durability.wal import (
-    frame,
-    pack_array,
-    pack_flat,
-    unpack_array,
-)
+from repro.durability.wal import frame, unframe, unpack_array
 from repro.errors import MatrixError, WalCorruption
 
-FIXTURE = os.path.join(os.path.dirname(__file__), "data", "journal_schema1")
+DATA = os.path.join(os.path.dirname(__file__), "data")
+FIXTURE = os.path.join(DATA, "journal_schema1")
 ARRAYS = ("values", "observed", "censored", "timeouts")
+SEGMENT = "wal-00000000000000000001.log"
 
 SHAPES = hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=6)
 SPECIAL = [np.inf, -np.inf, -0.0, 0.0, 5e-324, 2.5e-310, 1e308, np.nan]
+FLOATS = st.one_of(
+    st.sampled_from(SPECIAL), st.floats(allow_nan=True, allow_infinity=True, width=64)
+)
 
 
-def through_json(obj):
-    """What a frame does to a packed array: JSON text and back."""
-    return json.loads(json.dumps(obj, separators=(",", ":"), sort_keys=True))
+def b64_flat(values, dtype):
+    """How schema 2 wrote a 1-D ``observe`` array: bare base64."""
+    return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode("ascii")
+
+
+def b64_array(values, dtype):
+    """How schema 2 wrote an n-d array: dtype, shape, base64."""
+    values = np.asarray(values)
+    return {"dtype": dtype, "shape": list(values.shape), "data": b64_flat(values, dtype)}
+
+
+def seal(payload):
+    """A payload behind the length + CRC header, written independently of
+    the module under test."""
+    return struct.pack("<II", len(payload), zlib.crc32(payload)) + payload
+
+
+def cells(lsn, code, count, q, h, v):
+    """A cell record spelled out byte by byte."""
+    return seal(
+        b"\x01" + struct.pack("<QBI", lsn, code, count)
+        + np.asarray(q, "<i8").tobytes() + np.asarray(h, "<i8").tobytes()
+        + np.asarray(v, "<f8").tobytes()
+    )
+
+
+def arrays_frame(header, raw):
+    """An arrays frame with a hand-written header."""
+    text = json.dumps(header, separators=(",", ":"), sort_keys=True).encode()
+    return seal(b"\x02" + struct.pack("<I", len(text)) + text + raw)
+
+
+def decode(framed):
+    obj, arrays, end = unframe(framed, 0, "test")
+    assert end == len(framed)
+    return obj, arrays
 
 
 class TestRoundTrip:
     @settings(max_examples=200, deadline=None)
     @given(
         array=st.one_of(
-            hnp.arrays(
-                np.float64,
-                SHAPES,
-                elements=st.one_of(
-                    st.sampled_from(SPECIAL),
-                    st.floats(allow_nan=True, allow_infinity=True, width=64),
-                ),
-            ),
-            hnp.arrays(np.bool_, SHAPES),
-            hnp.arrays(np.int64, SHAPES),
+            hnp.arrays(np.float64, SHAPES, elements=FLOATS), hnp.arrays(np.bool_, SHAPES)
         )
     )
     def test_bit_exact_for_every_dtype_and_shape(self, array):
-        dtype = {"f": "<f8", "b": "|b1", "i": "<i8"}[array.dtype.kind]
-        back = unpack_array(through_json(pack_array(array, dtype)), dtype)
+        field = {"f": "values", "b": "observed"}[array.dtype.kind]
+        obj, arrays = decode(frame({"lsn": 3}, {field: array}))
+        back = arrays[field]
+        assert obj == {"lsn": 3}
         assert back.shape == array.shape and back.dtype == array.dtype
         assert back.tobytes() == array.tobytes()
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        kind=st.sampled_from(["observe", "censor"]),
+        ids=hnp.arrays(np.int64, st.integers(0, 12), elements=st.integers(-(2**63), 2**63 - 1)),
+        data=st.data(),
+    )
+    def test_cell_records_are_bit_exact(self, kind, ids, data):
+        values = data.draw(hnp.arrays(np.float64, ids.size, elements=FLOATS))
+        key = {"observe": "v", "censor": "lb"}[kind]
+        framed = encode_record(2**40, kind, {"q": ids, "h": ids[::-1], key: values})
+        assert len(framed) == 8 + 14 + 24 * ids.size
+        obj, arrays = decode(framed)
+        assert (obj["lsn"], obj["kind"], arrays) == (2**40, kind, {})
+        assert obj["data"]["q"].tobytes() == ids.tobytes()
+        assert obj["data"]["h"].tobytes() == ids[::-1].tobytes()
+        assert obj["data"][key].tobytes() == values.tobytes()
+
     def test_non_contiguous_input_is_packed_in_c_order(self):
         array = np.arange(12.0).reshape(3, 4).T
-        back = unpack_array(pack_array(array, "<f8"), "<f8")
-        assert np.array_equal(back, array)
+        _, arrays = decode(frame({}, {"values": array}))
+        assert np.array_equal(arrays["values"], array)
 
     def test_every_older_form_still_decodes(self):
         floats = [1.5, float("inf"), -0.0]
         want = np.asarray(floats)
-        for form in (floats, pack_flat(floats, "<f8"), pack_array(want, "<f8")):
-            assert unpack_array(through_json(form), "<f8").tobytes() == want.tobytes()
-        assert unpack_array(pack_flat([3, -1], "<i8"), "<i8").tolist() == [3, -1]
+        for form in (floats, b64_flat(floats, "<f8"), b64_array(want, "<f8")):
+            through_json = json.loads(json.dumps(form))
+            assert unpack_array(through_json, "<f8").tobytes() == want.tobytes()
+        assert unpack_array(b64_flat([3, -1], "<i8"), "<i8").tolist() == [3, -1]
         nested = unpack_array([[True, False], [False, False]], "|b1")
         assert nested.dtype == np.bool_ and nested.shape == (2, 2)
 
@@ -93,9 +141,7 @@ class TestRoundTrip:
         matrix = WorkloadMatrix(4, 3)
         matrix.observe_batch([0, 1, 2], [0, 1, 2], [-0.0, 5e-324, 1e308])
         matrix.observe_censored(3, 0, 2.5)
-        packed = matrix_to_jsonable(matrix.to_dict())
-        assert matrix_to_jsonable(packed) == packed  # already converted: unchanged
-        write_snapshot(str(tmp_path), {"matrix": packed, "backlog": []}, 7)
+        write_snapshot(str(tmp_path), {"matrix": matrix.to_dict(), "backlog": []}, 7)
         state, lsn = load_snapshot(str(tmp_path))
         assert lsn == 7 and state["backlog"] == []
         restored = matrix_from_jsonable(state["matrix"])
@@ -108,16 +154,28 @@ class TestRoundTrip:
 
     def test_an_empty_row_payload_packs_and_restores(self):
         empty = WorkloadMatrix(3, 4).export_rows([])
-        restored = matrix_from_jsonable(through_json(matrix_to_jsonable(empty)))
+        obj, arrays = decode(encode_record(5, "import", empty))
+        assert set(arrays) == set(ARRAYS)
+        restored = matrix_from_jsonable({**obj["data"], **arrays})
         assert all(restored[key].shape == (0, 4) for key in ARRAYS)
+        assert restored["query_names"] == []
 
 
 def packed_matrix():
-    return matrix_to_jsonable(WorkloadMatrix(3, 2).to_dict())
+    """A 3x2 matrix payload as schema 2 wrote it."""
+    payload = WorkloadMatrix(3, 2).to_dict()
+    return {
+        key: b64_array(value, {"f": "<f8", "b": "|b1"}[value.dtype.kind])
+        if isinstance(value, np.ndarray) else value
+        for key, value in payload.items()
+    }
 
 
 def corruptions():
-    good = pack_array(np.zeros((3, 2)), "<f8")
+    """Base64 arrays ``unpack_array`` must refuse, then whole WAL segments --
+    a good bootstrap ``import`` and one CRC-valid hostile frame -- that
+    recovery must refuse."""
+    good = b64_array(np.zeros((3, 2)), "<f8")
     raw = base64.b64decode(good["data"])
 
     def with_(**changes):
@@ -140,13 +198,68 @@ def corruptions():
     yield "missing key", {"dtype": "<f8", "shape": [3, 2]}
     yield "ragged list", [[1.0, 2.0], [3.0]]
     yield "list of text", [["a", "b"]]
+    for name, segment in hostile_segments():
+        yield pytest.param(name, segment, id=name)
+
+
+def hostile_segments():
+    boot = encode_record(1, "import", WorkloadMatrix(3, 2).to_dict())
+    six = np.zeros(6).tobytes()
+    flags = np.zeros(6, dtype=bool).tobytes()
+
+    def matrix_header(**swap):
+        layout = {"values": "<f8", "observed": "|b1", "censored": "|b1", "timeouts": "<f8"}
+        layout.update(swap)
+        return {
+            "arrays": [[field, dtype, [3, 2]] for field, dtype in layout.items()],
+            "data": {"query_names": ["a", "b", "c"]}, "kind": "import", "lsn": 2,
+        }
+
+    yield "frame: unknown marker", boot + seal(b"\x07" + bytes(13))
+    yield "frame: empty payload", boot + seal(b"")
+    yield "frame: unknown kind code", boot + cells(2, 2, 1, [0], [0], [1.0])
+    yield "frame: count above the bytes", boot + cells(2, 0, 2, [0], [0], [1.0])
+    yield "frame: count below the bytes", boot + cells(2, 0, 0, [0], [0], [1.0])
+    yield "frame: cell layout cut short", boot + seal(b"\x01" + bytes(5))
+    yield "frame: array runs past the frame", boot + arrays_frame(
+        matrix_header(), six + flags + flags + six[:-1]
+    )
+    yield "frame: bytes after the last array", boot + arrays_frame(
+        matrix_header(), six + flags + flags + six + b"\x00"
+    )
+    yield "frame: array header runs past the frame", boot + seal(
+        b"\x02" + struct.pack("<I", 99) + b"{}"
+    )
+    yield "frame: header names no arrays", boot + arrays_frame({"kind": "import"}, b"")
+    yield "frame: dtype other than the field's", boot + arrays_frame(
+        matrix_header(values="|b1"), bytes(6) + flags + flags + six
+    )
+    yield "frame: field outside the matrix", boot + arrays_frame(
+        {**matrix_header(), "arrays": [["q", "<i8", [1]]]}, bytes(8)
+    )
+    yield "frame: a field twice", boot + arrays_frame(
+        {**matrix_header(), "arrays": [["values", "<f8", [1]]] * 2}, bytes(16)
+    )
+    yield "frame: NaN latency", boot + cells(2, 0, 2, [0, 1], [0, 1], [1.0, np.nan])
+    yield "frame: NaN overwritten later in the run", boot + cells(
+        2, 0, 1, [0], [0], [np.nan]
+    ) + cells(3, 0, 1, [0], [0], [1.0])
+    yield "frame: row id 2**40", boot + cells(2, 0, 1, [2**40], [0], [1.0])
+    yield "frame: zero bound", boot + cells(2, 1, 1, [0], [0], [0.0])
 
 
 class TestHostileInput:
     @pytest.mark.parametrize("name,packed", list(corruptions()))
-    def test_undecodable_arrays_are_typed(self, name, packed):
+    def test_undecodable_arrays_are_typed(self, name, packed, tmp_path):
+        if not isinstance(packed, bytes):
+            with pytest.raises(WalCorruption):
+                unpack_array(packed, "<f8")
+            return
+        segment = tmp_path / SEGMENT
+        segment.write_bytes(packed)
         with pytest.raises(WalCorruption):
-            unpack_array(packed, "<f8")
+            recover_journal(str(tmp_path))
+        assert segment.read_bytes() == packed  # refused whole: nothing repaired away
 
     def test_matrix_arrays_must_be_two_d_and_agree(self):
         # The codec rejects what does not decode, from_dict what decodes to
@@ -156,9 +269,9 @@ class TestHostileInput:
 
         restore(packed_matrix())  # the good one decodes
         for key, replacement in (
-            ("observed", pack_array(np.zeros((3, 3), dtype=bool), "|b1")),
-            ("timeouts", pack_array(np.zeros(6), "<f8")),
-            ("censored", pack_array(np.zeros((3, 2)), "<f8")),  # floats as flags
+            ("observed", b64_array(np.zeros((3, 3), dtype=bool), "|b1")),
+            ("timeouts", b64_array(np.zeros(6), "<f8")),
+            ("censored", b64_array(np.zeros((3, 2)), "<f8")),  # floats as flags
             ("values", [[1.0, 2.0]]),
         ):
             with pytest.raises((WalCorruption, MatrixError)):
@@ -169,8 +282,8 @@ class TestHostileInput:
             restore(lacking)
 
     def test_a_bad_snapshot_array_fails_recovery_typed(self, tmp_path):
-        state = packed_matrix()
-        state["values"]["shape"] = [2, 2]
+        state = WorkloadMatrix(3, 2).to_dict()
+        state["values"] = np.zeros((2, 2))  # decodes, but not the others' shape
         write_snapshot(str(tmp_path), {"matrix": state, "backlog": []}, 0)
         with pytest.raises(WalCorruption):
             recover_journal(str(tmp_path))
@@ -181,15 +294,15 @@ class TestHostileInput:
                 ("import", {**packed_matrix(), "observed": {"dtype": "|b1"}}),
                 (
                     "observe",
-                    {"q": "AAAA", "h": pack_flat([0], "<i8"), "v": pack_flat([1.0], "<f8")},
+                    {"q": "AAAA", "h": b64_flat([0], "<i8"), "v": b64_flat([1.0], "<f8")},
                 ),
             ]
         ):
             home = tmp_path / str(index)
             home.mkdir()
             records = encode_record(1, "import", packed_matrix())
-            records += encode_record(2, kind, data)
-            (home / "wal-00000000000000000001.log").write_bytes(records)
+            records += frame({"data": data, "kind": kind, "lsn": 2})
+            (home / SEGMENT).write_bytes(records)
             with pytest.raises(WalCorruption):
                 recover_journal(str(home))
 
@@ -205,16 +318,55 @@ class TestHostileInput:
                 load_snapshot(str(tmp_path))
 
 
-# -- the committed schema-1 journal ---------------------------------------------------
+# -- the committed schema-1 and schema-2 journals ------------------------------------
 
 
-def fixture_history():
+def fixture_history(fixture):
     spec = importlib.util.spec_from_file_location(
-        "make_fixture", os.path.join(FIXTURE, "make_fixture.py")
+        "make_fixture", os.path.join(fixture, "make_fixture.py")
     )
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module.history
+
+
+def recover_fixture(fixture, tmp_path, name, snapshot_lsn, replayed):
+    """Recover a committed journal, demand the state its history produces,
+    checkpoint it in the raw form and demand the same state again.  Returns
+    the recovered ``to_dict()``."""
+    home = str(tmp_path / name)
+    shutil.copytree(os.path.join(fixture, name), home)
+    expected = WorkloadMatrix(5, 3)
+    fixture_history(fixture)(expected)
+
+    journal, state = recover_journal(home)
+    assert state.snapshot_lsn == snapshot_lsn
+    assert state.replayed_records == replayed
+    assert state.backlog.tolist() == [4, 2]
+    got, want = state.matrix.to_dict(), expected.to_dict()
+    for key in ARRAYS:
+        assert got[key].tobytes() == want[key].tobytes(), key
+    assert got["query_names"] == want["query_names"]
+
+    # Writers emit only the raw form: the next checkpoint is an arrays frame.
+    state.matrix.journal = journal
+    journal.checkpoint(state.matrix.to_dict())
+    journal.close()
+    with open(os.path.join(home, "snapshot.bin"), "rb") as handle:
+        body, arrays = decode(handle.read())
+    assert body["schema"] == 2 and body["state"]["backlog"] == [4, 2]
+    assert arrays["values"].dtype == np.float64
+    _, again = recover_journal(home)
+    for key in ARRAYS:
+        assert again.matrix.to_dict()[key].tobytes() == want[key].tobytes(), key
+    return got
+
+
+def first_record(fixture, name):
+    with open(os.path.join(fixture, name, SEGMENT), "rb") as handle:
+        first = handle.read()
+    length = int.from_bytes(first[:4], "little")
+    return json.loads(first[8 : 8 + length]), first
 
 
 class TestSchemaOneStillRecovers:
@@ -224,45 +376,43 @@ class TestSchemaOneStillRecovers:
     def test_parent_commit_journal_recovers_bit_exact(
         self, tmp_path, name, snapshot_lsn, replayed
     ):
-        home = str(tmp_path / name)
-        shutil.copytree(os.path.join(FIXTURE, name), home)
-        expected = WorkloadMatrix(5, 3)
-        fixture_history()(expected)
-
-        journal, state = recover_journal(home)
-        assert state.snapshot_lsn == snapshot_lsn
-        assert state.replayed_records == replayed
-        assert state.backlog.tolist() == [4, 2]
-        got, want = state.matrix.to_dict(), expected.to_dict()
-        for key in ARRAYS:
-            assert got[key].tobytes() == want[key].tobytes(), key
-        assert got["query_names"] == want["query_names"]
+        got = recover_fixture(FIXTURE, tmp_path, name, snapshot_lsn, replayed)
         # -0.0, the smallest subnormal and 0.1 + 0.2 came back as themselves.
         assert np.signbit(got["values"][2, 1]) and got["values"][2, 1] == 0.0
         assert got["values"][1, 0] == 5e-324
         assert got["values"][3, 0] == 0.1 + 0.2
-
-        # Writers emit only the new form: the next checkpoint is schema 2.
-        state.matrix.journal = journal
-        journal.checkpoint(matrix_to_jsonable(state.matrix.to_dict()))
-        journal.close()
-        with open(os.path.join(home, "snapshot.bin"), "rb") as handle:
-            body = json.loads(handle.read()[8:])
-        assert body["schema"] == 2
-        assert body["state"]["matrix"]["values"]["dtype"] == "<f8"
-        _, again = recover_journal(home)
-        for key in ARRAYS:
-            assert again.matrix.to_dict()[key].tobytes() == want[key].tobytes(), key
 
     def test_the_fixture_really_is_list_form(self):
         with open(os.path.join(FIXTURE, "checkpointed", "snapshot.bin"), "rb") as handle:
             body = json.loads(handle.read()[8:])
         assert body["schema"] == 1
         assert isinstance(body["state"]["matrix"]["values"], list)
-        with open(
-            os.path.join(FIXTURE, "wal_only", "wal-00000000000000000001.log"), "rb"
-        ) as handle:
-            first = handle.read()
-        length = int.from_bytes(first[:4], "little")
-        record = json.loads(first[8 : 8 + length])
+        record, _ = first_record(FIXTURE, "wal_only")
         assert record["kind"] == "import" and isinstance(record["data"]["values"], list)
+
+
+FIXTURE_2 = os.path.join(DATA, "journal_schema2")
+
+
+class TestSchemaTwoStillRecovers:
+    @pytest.mark.parametrize(
+        "name,snapshot_lsn,replayed", [("checkpointed", 6, 7), ("wal_only", 0, 13)]
+    )
+    def test_parent_commit_journal_recovers_bit_exact(
+        self, tmp_path, name, snapshot_lsn, replayed
+    ):
+        got = recover_fixture(FIXTURE_2, tmp_path, name, snapshot_lsn, replayed)
+        values, timeouts = got["values"], got["timeouts"]
+        assert values[1, 0] == 5e-324 and values[2, 0] == values[3, 0] == 0.1 + 0.2
+        assert np.signbit(values[4, 0]) and values[4, 0] == 0.0  # the batch's last write
+        assert timeouts[3, 1] == 2.25  # the tighter of two scalar censor records
+        assert timeouts[5, 1] == 5e-324 and got["censored"][5, 1]
+
+    def test_the_fixture_really_is_base64_form(self):
+        with open(os.path.join(FIXTURE_2, "checkpointed", "snapshot.bin"), "rb") as handle:
+            body = json.loads(handle.read()[8:])
+        assert body["schema"] == 2
+        assert isinstance(body["state"]["matrix"]["values"]["data"], str)
+        record, blob = first_record(FIXTURE_2, "wal_only")
+        assert record["kind"] == "import" and isinstance(record["data"]["values"], dict)
+        assert b'"kind":"censor"' in blob and b'"lb":2.25' in blob  # scalar cells

@@ -10,12 +10,13 @@ Four layers, matching the module's design:
 * snapshots -- atomic install, corruption is a typed error, checkpoints
   bound the on-disk footprint without losing the adaptation backlog;
 * recovery -- a recovered :class:`ServingService` reaches byte-identical
-  decisions (JSON round-trips IEEE-754 doubles exactly);
+  decisions (raw little-endian bytes round-trip IEEE-754 doubles exactly);
 * fault injection + cluster crash/rejoin -- deterministic crash points,
   degraded serving during an outage, queued feedback replayed on restart,
   and post-restart decisions identical to an uninterrupted cluster.
 """
 
+import base64
 import os
 import shutil
 
@@ -35,7 +36,6 @@ from repro.durability import (
     FaultInjector,
     ShardJournal,
     WriteAheadLog,
-    matrix_to_jsonable,
     recover_journal,
     recover_service,
     write_snapshot,
@@ -71,13 +71,20 @@ def assert_identical_decisions(a, b):
 
 
 def assert_same_matrix(state, expected):
-    """Compare a recovered matrix against a jsonable expected payload."""
+    """Compare a recovered matrix against an expected ``to_dict()`` payload:
+    the arrays byte for byte, the names as lists."""
     if expected is None:
         assert state is None
         return
     assert state is not None
-    got = matrix_to_jsonable(state.to_dict())
-    assert got == expected
+    got = state.to_dict()
+    assert got.keys() == expected.keys()
+    for key, want in expected.items():
+        if isinstance(want, np.ndarray):
+            assert got[key].dtype == want.dtype and got[key].shape == want.shape, key
+            assert got[key].tobytes() == want.tobytes(), key
+        else:
+            assert got[key] == want, key
 
 
 # -- the write-ahead log ---------------------------------------------------------
@@ -222,7 +229,7 @@ class TestSnapshot:
         service = ServingService(matrix, journal=journal)
         matrix.observe_batch([0, 1], [1, 2], [4.0, 5.0])
         bytes_before = journal.on_disk_bytes()
-        covered = journal.checkpoint(matrix_to_jsonable(matrix.to_dict()))
+        covered = journal.checkpoint(matrix.to_dict())
         matrix.observe_batch([2], [1], [6.0])
         journal.crash()
 
@@ -230,7 +237,7 @@ class TestSnapshot:
         assert state.snapshot_lsn == covered
         assert state.skipped_records == 0  # truncation removed old segments
         assert state.replayed_records == 1  # only the post-checkpoint observe
-        assert_same_matrix(state.matrix, matrix_to_jsonable(matrix.to_dict()))
+        assert_same_matrix(state.matrix, matrix.to_dict())
         del service, bytes_before
 
     def test_crash_right_after_checkpoint_keeps_the_journal_usable(self, tmp_path):
@@ -240,7 +247,7 @@ class TestSnapshot:
         journal = ShardJournal(str(tmp_path))
         matrix = make_matrix()
         ServingService(matrix, journal=journal)
-        journal.checkpoint(matrix_to_jsonable(matrix.to_dict()))
+        journal.checkpoint(matrix.to_dict())
         journal.crash()
 
         journal, state = recover_journal(str(tmp_path))
@@ -270,7 +277,7 @@ class TestSnapshot:
         payload["censored"][0, 0] = True  # observed and censored
         payload["timeouts"][0, 0] = np.nan
         write_snapshot(
-            str(tmp_path), {"matrix": matrix_to_jsonable(payload), "backlog": []}, 3
+            str(tmp_path), {"matrix": payload, "backlog": []}, 3
         )
         with pytest.raises(WalCorruption, match="does not hold a matrix"):
             recover_journal(str(tmp_path))
@@ -280,7 +287,7 @@ class TestSnapshot:
         matrix = make_matrix()
         ServingService(matrix, journal=journal)
         journal.log_adapt_backlog([5, 2, 0])
-        journal.checkpoint(matrix_to_jsonable(matrix.to_dict()))
+        journal.checkpoint(matrix.to_dict())
         journal.crash()
 
         _, state = recover_journal(str(tmp_path))
@@ -309,16 +316,17 @@ class TestServiceRecovery:
         """Nothing writes ``measured`` records any more (drift feedback goes
         to the cluster controller); one in an older journal is counted and
         left out of the matrix."""
-        from repro.durability.wal import pack_flat
+        def b64(values, dtype):  # how schema 2 wrote a 1-D array
+            return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode()
 
         journal = ShardJournal(str(tmp_path))
         matrix = make_matrix()
         service = ServingService(matrix, journal=journal)
         decisions = service.serve_all()
         journal.log("measured", {
-            "q": pack_flat(decisions.queries, "<i8"),
-            "h": pack_flat(decisions.hints, "<i8"),
-            "m": pack_flat(np.ones(decisions.batch_size), "<f8"),
+            "q": b64(decisions.queries, "<i8"),
+            "h": b64(decisions.hints, "<i8"),
+            "m": b64(np.ones(decisions.batch_size), "<f8"),
         })
         expected = service.serve_all()
         journal.crash()
@@ -641,8 +649,8 @@ def _build_prefix_fixture(tmp_path_factory=None, with_snapshot=False):
         snapshot_state = None
         if with_snapshot:
             matrix.observe_batch([0, 1], [1, 2], [3.0, 4.0])
-            journal.checkpoint(matrix_to_jsonable(matrix.to_dict()))
-            snapshot_state = matrix_to_jsonable(matrix.to_dict())
+            journal.checkpoint(matrix.to_dict())
+            snapshot_state = matrix.to_dict()
         expected = [snapshot_state]
         sizes = []
         before = journal.appended_bytes
@@ -652,13 +660,13 @@ def _build_prefix_fixture(tmp_path_factory=None, with_snapshot=False):
             op()
             sizes.append(journal.appended_bytes - before)
             before = journal.appended_bytes
-            expected.append(matrix_to_jsonable(matrix.to_dict()))
+            expected.append(matrix.to_dict())
 
         if not with_snapshot:
             # The bootstrap import is the first record of the segment.
             sizes.append(journal.appended_bytes)
             before = journal.appended_bytes
-            expected.append(matrix_to_jsonable(matrix.to_dict()))
+            expected.append(matrix.to_dict())
         snap(lambda: matrix.observe_batch([2, 3], [1, 3], [5.5, 0.125]))
         snap(lambda: matrix.observe_censored(4, 2, 40.0))
         snap(lambda: matrix.add_query("late"))
