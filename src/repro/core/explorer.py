@@ -238,7 +238,9 @@ class OfflineExplorer:
         # earlier observation.  In practice policies pick one cell per query
         # and the whole step is a single ``execute_many`` call.
         for chunk in self._row_distinct_chunks(selected):
-            chunk_timeouts = self._timeouts_for(chunk, predicted)
+            chunk_timeouts = [
+                self._timeout_for(query, hint, predicted) for query, hint in chunk
+            ]
             chunk_results = self._execute_chunk(chunk, chunk_timeouts)
             self._record_chunk(chunk, chunk_results)
             results.extend(chunk_results)
@@ -330,13 +332,18 @@ class OfflineExplorer:
         chunk: Sequence[Tuple[int, int]],
         results: Sequence[ExecutionResult],
     ) -> None:
-        """Feed a sub-batch's results into the matrix: one batch of the
-        censored cells, one of the completed ones (its rows are distinct, so
-        the order between the two does not matter)."""
+        """Feed a sub-batch's results into the matrix (its rows are distinct,
+        so the order between censored and completed cells does not matter).
+        On a journaled matrix the censored cells are one batch, one ``censor``
+        record; without a journal a few scalar writes cost less than one
+        batch (``docs/performance.md``, dead end (b))."""
         censored = [(q, h, r.charged_time) for (q, h), r in zip(chunk, results) if r.timed_out]
         completed = [(q, h, r.latency) for (q, h), r in zip(chunk, results) if not r.timed_out]
-        if censored:
+        if censored and self.matrix.journal is not None:
             self.matrix.observe_censored_batch(*zip(*censored))
+        else:
+            for cell in censored:
+                self.matrix.observe_censored(*cell)
         if completed:
             self.matrix.observe_batch(*zip(*completed))
 
@@ -353,37 +360,30 @@ class OfflineExplorer:
         return [default_hint if h < 0 else int(h) for h in best]
 
     # -- internals -------------------------------------------------------------------
-    def _timeouts_for(
-        self, chunk: Sequence[Tuple[int, int]], predicted: Optional[np.ndarray]
-    ) -> List[Optional[float]]:
-        """Algorithm 1 line 10 for each cell: ``T_ij = min(min(W~_i), alpha * Ŵ_ij)``.
+    def _timeout_for(
+        self, query: int, hint: int, predicted: Optional[np.ndarray]
+    ) -> Optional[float]:
+        """Algorithm 1 line 10: ``T_ij = min(min(W~_i), alpha * Ŵ_ij)``.
 
         The prediction-based cap is only applied once the row has at least
         two completed observations: with just the default plan observed the
         model has nothing row-specific to learn from, and a spuriously low
         prediction would censor the candidate at a useless threshold and
-        permanently burn the cell.  A cell with neither bound gets ``None``
-        (no timeout); one whose only bound is an infinite cap gets ``inf``.
-        One gather of the chunk's rows serves the minima and the counts.
+        permanently burn the cell.
         """
-        queries = np.array([query for query, _ in chunk], dtype=np.int64)
-        latencies = self.matrix.observed_latencies(queries)
-        row_min = latencies.min(axis=1)
-        has_min = np.isfinite(row_min)
-        usable = np.zeros(len(chunk), dtype=bool)
-        cap = np.full(len(chunk), np.inf)
-        if predicted is not None and predicted.shape == self.matrix.shape:
-            hints = np.array([hint for _, hint in chunk], dtype=np.int64)
-            value = predicted[queries, hints].astype(float)
-            usable = (
-                (np.isfinite(latencies).sum(axis=1) >= 2) & np.isfinite(value) & (value > 0)
-            )
-            with np.errstate(over="ignore"):  # an overflowing cap is inf, as in Python
-                cap = value * self.config.timeout_alpha
-        # Python's min of [row_min, cap]: the first unless the second is smaller.
-        first = np.where(has_min, row_min, cap)
-        best = np.where(usable & (cap < first), cap, first)
-        return [
-            float(b) if m or u else None
-            for b, m, u in zip(best.tolist(), has_min.tolist(), usable.tolist())
-        ]
+        row_min = self.matrix.row_min(query)
+        candidates = []
+        if np.isfinite(row_min):
+            candidates.append(row_min)
+        prediction_usable = (
+            predicted is not None
+            and predicted.shape == self.matrix.shape
+            and self.matrix.observed_count_in_row(query) >= 2
+        )
+        if prediction_usable:
+            predicted_value = float(predicted[query, hint])
+            if np.isfinite(predicted_value) and predicted_value > 0:
+                candidates.append(predicted_value * self.config.timeout_alpha)
+        if not candidates:
+            return None
+        return float(min(candidates))

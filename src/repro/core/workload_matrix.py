@@ -205,6 +205,22 @@ class WorkloadMatrix:
         bookkeeping with one fancy-indexed assignment per array keeps the
         feedback path off the per-cell Python loop.
         """
+        queries, hints, latencies = self.checked_observations(queries, hints, latencies)
+        if queries.size == 0:
+            return
+        if self.journal is not None:
+            self.journal.log_observe(queries, hints, latencies)
+        self._values[queries, hints] = latencies
+        self._observed[queries, hints] = True
+        self._censored[queries, hints] = False
+        self._timeouts[queries, hints] = 0.0
+        self._stamp(queries)
+
+    def checked_observations(self, queries, hints, latencies) -> tuple:
+        """``(queries, hints, latencies)`` as :meth:`observe_batch` takes them:
+        in-range integer ids and latencies finite and >= 0, three 1-D arrays
+        of one length -- or :class:`MatrixError`.  Recovery checks a run of
+        ``observe`` records with it before keeping each cell's last write."""
         queries = checked_ids("query", queries, self.n_queries, MatrixError)
         hints = checked_ids("hint", hints, self.n_hints, MatrixError)
         latencies = np.asarray(latencies, dtype=float)
@@ -213,17 +229,9 @@ class WorkloadMatrix:
                 "observe_batch needs three 1-D arrays of equal length, got "
                 f"{queries.shape}, {hints.shape}, {latencies.shape}"
             )
-        if queries.size == 0:
-            return
         if not np.all(np.isfinite(latencies)) or np.any(latencies < 0):
             raise MatrixError("observe_batch: latencies must be finite and >= 0")
-        if self.journal is not None:
-            self.journal.log_observe(queries, hints, latencies)
-        self._values[queries, hints] = latencies
-        self._observed[queries, hints] = True
-        self._censored[queries, hints] = False
-        self._timeouts[queries, hints] = 0.0
-        self._stamp(queries)
+        return queries, hints, latencies
 
     def observe_censored(self, query: int, hint: int, lower_bound: float) -> None:
         """Record a timed-out execution: true latency exceeds ``lower_bound``."""

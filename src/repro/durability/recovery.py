@@ -34,7 +34,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.workload_matrix import WorkloadMatrix, checked_ids
+from ..core.workload_matrix import WorkloadMatrix
 from ..errors import DurabilityError, MatrixError, ReproError, WalCorruption
 from .faults import FaultFS
 from .journal import ShardJournal
@@ -58,11 +58,8 @@ class RecoveredState:
 
 def _observe_cells(record: WalRecord) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
     """``q``, ``h`` and latencies of an ``observe`` record, in any form."""
-    data = record.data
-    if isinstance(data.get("v"), np.ndarray):  # a cell record: its layout was checked
-        return data["q"], data["h"], data["v"]
     q, h, v = (
-        unpack_array(data.get(key), dtype)
+        unpack_array(record.data.get(key), dtype)
         for key, dtype in (("q", "<i8"), ("h", "<i8"), ("v", "<f8"))
     )
     if not q.ndim == 1 or not q.shape == h.shape == v.shape:
@@ -74,12 +71,10 @@ def _observe_run(matrix: WorkloadMatrix, run: List[WalRecord]) -> None:
     """Apply consecutive ``observe`` records as one ``observe_batch``: every
     cell is checked as its own record would have been, then only each cell's
     last write is applied -- the state the records leave one after another."""
-    q, h, v = (np.concatenate(column) for column in zip(*map(_observe_cells, run)))
+    q, h, v = matrix.checked_observations(
+        *(np.concatenate(column) for column in zip(*map(_observe_cells, run)))
+    )
     n_queries, n_hints = matrix.shape
-    q = checked_ids("query", q, n_queries, MatrixError)
-    h = checked_ids("hint", h, n_hints, MatrixError)
-    if not np.isfinite(v).all() or (v < 0).any():
-        raise MatrixError("observe: latencies must be finite and >= 0")
     cells, position = q * n_hints + h, np.arange(q.size)
     last = np.full(n_queries * n_hints, -1)
     np.maximum.at(last, cells, position)
@@ -107,11 +102,10 @@ def _replay(
             return None
         elif kind == "observe":
             _observe_run(matrix, batch)
-        elif kind == "censor":
-            if isinstance(data["q"], np.ndarray):
-                matrix.observe_censored_batch(data["q"], data["h"], data["lb"])
-            else:  # schema 1 and 2 wrote one cell per record, as scalars
-                matrix.observe_censored(data["q"], data["h"], data["lb"])
+        elif kind == "censor":  # schema 1 and 2 wrote one cell per record, as scalars
+            matrix.observe_censored_batch(
+                *(np.atleast_1d(data.get(key)) for key in ("q", "h", "lb"))
+            )
         elif kind == "invalidate":
             rows = data.get("rows")
             matrix.invalidate(None if rows is None else rows)

@@ -3,7 +3,7 @@
 * the arrays frame (``import`` records, the snapshot body) and the cell
   layout (``observe`` / ``censor``) round-trip every float64 / bool / int64
   array bit for bit -- ``inf``, ``-0.0``, subnormals, ``nan`` payloads,
-  empty and 0-d shapes;
+  empty and 0-d shapes -- and so does schema 2's base64 form, through JSON;
 * disk input is outside input: a CRC-valid frame with an unknown marker or
   kind code, a count or header that disagrees with the bytes, an array of
   another dtype than its field's, or a base64 array that does not fit its
@@ -102,6 +102,20 @@ class TestRoundTrip:
         obj, arrays = decode(frame({"lsn": 3}, {field: array}))
         back = arrays[field]
         assert obj == {"lsn": 3}
+        assert back.shape == array.shape and back.dtype == array.dtype
+        assert back.tobytes() == array.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        array=st.one_of(
+            hnp.arrays(np.float64, SHAPES, elements=FLOATS),
+            hnp.arrays(np.bool_, SHAPES),
+            hnp.arrays(np.int64, SHAPES),
+        )
+    )
+    def test_the_base64_form_is_bit_exact_for_every_dtype_and_shape(self, array):
+        dtype = {"f": "<f8", "b": "|b1", "i": "<i8"}[array.dtype.kind]
+        back = unpack_array(json.loads(json.dumps(b64_array(array, dtype))), dtype)
         assert back.shape == array.shape and back.dtype == array.dtype
         assert back.tobytes() == array.tobytes()
 

@@ -1,15 +1,13 @@
-"""Algorithm 1's timeouts and censored writes against their per-cell reference.
+"""The explorer's censored writes against the per-cell body they replaced.
 
-``ReferenceExplorer`` is ``OfflineExplorer`` with the bodies it had before
-censored cells got one door: ``_timeout_for`` read one row minimum, one
-observed count and one prediction per cell, and ``_record_chunk`` sent
-every censored cell through the scalar ``observe_censored`` (one ``censor``
-record each).  The property runs both explorers side by side on journaled
-copies of one matrix, with predictions drawn from values that reach every
-branch -- ties, zero, negative, ``nan``, ``inf`` and caps that overflow to
-``inf`` -- and asserts after every step that the picks, the timeouts (``None``
-kept apart from ``inf``) and the matrices are equal, and at the end that
-both journals replay to that same matrix.
+``ReferenceExplorer`` is ``OfflineExplorer`` with the ``_record_chunk`` it had
+before censored cells got one door: every censored cell went through the
+scalar ``observe_censored`` (one ``censor`` record each).  The property runs
+both explorers side by side on copies of one matrix, journaled or not, with
+predictions drawn from values that reach every timeout branch -- ties, zero,
+negative, ``nan``, ``inf`` and caps that overflow to ``inf`` -- and asserts
+after every step that the picks, the timeouts and the matrices are equal, and
+at the end that both journals replay to that same matrix.
 """
 
 import math
@@ -32,28 +30,7 @@ ARRAYS = ("values", "observed", "censored", "timeouts")
 
 
 class ReferenceExplorer(OfflineExplorer):
-    """The per-cell bodies ``_timeouts_for`` and ``_record_chunk`` replaced."""
-
-    def _timeouts_for(self, chunk, predicted):
-        return [self._timeout_for(query, hint, predicted) for query, hint in chunk]
-
-    def _timeout_for(self, query, hint, predicted):
-        row_min = self.matrix.row_min(query)
-        candidates = []
-        if np.isfinite(row_min):
-            candidates.append(row_min)
-        prediction_usable = (
-            predicted is not None
-            and predicted.shape == self.matrix.shape
-            and self.matrix.observed_count_in_row(query) >= 2
-        )
-        if prediction_usable:
-            predicted_value = float(predicted[query, hint])
-            if np.isfinite(predicted_value) and predicted_value > 0:
-                candidates.append(predicted_value * self.config.timeout_alpha)
-        if not candidates:
-            return None
-        return float(min(candidates))
+    """The per-cell ``_record_chunk`` body."""
 
     def _record_chunk(self, chunk, results):
         completed_q, completed_h, completed_lat = [], [], []
@@ -84,15 +61,6 @@ class FixedPredictor(Predictor):
 PREDICTIONS = [0.5, 1.0, 2.0, 3.0, 0.0, -1.0, math.nan, math.inf, 1e308]
 
 
-def same_timeouts(got, want):
-    """Equal lists of ``Optional[float]``, ``None`` apart from ``inf``."""
-    return len(got) == len(want) and all(
-        (g is None and w is None)
-        or (g is not None and w is not None and (g == w or (math.isnan(g) and math.isnan(w))))
-        for g, w in zip(got, want)
-    )
-
-
 def assert_same(a, b):
     got, want = a.to_dict(), b.to_dict()
     for key in ARRAYS:
@@ -106,10 +74,11 @@ def assert_same(a, b):
     batch_size=st.integers(1, 8),
     alpha=st.sampled_from([0.5, 2.0, 1e300]),
     seed=st.integers(0, 10_000),
+    journaled=st.booleans(),
     data=st.data(),
 )
 def test_timeouts_and_censored_writes_match_the_per_cell_body(
-    n, k, batch_size, alpha, seed, data
+    n, k, batch_size, alpha, seed, journaled, data
 ):
     rng = np.random.default_rng(seed)
     truth = rng.choice([0.25, 1.0, 2.0, 4.0, 8.0], size=(n, k))
@@ -127,9 +96,10 @@ def test_timeouts_and_censored_writes_match_the_per_cell_body(
         explorers = []
         for home, cls in zip(homes, (OfflineExplorer, ReferenceExplorer)):
             matrix = start.copy()
-            journal = ShardJournal(home)
-            journal.log_import(matrix.to_dict())
-            matrix.journal = journal
+            if journaled:
+                journal = ShardJournal(home)
+                journal.log_import(matrix.to_dict())
+                matrix.journal = journal
             config = ExplorationConfig(batch_size=batch_size, timeout_alpha=alpha, seed=seed)
             explorers.append(
                 cls(matrix, LimeQOPolicy(FixedPredictor()), MatrixOracle(truth), config)
@@ -147,11 +117,11 @@ def test_timeouts_and_censored_writes_match_the_per_cell_body(
                 assert got is None
                 break
             assert got.selected == want.selected
-            assert same_timeouts(got.timeouts_used, want.timeouts_used)
+            assert got.timeouts_used == want.timeouts_used
             assert [r.timed_out for r in got.results] == [r.timed_out for r in want.results]
             assert got.exploration_time_delta == want.exploration_time_delta
             assert_same(subject.matrix, reference.matrix)
-        for explorer, home in zip(explorers, homes):
+        for explorer, home in zip(explorers, homes if journaled else []):
             explorer.matrix.journal.close()
             journal, state = recover_journal(home)
             journal.close()
