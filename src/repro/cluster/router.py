@@ -55,11 +55,14 @@ class RendezvousRouter:
     The router is pure routing state: it knows the shard id set and nothing
     about matrices or services.  Assignments are cached per key (the score
     loop is Python-level) and the cache is dropped whenever the topology
-    changes.
+    changes.  The topology maps each shard id, in insertion order, to its
+    ``b"|shard:<id>"`` suffix: the score loop encodes a key once, appends
+    each suffix, and compares the 8-byte big-endian digests as bytes, the
+    way :func:`rendezvous_score`'s integers compare.
     """
 
     def __init__(self, shard_ids: Iterable[int] = ()) -> None:
-        self._shard_ids: List[int] = []
+        self._suffixes: Dict[int, bytes] = {}
         self._cache: Dict[str, int] = {}
         for shard_id in shard_ids:
             self.add_shard(shard_id)
@@ -67,36 +70,42 @@ class RendezvousRouter:
     @property
     def shard_ids(self) -> List[int]:
         """Current topology (insertion order)."""
-        return list(self._shard_ids)
+        return list(self._suffixes)
 
     @property
     def n_shards(self) -> int:
         """Number of shards in the topology."""
-        return len(self._shard_ids)
+        return len(self._suffixes)
 
     def add_shard(self, shard_id: int) -> None:
         """Grow the topology by one shard (invalidates cached assignments)."""
-        if shard_id in self._shard_ids:
+        if shard_id in self._suffixes:
             raise ClusterError(f"shard {shard_id} already routed to")
-        self._shard_ids.append(int(shard_id))
+        shard_id = int(shard_id)
+        self._suffixes[shard_id] = f"|shard:{shard_id}".encode("utf-8")
         self._cache.clear()
 
     def remove_shard(self, shard_id: int) -> None:
         """Shrink the topology (invalidates cached assignments)."""
-        if shard_id not in self._shard_ids:
+        if shard_id not in self._suffixes:
             raise ClusterError(f"shard {shard_id} not in the topology")
-        self._shard_ids.remove(shard_id)
+        del self._suffixes[shard_id]
         self._cache.clear()
 
     # -- assignment -----------------------------------------------------------
     def shard_for(self, key: str) -> int:
         """The shard owning ``key`` under the current topology."""
-        if not self._shard_ids:
+        if not self._suffixes:
             raise ClusterError("cannot route with an empty topology")
         cached = self._cache.get(key)
         if cached is not None:
             return cached
-        best = max(self._shard_ids, key=lambda sid: rendezvous_score(key, sid))
+        key_bytes = key.encode("utf-8")
+        best, top = -1, b""
+        for shard_id, suffix in self._suffixes.items():
+            score = hashlib.blake2b(key_bytes + suffix, digest_size=8).digest()
+            if score > top:  # strict: the first of tied shards wins, as in max()
+                best, top = shard_id, score
         self._cache[key] = best
         return best
 
@@ -115,7 +124,7 @@ class RendezvousRouter:
         row migration; by the rendezvous property these are exactly the keys
         whose assignment changes.
         """
-        if new_shard_id in self._shard_ids:
+        if new_shard_id in self._suffixes:
             raise ClusterError(f"shard {new_shard_id} already routed to")
         moved = []
         for key in keys:

@@ -17,7 +17,6 @@ nothing until the router hands it keys.
 
 from __future__ import annotations
 
-import time
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -37,10 +36,10 @@ from ..telemetry.runtime import Telemetry
 class ClusterShard:
     """Lifecycle and row bookkeeping for one shard of the cluster.
 
-    Parameters mirror :class:`ServingService`; ``clock`` is injectable so
-    tests can fake time.  With a ``journal`` attached every matrix
-    mutation is written ahead to disk, :meth:`checkpoint` bounds the log,
-    and :meth:`recover` rebuilds the shard after :meth:`crash`.
+    Parameters mirror :class:`ServingService`.  With a ``journal`` attached
+    every matrix mutation is written ahead to disk, :meth:`checkpoint`
+    bounds the log, and :meth:`recover` rebuilds the shard after
+    :meth:`crash`.
     """
 
     def __init__(
@@ -50,7 +49,6 @@ class ClusterShard:
         default_hint: int = 0,
         regression_margin: float = 1.0,
         als_config: Optional[ALSConfig] = None,
-        clock=time.perf_counter,
         journal: Optional[ShardJournal] = None,
         telemetry=None,
     ) -> None:
@@ -65,7 +63,6 @@ class ClusterShard:
         self.default_hint = int(default_hint)
         self.regression_margin = float(regression_margin)
         self.refresher = IncrementalALSRefresher(als_config)
-        self._clock = clock
         self.journal = journal
         self.crashed = False
         self.recovered: Optional[RecoveredState] = None
@@ -162,7 +159,6 @@ class ClusterShard:
             self.matrix,
             default_hint=self.default_hint,
             regression_margin=self.regression_margin,
-            clock=self._clock,
             recorder=self._recorder,
             journal=self.journal,
             telemetry=self.telemetry,
@@ -309,7 +305,6 @@ class ClusterShard:
         default_hint: int = 0,
         regression_margin: float = 1.0,
         als_config: Optional[ALSConfig] = None,
-        clock=time.perf_counter,
         fs=None,
         sync: str = "os",
         telemetry=None,
@@ -321,14 +316,13 @@ class ClusterShard:
         the replay accounting (including the adaptation backlog the owner
         should re-seed).
         """
-        journal, state = recover_journal(directory, fs=fs, sync=sync, clock=clock)
+        journal, state = recover_journal(directory, fs=fs, sync=sync)
         shard = cls(
             shard_id=shard_id,
             n_hints=n_hints,
             default_hint=default_hint,
             regression_margin=regression_margin,
             als_config=als_config,
-            clock=clock,
             journal=journal,
             telemetry=telemetry,
         )

@@ -117,24 +117,47 @@ def _calibrate_headroom(matrix: np.ndarray, target_optimal: float) -> np.ndarray
     column fixed (ratio 1), is monotone in each entry, and shrinks or grows
     each row's improvement potential as ``gamma`` moves away from 1.  We
     bisect on ``gamma``.
+
+    For ``d > 0`` and ``gamma > 0`` the map ``x -> d * x ** gamma`` is
+    monotone, so a row's transformed minimum is the transform of its
+    smallest ratio: each probe is one pass over the ``n`` row-best ratios,
+    and only the final transform touches all ``n x k`` cells.  A target
+    outside what ``gamma``'s bracket can reach raises :class:`WorkloadError`
+    naming the reachable headroom range.
     """
     default = matrix[:, 0:1]
     ratios = matrix / default
+    row_default = matrix[:, 0]
+    best = ratios.min(axis=1)
 
     def optimal_total(gamma: float) -> float:
-        transformed = default * np.power(ratios, gamma)
-        return float(transformed.min(axis=1).sum())
+        return float((row_default * np.power(best, gamma)).sum())
 
     low, high = 0.02, 8.0
     # Optimal total decreases as gamma grows (ratios < 1 shrink further).
+    most, least = optimal_total(low), optimal_total(high)
+    if not least <= target_optimal <= most:
+        default_total = float(row_default.sum())
+        raise WorkloadError(
+            f"headroom {default_total / target_optimal:.6g}x is unreachable: "
+            f"this matrix calibrates to {default_total / most:.6g}x "
+            f"... {default_total / least:.6g}x"
+        )
     for _ in range(80):
         mid = 0.5 * (low + high)
+        if mid == low or mid == high:
+            # Adjacent floats: whichever way this probe went, every later
+            # midpoint -- and so the answer -- would be ``mid``.
+            break
         if optimal_total(mid) > target_optimal:
             low = mid
         else:
             high = mid
-    gamma = 0.5 * (low + high)
-    return default * np.power(ratios, gamma)
+    else:
+        mid = 0.5 * (low + high)
+    np.power(ratios, mid, out=ratios)
+    ratios *= default
+    return ratios
 
 
 def generate_workload(
@@ -193,9 +216,13 @@ def generate_workload(
         1.1, 1.5, size=rank
     )
 
-    base = query_factors @ hint_factors.T
-    noise = rng.lognormal(mean=0.0, sigma=noise_sigma, size=base.shape)
-    matrix = base * noise + 1e-3
+    # Every n x k step below runs in place: the same ufuncs in the same
+    # order as the out-of-place expressions, without their temporaries.
+    matrix = query_factors @ hint_factors.T
+    noise = rng.lognormal(mean=0.0, sigma=noise_sigma, size=matrix.shape)
+    matrix *= noise
+    matrix += 1e-3
+    del noise
 
     # Incompressible queries: force the default column to be their minimum.
     n_incompressible = int(round(incompressible_fraction * n))
@@ -210,12 +237,14 @@ def generate_workload(
 
     # Match the Optimal total with a per-row power transform.
     matrix = _calibrate_headroom(matrix, spec.optimal_total)
-    matrix = np.clip(matrix, 1e-4, None)
+    np.clip(matrix, 1e-4, None, out=matrix)
 
     # Optimizer cost estimates: correlated with latency but noisy -- the
     # QO-Advisor baseline ranks unexplored cells by these.
     cost_noise = rng.lognormal(mean=0.0, sigma=0.8, size=matrix.shape)
-    optimizer_costs = (matrix ** 0.8) * cost_noise * 1e4
+    optimizer_costs = np.power(matrix, 0.8)
+    optimizer_costs *= cost_noise
+    optimizer_costs *= 1e4
 
     return SyntheticWorkload(
         spec=spec,

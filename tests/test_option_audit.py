@@ -46,6 +46,9 @@ ALLOWED = {
     "over the union matrix would",
     ("ServingCluster", "failure_threshold"): "how many failed serves trip a "
     "shard's breaker: a deployment setting; tests/test_cluster.py sets 1",
+    ("ServingService", "clock"): "the seam that lets tests fake time for the "
+    "served-batch latency histogram: tests/test_serving.py and "
+    "tests/test_telemetry.py run a clock that steps or goes backwards",
 }
 
 
