@@ -387,7 +387,7 @@ def telemetry_snapshot_under_chaos():
 
     home = tempfile.mkdtemp(prefix="repro-chaos-tel-")
     try:
-        telemetry = Telemetry.enabled()
+        telemetry = Telemetry()
         truth = make_truth(CHAOS_SEED)
         cluster = ServingCluster(
             3, N_HINTS, durability_dir=home, telemetry=telemetry

@@ -312,7 +312,7 @@ def _run_telemetry():
     config = IngressConfig(
         max_batch=256, max_wait_s=0.001, queue_capacity=len(queries)
     )
-    telemetry = Telemetry.enabled()
+    telemetry = Telemetry()
     traced = ServingService(
         explored_matrix(
             generate_workload(CEB_SPEC.scaled(0.1), seed=0),

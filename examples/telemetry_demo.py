@@ -41,7 +41,7 @@ async def main() -> None:
           f"({matrix.n_queries} queries x {matrix.n_hints} hints)")
 
     # -- Act 1: serve through an instrumented ingress -----------------------
-    telemetry = Telemetry.enabled()
+    telemetry = Telemetry()
     service = ServingService(matrix, telemetry=telemetry)
     rng = np.random.default_rng(7)
     queries = rng.integers(0, matrix.n_queries, size=4000).tolist()

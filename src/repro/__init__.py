@@ -42,11 +42,9 @@ from .adaptive import (
 )
 from .config import (
     ALSConfig,
-    AdaptiveConfig,
     ExplorationConfig,
     IngressConfig,
     TCNNConfig,
-    TelemetryConfig,
 )
 from .core import (
     ALSCompleter,
@@ -146,11 +144,9 @@ __all__ = [
     "TenantSpec",
     "standard_scenarios",
     "ALSConfig",
-    "AdaptiveConfig",
     "ExplorationConfig",
     "IngressConfig",
     "TCNNConfig",
-    "TelemetryConfig",
     "MetricsRegistry",
     "Telemetry",
     "TelemetrySnapshot",

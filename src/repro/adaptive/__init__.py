@@ -18,11 +18,31 @@ explorer + frozen serving snapshot leave open:
 * :mod:`repro.adaptive.controller` -- one shard's response pipeline:
   invalidate stale rows, re-anchor the default plan, explore in budget --
   all off the serve path, no-regression guarantee intact.
+
+The thresholds and budgets are constants, each beside the code that uses it
+and with its reason: the detector's in :mod:`~repro.adaptive.detector`, a
+response's in :mod:`~repro.adaptive.controller`.
 """
 
-from .controller import AdaptiveStats
+from .controller import (
+    COOLDOWN_TICKS,
+    EXPLORE_BATCH_SIZE,
+    EXPLORE_SEED,
+    PERSISTENT_HITS,
+    RESPONSE_BUDGET_CELLS,
+    AdaptiveStats,
+)
 from .cluster import ClusterAdaptationController
-from .detector import DEFAULT_KEY, DriftDetector, DriftStatus
+from .detector import (
+    DEFAULT_KEY,
+    DRIFT_THRESHOLD,
+    MIN_SAMPLES,
+    TOLERANCE,
+    UNSEEN_THRESHOLD,
+    WINDOW,
+    DriftDetector,
+    DriftStatus,
+)
 from .reexplore import OnlineReexplorer, RowOracle
 from .residuals import (
     ResidualWindow,
@@ -33,6 +53,16 @@ from .residuals import (
 )
 
 __all__ = [
+    "COOLDOWN_TICKS",
+    "DRIFT_THRESHOLD",
+    "EXPLORE_BATCH_SIZE",
+    "EXPLORE_SEED",
+    "MIN_SAMPLES",
+    "PERSISTENT_HITS",
+    "RESPONSE_BUDGET_CELLS",
+    "TOLERANCE",
+    "UNSEEN_THRESHOLD",
+    "WINDOW",
     "AdaptiveStats",
     "ClusterAdaptationController",
     "DEFAULT_KEY",

@@ -39,7 +39,6 @@ import numpy as np
 
 from ..cluster.cluster import ServingCluster
 from ..cluster.router import split_batch
-from ..config import AdaptiveConfig
 from ..errors import AdaptiveError
 from ..serving.batch_cache import BatchDecisions
 from .controller import AdaptationController, AdaptiveStats
@@ -60,16 +59,12 @@ class ClusterAdaptationController:
         per-shard oracles translate their local row indices through the
         shard's ``query_names`` table at call time, so migrations between
         responses cannot mis-execute.
-    config:
-        Thresholds and budgets (:class:`AdaptiveConfig`) of the shared
-        detector and so of every per-shard :class:`AdaptationController`.
     """
 
     def __init__(
         self,
         cluster: ServingCluster,
         cell_lookup: Callable[[str, int], float],
-        config: Optional[AdaptiveConfig] = None,
     ) -> None:
         if not callable(cell_lookup):
             raise AdaptiveError(
@@ -77,7 +72,7 @@ class ClusterAdaptationController:
             )
         self.cluster = cluster
         self.cell_lookup = cell_lookup
-        self.detector = DriftDetector(config or AdaptiveConfig())
+        self.detector = DriftDetector()
         self._controllers: Dict[int, AdaptationController] = {}
 
     # -- per-shard controller lifecycle ------------------------------------------

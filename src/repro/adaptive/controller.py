@@ -29,8 +29,8 @@ Steps 2-4 are one body (:meth:`AdaptationController._repair`): a recovery
 pass on a quiet tick runs it over the backlog the responses left, a drift
 response over the rows it just invalidated or found unseen.
 
-Responses are budgeted (``config.response_budget_cells`` live executions)
-and rate-limited (``config.cooldown_ticks``), so a drifting tenant degrades
+Responses are budgeted (:data:`RESPONSE_BUDGET_CELLS` live executions)
+and rate-limited (:data:`COOLDOWN_TICKS`), so a drifting tenant degrades
 gracefully over several small responses instead of stalling the backend
 with one giant re-exploration.
 """
@@ -46,6 +46,22 @@ from ..config import ExplorationConfig
 from ..serving.service import ServingService
 from .detector import DriftDetector, DriftStatus
 from .reexplore import OnlineReexplorer
+
+#: Live executions one response may spend: default-plan re-measurements plus
+#: policy-selected exploration cells.  With the cooldown it is what keeps
+#: adaptation from ever starving the serve path it protects.
+RESPONSE_BUDGET_CELLS = 64
+#: Controller ticks that must pass between two responses of one shard.
+COOLDOWN_TICKS = 2
+#: Cells per Algorithm-1 step of a response's re-exploration.
+EXPLORE_BATCH_SIZE = 8
+#: Seed of that re-exploration, which keeps replay deterministic.
+EXPLORE_SEED = 0
+#: Exceedances (or unseen serves) of one row within one window that get it
+#: swept by a budgeted response below the global thresholds: repeated
+#: evidence on one row is drift, not noise, even when its traffic share
+#: never moves the aggregate score.
+PERSISTENT_HITS = 2
 
 
 @dataclass
@@ -122,11 +138,9 @@ class AdaptationController:
         :class:`~repro.core.explorer.ExecutionOracle` protocol (the cluster
         controller passes a :class:`~repro.adaptive.reexplore.RowOracle`).
     detector:
-        The cluster controller's shared detector; its
-        :class:`~repro.config.AdaptiveConfig` holds the thresholds and
-        budgets.  Responses pick exploration cells with LimeQO, an
-        ``explore_batch_size``-cell step and the config's seed, which keeps
-        replay deterministic.
+        The cluster controller's shared detector.  Responses pick
+        exploration cells with LimeQO, an :data:`EXPLORE_BATCH_SIZE`-cell
+        step and :data:`EXPLORE_SEED`, which keeps replay deterministic.
     key:
         The detector key this shard's residuals are recorded under.
     """
@@ -136,14 +150,11 @@ class AdaptationController:
     ) -> None:
         self.service = service
         self.detector = detector
-        self.config = detector.config
         self.key = key
         self.reexplorer = OnlineReexplorer(
             service.matrix,
             oracle,
-            config=ExplorationConfig(
-                batch_size=self.config.explore_batch_size, seed=self.config.seed
-            ),
+            config=ExplorationConfig(batch_size=EXPLORE_BATCH_SIZE, seed=EXPLORE_SEED),
         )
         self.stats = AdaptiveStats()
         self._cooldown = 0
@@ -171,25 +182,22 @@ class AdaptationController:
     def _prune_backlog(self) -> None:
         """Drop rows that have been re-verified.
 
-        A row leaves the backlog once ``config.reverify_observations`` of
-        its cells are *known* again -- completed observations or censored
-        timeouts (a timeout is evidence too: the cancelled plan proved
-        worse than the row's current best).  The ``None`` default demands
-        every cell: a drifted optimum can land on any hint (the shift is
-        idiosyncratic per row, not low-rank-predictable), so anything less
-        can silently strand upside on the default plan.  Rows past the end
-        of the matrix (cluster row migration) are dropped as unknowable.
+        A row leaves the backlog once every one of its cells is *known*
+        again -- completed observations or censored timeouts (a timeout is
+        evidence too: the cancelled plan proved worse than the row's current
+        best).  Anything less than the full row can silently strand upside
+        on the default plan: a drifted optimum can land on any hint (the
+        shift is idiosyncratic per row, not low-rank-predictable), so only
+        full re-verification guarantees the lost upside is recovered rather
+        than merely anchored back to the default plan.  Rows past the end of
+        the matrix (cluster row migration) are dropped as unknowable.
         """
         if not self._backlog.size:
             return
         matrix = self.service.matrix
-        if self.config.reverify_observations is None:
-            target = matrix.n_hints
-        else:
-            target = min(self.config.reverify_observations, matrix.n_hints)
         in_range = self._backlog[self._backlog < matrix.n_queries]
         known_per_row = matrix.known_cells()[2]
-        self._backlog = in_range[known_per_row[in_range] < target]
+        self._backlog = in_range[known_per_row[in_range] < matrix.n_hints]
 
     # -- the background loop ---------------------------------------------------------
     def tick(self) -> bool:
@@ -203,9 +211,9 @@ class AdaptationController:
         execution).  Otherwise a non-empty recovery backlog gets one
         budgeted pass, so the upside a response anchored away is actually
         won back.  Otherwise per-row persistence still catches tails: a row
-        deviating (or serving unseen) ``persistent_hits`` times within one
+        deviating (or serving unseen) :data:`PERSISTENT_HITS` times within one
         window is drift even if its traffic share never moves the aggregate
-        score (min_samples gating does not apply -- the repetition
+        score (:data:`MIN_SAMPLES` gating does not apply -- the repetition
         requirement is the noise gate here), and gets a sweep response.
         """
         self.stats.ticks += 1
@@ -223,13 +231,12 @@ class AdaptationController:
             )
             self.respond(status, drifted, self.detector.unseen_rows(self.key))
         elif not self._recover():
-            hits = self.config.persistent_hits
-            drifted = self.detector.drifted_rows(self.key, min_hits=hits)
-            unseen = self.detector.unseen_rows(self.key, min_hits=hits)
+            drifted = self.detector.drifted_rows(self.key, min_hits=PERSISTENT_HITS)
+            unseen = self.detector.unseen_rows(self.key, min_hits=PERSISTENT_HITS)
             if not (drifted.size or unseen.size):
                 return False
             self.respond(status, drifted, unseen, sweep=True)
-        self._cooldown = self.config.cooldown_ticks
+        self._cooldown = COOLDOWN_TICKS
         return True
 
     def _recover(self) -> bool:
@@ -295,7 +302,7 @@ class AdaptationController:
         journaled ahead so that a crash mid-drift recovers it.  Returns
         ``(remeasured, explored)`` live executions.
         """
-        budget = self.config.response_budget_cells
+        budget = RESPONSE_BUDGET_CELLS
         matrix = self.service.matrix
         default_hint = self.service.cache.default_hint
         unanchored = np.asarray(

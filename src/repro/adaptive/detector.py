@@ -6,14 +6,14 @@ its own reads the default key -- and turns window
 statistics into a thresholded :class:`DriftStatus`:
 
 * ``drift_triggered``: the fraction of recent measurements deviating from
-  their decision-time expectation beyond ``config.tolerance`` crossed
-  ``config.drift_threshold`` (data drift, Figures 10-11);
+  their decision-time expectation beyond :data:`TOLERANCE` crossed
+  :data:`DRIFT_THRESHOLD` (data drift, Figures 10-11);
 * ``unseen_triggered``: the fraction of recent arrivals served with no
-  observation at all crossed ``config.unseen_threshold``, or the tracked
+  observation at all crossed :data:`UNSEEN_THRESHOLD`, or the tracked
   row count grew by more than that fraction (workload shift / new
   templates, Figure 9).
 
-Both thresholds require ``config.min_samples`` of evidence, so a detector
+Both thresholds require :data:`MIN_SAMPLES` of evidence, so a detector
 can never fire on noise from a handful of arrivals.  The detector is
 deliberately passive: it computes, it never acts.  Acting -- invalidation,
 budgeted re-exploration, refresh escalation -- is the controller's job.
@@ -22,14 +22,31 @@ budgeted re-exploration, refresh escalation -- is the controller's job.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
-from ..config import AdaptiveConfig
 from .residuals import ResidualWindow
 
 DEFAULT_KEY = "service"
+
+#: Serving-feedback arrivals each key's sliding window holds.
+WINDOW = 256
+#: Relative error between a served arrival's measured latency and the
+#: snapshot's expected latency past which the arrival is a drift exceedance.
+TOLERANCE = 0.35
+#: Exceedance fraction (of the window's measured arrivals) past which the
+#: drift signal fires.
+DRIFT_THRESHOLD = 0.10
+#: The second signal's threshold: the fraction of arrivals served with no
+#: observation at all (new templates, freshly invalidated rows), or the row
+#: growth since the window epoch began.  Thresholded apart from drift, so a
+#: stream of brand-new queries triggers re-exploration even when nothing
+#: measured has drifted yet.
+UNSEEN_THRESHOLD = 0.10
+#: Evidence either signal needs before it may fire: a detector can never
+#: fire on noise from a handful of arrivals.
+MIN_SAMPLES = 32
 
 
 @dataclass(frozen=True)
@@ -56,8 +73,7 @@ class DriftStatus:
 class DriftDetector:
     """Keyed residual windows plus new-row-rate monitoring."""
 
-    def __init__(self, config: Optional[AdaptiveConfig] = None) -> None:
-        self.config = config or AdaptiveConfig()
+    def __init__(self) -> None:
         self._windows: Dict[str, ResidualWindow] = {}
         self._row_baseline: Dict[str, int] = {}
         self._row_current: Dict[str, int] = {}
@@ -66,7 +82,7 @@ class DriftDetector:
     def window(self, key: str = DEFAULT_KEY) -> ResidualWindow:
         """The window for ``key`` (created lazily)."""
         if key not in self._windows:
-            self._windows[key] = ResidualWindow(self.config.window)
+            self._windows[key] = ResidualWindow(WINDOW)
         return self._windows[key]
 
     def record(self, queries, expected, measured, key: str = DEFAULT_KEY) -> None:
@@ -89,16 +105,16 @@ class DriftDetector:
     def status(self, key: str = DEFAULT_KEY) -> DriftStatus:
         """Thresholded signals for one key.
 
-        The drift branch gates on ``min_samples`` of *residual-carrying*
+        The drift branch gates on :data:`MIN_SAMPLES` of *residual-carrying*
         evidence: the score is a fraction of measured samples only, so a
         window dominated by unseen serves (e.g. a template stream) must
         not let one noisy measurement trip an invalidation.  The unseen
         branch gates on total window size.
         """
-        stats = self.window(key).stats(self.config.tolerance)
+        stats = self.window(key).stats(TOLERANCE)
         new_rows = self.new_row_fraction(key)
-        enough_measured = stats.seen_samples >= self.config.min_samples
-        enough_total = stats.samples >= self.config.min_samples
+        enough_measured = stats.seen_samples >= MIN_SAMPLES
+        enough_total = stats.samples >= MIN_SAMPLES
         return DriftStatus(
             key=key,
             samples=stats.samples,
@@ -109,12 +125,9 @@ class DriftDetector:
             max_residual=stats.max_residual,
             new_row_fraction=new_rows,
             drift_triggered=enough_measured
-            and stats.drift_score > self.config.drift_threshold,
+            and stats.drift_score > DRIFT_THRESHOLD,
             unseen_triggered=enough_total
-            and (
-                stats.unseen_rate > self.config.unseen_threshold
-                or new_rows > self.config.unseen_threshold
-            ),
+            and (stats.unseen_rate > UNSEEN_THRESHOLD or new_rows > UNSEEN_THRESHOLD),
         )
 
     def statuses(self) -> List[DriftStatus]:
@@ -123,7 +136,7 @@ class DriftDetector:
 
     def drifted_rows(self, key: str = DEFAULT_KEY, min_hits: int = 1) -> np.ndarray:
         """Rows with over-tolerance residual evidence in ``key``'s window."""
-        return self.window(key).drifted_rows(self.config.tolerance, min_hits)
+        return self.window(key).drifted_rows(TOLERANCE, min_hits)
 
     def unseen_rows(self, key: str = DEFAULT_KEY, min_hits: int = 1) -> np.ndarray:
         """Rows served without any observation in ``key``'s window."""

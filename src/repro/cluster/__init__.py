@@ -20,7 +20,7 @@ of the related work:
 """
 
 from .cluster import ServingCluster
-from .failover import HealthBoard, ShardHealth, degraded_decisions
+from .failover import HealthBoard, ShardHealth
 from .router import RendezvousRouter, rendezvous_score, routing_key, split_batch
 from .scheduler import RefreshScheduler
 from .shard import ClusterShard
@@ -30,7 +30,6 @@ __all__ = [
     "ServingCluster",
     "HealthBoard",
     "ShardHealth",
-    "degraded_decisions",
     "RendezvousRouter",
     "rendezvous_score",
     "routing_key",

@@ -42,7 +42,7 @@ from ..durability.recovery import RecoveredState
 from ..errors import ClusterError, InjectedCrash, ReproError
 from ..serving.batch_cache import BatchDecisions
 from ..serving.stats import checked_shed_count
-from ..telemetry.runtime import ClusterMetrics, Telemetry
+from ..telemetry.runtime import ClusterMetrics
 from .failover import HealthBoard
 from .router import RendezvousRouter, routing_key, split_batch
 from .scheduler import RefreshScheduler
@@ -108,11 +108,11 @@ class ServingCluster:
     journal_sync:
         WAL sync policy for every shard journal (``"os"`` or ``"always"``).
     telemetry:
-        Optional :class:`~repro.telemetry.Telemetry`.  An *enabled* one is
-        shared (shard-labeled) with every shard's serving stack, holds the
-        cluster facade's counters and topology gauges in its registry, and
-        turns stage timing on; with anything else the same counters live
-        on private registries and no stage is timed.
+        Optional :class:`~repro.telemetry.Telemetry`.  One is shared
+        (shard-labeled) with every shard's serving stack, holds the cluster
+        facade's counters and topology gauges in its registry, and turns
+        stage timing on; with None the same counters live on private
+        registries and no stage is timed.
     """
 
     def __init__(
@@ -150,9 +150,9 @@ class ServingCluster:
         # Feedback addressed to a crashed shard waits here (per shard id)
         # and replays on restart; entries are ("observe"|"censor", args).
         self._outage_queue: Dict[int, List[Tuple[str, tuple]]] = {}
-        # Normalised once: disabled telemetry costs one is-None check on
-        # the routed path (it gates the router.split clock pair only).
-        self.telemetry = Telemetry.active(telemetry)
+        # Off telemetry costs one is-None check on the routed path (it
+        # gates the router.split clock pair only).
+        self.telemetry = telemetry
         # The facade counters' only store; private when nobody exports it.
         self._metrics = (
             self.telemetry.cluster_metrics()

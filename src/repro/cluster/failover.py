@@ -1,4 +1,4 @@
-"""Shard health tracking and the degraded serving mode.
+"""Shard health tracking behind the degraded serving mode.
 
 When a shard is down, the queries routed to it are *not* errors: the
 cluster answers them with the tenant's default plan.  The default plan is
@@ -19,10 +19,7 @@ from __future__ import annotations
 import enum
 from typing import Dict, List
 
-import numpy as np
-
 from ..errors import ClusterError
-from ..serving.batch_cache import BatchDecisions
 
 
 class ShardHealth(enum.Enum):
@@ -101,20 +98,3 @@ class HealthBoard:
         """Ids of shards currently DOWN."""
         return [s for s, h in self._health.items() if h is ShardHealth.DOWN]
 
-
-def degraded_decisions(queries: np.ndarray, default_hint: int) -> BatchDecisions:
-    """Default-plan answers for arrivals whose shard is down.
-
-    ``used_default`` is True and ``expected_latency`` is ``inf`` for every
-    arrival: without the shard's matrix no latency is verifiable, and
-    serving the default is exactly the no-service behaviour the
-    no-regression guarantee is anchored to.
-    """
-    queries = np.asarray(queries, dtype=np.int64)
-    n = queries.shape[0]
-    return BatchDecisions(
-        queries=queries,
-        hints=np.full(n, int(default_hint), dtype=np.int64),
-        used_default=np.ones(n, dtype=bool),
-        expected_latency=np.full(n, np.inf),
-    )

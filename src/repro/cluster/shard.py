@@ -30,7 +30,6 @@ from ..serving.batch_cache import BatchDecisions
 from ..serving.refresh import IncrementalALSRefresher
 from ..serving.service import ServingService
 from ..serving.stats import LatencyRecorder, ServingStats
-from ..telemetry.runtime import Telemetry
 
 
 class ClusterShard:
@@ -73,7 +72,7 @@ class ClusterShard:
         # A shard-labeled view of the cluster's context (or None); handed
         # to every service this shard builds so its stage timings carry
         # the shard's label.
-        self.telemetry = Telemetry.active(telemetry)
+        self.telemetry = telemetry
         # Owned by the shard, not the service: the report must survive the
         # service being retired and rebuilt when every row migrates away.
         # It counts in the shard label's cells (private ones when nobody

@@ -18,6 +18,11 @@ import numpy as np
 from ..config import ALSConfig
 from ..errors import CompletionError
 
+#: The ridge penalty λ of Algorithm 2: the paper's value (Section 5,
+#: "Techniques and tests").  It also keeps every ``r x r`` Gram matrix the
+#: solver inverts well conditioned.
+REGULARIZATION = 0.2
+
 
 @dataclass
 class CensoredALSResult:
@@ -229,7 +234,7 @@ def censored_als(
     if n_iterations < 1:
         raise CompletionError(f"iterations must be >= 1, got {n_iterations}")
 
-    reg = config.regularization * np.eye(rank)
+    reg = REGULARIZATION * np.eye(rank)
     objective_trace = []
 
     # Hot loop: every ``Q Hᵀ`` product lands in the one ``completed`` buffer
@@ -271,14 +276,7 @@ def censored_als(
             # the next (or the final) fill overwrites them.
             np.matmul(query_factors, np.ascontiguousarray(hint_factors.T), out=completed)
             residual = obs_vals - flat[obs_idx]
-            objective = float((residual ** 2).sum())
-            objective_trace.append(objective)
-            if config.tol > 0 and len(objective_trace) >= 2:
-                previous = objective_trace[-2]
-                if previous <= 0:
-                    break
-                if (previous - objective) / previous < config.tol:
-                    break
+            objective_trace.append(float((residual ** 2).sum()))
     except np.linalg.LinAlgError as exc:
         raise CompletionError(
             f"censored ALS could not invert an {rank}x{rank} Gram matrix ({exc})"

@@ -26,6 +26,11 @@ from ..errors import ExplorationError
 from .policies import ExplorationPolicy
 from .workload_matrix import WorkloadMatrix
 
+#: Steps one :meth:`OfflineExplorer.run` takes at most when the caller names
+#: no limit: the backstop of an unbounded time budget (a run also ends when a
+#: step finds nothing left to explore).
+MAX_STEPS = 10_000
+
 
 class ExecutionOracle(Protocol):
     """Anything that can execute one workload-matrix cell with a timeout.
@@ -267,7 +272,8 @@ class OfflineExplorer:
         max_steps: Optional[int] = None,
         max_cells: Optional[int] = None,
     ) -> List[ExplorationStep]:
-        """Run steps until the exploration-time budget or step limit is hit.
+        """Run steps until the exploration-time budget or step limit is hit
+        (``max_steps``, :data:`MAX_STEPS` when None).
 
         ``max_cells`` caps the number of *cells executed* across the taken
         steps; it is the entry point the online adaptation controller uses
@@ -278,7 +284,7 @@ class OfflineExplorer:
             raise ExplorationError(f"time_budget must be > 0, got {time_budget}")
         if max_cells is not None and max_cells < 1:
             raise ExplorationError(f"max_cells must be >= 1, got {max_cells}")
-        limit = max_steps if max_steps is not None else self.config.max_steps
+        limit = MAX_STEPS if max_steps is None else max_steps
         taken: List[ExplorationStep] = []
         executed = 0
         while len(taken) < limit and self._cumulative_time < time_budget:

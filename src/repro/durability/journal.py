@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..telemetry.runtime import JournalMetrics, Telemetry
+from ..telemetry.runtime import JournalMetrics
 from .faults import FaultFS
 from .snapshot import load_snapshot, write_snapshot
 from .wal import WalRecord, WriteAheadLog
@@ -59,7 +59,7 @@ class ShardJournal:
             state, _ = self.recovered_snapshot
             self._last_backlog = [int(r) for r in state.get("backlog", [])]
         # Append/checkpoint counts live in these cells only: on a private
-        # registry until the owning service binds an enabled telemetry.
+        # registry until the owning service binds a telemetry context.
         self._metrics = JournalMetrics()
         self._checkpoints_before = 0.0
         # Stage-timing seam (same binding): None keeps log() off the clock.
@@ -69,12 +69,11 @@ class ShardJournal:
     def bind_telemetry(self, telemetry, clock) -> None:
         """Count in ``telemetry``'s registry and time the ``wal.append`` stage.
 
-        Only an *enabled* :class:`~repro.telemetry.Telemetry` binds; the
-        journal otherwise keeps counting on its private registry and reads
-        no clock.  ``clock`` supplies the one perf-counter pair each
+        With ``telemetry=None`` the journal keeps counting on its private
+        registry and reads no clock.  ``clock`` supplies the one perf-counter pair each
         append costs when instrumented.
         """
-        if Telemetry.active(telemetry) is None:
+        if telemetry is None:
             return
         metrics = telemetry.journal_metrics()
         # The shared cell is monotonic over the label's life (a recovered

@@ -21,11 +21,10 @@ the *adaptive* stack (drift controller closing the loop), and an adaptive
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
-from ..config import AdaptiveConfig
 from ..errors import ExperimentError
 from ..scenarios.runner import ScenarioRunner, ScenarioTrace
 from ..scenarios.spec import ScenarioSpec
@@ -51,7 +50,6 @@ def improvement_plateaus(
 
 def adaptive_vs_static_comparison(
     spec: ScenarioSpec,
-    adaptive_config: Optional[AdaptiveConfig] = None,
     bootstrap_coverage: float = 0.85,
     check_replay: bool = True,
 ) -> Dict[str, float]:
@@ -67,7 +65,6 @@ def adaptive_vs_static_comparison(
         return ScenarioRunner(
             spec,
             adaptive=adaptive,
-            adaptive_config=adaptive_config,
             bootstrap_coverage=bootstrap_coverage,
         )
 
@@ -121,14 +118,11 @@ def adaptive_vs_static_comparison(
 
 def scenario_suite_comparison(
     specs: Dict[str, ScenarioSpec],
-    adaptive_config: Optional[AdaptiveConfig] = None,
 ) -> Dict[str, Dict[str, float]]:
     """Run :func:`adaptive_vs_static_comparison` across a scenario library."""
     results: Dict[str, Dict[str, float]] = {}
     for name in sorted(specs):
-        results[name] = adaptive_vs_static_comparison(
-            specs[name], adaptive_config=adaptive_config
-        )
+        results[name] = adaptive_vs_static_comparison(specs[name])
     summary = {
         "scenarios": float(len(results)),
         "min_recovery": float(min(r["recovery"] for r in results.values())),

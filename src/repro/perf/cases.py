@@ -325,7 +325,7 @@ def build_suite() -> PerfHarness:
         ]
         # Two services over equal matrices; only the telemetry differs.
         off = ServingService(matrix.copy())
-        on = ServingService(matrix.copy(), telemetry=Telemetry.enabled())
+        on = ServingService(matrix.copy(), telemetry=Telemetry())
         return off, on, batches
 
     def run_telemetry_overhead(state):

@@ -36,7 +36,6 @@ import numpy as np
 
 from ..adaptive.cluster import ClusterAdaptationController
 from ..cluster.cluster import ServingCluster
-from ..config import AdaptiveConfig
 from ..errors import ScenarioError
 from ..serving.batch_cache import BatchDecisions
 from .spec import ScenarioEvent, ScenarioPhase, ScenarioSpec
@@ -148,15 +147,13 @@ class _ClusterTarget:
         else:
             self.cluster.add_tenant(tenant, names)
 
-    def attach_controller(self, adaptive_config: AdaptiveConfig) -> None:
+    def attach_controller(self) -> None:
         def cell_lookup(key: str, hint: int) -> float:
             tenant, name = key.split("/", 1)
             world = self.worlds[tenant]
             return world.latency(world.row_of(name), hint)
 
-        self.controller = ClusterAdaptationController(
-            self.cluster, cell_lookup, config=adaptive_config
-        )
+        self.controller = ClusterAdaptationController(self.cluster, cell_lookup)
 
     def serve(self, tenant: str, local_queries: np.ndarray) -> BatchDecisions:
         return self.cluster.serve_batch(tenant, local_queries)
@@ -235,7 +232,6 @@ class ScenarioRunner:
         spec: ScenarioSpec,
         target: Union[str, Callable] = "cluster",
         adaptive: bool = True,
-        adaptive_config: Optional[AdaptiveConfig] = None,
         bootstrap_coverage: float = 0.85,
         n_shards: int = 1,
         durability_dir: Optional[str] = None,
@@ -261,7 +257,6 @@ class ScenarioRunner:
             )
         self.spec = spec
         self.adaptive = bool(adaptive)
-        self.adaptive_config = adaptive_config or AdaptiveConfig()
         self.bootstrap_coverage = float(bootstrap_coverage)
         self.n_hints = hints.pop()
         self.n_shards = int(n_shards)
@@ -327,7 +322,7 @@ class ScenarioRunner:
             target.register(tenant_spec.name, world.names[: world.visible])
             self._bootstrap(world, target, bootstrap_rng)
         if self.adaptive:
-            target.attach_controller(self.adaptive_config)
+            target.attach_controller()
 
         trace = ScenarioTrace(scenario=self.spec.name, adaptive=self.adaptive)
         for tick in range(self.spec.total_ticks):

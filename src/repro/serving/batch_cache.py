@@ -27,7 +27,6 @@ from ..core.plan_cache import CacheDecision, CacheSnapshot, PlanCache
 from ..core.workload_matrix import WorkloadMatrix, checked_ids
 from ..errors import ServingError
 from ..telemetry.registry import Counter
-from ..telemetry.runtime import Telemetry
 
 
 @dataclass(frozen=True)
@@ -118,14 +117,14 @@ class BatchedPlanCache:
 
         ``metrics`` is the owning service's
         :class:`~repro.telemetry.ServingMetrics` (rebuild and patched-row
-        counters).  Only an *enabled* telemetry context routes lookups
-        through the ``cache.lookup`` stage histogram, with ``clock``
-        supplying the one perf-counter pair the stage costs; anything else
-        leaves the hot path off the clock.
+        counters).  A telemetry context routes lookups through the
+        ``cache.lookup`` stage histogram, with ``clock`` supplying the one
+        perf-counter pair the stage costs; None leaves the hot path off the
+        clock.
         """
         self._rebuilds = metrics.cache_rebuilds
         self._patched_rows = metrics.cache_patched_rows
-        if Telemetry.active(telemetry) is not None:
+        if telemetry is not None:
             self._tracer = telemetry.tracer
             self._stage_clock = clock
 

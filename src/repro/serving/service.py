@@ -53,13 +53,12 @@ class ServingService:
         bypass this service, like re-exploration -- is logged before it
         applies.
     telemetry:
-        Optional :class:`~repro.telemetry.Telemetry`.  Only an *enabled*
-        one is kept (``Telemetry.enabled()``): the service then counts in
-        that context's registry (a recorder it builds itself; a passed
-        ``recorder`` already names its cells), times the per-stage latency
-        histograms, and stamps traces.  Disabled or absent, the counters
-        live on a private registry, no clock is read for stages, and the
-        decisions are byte-identical either way.
+        Optional :class:`~repro.telemetry.Telemetry`.  Given one, the
+        service counts in that context's registry (a recorder it builds
+        itself; a passed ``recorder`` already names its cells), times the
+        per-stage latency histograms, and stamps traces.  With None the
+        counters live on a private registry, no clock is read for stages,
+        and the decisions are byte-identical either way.
     """
 
     def __init__(
@@ -90,9 +89,9 @@ class ServingService:
                 journal.log_import(matrix.to_dict())
             matrix.journal = journal
         self._clock = clock
-        # Normalised once here: the hot path's only stage-timing cost when
-        # disabled is a single attribute-is-None check.
-        self._telemetry = Telemetry.active(telemetry)
+        # The hot path's only stage-timing cost when telemetry is off is a
+        # single attribute-is-None check.
+        self._telemetry = telemetry
         if recorder is None:
             recorder = LatencyRecorder(
                 self._telemetry.serving_metrics()
@@ -164,7 +163,7 @@ class ServingService:
     # -- telemetry ----------------------------------------------------------------
     @property
     def telemetry(self) -> Optional[Telemetry]:
-        """The enabled telemetry context, or None (disabled counts as None)."""
+        """The telemetry context, or None when telemetry is off."""
         return self._telemetry
 
     def record_shed(self, count: int = 1) -> None:

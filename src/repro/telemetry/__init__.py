@@ -1,9 +1,9 @@
 """Unified observability: metrics registry, request tracing, snapshots.
 
 See ``docs/observability.md`` for the metric catalog, trace stages, and
-snapshot schema.  Everything here is no-op-by-default: components only
-instrument when handed a :class:`Telemetry` whose config has
-``enabled=True`` (use :meth:`Telemetry.enabled` to opt in).
+snapshot schema.  Everything here is off by default: components only
+instrument when handed a :class:`Telemetry` (``telemetry=Telemetry()``);
+``telemetry=None`` is off.
 """
 
 from .registry import (

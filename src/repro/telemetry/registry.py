@@ -12,7 +12,7 @@ Three design rules keep the registry usable on the serve hot path:
   addition of bucket counts and ``merge(a, b)`` is exactly equivalent to
   observing the union of the samples (hypothesis-verified in
   ``tests/test_telemetry.py``).
-* **Label cardinality is bounded.**  Past ``max_label_values`` distinct
+* **Label cardinality is bounded.**  Past :data:`MAX_LABEL_VALUES` distinct
   label sets per metric, new label sets collapse into one shared
   ``"__overflow__"`` child and the registry's overflow counter
   increments -- an unbounded tenant-id stream degrades gracefully
@@ -37,6 +37,10 @@ from ..config import DEFAULT_BUCKETS
 from ..errors import TelemetryError
 
 OVERFLOW_LABEL = "__overflow__"
+#: Distinct label sets one metric may hold before new ones collapse into the
+#: shared overflow child: a tenant-id explosion must never OOM the metrics
+#: layer.  The stack's own labels (shards, stages) stay far below it.
+MAX_LABEL_VALUES = 64
 
 
 class Counter:
@@ -201,7 +205,7 @@ class MetricFamily:
     An unlabeled metric is a family with a single anonymous child (the
     empty label tuple).  ``labels(...)`` returns -- creating on first use
     -- the child for one ordered tuple of label values, collapsing into
-    the shared overflow child past the registry's cardinality bound.
+    the shared overflow child past :data:`MAX_LABEL_VALUES`.
     """
 
     def __init__(
@@ -210,7 +214,6 @@ class MetricFamily:
         help_text: str,
         kind: str,
         label_names: Tuple[str, ...],
-        max_label_values: int,
         overflow_counter: Counter,
         bounds: Optional[Sequence[float]] = None,
     ) -> None:
@@ -218,7 +221,6 @@ class MetricFamily:
         self.help = help_text
         self.kind = kind
         self.label_names = label_names
-        self._max_label_values = max_label_values
         self._overflow = overflow_counter
         self._bounds = tuple(bounds) if bounds is not None else None
         self._children: Dict[Tuple[str, ...], Any] = {}
@@ -240,7 +242,7 @@ class MetricFamily:
         child = self._children.get(key)
         if child is None:
             if (
-                len(self._children) >= self._max_label_values
+                len(self._children) >= MAX_LABEL_VALUES
                 and key != (OVERFLOW_LABEL,) * len(self.label_names)
             ):
                 # Cardinality guard: collapse into the shared overflow
@@ -294,12 +296,7 @@ class MetricsRegistry:
     coordination; a signature mismatch raises.
     """
 
-    def __init__(self, max_label_values: int = 64) -> None:
-        if max_label_values < 1:
-            raise TelemetryError(
-                f"max_label_values must be >= 1, got {max_label_values}"
-            )
-        self.max_label_values = int(max_label_values)
+    def __init__(self) -> None:
         self._families: Dict[str, MetricFamily] = {}
         self.label_overflows = Counter()
 
@@ -328,7 +325,6 @@ class MetricsRegistry:
             help_text,
             kind,
             labels,
-            self.max_label_values,
             self.label_overflows,
             bounds=bounds,
         )

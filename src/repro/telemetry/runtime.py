@@ -4,14 +4,10 @@ Construction cost is paid once; hot paths only ever touch pre-resolved
 metric children.  The bundles below (:class:`ServingMetrics`,
 :class:`JournalMetrics`, :class:`ClusterMetrics`) are the *only* store
 for the counters they name, so every component always holds one: built
-on the shared registry when it is handed an enabled ``Telemetry``, on a
-private registry nobody exports otherwise.  Components accept
-``telemetry=None`` and normalise at construction time::
-
-    self._telemetry = Telemetry.active(telemetry)
-
-so ``TelemetryConfig.enabled`` gates only what costs clock reads (stage
-timing, the trace ring) and export: the disabled path is a single
+on the shared registry when it is handed a ``Telemetry``, on a private
+registry nobody exports otherwise.  Components take ``telemetry=None`` for
+off, so passing one gates only what costs clock reads (stage timing, the
+trace ring) and export: the off path is a single
 ``if self._telemetry is not None`` branch -- byte-identical decisions,
 zero extra allocations (regression-tested in ``tests/test_telemetry.py``).
 
@@ -23,10 +19,8 @@ no merge step.
 
 from __future__ import annotations
 
-from dataclasses import replace
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Optional
 
-from ..config import DEFAULT_BUCKETS, DEFAULT_TELEMETRY_CONFIG, TelemetryConfig
 from .registry import MetricsRegistry
 from .tracing import Tracer
 
@@ -103,57 +97,27 @@ CLUSTER_GAUGES = {
 
 
 class Telemetry:
-    """Shared observability context: config + registry + tracer.
+    """Shared observability context: one registry and one tracer.
 
-    Disabled (the :class:`~repro.config.TelemetryConfig` default) it is
-    inert: components that receive it check ``config.enabled`` once at
-    construction and keep no reference, so no stage is timed, no trace is
-    kept, and their counters stay on registries of their own.
+    Passing one is what turns telemetry on: a component handed a
+    ``Telemetry`` times its stages, keeps traces and counts on the shared
+    registry; one built with ``telemetry=None`` does none of that.
     """
 
-    def __init__(
-        self,
-        config: Optional[TelemetryConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
-        shard_label: str = "all",
-    ) -> None:
-        self.config = config if config is not None else DEFAULT_TELEMETRY_CONFIG
-        self.registry = (
-            registry
-            if registry is not None
-            else MetricsRegistry(max_label_values=self.config.max_label_values)
-        )
-        self.shard_label = str(shard_label)
-        self.tracer = Tracer(
-            self.registry,
-            slow_trace_seconds=self.config.slow_trace_seconds,
-            ring_size=self.config.trace_ring,
-        )
-
-    @classmethod
-    def enabled(cls, config: Optional[TelemetryConfig] = None) -> "Telemetry":
-        """An opted-in instance (``TelemetryConfig.enabled`` flipped on)."""
-        base = config if config is not None else DEFAULT_TELEMETRY_CONFIG
-        return cls(replace(base, enabled=True))
-
-    @staticmethod
-    def active(telemetry: Optional["Telemetry"]) -> Optional["Telemetry"]:
-        """``telemetry`` when it is enabled, else None -- what a component
-        keeps, so its hot path pays one is-None check when telemetry is off."""
-        if telemetry is not None and telemetry.config.enabled:
-            return telemetry
-        return None
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
+        self.shard_label = "all"
+        self.tracer = Tracer(self.registry)
 
     def labeled(self, shard_label: str) -> "Telemetry":
         """A same-process view with a different default shard label.
 
-        Config, registry, and tracer are *shared* -- this is how the
-        in-process cluster hands one telemetry context to every shard
-        while keeping their metric children separated by label (the whole
-        stack runs one event-loop frame at a time, so sharing is safe).
+        Registry and tracer are *shared* -- this is how the in-process
+        cluster hands one telemetry context to every shard while keeping
+        their metric children separated by label (the whole stack runs one
+        event-loop frame at a time, so sharing is safe).
         """
         view = Telemetry.__new__(Telemetry)
-        view.config = self.config
         view.registry = self.registry
         view.shard_label = str(shard_label)
         view.tracer = self.tracer
@@ -162,9 +126,7 @@ class Telemetry:
     # -- pre-wired metric bundles ------------------------------------------
     def serving_metrics(self, shard: str = "") -> "ServingMetrics":
         """The well-known serving counters, resolved for one shard label."""
-        return ServingMetrics(
-            self.registry, shard or self.shard_label, self.config.latency_buckets
-        )
+        return ServingMetrics(self.registry, shard or self.shard_label)
 
     def journal_metrics(self, shard: str = "") -> "JournalMetrics":
         """The well-known durability counters for one shard label."""
@@ -191,16 +153,13 @@ class ServingMetrics:
     Resolving ``labels(...)`` once at construction keeps the hot path to
     attribute loads plus float adds -- no dict lookups per batch.  With
     no ``registry`` the cells live on a fresh private one: the store of a
-    component nobody handed an enabled :class:`Telemetry`.
+    component nobody handed a :class:`Telemetry`.
     """
 
     __slots__ = (*SERVING_COUNTERS, "batch_seconds")
 
     def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        shard: str = "all",
-        bounds: Sequence[float] = DEFAULT_BUCKETS,
+        self, registry: Optional[MetricsRegistry] = None, shard: str = "all"
     ) -> None:
         reg = registry if registry is not None else MetricsRegistry()
         for attr, (name, help_text) in SERVING_COUNTERS.items():
@@ -210,7 +169,6 @@ class ServingMetrics:
             BATCH_SECONDS,
             "Amortised per-decision serve latency, weighted by batch size.",
             labels=("shard",),
-            bounds=bounds,
         ).labels(shard)
 
 

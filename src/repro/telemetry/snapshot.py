@@ -66,7 +66,7 @@ def collect_snapshot(
     payload: Dict[str, Any] = {"schema_version": SNAPSHOT_SCHEMA_VERSION}
 
     if telemetry is not None:
-        payload["enabled"] = bool(telemetry.config.enabled)
+        payload["enabled"] = True
         payload["metrics"] = telemetry.registry.snapshot()
         payload["traces"] = telemetry.tracer.snapshot()
 

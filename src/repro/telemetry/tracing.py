@@ -13,10 +13,9 @@ a time per event-loop frame (ingress drains coalesced batches
 sequentially; the cluster fans out synchronously), so a plain attribute
 is race-free here -- no contextvars, no locks.
 
-Finished traces whose total duration is at least ``slow_trace_seconds``
-enter a bounded ring buffer; when full, the oldest trace is evicted.
-With the threshold at 0.0 every trace is admitted, which the demo and
-tests use to inspect recent activity.
+Finished traces whose total duration is at least :data:`SLOW_TRACE_SECONDS`
+enter a ring buffer of the :data:`TRACE_RING` most recent; when full, the
+oldest trace is evicted.
 """
 
 from __future__ import annotations
@@ -25,6 +24,13 @@ from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from .registry import MetricsRegistry
+
+#: Admission threshold of the trace ring (seconds).  At 0.0 every finished
+#: trace is admitted -- "recent traces" -- which is what the demo's
+#: top-5-slowest listing reads.
+SLOW_TRACE_SECONDS = 0.0
+#: How many admitted traces the ring keeps: the bound on its memory.
+TRACE_RING = 64
 
 #: The only stage that precedes its trace root instead of nesting in it.
 QUEUE_WAIT = "ingress.queue_wait"
@@ -101,14 +107,7 @@ class Tracer:
     current trace and admits it to the ring when slow enough.
     """
 
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        slow_trace_seconds: float = 0.0,
-        ring_size: int = 64,
-    ) -> None:
-        if ring_size < 1:
-            ring_size = 1
+    def __init__(self, registry: MetricsRegistry) -> None:
         self._stage_seconds = registry.histogram(
             "repro_stage_seconds",
             "Per-stage request latency across the serving pipeline.",
@@ -117,8 +116,7 @@ class Tracer:
         # Per-stage children resolved once: record_stage runs on the serve
         # hot path, and labels() pays a tuple-of-str build per call.
         self._stage_children: Dict[str, Any] = {}
-        self.slow_trace_seconds = float(slow_trace_seconds)
-        self._ring: Deque[Trace] = deque(maxlen=int(ring_size))
+        self._ring: Deque[Trace] = deque(maxlen=TRACE_RING)
         self._current: Optional[Trace] = None
         self.dropped_traces = 0
         self.finished_traces = 0
@@ -158,7 +156,7 @@ class Tracer:
             return None
         self._current = None
         self.finished_traces += 1
-        if trace.total_seconds >= self.slow_trace_seconds:
+        if trace.total_seconds >= SLOW_TRACE_SECONDS:
             if len(self._ring) == self._ring.maxlen:
                 self.dropped_traces += 1
             self._ring.append(trace)
@@ -183,6 +181,6 @@ class Tracer:
         return {
             "finished_traces": self.finished_traces,
             "dropped_traces": self.dropped_traces,
-            "slow_trace_seconds": self.slow_trace_seconds,
+            "slow_trace_seconds": SLOW_TRACE_SECONDS,
             "ring": [t.as_dict() for t in self._ring],
         }

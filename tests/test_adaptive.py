@@ -6,6 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.adaptive import (
+    COOLDOWN_TICKS,
+    DRIFT_THRESHOLD,
+    EXPLORE_BATCH_SIZE,
+    MIN_SAMPLES,
+    PERSISTENT_HITS,
+    RESPONSE_BUDGET_CELLS,
+    TOLERANCE,
+    UNSEEN_THRESHOLD,
+    WINDOW,
     AdaptiveStats,
     ClusterAdaptationController,
     DriftDetector,
@@ -16,9 +25,9 @@ from repro.adaptive import (
     unseen_rate,
 )
 from repro.cluster import ServingCluster
-from repro.config import ALSConfig, AdaptiveConfig
+from repro.config import ALSConfig
 from repro.core.workload_matrix import WorkloadMatrix
-from repro.errors import AdaptiveError, ConfigError
+from repro.errors import AdaptiveError
 from repro.workloads import generate_workload
 from repro.workloads.spec import WorkloadSpec
 
@@ -138,16 +147,16 @@ def test_residual_window_rows_and_clear():
 
 # -- detector ---------------------------------------------------------------------
 def test_detector_zero_drift_never_triggers():
-    detector = DriftDetector(AdaptiveConfig(window=64, min_samples=16))
-    expected = np.full(64, 5.0)
+    detector = DriftDetector()
+    expected = np.full(WINDOW, 5.0)
     for _ in range(10):
-        detector.record(np.arange(64), expected, expected)
+        detector.record(np.arange(WINDOW), expected, expected)
         assert not detector.status().triggered
     assert detector.status().drift_score == 0.0
 
 
 def test_detector_full_drift_always_triggers():
-    detector = DriftDetector(AdaptiveConfig(window=64, min_samples=16))
+    detector = DriftDetector()
     expected = np.full(64, 5.0)
     detector.record(np.arange(64), expected, expected * 4.0)
     status = detector.status()
@@ -159,35 +168,45 @@ def test_detector_drift_gate_ignores_unseen_samples():
     """A window dominated by unseen serves must not let one noisy
     measurement trip a drift invalidation (the gate counts residual-
     carrying samples only)."""
-    detector = DriftDetector(AdaptiveConfig(window=128, min_samples=32))
+    detector = DriftDetector()
     expected = np.full(62, np.inf)
     expected[:2] = 10.0
     measured = np.full(62, 10.0)
     measured[0] = 30.0  # one noisy measurement among 60 unseen serves
     detector.record(np.arange(62), expected, measured)
     status = detector.status()
-    assert status.samples == 62 and status.seen_samples == 2
+    assert status.samples == 62 >= MIN_SAMPLES and status.seen_samples == 2
     assert status.drift_score == pytest.approx(0.5)
     assert not status.drift_triggered
     assert status.unseen_triggered  # the unseen signal is the real story
 
 
+def test_constants_are_a_consistent_configuration():
+    """The thresholds and budgets are constants now; they must still be
+    one configuration the detector and controller can run."""
+    assert 1 <= MIN_SAMPLES <= WINDOW  # a full window can reach a verdict
+    assert TOLERANCE > 0
+    assert 0.0 < DRIFT_THRESHOLD <= 1.0 and 0.0 < UNSEEN_THRESHOLD <= 1.0
+    assert 1 <= EXPLORE_BATCH_SIZE <= RESPONSE_BUDGET_CELLS
+    assert COOLDOWN_TICKS >= 0 and PERSISTENT_HITS >= 1
+    assert DriftDetector().window().capacity == WINDOW
+
+
 def test_detector_needs_min_samples():
-    detector = DriftDetector(AdaptiveConfig(window=64, min_samples=32))
-    expected = np.full(8, 5.0)
-    detector.record(np.arange(8), expected, expected * 4.0)
+    detector = DriftDetector()
+    expected = np.full(MIN_SAMPLES - 1, 5.0)
+    detector.record(np.arange(expected.size), expected, expected * 4.0)
     assert not detector.status().triggered  # evidence, but not enough of it
 
 
 def test_detector_unseen_and_new_row_signals():
-    config = AdaptiveConfig(window=64, min_samples=16, unseen_threshold=0.2)
-    detector = DriftDetector(config)
+    detector = DriftDetector()
     expected = np.where(np.arange(32) % 2 == 0, np.inf, 5.0)
     detector.record(np.arange(32), expected, np.full(32, 5.0))
     status = detector.status()
     assert status.unseen_triggered and not status.drift_triggered
     # Row growth alone can trigger too.
-    other = DriftDetector(config)
+    other = DriftDetector()
     fine = np.full(32, 5.0)
     other.record(np.arange(32), fine, fine)
     other.note_row_count(100)
@@ -198,25 +217,12 @@ def test_detector_unseen_and_new_row_signals():
     assert other.status().new_row_fraction == 0.0
 
 
-def test_adaptive_config_validation():
-    with pytest.raises(ConfigError):
-        AdaptiveConfig(window=0)
-    with pytest.raises(ConfigError):
-        AdaptiveConfig(min_samples=512, window=64)
-    with pytest.raises(ConfigError):
-        AdaptiveConfig(drift_threshold=0.0)
-    with pytest.raises(ConfigError):
-        AdaptiveConfig(reverify_observations=1)
-
-
 # -- controller (a one-shard cluster: feedback enters through its controller) --
-def controller_for(cluster, truth, config=None):
+def controller_for(cluster, truth):
     """The cluster controller over ``cluster``, executing cells of ``truth``
     as it stands at call time (tests drift it in place)."""
     return ClusterAdaptationController(
-        cluster,
-        lambda key, hint: truth[int(key.split("/q", 1)[1]), hint],
-        config=config or AdaptiveConfig(window=128, min_samples=32, cooldown_ticks=0),
+        cluster, lambda key, hint: truth[int(key.split("/q", 1)[1]), hint]
     )
 
 
@@ -263,7 +269,7 @@ def test_controller_full_drift_responds_and_recovers(small_truth):
     for row in drifted[:5]:
         assert matrix.value(int(row), 0) == pytest.approx(truth[int(row), 0])
     # Backlog recovery keeps exploring on quiet ticks until re-verified.
-    for _ in range(30):
+    for _ in range(60):
         if not shard._backlog.size:
             break
         controller.tick()
@@ -274,29 +280,26 @@ def test_controller_full_drift_responds_and_recovers(small_truth):
 def test_controller_response_respects_budget(small_truth):
     truth = small_truth.copy()
     cluster = build_cluster(truth)
-    config = AdaptiveConfig(
-        window=128, min_samples=32, cooldown_ticks=0,
-        response_budget_cells=10, explore_batch_size=2,
-    )
-    controller = controller_for(cluster, truth, config=config)
+    controller = controller_for(cluster, truth)
     truth *= 3.0
     feed(cluster, controller, truth)
     assert controller.tick()
     plan = shard_controller(controller).last_response
     # Budget caps total live executions (explore may overshoot by < batch).
-    assert plan.remeasured + plan.explored <= 10 + (2 - 1)
+    assert plan.remeasured + plan.explored <= RESPONSE_BUDGET_CELLS + (EXPLORE_BATCH_SIZE - 1)
+    assert plan.remeasured + plan.explored < small_truth.size  # the cap bit
 
 
 def test_controller_cooldown_rate_limits(small_truth):
     truth = small_truth.copy()
     cluster = build_cluster(truth)
-    config = AdaptiveConfig(window=128, min_samples=32, cooldown_ticks=3)
-    controller = controller_for(cluster, truth, config=config)
+    controller = controller_for(cluster, truth)
     truth *= 3.0
     feed(cluster, controller, truth)
     assert controller.tick()
-    feed(cluster, controller, truth)
-    assert not controller.tick()  # cooling down
+    for _ in range(COOLDOWN_TICKS):
+        feed(cluster, controller, truth)
+        assert not controller.tick()  # cooling down
     assert controller.report().responses == 1
 
 
@@ -431,7 +434,6 @@ def test_controller_recovery_stays_on_backlog_rows(small_truth):
     controller = ClusterAdaptationController(
         cluster,
         lambda key, hint: (executed.append(key), truth[int(key[3:]), hint])[1],
-        config=AdaptiveConfig(window=128, min_samples=32, cooldown_ticks=0),
     )
     truth *= 3.0
     feed(cluster, controller, truth)
@@ -441,7 +443,7 @@ def test_controller_recovery_stays_on_backlog_rows(small_truth):
         f"{TENANT}/q{row}" for row in shard.last_response.invalidated.tolist()
     }
     executed.clear()
-    for _ in range(30):
+    for _ in range(60):
         if not shard._backlog.size:
             break
         controller.tick()
@@ -449,23 +451,28 @@ def test_controller_recovery_stays_on_backlog_rows(small_truth):
     assert set(executed) <= touched
 
 
-def test_recovery_anchors_before_exploring(small_truth):
+def test_recovery_anchors_before_exploring():
     """A response bigger than its budget leaves unanchored rows; recovery
     passes must re-measure their defaults before any exploration lands on
     them, or the snapshot would serve unverified hints unconditionally."""
-    truth = small_truth.copy()
-    cluster = build_cluster(truth)
-    config = AdaptiveConfig(
-        window=128, min_samples=32, cooldown_ticks=0,
-        response_budget_cells=12, explore_batch_size=4,
+    spec = WorkloadSpec(
+        name="adaptive-anchor",
+        n_queries=2 * RESPONSE_BUDGET_CELLS + 20,
+        n_hints=8,
+        default_total=1480.0,
+        optimal_total=600.0,
+        rank=4,
     )
-    controller = controller_for(cluster, truth, config=config)
-    truth *= 3.0  # all 50 rows drift; budget 12 cannot anchor them in one go
+    truth = generate_workload(spec, seed=7).true_latencies.copy()
+    cluster = build_cluster(truth)
+    controller = controller_for(cluster, truth)
+    truth *= 3.0  # every row drifts; one budget cannot anchor them in one go
     feed(cluster, controller, truth)
     assert controller.tick()
     matrix = cluster.shards[0].matrix
     shard = shard_controller(controller)
-    for _ in range(60):
+    assert shard.last_response.invalidated.size > RESPONSE_BUDGET_CELLS
+    for _ in range(400):
         # Invariant at every step: a row carrying any non-default
         # observation must have its default observed too.
         for row in range(matrix.n_queries):
@@ -527,9 +534,7 @@ def test_cluster_adaptation_responds_per_shard():
     best = truth.argmin(axis=1)
     cluster.observe_batch("acme", rows, best, truth[rows, best])
     controller = ClusterAdaptationController(
-        cluster,
-        lambda key, hint: truth[int(key.split("/", 1)[1][1:]), hint],
-        config=AdaptiveConfig(window=128, min_samples=32, cooldown_ticks=0),
+        cluster, lambda key, hint: truth[int(key.split("/", 1)[1][1:]), hint]
     )
     truth *= 3.0  # cluster-wide drift
     for _ in range(2):

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import ALSConfig
-from repro.core.als import censored_als
+from repro.core.als import REGULARIZATION, censored_als
 
 
 def _reference_censored_als(observed, mask, timeouts, config, warm_start=None,
@@ -59,7 +59,7 @@ def _reference_censored_als(observed, mask, timeouts, config, warm_start=None,
         hint_factors[: warm_h.shape[0]] = warm_h
 
     n_iterations = config.iterations if iterations is None else int(iterations)
-    reg = config.regularization * np.eye(rank)
+    reg = REGULARIZATION * np.eye(rank)
     objective_trace = []
 
     def _apply_censoring(estimate):
@@ -105,7 +105,6 @@ def _close(a, b, scale=1.0):
     k=st.integers(min_value=3, max_value=10),
     rank=st.integers(min_value=1, max_value=6),  # above min(n, k): clamped
     iterations=st.integers(min_value=1, max_value=12),
-    regularization=st.floats(min_value=0.05, max_value=1.0),
     nonnegative=st.booleans(),
     censored=st.booleans(),
     weighted_mask=st.booleans(),
@@ -114,7 +113,7 @@ def _close(a, b, scale=1.0):
     data=st.data(),
 )
 def test_optimised_solver_matches_reference(
-    n, k, rank, iterations, regularization, nonnegative, censored, weighted_mask,
+    n, k, rank, iterations, nonnegative, censored, weighted_mask,
     grown_rows, seed, data
 ):
     rng = np.random.default_rng(seed)
@@ -141,7 +140,6 @@ def test_optimised_solver_matches_reference(
         iterations = min(iterations, 5)
     config = ALSConfig(
         rank=rank,
-        regularization=regularization,
         iterations=iterations,
         nonnegative=nonnegative,
         censored=censored,

@@ -27,7 +27,6 @@ from repro.cluster import (
     RendezvousRouter,
     ServingCluster,
     aggregate_shard_stats,
-    degraded_decisions,
     routing_key,
     split_batch,
 )
@@ -587,12 +586,6 @@ class TestFailover:
         assert decisions.hints.dtype == np.int64 and decisions.used_default.dtype == bool
         # threshold=1: the breaker tripped the shard DOWN.
         assert not cluster.health.is_up(victim)
-
-    def test_degraded_decisions_helper(self):
-        decisions = degraded_decisions(np.array([3, 1]), default_hint=2)
-        assert decisions.hints.tolist() == [2, 2]
-        assert decisions.used_default.all()
-        assert np.isinf(decisions.expected_latency).all()
 
     def test_health_board_validation(self):
         board = HealthBoard()

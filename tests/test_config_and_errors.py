@@ -6,6 +6,7 @@ import pytest
 
 from repro import errors
 from repro.config import ALSConfig, ExplorationConfig, TCNNConfig
+from repro.core.als import REGULARIZATION
 from repro.errors import ConfigError, ReproError
 from repro.logging_util import configure_logging, get_logger
 
@@ -24,9 +25,9 @@ def test_every_error_derives_from_repro_error():
 def test_als_config_defaults_and_validation():
     config = ALSConfig()
     assert config.rank == 5
-    assert config.regularization == pytest.approx(0.2)
+    assert REGULARIZATION == pytest.approx(0.2)  # the paper's λ
     assert config.censored
-    for kwargs in ({"rank": 0}, {"regularization": -1.0}, {"iterations": 0}):
+    for kwargs in ({"rank": 0}, {"iterations": 0}):
         with pytest.raises(ConfigError):
             ALSConfig(**kwargs)
 
@@ -34,7 +35,7 @@ def test_als_config_defaults_and_validation():
 def test_exploration_config_validation():
     config = ExplorationConfig()
     assert config.batch_size >= 1
-    for kwargs in ({"batch_size": 0}, {"timeout_alpha": 0.0}, {"max_steps": 0}):
+    for kwargs in ({"batch_size": 0}, {"timeout_alpha": 0.0}):
         with pytest.raises(ConfigError):
             ExplorationConfig(**kwargs)
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import ALSConfig, ExplorationConfig
+from repro.core import explorer as explorer_module
 from repro.core.explorer import DatabaseOracle, MatrixOracle, OfflineExplorer
 from repro.core.policies import LimeQOPolicy, RandomPolicy
 from repro.core.workload_matrix import WorkloadMatrix
@@ -115,6 +116,17 @@ def test_run_stops_when_matrix_is_exhausted():
     explorer.run(time_budget=float("inf"), max_steps=100)
     assert explorer.step() is None
     assert matrix.known_fraction() == 1.0
+
+
+def test_run_without_a_step_limit_stops_at_max_steps(monkeypatch):
+    monkeypatch.setattr(explorer_module, "MAX_STEPS", 3)
+    truth = truth_matrix()
+    explorer = OfflineExplorer(
+        warm_matrix(truth), RandomPolicy(), MatrixOracle(truth), ExplorationConfig(batch_size=1, seed=0)
+    )
+    assert len(explorer.run(time_budget=float("inf"))) == 3
+    assert explorer.step() is not None  # cells were left: the cap ended the run
+    assert len(explorer.run(time_budget=float("inf"), max_steps=5)) == 5
 
 
 def test_run_validates_budget():

@@ -842,7 +842,7 @@ class TestIdleFlush:
         assert stats.mean_batch_size == 4.0
 
     def test_flush_reasons_and_queue_wait_reach_the_registry(self):
-        telemetry = Telemetry.enabled()
+        telemetry = Telemetry()
         service = make_service(telemetry=telemetry)
 
         async def scenario():

@@ -111,7 +111,7 @@ class TestOnePassEqualsTheArrayDoor:
     @settings(max_examples=25, deadline=None)
     @given(steps=st.lists(STEPS, min_size=1, max_size=10))
     def test_mixed_flushes_equal_per_tenant_batches_through_every_change(self, steps):
-        telemetry = Telemetry.enabled()
+        telemetry = Telemetry()
         with tempfile.TemporaryDirectory() as left, tempfile.TemporaryDirectory() as right:
             # Built alike; one is asked through serve_mixed (telemetry on: there
             # is no second body for it to fall back to), one through serve_batch.
@@ -229,7 +229,7 @@ class TestTheWholeBatchIsCheckedFirst:
         ],
     )
     def test_a_rejected_batch_moves_no_counter_and_asks_no_shard(self, bad, monkeypatch):
-        telemetry = Telemetry.enabled()
+        telemetry = Telemetry()
         cluster = build_cluster(None, telemetry)
         cluster.serve_mixed([("a", 1), ("b", 2)])
         asked = []

@@ -10,9 +10,8 @@ The other contracts under test:
 
 * label cardinality collapses into ``__overflow__`` past the bound,
 * the slow-trace ring evicts oldest-first and counts drops,
-* telemetry **disabled** adds zero allocations and zero code to the
-  batched lookup hot path (the service normalises a disabled telemetry
-  object to ``None`` and takes the identical branch),
+* telemetry **off** (``telemetry=None``, the default) keeps no allocation
+  on the batched lookup hot path,
 * decisions are byte-identical with telemetry on vs off,
 * ``ServingStats.from_registry`` / ``ClusterStats.from_registry``
   agree with the recorder-backed reports (both read the same cells),
@@ -25,19 +24,19 @@ The other contracts under test:
 
 from __future__ import annotations
 
-import gc
 import io
 import json
 import logging
-import sys
+import pathlib
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.config import TelemetryConfig
+import repro
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.cluster.cluster import ServingCluster
 from repro.cluster.stats import ClusterStats
@@ -57,6 +56,8 @@ from repro.telemetry import (
     collect_snapshot,
     write_telemetry_json,
 )
+from repro.telemetry import tracing
+from repro.telemetry.registry import MAX_LABEL_VALUES
 
 
 def make_matrix(n_queries: int = 20, n_hints: int = 4, seed: int = 0):
@@ -193,26 +194,26 @@ class TestMergeLaw:
 
 class TestCardinality:
     def test_overflow_collapses_past_bound(self):
-        reg = MetricsRegistry(max_label_values=3)
+        reg = MetricsRegistry()
         family = reg.counter("repro_t_total", labels=("tenant",))
-        for tenant in ("a", "b", "c"):
-            family.labels(tenant).inc()
-        overflowed = family.labels("d")
-        again = family.labels("e")
+        for tenant in range(MAX_LABEL_VALUES):
+            family.labels(f"t{tenant}").inc()
+        overflowed = family.labels("late")
+        again = family.labels("later")
         assert overflowed is again  # both collapse onto the shared child
         overflowed.inc(5)
         assert family.labels(OVERFLOW_LABEL).value == 5
         assert reg.label_overflows.value == 2
         # Established children keep working past the bound.
-        family.labels("a").inc()
-        assert family.labels("a").value == 2
-        assert len(family.children()) == 4  # 3 real + overflow
+        family.labels("t0").inc()
+        assert family.labels("t0").value == 2
+        assert len(family.children()) == MAX_LABEL_VALUES + 1  # + overflow
 
     def test_snapshot_reports_overflows(self):
-        reg = MetricsRegistry(max_label_values=1)
+        reg = MetricsRegistry()
         fam = reg.counter("repro_t_total", labels=("tenant",))
-        fam.labels("a").inc()
-        fam.labels("b").inc()
+        for tenant in range(MAX_LABEL_VALUES + 1):
+            fam.labels(f"t{tenant}").inc()
         assert reg.snapshot()["_label_overflows"] == 1
 
     def test_registration_signature_mismatch_raises(self):
@@ -232,18 +233,22 @@ class TestCardinality:
 
 class TestTracing:
     def test_ring_evicts_oldest_and_counts_drops(self):
-        tracer = Tracer(MetricsRegistry(), ring_size=3)
-        for i in range(5):
+        tracer = Tracer(MetricsRegistry())
+        for i in range(tracing.TRACE_RING + 2):
             tracer.start(f"t{i}")
             tracer.record_stage("shard.serve", 0.001 * (i + 1))
             tracer.finish()
         names = [t.name for t in tracer.slow_traces()]
-        assert names == ["t2", "t3", "t4"]  # t0, t1 evicted oldest-first
+        # t0, t1 evicted oldest-first
+        assert names == [f"t{i}" for i in range(2, tracing.TRACE_RING + 2)]
         assert tracer.dropped_traces == 2
-        assert tracer.finished_traces == 5
+        assert tracer.finished_traces == tracing.TRACE_RING + 2
 
-    def test_slow_threshold_filters_ring(self):
-        tracer = Tracer(MetricsRegistry(), slow_trace_seconds=0.01)
+    def test_slow_threshold_filters_ring(self, monkeypatch):
+        # The threshold is 0.0 (every trace is admitted); a raised one shows
+        # the admission test at work.
+        monkeypatch.setattr(tracing, "SLOW_TRACE_SECONDS", 0.01)
+        tracer = Tracer(MetricsRegistry())
         tracer.start("fast")
         tracer.record_stage("shard.serve", 0.001)
         tracer.finish()
@@ -305,31 +310,38 @@ class TestExposition:
         assert "repro_label_overflows_total 0" in text
 
     def test_snapshot_is_json_ready(self):
-        tel = Telemetry.enabled()
+        tel = Telemetry()
         tel.serving_metrics().decisions.inc(3)
         json.dumps(tel.snapshot())  # must not raise
         json.dumps(tel.registry.snapshot())
 
 
-# -- config --------------------------------------------------------------------
+# -- the default and shard views -----------------------------------------------
 
 
 class TestConfig:
     def test_disabled_by_default(self):
-        assert TelemetryConfig().enabled is False
-        assert Telemetry().config.enabled is False
-        assert Telemetry.enabled().config.enabled is True
+        assert ServingService(make_matrix()).telemetry is None
+        assert ServingCluster(1, 4).telemetry is None
 
-    def test_validation(self):
-        with pytest.raises(Exception):
-            TelemetryConfig(trace_ring=0)
-        with pytest.raises(Exception):
-            TelemetryConfig(max_label_values=0)
-        with pytest.raises(Exception):
-            TelemetryConfig(latency_buckets=(2.0, 1.0))
+    def test_default_buckets_are_positive_and_strictly_increasing(self):
+        # The merge law and every quantile read rely on these bounds.
+        assert all(bound > 0 for bound in DEFAULT_BUCKETS)
+        assert list(DEFAULT_BUCKETS) == sorted(set(DEFAULT_BUCKETS))
+
+    def test_passing_a_telemetry_turns_it_on(self):
+        tel = Telemetry()
+        service = ServingService(make_matrix(), telemetry=tel)
+        assert service.telemetry is tel
+        assert service.cache._tracer is tel.tracer
+        cluster = ServingCluster(2, 4, telemetry=tel)
+        assert cluster.telemetry is tel
+        for shard_id, shard in cluster.shards.items():
+            assert shard.telemetry.registry is tel.registry
+            assert shard.telemetry.shard_label == str(shard_id)
 
     def test_labeled_views_share_registry(self):
-        tel = Telemetry.enabled()
+        tel = Telemetry()
         shard0 = tel.labeled("0")
         shard1 = tel.labeled("1")
         assert shard0.registry is tel.registry
@@ -347,7 +359,7 @@ class TestHotPath:
     def test_decisions_identical_with_telemetry_on_off(self):
         base = ServingService(make_matrix(seed=5))
         instrumented = ServingService(
-            make_matrix(seed=5), telemetry=Telemetry.enabled()
+            make_matrix(seed=5), telemetry=Telemetry()
         )
         for hints_a, hints_b in zip(
             serve_traffic(base, seed=9), serve_traffic(instrumented, seed=9)
@@ -355,32 +367,33 @@ class TestHotPath:
             np.testing.assert_array_equal(hints_a, hints_b)
 
     def test_disabled_telemetry_normalises_to_none(self):
-        service = ServingService(make_matrix(), telemetry=Telemetry())
+        service = ServingService(make_matrix(), telemetry=None)
         assert service.telemetry is None
         assert service.cache._tracer is None
 
     def test_disabled_adds_zero_allocations_on_batched_lookup(self):
-        def blocks_per_decide(service, rounds=60):
-            queries = np.arange(service.matrix.n_queries, dtype=np.int64)
-            for _ in range(5):  # warm caches, interned ints, freelists
+        """Off, a steady-state batched lookup keeps no block allocated by
+        ``repro`` code.  tracemalloc, filtered to the package, ignores what
+        the interpreter and the test runner allocate meanwhile, so the count
+        does not depend on which tests ran before."""
+        service = ServingService(make_matrix(seed=2))
+        queries = np.arange(service.matrix.n_queries, dtype=np.int64)
+        for _ in range(5):  # warm the snapshot and its row lists
+            service.cache.decide(queries)
+        package = [tracemalloc.Filter(True, str(pathlib.Path(repro.__file__).parent / "*"))]
+        tracemalloc.start()
+        try:
+            before = tracemalloc.take_snapshot().filter_traces(package)
+            for _ in range(60):
                 service.cache.decide(queries)
-            gc.collect()
-            gc.disable()
-            try:
-                before = sys.getallocatedblocks()
-                for _ in range(rounds):
-                    service.cache.decide(queries)
-                return sys.getallocatedblocks() - before
-            finally:
-                gc.enable()
-
-        plain = ServingService(make_matrix(seed=2))
-        disabled = ServingService(make_matrix(seed=2), telemetry=Telemetry())
-        # Identical code path => identical steady-state allocation profile.
-        assert blocks_per_decide(disabled) == blocks_per_decide(plain)
+            after = tracemalloc.take_snapshot().filter_traces(package)
+        finally:
+            tracemalloc.stop()
+        kept = [diff for diff in after.compare_to(before, "lineno") if diff.size_diff > 0]
+        assert not kept, kept
 
     def test_enabled_records_stages_and_counters(self):
-        tel = Telemetry.enabled()
+        tel = Telemetry()
         service = ServingService(make_matrix(), telemetry=tel)
         served = sum(h.size for h in serve_traffic(service, n_batches=4))
         # The feedback path records its stage unconditionally; the serve
@@ -396,7 +409,7 @@ class TestHotPath:
         from repro.config import IngressConfig
         from repro.ingress import ServiceIngress
 
-        tel = Telemetry.enabled()
+        tel = Telemetry()
         service = ServingService(make_matrix(), telemetry=tel)
         rng = np.random.default_rng(21)
         queries = rng.integers(0, 20, size=64).tolist()
@@ -425,7 +438,7 @@ class TestHotPath:
 
 class TestStatsMirror:
     def test_service_from_registry_matches_recorder(self):
-        tel = Telemetry.enabled()
+        tel = Telemetry()
         service = ServingService(make_matrix(), telemetry=tel)
         serve_traffic(service, n_batches=6)
         recorded = service.stats()
@@ -440,7 +453,7 @@ class TestStatsMirror:
         assert mirrored.wall_seconds == pytest.approx(recorded.wall_seconds)
 
     def test_totals_stay_exact_across_a_wrap_and_a_reset(self):
-        tel = Telemetry.enabled()
+        tel = Telemetry()
         recorder = LatencyRecorder(tel.serving_metrics())
 
         def mirrored():
@@ -489,7 +502,7 @@ class TestStatsMirror:
 
     def test_cluster_from_registry_consistent_without_crashes(self):
         rng = np.random.default_rng(11)
-        tel = Telemetry.enabled()
+        tel = Telemetry()
         cluster = ServingCluster(3, 4, telemetry=tel)
         keys = [f"q{i}" for i in range(18)]
         cluster.add_tenant("t", keys)
@@ -513,7 +526,7 @@ class TestStatsMirror:
 
     def test_backwards_clock_does_not_fail_a_served_batch(self):
         ticks = iter([5.0, 4.0, 9.0, 2.0, 1.0, 1.5])
-        tel = Telemetry.enabled()
+        tel = Telemetry()
         service = ServingService(
             make_matrix(), clock=lambda: next(ticks), telemetry=tel
         )
@@ -528,7 +541,7 @@ class TestStatsMirror:
         # The one intended semantic change of the single store: a recorder
         # is a view over its label's cells, so two live services sharing a
         # label also share totals; labeled() views keep them apart.
-        tel = Telemetry.enabled()
+        tel = Telemetry()
         first = ServingService(make_matrix(seed=1), telemetry=tel)
         first.serve_batch(np.arange(5))
         second = ServingService(make_matrix(seed=2), telemetry=tel)
@@ -537,7 +550,7 @@ class TestStatsMirror:
         assert second.stats().decisions == 7  # the label's history predates it
         assert ServingStats.from_registry(tel.registry).decisions == 12
 
-        apart = Telemetry.enabled()
+        apart = Telemetry()
         left = ServingService(make_matrix(seed=1), telemetry=apart.labeled("a"))
         right = ServingService(make_matrix(seed=2), telemetry=apart.labeled("b"))
         left.serve_batch(np.arange(5))
@@ -679,7 +692,7 @@ class TestCounterConservation:
     @given(ops=st.lists(OPS, max_size=40))
     def test_cluster_counters_conserve_under_interleavings(self, ops):
         with tempfile.TemporaryDirectory() as home:
-            drive_cluster(ops, Telemetry.enabled(), home)
+            drive_cluster(ops, Telemetry(), home)
 
     @settings(max_examples=100, deadline=None)
     @given(ops=st.lists(OPS, max_size=40))
@@ -693,7 +706,7 @@ class TestCounterConservation:
 
 class TestSnapshots:
     def test_collect_snapshot_sections(self, tmp_path, monkeypatch):
-        tel = Telemetry.enabled()
+        tel = Telemetry()
         service = ServingService(make_matrix(), telemetry=tel)
         serve_traffic(service, n_batches=3)
         snapshot = collect_snapshot(
@@ -714,7 +727,7 @@ class TestSnapshots:
 
     def test_cluster_snapshot_has_wal_and_health(self, tmp_path):
         rng = np.random.default_rng(13)
-        tel = Telemetry.enabled()
+        tel = Telemetry()
         cluster = ServingCluster(
             2, 4, durability_dir=str(tmp_path), telemetry=tel
         )
@@ -807,5 +820,5 @@ DEFAULT_BUCKET_COUNT = len(DEFAULT_BUCKETS)
 
 
 def test_default_buckets_match_config():
-    assert tuple(TelemetryConfig().latency_buckets) == DEFAULT_BUCKETS
+    assert Telemetry().serving_metrics().batch_seconds.bounds == DEFAULT_BUCKETS
     assert DEFAULT_BUCKET_COUNT == 19
