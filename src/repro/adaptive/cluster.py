@@ -44,6 +44,7 @@ from ..serving.batch_cache import BatchDecisions
 from .controller import AdaptationController, AdaptiveStats
 from .detector import DriftDetector
 from .reexplore import RowOracle
+from .residuals import relative_residuals
 
 
 class ClusterAdaptationController:
@@ -107,15 +108,13 @@ class ClusterAdaptationController:
                 f"{measured.shape} for batch of {decisions.batch_size}"
             )
         shard_ids, local = self.cluster.locate(tenant, decisions.queries)
+        residuals = relative_residuals(decisions.expected_latency, measured)
         for shard_id, positions in split_batch(shard_ids):
-            controller = self._controller_for(int(shard_id))
+            controller = self._controller_for(shard_id)
             if controller is None:
                 continue
-            self.detector.record(
-                local[positions],
-                decisions.expected_latency[positions],
-                measured[positions],
-                key=controller.key,
+            self.detector.record_residuals(
+                local[positions], residuals[positions], key=controller.key
             )
             self.detector.note_row_count(
                 controller.service.matrix.n_queries, key=controller.key

@@ -305,10 +305,9 @@ class AdaptationController:
         budget = RESPONSE_BUDGET_CELLS
         matrix = self.service.matrix
         default_hint = self.service.cache.default_hint
-        unanchored = np.asarray(
-            [row for row in rows.tolist() if not matrix.is_observed(row, default_hint)],
-            dtype=np.int64,
-        )
+        unanchored = rows[
+            ~matrix.is_observed_batch(rows, np.full(rows.size, default_hint))
+        ]
         remeasured = self.reexplorer.remeasure_rows(unanchored[:budget], default_hint)
         explored = 0
         if budget > remeasured:

@@ -59,13 +59,19 @@ class RowOracle:
         hints: Sequence[int],
         timeouts: Optional[Sequence[Optional[float]]] = None,
     ) -> List[ExecutionResult]:
-        """Loop adapter: a live backend executes one plan at a time."""
+        """:meth:`execute` over a batch in one pass: a live backend executes
+        one plan at a time."""
         if timeouts is None:
             timeouts = [None] * len(queries)
-        return [
-            self.execute(int(q), int(h), timeout=t)
-            for q, h, t in zip(queries, hints, timeouts)
-        ]
+        lookup = self.lookup
+        results = []
+        for q, h, t in zip(queries, hints, timeouts):
+            latency = float(lookup(int(q), int(h)))
+            if t is not None and t > 0 and latency >= t:
+                results.append(ExecutionResult(latency, True, float(t)))
+            else:
+                results.append(ExecutionResult(latency, False, latency))
+        return results
 
 
 class _RowScopedPolicy(ExplorationPolicy):
@@ -110,24 +116,25 @@ class _RowScopedPolicy(ExplorationPolicy):
         ]
         if len(picks) >= batch_size:
             return picks[:batch_size]
+        # The top-up reads only the open scoped rows: full ones are skipped
+        # by their count of executed cells, and no n x k mask is built.
+        rows = self._rows[: np.searchsorted(self._rows, limit)]
+        rows = rows[matrix.known_cells()[2][rows] < matrix.n_hints]
+        if picks:
+            taken_rows = {pair[0] for pair in picks}
+            rows = rows[[row not in taken_rows for row in rows.tolist()]]
+        rows = rows[: batch_size - len(picks)]
+        if not rows.size:
+            return picks
         predicted = self.inner.last_prediction
         usable = predicted is not None and predicted.shape == matrix.shape
-        unknown = matrix.unknown_mask()
-        taken_rows = {pair[0] for pair in picks}
-        for row in self._rows[: np.searchsorted(self._rows, limit)].tolist():
-            if len(picks) >= batch_size:
-                break
-            if row in taken_rows:
-                continue
-            columns = np.nonzero(unknown[row])[0]
-            if columns.size == 0:
-                continue
+        for row, unknown in zip(rows.tolist(), matrix.unknown_mask(rows)):
+            columns = np.flatnonzero(unknown)
             if usable:
                 column = int(columns[np.argmin(predicted[row, columns])])
             else:
                 column = int(columns[0])
             picks.append((row, column))
-            taken_rows.add(row)
         return picks
 
 

@@ -99,9 +99,10 @@ class WindowStats:
 class ResidualWindow:
     """A fixed-capacity ring of serving-feedback samples.
 
-    Recording is vectorised (one modulo-indexed scatter per batch) so the
+    Recording is vectorised (at most two slice writes per batch) so the
     window can take every served batch's feedback without adding
-    per-arrival Python work.
+    per-arrival Python work.  An unseen sample is one whose residual is
+    ``nan``.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -110,7 +111,6 @@ class ResidualWindow:
         self.capacity = int(capacity)
         self._queries = np.zeros(self.capacity, dtype=np.int64)
         self._residuals = np.full(self.capacity, np.nan)
-        self._unseen = np.zeros(self.capacity, dtype=bool)
         self._head = 0
         self._size = 0
 
@@ -119,8 +119,12 @@ class ResidualWindow:
 
     def record(self, queries, expected, measured) -> None:
         """Fold one feedback batch into the ring."""
+        self.record_residuals(queries, relative_residuals(expected, measured))
+
+    def record_residuals(self, queries, residuals) -> None:
+        """Fold one batch of :func:`relative_residuals` into the ring."""
         queries = np.asarray(queries, dtype=np.int64)
-        residuals = relative_residuals(expected, measured)
+        residuals = np.asarray(residuals, dtype=float)
         if queries.shape != residuals.shape or queries.ndim != 1:
             raise AdaptiveError(
                 "record needs matching 1-D query/expected/measured arrays"
@@ -133,11 +137,13 @@ class ResidualWindow:
             queries = queries[-self.capacity:]
             residuals = residuals[-self.capacity:]
             n = self.capacity
-        positions = (self._head + np.arange(n)) % self.capacity
-        self._queries[positions] = queries
-        self._residuals[positions] = residuals
-        self._unseen[positions] = ~np.isfinite(residuals)
-        self._head = int((self._head + n) % self.capacity)
+        head, split = self._head, min(n, self.capacity - self._head)
+        self._queries[head:head + split] = queries[:split]
+        self._residuals[head:head + split] = residuals[:split]
+        if split < n:  # wrapped around the end of the ring
+            self._queries[:n - split] = queries[split:]
+            self._residuals[:n - split] = residuals[split:]
+        self._head = (head + n) % self.capacity
         self._size = min(self._size + n, self.capacity)
 
     # -- statistics -----------------------------------------------------------
@@ -158,9 +164,7 @@ class ResidualWindow:
             samples=self._size,
             seen_samples=int(seen.sum()),
             drift_score=drift_score(residuals, tolerance),
-            unseen_rate=(
-                float(self._unseen[self._live()].mean()) if self._size else 0.0
-            ),
+            unseen_rate=float((~seen).mean()) if self._size else 0.0,
             mean_residual=mean_residual,
             max_residual=max_residual,
         )
@@ -189,13 +193,13 @@ class ResidualWindow:
 
     def unseen_rows(self, min_hits: int = 1) -> np.ndarray:
         """Sorted unique rows served unseen >= ``min_hits`` times in-window."""
+        live = self._live()
         return self._rows_with_hits(
-            self._queries[self._live()][self._unseen[self._live()]], min_hits
+            self._queries[live][~np.isfinite(self._residuals[live])], min_hits
         )
 
     def clear(self) -> None:
         """Drop every sample (after a response invalidates the residual basis)."""
         self._head = 0
         self._size = 0
-        self._unseen[:] = False
         self._residuals[:] = np.nan

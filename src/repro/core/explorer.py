@@ -13,6 +13,7 @@ with the library:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Protocol, Sequence, Tuple
 
@@ -243,9 +244,7 @@ class OfflineExplorer:
         # earlier observation.  In practice policies pick one cell per query
         # and the whole step is a single ``execute_many`` call.
         for chunk in self._row_distinct_chunks(selected):
-            chunk_timeouts = [
-                self._timeout_for(query, hint, predicted) for query, hint in chunk
-            ]
+            chunk_timeouts = self._timeouts_for(chunk, predicted)
             chunk_results = self._execute_chunk(chunk, chunk_timeouts)
             self._record_chunk(chunk, chunk_results)
             results.extend(chunk_results)
@@ -366,10 +365,12 @@ class OfflineExplorer:
         return [default_hint if h < 0 else int(h) for h in best]
 
     # -- internals -------------------------------------------------------------------
-    def _timeout_for(
-        self, query: int, hint: int, predicted: Optional[np.ndarray]
-    ) -> Optional[float]:
-        """Algorithm 1 line 10: ``T_ij = min(min(W~_i), alpha * Ŵ_ij)``.
+    def _timeouts_for(
+        self, chunk: Sequence[Tuple[int, int]], predicted: Optional[np.ndarray]
+    ) -> List[Optional[float]]:
+        """Algorithm 1 line 10, ``T_ij = min(min(W~_i), alpha * Ŵ_ij)``, for
+        a sub-batch of distinct rows: one read of the rows' state, then the
+        per-cell arithmetic on Python floats.
 
         The prediction-based cap is only applied once the row has at least
         two completed observations: with just the default plan observed the
@@ -377,19 +378,25 @@ class OfflineExplorer:
         prediction would censor the candidate at a useless threshold and
         permanently burn the cell.
         """
-        row_min = self.matrix.row_min(query)
-        candidates = []
-        if np.isfinite(row_min):
-            candidates.append(row_min)
-        prediction_usable = (
-            predicted is not None
-            and predicted.shape == self.matrix.shape
-            and self.matrix.observed_count_in_row(query) >= 2
-        )
-        if prediction_usable:
-            predicted_value = float(predicted[query, hint])
-            if np.isfinite(predicted_value) and predicted_value > 0:
-                candidates.append(predicted_value * self.config.timeout_alpha)
-        if not candidates:
-            return None
-        return float(min(candidates))
+        queries = [query for query, _ in chunk]
+        minima, completed = self.matrix.row_stats(queries)
+        caps: List[Optional[float]] = [None] * len(chunk)
+        if predicted is not None and predicted.shape == self.matrix.shape:
+            hints = [hint for _, hint in chunk]
+            alpha = self.config.timeout_alpha
+            caps = [
+                value * alpha if count >= 2 and math.isfinite(value) and value > 0 else None
+                for value, count in zip(
+                    np.asarray(predicted[queries, hints], dtype=float).tolist(),
+                    completed.tolist(),
+                )
+            ]
+        timeouts: List[Optional[float]] = []
+        for row_min, cap in zip(minima.tolist(), caps):
+            if not math.isfinite(row_min):
+                timeouts.append(cap)
+            elif cap is None:
+                timeouts.append(row_min)
+            else:
+                timeouts.append(min(row_min, cap))
+        return timeouts

@@ -283,6 +283,16 @@ class WorkloadMatrix:
         self._check_indices(query, hint)
         return bool(self._observed[query, hint])
 
+    def is_observed_batch(self, queries, hints) -> np.ndarray:
+        """Vectorised :meth:`is_observed`: one bool per ``(queries[i], hints[i])``."""
+        queries = checked_ids("query", queries, self.n_queries, MatrixError)
+        hints = checked_ids("hint", hints, self.n_hints, MatrixError)
+        if queries.shape != hints.shape:
+            raise MatrixError(
+                f"is_observed_batch needs equal lengths, got {queries.size} and {hints.size}"
+            )
+        return self._observed[queries, hints]
+
     def is_censored(self, query: int, hint: int) -> bool:
         """True for timed-out observations."""
         self._check_indices(query, hint)
@@ -410,6 +420,12 @@ class WorkloadMatrix:
         self._check_indices(query, 0)
         return int(self._observed[query].sum())
 
+    def row_stats(self, rows) -> Tuple[np.ndarray, np.ndarray]:
+        """``(row_min, observed_count_in_row)`` of each of ``rows``: the two
+        reads Algorithm 1's timeout takes of a row, for a batch of rows."""
+        rows = checked_ids("query", rows, self.n_queries, MatrixError)
+        return self._fresh_minima()[rows], np.count_nonzero(self._observed[rows], axis=1)
+
     def best_hint(self, query: int) -> Optional[int]:
         """Index of the best *completed* hint for ``query`` (None if none)."""
         self._check_indices(query, 0)
@@ -446,14 +462,18 @@ class WorkloadMatrix:
         return float(completed + censored)
 
     # -- unexplored entries -----------------------------------------------------
-    def unknown_mask(self) -> np.ndarray:
-        """Boolean matrix: True where the entry was never executed.
+    def unknown_mask(self, rows=None) -> np.ndarray:
+        """Boolean matrix: True where the entry was never executed; with
+        ``rows``, only those rows (in that order).
 
         The vectorised counterpart of :meth:`unknown_entries`; the policy
         hot path works on this array (and flat indices into it) instead of
         materialising a Python list of tuples every step.
         """
-        return ~(self._observed | self._censored)
+        if rows is None:
+            return ~(self._observed | self._censored)
+        rows = checked_ids("query", rows, self.n_queries, MatrixError)
+        return ~(self._observed[rows] | self._censored[rows])
 
     def unknown_entries(self) -> List[Tuple[int, int]]:
         """(query, hint) pairs never executed (neither observed nor censored)."""
