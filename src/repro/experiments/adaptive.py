@@ -50,7 +50,6 @@ def improvement_plateaus(
 
 def adaptive_vs_static_comparison(
     spec: ScenarioSpec,
-    bootstrap_coverage: float = 0.85,
     check_replay: bool = True,
 ) -> Dict[str, float]:
     """Run one scenario static and adaptive; reduce to the acceptance metrics."""
@@ -62,11 +61,7 @@ def adaptive_vs_static_comparison(
         )
 
     def build(adaptive: bool) -> ScenarioRunner:
-        return ScenarioRunner(
-            spec,
-            adaptive=adaptive,
-            bootstrap_coverage=bootstrap_coverage,
-        )
+        return ScenarioRunner(spec, adaptive=adaptive)
 
     static_trace = build(adaptive=False).run()
     adaptive_trace = build(adaptive=True).run()

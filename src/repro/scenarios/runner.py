@@ -41,6 +41,12 @@ from ..serving.batch_cache import BatchDecisions
 from .spec import ScenarioEvent, ScenarioPhase, ScenarioSpec
 from .world import TenantWorld
 
+#: Share of the initially visible rows whose true-best hint is observed
+#: before tick 0: converged offline exploration (Figure 2's steady state)
+#: leaves most rows, not all, on their best hint.  The default column is
+#: always observed.
+BOOTSTRAP_COVERAGE = 0.85
+
 
 @dataclass(frozen=True)
 class TickStats:
@@ -213,10 +219,6 @@ class ScenarioRunner:
         bootstrapped once and never told what execution measured -- the
         baseline the drift benchmark compares against.  With True the
         adaptation controller closes the loop.
-    bootstrap_coverage:
-        Fraction of initially visible rows whose true-best hint is observed
-        before tick 0 (models converged offline exploration, Figure 2's
-        steady state).  The default column is always observed.
     n_shards:
         Shards of the built-in cluster target.
     durability_dir:
@@ -232,7 +234,6 @@ class ScenarioRunner:
         spec: ScenarioSpec,
         target: Union[str, Callable] = "cluster",
         adaptive: bool = True,
-        bootstrap_coverage: float = 0.85,
         n_shards: int = 1,
         durability_dir: Optional[str] = None,
     ) -> None:
@@ -240,10 +241,6 @@ class ScenarioRunner:
         if self._target_factory is None and target != "cluster":
             raise ScenarioError(
                 f"target must be 'cluster' or a factory callable, got {target!r}"
-            )
-        if not 0.0 <= bootstrap_coverage <= 1.0:
-            raise ScenarioError(
-                f"bootstrap_coverage must be in [0, 1], got {bootstrap_coverage}"
             )
         hints = {t.n_hints for t in spec.tenants} | {
             e.tenant_spec.n_hints
@@ -257,7 +254,6 @@ class ScenarioRunner:
             )
         self.spec = spec
         self.adaptive = bool(adaptive)
-        self.bootstrap_coverage = float(bootstrap_coverage)
         self.n_hints = hints.pop()
         self.n_shards = int(n_shards)
         self.durability_dir = durability_dir
@@ -279,14 +275,15 @@ class ScenarioRunner:
         )
 
     def _bootstrap(self, world: TenantWorld, target, rng: np.random.Generator) -> None:
-        """Converged pre-drift state: default column + most true-best hints."""
+        """Converged pre-drift state: default column + the true-best hint of
+        :data:`BOOTSTRAP_COVERAGE` of the rows."""
         tenant = world.spec.name
         rows = np.arange(world.visible, dtype=np.int64)
         target.observe(
             tenant, rows, np.zeros(rows.size, dtype=np.int64),
             world.latencies[rows, 0],
         )
-        covered = rows[rng.random(rows.size) < self.bootstrap_coverage]
+        covered = rows[rng.random(rows.size) < BOOTSTRAP_COVERAGE]
         if covered.size:
             best = world.latencies[covered].argmin(axis=1)
             target.observe(

@@ -99,8 +99,6 @@ def test_runner_rejects_bad_targets():
             ScenarioRunner(tiny_spec(), target=target)
     ScenarioRunner(tiny_spec(), target="cluster")
     ScenarioRunner(tiny_spec(), target=lambda worlds: None)
-    with pytest.raises(ScenarioError):
-        ScenarioRunner(tiny_spec(), bootstrap_coverage=1.5)
 
 
 # -- chaos events (kill_shard / restart_shard) -------------------------------------
