@@ -23,13 +23,15 @@ scenario engine's mutable ground truth, or a real DBMS round trip -- to the
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from ..config import ExplorationConfig
+from ..config import ALSConfig, ExplorationConfig
 from ..core.explorer import OfflineExplorer
 from ..core.policies import ExplorationPolicy, LimeQOPolicy
+from ..core.predictors import RE_ANCHOR_SWEEPS
 from ..core.workload_matrix import WorkloadMatrix
 from ..db.executor import ExecutionResult
 from ..errors import AdaptiveError
@@ -81,11 +83,15 @@ class _RowScopedPolicy(ExplorationPolicy):
     keeps transferring structure from healthy rows -- but only cells in
     the scoped rows are executed, so a response's live-execution budget
     cannot leak onto rows that never drifted.  When the inner policy's
-    batch contains too few scoped rows, the batch is topped up with each
-    remaining scoped row's predicted-best unknown cell (first unknown
-    column for model-free policies), in ascending row order so replays
-    stay deterministic.  Progress is guaranteed: any scoped row with an
-    unknown cell yields a pick.
+    batch contains too few scoped rows, the batch is topped up in passes
+    over the open scoped rows (those with an unknown cell), rows ascending
+    so replays stay deterministic: pass 1 takes each row the inner policy
+    did not pick at its predicted-best unknown cell (first unknown column
+    for model-free policies); when the open rows are fewer than the batch,
+    pass ``p`` takes each open row's ``p``-th best unknown cell not picked
+    yet.  A step is full while the scope has unknown cells; the explorer
+    executes a repeated row in a later sub-batch, so its timeout sees the
+    earlier observation.
     """
 
     name = "row-scoped"
@@ -120,22 +126,56 @@ class _RowScopedPolicy(ExplorationPolicy):
         # by their count of executed cells, and no n x k mask is built.
         rows = self._rows[: np.searchsorted(self._rows, limit)]
         rows = rows[matrix.known_cells()[2][rows] < matrix.n_hints]
+        fresh = rows
         if picks:
             taken_rows = {pair[0] for pair in picks}
-            rows = rows[[row not in taken_rows for row in rows.tolist()]]
-        rows = rows[: batch_size - len(picks)]
-        if not rows.size:
-            return picks
+            fresh = rows[[row not in taken_rows for row in rows.tolist()]]
+        fresh = fresh[: batch_size - len(picks)]
         predicted = self.inner.last_prediction
-        usable = predicted is not None and predicted.shape == matrix.shape
-        for row, unknown in zip(rows.tolist(), matrix.unknown_mask(rows)):
-            columns = np.flatnonzero(unknown)
-            if usable:
-                column = int(columns[np.argmin(predicted[row, columns])])
-            else:
-                column = int(columns[0])
-            picks.append((row, column))
+        if predicted is not None and predicted.shape != matrix.shape:
+            predicted = None
+        if fresh.size:
+            picks.extend(zip(fresh.tolist(), _best_unknown(matrix, fresh, predicted)))
+        if len(picks) < batch_size and rows.size:
+            picks.extend(_later_passes(matrix, rows, picks, batch_size - len(picks), predicted))
         return picks
+
+
+def _best_unknown(matrix, rows, predicted) -> list:
+    """Pass 1 of the top-up: each of ``rows``' unknown column of least
+    ``predicted`` (the first on a tie or a ``nan``, as ``np.argmin`` over the
+    row's unknown columns picks it), or its first unknown column without a
+    prediction.  ``rows`` are open."""
+    unknown = matrix.unknown_mask(rows)
+    first_unknown = unknown.argmax(axis=1)
+    if predicted is None:
+        return first_unknown.tolist()
+    best = np.where(unknown, predicted[rows], np.inf).argmin(axis=1)
+    # A row whose unknown columns all predict +inf ties with the masked-out
+    # known ones; ``argmin`` over its unknown columns takes the first.
+    masked_out = ~unknown[np.arange(rows.size), best]
+    best[masked_out] = first_unknown[masked_out]
+    return best.tolist()
+
+
+def _later_passes(matrix, rows, picks, needed, predicted) -> list:
+    """Passes 2, 3, ... of the top-up: up to ``needed`` cells, each pass
+    one per open row (ascending) at the row's best unknown cell not in
+    ``picks`` -- by ``predicted`` (stable order), or by column without one.
+    Only these rows' columns are ever sorted, and only when pass 1 left
+    the batch short."""
+    picked = set(picks)
+    orders = []
+    for row, unknown in zip(rows.tolist(), matrix.unknown_mask(rows)):
+        columns = np.flatnonzero(unknown)
+        if predicted is not None:
+            columns = columns[np.argsort(predicted[row, columns], kind="stable")]
+        # A row gives at most ``needed`` cells, and ``picks`` hides at most
+        # ``len(picks)`` of its columns.
+        cells = [(row, column) for column in columns[: needed + len(picks)].tolist()]
+        orders.append([cell for cell in cells if cell not in picked])
+    passes = itertools.zip_longest(*orders)
+    return [cell for cells in passes for cell in cells if cell is not None][:needed]
 
 
 class OnlineReexplorer:
@@ -182,7 +222,9 @@ class OnlineReexplorer:
         """
         if max_cells < 1:
             return 0
-        policy = LimeQOPolicy()
+        # The cold first solve is a re-anchor's sweeps: warm steps and the
+        # periodic re-anchor refine it as they do in any exploration.
+        policy = LimeQOPolicy(als_config=ALSConfig(iterations=RE_ANCHOR_SWEEPS))
         if rows is not None:
             rows = np.asarray(rows, dtype=np.int64)
             if rows.size == 0:

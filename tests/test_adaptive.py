@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.adaptive import (
@@ -390,6 +390,58 @@ def _reference_scoped_select(self, matrix, batch_size, rng):
     return picks
 
 
+class _FixedPrediction:
+    """An inner policy that picks nothing and predicts a drawn matrix --
+    ties, +-inf and nan included: what a completion rarely hands over."""
+
+    overhead_seconds = 0.0
+
+    def __init__(self, predicted):
+        self.last_prediction = predicted
+
+    def select(self, matrix, batch_size, rng):
+        return []
+
+
+def _scoped_orders(matrix, scope, predicted, skip):
+    """Each open scoped row's unknown columns outside ``skip``, in ascending
+    predicted order (stable: ties by column, nan last) or by column without
+    a usable prediction."""
+    unknown = matrix.unknown_mask()
+    usable = predicted is not None and predicted.shape == matrix.shape
+    orders = {}
+    for row in sorted(scope):
+        columns = np.flatnonzero(unknown[row])
+        if usable:
+            columns = columns[np.argsort(predicted[row, columns], kind="stable")]
+        columns = [c for c in columns.tolist() if (row, c) not in skip]
+        if columns:
+            orders[row] = columns
+    return orders
+
+
+def _assert_full_passes(matrix, scope, predicted, reference, picks, batch_size):
+    """``picks`` extends the set-based top-up's ``reference`` with whole
+    ascending-row passes over the open scoped rows, each row at its next
+    best unknown cell, until the batch is full or the scope runs dry."""
+    assert picks[: len(reference)] == reference
+    assert len(set(picks)) == len(picks)
+    extras = picks[len(reference):]
+    if len(reference) >= batch_size:
+        assert not extras
+        return
+    orders = _scoped_orders(matrix, scope, predicted, set(reference))
+    passes = [
+        (row, order[depth])
+        for depth in range(matrix.n_hints)
+        for row, order in orders.items()
+        if depth < len(order)
+    ]
+    assert extras == passes[: batch_size - len(reference)]
+    unknown = matrix.unknown_mask()
+    assert all(row in scope and unknown[row, col] for row, col in extras)
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     n=st.integers(3, 12),
@@ -397,26 +449,39 @@ def _reference_scoped_select(self, matrix, batch_size, rng):
     # Unsorted, repeated, and some past the end of the matrix (migrated away).
     rows=st.lists(st.integers(0, 15), min_size=1, max_size=10),
     batch_size=st.integers(1, 6),
-    model_free=st.booleans(),
+    inner_kind=st.sampled_from(["limeqo", "model-free", "fixed"]),
     seed=st.integers(0, 2**16),
 )
-def test_row_mask_scoping_picks_what_the_set_did(n, k, rows, batch_size, model_free, seed):
+def test_row_mask_scoping_picks_what_the_set_did(n, k, rows, batch_size, inner_kind, seed):
+    """The set-based top-up (kept verbatim above) is a prefix of every
+    batch, and the whole batch when it filled it; the rest are full passes
+    (:func:`_assert_full_passes`)."""
     from repro.adaptive.reexplore import _RowScopedPolicy
     from repro.core.policies import LimeQOPolicy, RandomPolicy
 
-    truth = np.random.default_rng(seed).uniform(0.5, 20.0, (n + 1, k))
+    draws = np.random.default_rng(seed)
+    truth = draws.uniform(0.5, 20.0, (n + 1, k))
+    fixed = draws.choice([0.5, 1.0, 1.0, 2.0, np.inf, -np.inf, np.nan], size=(n, k))
     matrix = WorkloadMatrix(n, k)
     matrix.observe_batch(np.arange(n), np.zeros(n, dtype=np.int64), truth[:n, 0])
 
     def inner():
-        return RandomPolicy() if model_free else LimeQOPolicy(als_config=ALSConfig(rank=2))
+        if inner_kind == "fixed":
+            return _FixedPrediction(fixed)  # the wrong shape once a row is added
+        if inner_kind == "model-free":
+            return RandomPolicy()
+        return LimeQOPolicy(als_config=ALSConfig(rank=2))
 
     # Two inner policies fed the same matrices and draws stay in step.
     policy, reference = _RowScopedPolicy(inner(), rows), _RowScopedPolicy(inner(), rows)
     rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
     for step in range(5):
+        scope = {row for row in rows if row < matrix.n_queries}
+        expected = _reference_scoped_select(reference, matrix, batch_size, reference_rng)
         picks = policy.select(matrix, batch_size, rng)
-        assert picks == _reference_scoped_select(reference, matrix, batch_size, reference_rng)
+        _assert_full_passes(
+            matrix, scope, policy.last_prediction, expected, picks, batch_size
+        )
         assert all(type(q) is int and type(h) is int for q, h in picks)
         for query, hint in picks:
             if (query + hint + step) % 3:
@@ -425,6 +490,59 @@ def test_row_mask_scoping_picks_what_the_set_did(n, k, rows, batch_size, model_f
                 matrix.observe_censored(query, hint, float(truth[query, hint]) * 0.5)
         if step == 2:
             matrix.observe(matrix.add_query(), 0, 3.0)  # a scoped row may appear
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(4, 40),
+    k=st.integers(2, 12),
+    scope_share=st.floats(0.05, 1.0),
+    known_share=st.floats(0.0, 0.6),
+    batch_size=st.integers(1, 8),
+    seed=st.integers(0, 2**16),
+    data=st.data(),
+)
+def test_scoped_explore_steps_are_full(n, k, scope_share, known_share, batch_size, seed, data):
+    """A scoped ``explore(max_cells)`` whose scope has at least ``max_cells``
+    unknown cells takes at most ceil(max_cells / batch) steps, and executes
+    only scoped cells."""
+    from repro.adaptive import OnlineReexplorer, reexplore
+    from repro.config import ExplorationConfig
+
+    draws = np.random.default_rng(seed)
+    truth = draws.uniform(0.5, 20.0, (n, k))
+    matrix = WorkloadMatrix(n, k)
+    matrix.observe_batch(np.arange(n), np.zeros(n, dtype=np.int64), truth[:, 0])
+    extra = draws.random((n, k)) < known_share
+    extra[:, 0] = False
+    rows_known, cols_known = np.nonzero(extra)
+    matrix.observe_batch(rows_known, cols_known, truth[rows_known, cols_known])
+    scope = np.flatnonzero(draws.random(n) < scope_share)
+    open_cells = int(matrix.unknown_mask()[scope].sum())
+    assume(open_cells >= 1)
+    max_cells = data.draw(st.integers(1, open_cells))
+    executed, steps = [], []
+
+    class CountingExplorer(reexplore.OfflineExplorer):
+        def step(self):
+            step = super().step()
+            if step is not None:
+                steps.append(len(step.results))
+            return step
+
+    original = reexplore.OfflineExplorer
+    reexplore.OfflineExplorer = CountingExplorer
+    try:
+        ran = OnlineReexplorer(
+            matrix,
+            RowOracle(lambda q, h: (executed.append(q), truth[q, h])[1]),
+            ExplorationConfig(batch_size=batch_size),
+        ).explore(max_cells, rows=scope)
+    finally:
+        reexplore.OfflineExplorer = original
+    assert len(steps) <= -(-max_cells // batch_size)
+    assert ran == sum(steps) >= max_cells
+    assert set(executed) <= set(scope.tolist())
 
 
 def test_controller_recovery_stays_on_backlog_rows(small_truth):
