@@ -108,13 +108,14 @@ class ClusterAdaptationController:
                 f"{measured.shape} for batch of {decisions.batch_size}"
             )
         shard_ids, local = self.cluster.locate(tenant, decisions.queries)
+        # One residual pass for the batch, then a slice per shard's window.
         residuals = relative_residuals(decisions.expected_latency, measured)
         for shard_id, positions in split_batch(shard_ids):
             controller = self._controller_for(shard_id)
             if controller is None:
                 continue
-            self.detector.record_residuals(
-                local[positions], residuals[positions], key=controller.key
+            self.detector.window(controller.key).record_residuals(
+                local[positions], residuals[positions]
             )
             self.detector.note_row_count(
                 controller.service.matrix.n_queries, key=controller.key

@@ -89,11 +89,6 @@ class DriftDetector:
         """Fold one serving-feedback batch into ``key``'s window."""
         self.window(key).record(queries, expected, measured)
 
-    def record_residuals(self, queries, residuals, key: str = DEFAULT_KEY) -> None:
-        """:meth:`record` for residuals already computed (a batch split
-        across keys computes them once)."""
-        self.window(key).record_residuals(queries, residuals)
-
     def note_row_count(self, n_rows: int, key: str = DEFAULT_KEY) -> None:
         """Track matrix growth: the first note per window epoch is the baseline."""
         self._row_current[key] = int(n_rows)

@@ -48,12 +48,7 @@ class RowOracle:
     def execute(
         self, query: int, hint: int, timeout: Optional[float] = None
     ) -> ExecutionResult:
-        latency = float(self.lookup(int(query), int(hint)))
-        if timeout is not None and timeout > 0 and latency >= timeout:
-            return ExecutionResult(
-                latency=latency, timed_out=True, charged_time=float(timeout)
-            )
-        return ExecutionResult(latency=latency, timed_out=False, charged_time=latency)
+        return self.execute_many([query], [hint], [timeout])[0]
 
     def execute_many(
         self,
@@ -61,8 +56,9 @@ class RowOracle:
         hints: Sequence[int],
         timeouts: Optional[Sequence[Optional[float]]] = None,
     ) -> List[ExecutionResult]:
-        """:meth:`execute` over a batch in one pass: a live backend executes
-        one plan at a time."""
+        """One pass over a batch (a live backend executes one plan at a
+        time); a cell is censored at its timeout unless that is ``None`` or
+        <= 0."""
         if timeouts is None:
             timeouts = [None] * len(queries)
         lookup = self.lookup
@@ -142,10 +138,10 @@ class _RowScopedPolicy(ExplorationPolicy):
 
 
 def _best_unknown(matrix, rows, predicted) -> list:
-    """Pass 1 of the top-up: each of ``rows``' unknown column of least
-    ``predicted`` (the first on a tie or a ``nan``, as ``np.argmin`` over the
-    row's unknown columns picks it), or its first unknown column without a
-    prediction.  ``rows`` are open."""
+    """Pass 1 of the top-up, per row of ``rows`` (all open): the unknown
+    column of least ``predicted`` -- the first on a tie or at a ``nan``, as
+    ``np.argmin`` over the row's unknown columns takes it -- or the first
+    unknown column without a prediction."""
     unknown = matrix.unknown_mask(rows)
     first_unknown = unknown.argmax(axis=1)
     if predicted is None:
