@@ -115,22 +115,34 @@ def test_drift_score_properties(expected, scale, tolerance):
     assert drift_score(permuted, tolerance) == score
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    values=st.lists(latencies, min_size=1, max_size=200),
+    sizes=st.lists(st.integers(min_value=0, max_value=40), min_size=1, max_size=12),
     capacity=st.integers(min_value=1, max_value=64),
+    seed=st.integers(0, 2**16),
 )
-def test_residual_window_matches_pure_stats(values, capacity):
-    """A ring-buffered window reports exactly the stats of its last N samples."""
-    expected = np.asarray(values)
-    measured = expected * 2.0
+def test_residual_window_matches_pure_stats(sizes, capacity, seed):
+    """A ring-buffered window, fed batches that wrap around its end,
+    reports exactly the stats and rows of its last N samples."""
+    draws = np.random.default_rng(seed)
+    total = sum(sizes)
+    expected = np.where(draws.random(total) < 0.2, np.inf, draws.uniform(1e-3, 1e4, total))
+    measured = np.where(draws.random(total) < 0.5, expected * 2.0, expected)
+    queries = np.arange(total)  # a row per sample: the rows name the kept samples
     window = ResidualWindow(capacity)
-    window.record(np.arange(expected.size), expected, measured)
-    tail = expected[-capacity:]
+    bounds = np.cumsum([0, *sizes])
+    for start, stop in zip(bounds, bounds[1:]):
+        window.record(queries[start:stop], expected[start:stop], measured[start:stop])
+    tail = slice(max(0, total - capacity), total)
+    residuals = relative_residuals(expected[tail], measured[tail])
     stats = window.stats(tolerance=0.35)
-    assert stats.samples == min(expected.size, capacity)
-    reference = drift_score(relative_residuals(tail, tail * 2.0), 0.35)
-    assert stats.drift_score == pytest.approx(reference)
+    assert stats.samples == min(total, capacity)
+    assert stats.drift_score == pytest.approx(drift_score(residuals, 0.35))
+    assert stats.unseen_rate == pytest.approx(unseen_rate(expected[tail]))
+    over = np.isfinite(residuals) & (residuals > 0.35)
+    assert window.drifted_rows(0.35).tolist() == queries[tail][over].tolist()
+    unseen = ~np.isfinite(expected[tail])
+    assert window.unseen_rows().tolist() == queries[tail][unseen].tolist()
 
 
 def test_residual_window_rows_and_clear():
