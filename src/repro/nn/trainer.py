@@ -39,7 +39,12 @@ back with ``expm1`` and clipped to be non-negative.
 Cost model.  A store that keeps the plan space packed (``full_batch``) is
 read, never re-packed: each epoch gathers its shuffled training cells out of
 it once and its mini-batches are slices of that, and ``predict_full`` is one
-pass over all of it into arrays the trainer keeps between calls.
+pass over all of it into arrays the trainer keeps between calls.  Both
+passes pay for the max pool per pooled (cell, channel), not per node:
+training gathers each maximum, and scatters its gradient, through one flat
+index, and ``predict_full`` pools the last layer's bare products and only
+then adds the bias and applies the relu (exact, since both are
+non-decreasing).
 """
 
 from __future__ import annotations
@@ -57,10 +62,11 @@ from .optim import Adam
 
 def _max_over_nodes(conv: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """``conv.max(axis=1)`` for a ``(cells, nodes, channels)`` array, as a
-    running maximum into ``out``.  Every entry is a relu output or a zeroed
-    padding row, so this is the maximum over the real nodes.  (Halving the
-    node axis in place makes fewer calls over the same elements, and
-    measured slower: it writes into strided slices.)"""
+    running maximum into ``out``.  The caller keeps padding from winning:
+    relu outputs with the padding zeroed (the per-batch forward), or bare
+    products with it at -inf (``predict_full``).  (Halving the node axis in
+    place makes fewer calls over the same elements, and measured slower: it
+    writes into strided slices.)"""
     if out is None:
         out = conv[:, 0].copy()
     else:
@@ -139,9 +145,11 @@ class TCNNTrainer:
         ] if config.dropout > 0 else []
         self._rng = np.random.default_rng(seed)
         self.loss_history: List[float] = []
-        #: The last packed batch checked for an all-padding plan, and its padding rows.
+        #: The last packed batch checked for an all-padding plan, its padding
+        #: rows, and those of them past each plan's null node (what the pool reads).
         self._checked_batch: Optional[TreeBatch] = None
         self._padding = np.zeros(0, dtype=np.int64)
+        self._pool_padding = self._padding
         #: ``predict_full``'s intermediates by stage, re-made when a shape moves.
         self._workspace: Dict[object, np.ndarray] = {}
 
@@ -243,7 +251,10 @@ class TCNNTrainer:
             if not real.any(axis=1).all():
                 raise NeuralNetworkError("every sample needs at least one unmasked node")
             self._checked_batch = batch
-            self._padding = np.flatnonzero(~real.reshape(-1))
+            padding = ~real
+            self._padding = np.flatnonzero(padding.reshape(-1))
+            padding[:, 0] = False  # node 0 is every plan's null node (``pack_trees``)
+            self._pool_padding = np.flatnonzero(padding.reshape(-1))
         return batch
 
     # -- the network ------------------------------------------------------------------
@@ -293,8 +304,12 @@ class TCNNTrainer:
             convs.append(hidden)
         conv = hidden.reshape(cells, width, -1)
         if train:
-            argmax = conv.argmax(axis=1)[:, None]
-            pooled = np.take_along_axis(conv, argmax, axis=1)[:, 0]
+            # Each (cell, channel)'s maximum as one flat index into ``conv``,
+            # which the backward scatters through.
+            channels = conv.shape[2]
+            argmax = (np.arange(cells)[:, None] * width + conv.argmax(axis=1)) * channels
+            argmax += np.arange(channels)
+            pooled = conv.reshape(-1)[argmax]
         else:
             pooled = _max_over_nodes(conv)
         x = pooled
@@ -359,7 +374,7 @@ class TCNNTrainer:
         cells, width = batch.mask.shape
         # The pool's gradient lands on each maximum (``0.0 +`` as np.add.at onto zeros).
         grad = np.zeros((cells, width, channels))
-        np.put_along_axis(grad, argmax, (0.0 + grad_input[:, :channels])[:, None], axis=1)
+        grad.reshape(-1)[argmax] = 0.0 + grad_input[:, :channels]
         for depth in reversed(range(len(self._conv))):
             weight, _, grad_weight, grad_bias = self._conv[depth]
             grad = grad * (convs[depth] > 0).reshape(grad.shape)
@@ -452,8 +467,16 @@ class TCNNTrainer:
         """Predicted latencies (seconds) for specific matrix cells.
 
         ``cells`` is a sequence of ``(query, hint)`` pairs or an ``(m, 2)``
-        integer array.
+        integer array; ``batch_size``, cells per forward, a positive ``int``.
         """
+        if batch_size is None:
+            batch_size = max(self.config.batch_size, 64)
+        elif (
+            isinstance(batch_size, bool)
+            or not isinstance(batch_size, (int, np.integer))
+            or batch_size < 1
+        ):
+            raise NeuralNetworkError(f"batch_size must be a positive integer, got {batch_size!r}")
         try:
             cells = np.asarray(cells)
         except ValueError as exc:  # ragged rows
@@ -469,8 +492,6 @@ class TCNNTrainer:
             (self.n_queries, self.n_hints), query_idx, hint_idx
         )
         predictions = np.zeros(len(cells))
-        if batch_size is None:
-            batch_size = max(self.config.batch_size, 64)
         for start in range(0, len(cells), batch_size):
             window = slice(start, start + batch_size)
             predictions[window] = self._forward(
@@ -491,8 +512,9 @@ class TCNNTrainer:
 
         When the feature store keeps the plan space packed this is the
         forward pass over all of it at once: each stage's result goes into a
-        kept array (``out=``), padding rows are zeroed through the plan
-        space's kept index, and the embeddings are broadcast over the
+        kept array (``out=``), padding rows are zeroed (or, before the pool,
+        set to -inf) through the plan space's kept indices, the last layer
+        pools before it activates, and the embeddings are broadcast over the
         ``n x k`` grid instead of gathered per cell.  ``predict_cells`` is
         the per-batch forward the tests hold this to.
         """
@@ -504,18 +526,28 @@ class TCNNTrainer:
             return self.predict_cells(cells).reshape(n, k)
         cells, width = space.mask.shape
         hidden = space.stacked.reshape(cells * width, -1)
-        children = None
-        for depth, (weight, _, _, _) in enumerate(self._conv):
+        children, last = None, len(self._conv) - 1
+        for depth, (weight, bias, _, _) in enumerate(self._conv):
             if depth:
                 children = children or self._child_rows(space)
                 stack = self._buffer(("stack", depth), (cells * width, weight.shape[0]))
                 hidden = self._stacked(hidden, children, out=stack)
             out = self._buffer(("conv", depth), (cells * width, weight.shape[1]))
-            hidden = self._tree_conv(depth, hidden, self._padding, out=out)
-        channels = hidden.shape[1]
+            if depth < last:
+                hidden = self._tree_conv(depth, hidden, self._padding, out=out)
+        # The last layer pools before it activates: ``fl(x + b)`` and relu
+        # are non-decreasing, so the maximum of ``relu(x + b)`` over a plan's
+        # real nodes is ``relu(max x + b)`` bit for bit.  The pool skips node
+        # 0 (the null node) and the padding past it reads -inf.
+        conv = np.matmul(hidden, weight, out=out)
+        conv[self._pool_padding] = -np.inf
+        channels = conv.shape[1]
         pooled = _max_over_nodes(
-            hidden.reshape(cells, width, channels), out=self._buffer("pooled", (cells, channels))
+            conv.reshape(cells, width, channels)[:, 1:],
+            out=self._buffer("pooled", (cells, channels)),
         )
+        pooled += bias
+        np.maximum(pooled, 0.0, out=pooled)
         rank = self._rank
         combined = self._buffer("combined", (n, k, channels + 2 * rank))
         if rank:

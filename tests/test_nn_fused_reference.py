@@ -7,8 +7,9 @@ must agree bit for bit -- per-epoch losses, every parameter, and
 ``predict_cells`` -- including across a ``grow_queries`` mid-run.  Also here:
 central finite differences against the hand-written backward, the stacked
 tree convolution against the three-matmul association it replaced,
-``predict_full``'s plan-space pass against the per-batch forward, and the
-inference memory bound.
+``predict_full``'s plan-space pass against the activate-then-pool body it
+replaced (bit for bit) and the per-batch forward, and the inference memory
+bound.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.config import TCNNConfig
 from repro.core.workload_matrix import WorkloadMatrix
@@ -50,9 +52,10 @@ def three_matmul_tree_conv_forward(self, nodes, left, right, mask):
 
 # -- a small store of ragged plans ---------------------------------------------------------
 class RaggedStore(_FullBatchCacheMixin):
-    """Heap-shaped binary trees of 1..``max_real`` real nodes, one per cell."""
+    """Heap-shaped binary trees of 1..``max_real`` real nodes, one per cell.
+    Node features are standard normal, or drawn from ``levels``."""
 
-    def __init__(self, n_queries, n_hints, max_real, seed):
+    def __init__(self, n_queries, n_hints, max_real, seed, levels=None):
         self.shape = (n_queries, n_hints)
         rng = np.random.default_rng(seed)
         self._trees = {}
@@ -60,7 +63,8 @@ class RaggedStore(_FullBatchCacheMixin):
             for hint in range(n_hints):
                 count = int(rng.integers(1, max_real + 1)) + 1  # +1 null node
                 nodes = np.zeros((count, NODE_FEATURE_DIM))
-                nodes[1:] = rng.normal(size=(count - 1, NODE_FEATURE_DIM))
+                size = (count - 1, NODE_FEATURE_DIM)
+                nodes[1:] = rng.normal(size=size) if levels is None else rng.choice(levels, size)
                 left = np.zeros(count, dtype=np.int64)
                 right = np.zeros(count, dtype=np.int64)
                 for parent in range(1, count):
@@ -273,15 +277,69 @@ def test_fit_after_predict_full_still_trains(tiny_workload):
 
 
 # -- the plan-space pass -------------------------------------------------------------------
+def activate_then_pool(trainer, n, k):
+    """``predict_full`` as it was before the last layer pooled its
+    pre-activations: every layer adds its bias and applies the relu at every
+    node, padding is zeroed, and the pool is a running maximum from node 0.
+    Returns the log-space predictions ``(n, k)`` and the pooled features."""
+    space = trainer.feature_store.full_batch()
+    cells, width = space.mask.shape
+    padding = space.mask.reshape(-1) == 0
+    left_rows, right_rows = TCNNTrainer._child_rows(space)
+    hidden = space.stacked.reshape(cells * width, -1)
+    for depth in range(len(trainer.config.channels)):
+        if depth:
+            hidden = np.concatenate([hidden, hidden[left_rows], hidden[right_rows]], axis=1)
+        hidden = np.matmul(hidden, trainer.parameters[f"conv{depth}.weight"])
+        hidden += trainer.parameters[f"conv{depth}.bias"]
+        np.maximum(hidden, 0.0, out=hidden)
+        hidden[padding] = 0.0
+    conv = hidden.reshape(cells, width, -1)
+    pooled = conv[:, 0].copy()
+    for node in range(1, width):
+        np.maximum(pooled, conv[:, node], out=pooled)
+    out = pooled
+    if trainer.config.use_embeddings:
+        rows, cols = np.divmod(np.arange(cells), k)
+        out = np.concatenate([
+            pooled, trainer.parameters["query_embedding"][rows],
+            trainer.parameters["hint_embedding"][cols],
+        ], axis=1)
+    for j in range(len(trainer.config.hidden_units) + 1):
+        if j:
+            out = np.maximum(out, 0.0)
+        out = np.matmul(out, trainer.parameters[f"head{j}.weight"])
+        out += trainer.parameters[f"head{j}.bias"]
+    return out.reshape(n, k), pooled
+
+
+def lift_above_the_clip(trainer, n, k):
+    """Shift the output bias so that every cell predicts above zero, where
+    ``clip(expm1(.), 0)`` would otherwise read most cells as an exact 0 on
+    both sides of a comparison."""
+    log_space, _ = activate_then_pool(trainer, n, k)
+    trainer.parameters[f"head{len(trainer.config.hidden_units)}.bias"] += 1.0 - log_space.min()
+
+
+def assert_pools_like_activate_then_pool(trainer, matrix):
+    n, k = matrix.shape
+    full = trainer.predict_full(matrix)
+    log_space, pooled = activate_then_pool(trainer, n, k)
+    assert np.array_equal(full, np.clip(np.expm1(log_space), 0.0, None))
+    assert trainer._workspace["pooled"].tobytes() == pooled.tobytes()
+    return full
+
+
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("use_embeddings", [True, False])
 @pytest.mark.parametrize("store_kind", ["ragged", "synthetic"])
-def test_predict_full_equals_the_generic_forward_on_every_cell(
+def test_predict_full_equals_activate_then_pool_on_every_cell(
     store_kind, use_embeddings, depth, tiny_workload
 ):
     if store_kind == "ragged":
         n, k = 9, 6
-        store = RaggedStore(n, k, max_real=7, seed=4)
+        store = RaggedStore(n + 2, k, max_real=7, seed=4)
+        store.shape = (n, k)  # the last two queries arrive later
     else:
         n, k = tiny_workload.n_queries, tiny_workload.n_hints
         store = tiny_workload.feature_store()
@@ -293,12 +351,94 @@ def test_predict_full_equals_the_generic_forward_on_every_cell(
     )
     trainer = TCNNTrainer(store, n, k, config)
     trainer.fit(matrix)
-    full = trainer.predict_full(matrix)
+    lift_above_the_clip(trainer, n, k)
+    full = assert_pools_like_activate_then_pool(trainer, matrix)
+    assert (full > 0).all()  # nothing clipped: every cell is judged
     generic = trainer.predict_cells(every_cell(n, k), batch_size=13).reshape(n, k)
     np.testing.assert_allclose(full, generic, rtol=1e-12, atol=0)
     # predict_cells went through the per-batch forward; the plan-space pass did not.
     with mock.patch.object(trainer, "_forward", side_effect=AssertionError):
         assert np.array_equal(trainer.predict_full(matrix), full)
+
+    # ...and after two queries arrive and the model trains on them.
+    if store_kind == "ragged":
+        store.shape = (n + 2, k)
+    else:
+        store.add_query()
+        store.add_query()
+    trainer.grow_queries(n + 2)
+    grown = partly_observed(n + 2, k, 2, 0.1)
+    trainer.fit(grown)
+    lift_above_the_clip(trainer, n + 2, k)
+    assert (assert_pools_like_activate_then_pool(trainer, grown) > 0).all()
+
+
+signed_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0]),  # ties and both zeros
+    st.floats(allow_nan=False, allow_infinity=False),  # huge and subnormal too
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    data=st.data(),
+    cells=st.integers(1, 4),
+    width=st.integers(2, 6),
+    channels=st.integers(1, 3),
+)
+def test_pooling_pre_activations_equals_pooling_relu_outputs(data, cells, width, channels):
+    """The identity ``predict_full`` rests on: ``fl(x + b)`` and relu are
+    non-decreasing, so the max over real nodes commutes with both."""
+    x = data.draw(arrays(float, (cells, width, channels), elements=signed_values))
+    bias = data.draw(arrays(float, channels, elements=signed_values))
+    real = data.draw(arrays(bool, (cells, width)))
+    real[:, 0] = False  # the null node
+    some_node = data.draw(arrays(np.int64, cells, elements=st.integers(1, width - 1)))
+    real[np.arange(cells), some_node] = True  # every plan has a real node
+    with np.errstate(over="ignore"):
+        # Activate at every node, zero the padding, pool from node 0.
+        activated = np.maximum(x + bias, 0.0)
+        activated[~real] = 0.0
+        before = _max_over_nodes(activated)
+        # Pool the pre-activations from node 1 with the padding at -inf, then activate.
+        bare = x.copy()
+        bare[~real & (np.arange(width) > 0)] = -np.inf
+        after = _max_over_nodes(bare[:, 1:])
+        after += bias
+        np.maximum(after, 0.0, out=after)
+    assert after.tobytes() == before.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    depth=st.integers(1, 2),
+    max_real=st.integers(1, 6),
+    use_embeddings=st.booleans(),
+    scale=st.sampled_from([1e-300, 1.0, 1e150]),
+    seed=st.integers(0, 10_000),
+)
+def test_predict_full_pools_like_activate_then_pool_on_drawn_weights(
+    depth, max_real, use_embeddings, scale, seed
+):
+    """Tree-conv weights and biases of both signs, ±0, at tiny and huge
+    scales, over plans whose features take four levels, so that nodes tie."""
+    n, k = 5, 4
+    levels = (-1.0, -0.0, 0.0, 1.0)
+    store = RaggedStore(n, k, max_real, seed, levels=levels)
+    config = TCNNConfig(
+        embedding_rank=2, channels=(5, 4)[:depth], hidden_units=(3,), dropout=0.0,
+        use_embeddings=use_embeddings, seed=seed % 5,
+    )
+    trainer = TCNNTrainer(store, n, k, config)
+    rng = np.random.default_rng(seed)
+    for depth_ in range(depth):
+        weight = trainer.parameters[f"conv{depth_}.weight"]
+        # Mostly zero: a channel reads a few features, so products repeat.
+        weight[:] = rng.choice(levels, weight.shape) * (rng.random(weight.shape) < 0.2) * scale
+        bias = trainer.parameters[f"conv{depth_}.bias"]
+        bias[:] = rng.choice(levels, bias.shape) * scale * rng.random(bias.shape)
+    matrix = WorkloadMatrix(n, k)
+    assert_pools_like_activate_then_pool(trainer, matrix)
 
 
 def test_predict_full_does_not_hand_out_its_workspace(tiny_workload):
