@@ -28,7 +28,6 @@ row-local.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -43,6 +42,7 @@ from ..errors import ClusterError, InjectedCrash, ReproError
 from ..serving.batch_cache import BatchDecisions
 from ..serving.stats import checked_shed_count
 from ..telemetry.runtime import ClusterMetrics
+from ..telemetry.tracing import OFF
 from .failover import HealthBoard
 from .router import RendezvousRouter, routing_key, split_batch
 from .scheduler import RefreshScheduler
@@ -150,14 +150,11 @@ class ServingCluster:
         # Feedback addressed to a crashed shard waits here (per shard id)
         # and replays on restart; entries are ("observe"|"censor", args).
         self._outage_queue: Dict[int, List[Tuple[str, tuple]]] = {}
-        # Off telemetry costs one is-None check on the routed path (it
-        # gates the router.split clock pair only).
         self.telemetry = telemetry
+        self._tracer = OFF if telemetry is None else telemetry.tracer
         # The facade counters' only store; private when nobody exports it.
         self._metrics = (
-            self.telemetry.cluster_metrics()
-            if self.telemetry is not None
-            else ClusterMetrics()
+            ClusterMetrics() if telemetry is None else telemetry.cluster_metrics()
         )
         for _ in range(n_shards):
             self._create_shard()
@@ -193,11 +190,7 @@ class ServingCluster:
             default_hint=self.default_hint,
             regression_margin=self.regression_margin,
             als_config=self._als_config,
-            telemetry=(
-                self.telemetry.labeled(str(shard_id))
-                if self.telemetry is not None
-                else None
-            ),
+            telemetry=self.telemetry,
         )
 
     def _create_shard(self) -> ClusterShard:
@@ -399,7 +392,7 @@ class ServingCluster:
         array (``docs/performance.md``); :meth:`serve_batch` is the array door.
         """
         table = self._routing()
-        start = time.perf_counter() if self.telemetry is not None else None
+        start = self._tracer.begin("router.split")
         queries: List[int] = []
         groups: Dict[int, Tuple[List[int], List[int]]] = {}
         for position, arrival in enumerate(arrivals):
@@ -419,7 +412,8 @@ class ServingCluster:
             group[0].append(position)
             group[1].append(local_row[query])
             queries.append(query)
-        self._count_routed(start, len(groups))
+        self._tracer.end("router.split", start)
+        self._count_routed(len(groups))
         # Every position starts degraded; a shard that answers overwrites its own.
         n = len(queries)
         hints = [self.default_hint] * n
@@ -443,9 +437,10 @@ class ServingCluster:
     def _serve_assigned(
         self, queries: np.ndarray, shard_ids: np.ndarray, local: np.ndarray
     ) -> BatchDecisions:
-        start = time.perf_counter() if self.telemetry is not None else None
+        start = self._tracer.begin("router.split")
         groups = split_batch(shard_ids)
-        self._count_routed(start, len(groups))
+        self._tracer.end("router.split", start)
+        self._count_routed(len(groups))
         n = queries.shape[0]
         hints = np.full(n, self.default_hint, dtype=np.int64)
         used_default = np.ones(n, dtype=bool)
@@ -458,10 +453,7 @@ class ServingCluster:
                 expected[positions] = sub.expected_latency
         return BatchDecisions(queries, hints, used_default, expected)
 
-    def _count_routed(self, split_start: Optional[float], fan_out: int) -> None:
-        if split_start is not None:
-            elapsed = time.perf_counter() - split_start
-            self.telemetry.tracer.record_stage("router.split", elapsed)
+    def _count_routed(self, fan_out: int) -> None:
         self._metrics.routed_batches.inc()
         self._metrics.fan_out.inc(fan_out)
 

@@ -69,18 +69,18 @@ class ClusterShard:
         self.service: Optional[ServingService] = None
         self._rows: Dict[str, int] = {}
         self._refreshed_version: Optional[int] = None
-        # A shard-labeled view of the cluster's context (or None); handed
-        # to every service this shard builds so its stage timings carry
-        # the shard's label.
-        self.telemetry = telemetry
+        # The cluster's context viewed under this shard's label (or None);
+        # handed to every service this shard builds so its stage timings
+        # carry the shard's label.
+        self.telemetry = (
+            None if telemetry is None else telemetry.labeled(str(self.shard_id))
+        )
         # Owned by the shard, not the service: the report must survive the
         # service being retired and rebuilt when every row migrates away.
         # It counts in the shard label's cells (private ones when nobody
         # exports them) and starts from zero, also after a recovery.
         self._recorder = LatencyRecorder(
-            self.telemetry.serving_metrics()
-            if self.telemetry is not None
-            else None
+            None if telemetry is None else self.telemetry.serving_metrics()
         )
 
     # -- row bookkeeping -----------------------------------------------------

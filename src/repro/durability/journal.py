@@ -25,6 +25,7 @@ import os
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..telemetry.runtime import JournalMetrics
+from ..telemetry.tracing import OFF
 from .faults import FaultFS
 from .snapshot import load_snapshot, write_snapshot
 from .wal import WalRecord, WriteAheadLog
@@ -62,16 +63,15 @@ class ShardJournal:
         # registry until the owning service binds a telemetry context.
         self._metrics = JournalMetrics()
         self._checkpoints_before = 0.0
-        # Stage-timing seam (same binding): None keeps log() off the clock.
-        self._tracer = None
-        self._stage_clock = None
+        # The owning service binds its tracer (same binding); until then
+        # log() is off the clock.
+        self._tracer = OFF
 
-    def bind_telemetry(self, telemetry, clock) -> None:
+    def bind_telemetry(self, telemetry) -> None:
         """Count in ``telemetry``'s registry and time the ``wal.append`` stage.
 
         With ``telemetry=None`` the journal keeps counting on its private
-        registry and reads no clock.  ``clock`` supplies the one perf-counter pair each
-        append costs when instrumented.
+        registry and reads no clock.
         """
         if telemetry is None:
             return
@@ -81,7 +81,6 @@ class ShardJournal:
         self._checkpoints_before = metrics.checkpoints.value - self.checkpoints
         self._metrics = metrics
         self._tracer = telemetry.tracer
-        self._stage_clock = clock
 
     # -- recovery handoff -------------------------------------------------------------
     def take_recovered_records(self) -> List[WalRecord]:
@@ -97,13 +96,10 @@ class ShardJournal:
     # -- raw logging -------------------------------------------------------------------
     def log(self, kind: str, data: Dict[str, Any]) -> int:
         """Append one record; returns its LSN."""
-        tracer = self._tracer
-        if tracer is not None:
-            start = self._stage_clock()
+        start = self._tracer.begin("wal.append")
         bytes_before = self.wal.appended_bytes
         lsn = self.wal.append(kind, data)
-        if tracer is not None:
-            tracer.record_stage("wal.append", self._stage_clock() - start)
+        self._tracer.end("wal.append", start)
         self._metrics.wal_records.inc()
         self._metrics.wal_bytes.inc(self.wal.appended_bytes - bytes_before)
         return lsn

@@ -55,7 +55,8 @@ from ..errors import IngressError
 from ..serving.batch_cache import BatchDecisions
 from ..serving.service import ServingService
 from ..telemetry.runtime import INGRESS_FLUSHES_TOTAL
-from ..telemetry.tracing import QUEUE_WAIT
+from ..telemetry.registry import MetricsRegistry
+from ..telemetry.tracing import OFF, QUEUE_WAIT
 from .background import PeriodicTicker
 from .coalescer import FLUSH_REASONS, CoalescerCore
 
@@ -231,16 +232,16 @@ class _BaseIngress:
         self._probe_scheduled = False
         self._probe_seen = 0
         self.tickers: List[PeriodicTicker] = []
-        # The backend's already normalised context; None keeps the flush
-        # path uninstrumented.
-        self._telemetry = telemetry
-        if telemetry is not None:
-            family = telemetry.registry.counter(
-                INGRESS_FLUSHES_TOTAL,
-                "Coalesced batches flushed, by what cut them.",
-                labels=("reason",),
-            )
-            self._flush_counters = {r: family.labels(r) for r in FLUSH_REASONS}
+        # The backend's context; with None the flush path is untraced and
+        # counts on a registry nobody exports.
+        self._tracer = OFF if telemetry is None else telemetry.tracer
+        registry = MetricsRegistry() if telemetry is None else telemetry.registry
+        family = registry.counter(
+            INGRESS_FLUSHES_TOTAL,
+            "Coalesced batches flushed, by what cut them.",
+            labels=("reason",),
+        )
+        self._flush_counters = {r: family.labels(r) for r in FLUSH_REASONS}
 
     # -- lifecycle ---------------------------------------------------------------
     async def start(self) -> None:
@@ -394,17 +395,16 @@ class _BaseIngress:
         # callers, in order.
         waiters = self._waiters[: len(payloads)]
         del self._waiters[: len(payloads)]
-        tel = self._telemetry
-        if tel is not None:
-            self._flush_counters[self._core.last_flush_reason].inc()
-            # The trace root: inner stages (router.split, shard.serve,
-            # cache.lookup) recorded during _serve_payloads attach to it.
-            # The wait that preceded the flush goes first: it is the
-            # stage that dominates a request whenever batches do not
-            # fill, and no perf_counter pair can see it from in here.
-            tel.tracer.start("ingress.flush", batch_size=len(payloads))
-            tel.tracer.record_stage(QUEUE_WAIT, self._core.last_batch_wait_s)
-            flush_start = time.perf_counter()
+        self._flush_counters[self._core.last_flush_reason].inc()
+        # The trace root: inner stages (router.split, shard.serve,
+        # cache.lookup) recorded during _serve_payloads attach to it.
+        # The wait that preceded the flush goes first: it is the stage
+        # that dominates a request whenever batches do not fill, and no
+        # perf_counter pair can see it from in here.
+        tracer = self._tracer
+        tracer.start("ingress.flush", len(payloads))
+        tracer.record_stage(QUEUE_WAIT, self._core.last_batch_wait_s)
+        flush_start = tracer.begin("ingress.flush")
         try:
             results = self._serve_payloads(payloads)
         except Exception as exc:
@@ -412,17 +412,13 @@ class _BaseIngress:
             # degrades internally (failover, default plans) -- so this
             # is a genuine bug or resource failure.  Every caller in
             # the batch gets the exception; later batches are isolated.
-            if tel is not None:
-                tel.tracer.abandon()
+            tracer.abandon()
             for future in waiters:
                 if not future.done():
                     future.set_exception(exc)
         else:
-            if tel is not None:
-                tel.tracer.record_stage(
-                    "ingress.flush", time.perf_counter() - flush_start
-                )
-                tel.tracer.finish()
+            tracer.end("ingress.flush", flush_start)
+            tracer.finish()
             # done(): a caller cancelled while queued (wait_for timed
             # out) was still served; there is just nobody to tell.
             for future, decision in zip(waiters, results):

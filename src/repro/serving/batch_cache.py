@@ -27,6 +27,7 @@ from ..core.plan_cache import CacheDecision, CacheSnapshot, PlanCache
 from ..core.workload_matrix import WorkloadMatrix, checked_ids
 from ..errors import ServingError
 from ..telemetry.registry import Counter
+from ..telemetry.tracing import OFF
 
 
 @dataclass(frozen=True)
@@ -103,30 +104,24 @@ class BatchedPlanCache:
         # service's bundle once bound, in cells of the cache's own until then.
         self._rebuilds = Counter()
         self._patched_rows = Counter()
-        # Stage-timing seam (bound by the owning service, never required):
-        # None keeps decide() off the clock.
-        self._tracer = None
-        self._stage_clock = None
+        # The owning service binds its tracer; until then lookups are untimed.
+        self._tracer = OFF
         # `decide_rows`' copy of the decision arrays as plain lists, and the
         # matrix version it stands at.
         self._row_lists: Optional[Tuple[list, list, list]] = None
         self._row_lists_version = -1
 
-    def bind_telemetry(self, telemetry, metrics, clock) -> None:
+    def bind_telemetry(self, telemetry, metrics) -> None:
         """Count rebuilds in ``metrics``; time lookups when telemetry is on.
 
         ``metrics`` is the owning service's
         :class:`~repro.telemetry.ServingMetrics` (rebuild and patched-row
-        counters).  A telemetry context routes lookups through the
-        ``cache.lookup`` stage histogram, with ``clock`` supplying the one
-        perf-counter pair the stage costs; None leaves the hot path off the
-        clock.
+        counters).  A telemetry context's tracer times the ``cache.lookup``
+        stage; None leaves the hot path off the clock.
         """
         self._rebuilds = metrics.cache_rebuilds
         self._patched_rows = metrics.cache_patched_rows
-        if telemetry is not None:
-            self._tracer = telemetry.tracer
-            self._stage_clock = clock
+        self._tracer = OFF if telemetry is None else telemetry.tracer
 
     # -- snapshot management ------------------------------------------------
     @property
@@ -158,14 +153,10 @@ class BatchedPlanCache:
 
         One body whether or not telemetry is on: the rebuild and patch
         counters are always maintained (one identity compare), and the
-        ``cache.lookup`` clock pair only runs inside an open trace (the
-        ingress path), keeping raw enabled ``decide`` within the
-        serve-overhead budget.
+        tracer times ``cache.lookup`` as its stage table says (only inside
+        an open trace, the ingress path).
         """
-        tracer = self._tracer
-        timed = tracer is not None and tracer._current is not None
-        if timed:
-            start = self._stage_clock()
+        start = self._tracer.begin("cache.lookup")
         snap = self.current()
         queries = checked_ids("query", queries, snap.n_queries, ServingError)
         decisions = BatchDecisions(
@@ -174,8 +165,7 @@ class BatchedPlanCache:
             used_default=snap.used_default[queries],
             expected_latency=snap.expected_latency[queries],
         )
-        if timed:
-            tracer.record_stage("cache.lookup", self._stage_clock() - start)
+        self._tracer.end("cache.lookup", start)
         return decisions
 
     def decide_rows(self, rows: List[int]) -> Tuple[list, list, list]:
@@ -185,10 +175,7 @@ class BatchedPlanCache:
         (a list index costs a tenth of a numpy gather's fixed cost).  ``rows``
         are indices their owner resolved (a cluster's routing directory), so
         only one past the end is caught here.  Telemetry is `decide`'s."""
-        tracer = self._tracer
-        timed = tracer is not None and tracer._current is not None
-        if timed:
-            start = self._stage_clock()
+        start = self._tracer.begin("cache.lookup")
         snap = self.current()
         if snap.version != self._row_lists_version:
             self._follow(snap)
@@ -201,8 +188,7 @@ class BatchedPlanCache:
             )
         except IndexError:
             raise ServingError(f"row out of range [0, {len(hints)}): max {max(rows)}") from None
-        if timed:
-            tracer.record_stage("cache.lookup", self._stage_clock() - start)
+        self._tracer.end("cache.lookup", start)
         return decided
 
     def _follow(self, snap: CacheSnapshot) -> None:

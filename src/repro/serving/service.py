@@ -25,6 +25,7 @@ import numpy as np
 from ..core.workload_matrix import WorkloadMatrix
 from ..errors import ServingError
 from ..telemetry.runtime import Telemetry
+from ..telemetry.tracing import OFF
 from .batch_cache import BatchDecisions, BatchedPlanCache
 from .stats import LatencyRecorder, ServingStats, checked_shed_count
 
@@ -89,19 +90,16 @@ class ServingService:
                 journal.log_import(matrix.to_dict())
             matrix.journal = journal
         self._clock = clock
-        # The hot path's only stage-timing cost when telemetry is off is a
-        # single attribute-is-None check.
         self._telemetry = telemetry
+        self._tracer = OFF if telemetry is None else telemetry.tracer
         if recorder is None:
             recorder = LatencyRecorder(
-                self._telemetry.serving_metrics()
-                if self._telemetry is not None
-                else None
+                None if telemetry is None else telemetry.serving_metrics()
             )
         self._recorder = recorder
-        self.cache.bind_telemetry(self._telemetry, recorder.metrics, clock)
+        self.cache.bind_telemetry(telemetry, recorder.metrics)
         if journal is not None:
-            journal.bind_telemetry(self._telemetry, clock)
+            journal.bind_telemetry(telemetry)
 
     # -- the hot path ---------------------------------------------------------
     def serve_batch(self, queries) -> BatchDecisions:
@@ -123,13 +121,7 @@ class ServingService:
     def _served(self, start: float, batch_size: int, non_default: int) -> None:
         elapsed = self._clock() - start
         self._recorder.record(batch_size, elapsed, non_default)
-        tel = self._telemetry
-        if tel is not None and tel.tracer._current is not None:
-            # Stage attribution only inside an open trace (the ingress
-            # path): a raw serve_batch already feeds repro_batch_seconds
-            # through the recorder, and skipping the per-batch stage
-            # observe keeps enabled overhead within the <=5% gate.
-            tel.tracer.record_stage("shard.serve", elapsed)
+        self._tracer.record_stage("shard.serve", elapsed)
 
     def serve_all(self) -> BatchDecisions:
         """Answer every query in the workload as one batch."""
@@ -147,12 +139,9 @@ class ServingService:
         The decision arrays refresh automatically on the next batch (the
         matrix version changed).
         """
-        tel = self._telemetry
-        if tel is not None:
-            start = self._clock()
+        start = self._tracer.begin("observe")
         self.matrix.observe_batch(queries, hints, latencies)
-        if tel is not None:
-            tel.tracer.record_stage("observe", self._clock() - start)
+        self._tracer.end("observe", start)
 
     # -- shard-embedding hooks -------------------------------------------------
     @property

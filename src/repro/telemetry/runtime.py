@@ -7,9 +7,9 @@ for the counters they name, so every component always holds one: built
 on the shared registry when it is handed a ``Telemetry``, on a private
 registry nobody exports otherwise.  Components take ``telemetry=None`` for
 off, so passing one gates only what costs clock reads (stage timing, the
-trace ring) and export: the off path is a single
-``if self._telemetry is not None`` branch -- byte-identical decisions,
-zero extra allocations (regression-tested in ``tests/test_telemetry.py``).
+trace ring) and export: off, a component holds the no-op ``tracing.OFF``
+tracer -- byte-identical decisions, zero extra allocations
+(regression-tested in ``tests/test_telemetry.py``).
 
 Per-shard usage: each shard gets its own ``Telemetry`` view (via
 :meth:`Telemetry.labeled`) with its shard id as the default label; the

@@ -1,11 +1,11 @@
-"""Explicit-clock request tracing with per-stage histograms.
+"""Request tracing with per-stage histograms.
 
 A :class:`Trace` is one request's journey through the stack
 (``ingress.queue_wait -> ingress.flush -> router.split -> shard.serve ->
-cache.lookup -> observe / wal.append``).  Stages are timed by the *caller*
-with one ``perf_counter`` pair each -- the tracer never reads a clock
-itself, so tracing adds no wall-clock calls beyond what the instrumented
-component already pays.
+cache.lookup -> observe / wal.append``).  The tracer decides when a stage
+records (:data:`STAGES`) and reads the one ``perf_counter`` pair it costs
+(:meth:`Tracer.begin` / :meth:`Tracer.end`); a component with telemetry
+off holds :data:`OFF`, whose calls do nothing.
 
 The tracer keeps a **current-trace slot** instead of threading trace
 objects through every signature.  The serving stack runs one request at
@@ -21,6 +21,7 @@ oldest trace is evicted.
 from __future__ import annotations
 
 from collections import deque
+from time import perf_counter
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
 from .registry import MetricsRegistry
@@ -35,17 +36,18 @@ TRACE_RING = 64
 #: The only stage that precedes its trace root instead of nesting in it.
 QUEUE_WAIT = "ingress.queue_wait"
 
-#: Canonical stage names, in pipeline order.  Components are free to add
-#: more, but these are the ones the docs and dashboards key on.
-STAGES = (
-    QUEUE_WAIT,
-    "ingress.flush",
-    "router.split",
-    "shard.serve",
-    "cache.lookup",
-    "observe",
-    "wal.append",
-)
+#: When each stage records, in pipeline order: True only inside an open
+#: request trace (a raw ``serve_batch``'s recorder already feeds
+#: ``repro_batch_seconds``), False whenever telemetry is on.
+STAGES = {
+    QUEUE_WAIT: True,
+    "ingress.flush": True,
+    "router.split": False,
+    "shard.serve": True,
+    "cache.lookup": True,
+    "observe": False,
+    "wal.append": False,
+}
 
 
 class Trace:
@@ -100,11 +102,10 @@ class Trace:
 class Tracer:
     """Builds traces, feeds stage histograms, keeps a slow-trace ring.
 
-    ``start(...)`` opens a trace and makes it current; ``record_stage``
-    attributes a caller-measured duration to the current trace (or to
-    the histograms only, when no trace is open -- e.g. a direct
-    ``serve_batch`` call outside ingress); ``finish()`` closes the
-    current trace and admits it to the ring when slow enough.
+    ``start(...)`` opens a trace and makes it current; ``begin`` / ``end``
+    time a stage, ``record_stage`` takes a measured one, and either feeds
+    the histogram and the open trace as :data:`STAGES` says; ``finish()``
+    closes the current trace and admits it to the ring when slow enough.
     """
 
     def __init__(self, registry: MetricsRegistry) -> None:
@@ -132,22 +133,31 @@ class Tracer:
     def current(self) -> Optional[Trace]:
         return self._current
 
-    def record_stage(
-        self, stage: str, seconds: float, weight: int = 1
-    ) -> None:
-        """Attribute a caller-measured duration to ``stage``.
+    def begin(self, stage: str) -> Optional[float]:
+        """The clock reading :meth:`end` takes, or None (no clock read) when
+        ``stage`` does not record now."""
+        if STAGES[stage] and self._current is None:
+            return None
+        return perf_counter()
 
-        Feeds the per-stage histogram always; appends to the current
-        trace when one is open.  ``weight`` charges the histogram with
-        that many occurrences (batch-amortised observes).
-        """
+    def end(self, stage: str, start: Optional[float]) -> None:
+        """Record ``stage`` as running from :meth:`begin`'s ``start`` to now."""
+        if start is not None:
+            self.record_stage(stage, perf_counter() - start)
+
+    def record_stage(self, stage: str, seconds: float) -> None:
+        """Attribute a measured duration to ``stage`` when it records now;
+        a clock that stepped back counts 0 s (as ``LatencyRecorder`` does)."""
+        trace = self._current
+        if trace is None and STAGES[stage]:
+            return
         child = self._stage_children.get(stage)
         if child is None:
-            child = self._stage_seconds.labels(stage)
-            self._stage_children[stage] = child
-        child.observe(seconds, weight)
-        if self._current is not None:
-            self._current.add_stage(stage, seconds)
+            child = self._stage_children[stage] = self._stage_seconds.labels(stage)
+        seconds = max(seconds, 0.0)
+        child.observe(seconds)
+        if trace is not None:
+            trace.add_stage(stage, seconds)
 
     def finish(self) -> Optional[Trace]:
         """Close the current trace; ring-admit it when slow enough."""
@@ -184,3 +194,18 @@ class Tracer:
             "slow_trace_seconds": SLOW_TRACE_SECONDS,
             "ring": [t.as_dict() for t in self._ring],
         }
+
+
+class _OffTracer:
+    """The tracer of a component with telemetry off: no clock, no allocation."""
+
+    __slots__ = ()
+
+    def _skip(self, _stage=None, _value=None) -> None:
+        """Every call does nothing."""
+
+    begin = end = record_stage = start = finish = abandon = _skip
+
+
+#: What components built with ``telemetry=None`` hold in place of a tracer.
+OFF = _OffTracer()

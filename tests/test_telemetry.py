@@ -13,6 +13,8 @@ The other contracts under test:
 * telemetry **off** (``telemetry=None``, the default) keeps no allocation
   on the batched lookup hot path,
 * decisions are byte-identical with telemetry on vs off,
+* each door of a journaled cluster records the stages ``tracing.STAGES``
+  says, and no stage records a negative duration,
 * ``ServingStats.from_registry`` / ``ClusterStats.from_registry``
   agree with the recorder-backed reports (both read the same cells),
 * counters conserve under arbitrary interleavings of serve / observe /
@@ -261,9 +263,13 @@ class TestTracing:
     def test_stages_feed_histogram_without_open_trace(self):
         reg = MetricsRegistry()
         tracer = Tracer(reg)
-        tracer.record_stage("cache.lookup", 0.003, weight=4)
-        hist = reg.get("repro_stage_seconds").labels("cache.lookup")
-        assert hist.count == 4
+        for _ in range(4):
+            tracer.record_stage("observe", 0.003)
+        tracer.record_stage("cache.lookup", 0.003)  # records inside a trace only
+        family = reg.get("repro_stage_seconds")
+        assert {key[0]: child.count for key, child in family.children()} == {
+            "observe": 4
+        }
         assert tracer.current is None
 
     def test_total_is_enclosing_stage_and_slowest_sorts(self):
@@ -333,7 +339,9 @@ class TestConfig:
         tel = Telemetry()
         service = ServingService(make_matrix(), telemetry=tel)
         assert service.telemetry is tel
-        assert service.cache._tracer is tel.tracer
+        tel.tracer.start("lookup")
+        service.cache.decide(np.arange(4))
+        assert [stage for stage, _ in tel.tracer.finish().stages] == ["cache.lookup"]
         cluster = ServingCluster(2, 4, telemetry=tel)
         assert cluster.telemetry is tel
         for shard_id, shard in cluster.shards.items():
@@ -369,7 +377,13 @@ class TestHotPath:
     def test_disabled_telemetry_normalises_to_none(self):
         service = ServingService(make_matrix(), telemetry=None)
         assert service.telemetry is None
-        assert service.cache._tracer is None
+        # Nothing the service runs sees a tracer: another context's open
+        # trace records no stage of it.
+        other = Telemetry()
+        other.tracer.start("elsewhere")
+        serve_traffic(service, n_batches=2)
+        assert other.tracer.finish().stages == []
+        assert list(other.registry.get("repro_stage_seconds").children()) == []
 
     def test_disabled_adds_zero_allocations_on_batched_lookup(self):
         """Off, a steady-state batched lookup keeps no block allocated by
@@ -431,6 +445,90 @@ class TestHotPath:
             for key, _ in tel.registry.get("repro_stage_seconds").children()
         }
         assert {"ingress.flush", "shard.serve", "cache.lookup"} <= stage_names
+
+
+def stage_counts(registry):
+    """``stage -> observations`` of the per-stage histogram."""
+    family = registry.get("repro_stage_seconds")
+    return {key[0]: child.count for key, child in family.children()}
+
+
+def stage_delta(registry, act):
+    """What ``act()`` adds to each stage's count (stages it left alone omitted)."""
+    before = stage_counts(registry)
+    act()
+    after = stage_counts(registry)
+    return {
+        stage: count - before.get(stage, 0)
+        for stage, count in after.items()
+        if count != before.get(stage, 0)
+    }
+
+
+class TestStageTable:
+    """When each stage records, per door of a journaled two-shard cluster."""
+
+    def test_each_door_records_its_stages(self, tmp_path):
+        import asyncio
+
+        from repro.config import IngressConfig
+        from repro.ingress import ClusterIngress
+
+        tel = Telemetry()
+        cluster = ServingCluster(2, 4, durability_dir=str(tmp_path), telemetry=tel)
+        keys = [f"q{i}" for i in range(16)]
+        cluster.add_tenant("t", keys)
+        queries = np.arange(len(keys))
+        assert len(set(cluster.locate("t", queries)[0].tolist())) == 2
+        reg = tel.registry
+
+        # Raw serving doors: only the routing stage, no serve-side stage
+        # outside a trace.
+        assert stage_delta(reg, lambda: cluster.serve_batch("t", queries)) == {
+            "router.split": 1
+        }
+        mixed = [("t", int(q)) for q in queries]
+        assert stage_delta(reg, lambda: cluster.serve_mixed(mixed)) == {
+            "router.split": 1
+        }
+
+        # Feedback touching both shards: one observe and one append per shard.
+        hints = np.zeros(len(keys), dtype=np.int64)
+        latencies = np.full(len(keys), 0.05)
+        assert stage_delta(
+            reg, lambda: cluster.observe_batch("t", queries, hints, latencies)
+        ) == {"observe": 2, "wal.append": 2}
+
+        # One coalesced flush: the trace root, its wait, one split, and one
+        # serve and lookup per shard present.
+        arrivals = [("t", 0), ("t", 1), ("t", 2)]
+        present = len(set(cluster.locate("t", [q for _, q in arrivals])[0].tolist()))
+        config = IngressConfig(
+            max_batch=len(arrivals), max_wait_s=60.0, refresh_interval_s=60.0
+        )
+
+        async def flush_once():
+            async with ClusterIngress(cluster, config) as ingress:
+                return await ingress.serve_many(arrivals)
+
+        finished = tel.tracer.finished_traces
+        assert stage_delta(reg, lambda: asyncio.run(flush_once())) == {
+            "ingress.queue_wait": 1,
+            "ingress.flush": 1,
+            "router.split": 1,
+            "shard.serve": present,
+            "cache.lookup": present,
+        }
+        assert tel.tracer.finished_traces == finished + 1
+        trace = tel.tracer.slow_traces()[-1]
+        assert [stage for stage, _ in trace.stages] == [
+            "ingress.queue_wait",
+            "router.split",
+            *["cache.lookup", "shard.serve"] * present,
+            "ingress.flush",
+        ]
+        assert trace.batch_size == len(arrivals)
+        cluster.close()
 
 
 # -- stats mirrors -------------------------------------------------------------
@@ -536,6 +634,30 @@ class TestStatsMirror:
         assert (stats.decisions, stats.batches) == (24, 3)
         assert stats.wall_seconds == 0.5
         assert ServingStats.from_registry(tel.registry).wall_seconds == 0.5
+
+    def test_backwards_clock_writes_no_negative_stage_seconds(self):
+        import asyncio
+        import itertools
+
+        from repro.config import IngressConfig
+        from repro.ingress import ServiceIngress
+
+        ticks = itertools.count(1000.0, -1.0)  # one second back per read
+        tel = Telemetry()
+        service = ServingService(
+            make_matrix(), clock=lambda: next(ticks), telemetry=tel
+        )
+
+        async def drive():
+            config = IngressConfig(max_batch=8, max_wait_s=0.001)
+            async with ServiceIngress(service, config) as ingress:
+                return await ingress.serve_many(list(range(16)))
+
+        assert len(asyncio.run(drive())) == 16
+        family = tel.registry.get("repro_stage_seconds")
+        sums = {key[0]: child.total for key, child in family.children()}
+        assert {"shard.serve", "cache.lookup"} <= set(sums)
+        assert all(total >= 0.0 for total in sums.values()), sums
 
     def test_stats_are_per_label_not_per_service(self):
         # The one intended semantic change of the single store: a recorder
