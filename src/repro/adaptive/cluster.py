@@ -41,6 +41,8 @@ from ..cluster.cluster import ServingCluster
 from ..cluster.router import split_batch
 from ..errors import AdaptiveError
 from ..serving.batch_cache import BatchDecisions
+from ..telemetry.registry import MetricsRegistry
+from ..telemetry.runtime import AdaptiveMetrics
 from .controller import AdaptationController, AdaptiveStats
 from .detector import DriftDetector
 from .reexplore import RowOracle
@@ -75,12 +77,12 @@ class ClusterAdaptationController:
         self.cell_lookup = cell_lookup
         self.detector = DriftDetector()
         self._controllers: Dict[int, AdaptationController] = {}
+        # Each shard's counts, kept across the controllers the shard runs.
+        telemetry = cluster.telemetry
+        self._registry = MetricsRegistry() if telemetry is None else telemetry.registry
+        self._metrics: Dict[int, AdaptiveMetrics] = {}
 
     # -- per-shard controller lifecycle ------------------------------------------
-    @staticmethod
-    def _shard_key(shard_id: int) -> str:
-        return f"shard-{shard_id}"
-
     def _controller_for(self, shard_id: int) -> Optional[AdaptationController]:
         shard = self.cluster.shards[shard_id]
         if shard.service is None:
@@ -92,8 +94,11 @@ class ClusterAdaptationController:
                     shard.matrix.query_names[row], hint
                 )
             )
+            metrics = self._metrics.setdefault(
+                shard_id, AdaptiveMetrics(self._registry, str(shard_id))
+            )
             controller = AdaptationController(
-                shard.service, oracle, self.detector, self._shard_key(shard_id)
+                shard.service, oracle, self.detector, f"shard-{shard_id}", metrics
             )
             self._controllers[shard_id] = controller
         return controller
@@ -159,21 +164,15 @@ class ClusterAdaptationController:
         """Drop shard controllers and window epochs after a rebalance.
 
         Local row indices recorded before a migration no longer name the
-        same queries; starting fresh is the only sound interpretation.
+        same queries; starting fresh is the only sound interpretation.  The
+        counts stay; the dropped backlogs read 0.
         """
         self._controllers.clear()
         self.detector.reset_all()
+        for metrics in self._metrics.values():
+            metrics.backlog_rows.set(0)
 
     # -- telemetry ------------------------------------------------------------------------
     def report(self) -> AdaptiveStats:
-        """Merged counters across every shard controller."""
-        return AdaptiveStats.merge(
-            controller.stats for controller in self._controllers.values()
-        )
-
-    def shard_reports(self) -> Dict[int, AdaptiveStats]:
-        """Per-shard controller counters."""
-        return {
-            shard_id: controller.stats
-            for shard_id, controller in sorted(self._controllers.items())
-        }
+        """Every shard's counts, across restarts and topology changes."""
+        return AdaptiveStats(self._metrics.values())

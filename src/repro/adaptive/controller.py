@@ -37,13 +37,14 @@ with one giant re-exploration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
 
 from ..config import ExplorationConfig
 from ..serving.service import ServingService
+from ..telemetry.runtime import ADAPTIVE_GAUGES, AdaptiveMetrics
 from .detector import DriftDetector, DriftStatus
 from .reexplore import OnlineReexplorer
 
@@ -64,55 +65,44 @@ EXPLORE_SEED = 0
 PERSISTENT_HITS = 2
 
 
-@dataclass
 class AdaptiveStats:
-    """Counters describing everything a controller has done so far."""
+    """What adaptation has done: a view over shards'
+    :class:`~repro.telemetry.runtime.AdaptiveMetrics` cells.
 
-    ticks: int = 0
-    responses: int = 0
-    drift_responses: int = 0
-    unseen_responses: int = 0
-    sweep_responses: int = 0
-    recovery_passes: int = 0
-    invalidated_rows: int = 0
-    remeasured_cells: int = 0
-    explored_cells: int = 0
-    backlog_rows: int = 0
-    last_drift_score: float = 0.0
-    last_unseen_rate: float = 0.0
+    A field sums the counters and ``backlog_rows`` over the shards and takes
+    the max of the ``last_*`` gauges (floats; the rest are ints).  Each read
+    goes to the cells; :meth:`as_dict` is a copy.  Assigning a field of a
+    one-shard view writes its cell.
+    """
 
-    # The ``last_*`` fields are gauges (merged by max, reported as floats);
-    # everything else is a monotone counter (summed, reported as ints).
-    # as_dict/merge derive from the field list so a new counter can never
-    # be silently dropped from one of them.
-    @staticmethod
-    def _is_gauge(name: str) -> bool:
-        return name.startswith("last_")
+    __slots__ = ("_shards",)
+
+    def __init__(self, shards: Iterable[AdaptiveMetrics]) -> None:
+        object.__setattr__(self, "_shards", tuple(shards))
+
+    def __getattr__(self, name: str):
+        if name not in AdaptiveMetrics.__slots__:
+            raise AttributeError(name)
+        values = [getattr(shard, name).value for shard in self._shards]
+        return max([0.0, *values]) if name.startswith("last_") else int(sum(values))
+
+    def __setattr__(self, name: str, value) -> None:
+        (shard,) = self._shards
+        cell = getattr(shard, name)
+        if name in ADAPTIVE_GAUGES:
+            cell.set(value)
+        else:
+            cell.inc(value - cell.value)
 
     def as_dict(self) -> Dict[str, float]:
         """Plain dictionary for dashboards and the benchmark reports."""
-        return {
-            f.name: (
-                float(getattr(self, f.name))
-                if self._is_gauge(f.name)
-                else int(getattr(self, f.name))
-            )
-            for f in fields(self)
-        }
+        return {name: getattr(self, name) for name in AdaptiveMetrics.__slots__}
 
-    @classmethod
-    def merge(cls, parts: Iterable["AdaptiveStats"]) -> "AdaptiveStats":
-        """Fold per-shard controller counters into one cluster-wide report."""
-        merged = cls()
-        for part in parts:
-            for f in fields(cls):
-                ours, theirs = getattr(merged, f.name), getattr(part, f.name)
-                setattr(
-                    merged,
-                    f.name,
-                    max(ours, theirs) if cls._is_gauge(f.name) else ours + theirs,
-                )
-        return merged
+    def __eq__(self, other) -> bool:
+        return isinstance(other, AdaptiveStats) and self.as_dict() == other.as_dict()
+
+    def __repr__(self) -> str:
+        return f"AdaptiveStats({self.as_dict()})"
 
 
 @dataclass
@@ -143,10 +133,14 @@ class AdaptationController:
         step and :data:`EXPLORE_SEED`, which keeps replay deterministic.
     key:
         The detector key this shard's residuals are recorded under.
+    metrics:
+        The shard's :class:`~repro.telemetry.runtime.AdaptiveMetrics` (by
+        default a private set): cells that outlive the controller, except
+        ``backlog_rows``, which a new controller resets.
     """
 
     def __init__(
-        self, service: ServingService, oracle, detector: DriftDetector, key: str
+        self, service: ServingService, oracle, detector: DriftDetector, key: str, metrics=None
     ) -> None:
         self.service = service
         self.detector = detector
@@ -156,12 +150,18 @@ class AdaptationController:
             oracle,
             config=ExplorationConfig(batch_size=EXPLORE_BATCH_SIZE, seed=EXPLORE_SEED),
         )
-        self.stats = AdaptiveStats()
+        self._metrics = metrics if metrics is not None else AdaptiveMetrics()
         self._cooldown = 0
         #: Rows awaiting re-verification after a response touched them
         #: (sorted, unique).
         self._backlog = np.zeros(0, dtype=np.int64)
         self.last_response: Optional[_ResponsePlan] = None
+        self._metrics.backlog_rows.set(0)
+
+    @property
+    def stats(self) -> AdaptiveStats:
+        """This shard's counts, read from its cells: they span restarts."""
+        return AdaptiveStats([self._metrics])
 
     # -- the recovery backlog ---------------------------------------------------------
     def _push_backlog(self, rows: np.ndarray) -> None:
@@ -177,7 +177,7 @@ class AdaptationController:
         """
         self._push_backlog(np.asarray(rows, dtype=np.int64))
         self._prune_backlog()
-        self.stats.backlog_rows = int(self._backlog.size)
+        self._metrics.backlog_rows.set(self._backlog.size)
 
     def _prune_backlog(self) -> None:
         """Drop rows that have been re-verified.
@@ -216,13 +216,13 @@ class AdaptationController:
         score (:data:`MIN_SAMPLES` gating does not apply -- the repetition
         requirement is the noise gate here), and gets a sweep response.
         """
-        self.stats.ticks += 1
+        self._metrics.ticks.inc()
         if self._cooldown > 0:
             self._cooldown -= 1
             return False
         status = self.detector.status(self.key)
-        self.stats.last_drift_score = status.drift_score
-        self.stats.last_unseen_rate = status.unseen_rate
+        self._metrics.last_drift_score.set(status.drift_score)
+        self._metrics.last_unseen_rate.set(status.unseen_rate)
         if status.triggered:
             drifted = (
                 self.detector.drifted_rows(self.key)
@@ -247,7 +247,7 @@ class AdaptationController:
         if not self._backlog.size:
             return False
         self._repair(self._backlog)
-        self.stats.recovery_passes += 1
+        self._metrics.recovery_passes.inc()
         return True
 
     def respond(
@@ -269,17 +269,17 @@ class AdaptationController:
         if drifted.size:
             # Stale rows fall back to the default plan until re-verified.
             self.service.matrix.invalidate(drifted)
-            self.stats.invalidated_rows += int(drifted.size)
+            self._metrics.invalidated_rows.inc(drifted.size)
         remeasured, explored = self._repair(np.union1d(drifted, unseen))
 
         self.detector.reset(self.key)
-        self.stats.responses += 1
+        self._metrics.responses.inc()
         if sweep:
-            self.stats.sweep_responses += 1
+            self._metrics.sweep_responses.inc()
         if status.drift_triggered:
-            self.stats.drift_responses += 1
+            self._metrics.drift_responses.inc()
         if status.unseen_triggered:
-            self.stats.unseen_responses += 1
+            self._metrics.unseen_responses.inc()
         self.last_response = _ResponsePlan(status, drifted, remeasured, explored)
         return self.last_response
 
@@ -314,12 +314,12 @@ class AdaptationController:
             explored = self.reexplorer.explore(
                 budget - remeasured, rows=rows if rows.size else None
             )
-        self.stats.remeasured_cells += remeasured
-        self.stats.explored_cells += explored
+        self._metrics.remeasured_cells.inc(remeasured)
+        self._metrics.explored_cells.inc(explored)
         self.service.cache.current()
         self._push_backlog(rows)
         self._prune_backlog()
         if self.service.journal is not None:
             self.service.journal.log_adapt_backlog(self._backlog)
-        self.stats.backlog_rows = int(self._backlog.size)
+        self._metrics.backlog_rows.set(self._backlog.size)
         return remeasured, explored

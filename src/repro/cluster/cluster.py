@@ -153,9 +153,7 @@ class ServingCluster:
         self.telemetry = telemetry
         self._tracer = OFF if telemetry is None else telemetry.tracer
         # The facade counters' only store; private when nobody exports it.
-        self._metrics = (
-            ClusterMetrics() if telemetry is None else telemetry.cluster_metrics()
-        )
+        self._metrics = ClusterMetrics(None if telemetry is None else telemetry.registry)
         for _ in range(n_shards):
             self._create_shard()
 

@@ -62,7 +62,7 @@ class ShardJournal:
         # Append/checkpoint counts live in these cells only: on a private
         # registry until the owning service binds a telemetry context.
         self._metrics = JournalMetrics()
-        self._checkpoints_before = 0.0
+        self._base = dict.fromkeys(JournalMetrics.__slots__, 0.0)
         # The owning service binds its tracer (same binding); until then
         # log() is off the clock.
         self._tracer = OFF
@@ -75,12 +75,21 @@ class ShardJournal:
         """
         if telemetry is None:
             return
-        metrics = telemetry.journal_metrics()
-        # The shared cell is monotonic over the label's life (a recovered
-        # shard reuses it); this journal's own count carries on from here.
-        self._checkpoints_before = metrics.checkpoints.value - self.checkpoints
-        self._metrics = metrics
+        metrics = JournalMetrics(telemetry.registry, telemetry.shard_label)
+        if metrics.wal_records is not self._metrics.wal_records:
+            self._count_in(metrics)
         self._tracer = telemetry.tracer
+
+    def _count_in(self, metrics: JournalMetrics) -> None:
+        """Count in ``metrics`` from now on, carrying this journal's counts so
+        far into them: a shard's cells span its journals.  A crashed journal
+        moves to private cells, which freezes its views."""
+        for name, base in self._base.items():
+            cell = getattr(metrics, name)
+            own = getattr(self._metrics, name).value - base
+            self._base[name] = cell.value
+            cell.inc(own)
+        self._metrics = metrics
 
     # -- recovery handoff -------------------------------------------------------------
     def take_recovered_records(self) -> List[WalRecord]:
@@ -97,11 +106,10 @@ class ShardJournal:
     def log(self, kind: str, data: Dict[str, Any]) -> int:
         """Append one record; returns its LSN."""
         start = self._tracer.begin("wal.append")
-        bytes_before = self.wal.appended_bytes
-        lsn = self.wal.append(kind, data)
+        lsn, size = self.wal.append(kind, data)
         self._tracer.end("wal.append", start)
         self._metrics.wal_records.inc()
-        self._metrics.wal_bytes.inc(self.wal.appended_bytes - bytes_before)
+        self._metrics.wal_bytes.inc(size)
         return lsn
 
     # -- typed logging (the hooks the stack calls) ----------------------------------
@@ -156,22 +164,18 @@ class ShardJournal:
         return lsn
 
     # -- observability -----------------------------------------------------------------------
-    @property
-    def checkpoints(self) -> int:
-        """Checkpoints this journal has taken (a view over its counter cell)."""
-        return int(self._metrics.checkpoints.value - self._checkpoints_before)
+    def _count(self, name: str) -> int:
+        """This journal's count since it opened: its cell minus ``_base``,
+        the cell's value when this journal began counting there."""
+        return int(getattr(self._metrics, name).value - self._base[name])
+
+    appended_records = property(lambda self: self._count("wal_records"))
+    appended_bytes = property(lambda self: self._count("wal_bytes"))
+    checkpoints = property(lambda self: self._count("checkpoints"))
 
     @property
     def next_lsn(self) -> int:
         return self.wal.next_lsn
-
-    @property
-    def appended_records(self) -> int:
-        return self.wal.appended_records
-
-    @property
-    def appended_bytes(self) -> int:
-        return self.wal.appended_bytes
 
     def on_disk_bytes(self) -> int:
         """Bytes held by WAL segments plus the installed snapshot."""
@@ -189,3 +193,4 @@ class ShardJournal:
     def crash(self) -> None:
         """Simulated process death: drop file handles, keep disk as-is."""
         self.wal.crash()
+        self._count_in(JournalMetrics())

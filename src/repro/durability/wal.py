@@ -289,9 +289,6 @@ class WriteAheadLog:
         self._segments: List[Tuple[int, str]] = []  # (first_lsn, path), sorted
         self._segment_path: Optional[str] = None
         self._handle = None
-        self.appended_records = 0
-        self.appended_bytes = 0
-        self.truncated_bytes = 0
         self.discarded_tail_records = 0
 
     # -- opening / scanning ----------------------------------------------------------
@@ -316,10 +313,8 @@ class WriteAheadLog:
             if torn:
                 self.discarded_tail_records += 1
                 if repair:
-                    size = os.path.getsize(path)
                     with open(path, "r+b") as handle:
                         handle.truncate(good_offset)
-                    self.truncated_bytes += size - good_offset
             for record in seg_records:
                 if expected is not None and record.lsn != expected:
                     raise WalCorruption(
@@ -365,8 +360,9 @@ class WriteAheadLog:
         return self._handle
 
     # -- appending -------------------------------------------------------------------
-    def append(self, kind: str, data: Dict[str, Any]) -> int:
-        """Frame, write (and optionally fsync) one record; returns its LSN.
+    def append(self, kind: str, data: Dict[str, Any]) -> Tuple[int, int]:
+        """Frame, write (and optionally fsync) one record; returns its LSN
+        and its framed size in bytes.
 
         The record is on disk *before* the caller mutates any in-memory
         state -- that ordering is the whole write-ahead contract.
@@ -380,9 +376,7 @@ class WriteAheadLog:
             self.fs.fsync(handle, "wal.append")
         lsn = self.next_lsn
         self.next_lsn += 1
-        self.appended_records += 1
-        self.appended_bytes += len(framed)
-        return lsn
+        return lsn, len(framed)
 
     # -- rotation / truncation ----------------------------------------------------------
     def rotate(self) -> None:
@@ -411,7 +405,6 @@ class WriteAheadLog:
                 size = os.path.getsize(path)
                 self.fs.remove(path, "wal.truncate")
                 reclaimed += size
-                self.truncated_bytes += size
             else:
                 keep.append((first_lsn, path))
         self._segments = keep

@@ -78,11 +78,7 @@ class ServingService:
         )
         self.journal = journal
         if journal is not None:
-            if (
-                journal.next_lsn == 1
-                and journal.appended_records == 0
-                and journal.recovered_snapshot is None
-            ):
+            if journal.next_lsn == 1 and journal.recovered_snapshot is None:
                 # A brand-new journal: bootstrap it with the matrix as it
                 # stands, so recovery has a starting point.  (A cluster
                 # shard logs its own import first; a recovered journal

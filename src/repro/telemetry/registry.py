@@ -20,18 +20,17 @@ Three design rules keep the registry usable on the serve hot path:
 
 Mutating a metric's value *directly* (``counter.value = 5``) is not
 possible -- ``value`` is a read-only property.  The registry is the only
-store for the serving, cluster-facade and journal counters: the stats
-classes (:class:`repro.serving.stats.LatencyRecorder`,
-:class:`repro.cluster.stats.ClusterStats`) write and read these cells and
-keep no totals of their own.
+store for the serving, cluster-facade, journal and adaptation counts: the
+stats classes (:class:`repro.serving.stats.LatencyRecorder`,
+:class:`repro.cluster.stats.ClusterStats`,
+:class:`repro.adaptive.AdaptiveStats`) and the journal's append views
+write and read these cells and keep no totals of their own.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from typing import Any, Dict, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from ..config import DEFAULT_BUCKETS
 from ..errors import TelemetryError
@@ -129,17 +128,6 @@ class Histogram:
         self.counts[bisect_left(self.bounds, value)] += weight
         self.total += value * weight
         self.count += weight
-
-    def observe_many(self, values) -> None:
-        """Vectorised observe of a 1-D array of values."""
-        values = np.asarray(values, dtype=float)
-        if values.size == 0:
-            return
-        idx = np.searchsorted(self.bounds, values, side="left")
-        for i, c in zip(*np.unique(idx, return_counts=True)):
-            self.counts[int(i)] += int(c)
-        self.total += float(values.sum())
-        self.count += int(values.size)
 
     def merge_from(self, other: "Histogram") -> None:
         """Fold another histogram in; bounds must match exactly."""

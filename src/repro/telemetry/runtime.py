@@ -2,14 +2,18 @@
 
 Construction cost is paid once; hot paths only ever touch pre-resolved
 metric children.  The bundles below (:class:`ServingMetrics`,
-:class:`JournalMetrics`, :class:`ClusterMetrics`) are the *only* store
-for the counters they name, so every component always holds one: built
-on the shared registry when it is handed a ``Telemetry``, on a private
-registry nobody exports otherwise.  Components take ``telemetry=None`` for
-off, so passing one gates only what costs clock reads (stage timing, the
-trace ring) and export: off, a component holds the no-op ``tracing.OFF``
-tracer -- byte-identical decisions, zero extra allocations
-(regression-tested in ``tests/test_telemetry.py``).
+:class:`JournalMetrics`, :class:`AdaptiveMetrics`, :class:`ClusterMetrics`)
+are the *only* store for the counts they name, so every component always
+holds one: built on the shared registry when it is handed a ``Telemetry``,
+on a private registry nobody exports otherwise.  The shard-labeled cells
+outlive the objects that count in them -- a restarted shard's journal and a
+rebuilt shard's adaptation controller reuse them -- and per-object numbers
+(``journal.appended_records``, ``controller.stats``) are views over them.
+Components take ``telemetry=None`` for off, so passing one gates only what
+costs clock reads (stage timing, the trace ring) and export: off, a
+component holds the no-op ``tracing.OFF`` tracer -- byte-identical
+decisions, zero extra allocations (regression-tested in
+``tests/test_telemetry.py``).
 
 Per-shard usage: each shard gets its own ``Telemetry`` view (via
 :meth:`Telemetry.labeled`) with its shard id as the default label; the
@@ -25,7 +29,8 @@ from .registry import MetricsRegistry
 from .tracing import Tracer
 
 #: Well-known metric names other modules read by name; the rest of the
-#: catalog is the cell tables below.  Keep in sync with docs/observability.md.
+#: catalog is the cell tables below.  ``tests/test_telemetry.py`` holds
+#: docs/observability.md's catalog to the families a cluster registers.
 DECISIONS_TOTAL = "repro_decisions_total"
 BATCH_SECONDS = "repro_batch_seconds"
 INGRESS_FLUSHES_TOTAL = "repro_ingress_flushes_total"
@@ -56,6 +61,38 @@ SERVING_COUNTERS = {
         "repro_cache_patched_rows_total",
         "Rows re-decided by batch-cache snapshot patches after writes.",
     ),
+}
+
+#: :class:`ServingMetrics` histograms, shard-labeled.
+SERVING_HISTOGRAMS = {
+    "batch_seconds": (
+        BATCH_SECONDS, "Amortised per-decision serve latency, weighted by batch size."
+    ),
+}
+
+#: :class:`JournalMetrics` counters, shard-labeled.
+JOURNAL_COUNTERS = {
+    "wal_records": ("repro_wal_records_total", "WAL records appended."),
+    "wal_bytes": ("repro_wal_bytes_total", "WAL bytes appended."),
+    "checkpoints": ("repro_checkpoints_total", "Checkpoints taken."),
+}
+
+#: :class:`AdaptiveMetrics` counters and gauges, shard-labeled.
+ADAPTIVE_COUNTERS = {
+    "ticks": ("repro_adapt_ticks_total", "Adaptation controller heartbeats."),
+    "responses": ("repro_adapt_responses_total", "Budgeted responses."),
+    "drift_responses": ("repro_adapt_drift_responses_total", "Responses the drift score set off."),
+    "unseen_responses": ("repro_adapt_unseen_responses_total", "Responses unseen rows set off."),
+    "sweep_responses": ("repro_adapt_sweep_responses_total", "Responses to per-row persistence."),
+    "recovery_passes": ("repro_adapt_recovery_passes_total", "Budgeted recovery-backlog passes."),
+    "invalidated_rows": ("repro_adapt_invalidated_rows_total", "Rows invalidated by responses."),
+    "remeasured_cells": ("repro_adapt_remeasured_cells_total", "Default plans re-measured."),
+    "explored_cells": ("repro_adapt_explored_cells_total", "Cells re-explored by Algorithm 1."),
+}
+ADAPTIVE_GAUGES = {
+    "backlog_rows": ("repro_adapt_backlog_rows", "Rows awaiting re-verification."),
+    "last_drift_score": ("repro_adapt_last_drift_score", "Drift score at the last status read."),
+    "last_unseen_rate": ("repro_adapt_last_unseen_rate", "Unseen rate at the last status read."),
 }
 
 #: :class:`ClusterMetrics` facade counters, unlabeled.
@@ -128,14 +165,6 @@ class Telemetry:
         """The well-known serving counters, resolved for one shard label."""
         return ServingMetrics(self.registry, shard or self.shard_label)
 
-    def journal_metrics(self, shard: str = "") -> "JournalMetrics":
-        """The well-known durability counters for one shard label."""
-        return JournalMetrics(self.registry, shard or self.shard_label)
-
-    def cluster_metrics(self) -> "ClusterMetrics":
-        """The well-known cluster facade counters and topology gauges."""
-        return ClusterMetrics(self.registry)
-
     # -- export -------------------------------------------------------------
     def expose_text(self) -> str:
         return self.registry.expose_text()
@@ -147,53 +176,47 @@ class Telemetry:
         }
 
 
-class ServingMetrics:
-    """Pre-resolved serving-path metric children for one shard label.
-
-    Resolving ``labels(...)`` once at construction keeps the hot path to
-    attribute loads plus float adds -- no dict lookups per batch.  With
-    no ``registry`` the cells live on a fresh private one: the store of a
-    component nobody handed a :class:`Telemetry`.
+class _Cells:
+    """Cells resolved once from ``TABLES`` (``(kind, {attribute: (family,
+    help)})`` pairs), shard-labeled unless ``LABELS`` is empty: the hot path
+    is attribute loads plus float adds.  With no ``registry`` they live on a
+    fresh private one, the store of a component nobody handed a Telemetry.
     """
 
-    __slots__ = (*SERVING_COUNTERS, "batch_seconds")
+    LABELS = ("shard",)
+    __slots__ = ()
 
-    def __init__(
-        self, registry: Optional[MetricsRegistry] = None, shard: str = "all"
-    ) -> None:
+    def __init__(self, registry: Optional[MetricsRegistry] = None, shard: str = "all") -> None:
         reg = registry if registry is not None else MetricsRegistry()
-        for attr, (name, help_text) in SERVING_COUNTERS.items():
-            family = reg.counter(name, help_text, labels=("shard",))
-            setattr(self, attr, family.labels(shard))
-        self.batch_seconds = reg.histogram(
-            BATCH_SECONDS,
-            "Amortised per-decision serve latency, weighted by batch size.",
-            labels=("shard",),
-        ).labels(shard)
+        for kind, table in self.TABLES:
+            for attr, (name, help_text) in table.items():
+                family = getattr(reg, kind)(name, help_text, labels=self.LABELS)
+                setattr(self, attr, family.labels(shard) if self.LABELS else family.child)
 
 
-class JournalMetrics:
-    """Pre-resolved durability metric children for one shard label."""
+class ServingMetrics(_Cells):
+    """The serving-path cells of one shard label."""
 
-    __slots__ = ("wal_records", "wal_bytes", "checkpoints")
-
-    def __init__(
-        self, registry: Optional[MetricsRegistry] = None, shard: str = "all"
-    ) -> None:
-        reg = registry if registry is not None else MetricsRegistry()
-        self.wal_records = reg.counter(
-            "repro_wal_records_total", "WAL records appended.", labels=("shard",)
-        ).labels(shard)
-        self.wal_bytes = reg.counter(
-            "repro_wal_bytes_total", "WAL bytes appended.", labels=("shard",)
-        ).labels(shard)
-        self.checkpoints = reg.counter(
-            "repro_checkpoints_total", "Checkpoints taken.", labels=("shard",)
-        ).labels(shard)
+    TABLES = (("counter", SERVING_COUNTERS), ("histogram", SERVING_HISTOGRAMS))
+    __slots__ = (*SERVING_COUNTERS, *SERVING_HISTOGRAMS)
 
 
-class ClusterMetrics:
-    """Pre-resolved cluster-facade counters and topology gauges.
+class JournalMetrics(_Cells):
+    """The durability cells of one shard label: they span its journals."""
+
+    TABLES = (("counter", JOURNAL_COUNTERS),)
+    __slots__ = tuple(JOURNAL_COUNTERS)
+
+
+class AdaptiveMetrics(_Cells):
+    """The adaptation cells of one shard label: they span its controllers."""
+
+    TABLES = (("counter", ADAPTIVE_COUNTERS), ("gauge", ADAPTIVE_GAUGES))
+    __slots__ = (*ADAPTIVE_COUNTERS, *ADAPTIVE_GAUGES)
+
+
+class ClusterMetrics(_Cells):
+    """The cluster-facade counters and topology gauges, unlabeled.
 
     Counters are incremented at their event sites (route, degrade, crash,
     restart, rebalance); the topology and scheduler *gauges* are refreshed
@@ -201,11 +224,6 @@ class ClusterMetrics:
     time.
     """
 
+    TABLES = (("counter", CLUSTER_COUNTERS), ("gauge", CLUSTER_GAUGES))
+    LABELS = ()
     __slots__ = (*CLUSTER_COUNTERS, *CLUSTER_GAUGES)
-
-    def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
-        reg = registry if registry is not None else MetricsRegistry()
-        for attr, (name, help_text) in CLUSTER_COUNTERS.items():
-            setattr(self, attr, reg.counter(name, help_text).child)
-        for attr, (name, help_text) in CLUSTER_GAUGES.items():
-            setattr(self, attr, reg.gauge(name, help_text).child)

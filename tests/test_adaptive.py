@@ -24,10 +24,14 @@ from repro.adaptive import (
     relative_residuals,
     unseen_rate,
 )
+from repro.adaptive.controller import AdaptationController
 from repro.cluster import ServingCluster
 from repro.config import ALSConfig
 from repro.core.workload_matrix import WorkloadMatrix
-from repro.errors import AdaptiveError
+from repro.errors import AdaptiveError, TelemetryError
+from repro.scenarios import ScenarioEvent, ScenarioPhase, ScenarioRunner, ScenarioSpec, TenantSpec
+from repro.telemetry import MetricsRegistry
+from repro.telemetry.runtime import AdaptiveMetrics
 from repro.workloads import generate_workload
 from repro.workloads.spec import WorkloadSpec
 
@@ -621,16 +625,83 @@ def test_recovery_anchors_before_exploring():
     assert shard._backlog.size == 0
 
 
-def test_adaptive_stats_merge_and_dict():
-    a = AdaptiveStats(responses=1, explored_cells=10, last_drift_score=0.5)
-    b = AdaptiveStats(responses=2, explored_cells=5, last_drift_score=0.2)
-    merged = AdaptiveStats.merge([a, b])
-    assert merged.responses == 3
-    assert merged.explored_cells == 15
-    assert merged.last_drift_score == 0.5
-    payload = merged.as_dict()
-    assert payload["responses"] == 3
+def test_adaptive_stats_fold_shard_cells():
+    registry = MetricsRegistry()
+    a, b = AdaptiveMetrics(registry, "0"), AdaptiveMetrics(registry, "1")
+    for cells, responses, explored, score, backlog in ((a, 1, 10, 0.5, 3), (b, 2, 5, 0.2, 4)):
+        cells.responses.inc(responses)
+        cells.explored_cells.inc(explored)
+        cells.last_drift_score.set(score)
+        cells.backlog_rows.set(backlog)
+    report = AdaptiveStats([a, b])
+    assert (report.responses, report.explored_cells, report.backlog_rows) == (3, 15, 7)
+    assert report.last_drift_score == 0.5
+    payload = report.as_dict()
+    assert list(payload) == list(AdaptiveMetrics.__slots__)
     assert isinstance(payload["responses"], int)
+    assert isinstance(payload["last_drift_score"], float)
+    assert AdaptiveStats([]).as_dict() == dict.fromkeys(payload, 0)
+    # A one-shard view writes through to its cells, and a counter only goes up.
+    one = AdaptiveStats([a])
+    one.ticks += 2
+    assert registry.get("repro_adapt_ticks_total").labels("0").value == 2
+    with pytest.raises(TelemetryError):
+        one.ticks = 1
+
+
+def test_report_counts_every_controller_incarnation(monkeypatch):
+    """A shard that restarts runs a second controller; the report still
+    counts the first one's work.  The judge is a plain-int tally of what
+    every controller incarnation actually did."""
+    tally = dict.fromkeys(("ticks", "responses", "remeasured_cells", "explored_cells"), 0)
+    incarnations = {}  # detector key -> ids of the controllers that ticked
+    responded = set()  # (key, incarnation) pairs that ran a response
+    real_tick, real_respond, real_repair = (
+        AdaptationController.tick, AdaptationController.respond, AdaptationController._repair
+    )
+
+    def tick(self):
+        tally["ticks"] += 1
+        incarnations.setdefault(self.key, []).append(id(self))
+        return real_tick(self)
+
+    def respond(self, *args, **kwargs):
+        tally["responses"] += 1
+        responded.add((self.key, len(set(incarnations[self.key]))))
+        return real_respond(self, *args, **kwargs)
+
+    def repair(self, rows):
+        remeasured, explored = real_repair(self, rows)
+        tally["remeasured_cells"] += remeasured
+        tally["explored_cells"] += explored
+        return remeasured, explored
+
+    monkeypatch.setattr(AdaptationController, "tick", tick)
+    monkeypatch.setattr(AdaptationController, "respond", respond)
+    monkeypatch.setattr(AdaptationController, "_repair", repair)
+    aging = {"changed_fraction": 0.1, "growth_factor": 1.05}
+    spec = ScenarioSpec(
+        name="restart_mid_drift",
+        seed=0,
+        tenants=(TenantSpec(name="ledger", n_queries=60, n_hints=8),),
+        phases=(
+            ScenarioPhase(name="steady", ticks=4, batch_size=96),
+            ScenarioPhase(name="aging", ticks=10, batch_size=96, drift_per_tick=aging),
+            ScenarioPhase(name="settled", ticks=4, batch_size=96),
+        ),
+        events=(
+            ScenarioEvent(tick=12, action="kill_shard", params={"shard": 0}),
+            ScenarioEvent(tick=14, action="restart_shard", params={"shard": 0}),
+        ),
+    )
+    report = ScenarioRunner(spec, n_shards=3).run().adaptive_report
+    # Shard 0 is down for ticks 12-13 and runs two controllers, the first of
+    # which responded before the crash.
+    assert tally["ticks"] == 18 * 3 - 2
+    assert len(set(incarnations["shard-0"])) == 2
+    assert ("shard-0", 1) in responded
+    for name, count in tally.items():
+        assert report[name] == count, name
 
 
 def test_row_oracle_timeout_semantics():
@@ -677,8 +748,11 @@ def test_cluster_adaptation_responds_per_shard():
     report = controller.report()
     assert report.responses >= len(responded)
     assert report.invalidated_rows > 0
-    # Topology change wipes window epochs and shard controllers.
+    # A topology change drops the shard controllers and their backlogs; the
+    # report still counts what they did.
+    counts = report.as_dict()
     controller.notify_topology_change()
-    assert controller.shard_reports() == {}
+    assert controller._controllers == {}
+    assert controller.report().as_dict() == {**counts, "backlog_rows": 0}
     with pytest.raises(AdaptiveError):
         ClusterAdaptationController(cluster, "nope")

@@ -94,8 +94,8 @@ class TestWriteAheadLog:
     def test_roundtrip_and_lsn_assignment(self, tmp_path):
         wal = WriteAheadLog(str(tmp_path))
         wal.open()
-        assert wal.append("observe", {"q": [1], "h": [2], "v": [3.5]}) == 1
-        assert wal.append("censor", {"q": 0, "h": 1, "lb": 9.25}) == 2
+        assert wal.append("observe", {"q": [1], "h": [2], "v": [3.5]})[0] == 1
+        assert wal.append("censor", {"q": 0, "h": 1, "lb": 9.25})[0] == 2
         wal.close()
 
         reopened = WriteAheadLog(str(tmp_path))
@@ -183,7 +183,7 @@ class TestWriteAheadLog:
         reopened = WriteAheadLog(str(tmp_path))
         assert reopened.open() == []
         assert reopened.next_lsn == 3  # the segment name's promise
-        assert reopened.append("add_query", {"name": None}) == 3
+        assert reopened.append("add_query", {"name": None})[0] == 3
         reopened.close()
         final = WriteAheadLog(str(tmp_path))
         assert [r.lsn for r in final.open()] == [3]
@@ -595,7 +595,7 @@ class TestClusterCrashRejoin:
             if cluster.locate("web", [row])[0][0] == 0
         ]
         controller.restore_backlog(0, rows_on_0[:2])
-        assert controller.shard_reports()[0].backlog_rows == 2
+        assert controller.report().backlog_rows == 2
 
 
 # -- shard-level recovery ----------------------------------------------------------

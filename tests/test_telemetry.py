@@ -122,18 +122,6 @@ class TestPrimitives:
         assert h.total == pytest.approx(0.05 * 32)
         assert h.counts[0] == 32
 
-    def test_histogram_observe_many_matches_loop(self):
-        rng = np.random.default_rng(3)
-        values = rng.uniform(0.0, 1.5, size=200)
-        vector = Histogram()
-        vector.observe_many(values)
-        loop = Histogram()
-        for v in values:
-            loop.observe(float(v))
-        assert vector.counts == loop.counts
-        assert vector.count == loop.count
-        assert vector.total == pytest.approx(loop.total)
-
     def test_histogram_quantile_anchors(self):
         h = Histogram(bounds=(1.0, 2.0, 4.0))
         assert h.quantile(0.5) == 0.0  # empty
@@ -721,6 +709,8 @@ def drive_cluster(ops, telemetry, home):
         ("routed", "served", "degraded", "shed", "crashes", "restarts"), 0
     )
     since_reset = {sid: 0 for sid in cluster.shard_ids}
+    # Per shard, what its dead journals appended (each one's view at the kill).
+    dead_wal = {sid: [0, 0] for sid in cluster.shard_ids}
     registry = telemetry.registry if telemetry is not None else None
     before = counter_values(registry) if registry is not None else {}
 
@@ -758,6 +748,9 @@ def drive_cluster(ops, telemetry, home):
             cluster.record_shed(arg)
             tally["shed"] += arg
         elif op == "kill" and not cluster.shards[pick].crashed:
+            journal = cluster.shards[pick].journal
+            dead_wal[pick][0] += journal.appended_records
+            dead_wal[pick][1] += journal.appended_bytes
             cluster.kill_shard(pick)
             tally["crashes"] += 1
         elif op == "restart" and cluster.shards[pick].crashed:
@@ -773,7 +766,8 @@ def drive_cluster(ops, telemetry, home):
                 with pytest.raises(ClusterError):
                     cluster.add_shard()
             else:
-                since_reset[cluster.add_shard()] = 0
+                added = cluster.add_shard()
+                since_reset[added], dead_wal[added] = 0, [0, 0]
         elif op == "reset":
             cluster.shards[pick].recorder().reset()
             since_reset[pick] = 0
@@ -803,6 +797,15 @@ def drive_cluster(ops, telemetry, home):
             assert mirror.per_shard[sid].decisions >= view.decisions
         histogram = registry.get("repro_batch_seconds").merged_child()
         assert histogram.count == tally["served"]
+        # A shard's WAL cells count every journal it ran, each from its open.
+        for sid, shard in cluster.shards.items():
+            live = (0, 0) if shard.crashed else (
+                shard.journal.appended_records, shard.journal.appended_bytes
+            )
+            assert [
+                registry.get(name).labels(str(sid)).value
+                for name in ("repro_wal_records_total", "repro_wal_bytes_total")
+            ] == [dead + now for dead, now in zip(dead_wal[sid], live)]
         after = counter_values(registry)
         assert all(after[cell] >= value for cell, value in before.items())
         before = after
@@ -821,6 +824,77 @@ class TestCounterConservation:
     def test_counters_conserve_without_telemetry(self, ops):
         with tempfile.TemporaryDirectory() as home:
             drive_cluster(ops, None, home)
+
+
+class TestOneStore:
+    """Each count has one store: the registry cell the event increments."""
+
+    def test_wal_cells_count_every_journal_of_a_shard(self, tmp_path):
+        tel = Telemetry()
+        cluster = ServingCluster(3, 4, durability_dir=str(tmp_path), telemetry=tel)
+        journals = {sid: [] for sid in cluster.shard_ids}
+
+        def note_journals():
+            for sid, shard in cluster.shards.items():
+                if not any(j is shard.journal for j in journals[sid]):
+                    journals[sid].append(shard.journal)
+
+        def check():
+            for sid, owned in journals.items():
+                label = str(sid)
+                for name, view in (
+                    ("repro_wal_records_total", "appended_records"),
+                    ("repro_wal_bytes_total", "appended_bytes"),
+                    ("repro_checkpoints_total", "checkpoints"),
+                ):
+                    cell = tel.registry.get(name).labels(label).value
+                    assert cell == sum(getattr(j, view) for j in owned), (sid, name)
+
+        rows = np.arange(12)
+        cluster.add_tenant("t", [f"q{i}" for i in rows])  # each shard's import
+        note_journals()
+        assert all(journals[sid][0].appended_records == 1 for sid in journals)
+        cluster.observe_batch("t", rows, np.zeros(12, dtype=np.int64), np.full(12, 0.1))
+        check()
+        cluster.kill_shard(0)
+        cluster.restart_shard(0)
+        note_journals()
+        cluster.observe_batch("t", rows, np.ones(12, dtype=np.int64), np.full(12, 0.2))
+        cluster.checkpoint()
+        assert len(journals[0]) == 2
+        check()
+        cluster.close()
+
+    def test_metric_catalog_matches_registered_families(self, tmp_path):
+        import asyncio
+        import re
+
+        from repro.adaptive import ClusterAdaptationController
+        from repro.config import IngressConfig
+        from repro.ingress import ClusterIngress
+
+        tel = Telemetry()
+        cluster = ServingCluster(2, 4, durability_dir=str(tmp_path), telemetry=tel)
+        rows = np.arange(8)
+        cluster.add_tenant("t", [f"q{i}" for i in rows])
+        cluster.observe_batch("t", rows, np.zeros(8, dtype=np.int64), np.full(8, 0.1))
+        config = IngressConfig(max_batch=2, max_wait_s=60.0, refresh_interval_s=60.0)
+
+        async def flush_once():
+            async with ClusterIngress(cluster, config) as ingress:
+                return await ingress.serve_many([("t", 0), ("t", 1)])
+
+        asyncio.run(flush_once())
+        controller = ClusterAdaptationController(cluster, lambda key, hint: 0.1)
+        decisions = cluster.serve_batch("t", rows)
+        controller.record("t", decisions, np.full(8, 0.1))
+        controller.tick()
+        cluster.stats()
+        exported = set(re.findall(r"^# TYPE (\S+) ", tel.expose_text(), re.M))
+        doc = (pathlib.Path(__file__).resolve().parent.parent / "docs" / "observability.md")
+        catalog = doc.read_text().split("## Metric catalog", 1)[1].split("\n## ", 1)[0]
+        assert exported == set(re.findall(r"`(repro_\w+)", catalog))
+        cluster.close()
 
 
 # -- snapshots -----------------------------------------------------------------
