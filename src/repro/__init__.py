@@ -83,7 +83,6 @@ from .durability import (
     ShardJournal,
     WriteAheadLog,
     recover_journal,
-    recover_service,
 )
 from .errors import ReproError
 from .ingress import (
@@ -99,7 +98,6 @@ from .serving import (
     ServingService,
     ServingStats,
 )
-from .logging_util import configure_logging, get_logger
 from .telemetry import (
     MetricsRegistry,
     Telemetry,
@@ -153,8 +151,6 @@ __all__ = [
     "Tracer",
     "collect_snapshot",
     "write_telemetry_json",
-    "configure_logging",
-    "get_logger",
     "ClusterIngress",
     "IngressDecision",
     "IngressStats",
@@ -187,7 +183,6 @@ __all__ = [
     "ShardJournal",
     "WriteAheadLog",
     "recover_journal",
-    "recover_service",
     "ReproError",
     "ClusterShard",
     "ClusterStats",

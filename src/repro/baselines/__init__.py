@@ -1,18 +1,12 @@
 """Baseline optimizers the paper compares against.
 
 * :mod:`repro.baselines.bayesqo` -- per-query Bayesian-optimisation style
-  search with a fixed time budget per query (Figure 18's comparison),
-* :mod:`repro.baselines.exhaustive` -- the not-possible-in-practice oracle
-  and the cost of exhaustive exploration (Table 1 / Section 3).
+  search with a fixed time budget per query (Figure 18's comparison).
 """
 
 from .bayesqo import BayesQO, BayesQOResult
-from .exhaustive import exhaustive_exploration_cost, oracle_hints, oracle_latency
 
 __all__ = [
     "BayesQO",
     "BayesQOResult",
-    "exhaustive_exploration_cost",
-    "oracle_hints",
-    "oracle_latency",
 ]

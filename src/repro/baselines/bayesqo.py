@@ -35,11 +35,6 @@ class BayesQOResult:
     time_spent_per_query: np.ndarray
     evaluations_per_query: np.ndarray
 
-    @property
-    def total_time_spent(self) -> float:
-        """Total offline optimisation time consumed."""
-        return float(self.time_spent_per_query.sum())
-
     def workload_latency(self) -> float:
         """Total latency with each query's best observed hint."""
         return self.matrix.workload_latency()

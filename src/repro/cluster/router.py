@@ -85,13 +85,6 @@ class RendezvousRouter:
         self._suffixes[shard_id] = f"|shard:{shard_id}".encode("utf-8")
         self._cache.clear()
 
-    def remove_shard(self, shard_id: int) -> None:
-        """Shrink the topology (invalidates cached assignments)."""
-        if shard_id not in self._suffixes:
-            raise ClusterError(f"shard {shard_id} not in the topology")
-        del self._suffixes[shard_id]
-        self._cache.clear()
-
     # -- assignment -----------------------------------------------------------
     def shard_for(self, key: str) -> int:
         """The shard owning ``key`` under the current topology."""

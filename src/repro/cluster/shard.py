@@ -94,10 +94,6 @@ class ClusterShard:
         """Routing keys in local row order."""
         return [] if self.matrix is None else list(self.matrix.query_names)
 
-    def owns(self, key: str) -> bool:
-        """True when ``key``'s row lives on this shard."""
-        return key in self._rows
-
     def local_row(self, key: str) -> int:
         """Local row index of ``key`` (raises when not owned)."""
         try:

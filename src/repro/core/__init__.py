@@ -26,7 +26,6 @@ from .matrix_completion import (
     NuclearNormCompleter,
     SVTCompleter,
     completion_mse,
-    completion_rmse,
 )
 from .plan_cache import CacheDecision, CacheSnapshot, PlanCache
 from .policies import (
@@ -39,7 +38,6 @@ from .policies import (
     RandomPolicy,
 )
 from .predictors import ALSPredictor, Predictor, TCNNPredictor
-from .scoring import expected_improvement_ratios, select_top_m
 from .simulation import ExplorationSimulator, ExplorationTrace
 from .workload_matrix import WorkloadMatrix
 
@@ -55,7 +53,6 @@ __all__ = [
     "NuclearNormCompleter",
     "SVTCompleter",
     "completion_mse",
-    "completion_rmse",
     "CacheDecision",
     "CacheSnapshot",
     "PlanCache",
@@ -69,8 +66,6 @@ __all__ = [
     "ALSPredictor",
     "Predictor",
     "TCNNPredictor",
-    "expected_improvement_ratios",
-    "select_top_m",
     "ExplorationSimulator",
     "ExplorationTrace",
     "WorkloadMatrix",

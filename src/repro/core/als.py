@@ -46,11 +46,6 @@ class CensoredALSResult:
     objective_trace: np.ndarray
 
     @property
-    def low_rank_estimate(self) -> np.ndarray:
-        """The pure ``Q Hᵀ`` product without observed-value substitution."""
-        return self.query_factors @ self.hint_factors.T
-
-    @property
     def factors(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(Q, H)`` pair, ready to pass as ``warm_start`` to the next solve."""
         return (self.query_factors, self.hint_factors)

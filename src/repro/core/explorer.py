@@ -172,11 +172,6 @@ class ExplorationStep:
     overhead_seconds: float
     timeouts_used: List[Optional[float]] = field(default_factory=list)
 
-    @property
-    def num_censored(self) -> int:
-        """How many of this step's executions were cancelled at their timeout."""
-        return sum(1 for r in self.results if r.timed_out)
-
 
 class OfflineExplorer:
     """Runs Algorithm 1 against an execution oracle.

@@ -148,29 +148,6 @@ class LimeQO:
         indices = [self.query_index(name) for name in names]
         return self.plan_cache().lookup_batch(indices)
 
-    def serving_service(self, regression_margin: float = 1.0) -> "ServingService":
-        """A batched serving front end sharing this facade's live matrix.
-
-        See :class:`repro.serving.service.ServingService`; imported lazily so
-        the facade keeps zero serving-layer dependencies until asked.
-        """
-        from ..serving.service import ServingService
-
-        return ServingService(
-            self.matrix,
-            default_hint=self.default_hint,
-            regression_margin=regression_margin,
-        )
-
-    def recommended_hints(self) -> List[int]:
-        """Best verified hint per registered query (default when unknown).
-
-        Reads the vectorised snapshot rather than running counted scalar
-        lookups, so bulk introspection does not pollute the plan cache's
-        online hit-rate accounting.
-        """
-        return self.plan_cache().snapshot().hints.tolist()
-
     def workload_latency(self) -> float:
         """Current total workload latency using verified hints (Equation 2)."""
         return self.matrix.workload_latency()

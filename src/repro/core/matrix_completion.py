@@ -294,10 +294,3 @@ def completion_mse(
         raise CompletionError("holdout mask selects no entries")
     diff = truth[holdout_mask] - completed[holdout_mask]
     return float(np.mean(diff ** 2))
-
-
-def completion_rmse(
-    truth: np.ndarray, completed: np.ndarray, holdout_mask: Optional[np.ndarray] = None
-) -> float:
-    """Root of :func:`completion_mse`."""
-    return float(np.sqrt(completion_mse(truth, completed, holdout_mask)))

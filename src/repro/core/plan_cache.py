@@ -12,7 +12,7 @@ hint is only ever returned when it was measured to be at least
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -162,14 +162,11 @@ class PlanCache:
         self.matrix = matrix
         self.default_hint = int(default_hint)
         self.regression_margin = float(regression_margin)
-        self._lookups = 0
-        self._non_default_served = 0
         self._snapshot: Optional[CacheSnapshot] = None
 
     # -- lookups ----------------------------------------------------------
     def lookup(self, query: int) -> CacheDecision:
         """Return the hint to use for ``query`` right now."""
-        self._lookups += 1
         default_latency = (
             self.matrix.value(query, self.default_hint)
             if self.matrix.is_observed(query, self.default_hint)
@@ -185,7 +182,6 @@ class PlanCache:
             )
         best_latency = self.matrix.value(query, best)
         if best_latency <= default_latency * self.regression_margin:
-            self._non_default_served += 1
             return CacheDecision(
                 query=query, hint=best, used_default=False, expected_latency=best_latency
             )
@@ -230,9 +226,8 @@ class PlanCache:
     def lookup_batch(self, queries) -> List[CacheDecision]:
         """Decisions for a batch of query indices via the cached snapshot.
 
-        Equivalent to ``[self.lookup(q) for q in queries]`` (including the
-        hit-rate accounting) but evaluates the serving rule once per changed
-        row instead of once per call.
+        Equivalent to ``[self.lookup(q) for q in queries]`` but evaluates
+        the serving rule once per changed row instead of once per call.
         """
         queries = np.asarray(queries, dtype=np.int64)
         if queries.ndim != 1:
@@ -240,8 +235,6 @@ class PlanCache:
         if queries.size and (queries.min() < 0 or queries.max() >= self.matrix.n_queries):
             raise ExplorationError("lookup_batch: query index out of range")
         snap = self.snapshot()
-        self._lookups += int(queries.size)
-        self._non_default_served += int((~snap.used_default[queries]).sum())
         return [snap.decision(q) for q in queries]
 
     # -- guarantees and stats ----------------------------------------------
@@ -265,13 +258,3 @@ class PlanCache:
             if served_true > default_true * self.regression_margin * 1.5:
                 return False
         return True
-
-    def hit_rate(self) -> float:
-        """Fraction of lookups answered with a verified non-default plan."""
-        if self._lookups == 0:
-            return 0.0
-        return self._non_default_served / self._lookups
-
-    def as_hint_map(self) -> Dict[int, int]:
-        """Mapping query index -> hint index currently served."""
-        return {d.query: d.hint for d in self.lookup_all()}

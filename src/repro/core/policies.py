@@ -22,7 +22,7 @@ import numpy as np
 from ..config import ALSConfig
 from ..errors import ExplorationError
 from .predictors import ALSPredictor, Predictor
-from .scoring import best_unexplored, expected_improvement_ratios
+from .scoring import best_unexplored
 from .workload_matrix import WorkloadMatrix
 
 Candidate = Tuple[int, int]
@@ -234,11 +234,6 @@ class LimeQOPolicy(ExplorationPolicy):
                 self._random_fill(matrix, picks, batch_size - len(picks), rng)
             )
         return picks
-
-    def improvement_ratios(self, matrix: WorkloadMatrix) -> np.ndarray:
-        """Expose Equation 6 ratios for diagnostics (uses a fresh prediction)."""
-        predicted = self.predictor.predict(matrix)
-        return expected_improvement_ratios(matrix, predicted)
 
 
 class LimeQOPlusPolicy(LimeQOPolicy):

@@ -137,28 +137,6 @@ class ALSPredictor(Predictor):
         return self._als.solve(matrix, WARM_REFRESH_SWEEPS, anchor).completed
 
 
-class MeanPredictor(Predictor):
-    """Baseline predictor: fill with per-column means (no low-rank structure).
-
-    Not used by the paper, but handy for tests and sanity checks -- any
-    reasonable model should beat it.
-    """
-
-    name = "mean"
-
-    def _predict(self, matrix: WorkloadMatrix) -> np.ndarray:
-        values = matrix.observed_values()
-        mask = matrix.mask
-        column_counts = mask.sum(axis=0)
-        column_sums = values.sum(axis=0)
-        global_mean = values[mask > 0].mean() if mask.sum() else 1.0
-        column_means = np.where(
-            column_counts > 0, column_sums / np.maximum(column_counts, 1), global_mean
-        )
-        estimate = np.tile(column_means, (matrix.n_queries, 1))
-        return np.where(mask > 0, values, estimate)
-
-
 class TCNNPredictor(Predictor):
     """Tree convolutional network over plan features (no embeddings).
 

@@ -10,7 +10,7 @@ step so the figures can be regenerated exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -72,11 +72,6 @@ class ExplorationTrace:
             return 0.0
         return float(self.times[-1])
 
-    def speedup_at(self, exploration_time: float) -> float:
-        """Default latency divided by the latency at ``exploration_time``."""
-        latency = self.latency_at(exploration_time)
-        return float(self.default_latency / latency) if latency > 0 else float("inf")
-
 
 class ExplorationSimulator:
     """Runs a policy against a ground-truth matrix and records its trace.
@@ -123,10 +118,6 @@ class ExplorationSimulator:
         """Default / Optimal ratio."""
         return self.default_latency / self.optimal_latency
 
-    def full_exploration_time(self) -> float:
-        """Time to execute every cell exhaustively (the "12 days" number)."""
-        return float(self.true_latencies.sum())
-
     # -- running a policy -----------------------------------------------------
     def initial_matrix(self) -> WorkloadMatrix:
         """A fresh workload matrix, warm-started with the default column."""
@@ -165,15 +156,3 @@ class ExplorationSimulator:
             default_latency=self.default_latency,
             optimal_latency=self.optimal_latency,
         )
-
-    def run_many(
-        self,
-        policies: Sequence[ExplorationPolicy],
-        time_budget: float = float("inf"),
-        max_steps: Optional[int] = None,
-    ) -> List[ExplorationTrace]:
-        """Run several policies on identical starting conditions."""
-        return [
-            self.run(policy, time_budget=time_budget, max_steps=max_steps)
-            for policy in policies
-        ]

@@ -298,11 +298,6 @@ class WorkloadMatrix:
         self._check_indices(query, hint)
         return bool(self._censored[query, hint])
 
-    def is_known(self, query: int, hint: int) -> bool:
-        """True when the entry has been executed at all (observed or censored)."""
-        self._check_indices(query, hint)
-        return bool(self._observed[query, hint] or self._censored[query, hint])
-
     def value(self, query: int, hint: int) -> float:
         """Stored value: latency, censored lower bound, or ``inf``."""
         self._check_indices(query, hint)
@@ -328,11 +323,6 @@ class WorkloadMatrix:
     def timeout_matrix(self) -> np.ndarray:
         """The timeout matrix ``T``: lower bounds for censored entries, else 0."""
         return self._timeouts.copy()
-
-    def observed_values(self) -> np.ndarray:
-        """Value matrix with unobserved entries replaced by 0 (for ``M ⊙ W``)."""
-        out = np.where(self._observed, self._values, 0.0)
-        return out
 
     def observed_latencies(self, rows: np.ndarray) -> np.ndarray:
         """Completed latencies of the given ``rows``, ``inf`` elsewhere.
@@ -415,13 +405,8 @@ class WorkloadMatrix:
         """Vector of :meth:`row_min` over all queries (the caller's to keep)."""
         return self._fresh_minima().copy()
 
-    def observed_count_in_row(self, query: int) -> int:
-        """Number of completed observations in a row."""
-        self._check_indices(query, 0)
-        return int(self._observed[query].sum())
-
     def row_stats(self, rows) -> Tuple[np.ndarray, np.ndarray]:
-        """``(row_min, observed_count_in_row)`` of each of ``rows``: the two
+        """``(row_min, completed observations)`` of each of ``rows``: the two
         reads Algorithm 1's timeout takes of a row, for a batch of rows."""
         rows = checked_ids("query", rows, self.n_queries, MatrixError)
         return self._fresh_minima()[rows], np.count_nonzero(self._observed[rows], axis=1)
@@ -466,19 +451,13 @@ class WorkloadMatrix:
         """Boolean matrix: True where the entry was never executed; with
         ``rows``, only those rows (in that order).
 
-        The vectorised counterpart of :meth:`unknown_entries`; the policy
-        hot path works on this array (and flat indices into it) instead of
-        materialising a Python list of tuples every step.
+        The policy hot path works on this array (and flat indices into it)
+        instead of materialising a Python list of tuples every step.
         """
         if rows is None:
             return ~(self._observed | self._censored)
         rows = checked_ids("query", rows, self.n_queries, MatrixError)
         return ~(self._observed[rows] | self._censored[rows])
-
-    def unknown_entries(self) -> List[Tuple[int, int]]:
-        """(query, hint) pairs never executed (neither observed nor censored)."""
-        rows, cols = np.nonzero(self.unknown_mask())
-        return list(zip(rows.tolist(), cols.tolist()))
 
     def unknown_in_row(self, query: int) -> List[int]:
         """Hint indices never executed for ``query``."""
@@ -489,10 +468,6 @@ class WorkloadMatrix:
     def observed_fraction(self) -> float:
         """Fraction of entries with completed observations."""
         return float(self._observed.mean())
-
-    def known_fraction(self) -> float:
-        """Fraction of entries executed at all (observed or censored)."""
-        return float((self._observed | self._censored).mean())
 
     # -- growth (workload shift) --------------------------------------------------
     def add_query(self, name: Optional[str] = None) -> int:
@@ -655,43 +630,6 @@ class WorkloadMatrix:
         matrix._timeouts = timeouts.copy()
         matrix._restructured()
         return matrix
-
-    def save(self, path: str) -> None:
-        """Persist to an ``.npz`` file."""
-        payload = self.to_dict()
-        np.savez_compressed(
-            path,
-            values=payload["values"],
-            observed=payload["observed"],
-            censored=payload["censored"],
-            timeouts=payload["timeouts"],
-            query_names=np.array(payload["query_names"], dtype=str),
-            hint_names=np.array(payload["hint_names"], dtype=str),
-        )
-
-    @classmethod
-    def load(cls, path: str) -> "WorkloadMatrix":
-        """Load from an ``.npz`` file produced by :meth:`save`.
-
-        Never unpickles, since unpickling runs code from the file: one whose
-        names are pickled objects (crafted, or written before names were
-        saved as unicode arrays) is refused with :class:`MatrixError`.  An
-        old file you trust needs one re-save: read it with
-        ``np.load(path, allow_pickle=True)``, then ``from_dict(...).save()``.
-        """
-        with np.load(path, allow_pickle=False) as data:
-            try:
-                payload = {
-                    "values": data["values"],
-                    "observed": data["observed"],
-                    "censored": data["censored"],
-                    "timeouts": data["timeouts"],
-                    "query_names": data["query_names"].tolist(),
-                    "hint_names": data["hint_names"].tolist(),
-                }
-            except (KeyError, ValueError) as exc:
-                raise MatrixError(f"load: {path} is not a saved matrix ({exc})") from None
-        return cls.from_dict(payload)
 
     def copy(self) -> "WorkloadMatrix":
         """Deep copy."""

@@ -154,9 +154,3 @@ class CardinalityEstimator:
         rng = np.random.default_rng(key)
         sigma = self.correlation_strength * (0.2 + 0.1 * len(aliases))
         return float(np.exp(rng.normal(0.0, sigma)))
-
-    def estimation_error(self, query: Query, aliases: FrozenSet[str]) -> float:
-        """Ratio true/estimated rows for a sub-expression (diagnostics)."""
-        true_rows = self.subset_rows(query, aliases, true=True)
-        est_rows = self.subset_rows(query, aliases, true=False)
-        return true_rows / max(1.0, est_rows)

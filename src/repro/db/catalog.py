@@ -9,7 +9,7 @@ estimator and the cost model read from it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from ..errors import CatalogError
 
@@ -141,10 +141,6 @@ class Catalog:
         except KeyError:
             raise CatalogError(f"no table named {name!r}") from None
 
-    def has_table(self, name: str) -> bool:
-        """True when the catalog contains ``name``."""
-        return name in self._tables
-
     def tables(self) -> List[Table]:
         """All tables in insertion order."""
         return list(self._tables.values())
@@ -194,10 +190,6 @@ class Catalog:
         """Sum of row counts across all tables."""
         return sum(t.row_count for t in self._tables.values())
 
-    def size_bytes(self) -> int:
-        """Approximate on-disk size of the whole catalog."""
-        return sum(t.page_count * PAGE_SIZE_BYTES for t in self._tables.values())
-
     def describe(self) -> str:
         """Human-readable multi-line summary of the catalog."""
         lines = [f"Catalog {self.name!r}: {len(self._tables)} tables"]
@@ -208,18 +200,3 @@ class Catalog:
                 f"indexes on {table.indexed_columns() or 'none'}"
             )
         return "\n".join(lines)
-
-
-def build_catalog(
-    tables: Iterable[Table], foreign_keys: Optional[Iterable[ForeignKey]] = None,
-    name: str = "catalog",
-) -> Catalog:
-    """Convenience constructor used by the schema templates."""
-    catalog = Catalog(name=name)
-    for table in tables:
-        catalog.add_table(table)
-    for fk in foreign_keys or ():
-        catalog.add_foreign_key(
-            fk.child_table, fk.child_column, fk.parent_table, fk.parent_column
-        )
-    return catalog

@@ -39,11 +39,6 @@ class ExecutionResult:
     timed_out: bool
     charged_time: float
 
-    @property
-    def observed_value(self) -> float:
-        """The value that goes into the workload matrix."""
-        return self.charged_time if self.timed_out else self.latency
-
 
 class SimulatedExecutor:
     """Executes plans against the latency model, honouring timeouts."""

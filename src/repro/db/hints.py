@@ -66,16 +66,6 @@ class HintSet:
             allowed.append("index_only_scan")
         return allowed
 
-    def as_gucs(self) -> dict:
-        """Render this hint set as a PostgreSQL ``SET`` parameter mapping."""
-        return {
-            knob: ("on" if getattr(self, knob) else "off") for knob in ALL_KNOBS
-        }
-
-    def as_tuple(self) -> tuple:
-        """Canonical boolean tuple in :data:`ALL_KNOBS` order."""
-        return tuple(getattr(self, knob) for knob in ALL_KNOBS)
-
     def __str__(self) -> str:  # pragma: no cover - cosmetic
         disabled = [knob for knob in ALL_KNOBS if not getattr(self, knob)]
         if not disabled:
@@ -111,14 +101,6 @@ def all_hint_sets() -> List[HintSet]:
 def default_hint_set() -> HintSet:
     """Return the all-enabled (default) hint set."""
     return HintSet()
-
-
-def hint_set_by_index(index: int) -> HintSet:
-    """Return hint set number ``index`` in the canonical ordering."""
-    hints = all_hint_sets()
-    if not 0 <= index < len(hints):
-        raise HintError(f"hint index {index} out of range [0, {len(hints)})")
-    return hints[index]
 
 
 NUM_HINT_SETS = len(all_hint_sets())

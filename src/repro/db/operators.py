@@ -83,11 +83,6 @@ class PlanNode:
         """True for leaf (scan) nodes."""
         return self.operator in SCAN_OPERATOR_NAMES
 
-    @property
-    def is_join(self) -> bool:
-        """True for internal (join) nodes."""
-        return self.operator in JOIN_OPERATOR_NAMES
-
     # -- traversal ------------------------------------------------------
     def iter_nodes(self) -> Iterator["PlanNode"]:
         """Pre-order traversal of the subtree rooted at this node."""
@@ -104,23 +99,11 @@ class PlanNode:
         return tuple(leaf.alias for leaf in self.leaves())
 
     @property
-    def num_nodes(self) -> int:
-        """Total number of nodes in the subtree."""
-        return sum(1 for _ in self.iter_nodes())
-
-    @property
     def depth(self) -> int:
         """Height of the subtree (1 for a single scan)."""
         if not self.children:
             return 1
         return 1 + max(child.depth for child in self.children)
-
-    def operator_counts(self) -> dict:
-        """Mapping operator name -> number of occurrences in the subtree."""
-        counts: dict = {}
-        for node in self.iter_nodes():
-            counts[node.operator] = counts.get(node.operator, 0) + 1
-        return counts
 
     # -- rendering ------------------------------------------------------
     def to_text(self, indent: int = 0) -> str:
@@ -146,36 +129,3 @@ class PlanNode:
             self.alias,
             tuple(child.signature() for child in self.children),
         )
-
-
-def scan_node(
-    operator: ScanOperator,
-    alias: str,
-    table: str,
-    estimated_rows: float = 0.0,
-    estimated_cost: float = 0.0,
-) -> PlanNode:
-    """Convenience constructor for a scan leaf."""
-    return PlanNode(
-        operator=operator.value,
-        alias=alias,
-        table=table,
-        estimated_rows=estimated_rows,
-        estimated_cost=estimated_cost,
-    )
-
-
-def join_node(
-    operator: JoinOperator,
-    left: PlanNode,
-    right: PlanNode,
-    estimated_rows: float = 0.0,
-    estimated_cost: float = 0.0,
-) -> PlanNode:
-    """Convenience constructor for a binary join node."""
-    return PlanNode(
-        operator=operator.value,
-        children=[left, right],
-        estimated_rows=estimated_rows,
-        estimated_cost=estimated_cost,
-    )

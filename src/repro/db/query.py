@@ -48,10 +48,6 @@ class JoinEdge:
     right_alias: str
     right_column: str
 
-    def involves(self, alias: str) -> bool:
-        """True when this edge touches ``alias``."""
-        return alias in (self.left_alias, self.right_alias)
-
     def other(self, alias: str) -> str:
         """Return the alias on the opposite side of ``alias``."""
         if alias == self.left_alias:
@@ -128,24 +124,6 @@ class Query:
             if crosses_ab or crosses_ba:
                 out.append(edge)
         return out
-
-    def is_connected(self) -> bool:
-        """True when the join graph connects all relations."""
-        if self.num_relations <= 1:
-            return True
-        adjacency: Dict[str, set] = {a: set() for a in self.aliases}
-        for edge in self.joins:
-            adjacency[edge.left_alias].add(edge.right_alias)
-            adjacency[edge.right_alias].add(edge.left_alias)
-        seen = {self.aliases[0]}
-        frontier = [self.aliases[0]]
-        while frontier:
-            node = frontier.pop()
-            for nxt in adjacency[node]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-        return len(seen) == self.num_relations
 
     def filter_selectivity(self, alias: str) -> float:
         """Combined (independence-assumption) selectivity of filters on ``alias``."""

@@ -6,7 +6,7 @@ protocol, the recovery invariants, and the fault-point map.
 
 from .faults import FAULT_POINTS, FaultClock, FaultFS, FaultInjector, FaultPlan
 from .journal import ShardJournal
-from .recovery import RecoveredState, recover_journal, recover_service
+from .recovery import RecoveredState, recover_journal
 from .snapshot import load_snapshot, matrix_from_jsonable, write_snapshot
 from .wal import RECORD_KINDS, WalRecord, WriteAheadLog, encode_record
 
@@ -25,6 +25,5 @@ __all__ = [
     "load_snapshot",
     "matrix_from_jsonable",
     "recover_journal",
-    "recover_service",
     "write_snapshot",
 ]

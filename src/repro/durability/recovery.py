@@ -35,7 +35,7 @@ from typing import List, Optional
 import numpy as np
 
 from ..core.workload_matrix import WorkloadMatrix
-from ..errors import DurabilityError, MatrixError, ReproError, WalCorruption
+from ..errors import MatrixError, ReproError, WalCorruption
 from .faults import FaultFS
 from .journal import ShardJournal
 from .snapshot import matrix_from_jsonable
@@ -185,37 +185,3 @@ def recover_journal(
         elapsed_s=clock() - started,
     )
     return journal, state
-
-
-def recover_service(
-    directory: str,
-    default_hint: int = 0,
-    regression_margin: float = 1.0,
-    recorder=None,
-    fs: Optional[FaultFS] = None,
-    sync: str = "os",
-    clock=time.perf_counter,
-):
-    """Recover a directory straight into a live :class:`ServingService`.
-
-    Convenience for single-service deployments (the cluster drives
-    :func:`recover_journal` itself through ``ClusterShard.recover``).
-    Raises :class:`~repro.errors.DurabilityError` when the journal holds
-    no matrix -- an empty shard has no service to resume.
-    """
-    from ..serving.service import ServingService
-
-    journal, state = recover_journal(directory, fs=fs, sync=sync, clock=clock)
-    if state.matrix is None:
-        journal.close()
-        raise DurabilityError(
-            f"journal at {directory} holds no matrix state; nothing to serve"
-        )
-    service = ServingService(
-        state.matrix,
-        default_hint=default_hint,
-        regression_margin=regression_margin,
-        recorder=recorder,
-        journal=journal,
-    )
-    return service, state

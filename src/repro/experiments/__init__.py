@@ -1,7 +1,7 @@
 """The experiment harness: one function per paper table / figure.
 
 :mod:`repro.experiments.runner` provides the shared machinery (policy
-factory, checkpointed runs, repetition averaging);
+factory, checkpointed runs);
 :mod:`repro.experiments.figures` exposes ``table1_*`` / ``figure5_*`` ...
 functions that return plain dictionaries of series, and
 :mod:`repro.experiments.reporting` renders them as text tables, which is
@@ -27,7 +27,6 @@ from .figures import (
 )
 from .runner import (
     CheckpointedRun,
-    PolicyComparison,
     make_policy,
     run_policy_on_workload,
 )
@@ -57,7 +56,6 @@ __all__ = [
     "figure18_bayesqo",
     "table1_workload_summary",
     "CheckpointedRun",
-    "PolicyComparison",
     "make_policy",
     "run_policy_on_workload",
     "format_series_table",

@@ -7,7 +7,7 @@ where the crossovers fall) without a plotting stack.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Sequence
+from typing import List, Mapping, Sequence
 
 import numpy as np
 
@@ -45,16 +45,6 @@ def format_series_table(
             row.append(value_format.format(float(values[i])) if i < len(values) else "")
         rows.append(row)
     return format_table(headers, rows)
-
-
-def summarize_improvement(
-    default_latency: float, latencies: Mapping[str, float]
-) -> Dict[str, float]:
-    """Percentage latency reduction versus the default plan, per method."""
-    out = {}
-    for name, latency in latencies.items():
-        out[name] = 100.0 * (1.0 - float(latency) / float(default_latency))
-    return out
 
 
 def _fmt(cell) -> str:

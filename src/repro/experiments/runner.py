@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -138,57 +138,3 @@ def run_policy_on_workload(
         overheads=overheads,
         trace=trace,
     )
-
-
-@dataclass
-class PolicyComparison:
-    """Run several policies (optionally several seeds) on one workload."""
-
-    workload: SyntheticWorkload
-    policies: Sequence[str] = POLICY_NAMES
-    checkpoints: Optional[Sequence[float]] = None
-    batch_size: int = 10
-    repetitions: int = 1
-    seed: int = 0
-    als_config: Optional[ALSConfig] = None
-    tcnn_config: Optional[TCNNConfig] = None
-    max_steps: Optional[int] = None
-    results: Dict[str, List[CheckpointedRun]] = field(default_factory=dict)
-
-    def run(self) -> Dict[str, List[CheckpointedRun]]:
-        """Execute every (policy, repetition) pair."""
-        for policy_name in self.policies:
-            runs = []
-            for rep in range(self.repetitions):
-                runs.append(
-                    run_policy_on_workload(
-                        self.workload,
-                        policy_name,
-                        checkpoints=self.checkpoints,
-                        batch_size=self.batch_size,
-                        seed=self.seed + rep,
-                        als_config=self.als_config,
-                        tcnn_config=self.tcnn_config,
-                        max_steps=self.max_steps,
-                    )
-                )
-            self.results[policy_name] = runs
-        return self.results
-
-    def mean_latencies(self) -> Dict[str, np.ndarray]:
-        """Per-policy mean latency at each checkpoint across repetitions."""
-        if not self.results:
-            raise ExperimentError("call run() before mean_latencies()")
-        return {
-            policy: np.mean([run.latencies for run in runs], axis=0)
-            for policy, runs in self.results.items()
-        }
-
-    def std_latencies(self) -> Dict[str, np.ndarray]:
-        """Per-policy latency standard deviation at each checkpoint."""
-        if not self.results:
-            raise ExperimentError("call run() before std_latencies()")
-        return {
-            policy: np.std([run.latencies for run in runs], axis=0)
-            for policy, runs in self.results.items()
-        }

@@ -128,11 +128,6 @@ class PeriodicTicker:
         task.cancel()
         task.add_done_callback(_consume_task_result)
 
-    def fire_now(self) -> None:
-        """Run one tick synchronously (tests and drain paths)."""
-        self.fn()
-        self.runs += 1
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "running" if self.running else "stopped"
         return (

@@ -39,13 +39,12 @@ C-level reductions over the time slice, with no interpreted per-request
 loop.  Tokens number admitted requests in submit order; because batches
 are FIFO prefixes, position in the queue *is* the token (offset by what
 has already left), so the shell pairs answers with callers by position
-(:meth:`CoalescerCore.take_payloads`) and :meth:`CoalescerCore.take_batch`
-labels the same slice with its tokens for callers that want them.
+(:meth:`CoalescerCore.take_payloads`).
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List, Optional
 
 from ..config import IngressConfig
 from ..errors import IngressError
@@ -132,18 +131,6 @@ class CoalescerCore:
         if len(self._times) >= self.config.max_batch:
             return True
         return now >= self._times[0] + self.config.max_wait_s
-
-    # -- flushing ----------------------------------------------------------------
-    def take_batch(
-        self, now: float, force: bool = False, reason: str = "shutdown"
-    ) -> List[Tuple[int, Any]]:
-        """Pop the next batch of up to ``max_batch`` ``(token, payload)``.
-
-        :meth:`take_payloads` with each payload labelled by its token.
-        """
-        payloads = self.take_payloads(now, force, reason)
-        first = self.flushed_requests - len(payloads)
-        return list(zip(range(first, first + len(payloads)), payloads))
 
     def take_payloads(
         self, now: float, force: bool = False, reason: str = "shutdown"

@@ -23,7 +23,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..core.plan_cache import CacheDecision, CacheSnapshot, PlanCache
+from ..core.plan_cache import CacheSnapshot, PlanCache
 from ..core.workload_matrix import WorkloadMatrix, checked_ids
 from ..errors import ServingError
 from ..telemetry.registry import Counter
@@ -63,18 +63,6 @@ class BatchDecisions:
         # Counted as batch minus defaults: summing the existing bool array
         # avoids materialising its inverse on the serve hot path.
         return int(self.used_default.shape[0] - self.used_default.sum())
-
-    def to_decisions(self) -> List[CacheDecision]:
-        """Materialise scalar :class:`CacheDecision` objects (for tests/logs)."""
-        return [
-            CacheDecision(
-                query=int(self.queries[i]),
-                hint=int(self.hints[i]),
-                used_default=bool(self.used_default[i]),
-                expected_latency=float(self.expected_latency[i]),
-            )
-            for i in range(self.batch_size)
-        ]
 
 
 class BatchedPlanCache:
@@ -122,13 +110,6 @@ class BatchedPlanCache:
         self._rebuilds = metrics.cache_rebuilds
         self._patched_rows = metrics.cache_patched_rows
         self._tracer = OFF if telemetry is None else telemetry.tracer
-
-    # -- snapshot management ------------------------------------------------
-    @property
-    def snapshot_version(self) -> Optional[int]:
-        """Matrix version of the current snapshot (None before first use)."""
-        snap = self._scalar.cached_snapshot
-        return None if snap is None else snap.version
 
     def refresh(self) -> CacheSnapshot:
         """Force-recompute the decision arrays at the current matrix version."""
@@ -207,10 +188,6 @@ class BatchedPlanCache:
                 for row, value in zip(rows, array[changed].tolist()):
                     column[row] = value
         self._row_lists_version = snap.version
-
-    def decide_all(self) -> BatchDecisions:
-        """Decisions for every query in the workload."""
-        return self.decide(np.arange(self.matrix.n_queries))
 
     def scalar_cache(self) -> PlanCache:
         """The scalar cache sharing this instance's matrix and parameters."""

@@ -83,12 +83,9 @@ class Gauge:
     def inc(self, amount: float = 1.0) -> None:
         self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self._value -= amount
-
     @property
     def value(self) -> float:
-        """Current value (read-only property; mutate via set/inc/dec)."""
+        """Current value (read-only property; mutate via set/inc)."""
         return self._value
 
     def merge_from(self, other: "Gauge") -> None:

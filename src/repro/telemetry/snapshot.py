@@ -38,10 +38,6 @@ class TelemetrySnapshot:
     def to_json(self, indent: int = 2) -> str:
         return json.dumps(self.payload, indent=indent, sort_keys=True)
 
-    def section(self, name: str) -> Any:
-        """One top-level section (``metrics``, ``serving``, ``wal``, ...)."""
-        return self.payload.get(name)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         keys = ", ".join(sorted(self.payload))
         return f"TelemetrySnapshot({keys})"

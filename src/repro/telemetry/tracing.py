@@ -176,11 +176,6 @@ class Tracer:
         """Drop the current trace without recording it (error paths)."""
         self._current = None
 
-    # -- inspection ---------------------------------------------------------
-    def slow_traces(self) -> List[Trace]:
-        """Ring contents, oldest first."""
-        return list(self._ring)
-
     def slowest(self, n: int = 5) -> List[Trace]:
         """The ``n`` slowest retained traces, slowest first."""
         return sorted(

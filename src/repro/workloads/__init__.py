@@ -15,7 +15,6 @@ data-shift and ETL-query experiments.
 """
 
 from .generator import DatabaseWorkload, build_database_workload
-from .loader import load_workload, save_workload
 from .matrices import SyntheticWorkload, generate_workload
 from .shift import (
     DataDriftModel,
@@ -38,8 +37,6 @@ from .spec import (
 __all__ = [
     "DatabaseWorkload",
     "build_database_workload",
-    "load_workload",
-    "save_workload",
     "SyntheticWorkload",
     "generate_workload",
     "DataDriftModel",

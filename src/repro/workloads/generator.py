@@ -62,15 +62,6 @@ class DatabaseWorkload:
         """Default / Optimal ratio."""
         return self.default_total / self.optimal_total
 
-    def optimizer_cost_matrix(self) -> np.ndarray:
-        """Estimated plan cost per (query, hint) cell -- used by QO-Advisor."""
-        costs = np.zeros((self.n_queries, self.n_hints))
-        for i, query in enumerate(self.queries):
-            for j, hint in enumerate(self.hint_sets):
-                plan = self.enumerator.optimize(query, hint)
-                costs[i, j] = sum(node.estimated_cost for node in plan.iter_nodes())
-        return costs
-
     def feature_store(self) -> PlanFeatureStore:
         """Real plan features for the neural method."""
         return PlanFeatureStore(

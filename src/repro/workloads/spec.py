@@ -104,8 +104,3 @@ def get_spec(name: str) -> WorkloadSpec:
         raise WorkloadError(
             f"unknown workload {name!r}; expected one of {sorted(_SPECS)}"
         ) from None
-
-
-def all_specs():
-    """All paper workload specs, in Table 1 order."""
-    return [JOB_SPEC, CEB_SPEC, STACK_SPEC, DSB_SPEC]

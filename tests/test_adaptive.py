@@ -610,7 +610,7 @@ def test_recovery_anchors_before_exploring():
         # Invariant at every step: a row carrying any non-default
         # observation must have its default observed too.
         for row in range(matrix.n_queries):
-            if matrix.observed_count_in_row(row) and not matrix.is_observed(row, 0):
+            if not matrix.is_observed(row, 0):
                 non_default = [
                     h for h in range(1, matrix.n_hints)
                     if matrix.is_observed(row, h)

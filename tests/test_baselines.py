@@ -1,35 +1,12 @@
-"""Tests for the BayesQO and oracle baselines."""
+"""Tests for the BayesQO baseline."""
 
 import numpy as np
 import pytest
 
 from repro.baselines.bayesqo import BayesQO
-from repro.baselines.exhaustive import (
-    exhaustive_exploration_cost,
-    oracle_hints,
-    oracle_latency,
-)
 from repro.core.explorer import MatrixOracle
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import ExplorationError
-
-
-def test_oracle_helpers(tiny_workload):
-    truth = tiny_workload.true_latencies
-    hints = oracle_hints(truth)
-    assert hints.shape == (tiny_workload.n_queries,)
-    assert oracle_latency(truth) == pytest.approx(truth.min(axis=1).sum())
-    assert exhaustive_exploration_cost(truth) == pytest.approx(truth.sum())
-    assert oracle_latency(truth) <= truth[:, 0].sum()
-
-
-def test_oracle_helpers_validate_inputs():
-    with pytest.raises(ExplorationError):
-        oracle_latency(np.ones(3))
-    bad = np.ones((2, 2))
-    bad[0, 0] = np.nan
-    with pytest.raises(ExplorationError):
-        oracle_hints(bad)
 
 
 def test_bayesqo_respects_per_query_budget(tiny_workload):
@@ -46,7 +23,7 @@ def test_bayesqo_respects_per_query_budget(tiny_workload):
     result = bayes.run()
     assert result.time_spent_per_query.shape == (tiny_workload.n_queries,)
     assert (result.time_spent_per_query <= budget + 1e-9).all()
-    assert result.total_time_spent <= budget * tiny_workload.n_queries + 1e-6
+    assert result.time_spent_per_query.sum() <= budget * tiny_workload.n_queries + 1e-6
     assert (result.evaluations_per_query >= 1).all()
 
 

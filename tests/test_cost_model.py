@@ -7,7 +7,7 @@ from repro.db.catalog import Column, Table
 from repro.db.cost_model import CostConstants, CostModel, LatencyModel, MachineProfile
 from repro.db.datagen import make_catalog
 from repro.db.hints import default_hint_set
-from repro.db.operators import ScanOperator
+from repro.db.operators import PlanNode, ScanOperator
 from repro.db.optimizer import PlanEnumerator
 from repro.db.query import QueryGenerator
 from repro.errors import ExecutionError
@@ -95,11 +95,10 @@ def test_latency_model_is_deterministic(catalog, cost_model):
 
 
 def test_latency_requires_annotated_plan(catalog, cost_model):
-    from repro.db.operators import scan_node
-
     model = LatencyModel(cost_model, seed=0)
     query = QueryGenerator(catalog, seed=4).generate("q0")
-    bare = scan_node(ScanOperator.SEQ_SCAN, query.aliases[0], query.table_for(query.aliases[0]))
+    alias = query.aliases[0]
+    bare = PlanNode(ScanOperator.SEQ_SCAN.value, alias=alias, table=query.table_for(alias))
     with pytest.raises(ExecutionError):
         model.latency_seconds(query, bare)
 

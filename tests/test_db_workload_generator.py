@@ -28,12 +28,6 @@ def test_db_workload_hint_diversity(db_workload):
     assert (best != 0).any()
 
 
-def test_db_workload_cost_matrix_shape(db_workload):
-    costs = db_workload.optimizer_cost_matrix()
-    assert costs.shape == db_workload.true_latencies.shape
-    assert (costs > 0).all()
-
-
 def test_db_workload_feature_store(db_workload):
     store = db_workload.feature_store()
     batch = store.batch([(0, 0), (1, 1)])

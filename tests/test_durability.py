@@ -37,7 +37,6 @@ from repro.durability import (
     ShardJournal,
     WriteAheadLog,
     recover_journal,
-    recover_service,
     write_snapshot,
 )
 from repro.errors import (
@@ -60,6 +59,12 @@ def make_matrix(n=8, k=4, seed=7):
     rows, cols = np.nonzero(observed)
     matrix.observe_batch(rows, cols, truth[rows, cols])
     return matrix
+
+
+def recover_service(directory):
+    """A service resumed from ``directory``'s journal, and what recovery found."""
+    journal, state = recover_journal(directory)
+    return ServingService(state.matrix, journal=journal), state
 
 
 def assert_identical_decisions(a, b):
@@ -336,8 +341,9 @@ class TestServiceRecovery:
         assert_identical_decisions(recovered_service.serve_all(), expected)
 
     def test_empty_directory_has_no_matrix(self, tmp_path):
-        with pytest.raises(DurabilityError):
-            recover_service(str(tmp_path))
+        journal, state = recover_journal(str(tmp_path))
+        assert state.matrix is None
+        journal.close()
 
 
 # -- fault injection --------------------------------------------------------------

@@ -31,7 +31,6 @@ def test_execute_returns_latency(setup):
     assert result.latency > 0
     assert not result.timed_out
     assert result.charged_time == pytest.approx(result.latency)
-    assert result.observed_value == pytest.approx(result.latency)
 
 
 def test_timeout_censors_long_plans(setup):
@@ -42,7 +41,6 @@ def test_timeout_censors_long_plans(setup):
     censored = executor.execute(query, plan, timeout=timeout)
     assert censored.timed_out
     assert censored.charged_time == pytest.approx(timeout)
-    assert censored.observed_value == pytest.approx(timeout)
     assert censored.latency == pytest.approx(full.latency)
 
 
@@ -70,7 +68,7 @@ def test_runs_per_measurement_validation(setup):
 def test_hinted_executor_varies_latency_across_hints(setup):
     _, _, hinted, query = setup
     latencies = {
-        hint.as_tuple(): hinted.execute_with_hint(query, hint).latency
+        hint: hinted.execute_with_hint(query, hint).latency
         for hint in all_hint_sets()[:8]
     }
     assert len(set(round(v, 6) for v in latencies.values())) > 1

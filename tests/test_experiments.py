@@ -9,11 +9,9 @@ from repro.experiments import figures
 from repro.experiments.reporting import (
     format_series_table,
     format_table,
-    summarize_improvement,
 )
 from repro.experiments.runner import (
     POLICY_NAMES,
-    PolicyComparison,
     default_checkpoints,
     make_policy,
     run_policy_on_workload,
@@ -53,29 +51,6 @@ def test_run_policy_on_workload_returns_checkpointed_latencies(tiny_workload):
     assert set(payload) == {"policy", "checkpoints", "latencies", "overheads"}
 
 
-def test_policy_comparison_mean_and_std(tiny_workload):
-    comparison = PolicyComparison(
-        workload=tiny_workload,
-        policies=("random", "greedy"),
-        checkpoints=[0.25 * tiny_workload.default_total],
-        batch_size=5,
-        repetitions=2,
-        max_steps=30,
-    )
-    comparison.run()
-    means = comparison.mean_latencies()
-    stds = comparison.std_latencies()
-    assert set(means) == {"random", "greedy"}
-    assert all(v.shape == (1,) for v in means.values())
-    assert all(v.shape == (1,) for v in stds.values())
-
-
-def test_policy_comparison_requires_run_before_aggregation(tiny_workload):
-    comparison = PolicyComparison(workload=tiny_workload)
-    with pytest.raises(ExperimentError):
-        comparison.mean_latencies()
-
-
 # -- reporting -----------------------------------------------------------------
 def test_format_table_alignment():
     text = format_table(["name", "value"], [["als", 1.5], ["nuc", 2.0]])
@@ -88,12 +63,6 @@ def test_format_series_table():
     text = format_series_table({"limeqo": [1.0, 2.0]}, [0.5, 1.0], x_label="t")
     assert "limeqo" in text
     assert "t" in text
-
-
-def test_summarize_improvement():
-    out = summarize_improvement(100.0, {"limeqo": 50.0, "random": 80.0})
-    assert out["limeqo"] == pytest.approx(50.0)
-    assert out["random"] == pytest.approx(20.0)
 
 
 # -- figure smoke tests (tiny scales) ----------------------------------------------

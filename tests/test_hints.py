@@ -8,7 +8,6 @@ from repro.db.hints import (
     HintSet,
     all_hint_sets,
     default_hint_set,
-    hint_set_by_index,
 )
 from repro.errors import HintError
 
@@ -25,8 +24,7 @@ def test_default_hint_set_is_first_and_all_enabled():
 
 
 def test_hint_sets_are_unique():
-    signatures = {h.as_tuple() for h in all_hint_sets()}
-    assert len(signatures) == 49
+    assert len(set(all_hint_sets())) == 49
 
 
 def test_every_hint_set_allows_a_join_and_a_scan():
@@ -47,26 +45,6 @@ def test_disabling_all_scans_is_rejected():
             enable_seqscan=False,
             enable_indexonlyscan=False,
         )
-
-
-def test_as_gucs_renders_on_off_for_every_knob():
-    gucs = HintSet(enable_hashjoin=False).as_gucs()
-    assert gucs["enable_hashjoin"] == "off"
-    assert gucs["enable_mergejoin"] == "on"
-    assert set(gucs) == set(ALL_KNOBS)
-
-
-def test_hint_set_by_index_roundtrip():
-    hints = all_hint_sets()
-    assert hint_set_by_index(0) == hints[0]
-    assert hint_set_by_index(48) == hints[48]
-
-
-def test_hint_set_by_index_out_of_range():
-    with pytest.raises(HintError):
-        hint_set_by_index(49)
-    with pytest.raises(HintError):
-        hint_set_by_index(-1)
 
 
 def test_default_hint_set_helper():

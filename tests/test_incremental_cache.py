@@ -80,7 +80,7 @@ OPS = st.lists(
             [
                 "observe", "observe_batch", "censor", "invalidate_rows",
                 "invalidate_all", "add_query", "import_rows", "remove",
-                "copy", "save_load", "read_a", "read_b", "noop_censor",
+                "copy", "from_dict", "read_a", "read_b", "noop_censor",
             ]
         ),
         st.integers(0, 2**16),
@@ -91,7 +91,7 @@ OPS = st.lists(
 )
 
 
-def apply(matrix, kind, arg, latency, tmp_path):
+def apply(matrix, kind, arg, latency):
     """Run one mutator; returns the matrix the caches should now watch."""
     rng = np.random.default_rng(arg)
     n, k = matrix.shape
@@ -128,10 +128,8 @@ def apply(matrix, kind, arg, latency, tmp_path):
         matrix.remove_queries(np.unique(rng.integers(0, n, int(rng.integers(1, 3)))))
     elif kind == "copy":
         return matrix.copy()
-    elif kind == "save_load":
-        path = str(tmp_path / f"m{arg}.npz")
-        matrix.save(path)
-        return WorkloadMatrix.load(path)
+    elif kind == "from_dict":
+        return WorkloadMatrix.from_dict(matrix.to_dict())
     return matrix
 
 
@@ -146,9 +144,8 @@ class TestPatchedEqualsFromScratch:
         seed_default=st.booleans(),
     )
     def test_every_mutator_two_consumers(
-        self, tmp_path_factory, ops, n, k, default_hint, margin, seed_default
+        self, ops, n, k, default_hint, margin, seed_default
     ):
-        tmp_path = tmp_path_factory.mktemp("matrices")
         default_hint %= k
         matrix = WorkloadMatrix(n, k)
         if seed_default:  # otherwise the default column starts unobserved
@@ -169,8 +166,8 @@ class TestPatchedEqualsFromScratch:
                     assert snapshot is not stale
                 held.append((snapshot, blobs(snapshot)))
             else:
-                after = apply(matrix, kind, arg, latency, tmp_path)
-                if after is not matrix:  # copy / load: a new object to watch
+                after = apply(matrix, kind, arg, latency)
+                if after is not matrix:  # copy / from_dict: a new object to watch
                     matrix = after
                     caches = {
                         name: PlanCache(matrix, default_hint, margin)
@@ -235,15 +232,10 @@ class TestRowStamps:
         assert matrix.rows_changed_since(matrix.version - 1).tolist() == [0]
         assert matrix.rows_changed_since(before) is None  # still, for good
 
-    def test_from_dict_copy_and_load_start_consistent(self, tmp_path):
+    def test_from_dict_copy_and_load_start_consistent(self):
         matrix = WorkloadMatrix(5, 3)
         matrix.observe(1, 1, 2.0)
-        matrix.save(str(tmp_path / "m.npz"))
-        for clone in (
-            matrix.copy(),
-            WorkloadMatrix.from_dict(matrix.to_dict()),
-            WorkloadMatrix.load(str(tmp_path / "m.npz")),
-        ):
+        for clone in (matrix.copy(), WorkloadMatrix.from_dict(matrix.to_dict())):
             assert clone.rows_changed_since(0) is None
             assert clone.rows_changed_since(clone.version).size == 0
             clone.add_query()

@@ -99,7 +99,7 @@ class TestCoalescerCore:
         tokens = [core.submit(f"p{i}", now=0.0) for i in range(3)]
         assert tokens == [0, 1, 2]
         assert core.ready(0.0)  # size trigger
-        batch = core.take_batch(0.0)
+        batch = list(zip(tokens, core.take_payloads(0.0)))
         assert batch == [(0, "p0"), (1, "p1"), (2, "p2")]
         assert core.queue_depth == 0
 
@@ -108,7 +108,7 @@ class TestCoalescerCore:
         core.submit("a", now=10.0)
         assert not core.ready(10.0)
         assert not core.ready(10.49)
-        assert core.take_batch(10.4) == []
+        assert core.take_payloads(10.4) == []
         assert core.ready(10.5)  # oldest hit the SLO bound
         assert core.next_deadline() == pytest.approx(10.5)
 
@@ -117,9 +117,8 @@ class TestCoalescerCore:
         core.submit("a", now=0.0)
         core.submit("b", now=0.5)
         core.submit("c", now=0.9)  # size trigger at depth 2 already passed
-        batch = core.take_batch(1.0)
-        assert [p for _, p in batch] == ["a", "b"]
-        assert [p for _, p in core.take_batch(2.0)] == ["c"]
+        assert core.take_payloads(1.0) == ["a", "b"]
+        assert core.take_payloads(2.0) == ["c"]
 
     def test_sheds_at_capacity(self):
         core = CoalescerCore(
@@ -129,26 +128,26 @@ class TestCoalescerCore:
         assert core.submit("b", 0.0) is not None
         assert core.submit("c", 0.0) is None
         assert core.shed == 1 and core.submitted == 3
-        core.take_batch(0.0)
+        core.take_payloads(0.0)
         assert core.submit("d", 0.0) is not None  # capacity freed by flush
 
     def test_force_drains_regardless_of_readiness(self):
         core = CoalescerCore(IngressConfig(max_batch=8, max_wait_s=100.0))
         core.submit("a", 0.0)
-        assert core.take_batch(0.0) == []
-        assert [p for _, p in core.take_batch(0.0, force=True)] == ["a"]
+        assert core.take_payloads(0.0) == []
+        assert core.take_payloads(0.0, force=True) == ["a"]
 
     def test_flush_reasons_name_the_trigger(self):
         core = CoalescerCore(IngressConfig(max_batch=2, max_wait_s=1.0))
         for payload in "abc":
             core.submit(payload, now=0.0)
-        core.take_batch(0.0)  # full
+        core.take_payloads(0.0)  # full
         assert core.last_flush_reason == "size"
-        core.take_batch(1.5)  # "c" past its deadline
+        core.take_payloads(1.5)  # "c" past its deadline
         core.submit("d", now=2.0)
-        core.take_batch(2.0, force=True, reason="idle")
+        core.take_payloads(2.0, force=True, reason="idle")
         core.submit("e", now=3.0)
-        core.take_batch(3.0, force=True)
+        core.take_payloads(3.0, force=True)
         assert core.flush_reasons == {
             "size": 1, "deadline": 1, "idle": 1, "shutdown": 1,
         }
@@ -159,21 +158,21 @@ class TestCoalescerCore:
         core = CoalescerCore(IngressConfig(max_batch=2, max_wait_s=1.0))
         core.submit("a", now=0.0)
         core.submit("b", now=0.0)
-        core.take_batch(0.0, force=True, reason="idle")
+        core.take_payloads(0.0, force=True, reason="idle")
         assert core.flush_reasons["size"] == 1 and core.flush_reasons["idle"] == 0
 
     def test_unknown_flush_reason_raises(self):
         core = CoalescerCore(IngressConfig(max_batch=2, max_wait_s=1.0))
         core.submit("a", now=0.0)
         with pytest.raises(IngressError):
-            core.take_batch(0.0, force=True, reason="bored")
+            core.take_payloads(0.0, force=True, reason="bored")
         assert core.queue_depth == 1  # nothing was popped
 
     def test_last_batch_wait_is_the_batch_mean(self):
         core = CoalescerCore(IngressConfig(max_batch=4, max_wait_s=10.0))
         core.submit("a", now=0.0)
         core.submit("b", now=1.0)
-        core.take_batch(3.0, force=True, reason="idle")
+        core.take_payloads(3.0, force=True, reason="idle")
         assert core.last_batch_wait_s == pytest.approx(2.5)
         assert core.mean_queue_wait_s == pytest.approx(2.5)
 
@@ -181,24 +180,24 @@ class TestCoalescerCore:
         core = CoalescerCore(IngressConfig(max_batch=1, max_wait_s=0.0))
         core.submit("a", now=5.0)
         with pytest.raises(IngressError):
-            core.take_batch(4.0, force=True)
+            core.take_payloads(4.0, force=True)
 
     def test_backwards_clock_takes_nothing_out_of_the_queue(self):
         core = CoalescerCore(IngressConfig(max_batch=3, max_wait_s=0.0))
         tokens = [core.submit(p, now=t) for p, t in (("a", 5.0), ("b", 6.0), ("c", 7.0))]
         with pytest.raises(IngressError):
-            core.take_batch(6.5, force=True)  # "c" was submitted after this
+            core.take_payloads(6.5, force=True)  # "c" was submitted after this
         assert core.queue_depth == 3 and core.flushed_batches == 0
         assert core.max_queue_wait_s == 0.0 and core.last_flush_reason is None
         # The next flush with a sane clock still carries every admitted request.
-        assert core.take_batch(8.0) == list(zip(tokens, "abc"))
+        assert list(zip(tokens, core.take_payloads(8.0))) == [(0, "a"), (1, "b"), (2, "c")]
         assert core.mean_queue_wait_s == pytest.approx(2.0)
 
     def test_telemetry(self):
         core = CoalescerCore(IngressConfig(max_batch=2, max_wait_s=10.0))
         core.submit("a", 0.0)
         core.submit("b", 1.0)
-        core.take_batch(2.0)
+        core.take_payloads(2.0)
         assert core.mean_batch_size == 2.0
         assert core.mean_queue_wait_s == pytest.approx(1.5)  # waited 2.0 and 1.0
         assert core.max_queue_wait_s == pytest.approx(2.0)
@@ -213,11 +212,22 @@ def drive_core(core, schedule):
 
     ``schedule`` is a list of (delay, payload) arrivals.  Returns the
     admitted payloads (in submit order), the flushed batches, and the
-    token->payload routing of every flushed request.
+    token->payload routing of every flushed request.  As in the shell, a
+    flushed payload is paired with a token by position: the tokens
+    ``submit`` returned, in submit order.
     """
     admitted, batches, routed = [], [], {}
     now = 0.0
     token_payload = {}
+    pending = []
+
+    def take(now):
+        payloads = core.take_payloads(now)
+        batch = list(zip(pending, payloads))
+        del pending[: len(payloads)]
+        batches.append(batch)
+        routed.update(batch)
+
     for delay, payload in schedule:
         target = now + delay
         # Before the next arrival, fire any deadline flushes that are due.
@@ -226,24 +236,19 @@ def drive_core(core, schedule):
             if deadline is None or deadline > target:
                 break
             now = deadline
-            batch = core.take_batch(now)
-            batches.append(batch)
-            routed.update({t: p for t, p in batch})
+            take(now)
         now = target
         token = core.submit(payload, now)
         if token is not None:
             admitted.append(payload)
             token_payload[token] = payload
+            pending.append(token)
         while core.ready(now):  # size-triggered flush
-            batch = core.take_batch(now)
-            batches.append(batch)
-            routed.update({t: p for t, p in batch})
+            take(now)
     while core.queue_depth:  # shutdown drain
         deadline = core.next_deadline()
         now = max(now, deadline)
-        batch = core.take_batch(now)
-        batches.append(batch)
-        routed.update({t: p for t, p in batch})
+        take(now)
     return admitted, batches, routed, token_payload
 
 
@@ -300,7 +305,7 @@ class TestCoalescerProperties:
         core = CoalescerCore(config)
         drive_core(core, schedule)
         while core.queue_depth:
-            core.take_batch(10.0, force=True, reason=forced)
+            core.take_payloads(10.0, force=True, reason=forced)
         assert sum(core.flush_reasons.values()) == core.flushed_batches
         assert core.flushed_requests == core.submitted - core.shed
 
@@ -330,10 +335,10 @@ class TestCoalescerProperties:
         total, longest, taken = 0.0, 0.0, 0
         while core.queue_depth:
             now += slack
-            batch = core.take_batch(now, force=True, reason="idle")
+            batch = core.take_payloads(now, force=True, reason="idle")
             batch_total = 0.0
-            for token, payload in batch:
-                assert token == payload == taken
+            for payload in batch:
+                assert payload == taken
                 waited = now - submitted[taken]
                 batch_total += waited
                 longest = max(longest, waited)
@@ -390,11 +395,6 @@ class TestPeriodicTicker:
         assert ticker.errors >= 2
         assert isinstance(ticker.last_error, ValueError)
         assert ticker.runs == 0
-
-    def test_fire_now_counts_a_run(self):
-        ticker = PeriodicTicker(lambda: None, 1.0)
-        ticker.fire_now()
-        assert ticker.runs == 1
 
     def test_start_outside_running_loop_raises(self):
         ticker = PeriodicTicker(lambda: None, 1.0)
@@ -857,10 +857,10 @@ class TestIdleFlush:
         assert mirrored == stats.flush_reasons
         stages = telemetry.registry.get("repro_stage_seconds")
         assert stages.labels("ingress.queue_wait").count == stats.flushed_batches
-        trace = telemetry.tracer.slow_traces()[-1]
-        assert [stage for stage, _ in trace.stages][0] == "ingress.queue_wait"
-        by_stage = dict(trace.stages)
-        assert trace.total_seconds == pytest.approx(
+        trace = telemetry.tracer.snapshot()["ring"][-1]
+        by_stage = {stage["stage"]: stage["seconds"] for stage in trace["stages"]}
+        assert next(iter(by_stage)) == "ingress.queue_wait"
+        assert trace["total_seconds"] == pytest.approx(
             by_stage["ingress.queue_wait"] + by_stage["ingress.flush"]
         )
 

@@ -55,7 +55,7 @@ def test_full_pipeline_on_database_substrate(db_workload):
     default_total = db_workload.default_total
     system.explore(time_budget=2.0 * default_total)
 
-    hints = system.recommended_hints()
+    hints = system.plan_cache().snapshot().hints.tolist()
     served = sum(
         db_workload.true_latencies[i, h] * 0 + db_workload.true_latencies[i, h]
         for i, h in enumerate(hints)

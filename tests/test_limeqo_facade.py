@@ -68,7 +68,7 @@ def test_explore_and_recommend(system, truth):
     steps = system.explore(time_budget=2.0 * default_total)
     assert steps
     assert system.exploration_time > 0
-    hints = system.recommended_hints()
+    hints = system.plan_cache().snapshot().hints.tolist()
     assert len(hints) == truth.shape[0]
     served = sum(truth[i, h] for i, h in enumerate(hints))
     assert served <= default_total + 1e-9
@@ -92,7 +92,7 @@ def test_new_query_after_exploration(system, truth):
     new_index = system.register_query("q_new", default_latency=float(truth[7, 0]))
     assert new_index == 6
     # The new row starts with only the default observed.
-    assert system.matrix.observed_count_in_row(new_index) == 1
+    assert system.matrix.known_cells()[2][new_index] == 1
     system.explore(time_budget=0.5 * truth[:6, 0].sum())
     assert system.matrix.n_queries == 7
 

@@ -9,7 +9,6 @@ from repro.core.matrix_completion import (
     NuclearNormCompleter,
     SVTCompleter,
     completion_mse,
-    completion_rmse,
 )
 from repro.errors import CompletionError
 
@@ -90,7 +89,6 @@ def test_completion_mse_and_rmse():
     truth = np.array([[1.0, 2.0], [3.0, 4.0]])
     estimate = np.array([[1.0, 2.0], [3.0, 6.0]])
     assert completion_mse(truth, estimate) == pytest.approx(1.0)
-    assert completion_rmse(truth, estimate) == pytest.approx(1.0)
     holdout = np.array([[False, False], [False, True]])
     assert completion_mse(truth, estimate, holdout) == pytest.approx(4.0)
 

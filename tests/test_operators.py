@@ -1,14 +1,11 @@
 """Tests for plan nodes and operators."""
 
+from collections import Counter
+
 import pytest
 
-from repro.db.operators import (
-    JoinOperator,
-    PlanNode,
-    ScanOperator,
-    join_node,
-    scan_node,
-)
+from plan_nodes import join_node, scan_node
+from repro.db.operators import JoinOperator, PlanNode, ScanOperator
 from repro.errors import PlanError
 
 
@@ -47,15 +44,15 @@ def test_join_node_requires_two_children():
 
 def test_plan_classification_and_traversal():
     plan = small_plan()
-    assert plan.is_join and not plan.is_scan
-    assert plan.num_nodes == 3
+    assert not plan.is_scan and all(child.is_scan for child in plan.children)
+    assert len(list(plan.iter_nodes())) == 3
     assert plan.depth == 2
     assert len(plan.leaves()) == 2
     assert plan.aliases() == ("a", "b")
 
 
 def test_operator_counts():
-    counts = small_plan().operator_counts()
+    counts = Counter(node.operator for node in small_plan().iter_nodes())
     assert counts["hash_join"] == 1
     assert counts["seq_scan"] == 1
     assert counts["index_scan"] == 1

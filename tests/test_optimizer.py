@@ -48,10 +48,10 @@ def test_hint_sets_restrict_operators(setup):
         plan_hash = enumerator.optimize(query, only_hash)
         plan_nl = enumerator.optimize(query, only_nl)
         for node in plan_hash.iter_nodes():
-            if node.is_join:
+            if not node.is_scan:
                 assert node.operator == "hash_join"
         for node in plan_nl.iter_nodes():
-            if node.is_join:
+            if not node.is_scan:
                 assert node.operator == "nested_loop"
 
 

@@ -1,9 +1,11 @@
-"""Static audit: every option is used by something other than its own tests.
+"""Static audit: every option and every public def is used by something
+other than its own tests.
 
 An option nobody sets is a second configuration that tests and benchmarks
 must still cover, and one nobody reads is a promise the code does not keep.
-Three rules, checked over the syntax trees (comments, docstrings and strings
-do not count as uses):
+Code only the tests call is the same: lines to read, keep and document that
+no user of the library runs.  Four rules, checked over the syntax trees
+(comments, docstrings and strings do not count as uses of an option):
 
 * every field of every dataclass in ``src/repro/config.py`` is *read* as an
   attribute somewhere in ``src/repro`` outside ``config.py``;
@@ -13,7 +15,14 @@ do not count as uses):
   with the reason it stays;
 * every parameter with a default of the constructors that assemble the
   serving stack is *passed* (by name, or in its position) by such a call,
-  or is listed in ``ALLOWED``.
+  or is listed in ``ALLOWED``;
+* every public def in ``src/repro`` -- a module-level function or class, or
+  a method or property of such a class, whose name does not start with
+  ``_`` -- is *named* somewhere in ``src/``, ``benchmarks/`` or
+  ``examples/``, or is listed in ``ALLOWED_API`` with the reason it stays.
+  A name counts when it is loaded as ``name`` or ``<anything>.name``, or
+  spelled as an identifier-shaped string (``getattr(obj, "name")``); the
+  def itself, ``import`` lines and ``__all__`` entries do not count.
 
 Forwarding a ``None``-defaulted parameter under its own name is not a use,
 also from a nested function that reads it from its enclosing one; it counts
@@ -22,7 +31,10 @@ only if some caller of the function that owns the parameter sets it.
 The audit goes by name, not by type: a field shares its credit with any
 attribute of the same name.  That is what let ``allow_random_fill`` (a
 config field nobody read, beside a policy attribute of the same name that
-nobody set) survive until both were deleted together.
+nobody set) survive until both were deleted together.  A def shares its
+credit the same way, so one with a generic name (``load``, ``reset``) is
+called as soon as anything of that name is, and only a reader can see it
+has no caller.
 
 Run as a script (``python tests/test_option_audit.py``), it prints the
 option inventory these rules count, for CI's step summary.
@@ -30,6 +42,8 @@ option inventory these rules count, for CI's step summary.
 
 import ast
 import pathlib
+
+import pytest
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 SRC_ROOT = REPO / "src" / "repro"
@@ -57,6 +71,13 @@ ALLOWED = {
     ("ServingService", "clock"): "the seam that lets tests fake time for the "
     "served-batch latency histogram: tests/test_serving.py and "
     "tests/test_telemetry.py run a clock that steps or goes backwards",
+}
+
+#: Public def in ``src/repro`` (``name`` or ``Class.name``) -> why it stays
+#: although only the tests call it.
+ALLOWED_API = {
+    "ExplorationTrace.latency_at": "the scalar reference lookup that "
+    "tests/test_simulation.py holds the vectorised latencies_at to",
 }
 
 
@@ -178,6 +199,81 @@ def fields_set(calls, class_name, fields):
     return parameters_passed(calls, class_name, fields) | (by_replace & set(fields))
 
 
+def public_defs(tree):
+    """``(qualified, name)`` for every module-level function and class, and
+    every method or property of such a class, whose name does not start
+    with ``_`` (so dunders are left out too)."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if isinstance(node, defs) and not node.name.startswith("_"):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs[:2]) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def names_used(tree):
+    """Names loaded as ``name`` or ``<anything>.name``, and identifier-shaped
+    string constants; the strings listed in ``__all__`` are left out, and
+    ``import`` lines bind names without loading them."""
+    exported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
+                exported |= set(map(id, ast.walk(node.value)))
+    used = set()
+    for node in ast.walk(tree):
+        if id(node) in exported:
+            continue
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            if node.value.isidentifier():
+                used.add(node.value)
+    return used
+
+
+def uncalled_and_stale(library, callers, allowed):
+    """``library``: ``(module, tree)`` pairs whose public defs are audited;
+    ``callers``: the trees a caller may sit in.  Returns the defs no caller
+    names that ``allowed`` does not list, and the ``allowed`` entries whose
+    def is gone, has a caller now, or has no reason."""
+    used = set().union(*map(names_used, callers))
+    defs = {
+        qualified: (module, name)
+        for module, tree in library
+        for qualified, name in public_defs(tree)
+    }
+    uncalled = [
+        f"{module}: {qualified}"
+        for qualified, (module, name) in defs.items()
+        if name not in used and qualified not in allowed
+    ]
+    stale = [
+        qualified
+        for qualified in allowed
+        if qualified not in defs or defs[qualified][1] in used
+    ] + [f"{qualified} (no reason)" for qualified, reason in allowed.items() if not reason.strip()]
+    return uncalled, stale
+
+
+def unpickling_calls(tree):
+    """Line numbers of the calls that pass ``allow_pickle`` anything but a
+    literal ``False``."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        for keyword in node.keywords
+        if keyword.arg == "allow_pickle"
+        and not (isinstance(keyword.value, ast.Constant) and keyword.value.value is False)
+    ]
+
+
 def config_classes():
     """``dataclass -> [field, ...]`` in declaration order."""
     classes = {}
@@ -260,6 +356,32 @@ def test_every_constructor_option_has_a_caller_or_a_reason():
     assert all(reason.strip() for reason in ALLOWED.values())
 
 
+def test_every_public_def_has_a_caller_or_a_reason():
+    library = [(str(path.relative_to(SRC_ROOT)), tree) for path, tree in _trees([SRC_ROOT])]
+    uncalled, stale = uncalled_and_stale(
+        library, [tree for _, tree in _trees(CALLER_ROOTS)], ALLOWED_API
+    )
+    assert not uncalled, (
+        "public defs nothing in src/, benchmarks/ or examples/ names (delete "
+        "them, or add them to ALLOWED_API with the reason they stay):\n  "
+        + "\n  ".join(uncalled)
+    )
+    assert not stale, (
+        "ALLOWED_API entries that are no longer needed (def gone, or it has "
+        "a caller now) or give no reason:\n  " + "\n  ".join(stale)
+    )
+
+
+def test_nothing_in_src_unpickles():
+    """``np.load(..., allow_pickle=True)`` runs code from the file it reads."""
+    unpickling = [
+        f"{path.relative_to(SRC_ROOT)}:{line}"
+        for path, tree in _trees([SRC_ROOT])
+        for line in unpickling_calls(tree)
+    ]
+    assert not unpickling, "calls that may unpickle:\n  " + "\n  ".join(unpickling)
+
+
 def test_the_audit_itself_catches_violations():
     config = ast.parse(
         "from dataclasses import dataclass\n"
@@ -317,6 +439,72 @@ def test_the_audit_itself_catches_violations():
     assert fields_set(built, "D", ["other", "unset"]) == {"other"}
 
 
+#: A library module for the caller rule's self-tests: ``exported`` is named
+#: only by ``__all__``, ``scraped`` only through ``getattr``.
+LIB = ast.parse(
+    "__all__ = ['exported', 'Box']\n"
+    "def exported(): pass\n"
+    "def scraped(): pass\n"
+    "def _private(): pass\n"
+    "class Box:\n"
+    "    def __len__(self): return 0\n"
+    "    def kept(self): pass\n"
+    "    @property\n"
+    "    def size(self): return 0\n"
+    "def run(box): return getattr(box, 'scraped')() + box.size\n"
+)
+LIB_USER = ast.parse("from lib import exported, Box\nrun(Box())\n")
+
+
+def test_public_defs_are_functions_classes_methods_and_properties():
+    assert [q for q, _ in public_defs(LIB)] == [
+        "exported", "scraped", "Box", "Box.kept", "Box.size", "run",
+    ]
+
+
+def test_caller_rule_flags_a_def_only_all_an_import_and_a_test_name():
+    test = ast.parse("from lib import exported\nexported()\nBox().kept()\n")
+    assert "exported" in names_used(test)  # what the rule leaves out of the callers
+    assert "exported" not in names_used(LIB) | names_used(LIB_USER)
+    uncalled, _ = uncalled_and_stale([("lib.py", LIB)], [LIB, LIB_USER], {})
+    assert uncalled == ["lib.py: exported", "lib.py: Box.kept"]
+
+
+def test_caller_rule_counts_a_getattr_string_as_a_call():
+    assert "scraped" in names_used(LIB)
+    uncalled, stale = uncalled_and_stale([("lib.py", LIB)], [LIB, LIB_USER], {})
+    assert "lib.py: scraped" not in uncalled
+    assert stale == []
+
+
+def test_caller_rule_flags_an_allowed_api_entry_gone_or_called():
+    allowed = {"Box.kept": "a reason", "gone": "a reason", "run": "a reason"}
+    assert uncalled_and_stale([("lib.py", LIB)], [LIB, LIB_USER], allowed) == (
+        ["lib.py: exported"], ["gone", "run"]
+    )
+
+
+def test_caller_rule_flags_an_allowed_api_entry_without_a_reason():
+    allowed = {"exported": " ", "Box.kept": "ok"}
+    assert uncalled_and_stale([("lib.py", LIB)], [LIB, LIB_USER], allowed) == (
+        [], ["exported (no reason)"]
+    )
+    assert all(reason.strip() for reason in ALLOWED_API.values())
+
+
+@pytest.mark.parametrize(
+    "call, flagged",
+    [
+        ("np.load(path, allow_pickle=True)", True),
+        ("np.load(path, allow_pickle=flag)", True),
+        ("np.load(path, allow_pickle=False)", False),
+        ("np.load(path)", False),
+    ],
+)
+def test_unpickle_rule_flags_every_allow_pickle_but_a_literal_false(call, flagged):
+    assert unpickling_calls(ast.parse(f"x = 1\n{call}\n")) == ([2] if flagged else [])
+
+
 def test_inventory_counts_what_the_rules_audit():
     lines = inventory()
     classes = config_classes()
@@ -325,12 +513,14 @@ def test_inventory_counts_what_the_rules_audit():
     assert lines[len(classes) + 1] == (
         f"{sum(len(d) for _, d in signatures.values())} defaulted constructor parameters"
     )
-    assert len(lines) == len(classes) + len(signatures) + 3
-    assert lines[-1].startswith(f"{len(ALLOWED)} kept")
+    assert len(lines) == len(classes) + len(signatures) + 4
+    assert lines[-2].startswith(f"{len(ALLOWED)} kept")
+    assert lines[-1] == f"{len(ALLOWED_API)} public defs kept without a caller (ALLOWED_API)"
 
 
 def inventory():
-    """Lines for CI's step summary: every option the audit counts."""
+    """Lines for CI's step summary: every option the audit counts, and the
+    public defs it keeps without a caller."""
     classes = config_classes()
     signatures = constructor_signatures()
     lines = [f"{sum(map(len, classes.values()))} config fields"]
@@ -340,6 +530,7 @@ def inventory():
     )
     lines += [f"  {len(d):3d} {name}" for name, (_, d) in signatures.items()]
     lines.append(f"{len(ALLOWED)} kept without a caller (ALLOWED)")
+    lines.append(f"{len(ALLOWED_API)} public defs kept without a caller (ALLOWED_API)")
     return lines
 
 

@@ -41,13 +41,7 @@ def test_lookup_all_and_hint_map():
     cache = PlanCache(make_matrix())
     decisions = cache.lookup_all()
     assert len(decisions) == 3
-    assert cache.as_hint_map() == {0: 2, 1: 0, 2: 0}
-
-
-def test_hit_rate_counts_non_default_answers():
-    cache = PlanCache(make_matrix())
-    cache.lookup_all()
-    assert 0 < cache.hit_rate() < 1
+    assert {d.query: d.hint for d in decisions} == {0: 2, 1: 0, 2: 0}
 
 
 def test_regression_margin_blocks_marginal_plans():

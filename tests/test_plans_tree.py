@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.db.operators import JoinOperator, ScanOperator, join_node, scan_node
+from plan_nodes import join_node, scan_node
+from repro.db.operators import JoinOperator, ScanOperator
 from repro.plans.tree import (
     OPERATOR_INDEX,
     binarize_plan,
@@ -25,7 +26,6 @@ def test_binarize_returns_an_equivalent_copy():
     copy = binarize_plan(plan)
     assert copy is not plan
     assert copy.signature() == plan.signature()
-    assert copy.num_nodes == plan.num_nodes
 
 
 def test_node_feature_vector_layout():

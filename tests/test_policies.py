@@ -12,7 +12,7 @@ from repro.core.policies import (
     QOAdvisorPolicy,
     RandomPolicy,
 )
-from repro.core.predictors import MeanPredictor
+from repro.core.predictors import ALSPredictor
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import ExplorationError
 
@@ -45,7 +45,7 @@ def test_random_policy_selects_unknown_cells(small_truth, rng):
     assert len(picks) == 10
     assert len(set(picks)) == 10
     for query, hint in picks:
-        assert not matrix.is_known(query, hint)
+        assert matrix.unknown_mask()[query, hint]
 
 
 def test_random_policy_handles_exhausted_matrix(rng):
@@ -84,12 +84,12 @@ def test_qo_advisor_validates_cost_matrix(small_truth, rng):
 
 def test_bao_cache_selects_lowest_predicted_cells(small_truth, rng):
     matrix = matrix_from(small_truth)
-    policy = BaoCachePolicy(MeanPredictor())
+    policy = BaoCachePolicy(ALSPredictor(ALSConfig(rank=2, iterations=5)))
     picks = policy.select(matrix, 4, rng)
     assert len(picks) == 4
     assert policy.last_prediction is not None
     for query, hint in picks:
-        assert not matrix.is_known(query, hint)
+        assert matrix.unknown_mask()[query, hint]
 
 
 def test_limeqo_policy_targets_predicted_improvements(small_truth, rng):
@@ -102,7 +102,7 @@ def test_limeqo_policy_targets_predicted_improvements(small_truth, rng):
     assert 0 < len(picks) <= 6
     assert policy.last_prediction.shape == matrix.shape
     for query, hint in picks:
-        assert not matrix.is_known(query, hint)
+        assert matrix.unknown_mask()[query, hint]
     assert policy.overhead_seconds > 0
 
 
@@ -116,20 +116,13 @@ def test_limeqo_policy_random_fill_can_be_disabled(rng):
     assert policy.select(matrix, 3, rng) == []
 
 
-def test_limeqo_improvement_ratios_exposed(small_truth):
-    matrix = matrix_from(small_truth)
-    policy = LimeQOPolicy(als_config=ALSConfig(rank=2, iterations=5))
-    ratios = policy.improvement_ratios(matrix)
-    assert ratios.shape == (20,)
-
-
 def test_limeqo_plus_is_limeqo_with_a_different_predictor(small_truth, rng):
     matrix = matrix_from(small_truth)
-    policy = LimeQOPlusPolicy(predictor=MeanPredictor())
+    policy = LimeQOPlusPolicy(predictor=ALSPredictor(ALSConfig(rank=2, iterations=5)))
     picks = policy.select(matrix, 3, rng)
     assert policy.name == "limeqo+"
     for query, hint in picks:
-        assert not matrix.is_known(query, hint)
+        assert matrix.unknown_mask()[query, hint]
 
 
 def test_policies_never_pick_duplicate_cells_within_a_batch(small_truth, rng):

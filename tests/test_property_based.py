@@ -9,7 +9,6 @@ from hypothesis.extra.numpy import arrays
 from repro.config import ALSConfig
 from repro.core.als import censored_als
 from repro.core.plan_cache import PlanCache
-from repro.core.scoring import select_top_m
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.db.hints import all_hint_sets
 from taped_tcnn import parameter
@@ -69,7 +68,7 @@ def test_workload_matrix_exploration_time_accumulates(n, k, seed):
     for _ in range(10):
         i, j = int(rng.integers(n)), int(rng.integers(k))
         value = float(rng.uniform(0.1, 5.0))
-        if matrix.is_known(i, j):
+        if not matrix.unknown_mask()[i, j]:
             continue
         if rng.random() < 0.3:
             matrix.observe_censored(i, j, value)
@@ -125,8 +124,6 @@ def test_plan_cache_lookup_batch_matches_per_query_lookup(n, k, margin, data):
     )
     batched = batched_cache.lookup_batch(queries)
     assert batched == [scalar_cache.lookup(q) for q in queries]
-    # The hit-rate accounting matches the scalar path's too.
-    assert batched_cache.hit_rate() == scalar_cache.hit_rate()
 
 
 @settings(max_examples=15, deadline=None)
@@ -148,24 +145,6 @@ def test_censored_als_reproduces_observed_entries_and_stays_finite(rank, seed, f
     assert (result.completed >= -1e-9).all()
     observed = mask > 0
     assert np.allclose(result.completed[observed], truth[observed])
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    scores=st.lists(st.floats(min_value=-10, max_value=10, allow_nan=False), min_size=1, max_size=30),
-    m=st.integers(min_value=1, max_value=10),
-)
-def test_select_top_m_returns_highest_positive_scores(scores, m):
-    candidates = [(i, 0) for i in range(len(scores))]
-    picked = select_top_m(scores, candidates, m)
-    assert len(picked) <= m
-    picked_scores = [scores[c[0]] for c in picked]
-    assert all(s > 0 for s in picked_scores)
-    unpicked_positive = [
-        s for i, s in enumerate(scores) if s > 0 and (i, 0) not in picked
-    ]
-    if picked_scores and unpicked_positive:
-        assert min(picked_scores) >= max(unpicked_positive) - 1e-12
 
 
 def test_hint_space_is_exactly_the_valid_combinations():

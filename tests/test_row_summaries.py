@@ -23,7 +23,7 @@ from test_incremental_cache import apply  # one op of any mutator, cells drawn f
 
 MUTATORS = [
     "observe", "observe_batch", "censor", "noop_censor", "invalidate_rows",
-    "invalidate_all", "add_query", "import_rows", "remove", "from_dict", "copy", "save_load",
+    "invalidate_all", "add_query", "import_rows", "remove", "from_dict", "copy",
 ]
 READS = ["read_minima", "read_row", "read_total"]
 # One op = (kind, a seed the kind draws its cells from, a latency).
@@ -44,15 +44,7 @@ def judge(matrix):
     return np.where(state["observed"], state["values"], np.inf).min(axis=1)
 
 
-def mutate(matrix, kind, arg, latency, tmp_path):
-    """Run one mutator; returns the matrix to go on with (a new one for
-    ``from_dict`` / ``copy`` / ``save_load``)."""
-    if kind == "from_dict":
-        return WorkloadMatrix.from_dict(matrix.to_dict())
-    return apply(matrix, kind, arg, latency, tmp_path)
-
-
-def check_reads(matrix, ops, tmp_path):
+def check_reads(matrix, ops):
     held = []  # (array handed out, its bytes at the time)
     for kind, arg, latency in ops + [(read, 0, 0.0) for read in READS]:
         if kind == "read_minima":
@@ -65,7 +57,7 @@ def check_reads(matrix, ops, tmp_path):
         elif kind == "read_total":
             assert matrix.workload_latency() == float(judge(matrix).sum())
         else:
-            matrix = mutate(matrix, kind, arg, latency, tmp_path)
+            matrix = apply(matrix, kind, arg, latency)  # a new one for from_dict / copy
         for minima, then in held:
             assert minima.tobytes() == then
 
@@ -74,25 +66,25 @@ class TestRowMinimaFollowTheStamps:
     @settings(max_examples=200, deadline=None)
     @given(ops=OPS, n=st.integers(1, 7), k=st.integers(1, 5), seed_default=st.booleans())
     def test_every_mutator_reads_at_random_points(
-        self, tmp_path_factory, ops, n, k, seed_default
+        self, ops, n, k, seed_default
     ):
         matrix = WorkloadMatrix(n, k)
         if seed_default:  # otherwise every row starts at inf
             matrix.observe_batch(np.arange(n), np.zeros(n, dtype=int), np.linspace(1.0, 9.0, n))
-        check_reads(matrix, ops, tmp_path_factory.mktemp("matrices"))
+        check_reads(matrix, ops)
 
-    def test_the_judge_catches_a_seeded_missing_stamp(self, monkeypatch, tmp_path):
+    def test_the_judge_catches_a_seeded_missing_stamp(self, monkeypatch):
         ops = [("read_minima", 0, 0.0), ("observe", 7, 0.25), ("read_total", 0, 0.0)]
         seeded = WorkloadMatrix(4, 3)
         seeded.observe_batch(np.arange(4), np.zeros(4, dtype=int), np.full(4, 5.0))
-        check_reads(seeded.copy(), ops, tmp_path)
+        check_reads(seeded.copy(), ops)
 
         def version_only(self, rows):  # bumps the version, stamps no row
             self._version += 1
 
         monkeypatch.setattr(WorkloadMatrix, "_stamp", version_only)
         with pytest.raises(AssertionError):
-            check_reads(seeded.copy(), ops, tmp_path)
+            check_reads(seeded.copy(), ops)
 
     def test_a_read_patches_only_the_rows_written_since(self, monkeypatch):
         matrix = WorkloadMatrix(50, 4)

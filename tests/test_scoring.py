@@ -1,13 +1,9 @@
-"""Tests for expected-improvement scoring and top-m selection."""
+"""Tests for expected-improvement scoring (Equation 6)."""
 
 import numpy as np
 import pytest
 
-from repro.core.scoring import (
-    expected_improvement_ratios,
-    predicted_best_hints,
-    select_top_m,
-)
+from repro.core.scoring import best_unexplored
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import ExplorationError
 
@@ -23,61 +19,40 @@ def matrix_with_defaults(values):
 def test_improvement_ratio_formula():
     matrix = matrix_with_defaults([[10.0, 0, 0]])
     predicted = np.array([[10.0, 2.0, 4.0]])
-    ratios = expected_improvement_ratios(matrix, predicted)
+    ratios = best_unexplored(matrix, predicted)[1]
     assert ratios[0] == pytest.approx((10.0 - 2.0) / 2.0)
 
 
 def test_improvement_ratio_negative_when_prediction_worse():
     matrix = matrix_with_defaults([[1.0, 0, 0]])
     predicted = np.array([[5.0, 6.0, 7.0]])
-    ratios = expected_improvement_ratios(matrix, predicted)
+    ratios = best_unexplored(matrix, predicted)[1]
     assert ratios[0] < 0
 
 
 def test_unobserved_rows_get_infinite_ratio():
     matrix = WorkloadMatrix(1, 3)
     predicted = np.array([[1.0, 2.0, 3.0]])
-    assert np.isinf(expected_improvement_ratios(matrix, predicted)[0])
+    assert np.isinf(best_unexplored(matrix, predicted)[1][0])
 
 
 def test_ratio_shape_validation():
     matrix = matrix_with_defaults([[1.0, 0]])
     with pytest.raises(ExplorationError):
-        expected_improvement_ratios(matrix, np.ones((2, 2)))
+        best_unexplored(matrix, np.ones((2, 2)))
 
 
 def test_predicted_best_hints_restricts_to_unknown():
     matrix = matrix_with_defaults([[5.0, 0.0, 0.0]])
     predicted = np.array([[0.1, 3.0, 2.0]])
-    best = predicted_best_hints(matrix, predicted, only_unknown=True)
-    assert best == [2]
-    best_all = predicted_best_hints(matrix, predicted, only_unknown=False)
-    assert best_all == [0]
+    best, _ = best_unexplored(matrix, predicted)
+    assert best.tolist() == [2]
 
 
-def test_predicted_best_hints_returns_none_when_row_exhausted():
+def test_exhausted_row_gets_no_ratio():
     matrix = WorkloadMatrix(1, 2)
     matrix.observe(0, 0, 1.0)
     matrix.observe(0, 1, 2.0)
     predicted = np.array([[1.0, 2.0]])
-    assert predicted_best_hints(matrix, predicted) == [None]
+    assert best_unexplored(matrix, predicted)[1].tolist() == [-np.inf]
 
-
-def test_select_top_m_orders_by_score():
-    candidates = [(0, 1), (1, 2), (2, 3)]
-    scores = [0.5, 2.0, 1.0]
-    assert select_top_m(scores, candidates, 2) == [(1, 2), (2, 3)]
-
-
-def test_select_top_m_filters_nonpositive_scores():
-    candidates = [(0, 1), (1, 2)]
-    scores = [-1.0, 0.0]
-    assert select_top_m(scores, candidates, 2) == []
-    assert select_top_m(scores, candidates, 2, require_positive=False) == [(1, 2), (0, 1)]
-
-
-def test_select_top_m_validation():
-    with pytest.raises(ExplorationError):
-        select_top_m([1.0], [(0, 0), (1, 1)], 1)
-    with pytest.raises(ExplorationError):
-        select_top_m([1.0], [(0, 0)], 0)

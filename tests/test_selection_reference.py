@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 from repro.core.als import SolverCells
 from repro.core.policies import LimeQOPolicy
 from repro.core.predictors import Predictor
-from repro.core.scoring import best_unexplored, predicted_best_hints
+from repro.core.scoring import best_unexplored
 from repro.core.workload_matrix import WorkloadMatrix
 
 
@@ -159,13 +159,13 @@ def test_picks_and_solver_cells_match_the_reference(n, k, batch_size, seed, data
         known = ~matrix.unknown_mask()
         assert np.array_equal(matrix.known_cells()[2], known.sum(axis=1))
         exhausted = known.all(axis=1)
-        hints = predicted_best_hints(matrix, predicted)
-        assert [h is None for h in hints] == exhausted.tolist()
+        _, ratios = best_unexplored(matrix, predicted)
+        assert (ratios == -np.inf).tolist() == exhausted.tolist()
         assert np.array_equal(predicted, before)
 
 
 def test_improvement_ratios_rank_the_rows_select_picks():
-    """Equation 6's diagnostic scores the best *unexplored* hint, as
+    """Equation 6's ratios score the best *unexplored* hint, as
     ``select`` does: its positive top ``m`` are the rows picked.  Row 0's
     overall predicted best is its observed default, so scoring every hint
     would rank it first although nothing left in it is predicted to help."""
@@ -177,10 +177,9 @@ def test_improvement_ratios_rank_the_rows_select_picks():
         [[1.0, 20.0, 30.0], [10.0, 5.0, 30.0], [10.0, 8.0, 9.0]]
     )
     policy = LimeQOPolicy(predictor)
-    ratios = policy.improvement_ratios(matrix)
+    best, ratios = best_unexplored(matrix, predictor.prediction)
     positive = np.flatnonzero(ratios > 0)
     ranked = positive[np.argsort(-ratios[positive])].tolist()
     picks = policy.select(matrix, 2, np.random.default_rng(0))
     assert ranked == [q for q, _ in picks] == [1, 2]
-    best, _ = best_unexplored(matrix, predictor.prediction)
     assert [h for _, h in picks] == best[[1, 2]].tolist() == [1, 1]

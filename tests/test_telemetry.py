@@ -19,16 +19,12 @@ The other contracts under test:
   agree with the recorder-backed reports (both read the same cells),
 * counters conserve under arbitrary interleavings of serve / observe /
   shed / kill / restart / checkpoint / add_shard / reset, with and
-  without a ``Telemetry``, against an independent tally,
-* ``configure_logging`` reconfigures its own handler on repeated calls
-  and ``json_logs=True`` emits one parseable dict per line.
+  without a ``Telemetry``, against an independent tally.
 """
 
 from __future__ import annotations
 
-import io
 import json
-import logging
 import pathlib
 import tempfile
 import tracemalloc
@@ -43,7 +39,6 @@ from repro.core.workload_matrix import WorkloadMatrix
 from repro.cluster.cluster import ServingCluster
 from repro.cluster.stats import ClusterStats
 from repro.errors import ClusterError, ServingError, TelemetryError
-from repro.logging_util import JsonFormatter, configure_logging, get_logger
 from repro.serving.service import ServingService
 from repro.serving.stats import RECENT_BATCHES, LatencyRecorder, ServingStats
 from repro.telemetry import (
@@ -103,7 +98,7 @@ class TestPrimitives:
     def test_gauge_up_and_down(self):
         g = Gauge()
         g.set(10)
-        g.dec(4)
+        g.inc(-4)
         g.inc()
         assert g.value == 7.0
 
@@ -228,7 +223,7 @@ class TestTracing:
             tracer.start(f"t{i}")
             tracer.record_stage("shard.serve", 0.001 * (i + 1))
             tracer.finish()
-        names = [t.name for t in tracer.slow_traces()]
+        names = [t["name"] for t in tracer.snapshot()["ring"]]
         # t0, t1 evicted oldest-first
         assert names == [f"t{i}" for i in range(2, tracing.TRACE_RING + 2)]
         assert tracer.dropped_traces == 2
@@ -245,7 +240,7 @@ class TestTracing:
         tracer.start("slow")
         tracer.record_stage("shard.serve", 0.02)
         tracer.finish()
-        assert [t.name for t in tracer.slow_traces()] == ["slow"]
+        assert [t["name"] for t in tracer.snapshot()["ring"]] == ["slow"]
         assert tracer.finished_traces == 2  # both finished, one admitted
 
     def test_stages_feed_histogram_without_open_trace(self):
@@ -275,7 +270,7 @@ class TestTracing:
         tracer.start("doomed")
         tracer.abandon()
         assert tracer.finish() is None
-        assert tracer.slow_traces() == []
+        assert tracer.snapshot()["ring"] == []
 
 
 # -- exposition ----------------------------------------------------------------
@@ -424,9 +419,9 @@ class TestHotPath:
         results = asyncio.run(drive())
         assert len(results) == len(queries)
         assert tel.tracer.finished_traces > 0
-        ring = tel.tracer.slow_traces()
+        ring = tel.tracer.snapshot()["ring"]
         assert ring, "threshold 0.0 admits every trace"
-        stages = {stage for trace in ring for stage, _ in trace.stages}
+        stages = {stage["stage"] for trace in ring for stage in trace["stages"]}
         assert {"ingress.flush", "shard.serve", "cache.lookup"} <= stages
         stage_names = {
             key[0]
@@ -508,14 +503,14 @@ class TestStageTable:
             "cache.lookup": present,
         }
         assert tel.tracer.finished_traces == finished + 1
-        trace = tel.tracer.slow_traces()[-1]
-        assert [stage for stage, _ in trace.stages] == [
+        trace = tel.tracer.snapshot()["ring"][-1]
+        assert [stage["stage"] for stage in trace["stages"]] == [
             "ingress.queue_wait",
             "router.split",
             *["cache.lookup", "shard.serve"] * present,
             "ingress.flush",
         ]
-        assert trace.batch_size == len(arrivals)
+        assert trace["batch_size"] == len(arrivals)
         cluster.close()
 
 
@@ -940,76 +935,16 @@ class TestSnapshots:
         cluster.checkpoint()
         cluster.tick()
         snapshot = collect_snapshot(telemetry=tel, cluster=cluster)
-        wal = snapshot.section("wal")
+        wal = snapshot.as_dict()["wal"]
         assert sorted(wal) == ["0", "1"]
         for section in wal.values():
             assert section["checkpoints"] == 1
             assert section["segment_count"] >= 1
-        assert snapshot.section("health")["n_up"] == 2
-        assert snapshot.section("scheduler") == {
+        assert snapshot.as_dict()["health"]["n_up"] == 2
+        assert snapshot.as_dict()["scheduler"] == {
             "ticks": 1, "refreshes": 1, "skipped_down": 0
         }
         json.loads(snapshot.to_json())
-
-
-# -- logging satellites --------------------------------------------------------
-
-
-class TestLogging:
-    @pytest.fixture(autouse=True)
-    def _clean_repro_logger(self):
-        logger = logging.getLogger("repro")
-        saved = list(logger.handlers)
-        saved_level = logger.level
-        for handler in saved:
-            logger.removeHandler(handler)
-        yield
-        for handler in list(logger.handlers):
-            logger.removeHandler(handler)
-        for handler in saved:
-            logger.addHandler(handler)
-        logger.setLevel(saved_level)
-
-    def test_repeated_calls_update_handler_level(self):
-        logger = configure_logging(logging.DEBUG)
-        handler = logger.handlers[0]
-        assert handler.level == logging.DEBUG
-        configure_logging(logging.WARNING)
-        assert len(logger.handlers) == 1
-        assert handler.level == logging.WARNING
-        assert logger.level == logging.WARNING
-
-    def test_json_logs_emit_one_dict_per_line(self):
-        logger = configure_logging(logging.INFO, json_logs=True)
-        handler = logger.handlers[0]
-        assert isinstance(handler.formatter, JsonFormatter)
-        stream = io.StringIO()
-        handler.stream = stream
-        get_logger("unit").info("served %d", 42)
-        get_logger("unit").warning("drift")
-        lines = stream.getvalue().strip().splitlines()
-        assert len(lines) == 2
-        first = json.loads(lines[0])
-        assert first["message"] == "served 42"
-        assert first["level"] == "INFO"
-        assert first["logger"] == "repro.unit"
-        assert json.loads(lines[1])["level"] == "WARNING"
-
-    def test_flipping_json_mode_swaps_formatter_in_place(self):
-        logger = configure_logging(logging.INFO, json_logs=True)
-        configure_logging(logging.INFO, json_logs=False)
-        assert len(logger.handlers) == 1
-        assert not isinstance(logger.handlers[0].formatter, JsonFormatter)
-
-    def test_foreign_handlers_are_left_alone(self):
-        logger = logging.getLogger("repro")
-        foreign = logging.NullHandler()
-        logger.addHandler(foreign)
-        configure_logging(logging.INFO)
-        assert foreign in logger.handlers
-        assert len(logger.handlers) == 2  # foreign + the managed one
-        configure_logging(logging.DEBUG)
-        assert len(logger.handlers) == 2  # still no duplication
 
 
 DEFAULT_BUCKET_COUNT = len(DEFAULT_BUCKETS)

@@ -1,8 +1,8 @@
 """Algorithm 1's per-chunk timeouts against the per-cell body: the judge.
 
 ``OfflineExplorer`` used to compute ``T_ij = min(min(W~_i), alpha * Ŵ_ij)``
-one cell at a time, with a ``row_min`` and an ``observed_count_in_row`` read
-per cell.  It now reads a chunk's rows in one ``WorkloadMatrix.row_stats``
+one cell at a time, with a ``row_min`` and a count of the row's observations
+read per cell.  It now reads a chunk's rows in one ``WorkloadMatrix.row_stats``
 call and does the per-cell arithmetic on Python floats.
 :func:`_reference_timeout_for` keeps the per-cell body verbatim; the
 property holds the two bit-equal (``float.hex``) over rows with 0, 1 or
@@ -34,7 +34,7 @@ def _reference_timeout_for(
     prediction_usable = (
         predicted is not None
         and predicted.shape == self.matrix.shape
-        and self.matrix.observed_count_in_row(query) >= 2
+        and self.matrix.mask[query].sum() >= 2
     )
     if prediction_usable:
         predicted_value = float(predicted[query, hint])

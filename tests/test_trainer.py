@@ -110,7 +110,7 @@ def test_tcnn_predictor_preserves_observed_values(tiny_workload):
     predictor = TCNNPredictor(tiny_workload.feature_store(), small_config())
     estimate = predictor.predict(matrix)
     observed = matrix.mask > 0
-    assert np.allclose(estimate[observed], matrix.observed_values()[observed])
+    assert np.allclose(estimate[observed], matrix.to_dict()["values"][observed])
     assert predictor.overhead_seconds > 0
 
 

@@ -52,7 +52,7 @@ def test_censored_observation_records_lower_bound():
     matrix.observe_censored(0, 1, 3.0)
     assert matrix.is_censored(0, 1)
     assert not matrix.is_observed(0, 1)
-    assert matrix.is_known(0, 1)
+    assert not matrix.unknown_mask()[0, 1]
     assert matrix.value(0, 1) == 3.0
     assert matrix.timeout_matrix[0, 1] == 3.0
     assert matrix.mask[0, 1] == 0.0
@@ -100,12 +100,11 @@ def test_unknown_entries_and_fractions():
     matrix = WorkloadMatrix(2, 2)
     matrix.observe(0, 0, 1.0)
     matrix.observe_censored(1, 1, 1.0)
-    unknown = set(matrix.unknown_entries())
-    assert unknown == {(0, 1), (1, 0)}
+    rows, cols = np.nonzero(matrix.unknown_mask())
+    assert set(zip(rows.tolist(), cols.tolist())) == {(0, 1), (1, 0)}
     assert matrix.unknown_in_row(0) == [1]
     assert matrix.observed_fraction() == pytest.approx(0.25)
-    assert matrix.known_fraction() == pytest.approx(0.5)
-    assert matrix.observed_count_in_row(0) == 1
+    assert matrix.known_cells()[2].tolist() == [1, 1]
 
 
 def test_add_query_appends_unobserved_row():
@@ -125,24 +124,18 @@ def test_invalidate_resets_rows():
     assert not matrix.is_observed(0, 0)
     assert matrix.is_observed(1, 0)
     matrix.invalidate()
-    assert matrix.known_fraction() == 0.0
+    assert matrix.unknown_mask().all()
 
 
-def test_roundtrip_dict_and_file(tmp_path):
+def test_roundtrip_dict():
     matrix = WorkloadMatrix(2, 3, query_names=["a", "b"])
     matrix.observe(0, 0, 1.5)
     matrix.observe_censored(1, 2, 0.5)
     clone = WorkloadMatrix.from_dict(matrix.to_dict())
     assert clone.value(0, 0) == 1.5
     assert clone.is_censored(1, 2)
-
-    path = tmp_path / "matrix.npz"
-    matrix.save(str(path))
-    loaded = WorkloadMatrix.load(str(path))
-    assert loaded.query_names == ["a", "b"]
-    assert loaded.value(0, 0) == 1.5
-    assert loaded.is_censored(1, 2)
-    assert np.allclose(loaded.mask, matrix.mask)
+    assert clone.query_names == ["a", "b"]
+    assert np.allclose(clone.mask, matrix.mask)
 
 
 def _tampered(edit):
@@ -174,43 +167,6 @@ def test_from_dict_rejects_payloads_no_mutator_could_have_produced(edit):
         WorkloadMatrix.from_dict(_tampered(edit))
     # The untouched payload is fine, and row_minima() works on the result.
     assert WorkloadMatrix.from_dict(_tampered(lambda p: None)).row_minima()[0] == 1.5
-
-
-def test_save_load_round_trip_is_bit_equal(tmp_path):
-    rng = np.random.default_rng(5)
-    matrix = WorkloadMatrix(6, 5, query_names=[f"tenant/q{i}é" for i in range(6)])
-    rows, cols = np.nonzero(rng.random((6, 5)) < 0.5)
-    matrix.observe_batch(rows, cols, rng.uniform(0.1, 9.0, size=rows.size))
-    matrix.observe_censored(0, int(np.flatnonzero(matrix.mask[0] == 0)[0]), 2.5)
-    path = str(tmp_path / "m.npz")
-    matrix.save(path)
-    loaded, saved = WorkloadMatrix.load(path).to_dict(), matrix.to_dict()
-    assert loaded.keys() == saved.keys()
-    for key, value in saved.items():
-        if isinstance(value, np.ndarray):
-            assert loaded[key].dtype == value.dtype
-            assert loaded[key].tobytes() == value.tobytes()
-        else:
-            assert loaded[key] == value and type(loaded[key][0]) is str
-
-
-def test_load_refuses_pickled_names(tmp_path):
-    payload = WorkloadMatrix(2, 3).to_dict()
-    path = str(tmp_path / "old.npz")
-    # What save() wrote before names became unicode arrays -- and what a
-    # crafted file would use to run code at load time.
-    np.savez_compressed(
-        path,
-        **{
-            key: np.array(value, dtype=object) if key.endswith("names") else value
-            for key, value in payload.items()
-        },
-    )
-    with pytest.raises(MatrixError, match="not a saved matrix"):
-        WorkloadMatrix.load(path)
-    np.savez_compressed(path, values=payload["values"])
-    with pytest.raises(MatrixError, match="not a saved matrix"):
-        WorkloadMatrix.load(path)
 
 
 def test_copy_is_independent():
@@ -289,7 +245,6 @@ def test_scalar_doors_take_integer_ids_or_touch_nothing(bad, tmp_path):
         lambda q, h: matrix.observe_censored(q, h, 0.5),
         matrix.is_observed,
         matrix.is_censored,
-        matrix.is_known,
         matrix.value,
     ]
     for door in doors:
@@ -297,9 +252,7 @@ def test_scalar_doors_take_integer_ids_or_touch_nothing(bad, tmp_path):
             door(bad, 2)
         with pytest.raises(MatrixError):
             door(2, bad)
-    for row_door in (
-        matrix.row_min, matrix.best_hint, matrix.observed_count_in_row, matrix.unknown_in_row
-    ):
+    for row_door in (matrix.row_min, matrix.best_hint, matrix.unknown_in_row):
         with pytest.raises(MatrixError):
             row_door(bad)
     assert matrix.version == version and journal.appended_records == records

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.errors import WorkloadError
-from repro.workloads.loader import load_workload, save_workload
 from repro.workloads.matrices import generate_workload
 from repro.workloads.shift import (
     DataDriftModel,
@@ -19,7 +18,6 @@ from repro.workloads.spec import (
     JOB_SPEC,
     STACK_SPEC,
     WorkloadSpec,
-    all_specs,
     get_spec,
 )
 
@@ -33,7 +31,9 @@ def test_paper_specs_match_table1():
     assert JOB_SPEC.default_total == pytest.approx(181.0)
     assert JOB_SPEC.optimal_total == pytest.approx(68.0)
     assert CEB_SPEC.headroom == pytest.approx(2.94 / 1.02, rel=1e-3)
-    assert all(spec.n_hints == 49 for spec in all_specs())
+    assert all(
+        spec.n_hints == 49 for spec in (JOB_SPEC, CEB_SPEC, STACK_SPEC, DSB_SPEC)
+    )
 
 
 def test_get_spec_lookup_and_errors():
@@ -155,19 +155,3 @@ def test_changed_optimal_fraction_requires_same_size(tiny_workload):
     subset = tiny_workload.subset(range(5))
     with pytest.raises(WorkloadError):
         changed_optimal_fraction(tiny_workload, subset)
-
-
-# -- persistence -------------------------------------------------------------------
-def test_save_and_load_roundtrip(tmp_path, tiny_workload):
-    path = tmp_path / "workload.npz"
-    save_workload(tiny_workload, path)
-    loaded = load_workload(path)
-    assert loaded.spec.name == tiny_workload.spec.name
-    assert np.allclose(loaded.true_latencies, tiny_workload.true_latencies)
-    assert np.allclose(loaded.query_factors, tiny_workload.query_factors)
-    assert loaded.seed == tiny_workload.seed
-
-
-def test_load_missing_file(tmp_path):
-    with pytest.raises(WorkloadError):
-        load_workload(tmp_path / "missing.npz")
