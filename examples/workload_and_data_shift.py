@@ -50,7 +50,9 @@ def workload_shift_demo() -> None:
     trace = simulator.run(LimeQOPolicy(), time_budget=first_phase.default_total)
     print(f"  phase 1: initial queries improved from "
           f"{first_phase.default_total:.1f} s to {trace.final_latency:.1f} s")
-    # Phase 2: the full workload, warm-started with everything learned so far.
+    # Phase 2: the full workload, explored from scratch by a fresh simulator
+    # (a fresh matrix: phase 1's observations are not carried over; see
+    # figure9_workload_shift in repro.experiments for the carried-over run).
     full_simulator = ExplorationSimulator(
         workload.true_latencies, config=ExplorationConfig(batch_size=5, seed=1)
     )

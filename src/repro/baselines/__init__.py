@@ -4,9 +4,8 @@
   search with a fixed time budget per query (Figure 18's comparison).
 """
 
-from .bayesqo import BayesQO, BayesQOResult
+from .bayesqo import BayesQO
 
 __all__ = [
     "BayesQO",
-    "BayesQOResult",
 ]

@@ -17,7 +17,6 @@ BayesQO as sequential model-based search within each query's own budget:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -27,26 +26,12 @@ from ..core.workload_matrix import WorkloadMatrix
 from ..errors import ExplorationError
 
 
-@dataclass
-class BayesQOResult:
-    """Outcome of running BayesQO over a workload."""
-
-    matrix: WorkloadMatrix
-    time_spent_per_query: np.ndarray
-    evaluations_per_query: np.ndarray
-
-    def workload_latency(self) -> float:
-        """Total latency with each query's best observed hint."""
-        return self.matrix.workload_latency()
-
-
 class BayesQO:
     """Per-query, fixed-budget, model-based hint search."""
 
     def __init__(
         self,
         oracle: ExecutionOracle,
-        n_queries: int,
         n_hints: int,
         per_query_budget: float = 3.0,
         exploration_weight: float = 0.3,
@@ -56,7 +41,6 @@ class BayesQO:
         if per_query_budget <= 0:
             raise ExplorationError("per_query_budget must be > 0")
         self.oracle = oracle
-        self.n_queries = int(n_queries)
         self.n_hints = int(n_hints)
         self.per_query_budget = float(per_query_budget)
         self.exploration_weight = float(exploration_weight)
@@ -122,19 +106,3 @@ class BayesQO:
             observed[hint] = result.latency
             remaining -= result.charged_time
         return budget - max(remaining, 0.0), evaluations
-
-    def run(self, matrix: Optional[WorkloadMatrix] = None) -> BayesQOResult:
-        """Give every query its fixed budget, in order."""
-        if matrix is None:
-            matrix = WorkloadMatrix(self.n_queries, self.n_hints)
-        time_spent = np.zeros(self.n_queries)
-        evaluations = np.zeros(self.n_queries, dtype=int)
-        for query in range(self.n_queries):
-            spent, evals = self.optimize_query(matrix, query)
-            time_spent[query] = spent
-            evaluations[query] = evals
-        return BayesQOResult(
-            matrix=matrix,
-            time_spent_per_query=time_spent,
-            evaluations_per_query=evaluations,
-        )

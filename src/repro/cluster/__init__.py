@@ -15,7 +15,7 @@ of the related work:
 * :mod:`repro.cluster.failover` -- shard health and the degraded mode
   that falls back to default plans with the no-regression guarantee
   intact,
-* :mod:`repro.cluster.stats` -- mergeable cluster-wide telemetry,
+* :mod:`repro.cluster.stats` -- the cluster-wide report,
 * :mod:`repro.cluster.cluster` -- the :class:`ServingCluster` facade.
 """
 
@@ -24,7 +24,7 @@ from .failover import HealthBoard, ShardHealth
 from .router import RendezvousRouter, rendezvous_score, routing_key, split_batch
 from .scheduler import RefreshScheduler
 from .shard import ClusterShard
-from .stats import ClusterStats, aggregate_shard_stats
+from .stats import ClusterStats
 
 __all__ = [
     "ServingCluster",
@@ -37,5 +37,4 @@ __all__ = [
     "RefreshScheduler",
     "ClusterShard",
     "ClusterStats",
-    "aggregate_shard_stats",
 ]

@@ -40,14 +40,14 @@ from ..durability.journal import ShardJournal
 from ..durability.recovery import RecoveredState
 from ..errors import ClusterError, InjectedCrash, ReproError
 from ..serving.batch_cache import BatchDecisions
-from ..serving.stats import checked_shed_count
+from ..serving.stats import LatencyRecorder, checked_shed_count
 from ..telemetry.runtime import ClusterMetrics
 from ..telemetry.tracing import OFF
 from .failover import HealthBoard
 from .router import RendezvousRouter, routing_key, split_batch
 from .scheduler import RefreshScheduler
 from .shard import ClusterShard
-from .stats import ClusterStats, aggregate_shard_stats, cluster_report
+from .stats import ClusterStats
 
 
 @dataclass
@@ -698,24 +698,42 @@ class ServingCluster:
         """Cluster-wide report: merged counters, exact global percentiles.
 
         The topology and scheduler gauges are refreshed here (cold path),
-        then everything but the serving views is read back from the
-        facade's registry cells -- so a registry read right after
-        ``stats()`` (:meth:`ClusterStats.from_registry`, the snapshot
-        collector) sees the same values.  The serving views come from the
-        shards' own recorders: exact pooled percentiles, and a recovered
-        shard counts from zero.
+        so a registry read right after ``stats()`` (the snapshot collector)
+        sees the values the report holds; the facade counters are read
+        from their registry cells, their only store.  The serving views
+        come from the shards' own recorders: exact pooled percentiles
+        (each shard's retained window, so bounded work however long the
+        shards have served), and a recovered shard counts from zero.
         """
         cm = self._metrics
+        n_tenants = len(self._tenants)
+        total_rows = sum(s.n_rows for s in self.shards.values())
         cm.shards.set(self.n_shards)
         cm.shards_up.set(len(self.health.up_shards()))
-        cm.tenants.set(len(self._tenants))
-        cm.total_rows.set(sum(s.n_rows for s in self.shards.values()))
+        cm.tenants.set(n_tenants)
+        cm.total_rows.set(total_rows)
         cm.scheduler_ticks.set(self.scheduler.ticks)
         cm.scheduler_refreshes.set(self.scheduler.refreshes)
-        return cluster_report(
-            cm,
-            {sid: shard.stats() for sid, shard in self.shards.items()},
-            aggregate_shard_stats(self.shards.values()),
+        routed = int(cm.routed_batches.value)
+        return ClusterStats(
+            n_shards=self.n_shards,
+            n_tenants=n_tenants,
+            total_rows=total_rows,
+            per_shard={sid: shard.stats() for sid, shard in self.shards.items()},
+            cluster=LatencyRecorder.merged(
+                [s.recorder() for s in self.shards.values()]
+            ).report(),
+            routed_batches=routed,
+            fan_out=cm.fan_out.value / routed if routed else 0.0,
+            degraded_decisions=int(cm.degraded.value),
+            shed_decisions=int(cm.shed.value),
+            rebalanced_rows=int(cm.rebalanced_rows.value),
+            scheduler_ticks=self.scheduler.ticks,
+            scheduler_refreshes=self.scheduler.refreshes,
+            crashes=int(cm.crashes.value),
+            restarts=int(cm.restarts.value),
+            queued_feedback=int(cm.queued_feedback.value),
+            replayed_feedback=int(cm.replayed_feedback.value),
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -72,11 +72,6 @@ class RendezvousRouter:
         """Current topology (insertion order)."""
         return list(self._suffixes)
 
-    @property
-    def n_shards(self) -> int:
-        """Number of shards in the topology."""
-        return len(self._suffixes)
-
     def add_shard(self, shard_id: int) -> None:
         """Grow the topology by one shard (invalidates cached assignments)."""
         if shard_id in self._suffixes:

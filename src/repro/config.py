@@ -88,7 +88,6 @@ class TCNNConfig:
     convergence_threshold: float = 0.01
     use_embeddings: bool = True
     censored: bool = True
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.embedding_rank < 1:
@@ -161,9 +160,8 @@ class IngressConfig:
 
 
 #: Upper bounds (seconds) of every latency histogram
-#: :mod:`repro.telemetry.registry` builds.  Fixed buckets are what make
-#: per-shard histograms *mergeable*: merging is element-wise addition of
-#: bucket counts, and ``merge(a, b)`` equals observing the union of samples.
+#: :mod:`repro.telemetry.registry` builds: fixed, so every shard's child of
+#: a family has the same buckets and an exporter can sum them.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
     1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1.0,

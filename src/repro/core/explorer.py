@@ -62,11 +62,6 @@ class MatrixOracle:
         if np.any(self.true_latencies < 0):
             raise ExplorationError("latencies must be non-negative")
 
-    @property
-    def shape(self) -> Tuple[int, int]:
-        """Shape of the underlying ground-truth matrix."""
-        return self.true_latencies.shape
-
     def execute(
         self, query: int, hint: int, timeout: Optional[float] = None
     ) -> ExecutionResult:
@@ -125,11 +120,6 @@ class DatabaseOracle:
         self.hint_sets = list(hint_sets)
         if not self.queries or not self.hint_sets:
             raise ExplorationError("DatabaseOracle needs queries and hint sets")
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        """(number of queries, number of hint sets)."""
-        return (len(self.queries), len(self.hint_sets))
 
     def execute(
         self, query: int, hint: int, timeout: Optional[float] = None

@@ -132,7 +132,7 @@ class LimeQO:
 
         The cache holds a reference to the evolving matrix, so one instance
         stays valid across exploration; reusing it keeps its decision-array
-        snapshot warm for batched lookups.
+        snapshot warm.
         """
         matrix = self.matrix
         if self._plan_cache is None or self._plan_cache.matrix is not matrix:
@@ -142,11 +142,6 @@ class LimeQO:
     def lookup(self, name: str) -> CacheDecision:
         """Online lookup: which hint should this query use right now?"""
         return self.plan_cache().lookup(self.query_index(name))
-
-    def lookup_batch(self, names: Sequence[str]) -> List[CacheDecision]:
-        """Batched online lookups (one snapshot pass, not one walk per query)."""
-        indices = [self.query_index(name) for name in names]
-        return self.plan_cache().lookup_batch(indices)
 
     def workload_latency(self) -> float:
         """Current total workload latency using verified hints (Equation 2)."""

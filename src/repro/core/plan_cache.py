@@ -80,15 +80,6 @@ class CacheSnapshot:
         """Number of queries covered by the snapshot."""
         return self.hints.shape[0]
 
-    def decision(self, query: int) -> CacheDecision:
-        """The precomputed decision for one query."""
-        return CacheDecision(
-            query=int(query),
-            hint=int(self.hints[query]),
-            used_default=bool(self.used_default[query]),
-            expected_latency=float(self.expected_latency[query]),
-        )
-
     @classmethod
     def compute(
         cls,
@@ -222,20 +213,6 @@ class PlanCache:
     def cached_snapshot(self) -> Optional[CacheSnapshot]:
         """The currently cached snapshot, possibly stale or None (introspection)."""
         return self._snapshot
-
-    def lookup_batch(self, queries) -> List[CacheDecision]:
-        """Decisions for a batch of query indices via the cached snapshot.
-
-        Equivalent to ``[self.lookup(q) for q in queries]`` but evaluates
-        the serving rule once per changed row instead of once per call.
-        """
-        queries = np.asarray(queries, dtype=np.int64)
-        if queries.ndim != 1:
-            raise ExplorationError("lookup_batch expects a 1-D array of query indices")
-        if queries.size and (queries.min() < 0 or queries.max() >= self.matrix.n_queries):
-            raise ExplorationError("lookup_batch: query index out of range")
-        snap = self.snapshot()
-        return [snap.decision(q) for q in queries]
 
     # -- guarantees and stats ----------------------------------------------
     def verify_no_regression(self, true_latencies) -> bool:

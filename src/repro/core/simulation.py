@@ -10,7 +10,7 @@ step so the figures can be regenerated exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -112,11 +112,6 @@ class ExplorationSimulator:
     def optimal_latency(self) -> float:
         """Oracle best total latency (Table 1 "Optimal")."""
         return float(self.true_latencies.min(axis=1).sum())
-
-    @property
-    def headroom(self) -> float:
-        """Default / Optimal ratio."""
-        return self.default_latency / self.optimal_latency
 
     # -- running a policy -----------------------------------------------------
     def initial_matrix(self) -> WorkloadMatrix:

@@ -436,16 +436,6 @@ class WorkloadMatrix:
         """``P(W~)``: total latency of serving each query with its best hint."""
         return float(self._fresh_minima().sum())
 
-    def exploration_time(self) -> float:
-        """``T(W~)``: total offline execution time spent revealing entries.
-
-        Completed entries charge their latency; censored entries charge the
-        timeout at which they were cancelled.
-        """
-        completed = self._values[self._observed].sum()
-        censored = self._timeouts[self._censored].sum()
-        return float(completed + censored)
-
     # -- unexplored entries -----------------------------------------------------
     def unknown_mask(self, rows=None) -> np.ndarray:
         """Boolean matrix: True where the entry was never executed; with

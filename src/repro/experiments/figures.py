@@ -12,6 +12,7 @@ functions reproduce.
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -25,7 +26,7 @@ from ..core.matrix_completion import (
 )
 from ..core.policies import LimeQOPolicy
 from ..core.predictors import ALSPredictor
-from ..core.simulation import ExplorationSimulator
+from ..core.simulation import ExplorationSimulator, ExplorationTrace
 from ..core.workload_matrix import WorkloadMatrix
 from ..core.explorer import MatrixOracle, OfflineExplorer
 from ..baselines.bayesqo import BayesQO
@@ -330,11 +331,7 @@ def figure9_workload_shift(
             batch_size, seed,
         )
         out[policy_name + " (with shift)"] = {
-            "latencies": [
-                _step_value(trace["times"], trace["latencies"], t,
-                            workload.default_total)
-                for t in checkpoints
-            ]
+            "latencies": trace.latencies_at(checkpoints).tolist()
         }
         # Reference run: all queries available from the start.
         run = run_policy_on_workload(
@@ -343,15 +340,6 @@ def figure9_workload_shift(
         )
         out[policy_name] = {"latencies": run.latencies.tolist()}
     return out
-
-
-def _step_value(times, values, t, default):
-    times = np.asarray(times)
-    values = np.asarray(values)
-    idx = np.searchsorted(times, t, side="right") - 1
-    if idx < 0:
-        return float(default)
-    return float(values[idx])
 
 
 def _run_with_workload_shift(
@@ -363,7 +351,7 @@ def _run_with_workload_shift(
     budget: float,
     batch_size: int,
     seed: int,
-) -> Dict[str, List[float]]:
+) -> ExplorationTrace:
     """Two-phase exploration: subset first, full workload after the shift."""
     config = ExplorationConfig(batch_size=batch_size, seed=seed)
     full_latencies = workload.true_latencies
@@ -394,10 +382,13 @@ def _run_with_workload_shift(
     late_default_total = float(full_latencies[sorted(late_set), 0].sum())
     times: List[float] = [0.0]
     latencies: List[float] = [float(full_latencies[:, 0].sum())]
+    overheads: List[float] = [0.0]
     for step in sub_explorer.steps:
         times.append(step.cumulative_exploration_time)
         latencies.append(step.workload_latency + late_default_total)
+        overheads.append(step.overhead_seconds)
     phase1_time = sub_explorer.cumulative_exploration_time
+    phase1_overhead = policy.overhead_seconds
 
     # Phase 2: all queries exist; copy phase-1 observations into a full matrix.
     for local, original in enumerate(initial_idx):
@@ -416,7 +407,14 @@ def _run_with_workload_shift(
     for step in explorer.steps:
         times.append(phase1_time + step.cumulative_exploration_time)
         latencies.append(step.workload_latency)
-    return {"times": times, "latencies": latencies}
+        overheads.append(phase1_overhead + step.overhead_seconds)
+    return ExplorationTrace(
+        times=np.asarray(times),
+        latencies=np.asarray(latencies),
+        overheads=np.asarray(overheads),
+        policy_name=policy_name,
+        default_latency=workload.default_total,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -490,15 +488,18 @@ def figure11_data_shift(
     shift_oracle = MatrixOracle(new_workload.true_latencies)
     shift_explorer = OfflineExplorer(new_matrix, shift_policy, shift_oracle, config)
     shift_explorer.run(time_budget=float(checkpoints.max()))
-    times = [0.0] + [s.cumulative_exploration_time for s in shift_explorer.steps]
+    steps = shift_explorer.steps
     latencies = [new_matrix_latency_start := new_matrix.workload_latency()] + [
-        s.workload_latency for s in shift_explorer.steps
+        s.workload_latency for s in steps
     ]
+    trace = ExplorationTrace(
+        times=np.asarray([0.0] + [s.cumulative_exploration_time for s in steps]),
+        latencies=np.asarray(latencies),
+        overheads=np.asarray([0.0] + [s.overhead_seconds for s in steps]),
+        default_latency=new_matrix_latency_start,
+    )
     out["limeqo (data shift)"] = {
-        "latencies": [
-            _step_value(times, latencies, t, new_matrix_latency_start)
-            for t in checkpoints
-        ],
+        "latencies": trace.latencies_at(checkpoints).tolist(),
         "carried_over_latency": new_matrix_latency_start,
     }
     return out
@@ -581,27 +582,13 @@ def figure16_censored_ablation(
     if include_neural:
         base = tcnn_config or FAST_TCNN_CONFIG
         for censored in (True, False):
-            config = TCNNConfig(
-                embedding_rank=base.embedding_rank,
-                channels=base.channels,
-                hidden_units=base.hidden_units,
-                dropout=base.dropout,
-                learning_rate=base.learning_rate,
-                batch_size=base.batch_size,
-                max_epochs=base.max_epochs,
-                convergence_window=base.convergence_window,
-                convergence_threshold=base.convergence_threshold,
-                use_embeddings=True,
-                censored=censored,
-                seed=base.seed,
-            )
             run = run_policy_on_workload(
                 workload,
                 "limeqo+",
                 checkpoints=checkpoints,
                 batch_size=batch_size,
                 seed=seed,
-                tcnn_config=config,
+                tcnn_config=replace(base, censored=censored),
             )
             key = "limeqo+" if censored else "limeqo+ (no censoring)"
             out[key] = {"latencies": run.latencies.tolist()}
@@ -663,7 +650,6 @@ def figure18_bayesqo(
         bayes_matrix.observe(q, 0, float(workload.true_latencies[q, 0]))
     bayes = BayesQO(
         oracle,
-        workload.n_queries,
         workload.n_hints,
         per_query_budget=per_query_budget,
         hint_factors=workload.hint_factors,

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -89,15 +89,6 @@ class CheckpointedRun:
     latencies: np.ndarray
     overheads: np.ndarray
     trace: ExplorationTrace
-
-    def as_dict(self) -> Dict[str, List[float]]:
-        """Plain-Python view used by the reporting helpers."""
-        return {
-            "policy": self.policy,
-            "checkpoints": self.checkpoints.tolist(),
-            "latencies": self.latencies.tolist(),
-            "overheads": self.overheads.tolist(),
-        }
 
 
 def default_checkpoints(workload: SyntheticWorkload) -> np.ndarray:

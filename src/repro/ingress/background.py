@@ -110,24 +110,6 @@ class PeriodicTicker:
         except asyncio.CancelledError:
             pass
 
-    def cancel(self) -> None:
-        """Synchronously request cancellation (loop-teardown paths).
-
-        For callers that cannot ``await`` -- e.g. a shutdown callback on a
-        closing loop.  The task is cancelled and detached with its outcome
-        consumed via a done-callback, so no pending-task or unretrieved-
-        exception warning can leak; prefer :meth:`stop` when awaiting is
-        possible, since only it guarantees the task has fully unwound.
-        """
-        task, self._task = self._task, None
-        if task is None:
-            return
-        if task.done():
-            _consume_task_result(task)
-            return
-        task.cancel()
-        task.add_done_callback(_consume_task_result)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         state = "running" if self.running else "stopped"
         return (

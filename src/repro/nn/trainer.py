@@ -59,6 +59,11 @@ from ..errors import NeuralNetworkError
 from ..plans.featurize import NODE_FEATURE_DIM, TreeBatch
 from .optim import Adam
 
+#: Base seed of the network's initial weights, its dropout masks and the
+#: embedding rows :meth:`TCNNTrainer.grow_queries` adds: every trainer draws
+#: the same initial network for the same shapes.
+SEED = 0
+
 
 def _max_over_nodes(conv: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """``conv.max(axis=1)`` for a ``(cells, nodes, channels)`` array, as a
@@ -106,7 +111,7 @@ class TCNNTrainer:
         if self._rank and min(self.n_queries, self.n_hints) < 1:
             raise NeuralNetworkError("the transductive TCNN needs positive matrix dimensions")
 
-        seed, initial = config.seed, []
+        seed, initial = SEED, []
         previous = NODE_FEATURE_DIM
         for i, width in enumerate(config.channels):
             rng = np.random.default_rng(seed + i)
@@ -184,7 +189,7 @@ class TCNNTrainer:
         extra_rows = int(new_count) - self.n_queries
         self.n_queries = int(new_count)
         if self._rank:
-            extra = np.random.default_rng(self.config.seed + 17).normal(
+            extra = np.random.default_rng(SEED + 17).normal(
                 0.0, 0.1, size=(extra_rows, self._rank)
             )
             self._shapes[-1] = ("query_embedding", (self.n_queries, self._rank))

@@ -63,11 +63,6 @@ class TreeBatch:
         return self.stacked[:, :, :self.stacked.shape[2] // 3]
 
     @property
-    def batch_size(self) -> int:
-        """Number of plans in the batch."""
-        return self.stacked.shape[0]
-
-    @property
     def max_nodes(self) -> int:
         """Padded node count per plan."""
         return self.stacked.shape[1]

@@ -17,15 +17,10 @@ from typing import Dict, Optional, Sequence, Union
 
 import numpy as np
 
-from ..telemetry.runtime import (
-    BATCH_SECONDS,
-    DECISIONS_TOTAL,
-    SERVING_COUNTERS,
-    ServingMetrics,
-)
+from ..telemetry.runtime import ServingMetrics
 
-#: The serving totals, in the order :meth:`ServingStats._from_totals`
-#: takes them, by :class:`ServingMetrics` attribute.
+#: The serving totals a :class:`LatencyRecorder` counts, by
+#: :class:`ServingMetrics` attribute.
 _TOTALS = (
     "decisions", "batches", "wall_seconds", "non_default", "refreshes",
     "refresh_failures", "shed",
@@ -83,65 +78,6 @@ class ServingStats:
         only the genuinely continuous fields are floats.
         """
         return dataclasses.asdict(self)
-
-    @classmethod
-    def _from_totals(
-        cls, totals: Sequence[float], p50: float, p99: float
-    ) -> "ServingStats":
-        """The one body :meth:`from_registry` and
-        :meth:`LatencyRecorder.report` share: the totals (``_TOTALS``
-        order) plus whichever percentiles the caller can compute."""
-        decisions, batches, wall, non_default, refreshes, failures, shed = totals
-        decisions = int(decisions)
-        if wall > 0:
-            throughput = decisions / wall
-        else:
-            throughput = 0.0 if decisions == 0 else float("inf")
-        return cls(
-            decisions=decisions,
-            batches=int(batches),
-            wall_seconds=float(wall),
-            throughput_qps=throughput,
-            p50_latency_s=float(p50),
-            p99_latency_s=float(p99),
-            non_default_fraction=non_default / decisions if decisions else 0.0,
-            refreshes=int(refreshes),
-            refresh_failures=int(failures),
-            shed=int(shed),
-        )
-
-    @classmethod
-    def from_registry(
-        cls, registry, shard: Optional[str] = None
-    ) -> "ServingStats":
-        """Read the report from the registry's well-known serving metrics.
-
-        The counters (decisions, batches, wall time, refreshes, shed) are
-        exact and current -- they are the cells
-        :meth:`LatencyRecorder.record` writes, totalled over the label's
-        whole life (a recorder's own :meth:`~LatencyRecorder.report` starts
-        from zero at construction or ``reset()``; the registry never does).
-        The percentiles come from the fixed-bucket ``repro_batch_seconds``
-        histogram, so they are bucket-interpolated estimates rather than
-        the recorder's exact sample percentiles.  With ``shard`` given,
-        only that label's children are read; otherwise every shard's
-        children are merged first.
-        """
-        if DECISIONS_TOTAL not in registry:
-            return cls._from_totals((0,) * len(_TOTALS), 0.0, 0.0)
-
-        def child(name):
-            family = registry.get(name)
-            return (
-                family.merged_child() if shard is None else family.labels(shard)
-            )
-
-        hist = child(BATCH_SECONDS)
-        return cls._from_totals(
-            [child(SERVING_COUNTERS[attr][0]).value for attr in _TOTALS],
-            hist.quantile(0.50),
-            hist.quantile(0.99),
-        )
 
     def __str__(self) -> str:
         return (
@@ -323,7 +259,24 @@ class LatencyRecorder:
             )
         else:
             p50 = p99 = 0.0
-        return ServingStats._from_totals(self._totals(), p50, p99)
+        decisions, batches, wall, non_default, refreshes, failures, shed = self._totals()
+        decisions = int(decisions)
+        if wall > 0:
+            throughput = decisions / wall
+        else:
+            throughput = 0.0 if decisions == 0 else float("inf")
+        return ServingStats(
+            decisions=decisions,
+            batches=int(batches),
+            wall_seconds=float(wall),
+            throughput_qps=throughput,
+            p50_latency_s=float(p50),
+            p99_latency_s=float(p99),
+            non_default_fraction=non_default / decisions if decisions else 0.0,
+            refreshes=int(refreshes),
+            refresh_failures=int(failures),
+            shed=int(shed),
+        )
 
     @classmethod
     def merged(cls, recorders: Sequence["LatencyRecorder"]) -> "LatencyRecorder":

@@ -1,17 +1,11 @@
 """A lock-cheap metrics registry: counters, gauges, fixed-bucket histograms.
 
-Three design rules keep the registry usable on the serve hot path:
+Two design rules keep the registry usable on the serve hot path:
 
 * **Mutation is O(1) python arithmetic.**  ``Counter.inc`` is one float
-  add; ``Histogram.observe`` is one bisect plus two adds.  No locks: the
-  whole serving stack runs on one event loop / one thread per shard, and
-  cross-shard aggregation happens by *merging* labeled children, never
-  by sharing mutable cells.
-* **Fixed buckets make histograms mergeable.**  Every histogram of a
-  family shares the same upper bounds, so merging is element-wise
-  addition of bucket counts and ``merge(a, b)`` is exactly equivalent to
-  observing the union of the samples (hypothesis-verified in
-  ``tests/test_telemetry.py``).
+  add; ``Histogram.observe`` is one bisect plus two adds over fixed
+  buckets.  No locks: the whole serving stack runs on one event loop /
+  one thread per shard, and each shard writes its own labeled children.
 * **Label cardinality is bounded.**  Past :data:`MAX_LABEL_VALUES` distinct
   label sets per metric, new label sets collapse into one shared
   ``"__overflow__"`` child and the registry's overflow counter
@@ -61,10 +55,6 @@ class Counter:
         """Current count (read-only; there is deliberately no setter)."""
         return self._value
 
-    def merge_from(self, other: "Counter") -> None:
-        """Fold another shard's counter into this one (sum)."""
-        self._value += other._value
-
     def snapshot(self) -> float:
         return self._value
 
@@ -87,11 +77,6 @@ class Gauge:
     def value(self) -> float:
         """Current value (read-only property; mutate via set/inc)."""
         return self._value
-
-    def merge_from(self, other: "Gauge") -> None:
-        """Fold another shard's gauge into this one (sum -- gauges in this
-        library are extensive quantities: rows, segments, queue depths)."""
-        self._value += other._value
 
     def snapshot(self) -> float:
         return self._value
@@ -125,17 +110,6 @@ class Histogram:
         self.counts[bisect_left(self.bounds, value)] += weight
         self.total += value * weight
         self.count += weight
-
-    def merge_from(self, other: "Histogram") -> None:
-        """Fold another histogram in; bounds must match exactly."""
-        if other.bounds != self.bounds:
-            raise TelemetryError(
-                "cannot merge histograms with different bucket bounds"
-            )
-        for i, c in enumerate(other.counts):
-            self.counts[i] += c
-        self.total += other.total
-        self.count += other.count
 
     def quantile(self, q: float) -> float:
         """Bucket-interpolated quantile estimate (Prometheus-style).
@@ -250,13 +224,6 @@ class MetricFamily:
     def children(self) -> List[Tuple[Tuple[str, ...], Any]]:
         """(label values, child) pairs in insertion order."""
         return list(self._children.items())
-
-    def merged_child(self) -> Any:
-        """All children folded into one fresh metric (cross-label total)."""
-        merged = self._make_child()
-        for child in self._children.values():
-            merged.merge_from(child)
-        return merged
 
     def snapshot(self) -> Dict[str, Any]:
         if not self.label_names:

@@ -28,17 +28,15 @@ from typing import Any, Dict, Optional
 from .registry import MetricsRegistry
 from .tracing import Tracer
 
-#: Well-known metric names other modules read by name; the rest of the
+#: The one metric name another module reads by name; the rest of the
 #: catalog is the cell tables below.  ``tests/test_telemetry.py`` holds
 #: docs/observability.md's catalog to the families a cluster registers.
-DECISIONS_TOTAL = "repro_decisions_total"
-BATCH_SECONDS = "repro_batch_seconds"
 INGRESS_FLUSHES_TOTAL = "repro_ingress_flushes_total"
 
 #: :class:`ServingMetrics` counters, shard-labeled: attribute -> (family,
 #: help).
 SERVING_COUNTERS = {
-    "decisions": (DECISIONS_TOTAL, "Hint decisions served."),
+    "decisions": ("repro_decisions_total", "Hint decisions served."),
     "batches": ("repro_batches_total", "Batches served."),
     "wall_seconds": (
         "repro_serve_wall_seconds_total",
@@ -66,7 +64,7 @@ SERVING_COUNTERS = {
 #: :class:`ServingMetrics` histograms, shard-labeled.
 SERVING_HISTOGRAMS = {
     "batch_seconds": (
-        BATCH_SECONDS, "Amortised per-decision serve latency, weighted by batch size."
+        "repro_batch_seconds", "Amortised per-decision serve latency, weighted by batch size."
     ),
 }
 

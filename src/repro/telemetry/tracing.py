@@ -129,10 +129,6 @@ class Tracer:
         self._current = trace
         return trace
 
-    @property
-    def current(self) -> Optional[Trace]:
-        return self._current
-
     def begin(self, stage: str) -> Optional[float]:
         """The clock reading :meth:`end` takes, or None (no clock read) when
         ``stage`` does not record now."""

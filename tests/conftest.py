@@ -89,7 +89,6 @@ def fast_tcnn_config() -> TCNNConfig:
         batch_size=16,
         max_epochs=3,
         convergence_window=2,
-        seed=0,
     )
 
 

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.config import TCNNConfig
 from repro.errors import NeuralNetworkError
+from repro.nn import trainer
 from repro.plans.featurize import NODE_FEATURE_DIM, TreeBatch
 
 
@@ -539,19 +540,19 @@ class TCNNModel(Module):
         super().__init__()
         self.config = config
         self.tree_conv = self.register_module(
-            "tree_conv", TreeConvStack(NODE_FEATURE_DIM, config.channels, seed=config.seed)
+            "tree_conv", TreeConvStack(NODE_FEATURE_DIM, config.channels, seed=trainer.SEED)
         )
         self.dropout = self.register_module(
-            "dropout", Dropout(config.dropout, seed=config.seed + 11)
+            "dropout", Dropout(config.dropout, seed=trainer.SEED + 11)
         )
         modules: List[Module] = []
         previous = self.tree_conv.out_channels + side_features
         for i, width in enumerate(config.hidden_units):
-            modules += [Linear(previous, int(width), seed=config.seed + 100 + i), ReLU()]
+            modules += [Linear(previous, int(width), seed=trainer.SEED + 100 + i), ReLU()]
             if config.dropout > 0:
-                modules.append(Dropout(config.dropout, seed=config.seed + 200 + i))
+                modules.append(Dropout(config.dropout, seed=trainer.SEED + 200 + i))
             previous = int(width)
-        modules.append(Linear(previous, 1, seed=config.seed + 300))
+        modules.append(Linear(previous, 1, seed=trainer.SEED + 300))
         self.head = self.register_module("head", Sequential(modules))
 
     def _head_input(self, pooled: Tensor, query_idx, hint_idx) -> Tensor:
@@ -560,7 +561,7 @@ class TCNNModel(Module):
     def forward(self, batch: TreeBatch, query_idx=None, hint_idx=None) -> Tensor:
         pooled = self.tree_conv(Tensor(batch.stacked), batch.left, batch.right, batch.mask)
         out = self.head(self.dropout(self._head_input(pooled, query_idx, hint_idx)))
-        return out.reshape(batch.batch_size)
+        return out.reshape(batch.stacked.shape[0])
 
 
 class TransductiveTCNN(TCNNModel):
@@ -572,10 +573,10 @@ class TransductiveTCNN(TCNNModel):
         rank = config.embedding_rank
         super().__init__(config, side_features=2 * rank)
         self.query_embedding = self.register_module(
-            "query_embedding", Embedding(n_queries, rank, seed=config.seed + 1)
+            "query_embedding", Embedding(n_queries, rank, seed=trainer.SEED + 1)
         )
         self.hint_embedding = self.register_module(
-            "hint_embedding", Embedding(n_hints, rank, seed=config.seed + 2)
+            "hint_embedding", Embedding(n_hints, rank, seed=trainer.SEED + 2)
         )
 
     @property
@@ -583,7 +584,7 @@ class TransductiveTCNN(TCNNModel):
         return self.query_embedding.num_embeddings
 
     def grow_queries(self, new_count: int) -> None:
-        self.query_embedding.grow(new_count, seed=self.config.seed + 17)
+        self.query_embedding.grow(new_count, seed=trainer.SEED + 17)
 
     def _head_input(self, pooled: Tensor, query_idx, hint_idx) -> Tensor:
         query_idx = np.asarray(query_idx, dtype=np.int64)
@@ -644,7 +645,7 @@ class TapedTrainer:
         else:
             self.model = TCNNModel(config)
         self.optimizer = TextbookAdam(self.model.parameters(), lr=config.learning_rate)
-        self._rng = np.random.default_rng(config.seed)
+        self._rng = np.random.default_rng(trainer.SEED)
 
     def grow_queries(self, new_count: int) -> None:
         if new_count <= self.n_queries:

@@ -9,22 +9,29 @@ from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import ExplorationError
 
 
+def optimize_every_query(bayes, matrix):
+    """Each query its fixed budget, in order, as Figure 18 runs BayesQO:
+    ``(time spent, evaluations)`` per query."""
+    spent, evaluations = zip(*(bayes.optimize_query(matrix, q) for q in range(matrix.n_queries)))
+    return np.array(spent), np.array(evaluations)
+
+
 def test_bayesqo_respects_per_query_budget(tiny_workload):
     truth = tiny_workload.true_latencies
     budget = 0.5 * float(np.median(truth[:, 0]))
     bayes = BayesQO(
         MatrixOracle(truth),
-        tiny_workload.n_queries,
         tiny_workload.n_hints,
         per_query_budget=budget,
         hint_factors=tiny_workload.hint_factors,
         seed=0,
     )
-    result = bayes.run()
-    assert result.time_spent_per_query.shape == (tiny_workload.n_queries,)
-    assert (result.time_spent_per_query <= budget + 1e-9).all()
-    assert result.time_spent_per_query.sum() <= budget * tiny_workload.n_queries + 1e-6
-    assert (result.evaluations_per_query >= 1).all()
+    matrix = WorkloadMatrix(tiny_workload.n_queries, tiny_workload.n_hints)
+    spent, evaluations = optimize_every_query(bayes, matrix)
+    assert spent.shape == (tiny_workload.n_queries,)
+    assert (spent <= budget + 1e-9).all()
+    assert spent.sum() <= budget * tiny_workload.n_queries + 1e-6
+    assert (evaluations >= 1).all()
 
 
 def test_bayesqo_never_regresses_when_default_is_pre_observed(tiny_workload):
@@ -34,13 +41,12 @@ def test_bayesqo_never_regresses_when_default_is_pre_observed(tiny_workload):
         matrix.observe(i, 0, float(truth[i, 0]))
     bayes = BayesQO(
         MatrixOracle(truth),
-        tiny_workload.n_queries,
         tiny_workload.n_hints,
         per_query_budget=1.0,
         seed=1,
     )
-    result = bayes.run(matrix)
-    assert result.workload_latency() <= truth[:, 0].sum() + 1e-9
+    optimize_every_query(bayes, matrix)
+    assert matrix.workload_latency() <= truth[:, 0].sum() + 1e-9
 
 
 def test_bayesqo_makes_little_progress_with_tiny_budgets(tiny_workload):
@@ -51,13 +57,13 @@ def test_bayesqo_makes_little_progress_with_tiny_budgets(tiny_workload):
         matrix.observe(i, 0, float(truth[i, 0]))
     tiny_budget = 0.02 * float(np.median(truth[:, 0]))
     bayes = BayesQO(
-        MatrixOracle(truth), tiny_workload.n_queries, tiny_workload.n_hints,
+        MatrixOracle(truth), tiny_workload.n_hints,
         per_query_budget=tiny_budget, seed=2,
     )
-    result = bayes.run(matrix)
+    optimize_every_query(bayes, matrix)
     default_total = truth[:, 0].sum()
     optimal_total = truth.min(axis=1).sum()
-    achieved_reduction = default_total - result.workload_latency()
+    achieved_reduction = default_total - matrix.workload_latency()
     possible_reduction = default_total - optimal_total
     assert achieved_reduction < 0.5 * possible_reduction
 
@@ -66,7 +72,6 @@ def test_bayesqo_validation(tiny_workload):
     with pytest.raises(ExplorationError):
         BayesQO(
             MatrixOracle(tiny_workload.true_latencies),
-            tiny_workload.n_queries,
             tiny_workload.n_hints,
             per_query_budget=0.0,
         )
@@ -77,7 +82,7 @@ def test_bayesqo_optimize_single_query(tiny_workload):
     matrix = WorkloadMatrix(tiny_workload.n_queries, tiny_workload.n_hints)
     matrix.observe(0, 0, float(truth[0, 0]))
     bayes = BayesQO(
-        MatrixOracle(truth), tiny_workload.n_queries, tiny_workload.n_hints,
+        MatrixOracle(truth), tiny_workload.n_hints,
         per_query_budget=float(truth[0].max()) * 3, seed=3,
     )
     spent, evaluations = bayes.optimize_query(matrix, 0)

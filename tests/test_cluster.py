@@ -13,8 +13,6 @@ The load-bearing properties:
   solve instead of raising it.
 """
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,7 +24,6 @@ from repro.cluster import (
     RefreshScheduler,
     RendezvousRouter,
     ServingCluster,
-    aggregate_shard_stats,
     routing_key,
     split_batch,
 )
@@ -814,14 +811,14 @@ class TestStats:
         assert payload["cluster"]["decisions"] == stats.cluster.decisions
         assert str(stats).startswith("ClusterStats(")
 
-    def test_aggregate_uses_exact_pooled_percentiles(self):
+    def test_cluster_report_uses_exact_pooled_percentiles(self):
         union = make_union_matrix(n=40)
         cluster = make_cluster(union, n_shards=2)
         cluster.serve_all("acme")
         exact = LatencyRecorder.merged(
             [s.recorder() for s in cluster.shards.values()]
         ).report()
-        aggregated = aggregate_shard_stats(cluster.shards.values())
+        aggregated = cluster.stats().cluster
         assert aggregated.p50_latency_s == exact.p50_latency_s
         assert aggregated.p99_latency_s == exact.p99_latency_s
 

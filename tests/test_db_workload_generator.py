@@ -31,7 +31,7 @@ def test_db_workload_hint_diversity(db_workload):
 def test_db_workload_feature_store(db_workload):
     store = db_workload.feature_store()
     batch = store.batch([(0, 0), (1, 1)])
-    assert batch.batch_size == 2
+    assert batch.stacked.shape[0] == 2
 
 
 def test_db_workload_reproducible():

@@ -19,7 +19,7 @@ from repro.experiments.runner import (
 
 FAST_TCNN = TCNNConfig(
     embedding_rank=3, channels=(8,), hidden_units=(8,), dropout=0.0,
-    batch_size=32, max_epochs=2, convergence_window=2, seed=0,
+    batch_size=32, max_epochs=2, convergence_window=2,
 )
 
 
@@ -47,8 +47,7 @@ def test_run_policy_on_workload_returns_checkpointed_latencies(tiny_workload):
     assert run.latencies.shape == (1,)
     assert run.latencies[0] <= tiny_workload.default_total
     assert run.trace.times[0] == 0.0
-    payload = run.as_dict()
-    assert set(payload) == {"policy", "checkpoints", "latencies", "overheads"}
+    assert run.checkpoints.shape == run.overheads.shape == (1,)
 
 
 # -- reporting -----------------------------------------------------------------

@@ -48,7 +48,6 @@ def test_database_oracle_matches_executor(db_workload):
     oracle = DatabaseOracle(
         db_workload.executor, db_workload.queries, db_workload.hint_sets
     )
-    assert oracle.shape == (db_workload.n_queries, db_workload.n_hints)
     result = oracle.execute(0, 1)
     assert result.latency == pytest.approx(db_workload.true_latencies[0, 1], rel=1e-6)
     with pytest.raises(ExplorationError):

@@ -19,7 +19,7 @@ def test_pack_trees_pads_and_masks():
     big = (np.ones((6, NODE_FEATURE_DIM)), np.zeros(6, dtype=int), np.zeros(6, dtype=int))
     batch = pack_trees([small, big])
     assert isinstance(batch, TreeBatch)
-    assert batch.batch_size == 2
+    assert batch.stacked.shape[0] == 2
     assert batch.max_nodes == 6
     assert batch.mask[0, 1:3].sum() == 2
     assert batch.mask[0, 3:].sum() == 0
@@ -44,7 +44,7 @@ def test_plan_feature_store_caches_and_batches(db_workload):
     again = store.tree(0, 0)
     assert first is again  # cached
     batch = store.batch([(0, 0), (1, 1), (2, 0)])
-    assert batch.batch_size == 3
+    assert batch.stacked.shape[0] == 3
     assert batch.nodes.shape[2] == NODE_FEATURE_DIM
 
 
@@ -109,7 +109,7 @@ def test_synthetic_store_add_query_and_validation():
 def test_synthetic_store_batch(tiny_workload):
     store = tiny_workload.feature_store()
     batch = store.batch([(0, 0), (1, 2)])
-    assert batch.batch_size == 2
+    assert batch.stacked.shape[0] == 2
     assert batch.nodes.shape[2] == NODE_FEATURE_DIM
 
 
@@ -131,7 +131,7 @@ def test_tree_batch_take_matches_repacking():
     subset_idx = np.array([1, 4, 7])
     sliced = packed.take(subset_idx)
     repacked = store.batch([cells[i] for i in subset_idx])
-    assert sliced.batch_size == 3
+    assert sliced.stacked.shape[0] == 3
     # Same features; the pre-packed slice may be wider but the extra
     # columns are padding (mask 0, null children).
     width = repacked.max_nodes
@@ -144,11 +144,11 @@ def test_full_batch_is_cached_and_invalidated_on_growth():
     store = _toy_store()
     first = store.full_batch()
     assert store.full_batch() is first
-    assert first.batch_size == 4 * 3
+    assert first.stacked.shape[0] == 4 * 3
     store.add_query()
     grown = store.full_batch()
     assert grown is not first
-    assert grown.batch_size == 5 * 3
+    assert grown.stacked.shape[0] == 5 * 3
 
 
 def test_plan_feature_store_full_batch(db_workload):
@@ -160,5 +160,5 @@ def test_plan_feature_store_full_batch(db_workload):
         db_workload.hint_sets[:2],
     )
     full = store.full_batch()
-    assert full.batch_size == 6
+    assert full.stacked.shape[0] == 6
     assert store.full_batch() is full

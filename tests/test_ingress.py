@@ -426,25 +426,29 @@ class TestPeriodicTicker:
         gc.collect()
         assert problems == []
 
-    def test_sync_cancel_never_leaks_pending_tasks(self):
+    def test_a_task_that_ended_on_its_own_is_consumed(self):
+        # A tick that raises CancelledError ends the background task without
+        # a stop(); both start() and stop() must consume that finished task
+        # so debug mode reports nothing.
         problems = []
+
+        def end_task():
+            raise asyncio.CancelledError
 
         async def scenario():
             asyncio.get_running_loop().set_exception_handler(
                 lambda loop, context: problems.append(context)
             )
-            ticker = PeriodicTicker(lambda: None, 0.005, "teardown")
-            ticker.cancel()  # never started: no-op
+            ticker = PeriodicTicker(end_task, 0.005, "ends")
             ticker.start()
-            await asyncio.sleep(0.012)
-            ticker.cancel()  # the no-await teardown path
+            await asyncio.sleep(0.02)
             assert not ticker.running
-            ticker.cancel()  # idempotent
-            for _ in range(5):  # let the cancellation unwind
-                await asyncio.sleep(0)
+            ticker.start()  # replaces the finished task
+            await asyncio.sleep(0.02)
+            assert not ticker.running
+            await ticker.stop()  # consumes the finished task
+            assert ticker.runs == 0 and ticker.errors == 0
             assert asyncio.all_tasks() == {asyncio.current_task()}
-            ticker.start()  # restartable after a sync cancel
-            await ticker.stop()
 
         asyncio.run(scenario(), debug=True)
         gc.collect()

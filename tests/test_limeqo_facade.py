@@ -85,6 +85,21 @@ def test_online_lookup_never_regresses(system, truth):
     assert 0 <= decision.hint < truth.shape[1]
 
 
+def test_lookup_by_name_matches_the_snapshot(system, truth):
+    names = [f"q{i}" for i in range(truth.shape[0])]
+    for name in names:
+        system.register_query(name, default_latency=float(truth[int(name[1:]), 0]))
+    system.explore(time_budget=1.0 * truth[:, 0].sum())
+    snap = system.plan_cache().snapshot()
+    for name in reversed(names):
+        decision = system.lookup(name)
+        row = system.query_index(name)
+        assert decision.query == row
+        assert decision.hint == snap.hints[row]
+        assert decision.used_default == snap.used_default[row]
+        assert decision.expected_latency == snap.expected_latency[row]
+
+
 def test_new_query_after_exploration(system, truth):
     for i in range(6):
         system.register_query(f"q{i}", default_latency=float(truth[i, 0]))

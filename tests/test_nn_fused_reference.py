@@ -25,6 +25,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.config import TCNNConfig
 from repro.core.workload_matrix import WorkloadMatrix
+from repro.nn import trainer as trainer_module
 from repro.nn.trainer import TCNNTrainer, _max_over_nodes
 from repro.plans.featurize import NODE_FEATURE_DIM, _FullBatchCacheMixin, pack_trees
 from taped_tcnn import (
@@ -116,9 +117,8 @@ def test_fused_training_run_is_bit_identical_to_the_unfused_chain(
     config = TCNNConfig(
         embedding_rank=3, channels=(6, 5, 4)[:depth], hidden_units=(7,),
         dropout=dropout, learning_rate=3e-3, batch_size=8, max_epochs=3,
-        convergence_window=2, use_embeddings=use_embeddings, seed=seed % 7,
+        convergence_window=2, use_embeddings=use_embeddings,
     )
-    mine, taped = TCNNTrainer(store, n, k, config), TapedTrainer(store, n, k, config)
     small = partly_observed(n, k, seed + 1, censored_share)
     grown = partly_observed(n + added, k, seed + 2, censored_share)
 
@@ -128,8 +128,10 @@ def test_fused_training_run_is_bit_identical_to_the_unfused_chain(
         losses.append(trainer.fit(grown))
         return losses, trainer.predict_cells(every_cell(n + added, k))
 
-    losses, cells = run(mine)
-    ref_losses, ref_cells = run(taped)
+    with mock.patch.object(trainer_module, "SEED", seed % 7):
+        mine, taped = TCNNTrainer(store, n, k, config), TapedTrainer(store, n, k, config)
+        losses, cells = run(mine)
+        ref_losses, ref_cells = run(taped)
     assert losses == ref_losses
     state = taped.state()
     assert mine.parameters.keys() == state.keys()
@@ -148,10 +150,10 @@ def test_stacked_kernel_matches_the_three_matmul_association(depth, max_real, se
     n, k = 5, 4
     store = RaggedStore(n, k, max_real, seed)
     config = TCNNConfig(
-        embedding_rank=3, channels=(6, 5, 4)[:depth], hidden_units=(7,),
-        dropout=0.0, seed=seed % 5,
+        embedding_rank=3, channels=(6, 5, 4)[:depth], hidden_units=(7,), dropout=0.0,
     )
-    model = TransductiveTCNN(n, k, config)
+    with mock.patch.object(trainer_module, "SEED", seed % 5):
+        model = TransductiveTCNN(n, k, config)
     batch = store.full_batch()
     query_idx, hint_idx = np.divmod(np.arange(n * k), k)
     targets = np.random.default_rng(seed).normal(1.0, 0.5, size=n * k)
@@ -171,12 +173,11 @@ def test_stacked_kernel_matches_the_three_matmul_association(depth, max_real, se
 
 
 # -- the backward against central finite differences -----------------------------------
-def test_fused_gradients_match_central_finite_differences():
+def test_fused_gradients_match_central_finite_differences(monkeypatch):
     n, k = 4, 3
     store = RaggedStore(n, k, max_real=6, seed=5)
-    config = TCNNConfig(
-        embedding_rank=2, channels=(4, 3), hidden_units=(5,), dropout=0.0, seed=1,
-    )
+    monkeypatch.setattr(trainer_module, "SEED", 1)
+    config = TCNNConfig(embedding_rank=2, channels=(4, 3), hidden_units=(5,), dropout=0.0)
     trainer = TCNNTrainer(store, n, k, config)
     batch = store.full_batch()
     query_idx, hint_idx = every_cell(n, k).T
@@ -334,7 +335,7 @@ def assert_pools_like_activate_then_pool(trainer, matrix):
 @pytest.mark.parametrize("use_embeddings", [True, False])
 @pytest.mark.parametrize("store_kind", ["ragged", "synthetic"])
 def test_predict_full_equals_activate_then_pool_on_every_cell(
-    store_kind, use_embeddings, depth, tiny_workload
+    store_kind, use_embeddings, depth, tiny_workload, monkeypatch
 ):
     if store_kind == "ragged":
         n, k = 9, 6
@@ -344,10 +345,10 @@ def test_predict_full_equals_activate_then_pool_on_every_cell(
         n, k = tiny_workload.n_queries, tiny_workload.n_hints
         store = tiny_workload.feature_store()
     matrix = partly_observed(n, k, 1, 0.1)
+    monkeypatch.setattr(trainer_module, "SEED", 2)
     config = TCNNConfig(
         embedding_rank=3, channels=(6, 5)[:depth], hidden_units=(7, 4), dropout=0.2,
-        learning_rate=3e-3, batch_size=16, max_epochs=2,
-        use_embeddings=use_embeddings, seed=2,
+        learning_rate=3e-3, batch_size=16, max_epochs=2, use_embeddings=use_embeddings,
     )
     trainer = TCNNTrainer(store, n, k, config)
     trainer.fit(matrix)
@@ -427,9 +428,10 @@ def test_predict_full_pools_like_activate_then_pool_on_drawn_weights(
     store = RaggedStore(n, k, max_real, seed, levels=levels)
     config = TCNNConfig(
         embedding_rank=2, channels=(5, 4)[:depth], hidden_units=(3,), dropout=0.0,
-        use_embeddings=use_embeddings, seed=seed % 5,
+        use_embeddings=use_embeddings,
     )
-    trainer = TCNNTrainer(store, n, k, config)
+    with mock.patch.object(trainer_module, "SEED", seed % 5):
+        trainer = TCNNTrainer(store, n, k, config)
     rng = np.random.default_rng(seed)
     for depth_ in range(depth):
         weight = trainer.parameters[f"conv{depth_}.weight"]

@@ -22,7 +22,9 @@ no user of the library runs.  Four rules, checked over the syntax trees
   ``examples/``, or is listed in ``ALLOWED_API`` with the reason it stays.
   A name counts when it is loaded as ``name`` or ``<anything>.name``, or
   spelled as an identifier-shaped string (``getattr(obj, "name")``); the
-  def itself, ``import`` lines and ``__all__`` entries do not count.
+  def itself, ``import`` lines and ``__all__`` entries do not count, nor
+  does a use inside the body of a def of the same name (recursion, or a
+  method delegating to its namesake on another type).
 
 Forwarding a ``None``-defaulted parameter under its own name is not a use,
 also from a nested function that reads it from its enclosing one; it counts
@@ -213,28 +215,44 @@ def public_defs(tree):
                     yield f"{node.name}.{item.name}", item.name
 
 
+def _name_of(node):
+    """The name ``node`` uses: loaded as ``name`` or ``<anything>.name``, or
+    spelled as an identifier-shaped string; None for any other node."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+        return node.attr
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        if node.value.isidentifier():
+            return node.value
+    return None
+
+
 def names_used(tree):
     """Names loaded as ``name`` or ``<anything>.name``, and identifier-shaped
-    string constants; the strings listed in ``__all__`` are left out, and
-    ``import`` lines bind names without loading them."""
-    exported = set()
+    string constants.  Left out: the strings listed in ``__all__``, and a
+    name used inside the body of a def of the same name -- recursion, or a
+    method that delegates to its namesake (``def f(self): return
+    self.inner.f()``) is no caller of either.  ``import`` lines bind names
+    without loading them."""
+    skipped = set()
     for node in ast.walk(tree):
         if isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             if any(isinstance(t, ast.Name) and t.id == "__all__" for t in targets):
-                exported |= set(map(id, ast.walk(node.value)))
-    used = set()
-    for node in ast.walk(tree):
-        if id(node) in exported:
-            continue
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            used.add(node.attr)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
-            if node.value.isidentifier():
-                used.add(node.value)
-    return used
+                skipped |= set(map(id, ast.walk(node.value)))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            skipped |= {
+                id(inner)
+                for statement in node.body
+                for inner in ast.walk(statement)
+                if _name_of(inner) == node.name
+            }
+    return {
+        name
+        for node in ast.walk(tree)
+        if id(node) not in skipped and (name := _name_of(node)) is not None
+    }
 
 
 def uncalled_and_stale(library, callers, allowed):
@@ -437,6 +455,18 @@ def test_the_audit_itself_catches_violations():
     built = calls_by_name([ast.parse("C(1)\nreplace(config, other=2)\nos.replace(a, b)")])
     assert fields_set(built, "C", ["used", "unused"]) == {"used"}
     assert fields_set(built, "D", ["other", "unset"]) == {"other"}
+
+    # A def is credited by its callers, not by its namesakes: delegation to
+    # a same-named def and recursion leave it flagged, a call from another
+    # def does not.
+    delegating = ast.parse("class A:\n    def f(self):\n        return self.inner.f()\n")
+    recursive = ast.parse("def g(n):\n    return g(n - 1) if n else 0\n")
+    caller = ast.parse("def h(a):\n    return a.f() + g(1)\n")
+    library = [("a.py", delegating), ("g.py", recursive)]
+    assert uncalled_and_stale(library, [delegating, recursive], {})[0] == [
+        "a.py: A", "a.py: A.f", "g.py: g",
+    ]
+    assert uncalled_and_stale(library, [delegating, recursive, caller], {})[0] == ["a.py: A"]
 
 
 #: A library module for the caller rule's self-tests: ``exported`` is named

@@ -80,13 +80,6 @@ class TestBatchedEqualsScalar:
             partially_observed_matrix, regression_margin=0.8
         )
 
-    def test_lookup_batch_matches_lookup(self, partially_observed_matrix):
-        cache = PlanCache(partially_observed_matrix)
-        queries = np.arange(partially_observed_matrix.n_queries)
-        batched = cache.lookup_batch(queries)
-        fresh = PlanCache(partially_observed_matrix)
-        assert batched == [fresh.lookup(int(q)) for q in queries]
-
     def test_arbitrary_arrival_order_and_repeats(self):
         matrix = make_matrix()
         batched = BatchedPlanCache(matrix)
@@ -132,7 +125,7 @@ class TestSnapshotInvalidation:
         matrix = make_matrix()
         snap = CacheSnapshot.compute(matrix, default_hint=0, regression_margin=1.0)
         assert snap.version == matrix.version
-        assert snap.decision(0).hint == 2
+        assert snap.hints[0] == 2
 
 
 class TestObserveBatch:
@@ -444,9 +437,6 @@ class TestServingService:
             query_names=[f"q{i}" for i in range(8)],
         )
         limeqo.explore(time_budget=50.0, max_steps=4)
-        names = [f"q{i}" for i in range(8)]
-        batched = limeqo.lookup_batch(names)
-        assert batched == [limeqo.lookup(name) for name in names]
         service = ServingService(limeqo.matrix, default_hint=limeqo.default_hint)
         decisions = service.serve_all()
         assert decisions.hints.tolist() == [d.hint for d in limeqo.plan_cache().lookup_all()]

@@ -12,7 +12,7 @@ from taped_tcnn import TCNNModel, TransductiveTCNN
 def small_config():
     return TCNNConfig(
         embedding_rank=3, channels=(8,), hidden_units=(8,), dropout=0.0,
-        batch_size=8, max_epochs=2, seed=0,
+        batch_size=8, max_epochs=2,
     )
 
 

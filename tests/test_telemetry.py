@@ -1,12 +1,6 @@
-"""Telemetry: registry algebra, tracing, hot-path cost, the one counter store.
+"""Telemetry: the registry, tracing, hot-path cost, the one counter store.
 
-The merge law is the load-bearing property: because every histogram of a
-family shares fixed bucket bounds, ``merge(a, b)`` must be *exactly*
-``observe(union of samples)`` -- that is what makes per-shard registries
-foldable into one cluster view without approximation (beyond the bucket
-resolution any single histogram already has).  Hypothesis sweeps it.
-
-The other contracts under test:
+The contracts under test:
 
 * label cardinality collapses into ``__overflow__`` past the bound,
 * the slow-trace ring evicts oldest-first and counts drops,
@@ -15,8 +9,8 @@ The other contracts under test:
 * decisions are byte-identical with telemetry on vs off,
 * each door of a journaled cluster records the stages ``tracing.STAGES``
   says, and no stage records a negative duration,
-* ``ServingStats.from_registry`` / ``ClusterStats.from_registry``
-  agree with the recorder-backed reports (both read the same cells),
+* the registry's cells, read directly, hold the totals the
+  recorder-backed reports show (both read the same cells),
 * counters conserve under arbitrary interleavings of serve / observe /
   shed / kill / restart / checkpoint / add_shard / reset, with and
   without a ``Telemetry``, against an independent tally.
@@ -37,13 +31,13 @@ from hypothesis import strategies as st
 import repro
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.cluster.cluster import ServingCluster
-from repro.cluster.stats import ClusterStats
-from repro.errors import ClusterError, ServingError, TelemetryError
+from repro.errors import ClusterError, TelemetryError
 from repro.serving.service import ServingService
-from repro.serving.stats import RECENT_BATCHES, LatencyRecorder, ServingStats
+from repro.serving.stats import RECENT_BATCHES, LatencyRecorder
 from repro.telemetry import (
     DEFAULT_BUCKETS,
     OVERFLOW_LABEL,
+    ClusterMetrics,
     Counter,
     Gauge,
     Histogram,
@@ -55,6 +49,29 @@ from repro.telemetry import (
 )
 from repro.telemetry import tracing
 from repro.telemetry.registry import MAX_LABEL_VALUES
+from repro.telemetry.runtime import SERVING_COUNTERS
+
+
+def cell_total(registry, name):
+    """One family's cells summed over every label: a counter's value, a
+    histogram's sample count."""
+    family = registry.get(name)
+    attr = "count" if family.kind == "histogram" else "value"
+    return sum(getattr(child, attr) for _, child in family.children())
+
+
+def serving_cells(registry):
+    """The serving counters summed over every shard label, by
+    :class:`~repro.telemetry.ServingMetrics` attribute."""
+    return {
+        attr: cell_total(registry, name) for attr, (name, _) in SERVING_COUNTERS.items()
+    }
+
+
+def shard_labels(registry):
+    """The shard ids the serving cells are labeled with, sorted."""
+    children = registry.get("repro_decisions_total").children()
+    return sorted(int(key[0]) for key, _ in children if key[0].isdigit())
 
 
 def make_matrix(n_queries: int = 20, n_hints: int = 4, seed: int = 0):
@@ -127,51 +144,26 @@ class TestPrimitives:
         with pytest.raises(TelemetryError):
             h.quantile(1.5)
 
-
-# -- the merge law (hypothesis) ------------------------------------------------
-
-
-_SAMPLES = st.lists(
-    st.tuples(
-        st.floats(
-            min_value=0.0,
-            max_value=2.0,
-            allow_nan=False,
-            allow_infinity=False,
-        ),
-        st.integers(min_value=1, max_value=5),
-    ),
-    max_size=40,
-)
-
-
-class TestMergeLaw:
-    @given(left=_SAMPLES, right=_SAMPLES)
+    @given(
+        samples=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=10.0, allow_nan=False),
+                st.integers(min_value=1, max_value=5),
+            ),
+            max_size=40,
+        )
+    )
     @settings(deadline=None, max_examples=80)
-    def test_histogram_merge_equals_observe_all(self, left, right):
-        a = Histogram()
-        for value, weight in left:
-            a.observe(value, weight)
-        b = Histogram()
-        for value, weight in right:
-            b.observe(value, weight)
-        merged = Histogram()
-        merged.merge_from(a)
-        merged.merge_from(b)
-        direct = Histogram()
-        for value, weight in left + right:
-            direct.observe(value, weight)
-        assert merged.counts == direct.counts
-        assert merged.count == direct.count
-        assert merged.total == pytest.approx(direct.total)
-        for q in (0.5, 0.9, 0.99):
-            assert merged.quantile(q) == pytest.approx(direct.quantile(q))
-
-    def test_merge_rejects_mismatched_bounds(self):
-        a = Histogram(bounds=(1.0, 2.0))
-        b = Histogram(bounds=(1.0, 3.0))
-        with pytest.raises(TelemetryError):
-            a.merge_from(b)
+    def test_histogram_counts_conserve_and_quantiles_are_monotone(self, samples):
+        bounds = (0.5, 1.0, 2.0, 4.0)
+        h = Histogram(bounds=bounds)
+        for value, weight in samples:
+            h.observe(value, weight)
+        assert sum(h.counts) == h.count == sum(w for _, w in samples)
+        assert h.total == pytest.approx(sum(v * w for v, w in samples))
+        estimates = [h.quantile(q) for q in np.linspace(0.0, 1.0, 21)]
+        assert estimates == sorted(estimates)
+        assert all(0.0 <= e <= bounds[-1] for e in estimates)
 
 
 # -- cardinality guard ---------------------------------------------------------
@@ -253,7 +245,7 @@ class TestTracing:
         assert {key[0]: child.count for key, child in family.children()} == {
             "observe": 4
         }
-        assert tracer.current is None
+        assert tracer.finish() is None  # no trace was opened
 
     def test_total_is_enclosing_stage_and_slowest_sorts(self):
         tracer = Tracer(MetricsRegistry())
@@ -339,8 +331,7 @@ class TestConfig:
         assert shard0.tracer is tel.tracer
         shard0.serving_metrics().decisions.inc(2)
         shard1.serving_metrics().decisions.inc(3)
-        family = tel.registry.get("repro_decisions_total")
-        assert family.merged_child().value == 5
+        assert cell_total(tel.registry, "repro_decisions_total") == 5
 
 
 # -- hot path ------------------------------------------------------------------
@@ -397,8 +388,7 @@ class TestHotPath:
         # stages only attribute inside an open trace (see ingress test).
         stage = tel.registry.get("repro_stage_seconds")
         assert {key[0] for key, _ in stage.children()} == {"observe"}
-        decisions = tel.registry.get("repro_decisions_total").merged_child()
-        assert decisions.value == served
+        assert cell_total(tel.registry, "repro_decisions_total") == served
 
     def test_ingress_traces_cover_serve_stages(self):
         import asyncio
@@ -518,30 +508,30 @@ class TestStageTable:
 
 
 class TestStatsMirror:
-    def test_service_from_registry_matches_recorder(self):
+    def test_serving_cells_match_recorder(self):
         tel = Telemetry()
         service = ServingService(make_matrix(), telemetry=tel)
         serve_traffic(service, n_batches=6)
         recorded = service.stats()
-        mirrored = ServingStats.from_registry(tel.registry)
-        assert mirrored.decisions == recorded.decisions
-        assert mirrored.batches == recorded.batches
-        assert mirrored.refreshes == recorded.refreshes
-        assert mirrored.shed == recorded.shed
-        assert mirrored.non_default_fraction == pytest.approx(
+        cells = serving_cells(tel.registry)
+        assert cells["decisions"] == recorded.decisions
+        assert cells["batches"] == recorded.batches
+        assert cells["refreshes"] == recorded.refreshes
+        assert cells["shed"] == recorded.shed
+        assert cells["non_default"] / cells["decisions"] == pytest.approx(
             recorded.non_default_fraction
         )
-        assert mirrored.wall_seconds == pytest.approx(recorded.wall_seconds)
+        assert cells["wall_seconds"] == pytest.approx(recorded.wall_seconds)
 
     def test_totals_stay_exact_across_a_wrap_and_a_reset(self):
         tel = Telemetry()
         recorder = LatencyRecorder(tel.serving_metrics())
 
         def mirrored():
-            return ServingStats.from_registry(tel.registry)
+            return serving_cells(tel.registry)
 
         def histogram_count():
-            return tel.registry.get("repro_batch_seconds").merged_child().count
+            return cell_total(tel.registry, "repro_batch_seconds")
 
         rng = np.random.default_rng(4)
         n = 2 * RECENT_BATCHES + 100  # the ring wraps twice; totals must not
@@ -552,14 +542,14 @@ class TestStatsMirror:
         recorder.record_refresh()
         recorded = recorder.report()
         assert recorded.batches == n
-        stats = mirrored()
-        assert stats.decisions == recorded.decisions == int(sizes.sum())
-        assert stats.batches == n
-        assert stats.wall_seconds == pytest.approx(recorded.wall_seconds)
-        assert stats.non_default_fraction == pytest.approx(
+        cells = mirrored()
+        assert cells["decisions"] == recorded.decisions == int(sizes.sum())
+        assert cells["batches"] == n
+        assert cells["wall_seconds"] == pytest.approx(recorded.wall_seconds)
+        assert cells["non_default"] / cells["decisions"] == pytest.approx(
             recorded.non_default_fraction
         )
-        assert (stats.refreshes, stats.shed) == (1, 7)
+        assert (cells["refreshes"], cells["shed"]) == (1, 7)
         assert histogram_count() == recorded.decisions
 
         # reset() restarts the recorder's view only; the registry stays
@@ -572,16 +562,16 @@ class TestStatsMirror:
             recorder.record(size, 1e-4, 0)
         extra = int(sizes[:50].sum() + sizes[: RECENT_BATCHES + 5].sum())
         assert recorder.report().decisions == int(sizes[: RECENT_BATCHES + 5].sum())
-        assert mirrored().decisions == recorded.decisions + extra
-        assert mirrored().batches == n + 50 + RECENT_BATCHES + 5
+        assert mirrored()["decisions"] == recorded.decisions + extra
+        assert mirrored()["batches"] == n + 50 + RECENT_BATCHES + 5
         assert histogram_count() == recorded.decisions + extra
 
-    def test_from_registry_on_empty_registry_is_zero(self):
-        stats = ServingStats.from_registry(MetricsRegistry())
+    def test_fresh_recorder_reports_zero(self):
+        stats = LatencyRecorder().report()
         assert stats.decisions == 0
         assert stats.throughput_qps == 0.0
 
-    def test_cluster_from_registry_consistent_without_crashes(self):
+    def test_cluster_cells_match_report_without_crashes(self):
         rng = np.random.default_rng(11)
         tel = Telemetry()
         cluster = ServingCluster(3, 4, telemetry=tel)
@@ -598,12 +588,12 @@ class TestStatsMirror:
             )
         cluster.tick()
         stats = cluster.stats()
-        mirror = ClusterStats.from_registry(tel.registry)
-        assert mirror.cluster.decisions == stats.cluster.decisions
-        assert mirror.routed_batches == stats.routed_batches
-        assert sorted(mirror.per_shard) == sorted(stats.per_shard)
-        assert mirror.n_shards == stats.n_shards
-        assert mirror.total_rows == stats.total_rows
+        cells = ClusterMetrics(tel.registry)
+        assert cell_total(tel.registry, "repro_decisions_total") == stats.cluster.decisions
+        assert cells.routed_batches.value == stats.routed_batches
+        assert shard_labels(tel.registry) == sorted(stats.per_shard)
+        assert cells.shards.value == stats.n_shards
+        assert cells.total_rows.value == stats.total_rows
 
     def test_backwards_clock_does_not_fail_a_served_batch(self):
         ticks = iter([5.0, 4.0, 9.0, 2.0, 1.0, 1.5])
@@ -616,7 +606,7 @@ class TestStatsMirror:
         stats = service.stats()
         assert (stats.decisions, stats.batches) == (24, 3)
         assert stats.wall_seconds == 0.5
-        assert ServingStats.from_registry(tel.registry).wall_seconds == 0.5
+        assert serving_cells(tel.registry)["wall_seconds"] == 0.5
 
     def test_backwards_clock_writes_no_negative_stage_seconds(self):
         import asyncio
@@ -653,7 +643,7 @@ class TestStatsMirror:
         second.serve_batch(np.arange(7))
         assert first.stats().decisions == 12  # everything since its baseline
         assert second.stats().decisions == 7  # the label's history predates it
-        assert ServingStats.from_registry(tel.registry).decisions == 12
+        assert cell_total(tel.registry, "repro_decisions_total") == 12
 
         apart = Telemetry()
         left = ServingService(make_matrix(seed=1), telemetry=apart.labeled("a"))
@@ -661,7 +651,7 @@ class TestStatsMirror:
         left.serve_batch(np.arange(5))
         right.serve_batch(np.arange(7))
         assert (left.stats().decisions, right.stats().decisions) == (5, 7)
-        assert ServingStats.from_registry(apart.registry).decisions == 12
+        assert cell_total(apart.registry, "repro_decisions_total") == 12
 
 
 # -- counter conservation ------------------------------------------------------
@@ -680,6 +670,17 @@ OPS = st.one_of(
     st.tuples(st.just("add_shard"), st.just(0)),
     st.tuples(st.just("reset"), st.integers(0, 4)),
 )
+
+
+#: :class:`ClusterStats` field -> the :class:`ClusterMetrics` cell it reports.
+FACADE_CELLS = {
+    "n_shards": "shards", "n_tenants": "tenants", "total_rows": "total_rows",
+    "routed_batches": "routed_batches", "degraded_decisions": "degraded",
+    "shed_decisions": "shed", "rebalanced_rows": "rebalanced_rows",
+    "scheduler_ticks": "scheduler_ticks", "scheduler_refreshes": "scheduler_refreshes",
+    "crashes": "crashes", "restarts": "restarts",
+    "queued_feedback": "queued_feedback", "replayed_feedback": "replayed_feedback",
+}
 
 
 def counter_values(registry):
@@ -777,21 +778,16 @@ def drive_cluster(ops, telemetry, home):
         assert stats.cluster.decisions == sum(since_reset.values())
         if registry is None:
             continue
-        mirror = ClusterStats.from_registry(registry)
-        for field in (
-            "n_shards", "n_tenants", "total_rows", "routed_batches", "fan_out",
-            "degraded_decisions", "shed_decisions", "rebalanced_rows",
-            "scheduler_ticks", "scheduler_refreshes", "crashes", "restarts",
-            "queued_feedback", "replayed_feedback",
-        ):
-            assert getattr(mirror, field) == getattr(stats, field), field
+        cells = ClusterMetrics(registry)
+        for field, cell in FACADE_CELLS.items():
+            assert getattr(cells, cell).value == getattr(stats, field), field
         # The registry remembers what restarts and resets make a view forget.
-        assert mirror.cluster.decisions == tally["served"]
-        assert sorted(mirror.per_shard) == sorted(stats.per_shard)
+        assert cell_total(registry, "repro_decisions_total") == tally["served"]
+        assert shard_labels(registry) == sorted(stats.per_shard)
+        decisions = registry.get("repro_decisions_total")
         for sid, view in stats.per_shard.items():
-            assert mirror.per_shard[sid].decisions >= view.decisions
-        histogram = registry.get("repro_batch_seconds").merged_child()
-        assert histogram.count == tally["served"]
+            assert decisions.labels(str(sid)).value >= view.decisions
+        assert cell_total(registry, "repro_batch_seconds") == tally["served"]
         # A shard's WAL cells count every journal it ran, each from its open.
         for sid, shard in cluster.shards.items():
             live = (0, 0) if shard.crashed else (

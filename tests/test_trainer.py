@@ -17,7 +17,6 @@ def small_config(**overrides):
     base = dict(
         embedding_rank=3, channels=(8,), hidden_units=(8,), dropout=0.0,
         learning_rate=3e-3, batch_size=16, max_epochs=4, convergence_window=2,
-        seed=0,
     )
     base.update(overrides)
     return TCNNConfig(**base)

@@ -86,14 +86,13 @@ def test_row_min_inf_when_nothing_observed():
     assert matrix.best_hint(0) is None
 
 
-def test_workload_latency_and_exploration_time():
+def test_workload_latency():
     matrix = WorkloadMatrix(2, 3)
     matrix.observe(0, 0, 5.0)
     matrix.observe(0, 1, 3.0)
     matrix.observe(1, 0, 7.0)
     matrix.observe_censored(1, 2, 4.0)
     assert matrix.workload_latency() == pytest.approx(3.0 + 7.0)
-    assert matrix.exploration_time() == pytest.approx(5.0 + 3.0 + 7.0 + 4.0)
 
 
 def test_unknown_entries_and_fractions():
