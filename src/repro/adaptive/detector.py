@@ -22,7 +22,7 @@ budgeted re-exploration, refresh escalation -- is the controller's job.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -85,9 +85,9 @@ class DriftDetector:
             self._windows[key] = ResidualWindow(WINDOW)
         return self._windows[key]
 
-    def record(self, queries, expected, measured, key: str = DEFAULT_KEY) -> None:
-        """Fold one serving-feedback batch into ``key``'s window."""
-        self.window(key).record(queries, expected, measured)
+    def record(self, queries, expected, measured) -> None:
+        """Fold one serving-feedback batch into the default key's window."""
+        self.window().record(queries, expected, measured)
 
     def note_row_count(self, n_rows: int, key: str = DEFAULT_KEY) -> None:
         """Track matrix growth: the first note per window epoch is the baseline."""
@@ -129,10 +129,6 @@ class DriftDetector:
             unseen_triggered=enough_total
             and (stats.unseen_rate > UNSEEN_THRESHOLD or new_rows > UNSEEN_THRESHOLD),
         )
-
-    def statuses(self) -> List[DriftStatus]:
-        """Statuses for every key with a window, in key order."""
-        return [self.status(key) for key in sorted(self._windows)]
 
     def drifted_rows(self, key: str = DEFAULT_KEY, min_hits: int = 1) -> np.ndarray:
         """Rows with over-tolerance residual evidence in ``key``'s window."""

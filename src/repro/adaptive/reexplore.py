@@ -29,7 +29,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from ..config import ALSConfig, ExplorationConfig
-from ..core.explorer import OfflineExplorer
+from ..core.explorer import OfflineExplorer, cell_timeouts
 from ..core.policies import ExplorationPolicy, LimeQOPolicy
 from ..core.predictors import RE_ANCHOR_SWEEPS
 from ..core.workload_matrix import WorkloadMatrix
@@ -59,8 +59,7 @@ class RowOracle:
         """One pass over a batch (a live backend executes one plan at a
         time); a cell is censored at its timeout unless that is ``None`` or
         <= 0."""
-        if timeouts is None:
-            timeouts = [None] * len(queries)
+        timeouts = cell_timeouts(queries, hints, timeouts)
         lookup = self.lookup
         results = []
         for q, h, t in zip(queries, hints, timeouts):

@@ -31,12 +31,12 @@ from ..errors import AdaptiveError
 RESIDUAL_EPS = 1e-9
 
 
-def relative_residuals(expected, measured, eps: float = RESIDUAL_EPS) -> np.ndarray:
+def relative_residuals(expected, measured) -> np.ndarray:
     """Per-sample relative residual ``|measured - expected| / expected``.
 
     Samples with an infinite expectation (served with no observation) get
     ``nan`` -- they carry no residual information and feed the unseen rate
-    instead.  A zero expectation is floored at ``eps`` so the residual
+    instead.  A zero expectation is floored at :data:`RESIDUAL_EPS` so the residual
     stays finite.
     """
     expected = np.asarray(expected, dtype=float)
@@ -47,7 +47,7 @@ def relative_residuals(expected, measured, eps: float = RESIDUAL_EPS) -> np.ndar
         )
     seen = np.isfinite(expected)
     out = np.full(expected.shape, np.nan)
-    denominator = np.maximum(expected[seen], eps)
+    denominator = np.maximum(expected[seen], RESIDUAL_EPS)
     out[seen] = np.abs(measured[seen] - expected[seen]) / denominator
     return out
 

@@ -25,6 +25,9 @@ from ..core.explorer import ExecutionOracle
 from ..core.workload_matrix import WorkloadMatrix
 from ..errors import ExplorationError
 
+#: Weight of the uncertainty bonus in the lower-confidence-bound acquisition.
+EXPLORATION_WEIGHT = 0.3
+
 
 class BayesQO:
     """Per-query, fixed-budget, model-based hint search."""
@@ -34,7 +37,6 @@ class BayesQO:
         oracle: ExecutionOracle,
         n_hints: int,
         per_query_budget: float = 3.0,
-        exploration_weight: float = 0.3,
         hint_factors: Optional[np.ndarray] = None,
         seed: int = 0,
     ) -> None:
@@ -43,7 +45,6 @@ class BayesQO:
         self.oracle = oracle
         self.n_hints = int(n_hints)
         self.per_query_budget = float(per_query_budget)
-        self.exploration_weight = float(exploration_weight)
         self.hint_factors = (
             np.asarray(hint_factors, dtype=float) if hint_factors is not None else None
         )
@@ -78,16 +79,13 @@ class BayesQO:
         scores = []
         for hint in untried:
             mean, uncertainty = self._surrogate(observed, hint)
-            scores.append(mean - self.exploration_weight * uncertainty)
+            scores.append(mean - EXPLORATION_WEIGHT * uncertainty)
         return int(untried[int(np.argmin(scores))])
 
     # -- main loop ---------------------------------------------------------------
-    def optimize_query(
-        self, matrix: WorkloadMatrix, query: int, budget: Optional[float] = None
-    ) -> Tuple[float, int]:
-        """Optimise one query; returns (time spent, evaluations)."""
-        budget = self.per_query_budget if budget is None else float(budget)
-        remaining = budget
+    def optimize_query(self, matrix: WorkloadMatrix, query: int) -> Tuple[float, int]:
+        """Optimise one query within its budget; returns (time spent, evaluations)."""
+        remaining = self.per_query_budget
         evaluations = 0
         observed: Dict[int, float] = {}
         if matrix.is_observed(query, 0):
@@ -105,4 +103,4 @@ class BayesQO:
             matrix.observe(query, hint, result.latency)
             observed[hint] = result.latency
             remaining -= result.charged_time
-        return budget - max(remaining, 0.0), evaluations
+        return self.per_query_budget - max(remaining, 0.0), evaluations

@@ -61,11 +61,9 @@ class RendezvousRouter:
     way :func:`rendezvous_score`'s integers compare.
     """
 
-    def __init__(self, shard_ids: Iterable[int] = ()) -> None:
+    def __init__(self) -> None:
         self._suffixes: Dict[int, bytes] = {}
         self._cache: Dict[str, int] = {}
-        for shard_id in shard_ids:
-            self.add_shard(shard_id)
 
     @property
     def shard_ids(self) -> List[int]:

@@ -1,9 +1,10 @@
 """The offline exploration loop (paper Algorithm 1) and execution oracles.
 
-The explorer is agnostic to where latencies come from: it talks to an
-*execution oracle* that runs one (query, hint) cell with a timeout and
-returns an :class:`~repro.db.executor.ExecutionResult`.  Two oracles ship
-with the library:
+The explorer is agnostic to where latencies come from: it hands an
+*execution oracle* a batch of (query, hint) cells with their timeouts
+(``execute_many``) and gets one :class:`~repro.db.executor.ExecutionResult`
+per cell back; a batch whose lengths differ is refused, not truncated.  Two
+oracles ship with the library:
 
 * :class:`MatrixOracle` -- backed by a fully known ground-truth latency
   matrix (used by the simulator and every benchmark),
@@ -34,13 +35,10 @@ MAX_STEPS = 10_000
 
 
 class ExecutionOracle(Protocol):
-    """Anything that can execute one workload-matrix cell with a timeout.
+    """Anything that can execute workload-matrix cells with timeouts.
 
-    The scalar :meth:`execute` is the whole required surface.  Oracles may
-    *additionally* provide an ``execute_many(queries, hints, timeouts)``
-    batch entry point (both built-in oracles do); the explorer discovers it
-    dynamically and falls back to per-cell :meth:`execute` calls when it is
-    absent, so scalar-only oracles keep working unchanged.
+    :meth:`execute_many` is the explorer's one entry point; :meth:`execute`
+    runs a single cell for callers that search one query at a time.
     """
 
     def execute(
@@ -48,6 +46,35 @@ class ExecutionOracle(Protocol):
     ) -> ExecutionResult:
         """Run cell (query, hint); censor at ``timeout`` when provided."""
         ...  # pragma: no cover - protocol
+
+    def execute_many(
+        self,
+        queries: Sequence[int],
+        hints: Sequence[int],
+        timeouts: Optional[Sequence[Optional[float]]] = None,
+    ) -> List[ExecutionResult]:
+        """Run the cells ``zip(queries, hints)``, each censored at its entry
+        of ``timeouts`` when that is given and > 0."""
+        ...  # pragma: no cover - protocol
+
+
+def cell_timeouts(
+    queries: Sequence[int],
+    hints: Sequence[int],
+    timeouts: Optional[Sequence[Optional[float]]],
+) -> Sequence[Optional[float]]:
+    """One timeout per cell of an ``execute_many`` batch (``None`` when the
+    caller gave none).  A batch whose three sequences differ in length is
+    refused: pairing them up would silently drop cells."""
+    if len(queries) != len(hints):
+        raise ExplorationError(
+            f"execute_many got {len(queries)} queries for {len(hints)} hints"
+        )
+    if timeouts is None:
+        return [None] * len(queries)
+    if len(timeouts) != len(queries):
+        raise ExplorationError(f"got {len(timeouts)} timeouts for {len(queries)} cells")
+    return timeouts
 
 
 class MatrixOracle:
@@ -138,11 +165,8 @@ class DatabaseOracle:
         hints: Sequence[int],
         timeouts: Optional[Sequence[Optional[float]]] = None,
     ) -> List[ExecutionResult]:
-        """Loop fallback: a real DBMS executes one plan at a time."""
-        queries = list(queries)
-        hints = list(hints)
-        if timeouts is None:
-            timeouts = [None] * len(queries)
+        """One plan at a time, as a real DBMS executes them."""
+        timeouts = cell_timeouts(queries, hints, timeouts)
         return [
             self.execute(int(q), int(h), timeout=t)
             for q, h, t in zip(queries, hints, timeouts)
@@ -306,16 +330,10 @@ class OfflineExplorer:
         chunk: Sequence[Tuple[int, int]],
         timeouts: Sequence[Optional[float]],
     ) -> List[ExecutionResult]:
-        """Run one sub-batch through the oracle's fastest entry point."""
-        execute_many = getattr(self.oracle, "execute_many", None)
-        if execute_many is not None:
-            return execute_many(
-                [q for q, _ in chunk], [h for _, h in chunk], timeouts
-            )
-        return [
-            self.oracle.execute(query, hint, timeout=timeout)
-            for (query, hint), timeout in zip(chunk, timeouts)
-        ]
+        """Run one sub-batch through the oracle's batch entry point."""
+        return self.oracle.execute_many(
+            [q for q, _ in chunk], [h for _, h in chunk], timeouts
+        )
 
     def _record_chunk(
         self,
@@ -338,8 +356,9 @@ class OfflineExplorer:
             self.matrix.observe_batch(*zip(*completed))
 
     # -- results -------------------------------------------------------------------
-    def recommend_hints(self, default_hint: int = 0) -> List[int]:
-        """Best observed hint per query; the default hint when nothing observed.
+    def recommend_hints(self) -> List[int]:
+        """Best observed hint per query; the default hint (column 0) when
+        nothing is observed.
 
         This is Algorithm 1 lines 13-14 and carries the no-regression
         guarantee: a non-default hint is returned only when its observed
@@ -347,7 +366,7 @@ class OfflineExplorer:
         default plan's.
         """
         best = self.matrix.best_hint_array()
-        return [default_hint if h < 0 else int(h) for h in best]
+        return [0 if h < 0 else int(h) for h in best]
 
     # -- internals -------------------------------------------------------------------
     def _timeouts_for(

@@ -11,8 +11,7 @@ use:
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence
-
+from typing import Dict, List, Optional
 
 from ..config import ExplorationConfig
 from ..errors import ExplorationError
@@ -20,6 +19,9 @@ from .explorer import ExecutionOracle, OfflineExplorer
 from .plan_cache import CacheDecision, PlanCache
 from .policies import ExplorationPolicy, LimeQOPolicy
 from .workload_matrix import WorkloadMatrix
+
+#: Column of the DBMS default plan.
+DEFAULT_HINT = 0
 
 
 class LimeQO:
@@ -35,8 +37,8 @@ class LimeQO:
         Exploration policy; defaults to Algorithm 1 with censored ALS.
     config:
         Exploration loop configuration.
-    default_hint:
-        Column index of the DBMS default plan.
+
+    The DBMS default plan is column :data:`DEFAULT_HINT`.
     """
 
     def __init__(
@@ -45,8 +47,6 @@ class LimeQO:
         oracle: ExecutionOracle,
         policy: Optional[ExplorationPolicy] = None,
         config: Optional[ExplorationConfig] = None,
-        default_hint: int = 0,
-        query_names: Optional[Sequence[str]] = None,
     ) -> None:
         if n_hints < 2:
             raise ExplorationError("LimeQO needs at least two hint sets")
@@ -54,14 +54,10 @@ class LimeQO:
         self.oracle = oracle
         self.policy = policy or LimeQOPolicy()
         self.config = config or ExplorationConfig()
-        self.default_hint = int(default_hint)
         self._matrix: Optional[WorkloadMatrix] = None
         self._query_index: Dict[str, int] = {}
         self._explorer: Optional[OfflineExplorer] = None
         self._plan_cache: Optional[PlanCache] = None
-        if query_names:
-            for name in query_names:
-                self.register_query(name)
 
     # -- workload management -----------------------------------------------
     @property
@@ -92,9 +88,9 @@ class LimeQO:
             index = self._matrix.add_query(name)
         self._query_index[name] = index
         if default_latency is None:
-            result = self.oracle.execute(index, self.default_hint, timeout=None)
+            result = self.oracle.execute(index, DEFAULT_HINT, timeout=None)
             default_latency = result.latency
-        self._matrix.observe(index, self.default_hint, float(default_latency))
+        self._matrix.observe(index, DEFAULT_HINT, float(default_latency))
         self._explorer = None  # matrix shape changed; rebuild on next explore
         return index
 
@@ -106,7 +102,7 @@ class LimeQO:
             raise ExplorationError(f"unknown query {name!r}") from None
 
     # -- offline path ---------------------------------------------------------
-    def explore(self, time_budget: float, max_steps: Optional[int] = None) -> List:
+    def explore(self, time_budget: float) -> List:
         """Run offline exploration for up to ``time_budget`` seconds."""
         if self._matrix is None:
             raise ExplorationError("register queries before exploring")
@@ -114,7 +110,7 @@ class LimeQO:
             self._explorer = OfflineExplorer(
                 self._matrix, self.policy, self.oracle, self.config
             )
-        return self._explorer.run(time_budget=time_budget, max_steps=max_steps)
+        return self._explorer.run(time_budget=time_budget)
 
     @property
     def exploration_time(self) -> float:
@@ -136,7 +132,7 @@ class LimeQO:
         """
         matrix = self.matrix
         if self._plan_cache is None or self._plan_cache.matrix is not matrix:
-            self._plan_cache = PlanCache(matrix, default_hint=self.default_hint)
+            self._plan_cache = PlanCache(matrix, default_hint=DEFAULT_HINT)
         return self._plan_cache
 
     def lookup(self, name: str) -> CacheDecision:

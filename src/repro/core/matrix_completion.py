@@ -9,8 +9,9 @@ Three completers behind one interface:
   the Soft-Impute iteration (iteratively soft-thresholded SVD), which solves
   the same convex relaxation without an external SDP solver.
 
-All completers consume the same (observed, mask, timeouts) triple produced
-by :class:`~repro.core.workload_matrix.WorkloadMatrix`.
+All completers fill the same (observed, mask) pair; ALS also takes the
+censoring bounds of :class:`~repro.core.workload_matrix.WorkloadMatrix`
+through :meth:`ALSCompleter.complete_result`.
 :class:`WarmStartedALS` carries an ALS completion of one live matrix across
 its changes, for the exploration predictor and the serving refresher alike.
 """
@@ -27,6 +28,15 @@ from ..config import ALSConfig
 from ..errors import CompletionError
 from .als import CensoredALSResult, censored_als
 
+#: SVT's dual step size.
+SVT_STEP = 1.2
+#: Iteration caps of the two SVD-based completers, and the relative change
+#: below which each stops early.
+SVT_ITERATIONS = 150
+SVT_TOLERANCE = 1e-4
+SOFT_IMPUTE_ITERATIONS = 300
+SOFT_IMPUTE_TOLERANCE = 1e-6
+
 
 class MatrixCompleter(ABC):
     """Interface shared by all matrix-completion solvers."""
@@ -34,12 +44,7 @@ class MatrixCompleter(ABC):
     name = "base"
 
     @abstractmethod
-    def complete(
-        self,
-        observed: np.ndarray,
-        mask: np.ndarray,
-        timeouts: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def complete(self, observed: np.ndarray, mask: np.ndarray) -> np.ndarray:
         """Return a fully filled matrix of the same shape as ``observed``."""
 
     @staticmethod
@@ -62,13 +67,8 @@ class ALSCompleter(MatrixCompleter):
     def __init__(self, config: Optional[ALSConfig] = None) -> None:
         self.config = config or ALSConfig()
 
-    def complete(
-        self,
-        observed: np.ndarray,
-        mask: np.ndarray,
-        timeouts: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
-        return self.complete_result(observed, mask, timeouts).completed
+    def complete(self, observed: np.ndarray, mask: np.ndarray) -> np.ndarray:
+        return self.complete_result(observed, mask).completed
 
     def complete_result(
         self,
@@ -168,51 +168,32 @@ class SVTCompleter(MatrixCompleter):
     """Singular Value Thresholding.
 
     Iterates ``Y += step * M ⊙ (W - shrink(Y))`` where ``shrink`` soft-
-    thresholds the singular values at ``tau``.  Struggles at very low fill
-    fractions -- the behaviour Figure 17 documents.
+    thresholds the singular values at ``tau = 5 sqrt(n k)``.  Struggles at
+    very low fill fractions -- the behaviour Figure 17 documents.
     """
 
     name = "svt"
 
-    def __init__(
-        self,
-        tau: Optional[float] = None,
-        step: float = 1.2,
-        iterations: int = 150,
-        tolerance: float = 1e-4,
-    ) -> None:
-        if iterations < 1:
-            raise CompletionError("SVT needs at least one iteration")
-        self.tau = tau
-        self.step = float(step)
-        self.iterations = int(iterations)
-        self.tolerance = float(tolerance)
-
-    def complete(
-        self,
-        observed: np.ndarray,
-        mask: np.ndarray,
-        timeouts: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def complete(self, observed: np.ndarray, mask: np.ndarray) -> np.ndarray:
         self._validate(observed, mask)
         mask = np.asarray(mask, dtype=float)
         observed_filled = np.where(mask > 0, np.asarray(observed, dtype=float), 0.0)
         n, k = observed_filled.shape
         # Cai et al. recommend a threshold of roughly 5 * sqrt(n * k); smaller
         # values over-shrink the recovered spectrum.
-        tau = self.tau if self.tau is not None else 5.0 * np.sqrt(n * k)
-        dual = self.step * observed_filled * mask
+        tau = 5.0 * np.sqrt(n * k)
+        dual = SVT_STEP * observed_filled * mask
         estimate = np.zeros_like(observed_filled)
         norm_observed = np.linalg.norm(observed_filled * mask)
         if norm_observed == 0:
             raise CompletionError("SVT cannot run: all observed entries are zero")
-        for _ in range(self.iterations):
+        for _ in range(SVT_ITERATIONS):
             u, s, vt = np.linalg.svd(dual, full_matrices=False)
             s_shrunk = np.maximum(s - tau, 0.0)
             estimate = (u * s_shrunk) @ vt
             residual = mask * (observed_filled - estimate)
-            dual = dual + self.step * residual
-            if np.linalg.norm(residual) / norm_observed < self.tolerance:
+            dual = dual + SVT_STEP * residual
+            if np.linalg.norm(residual) / norm_observed < SVT_TOLERANCE:
                 break
         completed = mask * observed_filled + (1.0 - mask) * estimate
         return np.maximum(completed, 0.0)
@@ -229,33 +210,16 @@ class NuclearNormCompleter(MatrixCompleter):
 
     name = "nuc"
 
-    def __init__(
-        self,
-        shrinkage: Optional[float] = None,
-        iterations: int = 300,
-        tolerance: float = 1e-6,
-    ) -> None:
-        if iterations < 1:
-            raise CompletionError("NuclearNormCompleter needs at least one iteration")
-        self.shrinkage = shrinkage
-        self.iterations = int(iterations)
-        self.tolerance = float(tolerance)
-
-    def complete(
-        self,
-        observed: np.ndarray,
-        mask: np.ndarray,
-        timeouts: Optional[np.ndarray] = None,
-    ) -> np.ndarray:
+    def complete(self, observed: np.ndarray, mask: np.ndarray) -> np.ndarray:
         self._validate(observed, mask)
         mask = np.asarray(mask, dtype=float)
         observed_filled = np.where(mask > 0, np.asarray(observed, dtype=float), 0.0)
-        # Default shrinkage: a small fraction of the top singular value, so
-        # the solution keeps most of the observed structure.
+        # Shrinkage: a small fraction of the top singular value, so the
+        # solution keeps most of the observed structure.
         top_singular = np.linalg.svd(observed_filled, compute_uv=False)[0]
-        lam = self.shrinkage if self.shrinkage is not None else 0.01 * top_singular
+        lam = 0.01 * top_singular
         estimate = np.zeros_like(observed_filled)
-        for _ in range(self.iterations):
+        for _ in range(SOFT_IMPUTE_ITERATIONS):
             filled = mask * observed_filled + (1.0 - mask) * estimate
             u, s, vt = np.linalg.svd(filled, full_matrices=False)
             s_shrunk = np.maximum(s - lam, 0.0)
@@ -264,7 +228,7 @@ class NuclearNormCompleter(MatrixCompleter):
                 np.linalg.norm(estimate) + 1e-12
             )
             estimate = new_estimate
-            if change < self.tolerance:
+            if change < SOFT_IMPUTE_TOLERANCE:
                 break
         completed = mask * observed_filled + (1.0 - mask) * estimate
         return np.maximum(completed, 0.0)

@@ -82,31 +82,27 @@ class ExplorationSimulator:
         Fully known ``n x k`` latency matrix (column 0 is the default hint).
     config:
         Exploration loop configuration shared by all runs.
-    warm_start_default:
-        When True (the paper's protocol) the default-hint column is revealed
-        before exploration starts and is *not* charged to the exploration
-        budget -- those executions happen anyway while serving the workload.
+
+    As in the paper's protocol, the default-hint column is revealed before
+    exploration starts and is *not* charged to the exploration budget --
+    those executions happen anyway while serving the workload.
     """
 
     def __init__(
         self,
         true_latencies: np.ndarray,
         config: Optional[ExplorationConfig] = None,
-        warm_start_default: bool = True,
-        default_hint: int = 0,
     ) -> None:
         self.true_latencies = np.asarray(true_latencies, dtype=float)
         if self.true_latencies.ndim != 2:
             raise ExplorationError("true latency matrix must be 2-D")
         self.config = config or ExplorationConfig()
-        self.warm_start_default = bool(warm_start_default)
-        self.default_hint = int(default_hint)
 
     # -- reference quantities ------------------------------------------------
     @property
     def default_latency(self) -> float:
         """Total workload latency under the default hint (Table 1 "Default")."""
-        return float(self.true_latencies[:, self.default_hint].sum())
+        return float(self.true_latencies[:, 0].sum())
 
     @property
     def optimal_latency(self) -> float:
@@ -118,12 +114,9 @@ class ExplorationSimulator:
         """A fresh workload matrix, warm-started with the default column."""
         n, k = self.true_latencies.shape
         matrix = WorkloadMatrix(n, k)
-        if self.warm_start_default:
-            queries = np.arange(n, dtype=np.int64)
-            hints = np.full(n, self.default_hint, dtype=np.int64)
-            matrix.observe_batch(
-                queries, hints, self.true_latencies[:, self.default_hint]
-            )
+        queries = np.arange(n, dtype=np.int64)
+        hints = np.zeros(n, dtype=np.int64)
+        matrix.observe_batch(queries, hints, self.true_latencies[:, 0])
         return matrix
 
     def run(

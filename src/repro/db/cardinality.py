@@ -37,23 +37,16 @@ class CardinalityEstimator:
     ----------
     catalog:
         Schema statistics.
-    error_growth:
-        Standard deviation (in natural-log space) of the optimizer's
-        estimation error *per join*; errors compound multiplicatively.
-    correlation_strength:
-        Spread of the hidden per-edge correlation factors in the true model.
+    seed:
+        Seed of the hidden per-subset correlation factors in the true model.
     """
 
     def __init__(
         self,
         catalog: Catalog,
-        error_growth: float = 0.6,
-        correlation_strength: float = 1.0,
         seed: int = 0,
     ) -> None:
         self.catalog = catalog
-        self.error_growth = float(error_growth)
-        self.correlation_strength = float(correlation_strength)
         self.seed = int(seed)
         self._true_cache: Dict[Tuple[str, FrozenSet[str]], float] = {}
         self._est_cache: Dict[Tuple[str, FrozenSet[str]], float] = {}
@@ -146,11 +139,9 @@ class CardinalityEstimator:
         spread grows mildly with the subset size, which makes the optimizer's
         errors compound with the number of joins.
         """
-        if self.correlation_strength <= 0:
-            return 1.0
         key = stable_seed(
             str(self.seed), query.name, ",".join(sorted(aliases)), "hidden"
         )
         rng = np.random.default_rng(key)
-        sigma = self.correlation_strength * (0.2 + 0.1 * len(aliases))
+        sigma = 0.2 + 0.1 * len(aliases)
         return float(np.exp(rng.normal(0.0, sigma)))

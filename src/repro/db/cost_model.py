@@ -43,11 +43,11 @@ class CostConstants:
 
 
 class CostModel:
-    """Per-operator cost formulas parameterised by :class:`CostConstants`."""
+    """Per-operator cost formulas over PostgreSQL's default :class:`CostConstants`."""
 
-    def __init__(self, catalog: Catalog, constants: Optional[CostConstants] = None) -> None:
+    def __init__(self, catalog: Catalog) -> None:
         self.catalog = catalog
-        self.constants = constants or CostConstants()
+        self.constants = CostConstants()
 
     # -- scans -----------------------------------------------------------
     def scan_cost(
@@ -134,8 +134,7 @@ class MachineProfile:
 class LatencyModel:
     """Maps a plan (with *true* costs) to simulated execution latency.
 
-    Latency is deterministic for a given (query, plan signature, run index)
-    so the paper's "median of five runs" protocol can be simulated exactly.
+    Latency is deterministic for a given (seed, query, plan signature).
     ETL-style queries receive a large write-bound component that no hint can
     remove (Section 5.1's ETL experiment).
     """
@@ -154,9 +153,7 @@ class LatencyModel:
         """Sum of per-node *true* costs annotated on the plan."""
         return sum(node.true_cost for node in plan.iter_nodes())
 
-    def latency_seconds(
-        self, query: Query, plan: PlanNode, run_index: int = 0
-    ) -> float:
+    def latency_seconds(self, query: Query, plan: PlanNode) -> float:
         """Simulated latency of executing ``plan`` for ``query``."""
         base_cost = self.true_plan_cost(plan)
         if base_cost <= 0:
@@ -171,21 +168,14 @@ class LatencyModel:
             # Write-bound tail: dominated by dumping the result to disk.
             result_rows = max(plan.true_rows, plan.estimated_rows, 1.0)
             seconds += 1e-4 * result_rows + 60.0
-        noise = self._noise(query, plan, run_index)
+        noise = self._noise(query, plan)
         return float(seconds * noise)
 
-    def median_latency(
-        self, query: Query, plan: PlanNode, runs: int = 5
-    ) -> float:
-        """Median of ``runs`` simulated executions (paper's protocol)."""
-        samples = [self.latency_seconds(query, plan, r) for r in range(runs)]
-        return float(np.median(samples))
-
-    def _noise(self, query: Query, plan: PlanNode, run_index: int) -> float:
+    def _noise(self, query: Query, plan: PlanNode) -> float:
         if self.profile.noise_sigma <= 0:
             return 1.0
-        key = stable_seed(
-            str(self.seed), query.name, repr(plan.signature()), str(run_index)
-        )
+        # The trailing "0" keys the first (and only) run, as every seeded
+        # workload has been drawn since the noise was introduced.
+        key = stable_seed(str(self.seed), query.name, repr(plan.signature()), "0")
         rng = np.random.default_rng(key)
         return float(np.exp(rng.normal(0.0, self.profile.noise_sigma)))

@@ -43,11 +43,8 @@ class ExecutionResult:
 class SimulatedExecutor:
     """Executes plans against the latency model, honouring timeouts."""
 
-    def __init__(self, latency_model: LatencyModel, runs_per_measurement: int = 1) -> None:
-        if runs_per_measurement < 1:
-            raise ExecutionError("runs_per_measurement must be >= 1")
+    def __init__(self, latency_model: LatencyModel) -> None:
         self.latency_model = latency_model
-        self.runs_per_measurement = int(runs_per_measurement)
 
     def execute(
         self, query: Query, plan: PlanNode, timeout: Optional[float] = None
@@ -55,12 +52,7 @@ class SimulatedExecutor:
         """Run ``plan`` and return its (possibly censored) measurement."""
         if timeout is not None and timeout <= 0:
             raise ExecutionError(f"timeout must be > 0, got {timeout}")
-        if self.runs_per_measurement == 1:
-            latency = self.latency_model.latency_seconds(query, plan)
-        else:
-            latency = self.latency_model.median_latency(
-                query, plan, runs=self.runs_per_measurement
-            )
+        latency = self.latency_model.latency_seconds(query, plan)
         if timeout is not None and latency >= timeout:
             return ExecutionResult(latency=latency, timed_out=True, charged_time=timeout)
         return ExecutionResult(latency=latency, timed_out=False, charged_time=latency)

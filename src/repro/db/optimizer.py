@@ -3,7 +3,7 @@
 The enumerator plays the role of PostgreSQL's planner: given a query and a
 hint set (which operators are allowed), it picks an access path per base
 relation and a join order/operator assignment minimising *estimated* cost.
-For up to ``dp_threshold`` relations it runs left-deep dynamic programming
+For up to :data:`DP_THRESHOLD` relations it runs left-deep dynamic programming
 over alias subsets (Selinger-style); larger queries fall back to a greedy
 heuristic, mirroring PostgreSQL's switch to GEQO.
 
@@ -24,6 +24,10 @@ from .hints import HintSet, default_hint_set
 from .operators import PlanNode, ScanOperator
 from .query import Query
 
+#: Largest query (in relations) planned by dynamic programming; larger ones
+#: are planned greedily.
+DP_THRESHOLD = 9
+
 
 class PlanEnumerator:
     """Hint-aware, cost-based query planner over the simulated catalog."""
@@ -33,12 +37,10 @@ class PlanEnumerator:
         catalog: Catalog,
         estimator: Optional[CardinalityEstimator] = None,
         cost_model: Optional[CostModel] = None,
-        dp_threshold: int = 9,
     ) -> None:
         self.catalog = catalog
         self.estimator = estimator or CardinalityEstimator(catalog)
         self.cost_model = cost_model or CostModel(catalog)
-        self.dp_threshold = int(dp_threshold)
 
     # -- public API ------------------------------------------------------
     def optimize(self, query: Query, hint_set: Optional[HintSet] = None) -> PlanNode:
@@ -50,16 +52,16 @@ class PlanEnumerator:
         }
         if query.num_relations == 1:
             plan = next(iter(scans.values()))
-        elif query.num_relations <= self.dp_threshold:
+        elif query.num_relations <= DP_THRESHOLD:
             plan = self._dynamic_programming(query, scans, hint_set)
         else:
             plan = self._greedy(query, scans, hint_set)
         self._annotate_truth(query, plan)
         return plan
 
-    def explain(self, query: Query, hint_set: Optional[HintSet] = None) -> str:
-        """EXPLAIN-style text for the chosen plan (convenience)."""
-        return self.optimize(query, hint_set).to_text()
+    def explain(self, query: Query) -> str:
+        """EXPLAIN-style text for the default plan (convenience)."""
+        return self.optimize(query).to_text()
 
     # -- scans -----------------------------------------------------------
     def _best_scan(self, query: Query, alias: str, hint_set: HintSet) -> PlanNode:

@@ -154,6 +154,12 @@ class Query:
         )
 
 
+#: Fewest relations one generated query joins.
+MIN_RELATIONS = 2
+#: Most filter predicates one generated query carries.
+MAX_PREDICATES = 3
+
+
 class QueryGenerator:
     """Samples reproducible join-graph queries from a catalog.
 
@@ -166,16 +172,14 @@ class QueryGenerator:
         self,
         catalog: Catalog,
         seed: int = 0,
-        min_relations: int = 2,
         max_relations: int = 8,
-        max_predicates: int = 3,
     ) -> None:
-        if min_relations < 1 or max_relations < min_relations:
-            raise QueryError("invalid relation-count range for QueryGenerator")
+        if max_relations < MIN_RELATIONS:
+            raise QueryError(
+                f"QueryGenerator needs max_relations >= {MIN_RELATIONS}, got {max_relations}"
+            )
         self.catalog = catalog
-        self.min_relations = min_relations
         self.max_relations = max_relations
-        self.max_predicates = max_predicates
         self._rng = np.random.default_rng(seed)
         if not catalog.foreign_keys():
             raise QueryError(
@@ -184,16 +188,16 @@ class QueryGenerator:
 
     def generate(self, name: str) -> Query:
         """Generate one connected join query."""
-        target = int(self._rng.integers(self.min_relations, self.max_relations + 1))
+        target = int(self._rng.integers(MIN_RELATIONS, self.max_relations + 1))
         tables = self._sample_connected_tables(target)
         relations = {f"t{i}": tbl for i, tbl in enumerate(tables)}
         joins = self._build_joins(relations)
         predicates = self._build_predicates(relations)
         return Query(name=name, relations=relations, joins=joins, predicates=predicates)
 
-    def generate_many(self, count: int, prefix: str = "q") -> List[Query]:
-        """Generate ``count`` queries named ``{prefix}{i}``."""
-        return [self.generate(f"{prefix}{i}") for i in range(count)]
+    def generate_many(self, count: int) -> List[Query]:
+        """Generate ``count`` queries named ``q0``, ``q1``, ..."""
+        return [self.generate(f"q{i}") for i in range(count)]
 
     # -- internals ------------------------------------------------------
     def _sample_connected_tables(self, target: int) -> List[str]:
@@ -245,7 +249,7 @@ class QueryGenerator:
 
     def _build_predicates(self, relations: Dict[str, str]) -> List[Predicate]:
         predicates: List[Predicate] = []
-        num = int(self._rng.integers(0, self.max_predicates + 1))
+        num = int(self._rng.integers(0, MAX_PREDICATES + 1))
         aliases = list(relations)
         for _ in range(num):
             alias = str(self._rng.choice(aliases))

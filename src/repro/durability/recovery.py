@@ -126,7 +126,6 @@ def recover_journal(
     directory: str,
     fs: Optional[FaultFS] = None,
     sync: str = "os",
-    clock=time.perf_counter,
 ) -> "tuple[ShardJournal, RecoveredState]":
     """Open ``directory``, replay it, and return (resumed journal, state).
 
@@ -135,7 +134,7 @@ def recover_journal(
     already repaired).  The caller attaches it to the rebuilt matrix so
     new mutations keep journaling seamlessly.
     """
-    started = clock()
+    started = time.perf_counter()
     journal = ShardJournal(directory, fs=fs, sync=sync)
     snapshot_lsn = 0
     matrix: Optional[WorkloadMatrix] = None
@@ -182,6 +181,6 @@ def recover_journal(
         replayed_records=len(live),
         skipped_records=len(records) - len(live),
         measured_records=measured,
-        elapsed_s=clock() - started,
+        elapsed_s=time.perf_counter() - started,
     )
     return journal, state

@@ -33,9 +33,7 @@ from ..scenarios.spec import ScenarioSpec
 PLATEAU_TICKS = 5
 
 
-def improvement_plateaus(
-    trace: ScenarioTrace, disturbance_tick: int, plateau: int = PLATEAU_TICKS
-) -> Dict[str, float]:
+def improvement_plateaus(trace: ScenarioTrace, disturbance_tick: int) -> Dict[str, float]:
     """Pre-disturbance and end-of-run improvement plateaus for one trace."""
     improvement = trace.improvement()
     if disturbance_tick < 1 or disturbance_tick >= improvement.size:
@@ -43,15 +41,12 @@ def improvement_plateaus(
             f"disturbance tick {disturbance_tick} outside trace of "
             f"{improvement.size} ticks"
         )
-    pre = improvement[max(0, disturbance_tick - plateau):disturbance_tick]
-    post = improvement[-plateau:]
+    pre = improvement[max(0, disturbance_tick - PLATEAU_TICKS):disturbance_tick]
+    post = improvement[-PLATEAU_TICKS:]
     return {"pre": float(pre.mean()), "post": float(post.mean())}
 
 
-def adaptive_vs_static_comparison(
-    spec: ScenarioSpec,
-    check_replay: bool = True,
-) -> Dict[str, float]:
+def adaptive_vs_static_comparison(spec: ScenarioSpec) -> Dict[str, float]:
     """Run one scenario static and adaptive; reduce to the acceptance metrics."""
     disturbance = spec.first_disturbance_tick()
     if disturbance is None:
@@ -65,12 +60,8 @@ def adaptive_vs_static_comparison(
 
     static_trace = build(adaptive=False).run()
     adaptive_trace = build(adaptive=True).run()
-    replay_identical = True
-    if check_replay:
-        replay_trace = build(adaptive=True).run()
-        replay_identical = (
-            adaptive_trace.decisions_blob() == replay_trace.decisions_blob()
-        )
+    replay_trace = build(adaptive=True).run()
+    replay_identical = adaptive_trace.decisions_blob() == replay_trace.decisions_blob()
 
     static_plateaus = improvement_plateaus(static_trace, disturbance)
     adaptive_plateaus = improvement_plateaus(adaptive_trace, disturbance)

@@ -22,7 +22,7 @@ thresholds, and writes ``BENCH_cluster.json``.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -33,12 +33,14 @@ from ..serving.service import ServingService
 from ..workloads.matrices import SyntheticWorkload
 from .serving import explored_matrix
 
+#: Timed sweeps per topology; the fastest is kept.
+TIMING_REPS = 3
+
 
 def populate_cluster(
     cluster: ServingCluster,
     tenant: str,
     matrix: WorkloadMatrix,
-    query_names=None,
 ) -> None:
     """Register a tenant for ``matrix``'s queries and feed its observations.
 
@@ -46,12 +48,7 @@ def populate_cluster(
     exactly the observed and censored state of ``matrix`` (verified by
     :meth:`ServingCluster.export_tenant_matrix` round-trips in the tests).
     """
-    names = (
-        list(query_names)
-        if query_names is not None
-        else [f"q{i}" for i in range(matrix.n_queries)]
-    )
-    cluster.add_tenant(tenant, names)
+    cluster.add_tenant(tenant, [f"q{i}" for i in range(matrix.n_queries)])
     rows, cols = np.nonzero(matrix.mask > 0)
     if rows.size:
         cluster.observe_batch(tenant, rows, cols, matrix.values[rows, cols])
@@ -67,14 +64,11 @@ def cluster_vs_single_comparison(
     batch_size: int = 16384,
     n_batches: int = 16,
     observed_fraction: float = 0.25,
-    regression_margin: float = 1.0,
     seed: int = 0,
-    matrix: Optional[WorkloadMatrix] = None,
-    timing_reps: int = 3,
 ) -> Dict[str, float]:
     """Serve one arrival stream through both topologies; compare everything.
 
-    Each timed sweep (single service, cluster) runs ``timing_reps`` times
+    Each timed sweep (single service, cluster) runs :data:`TIMING_REPS` times
     and the fastest wall is kept -- minimum-of-repetitions is the standard
     way to suppress scheduler noise when the measured quantity is
     deterministic work.  Decisions are identical across reps, so the
@@ -84,20 +78,11 @@ def cluster_vs_single_comparison(
     equivalence flag, single and in-process cluster throughputs, the
     failover outcome, and the cluster telemetry.
     """
-    if n_shards < 1 or batch_size < 1 or n_batches < 1 or timing_reps < 1:
-        raise ExperimentError(
-            "n_shards, batch_size, n_batches, timing_reps must be >= 1"
-        )
-    if matrix is None:
-        matrix = explored_matrix(
-            workload, observed_fraction=observed_fraction, seed=seed
-        )
+    if n_shards < 1 or batch_size < 1 or n_batches < 1:
+        raise ExperimentError("n_shards, batch_size, n_batches must be >= 1")
+    matrix = explored_matrix(workload, observed_fraction=observed_fraction, seed=seed)
     tenant = "tenant0"
-    cluster = ServingCluster(
-        n_shards=n_shards,
-        n_hints=matrix.n_hints,
-        regression_margin=regression_margin,
-    )
+    cluster = ServingCluster(n_shards=n_shards, n_hints=matrix.n_hints)
     populate_cluster(cluster, tenant, matrix)
 
     rng = np.random.default_rng(seed + 1)
@@ -105,10 +90,10 @@ def cluster_vs_single_comparison(
 
     # Single service over the union matrix: the PR 1 one-shard unit.  Busy
     # time is the service's own recorder (inside serve_batch).
-    single = ServingService(matrix.copy(), regression_margin=regression_margin)
+    single = ServingService(matrix.copy())
     single.serve_batch(arrivals[0])  # warm the snapshot outside the clock
     single_seconds = float("inf")
-    for _ in range(timing_reps):
+    for _ in range(TIMING_REPS):
         single.reset_stats()
         single_results = [single.serve_batch(batch) for batch in arrivals]
         single_seconds = min(single_seconds, single.stats().wall_seconds)
@@ -122,7 +107,7 @@ def cluster_vs_single_comparison(
     # warm sweep.
     cluster.serve_batch(tenant, arrivals[0])  # warm every shard snapshot
     cluster_seconds = float("inf")
-    for _ in range(timing_reps):
+    for _ in range(TIMING_REPS):
         for shard in cluster.shards.values():
             shard.recorder().reset()
         start = time.perf_counter()

@@ -11,7 +11,7 @@ asserts the decisions are identical cell-for-cell.
 from __future__ import annotations
 
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 import numpy as np
 
@@ -52,9 +52,7 @@ def serving_throughput_comparison(
     batch_size: int = 256,
     n_batches: int = 64,
     observed_fraction: float = 0.25,
-    regression_margin: float = 1.0,
     seed: int = 0,
-    matrix: Optional[WorkloadMatrix] = None,
 ) -> Dict[str, float]:
     """Serve the same arrival stream per-query and batched; compare.
 
@@ -64,15 +62,12 @@ def serving_throughput_comparison(
     """
     if batch_size < 1 or n_batches < 1:
         raise ExperimentError("batch_size and n_batches must be >= 1")
-    if matrix is None:
-        matrix = explored_matrix(
-            workload, observed_fraction=observed_fraction, seed=seed
-        )
+    matrix = explored_matrix(workload, observed_fraction=observed_fraction, seed=seed)
     rng = np.random.default_rng(seed + 1)
     arrivals = rng.integers(0, matrix.n_queries, size=(n_batches, batch_size))
 
     # Per-query loop: the seed repo's online path, one lookup per arrival.
-    scalar_cache = PlanCache(matrix, regression_margin=regression_margin)
+    scalar_cache = PlanCache(matrix)
     start = time.perf_counter()
     scalar_hints = [
         scalar_cache.lookup(int(q)).hint for batch in arrivals for q in batch
@@ -80,7 +75,7 @@ def serving_throughput_comparison(
     per_query_seconds = time.perf_counter() - start
 
     # Batched serving: vectorised decisions over precomputed arrays.
-    service = ServingService(matrix, regression_margin=regression_margin)
+    service = ServingService(matrix)
     batched_hints = np.empty(arrivals.size, dtype=np.int64)
     start = time.perf_counter()
     for i, batch in enumerate(arrivals):

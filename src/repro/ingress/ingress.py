@@ -526,9 +526,8 @@ class ClusterIngress(_BaseIngress):
         cluster: ServingCluster,
         config: Optional[IngressConfig] = None,
         controller=None,
-        clock=time.monotonic,
     ) -> None:
-        super().__init__(cluster.telemetry, config, clock)
+        super().__init__(cluster.telemetry, config, time.monotonic)
         self.cluster = cluster
         self._directories = cluster.directories
         self.controller = controller

@@ -466,22 +466,14 @@ class TCNNTrainer:
             )
         return query_idx, hint_idx
 
-    def predict_cells(
-        self, cells: Sequence[Tuple[int, int]], batch_size: Optional[int] = None
-    ) -> np.ndarray:
+    def predict_cells(self, cells: Sequence[Tuple[int, int]]) -> np.ndarray:
         """Predicted latencies (seconds) for specific matrix cells.
 
         ``cells`` is a sequence of ``(query, hint)`` pairs or an ``(m, 2)``
-        integer array; ``batch_size``, cells per forward, a positive ``int``.
+        integer array; one forward takes at most ``max(config.batch_size,
+        64)`` of them.
         """
-        if batch_size is None:
-            batch_size = max(self.config.batch_size, 64)
-        elif (
-            isinstance(batch_size, bool)
-            or not isinstance(batch_size, (int, np.integer))
-            or batch_size < 1
-        ):
-            raise NeuralNetworkError(f"batch_size must be a positive integer, got {batch_size!r}")
+        batch_size = max(self.config.batch_size, 64)
         try:
             cells = np.asarray(cells)
         except ValueError as exc:  # ragged rows

@@ -111,10 +111,9 @@ class PerfHarness:
         name: str,
         run: Callable[[Any], Optional[Dict[str, Any]]],
         setup: Optional[Callable[[], Any]] = None,
-        repeats: int = 3,
     ) -> PerfCase:
         """Convenience wrapper around :meth:`register`."""
-        return self.register(PerfCase(name=name, run=run, setup=setup, repeats=repeats))
+        return self.register(PerfCase(name=name, run=run, setup=setup))
 
     def run(self, names: Optional[List[str]] = None) -> Dict[str, PerfResult]:
         """Measure the selected (default: all) cases in registration order."""
@@ -128,13 +127,13 @@ class PerfHarness:
         return {case.name: case.measure() for case in selected}
 
 
-def calibration_seconds(repeats: int = 3) -> float:
+def calibration_seconds() -> float:
     """Time a fixed numpy workload as a machine-speed yardstick.
 
     The workload (dense matmul + solve + fancy-indexed scatter on fixed
     shapes) exercises the same primitive mix as the library's hot paths,
     so ``case_seconds / calibration_seconds`` is roughly machine-
-    independent.  Best-of-``repeats`` to shed scheduler noise.
+    independent.  Best of three, to shed scheduler noise.
     """
     rng = np.random.default_rng(0)
     a = rng.random((240, 240))
@@ -143,7 +142,7 @@ def calibration_seconds(repeats: int = 3) -> float:
     cols = rng.integers(0, 240, size=4000)
     vals = rng.random(4000)
     timings = []
-    for _ in range(repeats):
+    for _ in range(3):
         start = time.perf_counter()
         for _ in range(8):
             c = a @ b

@@ -189,6 +189,10 @@ class PlanFeatureStore(_FullBatchCacheMixin):
         return len(self.queries) - 1
 
 
+#: Operator nodes in each synthetic plan tree.
+NODES_PER_PLAN = 7
+
+
 class SyntheticPlanFeatureStore(_FullBatchCacheMixin):
     """Derives pseudo-plan features from latent workload factors.
 
@@ -198,7 +202,8 @@ class SyntheticPlanFeatureStore(_FullBatchCacheMixin):
     small deterministic binary tree whose node features are noisy functions
     of the latent factors, so a tree convolution can genuinely learn to
     predict latency from "plan features" -- the property that makes LimeQO+
-    converge faster than the linear method in the paper.
+    converge faster than the linear method in the paper.  Every tree has
+    :data:`NODES_PER_PLAN` operator nodes.
     """
 
     def __init__(
@@ -206,7 +211,6 @@ class SyntheticPlanFeatureStore(_FullBatchCacheMixin):
         query_factors: np.ndarray,
         hint_factors: np.ndarray,
         noise: float = 0.05,
-        nodes_per_plan: int = 7,
         seed: int = 0,
     ) -> None:
         self.query_factors = np.asarray(query_factors, dtype=float)
@@ -215,10 +219,7 @@ class SyntheticPlanFeatureStore(_FullBatchCacheMixin):
             raise PlanError("latent factors must be 2-D arrays")
         if self.query_factors.shape[1] != self.hint_factors.shape[1]:
             raise PlanError("query and hint factors must share the latent dimension")
-        if nodes_per_plan < 1:
-            raise PlanError("nodes_per_plan must be >= 1")
         self.noise = float(noise)
-        self.nodes_per_plan = int(nodes_per_plan)
         self.seed = int(seed)
         self._cache: Dict[Tuple[int, int], Tree] = {}
 
@@ -242,7 +243,7 @@ class SyntheticPlanFeatureStore(_FullBatchCacheMixin):
         rng = np.random.default_rng(
             (self.seed * 1_000_003 + query * 49_999 + hint * 101) % (2 ** 32)
         )
-        count = self.nodes_per_plan + 1  # +1 null node
+        count = NODES_PER_PLAN + 1  # +1 null node
         nodes = np.zeros((count, NODE_FEATURE_DIM), dtype=float)
         left = np.zeros(count, dtype=np.int64)
         right = np.zeros(count, dtype=np.int64)
@@ -267,5 +268,5 @@ class SyntheticPlanFeatureStore(_FullBatchCacheMixin):
         a second copy of what the pack holds (7 MB beside 8.5 MB at JOB size).
         """
         return pack_trees(
-            (self._derive(q, h) for q, h in cells), len(cells), self.nodes_per_plan + 1
+            (self._derive(q, h) for q, h in cells), len(cells), NODES_PER_PLAN + 1
         )

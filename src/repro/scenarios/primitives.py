@@ -24,8 +24,9 @@ ROADMAP's scenario-diversity goal asks for:
 * :func:`restart_during_flash_crowd` -- a crashed shard rejoins in the
   middle of a 4x burst.
 
-All builders are pure: same arguments, same spec -- replay determinism
-starts here.  :func:`standard_scenarios` is the whole library by name;
+All builders are pure: same seed, same spec -- replay determinism starts
+here.  Each story has one size; ``tests/builders.py::shrunk`` gives tests a
+smaller copy.  :func:`standard_scenarios` is the whole library by name;
 :func:`drift_benchmark_scenarios` is the six-scenario subset the
 ``benchmarks/test_adaptive_drift.py`` acceptance gate runs on a one-shard
 cluster.
@@ -37,13 +38,11 @@ from typing import Dict
 
 from .spec import ScenarioEvent, ScenarioPhase, ScenarioSpec, TenantSpec
 
+#: Hint-set width of every tenant in the library.
+N_HINTS = 12
 
-def sudden_workload_shift(
-    seed: int = 0,
-    n_queries: int = 120,
-    n_hints: int = 12,
-    batch_size: int = 128,
-) -> ScenarioSpec:
+
+def sudden_workload_shift(seed: int = 0) -> ScenarioSpec:
     """Figure 9: 70% of the workload is known, the other 30% arrives at once."""
     return ScenarioSpec(
         name="sudden_workload_shift",
@@ -51,14 +50,14 @@ def sudden_workload_shift(
         tenants=(
             TenantSpec(
                 name="web",
-                n_queries=n_queries,
-                n_hints=n_hints,
+                n_queries=120,
+                n_hints=N_HINTS,
                 initial_fraction=0.7,
             ),
         ),
         phases=(
-            ScenarioPhase(name="steady", ticks=12, batch_size=batch_size),
-            ScenarioPhase(name="shifted", ticks=20, batch_size=batch_size),
+            ScenarioPhase(name="steady", ticks=12, batch_size=128),
+            ScenarioPhase(name="shifted", ticks=20, batch_size=128),
         ),
         events=(
             ScenarioEvent(tick=12, action="activate_rest", tenant="web"),
@@ -66,41 +65,31 @@ def sudden_workload_shift(
     )
 
 
-def gradual_data_drift(
-    seed: int = 0,
-    n_queries: int = 120,
-    n_hints: int = 12,
-    batch_size: int = 128,
-) -> ScenarioSpec:
+def gradual_data_drift(seed: int = 0) -> ScenarioSpec:
     """Figure 10: a little of the data ages every tick, compounding."""
     return ScenarioSpec(
         name="gradual_data_drift",
         seed=seed,
         tenants=(
-            TenantSpec(name="analytics", n_queries=n_queries, n_hints=n_hints),
+            TenantSpec(name="analytics", n_queries=120, n_hints=N_HINTS),
         ),
         phases=(
-            ScenarioPhase(name="steady", ticks=10, batch_size=batch_size),
+            ScenarioPhase(name="steady", ticks=10, batch_size=128),
             ScenarioPhase(
                 name="aging",
                 ticks=12,
-                batch_size=batch_size,
+                batch_size=128,
                 drift_per_tick={"changed_fraction": 0.04, "growth_factor": 1.008},
             ),
-            ScenarioPhase(name="settled", ticks=12, batch_size=batch_size),
+            ScenarioPhase(name="settled", ticks=12, batch_size=128),
         ),
     )
 
 
-def diurnal_tenant_mix(
-    seed: int = 0,
-    n_queries: int = 60,
-    n_hints: int = 12,
-    batch_size: int = 128,
-) -> ScenarioSpec:
+def diurnal_tenant_mix(seed: int = 0) -> ScenarioSpec:
     """Three tenants on a day/night cycle; one drifts mid-cycle."""
     tenants = tuple(
-        TenantSpec(name=name, n_queries=n_queries, n_hints=n_hints, seed=i)
+        TenantSpec(name=name, n_queries=60, n_hints=N_HINTS, seed=i)
         for i, name in enumerate(("morning", "midday", "evening"))
     )
     return ScenarioSpec(
@@ -111,7 +100,7 @@ def diurnal_tenant_mix(
             ScenarioPhase(
                 name="cycling",
                 ticks=32,
-                batch_size=batch_size,
+                batch_size=128,
                 diurnal_period=8,
                 diurnal_amplitude=0.8,
             ),
@@ -127,28 +116,23 @@ def diurnal_tenant_mix(
     )
 
 
-def flash_crowd(
-    seed: int = 0,
-    n_queries: int = 120,
-    n_hints: int = 12,
-    batch_size: int = 96,
-) -> ScenarioSpec:
+def flash_crowd(seed: int = 0) -> ScenarioSpec:
     """A 4x arrival burst lands exactly when the data shifts under it."""
     return ScenarioSpec(
         name="flash_crowd",
         seed=seed,
         tenants=(
-            TenantSpec(name="storefront", n_queries=n_queries, n_hints=n_hints),
+            TenantSpec(name="storefront", n_queries=120, n_hints=N_HINTS),
         ),
         phases=(
-            ScenarioPhase(name="calm", ticks=10, batch_size=batch_size),
+            ScenarioPhase(name="calm", ticks=10, batch_size=96),
             ScenarioPhase(
                 name="burst",
                 ticks=8,
-                batch_size=batch_size,
+                batch_size=96,
                 burst_multiplier=4.0,
             ),
-            ScenarioPhase(name="after", ticks=14, batch_size=batch_size),
+            ScenarioPhase(name="after", ticks=14, batch_size=96),
         ),
         events=(
             ScenarioEvent(
@@ -161,23 +145,18 @@ def flash_crowd(
     )
 
 
-def new_template_stream(
-    seed: int = 0,
-    n_queries: int = 120,
-    n_hints: int = 12,
-    batch_size: int = 128,
-) -> ScenarioSpec:
+def new_template_stream(seed: int = 0) -> ScenarioSpec:
     """Unseen query templates keep arriving in waves."""
     return ScenarioSpec(
         name="new_template_stream",
         seed=seed,
         tenants=(
-            TenantSpec(name="reports", n_queries=n_queries, n_hints=n_hints),
+            TenantSpec(name="reports", n_queries=120, n_hints=N_HINTS),
         ),
         phases=(
-            ScenarioPhase(name="steady", ticks=10, batch_size=batch_size),
-            ScenarioPhase(name="stream", ticks=14, batch_size=batch_size),
-            ScenarioPhase(name="settled", ticks=8, batch_size=batch_size),
+            ScenarioPhase(name="steady", ticks=10, batch_size=128),
+            ScenarioPhase(name="stream", ticks=14, batch_size=128),
+            ScenarioPhase(name="settled", ticks=8, batch_size=128),
         ),
         events=tuple(
             ScenarioEvent(
@@ -191,22 +170,17 @@ def new_template_stream(
     )
 
 
-def etl_flood(
-    seed: int = 0,
-    n_queries: int = 120,
-    n_hints: int = 12,
-    batch_size: int = 128,
-) -> ScenarioSpec:
+def etl_flood(seed: int = 0) -> ScenarioSpec:
     """Figure 8 meets Figure 11: an ETL flood masks a concurrent data shift."""
     return ScenarioSpec(
         name="etl_flood",
         seed=seed,
         tenants=(
-            TenantSpec(name="warehouse", n_queries=n_queries, n_hints=n_hints),
+            TenantSpec(name="warehouse", n_queries=120, n_hints=N_HINTS),
         ),
         phases=(
-            ScenarioPhase(name="steady", ticks=10, batch_size=batch_size),
-            ScenarioPhase(name="flooded", ticks=22, batch_size=batch_size),
+            ScenarioPhase(name="steady", ticks=10, batch_size=128),
+            ScenarioPhase(name="flooded", ticks=22, batch_size=128),
         ),
         events=(
             ScenarioEvent(
@@ -225,31 +199,26 @@ def etl_flood(
     )
 
 
-def tenant_churn(
-    seed: int = 0,
-    n_queries: int = 80,
-    n_hints: int = 12,
-    batch_size: int = 128,
-) -> ScenarioSpec:
+def tenant_churn(seed: int = 0) -> ScenarioSpec:
     """Cluster churn: a cold tenant joins, a shard is added live, data
     drifts, and an original tenant leaves -- all in one run."""
     return ScenarioSpec(
         name="tenant_churn",
         seed=seed,
         tenants=(
-            TenantSpec(name="alpha", n_queries=n_queries, n_hints=n_hints, seed=0),
-            TenantSpec(name="beta", n_queries=n_queries, n_hints=n_hints, seed=1),
+            TenantSpec(name="alpha", n_queries=80, n_hints=N_HINTS, seed=0),
+            TenantSpec(name="beta", n_queries=80, n_hints=N_HINTS, seed=1),
         ),
         phases=(
-            ScenarioPhase(name="duo", ticks=10, batch_size=batch_size),
-            ScenarioPhase(name="churning", ticks=24, batch_size=batch_size),
+            ScenarioPhase(name="duo", ticks=10, batch_size=128),
+            ScenarioPhase(name="churning", ticks=24, batch_size=128),
         ),
         events=(
             ScenarioEvent(
                 tick=10,
                 action="tenant_join",
                 tenant_spec=TenantSpec(
-                    name="gamma", n_queries=n_queries, n_hints=n_hints, seed=2
+                    name="gamma", n_queries=80, n_hints=N_HINTS, seed=2
                 ),
             ),
             ScenarioEvent(tick=10, action="add_shard"),
@@ -264,13 +233,7 @@ def tenant_churn(
     )
 
 
-def kill_shard_mid_drift(
-    seed: int = 0,
-    n_queries: int = 80,
-    n_hints: int = 12,
-    batch_size: int = 128,
-    shard: int = 0,
-) -> ScenarioSpec:
+def kill_shard_mid_drift(seed: int = 0) -> ScenarioSpec:
     """Chaos: a shard process dies in the middle of a gradual drift and
     rejoins from its journal several ticks later.
 
@@ -282,36 +245,30 @@ def kill_shard_mid_drift(
         name="kill_shard_mid_drift",
         seed=seed,
         tenants=(
-            TenantSpec(name="ledger", n_queries=n_queries, n_hints=n_hints),
+            TenantSpec(name="ledger", n_queries=80, n_hints=N_HINTS),
         ),
         phases=(
-            ScenarioPhase(name="steady", ticks=8, batch_size=batch_size),
+            ScenarioPhase(name="steady", ticks=8, batch_size=128),
             ScenarioPhase(
                 name="aging",
                 ticks=14,
-                batch_size=batch_size,
+                batch_size=128,
                 drift_per_tick={"changed_fraction": 0.05, "growth_factor": 1.01},
             ),
-            ScenarioPhase(name="settled", ticks=10, batch_size=batch_size),
+            ScenarioPhase(name="settled", ticks=10, batch_size=128),
         ),
         events=(
             ScenarioEvent(
-                tick=12, action="kill_shard", params={"shard": shard}
+                tick=12, action="kill_shard", params={"shard": 0}
             ),
             ScenarioEvent(
-                tick=17, action="restart_shard", params={"shard": shard}
+                tick=17, action="restart_shard", params={"shard": 0}
             ),
         ),
     )
 
 
-def restart_during_flash_crowd(
-    seed: int = 0,
-    n_queries: int = 120,
-    n_hints: int = 12,
-    batch_size: int = 96,
-    shard: int = 0,
-) -> ScenarioSpec:
+def restart_during_flash_crowd(seed: int = 0) -> ScenarioSpec:
     """Chaos: a shard lost before a flash crowd rejoins mid-burst.
 
     The 4x burst lands while the cluster is degraded, so the recovered
@@ -322,21 +279,21 @@ def restart_during_flash_crowd(
         name="restart_during_flash_crowd",
         seed=seed,
         tenants=(
-            TenantSpec(name="checkout", n_queries=n_queries, n_hints=n_hints),
+            TenantSpec(name="checkout", n_queries=120, n_hints=N_HINTS),
         ),
         phases=(
-            ScenarioPhase(name="calm", ticks=10, batch_size=batch_size),
+            ScenarioPhase(name="calm", ticks=10, batch_size=96),
             ScenarioPhase(
                 name="burst",
                 ticks=8,
-                batch_size=batch_size,
+                batch_size=96,
                 burst_multiplier=4.0,
             ),
-            ScenarioPhase(name="after", ticks=12, batch_size=batch_size),
+            ScenarioPhase(name="after", ticks=12, batch_size=96),
         ),
         events=(
             ScenarioEvent(
-                tick=8, action="kill_shard", params={"shard": shard}
+                tick=8, action="kill_shard", params={"shard": 0}
             ),
             ScenarioEvent(
                 tick=10,
@@ -345,7 +302,7 @@ def restart_during_flash_crowd(
                 params={"changed_fraction": 0.25, "growth_factor": 1.12},
             ),
             ScenarioEvent(
-                tick=13, action="restart_shard", params={"shard": shard}
+                tick=13, action="restart_shard", params={"shard": 0}
             ),
         ),
     )

@@ -24,7 +24,7 @@ write and read these cells and keep no totals of their own.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Sequence, Tuple
 
 from ..config import DEFAULT_BUCKETS
 from ..errors import TelemetryError
@@ -94,7 +94,7 @@ class Histogram:
 
     __slots__ = ("bounds", "counts", "total", "count")
 
-    def __init__(self, bounds: Sequence[float] = DEFAULT_BUCKETS) -> None:
+    def __init__(self, bounds: Sequence[float]) -> None:
         bounds = tuple(float(b) for b in bounds)
         if not bounds or list(bounds) != sorted(set(bounds)):
             raise TelemetryError(
@@ -174,21 +174,19 @@ class MetricFamily:
         kind: str,
         label_names: Tuple[str, ...],
         overflow_counter: Counter,
-        bounds: Optional[Sequence[float]] = None,
     ) -> None:
         self.name = name
         self.help = help_text
         self.kind = kind
         self.label_names = label_names
         self._overflow = overflow_counter
-        self._bounds = tuple(bounds) if bounds is not None else None
         self._children: Dict[Tuple[str, ...], Any] = {}
         if not label_names:
             self._children[()] = self._make_child()
 
     def _make_child(self):
         if self.kind == "histogram":
-            return Histogram(self._bounds or DEFAULT_BUCKETS)
+            return Histogram(DEFAULT_BUCKETS)
         return _KINDS[self.kind]()
 
     def labels(self, *values) -> Any:
@@ -259,7 +257,6 @@ class MetricsRegistry:
         help_text: str,
         kind: str,
         labels: Sequence[str],
-        bounds: Optional[Sequence[float]] = None,
     ) -> MetricFamily:
         if not name or not name.replace("_", "").replace(":", "").isalnum():
             raise TelemetryError(f"invalid metric name {name!r}")
@@ -278,7 +275,6 @@ class MetricsRegistry:
             kind,
             labels,
             self.label_overflows,
-            bounds=bounds,
         )
         self._families[name] = family
         return family
@@ -300,10 +296,9 @@ class MetricsRegistry:
         name: str,
         help_text: str = "",
         labels: Sequence[str] = (),
-        bounds: Sequence[float] = DEFAULT_BUCKETS,
     ) -> MetricFamily:
-        """Register (or fetch) a fixed-bucket histogram family."""
-        return self._register(name, help_text, "histogram", labels, bounds=bounds)
+        """Register (or fetch) a histogram family over :data:`DEFAULT_BUCKETS`."""
+        return self._register(name, help_text, "histogram", labels)
 
     # -- lookup -------------------------------------------------------------
     def get(self, name: str) -> MetricFamily:

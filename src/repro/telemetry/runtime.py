@@ -159,9 +159,9 @@ class Telemetry:
         return view
 
     # -- pre-wired metric bundles ------------------------------------------
-    def serving_metrics(self, shard: str = "") -> "ServingMetrics":
-        """The well-known serving counters, resolved for one shard label."""
-        return ServingMetrics(self.registry, shard or self.shard_label)
+    def serving_metrics(self) -> "ServingMetrics":
+        """The well-known serving counters, resolved for this view's shard label."""
+        return ServingMetrics(self.registry, self.shard_label)
 
     # -- export -------------------------------------------------------------
     def expose_text(self) -> str:

@@ -2,8 +2,8 @@
 
 :func:`collect_snapshot` pools whatever parts of the stack the caller
 hands it -- registry state, :class:`~repro.serving.stats.ServingStats`
-or :class:`~repro.cluster.stats.ClusterStats`, drift-detector signal
-counts, refresh-scheduler counts, WAL segment/LSN/checkpoint state,
+or :class:`~repro.cluster.stats.ClusterStats`, ingress queue stats,
+refresh-scheduler counts, WAL segment/LSN/checkpoint state,
 and circuit-breaker health -- into a single JSON-ready dict.  It is the
 "health endpoint" of the library: examples print it, the chaos and load
 benchmarks dump it as ``TELEMETRY_*.json`` CI artifacts
@@ -35,8 +35,8 @@ class TelemetrySnapshot:
     def as_dict(self) -> Dict[str, Any]:
         return self.payload
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.payload, indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.payload, indent=2, sort_keys=True)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         keys = ", ".join(sorted(self.payload))
@@ -48,15 +48,13 @@ def collect_snapshot(
     service: Any = None,
     cluster: Any = None,
     ingress: Any = None,
-    controller: Any = None,
-    extra: Optional[Dict[str, Any]] = None,
 ) -> TelemetrySnapshot:
     """Pool the observable state of whatever components are provided.
 
     Every argument is optional and duck-typed: pass a
     :class:`~repro.serving.service.ServingService`, a
-    :class:`~repro.cluster.cluster.ServingCluster`, an ingress, an
-    adaptation controller, or any subset.  Sections for absent
+    :class:`~repro.cluster.cluster.ServingCluster`, an ingress, or any
+    subset.  Sections for absent
     components are simply omitted.
     """
     payload: Dict[str, Any] = {"schema_version": SNAPSHOT_SCHEMA_VERSION}
@@ -83,14 +81,6 @@ def collect_snapshot(
     if ingress is not None:
         payload["ingress"] = ingress.stats().as_dict()
 
-    if controller is not None:
-        payload["adaptive"] = controller.report().as_dict()
-        detector = getattr(controller, "detector", None)
-        if detector is not None:
-            payload["drift"] = _drift_section(detector)
-
-    if extra:
-        payload["extra"] = dict(extra)
     return TelemetrySnapshot(payload)
 
 
@@ -153,23 +143,3 @@ def _scheduler_section(scheduler: Any) -> Dict[str, Any]:
         "skipped_down": int(scheduler.skipped_down),
     }
 
-
-def _drift_section(detector: Any) -> Dict[str, Any]:
-    statuses = detector.statuses()
-    return {
-        "keys": len(statuses),
-        "drift_triggered": sum(1 for s in statuses if s.drift_triggered),
-        "unseen_triggered": sum(1 for s in statuses if s.unseen_triggered),
-        "signals": [
-            {
-                "key": s.key,
-                "samples": int(s.samples),
-                "drift_score": float(s.drift_score),
-                "unseen_rate": float(s.unseen_rate),
-                "new_row_fraction": float(s.new_row_fraction),
-                "drift_triggered": bool(s.drift_triggered),
-                "unseen_triggered": bool(s.unseen_triggered),
-            }
-            for s in statuses
-        ],
-    }

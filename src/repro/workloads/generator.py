@@ -10,7 +10,7 @@ large benchmark matrices use :mod:`repro.workloads.matrices` instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
@@ -24,6 +24,9 @@ from ..db.optimizer import PlanEnumerator
 from ..db.query import Query, QueryGenerator
 from ..errors import WorkloadError
 from ..plans.featurize import PlanFeatureStore, PlanFeaturizer
+
+#: Run-to-run log-normal noise of the simulated DBMS's latencies.
+NOISE_SIGMA = 0.05
 
 
 @dataclass
@@ -74,10 +77,7 @@ def build_database_workload(
     n_queries: int = 30,
     n_hints: Optional[int] = None,
     seed: int = 0,
-    min_relations: int = 2,
     max_relations: int = 6,
-    noise_sigma: float = 0.05,
-    hint_sets: Optional[Sequence[HintSet]] = None,
 ) -> DatabaseWorkload:
     """Build a workload end-to-end on the DB substrate.
 
@@ -98,20 +98,16 @@ def build_database_workload(
     cost_model = CostModel(catalog)
     enumerator = PlanEnumerator(catalog, estimator, cost_model)
     latency_model = LatencyModel(
-        cost_model, MachineProfile(noise_sigma=noise_sigma), seed=seed
+        cost_model, MachineProfile(noise_sigma=NOISE_SIGMA), seed=seed
     )
     executor = HintedExecutor(enumerator, SimulatedExecutor(latency_model))
 
-    generator = QueryGenerator(
-        catalog, seed=seed, min_relations=min_relations, max_relations=max_relations
-    )
+    generator = QueryGenerator(catalog, seed=seed, max_relations=max_relations)
     queries = generator.generate_many(n_queries)
 
-    if hint_sets is None:
-        hint_sets = all_hint_sets()
-        if n_hints is not None:
-            hint_sets = hint_sets[:n_hints]
-    hint_sets = list(hint_sets)
+    hint_sets = all_hint_sets()
+    if n_hints is not None:
+        hint_sets = hint_sets[:n_hints]
     if len(hint_sets) < 2:
         raise WorkloadError("need at least two hint sets")
 

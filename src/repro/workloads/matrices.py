@@ -19,7 +19,6 @@ already optimal for them, which is what defeats the Greedy baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -160,33 +159,18 @@ def _calibrate_headroom(matrix: np.ndarray, target_optimal: float) -> np.ndarray
     return ratios
 
 
-def generate_workload(
-    spec: WorkloadSpec,
-    seed: int = 0,
-    noise_sigma: float = 0.08,
-    incompressible_fraction: float = 0.12,
-    rank: Optional[int] = None,
-) -> SyntheticWorkload:
-    """Generate a calibrated synthetic workload for ``spec``.
+#: Multiplicative log-normal noise applied on top of the low-rank structure
+#: (keeps the matrix *approximately* low rank, as observed).
+NOISE_SIGMA = 0.08
+#: Fraction of queries for which the default hint is already optimal
+#: (ETL-style / write-bound queries).
+INCOMPRESSIBLE_FRACTION = 0.12
 
-    Parameters
-    ----------
-    spec:
-        Target shape and Default/Optimal totals.
-    seed:
-        Reproducibility seed.
-    noise_sigma:
-        Multiplicative log-normal noise applied on top of the low-rank
-        structure (keeps the matrix *approximately* low rank, as observed).
-    incompressible_fraction:
-        Fraction of queries for which the default hint is already optimal
-        (ETL-style / write-bound queries).
-    rank:
-        Latent rank; defaults to ``spec.rank``.
-    """
-    if not 0.0 <= incompressible_fraction < 1.0:
-        raise WorkloadError("incompressible_fraction must be in [0, 1)")
-    rank = rank or spec.rank
+
+def generate_workload(spec: WorkloadSpec, seed: int = 0) -> SyntheticWorkload:
+    """Generate a calibrated synthetic workload for ``spec`` (latent rank
+    ``spec.rank``), reproducible from ``seed``."""
+    rank = spec.rank
     rng = np.random.default_rng(seed)
     n, k = spec.n_queries, spec.n_hints
 
@@ -219,13 +203,13 @@ def generate_workload(
     # Every n x k step below runs in place: the same ufuncs in the same
     # order as the out-of-place expressions, without their temporaries.
     matrix = query_factors @ hint_factors.T
-    noise = rng.lognormal(mean=0.0, sigma=noise_sigma, size=matrix.shape)
+    noise = rng.lognormal(mean=0.0, sigma=NOISE_SIGMA, size=matrix.shape)
     matrix *= noise
     matrix += 1e-3
     del noise
 
     # Incompressible queries: force the default column to be their minimum.
-    n_incompressible = int(round(incompressible_fraction * n))
+    n_incompressible = int(round(INCOMPRESSIBLE_FRACTION * n))
     if n_incompressible:
         rows = rng.choice(n, size=n_incompressible, replace=False)
         row_min = matrix[rows].min(axis=1)

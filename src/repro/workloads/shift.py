@@ -22,6 +22,9 @@ from ..errors import WorkloadError
 from .matrices import SyntheticWorkload
 from .spec import WorkloadSpec
 
+#: Relative spread of an ETL query's latency across hints (Figure 8).
+ETL_JITTER = 0.01
+
 
 def etl_latency_rows(
     n_hints: int,
@@ -52,23 +55,20 @@ def etl_latency_rows(
 def add_etl_query(
     workload: SyntheticWorkload,
     latency: float = 576.5,
-    jitter: float = 0.01,
     seed: int = 0,
-    count: int = 1,
 ) -> SyntheticWorkload:
-    """Append ``count`` ETL-style queries that no hint can speed up (§5.1).
+    """Append one ETL-style query that no hint can speed up (§5.1).
 
     The paper adds a 576.5 s COPY-style query to the Stack workload; Greedy
     keeps re-exploring it because it is the longest-running query, while
-    LimeQO's predictive model learns its row has no headroom.  ``count > 1``
-    appends a whole ETL flood in one vectorised block.
+    LimeQO's predictive model learns its row has no headroom.
     """
     rng = np.random.default_rng(seed)
-    rows = etl_latency_rows(workload.n_hints, latency, jitter, rng, count=count)
+    rows = etl_latency_rows(workload.n_hints, latency, ETL_JITTER, rng)
     new_latencies = np.vstack([workload.true_latencies, rows])
 
     etl_factors = np.full(
-        (count, workload.query_factors.shape[1]),
+        (1, workload.query_factors.shape[1]),
         np.sqrt(latency / workload.query_factors.shape[1]),
     )
     new_query_factors = np.vstack([workload.query_factors, etl_factors])
@@ -77,7 +77,7 @@ def add_etl_query(
     spec = replace(
         workload.spec,
         name=f"{workload.spec.name}+etl",
-        n_queries=workload.n_queries + count,
+        n_queries=workload.n_queries + 1,
         default_total=float(new_latencies[:, 0].sum()),
         optimal_total=float(new_latencies.min(axis=1).sum()),
     )

@@ -215,8 +215,8 @@ class _Side:
     def feed(self, rows, truth):
         decisions = self.service.serve_batch(rows)
         measured = truth[decisions.queries, decisions.hints]
-        self.detector.record(
-            decisions.queries, decisions.expected_latency, measured, key=KEY
+        self.detector.window(KEY).record(
+            decisions.queries, decisions.expected_latency, measured
         )
         self.detector.note_row_count(self.service.matrix.n_queries, key=KEY)
 

@@ -11,7 +11,7 @@ from repro.db.query import QueryGenerator
 def setup():
     catalog = make_catalog("toy", seed=0)
     estimator = CardinalityEstimator(catalog, seed=0)
-    queries = QueryGenerator(catalog, seed=2, min_relations=2, max_relations=4).generate_many(8)
+    queries = QueryGenerator(catalog, seed=2, max_relations=4).generate_many(8)
     return catalog, estimator, queries
 
 
@@ -64,14 +64,6 @@ def test_estimation_error_compounds_with_joins(setup):
         errors.append(abs(1.0 - estimation_error(estimator, query, full)))
     assert errors, "need at least one 3-way join query in the fixture"
     assert max(errors) > 0.01
-
-
-def test_correlation_strength_zero_removes_hidden_factors(setup):
-    catalog, _, queries = setup
-    estimator = CardinalityEstimator(catalog, correlation_strength=0.0, seed=0)
-    query = queries[0]
-    full = frozenset(query.aliases)
-    assert estimation_error(estimator, query, full) == pytest.approx(1.0)
 
 
 def test_subset_rows_cached(setup):

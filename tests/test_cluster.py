@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import router_over
 from repro.cluster import (
     ClusterShard,
     HealthBoard,
@@ -69,12 +70,12 @@ def make_cluster(matrix, n_shards=3, tenant="acme", **kwargs):
 class TestRouter:
     def test_routing_is_deterministic_across_instances(self):
         keys = [f"t/q{i}" for i in range(50)]
-        a = RendezvousRouter([0, 1, 2])
-        b = RendezvousRouter([0, 1, 2])
+        a = router_over([0, 1, 2])
+        b = router_over([0, 1, 2])
         assert a.assign(keys).tolist() == b.assign(keys).tolist()
 
     def test_every_shard_gets_keys_eventually(self):
-        router = RendezvousRouter([0, 1, 2, 3])
+        router = router_over([0, 1, 2, 3])
         assigned = router.assign([f"t/q{i}" for i in range(400)])
         assert set(assigned.tolist()) == {0, 1, 2, 3}
 
@@ -88,7 +89,7 @@ class TestRouter:
             routing_key("a/b", "q1")
 
     def test_topology_errors(self):
-        router = RendezvousRouter([0])
+        router = router_over([0])
         with pytest.raises(ClusterError):
             router.add_shard(0)
         with pytest.raises(ClusterError):
@@ -104,7 +105,7 @@ class TestRouter:
         self, n_keys, n_shards, salt
     ):
         keys = [f"t{salt}/q{i}" for i in range(n_keys)]
-        router = RendezvousRouter(range(n_shards))
+        router = router_over(range(n_shards))
         before = router.assign(keys)
         predicted_moves = set(router.moves_for_new_shard(keys, n_shards))
         router.add_shard(n_shards)
@@ -834,7 +835,6 @@ class TestClusterExperiment:
             batch_size=64,
             n_batches=4,
             seed=0,
-            timing_reps=1,
         )
         assert result["identical"] == 1.0
         assert result["degraded_ok"] == 1.0

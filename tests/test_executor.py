@@ -59,12 +59,6 @@ def test_invalid_timeout_rejected(setup):
         executor.execute(query, plan, timeout=0.0)
 
 
-def test_runs_per_measurement_validation(setup):
-    _, executor, _, _ = setup
-    with pytest.raises(ExecutionError):
-        SimulatedExecutor(executor.latency_model, runs_per_measurement=0)
-
-
 def test_hinted_executor_varies_latency_across_hints(setup):
     _, _, hinted, query = setup
     latencies = {

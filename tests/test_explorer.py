@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.adaptive.reexplore import RowOracle
 from repro.config import ALSConfig, ExplorationConfig
 from repro.core import explorer as explorer_module
 from repro.core.explorer import DatabaseOracle, MatrixOracle, OfflineExplorer
@@ -189,12 +190,28 @@ def test_matrix_oracle_execute_many_without_timeouts():
     assert oracle.execute_many([], []) == []
 
 
-def test_matrix_oracle_execute_many_validation():
-    oracle = MatrixOracle(truth_matrix())
+def _oracles(db_workload):
+    truth = truth_matrix()
+    return {
+        "matrix": MatrixOracle(truth),
+        "database": DatabaseOracle(
+            db_workload.executor, db_workload.queries, db_workload.hint_sets
+        ),
+        "row": RowOracle(lambda row, hint: float(truth[row, hint])),
+    }
+
+
+@pytest.mark.parametrize("kind", ["matrix", "database", "row"])
+def test_every_oracle_refuses_a_batch_of_unequal_lengths(kind, db_workload):
+    """A short ``hints`` or ``timeouts`` list must not drop cells silently."""
+    oracle = _oracles(db_workload)[kind]
     with pytest.raises(ExplorationError):
         oracle.execute_many([0, 1], [1])
     with pytest.raises(ExplorationError):
+        oracle.execute_many([0, 1], [1, 0], timeouts=[5.0])
+    with pytest.raises(ExplorationError):
         oracle.execute_many([0], [1], timeouts=[1.0, 2.0])
+    assert len(oracle.execute_many([0, 1], [1, 0], timeouts=[None, None])) == 2
 
 
 def test_database_oracle_execute_many_loop_fallback(db_workload):
@@ -215,28 +232,3 @@ def test_row_distinct_chunking_preserves_order():
     assert OfflineExplorer._row_distinct_chunks([]) == []
     flat = [pair for chunk in chunks for pair in chunk]
     assert flat == [(0, 1), (1, 2), (0, 3), (2, 1), (2, 4)]
-
-
-def test_step_with_scalar_only_oracle_matches_batched():
-    """An oracle without execute_many must still work (protocol fallback)."""
-
-    class ScalarOnlyOracle:
-        def __init__(self, truth):
-            self._inner = MatrixOracle(truth)
-
-        def execute(self, query, hint, timeout=None):
-            return self._inner.execute(query, hint, timeout=timeout)
-
-    truth = truth_matrix()
-    results = {}
-    for oracle in (MatrixOracle(truth), ScalarOnlyOracle(truth)):
-        matrix = warm_matrix(truth)
-        explorer = OfflineExplorer(
-            matrix, RandomPolicy(), oracle, ExplorationConfig(batch_size=4, seed=0)
-        )
-        steps = explorer.run(max_steps=5)
-        results[type(oracle).__name__] = (
-            [s.selected for s in steps],
-            [s.cumulative_exploration_time for s in steps],
-        )
-    assert results["MatrixOracle"] == results["ScalarOnlyOracle"]

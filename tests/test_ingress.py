@@ -25,6 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from builders import shrunk
 from repro.cluster import ServingCluster
 from repro.config import ALSConfig, IngressConfig
 from repro.core.workload_matrix import WorkloadMatrix
@@ -824,7 +825,7 @@ class TestIdleFlush:
         assert stats.as_dict()["flush_reasons"] == stats.flush_reasons
 
     def test_decisions_on_scenario_traffic_are_byte_identical_to_sync(self):
-        spec = sudden_workload_shift(seed=3, n_queries=60, n_hints=8, batch_size=32)
+        spec = shrunk(sudden_workload_shift(seed=3), n_queries=60, n_hints=8, batch_size=32)
         sync_trace = ScenarioRunner(spec, adaptive=False).run()
         targets = []
 

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from builders import predict_cells_in_chunks
 from repro.config import TCNNConfig
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.nn import trainer as trainer_module
@@ -355,7 +356,7 @@ def test_predict_full_equals_activate_then_pool_on_every_cell(
     lift_above_the_clip(trainer, n, k)
     full = assert_pools_like_activate_then_pool(trainer, matrix)
     assert (full > 0).all()  # nothing clipped: every cell is judged
-    generic = trainer.predict_cells(every_cell(n, k), batch_size=13).reshape(n, k)
+    generic = predict_cells_in_chunks(trainer, every_cell(n, k), 13).reshape(n, k)
     np.testing.assert_allclose(full, generic, rtol=1e-12, atol=0)
     # predict_cells went through the per-batch forward; the plan-space pass did not.
     with mock.patch.object(trainer, "_forward", side_effect=AssertionError):

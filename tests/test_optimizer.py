@@ -4,6 +4,7 @@ import pytest
 
 from repro.db.datagen import make_catalog
 from repro.db.hints import HintSet, all_hint_sets, default_hint_set
+from repro.db import optimizer
 from repro.db.optimizer import PlanEnumerator
 from repro.db.query import QueryGenerator
 
@@ -12,7 +13,7 @@ from repro.db.query import QueryGenerator
 def setup():
     catalog = make_catalog("toy", seed=0)
     enumerator = PlanEnumerator(catalog)
-    queries = QueryGenerator(catalog, seed=3, min_relations=2, max_relations=5).generate_many(10)
+    queries = QueryGenerator(catalog, seed=3, max_relations=5).generate_many(10)
     return catalog, enumerator, queries
 
 
@@ -95,10 +96,12 @@ def test_default_hint_has_lowest_estimated_cost_among_restrictions(setup):
         assert default_cost <= restricted_cost * (1 + 1e-9)
 
 
-def test_greedy_fallback_for_many_relations(setup):
+def test_greedy_fallback_for_many_relations(setup, monkeypatch):
     catalog, _, _ = setup
-    enumerator = PlanEnumerator(catalog, dp_threshold=3)
-    query = QueryGenerator(catalog, seed=8, min_relations=5, max_relations=6).generate("big")
+    monkeypatch.setattr(optimizer, "DP_THRESHOLD", 3)
+    enumerator = PlanEnumerator(catalog)
+    queries = QueryGenerator(catalog, seed=8, max_relations=6).generate_many(30)
+    query = next(q for q in queries if q.num_relations > optimizer.DP_THRESHOLD)
     plan = enumerator.optimize(query, default_hint_set())
     assert sorted(plan.aliases()) == sorted(query.aliases)
 

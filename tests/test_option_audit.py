@@ -13,9 +13,13 @@ no user of the library runs.  Four rules, checked over the syntax trees
   ``examples/`` -- by name or in its position when the dataclass is built,
   or by name in a ``dataclasses.replace`` -- or is listed in ``ALLOWED``
   with the reason it stays;
-* every parameter with a default of the constructors that assemble the
-  serving stack is *passed* (by name, or in its position) by such a call,
-  or is listed in ``ALLOWED``;
+* every parameter with a default of every function, method and
+  ``__init__`` in ``src/repro`` (private and nested defs too) is *passed*
+  (by name, or in its position) by such a call, or is listed in
+  ``ALLOWED``.  A call of a subclass credits the ``__init__`` it inherits,
+  a call unpacking ``**mapping`` credits every parameter, and a function
+  handed to a runner (``run_once(benchmark, f, k=v)``) is credited with
+  the keywords and later arguments handed along with it;
 * every public def in ``src/repro`` -- a module-level function or class, or
   a method or property of such a class, whose name does not start with
   ``_`` -- is *named* somewhere in ``src/``, ``benchmarks/`` or
@@ -28,7 +32,8 @@ no user of the library runs.  Four rules, checked over the syntax trees
 
 Forwarding a ``None``-defaulted parameter under its own name is not a use,
 also from a nested function that reads it from its enclosing one; it counts
-only if some caller of the function that owns the parameter sets it.
+only if some caller of the function that owns the parameter sets it, by
+name or in its position.
 
 The audit goes by name, not by type: a field shares its credit with any
 attribute of the same name.  That is what let ``allow_random_fill`` (a
@@ -52,27 +57,38 @@ SRC_ROOT = REPO / "src" / "repro"
 CONFIG = SRC_ROOT / "config.py"
 CALLER_ROOTS = (REPO / "src", REPO / "benchmarks", REPO / "examples")
 
-#: Constructor -> module that defines it.
-CONSTRUCTORS = {
-    "ScenarioRunner": "scenarios/runner.py",
-    "ServingService": "serving/service.py",
-    "ServingCluster": "cluster/cluster.py",
-    "ALSPredictor": "core/predictors.py",
-    "IncrementalALSRefresher": "serving/refresh.py",
-}
-
-#: (dataclass or constructor, field or parameter) -> why it stays although
-#: nothing outside the tests sets it.
+#: (dataclass, field) or (def, parameter) -> why it stays although nothing
+#: outside the tests sets it.  A def is named as the audit reports it: its
+#: dotted path, or its class for an ``__init__``.
 ALLOWED = {
     ("ServingCluster", "default_hint"): "which column holds the default plan "
-    "is a fact about the data, and it travels with regression_margin (which "
-    "experiments/cluster.py sets) so that a cluster decides what one service "
-    "over the union matrix would",
+    "is a fact about the data; the cluster hands it and regression_margin to "
+    "every shard's ServingService unchanged, so a cluster decides what one "
+    "service over the union matrix would",
+    ("ServingCluster", "regression_margin"): "the plan cache's no-regression "
+    "rule, forwarded unchanged to every shard's ServingService (see "
+    "default_hint); a constant here means one in PlanCache, CacheSnapshot "
+    "and ServingService too, whose tests hold the rule at other margins",
     ("ServingCluster", "failure_threshold"): "how many failed serves trip a "
-    "shard's breaker: a deployment setting; tests/test_cluster.py sets 1",
+    "shard's breaker: a deployment setting",
     ("ServingService", "clock"): "the seam that lets tests fake time for the "
     "served-batch latency histogram: tests/test_serving.py and "
     "tests/test_telemetry.py run a clock that steps or goes backwards",
+    ("ServiceIngress", "clock"): "the seam that lets tests fake time for the "
+    "coalescer: tests/test_ingress.py::TestIdleFlush::"
+    "test_backwards_clock_strands_nobody runs a clock that goes backwards",
+    ("ClusterIngress", "controller"): "pinned by the benchmark: "
+    "benchmarks/e2e/workloads.py:71 sets IngressConfig.tick_interval_s, which "
+    "is read only where the controller ticker is built; it goes with the "
+    "benchmark change of ROADMAP item 3",
+    ("ALSCompleter.complete_result", "timeouts"): "complete_result is a span "
+    "target of benchmarks/e2e/spans.py::TARGETS, whose signatures stay until "
+    "the benchmark changes",
+    ("MetricsRegistry.gauge", "help_text"): "telemetry/runtime.py::_Cells "
+    "registers every family as getattr(registry, kind)(name, help_text, "
+    "labels=...), a call the by-name rule cannot resolve",
+    ("MetricsRegistry.gauge", "labels"): "as help_text: set through "
+    "getattr(registry, kind)(...) in telemetry/runtime.py::_Cells",
 }
 
 #: Public def in ``src/repro`` (``name`` or ``Class.name``) -> why it stays
@@ -109,88 +125,211 @@ def attributes_read(tree):
     }
 
 
-def init_parameters(tree, class_name):
-    """``(positional, defaulted)`` parameter names of ``class_name.__init__``:
-    those a call can fill by position (``self`` left out), and those that
-    have a default."""
-    for node in ast.walk(tree):
-        if isinstance(node, ast.ClassDef) and node.name == class_name:
-            for item in node.body:
-                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
-                    args = item.args
-                    positional = [a.arg for a in args.posonlyargs + args.args][1:]
-                    defaulted = positional[len(positional) - len(args.defaults):] + [
-                        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
-                    ]
-                    return positional, defaulted
-    raise AssertionError(f"no {class_name}.__init__ found")
+#: What ``calls_by_name`` records for a call that unpacks ``**mapping``:
+#: it may set any keyword, so it credits every parameter of its callee.
+EVERY = "**"
+
+
+def signature(function, method):
+    """``(positional, keyword_only, defaulted)`` parameter names of a def:
+    those a call can fill by position (``self`` / ``cls`` of a ``method``
+    left out, unless it is a staticmethod), those it can fill by keyword
+    only, and those that have a default."""
+    args = function.args
+    positional = [a.arg for a in args.posonlyargs + args.args]
+    static = any(_name_of(d) == "staticmethod" for d in function.decorator_list)
+    if method and not static:
+        positional = positional[1:]
+    keyword_only = [a.arg for a in args.kwonlyargs]
+    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
+    defaulted = defaulted + [
+        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    ]
+    return positional, keyword_only, defaulted
 
 
 def calls_by_name(trees):
     """``callee -> [(set, forwarded, n_positional)]`` for every call spelled
-    ``callee(...)`` or ``x.callee(...)``: keywords given a value, keywords
-    that only forward, and how many plain arguments (None with a ``*args``).
+    ``callee(...)`` or ``x.callee(...)``: keywords given a value (:data:`EVERY`
+    when the call unpacks a ``**mapping``), keywords that only forward, and
+    how many plain arguments (None with a ``*args``).
+
+    ``cls(...)`` inside a classmethod is recorded as a call of its class.
+    A function handed to another call as a plain argument is recorded as
+    called with the keywords and the plain arguments that follow it: that is
+    how ``run_once(benchmark, figure6_ceb_curves, scale=0.03)`` or
+    ``partial(f, k=v)`` relays them.
 
     ``k=k`` inside a function ``f`` whose own ``k`` defaults to ``None``
-    forwards a value nobody has set yet: it is reported as ``(f, k)`` and
-    counts only if some caller of ``f`` sets ``k`` (one level is followed;
-    that is how ``estimator=`` outlived its last caller).  A function nested
-    in ``f`` that does not rebind ``k`` forwards ``f``'s: that is reported as
-    ``(f, k)`` too (how ``ScenarioRunner(adaptive_config=)`` outlived its
-    last caller).
+    forwards a value nobody has set yet: it is reported as ``(f, k, i)``
+    (``i`` is ``k``'s position in ``f``'s signature, None when keyword-only)
+    and counts only if some caller of ``f`` sets ``k``, by name or in that
+    position (one level is followed; that is how ``estimator=`` outlived its
+    last caller).  A function nested in ``f`` that does not rebind ``k``
+    forwards ``f``'s: that is reported as ``(f, k, i)`` too (how
+    ``ScenarioRunner(adaptive_config=)`` outlived its last caller).
     """
     calls = {}
 
-    def walk(node, unset):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    def record(callee, given, forwarded, arguments):
+        starred = any(isinstance(a, ast.Starred) for a in arguments)
+        calls.setdefault(callee, []).append(
+            (given, forwarded, None if starred else len(arguments))
+        )
+
+    def walk(node, unset, owner_class, in_classmethod, method):
+        if isinstance(node, ast.ClassDef):
+            owner_class, in_classmethod = node.name, False
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = node.args
             named = args.posonlyargs + args.args
             defaults = dict(zip(reversed(named), reversed(args.defaults)))
             defaults.update(zip(args.kwonlyargs, args.kw_defaults))
             rebound = {a.arg for a in named + args.kwonlyargs + [args.vararg, args.kwarg] if a}
             unset = {name: owner for name, owner in unset.items() if name not in rebound}
+            positions = {name: i for i, name in enumerate(signature(node, method)[0])}
             unset.update(
-                (a.arg, node.name)
+                (a.arg, (node.name, positions.get(a.arg)))
                 for a, d in defaults.items()
                 if isinstance(d, ast.Constant) and d.value is None
             )
+            in_classmethod = any(_name_of(d) == "classmethod" for d in node.decorator_list)
         if isinstance(node, ast.Call):
             func = node.func
             callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if callee == "cls" and in_classmethod:
+                callee = owner_class
             keywords = {k.arg: k.value for k in node.keywords if k.arg is not None}
             forwarded = {
-                (unset[k], k)
+                (unset[k][0], k, unset[k][1])
                 for k, v in keywords.items()
                 if isinstance(v, ast.Name) and v.id == k and k in unset
             }
-            starred = any(isinstance(a, ast.Starred) for a in node.args)
-            calls.setdefault(callee, []).append(
-                (
-                    set(keywords) - {k for _, k in forwarded},
-                    forwarded,
-                    None if starred else len(node.args),
-                )
-            )
+            given = set(keywords) - {k for _, k, _ in forwarded}
+            if len(keywords) < len(node.keywords):
+                given.add(EVERY)
+            record(callee, given, forwarded, node.args)
+            for i, argument in enumerate(node.args):
+                relayed = _name_of(argument)
+                if relayed is not None and not isinstance(argument, ast.Constant):
+                    record(relayed, given, forwarded, node.args[i + 1:])
         for child in ast.iter_child_nodes(node):
-            walk(child, unset)
+            walk(child, unset, owner_class, in_classmethod, isinstance(node, ast.ClassDef))
 
     for tree in trees:
-        walk(tree, {})
+        walk(tree, {}, None, False, False)
     return calls
 
 
-def parameters_passed(calls, class_name, positional):
-    """Parameters of ``class_name`` that some recorded call sets: by keyword,
-    by position, or through one forwarding function."""
+def parameters_passed(calls, callee, positional, keyword_only=()):
+    """Parameters of ``callee`` that some recorded call sets: by keyword, by
+    position, through one forwarding function, or all of them at once
+    through a ``**mapping``."""
     passed = set()
-    for keywords, forwarded, n_positional in calls.get(class_name, ()):
-        passed |= keywords | set(positional[: n_positional or 0])
+
+    def sets(given, n_positional, parameter, position):
+        return (
+            parameter in given
+            or EVERY in given
+            or (position is not None and (n_positional or 0) > position)
+        )
+
+    for keywords, forwarded, n_positional in calls.get(callee, ()):
+        if EVERY in keywords:
+            passed |= set(positional) | set(keyword_only)
+        passed |= (keywords - {EVERY}) | set(positional[: n_positional or 0])
         passed |= {
             parameter
-            for function, parameter in forwarded
-            if any(parameter in given for given, _, _ in calls.get(function, ()))
+            for function, parameter, position in forwarded
+            if any(sets(given, n, parameter, position) for given, _, n in calls.get(function, ()))
         }
     return passed
+
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
+
+
+def defaulted_parameters(library):
+    """``(module, owner) -> (callees, positional, keyword_only, defaulted)``
+    for every def in ``library`` (``(module, tree)`` pairs) that has a
+    defaulted parameter: functions, methods and ``__init__``s, nested and
+    private ones included.  ``owner`` is the def's dotted path, its class's
+    for an ``__init__``.  ``callees`` are the names a call of it is spelled
+    with: its own, and any other name its class body binds it to
+    (``begin = end = _skip``); for an ``__init__``, its class's and those of
+    the subclasses that inherit it."""
+    subclasses = {}
+    for _, tree in library:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                inherits = not any(
+                    isinstance(item, _DEFS) and item.name == "__init__" for item in node.body
+                )
+                for base in node.bases:
+                    subclasses.setdefault(_name_of(base), []).append((node.name, inherits))
+
+    def heirs(name):
+        return [
+            heir
+            for subclass, inherits in subclasses.get(name, ())
+            if inherits
+            for heir in (subclass, *heirs(subclass))
+        ]
+
+    found = {}
+
+    def visit(module, body, prefix, owner_class):
+        aliases = {}
+        for node in body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Name):
+                for target in node.targets:
+                    if isinstance(target, ast.Name):
+                        aliases.setdefault(node.value.id, []).append(target.id)
+        for node in body:
+            if isinstance(node, ast.ClassDef):
+                visit(module, node.body, f"{prefix}{node.name}.", node.name)
+            elif isinstance(node, _DEFS):
+                positional, keyword_only, defaulted = signature(node, owner_class is not None)
+                if node.name == "__init__" and owner_class is not None:
+                    owner, callees = prefix[:-1], [owner_class, *heirs(owner_class)]
+                else:
+                    owner, callees = prefix + node.name, [node.name, *aliases.get(node.name, ())]
+                if defaulted:
+                    found[module, owner] = (callees, positional, keyword_only, defaulted)
+                visit(module, node.body, f"{prefix}{node.name}.", None)
+
+    for module, tree in library:
+        visit(module, tree.body, "", None)
+    return found
+
+
+def unset_and_stale(library, callers, allowed):
+    """``library``: ``(module, tree)`` pairs whose defaulted parameters are
+    audited; ``callers``: the trees a caller may sit in; ``allowed``:
+    ``(owner, parameter) -> reason``.  Returns the parameters no caller
+    sets that ``allowed`` does not list, and the ``allowed`` entries whose
+    parameter is gone, has a caller now, or has no reason."""
+    calls = calls_by_name(callers)
+    unset, kept = [], set()
+    for (module, owner), (callees, positional, keyword_only, defaulted) in (
+        defaulted_parameters(library).items()
+    ):
+        passed = set().union(
+            *(parameters_passed(calls, callee, positional, keyword_only) for callee in callees)
+        )
+        for name in defaulted:
+            if name in passed:
+                continue
+            if (owner, name) in allowed:
+                kept.add((owner, name))
+            else:
+                unset.append(f"{module}: {owner}({name}=)")
+    stale = [f"{owner}({name}=)" for owner, name in allowed if (owner, name) not in kept] + [
+        f"{owner}({name}=) (no reason)"
+        for (owner, name), reason in allowed.items()
+        if not reason.strip()
+    ]
+    return unset, stale
 
 
 def fields_set(calls, class_name, fields):
@@ -301,13 +440,6 @@ def config_classes():
     return classes
 
 
-def constructor_signatures():
-    return {
-        name: init_parameters(ast.parse((SRC_ROOT / module).read_text()), name)
-        for name, module in CONSTRUCTORS.items()
-    }
-
-
 def test_every_config_field_is_read_outside_config():
     fields = [(owner, name) for owner, names in config_classes().items() for name in names]
     read = set()
@@ -358,26 +490,35 @@ def test_every_config_field_is_set_by_a_caller_or_a_reason():
     )
 
 
-def test_every_constructor_option_has_a_caller_or_a_reason():
-    signatures = constructor_signatures()
-    for name, (_, defaulted) in signatures.items():
-        assert defaulted, f"{name} has no defaulted parameters: wrong class?"
-    calls = calls_by_name(tree for _, tree in _trees(CALLER_ROOTS))
-    _unset_and_stale(
-        {name: defaulted for name, (_, defaulted) in signatures.items()},
-        {
-            name: parameters_passed(calls, name, positional)
-            for name, (positional, _) in signatures.items()
-        },
-        "constructor options",
+def library_trees():
+    """``(module, tree)`` for every module of ``src/repro``."""
+    return [(str(path.relative_to(SRC_ROOT)), tree) for path, tree in _trees([SRC_ROOT])]
+
+
+def parameters_allowed():
+    """The ``ALLOWED`` entries of defaulted parameters (not config fields)."""
+    classes = config_classes()
+    return {key: reason for key, reason in ALLOWED.items() if key[0] not in classes}
+
+
+def test_every_defaulted_parameter_has_a_caller_or_a_reason():
+    unset, stale = unset_and_stale(
+        library_trees(), [tree for _, tree in _trees(CALLER_ROOTS)], parameters_allowed()
     )
-    assert all(reason.strip() for reason in ALLOWED.values())
+    assert not unset, (
+        "defaulted parameters nothing in src/, benchmarks/ or examples/ sets "
+        "(make each a constant, or add it to ALLOWED with the reason it "
+        "stays):\n  " + "\n  ".join(unset)
+    )
+    assert not stale, (
+        "ALLOWED entries that are no longer needed (parameter gone, or it "
+        "has a caller now) or give no reason:\n  " + "\n  ".join(stale)
+    )
 
 
 def test_every_public_def_has_a_caller_or_a_reason():
-    library = [(str(path.relative_to(SRC_ROOT)), tree) for path, tree in _trees([SRC_ROOT])]
     uncalled, stale = uncalled_and_stale(
-        library, [tree for _, tree in _trees(CALLER_ROOTS)], ALLOWED_API
+        library_trees(), [tree for _, tree in _trees(CALLER_ROOTS)], ALLOWED_API
     )
     assert not uncalled, (
         "public defs nothing in src/, benchmarks/ or examples/ names (delete "
@@ -419,8 +560,13 @@ def test_the_audit_itself_catches_violations():
         "x = S(0, b=3, d=4)\n"
         "y = mod.S(0, **extra)\n"
     )
-    assert init_parameters(stack, "S") == (["a", "b"], ["b", "c"])
+    assert defaulted_parameters([("s.py", stack)]) == {
+        ("s.py", "S"): (["S"], ["a", "b"], ["c", "d"], ["b", "c"])
+    }
     assert parameters_passed(calls_by_name([stack]), "S", ["a", "b"]) == {"a", "b", "d"}
+    assert parameters_passed(calls_by_name([stack]), "S", ["a", "b"], ["c", "d"]) == {
+        "a", "b", "c", "d",  # the **extra call may set any of them
+    }
     assert parameters_passed(calls_by_name([ast.parse("S(*args, c=1)")]), "S", ["a", "b"]) == {"c"}
     forwarding = (
         "def build(b=None, c=3, *, d=None):\n"
@@ -443,8 +589,8 @@ def test_the_audit_itself_catches_violations():
         "    return build(True)\n"
     )
     assert calls_by_name([ast.parse(nested)])["S"] == [
-        (set(), {("outer", "b")}, 0),
-        (set(), {("other", "c")}, 0),
+        (set(), {("outer", "b", 0)}, 0),
+        (set(), {("other", "c", 0)}, 0),
     ]
     assert parameters_passed(calls_by_name([ast.parse(nested)]), "S", []) == set()
     assert parameters_passed(
@@ -535,30 +681,112 @@ def test_unpickle_rule_flags_every_allow_pickle_but_a_literal_false(call, flagge
     assert unpickling_calls(ast.parse(f"x = 1\n{call}\n")) == ([2] if flagged else [])
 
 
+#: A library module for the parameter rule's self-tests: every defaulted
+#: parameter here is unset until a caller below sets it.
+PARAM_LIB = ast.parse(
+    "class Base:\n"
+    "    def __init__(self, size=1): pass\n"
+    "class Heir(Base):\n"
+    "    pass\n"
+    "class Off:\n"
+    "    def _skip(self, stage=None): pass\n"
+    "    begin = end = _skip\n"
+    "class Made:\n"
+    "    def __init__(self, width=1): pass\n"
+    "def by_keyword(a, flag=False): pass\n"
+    "def by_position(a, limit=3): pass\n"
+    "def by_mapping(a, x=1, *, y=2): pass\n"
+    "def relayed(scale=1.0): pass\n"
+    "def target(depth=None): pass\n"
+    "def forward(depth=None):\n"
+    "    def inner():\n"
+    "        return target(depth=depth)\n"
+    "    return inner()\n"
+    "def unset(knob=0): pass\n"
+)
+
+
+def parameter_flags(caller):
+    """What the parameter rule flags in ``PARAM_LIB`` with ``caller`` (source)
+    as the only code outside it."""
+    return unset_and_stale([("lib.py", PARAM_LIB)], [PARAM_LIB, ast.parse(caller)], {})[0]
+
+
+@pytest.mark.parametrize(
+    "entry, caller",
+    [
+        ("by_keyword(flag=)", "by_keyword(1, flag=True)"),
+        ("by_position(limit=)", "by_position(1, 5)"),
+        ("by_mapping(y=)", "by_mapping(1, **options)"),
+        ("relayed(scale=)", "run_once(benchmark, relayed, scale=0.5)"),
+        ("Base(size=)", "Heir(size=2)"),
+        ("target(depth=)", "forward(depth=3)"),
+        ("Off._skip(stage=)", "tracer.end('serve')"),
+        ("Made(width=)", "class Made:\n    @classmethod\n    def wide(cls): return cls(width=9)\n"),
+    ],
+    ids=["keyword", "position", "mapping", "relay", "inherited-init", "nested-forward",
+         "class-alias", "cls-call"],
+)
+def test_parameter_rule_credits_each_way_a_caller_sets_a_parameter(entry, caller):
+    assert f"lib.py: {entry}" in parameter_flags("")
+    assert f"lib.py: {entry}" not in parameter_flags(caller)
+
+
+def test_parameter_rule_flags_a_forward_nobody_feeds():
+    # ``forward`` hands ``depth`` on, but nothing sets it: both stay flagged.
+    assert {"lib.py: target(depth=)", "lib.py: forward(depth=)"} <= set(parameter_flags(""))
+    assert "lib.py: target(depth=)" in parameter_flags("forward()")
+
+
+def test_parameter_rule_flags_an_allowed_entry_gone_set_or_without_a_reason():
+    allowed = {
+        ("unset", "knob"): "kept for a reason",
+        ("gone", "x"): "a reason",
+        ("by_keyword", "flag"): "a reason",
+        ("by_position", "limit"): " ",
+    }
+    unset, stale = unset_and_stale(
+        [("lib.py", PARAM_LIB)], [PARAM_LIB, ast.parse("by_keyword(1, flag=True)")], allowed
+    )
+    assert "lib.py: unset(knob=)" not in unset
+    assert stale == ["gone(x=)", "by_keyword(flag=)", "by_position(limit=) (no reason)"]
+
+
 def test_inventory_counts_what_the_rules_audit():
     lines = inventory()
     classes = config_classes()
-    signatures = constructor_signatures()
+    packages = parameters_per_package()
     assert lines[0] == f"{sum(map(len, classes.values()))} config fields"
     assert lines[len(classes) + 1] == (
-        f"{sum(len(d) for _, d in signatures.values())} defaulted constructor parameters"
+        f"{sum(packages.values())} defaulted parameters in src/repro"
     )
-    assert len(lines) == len(classes) + len(signatures) + 4
-    assert lines[-2].startswith(f"{len(ALLOWED)} kept")
+    assert sum(packages.values()) == sum(
+        len(defaulted) for *_, defaulted in defaulted_parameters(library_trees()).values()
+    )
+    assert len(lines) == len(classes) + len(packages) + 4
+    assert lines[-2] == f"{len(ALLOWED)} kept without a caller (ALLOWED)"
     assert lines[-1] == f"{len(ALLOWED_API)} public defs kept without a caller (ALLOWED_API)"
+
+
+def parameters_per_package():
+    """``package -> defaulted parameters`` across ``src/repro`` (modules at
+    the top of the package count as ``repro``)."""
+    counts = {}
+    for (module, _), (*_, defaulted) in defaulted_parameters(library_trees()).items():
+        package = module.split("/")[0] if "/" in module else "repro"
+        counts[package] = counts.get(package, 0) + len(defaulted)
+    return dict(sorted(counts.items()))
 
 
 def inventory():
     """Lines for CI's step summary: every option the audit counts, and the
     public defs it keeps without a caller."""
     classes = config_classes()
-    signatures = constructor_signatures()
+    packages = parameters_per_package()
     lines = [f"{sum(map(len, classes.values()))} config fields"]
     lines += [f"  {len(fields):3d} {name}" for name, fields in classes.items()]
-    lines.append(
-        f"{sum(len(d) for _, d in signatures.values())} defaulted constructor parameters"
-    )
-    lines += [f"  {len(d):3d} {name}" for name, (_, d) in signatures.items()]
+    lines.append(f"{sum(packages.values())} defaulted parameters in src/repro")
+    lines += [f"  {count:3d} {package}" for package, count in packages.items()]
     lines.append(f"{len(ALLOWED)} kept without a caller (ALLOWED)")
     lines.append(f"{len(ALLOWED_API)} public defs kept without a caller (ALLOWED_API)")
     return lines

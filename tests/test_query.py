@@ -109,7 +109,7 @@ def test_signature_is_stable_and_hashable():
 
 def test_generator_produces_connected_queries():
     catalog = make_catalog("toy", seed=0)
-    generator = QueryGenerator(catalog, seed=1, min_relations=2, max_relations=5)
+    generator = QueryGenerator(catalog, seed=1, max_relations=5)
     queries = generator.generate_many(20)
     assert len(queries) == 20
     for query in queries:
@@ -129,4 +129,4 @@ def test_generator_is_reproducible():
 def test_generator_rejects_bad_relation_range():
     catalog = make_catalog("toy", seed=0)
     with pytest.raises(QueryError):
-        QueryGenerator(catalog, min_relations=5, max_relations=2)
+        QueryGenerator(catalog, max_relations=1)

@@ -13,7 +13,8 @@ sets, adds shards between reads, and asserts ``shard_for``,
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.cluster.router import RendezvousRouter, rendezvous_score
+from builders import router_over
+from repro.cluster.router import rendezvous_score
 
 
 def reference_owner(key, shard_ids):
@@ -45,7 +46,7 @@ SHARD_IDS = st.lists(
 @settings(max_examples=80, deadline=None)
 @given(keys=KEYS, shard_ids=SHARD_IDS, data=st.data())
 def test_assignments_and_moves_match_the_reference(keys, shard_ids, data):
-    router = RendezvousRouter(shard_ids)
+    router = router_over(shard_ids)
     topology = list(shard_ids)
     for _ in range(data.draw(st.integers(1, 4))):
         want = [reference_owner(key, topology) for key in keys]

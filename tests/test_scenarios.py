@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from builders import shrunk
 from repro.cluster import ServingCluster
 from repro.errors import ScenarioError
 from repro.scenarios import (
@@ -142,7 +143,7 @@ def test_chaos_event_validation():
 
 
 def test_chaos_scenarios_run_and_replay_deterministically():
-    spec = kill_shard_mid_drift(seed=0, n_queries=24, batch_size=32)
+    spec = shrunk(kill_shard_mid_drift(seed=0), n_queries=24, batch_size=32)
     runner = ScenarioRunner(spec, target="cluster", adaptive=True, n_shards=2)
     trace = runner.run()
     assert len(trace.ticks) == spec.total_ticks
@@ -159,7 +160,7 @@ def test_decisions_never_read_the_als_completion(monkeypatch):
     byte-identically whether the refresh scheduler ticks every tick or never.
     A change that gives the completion a reader must revisit this on purpose.
     """
-    spec = kill_shard_mid_drift(seed=0, n_queries=24, batch_size=32)
+    spec = shrunk(kill_shard_mid_drift(seed=0), n_queries=24, batch_size=32)
     real_tick, refreshed = ServingCluster.tick, []
 
     def counted_tick(cluster):
@@ -354,7 +355,7 @@ def test_workload_shift_and_new_templates_grow_serving():
 
 
 def test_tenant_churn_runs_on_cluster():
-    spec = tenant_churn(seed=0, n_queries=30, batch_size=48)
+    spec = shrunk(tenant_churn(seed=0), n_queries=30, batch_size=48)
     adaptive = ScenarioRunner(spec, target="cluster", adaptive=True, n_shards=2).run()
     replay = ScenarioRunner(spec, target="cluster", adaptive=True, n_shards=2).run()
     assert adaptive.decisions_blob() == replay.decisions_blob()

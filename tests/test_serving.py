@@ -16,6 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from builders import predict_cells_in_chunks
 from repro.config import ALSConfig
 from repro.core.als import censored_als
 from repro.core.plan_cache import CacheSnapshot, PlanCache
@@ -434,16 +435,17 @@ class TestServingService:
             n_hints=tiny_workload.n_hints,
             oracle=oracle,
             policy=RandomPolicy(),
-            query_names=[f"q{i}" for i in range(8)],
         )
-        limeqo.explore(time_budget=50.0, max_steps=4)
-        service = ServingService(limeqo.matrix, default_hint=limeqo.default_hint)
+        for i in range(8):
+            limeqo.register_query(f"q{i}")
+        limeqo.explore(time_budget=50.0)
+        service = ServingService(limeqo.matrix)
         decisions = service.serve_all()
         assert decisions.hints.tolist() == [d.hint for d in limeqo.plan_cache().lookup_all()]
 
 
 class TestBatchedTCNNInference:
-    def test_predict_cells_batch_size_override(self, tiny_workload, fast_tcnn_config):
+    def test_predict_cells_in_small_forwards_matches_one(self, tiny_workload, fast_tcnn_config):
         from repro.nn.trainer import TCNNTrainer
 
         matrix = explored_matrix(tiny_workload, observed_fraction=0.2, seed=4)
@@ -454,7 +456,7 @@ class TestBatchedTCNNInference:
         trainer.fit(matrix)
         cells = [(0, 0), (1, 3), (2, 7), (3, 1), (4, 4)]
         np.testing.assert_allclose(
-            trainer.predict_cells(cells, batch_size=2),
+            predict_cells_in_chunks(trainer, cells, 2),
             trainer.predict_cells(cells),
         )
 

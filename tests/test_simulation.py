@@ -28,13 +28,6 @@ def test_initial_matrix_reveals_default_column(simulator, tiny_workload):
     assert matrix.workload_latency() == pytest.approx(simulator.default_latency)
 
 
-def test_warm_start_can_be_disabled(tiny_workload):
-    simulator = ExplorationSimulator(
-        tiny_workload.true_latencies, warm_start_default=False
-    )
-    assert simulator.initial_matrix().observed_fraction() == 0.0
-
-
 def test_trace_structure_and_monotonicity(simulator):
     trace = simulator.run(RandomPolicy(), time_budget=0.5 * simulator.default_latency)
     assert isinstance(trace, ExplorationTrace)

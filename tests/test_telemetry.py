@@ -274,7 +274,7 @@ class TestExposition:
         reg.counter(
             "repro_decisions_total", "Decisions served.", labels=("shard",)
         ).labels("0").inc(7)
-        hist = reg.histogram("repro_batch_seconds", bounds=(0.1, 1.0))
+        hist = reg.histogram("repro_batch_seconds")
         hist.child.observe(0.05)
         hist.child.observe(0.5)
         hist.child.observe(5.0)
@@ -896,15 +896,12 @@ class TestSnapshots:
         tel = Telemetry()
         service = ServingService(make_matrix(), telemetry=tel)
         serve_traffic(service, n_batches=3)
-        snapshot = collect_snapshot(
-            telemetry=tel, service=service, extra={"run": "unit"}
-        )
+        snapshot = collect_snapshot(telemetry=tel, service=service)
         payload = snapshot.as_dict()
         assert payload["schema_version"] == 1
         assert payload["enabled"] is True
         assert "repro_decisions_total" in payload["metrics"]
         assert payload["serving"]["decisions"] > 0
-        assert payload["extra"] == {"run": "unit"}
         json.loads(snapshot.to_json())
         monkeypatch.setenv("BENCH_OUTPUT_DIR", str(tmp_path))
         path = write_telemetry_json("unit", snapshot)

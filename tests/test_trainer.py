@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from builders import predict_cells_in_chunks
 from repro.config import TCNNConfig
 from repro.core.predictors import TCNNPredictor, TransductiveTCNNPredictor
 from repro.core.workload_matrix import WorkloadMatrix
@@ -180,23 +181,16 @@ def test_predict_cells_rejects_ids_that_are_not_cells(untrained, cells):
         untrained.predict_cells(cells)
 
 
-@pytest.mark.parametrize("batch_size", [-1, 0, True, False, 2.0, "8", np.float64(4.0)])
-def test_predict_cells_refuses_a_batch_size_that_is_not_a_positive_int(untrained, batch_size):
-    # -1 used to return all-zero predictions, 0 a bare ValueError from range().
-    with pytest.raises(NeuralNetworkError, match="batch_size"):
-        untrained.predict_cells([(0, 0), (1, 2), (3, 4)], batch_size=batch_size)
-
-
-def test_predict_cells_answers_the_same_at_any_positive_batch_size(tiny_workload):
+def test_predict_cells_answers_the_same_at_any_forward_size(tiny_workload):
     trainer = TCNNTrainer(tiny_workload.feature_store(), tiny_workload.n_queries,
                           tiny_workload.n_hints, small_config())
     trainer.fit(observed_matrix(tiny_workload))
     cells = [(0, 0), (1, 2), (3, 4), (5, 6), (7, 8)]
     default = trainer.predict_cells(cells)
     assert (default > 0).all()
-    for batch_size in (1, 2, np.int64(3), 5, 1000):
+    for chunk in (1, 2, 3, 5, 1000):
         np.testing.assert_allclose(
-            trainer.predict_cells(cells, batch_size=batch_size), default, rtol=1e-12, atol=0
+            predict_cells_in_chunks(trainer, cells, chunk), default, rtol=1e-12, atol=0
         )
 
 

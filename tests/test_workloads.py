@@ -104,11 +104,6 @@ def test_workload_subset(tiny_workload):
     )
 
 
-def test_generate_workload_validation(tiny_spec):
-    with pytest.raises(WorkloadError):
-        generate_workload(tiny_spec, incompressible_fraction=1.5)
-
-
 # -- shifts ---------------------------------------------------------------------
 def test_add_etl_query_appends_incompressible_row(tiny_workload):
     etl_latency = 0.2 * tiny_workload.default_total
