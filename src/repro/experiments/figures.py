@@ -484,20 +484,20 @@ def figure11_data_shift(
     shift_policy = LimeQOPolicy(predictor=ALSPredictor())
     shift_oracle = MatrixOracle(new_workload.true_latencies)
     shift_explorer = OfflineExplorer(new_matrix, shift_policy, shift_oracle, config)
+    # What the re-verified hints serve before any new exploration: the t = 0
+    # point of the shifted trace.
+    carried_over = new_matrix.workload_latency()
     shift_explorer.run(time_budget=float(checkpoints.max()))
     steps = shift_explorer.steps
-    latencies = [new_matrix_latency_start := new_matrix.workload_latency()] + [
-        s.workload_latency for s in steps
-    ]
     trace = ExplorationTrace(
         times=np.asarray([0.0] + [s.cumulative_exploration_time for s in steps]),
-        latencies=np.asarray(latencies),
+        latencies=np.asarray([carried_over] + [s.workload_latency for s in steps]),
         overheads=np.asarray([0.0] + [s.overhead_seconds for s in steps]),
-        default_latency=new_matrix_latency_start,
+        default_latency=carried_over,
     )
     out["limeqo (data shift)"] = {
         "latencies": trace.latencies_at(checkpoints).tolist(),
-        "carried_over_latency": new_matrix_latency_start,
+        "carried_over_latency": carried_over,
     }
     return out
 

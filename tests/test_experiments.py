@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.config import TCNNConfig
+from repro.core.explorer import OfflineExplorer
 from repro.errors import ExperimentError
 from repro.experiments import figures
 from repro.experiments.reporting import (
@@ -117,3 +118,19 @@ def test_figure18_bayesqo_limeqo_wins(job_small_workload):
     limeqo_final = result["limeqo"]["latencies"][-1]
     assert limeqo_final <= bayes_final * 1.05
     assert result["total_budget"] > 0
+
+
+def test_figure11_carried_over_latency_is_read_before_the_shifted_run_explores(monkeypatch):
+    """The carried-over latency (and the trace's t = 0 point) is what the
+    re-verified 2017 hints serve before exploring, not the run's end."""
+    entered = []
+    real_run = OfflineExplorer.run
+
+    def run(explorer, *args, **kwargs):
+        entered.append(explorer.matrix.workload_latency())
+        return real_run(explorer, *args, **kwargs)
+
+    monkeypatch.setattr(OfflineExplorer, "run", run)
+    shifted = figures.figure11_data_shift(scale=0.02, seed=0)["limeqo (data shift)"]
+    assert shifted["carried_over_latency"] == entered[-1]  # the shifted run is the last
+    assert shifted["carried_over_latency"] > shifted["latencies"][-1]
