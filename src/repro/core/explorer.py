@@ -110,16 +110,14 @@ class MatrixOracle:
             raise ExplorationError(
                 "execute_many needs matching 1-D query and hint index arrays"
             )
+        if timeouts is not None and len(timeouts) != query_idx.size:
+            raise ExplorationError(f"got {len(timeouts)} timeouts for {query_idx.size} cells")
         if query_idx.size == 0:
             return []
         latencies = self.true_latencies[query_idx, hint_idx]
         if timeouts is None:
             bounds = np.full(query_idx.size, np.inf)
         else:
-            if len(timeouts) != query_idx.size:
-                raise ExplorationError(
-                    f"got {len(timeouts)} timeouts for {query_idx.size} cells"
-                )
             bounds = np.array(
                 [np.inf if t is None or t <= 0 else float(t) for t in timeouts]
             )

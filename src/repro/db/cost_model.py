@@ -174,8 +174,8 @@ class LatencyModel:
     def _noise(self, query: Query, plan: PlanNode) -> float:
         if self.profile.noise_sigma <= 0:
             return 1.0
-        # The trailing "0" keys the first (and only) run, as every seeded
-        # workload has been drawn since the noise was introduced.
+        # "0" is the run index the noise has always been keyed by: dropping
+        # it would redraw every DB-built workload.
         key = stable_seed(str(self.seed), query.name, repr(plan.signature()), "0")
         rng = np.random.default_rng(key)
         return float(np.exp(rng.normal(0.0, self.profile.noise_sigma)))

@@ -211,6 +211,8 @@ def test_every_oracle_refuses_a_batch_of_unequal_lengths(kind, db_workload):
         oracle.execute_many([0, 1], [1, 0], timeouts=[5.0])
     with pytest.raises(ExplorationError):
         oracle.execute_many([0], [1], timeouts=[1.0, 2.0])
+    with pytest.raises(ExplorationError):
+        oracle.execute_many([], [], timeouts=[1.0])
     assert len(oracle.execute_many([0, 1], [1, 0], timeouts=[None, None])) == 2
 
 
