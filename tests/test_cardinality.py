@@ -36,6 +36,21 @@ def test_estimated_base_rows_have_no_hidden_factor(setup):
     assert estimator.estimated_base_rows(query, alias) == pytest.approx(expected)
 
 
+def test_true_base_rows_always_carry_the_hidden_factor(setup):
+    # The true model's correlation factors cannot be switched off: every scan's
+    # true rows differ from the optimizer's estimate by its hidden factor.
+    _, estimator, queries = setup
+    ratios = []
+    for query in queries:
+        for alias in query.aliases:
+            estimated = estimator.estimated_base_rows(query, alias)
+            hidden = estimator._hidden_factor(query, frozenset([alias]))
+            if estimated * hidden >= 1.0:
+                assert estimator.base_rows(query, alias) == pytest.approx(estimated * hidden)
+                ratios.append(hidden)
+    assert ratios and all(ratio != pytest.approx(1.0) for ratio in ratios)
+
+
 def test_join_rows_deterministic(setup):
     _, estimator, queries = setup
     query = next(q for q in queries if q.num_relations >= 2)

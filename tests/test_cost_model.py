@@ -1,7 +1,9 @@
 """Tests for the cost model and latency model."""
 
+import numpy as np
 import pytest
 
+from repro.db.cardinality import stable_seed
 from repro.db.catalog import Column, Table
 from repro.db.cost_model import CostConstants, CostModel, LatencyModel, MachineProfile
 from repro.db.datagen import make_catalog
@@ -90,6 +92,21 @@ def test_latency_model_is_deterministic(catalog, cost_model):
     assert model.latency_seconds(query, plan) == model.latency_seconds(query, plan)
     reseeded = LatencyModel(cost_model, seed=1)
     assert reseeded.latency_seconds(query, plan) != pytest.approx(model.latency_seconds(query, plan))
+
+
+def test_latency_noise_keeps_the_run_zero_key(catalog, cost_model):
+    # The noise is keyed by run index "0", as when latency_seconds took a
+    # run index: a new key would redraw every DB-built workload's matrix.
+    enumerator = PlanEnumerator(catalog)
+    query = QueryGenerator(catalog, seed=4).generate("q0")
+    plan = enumerator.optimize(query, default_hint_set())
+    model = LatencyModel(cost_model, seed=0)
+    quiet = LatencyModel(cost_model, MachineProfile(noise_sigma=0.0), seed=0)
+    key = stable_seed("0", query.name, repr(plan.signature()), "0")
+    noise = np.exp(np.random.default_rng(key).normal(0.0, model.profile.noise_sigma))
+    assert model.latency_seconds(query, plan) == pytest.approx(
+        quiet.latency_seconds(query, plan) * noise, rel=1e-12
+    )
 
 
 def test_latency_requires_annotated_plan(catalog, cost_model):

@@ -33,6 +33,15 @@ def test_execute_returns_latency(setup):
     assert result.charged_time == pytest.approx(result.latency)
 
 
+def test_execute_measures_one_run_of_the_noisy_latency_model(setup):
+    enumerator, executor, _, query = setup
+    noisy = LatencyModel(executor.latency_model.cost_model, seed=0)
+    assert noisy.profile.noise_sigma > 0
+    plan = enumerator.optimize(query, default_hint_set())
+    result = SimulatedExecutor(noisy).execute(query, plan)
+    assert result.latency == noisy.latency_seconds(query, plan)
+
+
 def test_timeout_censors_long_plans(setup):
     enumerator, executor, _, query = setup
     plan = enumerator.optimize(query, default_hint_set())
