@@ -34,6 +34,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config import ALSConfig
+from ..core.limeqo import DEFAULT_HINT
 from ..core.workload_matrix import WorkloadMatrix, checked_id, checked_ids
 from ..durability.faults import FaultFS
 from ..durability.journal import ShardJournal
@@ -88,10 +89,6 @@ class ServingCluster:
     n_hints:
         Width of every workload matrix -- hint sets are shared cluster-wide;
         rows (queries) are what gets sharded.
-    default_hint / regression_margin:
-        Same serving rule parameters as :class:`ServingService`, applied
-        uniformly to every shard so cluster decisions match a single
-        service over the union matrix.
     als_config:
         Per-shard incremental ALS refresher configuration.
     failure_threshold:
@@ -119,8 +116,6 @@ class ServingCluster:
         self,
         n_shards: int,
         n_hints: int,
-        default_hint: int = 0,
-        regression_margin: float = 1.0,
         als_config: Optional[ALSConfig] = None,
         failure_threshold: int = 3,
         durability_dir: Optional[str] = None,
@@ -131,8 +126,10 @@ class ServingCluster:
         if n_shards < 1:
             raise ClusterError(f"cluster needs at least one shard, got {n_shards}")
         self.n_hints = int(n_hints)
-        self.default_hint = int(default_hint)
-        self.regression_margin = float(regression_margin)
+        # Every shard keeps the serving rule's defaults (the DBMS default plan
+        # in column 0, margin 1.0), so cluster decisions match one service
+        # over the union matrix.
+        self.default_hint = DEFAULT_HINT
         self._als_config = als_config or ALSConfig()
         self.durability_dir = durability_dir
         self._fault_fs = fault_fs
@@ -185,8 +182,6 @@ class ServingCluster:
         return dict(
             shard_id=shard_id,
             n_hints=self.n_hints,
-            default_hint=self.default_hint,
-            regression_margin=self.regression_margin,
             als_config=self._als_config,
             telemetry=self.telemetry,
         )

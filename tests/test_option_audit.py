@@ -61,14 +61,6 @@ CALLER_ROOTS = (REPO / "src", REPO / "benchmarks", REPO / "examples")
 #: outside the tests sets it.  A def is named as the audit reports it: its
 #: dotted path, or its class for an ``__init__``.
 ALLOWED = {
-    ("ServingCluster", "default_hint"): "which column holds the default plan "
-    "is a fact about the data; the cluster hands it and regression_margin to "
-    "every shard's ServingService unchanged, so a cluster decides what one "
-    "service over the union matrix would",
-    ("ServingCluster", "regression_margin"): "the plan cache's no-regression "
-    "rule, forwarded unchanged to every shard's ServingService (see "
-    "default_hint); a constant here means one in PlanCache, CacheSnapshot "
-    "and ServingService too, whose tests hold the rule at other margins",
     ("ServingCluster", "failure_threshold"): "how many failed serves trip a "
     "shard's breaker: a deployment setting",
     ("ServingService", "clock"): "the seam that lets tests fake time for the "
