@@ -110,17 +110,13 @@ class MatrixOracle:
             raise ExplorationError(
                 "execute_many needs matching 1-D query and hint index arrays"
             )
-        if timeouts is not None and len(timeouts) != query_idx.size:
-            raise ExplorationError(f"got {len(timeouts)} timeouts for {query_idx.size} cells")
+        timeouts = cell_timeouts(query_idx, hint_idx, timeouts)
         if query_idx.size == 0:
             return []
         latencies = self.true_latencies[query_idx, hint_idx]
-        if timeouts is None:
-            bounds = np.full(query_idx.size, np.inf)
-        else:
-            bounds = np.array(
-                [np.inf if t is None or t <= 0 else float(t) for t in timeouts]
-            )
+        bounds = np.array(
+            [np.inf if t is None or t <= 0 else float(t) for t in timeouts]
+        )
         timed_out = latencies >= bounds
         charged = np.where(timed_out, bounds, latencies)
         return [
