@@ -85,10 +85,6 @@ class DriftDetector:
             self._windows[key] = ResidualWindow(WINDOW)
         return self._windows[key]
 
-    def record(self, queries, expected, measured) -> None:
-        """Fold one serving-feedback batch into the default key's window."""
-        self.window().record(queries, expected, measured)
-
     def note_row_count(self, n_rows: int, key: str = DEFAULT_KEY) -> None:
         """Track matrix growth: the first note per window epoch is the baseline."""
         self._row_current[key] = int(n_rows)

@@ -166,7 +166,7 @@ def test_detector_zero_drift_never_triggers():
     detector = DriftDetector()
     expected = np.full(WINDOW, 5.0)
     for _ in range(10):
-        detector.record(np.arange(WINDOW), expected, expected)
+        detector.window().record(np.arange(WINDOW), expected, expected)
         assert not detector.status().triggered
     assert detector.status().drift_score == 0.0
 
@@ -174,7 +174,7 @@ def test_detector_zero_drift_never_triggers():
 def test_detector_full_drift_always_triggers():
     detector = DriftDetector()
     expected = np.full(64, 5.0)
-    detector.record(np.arange(64), expected, expected * 4.0)
+    detector.window().record(np.arange(64), expected, expected * 4.0)
     status = detector.status()
     assert status.drift_triggered and status.triggered
     assert status.drift_score == 1.0
@@ -189,7 +189,7 @@ def test_detector_drift_gate_ignores_unseen_samples():
     expected[:2] = 10.0
     measured = np.full(62, 10.0)
     measured[0] = 30.0  # one noisy measurement among 60 unseen serves
-    detector.record(np.arange(62), expected, measured)
+    detector.window().record(np.arange(62), expected, measured)
     status = detector.status()
     assert status.samples == 62 >= MIN_SAMPLES and status.seen_samples == 2
     assert status.drift_score == pytest.approx(0.5)
@@ -211,20 +211,20 @@ def test_constants_are_a_consistent_configuration():
 def test_detector_needs_min_samples():
     detector = DriftDetector()
     expected = np.full(MIN_SAMPLES - 1, 5.0)
-    detector.record(np.arange(expected.size), expected, expected * 4.0)
+    detector.window().record(np.arange(expected.size), expected, expected * 4.0)
     assert not detector.status().triggered  # evidence, but not enough of it
 
 
 def test_detector_unseen_and_new_row_signals():
     detector = DriftDetector()
     expected = np.where(np.arange(32) % 2 == 0, np.inf, 5.0)
-    detector.record(np.arange(32), expected, np.full(32, 5.0))
+    detector.window().record(np.arange(32), expected, np.full(32, 5.0))
     status = detector.status()
     assert status.unseen_triggered and not status.drift_triggered
     # Row growth alone can trigger too.
     other = DriftDetector()
     fine = np.full(32, 5.0)
-    other.record(np.arange(32), fine, fine)
+    other.window().record(np.arange(32), fine, fine)
     other.note_row_count(100)
     other.note_row_count(140)
     assert other.status().new_row_fraction == pytest.approx(0.4)
