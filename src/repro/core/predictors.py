@@ -178,9 +178,10 @@ class TCNNPredictor(Predictor):
         trainer = self._get_trainer(matrix)
         trainer.fit(matrix)
         predictions = trainer.predict_full(matrix)
-        # Known entries keep their observed values, mirroring Section 4.3.2;
-        # the raw value matrix is only read where the mask is set.
-        return np.where(matrix.mask > 0, matrix.values, predictions)
+        # Completed cells keep their observed values, mirroring Section 4.3.2.
+        known = matrix.solver_cells()
+        predictions.reshape(-1)[known.obs_idx] = known.obs_vals
+        return predictions
 
 
 class TransductiveTCNNPredictor(TCNNPredictor):

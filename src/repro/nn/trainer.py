@@ -39,7 +39,7 @@ back with ``expm1`` and clipped to be non-negative.
 Cost model.  A store that keeps the plan space packed (``full_batch``) is
 read, never re-packed: each epoch gathers its shuffled training cells out of
 it once and its mini-batches are slices of that, and ``predict_full`` is one
-pass over all of it into arrays the trainer keeps between calls.  Both
+pass over it, a block of plans at a time, into arrays kept between calls.  Both
 passes pay for the max pool per pooled (cell, channel), not per node:
 training gathers each maximum, and scatters its gradient, through one flat
 index, and ``predict_full`` pools the last layer's bare products and only
@@ -64,6 +64,11 @@ from .optim import Adam
 #: the same initial network for the same shapes.
 SEED = 0
 
+#: Plans per block of ``predict_full``'s convolutions and max pool: a block's
+#: conv buffer stays in cache from the GEMM that writes it to the pool that
+#: reads it (docs/performance.md, "The plan space in blocks").
+BLOCK_PLANS = 512
+
 
 def _max_over_nodes(conv: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     """``conv.max(axis=1)`` for a ``(cells, nodes, channels)`` array, as a
@@ -79,6 +84,12 @@ def _max_over_nodes(conv: np.ndarray, out: Optional[np.ndarray] = None) -> np.nd
     for node in range(1, conv.shape[1]):
         np.maximum(out, conv[:, node], out=out)
     return out
+
+
+def _rows_between(index: np.ndarray, start: int, stop: int) -> np.ndarray:
+    """An ascending flat row index's entries in ``[start, stop)``, from ``start``."""
+    lo, hi = np.searchsorted(index, (start, stop))
+    return index[lo:hi] - start
 
 
 def _scatter_rows(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
@@ -212,22 +223,21 @@ class TCNNTrainer:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """``(rows, cols, targets, thresholds)`` of the cells to train on.
 
-        One vectorised pass over the matrix views; cells come out in
-        row-major order, completed observations taking priority over
-        censored ones.
+        Read through the matrix's kept cell indices, in row-major order: the
+        completed cells, and with ``config.censored`` the censored ones at
+        their bounds (a cell is never both: a completed observation wins).
         """
-        observed = matrix.mask > 0
-        keep = observed
-        if self.config.censored:
-            keep = observed | matrix.censored_mask
-        rows, cols = np.nonzero(keep)
-        if rows.size == 0:
+        known = matrix.solver_cells()
+        flat, targets, thresholds = known.obs_idx, known.obs_vals, np.zeros(known.obs_idx.size)
+        if self.config.censored and known.cen_idx.size:
+            flat = np.concatenate([flat, known.cen_idx])
+            order = np.argsort(flat, kind="stable")
+            flat = flat[order]
+            targets = np.concatenate([targets, known.cen_vals])[order]
+            thresholds = np.concatenate([thresholds, known.cen_vals])[order]
+        if flat.size == 0:
             raise NeuralNetworkError("no observed cells to train on")
-        values = matrix.values[rows, cols]
-        timeouts = matrix.timeout_matrix[rows, cols]
-        observed_here = observed[rows, cols]
-        targets = np.where(observed_here, values, timeouts)
-        thresholds = np.where(observed_here, 0.0, timeouts)
+        rows, cols = np.divmod(flat, matrix.n_hints)
         return rows, cols, targets, thresholds
 
     def _plan_space(self, shape: Tuple[int, int]) -> Optional[TreeBatch]:
@@ -507,13 +517,14 @@ class TCNNTrainer:
     def predict_full(self, matrix: WorkloadMatrix) -> np.ndarray:
         """Predicted latencies for every cell of the matrix.
 
-        When the feature store keeps the plan space packed this is the
-        forward pass over all of it at once: each stage's result goes into a
-        kept array (``out=``), padding rows are zeroed (or, before the pool,
-        set to -inf) through the plan space's kept indices, the last layer
-        pools before it activates, and the embeddings are broadcast over the
-        ``n x k`` grid instead of gathered per cell.  ``predict_cells`` is
-        the per-batch forward the tests hold this to.
+        When the feature store keeps the plan space packed this is one pass
+        over it into kept arrays (``out=``).  The convolutions and the max
+        pool run per block of ``BLOCK_PLANS`` plans in block-sized buffers,
+        padding zeroed (or, before the pool, -inf) through the plan space's
+        kept indices; the last layer pools before it activates, into the
+        block's rows of ``(cells, channels)``.  The bias, relu and head then
+        run over all cells, the embeddings broadcast over the ``n x k`` grid.
+        ``predict_cells`` is the per-batch forward the tests hold this to.
         """
         self._covers(matrix)
         n, k = matrix.n_queries, matrix.n_hints
@@ -522,27 +533,31 @@ class TCNNTrainer:
             cells = np.stack(np.divmod(np.arange(n * k), k), axis=1)
             return self.predict_cells(cells).reshape(n, k)
         cells, width = space.mask.shape
-        hidden = space.stacked.reshape(cells * width, -1)
-        children, last = None, len(self._conv) - 1
-        for depth, (weight, bias, _, _) in enumerate(self._conv):
-            if depth:
-                children = children or self._child_rows(space)
-                stack = self._buffer(("stack", depth), (cells * width, weight.shape[0]))
-                hidden = self._stacked(hidden, children, out=stack)
-            out = self._buffer(("conv", depth), (cells * width, weight.shape[1]))
-            if depth < last:
-                hidden = self._tree_conv(depth, hidden, self._padding, out=out)
-        # The last layer pools before it activates: ``fl(x + b)`` and relu
-        # are non-decreasing, so the maximum of ``relu(x + b)`` over a plan's
-        # real nodes is ``relu(max x + b)`` bit for bit.  The pool skips node
-        # 0 (the null node) and the padding past it reads -inf.
-        conv = np.matmul(hidden, weight, out=out)
-        conv[self._pool_padding] = -np.inf
-        channels = conv.shape[1]
-        pooled = _max_over_nodes(
-            conv.reshape(cells, width, channels)[:, 1:],
-            out=self._buffer("pooled", (cells, channels)),
-        )
+        last, channels = len(self._conv) - 1, self._conv[-1][0].shape[1]
+        pooled = self._buffer("pooled", (cells, channels))
+        size = min(BLOCK_PLANS, cells) * width  # the block buffers' rows
+        for start in range(0, cells, BLOCK_PLANS):
+            block = space.take(slice(start, start + BLOCK_PLANS))
+            rows, first = block.mask.size, start * width
+            hidden = block.stacked.reshape(rows, -1)
+            children = self._child_rows(block) if last else None
+            for depth, (weight, bias, _, _) in enumerate(self._conv):
+                if depth:
+                    stack = self._buffer(("stack", depth), (size, weight.shape[0]))[:rows]
+                    hidden = self._stacked(hidden, children, out=stack)
+                out = self._buffer(("conv", depth), (size, weight.shape[1]))[:rows]
+                if depth < last:
+                    padding = _rows_between(self._padding, first, first + rows)
+                    hidden = self._tree_conv(depth, hidden, padding, out=out)
+            # The last layer pools before it activates: ``fl(x + b)`` and relu
+            # are non-decreasing, so the maximum of ``relu(x + b)`` over a
+            # plan's real nodes is ``relu(max x + b)`` bit for bit.  The pool
+            # skips node 0 (the null node) and the padding past it reads -inf.
+            conv = np.matmul(hidden, weight, out=out)
+            conv[_rows_between(self._pool_padding, first, first + rows)] = -np.inf
+            _max_over_nodes(
+                conv.reshape(-1, width, channels)[:, 1:], out=pooled[start:start + BLOCK_PLANS]
+            )
         pooled += bias
         np.maximum(pooled, 0.0, out=pooled)
         rank = self._rank

@@ -53,7 +53,8 @@ def main(argv=None) -> int:
     for name, result in results.items():
         print(
             f"  {name:<22} best {result.best_seconds * 1e3:8.2f} ms   "
-            f"norm {result.best_seconds / calibration:6.3f}"
+            f"norm {result.best_seconds / calibration:6.3f}   "
+            + " ".join(f"{key}={value}" for key, value in result.meta.items())
         )
 
     payload = as_payload(results, calibration)

@@ -20,7 +20,8 @@ what measures what):
 * ``tcnn_predict_full`` -- one ``predict_full`` at that shape on frozen
                         weights: the plan-space pass, beside the generic
                         ``forward`` over the same 5,537 cells
-                        (``predict_cells``) in the same process,
+                        (``predict_cells``) in the same process, and the
+                        bytes its kept workspace holds (``workspace_bytes``),
 * ``serve_after_write`` -- a 256-cell feedback batch then a 256-query
                         ``serve_batch`` on one e2e-sized shard (800x49):
                         what a write costs the next reader (a row patch),
@@ -264,7 +265,9 @@ def build_suite() -> PerfHarness:
     def run_tcnn_predict_full(state):
         trainer, matrix, generic_us = state
         predictions = trainer.predict_full(matrix)
-        return {"cells": int(predictions.size), "predict_cells_us": generic_us}
+        kept = sum(buffer.nbytes for buffer in trainer._workspace.values())
+        return {"cells": int(predictions.size), "predict_cells_us": generic_us,
+                "workspace_bytes": kept}
 
     harness.add(
         "tcnn_predict_full", run_tcnn_predict_full, setup=setup_tcnn_predict_full

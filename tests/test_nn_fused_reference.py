@@ -8,8 +8,8 @@ must agree bit for bit -- per-epoch losses, every parameter, and
 central finite differences against the hand-written backward, the stacked
 tree convolution against the three-matmul association it replaced,
 ``predict_full``'s plan-space pass against the activate-then-pool body it
-replaced (bit for bit) and the per-batch forward, and the inference memory
-bound.
+replaced (bit for bit, in blocks of any size) and the per-batch forward, and
+the inference memory bound.
 """
 
 from __future__ import annotations
@@ -332,11 +332,29 @@ def assert_pools_like_activate_then_pool(trainer, matrix):
     return full
 
 
+#: ``predict_full``'s block size as the module sets it (tests patch it down).
+UNPATCHED_BLOCK_PLANS = trainer_module.BLOCK_PLANS
+
+
+def assert_blocks_do_not_move_a_bit(trainer, matrix, full):
+    """``full`` (``predict_full`` at the patched block size) ``tobytes``-equal
+    to the judge, to a pass at the unpatched size and to one block of every
+    plan (the pass before inference ran in blocks)."""
+    log_space, _ = activate_then_pool(trainer, *matrix.shape)
+    assert full.tobytes() == np.clip(np.expm1(log_space), 0.0, None).tobytes()
+    for plans in (UNPATCHED_BLOCK_PLANS, matrix.n_queries * matrix.n_hints):
+        with mock.patch.object(trainer_module, "BLOCK_PLANS", plans):
+            assert trainer.predict_full(matrix).tobytes() == full.tobytes()
+
+
+# 16 and 13 plans leave a remainder block on all four stores (54, 66, 1,960
+# and 2,058 cells); the unpatched size is one block on the ragged ones.
+@pytest.mark.parametrize("block_plans", [UNPATCHED_BLOCK_PLANS, 16, 13])
 @pytest.mark.parametrize("depth", [1, 2])
 @pytest.mark.parametrize("use_embeddings", [True, False])
 @pytest.mark.parametrize("store_kind", ["ragged", "synthetic"])
 def test_predict_full_equals_activate_then_pool_on_every_cell(
-    store_kind, use_embeddings, depth, tiny_workload, monkeypatch
+    store_kind, use_embeddings, depth, block_plans, tiny_workload, monkeypatch
 ):
     if store_kind == "ragged":
         n, k = 9, 6
@@ -353,9 +371,11 @@ def test_predict_full_equals_activate_then_pool_on_every_cell(
     )
     trainer = TCNNTrainer(store, n, k, config)
     trainer.fit(matrix)
+    monkeypatch.setattr(trainer_module, "BLOCK_PLANS", block_plans)
     lift_above_the_clip(trainer, n, k)
     full = assert_pools_like_activate_then_pool(trainer, matrix)
     assert (full > 0).all()  # nothing clipped: every cell is judged
+    assert_blocks_do_not_move_a_bit(trainer, matrix, full)
     generic = predict_cells_in_chunks(trainer, every_cell(n, k), 13).reshape(n, k)
     np.testing.assert_allclose(full, generic, rtol=1e-12, atol=0)
     # predict_cells went through the per-batch forward; the plan-space pass did not.
@@ -372,7 +392,9 @@ def test_predict_full_equals_activate_then_pool_on_every_cell(
     grown = partly_observed(n + 2, k, 2, 0.1)
     trainer.fit(grown)
     lift_above_the_clip(trainer, n + 2, k)
-    assert (assert_pools_like_activate_then_pool(trainer, grown) > 0).all()
+    full = assert_pools_like_activate_then_pool(trainer, grown)
+    assert (full > 0).all()
+    assert_blocks_do_not_move_a_bit(trainer, grown, full)
 
 
 signed_values = st.one_of(
@@ -417,13 +439,15 @@ def test_pooling_pre_activations_equals_pooling_relu_outputs(data, cells, width,
     max_real=st.integers(1, 6),
     use_embeddings=st.booleans(),
     scale=st.sampled_from([1e-300, 1.0, 1e150]),
+    block_plans=st.integers(1, 21),
     seed=st.integers(0, 10_000),
 )
 def test_predict_full_pools_like_activate_then_pool_on_drawn_weights(
-    depth, max_real, use_embeddings, scale, seed
+    depth, max_real, use_embeddings, scale, block_plans, seed
 ):
     """Tree-conv weights and biases of both signs, ±0, at tiny and huge
-    scales, over plans whose features take four levels, so that nodes tie."""
+    scales, over plans whose features take four levels, so that nodes tie;
+    the 20 plans in blocks of any size."""
     n, k = 5, 4
     levels = (-1.0, -0.0, 0.0, 1.0)
     store = RaggedStore(n, k, max_real, seed, levels=levels)
@@ -441,7 +465,9 @@ def test_predict_full_pools_like_activate_then_pool_on_drawn_weights(
         bias = trainer.parameters[f"conv{depth_}.bias"]
         bias[:] = rng.choice(levels, bias.shape) * scale * rng.random(bias.shape)
     matrix = WorkloadMatrix(n, k)
-    assert_pools_like_activate_then_pool(trainer, matrix)
+    with mock.patch.object(trainer_module, "BLOCK_PLANS", block_plans):
+        full = assert_pools_like_activate_then_pool(trainer, matrix)
+        assert_blocks_do_not_move_a_bit(trainer, matrix, full)
 
 
 def test_predict_full_does_not_hand_out_its_workspace(tiny_workload):
@@ -480,8 +506,13 @@ def test_predict_full_resizes_its_workspace_when_the_workload_grows(tiny_workloa
     grown = partly_observed(n + 2, k, 0, 0.1)
     after = trainer.predict_full(grown)
     assert after.shape == (n + 2, k)
-    assert all(len(buffer.reshape(-1)) % ((n + 2) * k) == 0
-               for buffer in trainer._workspace.values())
+    # Per-cell stages follow the cell count; the block stages hold one block.
+    width = store.full_batch().max_nodes
+    for stage, buffer in trainer._workspace.items():
+        if stage[0] in ("stack", "conv"):
+            assert len(buffer) == trainer_module.BLOCK_PLANS * width, stage
+        else:
+            assert len(buffer.reshape(-1)) % ((n + 2) * k) == 0, stage
     # Old rows read the same: their plans, embeddings and the weights did not move.
     np.testing.assert_allclose(after[:n], before, rtol=1e-12, atol=0)
     np.testing.assert_allclose(
@@ -510,12 +541,16 @@ def test_predict_full_peak_memory_is_no_higher_than_with_the_tape(job_small_work
     store = job_small_workload.feature_store()
     trainer = TCNNTrainer(store, n, k, config)
     trainer.predict_full(matrix)  # packs the plan space, sizes the workspace
-    # Kept between calls: one array per stage, cells x (nodes x channels for
-    # the convolution, then pooled, pooled + both embeddings, hidden, output).
+    # Kept between calls: one block of the convolution (plans x nodes x
+    # channels), then one array per stage, cells x (pooled, pooled + both
+    # embeddings, hidden, output).
     kept = sum(buffer.nbytes for buffer in trainer._workspace.values())
     width = store.full_batch().max_nodes
-    per_cell = width * 8 + 8 + (8 + 2 * config.embedding_rank) + 16 + 1
-    assert kept == n * k * per_cell * 8  # 4.5 MiB at 113 x 49
+    block = trainer_module.BLOCK_PLANS * width * 8
+    per_cell = 8 + (8 + 2 * config.embedding_rank) + 16 + 1
+    assert kept == (block + n * k * per_cell) * 8  # 2.1 MiB at 113 x 49
+    # No stage is kept over every node of every plan.
+    assert all(len(buffer) != n * k * width for buffer in trainer._workspace.values())
     # Allocated per call: output-sized arrays (expm1, clip) -- 87 KiB measured.
     per_call = traced_peak(lambda: trainer.predict_full(matrix))
     assert per_call < 256 * 1024

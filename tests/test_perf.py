@@ -22,6 +22,8 @@ from repro.perf import (
 )
 from repro.perf.harness import PerfResult
 from repro.perf.__main__ import main as perf_main
+from repro.workloads.matrices import generate_workload
+from repro.workloads.spec import JOB_SPEC
 
 
 class TestHarness:
@@ -150,6 +152,11 @@ class TestSuite:
         # The plan-space pass is about half the generic forward over the same
         # cells (3.5 vs 6.5 ms); "not slower" is what a noisy box can hold.
         assert result.best_seconds * 1e6 < result.meta["predict_cells_us"]
+        # Inference keeps no array over every node of every plan: its whole
+        # workspace is smaller than one cells x nodes x channels float64 array.
+        nodes = generate_workload(JOB_SPEC, seed=11).feature_store().full_batch().max_nodes
+        channels = 8  # the case's one tree-conv layer
+        assert 0 < result.meta["workspace_bytes"] < 113 * 49 * nodes * channels * 8
 
     def test_telemetry_case_runs_with_instrumentation_on(self):
         meta = build_suite().run(["telemetry_overhead"])["telemetry_overhead"].meta

@@ -1,9 +1,12 @@
 """Tests for the TCNN training loop and predictors built on it."""
 
 import dataclasses
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from builders import predict_cells_in_chunks
 from repro.config import TCNNConfig
@@ -148,6 +151,58 @@ def test_predict_full_matches_per_cell_prediction(tiny_workload):
     cells = [(i, j) for i in range(n) for j in range(k)]
     per_cell = trainer.predict_cells(cells).reshape(n, k)
     np.testing.assert_allclose(full, per_cell, rtol=0, atol=0)
+
+
+# -- the cells the neural path reads -----------------------------------------------------
+def training_cells_from_views(matrix, censored):
+    """What ``_training_cells`` read before it went through the kept cells:
+    ``n x k`` copies of the matrix views, indexed."""
+    observed = matrix.mask > 0
+    keep = observed | matrix.censored_mask if censored else observed
+    rows, cols = np.nonzero(keep)
+    values = matrix.values[rows, cols]
+    timeouts = matrix.timeout_matrix[rows, cols]
+    observed_here = observed[rows, cols]
+    targets = np.where(observed_here, values, timeouts)
+    return rows, cols, targets, np.where(observed_here, 0.0, timeouts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 4, 70]), k=st.integers(1, 6), seed=st.integers(0, 10_000))
+def test_neural_path_reads_the_kept_cells_like_the_matrix_views(n, k, seed):
+    """Drawn writes (completed, censored -- some onto completed cells, which
+    keep their latency -- and completed over censored) in bursts of one or
+    two rows, so the kept cells are patched as well as rebuilt (70 rows)."""
+    rng = np.random.default_rng(seed)
+    matrix = WorkloadMatrix(n, k)
+    trainers = {
+        censored: TCNNTrainer(None, n, k, small_config(censored=censored))
+        for censored in (True, False)
+    }
+    predictor = TCNNPredictor(None, small_config())
+    for _ in range(4):
+        for query in rng.choice(n, size=min(n, int(rng.integers(1, 3))), replace=False):
+            for _ in range(int(rng.integers(1, 2 * k + 1))):
+                hint, latency = int(rng.integers(k)), float(rng.lognormal())
+                if rng.random() < 0.5:
+                    matrix.observe(int(query), hint, latency)
+                else:
+                    matrix.observe_censored(int(query), hint, latency)
+        for censored, trainer in trainers.items():
+            expected = training_cells_from_views(matrix, censored)
+            if expected[0].size == 0:
+                with pytest.raises(NeuralNetworkError):
+                    trainer._training_cells(matrix)
+                continue
+            for mine, theirs in zip(trainer._training_cells(matrix), expected):
+                assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
+        # The predictor keeps every completed cell's latency over the model's.
+        predictions = rng.random((n, k))
+        predictor._trainer = SimpleNamespace(
+            n_queries=n, fit=lambda matrix: [], predict_full=lambda matrix: predictions.copy()
+        )
+        expected = np.where(matrix.mask > 0, matrix.values, predictions)
+        assert predictor._predict(matrix).tobytes() == expected.tobytes()
 
 
 # -- hostile input at the trainer's front door -----------------------------------------
