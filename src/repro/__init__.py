@@ -18,7 +18,6 @@ downstream user needs most:
   injection (:mod:`repro.durability`),
 * unified observability -- metrics registry, request tracing,
   exportable runtime snapshots (:mod:`repro.telemetry`),
-* the simulated DBMS substrate (:mod:`repro.db`),
 * the transductive TCNN, its hand-written backward and Adam in numpy
   (:mod:`repro.nn`),
 * the experiment harness regenerating every table and figure
@@ -77,7 +76,6 @@ from .cluster import (
     RendezvousRouter,
     ServingCluster,
 )
-from .db import HintSet, all_hint_sets, default_hint_set
 from .durability import (
     FaultInjector,
     ShardJournal,
@@ -122,7 +120,6 @@ from .workloads import (
     STACK_SPEC,
     SyntheticWorkload,
     WorkloadSpec,
-    build_database_workload,
     generate_workload,
     get_spec,
 )
@@ -176,9 +173,6 @@ __all__ = [
     "SVTCompleter",
     "WorkloadMatrix",
     "censored_als",
-    "HintSet",
-    "all_hint_sets",
-    "default_hint_set",
     "FaultInjector",
     "ShardJournal",
     "WriteAheadLog",
@@ -201,7 +195,6 @@ __all__ = [
     "STACK_SPEC",
     "SyntheticWorkload",
     "WorkloadSpec",
-    "build_database_workload",
     "generate_workload",
     "get_spec",
     "__version__",

@@ -29,11 +29,10 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from ..config import ALSConfig, ExplorationConfig
-from ..core.explorer import OfflineExplorer, cell_timeouts
+from ..core.explorer import ExecutionResult, OfflineExplorer, cell_timeouts
 from ..core.policies import ExplorationPolicy, LimeQOPolicy
 from ..core.predictors import RE_ANCHOR_SWEEPS
 from ..core.workload_matrix import WorkloadMatrix
-from ..db.executor import ExecutionResult
 from ..errors import AdaptiveError
 
 

@@ -2,14 +2,11 @@
 
 The explorer is agnostic to where latencies come from: it hands an
 *execution oracle* a batch of (query, hint) cells with their timeouts
-(``execute_many``) and gets one :class:`~repro.db.executor.ExecutionResult`
-per cell back; a batch whose lengths differ is refused, not truncated.  Two
-oracles ship with the library:
-
-* :class:`MatrixOracle` -- backed by a fully known ground-truth latency
-  matrix (used by the simulator and every benchmark),
-* :class:`DatabaseOracle` -- backed by the simulated DBMS substrate
-  (planner + latency model), used by the end-to-end examples.
+(``execute_many``) and gets one :class:`ExecutionResult` per cell back; a
+batch whose lengths differ is refused, not truncated.  The library ships
+:class:`MatrixOracle`, backed by a fully known ground-truth latency matrix
+(used by the simulator, every benchmark and every example); a real DBMS
+plugs in as another :class:`ExecutionOracle`.
 """
 
 from __future__ import annotations
@@ -21,9 +18,6 @@ from typing import List, Optional, Protocol, Sequence, Tuple
 import numpy as np
 
 from ..config import ExplorationConfig
-from ..db.executor import ExecutionResult, HintedExecutor
-from ..db.hints import HintSet
-from ..db.query import Query
 from ..errors import ExplorationError
 from .policies import ExplorationPolicy
 from .workload_matrix import WorkloadMatrix
@@ -32,6 +26,27 @@ from .workload_matrix import WorkloadMatrix
 #: no limit: the backstop of an unbounded time budget (a run also ends when a
 #: step finds nothing left to explore).
 MAX_STEPS = 10_000
+
+
+@dataclass(frozen=True)
+class ExecutionResult:
+    """Outcome of executing one (query, hint) cell.
+
+    Attributes
+    ----------
+    latency:
+        Observed latency when the plan finished, otherwise the (unknown to
+        the caller) true latency; use :attr:`charged_time` for accounting.
+    timed_out:
+        True when the plan was cancelled at the timeout.
+    charged_time:
+        Offline exploration time consumed: the full latency for completed
+        plans, the timeout for cancelled plans.
+    """
+
+    latency: float
+    timed_out: bool
+    charged_time: float
 
 
 class ExecutionOracle(Protocol):
@@ -124,46 +139,6 @@ class MatrixOracle:
                 latency=float(lat), timed_out=bool(out), charged_time=float(chg)
             )
             for lat, out, chg in zip(latencies, timed_out, charged)
-        ]
-
-
-class DatabaseOracle:
-    """Oracle backed by the simulated DBMS (planner + execution engine)."""
-
-    def __init__(
-        self,
-        executor: HintedExecutor,
-        queries: Sequence[Query],
-        hint_sets: Sequence[HintSet],
-    ) -> None:
-        self.executor = executor
-        self.queries = list(queries)
-        self.hint_sets = list(hint_sets)
-        if not self.queries or not self.hint_sets:
-            raise ExplorationError("DatabaseOracle needs queries and hint sets")
-
-    def execute(
-        self, query: int, hint: int, timeout: Optional[float] = None
-    ) -> ExecutionResult:
-        if not 0 <= query < len(self.queries):
-            raise ExplorationError(f"query index {query} out of range")
-        if not 0 <= hint < len(self.hint_sets):
-            raise ExplorationError(f"hint index {hint} out of range")
-        return self.executor.execute_with_hint(
-            self.queries[query], self.hint_sets[hint], timeout=timeout
-        )
-
-    def execute_many(
-        self,
-        queries: Sequence[int],
-        hints: Sequence[int],
-        timeouts: Optional[Sequence[Optional[float]]] = None,
-    ) -> List[ExecutionResult]:
-        """One plan at a time, as a real DBMS executes them."""
-        timeouts = cell_timeouts(queries, hints, timeouts)
-        return [
-            self.execute(int(q), int(h), timeout=t)
-            for q, h, t in zip(queries, hints, timeouts)
         ]
 
 

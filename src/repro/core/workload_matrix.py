@@ -64,8 +64,9 @@ def checked_id(name: str, value, bound: int, error) -> int:
 
 def _payload_arrays(payload: Dict, door: str) -> tuple:
     """The four cell arrays and the query names (or None) of a ``to_dict`` /
-    ``export_rows`` payload: 2-D, of one shape, one name per row -- or
-    :class:`MatrixError`.  Payloads come from disk and from other shards."""
+    ``export_rows`` payload: 2-D, of one shape, one name per row, and every
+    cell what the mutators would have let in -- or :class:`MatrixError`.
+    Payloads come from disk and from other shards."""
     try:
         values = np.asarray(payload["values"], dtype=float)
         observed = np.asarray(payload["observed"], dtype=bool)
@@ -84,6 +85,18 @@ def _payload_arrays(payload: Dict, door: str) -> tuple:
     if names is not None and len(names) != values.shape[0]:
         raise MatrixError(
             f"{door} expects {values.shape[0]} query names, got {len(names)}"
+        )
+    latencies, bounds = values[observed], timeouts[censored]
+    if (
+        (observed & censored).any()
+        or not np.isfinite(latencies).all()
+        or (latencies < 0).any()
+        or not np.isfinite(bounds).all()
+        or (bounds <= 0).any()
+    ):
+        raise MatrixError(
+            f"{door}: observed latencies must be finite and >= 0, censored "
+            "bounds finite and > 0, and no cell both observed and censored"
         )
     return values, observed, censored, timeouts, names
 
@@ -499,7 +512,8 @@ class WorkloadMatrix:
         The inverse half of a row migration: the exporting matrix drops the
         rows with :meth:`remove_queries`, the importing matrix appends them
         here.  Column count must match (hint sets are shared cluster-wide,
-        rows are what gets sharded).
+        rows are what gets sharded).  The payload is checked like
+        :meth:`from_dict`'s; a refused one appends and journals nothing.
         """
         values, observed, censored, timeouts, names = _payload_arrays(
             payload, "import_rows"
@@ -591,23 +605,12 @@ class WorkloadMatrix:
         What recovery feeds a snapshot body and the first ``import`` record
         to, so the payload is checked like any input from outside: the
         arrays against each other, and every cell against what the mutators
-        would have let in (:class:`MatrixError` otherwise).
+        would have let in (:class:`MatrixError` otherwise), the same check
+        :meth:`import_rows` makes.
         """
         values, observed, censored, timeouts, names = _payload_arrays(
             payload, "from_dict"
         )
-        latencies, bounds = values[observed], timeouts[censored]
-        if (
-            (observed & censored).any()
-            or not np.isfinite(latencies).all()
-            or (latencies < 0).any()
-            or not np.isfinite(bounds).all()
-            or (bounds <= 0).any()
-        ):
-            raise MatrixError(
-                "from_dict: observed latencies must be finite and >= 0, censored "
-                "bounds finite and > 0, and no cell both observed and censored"
-            )
         matrix = cls(
             values.shape[0],
             values.shape[1],

@@ -16,28 +16,8 @@ class ConfigError(ReproError):
     """Raised when a configuration value is out of its valid domain."""
 
 
-class CatalogError(ReproError):
-    """Raised for invalid schema or catalog operations (unknown table, ...)."""
-
-
-class QueryError(ReproError):
-    """Raised when a query references unknown relations or is malformed."""
-
-
 class PlanError(ReproError):
-    """Raised for invalid query-plan trees (bad arity, unknown operator)."""
-
-
-class HintError(ReproError):
-    """Raised for invalid hint-set configurations (e.g. all joins disabled)."""
-
-
-class OptimizerError(ReproError):
-    """Raised when the plan enumerator cannot produce a plan."""
-
-
-class ExecutionError(ReproError):
-    """Raised by the simulated execution engine for invalid requests."""
+    """Raised for invalid plan features (an empty pack, misshapen factors)."""
 
 
 class MatrixError(ReproError):

@@ -3,14 +3,15 @@
 Every function returns plain dictionaries of numbers (no plotting), sized
 by a ``scale`` argument so that the benchmark harness can regenerate the
 figures quickly on a laptop while tests use even smaller scales.  Absolute
-numbers will differ from the paper (the substrate is a simulator, not the
-authors' PostgreSQL testbed), but the *shapes* -- which method wins, by
-roughly what factor, and where the crossovers fall -- are what these
-functions reproduce.
+numbers will differ from the paper (the workloads are calibrated synthetic
+matrices, not the authors' PostgreSQL testbed), but the *shapes* -- which
+method wins, by roughly what factor, and where the crossovers fall -- are
+what these functions reproduce.
 """
 
 from __future__ import annotations
 
+import hashlib
 import time
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
@@ -30,10 +31,9 @@ from ..core.simulation import ExplorationSimulator, ExplorationTrace
 from ..core.workload_matrix import WorkloadMatrix
 from ..core.explorer import MatrixOracle, OfflineExplorer
 from ..baselines.bayesqo import BayesQO
-from ..db.cardinality import stable_seed
 from ..workloads.matrices import SyntheticWorkload, generate_workload
 from ..workloads.shift import (
-    DataDriftModel,
+    DRIFT_BY_AGE,
     add_etl_query,
     apply_data_shift,
     changed_optimal_fraction,
@@ -417,15 +417,20 @@ def _run_with_workload_shift(
 # ---------------------------------------------------------------------------
 # Figure 10 / Figure 11 (data drift)
 # ---------------------------------------------------------------------------
+def stable_seed(*parts: str) -> int:
+    """Derive a 32-bit seed from string parts, the same in every process
+    (the builtin ``hash`` is salted for ``str`` and address-based for ``None``)."""
+    digest = hashlib.sha256("::".join(parts).encode("utf-8")).digest()
+    return int.from_bytes(digest[:4], "little")
+
+
 def figure10_incremental_drift(
     scale: float = 0.05, seed: int = 0
 ) -> Dict[str, Dict]:
     """Figure 10: % of queries whose optimal hint changes per data age."""
-    model = DataDriftModel()
     workload = _load_workload("stack-2017", scale, seed)
-    out: Dict[str, Dict] = {"intervals": model.intervals(), "expected": [], "simulated": []}
-    for interval in model.intervals():
-        fraction = model.drift_fraction(interval)
+    out: Dict[str, Dict] = {"intervals": list(DRIFT_BY_AGE), "expected": [], "simulated": []}
+    for interval, fraction in DRIFT_BY_AGE.items():
         shifted = apply_data_shift(
             workload, changed_fraction=fraction, growth_factor=1.0 + fraction,
             seed=seed + stable_seed(interval) % 1000,

@@ -1,32 +1,20 @@
-"""Plan-tree utilities: binarisation and featurisation for the TCNN.
+"""Plan features for the TCNN.
 
 The neural method (LimeQO+) needs each workload-matrix cell to carry a
-featurised query-plan tree.  This package converts the DB substrate's
-:class:`~repro.db.operators.PlanNode` trees into padded tensors suitable
-for tree convolution, and provides feature stores:
-
-* :class:`~repro.plans.featurize.PlanFeatureStore` -- built from real plans
-  produced by the simulated optimizer,
-* :class:`~repro.plans.featurize.SyntheticPlanFeatureStore` -- derives
-  pseudo-plans from latent workload factors when only a latency matrix is
-  available (the fast benchmark path).
+featurised query-plan tree.  :class:`~repro.plans.featurize.SyntheticPlanFeatureStore`
+derives pseudo-plans from a workload's latent query/hint factors and packs
+them into padded tensors (:class:`~repro.plans.featurize.TreeBatch`) for
+tree convolution.
 """
 
 from .featurize import (
     NODE_FEATURE_DIM,
-    PlanFeatureStore,
-    PlanFeaturizer,
     SyntheticPlanFeatureStore,
     TreeBatch,
 )
-from .tree import binarize_plan, plan_to_arrays
 
 __all__ = [
     "NODE_FEATURE_DIM",
-    "PlanFeatureStore",
-    "PlanFeaturizer",
     "SyntheticPlanFeatureStore",
     "TreeBatch",
-    "binarize_plan",
-    "plan_to_arrays",
 ]

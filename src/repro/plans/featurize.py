@@ -4,15 +4,12 @@ A *feature store* maps a (query, hint) cell to a featurised plan tree.  The
 TCNN trainer asks the store for batches: padded arrays of node features and
 child indices (see :class:`TreeBatch`).
 
-Two stores are provided:
-
-* :class:`PlanFeatureStore` -- built from real plans produced by the
-  simulated optimizer, mirroring a Bao-style deployment where ``EXPLAIN``
-  output is featurised;
-* :class:`SyntheticPlanFeatureStore` -- when a workload exists only as a
-  latency matrix (the fast benchmark path), it derives deterministic
-  pseudo-plans from latent query/hint factors so plan features remain
-  predictive of latency, which is the property LimeQO+ exploits.
+The library's store is :class:`SyntheticPlanFeatureStore`: a workload
+exists only as a latency matrix, so it derives deterministic pseudo-plans
+from latent query/hint factors, and plan features remain predictive of
+latency -- the property LimeQO+ exploits.  A store of real (``EXPLAIN``)
+plans would subclass :class:`_FullBatchCacheMixin`; :func:`pack_trees` and
+the trainer already take trees of unequal size.
 """
 
 from __future__ import annotations
@@ -22,14 +19,13 @@ from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..db.hints import HintSet
-from ..db.operators import ALL_OPERATOR_NAMES
-from ..db.optimizer import PlanEnumerator
-from ..db.query import Query
 from ..errors import PlanError
-from .tree import plan_to_arrays
 
-NODE_FEATURE_DIM = len(ALL_OPERATOR_NAMES) + 2
+#: Physical operators a plan node is one-hot over: Bao's three joins (hash,
+#: merge, nested loop) and three scans (sequential, index, index-only).
+NUM_OPERATORS = 6
+#: A node's features: the operator one-hot, then two numeric columns.
+NODE_FEATURE_DIM = NUM_OPERATORS + 2
 #: One featurised plan: ``(nodes, left, right)`` arrays, null node first.
 Tree = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -149,46 +145,6 @@ class _FullBatchCacheMixin:
         return pack_trees([self.tree(q, h) for q, h in cells])
 
 
-class PlanFeaturizer:
-    """Featurises real plans from the simulated optimizer."""
-
-    def __init__(self, enumerator: PlanEnumerator) -> None:
-        self.enumerator = enumerator
-
-    def featurize(self, query: Query, hint_set: HintSet) -> Tree:
-        """Plan the query under the hint set and flatten the plan to arrays."""
-        plan = self.enumerator.optimize(query, hint_set)
-        return plan_to_arrays(plan)
-
-
-class PlanFeatureStore(_FullBatchCacheMixin):
-    """Caches featurised plans for every (query, hint) cell of a workload."""
-
-    def __init__(
-        self,
-        featurizer: PlanFeaturizer,
-        queries: Sequence[Query],
-        hint_sets: Sequence[HintSet],
-    ) -> None:
-        self.featurizer = featurizer
-        self.queries = list(queries)
-        self.hint_sets = list(hint_sets)
-        self._cache: Dict[Tuple[int, int], Tree] = {}
-
-    @property
-    def shape(self) -> Tuple[int, int]:
-        """(number of queries, number of hint sets)."""
-        return (len(self.queries), len(self.hint_sets))
-
-    def _derive(self, query: int, hint: int) -> Tree:
-        return self.featurizer.featurize(self.queries[query], self.hint_sets[hint])
-
-    def add_query(self, query: Query) -> int:
-        """Register a new query (workload shift) and return its row index."""
-        self.queries.append(query)
-        return len(self.queries) - 1
-
-
 #: Operator nodes in each synthetic plan tree.
 NODES_PER_PLAN = 7
 
@@ -252,7 +208,7 @@ class SyntheticPlanFeatureStore(_FullBatchCacheMixin):
         q_norm = float(np.linalg.norm(self.query_factors[query]))
         h_norm = float(np.linalg.norm(self.hint_factors[hint]))
         for i in range(1, count):
-            op = int(rng.integers(0, len(ALL_OPERATOR_NAMES)))
+            op = int(rng.integers(0, NUM_OPERATORS))
             nodes[i, op] = 1.0
             nodes[i, -2] = np.log1p(abs(signal)) + rng.normal(0.0, self.noise)
             nodes[i, -1] = np.log1p(q_norm * h_norm) + rng.normal(0.0, self.noise)

@@ -1,23 +1,16 @@
 """Workload construction: paper benchmarks, synthetic matrices, shifts.
 
-Two paths produce workloads:
-
-* :mod:`repro.workloads.generator` runs the full DB substrate (catalog →
-  queries → planner → latency model) and is used for JOB-sized workloads
-  and the end-to-end examples;
-* :mod:`repro.workloads.matrices` generates calibrated low-rank latency
-  matrices directly from the specs in :mod:`repro.workloads.spec`, which is
-  how the large CEB / Stack / DSB matrices are reproduced quickly for the
-  benchmark harness.
+:mod:`repro.workloads.matrices` generates calibrated low-rank latency
+matrices directly from the specs in :mod:`repro.workloads.spec` (the
+paper's Table 1): every figure, benchmark and example runs on one.
 
 :mod:`repro.workloads.shift` implements the paper's workload-shift,
 data-shift and ETL-query experiments.
 """
 
-from .generator import DatabaseWorkload, build_database_workload
 from .matrices import SyntheticWorkload, generate_workload
 from .shift import (
-    DataDriftModel,
+    DRIFT_BY_AGE,
     add_etl_query,
     apply_data_shift,
     etl_latency_rows,
@@ -35,11 +28,9 @@ from .spec import (
 )
 
 __all__ = [
-    "DatabaseWorkload",
-    "build_database_workload",
     "SyntheticWorkload",
     "generate_workload",
-    "DataDriftModel",
+    "DRIFT_BY_AGE",
     "add_etl_query",
     "apply_data_shift",
     "etl_latency_rows",

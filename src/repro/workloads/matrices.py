@@ -18,7 +18,7 @@ already optimal for them, which is what defeats the Greedy baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -89,15 +89,12 @@ class SyntheticWorkload:
     def subset(self, query_indices) -> "SyntheticWorkload":
         """A workload restricted to the given query rows (workload shift)."""
         query_indices = np.asarray(query_indices, dtype=int)
-        spec = WorkloadSpec(
+        spec = replace(
+            self.spec,
             name=f"{self.spec.name}-subset",
             n_queries=len(query_indices),
             default_total=float(self.true_latencies[query_indices, 0].sum()),
             optimal_total=float(self.true_latencies[query_indices].min(axis=1).sum()),
-            n_hints=self.spec.n_hints,
-            dataset=self.spec.dataset,
-            schema_template=self.spec.schema_template,
-            rank=self.spec.rank,
         )
         return SyntheticWorkload(
             spec=spec,

@@ -6,24 +6,38 @@ Implements the three robustness experiments of Sections 5.1, 5.3 and 5.4:
   is essentially identical across hints (Figure 8),
 * :func:`split_for_workload_shift` -- a 70/30 split of the workload with
   the remaining 30% arriving later (Figure 9),
-* :class:`DataDriftModel` / :func:`apply_data_shift` -- how many queries
+* :data:`DRIFT_BY_AGE` / :func:`apply_data_shift` -- how many queries
   change their optimal hint as the data ages, and a shifted copy of the
   workload (Figures 10 and 11).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Dict, Optional, Tuple
+from dataclasses import replace
+from typing import Optional, Tuple
 
 import numpy as np
 
 from ..errors import WorkloadError
 from .matrices import SyntheticWorkload
-from .spec import WorkloadSpec
 
 #: Relative spread of an ETL query's latency across hints (Figure 8).
 ETL_JITTER = 0.01
+
+#: Fraction of queries whose optimal hint changes after a data update, by the
+#: data's age, in increasing order (Figure 10's calibration): negligible after
+#: a day, roughly 1% after a month, 5% after six months, 10% after a year and
+#: 21% after two years.
+DRIFT_BY_AGE = {
+    "1 day": 0.001,
+    "1 week": 0.004,
+    "2 weeks": 0.007,
+    "1 month": 0.01,
+    "3 months": 0.03,
+    "6 months": 0.05,
+    "1 year": 0.10,
+    "2 years": 0.21,
+}
 
 
 def etl_latency_rows(
@@ -119,47 +133,6 @@ def split_for_workload_shift(
     return np.sort(order[:cut]), np.sort(order[cut:])
 
 
-@dataclass(frozen=True)
-class DataDriftModel:
-    """Fraction of queries whose optimal hint changes after a data update.
-
-    Calibrated to Figure 10: negligible change after a day, roughly 1% after
-    a month, 5% after six months, 10% after a year, 21% after two years.
-    """
-
-    table: Dict[str, float] = None
-
-    def __post_init__(self) -> None:
-        if self.table is None:
-            object.__setattr__(
-                self,
-                "table",
-                {
-                    "1 day": 0.001,
-                    "1 week": 0.004,
-                    "2 weeks": 0.007,
-                    "1 month": 0.01,
-                    "3 months": 0.03,
-                    "6 months": 0.05,
-                    "1 year": 0.10,
-                    "2 years": 0.21,
-                },
-            )
-
-    def intervals(self):
-        """Interval labels in increasing order of duration."""
-        return list(self.table.keys())
-
-    def drift_fraction(self, interval: str) -> float:
-        """Fraction of queries with a changed optimal hint after ``interval``."""
-        try:
-            return self.table[interval]
-        except KeyError:
-            raise WorkloadError(
-                f"unknown interval {interval!r}; expected one of {list(self.table)}"
-            ) from None
-
-
 def shift_latencies(
     latencies: np.ndarray,
     changed_fraction: float,
@@ -233,15 +206,11 @@ def apply_data_shift(
         workload.true_latencies, changed_fraction, growth_factor, rng
     )
 
-    spec = WorkloadSpec(
+    spec = replace(
+        workload.spec,
         name=spec_name or f"{workload.spec.name}-shifted",
-        n_queries=workload.n_queries,
         default_total=float(new_latencies[:, 0].sum()),
         optimal_total=float(new_latencies.min(axis=1).sum()),
-        n_hints=workload.spec.n_hints,
-        dataset=workload.spec.dataset,
-        schema_template=workload.spec.schema_template,
-        rank=workload.spec.rank,
     )
     return SyntheticWorkload(
         spec=spec,

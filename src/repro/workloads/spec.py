@@ -10,10 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from ..db.hints import NUM_HINT_SETS
 from ..errors import WorkloadError
 
 HOUR = 3600.0
+#: Bao's hint sets: six boolean join/scan switches (hash, merge and
+#: nested-loop join; index, sequential and index-only scan), with at least one
+#: join and at least one scan enabled -- 7 x 7 = 49 valid combinations.
+NUM_HINT_SETS = 49
 
 
 @dataclass(frozen=True)
@@ -25,9 +28,6 @@ class WorkloadSpec:
     default_total: float
     optimal_total: float
     n_hints: int = NUM_HINT_SETS
-    dataset: str = "synthetic"
-    dataset_size_gb: float = 0.0
-    schema_template: str = "toy"
     rank: int = 5
 
     def __post_init__(self) -> None:
@@ -66,28 +66,25 @@ class WorkloadSpec:
         )
 
 
-# Paper Table 1.
+# Paper Table 1.  The datasets behind them: JOB and CEB run on IMDb (7.2 GB),
+# Stack on the 2019 StackExchange dump (100 GB; the 2017 snapshot is 85 GB),
+# DSB on TPC-DS-style data (50 GB).
 JOB_SPEC = WorkloadSpec(
     name="job", n_queries=113, default_total=181.0, optimal_total=68.0,
-    dataset="imdb", dataset_size_gb=7.2, schema_template="imdb",
 )
 CEB_SPEC = WorkloadSpec(
     name="ceb", n_queries=3133, default_total=2.94 * HOUR, optimal_total=1.02 * HOUR,
-    dataset="imdb", dataset_size_gb=7.2, schema_template="imdb",
 )
 STACK_SPEC = WorkloadSpec(
     name="stack", n_queries=6191, default_total=1.46 * HOUR, optimal_total=1.09 * HOUR,
-    dataset="stack", dataset_size_gb=100.0, schema_template="stack",
 )
 # The 2017 snapshot used in the data-shift experiment (Section 5.4).
 STACK_2017_SPEC = WorkloadSpec(
     name="stack-2017", n_queries=6191, default_total=1.16 * HOUR,
-    optimal_total=0.90 * HOUR, dataset="stack", dataset_size_gb=85.0,
-    schema_template="stack",
+    optimal_total=0.90 * HOUR,
 )
 DSB_SPEC = WorkloadSpec(
     name="dsb", n_queries=1040, default_total=4.75 * HOUR, optimal_total=2.74 * HOUR,
-    dataset="dsb", dataset_size_gb=50.0, schema_template="dsb",
 )
 
 _SPECS = {

@@ -7,7 +7,6 @@ import pytest
 
 from repro.config import ExplorationConfig, TCNNConfig
 from repro.core.workload_matrix import WorkloadMatrix
-from repro.workloads.generator import build_database_workload
 from repro.workloads.matrices import generate_workload
 from repro.workloads.spec import CEB_SPEC, JOB_SPEC, WorkloadSpec
 
@@ -47,14 +46,6 @@ def job_small_workload():
 def ceb_mini_workload():
     """A scaled-down CEB workload for integration-style tests."""
     return generate_workload(CEB_SPEC.scaled(0.03), seed=1)
-
-
-@pytest.fixture(scope="session")
-def db_workload():
-    """A small workload built end-to-end on the DB substrate."""
-    return build_database_workload(
-        template_name="toy", n_queries=12, n_hints=8, seed=5, max_relations=4
-    )
 
 
 @pytest.fixture

@@ -238,17 +238,22 @@ def test_cells_and_dense_triple_are_the_same_solve(censored):
     assert_same_solve(*both_doors(matrix, config, warm_start=cells.factors, iterations=3))
 
 
-def import_hostile(edit):
-    """A matrix whose last row arrived through ``import_rows`` from a payload
-    ``edit`` tampered with (the one door that takes arrays from outside)."""
+def hostile_row(edit):
+    """A matrix whose last row holds cells ``edit`` wrote straight into its
+    arrays.  No door lets such a cell in (``import_rows`` and ``from_dict``
+    refuse it), so this is the only way one reaches the solver, which must
+    still refuse it, or ignore it, the same way through both doors."""
     matrix, _ = explored(n=6, k=5)
     donor = WorkloadMatrix(1, 5)
     donor.observe(0, 0, 4.0)
     donor.observe_censored(0, 2, 3.0)
     payload = donor.export_rows([0])
     payload["query_names"] = ["imported"]
-    edit(payload)
     matrix.import_rows(payload)
+    # Views of the last row: ``edit`` writes through them.
+    keys = ("values", "observed", "censored", "timeouts")
+    edit({key: getattr(matrix, f"_{key}")[-1:] for key in keys})
+    matrix._restructured()
     return matrix
 
 
@@ -263,7 +268,7 @@ def import_hostile(edit):
     ],
 )
 def test_hostile_import_raises_the_same_error_through_both_doors(edit, message):
-    matrix = import_hostile(edit)
+    matrix = hostile_row(edit)
     raised = []
     for solve in (
         lambda: censored_als(matrix.values, matrix.mask, matrix.timeout_matrix),
@@ -291,8 +296,8 @@ def test_imported_observation_beats_a_bound_on_the_same_cell_through_both_doors(
         payload["censored"][0, 0] = True
         payload["timeouts"][0, 0] = 12.0  # three times what was observed
 
-    matrix = import_hostile(observed_and_censored)
-    clean = import_hostile(lambda payload: None)
+    matrix = hostile_row(observed_and_censored)
+    clean = hostile_row(lambda payload: None)
     config = ALSConfig(rank=2, iterations=6)
     dense, cells = both_doors(matrix, config)
     assert_same_solve(dense, cells)

@@ -17,7 +17,9 @@ docstrings.
 The same goes for the builtin ``hash`` and ``id``: ``hash`` of a ``str`` is
 salted per process and ``hash(None)`` / ``id(x)`` are addresses, so a seed or
 an ordering derived from either differs between two runs of one command.
-``repro.db.cardinality.stable_seed`` is the replacement.
+``repro.experiments.figures.stable_seed`` derives a seed from strings, and
+``repro.cluster.router.rendezvous_score`` a shard from a key, the same in
+every process.
 """
 
 import ast
@@ -28,13 +30,6 @@ import subprocess
 import sys
 
 SRC_ROOT = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
-
-#: (module, function) -> why its ``id()`` calls stay.
-ID_AS_KEY = {
-    ("plans/tree.py", "plan_to_arrays"): "PlanNode is a mutable dataclass "
-    "(unhashable); the address keys a node -> position table that is only "
-    "looked up, never iterated",
-}
 
 # Seeded-generator constructors: the only np.random attributes a library
 # module may use.
@@ -91,20 +86,14 @@ def _stdlib_random_violations(tree):
 
 
 def _address_violations(tree):
-    """Calls of the builtin ``hash`` / ``id``, with the enclosing function."""
-    def walk(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
+    """Calls of the builtin ``hash`` / ``id``."""
+    for node in ast.walk(tree):
         if (
             isinstance(node, ast.Call)
             and isinstance(node.func, ast.Name)
             and node.func.id in ("hash", "id")
         ):
-            yield node.lineno, node.func.id, function
-        for child in ast.iter_child_nodes(node):
-            yield from walk(child, function)
-
-    return walk(tree, None)
+            yield node.lineno, node.func.id
 
 
 def test_source_tree_exists():
@@ -128,32 +117,29 @@ def test_no_global_random_state_in_library_modules():
 
 
 def test_no_address_or_salted_hash_reaches_a_result():
-    offenders, used = [], set()
+    offenders = []
     for path in sorted(SRC_ROOT.rglob("*.py")):
-        module = path.relative_to(SRC_ROOT).as_posix()
         tree = ast.parse(path.read_text(), filename=str(path))
-        for lineno, name, function in _address_violations(tree):
-            if name == "id" and (module, function) in ID_AS_KEY:
-                used.add((module, function))
-            else:
-                offenders.append(f"src/repro/{module}:{lineno}: {name}(...)")
+        for lineno, name in _address_violations(tree):
+            offenders.append(f"{path.relative_to(SRC_ROOT.parent)}:{lineno}: {name}(...)")
     assert not offenders, (
-        "builtin hash() / id() values differ between processes; seed with "
-        "repro.db.cardinality.stable_seed, or add the function to ID_AS_KEY "
-        "with the reason the address never reaches a result:\n  "
+        "builtin hash() / id() values differ between processes; derive a seed "
+        "from strings with repro.experiments.figures.stable_seed:\n  "
         + "\n  ".join(offenders)
     )
-    assert used == set(ID_AS_KEY), f"stale ID_AS_KEY entries: {set(ID_AS_KEY) - used}"
 
 
 _DIGESTS = """
 import hashlib
 import numpy as np
+from repro.cluster.router import RendezvousRouter, routing_key
 from repro.experiments.figures import figure10_incremental_drift
-from repro.workloads.generator import build_database_workload
 
-workload = build_database_workload("toy", 12, 8, seed=5, max_relations=4)
-print(hashlib.sha256(np.ascontiguousarray(workload.true_latencies).tobytes()).hexdigest())
+router = RendezvousRouter()
+for shard in range(4):
+    router.add_shard(shard)
+keys = [routing_key(f"tenant{t}", f"q{q}") for t in range(3) for q in range(100)]
+print(hashlib.sha256(np.ascontiguousarray(router.assign(keys)).tobytes()).hexdigest())
 print(hashlib.sha256(repr(figure10_incremental_drift(scale=0.05, seed=0)).encode()).hexdigest())
 """
 
@@ -196,4 +182,4 @@ def test_the_audit_itself_catches_violations():
         "    return hash(x) + id(x) + x.hash() + obj.id(x)\n"
         "'hash(x)'\n"
     )
-    assert [(n, f) for _, n, f in _address_violations(addressed)] == [("hash", "f"), ("id", "f")]
+    assert sorted(n for _, n in _address_violations(addressed)) == ["hash", "id"]

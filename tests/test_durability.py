@@ -287,6 +287,19 @@ class TestSnapshot:
         with pytest.raises(WalCorruption, match="does not hold a matrix"):
             recover_journal(str(tmp_path))
 
+    def test_crafted_import_record_is_typed_at_recovery(self, tmp_path):
+        # The second import lands on a live matrix (``import_rows``, not
+        # ``from_dict``): a cell both observed and censored, and a NaN bound.
+        journal = ShardJournal(str(tmp_path))
+        ServingService(make_matrix(), journal=journal)  # the first import
+        payload = make_matrix(n=2).to_dict()
+        payload["censored"][0, 0] = True
+        payload["timeouts"][0, 0] = np.nan
+        journal.log_import(payload)
+        journal.crash()
+        with pytest.raises(WalCorruption, match="import"):
+            recover_journal(str(tmp_path))
+
     def test_checkpoint_preserves_adaptation_backlog(self, tmp_path):
         journal = ShardJournal(str(tmp_path))
         matrix = make_matrix()

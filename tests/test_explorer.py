@@ -6,7 +6,7 @@ import pytest
 from repro.adaptive.reexplore import RowOracle
 from repro.config import ALSConfig, ExplorationConfig
 from repro.core import explorer as explorer_module
-from repro.core.explorer import DatabaseOracle, MatrixOracle, OfflineExplorer
+from repro.core.explorer import MatrixOracle, OfflineExplorer
 from repro.core.policies import LimeQOPolicy, RandomPolicy
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import ExplorationError
@@ -43,16 +43,6 @@ def test_matrix_oracle_execution_and_censoring():
     censored = oracle.execute(0, 1, timeout=truth[0, 1] / 2)
     assert censored.timed_out
     assert censored.charged_time == pytest.approx(truth[0, 1] / 2)
-
-
-def test_database_oracle_matches_executor(db_workload):
-    oracle = DatabaseOracle(
-        db_workload.executor, db_workload.queries, db_workload.hint_sets
-    )
-    result = oracle.execute(0, 1)
-    assert result.latency == pytest.approx(db_workload.true_latencies[0, 1], rel=1e-6)
-    with pytest.raises(ExplorationError):
-        oracle.execute(999, 0)
 
 
 def test_explorer_step_updates_matrix_and_accounting():
@@ -190,21 +180,18 @@ def test_matrix_oracle_execute_many_without_timeouts():
     assert oracle.execute_many([], []) == []
 
 
-def _oracles(db_workload):
+def _oracles():
     truth = truth_matrix()
     return {
         "matrix": MatrixOracle(truth),
-        "database": DatabaseOracle(
-            db_workload.executor, db_workload.queries, db_workload.hint_sets
-        ),
         "row": RowOracle(lambda row, hint: float(truth[row, hint])),
     }
 
 
-@pytest.mark.parametrize("kind", ["matrix", "database", "row"])
-def test_every_oracle_refuses_a_batch_of_unequal_lengths(kind, db_workload):
+@pytest.mark.parametrize("kind", ["matrix", "row"])
+def test_every_oracle_refuses_a_batch_of_unequal_lengths(kind):
     """A short ``hints`` or ``timeouts`` list must not drop cells silently."""
-    oracle = _oracles(db_workload)[kind]
+    oracle = _oracles()[kind]
     with pytest.raises(ExplorationError):
         oracle.execute_many([0, 1], [1])
     with pytest.raises(ExplorationError):
@@ -214,16 +201,6 @@ def test_every_oracle_refuses_a_batch_of_unequal_lengths(kind, db_workload):
     with pytest.raises(ExplorationError):
         oracle.execute_many([], [], timeouts=[1.0])
     assert len(oracle.execute_many([0, 1], [1, 0], timeouts=[None, None])) == 2
-
-
-def test_database_oracle_execute_many_loop_fallback(db_workload):
-    oracle = DatabaseOracle(
-        db_workload.executor, db_workload.queries, db_workload.hint_sets
-    )
-    results = oracle.execute_many([0, 1], [1, 0])
-    assert len(results) == 2
-    scalar = oracle.execute(0, 1)
-    assert results[0].latency == pytest.approx(scalar.latency, rel=1e-6)
 
 
 def test_row_distinct_chunking_preserves_order():

@@ -1,4 +1,4 @@
-"""Tests for plan feature stores (real and synthetic)."""
+"""Tests for the synthetic plan feature store and tree packing."""
 
 import numpy as np
 import pytest
@@ -6,8 +6,6 @@ import pytest
 from repro.errors import PlanError
 from repro.plans.featurize import (
     NODE_FEATURE_DIM,
-    PlanFeatureStore,
-    PlanFeaturizer,
     SyntheticPlanFeatureStore,
     TreeBatch,
     pack_trees,
@@ -31,42 +29,6 @@ def test_pack_trees_pads_and_masks():
 def test_pack_trees_rejects_empty_input():
     with pytest.raises(PlanError):
         pack_trees([])
-
-
-def test_plan_feature_store_caches_and_batches(db_workload):
-    store = PlanFeatureStore(
-        PlanFeaturizer(db_workload.enumerator),
-        db_workload.queries,
-        db_workload.hint_sets,
-    )
-    assert store.shape == (db_workload.n_queries, db_workload.n_hints)
-    first = store.tree(0, 0)
-    again = store.tree(0, 0)
-    assert first is again  # cached
-    batch = store.batch([(0, 0), (1, 1), (2, 0)])
-    assert batch.stacked.shape[0] == 3
-    assert batch.nodes.shape[2] == NODE_FEATURE_DIM
-
-
-def test_plan_feature_store_differs_across_hints(db_workload):
-    store = db_workload.feature_store()
-    nodes_default, _, _ = store.tree(1, 0)
-    found_difference = False
-    for hint_index in range(1, db_workload.n_hints):
-        nodes_other, _, _ = store.tree(1, hint_index)
-        if nodes_other.shape != nodes_default.shape or not np.allclose(
-            nodes_other, nodes_default
-        ):
-            found_difference = True
-            break
-    assert found_difference
-
-
-def test_plan_feature_store_add_query(db_workload):
-    store = db_workload.feature_store()
-    new_index = store.add_query(db_workload.queries[0])
-    assert new_index == db_workload.n_queries
-    assert store.tree(new_index, 0)[0].shape[1] == NODE_FEATURE_DIM
 
 
 def test_synthetic_store_shapes_and_determinism(tiny_workload):
@@ -151,14 +113,18 @@ def test_full_batch_is_cached_and_invalidated_on_growth():
     assert grown.stacked.shape[0] == 5 * 3
 
 
-def test_plan_feature_store_full_batch(db_workload):
-    from repro.plans.featurize import PlanFeatureStore, PlanFeaturizer
+def test_the_job_pack_is_pinned():
+    # Every byte of the plan space the TCNN trains on at JOB shape, seed 0.
+    # The operator count and ``_derive``'s draws both feed it.
+    import hashlib
 
-    store = PlanFeatureStore(
-        PlanFeaturizer(db_workload.enumerator),
-        db_workload.queries[:3],
-        db_workload.hint_sets[:2],
+    from repro.workloads import JOB_SPEC, generate_workload
+
+    batch = generate_workload(JOB_SPEC, seed=0).feature_store().full_batch()
+    digest = hashlib.sha256()
+    for array in (batch.stacked, batch.left, batch.right, batch.mask):
+        digest.update(array.tobytes())
+    assert batch.stacked.shape == (113 * 49, 8, 3 * NODE_FEATURE_DIM)
+    assert digest.hexdigest() == (
+        "222da175b9968ff6b3b25d5655d8de4eba373c20919f92fd2f147fb0d85b2c07"
     )
-    full = store.full_batch()
-    assert full.stacked.shape[0] == 6
-    assert store.full_batch() is full

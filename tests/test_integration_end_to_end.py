@@ -1,9 +1,9 @@
-"""Integration tests: the whole pipeline on both workload paths."""
+"""Integration tests: the whole pipeline, through the simulator and the facade."""
 
 import pytest
 
 from repro.config import ALSConfig, ExplorationConfig
-from repro.core.explorer import DatabaseOracle, MatrixOracle, OfflineExplorer
+from repro.core.explorer import MatrixOracle, OfflineExplorer
 from repro.core.limeqo import LimeQO
 from repro.core.plan_cache import PlanCache
 from repro.core.policies import GreedyPolicy, LimeQOPolicy, RandomPolicy
@@ -38,32 +38,29 @@ def test_full_pipeline_on_synthetic_workload(ceb_mini_workload):
     assert served <= workload.default_total * 1.01
 
 
-def test_full_pipeline_on_database_substrate(db_workload):
-    """The same loop driven by the simulated DBMS instead of a matrix."""
-    oracle = DatabaseOracle(
-        db_workload.executor, db_workload.queries, db_workload.hint_sets
-    )
+def test_full_pipeline_through_the_limeqo_facade(tiny_workload):
+    """Register -> explore -> serve through :class:`LimeQO`, as a deployment
+    drives it: rows arrive by name with their default latency, and the
+    verified plan cache beats the default without regressing any query."""
+    truth = tiny_workload.true_latencies
     system = LimeQO(
-        n_hints=db_workload.n_hints,
-        oracle=oracle,
+        n_hints=tiny_workload.n_hints,
+        oracle=MatrixOracle(truth),
         policy=LimeQOPolicy(als_config=ALSConfig(rank=3, iterations=8)),
         config=ExplorationConfig(batch_size=4, seed=0),
     )
-    for i, query in enumerate(db_workload.queries):
-        system.register_query(query.name,
-                              default_latency=float(db_workload.true_latencies[i, 0]))
-    default_total = db_workload.default_total
+    for i in range(tiny_workload.n_queries):
+        assert system.register_query(f"q{i}", default_latency=float(truth[i, 0])) == i
+    assert system.register_query("q0") == 0  # a known name is not a new row
+    default_total = tiny_workload.default_total
     system.explore(time_budget=2.0 * default_total)
 
-    hints = system.plan_cache().snapshot().hints.tolist()
-    served = sum(
-        db_workload.true_latencies[i, h] * 0 + db_workload.true_latencies[i, h]
-        for i, h in enumerate(hints)
-    )
-    # Simulator noise between the registered default latency and a re-run is
-    # small; allow a tiny margin.
-    assert served <= default_total * 1.05
-    assert system.plan_cache().verify_no_regression(db_workload.true_latencies)
+    cache = system.plan_cache()
+    hints = cache.snapshot().hints.tolist()
+    served = sum(truth[i, h] for i, h in enumerate(hints))
+    assert served < default_total
+    assert cache.verify_no_regression(truth)
+    assert system.lookup("q3").hint == hints[3]
 
 
 def test_limeqo_beats_greedy_with_etl_query(tiny_workload):

@@ -10,7 +10,6 @@ from repro.config import ALSConfig
 from repro.core.als import censored_als
 from repro.core.plan_cache import PlanCache
 from repro.core.workload_matrix import WorkloadMatrix
-from repro.db.hints import all_hint_sets
 from taped_tcnn import parameter
 
 latencies = st.floats(min_value=0.001, max_value=1e4, allow_nan=False, allow_infinity=False)
@@ -159,15 +158,6 @@ def test_censored_als_reproduces_observed_entries_and_stays_finite(rank, seed, f
     assert (result.completed >= -1e-9).all()
     observed = mask > 0
     assert np.allclose(result.completed[observed], truth[observed])
-
-
-def test_hint_space_is_exactly_the_valid_combinations():
-    hints = all_hint_sets()
-    assert len(hints) == 49
-    for hint in hints:
-        joins = (hint.enable_hashjoin, hint.enable_mergejoin, hint.enable_nestloop)
-        scans = (hint.enable_indexscan, hint.enable_seqscan, hint.enable_indexonlyscan)
-        assert any(joins) and any(scans)
 
 
 @settings(max_examples=20, deadline=None)

@@ -147,7 +147,9 @@ def _tampered(edit):
     return payload
 
 
-@pytest.mark.parametrize(
+#: Payloads no mutator could have produced; both doors that take a payload
+#: from outside (``from_dict`` and ``import_rows``) refuse every one.
+HOSTILE_PAYLOADS = pytest.mark.parametrize(
     "edit",
     [
         pytest.param(lambda p: p.__setitem__("observed", p["observed"][:2]), id="3x4-beside-2x4"),
@@ -161,11 +163,41 @@ def _tampered(edit):
         pytest.param(lambda p: p.pop("censored"), id="missing-array"),
     ],
 )
+
+
+@HOSTILE_PAYLOADS
 def test_from_dict_rejects_payloads_no_mutator_could_have_produced(edit):
     with pytest.raises(MatrixError):
         WorkloadMatrix.from_dict(_tampered(edit))
     # The untouched payload is fine, and row_minima() works on the result.
     assert WorkloadMatrix.from_dict(_tampered(lambda p: None)).row_minima()[0] == 1.5
+
+
+class _ImportJournal:
+    """Counts the imports a matrix made durable."""
+
+    def __init__(self):
+        self.imports = 0
+
+    def log_import(self, payload):
+        self.imports += 1
+
+
+@HOSTILE_PAYLOADS
+def test_import_rows_refuses_what_from_dict_refuses(edit):
+    """A cell both observed and censored used to be listed twice by
+    ``known_cells()``; a NaN latency made ``row_minima()`` read ``nan``."""
+    matrix = WorkloadMatrix(2, 4, query_names=["x", "y"])
+    matrix.observe(0, 0, 3.0)
+    matrix.journal = journal = _ImportJournal()
+    with pytest.raises(MatrixError):
+        matrix.import_rows(_tampered(edit))
+    assert matrix.n_queries == 2 and matrix.query_names == ["x", "y"]
+    assert journal.imports == 0
+    # The untouched payload goes in, and is journaled once.
+    assert matrix.import_rows(_tampered(lambda p: None)) == [2, 3, 4]
+    assert journal.imports == 1
+    assert matrix.row_minima()[2:].tolist() == [1.5, np.inf, 0.25]
 
 
 def test_copy_is_independent():

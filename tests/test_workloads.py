@@ -6,7 +6,7 @@ import pytest
 from repro.errors import WorkloadError
 from repro.workloads.matrices import generate_workload
 from repro.workloads.shift import (
-    DataDriftModel,
+    DRIFT_BY_AGE,
     add_etl_query,
     apply_data_shift,
     changed_optimal_fraction,
@@ -127,12 +127,9 @@ def test_split_for_workload_shift(tiny_workload):
 
 
 def test_data_drift_model_is_monotone():
-    model = DataDriftModel()
-    fractions = [model.drift_fraction(i) for i in model.intervals()]
+    fractions = list(DRIFT_BY_AGE.values())
     assert fractions == sorted(fractions)
-    assert model.drift_fraction("2 years") == pytest.approx(0.21)
-    with pytest.raises(WorkloadError):
-        model.drift_fraction("3 years")
+    assert DRIFT_BY_AGE["2 years"] == pytest.approx(0.21)
 
 
 def test_apply_data_shift_changes_requested_fraction(tiny_workload):
