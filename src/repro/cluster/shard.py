@@ -132,13 +132,15 @@ class ClusterShard:
                 f"shard {self.shard_id} has crashed; restart it before adding rows"
             )
         if self.matrix is None:
-            if self.journal is not None:
-                # The matrix does not exist yet, so the write-ahead record
-                # is logged here instead of by the matrix hook.
-                self.journal.log_import(payload)
-            self.matrix = WorkloadMatrix.from_dict(
+            matrix = WorkloadMatrix.from_dict(
                 {**payload, "hint_names": [f"h{j}" for j in range(self.n_hints)]}
             )
+            if self.journal is not None:
+                # The matrix is not the shard's yet, so the write-ahead
+                # record is logged here instead of by the matrix hook -- and
+                # only once ``from_dict`` has accepted the payload.
+                self.journal.log_import(payload)
+            self.matrix = matrix
             self._build_service()
             indices = list(range(len(names)))
         else:

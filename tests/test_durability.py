@@ -43,6 +43,7 @@ from repro.errors import (
     ClusterError,
     DurabilityError,
     InjectedCrash,
+    MatrixError,
     WalCorruption,
 )
 from repro.serving import ServingService
@@ -59,6 +60,36 @@ def make_matrix(n=8, k=4, seed=7):
     rows, cols = np.nonzero(observed)
     matrix.observe_batch(rows, cols, truth[rows, cols])
     return matrix
+
+
+#: ``array name -> value`` written into one cell of an otherwise valid
+#: payload: each makes a cell no mutator could have written.
+HOSTILE_CELLS = {
+    "nan-latency": ("values", np.nan),
+    "inf-latency": ("values", np.inf),
+    "negative-latency": ("values", -1.0),
+    "zero-bound": ("timeouts", 0.0),
+    "nan-bound": ("timeouts", np.nan),
+    "inf-bound": ("timeouts", np.inf),
+    "observed-and-censored": ("censored", True),
+}
+
+
+def hostile_payload(kind):
+    """Rows ``x`` and ``y`` of four hints, one cell made hostile by ``kind``."""
+    payload = make_matrix(n=2).to_dict()
+    payload["query_names"] = ["x", "y"]
+    array, value = HOSTILE_CELLS[kind]
+    if array == "timeouts":  # a bound only means something on a censored cell
+        row, hint = 1, 3
+        payload["observed"][row, hint] = False
+        payload["values"][row, hint] = np.inf
+        payload["censored"][row, hint] = True
+    else:  # the default column is always observed
+        row, hint = 0, 0
+        payload["timeouts"][row, hint] = 1.0
+    payload[array][row, hint] = value
+    return payload
 
 
 def recover_service(directory):
@@ -299,6 +330,20 @@ class TestSnapshot:
         journal.crash()
         with pytest.raises(WalCorruption, match="import"):
             recover_journal(str(tmp_path))
+
+    @pytest.mark.parametrize("kind", list(HOSTILE_CELLS))
+    def test_every_hostile_import_record_is_typed_at_recovery(self, tmp_path, kind):
+        # Whether it would create the matrix or land on a live one, a
+        # crafted import record fails its replay as corruption.
+        for live in (False, True):
+            directory = str(tmp_path / f"live-{live}")
+            journal = ShardJournal(directory)
+            if live:
+                ServingService(make_matrix(), journal=journal)
+            journal.log_import(hostile_payload(kind))
+            journal.crash()
+            with pytest.raises(WalCorruption, match="import"):
+                recover_journal(directory)
 
     def test_checkpoint_preserves_adaptation_backlog(self, tmp_path):
         journal = ShardJournal(str(tmp_path))
@@ -631,6 +676,27 @@ class TestShardRecovery:
             ClusterShard.recover(str(tmp_path), shard_id=0, n_hints=9)
         recovered = ClusterShard.recover(str(tmp_path), shard_id=0, n_hints=4)
         assert recovered.matrix.shape == matrix.shape
+
+    @pytest.mark.parametrize("kind", list(HOSTILE_CELLS))
+    @pytest.mark.parametrize("door", ["first-import", "later-import"])
+    def test_a_refused_import_leaves_the_journal_recoverable(self, tmp_path, door, kind):
+        """A payload the shard refuses must not reach its journal, where it
+        would fail every later recovery of the shard.  The first import is
+        logged by the shard itself, not by the matrix's hook."""
+        shard = ClusterShard(0, n_hints=4, journal=ShardJournal(str(tmp_path)))
+        if door == "later-import":
+            shard.import_rows(make_matrix(n=2).to_dict() | {"query_names": ["a", "b"]})
+        before = None if shard.matrix is None else shard.matrix.to_dict()
+        with pytest.raises(MatrixError):
+            shard.import_rows(hostile_payload(kind))
+        assert_same_matrix(shard.matrix, before)
+        assert "x" not in shard._rows
+        shard.crash()
+        recovered = ClusterShard.recover(str(tmp_path), shard_id=0, n_hints=4)
+        assert_same_matrix(recovered.matrix, before)
+        # The recovered shard takes the same rows once they are valid.
+        valid = make_matrix(n=2).to_dict() | {"query_names": ["x", "y"]}
+        assert recovered.import_rows(valid)[-1] == recovered.matrix.n_queries - 1
 
     def test_crashed_shard_rejects_traffic(self, tmp_path):
         journal = ShardJournal(str(tmp_path))

@@ -1,5 +1,7 @@
 """Tests for the experiment harness (runner, reporting, small figure smokes)."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from repro.experiments.runner import (
     make_policy,
     run_policy_on_workload,
 )
+from repro.workloads import DRIFT_BY_AGE
 
 FAST_TCNN = TCNNConfig(
     embedding_rank=3, channels=(8,), hidden_units=(8,), dropout=0.0,
@@ -110,6 +113,23 @@ def test_figure10_incremental_drift_matches_model():
     result = figures.figure10_incremental_drift(scale=0.02, seed=0)
     assert len(result["intervals"]) == len(result["expected"]) == len(result["simulated"])
     assert result["expected"] == sorted(result["expected"])
+
+
+def test_stable_seed_is_pinned_across_processes():
+    # Figure 10 seeds each age's shift with it: a new value is a new figure.
+    assert figures.stable_seed("1 day") == 2505926394
+    assert all(0 <= figures.stable_seed(age) < 2 ** 32 for age in DRIFT_BY_AGE)
+
+
+def test_stable_seed_digests_its_parts_in_order():
+    digest = hashlib.sha256(b"stack::1 year").digest()
+    assert figures.stable_seed("stack", "1 year") == int.from_bytes(digest[:4], "little")
+    assert figures.stable_seed("1 year", "stack") != figures.stable_seed("stack", "1 year")
+
+
+def test_every_drift_age_draws_its_own_shift_seed():
+    shift_seeds = {figures.stable_seed(age) % 1000 for age in DRIFT_BY_AGE}
+    assert len(shift_seeds) == len(DRIFT_BY_AGE)
 
 
 def test_figure18_bayesqo_limeqo_wins(job_small_workload):

@@ -6,7 +6,7 @@ import pytest
 from repro.adaptive.reexplore import RowOracle
 from repro.config import ALSConfig, ExplorationConfig
 from repro.core import explorer as explorer_module
-from repro.core.explorer import MatrixOracle, OfflineExplorer
+from repro.core.explorer import ExecutionResult, MatrixOracle, OfflineExplorer
 from repro.core.policies import LimeQOPolicy, RandomPolicy
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import ExplorationError
@@ -211,3 +211,36 @@ def test_row_distinct_chunking_preserves_order():
     assert OfflineExplorer._row_distinct_chunks([]) == []
     flat = [pair for chunk in chunks for pair in chunk]
     assert flat == [(0, 1), (1, 2), (0, 3), (2, 1), (2, 4)]
+
+
+#: ``(timeout as a multiple of the cell's latency, censored?)``: a timeout
+#: of None or <= 0 means "run to completion"; a plan still running when
+#: the timeout expires -- including one that would finish exactly then --
+#: is cancelled and charged the timeout.
+TIMEOUT_CASES = {
+    "none": (None, False),
+    "zero": (0.0, False),
+    "negative": (-1.0, False),
+    "below-latency": (0.5, True),
+    "at-latency": (1.0, True),
+    "above-latency": (2.0, False),
+}
+
+
+@pytest.mark.parametrize("case", list(TIMEOUT_CASES))
+@pytest.mark.parametrize("kind", ["matrix", "row"])
+def test_every_oracle_censors_at_the_timeout(kind, case):
+    """Both doors of every oracle apply the protocol's one timeout rule."""
+    truth = truth_matrix()
+    oracle = _oracles()[kind]
+    multiple, censored = TIMEOUT_CASES[case]
+    query, hint = 2, 3
+    latency = float(truth[query, hint])
+    timeout = None if multiple is None else multiple * latency
+    single = oracle.execute(query, hint, timeout=timeout)
+    (batched,) = oracle.execute_many([query], [hint], [timeout])
+    for result in (single, batched):
+        assert isinstance(result, ExecutionResult)
+        assert result.latency == latency
+        assert result.timed_out is censored
+        assert result.charged_time == (timeout if censored else latency)

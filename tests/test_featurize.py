@@ -6,6 +6,8 @@ import pytest
 from repro.errors import PlanError
 from repro.plans.featurize import (
     NODE_FEATURE_DIM,
+    NODES_PER_PLAN,
+    NUM_OPERATORS,
     SyntheticPlanFeatureStore,
     TreeBatch,
     pack_trees,
@@ -128,3 +130,89 @@ def test_the_job_pack_is_pinned():
     assert digest.hexdigest() == (
         "222da175b9968ff6b3b25d5655d8de4eba373c20919f92fd2f147fb0d85b2c07"
     )
+
+
+def test_node_features_are_the_operator_one_hot_and_two_numbers():
+    assert NUM_OPERATORS == 6
+    assert NODE_FEATURE_DIM == NUM_OPERATORS + 2 == 8
+
+
+@pytest.mark.parametrize("cell", [(0, 0), (0, 2), (2, 0), (3, 1)], ids=str)
+def test_synthetic_plan_is_a_left_deep_chain_of_operators(cell):
+    nodes, left, right = _toy_store().tree(*cell)
+    count = NODES_PER_PLAN + 1
+    assert nodes.shape == (count, NODE_FEATURE_DIM)
+    # Row 0 is the null node every missing child points at.
+    assert not nodes[0].any()
+    assert left.tolist() == [0] + list(range(2, count)) + [0]
+    assert not right.any()
+    one_hot = nodes[1:, :NUM_OPERATORS]
+    assert set(np.unique(one_hot)) <= {0.0, 1.0}
+    assert (one_hot.sum(axis=1) == 1).all()
+
+
+def test_synthetic_plans_differ_across_hints_queries_and_seeds():
+    store = _toy_store()
+    base = store.tree(1, 1)[0]
+    assert not np.array_equal(base, store.tree(1, 2)[0])
+    assert not np.array_equal(base, store.tree(2, 1)[0])
+    assert not np.array_equal(base, _toy_store(seed=1).tree(1, 1)[0])
+
+
+def test_noise_free_numeric_features_are_the_latent_signal():
+    rng = np.random.default_rng(4)
+    queries, hints = rng.random((3, 2)), rng.random((5, 2))
+    store = SyntheticPlanFeatureStore(queries, hints, noise=0.0)
+    nodes, _, _ = store.tree(2, 4)
+    signal = np.log1p(abs(queries[2] @ hints[4]))
+    scale = np.log1p(np.linalg.norm(queries[2]) * np.linalg.norm(hints[4]))
+    assert np.allclose(nodes[1:, -2], signal)
+    assert np.allclose(nodes[1:, -1], scale)
+
+
+def test_full_batch_is_the_plan_space_in_row_major_order():
+    store = _toy_store(n=3, k=2)
+    full = store.full_batch()
+    for index, (q, h) in enumerate([(q, h) for q in range(3) for h in range(2)]):
+        nodes, left, right = store.tree(q, h)
+        assert np.array_equal(full.nodes[index], nodes)
+        assert np.array_equal(full.left[index], left)
+        assert np.array_equal(full.right[index], right)
+
+
+def test_stacked_rows_carry_each_nodes_children():
+    batch = _toy_store().batch([(0, 1), (3, 2)])
+    dim = NODE_FEATURE_DIM
+    for b in range(2):
+        nodes = batch.stacked[b, :, :dim]
+        assert np.array_equal(batch.stacked[b, :, dim:2 * dim], nodes[batch.left[b]])
+        assert np.array_equal(batch.stacked[b, :, 2 * dim:], nodes[batch.right[b]])
+
+
+def test_pack_trees_streams_a_generator_when_told_its_shape():
+    store = _toy_store()
+    cells = [(0, 0), (1, 2), (3, 1)]
+    trees = [store.tree(q, h) for q, h in cells]
+    listed = pack_trees(trees)
+    streamed = pack_trees(iter(trees), len(trees), NODES_PER_PLAN + 1)
+    for field in ("stacked", "left", "right", "mask"):
+        assert np.array_equal(getattr(listed, field), getattr(streamed, field)), field
+
+
+def test_pack_trees_of_ragged_trees_pads_with_the_null_node():
+    # A real-plan store hands in trees of unequal size: the short one's
+    # padding rows must be masked and point at the null node.
+    batch = pack_trees([_chain(2), _chain(5)])
+    assert batch.max_nodes == 6
+    assert batch.mask[0].tolist() == [0, 1, 1, 0, 0, 0]
+    assert not batch.stacked[0, 3:].any()
+    assert not batch.left[0, 3:].any() and not batch.right[0, 3:].any()
+
+
+def _chain(size):
+    """A left-deep tree of ``size`` operator nodes behind the null node."""
+    nodes = np.zeros((size + 1, NODE_FEATURE_DIM))
+    nodes[1:, 0] = 1.0
+    nodes[1:, -1] = np.arange(1, size + 1)
+    left = np.array([0] + list(range(2, size + 1)) + [0])
+    return nodes, left, np.zeros(size + 1, dtype=int)
