@@ -62,16 +62,19 @@ def checked_id(name: str, value, bound: int, error) -> int:
     return value
 
 
-def _payload_arrays(payload: Dict, door: str) -> tuple:
+def _payload_arrays(payload: Dict, door: str, own: bool) -> tuple:
     """The four cell arrays and the query names (or None) of a ``to_dict`` /
     ``export_rows`` payload: 2-D, of one shape, one name per row, and every
     cell what the mutators would have let in -- or :class:`MatrixError`.
-    Payloads come from disk and from other shards."""
+    Payloads come from disk and from other shards.  With ``own`` each array
+    is a copy of the payload's, made once, here; otherwise a payload array
+    of the right dtype is returned as it is."""
+    read = np.array if own else np.asarray
     try:
-        values = np.asarray(payload["values"], dtype=float)
-        observed = np.asarray(payload["observed"], dtype=bool)
-        censored = np.asarray(payload["censored"], dtype=bool)
-        timeouts = np.asarray(payload["timeouts"], dtype=float)
+        values = read(payload["values"], dtype=float)
+        observed = read(payload["observed"], dtype=bool)
+        censored = read(payload["censored"], dtype=bool)
+        timeouts = read(payload["timeouts"], dtype=float)
         names = payload.get("query_names")
     except (KeyError, TypeError, ValueError) as exc:
         raise MatrixError(f"{door}: unreadable payload ({exc!r})") from None
@@ -109,16 +112,21 @@ class WorkloadMatrix:
         n_queries: int,
         n_hints: int,
         query_names: Optional[Sequence[str]] = None,
-        hint_names: Optional[Sequence[str]] = None,
     ) -> None:
+        self._adopt((n_queries, n_hints), None, query_names, None)
+
+    def _adopt(self, shape, cells, query_names, hint_names) -> None:
+        """Set up a ``shape`` matrix over ``cells``, the four cell arrays as
+        they are (no copy), or over blank ones when ``cells`` is None: what
+        ``__init__``, ``from_dict`` and ``copy`` share."""
+        n_queries, n_hints = shape
         if n_queries < 1 or n_hints < 1:
             raise MatrixError(
                 f"workload matrix needs positive dimensions, got {n_queries}x{n_hints}"
             )
-        self._values = np.full((n_queries, n_hints), np.inf, dtype=float)
-        self._observed = np.zeros((n_queries, n_hints), dtype=bool)
-        self._censored = np.zeros((n_queries, n_hints), dtype=bool)
-        self._timeouts = np.zeros((n_queries, n_hints), dtype=float)
+        self._values, self._observed, self._censored, self._timeouts = cells or (
+            np.full(shape, np.inf), np.zeros(shape, bool), np.zeros(shape, bool), np.zeros(shape)
+        )
         self._version = 0
         # Per-row last-modified version and the version of the last change
         # to the row *set*: what lets any number of consumers, each at its
@@ -516,7 +524,7 @@ class WorkloadMatrix:
         :meth:`from_dict`'s; a refused one appends and journals nothing.
         """
         values, observed, censored, timeouts, names = _payload_arrays(
-            payload, "import_rows"
+            payload, "import_rows", own=False
         )
         if names is None or values.shape[1] != self.n_hints:
             raise MatrixError(
@@ -608,25 +616,21 @@ class WorkloadMatrix:
         would have let in (:class:`MatrixError` otherwise), the same check
         :meth:`import_rows` makes.
         """
-        values, observed, censored, timeouts, names = _payload_arrays(
-            payload, "from_dict"
-        )
-        matrix = cls(
-            values.shape[0],
-            values.shape[1],
-            query_names=names,
-            hint_names=payload.get("hint_names"),
-        )
-        matrix._values = values.copy()
-        matrix._observed = observed.copy()
-        matrix._censored = censored.copy()
-        matrix._timeouts = timeouts.copy()
+        *cells, names = _payload_arrays(payload, "from_dict", own=True)
+        matrix = cls.__new__(cls)
+        matrix._adopt(cells[0].shape, cells, names, payload.get("hint_names"))
         matrix._restructured()
         return matrix
 
     def copy(self) -> "WorkloadMatrix":
-        """Deep copy."""
-        return WorkloadMatrix.from_dict(self.to_dict())
+        """Deep copy: a fresh matrix, unjournaled, as ``from_dict(to_dict())``
+        builds it, with one copy of each array."""
+        cells = [self._values.copy(), self._observed.copy(), self._censored.copy(),
+                 self._timeouts.copy()]
+        matrix = WorkloadMatrix.__new__(WorkloadMatrix)
+        matrix._adopt(self.shape, cells, self.query_names, self.hint_names)
+        matrix._restructured()
+        return matrix
 
     # -- misc ---------------------------------------------------------------------------
     def _check_indices(self, query: int, hint: int) -> None:

@@ -15,7 +15,7 @@ the trainer already take trees of unequal size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -52,11 +52,6 @@ class TreeBatch:
     left: np.ndarray
     right: np.ndarray
     mask: np.ndarray
-
-    @property
-    def nodes(self) -> np.ndarray:
-        """``(batch, max_nodes, NODE_FEATURE_DIM)`` node features (a view)."""
-        return self.stacked[:, :, :self.stacked.shape[2] // 3]
 
     @property
     def max_nodes(self) -> int:
@@ -113,36 +108,22 @@ def pack_trees(
 
 
 class _FullBatchCacheMixin:
-    """Shared caches: per-cell trees and the packed full-matrix :class:`TreeBatch`.
+    """The packed full-matrix :class:`TreeBatch`, built once.
 
-    Plans are deterministic per cell, so the packed arrays only go stale
-    when the store grows; the cache is keyed on the store's shape.  The
+    Plans are deterministic per cell and a store's shape is fixed, so the
     plan space is a constant of the workload: it is featurised, padded and
     stacked exactly once (on first use, not at construction), and every fit
     and every full-matrix prediction after that reads the same arrays.
-    A store provides ``shape``, a ``_cache`` dict and ``_derive(query, hint)``.
+    A store provides ``shape`` and ``batch(cells)``.
     """
-
-    def tree(self, query: int, hint: int) -> Tree:
-        """Featurised plan arrays for one cell (cached, deterministic)."""
-        key = (query, hint)
-        if key not in self._cache:
-            self._cache[key] = self._derive(query, hint)
-        return self._cache[key]
 
     def full_batch(self) -> TreeBatch:
         """One padded batch covering every cell in row-major order (cached)."""
         cached = getattr(self, "_full_batch", None)
-        if cached is None or getattr(self, "_full_batch_shape", None) != self.shape:
+        if cached is None:
             n, k = self.shape
-            cached = self.batch([(q, h) for q in range(n) for h in range(k)])
-            self._full_batch = cached
-            self._full_batch_shape = (n, k)
+            cached = self._full_batch = self.batch([(q, h) for q in range(n) for h in range(k)])
         return cached
-
-    def batch(self, cells: Sequence[Tuple[int, int]]) -> TreeBatch:
-        """Featurised plans for a batch of cells."""
-        return pack_trees([self.tree(q, h) for q, h in cells])
 
 
 #: Operator nodes in each synthetic plan tree.
@@ -177,23 +158,11 @@ class SyntheticPlanFeatureStore(_FullBatchCacheMixin):
             raise PlanError("query and hint factors must share the latent dimension")
         self.noise = float(noise)
         self.seed = int(seed)
-        self._cache: Dict[Tuple[int, int], Tree] = {}
 
     @property
     def shape(self) -> Tuple[int, int]:
         """(number of queries, number of hint sets)."""
         return (self.query_factors.shape[0], self.hint_factors.shape[0])
-
-    def add_query(self, query_factor: Optional[np.ndarray] = None) -> int:
-        """Append a new query row; a random latent factor is drawn if omitted."""
-        if query_factor is None:
-            rng = np.random.default_rng(self.seed + 7919 * self.query_factors.shape[0])
-            query_factor = rng.random(self.query_factors.shape[1])
-        query_factor = np.asarray(query_factor, dtype=float).reshape(1, -1)
-        if query_factor.shape[1] != self.query_factors.shape[1]:
-            raise PlanError("new query factor has the wrong latent dimension")
-        self.query_factors = np.vstack([self.query_factors, query_factor])
-        return self.query_factors.shape[0] - 1
 
     def _derive(self, query: int, hint: int) -> Tree:
         rng = np.random.default_rng(
@@ -220,8 +189,8 @@ class SyntheticPlanFeatureStore(_FullBatchCacheMixin):
     def batch(self, cells: Sequence[Tuple[int, int]]) -> TreeBatch:
         """Pseudo-plans for a batch of cells, derived row by row.
 
-        Not through ``tree``: caching every cell of the plan space would keep
-        a second copy of what the pack holds (7 MB beside 8.5 MB at JOB size).
+        Nothing caches a cell's tree: that would keep a second copy of what
+        the pack holds (7 MB beside 8.5 MB at JOB size).
         """
         return pack_trees(
             (self._derive(q, h) for q, h in cells), len(cells), NODES_PER_PLAN + 1

@@ -18,7 +18,8 @@ already optimal for them, which is what defeats the Greedy baseline.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from typing import Dict, Union
 
 import numpy as np
 
@@ -27,23 +28,51 @@ from ..plans.featurize import SyntheticPlanFeatureStore
 from .spec import WorkloadSpec
 
 
-@dataclass
 class SyntheticWorkload:
-    """A fully known workload: ground-truth latencies plus metadata."""
+    """A fully known workload: ground-truth latencies plus metadata.
 
-    spec: WorkloadSpec
-    true_latencies: np.ndarray
-    query_factors: np.ndarray
-    hint_factors: np.ndarray
-    optimizer_costs: np.ndarray
-    seed: int = 0
+    ``optimizer_costs`` is the cost array or, from :func:`generate_workload`,
+    the bit-generator state its noise comes from.  Only QO-Advisor and the
+    workloads derived from this one read the costs, so they are drawn on
+    first read and kept: the same ufuncs over the same draws as an eager
+    draw, so the same bytes.  A generated workload's latencies are
+    read-only, so that read sees them as they were generated.
+    """
 
-    def __post_init__(self) -> None:
-        if self.true_latencies.shape != (self.spec.n_queries, self.spec.n_hints):
+    def __init__(
+        self,
+        spec: WorkloadSpec,
+        true_latencies: np.ndarray,
+        query_factors: np.ndarray,
+        hint_factors: np.ndarray,
+        optimizer_costs: Union[np.ndarray, Dict],
+        seed: int,
+    ) -> None:
+        if true_latencies.shape != (spec.n_queries, spec.n_hints):
             raise WorkloadError(
-                f"latency matrix shape {self.true_latencies.shape} does not match "
-                f"spec {self.spec.name!r}"
+                f"latency matrix shape {true_latencies.shape} does not match "
+                f"spec {spec.name!r}"
             )
+        self.spec = spec
+        self.true_latencies = true_latencies
+        self.query_factors = query_factors
+        self.hint_factors = hint_factors
+        self._costs = optimizer_costs
+        self.seed = seed
+
+    @property
+    def optimizer_costs(self) -> np.ndarray:
+        """Optimizer cost estimates: correlated with latency but noisy -- the
+        QO-Advisor baseline ranks unexplored cells by these."""
+        if isinstance(self._costs, dict):
+            rng = np.random.default_rng(0)
+            rng.bit_generator.state = self._costs  # the seed above is overwritten
+            noise = rng.lognormal(mean=0.0, sigma=0.8, size=self.true_latencies.shape)
+            costs = np.power(self.true_latencies, 0.8)
+            costs *= noise
+            costs *= 1e4
+            self._costs = costs
+        return self._costs
 
     # -- reference quantities -------------------------------------------------
     @property
@@ -220,18 +249,14 @@ def generate_workload(spec: WorkloadSpec, seed: int = 0) -> SyntheticWorkload:
     matrix = _calibrate_headroom(matrix, spec.optimal_total)
     np.clip(matrix, 1e-4, None, out=matrix)
 
-    # Optimizer cost estimates: correlated with latency but noisy -- the
-    # QO-Advisor baseline ranks unexplored cells by these.
-    cost_noise = rng.lognormal(mean=0.0, sigma=0.8, size=matrix.shape)
-    optimizer_costs = np.power(matrix, 0.8)
-    optimizer_costs *= cost_noise
-    optimizer_costs *= 1e4
-
+    # The optimizer costs are drawn on first read, from the generator as it
+    # stands here and these latencies (``SyntheticWorkload.optimizer_costs``).
+    matrix.flags.writeable = False
     return SyntheticWorkload(
         spec=spec,
         true_latencies=matrix,
         query_factors=query_factors * np.sqrt(scale),
         hint_factors=hint_factors * np.sqrt(scale),
-        optimizer_costs=optimizer_costs,
+        optimizer_costs=rng.bit_generator.state,
         seed=seed,
     )

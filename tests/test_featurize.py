@@ -1,5 +1,7 @@
 """Tests for the synthetic plan feature store and tree packing."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -36,12 +38,12 @@ def test_pack_trees_rejects_empty_input():
 def test_synthetic_store_shapes_and_determinism(tiny_workload):
     store = tiny_workload.feature_store()
     assert store.shape == (tiny_workload.n_queries, tiny_workload.n_hints)
-    a = store.tree(3, 7)
-    b = store.tree(3, 7)
-    assert a is b
+    a = store._derive(3, 7)
     fresh = tiny_workload.feature_store()
-    c = fresh.tree(3, 7)
-    assert np.allclose(a[0], c[0])
+    for again in (store._derive(3, 7), fresh._derive(3, 7)):
+        for array, same in zip(a, again):
+            assert np.array_equal(array, same)
+    assert np.array_equal(store.batch([(3, 7)]).stacked, fresh.batch([(3, 7)]).stacked)
 
 
 def test_synthetic_store_features_correlate_with_latency(tiny_workload):
@@ -50,20 +52,15 @@ def test_synthetic_store_features_correlate_with_latency(tiny_workload):
     signals = []
     for i in range(0, tiny_workload.n_queries, 3):
         for j in range(0, tiny_workload.n_hints, 7):
-            nodes, _, _ = store.tree(i, j)
+            nodes, _, _ = store._derive(i, j)
             signals.append(nodes[1:, -2].mean())
             latencies.append(tiny_workload.true_latencies[i, j])
     corr = np.corrcoef(signals, np.log1p(latencies))[0, 1]
     assert corr > 0.4
 
 
-def test_synthetic_store_add_query_and_validation():
-    store = SyntheticPlanFeatureStore(np.ones((3, 2)), np.ones((4, 2)))
-    index = store.add_query()
-    assert index == 3
-    assert store.shape == (4, 4)
-    with pytest.raises(PlanError):
-        store.add_query(np.ones(5))
+def test_synthetic_store_refuses_factors_that_do_not_fit():
+    assert SyntheticPlanFeatureStore(np.ones((3, 2)), np.ones((4, 2))).shape == (3, 4)
     with pytest.raises(PlanError):
         SyntheticPlanFeatureStore(np.ones((3, 2)), np.ones((4, 3)))
     with pytest.raises(PlanError):
@@ -74,7 +71,7 @@ def test_synthetic_store_batch(tiny_workload):
     store = tiny_workload.feature_store()
     batch = store.batch([(0, 0), (1, 2)])
     assert batch.stacked.shape[0] == 2
-    assert batch.nodes.shape[2] == NODE_FEATURE_DIM
+    assert batch.stacked.shape[2] == 3 * NODE_FEATURE_DIM
 
 
 def _toy_store(n=4, k=3, seed=0):
@@ -99,20 +96,19 @@ def test_tree_batch_take_matches_repacking():
     # Same features; the pre-packed slice may be wider but the extra
     # columns are padding (mask 0, null children).
     width = repacked.max_nodes
-    assert np.array_equal(sliced.nodes[:, :width], repacked.nodes)
+    nodes = slice(None, NODE_FEATURE_DIM)
+    assert np.array_equal(sliced.stacked[:, :width, nodes], repacked.stacked[..., nodes])
     assert np.array_equal(sliced.mask[:, :width], repacked.mask)
     assert (sliced.mask[:, width:] == 0).all()
 
 
-def test_full_batch_is_cached_and_invalidated_on_growth():
+def test_full_batch_is_packed_once():
     store = _toy_store()
-    first = store.full_batch()
-    assert store.full_batch() is first
+    with mock.patch.object(store, "batch", wraps=store.batch) as batch:
+        first = store.full_batch()
+        assert store.full_batch() is first
+    assert batch.call_count == 1
     assert first.stacked.shape[0] == 4 * 3
-    store.add_query()
-    grown = store.full_batch()
-    assert grown is not first
-    assert grown.stacked.shape[0] == 5 * 3
 
 
 def test_the_job_pack_is_pinned():
@@ -139,7 +135,7 @@ def test_node_features_are_the_operator_one_hot_and_two_numbers():
 
 @pytest.mark.parametrize("cell", [(0, 0), (0, 2), (2, 0), (3, 1)], ids=str)
 def test_synthetic_plan_is_a_left_deep_chain_of_operators(cell):
-    nodes, left, right = _toy_store().tree(*cell)
+    nodes, left, right = _toy_store()._derive(*cell)
     count = NODES_PER_PLAN + 1
     assert nodes.shape == (count, NODE_FEATURE_DIM)
     # Row 0 is the null node every missing child points at.
@@ -153,17 +149,17 @@ def test_synthetic_plan_is_a_left_deep_chain_of_operators(cell):
 
 def test_synthetic_plans_differ_across_hints_queries_and_seeds():
     store = _toy_store()
-    base = store.tree(1, 1)[0]
-    assert not np.array_equal(base, store.tree(1, 2)[0])
-    assert not np.array_equal(base, store.tree(2, 1)[0])
-    assert not np.array_equal(base, _toy_store(seed=1).tree(1, 1)[0])
+    base = store._derive(1, 1)[0]
+    assert not np.array_equal(base, store._derive(1, 2)[0])
+    assert not np.array_equal(base, store._derive(2, 1)[0])
+    assert not np.array_equal(base, _toy_store(seed=1)._derive(1, 1)[0])
 
 
 def test_noise_free_numeric_features_are_the_latent_signal():
     rng = np.random.default_rng(4)
     queries, hints = rng.random((3, 2)), rng.random((5, 2))
     store = SyntheticPlanFeatureStore(queries, hints, noise=0.0)
-    nodes, _, _ = store.tree(2, 4)
+    nodes, _, _ = store._derive(2, 4)
     signal = np.log1p(abs(queries[2] @ hints[4]))
     scale = np.log1p(np.linalg.norm(queries[2]) * np.linalg.norm(hints[4]))
     assert np.allclose(nodes[1:, -2], signal)
@@ -174,8 +170,8 @@ def test_full_batch_is_the_plan_space_in_row_major_order():
     store = _toy_store(n=3, k=2)
     full = store.full_batch()
     for index, (q, h) in enumerate([(q, h) for q in range(3) for h in range(2)]):
-        nodes, left, right = store.tree(q, h)
-        assert np.array_equal(full.nodes[index], nodes)
+        nodes, left, right = store._derive(q, h)
+        assert np.array_equal(full.stacked[index, :, :NODE_FEATURE_DIM], nodes)
         assert np.array_equal(full.left[index], left)
         assert np.array_equal(full.right[index], right)
 
@@ -192,7 +188,7 @@ def test_stacked_rows_carry_each_nodes_children():
 def test_pack_trees_streams_a_generator_when_told_its_shape():
     store = _toy_store()
     cells = [(0, 0), (1, 2), (3, 1)]
-    trees = [store.tree(q, h) for q, h in cells]
+    trees = [store._derive(q, h) for q, h in cells]
     listed = pack_trees(trees)
     streamed = pack_trees(iter(trees), len(trees), NODES_PER_PLAN + 1)
     for field in ("stacked", "left", "right", "mask"):

@@ -28,7 +28,9 @@ from repro.config import TCNNConfig
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.nn import trainer as trainer_module
 from repro.nn.trainer import TCNNTrainer, _max_over_nodes
-from repro.plans.featurize import NODE_FEATURE_DIM, _FullBatchCacheMixin, pack_trees
+from repro.plans.featurize import (
+    NODE_FEATURE_DIM, SyntheticPlanFeatureStore, _FullBatchCacheMixin, pack_trees,
+)
 from taped_tcnn import (
     BinaryTreeConv, TapedTrainer, Tensor, TransductiveTCNN, censored_mse_loss, parameter,
 )
@@ -78,6 +80,15 @@ class RaggedStore(_FullBatchCacheMixin):
 
     def batch(self, cells):
         return pack_trees([self._trees[(int(q), int(h))] for q, h in cells])
+
+
+def with_two_more_queries(store):
+    """A synthetic store over two more queries; the old cells keep their plans."""
+    extra = np.random.default_rng(store.seed).random((2, store.query_factors.shape[1]))
+    return SyntheticPlanFeatureStore(
+        np.vstack([store.query_factors, extra]), store.hint_factors,
+        noise=store.noise, seed=store.seed,
+    )
 
 
 def partly_observed(n, k, seed, censored_share):
@@ -358,8 +369,9 @@ def test_predict_full_equals_activate_then_pool_on_every_cell(
 ):
     if store_kind == "ragged":
         n, k = 9, 6
-        store = RaggedStore(n + 2, k, max_real=7, seed=4)
-        store.shape = (n, k)  # the last two queries arrive later
+        # Trees are drawn in row-major order: the grown store below has
+        # these plans in its first n rows.
+        store = RaggedStore(n, k, max_real=7, seed=4)
     else:
         n, k = tiny_workload.n_queries, tiny_workload.n_hints
         store = tiny_workload.feature_store()
@@ -384,10 +396,9 @@ def test_predict_full_equals_activate_then_pool_on_every_cell(
 
     # ...and after two queries arrive and the model trains on them.
     if store_kind == "ragged":
-        store.shape = (n + 2, k)
+        trainer.feature_store = RaggedStore(n + 2, k, max_real=7, seed=4)
     else:
-        store.add_query()
-        store.add_query()
+        trainer.feature_store = with_two_more_queries(store)
     trainer.grow_queries(n + 2)
     grown = partly_observed(n + 2, k, 2, 0.1)
     trainer.fit(grown)
@@ -500,8 +511,7 @@ def test_predict_full_resizes_its_workspace_when_the_workload_grows(tiny_workloa
     matrix = partly_observed(n, k, 0, 0.1)
     trainer.fit(matrix)
     before = trainer.predict_full(matrix)
-    store.add_query()
-    store.add_query()
+    store = trainer.feature_store = with_two_more_queries(store)
     trainer.grow_queries(n + 2)
     grown = partly_observed(n + 2, k, 0, 0.1)
     after = trainer.predict_full(grown)

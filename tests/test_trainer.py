@@ -94,10 +94,8 @@ def test_trainer_warm_start_keeps_model(tiny_workload):
 
 
 def test_trainer_grow_queries(tiny_workload):
-    store = tiny_workload.feature_store()
-    trainer = TCNNTrainer(store, tiny_workload.n_queries, tiny_workload.n_hints,
-                          small_config())
-    store.add_query()
+    trainer = TCNNTrainer(tiny_workload.feature_store(), tiny_workload.n_queries,
+                          tiny_workload.n_hints, small_config())
     trainer.grow_queries(tiny_workload.n_queries + 1)
     assert trainer.n_queries == tiny_workload.n_queries + 1
 

@@ -1,5 +1,7 @@
 """Tests for the partially observed workload matrix."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -135,6 +137,47 @@ def test_roundtrip_dict():
     assert clone.is_censored(1, 2)
     assert clone.query_names == ["a", "b"]
     assert np.allclose(clone.mask, matrix.mask)
+
+
+def test_dimensions_of_a_payload_must_be_positive():
+    payload = WorkloadMatrix(2, 3).export_rows([])
+    with pytest.raises(MatrixError, match="positive dimensions"):
+        WorkloadMatrix.from_dict(payload)
+
+
+CELL_ARRAYS = ("_values", "_observed", "_censored", "_timeouts")
+
+
+def _ceb_sized_matrix():
+    rng = np.random.default_rng(3)
+    matrix = WorkloadMatrix(3133, 49)
+    rows, cols = np.nonzero(rng.random(matrix.shape) < 0.1)
+    matrix.observe_batch(rows, cols, rng.random(rows.size))
+    matrix.observe_censored_batch(np.arange(50), np.ones(50, dtype=np.int64), np.ones(50))
+    return matrix
+
+
+@pytest.mark.parametrize("door", ["copy", "from_dict"])
+def test_a_clone_allocates_each_cell_array_once(door):
+    # ``copy`` used to round-trip through ``to_dict``, and ``from_dict``
+    # built blank arrays first: 2.5x and 1.5x the cells at this shape.
+    matrix = _ceb_sized_matrix()
+    payload = matrix.to_dict()
+    cells = sum(getattr(matrix, name).nbytes for name in CELL_ARRAYS)
+    tracemalloc.start()
+    try:
+        clone = matrix.copy() if door == "copy" else WorkloadMatrix.from_dict(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * cells
+    for name in CELL_ARRAYS:
+        ours = getattr(clone, name)
+        assert np.array_equal(ours, getattr(matrix, name)), name
+        assert not np.shares_memory(ours, getattr(matrix, name)), name
+        assert not np.shares_memory(ours, payload[name[1:]]), name
+    assert clone.query_names == matrix.query_names
+    assert clone.query_names is not matrix.query_names
 
 
 def _tampered(edit):

@@ -10,10 +10,13 @@ and asserts the two results are equal byte for byte.
 
 The pinned digests were recorded from the out-of-place generator the
 in-place one replaced; they cover every array a workload carries, for the
-four paper workloads at seeds 0-2.
+four paper workloads at seeds 0-2.  The optimizer costs among them are drawn
+on first read, from the generator state generation left; the tests at the
+end hold that draw to the eager one it replaced.
 """
 
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.errors import WorkloadError
 from repro.workloads.matrices import _calibrate_headroom, generate_workload
+from repro.workloads.shift import add_etl_query, apply_data_shift
 from repro.workloads.spec import CEB_SPEC, DSB_SPEC, JOB_SPEC, STACK_SPEC, WorkloadSpec
 
 LOW, HIGH = 0.02, 8.0
@@ -153,3 +157,69 @@ SPECS = {spec.name: spec for spec in (CEB_SPEC, DSB_SPEC, JOB_SPEC, STACK_SPEC)}
 def test_generated_arrays_match_their_pinned_digest(name, seed):
     workload = generate_workload(SPECS[name], seed=seed)
     assert workload_digest(workload) == PINNED[(name, seed)]
+
+
+# -- the optimizer costs, drawn on first read -----------------------------------------------
+
+def test_deferred_costs_do_not_see_later_generator_activity():
+    straight = generate_workload(JOB_SPEC, seed=3).optimizer_costs.tobytes()
+    deferred, sibling = generate_workload(JOB_SPEC, seed=3), generate_workload(JOB_SPEC, seed=3)
+    generate_workload(JOB_SPEC, seed=4)
+    sibling.subset(np.arange(0, JOB_SPEC.n_queries, 2))
+    apply_data_shift(sibling, seed=5)
+    assert deferred.optimizer_costs.tobytes() == straight
+    assert deferred.optimizer_costs is deferred.optimizer_costs  # drawn once, then kept
+
+
+def test_generated_latencies_are_read_only():
+    # What a first read of the costs draws against is what generation left.
+    latencies = generate_workload(JOB_SPEC, seed=0).true_latencies
+    assert not latencies.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        latencies[0, 0] = 1.0
+
+
+def test_generation_leaves_the_cost_array_to_its_first_read():
+    array = CEB_SPEC.n_queries * CEB_SPEC.n_hints * 8
+    generate_workload(CEB_SPEC, seed=0)  # numpy's first-call allocations stay out
+    tracemalloc.start()
+    try:
+        workload = generate_workload(CEB_SPEC, seed=0)
+        generated, generation_peak = tracemalloc.get_traced_memory()
+        workload.optimizer_costs
+        read, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # The read keeps the costs: one n x k array the generation no longer holds.
+    assert read - generated > 0.99 * array
+    # Its peak (the latencies, the noise and the costs) sits about 0.78 arrays
+    # above the generation's, which the calibration's matrix and ratios set.
+    assert read_peak - generation_peak > 0.7 * array
+
+
+#: sha256 of the costs ``subset`` and the shift helpers return, recorded while
+#: generation still drew the costs eagerly.
+DERIVED_COSTS = {
+    ("job", 3): (
+        "0bc8acb0b353446de2a1b11aff28294f89c8aa70eab3e6bfd074d46c4fd99b5d",
+        "39b4c803f36294a675fbdb2cd88d49ba6ee3789c0ceb5be2d405bd5dc056ed39",
+        "44b8be376530cae7574ec4ba8cf6705e1b2ed3f4d55289ed304ddc343ec27329",
+    ),
+    ("ceb", 5): (
+        "e5a565335f3c1f98058c49ccb71b67cb1b3e85e95f4fd61de5078fe5b5af6a72",
+        "4ae6d443468164f7c60500112085e84220e08560f5ee443d6604f3b47c004133",
+        "bec739974489a1f8ee9c04921169bd857fd90fdca158daf403a846773b7cc70c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, seed", sorted(DERIVED_COSTS))
+def test_derived_workloads_carry_the_eagerly_drawn_costs(name, seed):
+    workload = generate_workload(SPECS[name], seed=seed)
+    derived = (
+        workload.subset(np.arange(0, workload.n_queries, 3)),
+        add_etl_query(workload, seed=4),
+        apply_data_shift(workload, seed=6),
+    )
+    digests = tuple(hashlib.sha256(w.optimizer_costs.tobytes()).hexdigest() for w in derived)
+    assert digests == DERIVED_COSTS[(name, seed)]
