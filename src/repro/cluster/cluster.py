@@ -56,11 +56,11 @@ class _TenantDirectory:
     """Routing state for one tenant's workload."""
 
     tenant: str
-    names: List[str] = field(default_factory=list)
-    index: Dict[str, int] = field(default_factory=dict)
+    names: List[str] = field(init=False, default_factory=list)
+    index: Dict[str, int] = field(init=False, default_factory=dict)
     # Parallel to ``names``: owning shard id and local row on that shard.
-    shard_of: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    local_row: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    shard_of: np.ndarray = field(init=False, default_factory=lambda: np.zeros(0, dtype=np.int64))
+    local_row: np.ndarray = field(init=False, default_factory=lambda: np.zeros(0, dtype=np.int64))
 
     @property
     def n_queries(self) -> int:

@@ -64,7 +64,7 @@ class FaultPlan:
     point: str
     trigger_count: int
     torn_fraction: float = 0.5
-    fired: bool = False
+    fired: bool = field(init=False, default=False)
 
 
 class FaultClock:

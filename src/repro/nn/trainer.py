@@ -211,11 +211,18 @@ class TCNNTrainer:
     # -- training data ---------------------------------------------------------
     def _covers(self, matrix: WorkloadMatrix) -> None:
         """Refuse a matrix with cells outside the trainer's (the rule
-        ``_cell_ids`` applies to ``predict_cells``)."""
+        ``_cell_ids`` applies to ``predict_cells``) or outside the feature
+        store's plans, when the store has a shape."""
         if matrix.n_queries > self.n_queries or matrix.n_hints > self.n_hints:
             raise NeuralNetworkError(
                 f"a {matrix.shape} matrix has cells outside the trainer's "
                 f"{(self.n_queries, self.n_hints)}"
+            )
+        plans = getattr(self.feature_store, "shape", None)
+        if plans is not None and (matrix.n_queries > plans[0] or matrix.n_hints > plans[1]):
+            raise NeuralNetworkError(
+                f"a {matrix.shape} matrix has cells outside the feature store's "
+                f"{tuple(plans)}"
             )
 
     def _training_cells(

@@ -24,6 +24,9 @@ import numpy as np
 
 from ..errors import PerfError
 
+#: Timed runs of each case; its result keeps the best and the mean.
+REPEATS = 3
+
 
 @dataclass
 class PerfResult:
@@ -60,20 +63,17 @@ class PerfCase:
     name: str
     run: Callable[[Any], Optional[Dict[str, Any]]]
     setup: Optional[Callable[[], Any]] = None
-    repeats: int = 3
 
     def __post_init__(self) -> None:
         if not self.name:
             raise PerfError("perf case needs a non-empty name")
-        if self.repeats < 1:
-            raise PerfError(f"repeats must be >= 1, got {self.repeats}")
 
     def measure(self) -> PerfResult:
-        """Time the case: best-of-``repeats`` plus the mean."""
+        """Time the case: best of :data:`REPEATS` runs plus the mean."""
         state = self.setup() if self.setup is not None else None
         timings: List[float] = []
         meta: Dict[str, Any] = {}
-        for _ in range(self.repeats):
+        for _ in range(REPEATS):
             start = time.perf_counter()
             extra = self.run(state)
             timings.append(time.perf_counter() - start)
@@ -83,7 +83,7 @@ class PerfCase:
             name=self.name,
             best_seconds=float(min(timings)),
             mean_seconds=float(np.mean(timings)),
-            repeats=self.repeats,
+            repeats=REPEATS,
             meta=meta,
         )
 
@@ -99,21 +99,17 @@ class PerfHarness:
         """Registered case names, in registration order."""
         return list(self._cases)
 
-    def register(self, case: PerfCase) -> PerfCase:
-        """Add a case; names must be unique."""
-        if case.name in self._cases:
-            raise PerfError(f"duplicate perf case {case.name!r}")
-        self._cases[case.name] = case
-        return case
-
     def add(
         self,
         name: str,
         run: Callable[[Any], Optional[Dict[str, Any]]],
         setup: Optional[Callable[[], Any]] = None,
     ) -> PerfCase:
-        """Convenience wrapper around :meth:`register`."""
-        return self.register(PerfCase(name=name, run=run, setup=setup))
+        """Register a case; names must be unique."""
+        if name in self._cases:
+            raise PerfError(f"duplicate perf case {name!r}")
+        case = self._cases[name] = PerfCase(name=name, run=run, setup=setup)
+        return case
 
     def run(self, names: Optional[List[str]] = None) -> Dict[str, PerfResult]:
         """Measure the selected (default: all) cases in registration order."""

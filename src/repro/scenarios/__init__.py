@@ -6,7 +6,8 @@ runner that drives a live :class:`~repro.cluster.ServingCluster` (one
 shard by default) through it tick by tick:
 
 * :mod:`repro.scenarios.spec` -- :class:`TenantSpec`, :class:`ScenarioPhase`,
-  :class:`ScenarioEvent`, :class:`ScenarioSpec` (validated at construction),
+  :class:`ScenarioEvent`, :class:`ScenarioSpec` (validated at construction)
+  and :data:`ACTIONS`, the table of event actions,
 * :mod:`repro.scenarios.world` -- the evolving per-tenant ground truth
   (drift, ETL floods, new templates, visibility horizons),
 * :mod:`repro.scenarios.runner` -- :class:`ScenarioRunner` /
@@ -33,8 +34,8 @@ from .primitives import (
 )
 from .runner import ScenarioRunner, ScenarioTrace, TickStats
 from .spec import (
-    DISTURBANCE_ACTIONS,
-    EVENT_ACTIONS,
+    ACTIONS,
+    Action,
     ScenarioEvent,
     ScenarioPhase,
     ScenarioSpec,
@@ -57,8 +58,8 @@ __all__ = [
     "ScenarioRunner",
     "ScenarioTrace",
     "TickStats",
-    "DISTURBANCE_ACTIONS",
-    "EVENT_ACTIONS",
+    "ACTIONS",
+    "Action",
     "ScenarioEvent",
     "ScenarioPhase",
     "ScenarioSpec",

@@ -187,7 +187,7 @@ def etl_flood(seed: int = 0) -> ScenarioSpec:
                 tick=10,
                 action="etl_flood",
                 tenant="warehouse",
-                params={"count": 10, "jitter": 0.01},
+                params={"count": 10},
             ),
             ScenarioEvent(
                 tick=11,

@@ -30,7 +30,7 @@ from __future__ import annotations
 import shutil
 import tempfile
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, Union
 
 import numpy as np
 
@@ -38,14 +38,19 @@ from ..adaptive.cluster import ClusterAdaptationController
 from ..cluster.cluster import ServingCluster
 from ..errors import ScenarioError
 from ..serving.batch_cache import BatchDecisions
-from .spec import ScenarioEvent, ScenarioPhase, ScenarioSpec
-from .world import TenantWorld
+from .spec import ACTIONS, ScenarioEvent, ScenarioPhase, ScenarioSpec
+from .world import MEAN_DEFAULT_LATENCY, TenantWorld
 
 #: Share of the initially visible rows whose true-best hint is observed
 #: before tick 0: converged offline exploration (Figure 2's steady state)
 #: leaves most rows, not all, on their best hint.  The default column is
 #: always observed.
 BOOTSTRAP_COVERAGE = 0.85
+
+#: Every cell of an ETL flood's rows (Figure 8's incompressible queries):
+#: twenty times a tenant's mean default latency, with 1% jitter.
+ETL_LATENCY = 20.0 * MEAN_DEFAULT_LATENCY
+ETL_JITTER = 0.01
 
 
 @dataclass(frozen=True)
@@ -66,17 +71,14 @@ class ScenarioTrace:
 
     scenario: str
     adaptive: bool
-    ticks: List[TickStats] = field(default_factory=list)
-    adaptive_report: Optional[Dict[str, float]] = None
-    _decision_parts: List[np.ndarray] = field(default_factory=list)
+    ticks: List[TickStats] = field(init=False, default_factory=list)
+    adaptive_report: Optional[Dict[str, float]] = field(init=False, default=None)
+    _decision_parts: List[np.ndarray] = field(init=False, default_factory=list)
 
     # -- recording (runner-facing) ------------------------------------------------
     def add_decisions(self, queries: np.ndarray, hints: np.ndarray) -> None:
         self._decision_parts.append(np.asarray(queries, dtype=np.int64))
         self._decision_parts.append(np.asarray(hints, dtype=np.int64))
-
-    def add_tick(self, stats: TickStats) -> None:
-        self.ticks.append(stats)
 
     # -- series ----------------------------------------------------------------------
     @property
@@ -157,7 +159,7 @@ class _ClusterTarget:
         def cell_lookup(key: str, hint: int) -> float:
             tenant, name = key.split("/", 1)
             world = self.worlds[tenant]
-            return world.latency(world.row_of(name), hint)
+            return float(world.latencies[world.row_of(name), hint])
 
         self.controller = ClusterAdaptationController(self.cluster, cell_lookup)
 
@@ -195,6 +197,64 @@ class _ClusterTarget:
         if self.controller is None:
             return None
         return self.controller.report().as_dict()
+
+
+@dataclass
+class _Run:
+    """One run's mutable state: what an event's apply acts on."""
+
+    seed: int
+    worlds: Dict[str, TenantWorld]
+    target: Any
+    rng: np.random.Generator
+
+
+def _data_drift(run: _Run, event: ScenarioEvent) -> None:
+    params = event.params
+    run.worlds[event.tenant].apply_drift(
+        float(params["changed_fraction"]), float(params["growth_factor"]), run.rng
+    )
+
+
+def _etl_flood(run: _Run, event: ScenarioEvent) -> None:
+    world, count = run.worlds[event.tenant], int(event.params["count"])
+    run.target.register(event.tenant, world.add_etl_rows(count, ETL_LATENCY, ETL_JITTER, run.rng))
+
+
+def _new_templates(run: _Run, event: ScenarioEvent) -> None:
+    world, count = run.worlds[event.tenant], int(event.params["count"])
+    run.target.register(event.tenant, world.add_template_rows(count, run.rng))
+
+
+def _activate_rest(run: _Run, event: ScenarioEvent) -> None:
+    names = run.worlds[event.tenant].activate_rest()
+    if names:
+        run.target.register(event.tenant, names)
+
+
+def _tenant_join(run: _Run, event: ScenarioEvent) -> None:
+    world = run.worlds[event.tenant_spec.name] = TenantWorld(event.tenant_spec, seed=run.seed)
+    # Joiners start cold: no bootstrap -- adapting to them is the point.
+    run.target.register(event.tenant_spec.name, world.names[: world.visible])
+
+
+def _tenant_leave(run: _Run, event: ScenarioEvent) -> None:
+    run.worlds[event.tenant].active = False
+
+
+#: What each action of :data:`~repro.scenarios.spec.ACTIONS` does, keyed
+#: the same (``tests/test_scenarios.py`` holds the keys equal).
+APPLY: Dict[str, Callable[[_Run, ScenarioEvent], None]] = {
+    "data_drift": _data_drift,
+    "etl_flood": _etl_flood,
+    "new_templates": _new_templates,
+    "activate_rest": _activate_rest,
+    "tenant_join": _tenant_join,
+    "tenant_leave": _tenant_leave,
+    "add_shard": lambda run, event: run.target.add_shard(),
+    "kill_shard": lambda run, event: run.target.kill_shard(int(event.params["shard"])),
+    "restart_shard": lambda run, event: run.target.restart_shard(int(event.params["shard"])),
+}
 
 
 class ScenarioRunner:
@@ -258,21 +318,14 @@ class ScenarioRunner:
         self.n_shards = int(n_shards)
         self.durability_dir = durability_dir
         self._needs_durability = any(
-            event.action in ("kill_shard", "restart_shard")
-            for event in spec.events
+            ACTIONS[event.action].names == "shard" for event in spec.events
         )
 
     # -- construction ------------------------------------------------------------
-    def _build_target(
-        self,
-        worlds: Dict[str, TenantWorld],
-        durability_dir: Optional[str] = None,
-    ):
+    def _build_target(self, worlds: Dict[str, TenantWorld], durability_dir: Optional[str]):
         if self._target_factory is not None:
             return self._target_factory(worlds)
-        return _ClusterTarget(
-            worlds, self.n_hints, self.n_shards, durability_dir=durability_dir
-        )
+        return _ClusterTarget(worlds, self.n_hints, self.n_shards, durability_dir=durability_dir)
 
     def _bootstrap(self, world: TenantWorld, target, rng: np.random.Generator) -> None:
         """Converged pre-drift state: default column + the true-best hint of
@@ -309,32 +362,31 @@ class ScenarioRunner:
         world_rng = np.random.default_rng([self.spec.seed, 23])
         bootstrap_rng = np.random.default_rng([self.spec.seed, 5])
 
+        # Tenant order is registration order: the dict keeps it.
         worlds: Dict[str, TenantWorld] = {}
-        order: List[str] = []
         target = self._build_target(worlds, durability_dir)
         for tenant_spec in self.spec.tenants:
             world = TenantWorld(tenant_spec, seed=self.spec.seed)
             worlds[tenant_spec.name] = world
-            order.append(tenant_spec.name)
             target.register(tenant_spec.name, world.names[: world.visible])
             self._bootstrap(world, target, bootstrap_rng)
         if self.adaptive:
             target.attach_controller()
 
+        run = _Run(self.spec.seed, worlds, target, world_rng)
         trace = ScenarioTrace(scenario=self.spec.name, adaptive=self.adaptive)
         for tick in range(self.spec.total_ticks):
             for event in self.spec.events_at(tick):
-                self._fire(event, worlds, order, target, world_rng)
+                APPLY[event.action](run, event)
             phase, phase_start = self.spec.phase_at(tick)
             if phase.drift_per_tick is not None:
-                changed = float(phase.drift_per_tick.get("changed_fraction", 0.0))
-                growth = float(phase.drift_per_tick.get("growth_factor", 1.0))
-                for tenant in order:
-                    if worlds[tenant].active:
-                        worlds[tenant].apply_drift(changed, growth, world_rng)
+                changed = float(phase.drift_per_tick["changed_fraction"])
+                growth = float(phase.drift_per_tick["growth_factor"])
+                for world in worlds.values():
+                    if world.active:
+                        world.apply_drift(changed, growth, world_rng)
             self._run_tick(
-                tick, phase, tick - phase_start, worlds, order, target,
-                arrival_rng, trace,
+                tick, phase, tick - phase_start, worlds, target, arrival_rng, trace
             )
             if self.adaptive:
                 target.background_tick()
@@ -347,18 +399,17 @@ class ScenarioRunner:
         phase: ScenarioPhase,
         phase_tick: int,
         worlds: Dict[str, TenantWorld],
-        order: List[str],
         target,
         arrival_rng: np.random.Generator,
         trace: ScenarioTrace,
     ) -> None:
-        weights = self._weights(phase, phase_tick, worlds, order)
+        weights = self._weights(phase, phase_tick, worlds)
         total_weight = float(sum(weights.values()))
         served_latency = default_latency = optimal_latency = 0.0
         arrivals = 0
         if total_weight > 0:
             batch = max(1, int(round(phase.batch_size * phase.burst_multiplier)))
-            active = [t for t in order if weights.get(t, 0.0) > 0]
+            active = list(weights)
             shares = np.array([weights[t] for t in active]) / total_weight
             counts = arrival_rng.multinomial(batch, shares)
             for tenant, count in zip(active, counts):
@@ -375,7 +426,7 @@ class ScenarioRunner:
                 default_latency += float(world.default_latencies(local).sum())
                 optimal_latency += float(world.optimal_latencies(local).sum())
                 arrivals += int(count)
-        trace.add_tick(
+        trace.ticks.append(
             TickStats(
                 tick=tick,
                 phase=phase.name,
@@ -391,72 +442,17 @@ class ScenarioRunner:
         phase: ScenarioPhase,
         phase_tick: int,
         worlds: Dict[str, TenantWorld],
-        order: List[str],
     ) -> Dict[str, float]:
-        """The phase's tenant mix, filtered to live tenants, diurnally modulated."""
+        """Every live tenant at weight one, diurnally modulated."""
         weights: Dict[str, float] = {}
-        for position, tenant in enumerate(order):
-            world = worlds[tenant]
+        for position, (tenant, world) in enumerate(worlds.items()):
             if not world.active or world.visible == 0:
                 continue
-            if phase.tenant_weights is not None:
-                base = float(phase.tenant_weights.get(tenant, 0.0))
-            else:
-                base = 1.0
-            if base <= 0:
-                continue
+            base = 1.0
             if phase.diurnal_period > 0:
                 angle = 2.0 * np.pi * (
-                    phase_tick / phase.diurnal_period + position / max(1, len(order))
+                    phase_tick / phase.diurnal_period + position / max(1, len(worlds))
                 )
                 base *= 1.0 + phase.diurnal_amplitude * np.sin(angle)
             weights[tenant] = max(0.0, base)
         return weights
-
-    def _fire(
-        self,
-        event: ScenarioEvent,
-        worlds: Dict[str, TenantWorld],
-        order: List[str],
-        target,
-        world_rng: np.random.Generator,
-    ) -> None:
-        if event.action == "data_drift":
-            worlds[event.tenant].apply_drift(
-                event.param("changed_fraction", 0.25),
-                event.param("growth_factor", 1.1),
-                world_rng,
-            )
-        elif event.action == "etl_flood":
-            world = worlds[event.tenant]
-            names = world.add_etl_rows(
-                int(event.param("count", 8)),
-                event.param("latency", 20.0 * world.spec.mean_default_latency),
-                event.param("jitter", 0.01),
-                world_rng,
-            )
-            target.register(event.tenant, names)
-        elif event.action == "new_templates":
-            world = worlds[event.tenant]
-            names = world.add_template_rows(int(event.param("count", 8)), world_rng)
-            target.register(event.tenant, names)
-        elif event.action == "activate_rest":
-            names = worlds[event.tenant].activate_rest()
-            if names:
-                target.register(event.tenant, names)
-        elif event.action == "tenant_join":
-            world = TenantWorld(event.tenant_spec, seed=self.spec.seed)
-            worlds[event.tenant_spec.name] = world
-            order.append(event.tenant_spec.name)
-            # Joiners start cold: no bootstrap -- adapting to them is the point.
-            target.register(event.tenant_spec.name, world.names[: world.visible])
-        elif event.action == "tenant_leave":
-            worlds[event.tenant].active = False
-        elif event.action == "add_shard":
-            target.add_shard()
-        elif event.action == "kill_shard":
-            target.kill_shard(int(event.params.get("shard", 0)))
-        elif event.action == "restart_shard":
-            target.restart_shard(int(event.params.get("shard", 0)))
-        else:  # pragma: no cover - spec validation rejects unknown actions
-            raise ScenarioError(f"unhandled event action {event.action!r}")

@@ -4,15 +4,20 @@ A scenario is a seeded, replayable description of how traffic and data
 evolve over a span of *ticks* (one tick = one served batch window per
 active tenant plus one background heartbeat).  Three layers compose:
 
-* :class:`TenantSpec` -- a tenant's ground-truth workload shape (size,
-  headroom, how much of it is visible before tick 0),
+* :class:`TenantSpec` -- a tenant's ground-truth workload shape (size and
+  how much of it is visible before tick 0),
 * :class:`ScenarioPhase` -- a contiguous run of ticks with one arrival
-  regime: batch size, tenant mix, flash-crowd burst multiplier, cyclic
-  diurnal modulation, and optional per-tick gradual data drift,
+  regime: batch size, flash-crowd burst multiplier, cyclic diurnal
+  modulation of the tenant mix, and optional per-tick gradual data drift,
 * :class:`ScenarioEvent` -- a one-shot disturbance at an absolute tick:
   sudden data drift, an ETL flood, a stream of new templates, the late
   30% of a workload shift arriving, tenant churn, a live shard addition,
   a shard crash, a crashed shard rejoining from its journal.
+
+:data:`ACTIONS` is the one table of event actions: what an event names,
+the ``params`` keys it must give (each checked by :data:`PARAMETERS`) and
+whether it disturbs; ``repro.scenarios.runner.APPLY`` does each, keyed the
+same.  A phase's ``drift_per_tick`` takes ``data_drift``'s keys.
 
 Everything is a frozen dataclass validated at construction, so a spec
 either is runnable or raises :class:`~repro.errors.ScenarioError` at
@@ -21,31 +26,61 @@ definition time -- never mid-run.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
-from typing import List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from ..errors import ScenarioError
 
-#: Event actions understood by the runner.  "Disturbances" are the ones the
-#: recovery metric anchors on (see ``repro.experiments.adaptive``).
-EVENT_ACTIONS = (
-    "data_drift",      # sudden shift of a tenant's ground truth (Figs 10-11)
-    "etl_flood",       # burst of incompressible ETL rows (Fig 8)
-    "new_templates",   # brand-new query templates start arriving
-    "activate_rest",   # the held-back split of a 70/30 workload shift (Fig 9)
-    "tenant_join",     # a new tenant registers (churn)
-    "tenant_leave",    # a tenant stops arriving (churn)
-    "add_shard",       # live cluster rebalance
-    "kill_shard",      # crash a shard process
-    "restart_shard",   # recover a killed shard from its journal
-)
 
-#: Actions that name a shard via ``params={"shard": id}`` instead of a tenant.
-_SHARD_ACTIONS = frozenset({"kill_shard", "restart_shard"})
+@dataclass(frozen=True)
+class Action:
+    """What an event of one action declares: the thing it names
+    (``"tenant"``, ``"tenant_spec"``, ``"shard"``, or ``""`` for nothing),
+    the parameter keys it requires, and whether it is a *disturbance*, one
+    the recovery metric anchors on (see ``repro.experiments.adaptive``)."""
 
-DISTURBANCE_ACTIONS = frozenset(
-    {"data_drift", "etl_flood", "new_templates", "activate_rest"}
-)
+    names: str
+    keys: Tuple[str, ...]
+    disturbs: bool
+
+
+#: Every event action, keyed as ``repro.scenarios.runner.APPLY`` is.
+ACTIONS: Dict[str, Action] = {
+    # sudden shift of a tenant's ground truth (Figs 10-11)
+    "data_drift": Action("tenant", ("changed_fraction", "growth_factor"), disturbs=True),
+    "etl_flood": Action("tenant", ("count",), disturbs=True),  # incompressible rows (Fig 8)
+    "new_templates": Action("tenant", ("count",), disturbs=True),  # unseen templates arrive
+    "activate_rest": Action("tenant", (), disturbs=True),  # the late 30% of a shift (Fig 9)
+    "tenant_join": Action("tenant_spec", (), disturbs=False),  # churn: a tenant registers
+    "tenant_leave": Action("tenant", (), disturbs=False),  # churn: it stops arriving
+    "add_shard": Action("", (), disturbs=False),  # live cluster rebalance
+    "kill_shard": Action("shard", ("shard",), disturbs=False),  # crash a shard process
+    "restart_shard": Action("shard", ("shard",), disturbs=False),  # recover it from its journal
+}
+
+#: Parameter key -> what its value must be, and the test a finite number passes.
+PARAMETERS = {
+    "changed_fraction": ("in [0, 1]", lambda value: 0.0 <= value <= 1.0),
+    "growth_factor": ("> 0", lambda value: value > 0),
+    "count": ("an integer >= 1", lambda value: value >= 1 and value == int(value)),
+    "shard": ("an integer >= 0", lambda value: value >= 0 and value == int(value)),
+}
+
+
+def _check_params(params: Mapping[str, float], keys: Tuple[str, ...], where: str) -> None:
+    """Refuse ``params`` unless it holds exactly ``keys``, each a finite
+    number (never a bool) that passes its :data:`PARAMETERS` test."""
+    missing = [key for key in keys if key not in params]
+    unknown = [key for key in params if key not in keys]
+    if missing or unknown:
+        raise ScenarioError(f"{where} takes {list(keys)}; missing {missing}, unknown {unknown}")
+    for key in keys:
+        value, (rule, test) = params[key], PARAMETERS[key]
+        number = isinstance(value, numbers.Real) and not isinstance(value, bool)
+        if not (number and math.isfinite(value) and test(value)):
+            raise ScenarioError(f"{where}: {key!r} must be {rule}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -55,10 +90,7 @@ class TenantSpec:
     name: str
     n_queries: int = 120
     n_hints: int = 12
-    headroom: float = 2.5
     initial_fraction: float = 1.0
-    mean_default_latency: float = 10.0
-    rank: int = 4
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -74,29 +106,14 @@ class TenantSpec:
             raise ScenarioError(
                 f"tenant {self.name!r} needs >= 2 hints, got {self.n_hints}"
             )
-        if self.headroom <= 1.0:
-            raise ScenarioError(
-                f"headroom must be > 1 (default/optimal), got {self.headroom}"
-            )
         if not 0.0 < self.initial_fraction <= 1.0:
             raise ScenarioError(
                 f"initial_fraction must be in (0, 1], got {self.initial_fraction}"
             )
-        if self.mean_default_latency <= 0:
-            raise ScenarioError(
-                f"mean_default_latency must be > 0, got {self.mean_default_latency}"
-            )
-        if self.rank < 1:
-            raise ScenarioError(f"rank must be >= 1, got {self.rank}")
         if self.seed < 0:
             raise ScenarioError(
                 f"tenant {self.name!r}: seed must be >= 0, got {self.seed}"
             )
-
-    @property
-    def initial_queries(self) -> int:
-        """Rows visible (arriving) before tick 0; at least one."""
-        return max(1, int(round(self.initial_fraction * self.n_queries)))
 
 
 @dataclass(frozen=True)
@@ -112,27 +129,21 @@ class ScenarioEvent:
     def __post_init__(self) -> None:
         if self.tick < 0:
             raise ScenarioError(f"event tick must be >= 0, got {self.tick}")
-        if self.action not in EVENT_ACTIONS:
+        action = ACTIONS.get(self.action)
+        if action is None:
             raise ScenarioError(
                 f"unknown event action {self.action!r}; expected one of "
-                f"{list(EVENT_ACTIONS)}"
+                f"{list(ACTIONS)}"
             )
-        if self.action == "tenant_join" and self.tenant_spec is None:
-            raise ScenarioError("tenant_join events need a tenant_spec")
-        tenant_free = {"add_shard", "tenant_join"} | _SHARD_ACTIONS
-        if self.action not in tenant_free and not self.tenant:
+        if action.names == "tenant" and not self.tenant:
             raise ScenarioError(f"{self.action!r} events need a tenant")
-        if self.action in _SHARD_ACTIONS:
-            shard = self.params.get("shard", 0)
-            if int(shard) != shard or int(shard) < 0:
-                raise ScenarioError(
-                    f"{self.action!r} events need a non-negative integer "
-                    f"'shard' param, got {shard!r}"
-                )
-
-    def param(self, name: str, default: float) -> float:
-        """Look up a numeric parameter with a default."""
-        return float(self.params.get(name, default))
+        if action.names != "tenant" and self.tenant is not None:
+            raise ScenarioError(f"{self.action!r} events name no tenant, got {self.tenant!r}")
+        if action.names == "tenant_spec" and not isinstance(self.tenant_spec, TenantSpec):
+            raise ScenarioError(f"{self.action!r} events need a tenant_spec")
+        if action.names != "tenant_spec" and self.tenant_spec is not None:
+            raise ScenarioError(f"{self.action!r} events take no tenant_spec")
+        _check_params(self.params, action.keys, f"a {self.action!r} event at tick {self.tick}")
 
 
 @dataclass(frozen=True)
@@ -142,7 +153,6 @@ class ScenarioPhase:
     name: str
     ticks: int
     batch_size: int = 128
-    tenant_weights: Optional[Mapping[str, float]] = None
     burst_multiplier: float = 1.0
     drift_per_tick: Optional[Mapping[str, float]] = None
     diurnal_period: int = 0
@@ -162,27 +172,9 @@ class ScenarioPhase:
                 f"phase {self.name!r}: burst_multiplier must be > 0, got "
                 f"{self.burst_multiplier}"
             )
-        if self.tenant_weights is not None:
-            if not self.tenant_weights:
-                raise ScenarioError(f"phase {self.name!r}: empty tenant_weights")
-            for tenant, weight in self.tenant_weights.items():
-                if weight < 0:
-                    raise ScenarioError(
-                        f"phase {self.name!r}: negative weight for {tenant!r}"
-                    )
         if self.drift_per_tick is not None:
-            changed = float(self.drift_per_tick.get("changed_fraction", 0.0))
-            growth = float(self.drift_per_tick.get("growth_factor", 1.0))
-            if not 0.0 <= changed <= 1.0:
-                raise ScenarioError(
-                    f"phase {self.name!r}: drift changed_fraction must be in "
-                    f"[0, 1], got {changed}"
-                )
-            if growth <= 0:
-                raise ScenarioError(
-                    f"phase {self.name!r}: drift growth_factor must be > 0, "
-                    f"got {growth}"
-                )
+            where = f"phase {self.name!r}: drift_per_tick"
+            _check_params(self.drift_per_tick, ACTIONS["data_drift"].keys, where)
         if self.diurnal_period < 0:
             raise ScenarioError(
                 f"phase {self.name!r}: diurnal_period must be >= 0"
@@ -192,14 +184,6 @@ class ScenarioPhase:
                 f"phase {self.name!r}: diurnal_amplitude must be in [0, 1), "
                 f"got {self.diurnal_amplitude}"
             )
-
-    @property
-    def drifting(self) -> bool:
-        """True when the phase applies gradual per-tick data drift."""
-        return (
-            self.drift_per_tick is not None
-            and float(self.drift_per_tick.get("changed_fraction", 0.0)) > 0
-        )
 
 
 @dataclass(frozen=True)
@@ -263,7 +247,7 @@ class ScenarioSpec:
                     "cannot rebalance during an outage"
                 )
             if event.action == "kill_shard":
-                shard = int(event.params.get("shard", 0))
+                shard = int(event.params["shard"])
                 if shard in down:
                     raise ScenarioError(
                         f"scenario {self.name!r}: kill_shard at tick "
@@ -272,7 +256,7 @@ class ScenarioSpec:
                     )
                 down.add(shard)
             elif event.action == "restart_shard":
-                shard = int(event.params.get("shard", 0))
+                shard = int(event.params["shard"])
                 if shard not in down:
                     raise ScenarioError(
                         f"scenario {self.name!r}: restart_shard at tick "
@@ -325,11 +309,12 @@ class ScenarioSpec:
         candidates = [
             event.tick
             for event in self.events
-            if event.action in DISTURBANCE_ACTIONS
+            if ACTIONS[event.action].disturbs
         ]
         start = 0
         for phase in self.phases:
-            if phase.drifting:
+            drift = phase.drift_per_tick
+            if drift is not None and drift["changed_fraction"] > 0:
                 candidates.append(start)
             start += phase.ticks
         return min(candidates) if candidates else None

@@ -28,6 +28,12 @@ from ..workloads.shift import etl_latency_rows, shift_latencies
 from ..workloads.spec import WorkloadSpec
 from .spec import TenantSpec
 
+#: Every tenant's ground-truth shape beyond its size: mean default-plan
+#: latency (seconds), default/optimal headroom and latent rank.
+MEAN_DEFAULT_LATENCY = 10.0
+HEADROOM = 2.5
+RANK = 4
+
 
 class TenantWorld:
     """One tenant's evolving ground truth."""
@@ -38,17 +44,16 @@ class TenantWorld:
             name=f"scenario-{spec.name}",
             n_queries=spec.n_queries,
             n_hints=spec.n_hints,
-            default_total=spec.mean_default_latency * spec.n_queries,
-            optimal_total=(
-                spec.mean_default_latency * spec.n_queries / spec.headroom
-            ),
-            rank=spec.rank,
+            default_total=MEAN_DEFAULT_LATENCY * spec.n_queries,
+            optimal_total=MEAN_DEFAULT_LATENCY * spec.n_queries / HEADROOM,
+            rank=RANK,
         )
         workload = generate_workload(workload_spec, seed=seed + spec.seed)
         self.latencies: np.ndarray = workload.true_latencies
         self.names: List[str] = [f"q{i}" for i in range(spec.n_queries)]
         self._index: Dict[str, int] = {name: i for i, name in enumerate(self.names)}
-        self.visible = spec.initial_queries
+        # Rows visible (arriving) before tick 0; at least one.
+        self.visible = max(1, int(round(spec.initial_fraction * spec.n_queries)))
         self.active = True
 
     # -- shape --------------------------------------------------------------------
@@ -70,11 +75,6 @@ class TenantWorld:
             raise ScenarioError(
                 f"tenant {self.spec.name!r} has no query named {name!r}"
             ) from None
-
-    # -- execution ------------------------------------------------------------------
-    def latency(self, row: int, hint: int) -> float:
-        """One live execution: the current true latency of a cell."""
-        return float(self.latencies[row, hint])
 
     # -- mutations (the timeline's verbs) ---------------------------------------------
     def apply_drift(

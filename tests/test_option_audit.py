@@ -9,10 +9,12 @@ no user of the library runs.  Four rules, checked over the syntax trees
 
 * every field of every dataclass in ``src/repro/config.py`` is *read* as an
   attribute somewhere in ``src/repro`` outside ``config.py``;
-* every such field is *set* by some call in ``src/``, ``benchmarks/`` or
-  ``examples/`` -- by name or in its position when the dataclass is built,
-  or by name in a ``dataclasses.replace`` -- or is listed in ``ALLOWED``
-  with the reason it stays;
+* every field of every dataclass in ``src/repro`` is *set* by some call in
+  ``src/``, ``benchmarks/`` or ``examples/`` -- by name or in its position
+  when the dataclass is built, or by name in a ``dataclasses.replace`` --
+  or is listed in ``ALLOWED`` with the reason it stays.  A field declared
+  ``field(init=False, ...)`` is state, not an option, and a ``ClassVar``
+  is no field: neither is audited;
 * every parameter with a default of every function, method and
   ``__init__`` in ``src/repro`` (private and nested defs too) is *passed*
   (by name, or in its position) by such a call, or is listed in
@@ -97,14 +99,29 @@ def _trees(roots):
             yield path, ast.parse(path.read_text(), filename=str(path))
 
 
-def config_fields(tree):
-    """``(dataclass, field)`` for every annotated field of every dataclass."""
+def _init_false(value):
+    """True for a ``field(..., init=False, ...)`` default."""
+    return isinstance(value, ast.Call) and any(
+        k.arg == "init" and isinstance(k.value, ast.Constant) and k.value.value is False
+        for k in value.keywords
+    )
+
+
+def dataclass_fields(tree):
+    """``(dataclass, field)`` for every field of every dataclass that its
+    ``__init__`` takes: ``ClassVar`` annotations and ``init=False`` fields
+    are left out."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and any(
             "dataclass" in ast.dump(decorator) for decorator in node.decorator_list
         ):
             for item in node.body:
-                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name):
+                if (
+                    isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and "ClassVar" not in ast.dump(item.annotation)
+                    and not _init_false(item.value)
+                ):
                     yield node.name, item.target.id
 
 
@@ -426,9 +443,22 @@ def unpickling_calls(tree):
 def config_classes():
     """``dataclass -> [field, ...]`` in declaration order."""
     classes = {}
-    for owner, name in config_fields(ast.parse(CONFIG.read_text())):
+    for owner, name in dataclass_fields(ast.parse(CONFIG.read_text())):
         classes.setdefault(owner, []).append(name)
     assert sum(map(len, classes.values())) > 20, "config dataclasses not found"
+    return classes
+
+
+def dataclasses_in(library):
+    """``dataclass -> (module, [field, ...])`` across ``library``
+    (``(module, tree)`` pairs); a name two modules define is refused, since
+    the audit credits a field by its class's name."""
+    classes = {}
+    for module, tree in library:
+        for owner, name in dataclass_fields(tree):
+            if classes.setdefault(owner, (module, []))[0] != module:
+                raise AssertionError(f"dataclass {owner} is defined in two modules")
+            classes[owner][1].append(name)
     return classes
 
 
@@ -472,13 +502,14 @@ def _unset_and_stale(options, passed, what):
     )
 
 
-def test_every_config_field_is_set_by_a_caller_or_a_reason():
-    classes = config_classes()
+def test_every_dataclass_field_is_set_by_a_caller_or_a_reason():
+    classes = {owner: fields for owner, (_, fields) in dataclasses_in(library_trees()).items()}
+    assert set(config_classes()) <= set(classes)
     calls = calls_by_name(tree for _, tree in _trees(CALLER_ROOTS))
     _unset_and_stale(
         classes,
         {name: fields_set(calls, name, fields) for name, fields in classes.items()},
-        "config fields",
+        "dataclass fields",
     )
 
 
@@ -488,8 +519,8 @@ def library_trees():
 
 
 def parameters_allowed():
-    """The ``ALLOWED`` entries of defaulted parameters (not config fields)."""
-    classes = config_classes()
+    """The ``ALLOWED`` entries of defaulted parameters (not dataclass fields)."""
+    classes = dataclasses_in(library_trees())
     return {key: reason for key, reason in ALLOWED.items() if key[0] not in classes}
 
 
@@ -541,7 +572,7 @@ def test_the_audit_itself_catches_violations():
         "    used: int = 1\n"
         "    unused: int = 2\n"
     )
-    assert list(config_fields(config)) == [("C", "used"), ("C", "unused")]
+    assert list(dataclass_fields(config)) == [("C", "used"), ("C", "unused")]
     library = ast.parse("def f(c, d):\n    d.unused = c.used\n    'c.unused'\n")
     assert attributes_read(library) == {"used"}  # the store and the string do not count
 
@@ -605,6 +636,28 @@ def test_the_audit_itself_catches_violations():
         "a.py: A", "a.py: A.f", "g.py: g",
     ]
     assert uncalled_and_stale(library, [delegating, recursive, caller], {})[0] == ["a.py: A"]
+
+
+def test_field_rule_audits_the_fields_an_init_takes_in_every_dataclass():
+    tree = ast.parse(
+        "from dataclasses import dataclass, field\n"
+        "from typing import ClassVar\n"
+        "@dataclass\n"
+        "class Trace:\n"
+        "    LIMIT: ClassVar[int] = 3\n"
+        "    name: str\n"
+        "    repeats: int = 3\n"
+        "    ticks: list = field(init=False, default_factory=list)\n"
+        "    parts: list = field(default_factory=list)\n"
+        "class Plain:\n"
+        "    size: int = 1\n"
+    )
+    classes = dataclasses_in([("trace.py", tree)])
+    assert classes == {"Trace": ("trace.py", ["name", "repeats", "parts"])}
+    calls = calls_by_name([ast.parse("Trace('run', parts=[])")])
+    assert fields_set(calls, "Trace", classes["Trace"][1]) == {"name", "parts"}
+    with pytest.raises(AssertionError, match="two modules"):
+        dataclasses_in([("trace.py", tree), ("other.py", tree)])
 
 
 #: A library module for the caller rule's self-tests: ``exported`` is named
@@ -747,26 +800,41 @@ def test_parameter_rule_flags_an_allowed_entry_gone_set_or_without_a_reason():
 def test_inventory_counts_what_the_rules_audit():
     lines = inventory()
     classes = config_classes()
-    packages = parameters_per_package()
+    fields, packages = fields_per_package(), parameters_per_package()
     assert lines[0] == f"{sum(map(len, classes.values()))} config fields"
-    assert lines[len(classes) + 1] == (
+    assert lines[len(classes) + 1] == f"{sum(fields.values())} dataclass fields in src/repro"
+    assert sum(fields.values()) == sum(
+        len(names) for _, names in dataclasses_in(library_trees()).values()
+    )
+    assert lines[len(classes) + len(fields) + 2] == (
         f"{sum(packages.values())} defaulted parameters in src/repro"
     )
     assert sum(packages.values()) == sum(
         len(defaulted) for *_, defaulted in defaulted_parameters(library_trees()).values()
     )
-    assert len(lines) == len(classes) + len(packages) + 4
+    assert len(lines) == len(classes) + len(fields) + len(packages) + 5
     assert lines[-2] == f"{len(ALLOWED)} kept without a caller (ALLOWED)"
     assert lines[-1] == f"{len(ALLOWED_API)} public defs kept without a caller (ALLOWED_API)"
 
 
+def _package(module):
+    """A module's package in ``src/repro``; modules at its top are ``repro``."""
+    return module.split("/")[0] if "/" in module else "repro"
+
+
+def fields_per_package():
+    """``package -> audited dataclass fields`` across ``src/repro``."""
+    counts = {}
+    for module, fields in dataclasses_in(library_trees()).values():
+        counts[_package(module)] = counts.get(_package(module), 0) + len(fields)
+    return dict(sorted(counts.items()))
+
+
 def parameters_per_package():
-    """``package -> defaulted parameters`` across ``src/repro`` (modules at
-    the top of the package count as ``repro``)."""
+    """``package -> defaulted parameters`` across ``src/repro``."""
     counts = {}
     for (module, _), (*_, defaulted) in defaulted_parameters(library_trees()).items():
-        package = module.split("/")[0] if "/" in module else "repro"
-        counts[package] = counts.get(package, 0) + len(defaulted)
+        counts[_package(module)] = counts.get(_package(module), 0) + len(defaulted)
     return dict(sorted(counts.items()))
 
 
@@ -774,9 +842,11 @@ def inventory():
     """Lines for CI's step summary: every option the audit counts, and the
     public defs it keeps without a caller."""
     classes = config_classes()
-    packages = parameters_per_package()
+    fields, packages = fields_per_package(), parameters_per_package()
     lines = [f"{sum(map(len, classes.values()))} config fields"]
-    lines += [f"  {len(fields):3d} {name}" for name, fields in classes.items()]
+    lines += [f"  {len(names):3d} {name}" for name, names in classes.items()]
+    lines.append(f"{sum(fields.values())} dataclass fields in src/repro")
+    lines += [f"  {count:3d} {package}" for package, count in fields.items()]
     lines.append(f"{sum(packages.values())} defaulted parameters in src/repro")
     lines += [f"  {count:3d} {package}" for package, count in packages.items()]
     lines.append(f"{len(ALLOWED)} kept without a caller (ALLOWED)")

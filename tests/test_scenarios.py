@@ -1,5 +1,7 @@
 """Tests for the declarative traffic/scenario engine (repro.scenarios)."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from builders import shrunk
 from repro.cluster import ServingCluster
 from repro.errors import ScenarioError
 from repro.scenarios import (
+    ACTIONS,
     ScenarioEvent,
     ScenarioPhase,
     ScenarioRunner,
@@ -19,6 +22,7 @@ from repro.scenarios import (
     standard_scenarios,
     tenant_churn,
 )
+from repro.scenarios.runner import APPLY
 
 
 def tiny_spec(**overrides):
@@ -71,6 +75,104 @@ def test_spec_validation_errors():
         TenantSpec(name="a", seed=-3)
 
 
+#: A value each parameter key accepts.
+GOOD = {"changed_fraction": 0.3, "growth_factor": 1.1, "count": 3, "shard": 0}
+
+
+def event_of(action):
+    """Keyword arguments of a valid event of ``action``: its keys at
+    :data:`GOOD` values, and the tenant or tenant_spec it names."""
+    declared = ACTIONS[action]
+    kwargs = dict(tick=0, action=action, params={key: GOOD[key] for key in declared.keys})
+    if declared.names == "tenant":
+        kwargs["tenant"] = "a"
+    if declared.names == "tenant_spec":
+        kwargs["tenant_spec"] = TenantSpec(name="b")
+    return kwargs
+
+
+def refusals():
+    """``(id, event kwargs)`` for each bad input of each action, then the
+    probes that built a spec at definition and failed or misbehaved mid-run
+    before events were checked against their action."""
+    for action, declared in ACTIONS.items():
+        good = event_of(action)
+
+        def but(**changes):
+            return {**good, **changes}
+
+        def params_with(key, value):
+            return but(params={**good["params"], key: value})
+
+        for key in declared.keys:
+            yield f"{action}-missing-{key}", but(
+                params={k: v for k, v in good["params"].items() if k != key}
+            )
+            for label, value in (
+                ("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
+                ("negative", -1.0), ("bool", True), ("text", "1"),
+            ):
+                yield f"{action}-{label}-{key}", params_with(key, value)
+            if key in ("count", "shard"):
+                yield f"{action}-fractional-{key}", params_with(key, 1.5)
+            if key == "count":
+                yield f"{action}-zero-count", params_with(key, 0)
+        yield f"{action}-unknown-key", params_with("latency", 50.0)
+        if declared.names == "tenant":
+            yield f"{action}-no-tenant", but(tenant=None)
+        else:
+            yield f"{action}-stray-tenant", but(tenant="a")
+        if declared.names == "tenant_spec":
+            yield f"{action}-no-tenant-spec", but(tenant_spec=None)
+        else:
+            yield f"{action}-stray-tenant-spec", but(tenant_spec=TenantSpec(name="c"))
+
+    drift = event_of("data_drift")
+    for label, params in (
+        ("nan-fraction", {"changed_fraction": math.nan, "growth_factor": 1.1}),
+        ("fraction-5", {"changed_fraction": 5.0, "growth_factor": 1.1}),
+        ("growth-minus-1", {"changed_fraction": 0.3, "growth_factor": -1}),
+        ("misspelt-key", {"changed_fracton": 0.3}),
+    ):
+        yield f"probe-data_drift-{label}", {**drift, "params": params}
+    yield "probe-new_templates-count-0", {**event_of("new_templates"), "params": {"count": 0}}
+    yield "probe-etl_flood-count-minus-2", {**event_of("etl_flood"), "params": {"count": -2}}
+    yield "probe-kill_shard-shard-True", {**event_of("kill_shard"), "params": {"shard": True}}
+
+
+REFUSALS = dict(refusals())
+
+
+@pytest.mark.parametrize("kwargs", REFUSALS.values(), ids=REFUSALS.keys())
+def test_an_event_is_checked_against_its_action_at_definition(kwargs):
+    with pytest.raises(ScenarioError):
+        ScenarioEvent(**kwargs)
+
+
+@pytest.mark.parametrize("action", ACTIONS)
+def test_an_event_with_its_action_keys_is_accepted(action):
+    assert ScenarioEvent(**event_of(action)).action == action
+
+
+@pytest.mark.parametrize(
+    "params",
+    [kwargs["params"] for name, kwargs in REFUSALS.items() if name.startswith("data_drift-")
+     and "tenant" not in name] + [{"changed_fracton": 0.3}, {}],
+)
+def test_a_phase_drift_is_checked_like_a_data_drift_event(params):
+    with pytest.raises(ScenarioError):
+        ScenarioPhase(name="aging", ticks=2, drift_per_tick=params)
+
+
+def test_every_action_has_one_apply():
+    assert list(APPLY) == list(ACTIONS)
+
+
+def test_the_library_fires_every_action():
+    fired = {e.action for spec in standard_scenarios().values() for e in spec.events}
+    assert fired == set(ACTIONS)
+
+
 def test_spec_timeline_helpers():
     spec = tiny_spec()
     assert spec.total_ticks == 8
@@ -108,8 +210,9 @@ def test_chaos_event_validation():
         ScenarioEvent(tick=0, action="kill_shard", params={"shard": -1})
     with pytest.raises(ScenarioError):
         ScenarioEvent(tick=0, action="kill_shard", params={"shard": 1.5})
-    # No tenant needed; the shard param defaults to 0.
-    assert ScenarioEvent(tick=0, action="kill_shard").params.get("shard") is None
+    # No tenant needed, but the shard is: it has no default.
+    with pytest.raises(ScenarioError, match="missing"):
+        ScenarioEvent(tick=0, action="kill_shard")
     # Restart before any kill of that shard is rejected at spec time.
     with pytest.raises(ScenarioError):
         tiny_spec(
@@ -342,7 +445,7 @@ def test_workload_shift_and_new_templates_grow_serving():
             ),
             ScenarioEvent(
                 tick=4, action="etl_flood", tenant="a",
-                params={"count": 3, "latency": 50.0},
+                params={"count": 3},
             ),
         ),
     )

@@ -15,6 +15,8 @@ from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import NeuralNetworkError
 from repro.nn.trainer import TCNNTrainer
 from repro.plans.featurize import NODE_FEATURE_DIM, _FullBatchCacheMixin, pack_trees
+from repro.workloads.matrices import generate_workload
+from repro.workloads.spec import JOB_SPEC
 
 
 def small_config(**overrides):
@@ -289,3 +291,18 @@ def test_a_plan_without_a_real_node_is_refused_by_fit_and_predict_full():
     for call in (trainer.fit, trainer.predict_full):
         with pytest.raises(NeuralNetworkError, match="at least one unmasked node"):
             call(matrix)
+
+
+def test_a_matrix_grown_past_the_feature_store_is_refused():
+    """The predictor grows its trainer with the matrix, but the store's plans
+    stop at the shape it was built for: the next fit refuses the matrix with
+    a typed error naming both shapes (it used to raise a bare IndexError)."""
+    workload = generate_workload(JOB_SPEC.scaled(0.2), seed=0)
+    matrix = observed_matrix(workload)
+    predictor = TransductiveTCNNPredictor(workload.feature_store(), small_config())
+    predictor.predict(matrix)
+    n, k = matrix.shape
+    matrix.add_query()
+    with pytest.raises(NeuralNetworkError) as refused:
+        predictor.predict(matrix)
+    assert str((n + 1, k)) in str(refused.value) and str((n, k)) in str(refused.value)
