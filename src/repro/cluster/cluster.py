@@ -668,7 +668,6 @@ class ServingCluster:
         values = np.full((n, self.n_hints), np.inf)
         observed = np.zeros((n, self.n_hints), dtype=bool)
         censored = np.zeros((n, self.n_hints), dtype=bool)
-        timeouts = np.zeros((n, self.n_hints))
         # One batched export per shard, scattered back into global order.
         for sid, positions in split_batch(directory.shard_of):
             payload = self.shards[sid].export_rows(
@@ -677,13 +676,12 @@ class ServingCluster:
             values[positions] = payload["values"]
             observed[positions] = payload["observed"]
             censored[positions] = payload["censored"]
-            timeouts[positions] = payload["timeouts"]
         return WorkloadMatrix.from_dict(
             {
                 "values": values,
                 "observed": observed,
                 "censored": censored,
-                "timeouts": timeouts,
+                "timeouts": np.where(censored, values, 0.0),
                 "query_names": list(directory.names),
                 "hint_names": [f"h{j}" for j in range(self.n_hints)],
             }

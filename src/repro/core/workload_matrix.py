@@ -9,9 +9,9 @@ seconds.  Three states per entry:
   the timeout, which is a *lower bound* on the true latency.
 
 Censored entries do not count as observed for the purposes of the mask
-matrix ``M`` (they must not be fit exactly), but their lower bound is
-exposed through the timeout matrix ``T`` used by the censored ALS solver
-and the censored TCNN loss.
+matrix ``M`` (they must not be fit exactly); their stored lower bound gives
+the timeout matrix ``T`` (the bound, else 0) used by the censored ALS solver
+and the censored TCNN loss, and a payload's ``"timeouts"``.
 """
 
 from __future__ import annotations
@@ -66,15 +66,15 @@ def _payload_arrays(payload: Dict, door: str, own: bool) -> tuple:
     """The four cell arrays and the query names (or None) of a ``to_dict`` /
     ``export_rows`` payload: 2-D, of one shape, one name per row, and every
     cell what the mutators would have let in -- or :class:`MatrixError`.
-    Payloads come from disk and from other shards.  With ``own`` each array
-    is a copy of the payload's, made once, here; otherwise a payload array
-    of the right dtype is returned as it is."""
+    Payloads come from disk and from other shards; ``to_dict`` gives an
+    accepted one back byte for byte.  With ``own`` values and flags are
+    copies, made once, here; else (and for ``timeouts``) they are as given."""
     read = np.array if own else np.asarray
     try:
         values = read(payload["values"], dtype=float)
         observed = read(payload["observed"], dtype=bool)
         censored = read(payload["censored"], dtype=bool)
-        timeouts = read(payload["timeouts"], dtype=float)
+        timeouts = np.asarray(payload["timeouts"], dtype=float)
         names = payload.get("query_names")
     except (KeyError, TypeError, ValueError) as exc:
         raise MatrixError(f"{door}: unreadable payload ({exc!r})") from None
@@ -101,6 +101,9 @@ def _payload_arrays(payload: Dict, door: str, own: bool) -> tuple:
             f"{door}: observed latencies must be finite and >= 0, censored "
             "bounds finite and > 0, and no cell both observed and censored"
         )
+    # Bounds are non-zero, so no other timeout may have a bit set (no n x k temporary).
+    if (values[censored] != bounds).any() or np.count_nonzero(timeouts.view(np.int64)) != bounds.size:
+        raise MatrixError(f"{door}: a censored cell's value must be its bound, any other timeout 0")
     return values, observed, censored, timeouts, names
 
 
@@ -116,7 +119,7 @@ class WorkloadMatrix:
         self._adopt((n_queries, n_hints), None, query_names, None)
 
     def _adopt(self, shape, cells, query_names, hint_names) -> None:
-        """Set up a ``shape`` matrix over ``cells``, the four cell arrays as
+        """Set up a ``shape`` matrix over ``cells``, the three cell arrays as
         they are (no copy), or over blank ones when ``cells`` is None: what
         ``__init__``, ``from_dict`` and ``copy`` share."""
         n_queries, n_hints = shape
@@ -124,8 +127,8 @@ class WorkloadMatrix:
             raise MatrixError(
                 f"workload matrix needs positive dimensions, got {n_queries}x{n_hints}"
             )
-        self._values, self._observed, self._censored, self._timeouts = cells or (
-            np.full(shape, np.inf), np.zeros(shape, bool), np.zeros(shape, bool), np.zeros(shape)
+        self._values, self._observed, self._censored = cells or (
+            np.full(shape, np.inf), np.zeros(shape, bool), np.zeros(shape, bool)
         )
         self._version = 0
         # Per-row last-modified version and the version of the last change
@@ -216,7 +219,6 @@ class WorkloadMatrix:
         self._values[query, hint] = float(latency)
         self._observed[query, hint] = True
         self._censored[query, hint] = False
-        self._timeouts[query, hint] = 0.0
         self._stamp(query)
 
     def observe_batch(self, queries, hints, latencies) -> None:
@@ -234,7 +236,6 @@ class WorkloadMatrix:
         self._values[queries, hints] = latencies
         self._observed[queries, hints] = True
         self._censored[queries, hints] = False
-        self._timeouts[queries, hints] = 0.0
         self._stamp(queries)
 
     def checked_observations(self, queries, hints, latencies) -> tuple:
@@ -267,9 +268,11 @@ class WorkloadMatrix:
         if self.journal is not None:
             self.journal.log_censor([query], [hint], [lower_bound])
         # Keep only the tightest (largest) lower bound seen so far.
-        self._timeouts[query, hint] = max(self._timeouts[query, hint], float(lower_bound))
+        bound = float(lower_bound)
+        if self._censored[query, hint]:
+            bound = max(self._values[query, hint], bound)
+        self._values[query, hint] = bound
         self._censored[query, hint] = True
-        self._values[query, hint] = self._timeouts[query, hint]
         self._stamp(query)
 
     def observe_censored_batch(self, queries, hints, lower_bounds) -> None:
@@ -293,9 +296,10 @@ class WorkloadMatrix:
             return
         if self.journal is not None:
             self.journal.log_censor(queries, hints, bounds)
-        np.maximum.at(self._timeouts, (queries, hints), bounds)
-        self._censored[queries, hints] = True
-        self._values[queries, hints] = self._timeouts[queries, hints]
+        cells = (queries, hints)  # a cell's bound so far: its value if censored, else 0
+        self._values[cells] = np.where(self._censored[cells], self._values[cells], 0.0)
+        np.maximum.at(self._values, cells, bounds)
+        self._censored[cells] = True
         self._stamp(queries)
 
     # -- state queries ------------------------------------------------------
@@ -343,7 +347,7 @@ class WorkloadMatrix:
     @property
     def timeout_matrix(self) -> np.ndarray:
         """The timeout matrix ``T``: lower bounds for censored entries, else 0."""
-        return self._timeouts.copy()
+        return np.where(self._censored, self._values, 0.0)
 
     def observed_latencies(self, rows: np.ndarray) -> np.ndarray:
         """Completed latencies of the given ``rows``, ``inf`` elsewhere.
@@ -361,8 +365,8 @@ class WorkloadMatrix:
         """What censored ALS reads of the matrix, gathered through the known
         cells' kept flat indices: a solve copies and scans no ``n x k`` array."""
         obs, cen, _ = self.known_cells()
-        values, bounds = self._values.reshape(-1), self._timeouts.reshape(-1)
-        return SolverCells(self.shape, obs, values[obs], cen, bounds[cen])
+        values = self._values.reshape(-1)  # a censored cell's value is its bound
+        return SolverCells(self.shape, obs, values[obs], cen, values[cen])
 
     def known_cells(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(observed, censored, known_per_row)``: the flat (row-major,
@@ -411,19 +415,15 @@ class WorkloadMatrix:
             self._minima_version = self._version
         return self._minima
 
-    def row_min(self, query: int) -> float:
-        """Best (minimum) *verified* latency currently known for ``query``.
+    def row_minima(self) -> np.ndarray:
+        """Each query's best (minimum) *verified* latency, ``inf`` where it
+        has none (the caller's to keep).
 
         Only completed observations participate: a censored entry records a
         lower bound on a plan that was never allowed to finish, so it cannot
         be served and must not lower the row minimum (Algorithm 1's timeout
         ``alpha * Ŵ_ij`` can sit below the current best).
         """
-        self._check_indices(query, 0)
-        return float(self._fresh_minima()[query])
-
-    def row_minima(self) -> np.ndarray:
-        """Vector of :meth:`row_min` over all queries (the caller's to keep)."""
         return self._fresh_minima().copy()
 
     def row_stats(self, rows) -> Tuple[np.ndarray, np.ndarray]:
@@ -489,7 +489,6 @@ class WorkloadMatrix:
         self._values = np.vstack([self._values, np.full((1, self.n_hints), np.inf)])
         self._observed = np.vstack([self._observed, np.zeros((1, self.n_hints), bool)])
         self._censored = np.vstack([self._censored, np.zeros((1, self.n_hints), bool)])
-        self._timeouts = np.vstack([self._timeouts, np.zeros((1, self.n_hints))])
         self.query_names.append(name if name is not None else f"q{index}")
         self._restructured()
         return index
@@ -505,11 +504,12 @@ class WorkloadMatrix:
         receiver can verify column compatibility.
         """
         indices = checked_ids("query", list(queries), self.n_queries, MatrixError)
+        values, censored = self._values[indices], self._censored[indices]
         return {
-            "values": self._values[indices].copy(),
-            "observed": self._observed[indices].copy(),
-            "censored": self._censored[indices].copy(),
-            "timeouts": self._timeouts[indices].copy(),
+            "values": values,
+            "observed": self._observed[indices],
+            "censored": censored,
+            "timeouts": np.where(censored, values, 0.0),
             "query_names": [self.query_names[int(q)] for q in indices],
             "hint_names": list(self.hint_names),
         }
@@ -548,7 +548,6 @@ class WorkloadMatrix:
         self._values = np.vstack([self._values, values])
         self._observed = np.vstack([self._observed, observed])
         self._censored = np.vstack([self._censored, censored])
-        self._timeouts = np.vstack([self._timeouts, timeouts])
         self.query_names.extend(names)
         self._restructured()
         return list(range(first, self.n_queries))
@@ -574,7 +573,6 @@ class WorkloadMatrix:
         self._values = self._values[keep]
         self._observed = self._observed[keep]
         self._censored = self._censored[keep]
-        self._timeouts = self._timeouts[keep]
         self.query_names = [
             name for name, kept in zip(self.query_names, keep) if kept
         ]
@@ -591,7 +589,6 @@ class WorkloadMatrix:
         self._values[rows] = np.inf
         self._observed[rows] = False
         self._censored[rows] = False
-        self._timeouts[rows] = 0.0
         self._stamp(rows)
 
     # -- persistence -----------------------------------------------------------------
@@ -601,7 +598,7 @@ class WorkloadMatrix:
             "values": self._values.copy(),
             "observed": self._observed.copy(),
             "censored": self._censored.copy(),
-            "timeouts": self._timeouts.copy(),
+            "timeouts": self.timeout_matrix,
             "query_names": list(self.query_names),
             "hint_names": list(self.hint_names),
         }
@@ -616,7 +613,7 @@ class WorkloadMatrix:
         would have let in (:class:`MatrixError` otherwise), the same check
         :meth:`import_rows` makes.
         """
-        *cells, names = _payload_arrays(payload, "from_dict", own=True)
+        *cells, _, names = _payload_arrays(payload, "from_dict", own=True)
         matrix = cls.__new__(cls)
         matrix._adopt(cells[0].shape, cells, names, payload.get("hint_names"))
         matrix._restructured()
@@ -625,8 +622,7 @@ class WorkloadMatrix:
     def copy(self) -> "WorkloadMatrix":
         """Deep copy: a fresh matrix, unjournaled, as ``from_dict(to_dict())``
         builds it, with one copy of each array."""
-        cells = [self._values.copy(), self._observed.copy(), self._censored.copy(),
-                 self._timeouts.copy()]
+        cells = [self._values.copy(), self._observed.copy(), self._censored.copy()]
         matrix = WorkloadMatrix.__new__(WorkloadMatrix)
         matrix._adopt(self.shape, cells, self.query_names, self.hint_names)
         matrix._restructured()

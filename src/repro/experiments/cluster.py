@@ -49,13 +49,12 @@ def populate_cluster(
     :meth:`ServingCluster.export_tenant_matrix` round-trips in the tests).
     """
     cluster.add_tenant(tenant, [f"q{i}" for i in range(matrix.n_queries)])
-    rows, cols = np.nonzero(matrix.mask > 0)
-    if rows.size:
-        cluster.observe_batch(tenant, rows, cols, matrix.values[rows, cols])
-    censored = matrix.censored_mask
-    timeouts = matrix.timeout_matrix
-    for q, h in zip(*np.nonzero(censored)):
-        cluster.observe_censored(tenant, int(q), int(h), float(timeouts[q, h]))
+    # The known cells in row-major order: no n x k array is built.
+    cells, k = matrix.solver_cells(), matrix.n_hints
+    if cells.obs_idx.size:
+        cluster.observe_batch(tenant, cells.obs_idx // k, cells.obs_idx % k, cells.obs_vals)
+    for flat, bound in zip(cells.cen_idx.tolist(), cells.cen_vals.tolist()):
+        cluster.observe_censored(tenant, flat // k, flat % k, bound)
 
 
 def cluster_vs_single_comparison(

@@ -316,6 +316,15 @@ class ScenarioRunner:
         self.adaptive = bool(adaptive)
         self.n_hints = hints.pop()
         self.n_shards = int(n_shards)
+        shards = self.n_shards  # the built-in cluster's ids: 0.., one more per add_shard
+        events = spec.events if self._target_factory is None else ()
+        for event in sorted(events, key=lambda e: e.tick):  # in firing order
+            shards += event.action == "add_shard"
+            if ACTIONS[event.action].names == "shard" and event.params["shard"] >= shards:
+                raise ScenarioError(
+                    f"scenario {spec.name!r}: {event.action} at tick {event.tick} targets "
+                    f"shard {int(event.params['shard'])}, but the cluster has {shards} then"
+                )
         self.durability_dir = durability_dir
         self._needs_durability = any(
             ACTIONS[event.action].names == "shard" for event in spec.events

@@ -83,6 +83,12 @@ def _check_params(params: Mapping[str, float], keys: Tuple[str, ...], where: str
             raise ScenarioError(f"{where}: {key!r} must be {rule}, got {value!r}")
 
 
+def _check_ticks(value, minimum: int, what: str) -> None:
+    """Refuse a tick or tick count that is no integer >= ``minimum`` (or a bool)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < minimum:
+        raise ScenarioError(f"{what} must be an integer >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TenantSpec:
     """Ground-truth workload shape for one tenant."""
@@ -127,8 +133,7 @@ class ScenarioEvent:
     tenant_spec: Optional[TenantSpec] = None
 
     def __post_init__(self) -> None:
-        if self.tick < 0:
-            raise ScenarioError(f"event tick must be >= 0, got {self.tick}")
+        _check_ticks(self.tick, 0, "event tick")
         action = ACTIONS.get(self.action)
         if action is None:
             raise ScenarioError(
@@ -159,10 +164,7 @@ class ScenarioPhase:
     diurnal_amplitude: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.ticks < 1:
-            raise ScenarioError(
-                f"phase {self.name!r} needs >= 1 tick, got {self.ticks}"
-            )
+        _check_ticks(self.ticks, 1, f"phase {self.name!r}: ticks")
         if self.batch_size < 1:
             raise ScenarioError(
                 f"phase {self.name!r} needs batch_size >= 1, got {self.batch_size}"

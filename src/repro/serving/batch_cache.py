@@ -188,7 +188,3 @@ class BatchedPlanCache:
                 for row, value in zip(rows, array[changed].tolist()):
                     column[row] = value
         self._row_lists_version = snap.version
-
-    def scalar_cache(self) -> PlanCache:
-        """The scalar cache sharing this instance's matrix and parameters."""
-        return self._scalar

@@ -250,8 +250,9 @@ def hostile_row(edit):
     payload = donor.export_rows([0])
     payload["query_names"] = ["imported"]
     matrix.import_rows(payload)
-    # Views of the last row: ``edit`` writes through them.
-    keys = ("values", "observed", "censored", "timeouts")
+    # Views of the last row: ``edit`` writes through them.  A censored
+    # cell's bound is its value, so ``edit`` sets a bound through "values".
+    keys = ("values", "observed", "censored")
     edit({key: getattr(matrix, f"_{key}")[-1:] for key in keys})
     matrix._restructured()
     return matrix
@@ -260,9 +261,9 @@ def hostile_row(edit):
 @pytest.mark.parametrize(
     "edit, message",
     [
-        (lambda p: p["timeouts"].__setitem__((0, 2), np.nan), "timeouts"),
-        (lambda p: p["timeouts"].__setitem__((0, 2), -1.0), "timeouts"),
-        (lambda p: p["timeouts"].__setitem__((0, 2), np.inf), "timeouts"),
+        (lambda p: p["values"].__setitem__((0, 2), np.nan), "timeouts"),
+        (lambda p: p["values"].__setitem__((0, 2), -1.0), "timeouts"),
+        (lambda p: p["values"].__setitem__((0, 2), np.inf), "timeouts"),
         (lambda p: p["values"].__setitem__((0, 0), np.inf), "finite"),
         (lambda p: p["values"].__setitem__((0, 0), np.nan), "finite"),
     ],
@@ -293,10 +294,13 @@ def test_empty_mask_raises_the_same_error_through_both_doors():
 
 def test_imported_observation_beats_a_bound_on_the_same_cell_through_both_doors():
     def observed_and_censored(payload):
+        # The matrix keeps a censored cell's bound in its value, so a cell
+        # both observed and censored carries its observed 4.0 as its bound;
+        # the solver must still take the observation and drop the bound.
         payload["censored"][0, 0] = True
-        payload["timeouts"][0, 0] = 12.0  # three times what was observed
 
     matrix = hostile_row(observed_and_censored)
+    assert matrix.timeout_matrix[-1, 0] == 4.0  # both doors see the bound
     clean = hostile_row(lambda payload: None)
     config = ALSConfig(rank=2, iterations=6)
     dense, cells = both_doors(matrix, config)

@@ -88,4 +88,4 @@ def test_bayesqo_optimize_single_query(tiny_workload):
     spent, evaluations = bayes.optimize_query(matrix, 0)
     assert spent > 0
     assert evaluations >= 1
-    assert matrix.row_min(0) <= truth[0, 0]
+    assert matrix.row_minima()[0] <= truth[0, 0]

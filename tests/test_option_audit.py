@@ -27,10 +27,12 @@ no user of the library runs.  Four rules, checked over the syntax trees
   ``_`` -- is *named* somewhere in ``src/``, ``benchmarks/`` or
   ``examples/``, or is listed in ``ALLOWED_API`` with the reason it stays.
   A name counts when it is loaded as ``name`` or ``<anything>.name``, or
-  spelled as an identifier-shaped string (``getattr(obj, "name")``); the
-  def itself, ``import`` lines and ``__all__`` entries do not count, nor
-  does a use inside the body of a def of the same name (recursion, or a
-  method delegating to its namesake on another type).
+  spelled as an identifier-shaped string (``getattr(obj, "name")``); a
+  method or property counts only by the last two, so a local variable
+  that happens to share its name is no caller.  The def itself,
+  ``import`` lines and ``__all__`` entries do not count, nor does a use
+  inside the body of a def of the same name (recursion, or a method
+  delegating to its namesake on another type).
 
 Forwarding a ``None``-defaulted parameter under its own name is not a use,
 also from a nested function that reads it from its enclosing one; it counts
@@ -90,6 +92,8 @@ ALLOWED = {
 ALLOWED_API = {
     "ExplorationTrace.latency_at": "the scalar reference lookup that "
     "tests/test_simulation.py holds the vectorised latencies_at to",
+    "TreeBatch.max_nodes": "the padded width the TCNN judge "
+    "tests/test_nn_fused_reference.py sizes its block-crossing cases by",
 }
 
 
@@ -363,10 +367,11 @@ def public_defs(tree):
                     yield f"{node.name}.{item.name}", item.name
 
 
-def _name_of(node):
-    """The name ``node`` uses: loaded as ``name`` or ``<anything>.name``, or
-    spelled as an identifier-shaped string; None for any other node."""
-    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+def _name_of(node, bare=True):
+    """The name ``node`` uses: loaded as ``name`` (only with ``bare``) or
+    ``<anything>.name``, or spelled as an identifier-shaped string; None for
+    any other node."""
+    if bare and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
         return node.id
     if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
         return node.attr
@@ -376,9 +381,10 @@ def _name_of(node):
     return None
 
 
-def names_used(tree):
-    """Names loaded as ``name`` or ``<anything>.name``, and identifier-shaped
-    string constants.  Left out: the strings listed in ``__all__``, and a
+def names_used(tree, bare=True):
+    """Names loaded as ``name`` (only with ``bare``) or ``<anything>.name``,
+    and identifier-shaped string constants.  Left out: the strings listed in
+    ``__all__``, and a
     name used inside the body of a def of the same name -- recursion, or a
     method that delegates to its namesake (``def f(self): return
     self.inner.f()``) is no caller of either.  ``import`` lines bind names
@@ -399,7 +405,7 @@ def names_used(tree):
     return {
         name
         for node in ast.walk(tree)
-        if id(node) not in skipped and (name := _name_of(node)) is not None
+        if id(node) not in skipped and (name := _name_of(node, bare)) is not None
     }
 
 
@@ -407,22 +413,24 @@ def uncalled_and_stale(library, callers, allowed):
     """``library``: ``(module, tree)`` pairs whose public defs are audited;
     ``callers``: the trees a caller may sit in.  Returns the defs no caller
     names that ``allowed`` does not list, and the ``allowed`` entries whose
-    def is gone, has a caller now, or has no reason."""
+    def is gone, has a caller now, or has no reason.  A method or property
+    (``Class.name``) is credited only as ``x.name`` or a string."""
     used = set().union(*map(names_used, callers))
+    members = set().union(*(names_used(tree, bare=False) for tree in callers))
     defs = {
-        qualified: (module, name)
+        qualified: (module, name in (members if "." in qualified else used))
         for module, tree in library
         for qualified, name in public_defs(tree)
     }
     uncalled = [
         f"{module}: {qualified}"
-        for qualified, (module, name) in defs.items()
-        if name not in used and qualified not in allowed
+        for qualified, (module, called) in defs.items()
+        if not called and qualified not in allowed
     ]
     stale = [
         qualified
         for qualified in allowed
-        if qualified not in defs or defs[qualified][1] in used
+        if qualified not in defs or defs[qualified][1]
     ] + [f"{qualified} (no reason)" for qualified, reason in allowed.items() if not reason.strip()]
     return uncalled, stale
 
@@ -689,6 +697,16 @@ def test_caller_rule_flags_a_def_only_all_an_import_and_a_test_name():
     assert "exported" not in names_used(LIB) | names_used(LIB_USER)
     uncalled, _ = uncalled_and_stale([("lib.py", LIB)], [LIB, LIB_USER], {})
     assert uncalled == ["lib.py: exported", "lib.py: Box.kept"]
+
+
+def test_caller_rule_credits_a_method_only_as_a_member():
+    """A method used to pass on any local variable of its name, as
+    ``WorkloadMatrix.row_min`` did on two in the explorer and the generator."""
+    lib = ast.parse("class M:\n    def low(self): pass\ndef free(): pass\n")
+    namesake = ast.parse("def f(xs):\n    low = min(xs)\n    return low + free()\n")
+    member = ast.parse("def g(m): return m.low()\n")
+    assert uncalled_and_stale([("m.py", lib)], [namesake], {})[0] == ["m.py: M", "m.py: M.low"]
+    assert uncalled_and_stale([("m.py", lib)], [namesake, member], {})[0] == ["m.py: M"]
 
 
 def test_caller_rule_counts_a_getattr_string_as_a_call():

@@ -35,12 +35,13 @@ def test_workload_matrix_row_min_is_min_of_observed(n, k, data):
     for i, j, value in cells:
         matrix.observe(i, j, value)
         observed[(i, j)] = value
+    minima = matrix.row_minima()
     for i in range(n):
         row_values = [v for (qi, _), v in observed.items() if qi == i]
         if row_values:
-            assert matrix.row_min(i) == min(row_values)
+            assert minima[i] == min(row_values)
         else:
-            assert matrix.row_min(i) == float("inf")
+            assert minima[i] == float("inf")
     # Workload latency is the sum of row minima.  numpy's pairwise
     # summation and Python's sequential sum can differ in the last ulp,
     # so the comparison is exact only up to float associativity.

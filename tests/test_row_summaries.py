@@ -5,7 +5,7 @@ and, on a read, re-gathers only the rows stamped since
 (``rows_changed_since``); a changed row set rebuilds them.  The hypothesis
 property drives arbitrary sequences of *every* mutator (the op interpreter
 of ``test_incremental_cache.py``, plus ``from_dict``) with reads at random
-points and after each read holds ``row_minima()``, ``row_min(q)`` and
+points and after each read holds ``row_minima()``, ``row_stats([q])`` and
 ``workload_latency()`` to ``np.where(observed, values, inf).min(axis=1)``
 computed from the exported state -- exactly, they are the same stored
 doubles.  An array handed out earlier must never change.  The same check is
@@ -53,7 +53,7 @@ def check_reads(matrix, ops):
             held.append((minima, minima.tobytes()))
         elif kind == "read_row":
             query = arg % matrix.n_queries
-            assert matrix.row_min(query) == judge(matrix)[query]
+            assert matrix.row_stats([query])[0][0] == judge(matrix)[query]
         elif kind == "read_total":
             assert matrix.workload_latency() == float(judge(matrix).sum())
         else:
@@ -99,7 +99,7 @@ class TestRowMinimaFollowTheStamps:
         )
         matrix.observe_batch([3, 3, 9], [1, 2, 1], [1.0, 2.0, 3.0])
         matrix.observe_censored(20, 3, 4.0)
-        assert matrix.row_min(3) == 1.0 and matrix.row_min(20) == 5.0
+        assert matrix.row_stats([3, 20])[0].tolist() == [1.0, 5.0]
         assert matrix.workload_latency() == 48 * 5.0 + 1.0 + 3.0
         assert gathered == [3]  # one patch of rows 3, 9 and 20; then cached
         matrix.add_query()  # the row set changed: every row, once

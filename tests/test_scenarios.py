@@ -245,6 +245,34 @@ def test_chaos_event_validation():
     )
 
 
+@pytest.mark.parametrize("tick", [1.5, 2.5, 2.0, True, math.nan, "1"], ids=repr)
+def test_a_tick_or_a_tick_count_is_an_integer_at_definition(tick):
+    """An event at tick 1.5 never fired, and a phase of 2.5 ticks raised a
+    ``TypeError`` mid-run."""
+    with pytest.raises(ScenarioError, match="integer"):
+        ScenarioEvent(tick=tick, action="add_shard")
+    with pytest.raises(ScenarioError, match="integer"):
+        ScenarioPhase(name="p", ticks=tick)
+    assert ScenarioEvent(tick=np.int64(2), action="add_shard").tick == 2
+
+
+def test_runner_refuses_a_shard_the_cluster_will_not_have():
+    """With one shard, killing shard 3 used to fail mid-run with
+    ``ClusterError: unknown shard 3``."""
+    kill = lambda tick, shard: ScenarioEvent(tick=tick, action="kill_shard", params={"shard": shard})
+    restart = lambda tick, shard: ScenarioEvent(
+        tick=tick, action="restart_shard", params={"shard": shard}
+    )
+    with pytest.raises(ScenarioError, match="shard 3"):
+        ScenarioRunner(tiny_spec(events=(kill(1, 3), restart(2, 3))), n_shards=1)
+    late_add = (kill(1, 1), restart(2, 1), ScenarioEvent(tick=3, action="add_shard"))
+    with pytest.raises(ScenarioError, match="shard 1"):
+        ScenarioRunner(tiny_spec(events=late_add))
+    # An add_shard before it makes shard 1; a factory target counts its own.
+    ScenarioRunner(tiny_spec(events=(ScenarioEvent(tick=0, action="add_shard"), kill(1, 1))))
+    ScenarioRunner(tiny_spec(events=(kill(1, 3),)), target=lambda worlds: None)
+
+
 def test_chaos_scenarios_run_and_replay_deterministically():
     spec = shrunk(kill_shard_mid_drift(seed=0), n_queries=24, batch_size=32)
     runner = ScenarioRunner(spec, target="cluster", adaptive=True, n_shards=2)

@@ -108,9 +108,9 @@ class TestSnapshotInvalidation:
         matrix = make_matrix()
         batched = BatchedPlanCache(matrix)
         batched.decide([0])
-        snapshot = batched.scalar_cache().cached_snapshot
+        snapshot = batched._scalar.cached_snapshot
         batched.decide([1, 2])
-        assert batched.scalar_cache().cached_snapshot is snapshot
+        assert batched._scalar.cached_snapshot is snapshot
 
     def test_version_counter_tracks_mutations(self):
         matrix = WorkloadMatrix(2, 2)
@@ -169,7 +169,7 @@ class TestVectorizedMatrixViews:
         matrix = partially_observed_matrix
         np.testing.assert_allclose(
             matrix.row_minima(),
-            [matrix.row_min(q) for q in range(matrix.n_queries)],
+            [matrix.row_stats([q])[0][0] for q in range(matrix.n_queries)],
         )
 
     def test_unobserved_row_yields_minus_one_and_inf(self):

@@ -27,7 +27,7 @@ def _reference_timeout_for(
     self, query: int, hint: int, predicted: Optional[np.ndarray]
 ) -> Optional[float]:
     """``OfflineExplorer._timeout_for`` as it stood, kept verbatim."""
-    row_min = self.matrix.row_min(query)
+    row_min = float(self.matrix.row_minima()[query])
     candidates = []
     if np.isfinite(row_min):
         candidates.append(row_min)

@@ -78,13 +78,13 @@ def test_row_min_ignores_censored_entries():
     matrix = WorkloadMatrix(1, 3)
     matrix.observe(0, 0, 10.0)
     matrix.observe_censored(0, 1, 2.0)
-    assert matrix.row_min(0) == 10.0
+    assert matrix.row_minima()[0] == 10.0
     assert matrix.best_hint(0) == 0
 
 
 def test_row_min_inf_when_nothing_observed():
     matrix = WorkloadMatrix(2, 2)
-    assert matrix.row_min(0) == float("inf")
+    assert matrix.row_minima()[0] == float("inf")
     assert matrix.best_hint(0) is None
 
 
@@ -145,7 +145,7 @@ def test_dimensions_of_a_payload_must_be_positive():
         WorkloadMatrix.from_dict(payload)
 
 
-CELL_ARRAYS = ("_values", "_observed", "_censored", "_timeouts")
+CELL_ARRAYS = ("_values", "_observed", "_censored")
 
 
 def _ceb_sized_matrix():
@@ -204,6 +204,12 @@ HOSTILE_PAYLOADS = pytest.mark.parametrize(
         pytest.param(lambda p: p.__setitem__("values", p["values"].ravel()), id="not-2d"),
         pytest.param(lambda p: p.__setitem__("query_names", ["a", "b"]), id="two-names-three-rows"),
         pytest.param(lambda p: p.pop("censored"), id="missing-array"),
+        # The matrix keeps a bound only as a censored cell's value, so
+        # neither of these could come back out of ``to_dict``.
+        pytest.param(lambda p: p["timeouts"].__setitem__((0, 3), 1.0), id="bound-on-unknown-cell"),
+        pytest.param(lambda p: p["timeouts"].__setitem__((0, 0), 1.0), id="bound-on-observed-cell"),
+        pytest.param(lambda p: p["timeouts"].__setitem__((0, 3), -0.0), id="negative-zero-timeout"),
+        pytest.param(lambda p: p["values"].__setitem__((1, 2), 0.75), id="value-is-not-the-bound"),
     ],
 )
 
@@ -214,6 +220,21 @@ def test_from_dict_rejects_payloads_no_mutator_could_have_produced(edit):
         WorkloadMatrix.from_dict(_tampered(edit))
     # The untouched payload is fine, and row_minima() works on the result.
     assert WorkloadMatrix.from_dict(_tampered(lambda p: None)).row_minima()[0] == 1.5
+
+
+def test_an_accepted_payload_round_trips_byte_for_byte():
+    """What ``from_dict`` and ``import_rows`` let in, ``to_dict`` and
+    ``export_rows`` give back: the derived ``timeouts`` included."""
+    payload = _tampered(lambda p: None)
+    payload["hint_names"] = ["a", "b", "c", "d"]
+    state = WorkloadMatrix.from_dict(payload).to_dict()
+    host = WorkloadMatrix(1, 4)
+    payload["query_names"] = ["x", "y", "z"]
+    moved = host.export_rows(host.import_rows(payload))
+    for key in ("values", "observed", "censored", "timeouts"):
+        for got in (state[key], moved[key]):
+            assert got.dtype == payload[key].dtype and got.tobytes() == payload[key].tobytes()
+    assert state["query_names"] == ["q0", "q1", "q2"] and moved["query_names"] == ["x", "y", "z"]
 
 
 class _ImportJournal:
@@ -326,7 +347,7 @@ def test_scalar_doors_take_integer_ids_or_touch_nothing(bad, tmp_path):
             door(bad, 2)
         with pytest.raises(MatrixError):
             door(2, bad)
-    for row_door in (matrix.row_min, matrix.best_hint, matrix.unknown_in_row):
+    for row_door in (matrix.best_hint, matrix.unknown_in_row):
         with pytest.raises(MatrixError):
             row_door(bad)
     assert matrix.version == version and journal.appended_records == records
@@ -342,7 +363,7 @@ def test_scalar_doors_accept_numpy_integers():
     matrix.observe(np.int64(2), np.uint8(3), 0.25)
     matrix.observe_censored(np.int16(1), np.int32(2), 0.5)
     assert matrix.is_observed(2, 3) and matrix.value(np.int8(2), 3) == 0.25
-    assert matrix.is_censored(1, 2) and matrix.row_min(np.intp(2)) == 0.25
+    assert matrix.is_censored(1, 2) and matrix.best_hint(np.intp(2)) == 3
     assert int(matrix.mask.sum()) == 1
 
 
