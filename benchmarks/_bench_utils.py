@@ -1,18 +1,15 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one of the paper's tables or figures and prints
-the corresponding rows / series.  They are run with
-``pytest benchmarks/ --benchmark-only``; each experiment executes exactly
-once (``benchmark.pedantic`` with one round) because the experiments are
-long-running simulations, not micro-benchmarks.
+Every benchmark runs its experiment exactly once (``benchmark.pedantic``
+with one round, :func:`run_once`): they are long-running simulations, not
+micro-benchmarks.  Run them with ``pytest benchmarks/ -s`` to see what
+they print.
 """
 
 from __future__ import annotations
 
 import json
 import os
-
-import numpy as np
 
 from repro.config import TCNNConfig
 
@@ -21,7 +18,6 @@ from repro.config import TCNNConfig
 # fully connected head, censored loss, Adam) is identical to the paper's;
 # only widths and epoch counts are reduced.
 BENCH_TCNN_CONFIG = TCNNConfig(
-    embedding_rank=5,
     channels=(8,),
     hidden_units=(16,),
     dropout=0.2,
@@ -29,7 +25,6 @@ BENCH_TCNN_CONFIG = TCNNConfig(
     batch_size=128,
     max_epochs=6,
     convergence_window=3,
-    convergence_threshold=0.01,
 )
 
 
@@ -44,11 +39,6 @@ def print_series(title, series, x_values, x_label="x default time", fmt="{:.1f}"
 
     print(f"\n=== {title} ===")
     print(format_series_table(series, x_values, x_label=x_label, value_format=fmt))
-
-
-def as_array(values):
-    """Convenience conversion used by shape assertions."""
-    return np.asarray(values, dtype=float)
 
 
 def write_bench_json(name, payload):

@@ -30,8 +30,8 @@ def main() -> None:
     series = {}
     for name in POLICIES:
         run = run_policy_on_workload(
-            workload, name, checkpoints=checkpoints, batch_size=10, seed=0,
-            tcnn_config=FAST_TCNN_CONFIG, max_steps=60,
+            workload, name, checkpoints=checkpoints, tcnn_config=FAST_TCNN_CONFIG,
+            max_steps=60,
         )
         series[name] = run.latencies
         print(f"  finished {name} "

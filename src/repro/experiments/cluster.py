@@ -59,11 +59,11 @@ def populate_cluster(
 
 def cluster_vs_single_comparison(
     workload: SyntheticWorkload,
-    n_shards: int = 4,
-    batch_size: int = 16384,
-    n_batches: int = 16,
-    observed_fraction: float = 0.25,
-    seed: int = 0,
+    n_shards: int,
+    batch_size: int,
+    n_batches: int,
+    observed_fraction: float,
+    seed: int,
 ) -> Dict[str, float]:
     """Serve one arrival stream through both topologies; compare everything.
 

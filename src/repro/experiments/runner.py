@@ -34,7 +34,6 @@ POLICY_NAMES = (
 # A deliberately small TCNN configuration used by the benchmark harness so
 # the neural method stays tractable on CPU-only numpy.
 FAST_TCNN_CONFIG = TCNNConfig(
-    embedding_rank=5,
     channels=(16, 8),
     hidden_units=(16,),
     dropout=0.3,
@@ -42,7 +41,6 @@ FAST_TCNN_CONFIG = TCNNConfig(
     batch_size=64,
     max_epochs=12,
     convergence_window=4,
-    convergence_threshold=0.01,
 )
 
 
@@ -72,7 +70,7 @@ def make_policy(
         # predictive model has no query/hint embeddings.
         predictor = TCNNPredictor(workload.feature_store(), tcnn_config)
         return LimeQOPolicy(predictor=predictor)
-    if name in ("limeqo+", "limeqo-plus"):
+    if name == "limeqo+":
         predictor = TransductiveTCNNPredictor(workload.feature_store(), tcnn_config)
         return LimeQOPlusPolicy(predictor)
     raise ExperimentError(
@@ -99,22 +97,17 @@ def default_checkpoints(workload: SyntheticWorkload) -> np.ndarray:
 def run_policy_on_workload(
     workload: SyntheticWorkload,
     policy_name: str,
-    checkpoints: Optional[Sequence[float]] = None,
+    checkpoints: Sequence[float],
     batch_size: int = 10,
-    seed: int = 0,
     als_config: Optional[ALSConfig] = None,
     tcnn_config: Optional[TCNNConfig] = None,
     time_budget: Optional[float] = None,
     max_steps: Optional[int] = None,
 ) -> CheckpointedRun:
     """Run one policy on one workload and sample it at the checkpoints."""
-    checkpoints = (
-        np.asarray(checkpoints, dtype=float)
-        if checkpoints is not None
-        else default_checkpoints(workload)
-    )
+    checkpoints = np.asarray(checkpoints, dtype=float)
     budget = float(time_budget) if time_budget is not None else float(checkpoints.max())
-    config = ExplorationConfig(batch_size=batch_size, seed=seed)
+    config = ExplorationConfig(batch_size=batch_size)
     simulator = ExplorationSimulator(workload.true_latencies, config=config)
     policy = make_policy(
         policy_name, workload, als_config=als_config, tcnn_config=tcnn_config

@@ -49,10 +49,10 @@ def explored_matrix(
 
 def serving_throughput_comparison(
     workload: SyntheticWorkload,
-    batch_size: int = 256,
-    n_batches: int = 64,
-    observed_fraction: float = 0.25,
-    seed: int = 0,
+    batch_size: int,
+    n_batches: int,
+    observed_fraction: float,
+    seed: int,
 ) -> Dict[str, float]:
     """Serve the same arrival stream per-query and batched; compare.
 

@@ -232,9 +232,8 @@ def build_suite() -> PerfHarness:
         workload = generate_workload(JOB_SPEC, seed=11)
         matrix = _partial_matrix(workload, fill=0.025)
         config = TCNNConfig(
-            embedding_rank=5, channels=(8,), hidden_units=(16,), dropout=0.2,
-            learning_rate=3e-3, batch_size=128, max_epochs=6,
-            convergence_window=3, convergence_threshold=0.01,
+            channels=(8,), hidden_units=(16,), dropout=0.2, learning_rate=3e-3,
+            batch_size=128, max_epochs=6, convergence_window=3,
         )
         trainer = TCNNTrainer(
             workload.feature_store(), matrix.n_queries, matrix.n_hints, config

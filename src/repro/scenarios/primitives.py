@@ -324,7 +324,7 @@ def standard_scenarios(seed: int = 0) -> Dict[str, ScenarioSpec]:
     return {spec.name: spec for spec in specs}
 
 
-def drift_benchmark_scenarios(seed: int = 0) -> Dict[str, ScenarioSpec]:
+def drift_benchmark_scenarios(seed: int) -> Dict[str, ScenarioSpec]:
     """The six single-service scenarios the acceptance benchmark runs."""
     library = standard_scenarios(seed)
     return {

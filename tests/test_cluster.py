@@ -834,6 +834,7 @@ class TestClusterExperiment:
             n_shards=2,
             batch_size=64,
             n_batches=4,
+            observed_fraction=0.25,
             seed=0,
         )
         assert result["identical"] == 1.0

@@ -133,14 +133,17 @@ _DIGESTS = """
 import hashlib
 import numpy as np
 from repro.cluster.router import RendezvousRouter, routing_key
-from repro.experiments.figures import figure10_incremental_drift
+from repro.experiments.figures import figure9_workload_shift, figure10_incremental_drift
 
 router = RendezvousRouter()
 for shard in range(4):
     router.add_shard(shard)
 keys = [routing_key(f"tenant{t}", f"q{q}") for t in range(3) for q in range(100)]
 print(hashlib.sha256(np.ascontiguousarray(router.assign(keys)).tobytes()).hexdigest())
-print(hashlib.sha256(repr(figure10_incremental_drift(scale=0.05, seed=0)).encode()).hexdigest())
+# Figure 9 at benchmark scale runs ALS and the explorer, and its shift
+# splits the workload through a set.
+print(hashlib.sha256(repr(figure9_workload_shift(scale=0.04)).encode()).hexdigest())
+print(hashlib.sha256(repr(figure10_incremental_drift(scale=0.05)).encode()).hexdigest())
 """
 
 
@@ -156,7 +159,7 @@ def test_two_fresh_interpreters_agree_on_seeded_results():
     # Addresses differ between any two processes; the str salt differs
     # between a random one and a pinned one.
     salted = digests()
-    assert len(salted) == 2 and all(len(d) == hashlib.sha256().digest_size * 2 for d in salted)
+    assert len(salted) == 3 and all(len(d) == hashlib.sha256().digest_size * 2 for d in salted)
     assert digests(PYTHONHASHSEED="0") == salted
 
 

@@ -7,7 +7,7 @@ import pytest
 
 from repro.config import TCNNConfig
 from repro.core.explorer import OfflineExplorer
-from repro.errors import ExperimentError
+from repro.errors import CompletionError, ExperimentError
 from repro.experiments import figures
 from repro.experiments.reporting import (
     format_series_table,
@@ -43,7 +43,7 @@ def test_default_checkpoints_are_multiples_of_default_time(tiny_workload):
 
 def test_run_policy_on_workload_returns_checkpointed_latencies(tiny_workload):
     run = run_policy_on_workload(
-        tiny_workload, "random", batch_size=5, seed=0,
+        tiny_workload, "random", batch_size=5,
         checkpoints=[0.5 * tiny_workload.default_total],
         time_budget=0.5 * tiny_workload.default_total,
     )
@@ -70,7 +70,7 @@ def test_format_series_table():
 
 # -- figure smoke tests (tiny scales) ----------------------------------------------
 def test_table1_summary_structure():
-    table = figures.table1_workload_summary(scale=0.01, seed=0)
+    table = figures.table1_workload_summary(scale=0.01)
     assert set(table) == {"job", "ceb", "stack", "dsb"}
     for row in table.values():
         assert row["default_total_s"] > row["optimal_total_s"]
@@ -79,8 +79,8 @@ def test_table1_summary_structure():
 
 def test_figure5_smoke_linear_policies_only():
     result = figures.figure5_performance(
-        workload_names=("ceb",), scale=0.015, policies=("random", "limeqo"),
-        batch_size=5, seed=0,
+        scales={"ceb": 0.015}, policies=("random", "limeqo"), tcnn_config=FAST_TCNN,
+        max_steps=None,
     )
     ceb = result["ceb"]
     assert set(ceb["policies"]) == {"random", "limeqo"}
@@ -90,7 +90,7 @@ def test_figure5_smoke_linear_policies_only():
 
 
 def test_figure14_singular_values_decay():
-    result = figures.figure14_singular_values(scale=0.1, seed=0)
+    result = figures.figure14_singular_values(scale=0.1)
     workload_sv = np.asarray(result["workload_singular_values"])
     random_sv = np.asarray(result["random_singular_values"])
     assert result["effective_rank_95"] <= 10
@@ -100,8 +100,9 @@ def test_figure14_singular_values_decay():
     assert workload_share > random_share
 
 
-def test_figure17_mc_comparison_structure():
-    result = figures.figure17_mc_comparison(fill_fractions=(0.2,), scale=0.3, seed=0)
+def test_figure17_mc_comparison_structure(monkeypatch):
+    monkeypatch.setattr(figures, "FILL_FRACTIONS", (0.2,))
+    result = figures.figure17_mc_comparison(scale=0.3)
     assert set(result) == {"nuc", "svt", "als"}
     for series in result.values():
         assert len(series["mse"]) == 1
@@ -109,8 +110,29 @@ def test_figure17_mc_comparison_structure():
     assert result["als"]["seconds"][0] <= result["nuc"]["seconds"][0]
 
 
+def test_figure17_records_nan_only_for_a_completer_that_refuses_its_input(monkeypatch):
+    """A refusal (CompletionError) is a NaN MSE in the figure; any other
+    error is a broken completer and must not read as one."""
+    monkeypatch.setattr(figures, "FILL_FRACTIONS", (0.2,))
+
+    def refuse(self, observed, mask):
+        raise CompletionError("refused")
+
+    monkeypatch.setattr(figures.SVTCompleter, "complete", refuse)
+    result = figures.figure17_mc_comparison(scale=0.3)
+    assert np.isnan(result["svt"]["mse"]).all()
+    assert np.isfinite(result["als"]["mse"]).all() and np.isfinite(result["nuc"]["mse"]).all()
+
+    def broken(self, observed, mask):
+        raise TypeError("broken")
+
+    monkeypatch.setattr(figures.SVTCompleter, "complete", broken)
+    with pytest.raises(TypeError, match="broken"):
+        figures.figure17_mc_comparison(scale=0.3)
+
+
 def test_figure10_incremental_drift_matches_model():
-    result = figures.figure10_incremental_drift(scale=0.02, seed=0)
+    result = figures.figure10_incremental_drift(scale=0.02)
     assert len(result["intervals"]) == len(result["expected"]) == len(result["simulated"])
     assert result["expected"] == sorted(result["expected"])
 
@@ -133,7 +155,7 @@ def test_every_drift_age_draws_its_own_shift_seed():
 
 
 def test_figure18_bayesqo_limeqo_wins(job_small_workload):
-    result = figures.figure18_bayesqo(scale=1.0, per_query_budget=0.2, seed=0)
+    result = figures.figure18_bayesqo(scale=1.0, per_query_budget=0.2)
     bayes_final = result["bayesqo"]["latencies"][-1]
     limeqo_final = result["limeqo"]["latencies"][-1]
     assert limeqo_final <= bayes_final * 1.05
@@ -151,6 +173,6 @@ def test_figure11_carried_over_latency_is_read_before_the_shifted_run_explores(m
         return real_run(explorer, *args, **kwargs)
 
     monkeypatch.setattr(OfflineExplorer, "run", run)
-    shifted = figures.figure11_data_shift(scale=0.02, seed=0)["limeqo (data shift)"]
+    shifted = figures.figure11_data_shift(scale=0.02)["limeqo (data shift)"]
     assert shifted["carried_over_latency"] == entered[-1]  # the shifted run is the last
     assert shifted["carried_over_latency"] > shifted["latencies"][-1]

@@ -34,6 +34,9 @@ no user of the library runs.  Four rules, checked over the syntax trees
   inside the body of a def of the same name (recursion, or a method
   delegating to its namesake on another type).
 
+A keyword whose value is a literal equal to the literal default of the
+option it sets (``rank=5`` where the default is ``5``) sets nothing, for a
+field and a parameter alike: a setter that passes the default is no caller.
 Forwarding a ``None``-defaulted parameter under its own name is not a use,
 also from a nested function that reads it from its enclosing one; it counts
 only if some caller of the function that owns the parameter sets it, by
@@ -85,6 +88,20 @@ ALLOWED = {
     "labels=...), a call the by-name rule cannot resolve",
     ("MetricsRegistry.gauge", "labels"): "as help_text: set through "
     "getattr(registry, kind)(...) in telemetry/runtime.py::_Cells",
+    ("TCNNConfig", "embedding_rank"): "benchmarks/e2e/workloads.py passes the "
+    "default (5), and only a benchmark change edits that file; it becomes a "
+    "constant of nn/trainer.py with ROADMAP item 4(e)",
+    ("TCNNConfig", "convergence_threshold"): "as embedding_rank: "
+    "benchmarks/e2e/workloads.py passes the default (0.01); ROADMAP item 4(e)",
+    ("TCNNConfig", "censored"): "the censored-loss switch of the paper's "
+    "LimeQO+ ablation (Figure 16): tests/test_trainer.py holds both losses to "
+    "the matrix views; no figure runs the uncensored TCNN",
+    ("ALSConfig", "seed"): "the cold-start factors' generator seed: "
+    "examples/cluster_demo.py passes the default, while tests/test_als.py and "
+    "tests/test_property_based.py draw other seeds for the solver's properties",
+    ("FaultInjector.arm", "at"): "which pass through a fault point crashes: "
+    "the chaos sweep and the journal machine crash at the first, "
+    "tests/test_durability.py arms later passes and refuses 0",
 }
 
 #: Public def in ``src/repro`` (``name`` or ``Class.name``) -> why it stays
@@ -111,10 +128,25 @@ def _init_false(value):
     )
 
 
+#: What :func:`literal` gives for an expression that is no literal.
+NO_LITERAL = object()
+
+
+def literal(node):
+    """The value of ``node`` if it is a literal (a constant, or a tuple,
+    list, set or dict of them); :data:`NO_LITERAL` for any other
+    expression."""
+    try:
+        return ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError, RecursionError):
+        return NO_LITERAL
+
+
 def dataclass_fields(tree):
-    """``(dataclass, field)`` for every field of every dataclass that its
-    ``__init__`` takes: ``ClassVar`` annotations and ``init=False`` fields
-    are left out."""
+    """``(dataclass, field, default)`` for every field of every dataclass
+    that its ``__init__`` takes (``default`` as :func:`literal` gives it, or
+    :data:`NO_LITERAL` for a field without one):
+    ``ClassVar`` annotations and ``init=False`` fields are left out."""
     for node in tree.body:
         if isinstance(node, ast.ClassDef) and any(
             "dataclass" in ast.dump(decorator) for decorator in node.decorator_list
@@ -126,7 +158,8 @@ def dataclass_fields(tree):
                     and "ClassVar" not in ast.dump(item.annotation)
                     and not _init_false(item.value)
                 ):
-                    yield node.name, item.target.id
+                    default = NO_LITERAL if item.value is None else literal(item.value)
+                    yield node.name, item.target.id, default
 
 
 def attributes_read(tree):
@@ -144,26 +177,32 @@ EVERY = "**"
 
 
 def signature(function, method):
-    """``(positional, keyword_only, defaulted)`` parameter names of a def:
-    those a call can fill by position (``self`` / ``cls`` of a ``method``
+    """``(positional, keyword_only, defaulted)`` parameters of a def: the
+    names a call can fill by position (``self`` / ``cls`` of a ``method``
     left out, unless it is a staticmethod), those it can fill by keyword
-    only, and those that have a default."""
+    only, and ``name -> default`` (as :func:`literal` gives it) for those
+    that have a default."""
     args = function.args
     positional = [a.arg for a in args.posonlyargs + args.args]
     static = any(_name_of(d) == "staticmethod" for d in function.decorator_list)
     if method and not static:
         positional = positional[1:]
     keyword_only = [a.arg for a in args.kwonlyargs]
-    defaulted = positional[len(positional) - len(args.defaults):] if args.defaults else []
-    defaulted = defaulted + [
-        a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
-    ]
+    named = [a.arg for a in args.posonlyargs + args.args]
+    defaulted = {
+        name: literal(default)
+        for name, default in zip(named[len(named) - len(args.defaults):], args.defaults)
+    }
+    defaulted.update(
+        (a.arg, literal(d)) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+    )
     return positional, keyword_only, defaulted
 
 
 def calls_by_name(trees):
-    """``callee -> [(set, forwarded, n_positional)]`` for every call spelled
-    ``callee(...)`` or ``x.callee(...)``: keywords given a value (:data:`EVERY`
+    """``callee -> [(given, forwarded, n_positional)]`` for every call spelled
+    ``callee(...)`` or ``x.callee(...)``: ``keyword -> value`` (as
+    :func:`literal` gives it) for the keywords given a value (:data:`EVERY`
     when the call unpacks a ``**mapping``), keywords that only forward, and
     how many plain arguments (None with a ``*args``).
 
@@ -218,9 +257,10 @@ def calls_by_name(trees):
                 for k, v in keywords.items()
                 if isinstance(v, ast.Name) and v.id == k and k in unset
             }
-            given = set(keywords) - {k for _, k, _ in forwarded}
+            only_forwarded = {k for _, k, _ in forwarded}
+            given = {k: literal(v) for k, v in keywords.items() if k not in only_forwarded}
             if len(keywords) < len(node.keywords):
-                given.add(EVERY)
+                given[EVERY] = NO_LITERAL
             record(callee, given, forwarded, node.args)
             for i, argument in enumerate(node.args):
                 relayed = _name_of(argument)
@@ -234,15 +274,25 @@ def calls_by_name(trees):
     return calls
 
 
-def parameters_passed(calls, callee, positional, keyword_only=()):
-    """Parameters of ``callee`` that some recorded call sets: by keyword, by
-    position, through one forwarding function, or all of them at once
-    through a ``**mapping``."""
+def sets(given, name, default):
+    """Whether the keywords ``given`` (``keyword -> literal``) set ``name``
+    to anything but its literal ``default`` (:data:`NO_LITERAL` when it has
+    none)."""
+    return name in given and (given[name] is NO_LITERAL or given[name] != default)
+
+
+def parameters_passed(calls, callee, positional, keyword_only=(), defaults=None):
+    """Parameters of ``callee`` that some recorded call sets: by keyword (to
+    anything but the literal default ``defaults`` gives), by position,
+    through one forwarding function, or all of them at once through a
+    ``**mapping``."""
+    defaults = defaults or {}
     passed = set()
 
-    def sets(given, n_positional, parameter, position):
+    def forwards(given, n_positional, parameter, position):
+        # A forwarded parameter's own default is None.
         return (
-            parameter in given
+            sets(given, parameter, None)
             or EVERY in given
             or (position is not None and (n_positional or 0) > position)
         )
@@ -250,11 +300,16 @@ def parameters_passed(calls, callee, positional, keyword_only=()):
     for keywords, forwarded, n_positional in calls.get(callee, ()):
         if EVERY in keywords:
             passed |= set(positional) | set(keyword_only)
-        passed |= (keywords - {EVERY}) | set(positional[: n_positional or 0])
+        passed |= {
+            k for k in keywords if k != EVERY and sets(keywords, k, defaults.get(k, NO_LITERAL))
+        }
+        passed |= set(positional[: n_positional or 0])
         passed |= {
             parameter
             for function, parameter, position in forwarded
-            if any(sets(given, n, parameter, position) for given, _, n in calls.get(function, ()))
+            if any(
+                forwards(given, n, parameter, position) for given, _, n in calls.get(function, ())
+            )
         }
     return passed
 
@@ -328,7 +383,10 @@ def unset_and_stale(library, callers, allowed):
         defaulted_parameters(library).items()
     ):
         passed = set().union(
-            *(parameters_passed(calls, callee, positional, keyword_only) for callee in callees)
+            *(
+                parameters_passed(calls, callee, positional, keyword_only, defaulted)
+                for callee in callees
+            )
         )
         for name in defaulted:
             if name in passed:
@@ -346,11 +404,17 @@ def unset_and_stale(library, callers, allowed):
 
 
 def fields_set(calls, class_name, fields):
-    """Fields of ``class_name`` some recorded call sets: building it (by
-    keyword, by position, or through one forwarding function), or naming
-    the field in a ``dataclasses.replace``."""
-    by_replace = set().union(*(given for given, _, _ in calls.get("replace", ())))
-    return parameters_passed(calls, class_name, fields) | (by_replace & set(fields))
+    """Fields of ``class_name`` (``field -> literal default``) some recorded
+    call sets to anything but that default: building it (by keyword, by
+    position, or through one forwarding function), or naming the field in a
+    ``dataclasses.replace``."""
+    by_replace = {
+        name
+        for given, _, _ in calls.get("replace", ())
+        for name in fields
+        if sets(given, name, fields[name])
+    }
+    return parameters_passed(calls, class_name, list(fields), defaults=fields) | by_replace
 
 
 def public_defs(tree):
@@ -451,22 +515,22 @@ def unpickling_calls(tree):
 def config_classes():
     """``dataclass -> [field, ...]`` in declaration order."""
     classes = {}
-    for owner, name in dataclass_fields(ast.parse(CONFIG.read_text())):
+    for owner, name, _ in dataclass_fields(ast.parse(CONFIG.read_text())):
         classes.setdefault(owner, []).append(name)
     assert sum(map(len, classes.values())) > 20, "config dataclasses not found"
     return classes
 
 
 def dataclasses_in(library):
-    """``dataclass -> (module, [field, ...])`` across ``library``
+    """``dataclass -> (module, {field: literal default})`` across ``library``
     (``(module, tree)`` pairs); a name two modules define is refused, since
     the audit credits a field by its class's name."""
     classes = {}
     for module, tree in library:
-        for owner, name in dataclass_fields(tree):
-            if classes.setdefault(owner, (module, []))[0] != module:
+        for owner, name, default in dataclass_fields(tree):
+            if classes.setdefault(owner, (module, {}))[0] != module:
                 raise AssertionError(f"dataclass {owner} is defined in two modules")
-            classes[owner][1].append(name)
+            classes[owner][1][name] = default
     return classes
 
 
@@ -580,7 +644,7 @@ def test_the_audit_itself_catches_violations():
         "    used: int = 1\n"
         "    unused: int = 2\n"
     )
-    assert list(dataclass_fields(config)) == [("C", "used"), ("C", "unused")]
+    assert list(dataclass_fields(config)) == [("C", "used", 1), ("C", "unused", 2)]
     library = ast.parse("def f(c, d):\n    d.unused = c.used\n    'c.unused'\n")
     assert attributes_read(library) == {"used"}  # the store and the string do not count
 
@@ -592,7 +656,7 @@ def test_the_audit_itself_catches_violations():
         "y = mod.S(0, **extra)\n"
     )
     assert defaulted_parameters([("s.py", stack)]) == {
-        ("s.py", "S"): (["S"], ["a", "b"], ["c", "d"], ["b", "c"])
+        ("s.py", "S"): (["S"], ["a", "b"], ["c", "d"], {"b": 1, "c": 2})
     }
     assert parameters_passed(calls_by_name([stack]), "S", ["a", "b"]) == {"a", "b", "d"}
     assert parameters_passed(calls_by_name([stack]), "S", ["a", "b"], ["c", "d"]) == {
@@ -620,8 +684,8 @@ def test_the_audit_itself_catches_violations():
         "    return build(True)\n"
     )
     assert calls_by_name([ast.parse(nested)])["S"] == [
-        (set(), {("outer", "b", 0)}, 0),
-        (set(), {("other", "c", 0)}, 0),
+        ({}, {("outer", "b", 0)}, 0),
+        ({}, {("other", "c", 0)}, 0),
     ]
     assert parameters_passed(calls_by_name([ast.parse(nested)]), "S", []) == set()
     assert parameters_passed(
@@ -630,8 +694,8 @@ def test_the_audit_itself_catches_violations():
 
     # A config field is set by building the dataclass or by replace().
     built = calls_by_name([ast.parse("C(1)\nreplace(config, other=2)\nos.replace(a, b)")])
-    assert fields_set(built, "C", ["used", "unused"]) == {"used"}
-    assert fields_set(built, "D", ["other", "unset"]) == {"other"}
+    assert fields_set(built, "C", {"used": 1, "unused": 2}) == {"used"}
+    assert fields_set(built, "D", {"other": NO_LITERAL, "unset": NO_LITERAL}) == {"other"}
 
     # A def is credited by its callers, not by its namesakes: delegation to
     # a same-named def and recursion leave it flagged, a call from another
@@ -661,7 +725,9 @@ def test_field_rule_audits_the_fields_an_init_takes_in_every_dataclass():
         "    size: int = 1\n"
     )
     classes = dataclasses_in([("trace.py", tree)])
-    assert classes == {"Trace": ("trace.py", ["name", "repeats", "parts"])}
+    assert classes == {
+        "Trace": ("trace.py", {"name": NO_LITERAL, "repeats": 3, "parts": NO_LITERAL})
+    }
     calls = calls_by_name([ast.parse("Trace('run', parts=[])")])
     assert fields_set(calls, "Trace", classes["Trace"][1]) == {"name", "parts"}
     with pytest.raises(AssertionError, match="two modules"):
@@ -799,6 +865,43 @@ def test_parameter_rule_flags_a_forward_nobody_feeds():
     # ``forward`` hands ``depth`` on, but nothing sets it: both stay flagged.
     assert {"lib.py: target(depth=)", "lib.py: forward(depth=)"} <= set(parameter_flags(""))
     assert "lib.py: target(depth=)" in parameter_flags("forward()")
+
+
+@pytest.mark.parametrize(
+    "entry, default, other",
+    [
+        ("by_keyword(flag=)", "by_keyword(1, flag=False)", "by_keyword(1, flag=True)"),
+        ("by_position(limit=)", "by_position(1, limit=3.0)", "by_position(1, limit=THREE)"),
+        ("by_mapping(y=)", "by_mapping(1, y=2)", "by_mapping(1, y=-2)"),
+        ("relayed(scale=)", "partial(relayed, scale=1.0)", "partial(relayed, scale=0.5)"),
+        ("Base(size=)", "Heir(size=1)", "Heir(size=(1,))"),
+        ("target(depth=)", "forward(depth=None)", "forward(depth=3)"),
+    ],
+    ids=["keyword", "equal-number", "keyword-only", "relay", "inherited-init", "nested-forward"],
+)
+def test_parameter_rule_does_not_count_a_keyword_set_to_its_literal_default(
+    entry, default, other
+):
+    assert f"lib.py: {entry}" in parameter_flags(default)
+    assert f"lib.py: {entry}" not in parameter_flags(other)
+
+
+def test_field_rule_does_not_count_a_keyword_set_to_its_literal_default():
+    tree = ast.parse(
+        "@dataclass\n"
+        "class Fit:\n"
+        "    ranks: tuple = (1, 2)\n"
+        "    rate: float = 0.01\n"
+        "    name: str\n"
+    )
+    fields = dataclasses_in([("fit.py", tree)])["Fit"][1]
+    assert fields == {"ranks": (1, 2), "rate": 0.01, "name": NO_LITERAL}
+    calls = calls_by_name([ast.parse(
+        "Fit(ranks=(1, 2), rate=0.01, name='a')\nreplace(fit, rate=0.01)\n"
+    )])
+    assert fields_set(calls, "Fit", fields) == {"name"}
+    calls = calls_by_name([ast.parse("Fit(ranks=(1, 3))\nreplace(fit, rate=RATE)\n")])
+    assert fields_set(calls, "Fit", fields) == {"ranks", "rate"}
 
 
 def test_parameter_rule_flags_an_allowed_entry_gone_set_or_without_a_reason():

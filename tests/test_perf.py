@@ -264,29 +264,22 @@ class TestCli:
         payload = load_report(str(out))
         assert set(payload["cases"]) == {"als_warm_ceb", "serve_after_write"}
 
-        # Against its own fresh output the gate must pass...
-        code = perf_main(
-            [
-                "--cases", "serve_after_write",
-                "--output", str(tmp_path / "again.json"),
-                "--baseline", str(out),
-            ]
-        )
-        assert code == 0
-
-        # ...and fail once the baseline is artificially sped up.
-        doctored = json.loads(out.read_text())
-        for case in doctored["cases"].values():
-            case["normalized"] /= 1000.0
-        (tmp_path / "doctored.json").write_text(json.dumps(doctored))
-        code = perf_main(
-            [
-                "--cases", "serve_after_write",
-                "--output", str(tmp_path / "again2.json"),
-                "--baseline", str(tmp_path / "doctored.json"),
-            ]
-        )
-        assert code == 1
+        # Against a baseline doctored 1000x slower the gate passes, and
+        # against one 1000x faster it fails: neither verdict depends on how
+        # two live runs of the case compare on a loaded machine.
+        for factor, expected in ((1000.0, 0), (1 / 1000.0, 1)):
+            doctored = json.loads(out.read_text())
+            for case in doctored["cases"].values():
+                case["normalized"] *= factor
+            (tmp_path / "doctored.json").write_text(json.dumps(doctored))
+            code = perf_main(
+                [
+                    "--cases", "serve_after_write",
+                    "--output", str(tmp_path / "again.json"),
+                    "--baseline", str(tmp_path / "doctored.json"),
+                ]
+            )
+            assert code == expected, factor
 
     def test_committed_baseline_matches_suite(self):
         baseline = load_report(str(REPO / "benchmarks" / "baselines" / "core_baseline.json"))
