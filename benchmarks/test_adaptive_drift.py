@@ -27,7 +27,7 @@ MIN_SCENARIOS = 6
 
 
 def test_adaptive_drift_recovery(benchmark):
-    specs = drift_benchmark_scenarios(seed=0)
+    specs = drift_benchmark_scenarios()
     assert len(specs) >= MIN_SCENARIOS
     results = run_once(benchmark, scenario_suite_comparison, specs)
     summary = results.pop("_summary")

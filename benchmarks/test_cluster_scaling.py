@@ -37,8 +37,6 @@ def test_cluster_scaling(benchmark):
         n_shards=4,
         batch_size=32768,
         n_batches=12,
-        observed_fraction=0.25,
-        seed=0,
     )
     print("\n=== Cluster scaling (4 shards, CEB-scale matrix) ===")
     print(

@@ -8,7 +8,9 @@ figure's other outputs are pinned in :data:`PINNED` (``docs/testing.md``,
 "Pinned figures").  One figure: ``pytest benchmarks/test_figures.py -k figure9 -s``.
 """
 
-import hashlib
+import json
+import math
+import pathlib
 from functools import partial
 from typing import Callable, NamedTuple, Tuple
 
@@ -23,7 +25,6 @@ from repro.experiments.reporting import format_table
 # policies remain tractable; the x-axis is still [1/4 ... 4] x default time.
 FIGURE5_SCALES = {"ceb": 0.02, "job": 0.5, "stack": 0.01, "dsb": 0.06}
 FIGURE5_POLICIES = ("qo-advisor", "bao-cache", "random", "greedy", "limeqo", "limeqo+")
-FIGURE6_POLICIES = ("qo-advisor", "random", "greedy", "limeqo", "limeqo+")
 
 
 def sample_at(curve, xs):
@@ -297,8 +298,7 @@ FIGURES = {
         claim_figure5,
     ),
     "figure6": Figure(
-        partial(figures.figure6_ceb_curves, scale=0.03, policies=FIGURE6_POLICIES,
-                tcnn_config=BENCH_TCNN_CONFIG),
+        partial(figures.figure6_ceb_curves, scale=0.03, tcnn_config=BENCH_TCNN_CONFIG),
         claim_figure6,
     ),
     "figure7": Figure(
@@ -328,83 +328,46 @@ FIGURES = {
     ),
 }
 
-#: Recorded with the drivers as they stood before this table replaced the
-#: per-figure benchmark files, and equal in four fresh processes under
-#: OPENBLAS_NUM_THREADS 1, 2 and unset.  ``d10b36aa74a59bcf`` is a key whose
-#: fields are all timings.
-PINNED = {
-    "table1": {"ceb": "131bddb3947fe75f", "dsb": "ffca7a1768023b6d", "job": "6c22e0e4088068d5",
-               "stack": "19178416b128312b"},
-    "figure5": {"ceb": "56df3c84fa1ea0e7", "dsb": "2c13b0e63b66d81f", "job": "6ab26b57b4fffc58",
-                "stack": "5ee6465c3c70abcc"},
-    "figure6": {"curves": "cdb5830f9e7cd842", "default_total": "6416024b2dd8a2b9",
-                "optimal_total": "1b036bf023106914"},
-    "figure7": {"checkpoints": "9be5004b36f9429f", "limeqo": "d10b36aa74a59bcf",
-                "limeqo+": "d10b36aa74a59bcf", "limeqo+(gpu-estimate)": "d10b36aa74a59bcf"},
-    "figure8": {"checkpoints": "06a5047cde949fcc", "default_total": "1e7f929bf2124429",
-                "greedy": "4933e1db8e29bb06", "limeqo": "a9afc419ff00d634"},
-    "figure9": {"checkpoints": "4e6dcd58c16a64d5", "default_total": "3e09858801f4ca05",
-                "greedy": "c57be37c14525c05", "greedy (with shift)": "696b42b1565bb0f2",
-                "limeqo": "654466f5c5e1bb10", "limeqo (with shift)": "640b4c0974c6ff2e",
-                "optimal_total": "572a451c5c2564d4", "shift_time": "d631a617073d4b85"},
-    "figure10": {"expected": "a16348ad198a7234", "intervals": "a247daa8e4890336",
-                 "simulated": "dfbf2cd1e1847ece"},
-    "figure11": {"checkpoints": "2fa886a0e25f7354", "default_total": "611c8fb8d80df946",
-                 "greedy": "d115e2b481fb1793", "limeqo": "c95d9ee78ab973c1",
-                 "limeqo (data shift)": "f1ccb755c22b419f", "optimal_total": "dade298061c134c2",
-                 "random": "0112fe5712fed265"},
-    "figure12": {"checkpoints": "0db283825108538a", "default_total": "a91aba3f28b93055",
-                 "limeqo+": "80657808c88b7aca", "optimal_total": "04711fb8fd39e1a8",
-                 "tcnn": "6609a001d82ba41a"},
-    "figure13": {"checkpoints": "0db283825108538a", "limeqo+": "d10b36aa74a59bcf",
-                 "tcnn": "d10b36aa74a59bcf"},
-    "figure14": {"effective_rank_95": "d4735e3a265e16ee",
-                 "random_singular_values": "d7e4a95f1c6cb4e9",
-                 "workload_singular_values": "b266e622cacd68b9"},
-    "figure15": {"checkpoints": "6bfce359b62fa25b", "default_total": "3e09858801f4ca05",
-                 "optimal_total": "572a451c5c2564d4", "ranks": "d5bc5b9961293c25"},
-    "figure16": {"checkpoints": "6bfce359b62fa25b", "default_total": "3e09858801f4ca05",
-                 "limeqo": "5d17c25539e4ae4a", "limeqo (no censoring)": "c622c4d52adbb6e8",
-                 "optimal_total": "572a451c5c2564d4"},
-    "figure17": {"als": "63404b1472436bbb", "nuc": "d279b78e99b61547", "svt": "29e9b649335c4742"},
-    "figure18": {"bayesqo": "7d087269a4aaf8c9", "default_total": "73cc92c04bcbbe82",
-                 "limeqo": "2cf65341c024b403", "optimal_total": "68f2ebd9b3e780bb",
-                 "total_budget": "a10d7baab0b8e2cf"},
-}
+#: Every figure's non-timing outputs, as :func:`outputs` gives them: recorded
+#: with the drivers as they stood before this table replaced the per-figure
+#: benchmark files, and bit-equal in four fresh processes under
+#: OPENBLAS_NUM_THREADS 1, 2 and unset.  ``python benchmarks/test_figures.py
+#: <figure> ...`` re-records figures (all of them with none named).
+PINNED_PATH = pathlib.Path(__file__).with_name("baselines") / "figures.json"
+PINNED = json.loads(PINNED_PATH.read_text())
+#: How far a pinned float may move.  Another BLAS build or CPU kernel rounds
+#: an ALS solve or an SVD differently in the last bits, which the pins let
+#: pass; keys, lengths, integers and strings are held exactly, and a changed
+#: pick moves a latency by far more than this.
+REL_TOL = 1e-9
 
 
-def _encode(value, timings, out):
-    """Append ``value``'s tokens to ``out``: dict keys in sorted order with
-    the ``timings`` left out, integers exactly, floats through ``float.hex``."""
+def outputs(value, timings):
+    """``value`` as JSON holds it, with the ``timings`` keys left out at any
+    depth: keys as strings, arrays and tuples as lists, numpy scalars as
+    Python ones."""
     if isinstance(value, dict):
-        for key in sorted(value, key=repr):
-            if key not in timings:
-                out.append(f"{key!r}:")
-                _encode(value[key], timings, out)
-        out.append("}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        for item in value:
-            _encode(item, timings, out)
-        out.append("]")
-    elif isinstance(value, (bool, np.bool_)):
-        out.append(repr(bool(value)))
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(float(value).hex())
+        return {str(key): outputs(item, timings) for key, item in value.items()
+                if key not in timings}
+    if isinstance(value, (list, tuple, np.ndarray)):
+        return [outputs(item, timings) for item in value]
+    return value.item() if isinstance(value, np.generic) else value
+
+
+def moved(got, pinned, path):
+    """The paths under which ``got`` differs from ``pinned`` (both as
+    :func:`outputs` gives them): a float by more than :data:`REL_TOL`,
+    anything else at all."""
+    if isinstance(got, dict) and isinstance(pinned, dict) and got.keys() == pinned.keys():
+        return [p for key in pinned for p in moved(got[key], pinned[key], f"{path}/{key}")]
+    if isinstance(got, list) and isinstance(pinned, list) and len(got) == len(pinned):
+        return [p for i, pair in enumerate(zip(got, pinned)) for p in moved(*pair, f"{path}[{i}]")]
+    if isinstance(got, float) and isinstance(pinned, float):
+        both_nan = math.isnan(got) and math.isnan(pinned)
+        same = both_nan or math.isclose(got, pinned, rel_tol=REL_TOL)
     else:
-        out.append(repr(value))
-
-
-def digests(result, timings):
-    """Top-level key -> the first 16 hex digits of a sha256 of its outputs."""
-    out = {}
-    for key, value in result.items():
-        if key not in timings:
-            tokens = []
-            _encode(value, timings, tokens)
-            out[key] = hashlib.sha256(" ".join(tokens).encode()).hexdigest()[:16]
-    return out
+        same = type(got) is type(pinned) and got == pinned
+    return [] if same else [path]
 
 
 @pytest.mark.parametrize("name", list(FIGURES))
@@ -412,20 +375,41 @@ def test_figure(name, benchmark):
     figure = FIGURES[name]
     result = run_once(benchmark, figure.run)
     figure.claim(result)
-    got, pinned = digests(result, figure.timings), PINNED[name]
-    moved = sorted(key for key in set(got) | set(pinned) if got.get(key) != pinned.get(key))
-    assert not moved, (
-        f"{name}: the outputs under {moved} moved from PINNED; a change that "
-        "moves them on purpose re-records the pin and gives the reason"
+    got, pinned = outputs(result, figure.timings), PINNED[name]
+    paths = {key: moved(got.get(key), pinned.get(key), key) for key in set(got) | set(pinned)}
+    paths = {key: found for key, found in paths.items() if found}
+    assert not paths, (
+        f"{name}: the outputs under {sorted(paths)} moved from PINNED (first at "
+        f"{[paths[key][0] for key in sorted(paths)]}); a change that moves them on "
+        "purpose re-records the pin and gives the reason"
     )
 
 
-def test_digests_see_every_output_bit_but_the_timings():
-    base = {"a": {"xs": [1.0, 2], "seconds": [0.5]}, "b": 3, "seconds": 1.0}
-    pinned = digests(base, ("seconds",))
-    assert set(pinned) == {"a", "b"}
-    assert digests({**base, "a": {"xs": [1.0, 2], "seconds": [9.0]}}, ("seconds",)) == pinned
-    for moved in ({"xs": [np.nextafter(1.0, 2.0), 2], "seconds": [0.5]}, {"xs": [1.0, 3]},
-                  {"xs": [1.0, 2.0], "seconds": [0.5]}):
-        assert digests({**base, "a": moved}, ("seconds",))["a"] != pinned["a"]
-    assert digests(base, ())["seconds"]
+def test_pins_hold_every_output_but_the_timings():
+    base = outputs({"a": {"xs": np.array([1.0, 2.0]), "seconds": [0.5]}, "n": np.int64(3),
+                    "seconds": 1.0}, ("seconds",))
+    assert base == {"a": {"xs": [1.0, 2.0]}, "n": 3}
+    assert type(base["n"]) is int
+    assert moved(base, base, "f") == []
+    # Last-bit rounding passes; a relative move of 1e-6 does not.
+    assert moved({"a": {"xs": [np.nextafter(1.0, 2.0), 2.0]}, "n": 3}, base, "f") == []
+    assert moved({"a": {"xs": [1.0, 2.000002]}, "n": 3}, base, "f") == ["f/a/xs[1]"]
+    # Integers, types, lengths and keys are exact.
+    for other, path in (({"a": {"xs": [1.0, 2.0]}, "n": 4}, "f/n"),
+                        ({"a": {"xs": [1.0, 2.0]}, "n": 3.0}, "f/n"),
+                        ({"a": {"xs": [1.0]}, "n": 3}, "f/a/xs"),
+                        ({"a": {"xs": [1.0, 2.0], "ys": []}, "n": 3}, "f/a"),
+                        ({"a": {"xs": [1.0, 2.0]}}, "f")):
+        assert moved(other, base, "f") == [path]
+    assert moved([float("nan")], [float("nan")], "f") == []
+    assert moved([True], [1], "f") == ["f[0]"]
+
+
+if __name__ == "__main__":
+    import sys
+
+    for name in sys.argv[1:] or FIGURES:
+        PINNED[name] = outputs(FIGURES[name].run(), FIGURES[name].timings)
+    PINNED_PATH.write_text("{\n" + ",\n".join(
+        f"{json.dumps(name)}: {json.dumps(PINNED[name], sort_keys=True)}" for name in FIGURES
+    ) + "\n}\n")

@@ -23,8 +23,6 @@ def test_serving_throughput(benchmark):
         workload,
         batch_size=256,
         n_batches=64,
-        observed_fraction=0.25,
-        seed=0,
     )
     print("\n=== Serving throughput (CEB-scale matrix, batch size 256) ===")
     print(

@@ -87,7 +87,6 @@ class TCNNConfig:
     convergence_window: int = 10
     convergence_threshold: float = 0.01
     use_embeddings: bool = True
-    censored: bool = True
 
     def __post_init__(self) -> None:
         if self.embedding_rank < 1:

@@ -126,15 +126,21 @@ class ExplorationSimulator:
         max_steps: Optional[int] = None,
         matrix: Optional[WorkloadMatrix] = None,
     ) -> ExplorationTrace:
-        """Run ``policy`` until ``time_budget`` and return its trace."""
-        matrix = matrix if matrix is not None else self.initial_matrix()
+        """Run ``policy`` until ``time_budget`` and return its trace.
+
+        The trace starts at what the workload runs on before any
+        exploration: the default plans, or with ``matrix`` given, the best
+        plans that matrix already knows."""
+        if matrix is None:
+            matrix, start = self.initial_matrix(), self.default_latency
+        else:
+            start = matrix.workload_latency()
         oracle = MatrixOracle(self.true_latencies)
         explorer = OfflineExplorer(matrix, policy, oracle, self.config)
         steps = explorer.run(time_budget=time_budget, max_steps=max_steps)
 
         times = [0.0] + [s.cumulative_exploration_time for s in steps]
-        # Before any exploration the workload runs on the default plans.
-        latencies = [self.default_latency] + [s.workload_latency for s in steps]
+        latencies = [start] + [s.workload_latency for s in steps]
         overheads = [0.0] + [s.overhead_seconds for s in steps]
         return ExplorationTrace(
             times=np.asarray(times),

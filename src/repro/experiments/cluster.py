@@ -62,10 +62,11 @@ def cluster_vs_single_comparison(
     n_shards: int,
     batch_size: int,
     n_batches: int,
-    observed_fraction: float,
-    seed: int,
 ) -> Dict[str, float]:
     """Serve one arrival stream through both topologies; compare everything.
+
+    The matrix and the arrivals are those of
+    :func:`~repro.experiments.serving.serving_throughput_comparison`.
 
     Each timed sweep (single service, cluster) runs :data:`TIMING_REPS` times
     and the fastest wall is kept -- minimum-of-repetitions is the standard
@@ -79,12 +80,12 @@ def cluster_vs_single_comparison(
     """
     if n_shards < 1 or batch_size < 1 or n_batches < 1:
         raise ExperimentError("n_shards, batch_size, n_batches must be >= 1")
-    matrix = explored_matrix(workload, observed_fraction=observed_fraction, seed=seed)
+    matrix = explored_matrix(workload)
     tenant = "tenant0"
     cluster = ServingCluster(n_shards=n_shards, n_hints=matrix.n_hints)
     populate_cluster(cluster, tenant, matrix)
 
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(1)
     arrivals = rng.integers(0, matrix.n_queries, size=(n_batches, batch_size))
 
     # Single service over the union matrix: the PR 1 one-shard unit.  Busy

@@ -8,11 +8,11 @@ matrices, not the authors' PostgreSQL testbed), but the *shapes* -- which
 method wins, by roughly what factor, and where the crossovers fall -- are
 what these functions reproduce.
 
-A function takes only what its callers vary, with no defaults: the scale,
-and where the benchmark (``benchmarks/test_figures.py::FIGURES``) and the
-tests differ, the policies, the TCNN size, Figure 5's step cap and Figure
-18's per-query budget.  What no caller varies is fixed here, in the
-function's body or in a constant below.
+A function takes, with no defaults, its size -- the scale and, for the
+neural policies, the TCNN -- and what the benchmark
+(``benchmarks/test_figures.py::FIGURES``) and the tests set differently:
+Figure 5's policies and step cap and Figure 18's per-query budget.  What no
+caller varies is fixed here, in the function's body or in a constant below.
 """
 
 from __future__ import annotations
@@ -72,6 +72,8 @@ SHIFT_AT_MULTIPLIER = 0.68
 #: Figure 11: LimeQO explores the 2017 data for this many times its default
 #: workload time before the two-year shift.
 PRE_SHIFT_MULTIPLIER = 2.0
+#: Figure 6's policies.
+CURVE_POLICIES = ("qo-advisor", "random", "greedy", "limeqo", "limeqo+")
 #: Figure 15's ranks.
 RANKS = (1, 2, 3, 5, 7, 9)
 #: Figure 17's fractions of the JOB matrix observed (the default column is
@@ -135,15 +137,13 @@ def figure5_performance(
     return results
 
 
-def figure6_ceb_curves(
-    scale: float, policies: Sequence[str], tcnn_config: TCNNConfig
-) -> Dict[str, Dict]:
+def figure6_ceb_curves(scale: float, tcnn_config: TCNNConfig) -> Dict[str, Dict]:
     """Figure 6: latency-vs-exploration-time curves on CEB, up to twice
     the default workload time."""
     workload = _load_workload("ceb", scale)
     budget = 2.0 * workload.default_total
     curves: Dict[str, Dict] = {}
-    for policy_name in policies:
+    for policy_name in CURVE_POLICIES:
         run = run_policy_on_workload(
             workload, policy_name, checkpoints=[budget], time_budget=budget,
             tcnn_config=tcnn_config,
@@ -306,15 +306,14 @@ def _run_with_workload_shift(
     # full-workload latency at any phase-1 step is the subset's workload
     # latency plus the late queries' default latencies.
     late_default_total = float(full_latencies[sorted(late_set), 0].sum())
-    times = np.concatenate([phase1.times, phase1_time + phase2.times[1:]])
     return ExplorationTrace(
-        times=times,
+        times=np.concatenate([phase1.times, phase1_time + phase2.times[1:]]),
         latencies=np.concatenate([
             [float(full_latencies[:, 0].sum())],
             phase1.latencies[1:] + late_default_total,
             phase2.latencies[1:],
         ]),
-        overheads=np.zeros(len(times)),  # Figure 9 reads only the latencies
+        overheads=np.concatenate([phase1.overheads, phase1.overheads[-1] + phase2.overheads[1:]]),
         policy_name=policy_name,
         default_latency=workload.default_total,
     )
@@ -378,18 +377,15 @@ def figure11_data_shift(scale: float) -> Dict[str, Dict]:
         best = old_matrix.best_hint(q)
         if best is not None and best != 0:
             new_matrix.observe(q, best, float(new_workload.true_latencies[q, best]))
-    # What the re-verified hints serve before any new exploration: the t = 0
-    # point of the shifted trace.
-    carried_over = new_matrix.workload_latency()
     trace = ExplorationSimulator(new_workload.true_latencies).run(
         LimeQOPolicy(predictor=ALSPredictor()),
         time_budget=float(checkpoints.max()),
         matrix=new_matrix,
     )
-    trace.latencies[0] = carried_over
     out["limeqo (data shift)"] = {
         "latencies": trace.latencies_at(checkpoints).tolist(),
-        "carried_over_latency": carried_over,
+        # What the re-verified hints serve before any new exploration.
+        "carried_over_latency": float(trace.latencies[0]),
     }
     return out
 

@@ -231,12 +231,12 @@ class TCNNTrainer:
         """``(rows, cols, targets, thresholds)`` of the cells to train on.
 
         Read through the matrix's kept cell indices, in row-major order: the
-        completed cells, and with ``config.censored`` the censored ones at
-        their bounds (a cell is never both: a completed observation wins).
+        completed cells and the censored ones at their bounds (a cell is never
+        both: a completed observation wins).
         """
         known = matrix.solver_cells()
         flat, targets, thresholds = known.obs_idx, known.obs_vals, np.zeros(known.obs_idx.size)
-        if self.config.censored and known.cen_idx.size:
+        if known.cen_idx.size:
             flat = np.concatenate([flat, known.cen_idx])
             order = np.argsort(flat, kind="stable")
             flat = flat[order]
@@ -425,7 +425,7 @@ class TCNNTrainer:
         log_thresholds = np.where(thresholds > 0, np.log1p(thresholds), 0.0)
         # With no censored cell in the training set the indicator weights
         # would all be 1.0, which is the plain MSE bit for bit.
-        censored = self.config.censored and bool((log_thresholds > 0).any())
+        censored = bool((log_thresholds > 0).any())
         # Every epoch's mini-batches are row selections of one packed batch
         # (the tree convolution is padding-width invariant, so the losses do
         # not depend on how wide the pack is).

@@ -324,9 +324,10 @@ def standard_scenarios(seed: int = 0) -> Dict[str, ScenarioSpec]:
     return {spec.name: spec for spec in specs}
 
 
-def drift_benchmark_scenarios(seed: int) -> Dict[str, ScenarioSpec]:
-    """The six single-service scenarios the acceptance benchmark runs."""
-    library = standard_scenarios(seed)
+def drift_benchmark_scenarios() -> Dict[str, ScenarioSpec]:
+    """The six single-service scenarios the acceptance benchmark runs, at
+    seed 0."""
+    library = standard_scenarios(0)
     return {
         name: library[name]
         for name in (

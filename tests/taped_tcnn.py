@@ -665,7 +665,7 @@ class TapedTrainer:
     def fit(self, matrix) -> List[float]:
         config = self.config
         observed = matrix.mask > 0
-        keep = observed | matrix.censored_mask if config.censored else observed
+        keep = observed | matrix.censored_mask
         rows, cols = np.nonzero(keep)
         timeouts = matrix.timeout_matrix[rows, cols]
         observed_here = observed[rows, cols]
@@ -673,7 +673,7 @@ class TapedTrainer:
         thresholds = np.where(observed_here, 0.0, timeouts)
         log_targets = np.log1p(targets)
         log_thresholds = np.where(thresholds > 0, np.log1p(thresholds), 0.0)
-        censored = config.censored and bool((log_thresholds > 0).any())
+        censored = bool((log_thresholds > 0).any())
         packed, position = self._packed(matrix.shape, rows, cols)
 
         self.model.train()

@@ -834,8 +834,6 @@ class TestClusterExperiment:
             n_shards=2,
             batch_size=64,
             n_batches=4,
-            observed_fraction=0.25,
-            seed=0,
         )
         assert result["identical"] == 1.0
         assert result["degraded_ok"] == 1.0

@@ -93,9 +93,6 @@ ALLOWED = {
     "constant of nn/trainer.py with ROADMAP item 4(e)",
     ("TCNNConfig", "convergence_threshold"): "as embedding_rank: "
     "benchmarks/e2e/workloads.py passes the default (0.01); ROADMAP item 4(e)",
-    ("TCNNConfig", "censored"): "the censored-loss switch of the paper's "
-    "LimeQO+ ablation (Figure 16): tests/test_trainer.py holds both losses to "
-    "the matrix views; no figure runs the uncensored TCNN",
     ("ALSConfig", "seed"): "the cold-start factors' generator seed: "
     "examples/cluster_demo.py passes the default, while tests/test_als.py and "
     "tests/test_property_based.py draw other seeds for the solver's properties",

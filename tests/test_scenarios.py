@@ -502,7 +502,7 @@ def test_scenario_library_shapes():
     for name, spec in library.items():
         assert spec.name == name
         assert spec.total_ticks >= 8
-    bench = drift_benchmark_scenarios(seed=0)
+    bench = drift_benchmark_scenarios()
     assert len(bench) >= 6
     for spec in bench.values():
         assert spec.first_disturbance_tick() is not None

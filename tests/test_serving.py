@@ -464,7 +464,7 @@ class TestBatchedTCNNInference:
 class TestThroughputExperiment:
     def test_comparison_reports_identical_decisions(self, tiny_workload):
         report = serving_throughput_comparison(
-            tiny_workload, batch_size=64, n_batches=4, observed_fraction=0.25, seed=0
+            tiny_workload, batch_size=64, n_batches=4
         )
         assert report["identical"] == 1.0
         assert report["decisions"] == 256.0

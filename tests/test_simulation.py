@@ -39,6 +39,22 @@ def test_trace_structure_and_monotonicity(simulator):
     assert trace.final_latency >= simulator.optimal_latency - 1e-9
 
 
+def test_a_run_on_a_given_matrix_starts_at_the_plans_it_knows(simulator, tiny_workload):
+    """A matrix that already holds better plans (a carried-over cache, as in
+    Figure 11) serves them before the first step, not the default plans."""
+    truth = tiny_workload.true_latencies
+    matrix = simulator.initial_matrix()
+    for query in range(0, tiny_workload.n_queries, 2):
+        best = int(np.argmin(truth[query]))
+        matrix.observe(query, best, float(truth[query, best]))
+    known = matrix.workload_latency()
+    assert known < simulator.default_latency
+    trace = simulator.run(RandomPolicy(), time_budget=0.1 * known, matrix=matrix)
+    assert trace.latencies[0] == known
+    assert trace.latency_at(0.0) == known
+    assert trace.default_latency == simulator.default_latency
+
+
 def test_each_trace_is_named_after_its_policy(simulator):
     budget = 0.25 * simulator.default_latency
     traces = [

@@ -154,12 +154,11 @@ def test_predict_full_matches_per_cell_prediction(tiny_workload):
 
 
 # -- the cells the neural path reads -----------------------------------------------------
-def training_cells_from_views(matrix, censored):
+def training_cells_from_views(matrix):
     """What ``_training_cells`` read before it went through the kept cells:
     ``n x k`` copies of the matrix views, indexed."""
     observed = matrix.mask > 0
-    keep = observed | matrix.censored_mask if censored else observed
-    rows, cols = np.nonzero(keep)
+    rows, cols = np.nonzero(observed | matrix.censored_mask)
     values = matrix.values[rows, cols]
     timeouts = matrix.timeout_matrix[rows, cols]
     observed_here = observed[rows, cols]
@@ -175,10 +174,7 @@ def test_neural_path_reads_the_kept_cells_like_the_matrix_views(n, k, seed):
     two rows, so the kept cells are patched as well as rebuilt (70 rows)."""
     rng = np.random.default_rng(seed)
     matrix = WorkloadMatrix(n, k)
-    trainers = {
-        censored: TCNNTrainer(None, n, k, small_config(censored=censored))
-        for censored in (True, False)
-    }
+    trainer = TCNNTrainer(None, n, k, small_config())
     predictor = TCNNPredictor(None, small_config())
     for _ in range(4):
         for query in rng.choice(n, size=min(n, int(rng.integers(1, 3))), replace=False):
@@ -188,12 +184,11 @@ def test_neural_path_reads_the_kept_cells_like_the_matrix_views(n, k, seed):
                     matrix.observe(int(query), hint, latency)
                 else:
                     matrix.observe_censored(int(query), hint, latency)
-        for censored, trainer in trainers.items():
-            expected = training_cells_from_views(matrix, censored)
-            if expected[0].size == 0:
-                with pytest.raises(NeuralNetworkError):
-                    trainer._training_cells(matrix)
-                continue
+        expected = training_cells_from_views(matrix)
+        if expected[0].size == 0:
+            with pytest.raises(NeuralNetworkError):
+                trainer._training_cells(matrix)
+        else:
             for mine, theirs in zip(trainer._training_cells(matrix), expected):
                 assert mine.dtype == theirs.dtype and mine.tobytes() == theirs.tobytes()
         # The predictor keeps every completed cell's latency over the model's.
