@@ -35,32 +35,25 @@ from ..serving.stats import LatencyRecorder, ServingStats
 class ClusterShard:
     """Lifecycle and row bookkeeping for one shard of the cluster.
 
-    Parameters mirror :class:`ServingService`.  With a ``journal`` attached
-    every matrix mutation is written ahead to disk, :meth:`checkpoint`
-    bounds the log, and :meth:`recover` rebuilds the shard after
-    :meth:`crash`.
+    Its service runs with :class:`ServingService`'s default plan and
+    no-regression margin, the ones the cluster serves degraded rows with.
+    With a ``journal`` attached every matrix mutation is written ahead to
+    disk, :meth:`checkpoint` bounds the log, and :meth:`recover` rebuilds
+    the shard after :meth:`crash`.
     """
 
     def __init__(
         self,
         shard_id: int,
         n_hints: int,
-        default_hint: int = 0,
-        regression_margin: float = 1.0,
         als_config: Optional[ALSConfig] = None,
         journal: Optional[ShardJournal] = None,
         telemetry=None,
     ) -> None:
         if n_hints < 1:
             raise ClusterError(f"shard needs a positive hint count, got {n_hints}")
-        if not 0 <= default_hint < n_hints:
-            raise ClusterError(
-                f"default hint {default_hint} out of range for {n_hints} hints"
-            )
         self.shard_id = int(shard_id)
         self.n_hints = int(n_hints)
-        self.default_hint = int(default_hint)
-        self.regression_margin = float(regression_margin)
         self.refresher = IncrementalALSRefresher(als_config)
         self.journal = journal
         self.crashed = False
@@ -154,8 +147,6 @@ class ClusterShard:
         journal and telemetry label are the shard's and outlive it."""
         self.service = ServingService(
             self.matrix,
-            default_hint=self.default_hint,
-            regression_margin=self.regression_margin,
             recorder=self._recorder,
             journal=self.journal,
             telemetry=self.telemetry,
@@ -299,8 +290,6 @@ class ClusterShard:
         directory: str,
         shard_id: int,
         n_hints: int,
-        default_hint: int = 0,
-        regression_margin: float = 1.0,
         als_config: Optional[ALSConfig] = None,
         fs=None,
         sync: str = "os",
@@ -317,8 +306,6 @@ class ClusterShard:
         shard = cls(
             shard_id=shard_id,
             n_hints=n_hints,
-            default_hint=default_hint,
-            regression_margin=regression_margin,
             als_config=als_config,
             journal=journal,
             telemetry=telemetry,

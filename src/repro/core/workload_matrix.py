@@ -483,6 +483,8 @@ class WorkloadMatrix:
     # -- growth (workload shift) --------------------------------------------------
     def add_query(self, name: Optional[str] = None) -> int:
         """Append a new, fully unobserved row and return its index."""
+        if name is not None and not isinstance(name, str):
+            raise MatrixError(f"a query name is a string or None, got {name!r}")
         if self.journal is not None:
             self.journal.log_add_query(name)
         index = self.n_queries

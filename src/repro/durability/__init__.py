@@ -7,7 +7,7 @@ protocol, the recovery invariants, and the fault-point map.
 from .faults import FAULT_POINTS, FaultClock, FaultFS, FaultInjector, FaultPlan
 from .journal import ShardJournal
 from .recovery import RecoveredState, recover_journal
-from .snapshot import load_snapshot, matrix_from_jsonable, write_snapshot
+from .snapshot import load_snapshot, write_snapshot
 from .wal import RECORD_KINDS, WalRecord, WriteAheadLog, encode_record
 
 __all__ = [
@@ -23,7 +23,6 @@ __all__ = [
     "WriteAheadLog",
     "encode_record",
     "load_snapshot",
-    "matrix_from_jsonable",
     "recover_journal",
     "write_snapshot",
 ]

@@ -148,9 +148,6 @@ class FaultFS:
     """
 
     injector: Optional[FaultInjector] = None
-    #: total bytes handed to ``write`` (including torn prefixes)
-    bytes_written: int = field(default=0, init=False)
-    fsyncs: int = field(default=0, init=False)
 
     def fire(self, point: str) -> None:
         if self.injector is not None:
@@ -164,19 +161,16 @@ class FaultFS:
             if plan is not None:
                 torn = data[: int(len(data) * plan.torn_fraction)]
                 handle.write(torn)
-                self.bytes_written += len(torn)
                 raise InjectedCrash(
                     f"injected torn write at {prefix}.torn_write "
                     f"({len(torn)}/{len(data)} bytes)"
                 )
         handle.write(data)
-        self.bytes_written += len(data)
 
     def fsync(self, handle: BinaryIO, prefix: str) -> None:
         """fsync ``handle``; may die on either side of the syscall."""
         self.fire(f"{prefix}.before_fsync")
         os.fsync(handle.fileno())
-        self.fsyncs += 1
         self.fire(f"{prefix}.after_fsync")
 
     def replace(self, src: str, dst: str, prefix: str) -> None:

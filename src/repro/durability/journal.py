@@ -54,11 +54,9 @@ class ShardJournal:
         self.recovered_snapshot: Optional[Tuple[Dict[str, Any], int]]
         self.recovered_snapshot = load_snapshot(directory)
         self.wal = WriteAheadLog(directory, fs=self.fs, sync=sync)
-        self._recovered_records: Optional[List[WalRecord]] = self.wal.open(repair=True)
-        self._last_backlog: List[int] = []
-        if self.recovered_snapshot is not None:
-            state, _ = self.recovered_snapshot
-            self._last_backlog = [int(r) for r in state.get("backlog", [])]
+        self._recovered_records: Optional[List[WalRecord]] = self.wal.open()
+        snapshot = self.recovered_snapshot
+        self._last_backlog: List[int] = [] if snapshot is None else list(snapshot[0]["backlog"])
         # Append/checkpoint counts live in these cells only: on a private
         # registry until the owning service binds a telemetry context.
         self._metrics = JournalMetrics()

@@ -28,8 +28,7 @@ Replay invariants:
 from __future__ import annotations
 
 import itertools
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -38,8 +37,7 @@ from ..core.workload_matrix import WorkloadMatrix
 from ..errors import MatrixError, ReproError, WalCorruption
 from .faults import FaultFS
 from .journal import ShardJournal
-from .snapshot import matrix_from_jsonable
-from .wal import WalRecord, unpack_array
+from .wal import WalRecord
 
 
 @dataclass
@@ -52,19 +50,6 @@ class RecoveredState:
     next_lsn: int
     replayed_records: int
     skipped_records: int
-    measured_records: int = 0
-    elapsed_s: float = field(default=0.0)
-
-
-def _observe_cells(record: WalRecord) -> "tuple[np.ndarray, np.ndarray, np.ndarray]":
-    """``q``, ``h`` and latencies of an ``observe`` record, in any form."""
-    q, h, v = (
-        unpack_array(record.data.get(key), dtype)
-        for key, dtype in (("q", "<i8"), ("h", "<i8"), ("v", "<f8"))
-    )
-    if not q.ndim == 1 or not q.shape == h.shape == v.shape:
-        raise WalCorruption(f"record {record.lsn} (observe) has unequal arrays")
-    return q, h, v
 
 
 def _observe_run(matrix: WorkloadMatrix, run: List[WalRecord]) -> None:
@@ -72,7 +57,7 @@ def _observe_run(matrix: WorkloadMatrix, run: List[WalRecord]) -> None:
     cell is checked as its own record would have been, then only each cell's
     last write is applied -- the state the records leave one after another."""
     q, h, v = matrix.checked_observations(
-        *(np.concatenate(column) for column in zip(*map(_observe_cells, run)))
+        *(np.concatenate([record.data[key] for record in run]) for key in ("q", "h", "v"))
     )
     n_queries, n_hints = matrix.shape
     cells, position = q * n_hints + h, np.arange(q.size)
@@ -94,27 +79,21 @@ def _replay(
         raise WalCorruption(f"{where} ({kind}) targets a matrix that does not exist yet")
     try:
         if kind == "import":
-            payload = matrix_from_jsonable(data)
             if matrix is None:
-                return WorkloadMatrix.from_dict(payload)
-            matrix.import_rows(payload)
+                return WorkloadMatrix.from_dict(data)
+            matrix.import_rows(data)
         elif kind == "retire":
             return None
         elif kind == "observe":
             _observe_run(matrix, batch)
-        elif kind == "censor":  # schema 1 and 2 wrote one cell per record, as scalars
-            matrix.observe_censored_batch(
-                *(np.atleast_1d(data.get(key)) for key in ("q", "h", "lb"))
-            )
+        elif kind == "censor":
+            matrix.observe_censored_batch(data["q"], data["h"], data["lb"])
         elif kind == "invalidate":
-            rows = data.get("rows")
-            matrix.invalidate(None if rows is None else rows)
+            matrix.invalidate(data["rows"])
         elif kind == "add_query":
-            matrix.add_query(data.get("name"))
-        elif kind == "remove":
+            matrix.add_query(data["name"])
+        else:  # "remove": RECORD_KINDS is closed, and the caller applies "adapt"
             matrix.remove_queries(data["rows"])
-        else:  # pragma: no cover - RECORD_KINDS is closed; guards future kinds
-            raise WalCorruption(f"{where} has unreplayable kind {kind!r}")
     except ReproError as exc:
         if isinstance(exc, WalCorruption):
             raise
@@ -134,7 +113,6 @@ def recover_journal(
     already repaired).  The caller attaches it to the rebuilt matrix so
     new mutations keep journaling seamlessly.
     """
-    started = time.perf_counter()
     journal = ShardJournal(directory, fs=fs, sync=sync)
     snapshot_lsn = 0
     matrix: Optional[WorkloadMatrix] = None
@@ -144,12 +122,12 @@ def recover_journal(
         raw_matrix = state.get("matrix")
         if raw_matrix is not None:
             try:
-                matrix = WorkloadMatrix.from_dict(matrix_from_jsonable(raw_matrix))
+                matrix = WorkloadMatrix.from_dict(raw_matrix)
             except MatrixError as exc:
                 raise WalCorruption(
                     f"snapshot at LSN {snapshot_lsn} does not hold a matrix: {exc}"
                 ) from exc
-        backlog = [int(r) for r in state.get("backlog", [])]
+        backlog = state["backlog"]
     records = journal.take_recovered_records()
     if records and records[0].lsn > snapshot_lsn + 1:
         # The WAL alone cannot condemn a log whose first segment starts
@@ -162,14 +140,11 @@ def recover_journal(
             f"first surviving WAL record is {records[0].lsn}"
         )
     live = [record for record in records if record.lsn > snapshot_lsn]
-    measured = 0
     # A run of consecutive observe records is one batch; any other record, its own.
     for observes, group in itertools.groupby(live, key=lambda r: r.kind == "observe"):
         for batch in [list(group)] if observes else [[record] for record in group]:
-            if batch[0].kind == "measured":
-                measured += 1
-            elif batch[0].kind == "adapt":
-                backlog = [int(r) for r in batch[0].data.get("rows", [])]
+            if batch[0].kind == "adapt":
+                backlog = batch[0].data["rows"]
             else:
                 matrix = _replay(matrix, batch)
     journal.note_backlog(backlog)
@@ -180,7 +155,5 @@ def recover_journal(
         next_lsn=journal.next_lsn,
         replayed_records=len(live),
         skipped_records=len(records) - len(live),
-        measured_records=measured,
-        elapsed_s=time.perf_counter() - started,
     )
     return journal, state

@@ -21,9 +21,9 @@ since it is installed atomically, a framing failure here is always real
 corruption and raises :class:`~repro.errors.WalCorruption`.
 
 The envelope is ``schema`` 2; its four matrix arrays follow the JSON header
-as raw bytes (the WAL's arrays frame).  Older snapshots kept them inside the
-JSON, as nested lists (schema 1) or base64 (schema 2); readers still accept
-both, writers emit neither.
+as raw bytes (the WAL's arrays frame), and a retired shard's envelope, with
+no matrix, is plain JSON.  A snapshot in any other form, or whose backlog is
+not a list of row ids, raises :class:`~repro.errors.WalCorruption`.
 """
 
 from __future__ import annotations
@@ -33,22 +33,11 @@ from typing import Any, Dict, Optional, Tuple
 
 from ..errors import WalCorruption
 from .faults import FaultFS
-from .wal import ARRAY_FIELDS, frame, split_arrays, unframe, unpack_array
+from .wal import frame, is_matrix, is_rows, split_arrays, unframe
 
 SNAPSHOT_NAME = "snapshot.bin"
 SNAPSHOT_TMP = "snapshot.tmp"
-SCHEMAS = (1, 2)  # readable; writers emit the last
-
-
-def matrix_from_jsonable(obj: Dict[str, Any]) -> Dict[str, Any]:
-    """A matrix payload from disk with its four arrays decoded from any form
-    (:func:`~repro.durability.wal.unpack_array`; one that does not decode is
-    :class:`~repro.errors.WalCorruption`).  That they agree on a 2-D shape is
-    the check of ``WorkloadMatrix.from_dict`` / ``import_rows``, next."""
-    out = dict(obj)
-    for key, dtype in ARRAY_FIELDS.items():
-        out[key] = unpack_array(obj.get(key), dtype)  # a missing one decodes 0-d
-    return out
+SCHEMA = 2
 
 
 # -- write / load -----------------------------------------------------------------------------
@@ -64,7 +53,7 @@ def write_snapshot(
     matrix, arrays = state.get("matrix"), {}
     if matrix is not None:
         matrix, arrays = split_arrays(matrix)
-    envelope = {"lsn": int(lsn), "schema": SCHEMAS[-1], "state": {**state, "matrix": matrix}}
+    envelope = {"lsn": int(lsn), "schema": SCHEMA, "state": {**state, "matrix": matrix}}
     framed = frame(envelope, arrays)
     tmp = os.path.join(directory, SNAPSHOT_TMP)
     final = os.path.join(directory, SNAPSHOT_NAME)
@@ -95,13 +84,17 @@ def load_snapshot(directory: str) -> Optional[Tuple[Dict[str, Any], int]]:
         raise WalCorruption(f"snapshot {path} truncated ({len(data)} bytes)")
     obj, arrays, _ = decoded
     state = obj.get("state")
+    matrix = state.get("matrix") if isinstance(state, dict) else None
     if (
         not isinstance(obj.get("lsn"), int)
+        or obj.get("schema") != SCHEMA
         or not isinstance(state, dict)
-        or obj.get("schema") not in SCHEMAS
-        or (arrays and not isinstance(state.get("matrix"), dict))
+        or not is_rows(state.get("backlog"))
     ):
         raise WalCorruption(f"snapshot {path} has a malformed envelope")
-    if arrays:
-        state["matrix"] = {**state["matrix"], **arrays}
+    if matrix is None and not arrays:
+        return state, obj["lsn"]
+    if not isinstance(matrix, dict) or not is_matrix(matrix, arrays):
+        raise WalCorruption(f"snapshot {path} does not hold its matrix in raw array frames")
+    state["matrix"] = {**matrix, **arrays}
     return state, obj["lsn"]

@@ -12,9 +12,12 @@ the payload's first byte names its form:
   snapshot envelope) as sorted-key JSON without its arrays, plus
   ``"arrays": [[field, dtype, shape], ...]`` naming them in the order their
   bytes follow; each field may carry one dtype (:data:`ARRAY_FIELDS`);
-* ``{`` **JSON**, ``{"data": {...}, "kind": k, "lsn": n}``: records without
-  arrays, and every record older journals wrote -- arrays as nested lists
-  (schema 1) or base64 (schema 2), which :func:`unpack_array` still reads.
+* ``{`` **JSON**, ``{"data": {...}, "kind": k, "lsn": n}``: the records
+  without arrays (``invalidate``, ``add_query``, ``remove``, ``retire``,
+  ``adapt``).
+
+Each kind is read only in its one form, holding what its writer gives it
+(:data:`RECORD_KINDS`); anything else is :class:`~repro.errors.WalCorruption`.
 
 Raw bytes round-trip IEEE-754 doubles exactly: that is what makes
 *byte-identical* replay possible.
@@ -35,7 +38,6 @@ offset lands on a valid prefix state (a hypothesis test holds this).
 
 from __future__ import annotations
 
-import base64
 import json
 import math
 import os
@@ -56,25 +58,51 @@ _ARRAYS = struct.Struct("<BI")  # marker, header length
 CELLS, ARRAYS, JSON = 0x01, 0x02, ord("{")
 _SEGMENT_RE = re.compile(r"^wal-(\d{20})\.log$")
 
-#: Records the journal understands; recovery rejects anything else.
-RECORD_KINDS = (
-    "observe",     # completed cells: q, h, v (latencies)
-    "censor",      # timed-out cells: q, h, lb (lower bounds)
-    "invalidate",  # {"rows": [...] | None}  (None = whole matrix)
-    "add_query",   # {"name": str}
-    "import",      # row migration in: the matrix arrays + query names
-    "remove",      # row migration out: {"rows": [...]}
-    "retire",      # shard gave away its last row: {}
-    "measured",    # executed-decision audit, no longer written: {"q", "h", "m"}
-    "adapt",       # adaptation-response backlog: {"rows": [...]}
-)
-
 #: The cell kinds by code, and the field each keeps its values in.
 CELL_KINDS = ("observe", "censor")
 CELL_VALUES = {"observe": "v", "censor": "lb"}
 
 #: The arrays of a matrix payload and the one dtype each may carry on disk.
 ARRAY_FIELDS = {"values": "<f8", "observed": "|b1", "censored": "|b1", "timeouts": "<f8"}
+
+
+def is_rows(value) -> bool:
+    """Row ids as writers journal them: a list of non-negative ints, no
+    bools.  Rows past the matrix stay legal: an adaptation backlog may name
+    rows a migration took away, which the controller then drops."""
+    return isinstance(value, list) and all(type(r) is int and r >= 0 for r in value)
+
+
+def is_matrix(data: Dict[str, Any], arrays: Dict[str, np.ndarray]) -> bool:
+    """A matrix payload (``import`` record, snapshot body) as writers emit
+    it: the four arrays raw, the names in lists."""
+    return (
+        arrays.keys() == ARRAY_FIELDS.keys()
+        and isinstance(data.get("query_names"), list)
+        and isinstance(data.get("hint_names", []), list)
+    )
+
+
+def _fields(**tests):
+    """A JSON record's data test: exactly these fields, each passing its test."""
+    return lambda data, arrays: data.keys() == tests.keys() and all(
+        ok(data[name]) for name, ok in tests.items()
+    )
+
+
+#: Records the journal understands: the one frame form each is written in,
+#: and the test its decoded payload passes (a cell record's fixed layout is
+#: its own).  Recovery refuses any other kind, form or payload.
+RECORD_KINDS = {
+    "observe": (CELLS, None),  # completed cells: q, h, v (latencies)
+    "censor": (CELLS, None),  # timed-out cells: q, h, lb (lower bounds)
+    "invalidate": (JSON, _fields(rows=lambda rows: rows is None or is_rows(rows))),
+    "add_query": (JSON, _fields(name=lambda name: name is None or isinstance(name, str))),
+    "import": (ARRAYS, is_matrix),  # row migration in
+    "remove": (JSON, _fields(rows=is_rows)),  # row migration out
+    "retire": (JSON, _fields()),  # the shard gave away its last row
+    "adapt": (JSON, _fields(rows=is_rows)),  # adaptation-response backlog
+}
 
 
 @dataclass(frozen=True)
@@ -84,36 +112,10 @@ class WalRecord:
     lsn: int
     kind: str
     data: Dict[str, Any]
-    size: int  # framed size in bytes, header included
 
 
 def _segment_name(first_lsn: int) -> str:
     return f"wal-{first_lsn:020d}.log"
-
-
-def unpack_array(packed, dtype: str) -> np.ndarray:
-    """An array of a JSON payload as ``dtype``: a ``{"dtype", "shape",
-    "data"}`` dict or bare base64 (schema 2), (nested) lists (schema 1), or
-    an array a raw frame already decoded.  Another dtype than the caller's, a
-    malformed shape, or bytes that do not fit it raise
-    :class:`~repro.errors.WalCorruption`: disk input is outside input."""
-    try:
-        if isinstance(packed, str):
-            return np.frombuffer(base64.b64decode(packed), dtype=dtype)
-        if not isinstance(packed, dict):
-            return np.asarray(packed, dtype=dtype)
-        shape = packed["shape"]
-        if (
-            packed["dtype"] != dtype
-            or not isinstance(shape, list)
-            or not all(type(d) is int and d >= 0 for d in shape)
-        ):
-            raise ValueError(f"dtype {packed['dtype']!r} / shape {shape!r}")
-        # frombuffer checks the byte count against the item size, reshape
-        # against the shape.
-        return np.frombuffer(base64.b64decode(packed["data"]), dtype=dtype).reshape(shape)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise WalCorruption(f"undecodable {dtype} array: {exc}") from exc
 
 
 def split_arrays(payload: Dict[str, Any]) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
@@ -248,14 +250,18 @@ def _read_segment(path: str) -> Tuple[List[WalRecord], int, bool]:
         if decoded is None:
             return records, offset, True
         obj, arrays, end = decoded
-        if (
-            not isinstance(obj.get("lsn"), int)
-            or obj.get("kind") not in RECORD_KINDS
-            or not isinstance(obj.get("data"), dict)
-        ):
+        lsn, kind, payload = obj.get("lsn"), obj.get("kind"), obj.get("data")
+        if not isinstance(lsn, int) or not isinstance(payload, dict):
             raise WalCorruption(f"malformed record in {name} at byte {offset}")
-        payload = {**obj["data"], **arrays}
-        records.append(WalRecord(obj["lsn"], obj["kind"], payload, end - offset))
+        where = f"record {lsn} in {name} at byte {offset}"
+        if not isinstance(kind, str) or kind not in RECORD_KINDS:
+            raise WalCorruption(f"{where} has unknown kind {kind!r}")
+        form, holds = RECORD_KINDS[kind]
+        if data[offset + _HEADER.size] != form:  # the marker unframe read
+            raise WalCorruption(f"{where} is a {kind} record in another frame form")
+        if holds is not None and not holds(payload, arrays):
+            raise WalCorruption(f"{where} holds other {kind} data than its writer gives")
+        records.append(WalRecord(lsn, kind, {**payload, **arrays}))
         offset = end
     return records, offset, False
 
@@ -292,11 +298,10 @@ class WriteAheadLog:
         self.discarded_tail_records = 0
 
     # -- opening / scanning ----------------------------------------------------------
-    def open(self, repair: bool = True) -> List[WalRecord]:
+    def open(self) -> List[WalRecord]:
         """Scan every segment, validate, repair torn tails, resume appends.
 
-        Returns all surviving records in LSN order.  ``repair=False``
-        reads without truncating torn bytes (inspection mode).
+        Returns all surviving records in LSN order.
         """
         names = []
         for name in os.listdir(self.directory):
@@ -312,9 +317,7 @@ class WriteAheadLog:
             seg_records, good_offset, torn = _read_segment(path)
             if torn:
                 self.discarded_tail_records += 1
-                if repair:
-                    with open(path, "r+b") as handle:
-                        handle.truncate(good_offset)
+                os.truncate(path, good_offset)
             for record in seg_records:
                 if expected is not None and record.lsn != expected:
                     raise WalCorruption(

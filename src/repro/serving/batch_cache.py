@@ -72,14 +72,16 @@ class BatchedPlanCache:
     equality is asserted cell-for-cell in ``tests/test_serving.py`` -- but
     the no-regression rule is evaluated once per *changed row* (all rows
     on the first batch and after rows were added or removed) instead of
-    once per arrival.
+    once per arrival.  The default hint and regression margin are given
+    explicitly, as to :meth:`CacheSnapshot.compute`: the service fixes
+    them, the tests vary them.
     """
 
     def __init__(
         self,
         matrix: WorkloadMatrix,
-        default_hint: int = 0,
-        regression_margin: float = 1.0,
+        default_hint: int,
+        regression_margin: float,
     ) -> None:
         # Parameter validation is shared with the scalar cache.
         self._scalar = PlanCache(

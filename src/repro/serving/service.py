@@ -22,6 +22,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..core.limeqo import DEFAULT_HINT
 from ..core.workload_matrix import WorkloadMatrix
 from ..errors import ServingError
 from ..telemetry.runtime import Telemetry
@@ -36,9 +37,10 @@ class ServingService:
     Parameters
     ----------
     matrix:
-        The live workload matrix (shared with the offline explorer).
-    default_hint / regression_margin:
-        Same meaning as for :class:`repro.core.plan_cache.PlanCache`.
+        The live workload matrix (shared with the offline explorer).  Its
+        column :data:`~repro.core.limeqo.DEFAULT_HINT` is the default plan,
+        and a verified plan is served only when it is no slower (the
+        :class:`~repro.core.plan_cache.PlanCache` rule at margin 1.0).
     clock:
         Injectable time source for the latency telemetry (tests use a fake).
     recorder:
@@ -65,17 +67,13 @@ class ServingService:
     def __init__(
         self,
         matrix: WorkloadMatrix,
-        default_hint: int = 0,
-        regression_margin: float = 1.0,
         clock=time.perf_counter,
         recorder: Optional[LatencyRecorder] = None,
         journal=None,
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.matrix = matrix
-        self.cache = BatchedPlanCache(
-            matrix, default_hint=default_hint, regression_margin=regression_margin
-        )
+        self.cache = BatchedPlanCache(matrix, DEFAULT_HINT, regression_margin=1.0)
         self.journal = journal
         if journal is not None:
             if journal.next_lsn == 1 and journal.recovered_snapshot is None:

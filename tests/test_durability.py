@@ -16,7 +16,6 @@ Four layers, matching the module's design:
   and post-restart decisions identical to an uninterrupted cluster.
 """
 
-import base64
 import os
 import shutil
 
@@ -160,7 +159,7 @@ class TestWriteAheadLog:
         path.write_bytes(blob[:-3])  # crash mid-append
 
         reopened = WriteAheadLog(str(tmp_path))
-        records = reopened.open(repair=True)
+        records = reopened.open()
         assert [r.lsn for r in records] == [1]
         assert reopened.discarded_tail_records == 1
         assert reopened.next_lsn == 2
@@ -373,29 +372,6 @@ class TestServiceRecovery:
 
         recovered_service, state = recover_service(str(tmp_path))
         assert state.replayed_records == state.next_lsn - 1
-        assert_identical_decisions(recovered_service.serve_all(), expected)
-
-    def test_measured_records_are_audit_only(self, tmp_path):
-        """Nothing writes ``measured`` records any more (drift feedback goes
-        to the cluster controller); one in an older journal is counted and
-        left out of the matrix."""
-        def b64(values, dtype):  # how schema 2 wrote a 1-D array
-            return base64.b64encode(np.asarray(values, dtype=dtype).tobytes()).decode()
-
-        journal = ShardJournal(str(tmp_path))
-        matrix = make_matrix()
-        service = ServingService(matrix, journal=journal)
-        decisions = service.serve_all()
-        journal.log("measured", {
-            "q": b64(decisions.queries, "<i8"),
-            "h": b64(decisions.hints, "<i8"),
-            "m": b64(np.ones(decisions.batch_size), "<f8"),
-        })
-        expected = service.serve_all()
-        journal.crash()
-
-        recovered_service, state = recover_service(str(tmp_path))
-        assert state.measured_records == 1
         assert_identical_decisions(recovered_service.serve_all(), expected)
 
     def test_empty_directory_has_no_matrix(self, tmp_path):

@@ -50,9 +50,9 @@ def make_matrix():
     return matrix
 
 
-def assert_batch_matches_scalar(matrix, **kwargs):
-    scalar = PlanCache(matrix, **kwargs)
-    batched = BatchedPlanCache(matrix, **kwargs)
+def assert_batch_matches_scalar(matrix, default_hint=0, regression_margin=1.0):
+    scalar = PlanCache(matrix, default_hint, regression_margin)
+    batched = BatchedPlanCache(matrix, default_hint, regression_margin)
     decisions = batched.decide(np.arange(matrix.n_queries))
     expected = scalar.lookup_all()
     assert decisions.hints.tolist() == [d.hint for d in expected]
@@ -83,7 +83,7 @@ class TestBatchedEqualsScalar:
 
     def test_arbitrary_arrival_order_and_repeats(self):
         matrix = make_matrix()
-        batched = BatchedPlanCache(matrix)
+        batched = BatchedPlanCache(matrix, 0, 1.0)
         scalar = PlanCache(matrix)
         arrivals = np.array([2, 0, 0, 4, 3, 1, 0])
         decisions = batched.decide(arrivals)
@@ -96,7 +96,7 @@ class TestBatchedEqualsScalar:
 class TestSnapshotInvalidation:
     def test_new_observation_invalidates_snapshot(self):
         matrix = make_matrix()
-        batched = BatchedPlanCache(matrix)
+        batched = BatchedPlanCache(matrix, 0, 1.0)
         before = batched.decide([1])
         assert before.hints[0] == 0  # only the default observed
         matrix.observe(1, 2, 1.0)  # a verified 5x improvement appears
@@ -106,7 +106,7 @@ class TestSnapshotInvalidation:
 
     def test_snapshot_reused_while_matrix_unchanged(self):
         matrix = make_matrix()
-        batched = BatchedPlanCache(matrix)
+        batched = BatchedPlanCache(matrix, 0, 1.0)
         batched.decide([0])
         snapshot = batched._scalar.cached_snapshot
         batched.decide([1, 2])

@@ -117,6 +117,14 @@ def test_add_query_appends_unobserved_row():
     assert matrix.unknown_in_row(2) == [0, 1, 2]
 
 
+def test_add_query_refuses_a_name_recovery_would_refuse():
+    matrix = WorkloadMatrix(2, 3)
+    for name in (7, b"c", ["c"]):
+        with pytest.raises(MatrixError):
+            matrix.add_query(name)
+    assert matrix.n_queries == 2
+
+
 def test_invalidate_resets_rows():
     matrix = WorkloadMatrix(2, 2)
     matrix.observe(0, 0, 1.0)
