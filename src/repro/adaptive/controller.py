@@ -43,6 +43,7 @@ from typing import Dict, Iterable, Optional, Tuple
 import numpy as np
 
 from ..config import ExplorationConfig
+from ..core.plan_cache import DEFAULT_HINT
 from ..serving.service import ServingService
 from ..telemetry.runtime import ADAPTIVE_GAUGES, AdaptiveMetrics
 from .detector import DriftDetector, DriftStatus
@@ -304,11 +305,10 @@ class AdaptationController:
         """
         budget = RESPONSE_BUDGET_CELLS
         matrix = self.service.matrix
-        default_hint = self.service.cache.default_hint
         unanchored = rows[
-            ~matrix.is_observed_batch(rows, np.full(rows.size, default_hint))
+            ~matrix.is_observed_batch(rows, np.full(rows.size, DEFAULT_HINT))
         ]
-        remeasured = self.reexplorer.remeasure_rows(unanchored[:budget], default_hint)
+        remeasured = self.reexplorer.remeasure_rows(unanchored[:budget], DEFAULT_HINT)
         explored = 0
         if budget > remeasured:
             explored = self.reexplorer.explore(

@@ -34,8 +34,8 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..config import ALSConfig
-from ..core.limeqo import DEFAULT_HINT
-from ..core.workload_matrix import WorkloadMatrix, checked_id, checked_ids
+from ..core.plan_cache import DEFAULT_HINT
+from ..core.workload_matrix import WorkloadMatrix, checked_cells, checked_id, checked_ids
 from ..durability.faults import FaultFS
 from ..durability.journal import ShardJournal
 from ..durability.recovery import RecoveredState
@@ -77,6 +77,13 @@ def _checked_queries(check, tenant: str, queries, size: int):
         return check("query", queries, size, ClusterError)
     except ClusterError as exc:
         raise ClusterError(f"{exc} for tenant {tenant!r}") from None
+
+
+#: Feedback kind -> the :class:`ClusterShard` door that applies it; an
+#: outage-queue entry is ``(kind, local_rows, hints, values)`` and replays
+#: through the same door.  Names, looked up on each call, so a wrapper put
+#: on the class afterwards (a tracer's span) is the door that runs.
+_FEEDBACK_DOORS = {"observe": "observe_local", "censor": "observe_censored_local"}
 
 
 class ServingCluster:
@@ -126,10 +133,6 @@ class ServingCluster:
         if n_shards < 1:
             raise ClusterError(f"cluster needs at least one shard, got {n_shards}")
         self.n_hints = int(n_hints)
-        # Every shard keeps the serving rule's defaults (the DBMS default plan
-        # in column 0, margin 1.0), so cluster decisions match one service
-        # over the union matrix.
-        self.default_hint = DEFAULT_HINT
         self._als_config = als_config or ALSConfig()
         self.durability_dir = durability_dir
         self._fault_fs = fault_fs
@@ -145,8 +148,9 @@ class ServingCluster:
         self._table: Optional[tuple] = None
         self._next_shard_id = 0
         # Feedback addressed to a crashed shard waits here (per shard id)
-        # and replays on restart; entries are ("observe"|"censor", args).
-        self._outage_queue: Dict[int, List[Tuple[str, tuple]]] = {}
+        # and replays on restart; entries are (kind, local_rows, hints,
+        # values), kind a key of _FEEDBACK_DOORS.
+        self._outage_queue: Dict[int, List[tuple]] = {}
         self.telemetry = telemetry
         self._tracer = OFF if telemetry is None else telemetry.tracer
         # The facade counters' only store; private when nobody exports it.
@@ -409,7 +413,7 @@ class ServingCluster:
         self._count_routed(len(groups))
         # Every position starts degraded; a shard that answers overwrites its own.
         n = len(queries)
-        hints = [self.default_hint] * n
+        hints = [DEFAULT_HINT] * n
         used_default = [True] * n
         expected = [np.inf] * n
         for sid in sorted(groups):
@@ -435,7 +439,7 @@ class ServingCluster:
         self._tracer.end("router.split", start)
         self._count_routed(len(groups))
         n = queries.shape[0]
-        hints = np.full(n, self.default_hint, dtype=np.int64)
+        hints = np.full(n, DEFAULT_HINT, dtype=np.int64)
         used_default = np.ones(n, dtype=bool)
         expected = np.full(n, np.inf)
         for sid, positions in groups:
@@ -478,49 +482,43 @@ class ServingCluster:
         inline.  Health does not gate feedback: observations always land
         (in-process the matrix is reachable; a deployment would queue them).
         """
-        # Validate the whole batch before touching any shard: a bad element
-        # must not leave earlier shard groups mutated and later ones not.
-        queries, shard_ids, local = self._resolve(tenant, queries)
-        hints = checked_ids("hint", hints, self.n_hints, ClusterError)
-        latencies = np.asarray(latencies, dtype=float)
-        if not (queries.shape == hints.shape == latencies.shape):
-            raise ClusterError(
-                "observe_batch needs three 1-D arrays of equal length"
+        self._feedback("observe", tenant, queries, hints, latencies)
+
+    def observe_censored_batch(self, tenant: str, queries, hints, lower_bounds) -> None:
+        """Record timed-out executions (latency lower bounds) for one
+        tenant's queries: :meth:`observe_batch`'s path, under the censored
+        rule (bounds finite and > 0; a completed cell keeps its latency)."""
+        self._feedback("censor", tenant, queries, hints, lower_bounds)
+
+    def _feedback(self, kind: str, tenant: str, queries, hints, values) -> None:
+        """The one feedback body: check the whole batch before any shard is
+        touched or anything queued -- a bad element must not leave earlier
+        shard groups applied and later ones not -- then apply each shard's
+        sub-batch through its ``kind`` door, or queue it while the shard is
+        down."""
+        directory = self._directory(tenant)
+        try:
+            queries, hints, values = checked_cells(
+                kind, queries, hints, values,
+                (directory.n_queries, self.n_hints), kind == "censor", ClusterError,
             )
-        if not np.all(np.isfinite(latencies)) or np.any(latencies < 0):
-            raise ClusterError("observe_batch: latencies must be finite and >= 0")
-        for sid, positions in split_batch(shard_ids):
+        except ClusterError as exc:
+            raise ClusterError(f"{exc} for tenant {tenant!r}") from None
+        local = directory.local_row[queries]
+        for sid, positions in split_batch(directory.shard_of[queries]):
             sid = int(sid)
-            args = (local[positions], hints[positions], latencies[positions])
+            cells = (local[positions], hints[positions], values[positions])
             if self.shards[sid].crashed:
-                self._queue_feedback(sid, "observe", args)
+                self._queue_feedback(sid, kind, cells)
                 continue
             try:
-                self.shards[sid].observe_local(*args)
+                getattr(self.shards[sid], _FEEDBACK_DOORS[kind])(*cells)
             except InjectedCrash:
                 # The record never applied (write-ahead ordering), so the
                 # whole sub-batch is queued; matrix mutations are
                 # idempotent, so any prefix the WAL did capture converges.
                 self._handle_crash(sid)
-                self._queue_feedback(sid, "observe", args)
-
-    def observe_censored(
-        self, tenant: str, query: int, hint: int, lower_bound: float
-    ) -> None:
-        """Record one timed-out execution (a latency lower bound)."""
-        directory = self._directory(tenant)
-        query = _checked_queries(checked_id, tenant, query, directory.n_queries)
-        hint = checked_id("hint", hint, self.n_hints, ClusterError)
-        sid = int(directory.shard_of[query])
-        args = (int(directory.local_row[query]), hint, lower_bound)
-        if self.shards[sid].crashed:
-            self._queue_feedback(sid, "censor", args)
-            return
-        try:
-            self.shards[sid].observe_censored_local(*args)
-        except InjectedCrash:
-            self._handle_crash(sid)
-            self._queue_feedback(sid, "censor", args)
+                self._queue_feedback(sid, kind, cells)
 
     # -- background refresh ---------------------------------------------------------
     def tick(self) -> List[int]:
@@ -555,10 +553,9 @@ class ServingCluster:
         except KeyError:
             raise ClusterError(f"unknown shard {shard_id}") from None
 
-    def _queue_feedback(self, shard_id: int, kind: str, args: tuple) -> None:
-        self._outage_queue.setdefault(shard_id, []).append((kind, args))
-        queued = int(np.asarray(args[0]).size) if kind == "observe" else 1
-        self._metrics.queued_feedback.inc(queued)
+    def _queue_feedback(self, shard_id: int, kind: str, cells: tuple) -> None:
+        self._outage_queue.setdefault(shard_id, []).append((kind, *cells))
+        self._metrics.queued_feedback.inc(cells[0].size)
 
     def _handle_crash(self, shard_id: int) -> None:
         """Turn an :class:`InjectedCrash` (or operator kill) into an outage."""
@@ -606,15 +603,10 @@ class ServingCluster:
         self.scheduler.replace(shard)
         self.health.mark_up(shard_id)
         pending = self._outage_queue.pop(shard_id, [])
-        for index, (kind, args) in enumerate(pending):
+        for index, (kind, *cells) in enumerate(pending):
             try:
-                if kind == "observe":
-                    shard.observe_local(*args)
-                    replayed = int(np.asarray(args[0]).size)
-                else:
-                    shard.observe_censored_local(*args)
-                    replayed = 1
-                self._metrics.replayed_feedback.inc(replayed)
+                getattr(shard, _FEEDBACK_DOORS[kind])(*cells)
+                self._metrics.replayed_feedback.inc(cells[0].size)
             except InjectedCrash:
                 # Same supervision as the live feedback paths: the crashed
                 # entry never applied (write-ahead ordering), so it and

@@ -35,8 +35,9 @@ from ..serving.stats import LatencyRecorder, ServingStats
 class ClusterShard:
     """Lifecycle and row bookkeeping for one shard of the cluster.
 
-    Its service runs with :class:`ServingService`'s default plan and
-    no-regression margin, the ones the cluster serves degraded rows with.
+    Its service serves by the one no-regression rule, whose default plan
+    (:data:`~repro.core.plan_cache.DEFAULT_HINT`) is also what the cluster
+    serves degraded rows with.
     With a ``journal`` attached every matrix mutation is written ahead to
     disk, :meth:`checkpoint` bounds the log, and :meth:`recover` rebuilds
     the shard after :meth:`crash`.
@@ -204,11 +205,9 @@ class ClusterShard:
         """
         self._serving().observe_batch(local_queries, hints, latencies)
 
-    def observe_censored_local(
-        self, local_query: int, hint: int, lower_bound: float
-    ) -> None:
-        """Record a timed-out execution for a locally indexed row."""
-        self._serving().matrix.observe_censored(local_query, hint, lower_bound)
+    def observe_censored_local(self, local_queries, hints, lower_bounds) -> None:
+        """Record timed-out executions for locally indexed rows."""
+        self._serving().matrix.observe_censored_batch(local_queries, hints, lower_bounds)
 
     # -- background refresh ----------------------------------------------------
     @property

@@ -16,12 +16,9 @@ from typing import Dict, List, Optional
 from ..config import ExplorationConfig
 from ..errors import ExplorationError
 from .explorer import ExecutionOracle, OfflineExplorer
-from .plan_cache import CacheDecision, PlanCache
+from .plan_cache import DEFAULT_HINT, CacheDecision, PlanCache
 from .policies import ExplorationPolicy, LimeQOPolicy
 from .workload_matrix import WorkloadMatrix
-
-#: Column of the DBMS default plan.
-DEFAULT_HINT = 0
 
 
 class LimeQO:
@@ -132,7 +129,7 @@ class LimeQO:
         """
         matrix = self.matrix
         if self._plan_cache is None or self._plan_cache.matrix is not matrix:
-            self._plan_cache = PlanCache(matrix, default_hint=DEFAULT_HINT)
+            self._plan_cache = PlanCache(matrix)
         return self._plan_cache
 
     def lookup(self, name: str) -> CacheDecision:

@@ -5,8 +5,8 @@ a *verified* better plan exists.  The cache answers with the best hint whose
 latency has actually been observed during offline exploration, or the
 default plan otherwise.  Because the default plan's latency is always
 observed first (it is executed as part of normal operation), a non-default
-hint is only ever returned when it was measured to be at least
-``regression_margin`` times faster -- the no-regression guarantee.
+hint is only ever returned when it was measured to be no slower -- the
+no-regression guarantee.
 """
 
 from __future__ import annotations
@@ -19,6 +19,10 @@ import numpy as np
 from ..errors import ExplorationError
 from .workload_matrix import WorkloadMatrix
 
+#: Column of the DBMS default plan: what is served until a verified plan
+#: is measured to be no slower.
+DEFAULT_HINT = 0
+
 
 @dataclass(frozen=True)
 class CacheDecision:
@@ -30,9 +34,7 @@ class CacheDecision:
     expected_latency: float
 
 
-def _serving_rule(
-    matrix: WorkloadMatrix, rows, default_hint: int, regression_margin: float
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _serving_rule(matrix: WorkloadMatrix, rows) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The no-regression rule over ``rows`` of ``matrix`` (an index array):
     ``(hints, used_default, expected_latency)``, one entry per row.  The
     only vectorised implementation of the rule -- a full
@@ -40,14 +42,14 @@ def _serving_rule(
     latency = matrix.observed_latencies(rows)
     best = latency.argmin(axis=1)
     best_latency = latency[np.arange(best.shape[0]), best]
-    default_latency = latency[:, default_hint]
+    default_latency = latency[:, DEFAULT_HINT]
     # A row with no completed observation has best_latency == inf.
     serve_best = (
-        (best != default_hint)
+        (best != DEFAULT_HINT)
         & (best_latency < np.inf)
-        & (best_latency <= default_latency * regression_margin)
+        & (best_latency <= default_latency)
     )
-    hints = np.where(serve_best, best, default_hint).astype(np.int64)
+    hints = np.where(serve_best, best, DEFAULT_HINT).astype(np.int64)
     expected = np.where(serve_best, best_latency, default_latency)
     return hints, ~serve_best, expected
 
@@ -66,8 +68,6 @@ class CacheSnapshot:
     """
 
     version: int
-    default_hint: int
-    regression_margin: float
     hints: np.ndarray
     used_default: np.ndarray
     expected_latency: np.ndarray
@@ -81,20 +81,11 @@ class CacheSnapshot:
         return self.hints.shape[0]
 
     @classmethod
-    def compute(
-        cls,
-        matrix: WorkloadMatrix,
-        default_hint: int,
-        regression_margin: float,
-    ) -> "CacheSnapshot":
+    def compute(cls, matrix: WorkloadMatrix) -> "CacheSnapshot":
         """Evaluate the serving rule for every query in one vectorised pass."""
-        hints, used_default, expected = _serving_rule(
-            matrix, np.arange(matrix.n_queries), default_hint, regression_margin
-        )
+        hints, used_default, expected = _serving_rule(matrix, np.arange(matrix.n_queries))
         return cls(
             version=matrix.version,
-            default_hint=int(default_hint),
-            regression_margin=float(regression_margin),
             hints=hints,
             used_default=used_default,
             expected_latency=expected,
@@ -110,9 +101,7 @@ class CacheSnapshot:
         hints, used_default, expected = (
             old.copy() for old in (self.hints, self.used_default, self.expected_latency)
         )
-        hints[rows], used_default[rows], expected[rows] = _serving_rule(
-            matrix, rows, self.default_hint, self.regression_margin
-        )
+        hints[rows], used_default[rows], expected[rows] = _serving_rule(matrix, rows)
         return replace(
             self,
             version=matrix.version,
@@ -126,59 +115,39 @@ class CacheSnapshot:
 class PlanCache:
     """Maps queries to their best verified hint, defaulting safely.
 
-    Parameters
-    ----------
-    matrix:
-        The workload matrix holding verified (observed) latencies.
-    default_hint:
-        Column index of the DBMS default plan (0 by convention).
-    regression_margin:
-        A non-default hint is served only when its observed latency is at
-        most ``regression_margin`` times the default's observed latency.
-        1.0 means "at least as fast as the default".
+    ``matrix`` holds the verified (observed) latencies; column
+    :data:`DEFAULT_HINT` is the DBMS default plan, and another hint is
+    served only when its observed latency is at most the default's.
     """
 
-    def __init__(
-        self,
-        matrix: WorkloadMatrix,
-        default_hint: int = 0,
-        regression_margin: float = 1.0,
-    ) -> None:
-        if not 0 <= default_hint < matrix.n_hints:
-            raise ExplorationError(
-                f"default hint {default_hint} out of range for {matrix.n_hints} hints"
-            )
-        if regression_margin <= 0:
-            raise ExplorationError("regression_margin must be > 0")
+    def __init__(self, matrix: WorkloadMatrix) -> None:
         self.matrix = matrix
-        self.default_hint = int(default_hint)
-        self.regression_margin = float(regression_margin)
         self._snapshot: Optional[CacheSnapshot] = None
 
     # -- lookups ----------------------------------------------------------
     def lookup(self, query: int) -> CacheDecision:
         """Return the hint to use for ``query`` right now."""
         default_latency = (
-            self.matrix.value(query, self.default_hint)
-            if self.matrix.is_observed(query, self.default_hint)
+            self.matrix.value(query, DEFAULT_HINT)
+            if self.matrix.is_observed(query, DEFAULT_HINT)
             else float("inf")
         )
         best = self.matrix.best_hint(query)
-        if best is None or best == self.default_hint:
+        if best is None or best == DEFAULT_HINT:
             return CacheDecision(
                 query=query,
-                hint=self.default_hint,
+                hint=DEFAULT_HINT,
                 used_default=True,
                 expected_latency=default_latency,
             )
         best_latency = self.matrix.value(query, best)
-        if best_latency <= default_latency * self.regression_margin:
+        if best_latency <= default_latency:
             return CacheDecision(
                 query=query, hint=best, used_default=False, expected_latency=best_latency
             )
         return CacheDecision(
             query=query,
-            hint=self.default_hint,
+            hint=DEFAULT_HINT,
             used_default=True,
             expected_latency=default_latency,
         )
@@ -204,9 +173,7 @@ class PlanCache:
             if rows is not None:
                 self._snapshot = snap.patched(self.matrix, rows)
                 return self._snapshot
-        self._snapshot = CacheSnapshot.compute(
-            self.matrix, self.default_hint, self.regression_margin
-        )
+        self._snapshot = CacheSnapshot.compute(self.matrix)
         return self._snapshot
 
     @property
@@ -219,9 +186,9 @@ class PlanCache:
         """Check the no-regression guarantee against ground truth.
 
         For every query, the latency of the served hint must not exceed the
-        latency of the default hint (up to the regression margin) *under the
-        observed measurements used to make the decision*.  Ground truth is
-        accepted for convenience in tests and benchmarks.
+        latency of the default hint *under the observed measurements used
+        to make the decision*.  Ground truth is accepted for convenience in
+        tests and benchmarks.
         """
         true_latencies = np.asarray(true_latencies, dtype=float)
         if true_latencies.shape != self.matrix.shape:
@@ -229,9 +196,9 @@ class PlanCache:
         for decision in self.lookup_all():
             if decision.used_default:
                 continue
-            default_true = true_latencies[decision.query, self.default_hint]
+            default_true = true_latencies[decision.query, DEFAULT_HINT]
             served_true = true_latencies[decision.query, decision.hint]
-            # Allow the margin plus simulator noise headroom.
-            if served_true > default_true * self.regression_margin * 1.5:
+            # Allow simulator noise headroom.
+            if served_true > default_true * 1.5:
                 return False
         return True

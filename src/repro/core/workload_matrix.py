@@ -62,6 +62,49 @@ def checked_id(name: str, value, bound: int, error) -> int:
     return value
 
 
+def checked_values(door: str, values, censored: bool, error):
+    """``values`` as a float array of cell values, or ``error``: the one
+    statement of the cell-value rule.  An observed latency is finite and
+    ``>= 0``, a censored bound finite and ``> 0``; only integer and float
+    dtypes pass, so a bool is refused as a bool id is (:func:`checked_ids`).
+    NaN fails both compares.  A plain ``float`` is one cell, as the scalar
+    door gets it: it is compared as itself, with no numpy call."""
+    if type(values) is float:
+        low = high = values
+    else:
+        values = np.asarray(values)
+        if values.dtype.kind not in "iuf":
+            low = high = np.nan  # no cell value: refused as NaN is
+        else:
+            values = values.astype(float, copy=False)
+            if values.size == 0:
+                return values
+            low, high = values.min(), values.max()
+    if (low > 0 if censored else low >= 0) and high < np.inf:
+        return values
+    rule = "censored bounds must be finite and > 0" if censored else (
+        "latencies must be finite and >= 0"
+    )
+    raise error(f"{door}: {rule}, got {np.asarray(values).ravel()[:4]!r}")
+
+
+def checked_cells(door: str, queries, hints, values, shape, censored: bool, error) -> tuple:
+    """``(queries, hints, values)`` as a cell mutator of a ``shape`` matrix
+    takes them: in-range integer ids (:func:`checked_ids`), three 1-D arrays
+    of one length, and values by :func:`checked_values` -- or ``error``.
+    The check of every feedback door: the matrix's mutators, recovery's
+    replay of ``observe`` records, and the cluster's."""
+    queries = checked_ids("query", queries, shape[0], error)
+    hints = checked_ids("hint", hints, shape[1], error)
+    values = np.asarray(values)
+    if not (queries.shape == hints.shape == values.shape):
+        raise error(
+            f"{door} needs three 1-D arrays of equal length, got "
+            f"{queries.shape}, {hints.shape}, {values.shape}"
+        )
+    return queries, hints, checked_values(door, values, censored, error)
+
+
 def _payload_arrays(payload: Dict, door: str, own: bool) -> tuple:
     """The four cell arrays and the query names (or None) of a ``to_dict`` /
     ``export_rows`` payload: 2-D, of one shape, one name per row, and every
@@ -85,22 +128,12 @@ def _payload_arrays(payload: Dict, door: str, own: bool) -> tuple:
             f"{door} payload arrays must be 2-D and agree on shape, got "
             f"{values.shape}, {observed.shape}, {censored.shape}, {timeouts.shape}"
         )
-    if names is not None and len(names) != values.shape[0]:
-        raise MatrixError(
-            f"{door} expects {values.shape[0]} query names, got {len(names)}"
-        )
-    latencies, bounds = values[observed], timeouts[censored]
-    if (
-        (observed & censored).any()
-        or not np.isfinite(latencies).all()
-        or (latencies < 0).any()
-        or not np.isfinite(bounds).all()
-        or (bounds <= 0).any()
-    ):
-        raise MatrixError(
-            f"{door}: observed latencies must be finite and >= 0, censored "
-            "bounds finite and > 0, and no cell both observed and censored"
-        )
+    if names is not None:
+        names = WorkloadMatrix._validate_names(names, values.shape[0], "query")
+    if (observed & censored).any():
+        raise MatrixError(f"{door}: a cell is both observed and censored")
+    checked_values(door, values[observed], False, MatrixError)
+    bounds = checked_values(door, timeouts[censored], True, MatrixError)
     # Bounds are non-zero, so no other timeout may have a bit set (no n x k temporary).
     if (values[censored] != bounds).any() or np.count_nonzero(timeouts.view(np.int64)) != bounds.size:
         raise MatrixError(f"{door}: a censored cell's value must be its bound, any other timeout 0")
@@ -152,6 +185,9 @@ class WorkloadMatrix:
 
     @staticmethod
     def _validate_names(names: Optional[Sequence[str]], expected: int, kind: str) -> List[str]:
+        """``names`` as a list of ``expected`` strings (generated when None),
+        or :class:`MatrixError`: a name a journal's JSON cannot keep as it is
+        (a number, a tuple) would recover as another value."""
         if names is None:
             return [f"{kind[0]}{i}" for i in range(expected)]
         names = list(names)
@@ -159,6 +195,9 @@ class WorkloadMatrix:
             raise MatrixError(
                 f"expected {expected} {kind} names, got {len(names)}"
             )
+        if not all(isinstance(name, str) for name in names):
+            bad = next(name for name in names if not isinstance(name, str))
+            raise MatrixError(f"a {kind} name is a string, got {bad!r}")
         return names
 
     # -- shape ------------------------------------------------------------
@@ -208,18 +247,9 @@ class WorkloadMatrix:
 
     # -- recording observations --------------------------------------------
     def observe(self, query: int, hint: int, latency: float) -> None:
-        """Record a completed execution of ``latency`` seconds."""
-        self._check_indices(query, hint)
-        if not np.isfinite(latency) or latency < 0:
-            raise MatrixError(
-                f"latency must be finite and >= 0, got {latency} at ({query}, {hint})"
-            )
-        if self.journal is not None:
-            self.journal.log_observe([query], [hint], [latency])
-        self._values[query, hint] = float(latency)
-        self._observed[query, hint] = True
-        self._censored[query, hint] = False
-        self._stamp(query)
+        """Record a completed execution of ``latency`` seconds (a one-cell
+        :meth:`observe_batch`)."""
+        self.observe_batch([query], [hint], [latency])
 
     def observe_batch(self, queries, hints, latencies) -> None:
         """Record many completed executions at once (vectorised `observe`).
@@ -228,7 +258,9 @@ class WorkloadMatrix:
         bookkeeping with one fancy-indexed assignment per array keeps the
         feedback path off the per-cell Python loop.
         """
-        queries, hints, latencies = self.checked_observations(queries, hints, latencies)
+        queries, hints, latencies = checked_cells(
+            "observe_batch", queries, hints, latencies, self.shape, False, MatrixError
+        )
         if queries.size == 0:
             return
         if self.journal is not None:
@@ -238,37 +270,20 @@ class WorkloadMatrix:
         self._censored[queries, hints] = False
         self._stamp(queries)
 
-    def checked_observations(self, queries, hints, latencies) -> tuple:
-        """``(queries, hints, latencies)`` as :meth:`observe_batch` takes them:
-        in-range integer ids and latencies finite and >= 0, three 1-D arrays
-        of one length -- or :class:`MatrixError`.  Recovery checks a run of
-        ``observe`` records with it before keeping each cell's last write."""
-        queries = checked_ids("query", queries, self.n_queries, MatrixError)
-        hints = checked_ids("hint", hints, self.n_hints, MatrixError)
-        latencies = np.asarray(latencies, dtype=float)
-        if not (queries.shape == hints.shape == latencies.shape):
-            raise MatrixError(
-                "observe_batch needs three 1-D arrays of equal length, got "
-                f"{queries.shape}, {hints.shape}, {latencies.shape}"
-            )
-        if not np.all(np.isfinite(latencies)) or np.any(latencies < 0):
-            raise MatrixError("observe_batch: latencies must be finite and >= 0")
-        return queries, hints, latencies
-
     def observe_censored(self, query: int, hint: int, lower_bound: float) -> None:
-        """Record a timed-out execution: true latency exceeds ``lower_bound``."""
+        """Record a timed-out execution: true latency exceeds ``lower_bound``.
+
+        The un-journaled explorer's door: a few scalar writes cost less than
+        one :meth:`observe_censored_batch` (``docs/performance.md``, dead end
+        (b)); the cell is checked by the same rule."""
         self._check_indices(query, hint)
-        if not np.isfinite(lower_bound) or lower_bound <= 0:
-            raise MatrixError(
-                f"censored lower bound must be finite and > 0, got {lower_bound}"
-            )
+        bound = float(checked_values("observe_censored", lower_bound, True, MatrixError))
         if self._observed[query, hint]:
             # A completed observation is strictly more informative; keep it.
             return
         if self.journal is not None:
-            self.journal.log_censor([query], [hint], [lower_bound])
+            self.journal.log_censor([query], [hint], [bound])
         # Keep only the tightest (largest) lower bound seen so far.
-        bound = float(lower_bound)
         if self._censored[query, hint]:
             bound = max(self._values[query, hint], bound)
         self._values[query, hint] = bound
@@ -279,16 +294,9 @@ class WorkloadMatrix:
         """Record many timed-out executions at once (vectorised
         :meth:`observe_censored`): completed cells are skipped, and a cell
         named more than once keeps its largest bound."""
-        queries = checked_ids("query", queries, self.n_queries, MatrixError)
-        hints = checked_ids("hint", hints, self.n_hints, MatrixError)
-        bounds = np.asarray(lower_bounds, dtype=float)
-        if not (queries.shape == hints.shape == bounds.shape):
-            raise MatrixError(
-                "observe_censored_batch needs three 1-D arrays of equal length, got "
-                f"{queries.shape}, {hints.shape}, {bounds.shape}"
-            )
-        if not np.all(np.isfinite(bounds)) or np.any(bounds <= 0):
-            raise MatrixError("censored lower bounds must be finite and > 0")
+        queries, hints, bounds = checked_cells(
+            "observe_censored_batch", queries, hints, lower_bounds, self.shape, True, MatrixError
+        )
         fresh = ~self._observed[queries, hints]
         if not fresh.all():
             queries, hints, bounds = queries[fresh], hints[fresh], bounds[fresh]
@@ -533,7 +541,6 @@ class WorkloadMatrix:
                 f"import_rows expects named rows with {self.n_hints} hints, "
                 f"got shape {values.shape}"
             )
-        names = list(names)
         if values.shape[0] == 0:
             return []
         if self.journal is not None:

@@ -33,7 +33,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..core.workload_matrix import WorkloadMatrix
+from ..core.workload_matrix import WorkloadMatrix, checked_cells
 from ..errors import MatrixError, ReproError, WalCorruption
 from .faults import FaultFS
 from .journal import ShardJournal
@@ -56,8 +56,12 @@ def _observe_run(matrix: WorkloadMatrix, run: List[WalRecord]) -> None:
     """Apply consecutive ``observe`` records as one ``observe_batch``: every
     cell is checked as its own record would have been, then only each cell's
     last write is applied -- the state the records leave one after another."""
-    q, h, v = matrix.checked_observations(
-        *(np.concatenate([record.data[key] for record in run]) for key in ("q", "h", "v"))
+    q, h, v = checked_cells(
+        "observe",
+        *(np.concatenate([record.data[key] for record in run]) for key in ("q", "h", "v")),
+        matrix.shape,
+        False,
+        MatrixError,
     )
     n_queries, n_hints = matrix.shape
     cells, position = q * n_hints + h, np.arange(q.size)

@@ -86,7 +86,7 @@ def load_snapshot(directory: str) -> Optional[Tuple[Dict[str, Any], int]]:
     state = obj.get("state")
     matrix = state.get("matrix") if isinstance(state, dict) else None
     if (
-        not isinstance(obj.get("lsn"), int)
+        type(obj.get("lsn")) is not int  # (a bool is no LSN)
         or obj.get("schema") != SCHEMA
         or not isinstance(state, dict)
         or not is_rows(state.get("backlog"))

@@ -251,7 +251,7 @@ def _read_segment(path: str) -> Tuple[List[WalRecord], int, bool]:
             return records, offset, True
         obj, arrays, end = decoded
         lsn, kind, payload = obj.get("lsn"), obj.get("kind"), obj.get("data")
-        if not isinstance(lsn, int) or not isinstance(payload, dict):
+        if type(lsn) is not int or not isinstance(payload, dict):  # (a bool is no LSN)
             raise WalCorruption(f"malformed record in {name} at byte {offset}")
         where = f"record {lsn} in {name} at byte {offset}"
         if not isinstance(kind, str) or kind not in RECORD_KINDS:

@@ -27,6 +27,7 @@ from typing import Dict
 import numpy as np
 
 from ..cluster import ServingCluster
+from ..core.plan_cache import DEFAULT_HINT
 from ..core.workload_matrix import WorkloadMatrix
 from ..errors import ExperimentError
 from ..serving.service import ServingService
@@ -53,8 +54,10 @@ def populate_cluster(
     cells, k = matrix.solver_cells(), matrix.n_hints
     if cells.obs_idx.size:
         cluster.observe_batch(tenant, cells.obs_idx // k, cells.obs_idx % k, cells.obs_vals)
-    for flat, bound in zip(cells.cen_idx.tolist(), cells.cen_vals.tolist()):
-        cluster.observe_censored(tenant, flat // k, flat % k, bound)
+    if cells.cen_idx.size:
+        cluster.observe_censored_batch(
+            tenant, cells.cen_idx // k, cells.cen_idx % k, cells.cen_vals
+        )
 
 
 def cluster_vs_single_comparison(
@@ -143,7 +146,7 @@ def cluster_vs_single_comparison(
             if not bool(decisions.used_default[on_down].all()):
                 degraded_ok = False
             if not bool(
-                (decisions.hints[on_down] == cluster.default_hint).all()
+                (decisions.hints[on_down] == DEFAULT_HINT).all()
             ):
                 degraded_ok = False
             # Queries on healthy shards are untouched by the outage.

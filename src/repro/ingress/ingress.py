@@ -51,6 +51,7 @@ import numpy as np
 
 from ..cluster.cluster import ServingCluster
 from ..config import IngressConfig
+from ..core.plan_cache import DEFAULT_HINT
 from ..errors import IngressError
 from ..serving.batch_cache import BatchDecisions
 from ..serving.service import ServingService
@@ -503,7 +504,7 @@ class ServiceIngress(_BaseIngress):
 
     def _shed_decision(self, payload: int) -> IngressDecision:
         return IngressDecision(
-            None, payload, self.service.cache.default_hint, True, float("inf"), True
+            None, payload, DEFAULT_HINT, True, float("inf"), True
         )
 
     def _record_shed(self, count: int) -> None:
@@ -572,7 +573,7 @@ class ClusterIngress(_BaseIngress):
     def _shed_decision(self, payload: Tuple[str, int]) -> IngressDecision:
         tenant, query = payload
         return IngressDecision(
-            tenant, query, self.cluster.default_hint, True, float("inf"), True
+            tenant, query, DEFAULT_HINT, True, float("inf"), True
         )
 
     def _record_shed(self, count: int) -> None:

@@ -288,7 +288,7 @@ def build_suite() -> PerfHarness:
         # Off the case's clock: patching *every* row is the same kernel plus
         # a scatter, so no rows/n threshold guards the patch path.
         costs = {
-            "compute_us": _best_us(lambda: CacheSnapshot.compute(matrix, 0, 1.0)),
+            "compute_us": _best_us(lambda: CacheSnapshot.compute(matrix)),
             "patch_all_rows_us": _best_us(lambda: snapshot.patched(matrix, every_row)),
         }
         ticks = [

@@ -2,7 +2,7 @@
 
 The scalar :class:`repro.core.plan_cache.PlanCache` answers one query per
 call: it re-derives the row's best verified hint with a masked ``argmin``,
-checks the regression margin, and allocates a decision object.  That is the
+compares it with the default plan's, and allocates a decision object.  That is the
 right interface for the paper's Figure 2 walkthrough, but a service fielding
 thousands of arrivals per second cannot afford a Python-level row walk per
 query.
@@ -72,24 +72,12 @@ class BatchedPlanCache:
     equality is asserted cell-for-cell in ``tests/test_serving.py`` -- but
     the no-regression rule is evaluated once per *changed row* (all rows
     on the first batch and after rows were added or removed) instead of
-    once per arrival.  The default hint and regression margin are given
-    explicitly, as to :meth:`CacheSnapshot.compute`: the service fixes
-    them, the tests vary them.
+    once per arrival.
     """
 
-    def __init__(
-        self,
-        matrix: WorkloadMatrix,
-        default_hint: int,
-        regression_margin: float,
-    ) -> None:
-        # Parameter validation is shared with the scalar cache.
-        self._scalar = PlanCache(
-            matrix, default_hint=default_hint, regression_margin=regression_margin
-        )
+    def __init__(self, matrix: WorkloadMatrix) -> None:
+        self._scalar = PlanCache(matrix)
         self.matrix = matrix
-        self.default_hint = self._scalar.default_hint
-        self.regression_margin = self._scalar.regression_margin
         # Full rebuilds and patched rows are always counted: in the owning
         # service's bundle once bound, in cells of the cache's own until then.
         self._rebuilds = Counter()

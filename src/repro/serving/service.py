@@ -22,7 +22,6 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core.limeqo import DEFAULT_HINT
 from ..core.workload_matrix import WorkloadMatrix
 from ..errors import ServingError
 from ..telemetry.runtime import Telemetry
@@ -38,9 +37,9 @@ class ServingService:
     ----------
     matrix:
         The live workload matrix (shared with the offline explorer).  Its
-        column :data:`~repro.core.limeqo.DEFAULT_HINT` is the default plan,
-        and a verified plan is served only when it is no slower (the
-        :class:`~repro.core.plan_cache.PlanCache` rule at margin 1.0).
+        column :data:`~repro.core.plan_cache.DEFAULT_HINT` is the default
+        plan, and a verified plan is served only when it is no slower (the
+        :class:`~repro.core.plan_cache.PlanCache` rule).
     clock:
         Injectable time source for the latency telemetry (tests use a fake).
     recorder:
@@ -73,7 +72,7 @@ class ServingService:
         telemetry: Optional[Telemetry] = None,
     ) -> None:
         self.matrix = matrix
-        self.cache = BatchedPlanCache(matrix, DEFAULT_HINT, regression_margin=1.0)
+        self.cache = BatchedPlanCache(matrix)
         self.journal = journal
         if journal is not None:
             if journal.next_lsn == 1 and journal.recovered_snapshot is None:

@@ -15,8 +15,9 @@ try:
 except ImportError:  # CI's example-smoke job installs numpy and pytest only
     pass
 else:
-    #: A deeper search for the stateful machines, for CI's ``chaos`` job:
-    #: ``pytest tests/test_journal_machine.py --hypothesis-profile=chaos``.
+    #: A deeper search for the journal machine and the counter-conservation
+    #: interleavings, for CI's ``chaos`` job: ``pytest tests/test_journal_machine.py
+    #: tests/test_telemetry.py::TestCounterConservation --hypothesis-profile=chaos``.
     settings.register_profile(
         "chaos", max_examples=300, stateful_step_count=60, deadline=None
     )

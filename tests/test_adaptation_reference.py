@@ -36,6 +36,7 @@ from repro.adaptive import (
 )
 from repro.adaptive.controller import AdaptationController, _ResponsePlan
 from repro.adaptive.detector import DriftStatus
+from repro.core.plan_cache import DEFAULT_HINT
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.serving import ServingService
 from repro.workloads.shift import shift_latencies
@@ -97,7 +98,7 @@ class TwoBodyController(AdaptationController):
             return False
         budget = RESPONSE_BUDGET_CELLS
         matrix = self.service.matrix
-        default_hint = self.service.cache.default_hint
+        default_hint = DEFAULT_HINT
         anchored_mask = np.asarray(
             [matrix.is_observed(int(row), default_hint) for row in self._backlog],
             dtype=bool,
@@ -151,7 +152,7 @@ class TwoBodyController(AdaptationController):
             self.stats.invalidated_rows += int(drifted.size)
 
         anchor = np.union1d(drifted, unseen)
-        default_hint = self.service.cache.default_hint
+        default_hint = DEFAULT_HINT
         need_anchor = np.asarray(
             [
                 int(row)

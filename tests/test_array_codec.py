@@ -303,6 +303,7 @@ def hostile_segments():
     ) + cells(3, 0, 1, [0], [0], [1.0])
     yield "frame: row id 2**40", boot + cells(2, 0, 1, [2**40], [0], [1.0])
     yield "frame: zero bound", boot + cells(2, 1, 1, [0], [0], [0.0])
+    yield "frame: LSN true", arrays_frame(matrix_header(lsn=True), SIX + FLAGS + FLAGS + SIX)
 
     # The forms older journals wrote, which no writer emits any more.
     yield "retired form: observe as JSON lists", boot + record(
@@ -380,6 +381,10 @@ def hostile_snapshots():
     )
     for backlog in (["a"], 5, [1.5], [-4]):
         yield f"snapshot: backlog {json.dumps(backlog)}", raw(backlog)
+    yield "snapshot: LSN true", arrays_frame(
+        {"arrays": matrix_header()["arrays"], **envelope(names), "lsn": True},
+        SIX + FLAGS + FLAGS + SIX,
+    )
 
 
 class TestHostileInput:

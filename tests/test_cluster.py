@@ -29,7 +29,7 @@ from repro.cluster import (
     split_batch,
 )
 from repro.config import ALSConfig
-from repro.core.plan_cache import PlanCache
+from repro.core.plan_cache import DEFAULT_HINT, PlanCache
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import ClusterError, MatrixError
 from repro.experiments.cluster import cluster_vs_single_comparison, populate_cluster
@@ -406,7 +406,8 @@ class TestClusterEquivalence:
     @pytest.mark.parametrize("bad", [1.5, True, "3", None, -1, 6], ids=repr)
     def test_observe_censored_takes_integer_ids_or_touches_nothing(self, bad, tmp_path):
         """Used to raise IndexError / TypeError from inside the shard (or
-        queue the bad cell for a crashed one); "-1" named no bound."""
+        queue the bad cell for a crashed one); "-1" named no bound.  The
+        censored door takes arrays, as ``observe_batch`` does."""
         cluster = make_cluster(
             make_union_matrix(n=6, k=4), n_shards=2, durability_dir=str(tmp_path)
         )
@@ -415,26 +416,77 @@ class TestClusterEquivalence:
         records = [j.appended_records for j in journals]
         before = cluster.stats()
         with pytest.raises(ClusterError, match=r"for tenant 'acme'"):
-            cluster.observe_censored("acme", bad, 1, 2.0)
+            cluster.observe_censored_batch("acme", [bad], [1], [2.0])
         if bad not in (-1, 6):  # (6 hints would be a fifth column)
             with pytest.raises(ClusterError, match="hint id"):
-                cluster.observe_censored("acme", 1, bad, 2.0)
-        with pytest.raises(ClusterError, match=r"hint id 4 out of range \[0, 4\)"):
-            cluster.observe_censored("acme", 1, 4, 2.0)
+                cluster.observe_censored_batch("acme", [1], [bad], [2.0])
+        with pytest.raises(ClusterError, match=r"hint id out of range \[0, 4\): min 4"):
+            cluster.observe_censored_batch("acme", [1], [4], [2.0])
         with pytest.raises(ClusterError, match="unknown tenant"):
-            cluster.observe_censored(["acme"], 1, 1, 2.0)
+            cluster.observe_censored_batch(["acme"], [1], [1], [2.0])
         assert cluster.stats() == before and not any(cluster._outage_queue.values())
         assert [j.appended_records for j in journals] == records
         cluster.close()
 
     def test_a_negative_id_is_reported_against_the_tenants_own_bound(self):
         cluster = make_cluster(make_union_matrix(n=6, k=4), n_shards=2)
-        for door in (
-            lambda: cluster.serve_mixed([("acme", -1)]),
-            lambda: cluster.observe_censored("acme", -1, 1, 2.0),
-        ):
-            with pytest.raises(ClusterError, match=r"-1 out of range \[0, 6\) for tenant 'acme'"):
-                door()
+        with pytest.raises(ClusterError, match=r"-1 out of range \[0, 6\) for tenant 'acme'"):
+            cluster.serve_mixed([("acme", -1)])
+        with pytest.raises(ClusterError, match=r"range \[0, 6\): min -1, max -1 for tenant 'acme'"):
+            cluster.observe_censored_batch("acme", [-1], [1], [2.0])
+
+    def test_a_hostile_bound_is_refused_before_it_can_block_a_restart(self, tmp_path):
+        """A NaN / -1.0 / ``True`` bound for a crashed shard used to be
+        queued; ``restart_shard`` then raised a bare ``MatrixError`` after
+        popping the queue, and an observation queued behind it was lost.
+        Valid censored cells queue and replay as observations do."""
+        union = make_union_matrix(n=12, k=4)
+        cluster = make_cluster(union, n_shards=2, durability_dir=str(tmp_path))
+        victim = int(cluster.locate("acme", [0])[0][0])
+        owned = np.flatnonzero(cluster.locate("acme", np.arange(12))[0] == victim)
+        unseen = [(int(q), h) for q in owned for h in range(4) if not union.is_observed(q, h)]
+        (q, h), censored = unseen[0], unseen[1:4]
+        cluster.kill_shard(victim)
+        before = cluster.stats()
+        for bad in (np.nan, -1.0, True):
+            with pytest.raises(ClusterError, match="censored bounds must be finite"):
+                cluster.observe_censored_batch("acme", [q], [h], [bad])
+        assert cluster.stats() == before and not any(cluster._outage_queue.values())
+        cluster.observe_batch("acme", [q], [h], [0.75])
+        cluster.observe_censored_batch("acme", *zip(*censored), [9.0] * len(censored))
+        assert [entry[0] for entry in cluster._outage_queue[victim]] == ["observe", "censor"]
+        cluster.restart_shard(victim)
+        stats = cluster.stats()
+        assert stats.queued_feedback == stats.replayed_feedback == 1 + len(censored)
+        after = cluster.export_tenant_matrix("acme")
+        assert after.is_observed(q, h) and after.value(q, h) == 0.75
+        assert all(after.is_censored(*cell) and after.value(*cell) == 9.0 for cell in censored)
+        cluster.close()
+
+    def test_feedback_runs_the_shard_door_the_class_holds_now(self, monkeypatch, tmp_path):
+        """The e2e tracer wraps ``ClusterShard.observe_local`` on the class;
+        a door table holding the functions from import time bypassed the
+        wrapper, and the span read 0.  Live and replayed feedback alike."""
+        union = make_union_matrix(n=12, k=4)
+        cluster = make_cluster(union, n_shards=2, durability_dir=str(tmp_path))
+        calls = []
+        for name in ("observe_local", "observe_censored_local"):
+
+            def counted(shard, *cells, door=getattr(ClusterShard, name), name=name):
+                calls.append(name)
+                door(shard, *cells)
+
+            monkeypatch.setattr(ClusterShard, name, counted)
+        cells = [(q, h) for q in range(12) for h in range(4) if not union.is_observed(q, h)]
+        cluster.observe_batch("acme", [cells[0][0]], [cells[0][1]], [1.0])
+        cluster.observe_censored_batch("acme", [cells[1][0]], [cells[1][1]], [2.0])
+        assert calls == ["observe_local", "observe_censored_local"]
+        victim = int(cluster.locate("acme", [cells[2][0]])[0][0])
+        cluster.kill_shard(victim)
+        cluster.observe_censored_batch("acme", [cells[2][0]], [cells[2][1]], [2.0])
+        cluster.restart_shard(victim)
+        assert calls[2:] == ["observe_censored_local"]
+        cluster.close()
 
     def test_integer_ids_of_any_width_and_empty_batches_pass(self):
         union = make_union_matrix(n=6, k=4)
@@ -535,7 +587,7 @@ class TestFailover:
         on_down = cluster._tenants["acme"].shard_of == victim
         assert on_down.any()
         assert degraded.used_default[on_down].all()
-        assert (degraded.hints[on_down] == cluster.default_hint).all()
+        assert (degraded.hints[on_down] == DEFAULT_HINT).all()
         assert np.isinf(degraded.expected_latency[on_down]).all()
         # Healthy shards are untouched by the outage.
         np.testing.assert_array_equal(
@@ -577,7 +629,7 @@ class TestFailover:
         on_down = cluster._tenants["acme"].shard_of == victim
         # The default plan at unknown latency: what no service would have run.
         assert decisions.used_default[on_down].all()
-        assert (decisions.hints[on_down] == cluster.default_hint).all()
+        assert (decisions.hints[on_down] == DEFAULT_HINT).all()
         assert np.isinf(decisions.expected_latency[on_down]).all()
         assert decisions.hints.dtype == np.int64 and decisions.used_default.dtype == bool
         # threshold=1: the breaker tripped the shard DOWN.

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.plan_cache import CacheSnapshot, PlanCache
+from repro.core.plan_cache import DEFAULT_HINT, CacheSnapshot, PlanCache
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import MatrixError
 from repro.serving import ServingService
@@ -29,8 +29,10 @@ from repro.serving import ServingService
 ARRAYS = ("hints", "used_default", "expected_latency")
 
 
-def _reference_compute(matrix, default_hint, regression_margin):
-    """The pre-patching ``CacheSnapshot.compute`` body, kept verbatim."""
+def _reference_compute(matrix):
+    """The pre-patching ``CacheSnapshot.compute`` body, kept verbatim at the
+    serving rule's constants (default plan ``DEFAULT_HINT``, margin 1.0)."""
+    default_hint, regression_margin = DEFAULT_HINT, 1.0
     values = matrix.values
     observed = matrix.mask > 0
     default_latency = np.where(
@@ -59,13 +61,13 @@ def assert_judged(cache, snapshot):
     matrix = cache.matrix
     assert snapshot.version == matrix.version
     assert snapshot.n_queries == matrix.n_queries
-    fresh = CacheSnapshot.compute(matrix, cache.default_hint, cache.regression_margin)
+    fresh = CacheSnapshot.compute(matrix)
     assert blobs(snapshot) == blobs(fresh)
-    reference = _reference_compute(matrix, cache.default_hint, cache.regression_margin)
+    reference = _reference_compute(matrix)
     for name, want in zip(ARRAYS, reference):
         got = getattr(snapshot, name)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
-    scalar = PlanCache(matrix, cache.default_hint, cache.regression_margin)
+    scalar = PlanCache(matrix)
     for query, decision in enumerate(scalar.lookup_all()):
         assert decision.hint == snapshot.hints[query]
         assert decision.used_default == snapshot.used_default[query]
@@ -139,22 +141,15 @@ class TestPatchedEqualsFromScratch:
         ops=OPS,
         n=st.integers(2, 7),
         k=st.integers(1, 5),
-        default_hint=st.integers(0, 4),
-        margin=st.sampled_from([1.0, 0.5, 0.9, 1.25, 3.0]),
         seed_default=st.booleans(),
     )
-    def test_every_mutator_two_consumers(
-        self, ops, n, k, default_hint, margin, seed_default
-    ):
-        default_hint %= k
+    def test_every_mutator_two_consumers(self, ops, n, k, seed_default):
         matrix = WorkloadMatrix(n, k)
         if seed_default:  # otherwise the default column starts unobserved
             matrix.observe_batch(
-                np.arange(n), np.full(n, default_hint), np.linspace(1.0, 9.0, n)
+                np.arange(n), np.full(n, DEFAULT_HINT), np.linspace(1.0, 9.0, n)
             )
-        caches = {
-            name: PlanCache(matrix, default_hint, margin) for name in ("a", "b")
-        }
+        caches = {name: PlanCache(matrix) for name in ("a", "b")}
         held = []  # (snapshot, its bytes when it was handed out)
         for kind, arg, latency in ops:
             if kind in ("read_a", "read_b"):
@@ -169,10 +164,7 @@ class TestPatchedEqualsFromScratch:
                 after = apply(matrix, kind, arg, latency)
                 if after is not matrix:  # copy / from_dict: a new object to watch
                     matrix = after
-                    caches = {
-                        name: PlanCache(matrix, default_hint, margin)
-                        for name in caches
-                    }
+                    caches = {name: PlanCache(matrix) for name in caches}
             for snapshot, then in held:
                 assert blobs(snapshot) == then
         for cache in caches.values():

@@ -31,6 +31,7 @@ from hypothesis import strategies as st
 import repro.ingress.ingress as ingress_module
 from repro.cluster import ServingCluster
 from repro.config import ALSConfig, IngressConfig
+from repro.core.plan_cache import DEFAULT_HINT
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import ClusterError
 from repro.experiments.cluster import populate_cluster
@@ -63,7 +64,6 @@ class EchoCluster:
     """
 
     telemetry = None
-    default_hint = -1
 
     def __init__(self, fail_on):
         self.directories = {
@@ -173,7 +173,7 @@ def check_pairing(script, max_batch, capacity, fail_on):
         elif outcome.shed:
             shed += 1
             assert (tenant, query) not in served_in
-            assert (outcome.tenant, outcome.query, outcome.hint) == (tenant, query, -1)
+            assert (outcome.tenant, outcome.query, outcome.hint) == (tenant, query, DEFAULT_HINT)
         else:
             assert served_in[(tenant, query)] not in fail_on
             assert (outcome.tenant, outcome.query) == (tenant, query)
@@ -307,7 +307,7 @@ def check_routing(picks, script):
                 assert [a.expected_latency for a in got] == judge.expected_latency.tolist()
                 for answer, shard in zip(got, cluster.locate(tenant, queries)[0]):
                     if shard not in up:  # a down shard's rows get the default plan
-                        assert answer.used_default and answer.hint == cluster.default_hint
+                        assert answer.used_default and answer.hint == DEFAULT_HINT
         finally:
             cluster.close()
 

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterShard, ServingCluster, split_batch
+from repro.core.plan_cache import DEFAULT_HINT
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import ClusterError
 from repro.experiments.cluster import populate_cluster
@@ -299,7 +300,7 @@ class TestShardGroups:
         for flush in (1, 2, 3):
             got = cluster.serve_mixed(arrivals)
             assert got.used_default[owners == victim].all()
-            assert (got.hints[owners == victim] == cluster.default_hint).all()
+            assert (got.hints[owners == victim] == DEFAULT_HINT).all()
             assert np.isinf(got.expected_latency[owners == victim]).all()
             np.testing.assert_array_equal(
                 got.hints[owners != victim], healthy.hints[owners != victim]

@@ -44,16 +44,6 @@ def test_lookup_all_and_hint_map():
     assert {d.query: d.hint for d in decisions} == {0: 2, 1: 0, 2: 0}
 
 
-def test_regression_margin_blocks_marginal_plans():
-    matrix = WorkloadMatrix(1, 2)
-    matrix.observe(0, 0, 10.0)
-    matrix.observe(0, 1, 9.5)
-    strict = PlanCache(matrix, regression_margin=0.5)
-    assert strict.lookup(0).used_default
-    relaxed = PlanCache(matrix, regression_margin=1.0)
-    assert not relaxed.lookup(0).used_default
-
-
 def test_no_regression_against_ground_truth():
     truth = np.array(
         [
@@ -70,14 +60,6 @@ def test_verify_no_regression_shape_check():
     cache = PlanCache(make_matrix())
     with pytest.raises(ExplorationError):
         cache.verify_no_regression(np.ones((2, 2)))
-
-
-def test_constructor_validation():
-    matrix = make_matrix()
-    with pytest.raises(ExplorationError):
-        PlanCache(matrix, default_hint=10)
-    with pytest.raises(ExplorationError):
-        PlanCache(matrix, regression_margin=0.0)
 
 
 def test_unobserved_query_served_with_default():

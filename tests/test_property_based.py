@@ -97,16 +97,14 @@ def test_workload_matrix_cells_follow_the_write_rules(n, k, data):
 @given(
     n=st.integers(min_value=1, max_value=10),
     k=st.integers(min_value=1, max_value=6),
-    margin=st.floats(min_value=0.5, max_value=2.0, allow_nan=False),
     data=st.data(),
 )
-def test_plan_cache_snapshot_matches_per_query_lookup(n, k, margin, data):
+def test_plan_cache_snapshot_matches_per_query_lookup(n, k, data):
     """Snapshot decisions equal scalar decisions for any observed/censored mix.
 
     The snapshot decides the whole matrix once per version; the scalar
     path walks one row per call.  They must agree cell-for-cell --
-    including rows with no observations, censored-only rows, and margins
-    that reject the best hint.
+    including rows with no observations and censored-only rows.
     """
     matrix = WorkloadMatrix(n, k)
     cells = data.draw(
@@ -125,14 +123,11 @@ def test_plan_cache_snapshot_matches_per_query_lookup(n, k, margin, data):
             matrix.observe_censored(i, j, value)
         else:
             matrix.observe(i, j, value)
-    default_hint = data.draw(st.integers(0, k - 1))
     queries = data.draw(
         st.lists(st.integers(0, n - 1), min_size=0, max_size=30)
     )
-    snap = PlanCache(matrix, default_hint=default_hint, regression_margin=margin).snapshot()
-    scalar_cache = PlanCache(
-        matrix, default_hint=default_hint, regression_margin=margin
-    )
+    snap = PlanCache(matrix).snapshot()
+    scalar_cache = PlanCache(matrix)
     for q in queries:
         decision = scalar_cache.lookup(q)
         assert (snap.hints[q], snap.used_default[q], snap.expected_latency[q]) == (

@@ -50,9 +50,9 @@ def make_matrix():
     return matrix
 
 
-def assert_batch_matches_scalar(matrix, default_hint=0, regression_margin=1.0):
-    scalar = PlanCache(matrix, default_hint, regression_margin)
-    batched = BatchedPlanCache(matrix, default_hint, regression_margin)
+def assert_batch_matches_scalar(matrix):
+    scalar = PlanCache(matrix)
+    batched = BatchedPlanCache(matrix)
     decisions = batched.decide(np.arange(matrix.n_queries))
     expected = scalar.lookup_all()
     assert decisions.hints.tolist() == [d.hint for d in expected]
@@ -66,24 +66,14 @@ class TestBatchedEqualsScalar:
     def test_cell_for_cell_on_handcrafted_matrix(self):
         assert_batch_matches_scalar(make_matrix())
 
-    @pytest.mark.parametrize("margin", [0.5, 0.9, 1.0, 2.0])
-    def test_cell_for_cell_across_margins(self, margin):
-        assert_batch_matches_scalar(make_matrix(), regression_margin=margin)
-
-    def test_cell_for_cell_nonzero_default_hint(self):
-        assert_batch_matches_scalar(make_matrix(), default_hint=2)
-
     def test_cell_for_cell_on_partially_observed_workload(
         self, partially_observed_matrix
     ):
         assert_batch_matches_scalar(partially_observed_matrix)
-        assert_batch_matches_scalar(
-            partially_observed_matrix, regression_margin=0.8
-        )
 
     def test_arbitrary_arrival_order_and_repeats(self):
         matrix = make_matrix()
-        batched = BatchedPlanCache(matrix, 0, 1.0)
+        batched = BatchedPlanCache(matrix)
         scalar = PlanCache(matrix)
         arrivals = np.array([2, 0, 0, 4, 3, 1, 0])
         decisions = batched.decide(arrivals)
@@ -96,7 +86,7 @@ class TestBatchedEqualsScalar:
 class TestSnapshotInvalidation:
     def test_new_observation_invalidates_snapshot(self):
         matrix = make_matrix()
-        batched = BatchedPlanCache(matrix, 0, 1.0)
+        batched = BatchedPlanCache(matrix)
         before = batched.decide([1])
         assert before.hints[0] == 0  # only the default observed
         matrix.observe(1, 2, 1.0)  # a verified 5x improvement appears
@@ -106,7 +96,7 @@ class TestSnapshotInvalidation:
 
     def test_snapshot_reused_while_matrix_unchanged(self):
         matrix = make_matrix()
-        batched = BatchedPlanCache(matrix, 0, 1.0)
+        batched = BatchedPlanCache(matrix)
         batched.decide([0])
         snapshot = batched._scalar.cached_snapshot
         batched.decide([1, 2])
@@ -124,7 +114,7 @@ class TestSnapshotInvalidation:
 
     def test_snapshot_compute_matches_cache(self):
         matrix = make_matrix()
-        snap = CacheSnapshot.compute(matrix, default_hint=0, regression_margin=1.0)
+        snap = CacheSnapshot.compute(matrix)
         assert snap.version == matrix.version
         assert snap.hints[0] == 2
 

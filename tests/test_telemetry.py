@@ -12,8 +12,9 @@ The contracts under test:
 * the registry's cells, read directly, hold the totals the
   recorder-backed reports show (both read the same cells),
 * counters conserve under arbitrary interleavings of serve / observe /
-  shed / kill / restart / checkpoint / add_shard / reset, with and
-  without a ``Telemetry``, against an independent tally.
+  censor / shed / kill / restart / checkpoint / add_shard / reset, with
+  and without a ``Telemetry``, against an independent tally; a hostile
+  censored bound changes nothing, and every queued cell replays.
 """
 
 from __future__ import annotations
@@ -662,6 +663,7 @@ OPS = st.one_of(
     st.tuples(st.just("serve_batch"), st.integers(0, 2**16)),
     st.tuples(st.just("serve_mixed"), st.integers(0, 2**16)),
     st.tuples(st.just("observe"), st.integers(0, 2**16)),
+    st.tuples(st.just("censor"), st.integers(0, 2**16)),
     st.tuples(st.just("shed"), st.integers(0, 9)),
     st.tuples(st.just("kill"), st.integers(0, 4)),
     st.tuples(st.just("restart"), st.integers(0, 4)),
@@ -681,6 +683,20 @@ FACADE_CELLS = {
     "crashes": "crashes", "restarts": "restarts",
     "queued_feedback": "queued_feedback", "replayed_feedback": "replayed_feedback",
 }
+
+
+#: What a ``censor`` op may send in place of a valid bound.  ``True`` stands
+#: for a batch of bools: among floats numpy reads it as 1.0, as it reads a
+#: ``True`` among ids as 1.
+HOSTILE_BOUNDS = (np.nan, np.inf, -np.inf, 0.0, -1.0, True)
+
+
+def outage_view(cluster):
+    """The outage queue as plain values (its entries hold arrays)."""
+    return {
+        sid: [(kind, *(cells.tolist() for cells in arrays)) for kind, *arrays in entries]
+        for sid, entries in cluster._outage_queue.items()
+    }
 
 
 def counter_values(registry):
@@ -740,6 +756,27 @@ def drive_cluster(ops, telemetry, home):
             cluster.observe_batch(
                 "a", queries, rng.integers(0, 4, size=6), rng.uniform(0.01, 0.2, size=6)
             )
+        elif op == "censor":
+            tenant, size = "ab"[arg % 2], int(rng.integers(1, 7))
+            cells = (
+                rng.integers(0, N_QUERIES[tenant], size=size), rng.integers(0, 4, size=size)
+            )
+            bounds = rng.uniform(0.01, 0.5, size=size).tolist()
+            pick_bad = int(rng.integers(0, 2 * len(HOSTILE_BOUNDS)))
+            if pick_bad >= len(HOSTILE_BOUNDS):
+                cluster.observe_censored_batch(tenant, *cells, bounds)
+            else:
+                bad = HOSTILE_BOUNDS[pick_bad]
+                if bad is True:
+                    bounds = [True] * size
+                else:
+                    bounds[int(rng.integers(0, size))] = bad
+                before_stats, queue = cluster.stats(), outage_view(cluster)
+                records = [s.journal.appended_records for s in cluster.shards.values()]
+                with pytest.raises(ClusterError):
+                    cluster.observe_censored_batch(tenant, *cells, bounds)
+                assert cluster.stats() == before_stats and outage_view(cluster) == queue
+                assert [s.journal.appended_records for s in cluster.shards.values()] == records
         elif op == "shed":
             cluster.record_shed(arg)
             tally["shed"] += arg
@@ -800,17 +837,32 @@ def drive_cluster(ops, telemetry, home):
         after = counter_values(registry)
         assert all(after[cell] >= value for cell, value in before.items())
         before = after
+    # Every cell queued during an outage is applied on the restart.
+    for sid, shard in list(cluster.shards.items()):
+        if shard.crashed:
+            cluster.restart_shard(sid)
+    stats = cluster.stats()
+    assert stats.replayed_feedback == stats.queued_feedback
+    assert not any(cluster._outage_queue.values())
     cluster.close()
 
 
+# The tier-1 budget, unless pytest runs with ``--hypothesis-profile=chaos``.
+CONSERVATION = (
+    settings.default
+    if settings.default is settings.get_profile("chaos")
+    else settings(max_examples=100, deadline=None)
+)
+
+
 class TestCounterConservation:
-    @settings(max_examples=100, deadline=None)
+    @CONSERVATION
     @given(ops=st.lists(OPS, max_size=40))
     def test_cluster_counters_conserve_under_interleavings(self, ops):
         with tempfile.TemporaryDirectory() as home:
             drive_cluster(ops, Telemetry(), home)
 
-    @settings(max_examples=100, deadline=None)
+    @CONSERVATION
     @given(ops=st.lists(OPS, max_size=40))
     def test_counters_conserve_without_telemetry(self, ops):
         with tempfile.TemporaryDirectory() as home:

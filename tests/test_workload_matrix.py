@@ -387,3 +387,52 @@ def test_row_set_doors_take_integer_ids_or_touch_nothing(ids, tmp_path):
     assert matrix.version == version and journal.appended_records == records
     assert matrix.n_queries == 5 and int(matrix.mask.sum()) == 5
     journal.close()
+
+
+HOSTILE_VALUES = [np.nan, np.inf, -np.inf, -1.0, True, np.bool_(True), "2", None]
+
+
+@pytest.mark.parametrize("bad", HOSTILE_VALUES + [0.0], ids=repr)
+def test_every_cell_door_holds_the_one_value_rule(bad, tmp_path):
+    """A latency is finite and >= 0, a bound finite and > 0, and neither is a
+    bool: ``observe(q, h, True)`` used to record a latency of 1.0."""
+    matrix, journal = _five_by_four(tmp_path)
+    version, records = matrix.version, journal.appended_records
+    censored_doors = [
+        lambda: matrix.observe_censored(1, 2, bad),
+        lambda: matrix.observe_censored_batch([1, 2], [2, 3], [bad, bad]),
+    ]
+    observed_doors = [
+        lambda: matrix.observe(1, 2, bad),
+        lambda: matrix.observe_batch([1, 2], [2, 3], [bad, bad]),
+    ]
+    zero = isinstance(bad, float) and bad == 0.0
+    for door in censored_doors + ([] if zero else observed_doors):
+        with pytest.raises(MatrixError, match="must be finite"):
+            door()
+    assert matrix.version == version and journal.appended_records == records
+    if zero:  # a zero latency is a latency; a zero bound bounds nothing
+        matrix.observe_batch([1, 2], [2, 3], [0.5, 0.0])
+        assert matrix.value(2, 3) == 0.0
+    journal.close()
+
+
+@pytest.mark.parametrize("names", [[1, 2], [("a", 1)]], ids=repr)
+def test_a_query_name_is_a_string_at_every_door(names, tmp_path):
+    """``query_names=[1, 2]`` journaled and recovered as ints, and
+    ``[('a', 1)]`` came back from the journal as ``[['a', 1]]``."""
+    with pytest.raises(MatrixError, match="name is a string"):
+        WorkloadMatrix(len(names), 3, query_names=names)
+    payload = {**WorkloadMatrix(len(names), 3).to_dict(), "query_names": names}
+    with pytest.raises(MatrixError, match="name is a string"):
+        WorkloadMatrix.from_dict(payload)
+    matrix, journal = _five_by_four(tmp_path)
+    payload["hint_names"] = matrix.hint_names[:3]
+    records = journal.appended_records
+    with pytest.raises(MatrixError, match="name is a string"):
+        matrix.import_rows({**payload, "values": np.full((len(names), 4), np.inf),
+                            "observed": np.zeros((len(names), 4), bool),
+                            "censored": np.zeros((len(names), 4), bool),
+                            "timeouts": np.zeros((len(names), 4))})
+    assert matrix.n_queries == 5 and journal.appended_records == records
+    journal.close()
