@@ -207,7 +207,7 @@ class ClusterShard:
 
     def observe_censored_local(self, local_queries, hints, lower_bounds) -> None:
         """Record timed-out executions for locally indexed rows."""
-        self._serving().matrix.observe_censored_batch(local_queries, hints, lower_bounds)
+        self._serving().observe_censored_batch(local_queries, hints, lower_bounds)
 
     # -- background refresh ----------------------------------------------------
     @property

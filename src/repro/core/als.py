@@ -10,8 +10,8 @@ over-estimates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import NamedTuple, Optional, Tuple
+from dataclasses import dataclass, field
+from typing import NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -38,17 +38,51 @@ class CensoredALSResult:
     objective_trace:
         Masked squared-error objective after each iteration; useful for
         convergence diagnostics and tests.
+
+    Passed whole as the next solve's ``warm_start``, the result lends that
+    solve its ``completed`` buffer: the next estimate is written into it.
     """
 
     completed: np.ndarray
     query_factors: np.ndarray
     hint_factors: np.ndarray
     objective_trace: np.ndarray
+    _product: Optional["_KeptProduct"] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def factors(self) -> Tuple[np.ndarray, np.ndarray]:
         """``(Q, H)`` pair, ready to pass as ``warm_start`` to the next solve."""
         return (self.query_factors, self.hint_factors)
+
+    def _reclaim(self) -> Optional[np.ndarray]:
+        """``completed`` turned back into ``Q Hᵀ`` of the factors, for a
+        warm solve to start from instead of recomputing that product; None
+        once taken, or when a factor or the buffer was replaced since the
+        solve (the product kept would not be theirs)."""
+        kept, self._product = self._product, None
+        if kept is None or not (
+            kept.query_factors is self.query_factors
+            and kept.hint_factors is self.hint_factors
+            and kept.completed is self.completed
+        ):
+            return None
+        flat = self.completed.reshape(-1)
+        flat[kept.obs_idx] = kept.obs_product
+        flat[kept.cen_idx] = kept.cen_product
+        return self.completed
+
+
+class _KeptProduct(NamedTuple):
+    """What a solve's final fill overwrote of ``Q Hᵀ``: the product at the
+    observed and at the censored cells, with the arrays it belongs to."""
+
+    query_factors: np.ndarray
+    hint_factors: np.ndarray
+    completed: np.ndarray
+    obs_idx: np.ndarray
+    obs_product: np.ndarray
+    cen_idx: np.ndarray
+    cen_product: np.ndarray
 
 
 class SolverCells(NamedTuple):
@@ -150,7 +184,7 @@ def censored_als(
     mask: Optional[np.ndarray] = None,
     timeouts: Optional[np.ndarray] = None,
     config: Optional[ALSConfig] = None,
-    warm_start: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+    warm_start: Union[Tuple[np.ndarray, np.ndarray], CensoredALSResult, None] = None,
     iterations: Optional[int] = None,
 ) -> CensoredALSResult:
     """Run Algorithm 2 and return the completed matrix and factors.
@@ -181,6 +215,10 @@ def censored_als(
         initialisation, so the workload may have grown in between.  Warm
         starts are what make incremental serving-time refreshes cheap: a few
         fill-in iterations recover the optimum instead of a full solve.
+        Or the previous :class:`CensoredALSResult` itself: the same solve,
+        bit for bit, which -- when its factors cover the matrix -- starts
+        from that result's ``completed`` restored to ``Q Hᵀ`` instead of
+        recomputing the product, and writes its estimate into that buffer.
     iterations:
         Optional override of ``config.iterations`` (used by incremental
         refreshes without rebuilding the config).
@@ -199,6 +237,9 @@ def censored_als(
     n, k = cells.shape
     rank = min(config.rank, n, k)
 
+    previous = None
+    if isinstance(warm_start, CensoredALSResult):
+        previous, warm_start = warm_start, warm_start.factors
     warm_q = warm_h = None
     if warm_start is not None:
         warm_q, warm_h = warm_start
@@ -216,7 +257,8 @@ def censored_als(
                 "warm_start factors have more rows than the matrix; shrinkage "
                 "is not supported"
             )
-    if warm_q is not None and warm_q.shape[0] == n and warm_h.shape[0] == k:
+    covered = warm_q is not None and warm_q.shape[0] == n and warm_h.shape[0] == k
+    if covered:
         # The warm factors cover the matrix: nothing of the baseline survives.
         query_factors, hint_factors = warm_q, warm_h
     else:
@@ -237,7 +279,13 @@ def censored_als(
     # patched through its flat view -- one BLAS matmul plus two small
     # scatters per half-iteration, no other n x k array.  ``Hᵀ`` (r x k) is
     # copied contiguous for the product: the strided view is ~35% slower.
-    completed = np.empty((n, k))
+    # A warm start from a whole result that covers the matrix takes over its
+    # buffer, which holds the first product already once the cells its
+    # final fill overwrote get their kept product back.
+    completed = previous._reclaim() if covered and previous is not None else None
+    if completed is None:
+        completed = np.empty((n, k))
+        np.matmul(query_factors, np.ascontiguousarray(hint_factors.T), out=completed)
     flat = completed.reshape(-1)
 
     def _fill() -> None:
@@ -247,7 +295,6 @@ def censored_als(
         if cen_idx.size:
             flat[cen_idx] = np.maximum(flat[cen_idx], cen_vals)
 
-    np.matmul(query_factors, np.ascontiguousarray(hint_factors.T), out=completed)
     try:
         for _ in range(n_iterations):
             _fill()
@@ -270,7 +317,8 @@ def censored_als(
             # The product for the objective is read at the observed cells before
             # the next (or the final) fill overwrites them.
             np.matmul(query_factors, np.ascontiguousarray(hint_factors.T), out=completed)
-            residual = obs_vals - flat[obs_idx]
+            obs_product = flat[obs_idx]
+            residual = obs_vals - obs_product
             objective_trace.append(float((residual ** 2).sum()))
     except np.linalg.LinAlgError as exc:
         raise CompletionError(
@@ -281,10 +329,18 @@ def censored_als(
     if not (np.isfinite(query_factors).all() and np.isfinite(hint_factors).all()):
         raise CompletionError("censored ALS produced non-finite factors")
 
+    # The last product at the censored cells too, before the final fill
+    # overwrites them: with the observed ones, all a next warm solve needs
+    # to restore ``Q Hᵀ`` in this buffer.
+    product = _KeptProduct(
+        query_factors, hint_factors, completed, obs_idx, obs_product, cen_idx, flat[cen_idx]
+    )
     _fill()
-    return CensoredALSResult(
+    result = CensoredALSResult(
         completed=completed,
         query_factors=query_factors,
         hint_factors=hint_factors,
         objective_trace=np.asarray(objective_trace),
     )
+    result._product = product
+    return result

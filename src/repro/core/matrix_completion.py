@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import weakref
 from abc import ABC, abstractmethod
-from typing import Optional, Tuple
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -75,7 +75,7 @@ class ALSCompleter(MatrixCompleter):
         observed,
         mask: Optional[np.ndarray] = None,
         timeouts: Optional[np.ndarray] = None,
-        warm_start: Optional[Tuple[np.ndarray, np.ndarray]] = None,
+        warm_start: Union[Tuple[np.ndarray, np.ndarray], CensoredALSResult, None] = None,
         iterations: Optional[int] = None,
     ) -> CensoredALSResult:
         """Full solver output, including the ``(Q, H)`` factor pair.
@@ -104,6 +104,13 @@ class WarmStartedALS:
     its own ``(Q, H)`` with a few fill-in iterations, or solves cold: on
     first use, for a *different* matrix object (the factors describe the
     previous one), on request, and when the warm attempt fails.
+
+    A warm refresh is handed the whole last result, so when the matrix kept
+    its shape it starts from that result's ``completed`` -- ``Q Hᵀ`` once
+    the product at its known cells is put back -- and writes the new
+    estimate into the same buffer (:func:`~repro.core.als.censored_als`).
+    A returned ``completed`` is therefore valid until the holder's next
+    solve; a caller that writes into it restores it or copies it.
     """
 
     def __init__(self, config: Optional[ALSConfig] = None) -> None:
@@ -132,17 +139,17 @@ class WarmStartedALS:
             return self.result
 
         warm = same_matrix and anchor_iterations is None
-        factors = self.result.factors if warm else None
+        previous = self.result if warm else None
         iterations = warm_iterations if warm else (anchor_iterations if same_matrix else None)
         cells = matrix.solver_cells()
         try:
             result = self.completer.complete_result(
                 cells,
-                warm_start=factors,
+                warm_start=previous,
                 iterations=iterations,
             )
         except CompletionError:
-            if factors is None:
+            if previous is None:
                 raise
             # The solver turns away factors that no longer fit (a rank change
             # while the matrix is tiny, a shrunken matrix) before doing any
@@ -150,12 +157,12 @@ class WarmStartedALS:
             # across refreshes until the ridge no longer conditions the Gram.
             # Either way: one cold solve, counted as one; its failure
             # propagates typed.
-            factors = None
+            previous = None
             result = self.completer.complete_result(cells)
         self.result = result
         self._matrix_ref = weakref.ref(matrix)
         self._matrix_version = matrix.version
-        if factors is None:
+        if previous is None:
             self.cold_solves += 1
             self.warm_streak = 0
         else:

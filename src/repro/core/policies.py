@@ -47,7 +47,8 @@ class ExplorationPolicy:
     # -- shared helpers ------------------------------------------------------
     @property
     def last_prediction(self) -> Optional[np.ndarray]:
-        """The predictor's last completed matrix (None for model-free policies)."""
+        """The predictor's last completed matrix (None for model-free policies),
+        valid until the next ``select`` (:meth:`Predictor.predict`)."""
         return self._last_prediction
 
     @property

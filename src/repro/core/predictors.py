@@ -42,7 +42,13 @@ class Predictor(ABC):
         return self._overhead_seconds
 
     def predict(self, matrix: WorkloadMatrix) -> np.ndarray:
-        """Return a completed estimate ``Ŵ`` of the workload matrix."""
+        """Return a completed estimate ``Ŵ`` of the workload matrix.
+
+        The array may be the predictor's working buffer (:class:`ALSPredictor`'s
+        is): valid until its next ``predict``, which may overwrite it.  A
+        caller that writes into it puts the values back before that, as
+        :func:`~repro.core.scoring.best_unexplored` does, or copies it.
+        """
         start = time.perf_counter()
         estimate = self._predict(matrix)
         self._overhead_seconds += time.perf_counter() - start
@@ -81,6 +87,11 @@ class ALSPredictor(Predictor):
     unchanged matrix returns the cached completion without re-solving, and
     a *different* matrix object always starts cold (the cached factors
     describe the previous matrix).
+
+    A warm refresh of a matrix that kept its shape writes its estimate into
+    the array the previous ``predict`` returned (:class:`WarmStartedALS`):
+    that array is valid until the next ``predict``.  Write into it only to
+    put the values back before then, or copy it.
 
     Pass ``warm_start=False`` to recover the historical cold-every-step
     behaviour (the baseline the ``repro.perf`` equivalence benchmark

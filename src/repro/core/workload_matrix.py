@@ -31,8 +31,11 @@ def checked_ids(name: str, ids, bound: int, error) -> np.ndarray:
     trainer).  ``np.asarray(ids, dtype=np.int64)`` would truncate ``1.7`` to
     someone else's row, read ``True`` as row 1 and ``"3"`` as row 3, so only
     integer dtypes pass; an empty batch names no row and passes whatever
-    dtype numpy guessed for it.
+    dtype numpy guessed for it.  A list or tuple is searched for a bool
+    first (:func:`_bool_element`): numpy reads ``[0, True]`` as ``[0, 1]``.
     """
+    if _bool_element(ids):
+        raise error(f"{name} ids must be integers, got a bool among {len(ids)}")
     ids = np.asarray(ids)
     # The good case costs the two reductions; messages are built on the way out.
     if ids.ndim == 1 and (
@@ -47,6 +50,18 @@ def checked_ids(name: str, ids, bound: int, error) -> np.ndarray:
     raise error(
         f"{name} id out of range [0, {bound}): min {ids.min()}, max {ids.max()}"
     )
+
+
+#: The bool types.  An element's exact ``type`` says it: ``bool`` cannot be
+#: subclassed, and numpy builds plain ``np.bool_`` scalars only.
+_BOOLS = frozenset((bool, np.bool_))
+
+
+def _bool_element(values) -> bool:
+    """True when a list or tuple holds a ``bool`` or ``np.bool_``, which
+    ``np.asarray`` would upcast to a number beside ints or floats.  An
+    ndarray's dtype already says it, so array callers pay nothing here."""
+    return isinstance(values, (list, tuple)) and not _BOOLS.isdisjoint(map(type, values))
 
 
 def checked_id(name: str, value, bound: int, error) -> int:
@@ -68,9 +83,12 @@ def checked_values(door: str, values, censored: bool, error):
     ``>= 0``, a censored bound finite and ``> 0``; only integer and float
     dtypes pass, so a bool is refused as a bool id is (:func:`checked_ids`).
     NaN fails both compares.  A plain ``float`` is one cell, as the scalar
-    door gets it: it is compared as itself, with no numpy call."""
+    door gets it: it is compared as itself, with no numpy call.  A list or
+    tuple with a bool in it is refused before numpy can upcast the bool."""
     if type(values) is float:
         low = high = values
+    elif _bool_element(values):
+        low = high = np.nan  # no cell value: refused as NaN is
     else:
         values = np.asarray(values)
         if values.dtype.kind not in "iuf":
@@ -85,7 +103,8 @@ def checked_values(door: str, values, censored: bool, error):
     rule = "censored bounds must be finite and > 0" if censored else (
         "latencies must be finite and >= 0"
     )
-    raise error(f"{door}: {rule}, got {np.asarray(values).ravel()[:4]!r}")
+    shown = values[:4] if isinstance(values, (list, tuple)) else np.asarray(values).ravel()[:4]
+    raise error(f"{door}: {rule}, got {shown!r}")
 
 
 def checked_cells(door: str, queries, hints, values, shape, censored: bool, error) -> tuple:
@@ -96,13 +115,13 @@ def checked_cells(door: str, queries, hints, values, shape, censored: bool, erro
     replay of ``observe`` records, and the cluster's."""
     queries = checked_ids("query", queries, shape[0], error)
     hints = checked_ids("hint", hints, shape[1], error)
-    values = np.asarray(values)
-    if not (queries.shape == hints.shape == values.shape):
+    values = checked_values(door, values, censored, error)
+    if not (queries.shape == hints.shape == np.shape(values)):
         raise error(
             f"{door} needs three 1-D arrays of equal length, got "
-            f"{queries.shape}, {hints.shape}, {values.shape}"
+            f"{queries.shape}, {hints.shape}, {np.shape(values)}"
         )
-    return queries, hints, checked_values(door, values, censored, error)
+    return queries, hints, values
 
 
 def _payload_arrays(payload: Dict, door: str, own: bool) -> tuple:

@@ -136,6 +136,18 @@ class ServingService:
         self.matrix.observe_batch(queries, hints, latencies)
         self._tracer.end("observe", start)
 
+    def observe_censored_batch(
+        self,
+        queries: Sequence[int],
+        hints: Sequence[int],
+        lower_bounds: Sequence[float],
+    ) -> None:
+        """Feed timed-out executions back: each bound is a lower bound on
+        its cell's latency (:meth:`WorkloadMatrix.observe_censored_batch`)."""
+        start = self._tracer.begin("censor")
+        self.matrix.observe_censored_batch(queries, hints, lower_bounds)
+        self._tracer.end("censor", start)
+
     # -- shard-embedding hooks -------------------------------------------------
     @property
     def recorder(self) -> LatencyRecorder:

@@ -2,8 +2,8 @@
 
 A :class:`Trace` is one request's journey through the stack
 (``ingress.queue_wait -> ingress.flush -> router.split -> shard.serve ->
-cache.lookup -> observe / wal.append``).  The tracer decides when a stage
-records (:data:`STAGES`) and reads the one ``perf_counter`` pair it costs
+cache.lookup -> observe / censor / wal.append``).  The tracer decides when a
+stage records (:data:`STAGES`) and reads the one ``perf_counter`` pair it costs
 (:meth:`Tracer.begin` / :meth:`Tracer.end`); a component with telemetry
 off holds :data:`OFF`, whose calls do nothing.
 
@@ -46,6 +46,7 @@ STAGES = {
     "shard.serve": True,
     "cache.lookup": True,
     "observe": False,
+    "censor": False,
     "wal.append": False,
 }
 

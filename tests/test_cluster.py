@@ -463,6 +463,68 @@ class TestClusterEquivalence:
         assert all(after.is_censored(*cell) and after.value(*cell) == 9.0 for cell in censored)
         cluster.close()
 
+    def test_a_bool_among_numbers_is_refused_at_every_feedback_door(self, tmp_path):
+        """numpy reads ``[0, True]`` as ``[0, 1]`` and ``[0.5, True]`` as
+        ``[0.5, 1.0]``: a list mixing numbers and bools passed the dtype
+        check, so ``observe_batch([0, True], ...)`` wrote row 1 and a ``True``
+        bound was recorded as 1.0, at every batched door.  Each door refuses
+        with its own error, and no version, journal or outage queue moves."""
+        union = make_union_matrix(n=12, k=4)
+        cluster = make_cluster(union, n_shards=2, durability_dir=str(tmp_path))
+        rows = cluster.locate("acme", np.arange(12))[0]
+        live, victim = 0, 1
+        cluster.kill_shard(victim)
+        shard = cluster.shards[live]
+        # Ids below both shards' row counts: local rows of the live shard, and
+        # tenant rows 0-4, three of which route to the crashed shard's queue.
+        bound = int(min((rows == live).sum(), (rows == victim).sum()))
+        doors = {
+            "matrix.observe_batch": (shard.matrix.observe_batch, MatrixError),
+            "matrix.observe_censored_batch": (shard.matrix.observe_censored_batch, MatrixError),
+            "service.observe_batch": (shard.service.observe_batch, MatrixError),
+            "service.observe_censored_batch": (shard.service.observe_censored_batch, MatrixError),
+            "shard.observe_local": (shard.observe_local, MatrixError),
+            "shard.observe_censored_local": (shard.observe_censored_local, MatrixError),
+            "cluster.observe_batch": (
+                lambda *cells: cluster.observe_batch("acme", *cells), ClusterError
+            ),
+            "cluster.observe_censored_batch": (
+                lambda *cells: cluster.observe_censored_batch("acme", *cells), ClusterError
+            ),
+        }
+
+        def state():
+            return (shard.matrix.version, shard.journal.appended_records,
+                    repr(cluster._outage_queue), cluster.stats())
+
+        def ids(top):
+            return st.integers(0, top - 1).flatmap(lambda i: st.sampled_from([i, np.int64(i)]))
+
+        values = st.one_of(
+            st.floats(0.1, 10.0), st.integers(1, 10), st.integers(1, 10).map(np.int64)
+        )
+
+        @settings(max_examples=60, deadline=None)
+        @given(
+            cells=st.lists(st.tuples(ids(bound), ids(4), values), min_size=1, max_size=5),
+            spot=st.tuples(st.integers(0, 2), st.integers(0, 4)),
+            bad=st.sampled_from([True, False, np.True_, np.False_]),
+            container=st.sampled_from([list, tuple]),
+        )
+        def check(cells, spot, bad, container):
+            columns = [list(column) for column in zip(*cells)]
+            which, at = spot
+            columns[which][at % len(cells)] = bad
+            columns = [container(column) for column in columns]
+            before = state()
+            for name, (door, error) in doors.items():
+                with pytest.raises(error, match="integers|must be finite"):
+                    door(*columns)
+                assert state() == before, name
+
+        check()
+        cluster.close()
+
     def test_feedback_runs_the_shard_door_the_class_holds_now(self, monkeypatch, tmp_path):
         """The e2e tracer wraps ``ClusterShard.observe_local`` on the class;
         a door table holding the functions from import time bypassed the

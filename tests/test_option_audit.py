@@ -79,7 +79,7 @@ ALLOWED = {
     ("ClusterIngress", "controller"): "pinned by the benchmark: "
     "benchmarks/e2e/workloads.py:71 sets IngressConfig.tick_interval_s, which "
     "is read only where the controller ticker is built; it goes with the "
-    "benchmark change of ROADMAP item 3",
+    "ROADMAP's one benchmark PR",
     ("ALSCompleter.complete_result", "timeouts"): "complete_result is a span "
     "target of benchmarks/e2e/spans.py::TARGETS, whose signatures stay until "
     "the benchmark changes",
@@ -90,9 +90,10 @@ ALLOWED = {
     "getattr(registry, kind)(...) in telemetry/runtime.py::_Cells",
     ("TCNNConfig", "embedding_rank"): "benchmarks/e2e/workloads.py passes the "
     "default (5), and only a benchmark change edits that file; it becomes a "
-    "constant of nn/trainer.py with ROADMAP item 4(e)",
+    "constant of nn/trainer.py with the ROADMAP step on the two TCNN fields "
+    "set only to their defaults",
     ("TCNNConfig", "convergence_threshold"): "as embedding_rank: "
-    "benchmarks/e2e/workloads.py passes the default (0.01); ROADMAP item 4(e)",
+    "benchmarks/e2e/workloads.py passes the default (0.01); the same ROADMAP step",
     ("ALSConfig", "seed"): "the cold-start factors' generator seed: "
     "examples/cluster_demo.py passes the default, while tests/test_als.py and "
     "tests/test_property_based.py draw other seeds for the solver's properties",

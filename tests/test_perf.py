@@ -137,10 +137,11 @@ class TestSuite:
 
     def test_explore_step_case_splits_a_step_around_the_solver(self):
         meta = build_suite().run(["explore_step_ceb"])["explore_step_ceb"].meta
-        # The hand-off, Eq. 6 and the write are about a third of a step with a
-        # one-sweep warm solve and Eq. 6 masking through the kept known cells
-        # (~0.3 of ~1.0-1.5 ms, 0.25-0.35 over runs; ~0.1 of a step when the
-        # solve ran five, which the lower bound would catch).
+        # The hand-off, Eq. 6 and the write, read as the step less its
+        # predictor's time, are under half of a step with a one-sweep warm
+        # solve from the kept product (~0.45 of ~2 ms with two BLAS threads;
+        # ~0.1 of a step when the solve ran five, which the lower bound would
+        # catch).
         share = meta["outside_solver_ms"] / meta["step_ms"]
         assert 0.15 < share < 0.75
 

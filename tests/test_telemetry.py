@@ -504,6 +504,29 @@ class TestStageTable:
         assert trace["batch_size"] == len(arrivals)
         cluster.close()
 
+    def test_censored_feedback_records_one_censor_stage_per_shard(self, tmp_path):
+        """Censored feedback takes the service's door: it wrote to the matrix
+        past it, recording a ``wal.append`` and no feedback stage."""
+        tel = Telemetry()
+        cluster = ServingCluster(2, 4, durability_dir=str(tmp_path), telemetry=tel)
+        keys = [f"q{i}" for i in range(16)]
+        cluster.add_tenant("t", keys)
+        queries = np.arange(len(keys))
+        shards = cluster.locate("t", queries)[0]
+        assert len(set(shards.tolist())) == 2
+        reg = tel.registry
+        hints = np.ones(len(keys), dtype=np.int64)
+        bounds = np.full(len(keys), 0.5)
+        assert stage_delta(
+            reg, lambda: cluster.observe_censored_batch("t", queries, hints, bounds)
+        ) == {"censor": 2, "wal.append": 2}
+        one = queries[shards == shards[0]]
+        assert stage_delta(
+            reg,
+            lambda: cluster.observe_censored_batch("t", one, hints[one] + 1, bounds[one]),
+        ) == {"censor": 1, "wal.append": 1}
+        cluster.close()
+
 
 # -- stats mirrors -------------------------------------------------------------
 
