@@ -20,7 +20,7 @@ Three pillars (the ISSUE 9 bar):
 ``CHAOS_SEED`` (env) reseeds the traffic so CI can sweep several seeds.
 Writes ``BENCH_durability.json`` plus ``TELEMETRY_durability.json`` -- a
 full telemetry snapshot (per-stage latency histograms, WAL segment/LSN/
-checkpoint gauges, circuit-breaker health) of a telemetry-enabled cluster
+checkpoint gauges, which shards are DOWN) of a telemetry-enabled cluster
 driven through a kill/restart cycle.
 """
 

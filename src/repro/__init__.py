@@ -71,7 +71,6 @@ from .core import (
 from .cluster import (
     ClusterShard,
     ClusterStats,
-    HealthBoard,
     RefreshScheduler,
     RendezvousRouter,
     ServingCluster,
@@ -180,7 +179,6 @@ __all__ = [
     "ReproError",
     "ClusterShard",
     "ClusterStats",
-    "HealthBoard",
     "RefreshScheduler",
     "RendezvousRouter",
     "ServingCluster",

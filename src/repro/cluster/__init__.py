@@ -12,15 +12,13 @@ of the related work:
 * :mod:`repro.cluster.scheduler` -- round-robin background refresh
   scheduling, one shard per tick, so serving never waits on matrix
   completion,
-* :mod:`repro.cluster.failover` -- shard health and the degraded mode
-  that falls back to default plans with the no-regression guarantee
-  intact,
 * :mod:`repro.cluster.stats` -- the cluster-wide report,
-* :mod:`repro.cluster.cluster` -- the :class:`ServingCluster` facade.
+* :mod:`repro.cluster.cluster` -- the :class:`ServingCluster` facade,
+  whose set of DOWN shards is the degraded mode: their queries fall back
+  to default plans with the no-regression guarantee intact.
 """
 
 from .cluster import ServingCluster
-from .failover import HealthBoard, ShardHealth
 from .router import RendezvousRouter, rendezvous_score, routing_key, split_batch
 from .scheduler import RefreshScheduler
 from .shard import ClusterShard
@@ -28,8 +26,6 @@ from .stats import ClusterStats
 
 __all__ = [
     "ServingCluster",
-    "HealthBoard",
-    "ShardHealth",
     "RendezvousRouter",
     "rendezvous_score",
     "routing_key",

@@ -16,8 +16,9 @@ the horizontal layer over PR 1's single-shard :class:`ServingService`:
 * shards can be added live: rendezvous routing moves only the rows that
   now belong to the new shard, and their full observation state migrates
   with them (:meth:`WorkloadMatrix.export_rows` / ``import_rows``);
-* a DOWN shard degrades to default plans for its queries -- no errors, no
-  regressions -- until it is marked up again.
+* a DOWN shard (marked down, or crashed) degrades to default plans for
+  its queries -- no errors, no regressions -- until it is marked up or
+  restarted; an UP shard's error is the caller's.
 
 Decisions are byte-identical to a single :class:`ServingService` over the
 union matrix (asserted in ``tests/test_cluster.py`` and the cluster
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -39,12 +40,11 @@ from ..core.workload_matrix import WorkloadMatrix, checked_cells, checked_id, ch
 from ..durability.faults import FaultFS
 from ..durability.journal import ShardJournal
 from ..durability.recovery import RecoveredState
-from ..errors import ClusterError, InjectedCrash, ReproError
+from ..errors import ClusterError, InjectedCrash
 from ..serving.batch_cache import BatchDecisions
 from ..serving.stats import LatencyRecorder, checked_shed_count
 from ..telemetry.runtime import ClusterMetrics
 from ..telemetry.tracing import OFF
-from .failover import HealthBoard
 from .router import RendezvousRouter, routing_key, split_batch
 from .scheduler import RefreshScheduler
 from .shard import ClusterShard
@@ -98,8 +98,6 @@ class ServingCluster:
         rows (queries) are what gets sharded.
     als_config:
         Per-shard incremental ALS refresher configuration.
-    failure_threshold:
-        Consecutive shard serve failures before the breaker trips it DOWN.
     durability_dir:
         When set, every shard gets a write-ahead journal under
         ``<durability_dir>/shard-<id>`` and the crash lifecycle
@@ -124,7 +122,6 @@ class ServingCluster:
         n_shards: int,
         n_hints: int,
         als_config: Optional[ALSConfig] = None,
-        failure_threshold: int = 3,
         durability_dir: Optional[str] = None,
         fault_fs: Optional[FaultFS] = None,
         journal_sync: str = "os",
@@ -138,8 +135,9 @@ class ServingCluster:
         self._fault_fs = fault_fs
         self._journal_sync = journal_sync
         self.router = RendezvousRouter()
-        self.health = HealthBoard(failure_threshold=failure_threshold)
-        self.scheduler = RefreshScheduler(health=self.health)
+        # The DOWN shards: marked down, or crashed and not yet restarted.
+        self._down: Set[int] = set()
+        self.scheduler = RefreshScheduler(self._down)
         self.shards: Dict[int, ClusterShard] = {}
         self._tenants: Dict[str, _TenantDirectory] = {}
         # Bumped when a directory array changes (add_queries, add_tenant
@@ -204,7 +202,6 @@ class ServingCluster:
         self._next_shard_id += 1
         self.shards[shard.shard_id] = shard
         self.router.add_shard(shard.shard_id)
-        self.health.register(shard.shard_id)
         self.scheduler.register(shard)
         return shard
 
@@ -456,18 +453,13 @@ class ServingCluster:
 
     def _ask(self, sid: int, door, rows):
         """Shard ``sid``'s answer through ``door`` (``ClusterShard.serve_local``
-        / ``.serve_rows``), or None: a DOWN or failing shard's arrivals keep the
-        default plan at unknown latency, count as degraded and against the
-        breaker, and never fail the cluster-level batch."""
-        if self.health.is_up(sid):
-            try:
-                sub = door(self.shards[sid], rows)
-                self.health.record_success(sid)
-                return sub
-            except ReproError:
-                self.health.record_failure(sid)
-        self._metrics.degraded.inc(len(rows))
-        return None
+        / ``.serve_rows``), or None when the shard is DOWN: its arrivals keep
+        the default plan at unknown latency and count as degraded.  An UP
+        shard is asked directly, so an error it raises is the caller's."""
+        if sid in self._down:
+            self._metrics.degraded.inc(len(rows))
+            return None
+        return door(self.shards[sid], rows)
 
     def serve_all(self, tenant: str) -> BatchDecisions:
         """Answer every query of one tenant as a single batch."""
@@ -539,12 +531,35 @@ class ServingCluster:
 
     # -- failover ---------------------------------------------------------------------
     def mark_down(self, shard_id: int) -> None:
-        """Degrade a shard: its queries get default plans until marked up."""
-        self.health.mark_down(shard_id)
+        """Degrade a shard: its queries get default plans until marked up.
+
+        A degraded answer is not an error.  The default plan is what the
+        DBMS would have executed with no hint service at all, so the
+        paper's no-regression guarantee holds cell for cell through an
+        outage: a degraded answer is never slower than having no cluster.
+        What is lost is only the upside (verified faster plans) and the
+        expected-latency annotation (the shard's matrix is unreachable, so
+        it reports ``inf``).
+        """
+        self._down.add(self._shard(shard_id).shard_id)
 
     def mark_up(self, shard_id: int) -> None:
-        """Restore a shard to verified serving."""
-        self.health.mark_up(shard_id)
+        """Restore a shard to verified serving.
+
+        A crashed shard is refused: its state is gone until
+        :meth:`restart_shard` recovers it from its journal.
+        """
+        shard = self._shard(shard_id)
+        if shard.crashed:
+            raise ClusterError(
+                f"shard {shard_id} crashed; restart_shard({shard_id}) rejoins it"
+            )
+        self._down.discard(shard.shard_id)
+
+    @property
+    def down_shards(self) -> List[int]:
+        """Ids of the DOWN shards (marked down, or crashed), ascending."""
+        return sorted(self._down)
 
     # -- crash-and-rejoin lifecycle -----------------------------------------------------
     def _shard(self, shard_id: int) -> ClusterShard:
@@ -562,7 +577,7 @@ class ServingCluster:
         shard = self._shard(shard_id)
         if not shard.crashed:
             shard.crash()
-        self.health.mark_down(shard_id)
+        self._down.add(shard_id)
         self._outage_queue.setdefault(shard_id, [])
         self._metrics.crashes.inc()
 
@@ -580,9 +595,10 @@ class ServingCluster:
         """Recover a crashed shard from its journal and rejoin it.
 
         Snapshot + WAL replay rebuild the matrix byte-identically, the
-        recovered shard takes over its old id in the router, health board,
-        and refresh scheduler, and every feedback batch queued during the
-        outage is applied (and journaled) in arrival order.  Returns the
+        recovered shard takes over its old id in the router and refresh
+        scheduler and rejoins UP -- even if it had been marked down before
+        the crash -- and every feedback batch queued during the outage is
+        applied (and journaled) in arrival order.  Returns the
         :class:`~repro.durability.RecoveredState`, whose ``backlog`` the
         owner should hand to the adaptation layer
         (:meth:`ClusterAdaptationController.restore_backlog`).
@@ -601,7 +617,7 @@ class ServingCluster:
         )
         self.shards[shard_id] = shard
         self.scheduler.replace(shard)
-        self.health.mark_up(shard_id)
+        self._down.discard(shard_id)
         pending = self._outage_queue.pop(shard_id, [])
         for index, (kind, *cells) in enumerate(pending):
             try:
@@ -694,7 +710,7 @@ class ServingCluster:
         n_tenants = len(self._tenants)
         total_rows = sum(s.n_rows for s in self.shards.values())
         cm.shards.set(self.n_shards)
-        cm.shards_up.set(len(self.health.up_shards()))
+        cm.shards_up.set(self.n_shards - len(self._down))
         cm.tenants.set(n_tenants)
         cm.total_rows.set(total_rows)
         cm.scheduler_ticks.set(self.scheduler.ticks)

@@ -7,23 +7,25 @@ idle loop, a timer, the gaps between arrival bursts), and each tick
 warm-starts at most one dirty shard.  The cursor is round-robin over the
 shard ring so a permanently chatty tenant cannot starve the refreshes of a
 quiet one, and DOWN shards are skipped entirely (their matrices may be
-unreachable; they re-enter the rotation on ``mark_up``).
+unreachable; they re-enter the rotation on ``mark_up`` or a restart).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import AbstractSet, Dict, List
 
 from ..errors import ClusterError
-from .failover import HealthBoard
 from .shard import ClusterShard
 
 
 class RefreshScheduler:
-    """Round-robin refreshes across the cluster's shards, one per tick."""
+    """Round-robin refreshes across the cluster's shards, one per tick.
 
-    def __init__(self, health: Optional[HealthBoard] = None) -> None:
-        self.health = health
+    ``down`` is the owner's live set of DOWN shard ids, read on every tick.
+    """
+
+    def __init__(self, down: AbstractSet[int]) -> None:
+        self._down = down
         self._shards: Dict[int, ClusterShard] = {}
         self._ring: List[int] = []
         self._cursor = 0
@@ -68,7 +70,7 @@ class RefreshScheduler:
             shard = self._shards[shard_id]
             if not shard.is_dirty:
                 continue
-            if self.health is not None and not self.health.is_up(shard_id):
+            if shard_id in self._down:
                 self.skipped_down += 1
                 continue
             if shard.refresh():

@@ -409,10 +409,11 @@ class _BaseIngress:
         try:
             results = self._serve_payloads(payloads)
         except Exception as exc:
-            # Payloads are validated before admission, and the backend
-            # degrades internally (failover, default plans) -- so this
-            # is a genuine bug or resource failure.  Every caller in
-            # the batch gets the exception; later batches are isolated.
+            # Payloads are validated before admission, and a DOWN shard's
+            # rows get default plans without an error -- so this is a
+            # genuine bug or resource failure (an UP shard's error comes
+            # through unchanged).  Every caller in the batch gets the
+            # exception; later batches are isolated.
             tracer.abandon()
             for future in waiters:
                 if not future.done():

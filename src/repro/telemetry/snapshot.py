@@ -3,8 +3,8 @@
 :func:`collect_snapshot` pools whatever parts of the stack the caller
 hands it -- registry state, :class:`~repro.serving.stats.ServingStats`
 or :class:`~repro.cluster.stats.ClusterStats`, ingress queue stats,
-refresh-scheduler counts, WAL segment/LSN/checkpoint state,
-and circuit-breaker health -- into a single JSON-ready dict.  It is the
+refresh-scheduler counts, WAL segment/LSN/checkpoint state, and which
+shards are DOWN -- into a single JSON-ready dict.  It is the
 "health endpoint" of the library: examples print it, the chaos and load
 benchmarks dump it as ``TELEMETRY_*.json`` CI artifacts
 (:func:`write_telemetry_json`).
@@ -72,7 +72,7 @@ def collect_snapshot(
 
     if cluster is not None:
         payload["cluster"] = cluster.stats().as_dict()
-        payload["health"] = _health_section(cluster.health)
+        payload["health"] = _health_section(cluster)
         payload["scheduler"] = _scheduler_section(cluster.scheduler)
         wal = _cluster_wal_section(cluster)
         if wal:
@@ -124,15 +124,14 @@ def _cluster_wal_section(cluster: Any) -> Dict[str, Any]:
     return out
 
 
-def _health_section(health: Any) -> Dict[str, Any]:
-    up = health.up_shards()
-    down = health.down_shards()
+def _health_section(cluster: Any) -> Dict[str, Any]:
+    down = cluster.down_shards
+    up = [s for s in cluster.shard_ids if s not in down]
     return {
-        "up_shards": sorted(int(s) for s in up),
-        "down_shards": sorted(int(s) for s in down),
+        "up_shards": [int(s) for s in up],
+        "down_shards": [int(s) for s in down],
         "n_up": len(up),
         "n_down": len(down),
-        "failure_threshold": int(health.failure_threshold),
     }
 
 

@@ -15,9 +15,11 @@ try:
 except ImportError:  # CI's example-smoke job installs numpy and pytest only
     pass
 else:
-    #: A deeper search for the journal machine and the counter-conservation
-    #: interleavings, for CI's ``chaos`` job: ``pytest tests/test_journal_machine.py
-    #: tests/test_telemetry.py::TestCounterConservation --hypothesis-profile=chaos``.
+    #: A deeper search for the journal machine, the counter-conservation
+    #: interleavings and routing under a moving topology (where an UP shard's
+    #: error surfaces), for CI's ``chaos`` job: ``pytest tests/test_journal_machine.py
+    #: tests/test_telemetry.py::TestCounterConservation
+    #: tests/test_ingress_pairing.py::TestRoutingUnderChange --hypothesis-profile=chaos``.
     settings.register_profile(
         "chaos", max_examples=300, stateful_step_count=60, deadline=None
     )

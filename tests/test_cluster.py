@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from builders import router_over
 from repro.cluster import (
     ClusterShard,
-    HealthBoard,
     RefreshScheduler,
     RendezvousRouter,
     ServingCluster,
@@ -35,6 +34,7 @@ from repro.errors import ClusterError, MatrixError
 from repro.experiments.cluster import cluster_vs_single_comparison, populate_cluster
 from repro.serving import LatencyRecorder, ServingService
 from repro.serving.stats import RECENT_BATCHES
+from repro.telemetry import Telemetry
 
 
 def make_union_matrix(n=40, k=8, seed=3, censored=True):
@@ -668,44 +668,57 @@ class TestFailover:
         recovered = cluster.serve_all("acme")
         np.testing.assert_array_equal(healthy.hints, recovered.hints)
 
-    def test_breaker_trips_after_threshold(self):
-        board = HealthBoard(failure_threshold=2)
-        board.register(0)
-        assert not board.record_failure(0)
-        assert board.is_up(0)
-        assert board.record_failure(0)
-        assert not board.is_up(0)
-        board.mark_up(0)
-        assert board.is_up(0)
-        board.record_failure(0)
-        board.record_success(0)  # success resets the streak
-        assert not board.record_failure(0)
-
-    def test_shard_exception_degrades_not_raises(self):
+    def test_an_up_shards_error_propagates(self):
         union = make_union_matrix(n=30)
-        cluster = make_cluster(union, n_shards=2, failure_threshold=1)
+        cluster = make_cluster(union, n_shards=2)
         victim = cluster.shard_ids[0]
         # Sabotage one shard so serve_local raises.
         cluster.shards[victim].service = None
-        decisions = cluster.serve_all("acme")  # must not raise
+        with pytest.raises(ClusterError, match="owns no rows"):
+            cluster.serve_all("acme")
+        assert cluster.down_shards == []
+        assert cluster.stats().degraded_decisions == 0
+        # Only a DOWN shard's rows degrade: to the default plan at unknown
+        # latency, what no service would have run.
+        cluster.mark_down(victim)
+        decisions = cluster.serve_all("acme")
         on_down = cluster._tenants["acme"].shard_of == victim
-        # The default plan at unknown latency: what no service would have run.
         assert decisions.used_default[on_down].all()
         assert (decisions.hints[on_down] == DEFAULT_HINT).all()
         assert np.isinf(decisions.expected_latency[on_down]).all()
         assert decisions.hints.dtype == np.int64 and decisions.used_default.dtype == bool
-        # threshold=1: the breaker tripped the shard DOWN.
-        assert not cluster.health.is_up(victim)
 
-    def test_health_board_validation(self):
-        board = HealthBoard()
-        with pytest.raises(ClusterError):
-            board.is_up(0)
-        board.register(0)
-        with pytest.raises(ClusterError):
-            board.register(0)
-        with pytest.raises(ClusterError):
-            HealthBoard(failure_threshold=0)
+    def test_mark_up_refuses_a_crashed_shard(self, tmp_path):
+        union = make_union_matrix(n=20)
+        telemetry = Telemetry()
+        cluster = make_cluster(
+            union, n_shards=2, durability_dir=str(tmp_path), telemetry=telemetry
+        )
+        victim = cluster.shard_ids[0]
+        mine = np.flatnonzero(cluster._tenants["acme"].shard_of == victim)
+        cluster.mark_down(victim)  # an operator's mark, then the crash
+        cluster.kill_shard(victim)
+        cluster.observe_batch("acme", mine[:2], [1, 2], [0.5, 0.25])
+        queued = cluster._outage_queue[victim]
+        stats = cluster.stats()
+        with pytest.raises(ClusterError, match=rf"restart_shard\({victim}\)"):
+            cluster.mark_up(victim)
+        assert cluster.down_shards == [victim]
+        assert cluster.stats() == stats
+        assert telemetry.registry.get("repro_shards_up").child.value == 1
+        assert cluster._outage_queue[victim] is queued and len(queued) == 1
+        # A restart rejoins it UP, the mark before the crash notwithstanding.
+        cluster.restart_shard(victim)
+        assert cluster.down_shards == []
+        assert cluster.stats().replayed_feedback == 2
+        cluster.close()
+
+    def test_an_unknown_shard_cannot_be_marked(self):
+        cluster = make_cluster(make_union_matrix(n=10), n_shards=2)
+        for mark in (cluster.mark_down, cluster.mark_up):
+            with pytest.raises(ClusterError, match="unknown shard 7"):
+                mark(7)
+        assert cluster.down_shards == []
 
 
 # -- background refresh scheduling ----------------------------------------------------
@@ -798,12 +811,19 @@ class TestRefreshScheduler:
         assert stats.scheduler_refreshes == 1
 
     def test_scheduler_validation(self):
-        scheduler = RefreshScheduler()
+        down = set()
+        scheduler = RefreshScheduler(down)
         shard = ClusterShard(0, 4)
         scheduler.register(shard)
         with pytest.raises(ClusterError):
             scheduler.register(shard)
         assert scheduler.tick() == []  # empty shard is never dirty
+        shard.add_rows(["q0", "q1"])
+        shard.observe_local([0, 1], [0, 0], [1.0, 2.0])
+        down.add(0)  # the owner's set, read live on every tick
+        assert scheduler.tick() == [] and scheduler.skipped_down == 1
+        down.clear()
+        assert scheduler.tick() == [0]
 
 
 # -- stats ------------------------------------------------------------------------------

@@ -533,7 +533,7 @@ class TestClusterCrashRejoin:
 
         # Fire on the second replayed append: one entry applies, the
         # crash re-queues the rest and downs the shard with full
-        # bookkeeping (health + crash counter), so serving keeps
+        # bookkeeping (DOWN set + crash counter), so serving keeps
         # degrading instead of raising.
         injector.arm("wal.append.before_write", at=2)
         subject.restart_shard(0)

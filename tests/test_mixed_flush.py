@@ -8,6 +8,7 @@ through ``serve_batch`` and regathered into arrival order.  ``split_batch``
 ``np.split`` definition.
 """
 
+import asyncio
 import tempfile
 
 import numpy as np
@@ -16,10 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cluster import ClusterShard, ServingCluster, split_batch
+from repro.config import IngressConfig
 from repro.core.plan_cache import DEFAULT_HINT
 from repro.core.workload_matrix import WorkloadMatrix
 from repro.errors import ClusterError
 from repro.experiments.cluster import populate_cluster
+from repro.ingress import ClusterIngress
 from repro.serving.batch_cache import BatchDecisions
 from repro.telemetry import Telemetry
 
@@ -39,9 +42,7 @@ def seeded_matrix(n, seed):
 
 
 def build_cluster(home, telemetry=None):
-    cluster = ServingCluster(
-        4, N_HINTS, durability_dir=home, telemetry=telemetry, failure_threshold=2
-    )
+    cluster = ServingCluster(4, N_HINTS, durability_dir=home, telemetry=telemetry)
     for seed, (tenant, n) in enumerate(SIZES.items()):
         populate_cluster(cluster, tenant, seeded_matrix(n, seed))
     return cluster
@@ -290,24 +291,46 @@ class TestShardGroups:
         assert asked == [(sid, owners.count(sid)) for sid in sorted(set(owners))]
         assert cluster.stats().fan_out == len(asked)
 
-    def test_a_failing_shard_degrades_and_trips_its_breaker(self):
-        cluster = build_cluster(None)  # failure_threshold=2
+    def test_a_failing_up_shard_fails_its_flush_until_marked_down(self):
+        cluster = build_cluster(None)
         arrivals = [(t, q) for t, n in SIZES.items() for q in range(n)]
         owners = np.array([int(cluster.locate(t, [q])[0][0]) for t, q in arrivals])
-        victim = int(owners[0])
+        victim, others = int(owners[0]), owners != owners[0]
         healthy = cluster.serve_mixed(arrivals)
         cluster.shards[victim].service = None  # serve_rows raises ClusterError
-        for flush in (1, 2, 3):
-            got = cluster.serve_mixed(arrivals)
-            assert got.used_default[owners == victim].all()
-            assert (got.hints[owners == victim] == DEFAULT_HINT).all()
-            assert np.isinf(got.expected_latency[owners == victim]).all()
-            np.testing.assert_array_equal(
-                got.hints[owners != victim], healthy.hints[owners != victim]
+        with pytest.raises(ClusterError, match="owns no rows"):
+            cluster.serve_mixed(arrivals)
+        assert cluster.down_shards == []
+        # One flush takes every arrival; nothing flushes on a timer.
+        config = IngressConfig(
+            max_batch=len(arrivals), max_wait_s=3600.0,
+            tick_interval_s=3600.0, refresh_interval_s=3600.0,
+        )
+
+        async def flush(ingress):
+            waiting = [ingress.serve(tenant, query) for tenant, query in arrivals]
+            return await asyncio.wait_for(
+                asyncio.gather(*waiting, return_exceptions=True), 5.0
             )
-            # Two failures trip it; after that it is skipped, not asked.
-            assert cluster.health.is_up(victim) == (flush < 2)
-        assert cluster.stats().degraded_decisions == 3 * int((owners == victim).sum())
+
+        async def scenario():
+            async with ClusterIngress(cluster, config) as ingress:
+                failed = await flush(ingress)
+                cluster.mark_down(victim)
+                return failed, await flush(ingress)
+
+        failed, degraded = asyncio.run(scenario())
+        # The shard's error reaches every caller of that flush, and only it.
+        assert all(isinstance(answer, ClusterError) for answer in failed)
+        got = [np.array([getattr(a, field) for a in degraded]) for field in
+               ("hint", "used_default", "expected_latency")]
+        assert (got[0][~others] == DEFAULT_HINT).all() and got[1][~others].all()
+        assert np.isinf(got[2][~others]).all()
+        for mine, theirs in zip(
+            got, (healthy.hints, healthy.used_default, healthy.expected_latency)
+        ):
+            np.testing.assert_array_equal(mine[others], theirs[others])
+        assert cluster.stats().degraded_decisions == int((~others).sum())
 
 
 # -- split_batch ---------------------------------------------------------------

@@ -68,8 +68,6 @@ CALLER_ROOTS = (REPO / "src", REPO / "benchmarks", REPO / "examples")
 #: outside the tests sets it.  A def is named as the audit reports it: its
 #: dotted path, or its class for an ``__init__``.
 ALLOWED = {
-    ("ServingCluster", "failure_threshold"): "how many failed serves trip a "
-    "shard's breaker: a deployment setting",
     ("ServingService", "clock"): "the seam that lets tests fake time for the "
     "served-batch latency histogram: tests/test_serving.py and "
     "tests/test_telemetry.py run a clock that steps or goes backwards",

@@ -690,6 +690,8 @@ OPS = st.one_of(
     st.tuples(st.just("shed"), st.integers(0, 9)),
     st.tuples(st.just("kill"), st.integers(0, 4)),
     st.tuples(st.just("restart"), st.integers(0, 4)),
+    st.tuples(st.just("down"), st.integers(0, 4)),
+    st.tuples(st.just("up"), st.integers(0, 4)),
     st.tuples(st.just("checkpoint"), st.just(0)),
     st.tuples(st.just("tick"), st.just(0)),
     st.tuples(st.just("add_shard"), st.just(0)),
@@ -734,7 +736,9 @@ def counter_values(registry):
 
 def drive_cluster(ops, telemetry, home):
     """Apply ``ops`` to a 3-shard journaled cluster, checking conservation
-    against a plain-int tally after every step."""
+    against a plain-int tally, and the DOWN shards against a model of its
+    own, after every step.  An UP shard that raises while serving fails the
+    property: nothing turns its error into a degraded answer."""
     cluster = ServingCluster(3, 4, durability_dir=home, telemetry=telemetry)
     for tenant, n in N_QUERIES.items():
         # No row is seeded: ticks land on shards that own rows but have
@@ -744,6 +748,8 @@ def drive_cluster(ops, telemetry, home):
         ("routed", "served", "degraded", "shed", "crashes", "restarts"), 0
     )
     since_reset = {sid: 0 for sid in cluster.shard_ids}
+    # DOWN shards: added by a kill or a mark down, removed by a restart or a mark up.
+    down = set()
     # Per shard, what its dead journals appended (each one's view at the kill).
     dead_wal = {sid: [0, 0] for sid in cluster.shard_ids}
     registry = telemetry.registry if telemetry is not None else None
@@ -753,11 +759,11 @@ def drive_cluster(ops, telemetry, home):
         tally["routed"] += 1
         for tenant, query in arrivals:
             shard = int(cluster.locate(tenant, [query])[0][0])
-            if cluster.health.is_up(shard):
+            if shard in down:
+                tally["degraded"] += 1
+            else:
                 tally["served"] += 1
                 since_reset[shard] += 1
-            else:
-                tally["degraded"] += 1
 
     for op, arg in ops:
         rng = np.random.default_rng(arg)
@@ -809,10 +815,23 @@ def drive_cluster(ops, telemetry, home):
             dead_wal[pick][1] += journal.appended_bytes
             cluster.kill_shard(pick)
             tally["crashes"] += 1
+            down.add(pick)
         elif op == "restart" and cluster.shards[pick].crashed:
             cluster.restart_shard(pick)
             tally["restarts"] += 1
             since_reset[pick] = 0  # a recovered shard's view starts from zero
+            down.discard(pick)  # it rejoins UP, whatever was marked before
+        elif op == "down":
+            cluster.mark_down(pick)
+            down.add(pick)
+        elif op == "up" and cluster.shards[pick].crashed:
+            before_stats, queue = cluster.stats(), outage_view(cluster)
+            with pytest.raises(ClusterError, match="restart_shard"):
+                cluster.mark_up(pick)
+            assert cluster.stats() == before_stats and outage_view(cluster) == queue
+        elif op == "up":
+            cluster.mark_up(pick)
+            down.discard(pick)
         elif op == "checkpoint":
             cluster.checkpoint()
         elif op == "tick":
@@ -828,6 +847,7 @@ def drive_cluster(ops, telemetry, home):
             cluster.shards[pick].recorder().reset()
             since_reset[pick] = 0
 
+        assert cluster.down_shards == sorted(down)
         stats = cluster.stats()
         assert stats.routed_batches == tally["routed"]
         assert stats.degraded_decisions == tally["degraded"]
@@ -1008,11 +1028,17 @@ class TestSnapshots:
         for section in wal.values():
             assert section["checkpoints"] == 1
             assert section["segment_count"] >= 1
-        assert snapshot.as_dict()["health"]["n_up"] == 2
+        assert snapshot.as_dict()["health"] == {
+            "up_shards": [0, 1], "down_shards": [], "n_up": 2, "n_down": 0
+        }
         assert snapshot.as_dict()["scheduler"] == {
             "ticks": 1, "refreshes": 1, "skipped_down": 0
         }
         json.loads(snapshot.to_json())
+        cluster.mark_down(1)
+        assert collect_snapshot(cluster=cluster).as_dict()["health"] == {
+            "up_shards": [0], "down_shards": [1], "n_up": 1, "n_down": 1
+        }
 
 
 DEFAULT_BUCKET_COUNT = len(DEFAULT_BUCKETS)
