@@ -6,7 +6,7 @@ Four acceptance properties of the front door, exercised end-to-end:
   own requests back-to-back) traces the throughput/p99 curve -- batches
   only form once concurrency rises, so throughput must climb well past
   the single-client point before latency takes off.  The sparse end of
-  the sweep must not wait out the coalescer timer (p50 at 1 and 4
+  the sweep must not wait out the ``max_wait_s`` deadline (p50 at 1 and 4
   clients under half of ``max_wait_s``: batches are cut when the loop
   goes quiet), and the dense end must still fill its batches.
 * **Coalescing win**: the coalesced path serves the same stream at >= 5x
@@ -129,7 +129,7 @@ def test_ingress_throughput_knee(benchmark):
     peak = max(points, key=lambda p: p["throughput_qps"])
     assert peak["clients"] > 1
     assert peak["mean_batch_size"] > 2.0
-    # The floor at low occupancy is the work, not the timer: a sparse
+    # The floor at low occupancy is the work, not the deadline: a sparse
     # request is dispatched as soon as the loop goes quiet (1.2-1.3 ms
     # against max_wait_s = 1 ms before the quiescence probe)...
     for clients in (1, 4):

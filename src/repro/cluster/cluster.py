@@ -407,20 +407,23 @@ class ServingCluster:
             group[1].append(local_row[query])
             queries.append(query)
         self._tracer.end("router.split", start)
-        self._count_routed(len(groups))
         # Every position starts degraded; a shard that answers overwrites its own.
         n = len(queries)
         hints = [DEFAULT_HINT] * n
         used_default = [True] * n
         expected = [np.inf] * n
+        degraded = 0
         for sid in sorted(groups):
             positions, rows = groups[sid]
             sub = self._ask(sid, ClusterShard.serve_rows, rows)
-            if sub is not None:
+            if sub is None:
+                degraded += len(rows)
+            else:
                 for position, hint, default, latency in zip(positions, *sub):
                     hints[position] = hint
                     used_default[position] = default
                     expected[position] = latency
+        self._count_routed(len(groups), degraded)
         return BatchDecisions(
             queries=np.array(queries, dtype=np.int64),
             hints=np.array(hints, dtype=np.int64),
@@ -434,30 +437,38 @@ class ServingCluster:
         start = self._tracer.begin("router.split")
         groups = split_batch(shard_ids)
         self._tracer.end("router.split", start)
-        self._count_routed(len(groups))
         n = queries.shape[0]
         hints = np.full(n, DEFAULT_HINT, dtype=np.int64)
         used_default = np.ones(n, dtype=bool)
         expected = np.full(n, np.inf)
+        degraded = 0
         for sid, positions in groups:
             sub = self._ask(sid, ClusterShard.serve_local, local[positions])
-            if sub is not None:
+            if sub is None:
+                degraded += len(positions)
+            else:
                 hints[positions] = sub.hints
                 used_default[positions] = sub.used_default
                 expected[positions] = sub.expected_latency
+        self._count_routed(len(groups), degraded)
         return BatchDecisions(queries, hints, used_default, expected)
 
-    def _count_routed(self, fan_out: int) -> None:
+    def _count_routed(self, fan_out: int, degraded: int) -> None:
+        """Count one routed batch, once every shard present has answered:
+        a batch whose flush failed was answered to nobody."""
         self._metrics.routed_batches.inc()
         self._metrics.fan_out.inc(fan_out)
+        if degraded:
+            self._metrics.degraded.inc(degraded)
 
     def _ask(self, sid: int, door, rows):
         """Shard ``sid``'s answer through ``door`` (``ClusterShard.serve_local``
         / ``.serve_rows``), or None when the shard is DOWN: its arrivals keep
-        the default plan at unknown latency and count as degraded.  An UP
-        shard is asked directly, so an error it raises is the caller's."""
+        the default plan at unknown latency, and the caller counts them as
+        degraded.  An UP shard is asked directly, so an error it raises is
+        the caller's.  A shard's own serve counters count the rows it
+        decided, even when a later shard's error fails the whole batch."""
         if sid in self._down:
-            self._metrics.degraded.inc(len(rows))
             return None
         return door(self.shards[sid], rows)
 

@@ -117,7 +117,9 @@ class IngressConfig:
     first, so ``max_wait_s`` is the cap on the queueing delay an arrival
     can be charged by coalescing (it bounds time-in-queue, not the
     backend's own decision time) and is only approached under a sustained
-    trickle of arrivals.
+    trickle of arrivals.  All three are checked by one callback on every
+    event-loop pass while requests are pending, so the cap holds to within
+    one pass; no timer is armed per batch.
 
     Admission is a bounded queue: at most ``queue_capacity`` requests may
     be pending at once.  Overflow arrivals are *shed*, not errored: they

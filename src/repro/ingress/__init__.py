@@ -5,7 +5,8 @@ clients ``await serve(...)`` one query at a time; the ingress coalesces
 concurrent requests into the vectorised batches
 :class:`~repro.serving.ServingService` / :class:`~repro.cluster.ServingCluster`
 are fast at (cut on size, on a quiet event loop, or at the ``max_wait_s``
-latency cap -- whichever comes first), sheds overload to
+latency cap -- whichever comes first, all checked by one callback per
+loop pass), sheds overload to
 default plans through a bounded admission queue (safe by the paper's
 no-regression guarantee; counted in serving stats), and hosts the
 adaptation-controller and refresh-scheduler ticks as background asyncio

@@ -31,7 +31,8 @@ The core is deliberately free of asyncio and wall clocks: callers pass
 directly testable -- the hypothesis suite drives this class through
 arbitrary interleavings with a fake clock and asserts the FIFO, routing,
 and SLO invariants exactly.  :class:`~repro.ingress.ingress.ServiceIngress`
-is the thin asyncio shell that wires it to futures and timers.
+is the thin asyncio shell that wires it to futures and one per-pass
+loop callback.
 
 The queue is two parallel lists (payloads and submit times), not a deque
 of per-request records: a flush is two slices, a ``del`` and three
@@ -65,10 +66,10 @@ class CoalescerCore:
     * admitted requests leave in FIFO order, each in exactly one batch of
       at most ``max_batch``;
     * :meth:`ready` becomes True no later than ``max_wait_s`` after the
-      oldest pending request's submit time, so a shell that flushes
-      whenever ``ready`` holds (and arms a timer for
-      :meth:`next_deadline` otherwise) never queues a request past the
-      SLO bound;
+      oldest pending request's submit time, so a shell that checks
+      ``ready`` on every loop pass while requests are pending (and
+      flushes whenever it holds) never queues a request past the bound
+      by more than one pass;
     * every flushed batch is counted under one of :data:`FLUSH_REASONS`,
       so ``sum(flush_reasons.values()) == flushed_batches``.
     """
@@ -118,12 +119,6 @@ class CoalescerCore:
         return self.flushed_requests + depth
 
     # -- flush timing ------------------------------------------------------------
-    def next_deadline(self) -> Optional[float]:
-        """Absolute time the oldest pending request hits the SLO bound."""
-        if not self._times:
-            return None
-        return self._times[0] + self.config.max_wait_s
-
     def ready(self, now: float) -> bool:
         """True when a batch must be flushed at time ``now``."""
         if not self._times:

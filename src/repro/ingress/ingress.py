@@ -196,7 +196,7 @@ class _BaseIngress:
     Everything runs on one event loop: submits, flushes, and background
     ticks interleave but never overlap, so the (lock-free, numpy-backed)
     serving stack underneath is only ever touched from one frame at a
-    time.  Dispatch is deliberately *deferred* (``call_soon`` callbacks,
+    time.  Dispatch is deliberately *deferred* (a ``call_soon`` callback,
     never an inline flush): every submit already runnable in the current
     loop iteration joins -- or overflows -- the queue before any batch
     is cut, which is what makes both coalescing and bounded-queue
@@ -210,14 +210,14 @@ class _BaseIngress:
     caller that gave up while queued (its future is done) keeps its slot
     so that nobody behind it shifts.
 
-    Three things cut a batch.  The size trigger and the ``max_wait_s``
-    timer are the core's own; the third is the quiescence probe
-    (:meth:`_probe`): while requests are pending, one ``call_soon``
-    callback rides along with the loop and flushes everything the first
-    time a whole pass brings no new arrival.  Callers woken by the same
-    flush resubmit in the same pass, so closed-loop clients still leave
-    as one batch -- they just stop waiting out the timer for a lookup
-    that costs microseconds.
+    Three things cut a batch, and one callback checks all three: the
+    probe (:meth:`_probe`).  While requests are pending it rides along
+    with the loop, one ``call_soon`` per pass, and on each pass flushes
+    what the core says is due -- ``max_batch`` pending, or the oldest past
+    ``max_wait_s`` -- and everything else the first time a whole pass
+    brings no new arrival.  Callers woken by the same flush resubmit in
+    the same pass, so closed-loop clients still leave as one batch, and
+    no batch arms a timer for a lookup that costs microseconds.
     """
 
     def __init__(self, telemetry, config, clock) -> None:
@@ -226,10 +226,8 @@ class _BaseIngress:
         self._core = CoalescerCore(self.config)
         # One future per pending request, in the core's FIFO order.
         self._waiters: List[asyncio.Future] = []
-        self._timer: Optional[asyncio.TimerHandle] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._started = False
-        self._drain_scheduled = False
         self._probe_scheduled = False
         self._probe_seen = 0
         self.tickers: List[PeriodicTicker] = []
@@ -255,14 +253,13 @@ class _BaseIngress:
             ticker.start()
 
     async def stop(self) -> None:
-        """Drain pending requests, then stop timers and background tasks.
+        """Drain pending requests, then stop the background tasks.
 
         Every admitted request is still answered (force-flushed through
         the backend in FIFO batches); nothing is dropped on shutdown.
         """
         if not self._started:
             return
-        self._cancel_timer()
         while self._core.queue_depth:
             self._flush_one(self._clock(), "shutdown")
         for ticker in self.tickers:
@@ -281,38 +278,24 @@ class _BaseIngress:
         """Queue one validated payload; its answer arrives on the future.
 
         A plain function, so ``serve`` is the only coroutine frame a
-        request pays for.  Everything that makes sure the batch will be
-        cut happens here, from the depth the waiter list already knows.
+        request pays for.  It cuts nothing: it queues the waiter and makes
+        sure the probe is scheduled, which decides every cut.
         """
         if not self._started:
             raise IngressError("ingress is not started (use 'async with' or start())")
-        now = self._clock()
-        loop = self._loop
-        future = loop.create_future()
-        if self._core.submit(payload, now) is None:
+        future = self._loop.create_future()
+        if self._core.submit(payload, self._clock()) is None:
             # Admission control: full queue -> immediate default-plan
             # answer.  No queueing, no backend work, no error.
             self._record_shed(1)
             future.set_result(self._shed_decision(payload))
             return future
-        waiters = self._waiters
-        waiters.append(future)
-        if len(waiters) >= self.config.max_batch:
-            # Size trigger: dispatch on the *next* loop iteration, not
-            # inline.  Every submit already runnable in this iteration
-            # gets to join (or overflow) the queue first -- that is what
-            # makes both coalescing and admission control real under a
-            # burst of concurrent callers.
-            if not self._drain_scheduled:
-                self._drain_scheduled = True
-                loop.call_soon(self._drain)
-        elif self._timer is None:
-            self._arm_timer(now)
+        self._waiters.append(future)
         if not self._probe_scheduled:
-            # After the drain, so a batch that is already full leaves on
-            # its size trigger before the probe looks at the queue.
+            # On the *next* loop pass, not inline: every submit already
+            # runnable in this one joins (or overflows) the queue first.
             self._probe_scheduled = True
-            loop.call_soon(self._probe)
+            self._loop.call_soon(self._probe)
         return future
 
     async def serve_many(self, payloads: Sequence[Any]) -> List[IngressDecision]:
@@ -329,61 +312,40 @@ class _BaseIngress:
         return [await future for future in futures]
 
     # -- flush machinery ----------------------------------------------------------
-    def _arm_timer(self, now: float) -> None:
-        """For the oldest pending request; callers know there is one and no timer."""
-        self._timer = self._loop.call_later(
-            max(0.0, self._core.next_deadline() - now), self._on_timer
-        )
-
-    def _cancel_timer(self) -> None:
-        if self._timer is not None:
-            self._timer.cancel()
-            self._timer = None
-
-    def _on_timer(self) -> None:
-        self._timer = None
-        self._drain()
-
-    def _drain(self) -> None:
-        """Dispatch every due batch, then re-arm the SLO timer.
-
-        Runs as a plain loop callback with no awaits inside, so a drain
-        pass can never interleave with submits: the queue it sees is
-        exactly the queue the burst built.
-        """
-        self._drain_scheduled = False
-        now = self._clock()
-        while self._core.ready(now):
-            self._flush_one(now)
-        self._cancel_timer()
-        if self._core.queue_depth:
-            self._arm_timer(now)
-
     def _probe(self) -> None:
-        """Flush everything pending once the loop has gone quiet.
+        """Cut every batch that is due, once per loop pass while any is pending.
 
-        Scheduled by the first submit into an empty queue and re-armed
-        once per loop pass while arrivals keep coming (shed ones count:
-        a burst is not quiet; so does the submit that scheduled it, which
-        is why ``_probe_seen`` is left alone there).  The first pass that
-        saw none means every caller that was going to join this batch
-        has -- the rest are waiting on us -- so holding the batch for the
-        timer would only add delay.  Under a sustained trickle the probe
-        never sees a quiet pass and the ``max_wait_s`` timer cuts the
-        batch instead.  Retires as soon as the queue is empty: an idle
-        ingress schedules nothing.
+        Scheduled by the first submit into an empty queue.  Each pass it
+        reads the clock once and flushes what the core says is due (a full
+        batch, or one whose oldest request has waited ``max_wait_s``).  If
+        anything arrived since its last pass it re-arms for the next one
+        (shed arrivals count: a burst is not quiet; so does the submit that
+        scheduled it, which is why ``_probe_seen`` is left alone there).
+        The first pass that saw none means every caller that was going to
+        join this batch has -- the rest are waiting on us -- so it flushes
+        the rest as ``idle`` and retires: an idle ingress schedules nothing.
+        Under a sustained trickle it never sees a quiet pass, and the
+        deadline check cuts the batch within a pass of the cap.
+
+        A clock that went backwards makes the flush raise with every
+        request still queued; one retry ``max_wait_s`` later keeps them
+        from being stranded, and the loop's handler sees the error once.
         """
         core = self._core
-        if core.queue_depth and core.submitted != self._probe_seen:
-            self._probe_seen = core.submitted
-            self._loop.call_soon(self._probe)
-            return
-        self._probe_scheduled = False
-        if core.queue_depth:
-            now = self._clock()
+        now = self._clock()
+        try:
+            while core.ready(now):
+                self._flush_one(now)
+            if core.queue_depth and core.submitted != self._probe_seen:
+                self._probe_seen = core.submitted
+                self._loop.call_soon(self._probe)
+                return
             while core.queue_depth:
                 self._flush_one(now, "idle")
-            self._cancel_timer()
+        except IngressError:
+            self._loop.call_later(self.config.max_wait_s, self._probe)
+            raise
+        self._probe_scheduled = False
 
     def _flush_one(self, now: float, force_reason: Optional[str] = None) -> None:
         if force_reason is None:
@@ -474,7 +436,7 @@ class ServiceIngress(_BaseIngress):
     config:
         Coalescing/admission knobs (:class:`IngressConfig`).
     clock:
-        Injectable time source for queue-wait telemetry and timers.
+        Injectable time source for queue-wait telemetry and the deadline.
     """
 
     def __init__(

@@ -688,6 +688,31 @@ class TestFailover:
         assert np.isinf(decisions.expected_latency[on_down]).all()
         assert decisions.hints.dtype == np.int64 and decisions.used_default.dtype == bool
 
+    def test_a_failed_batch_counts_no_routing(self):
+        # The first shard is DOWN (its rows would degrade), the middle one
+        # answers, and the last one raises: the batch reaches no caller, so
+        # the cluster's routing counters must not count it.
+        cluster = make_cluster(make_union_matrix(n=30), n_shards=3)
+        first, middle, last = cluster.shard_ids
+        cluster.serve_all("acme")
+        cluster.mark_down(first)
+        cluster.shards[last].service = None  # its door raises ClusterError
+        before = cluster.stats()
+        arrivals = [("acme", q) for q in range(30)]
+        doors = (
+            lambda: cluster.serve_mixed(arrivals),
+            lambda: cluster.serve_batch("acme", np.arange(30)),
+        )
+        for door in doors:
+            with pytest.raises(ClusterError, match="owns no rows"):
+                door()
+            after = cluster.stats()
+            assert after.routed_batches == before.routed_batches == 1
+            assert after.fan_out == before.fan_out
+            assert after.degraded_decisions == before.degraded_decisions == 0
+        # A shard's own counters keep the rows it decided before the failure.
+        assert after.per_shard[middle].decisions > before.per_shard[middle].decisions
+
     def test_mark_up_refuses_a_crashed_shard(self, tmp_path):
         union = make_union_matrix(n=20)
         telemetry = Telemetry()

@@ -16,6 +16,7 @@ Three layers, matching the module's design:
 """
 
 import asyncio
+import contextlib
 import gc
 import sys
 import time
@@ -111,7 +112,6 @@ class TestCoalescerCore:
         assert not core.ready(10.49)
         assert core.take_payloads(10.4) == []
         assert core.ready(10.5)  # oldest hit the SLO bound
-        assert core.next_deadline() == pytest.approx(10.5)
 
     def test_time_trigger_flushes_fifo_prefix(self):
         core = CoalescerCore(IngressConfig(max_batch=2, max_wait_s=1.0))
@@ -211,6 +211,9 @@ class TestCoalescerCore:
 def drive_core(core, schedule):
     """A faithful shell: flush whenever ready, else wait for the deadline.
 
+    The shell keeps its own submit times, so it knows when the oldest
+    pending request reaches ``max_wait_s`` without asking the core.
+
     ``schedule`` is a list of (delay, payload) arrivals.  Returns the
     admitted payloads (in submit order), the flushed batches, and the
     token->payload routing of every flushed request.  As in the shell, a
@@ -220,20 +223,23 @@ def drive_core(core, schedule):
     admitted, batches, routed = [], [], {}
     now = 0.0
     token_payload = {}
-    pending = []
+    pending, pending_times = [], []
 
     def take(now):
         payloads = core.take_payloads(now)
         batch = list(zip(pending, payloads))
-        del pending[: len(payloads)]
+        del pending[: len(payloads)], pending_times[: len(payloads)]
         batches.append(batch)
         routed.update(batch)
+
+    def next_deadline():
+        return pending_times[0] + core.config.max_wait_s if pending_times else None
 
     for delay, payload in schedule:
         target = now + delay
         # Before the next arrival, fire any deadline flushes that are due.
         while True:
-            deadline = core.next_deadline()
+            deadline = next_deadline()
             if deadline is None or deadline > target:
                 break
             now = deadline
@@ -244,11 +250,11 @@ def drive_core(core, schedule):
             admitted.append(payload)
             token_payload[token] = payload
             pending.append(token)
+            pending_times.append(now)
         while core.ready(now):  # size-triggered flush
             take(now)
     while core.queue_depth:  # shutdown drain
-        deadline = core.next_deadline()
-        now = max(now, deadline)
+        now = max(now, next_deadline())
         take(now)
     return admitted, batches, routed, token_payload
 
@@ -648,6 +654,45 @@ class _ClosedLoopTarget(_ClusterTarget):
         )
 
 
+@contextlib.contextmanager
+def spy_on_scheduling(loop, ingress):
+    """Names of the ingress's own callbacks the loop is given, by method.
+
+    ``most_pending`` is the largest number of them scheduled and not yet
+    run at any one time.
+    """
+    ours = {"call_soon": [], "call_later": [], "most_pending": 0}
+    pending = [0]
+
+    def spying(method):
+        real = getattr(loop, method)
+
+        def spy(delay_or_callback, *args, **kwargs):
+            callback = args[0] if method == "call_later" else delay_or_callback
+            if getattr(callback, "__self__", None) is not ingress:
+                return real(delay_or_callback, *args, **kwargs)
+            ours[method].append(callback.__name__)
+            pending[0] += 1
+            ours["most_pending"] = max(ours["most_pending"], pending[0])
+
+            def counted(*callback_args):
+                pending[0] -= 1
+                return callback(*callback_args)
+
+            if method == "call_later":
+                return real(delay_or_callback, counted, *args[1:], **kwargs)
+            return real(counted, *args, **kwargs)
+
+        return spy
+
+    loop.call_soon = spying("call_soon")
+    loop.call_later = spying("call_later")
+    try:
+        yield ours
+    finally:
+        del loop.call_soon, loop.call_later
+
+
 class TestIdleFlush:
     def test_lone_request_does_not_wait_for_the_timer(self):
         async def scenario():
@@ -714,7 +759,7 @@ class TestIdleFlush:
         assert stats.shed == 50 - 8 and service.stats().shed == 50 - 8
         assert stats.flush_reasons["size"] == 2 and stats.flushed_batches == 2
 
-    def test_trickle_is_cut_by_the_timer_within_the_cap(self):
+    def test_trickle_is_cut_at_the_deadline_within_the_cap(self):
         config = IngressConfig(
             max_batch=100_000, max_wait_s=0.005, queue_capacity=100_000
         )
@@ -724,7 +769,8 @@ class TestIdleFlush:
                 pending, longest_pass = [], 0.0
                 began = last = time.monotonic()
                 # One submit per loop pass for many times the cap: the
-                # loop is never quiet, so the probe never fires.
+                # loop is never quiet, so the probe never flushes idle and
+                # only its per-pass deadline check cuts the batch.
                 while last - began < 0.05:
                     pending.append(asyncio.ensure_future(ingress.serve(1)))
                     await asyncio.sleep(0)
@@ -738,7 +784,7 @@ class TestIdleFlush:
         during, stats, longest_pass = run(scenario())
         assert during.flush_reasons["deadline"] >= 3
         assert during.flush_reasons["idle"] == during.flush_reasons["size"] == 0
-        # The cap, plus the one pass the due timer may have to wait for.
+        # The cap, plus the one pass the deadline check may come late by.
         # (Only while trickling: the gather over thousands of futures
         # above is itself one very long pass.)
         assert during.max_queue_wait_s <= config.max_wait_s + longest_pass + 1e-4
@@ -750,26 +796,36 @@ class TestIdleFlush:
             async with ServiceIngress(make_service(), HOUR) as ingress:
                 await asyncio.wait_for(ingress.serve(0), 1.0)
                 await asyncio.sleep(0)  # the probe's retiring pass
-                scheduled = []
-                call_soon = loop.call_soon
-
-                def spy(callback, *args, **kwargs):
-                    scheduled.append(callback)
-                    return call_soon(callback, *args, **kwargs)
-
-                loop.call_soon = spy
-                try:
+                with spy_on_scheduling(loop, ingress) as ours:
                     await asyncio.sleep(0.02)
-                finally:
-                    del loop.call_soon
-                return [
-                    cb for cb in scheduled
-                    if getattr(cb, "__self__", None) is ingress
-                ], ingress
+                return ours, ingress
 
         ours, ingress = run(scenario())
-        assert ours == []
-        assert not ingress._probe_scheduled and ingress._timer is None
+        assert ours["call_soon"] == ours["call_later"] == []
+        assert not ingress._probe_scheduled
+
+    def test_closed_loop_serving_arms_no_timer(self):
+        # Every cut comes from the probe, at most one of which is pending
+        # at a time: one for the pass the batch's submits land in, one for
+        # the quiet pass that flushes it.
+        async def scenario():
+            loop = asyncio.get_running_loop()
+            async with ServiceIngress(make_service(), HOUR) as ingress:
+                async def client(c):
+                    for i in range(25):
+                        await ingress.serve((c + i) % 12)
+
+                with spy_on_scheduling(loop, ingress) as ours:
+                    await asyncio.wait_for(
+                        asyncio.gather(*(client(c) for c in range(4))), 5.0
+                    )
+                return ours, ingress.stats()
+
+        ours, stats = run(scenario())
+        assert ours["call_later"] == []
+        assert set(ours["call_soon"]) == {"_probe"}
+        assert len(ours["call_soon"]) == 2 * stats.flushed_batches == 2 * 25
+        assert ours["most_pending"] == 1
 
     def test_backwards_clock_strands_nobody(self):
         # The idle flush reads a clock that went backwards: the error goes
@@ -800,6 +856,34 @@ class TestIdleFlush:
         assert isinstance(problems[0], IngressError)
         assert [a.query for a in answers] == [4, 2, 9]
         assert stats.flush_reasons == {"size": 0, "deadline": 1, "idle": 0, "shutdown": 0}
+
+    def test_the_probe_lives_on_after_a_backwards_clock(self):
+        # The backwards-clock retry flushes on the deadline; a lone request
+        # after it still leaves on the idle flush, not a timer.
+        offset, problems = [0.0], []
+        config = IngressConfig(max_batch=100, max_wait_s=0.02, queue_capacity=100)
+
+        async def scenario():
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: problems.append(context["exception"])
+            )
+            ingress = ServiceIngress(
+                make_service(), config, clock=lambda: time.monotonic() + offset[0]
+            )
+            async with ingress:
+                first = asyncio.ensure_future(ingress.serve(4))
+                await asyncio.sleep(0)
+                offset[0] = -60.0
+                for _ in range(3):
+                    await asyncio.sleep(0)
+                offset[0] = 0.0
+                await asyncio.wait_for(first, 1.0)
+                lone = await asyncio.wait_for(ingress.serve(7), 1.0)
+                return lone, ingress.stats()
+
+        lone, stats = run(scenario())
+        assert len(problems) == 1 and lone.query == 7 and not lone.shed
+        assert stats.flush_reasons == {"size": 0, "deadline": 1, "idle": 1, "shutdown": 0}
 
     def test_reason_counters_sum_to_flushed_batches(self):
         config = IngressConfig(max_batch=8, max_wait_s=0.002, queue_capacity=64)
