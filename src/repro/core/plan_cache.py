@@ -5,13 +5,14 @@ a *verified* better plan exists.  The cache answers with the best hint whose
 latency has actually been observed during offline exploration, or the
 default plan otherwise.  Because the default plan's latency is always
 observed first (it is executed as part of normal operation), a non-default
-hint is only ever returned when it was measured to be no slower -- the
-no-regression guarantee.
+hint is only ever returned when it was measured to be faster -- the
+no-regression guarantee.  With the default in column 0 and ties kept by
+the first column, the rule is one row ``argmin`` (:func:`_serving_rule`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -20,7 +21,8 @@ from ..errors import ExplorationError
 from .workload_matrix import WorkloadMatrix
 
 #: Column of the DBMS default plan: what is served until a verified plan
-#: is measured to be no slower.
+#: is measured to be faster.  Column 0, so that a row ``argmin`` (first
+#: minimum on ties) is the whole serving rule.
 DEFAULT_HINT = 0
 
 
@@ -38,20 +40,20 @@ def _serving_rule(matrix: WorkloadMatrix, rows) -> Tuple[np.ndarray, np.ndarray,
     """The no-regression rule over ``rows`` of ``matrix`` (an index array):
     ``(hints, used_default, expected_latency)``, one entry per row.  The
     only vectorised implementation of the rule -- a full
-    :meth:`CacheSnapshot.compute` and a row patch both call it."""
+    :meth:`CacheSnapshot.compute` and a row patch both call it.
+
+    The rule is the default-first argmin over completed latencies (censored
+    and unexecuted cells read ``inf``).  It is the best hint when that is
+    not the default, finite and no slower than the default, else the
+    default: the default is column 0 (:data:`DEFAULT_HINT`) and ``argmin``
+    returns the first of tied minima, so a non-default answer is strictly
+    below the default's latency, hence finite.  A tie answers the default;
+    a row with no completed cell is all ``inf`` and answers column 0 at
+    ``inf``.
+    """
     latency = matrix.observed_latencies(rows)
-    best = latency.argmin(axis=1)
-    best_latency = latency[np.arange(best.shape[0]), best]
-    default_latency = latency[:, DEFAULT_HINT]
-    # A row with no completed observation has best_latency == inf.
-    serve_best = (
-        (best != DEFAULT_HINT)
-        & (best_latency < np.inf)
-        & (best_latency <= default_latency)
-    )
-    hints = np.where(serve_best, best, DEFAULT_HINT).astype(np.int64)
-    expected = np.where(serve_best, best_latency, default_latency)
-    return hints, ~serve_best, expected
+    hints = latency.argmin(axis=1)
+    return hints, hints == DEFAULT_HINT, latency[np.arange(hints.shape[0]), hints]
 
 
 @dataclass(frozen=True)
@@ -59,8 +61,9 @@ class CacheSnapshot:
     """Precomputed decision arrays for every query at one matrix version.
 
     The scalar :meth:`PlanCache.lookup` walks one matrix row per call; a
-    snapshot evaluates the same no-regression rule for *all* rows with a
-    handful of vectorised operations.  It is an immutable value: when the
+    snapshot evaluates the same no-regression rule -- the default-first
+    row ``argmin`` of :func:`_serving_rule` -- for *all* rows with one
+    argmin and one gather.  It is an immutable value: when the
     matrix moves on (detected via :attr:`WorkloadMatrix.version`) a *new*
     snapshot is derived -- by :meth:`patched` when only row contents
     changed, by :meth:`compute` when the row set did.  This is the kernel
@@ -83,13 +86,7 @@ class CacheSnapshot:
     @classmethod
     def compute(cls, matrix: WorkloadMatrix) -> "CacheSnapshot":
         """Evaluate the serving rule for every query in one vectorised pass."""
-        hints, used_default, expected = _serving_rule(matrix, np.arange(matrix.n_queries))
-        return cls(
-            version=matrix.version,
-            hints=hints,
-            used_default=used_default,
-            expected_latency=expected,
-        )
+        return cls(matrix.version, *_serving_rule(matrix, np.arange(matrix.n_queries)))
 
     def patched(self, matrix: WorkloadMatrix, rows: np.ndarray) -> "CacheSnapshot":
         """A new snapshot at ``matrix.version`` with only ``rows`` re-decided.
@@ -102,14 +99,7 @@ class CacheSnapshot:
             old.copy() for old in (self.hints, self.used_default, self.expected_latency)
         )
         hints[rows], used_default[rows], expected[rows] = _serving_rule(matrix, rows)
-        return replace(
-            self,
-            version=matrix.version,
-            hints=hints,
-            used_default=used_default,
-            expected_latency=expected,
-            patched_rows=int(rows.size),
-        )
+        return CacheSnapshot(matrix.version, hints, used_default, expected, rows.size)
 
 
 class PlanCache:
@@ -117,7 +107,9 @@ class PlanCache:
 
     ``matrix`` holds the verified (observed) latencies; column
     :data:`DEFAULT_HINT` is the DBMS default plan, and another hint is
-    served only when its observed latency is at most the default's.
+    served only when it is the row's first minimum over completed cells,
+    so strictly faster than the default (a tie keeps the default).
+    :meth:`lookup` is the scalar reference the snapshot is held to.
     """
 
     def __init__(self, matrix: WorkloadMatrix) -> None:
@@ -185,10 +177,11 @@ class PlanCache:
     def verify_no_regression(self, true_latencies) -> bool:
         """Check the no-regression guarantee against ground truth.
 
-        For every query, the latency of the served hint must not exceed the
-        latency of the default hint *under the observed measurements used
-        to make the decision*.  Ground truth is accepted for convenience in
-        tests and benchmarks.
+        For every query served a non-default hint, that hint's true latency
+        must not exceed the default hint's.  The bound is exact: a served
+        hint was measured strictly faster than the default, so observations
+        that match the truth always pass, and one that ranks a hint faster
+        than it truly runs fails.
         """
         true_latencies = np.asarray(true_latencies, dtype=float)
         if true_latencies.shape != self.matrix.shape:
@@ -197,8 +190,6 @@ class PlanCache:
             if decision.used_default:
                 continue
             default_true = true_latencies[decision.query, DEFAULT_HINT]
-            served_true = true_latencies[decision.query, decision.hint]
-            # Allow simulator noise headroom.
-            if served_true > default_true * 1.5:
+            if true_latencies[decision.query, decision.hint] > default_true:
                 return False
         return True

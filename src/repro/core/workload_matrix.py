@@ -251,7 +251,7 @@ class WorkloadMatrix:
         up, so the consumer must start over)."""
         if version < self._structure_version:
             return None
-        return np.flatnonzero(self._row_versions > version)
+        return (self._row_versions > version).nonzero()[0]
 
     def _stamp(self, rows) -> None:
         """Bump the version and mark ``rows`` (any index) as changed at it."""
@@ -384,8 +384,8 @@ class WorkloadMatrix:
         matrix-sized temporary beside the gathered one costs more in page
         faults than the gather itself.
         """
-        out = np.take(self._values, rows, axis=0)
-        np.putmask(out, ~np.take(self._observed, rows, axis=0), np.inf)
+        out = self._values.take(rows, axis=0)
+        np.putmask(out, ~self._observed.take(rows, axis=0), np.inf)
         return out
 
     def solver_cells(self) -> SolverCells:

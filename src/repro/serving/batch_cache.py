@@ -24,7 +24,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from ..core.plan_cache import CacheSnapshot, PlanCache
-from ..core.workload_matrix import WorkloadMatrix, checked_ids
+from ..core.workload_matrix import WorkloadMatrix, _bool_element, checked_ids
 from ..errors import ServingError
 from ..telemetry.registry import Counter
 from ..telemetry.tracing import OFF
@@ -70,9 +70,11 @@ class BatchedPlanCache:
 
     Semantically identical to per-query :meth:`PlanCache.lookup` -- the
     equality is asserted cell-for-cell in ``tests/test_serving.py`` -- but
-    the no-regression rule is evaluated once per *changed row* (all rows
-    on the first batch and after rows were added or removed) instead of
-    once per arrival.
+    the no-regression rule, the default-first row ``argmin`` over completed
+    latencies, is evaluated once per *changed row* (all rows on the first
+    batch and after rows were added or removed) instead of once per
+    arrival: a read after a write re-decides the written rows with one
+    ``argmin`` and one gather.
     """
 
     def __init__(self, matrix: WorkloadMatrix) -> None:
@@ -143,22 +145,26 @@ class BatchedPlanCache:
         """`decide` for a few rows held as a plain list: ``(hints,
         used_default, expected_latency)`` lists parallel to ``rows``, read
         from plain-list copies of the snapshot's arrays with no array built
-        (a list index costs a tenth of a numpy gather's fixed cost).  ``rows``
-        are indices their owner resolved (a cluster's routing directory), so
-        only one past the end is caught here.  Telemetry is `decide`'s."""
+        (a list index costs a tenth of a numpy gather's fixed cost).  A row
+        is a non-negative ``int`` below the row count, or `ServingError`:
+        a list would read ``-1`` as the last row, ``True`` as row 1, and
+        ``1.0`` as a bare `TypeError`.  Telemetry is `decide`'s."""
         start = self._tracer.begin("cache.lookup")
-        snap = self.current()
-        if snap.version != self._row_lists_version:
-            self._follow(snap)
+        if self.matrix.version != self._row_lists_version:
+            self._follow(self.current())
         hints, used_default, expected = self._row_lists
         try:
+            if _bool_element(rows) or (rows and min(rows) < 0):
+                raise IndexError
             decided = (
                 [hints[row] for row in rows],
                 [used_default[row] for row in rows],
                 [expected[row] for row in rows],
             )
-        except IndexError:
-            raise ServingError(f"row out of range [0, {len(hints)}): max {max(rows)}") from None
+        except (IndexError, TypeError):
+            raise ServingError(
+                f"row out of range [0, {len(hints)}) or not an int: {rows!r}"
+            ) from None
         self._tracer.end("cache.lookup", start)
         return decided
 

@@ -20,7 +20,7 @@ from repro.cluster import ClusterShard, ServingCluster, split_batch
 from repro.config import IngressConfig
 from repro.core.plan_cache import DEFAULT_HINT
 from repro.core.workload_matrix import WorkloadMatrix
-from repro.errors import ClusterError
+from repro.errors import ClusterError, ServingError
 from repro.experiments.cluster import populate_cluster
 from repro.ingress import ClusterIngress
 from repro.serving.batch_cache import BatchDecisions
@@ -290,6 +290,18 @@ class TestShardGroups:
             ClusterShard.serve_rows = real
         assert asked == [(sid, owners.count(sid)) for sid in sorted(set(owners))]
         assert cluster.stats().fan_out == len(asked)
+
+    @pytest.mark.parametrize("rows", [[-1], [True], [1.0]])
+    def test_a_shard_refuses_hostile_rows_and_counts_nothing(self, rows):
+        """A list index would read ``-1`` as the last row and ``True`` as row 1."""
+        cluster = build_cluster(None)
+        shard = cluster.shards[0]
+        before = shard.serve_rows([0, 1])
+        decisions = shard.service.stats().decisions
+        with pytest.raises(ServingError):
+            shard.serve_rows(rows)
+        assert shard.service.stats().decisions == decisions
+        assert shard.serve_rows([0, 1]) == before
 
     def test_a_failing_up_shard_fails_its_flush_until_marked_down(self):
         cluster = build_cluster(None)

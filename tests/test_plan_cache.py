@@ -56,6 +56,17 @@ def test_no_regression_against_ground_truth():
     assert cache.verify_no_regression(truth)
 
 
+def test_no_regression_bound_is_exact():
+    """Observations rank hint 1 faster; the truth has it 1.4x slower."""
+    matrix = WorkloadMatrix(1, 2)
+    matrix.observe(0, 0, 10.0)
+    matrix.observe(0, 1, 5.0)
+    cache = PlanCache(matrix)
+    assert cache.lookup(0).hint == 1
+    assert not cache.verify_no_regression(np.array([[10.0, 14.0]]))
+    assert cache.verify_no_regression(np.array([[10.0, 10.0]]))
+
+
 def test_verify_no_regression_shape_check():
     cache = PlanCache(make_matrix())
     with pytest.raises(ExplorationError):

@@ -301,15 +301,18 @@ class TestServingService:
             service.serve_batch([99])
 
     @pytest.mark.parametrize(
-        "ids", [[1.7], [True], ["3"], [float("nan")], [None], [[0, 1]], 1, [-1]]
+        "ids", [[1.7], [True], ["3"], [float("nan")], [None], [[0, 1]], 1, [-1], [1.0]]
     )
     def test_ids_are_integers_or_a_typed_error(self, ids):
-        """``1.7`` must not be served, or written and journaled, as row 1."""
+        """``1.7`` must not be served, or written and journaled, as row 1;
+        nor may the list door read ``-1`` as the last row or ``True`` as row 1."""
         matrix = make_matrix()
         service = ServingService(matrix)
         version, values = matrix.version, matrix.values.copy()
         with pytest.raises(ServingError):
             service.serve_batch(ids)
+        with pytest.raises(ServingError):
+            service.serve_rows(ids)
         size = np.asarray(ids, dtype=object).size
         with pytest.raises(MatrixError):  # the service's write door is the matrix's
             service.observe_batch(ids, [1] * size, [0.5] * size)
